@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check verify build test race vet fmt-check bench bench-telemetry bench-wal bench-cluster bench-ingest bench-e2e bench-e2e-smoke bench-geo crash-test doccheck loadgen chaos cluster-test trace-smoke clean
+.PHONY: check verify build test race vet fmt-check bench bench-telemetry bench-wal bench-cluster bench-ingest bench-e2e bench-e2e-smoke bench-geo bench-repo crash-test doccheck loadgen chaos cluster-test trace-smoke clean
 
 check: vet build race
 
@@ -179,5 +179,16 @@ bench-geo:
 		echo "bench-geo: first run recorded; the regression gate engages from the second run"; \
 	fi
 
+# The repository benchmark (bench/README.md, BENCHMARK.json), as the
+# driver calls it: one workload, the committed seed and run length, no
+# trace. `make bench-repo W=train`; W is one of ingest_single,
+# ingest_cluster, query_mixed, wsd_scan, train. Builds under
+# .bench_build/ in the checkout.
+W ?= train
+
+bench-repo:
+	bash bench/run.sh --workload $(W) --seed 42 --seconds 14 --trace 0
+
 clean:
 	$(GO) clean ./...
+	rm -rf .bench_build

@@ -163,10 +163,10 @@ func BuildModel(readings []dataset.Reading, labels []dataset.Label, cfg Construc
 	proj := geo.NewProjector(origin)
 
 	// Localities identification: cluster on location only (km).
-	locs := make([][]float64, len(readings))
+	locs := ml.NewMatrix(len(readings), 2)
 	for i := range readings {
 		xy := proj.ToXY(readings[i].Loc)
-		locs[i] = []float64{xy.X / 1000, xy.Y / 1000}
+		locs[i][0], locs[i][1] = xy.X/1000, xy.Y/1000
 	}
 	clu, err := kmeans.Run(locs, kmeans.Config{K: cfg.ClusterK, Seed: cfg.Seed, Workers: cfg.Workers})
 	if err != nil {
@@ -190,25 +190,20 @@ func BuildModel(readings []dataset.Reading, labels []dataset.Label, cfg Construc
 	// Each locality's training depends only on its own members and a
 	// salt derived from its index, so the built model is bit-identical
 	// to a serial build regardless of worker count.
-	members := make([][]int, cfg.ClusterK)
-	for i, c := range clu.Assignments {
-		members[c] = append(members[c], i)
-	}
+	members := groupByLocality(clu.Assignments, cfg.ClusterK)
 	buildLocal := func(c int) (localModel, error) {
 		idxs := members[c]
-		x := make([][]float64, 0, len(idxs))
-		y := make([]int, 0, len(idxs))
-		for _, i := range idxs {
-			vec, err := cfg.Features.Vector(proj.ToXY(readings[i].Loc), readings[i].Signal)
-			if err != nil {
+		x := ml.NewMatrix(len(idxs), cfg.Features.Dim())
+		y := make([]int, len(idxs))
+		for k, i := range idxs {
+			if _, err := cfg.Features.AppendVector(x[k][:0], proj.ToXY(readings[i].Loc), readings[i].Signal); err != nil {
 				return localModel{}, fmt.Errorf("core: feature vector: %w", err)
 			}
 			cls, err := labelToClass(labels[i])
 			if err != nil {
 				return localModel{}, err
 			}
-			x = append(x, vec)
-			y = append(y, cls)
+			y[k] = cls
 		}
 		lm, err := trainLocal(x, y, cfg, int64(c))
 		if err != nil {
@@ -255,6 +250,26 @@ func BuildModel(readings []dataset.Reading, labels []dataset.Label, cfg Construc
 	return model, nil
 }
 
+// groupByLocality lists, for each of k localities, the indices assigned
+// to it in ascending order. The lists are consecutive ranges of one
+// array, sized by a counting pass.
+func groupByLocality(assignments []int, k int) [][]int {
+	counts := make([]int, k)
+	for _, c := range assignments {
+		counts[c]++
+	}
+	backing := make([]int, len(assignments))
+	members := make([][]int, k)
+	for c, n := range counts {
+		members[c] = backing[:0:n]
+		backing = backing[n:]
+	}
+	for i, c := range assignments {
+		members[c] = append(members[c], i)
+	}
+	return members
+}
+
 // trainLocal fits one locality. Single-class localities become constant
 // ("binary") models.
 func trainLocal(x [][]float64, y []int, cfg ConstructorConfig, salt int64) (localModel, error) {
@@ -297,9 +312,6 @@ func trainLocal(x [][]float64, y []int, cfg ConstructorConfig, salt int64) (loca
 func (m *Model) Classify(loc geo.Point, sig features.Signal) (dataset.Label, error) {
 	if len(m.locals) == 0 {
 		return 0, fmt.Errorf("core: empty model")
-	}
-	if m.proj == nil {
-		m.proj = geo.NewProjector(m.Origin)
 	}
 	xy := m.proj.ToXY(loc)
 	idx, _ := kmeans.Nearest(m.centers, []float64{xy.X / 1000, xy.Y / 1000})

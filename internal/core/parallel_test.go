@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"github.com/wsdetect/waldo/internal/dataset"
 )
 
 // encodeForCompare serializes a model so two builds can be compared
@@ -41,6 +43,49 @@ func TestBuildModelWorkerDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestClassifySharedModelConcurrently classifies with one decoded model
+// from several goroutines, as a server answering availability queries or
+// a WSD scanning channels in parallel does. Classify is a read path: it
+// must write nothing on the model, which is what -race (make check)
+// verifies here, and every goroutine must see the serial answers.
+func TestClassifySharedModelConcurrently(t *testing.T) {
+	readings, labels := synthReadings(600, 27)
+	built, err := BuildModel(readings, labels, ConstructorConfig{ClusterK: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := DecodeModel(bytes.NewReader(encodeForCompare(t, built)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]dataset.Label, len(readings))
+	for i, r := range readings {
+		if want[i], err = built.ClassifyReading(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(readings); i += 2 {
+				got, err := model.ClassifyReading(readings[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("goroutine %d: reading %d classified %v, serial build says %v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestBuildModelRejectsNegativeWorkers(t *testing.T) {

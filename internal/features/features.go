@@ -114,21 +114,31 @@ func (s Set) String() string {
 // (meters; scaled to kilometers internally so raw magnitudes are
 // comparable with the dB features before standardization).
 func (s Set) Vector(xy geo.XY, sig Signal) ([]float64, error) {
+	if !s.Valid() { // before Dim sizes the allocation
+		return nil, fmt.Errorf("features: invalid set %d", int(s))
+	}
+	return s.AppendVector(make([]float64, 0, s.Dim()), xy, sig)
+}
+
+// AppendVector appends the classifier input Vector would build to dst
+// and returns the extended slice: with Dim values of spare capacity in
+// dst it allocates nothing, which is how the Model Constructor fills one
+// row of its feature matrix per reading.
+func (s Set) AppendVector(dst []float64, xy geo.XY, sig Signal) ([]float64, error) {
 	if !s.Valid() {
 		return nil, fmt.Errorf("features: invalid set %d", int(s))
 	}
-	v := make([]float64, 0, s.Dim())
-	v = append(v, xy.X/1000, xy.Y/1000)
+	dst = append(dst, xy.X/1000, xy.Y/1000)
 	if s >= SetLocationRSS {
-		v = append(v, sig.RSSdBm)
+		dst = append(dst, sig.RSSdBm)
 	}
 	if s >= SetLocationRSSCFT {
-		v = append(v, sig.CFTdB)
+		dst = append(dst, sig.CFTdB)
 	}
 	if s >= SetLocationRSSCFTAFT {
-		v = append(v, sig.AFTdB)
+		dst = append(dst, sig.AFTdB)
 	}
-	return v, nil
+	return dst, nil
 }
 
 // Score is an ANOVA discriminability score for one feature.

@@ -133,8 +133,32 @@ func TestVectorLayout(t *testing.T) {
 		}
 	}
 
-	if _, err := Set(9).Vector(xy, sig); err == nil {
-		t.Error("invalid set should error")
+	for _, bad := range []Set{9, 0, -3} {
+		if _, err := bad.Vector(xy, sig); err == nil {
+			t.Errorf("Set(%d).Vector should error", int(bad))
+		}
+		if _, err := bad.AppendVector(nil, xy, sig); err == nil {
+			t.Errorf("Set(%d).AppendVector should error", int(bad))
+		}
+	}
+
+	// AppendVector fills the caller's row in place: same values as
+	// Vector, no allocation when the capacity is there.
+	row := make([]float64, SetLocationRSSCFTAFT.Dim())
+	if avg := testing.AllocsPerRun(100, func() {
+		if v, err = SetLocationRSSCFTAFT.AppendVector(row[:0], xy, sig); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("AppendVector into spare capacity allocates %.1f objects/op", avg)
+	}
+	if len(v) != len(want) || &v[0] != &row[0] {
+		t.Fatalf("AppendVector returned %v, want the %d-value row it was given", v, len(want))
+	}
+	for i := range want {
+		if row[i] != want[i] {
+			t.Fatalf("appended vector = %v, want %v", row, want)
+		}
 	}
 }
 

@@ -111,8 +111,15 @@ func Run(x [][]float64, cfg Config) (*Result, error) {
 	}
 	workers := resolveWorkers(cfg.Workers, len(x))
 
+	// The centers are rows of one array, so the two-dimensional scan can
+	// walk them without a slice header per center.
+	centerData := make([]float64, cfg.K*dim)
+	centers := make([][]float64, cfg.K)
+	for c := range centers {
+		centers[c] = centerData[c*dim : (c+1)*dim : (c+1)*dim]
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	centers := seedPlusPlus(x, cfg.K, rng, workers)
+	seedPlusPlus(centers, x, rng, workers)
 	assign := make([]int, len(x))
 	counts := make([]int, cfg.K)
 	sums := make([][]float64, cfg.K)
@@ -128,13 +135,7 @@ func Run(x [][]float64, cfg Config) (*Result, error) {
 		// centers, so the outcome matches the serial scan exactly.
 		first := iters == 1
 		parallelRanges(len(x), workers, func(w, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				best, _ := Nearest(centers, x[i])
-				if assign[i] != best || first {
-					assign[i] = best
-					changedBy[w] = true
-				}
-			}
+			changedBy[w] = assignNearest(x[lo:hi], centers, centerData, assign[lo:hi]) || first
 		})
 		changed := false
 		for w := range changedBy {
@@ -165,7 +166,7 @@ func Run(x [][]float64, cfg Config) (*Result, error) {
 		for c := range centers {
 			if counts[c] == 0 {
 				// Re-seed an empty cluster at a random point.
-				centers[c] = append([]float64(nil), x[rng.Intn(len(x))]...)
+				copy(centers[c], x[rng.Intn(len(x))])
 				continue
 			}
 			for j := range centers[c] {
@@ -179,6 +180,40 @@ func Run(x [][]float64, cfg Config) (*Result, error) {
 		inertia += sqDist(centers[assign[i]], p)
 	}
 	return &Result{Centers: centers, Assignments: assign, Inertia: inertia, Iterations: iters}, nil
+}
+
+// assignNearest points each assign[i] at the center nearest x[i] and
+// reports whether any of them moved; centerData is the array the centers
+// are rows of. Reading locations are planar, so the Model Constructor
+// only ever asks for two dimensions: that case keeps the point in
+// registers and has no inner loop. 0 + d0² + d1² rounds exactly as
+// sqDist's accumulation does, so the assignments are the same.
+func assignNearest(x, centers [][]float64, centerData []float64, assign []int) (changed bool) {
+	if len(centers[0]) != 2 {
+		for i, p := range x {
+			best, _ := Nearest(centers, p)
+			if assign[i] != best {
+				assign[i] = best
+				changed = true
+			}
+		}
+		return changed
+	}
+	for i, p := range x {
+		p0, p1 := p[0], p[1]
+		best, bestD := 0, math.Inf(1)
+		for c := 0; c+1 < len(centerData); c += 2 {
+			d0, d1 := centerData[c]-p0, centerData[c+1]-p1
+			if d := d0*d0 + d1*d1; d < bestD {
+				best, bestD = c/2, d
+			}
+		}
+		if assign[i] != best {
+			assign[i] = best
+			changed = true
+		}
+	}
+	return changed
 }
 
 // Nearest returns the index of the closest center to p and the squared
@@ -203,30 +238,22 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// seedPlusPlus picks initial centers with k-means++ (D² sampling). The
+// seedPlusPlus fills centers with k-means++ picks (D² sampling). The
 // min-distance table is maintained incrementally — after each new center
 // only the distance to that center is scanned, in parallel — which is
 // exactly the min the historical full rescan computed, so the sampled
 // centers are bit-identical to the serial implementation.
-func seedPlusPlus(x [][]float64, k int, rng *rand.Rand, workers int) [][]float64 {
-	centers := make([][]float64, 0, k)
-	centers = append(centers, append([]float64(nil), x[rng.Intn(len(x))]...))
+func seedPlusPlus(centers, x [][]float64, rng *rand.Rand, workers int) {
+	copy(centers[0], x[rng.Intn(len(x))])
 	d2 := make([]float64, len(x))
 	for i := range d2 {
 		d2[i] = math.Inf(1)
 	}
-	for {
-		newest := centers[len(centers)-1]
+	for c := 1; c < len(centers); c++ {
+		newest := centers[c-1]
 		parallelRanges(len(x), workers, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if d := sqDist(newest, x[i]); d < d2[i] {
-					d2[i] = d
-				}
-			}
+			lowerToSqDist(d2[lo:hi], x[lo:hi], newest)
 		})
-		if len(centers) == k {
-			return centers
-		}
 		// The D² total and the cumulative-sum sampling walk stay
 		// serial, in point order: the draw must not depend on the
 		// worker count.
@@ -236,7 +263,7 @@ func seedPlusPlus(x [][]float64, k int, rng *rand.Rand, workers int) [][]float64
 		}
 		if total == 0 {
 			// All points coincide with centers; duplicate one.
-			centers = append(centers, append([]float64(nil), x[0]...))
+			copy(centers[c], x[0])
 			continue
 		}
 		target := rng.Float64() * total
@@ -249,6 +276,27 @@ func seedPlusPlus(x [][]float64, k int, rng *rand.Rand, workers int) [][]float64
 				break
 			}
 		}
-		centers = append(centers, append([]float64(nil), x[pick]...))
+		copy(centers[c], x[pick])
+	}
+}
+
+// lowerToSqDist lowers each d2[i] to the squared distance from x[i] to
+// center where that is smaller, with the same two-dimensional case as
+// assignNearest.
+func lowerToSqDist(d2 []float64, x [][]float64, center []float64) {
+	if len(center) != 2 {
+		for i, p := range x {
+			if d := sqDist(center, p); d < d2[i] {
+				d2[i] = d
+			}
+		}
+		return
+	}
+	c0, c1 := center[0], center[1]
+	for i, p := range x {
+		d0, d1 := c0-p[0], c1-p[1]
+		if d := d0*d0 + d1*d1; d < d2[i] {
+			d2[i] = d
+		}
 	}
 }

@@ -157,3 +157,56 @@ func TestRunIdenticalPoints(t *testing.T) {
 		t.Errorf("inertia = %v, want 0", res.Inertia)
 	}
 }
+
+// TestPlanarFastPathMatchesGeneralPath pins the two-dimensional scans to
+// the general ones: the same points with a zero third coordinate take
+// the sqDist path, where d0² + d1² + 0² is the same float64, so seeding
+// draws, assignments, centers and inertia must agree bit for bit. Few
+// distinct points and a large k make coincident centers and empty-
+// cluster re-seeds likely too.
+func TestPlanarFastPathMatchesGeneralPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		n := 3 + rng.Intn(200)
+		k := 1 + rng.Intn(min(n, 7))
+		distinct := n
+		if trial%3 == 0 {
+			distinct = 1 + rng.Intn(4)
+		}
+		planar := make([][]float64, n)
+		padded := make([][]float64, n)
+		for i := range planar {
+			if i < distinct {
+				planar[i] = []float64{rng.NormFloat64() * 9, rng.NormFloat64() * 9}
+			} else {
+				planar[i] = planar[rng.Intn(distinct)]
+			}
+			padded[i] = []float64{planar[i][0], planar[i][1], 0}
+		}
+		cfg := Config{K: k, Seed: int64(trial), Workers: 1}
+		got, err := Run(planar, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(padded, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Iterations != want.Iterations || math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+			t.Fatalf("trial %d (n=%d k=%d): iterations/inertia %d/%v, general path %d/%v",
+				trial, n, k, got.Iterations, got.Inertia, want.Iterations, want.Inertia)
+		}
+		for i := range want.Assignments {
+			if got.Assignments[i] != want.Assignments[i] {
+				t.Fatalf("trial %d: assignment %d = %d, general path %d", trial, i, got.Assignments[i], want.Assignments[i])
+			}
+		}
+		for c := range want.Centers {
+			for j := range got.Centers[c] {
+				if math.Float64bits(got.Centers[c][j]) != math.Float64bits(want.Centers[c][j]) {
+					t.Fatalf("trial %d: center %d dim %d = %v, general path %v", trial, c, j, got.Centers[c][j], want.Centers[c][j])
+				}
+			}
+		}
+	}
+}

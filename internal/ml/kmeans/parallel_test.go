@@ -3,6 +3,8 @@ package kmeans
 import (
 	"math/rand"
 	"testing"
+
+	"github.com/wsdetect/waldo/internal/ml"
 )
 
 // TestRunWorkerCountInvariance is the determinism contract of the worker
@@ -61,5 +63,23 @@ func BenchmarkKMeansAssign(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkKMeansLocalities measures localities identification as the
+// Model Constructor runs it on one metro channel: 5 282 reading
+// locations in km over a ~26 km square, three localities, one worker.
+func BenchmarkKMeansLocalities(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	x := ml.NewMatrix(5282, 2)
+	for i := range x {
+		x[i][0], x[i][1] = rng.Float64()*26, rng.Float64()*26
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(x, Config{K: 3, Seed: int64(i), Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -36,6 +36,20 @@ type DecisionScorer interface {
 	DecisionValue(x []float64) (float64, error)
 }
 
+// NewMatrix returns a zeroed n×dim matrix whose rows are consecutive,
+// non-overlapping views of one row-major backing array: two allocations
+// whatever n is, and neighbouring rows adjacent in memory. The trainer's
+// matrices (locations, features, z-scores, random Fourier features) are
+// all built this way.
+func NewMatrix(n, dim int) [][]float64 {
+	backing := make([]float64, n*dim)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return rows
+}
+
 // CheckTrainingSet validates a design matrix and label vector.
 func CheckTrainingSet(x [][]float64, y []int) (dim int, err error) {
 	if len(x) == 0 {
@@ -144,25 +158,31 @@ func NewStandardizerFromParams(mean, scale []float64) (*Standardizer, error) {
 
 // Transform z-scores one vector into a new slice.
 func (s *Standardizer) Transform(x []float64) ([]float64, error) {
-	if len(x) != len(s.mean) {
-		return nil, fmt.Errorf("ml: transform dim %d, fitted %d", len(x), len(s.mean))
-	}
-	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = (v - s.mean[j]) / s.scale[j]
+	out := make([]float64, len(s.mean))
+	if err := s.transformInto(out, x); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// TransformAll z-scores a matrix into a new matrix.
+// transformInto z-scores x into out, which must hold Dim values.
+func (s *Standardizer) transformInto(out, x []float64) error {
+	if len(x) != len(s.mean) {
+		return fmt.Errorf("ml: transform dim %d, fitted %d", len(x), len(s.mean))
+	}
+	for j, v := range x {
+		out[j] = (v - s.mean[j]) / s.scale[j]
+	}
+	return nil
+}
+
+// TransformAll z-scores a matrix into a new matrix (see NewMatrix).
 func (s *Standardizer) TransformAll(x [][]float64) ([][]float64, error) {
-	out := make([][]float64, len(x))
+	out := NewMatrix(len(x), len(s.mean))
 	for i := range x {
-		t, err := s.Transform(x[i])
-		if err != nil {
+		if err := s.transformInto(out[i], x[i]); err != nil {
 			return nil, fmt.Errorf("ml: row %d: %w", i, err)
 		}
-		out[i] = t
 	}
 	return out, nil
 }

@@ -109,3 +109,34 @@ func TestStandardizerErrors(t *testing.T) {
 		t.Error("ragged matrix should fail")
 	}
 }
+
+func TestNewMatrix(t *testing.T) {
+	if avg := testing.AllocsPerRun(10, func() { NewMatrix(500, 4) }); avg > 2 {
+		t.Errorf("NewMatrix(500, 4) allocates %.0f objects, want the backing array and the row headers", avg)
+	}
+	m := NewMatrix(3, 4)
+	if len(m) != 3 {
+		t.Fatalf("%d rows, want 3", len(m))
+	}
+	for i, row := range m {
+		if len(row) != 4 || cap(row) != 4 {
+			t.Fatalf("row %d has len %d cap %d, want 4/4", i, len(row), cap(row))
+		}
+		for j := range row {
+			row[j] = float64(10*i + j)
+		}
+	}
+	// Rows do not overlap, and a row is at capacity: appending to it
+	// reallocates instead of running into its neighbour.
+	_ = append(m[0], 99)
+	for i, row := range m {
+		for j, v := range row {
+			if v != float64(10*i+j) {
+				t.Fatalf("m[%d][%d] = %v after writing every cell and appending to row 0", i, j, v)
+			}
+		}
+	}
+	if got := NewMatrix(0, 4); len(got) != 0 {
+		t.Errorf("NewMatrix(0, 4) has %d rows", len(got))
+	}
+}

@@ -1,18 +1,43 @@
 package svm
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/wsdetect/waldo/internal/ml"
 )
 
-// BenchmarkRFFSVMTrain measures one locality's training cost at campaign
-// scale (the Model Constructor hot path).
+// localityRows is one locality of the metro rebuild: 5 282 readings over
+// three clusters.
+const localityRows = 1760
+
+// localitySet imitates what the Model Constructor hands a locality's
+// classifier: z-scored location + RSS + CFT rows, the vacant class a
+// minority decided mostly by the two signal features.
+func localitySet(n int, seed int64) (x [][]float64, y []int) {
+	rng := rand.New(rand.NewSource(seed))
+	x = ml.NewMatrix(n, 4)
+	y = make([]int, n)
+	for i := range x {
+		for j := range x[i] {
+			x[i][j] = rng.NormFloat64()
+		}
+		y[i] = ml.Negative
+		if x[i][2]+0.5*x[i][3]+0.3*rng.NormFloat64() < -0.6 {
+			y[i] = ml.Positive
+		}
+	}
+	return x, y
+}
+
+// BenchmarkRFFSVMTrain measures one locality's KindSVM fit as the Model
+// Constructor configures it (newClassifier in internal/core).
 func BenchmarkRFFSVMTrain(b *testing.B) {
-	x, y := twoBlobs(2000, 2, 1)
+	x, y := localitySet(localityRows, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := &RFFSVM{D: 48, Gamma: 0.35, Seed: int64(i)}
+		m := &RFFSVM{D: 48, Gamma: 0.35, Seed: int64(i), Linear: Pegasos{ClassBalance: true}}
 		if err := m.Fit(x, y); err != nil {
 			b.Fatal(err)
 		}
@@ -46,15 +71,29 @@ func BenchmarkSMOTrain500(b *testing.B) {
 
 var benchSink int
 
+// BenchmarkPegasosTrain measures the linear trainer alone on what RFFSVM
+// feeds it inside the constructor: the locality's rows mapped to 48
+// random Fourier features.
 func BenchmarkPegasosTrain(b *testing.B) {
-	x, y := twoBlobs(2000, 2, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := &Pegasos{Seed: int64(i)}
-		if err := p.Fit(x, y); err != nil {
+	x, y := localitySet(localityRows, 5)
+	rff, err := NewRFF(4, 48, 0.35, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	z := make([][]float64, len(x))
+	for i := range x {
+		if z[i], err = rff.Transform(x[i]); err != nil {
 			b.Fatal(err)
 		}
-		pred, _ := p.Predict(x[0])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &Pegasos{Seed: int64(i), ClassBalance: true}
+		if err := p.Fit(z, y); err != nil {
+			b.Fatal(err)
+		}
+		pred, _ := p.Predict(z[0])
 		benchSink += pred
 	}
 }

@@ -50,7 +50,8 @@ func (p *Pegasos) Fit(x [][]float64, y []int) error {
 	}
 	n := len(x)
 
-	weight := map[int]float64{ml.Positive: 1, ml.Negative: 1}
+	// Inverse-frequency class weights normalized to mean 1.
+	wPos, wNeg := 1.0, 1.0
 	if p.ClassBalance {
 		var pos int
 		for _, yi := range y {
@@ -59,11 +60,19 @@ func (p *Pegasos) Fit(x [][]float64, y []int) error {
 			}
 		}
 		neg := n - pos
-		// Inverse-frequency weights normalized to mean 1.
-		weight[ml.Positive] = float64(n) / (2 * float64(pos))
-		weight[ml.Negative] = float64(n) / (2 * float64(neg))
+		wPos = float64(n) / (2 * float64(pos))
+		wNeg = float64(n) / (2 * float64(neg))
 	}
 
+	// One pass over w per sample. The pass that applies the shrink and
+	// the sub-gradient step also accumulates ‖w‖² and the *next*
+	// sample's dot product against the updated w — two independent add
+	// chains — so every sum still adds the same terms in the same
+	// order as a pass of its own would (DESIGN.md §8). The carried dot
+	// product is recomputed where w or the next sample changes under
+	// it: after a projection rescale and at each epoch's first sample,
+	// whose index the shuffle has only just decided.
+	lambda := p.Lambda
 	w := make([]float64, dim)
 	var b float64
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -71,38 +80,56 @@ func (p *Pegasos) Fit(x [][]float64, y []int) error {
 	t := 1
 	for epoch := 0; epoch < p.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, idx := range order {
-			eta := 1 / (p.Lambda * float64(t))
+		var dot float64
+		for j, xj := range x[order[0]][:dim] {
+			dot += w[j] * xj
+		}
+		for k, idx := range order {
+			eta := 1 / (lambda * float64(t))
 			t++
 			yi := float64(y[idx])
-			xi := x[idx]
-			var dot float64
-			for j := range w {
-				dot += w[j] * xi[j]
+			xi := x[idx][:dim]
+			next := xi // the epoch's last sample carries nothing over
+			if k+1 < n {
+				next = x[order[k+1]]
 			}
+			next = next[:dim] // len(w), provably: no bounds checks in the loops below
 			margin := yi * (dot + b)
 			// Regularization shrink.
-			shrink := 1 - eta*p.Lambda
-			for j := range w {
-				w[j] *= shrink
-			}
+			shrink := 1 - eta*lambda
+			var norm2 float64
+			dot = 0
 			if margin < 1 {
-				step := eta * yi * weight[y[idx]]
+				classWeight := wNeg
+				if y[idx] == ml.Positive {
+					classWeight = wPos
+				}
+				step := eta * yi * classWeight
 				for j := range w {
-					w[j] += step * xi[j]
+					wj := w[j] * shrink
+					wj += step * xi[j]
+					w[j] = wj
+					norm2 += wj * wj
+					dot += wj * next[j]
 				}
 				b += step * 0.1 // lightly-regularized bias channel
+			} else {
+				for j := range w {
+					wj := w[j] * shrink
+					w[j] = wj
+					norm2 += wj * wj
+					dot += wj * next[j]
+				}
 			}
 			// Pegasos projection onto the ‖w‖ ≤ 1/√λ ball, which tames
 			// the huge early learning rates.
-			var norm2 float64
-			for j := range w {
-				norm2 += w[j] * w[j]
-			}
-			if bound := 1 / (p.Lambda * norm2); bound < 1 {
+			if bound := 1 / (lambda * norm2); bound < 1 {
 				scale := math.Sqrt(bound)
+				dot = 0
 				for j := range w {
-					w[j] *= scale
+					wj := w[j] * scale
+					w[j] = wj
+					dot += wj * next[j]
 				}
 				b *= scale
 			}

@@ -1,0 +1,142 @@
+package svm
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/wsdetect/waldo/internal/ml"
+)
+
+// referencePegasosFit is the five-pass trainer Pegasos.Fit replaced: dot
+// product, shrink, step, ‖w‖² and projection each walk w on their own, and
+// the class weight comes out of a map. It is the oracle for the fused
+// loop — same operations, same order — so it stays here unchanged.
+func referencePegasosFit(p Pegasos, x [][]float64, y []int) (w []float64, b float64) {
+	p.defaults()
+	n, dim := len(x), len(x[0])
+
+	weight := map[int]float64{ml.Positive: 1, ml.Negative: 1}
+	if p.ClassBalance {
+		var pos int
+		for _, yi := range y {
+			if yi == ml.Positive {
+				pos++
+			}
+		}
+		neg := n - pos
+		weight[ml.Positive] = float64(n) / (2 * float64(pos))
+		weight[ml.Negative] = float64(n) / (2 * float64(neg))
+	}
+
+	w = make([]float64, dim)
+	rng := rand.New(rand.NewSource(p.Seed))
+	order := rng.Perm(n)
+	t := 1
+	for epoch := 0; epoch < p.Epochs; epoch++ {
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for _, idx := range order {
+			eta := 1 / (p.Lambda * float64(t))
+			t++
+			yi := float64(y[idx])
+			xi := x[idx]
+			var dot float64
+			for j := range w {
+				dot += w[j] * xi[j]
+			}
+			margin := yi * (dot + b)
+			shrink := 1 - eta*p.Lambda
+			for j := range w {
+				w[j] *= shrink
+			}
+			if margin < 1 {
+				step := eta * yi * weight[y[idx]]
+				for j := range w {
+					w[j] += step * xi[j]
+				}
+				b += step * 0.1
+			}
+			var norm2 float64
+			for j := range w {
+				norm2 += w[j] * w[j]
+			}
+			if bound := 1 / (p.Lambda * norm2); bound < 1 {
+				scale := math.Sqrt(bound)
+				for j := range w {
+					w[j] *= scale
+				}
+				b *= scale
+			}
+		}
+	}
+	return w, b
+}
+
+// TestPegasosFitMatchesFivePassReference compares the one-pass trainer
+// with the reference bit for bit (so −0 ≠ +0) over random problems. Small n and few
+// epochs put the epoch-boundary recompute of the carried dot product on
+// every few samples; large Lambda keeps the ‖w‖ ≤ 1/√λ projection firing
+// so the rescale branch recomputes it too.
+func TestPegasosFitMatchesFivePassReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	lambdas := []float64{1e-4, 1e-2, 0.5, 3}
+	var projected int
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(40)
+		dim := 1 + rng.Intn(9)
+		switch trial % 10 {
+		case 0:
+			n = 2
+		case 1:
+			dim = 1
+		}
+		x := make([][]float64, n)
+		y := make([]int, n)
+		for i := range x {
+			x[i] = make([]float64, dim)
+			for j := range x[i] {
+				x[i][j] = rng.NormFloat64() * 3
+				if rng.Intn(8) == 0 {
+					x[i][j] = 0 // as a z-scored constant feature is
+				}
+			}
+			y[i] = ml.Negative
+			if rng.Intn(3) == 0 {
+				y[i] = ml.Positive
+			}
+		}
+		y[0], y[1] = ml.Positive, ml.Negative // both classes, always
+		p := Pegasos{
+			Lambda:       lambdas[rng.Intn(len(lambdas))],
+			Epochs:       1 + rng.Intn(6),
+			Seed:         rng.Int63(),
+			ClassBalance: rng.Intn(2) == 0,
+		}
+
+		wantW, wantB := referencePegasosFit(p, x, y)
+		if err := p.Fit(x, y); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		gotW, gotB, err := p.Model()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gotB) != math.Float64bits(wantB) {
+			t.Fatalf("trial %d (n=%d dim=%d %+v): bias %v, reference %v", trial, n, dim, p, gotB, wantB)
+		}
+		var norm2 float64
+		for j := range wantW {
+			if math.Float64bits(gotW[j]) != math.Float64bits(wantW[j]) {
+				t.Fatalf("trial %d (n=%d dim=%d %+v): w[%d] = %v, reference %v", trial, n, dim, p, j, gotW[j], wantW[j])
+			}
+			norm2 += wantW[j] * wantW[j]
+		}
+		// A model sitting on the ball's surface was projected there.
+		if math.Abs(norm2*p.Lambda-1) < 1e-9 {
+			projected++
+		}
+	}
+	if projected == 0 {
+		t.Error("no trial ended on the projection ball: the rescale branch was not exercised")
+	}
+}

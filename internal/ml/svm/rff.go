@@ -13,8 +13,9 @@ import (
 // wᵢ ~ N(0, 2γI) and bᵢ ~ U[0, 2π]. A linear model on z(x) then behaves
 // like a kernel machine at linear-model cost.
 type RFF struct {
-	w [][]float64
-	b []float64
+	w   []float64 // D rows of dim frequencies, row-major
+	b   []float64
+	dim int
 }
 
 // NewRFF draws a feature map for inputDim-dimensional inputs with D output
@@ -28,53 +29,57 @@ func NewRFF(inputDim, d int, gamma float64, seed int64) (*RFF, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	std := math.Sqrt(2 * gamma)
-	w := make([][]float64, d)
+	w := make([]float64, d*inputDim)
 	b := make([]float64, d)
-	for i := range w {
-		row := make([]float64, inputDim)
+	for i := range b {
+		row := w[i*inputDim : (i+1)*inputDim]
 		for j := range row {
 			row[j] = rng.NormFloat64() * std
 		}
-		w[i] = row
 		b[i] = rng.Float64() * 2 * math.Pi
 	}
-	return &RFF{w: w, b: b}, nil
+	return &RFF{w: w, b: b, dim: inputDim}, nil
 }
 
 // InputDim returns the expected input dimensionality.
-func (r *RFF) InputDim() int {
-	if len(r.w) == 0 {
-		return 0
-	}
-	return len(r.w[0])
-}
+func (r *RFF) InputDim() int { return r.dim }
 
 // OutputDim returns D.
-func (r *RFF) OutputDim() int { return len(r.w) }
+func (r *RFF) OutputDim() int { return len(r.b) }
 
 // Transform maps one vector into feature space.
 func (r *RFF) Transform(x []float64) ([]float64, error) {
-	if len(x) != r.InputDim() {
-		return nil, fmt.Errorf("svm: rff input dim %d, want %d", len(x), r.InputDim())
-	}
-	d := len(r.w)
-	scale := math.Sqrt(2 / float64(d))
-	out := make([]float64, d)
-	for i, row := range r.w {
-		var dot float64
-		for j := range row {
-			dot += row[j] * x[j]
-		}
-		out[i] = scale * math.Cos(dot+r.b[i])
+	out := make([]float64, len(r.b))
+	if err := r.transformInto(out, x); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// transformInto writes z(x) into out, which must hold OutputDim values.
+func (r *RFF) transformInto(out, x []float64) error {
+	if len(x) != r.dim {
+		return fmt.Errorf("svm: rff input dim %d, want %d", len(x), r.dim)
+	}
+	scale := math.Sqrt(2 / float64(len(r.b)))
+	w := r.w
+	for i, phase := range r.b {
+		row := w[:len(x)]
+		w = w[len(x):]
+		var dot float64
+		for j, xj := range x {
+			dot += row[j] * xj
+		}
+		out[i] = scale * math.Cos(dot+phase)
+	}
+	return nil
+}
+
 // Params exposes the feature map for serialization.
 func (r *RFF) Params() (w [][]float64, b []float64) {
-	w = make([][]float64, len(r.w))
-	for i := range r.w {
-		w[i] = append([]float64(nil), r.w[i]...)
+	w = make([][]float64, len(r.b))
+	for i := range w {
+		w[i] = append([]float64(nil), r.w[i*r.dim:(i+1)*r.dim]...)
 	}
 	return w, append([]float64(nil), r.b...)
 }
@@ -88,14 +93,14 @@ func NewRFFFromParams(w [][]float64, b []float64) (*RFF, error) {
 	if dim == 0 {
 		return nil, fmt.Errorf("svm: zero-dimensional rff rows")
 	}
-	cp := make([][]float64, len(w))
+	flat := make([]float64, 0, len(w)*dim)
 	for i := range w {
 		if len(w[i]) != dim {
 			return nil, fmt.Errorf("svm: ragged rff row %d", i)
 		}
-		cp[i] = append([]float64(nil), w[i]...)
+		flat = append(flat, w[i]...)
 	}
-	return &RFF{w: cp, b: append([]float64(nil), b...)}, nil
+	return &RFF{w: flat, b: append([]float64(nil), b...), dim: dim}, nil
 }
 
 // RFFSVM is the fast kernel SVM: random Fourier features feeding a Pegasos
@@ -137,13 +142,11 @@ func (m *RFFSVM) Fit(x [][]float64, y []int) error {
 	if err != nil {
 		return err
 	}
-	z := make([][]float64, len(x))
+	z := ml.NewMatrix(len(x), m.D)
 	for i := range x {
-		zi, err := rff.Transform(x[i])
-		if err != nil {
+		if err := rff.transformInto(z[i], x[i]); err != nil {
 			return err
 		}
-		z[i] = zi
 	}
 	m.Linear.Seed = m.Seed + 1
 	if err := m.Linear.Fit(z, y); err != nil {
