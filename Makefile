@@ -111,10 +111,11 @@ trace-smoke:
 	scripts/trace_smoke.sh bin
 
 # Cluster tier benchmarks: gateway routing overhead vs a direct shard
-# upload (the acceptance bar: < 2× per op), plus ring lookup and
-# replication frame encode costs. Fixed iteration counts keep the
-# direct/gateway comparison fair. Results land in BENCH_6.json with the
-# raw text in BENCH_6.txt.
+# upload (the acceptance bar: < 2× per op) in both edge formats — the
+# JSON-vs-Frame gap through the gateway is the cost of re-encoding JSON
+# as a frame — plus ring lookup and replication frame encode costs.
+# Fixed iteration counts keep the direct/gateway comparison fair.
+# Results land in BENCH_6.json with the raw text in BENCH_6.txt.
 CLUSTER_BENCH_PATTERN ?= BenchmarkUploadDirect|BenchmarkUploadViaGateway|BenchmarkRingOwner|BenchmarkFrameEncode
 
 bench-cluster:

@@ -1,10 +1,8 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -35,33 +33,9 @@ func (c *Client) UploadBinaryCtx(ctx context.Context, batch core.UploadBatch) er
 	if err != nil {
 		return fmt.Errorf("client: encode batch: %w", err)
 	}
-	ciSpan := strconv.FormatFloat(batch.CISpanDB, 'g', -1, 64)
-	start := time.Now()
-	err = c.do(ctx, "upload batch",
-		func(actx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(actx, http.MethodPost,
-				c.base()+"/v1/upload/batch", bytes.NewReader(frame))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set("Content-Type", "application/octet-stream")
-			req.Header.Set(dbserver.CISpanHeader, ciSpan)
-			return req, nil
-		},
-		func(resp *http.Response) error {
-			if resp.StatusCode != http.StatusNoContent {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				return fmt.Errorf("client: batch upload rejected: %s: %s", resp.Status, bytes.TrimSpace(msg))
-			}
-			return nil
-		})
-	if err != nil {
-		c.uploadsFailed.Inc()
-		return err
-	}
-	c.uploadSeconds.Observe(time.Since(start).Seconds())
-	c.uploadsOK.Inc()
-	return nil
+	hdr := http.Header{"Content-Type": {"application/octet-stream"}}
+	hdr.Set(dbserver.CISpanHeader, strconv.FormatFloat(batch.CISpanDB, 'g', -1, 64))
+	return c.sendUpload(ctx, "/v1/upload/batch", frame, hdr)
 }
 
 // BufferConfig parameterizes an UploadBuffer.

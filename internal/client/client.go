@@ -547,12 +547,12 @@ func (c *Client) Upload(batch core.UploadBatch) error {
 	return c.UploadCtx(context.Background(), batch)
 }
 
-// UploadCtx submits a reading batch to the Global Model Updater,
-// retrying transient failures (transport errors, 5xx, and load-shedding
-// 429s — the server's Retry-After hint floors the backoff). Because the
-// server applies a batch atomically and rejections leave no state, a
-// retry is safe; persistent failures surface as an error after the retry
-// budget.
+// UploadCtx submits a reading batch to the Global Model Updater through
+// the JSON edge (POST /v1/readings). Transient failures (transport
+// errors, 5xx, and load-shedding 429s — the server's Retry-After hint
+// floors the backoff) are retried. Because the server applies a batch
+// atomically and rejections leave no state, a retry is safe; persistent
+// failures surface as an error after the retry budget.
 func (c *Client) UploadCtx(ctx context.Context, batch core.UploadBatch) error {
 	if len(batch.Readings) == 0 {
 		return fmt.Errorf("client: empty upload")
@@ -565,15 +565,21 @@ func (c *Client) UploadCtx(ctx context.Context, batch core.UploadBatch) error {
 	if err != nil {
 		return fmt.Errorf("client: marshal upload: %w", err)
 	}
+	return c.sendUpload(ctx, "/v1/readings", body, http.Header{"Content-Type": {"application/json"}})
+}
+
+// sendUpload ships one encoded upload body to an upload edge. The two
+// upload methods differ only in how they encode; retries, the breaker,
+// the upload metrics and the shape of a rejection exist here, once.
+func (c *Client) sendUpload(ctx context.Context, path string, body []byte, hdr http.Header) error {
 	start := time.Now()
-	err = c.do(ctx, "upload",
+	err := c.do(ctx, "upload",
 		func(actx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(actx, http.MethodPost,
-				c.base()+"/v1/readings", bytes.NewReader(body))
+			req, err := http.NewRequestWithContext(actx, http.MethodPost, c.base()+path, bytes.NewReader(body))
 			if err != nil {
 				return nil, err
 			}
-			req.Header.Set("Content-Type", "application/json")
+			req.Header = hdr.Clone()
 			return req, nil
 		},
 		func(resp *http.Response) error {

@@ -17,7 +17,7 @@ func benchUpload(b *testing.B, httpc *http.Client, url string, body []byte) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := httpc.Post(url, "application/json", bytes.NewReader(body))
+		resp, err := httpc.Post(url, "", bytes.NewReader(body)) // the route names the format
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -28,18 +28,9 @@ func benchUpload(b *testing.B, httpc *http.Client, url string, body []byte) {
 	}
 }
 
-// BenchmarkUploadDirect is the baseline: a 50-reading batch POSTed
-// straight at a single shard node.
-func BenchmarkUploadDirect(b *testing.B) {
-	_, ts := newTestNode(b, "direct", nil)
-	body := uploadBody(b, synthReadings(50, 47, 1))
-	benchUpload(b, ts.Client(), ts.URL+"/v1/readings", body)
-}
-
-// BenchmarkUploadViaGateway is the same batch through the gateway's
-// decode-first-reading → route → forward path. The acceptance bar for
-// the cluster tier is < 2× BenchmarkUploadDirect per op.
-func BenchmarkUploadViaGateway(b *testing.B) {
+// benchGateway serves a one-shard gateway in front of a fresh node.
+func benchGateway(b *testing.B) *httptest.Server {
+	b.Helper()
 	_, ts := newTestNode(b, "s0", nil)
 	gw, err := NewGateway(GatewayConfig{
 		Shards: []ShardSpec{{ID: "s0", URLs: []string{ts.URL}}},
@@ -48,11 +39,38 @@ func BenchmarkUploadViaGateway(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer gw.Close()
 	gwTS := httptest.NewServer(gw.Handler())
-	defer gwTS.Close()
-	body := uploadBody(b, synthReadings(50, 47, 1))
-	benchUpload(b, gwTS.Client(), gwTS.URL+"/v1/readings", body)
+	b.Cleanup(func() {
+		gwTS.Close()
+		gw.Close()
+	})
+	return gwTS
+}
+
+// The four upload benchmarks send the same 50-reading batch: in each
+// edge format, straight at a single shard node and through a gateway
+// (probe → route → forward; for JSON, decode and re-encode as a frame
+// first). Direct vs gateway is the routing tier's cost — the acceptance
+// bar is < 2× direct per op — and JSON vs frame through the gateway is
+// the transcode's.
+func BenchmarkUploadDirect(b *testing.B) {
+	_, ts := newTestNode(b, "direct", nil)
+	benchUpload(b, ts.Client(), ts.URL+"/v1/readings", uploadBody(b, synthReadings(50, 47, 1)))
+}
+
+func BenchmarkUploadDirectFrame(b *testing.B) {
+	_, ts := newTestNode(b, "direct", nil)
+	benchUpload(b, ts.Client(), ts.URL+"/v1/upload/batch", frameOf(b, synthReadings(50, 47, 1)))
+}
+
+func BenchmarkUploadViaGateway(b *testing.B) {
+	gwTS := benchGateway(b)
+	benchUpload(b, gwTS.Client(), gwTS.URL+"/v1/readings", uploadBody(b, synthReadings(50, 47, 1)))
+}
+
+func BenchmarkUploadViaGatewayFrame(b *testing.B) {
+	gwTS := benchGateway(b)
+	benchUpload(b, gwTS.Client(), gwTS.URL+"/v1/upload/batch", frameOf(b, synthReadings(50, 47, 1)))
 }
 
 // BenchmarkRingOwner prices one routing decision (the per-request cost

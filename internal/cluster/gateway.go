@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -333,145 +332,6 @@ func (g *Gateway) handleKeyed(w http.ResponseWriter, r *http.Request) {
 	g.forward(w, r, g.shardFor(key), nil)
 }
 
-// uploadLeg is one shard's share of a split upload: the readings whose
-// (channel, cell) keys that shard owns, kept same-channel/same-sensor so
-// the dbserver accepts each slice exactly like a direct upload.
-type uploadLeg struct {
-	shard    *shardState
-	readings []dbserver.ReadingJSON
-}
-
-// handleReadings routes an upload by each reading's (channel, geo-cell)
-// key. A batch whose readings all land on one shard is forwarded with
-// its body byte-identical (the common case: clients batch locally). A
-// batch crossing a cell boundary is split per owning shard and each
-// slice forwarded in parallel — routing the whole batch by readings[0]
-// would strand the neighbor cell's readings on a shard that lat/lon-
-// hinted /v1/model and /v1/export queries for that cell never visit.
-// On a partial failure the gateway answers with the worst leg status
-// (uniform failures pass through; mixed outcomes are 502), so a client
-// retry re-submits the whole batch; the already-landed slices re-apply
-// as ordinary duplicate readings, never as losses.
-func (g *Gateway) handleReadings(w http.ResponseWriter, r *http.Request) {
-	body, err := g.readBody(w, r)
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, "read body: "+err.Error(), status)
-		return
-	}
-	// Probe pass: decode only the routing fields (lat/lon/channel/sensor)
-	// — not the signal floats — and check whether every reading lands on
-	// one (shard, channel, sensor) leg. Clients batch locally, so almost
-	// every upload does, and the probe keeps the fast path from paying a
-	// full decode + re-marshal for nothing.
-	var probe struct {
-		Readings []struct {
-			Lat     float64 `json:"lat"`
-			Lon     float64 `json:"lon"`
-			Channel int     `json:"channel"`
-			Sensor  int     `json:"sensor"`
-		} `json:"readings"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		http.Error(w, "bad upload: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(probe.Readings) == 0 {
-		http.Error(w, "upload holds no readings", http.StatusBadRequest)
-		return
-	}
-	type legKey struct {
-		shard   string
-		channel int
-		sensor  int
-	}
-	keyOf := func(lat, lon float64, channel, kind int) legKey {
-		owner := g.ring.Owner(RouteKey{
-			Channel: rfenv.Channel(channel),
-			Cell:    CellOf(geo.Point{Lat: lat, Lon: lon}, g.cfg.CellDeg),
-		})
-		return legKey{shard: owner, channel: channel, sensor: kind}
-	}
-	first := keyOf(probe.Readings[0].Lat, probe.Readings[0].Lon, probe.Readings[0].Channel, probe.Readings[0].Sensor)
-	mixed := false
-	for _, rj := range probe.Readings[1:] {
-		if keyOf(rj.Lat, rj.Lon, rj.Channel, rj.Sensor) != first {
-			mixed = true
-			break
-		}
-	}
-	if !mixed {
-		g.forward(w, r, g.shards[first.shard], body) // byte-identical fast path
-		return
-	}
-	// Split path: full decode, then group per (shard, channel, sensor) —
-	// slices stay single-key from the dbserver's point of view, and two
-	// cells owned by one shard share a leg. First-appearance order keeps
-	// legs deterministic.
-	var up dbserver.UploadJSON
-	if err := json.Unmarshal(body, &up); err != nil {
-		http.Error(w, "bad upload: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	byKey := make(map[legKey]*uploadLeg)
-	var legs []*uploadLeg
-	for _, rj := range up.Readings {
-		lk := keyOf(rj.Lat, rj.Lon, rj.Channel, rj.Sensor)
-		leg := byKey[lk]
-		if leg == nil {
-			leg = &uploadLeg{shard: g.shards[lk.shard]}
-			byKey[lk] = leg
-			legs = append(legs, leg)
-		}
-		leg.readings = append(leg.readings, rj)
-	}
-	g.uploadSplits.Inc()
-	results := make([]FanoutResult, len(legs))
-	var wg sync.WaitGroup
-	for i, leg := range legs {
-		sliceBody, err := json.Marshal(dbserver.UploadJSON{CISpanDB: up.CISpanDB, Readings: leg.readings})
-		if err != nil {
-			http.Error(w, "encode slice: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		wg.Add(1)
-		go func(i int, sh *shardState, b []byte) {
-			defer wg.Done()
-			results[i] = g.tryShard(r, sh, b)
-		}(i, leg.shard, sliceBody)
-	}
-	wg.Wait()
-	status := results[0].Status
-	for _, res := range results {
-		if res.Status != status {
-			status = http.StatusBadGateway // mixed outcomes: make the client retry
-		}
-	}
-	w.Header().Set(ClusterVersionHeader, g.version)
-	w.Header().Set(ShardHeader, splitShardList(results))
-	if status/100 == 2 {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(results) //nolint:errcheck // client went away
-}
-
-// splitShardList renders a split upload's leg shard IDs, comma-joined in
-// leg order, for the ShardHeader on the merged response.
-func splitShardList(results []FanoutResult) string {
-	ids := make([]string, len(results))
-	for i, res := range results {
-		ids[i] = res.Shard
-	}
-	return strings.Join(ids, ",")
-}
-
 // handleRetrain routes to one shard when the request carries a location
 // hint; without one it broadcasts, because the channel's readings are
 // spread across the ring and "retrain channel N" means everywhere.
@@ -688,18 +548,24 @@ func (g *Gateway) shardDo(r *http.Request, url string, body []byte) (*http.Respo
 
 // readBody buffers a request body under the gateway cap, preallocating
 // from Content-Length so a typical upload reads in one pass instead of
-// growing through doubling copies. Oversize bodies surface as
-// *http.MaxBytesError for the caller to map to 413.
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// growing through doubling copies. On failure it has already answered
+// (413 for an oversize body, else 400) and reports false.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	rd := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
 	var buf bytes.Buffer
 	if n := r.ContentLength; n > 0 && n <= g.cfg.MaxBodyBytes {
 		buf.Grow(int(n))
 	}
 	if _, err := buf.ReadFrom(rd); err != nil {
-		return nil, err
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "read body: "+err.Error(), status)
+		return nil, false
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), true
 }
 
 // forward proxies a single-key request to a shard, streaming the
@@ -711,17 +577,10 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 	sh.requests.Inc()
 	if body == nil && r.Method != http.MethodGet && r.Method != http.MethodHead && r.Body != nil {
 		// Buffer mutation bodies so a failover retry can resend them.
-		data, err := g.readBody(w, r)
-		if err != nil {
-			status := http.StatusBadRequest
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			http.Error(w, "read body: "+err.Error(), status)
+		var ok bool
+		if body, ok = g.readBody(w, r); !ok {
 			return
 		}
-		body = data
 	}
 	var leg *telemetry.Span
 	if parent := telemetry.SpanFromContext(r.Context()); parent != nil {

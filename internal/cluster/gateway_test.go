@@ -74,7 +74,7 @@ func cellCenter(p geo.Point, cellDeg float64) geo.Point {
 // locations returns one probe location per shard: points 6 km apart
 // east of the metro center, snapped to their cell centers, mapped to
 // whichever shard the ring says owns them, until every shard is covered.
-func (tc *testCluster) locations(t *testing.T, ch rfenv.Channel) map[string]geo.Point {
+func (tc *testCluster) locations(t testing.TB, ch rfenv.Channel) map[string]geo.Point {
 	t.Helper()
 	out := map[string]geo.Point{}
 	for i := 0; i < 200 && len(out) < len(tc.nodes); i++ {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -202,14 +201,8 @@ func sortEntries(entries []dbserver.AvailabilityEntryJSON) {
 // and the uniform status passes through instead of masquerading as a
 // gateway fault.
 func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
-	body, err := g.readBody(w, r)
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, "read body: "+err.Error(), status)
+	body, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
 	results := g.fanout(r, body)

@@ -153,10 +153,13 @@ func OpenNode(cfg NodeConfig) (*Node, error) {
 	// flight recorder under the same trace ID.
 	mux.Handle("POST /v1/repl/apply", cfg.DB.Metrics.WrapRouteFunc("/v1/repl/apply", n.handleApply))
 	mux.HandleFunc("GET /v1/repl/status", n.handleStatus)
-	// Direct mutations promote the node (see Node.promoted). Reads pass
-	// through untouched.
-	mux.Handle("POST /v1/readings", n.promoteOnSuccess(dbh))
-	mux.Handle("POST /v1/retrain", n.promoteOnSuccess(dbh))
+	// Direct mutations promote the node (see Node.promoted). The dbserver
+	// names its own mutation routes, so an upload edge added there is
+	// fenced here without anyone remembering to. Reads pass through
+	// untouched.
+	for _, pattern := range dbserver.MutationPatterns() {
+		mux.Handle(pattern, n.promoteOnSuccess(dbh))
+	}
 	mux.Handle("/", dbh)
 	n.handler = mux
 	return n, nil

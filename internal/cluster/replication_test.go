@@ -308,27 +308,42 @@ func TestApplyRefusesRecoveredNode(t *testing.T) {
 // TestApplyRefusedAfterPromotion: once a node accepts a direct client
 // write (gateway failover made it the de-facto primary), replication
 // frames from the old primary must be refused — interleaving them with
-// the direct writes would silently fork the store history.
+// the direct writes would silently fork the store history. Every upload
+// edge is a direct write: behind a gateway a failed-over write always
+// arrives as a frame.
 func TestApplyRefusedAfterPromotion(t *testing.T) {
-	_, ts := newTestNode(t, "r", nil)
-	frames := appendFrame(nil, 1, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: synthReadings(5, 47, 1)})
-	if code, _ := applyTo(t, ts.URL, exchange(testIncarnation, frames)); code != http.StatusOK {
-		t.Fatalf("pre-promotion apply: %d", code)
+	direct := synthReadings(20, 47, 2)
+	writes := map[string]func(t *testing.T, url string) *http.Response{
+		"/v1/readings": func(t *testing.T, url string) *http.Response {
+			return mustPost(t, url+"/v1/readings", uploadBody(t, direct))
+		},
+		"/v1/upload/batch": func(t *testing.T, url string) *http.Response {
+			return postFrame(t, url, frameOf(t, direct), 0.4)
+		},
 	}
+	for route, write := range writes {
+		t.Run(route, func(t *testing.T) {
+			_, ts := newTestNode(t, "r", nil)
+			frames := appendFrame(nil, 1, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: synthReadings(5, 47, 1)})
+			if code, _ := applyTo(t, ts.URL, exchange(testIncarnation, frames)); code != http.StatusOK {
+				t.Fatalf("pre-promotion apply: %d", code)
+			}
 
-	resp := mustPost(t, ts.URL+"/v1/readings", uploadBody(t, synthReadings(20, 47, 2)))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("direct upload = %s", resp.Status)
-	}
+			resp := write(t, ts.URL)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("direct upload = %s", resp.Status)
+			}
 
-	more := appendFrame(nil, 2, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: synthReadings(5, 47, 3)})
-	code, st := applyTo(t, ts.URL, exchange(testIncarnation, more))
-	if code != http.StatusConflict || st.Reason != reasonPromoted {
-		t.Fatalf("post-promotion apply: %d, reason %q (want 409 %q)", code, st.Reason, reasonPromoted)
-	}
-	if st.Applied != 1 {
-		t.Errorf("promoted node reported mark %d, want 1", st.Applied)
+			more := appendFrame(nil, 2, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: synthReadings(5, 47, 3)})
+			code, st := applyTo(t, ts.URL, exchange(testIncarnation, more))
+			if code != http.StatusConflict || st.Reason != reasonPromoted {
+				t.Fatalf("post-promotion apply: %d, reason %q (want 409 %q)", code, st.Reason, reasonPromoted)
+			}
+			if st.Applied != 1 {
+				t.Errorf("promoted node reported mark %d, want 1", st.Applied)
+			}
+		})
 	}
 }
 

@@ -200,16 +200,20 @@ func TestTraceCrossesGatewayShardWAL(t *testing.T) {
 	if shOut.Count != 1 {
 		t.Fatalf("shard %s retained %d traces for %s, want 1", owner, shOut.Count, traceID)
 	}
+	// The shard sees the gateway's transcoded frame, not the client's JSON.
 	shNames := spanNames(shOut.Traces[0])
-	for _, want := range []string{"/v1/readings", "wal/append"} {
+	for _, want := range []string{"/v1/upload/batch", "wal/append"} {
 		if shNames[want] == 0 {
 			t.Fatalf("shard trace spans = %v, missing %q", shNames, want)
 		}
 	}
+	if got := tc.nodes[owner].DB.Metrics().Counter("waldo_dbserver_batch_uploads_total", "").Value(); got != 1 {
+		t.Errorf("owning shard's batch_uploads_total = %d after one JSON upload via the gateway, want 1", got)
+	}
 	var rootSpanID, walParent string
 	for _, s := range shOut.Traces[0].Spans {
 		switch s.Name {
-		case "/v1/readings":
+		case "/v1/upload/batch":
 			rootSpanID = s.SpanID
 		case "wal/append":
 			walParent = s.ParentID

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 
 	"github.com/wsdetect/waldo/internal/dataset"
+	"github.com/wsdetect/waldo/internal/rfenv"
+	"github.com/wsdetect/waldo/internal/sensor"
 )
 
 // Batch frame wire format (little-endian): the upload unit of the binary
@@ -54,7 +56,13 @@ func AppendBatchFrame(dst []byte, rs []dataset.Reading) ([]byte, error) {
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rs)))
 	for i := range rs {
-		dst = AppendReadingWire(dst, &rs[i])
+		// The record's channel and sensor fields are narrower than the
+		// Go types: refuse what would not decode back to itself.
+		r := &rs[i]
+		if r.Channel != rfenv.Channel(uint16(r.Channel)) || r.Sensor != sensor.Kind(byte(r.Sensor)) {
+			return nil, fmt.Errorf("core: reading %d: channel %d / sensor %d do not fit a batch frame", i, r.Channel, int(r.Sensor))
+		}
+		dst = AppendReadingWire(dst, r)
 	}
 	sum := crc32.ChecksumIEEE(dst[start:])
 	return binary.LittleEndian.AppendUint32(dst, sum), nil
@@ -66,44 +74,49 @@ func EncodeBatchFrame(rs []dataset.Reading) ([]byte, error) {
 	return AppendBatchFrame(make([]byte, 0, BatchFrameLen(len(rs))), rs)
 }
 
-// DecodeBatchFrame decodes exactly one batch frame from the front of b,
-// appending the validated readings to dst (which may be nil, or a pooled
-// scratch slice — reusing its capacity makes the decode allocation-free
-// per reading). It returns the extended slice and the unconsumed
-// remainder of b.
-//
-// Every framing violation is a distinct, operator-readable error:
-// truncated header, a count of zero, a count larger than MaxBatchReadings
-// or than the bytes actually present, and a CRC mismatch. On error dst is
-// returned unchanged — a half-decoded frame never leaks into the caller's
-// batch.
-func DecodeBatchFrame(dst []dataset.Reading, b []byte) ([]dataset.Reading, []byte, error) {
+// CheckBatchFrame verifies the framing of the frame at the front of b
+// without decoding a reading: header present, a count between 1 and
+// MaxBatchReadings, every byte the count promises, and the CRC. It
+// returns the count and the unconsumed remainder of b. It is the one
+// framing check in the stack — DecodeBatchFrame runs it before touching
+// a reading and the gateway runs it before routing on fixed offsets — so
+// every tier rejects the same bytes, each violation with its own
+// operator-readable error.
+func CheckBatchFrame(b []byte) (n int, rest []byte, err error) {
 	if len(b) < 4 {
-		return dst, nil, fmt.Errorf("core: batch frame truncated: %d of 4 header bytes", len(b))
+		return 0, nil, fmt.Errorf("core: batch frame truncated: %d of 4 header bytes", len(b))
 	}
-	n := int(binary.LittleEndian.Uint32(b))
+	n = int(binary.LittleEndian.Uint32(b))
 	if n == 0 {
-		return dst, nil, fmt.Errorf("core: batch frame holds no readings")
+		return 0, nil, fmt.Errorf("core: batch frame holds no readings")
 	}
 	if n > MaxBatchReadings {
-		return dst, nil, fmt.Errorf("core: batch frame count %d exceeds limit %d", n, MaxBatchReadings)
+		return 0, nil, fmt.Errorf("core: batch frame count %d exceeds limit %d", n, MaxBatchReadings)
 	}
 	total := BatchFrameLen(n)
 	if len(b) < total {
-		return dst, nil, fmt.Errorf("core: batch frame truncated: %d of %d bytes for %d readings", len(b), total, n)
+		return 0, nil, fmt.Errorf("core: batch frame truncated: %d of %d bytes for %d readings", len(b), total, n)
 	}
-	body := b[:total-4]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(b[total-4:]); got != want {
-		return dst, nil, fmt.Errorf("core: batch frame CRC mismatch (%08x != %08x)", got, want)
+	if got, want := crc32.ChecksumIEEE(b[:total-4]), binary.LittleEndian.Uint32(b[total-4:]); got != want {
+		return 0, nil, fmt.Errorf("core: batch frame CRC mismatch (%08x != %08x)", got, want)
 	}
-	out, rest, err := DecodeReadingsWireInto(dst, body)
+	return n, b[total:], nil
+}
+
+// DecodeBatchFrame decodes exactly one batch frame from the front of b,
+// appending the readings to dst (which may be nil, or a pooled scratch
+// slice — reusing its capacity makes the decode allocation-free per
+// reading). It returns the extended slice and the unconsumed remainder
+// of b. Framing is CheckBatchFrame's; on any error dst is returned
+// unchanged — a half-decoded frame never leaks into the caller's batch.
+func DecodeBatchFrame(dst []dataset.Reading, b []byte) ([]dataset.Reading, []byte, error) {
+	n, rest, err := CheckBatchFrame(b)
 	if err != nil {
 		return dst, nil, err
 	}
-	if len(rest) != 0 {
-		// Unreachable given the length check above, but cheap to keep as a
-		// framing invariant.
-		return dst, nil, fmt.Errorf("core: batch frame has %d undecoded body bytes", len(rest))
+	out, _, err := DecodeReadingsWireInto(dst, b[:4+n*ReadingWireSize])
+	if err != nil {
+		return dst, nil, err
 	}
-	return out, b[total:], nil
+	return out, rest, nil
 }

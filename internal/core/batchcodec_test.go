@@ -145,7 +145,17 @@ func TestBatchFrameRejectsDegenerateCounts(t *testing.T) {
 		t.Error("count above MaxBatchReadings accepted")
 	}
 
-	// Encoding side enforces the same bounds.
+	// Encoding side enforces the same bounds, and refuses a channel or
+	// sensor the record's narrower field would silently truncate.
+	wide := batchReadings(2)
+	wide[1].Channel = 1<<16 + 47
+	if _, err := EncodeBatchFrame(wide); err == nil {
+		t.Error("channel 65583 encoded (would decode as 47)")
+	}
+	wide[1].Channel, wide[1].Sensor = 47, 1<<8+1
+	if _, err := EncodeBatchFrame(wide); err == nil {
+		t.Error("sensor 257 encoded (would decode as 1)")
+	}
 	if _, err := EncodeBatchFrame(nil); err == nil {
 		t.Error("empty batch encoded")
 	}
@@ -195,9 +205,18 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	f.Add(seed[:10])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		n, frest, ferr := CheckBatchFrame(data)
 		rs, rest, err := DecodeBatchFrame(nil, data)
+		if ferr != nil && err == nil {
+			t.Fatalf("decoded a frame the framing check refuses: %v", ferr)
+		}
 		if err != nil {
 			return
+		}
+		// The framing check alone — what the gateway routes on — must see
+		// the frame the decoder saw.
+		if n != len(rs) || len(frest) != len(rest) {
+			t.Fatalf("framing check saw %d readings / %d trailing bytes, decoder %d / %d", n, len(frest), len(rs), len(rest))
 		}
 		// Anything the decoder accepts must re-encode byte-identically
 		// (the gateway's split path depends on this).

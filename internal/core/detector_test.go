@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -185,6 +186,14 @@ func TestUpdaterFlow(t *testing.T) {
 	if err := u.Submit(UploadBatch{Readings: readings[700:750], CISpanDB: 3.0}); err == nil {
 		t.Error("noisy upload must be rejected")
 	}
+	// A NaN span must not slip through the gate as "not greater than α′",
+	// even when a caller skipped UploadBatch.Validate.
+	if err := u.Submit(UploadBatch{Readings: readings[700:750], CISpanDB: math.NaN()}); err == nil {
+		t.Error("NaN CI span must be rejected")
+	}
+	if u.Size() != 700 {
+		t.Errorf("rejected uploads grew the store to %d", u.Size())
+	}
 	// Empty and mixed uploads are rejected.
 	if err := u.Submit(UploadBatch{}); err == nil {
 		t.Error("empty upload must be rejected")
@@ -204,5 +213,41 @@ func TestUpdaterFlow(t *testing.T) {
 	}
 	if m2 == m1 {
 		t.Error("retrain should produce a fresh model")
+	}
+}
+
+// TestUploadBatchValidate: the one malformed-input check every upload
+// format goes through.
+func TestUploadBatchValidate(t *testing.T) {
+	good := func() UploadBatch {
+		return UploadBatch{CISpanDB: 0.4, Readings: []dataset.Reading{
+			{Loc: rfenv.MetroCenter, Channel: 47, Sensor: 1, Signal: features.Signal{RSSdBm: -70, CFTdB: -81, AFTdB: -83}, AltM: 12},
+			{Loc: rfenv.MetroCenter, Channel: 47, Sensor: 1, Signal: features.Signal{RSSdBm: -71, CFTdB: -82, AFTdB: -84}},
+		}}
+	}
+	if err := good().Validate(); err != nil {
+		t.Fatalf("plain upload refused: %v", err)
+	}
+	bad := map[string]func(b *UploadBatch){
+		"no readings":       func(b *UploadBatch) { b.Readings = nil },
+		"too many readings": func(b *UploadBatch) { b.Readings = make([]dataset.Reading, MaxBatchReadings+1) },
+		"NaN span":          func(b *UploadBatch) { b.CISpanDB = math.NaN() },
+		"negative span":     func(b *UploadBatch) { b.CISpanDB = -5 },
+		"infinite span":     func(b *UploadBatch) { b.CISpanDB = math.Inf(1) },
+		"NaN RSS":           func(b *UploadBatch) { b.Readings[1].Signal.RSSdBm = math.NaN() },
+		"+Inf CFT":          func(b *UploadBatch) { b.Readings[1].Signal.CFTdB = math.Inf(1) },
+		"-Inf AFT":          func(b *UploadBatch) { b.Readings[1].Signal.AFTdB = math.Inf(-1) },
+		"negative altitude": func(b *UploadBatch) { b.Readings[1].AltM = -30 },
+		"NaN altitude":      func(b *UploadBatch) { b.Readings[1].AltM = math.NaN() },
+		"channel 99":        func(b *UploadBatch) { b.Readings[1].Channel = 99 },
+		"sensor 0":          func(b *UploadBatch) { b.Readings[1].Sensor = 0 },
+		"latitude 91":       func(b *UploadBatch) { b.Readings[1].Loc.Lat = 91 },
+	}
+	for name, mutate := range bad {
+		b := good()
+		mutate(&b)
+		if err := b.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

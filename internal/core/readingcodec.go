@@ -52,7 +52,11 @@ func AppendReadingWire(dst []byte, r *dataset.Reading) []byte {
 }
 
 // DecodeReadingWire decodes one fixed-size reading from the front of b,
-// validating the fields a trusted store could never have accepted.
+// checking only what every stored reading must satisfy (see
+// checkPlacement): WAL, snapshot and replication replay come through
+// here, and bootstrap data legitimately carries fields — TrueDBm — that
+// an upload may not. What an upload must satisfy on top is
+// UploadBatch.Validate's.
 func DecodeReadingWire(b []byte) (dataset.Reading, error) {
 	if len(b) < ReadingWireSize {
 		return dataset.Reading{}, fmt.Errorf("core: reading truncated: %d of %d bytes", len(b), ReadingWireSize)
@@ -73,16 +77,25 @@ func DecodeReadingWire(b []byte) (dataset.Reading, error) {
 		AltM:    math.Float64frombits(binary.LittleEndian.Uint64(b[51:])),
 		TrueDBm: math.Float64frombits(binary.LittleEndian.Uint64(b[59:])),
 	}
-	if !r.Channel.Valid() {
-		return dataset.Reading{}, fmt.Errorf("core: decoded reading has invalid channel %d", r.Channel)
-	}
-	if _, err := sensor.SpecFor(r.Sensor); err != nil {
-		return dataset.Reading{}, fmt.Errorf("core: decoded reading: %w", err)
-	}
-	if !r.Loc.Valid() {
-		return dataset.Reading{}, fmt.Errorf("core: decoded reading has invalid location %v", r.Loc)
+	if err := checkPlacement(&r); err != nil {
+		return dataset.Reading{}, err
 	}
 	return r, nil
+}
+
+// checkPlacement validates the fields that decide which store a reading
+// belongs to and where it sits in it: channel, sensor family, location.
+func checkPlacement(r *dataset.Reading) error {
+	if !r.Channel.Valid() {
+		return fmt.Errorf("core: reading has invalid channel %d", r.Channel)
+	}
+	if _, err := sensor.SpecFor(r.Sensor); err != nil {
+		return fmt.Errorf("core: reading: %w", err)
+	}
+	if !r.Loc.Valid() {
+		return fmt.Errorf("core: reading has invalid location %v", r.Loc)
+	}
+	return nil
 }
 
 // AppendReadingsWire appends a counted batch (uint32 length prefix, then

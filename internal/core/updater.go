@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/wsdetect/waldo/internal/dataset"
@@ -22,6 +23,41 @@ type UploadBatch struct {
 	// CISpanDB is the detector's final 90 % CI span for the batch.
 	CISpanDB float64
 }
+
+// Validate reports why an upload arriving from outside the trust boundary
+// cannot be stored, whatever format carried it: no readings or more than
+// one frame holds, a CI span that is not a finite non-negative number, or
+// a reading with a bad channel, sensor or location, a non-finite signal
+// feature, or an antenna height that is negative or not finite. It is
+// the malformed-input check (a 400 at the HTTP edge); the α′ noise
+// criterion and the single-store rule are SubmitCtx's.
+func (b UploadBatch) Validate() error {
+	if len(b.Readings) == 0 {
+		return fmt.Errorf("core: empty upload")
+	}
+	if len(b.Readings) > MaxBatchReadings {
+		return fmt.Errorf("core: upload of %d readings exceeds limit %d", len(b.Readings), MaxBatchReadings)
+	}
+	if !finite(b.CISpanDB) || b.CISpanDB < 0 {
+		return fmt.Errorf("core: upload CI span %v dB is not a finite non-negative number", b.CISpanDB)
+	}
+	for i := range b.Readings {
+		r := &b.Readings[i]
+		if err := checkPlacement(r); err != nil {
+			return fmt.Errorf("reading %d: %w", i, err)
+		}
+		if sig := r.Signal; !finite(sig.RSSdBm) || !finite(sig.CFTdB) || !finite(sig.AFTdB) {
+			return fmt.Errorf("reading %d: core: non-finite signal %+v", i, sig)
+		}
+		if !finite(r.AltM) || r.AltM < 0 {
+			return fmt.Errorf("reading %d: core: antenna height %v m is not a finite non-negative number", i, r.AltM)
+		}
+	}
+	return nil
+}
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Updater is the Global Model Updater for one channel/sensor model: it
 // accumulates trusted readings (bootstrap war-driving plus accepted WSD
@@ -204,7 +240,8 @@ func (u *Updater) SubmitCtx(ctx context.Context, batch UploadBatch) error {
 		u.rejectedTotal.Inc()
 		return fmt.Errorf("core: empty upload")
 	}
-	if batch.CISpanDB > u.alphaPrime {
+	// Written so that a NaN span fails even if a caller skipped Validate.
+	if !(batch.CISpanDB <= u.alphaPrime) {
 		u.rejectedTotal.Inc()
 		return fmt.Errorf("core: upload CI span %.2f dB exceeds acceptance criterion %.2f dB",
 			batch.CISpanDB, u.alphaPrime)

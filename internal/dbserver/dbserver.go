@@ -32,16 +32,16 @@
 //	                                           exceeds V, then answers like
 //	                                           /v1/model; 304 at the watch
 //	                                           horizon (Config.WatchTimeout)
-//	POST /v1/readings                          JSON upload (UploadJSON); α′
-//	                                           gated, optionally screened; 204
-//	                                           on acceptance
-//	POST /v1/upload/batch                      binary batch upload: one core
+//	POST /v1/readings                          upload, JSON edge (UploadJSON)
+//	POST /v1/upload/batch                      upload, frame edge: one core
 //	                                           batch frame (u32 count |
 //	                                           67-byte readings | CRC32), CI
-//	                                           span in X-Waldo-CI-Span; same
-//	                                           validation/screening as the
-//	                                           JSON path, one group-commit
-//	                                           WAL append per batch
+//	                                           span in X-Waldo-CI-Span. Both
+//	                                           edges decode into one pipeline
+//	                                           (upload.go): validated, α′
+//	                                           gated, optionally screened, one
+//	                                           group-commit WAL append per
+//	                                           upload; 204 on acceptance
 //	POST /v1/retrain?channel=C&sensor=K        relabel + rebuild one model; the
 //	                                           new version is in
 //	                                           X-Waldo-Model-Version
@@ -158,11 +158,12 @@ type Server struct {
 	inFlight  atomic.Int64
 	shedTotal *telemetry.Counter
 
-	// batch is the binary ingest path's pooled decode state (batch.go);
-	// hub and watch drive push-based model delivery (watch.go).
-	batch *batchState
-	hub   *watchHub
-	watch watchState
+	// upload is the ingest pipeline's counters and pooled decode state
+	// (upload.go); hub and watch drive push-based model delivery
+	// (watch.go).
+	upload *uploadState
+	hub    *watchHub
+	watch  watchState
 
 	// geoidx is the precomputed availability grid behind
 	// GET /v1/availability and POST /v1/route; geoq its query telemetry
@@ -340,7 +341,7 @@ func New(cfg Config) *Server {
 		cacheNotMod: cfg.Metrics.Counter("waldo_dbserver_model_cache_total", cacheHelp, "outcome", "not_modified"),
 		shedTotal: cfg.Metrics.Counter("waldo_dbserver_shed_total",
 			"Data-route requests answered 429 by the load-shedding gate."),
-		batch:  newBatchState(cfg.Metrics),
+		upload: newUploadState(cfg.Metrics),
 		hub:    newWatchHub(),
 		watch:  newWatchState(cfg.Metrics),
 		geoq:   newGeoQueryState(cfg.Metrics),
@@ -491,8 +492,9 @@ func (s *Server) Handler() http.Handler {
 	// shed/timeout gate: a parked long-poll is idle by design and must not
 	// consume MaxInFlight slots or be cut down by RequestTimeout.
 	probe("GET /v1/model/watch", "/v1/model/watch", s.handleModelWatch)
-	route("POST /v1/readings", "/v1/readings", s.handleReadings)
-	route("POST /v1/upload/batch", "/v1/upload/batch", s.handleUploadBatch)
+	for _, e := range uploadEdges {
+		route("POST "+e.path, e.path, s.handleUpload(e.decode))
+	}
 	route("POST /v1/retrain", "/v1/retrain", s.handleRetrain)
 	route("GET /v1/availability", "/v1/availability", s.handleAvailability)
 	route("POST /v1/route", "/v1/route", s.handleRoute)
@@ -677,31 +679,18 @@ type UploadJSON struct {
 	Readings []ReadingJSON `json:"readings"`
 }
 
-// ToReading converts the wire form, validating fields.
-func (rj ReadingJSON) ToReading() (dataset.Reading, error) {
-	ch := rfenv.Channel(rj.Channel)
-	if !ch.Valid() {
-		return dataset.Reading{}, fmt.Errorf("invalid channel %d", rj.Channel)
-	}
-	kind := sensor.Kind(rj.Sensor)
-	if _, err := sensor.SpecFor(kind); err != nil {
-		return dataset.Reading{}, err
-	}
-	loc := geo.Point{Lat: rj.Lat, Lon: rj.Lon}
-	if !loc.Valid() {
-		return dataset.Reading{}, fmt.Errorf("invalid location %v", loc)
-	}
-	if rj.AltM < 0 {
-		return dataset.Reading{}, fmt.Errorf("negative antenna height %v", rj.AltM)
-	}
+// ToReading converts the wire form. It checks nothing: what an uploaded
+// reading must satisfy is core.UploadBatch.Validate's, applied to every
+// format alike.
+func (rj ReadingJSON) ToReading() dataset.Reading {
 	return dataset.Reading{
 		Seq:     rj.Seq,
-		Loc:     loc,
-		Channel: ch,
-		Sensor:  kind,
+		Loc:     geo.Point{Lat: rj.Lat, Lon: rj.Lon},
+		Channel: rfenv.Channel(rj.Channel),
+		Sensor:  sensor.Kind(rj.Sensor),
 		Signal:  features.Signal{RSSdBm: rj.RSSdBm, CFTdB: rj.CFTdB, AFTdB: rj.AFTdB},
 		AltM:    rj.AltM,
-	}, nil
+	}
 }
 
 // FromReading converts to the wire form.
@@ -717,50 +706,6 @@ func FromReading(r dataset.Reading) ReadingJSON {
 		AFTdB:   r.Signal.AFTdB,
 		AltM:    r.AltM,
 	}
-}
-
-// jsonBytesPerReading is the prealloc estimate for the JSON upload path:
-// a serialized reading with typical float precision runs ~110-160 bytes,
-// so dividing Content-Length by this floor overshoots slightly — one
-// allocation that is never regrown, instead of log2(n) doubling copies.
-const jsonBytesPerReading = 96
-
-func (s *Server) handleReadings(w http.ResponseWriter, r *http.Request) {
-	limit := s.cfg.MaxBodyBytes
-	if limit <= 0 {
-		limit = 4 << 20
-	}
-	var up UploadJSON
-	if n := r.ContentLength; n > 0 && n <= limit {
-		up.Readings = make([]ReadingJSON, 0, int(n)/jsonBytesPerReading+1)
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	if err := dec.Decode(&up); err != nil {
-		http.Error(w, "bad upload: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(up.Readings) == 0 {
-		http.Error(w, "empty upload", http.StatusBadRequest)
-		return
-	}
-	batch := core.UploadBatch{
-		CISpanDB: up.CISpanDB,
-		Readings: make([]dataset.Reading, 0, len(up.Readings)),
-	}
-	for i, rj := range up.Readings {
-		rd, err := rj.ToReading()
-		if err != nil {
-			http.Error(w, fmt.Sprintf("reading %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
-		batch.Readings = append(batch.Readings, rd)
-	}
-	if status, err := s.acceptUpload(r.Context(), batch); err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
-	s.maybeSnapshot(storeKey{batch.Readings[0].Channel, batch.Readings[0].Sensor})
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {

@@ -3,11 +3,11 @@
 # as cluster_smoke.sh, issues ONE traced upload through the gateway,
 # and asserts the distributed trace actually crossed the tiers — the
 # response's X-Waldo-Trace ID must name a trace retained in the
-# gateway's flight recorder (route root + fan-out leg) AND in the
-# owning shard's recorder (route root + wal/append span). This is the
-# out-of-process proof that header propagation, /debug/traces, and the
-# WAL span attribution survive flag parsing and real sockets, not just
-# the in-process test harness.
+# gateway's flight recorder (/v1/readings root + fan-out leg) AND in the
+# owning shard's recorder (/v1/upload/batch root + wal/append span).
+# This is the out-of-process proof that header propagation,
+# /debug/traces, and the WAL span attribution survive flag parsing and
+# real sockets, not just the in-process test harness.
 #
 # Usage: scripts/trace_smoke.sh [bin-dir]
 # Binaries are taken from bin-dir (default ./bin); build them with
@@ -113,11 +113,14 @@ printf '%s\n' "$GW_TRACE" | grep -q "/v1/readings/leg .*shard=$SHARD" || {
 }
 echo "gateway trace OK (route + leg shard=$SHARD)"
 
-# Owning shard's recorder: same trace ID, with the WAL append span.
+# Owning shard's recorder: same trace ID, with the WAL append span. The
+# shard's root is /v1/upload/batch — the gateway re-encodes a JSON upload
+# as a batch frame, so that is the only upload route a shard behind it
+# serves.
 SHARD_IDX=${SHARD#s}
 SHARD_PORT=${SHARD_PORTS[$SHARD_IDX]}
 SH_TRACE=$(curl -fsS "http://127.0.0.1:$SHARD_PORT/debug/traces?trace=$TRACE_ID&format=text")
-printf '%s\n' "$SH_TRACE" | grep -q "trace $TRACE_ID .*/v1/readings" || {
+printf '%s\n' "$SH_TRACE" | grep -q "trace $TRACE_ID .*/v1/upload/batch" || {
     echo "shard $SHARD did not retain trace $TRACE_ID" >&2
     printf '%s\n' "$SH_TRACE" >&2
     exit 1
