@@ -41,11 +41,12 @@ vet:
 
 # Performance suite for the parallel pipeline PR: model construction
 # fan-out, non-blocking retrain, cached model serving, k-means worker
-# pool, FFT hot path, and the telemetry budget. Results land in
-# BENCH_2.json (machine-readable, via cmd/waldo-benchjson) with the raw
-# text kept alongside in BENCH_2.txt.
-BENCH_PATTERN ?= BuildModelParallel|RetrainConcurrentSubmit|RetrainStoreScale|ModelEndpointCached|KMeansAssign|FFT256|PowerSpectrum256
-BENCH_PKGS ?= ./internal/core/ ./internal/dbserver/ ./internal/ml/kmeans/ ./internal/dsp/
+# pool, the device's per-capture kernel (FromObservation256, warm and
+# cold) with the FFT it is built from, and the telemetry budget. Results
+# land in BENCH_2.json (machine-readable, via cmd/waldo-benchjson) with
+# the raw text kept alongside in BENCH_2.txt.
+BENCH_PATTERN ?= BuildModelParallel|RetrainConcurrentSubmit|RetrainStoreScale|ModelEndpointCached|KMeansAssign|FFT256|PowerSpectrum256|FromObservation256
+BENCH_PKGS ?= ./internal/core/ ./internal/dbserver/ ./internal/ml/kmeans/ ./internal/dsp/ ./internal/features/
 
 bench: bench-ingest
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchmem -run XXX $(BENCH_PKGS) | tee BENCH_2.txt

@@ -139,7 +139,7 @@ func (s ScanResult) CPUUtilizationPct(cycle time.Duration) float64 {
 }
 
 // WSD is the mobile white-space device: radio + per-channel models +
-// detector configuration.
+// detector configuration. It is not safe for concurrent use.
 type WSD struct {
 	// Radio is the sensing hardware; required.
 	Radio Radio
@@ -150,6 +150,34 @@ type WSD struct {
 	// MaxReadingsPerChannel caps a channel's sensing effort; 0 means the
 	// detector's MaxReadings.
 	MaxReadingsPerChannel int
+
+	// dets keeps each channel's detector, with the stream storage it has
+	// grown, from one scan to the next; detCfg is the configuration they
+	// were built from.
+	dets   map[rfenv.Channel]*core.Detector
+	detCfg core.DetectorConfig
+}
+
+// detector returns ch's detector with an empty stream: the one the last
+// scan used, or a new one when the channel's model or the detector
+// configuration has changed since.
+func (w *WSD) detector(ch rfenv.Channel, model *core.Model) (*core.Detector, error) {
+	if w.Detector != w.detCfg {
+		w.dets, w.detCfg = nil, w.Detector
+	}
+	if det := w.dets[ch]; det != nil && det.Model() == model {
+		det.Reset()
+		return det, nil
+	}
+	det, err := core.NewDetector(model, w.Detector)
+	if err != nil {
+		return nil, err
+	}
+	if w.dets == nil {
+		w.dets = make(map[rfenv.Channel]*core.Detector)
+	}
+	w.dets[ch] = det
+	return det, nil
 }
 
 // SenseChannel runs the detection loop for one channel at loc: capture →
@@ -159,13 +187,14 @@ func (w *WSD) SenseChannel(ch rfenv.Channel, loc geo.Point) (ChannelScan, error)
 	if !ok {
 		return ChannelScan{}, fmt.Errorf("client: no model for %v", ch)
 	}
-	det, err := core.NewDetector(model, w.Detector)
+	det, err := w.detector(ch, model)
 	if err != nil {
 		return ChannelScan{}, err
 	}
-	maxN := w.MaxReadingsPerChannel
-	if maxN == 0 {
-		maxN = 1024
+	// Captures past the detector's cap would be extracted and dropped.
+	maxN := det.MaxReadings()
+	if w.MaxReadingsPerChannel > 0 && w.MaxReadingsPerChannel < maxN {
+		maxN = w.MaxReadingsPerChannel
 	}
 
 	var cpu time.Duration
@@ -217,6 +246,7 @@ func (w *WSD) Scan(loc geo.Point) (ScanResult, error) {
 			chs[j], chs[j-1] = chs[j-1], chs[j]
 		}
 	}
+	res.Channels = make([]ChannelScan, 0, len(chs))
 	for _, ch := range chs {
 		cs, err := w.SenseChannel(ch, loc)
 		if err != nil {

@@ -105,6 +105,15 @@ type Detector struct {
 	cft []float64
 	aft []float64
 
+	// ws is the trim/smooth scratch every capture reuses. span and kept
+	// are the CI span and surviving count of the outlier-trimmed RSS at
+	// stream length spanLen: Offer and Decide ask for them at the same
+	// length, and the trim behind them is the detector's dearest step.
+	ws      dsp.Workspace
+	span    float64
+	kept    int
+	spanLen int
+
 	// Telemetry handles; nil-safe no-ops when cfg.Metrics is unset.
 	readingsUsed  *telemetry.Histogram
 	outliersTotal *telemetry.Counter
@@ -129,12 +138,21 @@ func NewDetector(model *Model, cfg DetectorConfig) (*Detector, error) {
 	}, nil
 }
 
-// Reset clears the stream (e.g. after the device moves).
+// Reset clears the stream (e.g. after the device moves), keeping its
+// storage.
 func (d *Detector) Reset() {
 	d.rss = d.rss[:0]
 	d.cft = d.cft[:0]
 	d.aft = d.aft[:0]
+	d.spanLen = 0
 }
+
+// Model returns the model the detector classifies with.
+func (d *Detector) Model() *Model { return d.model }
+
+// MaxReadings returns the stream cap in effect (the configured value, or
+// the default): readings offered beyond it are dropped.
+func (d *Detector) MaxReadings() int { return d.cfg.MaxReadings }
 
 // Len returns the current stream length.
 func (d *Detector) Len() int { return len(d.rss) }
@@ -156,8 +174,13 @@ func (d *Detector) Offer(sig features.Signal) bool {
 // underestimate the true uncertainty, which would declare convergence on
 // streams that are still drifting (the mobile fading case of §5).
 func (d *Detector) ciSpan() float64 {
-	trimmed := dsp.TrimOutliers(d.rss, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
-	return dsp.MeanCI(trimmed, d.cfg.Confidence).Span()
+	if d.spanLen != len(d.rss) {
+		trimmed := d.ws.TrimOutliers(d.rss, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
+		d.span = dsp.MeanCI(trimmed, d.cfg.Confidence).Span()
+		d.kept = len(trimmed)
+		d.spanLen = len(d.rss)
+	}
+	return d.span
 }
 
 func (d *Detector) converged() bool {
@@ -170,8 +193,8 @@ func (d *Detector) converged() bool {
 // aggregate produces the robust feature estimate used for classification.
 func (d *Detector) aggregate() features.Signal {
 	robust := func(xs []float64) float64 {
-		smoothed := dsp.MovingAverage(xs, d.cfg.SmoothingWindow)
-		trimmed := dsp.TrimOutliers(smoothed, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
+		smoothed := d.ws.MovingAverage(xs, d.cfg.SmoothingWindow)
+		trimmed := d.ws.TrimOutliers(smoothed, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
 		return dsp.Mean(trimmed)
 	}
 	return features.Signal{
@@ -208,8 +231,8 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	// Safe is the channel declared Safe.
 	lo := dec.Signal
 	hi := dec.Signal
-	lo.RSSdBm = dsp.Percentile(d.rss, d.cfg.OutlierLoPct)
-	hi.RSSdBm = dsp.Percentile(d.rss, d.cfg.OutlierHiPct)
+	lo.RSSdBm = d.ws.Percentile(d.rss, d.cfg.OutlierLoPct)
+	hi.RSSdBm = d.ws.Percentile(d.rss, d.cfg.OutlierHiPct)
 	lLabel, err := d.model.Classify(loc, lo)
 	if err != nil {
 		return Decision{}, err
@@ -235,8 +258,7 @@ func (d *Detector) record(dec Decision) {
 		return
 	}
 	d.readingsUsed.Observe(float64(dec.ReadingsUsed))
-	trimmed := dsp.TrimOutliers(d.rss, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
-	if n := len(d.rss) - len(trimmed); n > 0 {
+	if n := len(d.rss) - d.kept; n > 0 {
 		d.outliersTotal.Add(uint64(n))
 	}
 	d.cfg.Metrics.Counter("waldo_detector_decisions_total",

@@ -251,3 +251,51 @@ func TestUploadBatchValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectorReuseMatchesFresh: a detector carried across streams by
+// Reset — shorter, longer, converging and not — offers and decides
+// exactly as a new detector does on each stream. The span it caches per
+// stream length must not outlive the stream.
+func TestDetectorReuseMatchesFresh(t *testing.T) {
+	m, _, _ := trainedModel(t, ConstructorConfig{Seed: 11})
+	cfg := DetectorConfig{AlphaDB: 0.5, MaxReadings: 48}
+	reused, err := NewDetector(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	loc := rfenv.MetroCenter.Offset(90, 6000)
+	for stream := 0; stream < 40; stream++ {
+		fresh, err := NewDetector(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused.Reset()
+		sigma := []float64{0.2, 1, 6}[stream%3]
+		n := 1 + rng.Intn(60)
+		for i := 0; i < n; i++ {
+			sig := noisySignal(rng, -85, sigma)
+			if got, want := reused.Offer(sig), fresh.Offer(sig); got != want {
+				t.Fatalf("stream %d reading %d: converged %v, fresh detector %v", stream, i, got, want)
+			}
+		}
+		got, err := reused.Decide(loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Decide(loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Streams too short to keep anything aggregate to NaN, which !=
+		// would call different.
+		bits := func(d Decision) [4]uint64 {
+			return [4]uint64{math.Float64bits(d.CISpanDB), math.Float64bits(d.Signal.RSSdBm),
+				math.Float64bits(d.Signal.CFTdB), math.Float64bits(d.Signal.AFTdB)}
+		}
+		if got.Label != want.Label || got.Converged != want.Converged ||
+			got.ReadingsUsed != want.ReadingsUsed || bits(got) != bits(want) {
+			t.Fatalf("stream %d: %+v, fresh detector %+v", stream, got, want)
+		}
+	}
+}

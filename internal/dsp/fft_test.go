@@ -2,11 +2,109 @@ package dsp
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// referenceFFT is the textbook radix-2 decimation-in-time loop FFT and
+// IFFT ran until the stage-fused transform replaced it: bit-reversal
+// swaps, then one stage at a time, every butterfly multiplying by its
+// twiddle — evaluated here from its angle, not read from the plan. It is
+// the oracle the kernel rule (DESIGN.md §8) is checked against.
+func referenceFFT(x []complex128, inverse bool) {
+	n := len(x)
+	if n < 2 {
+		return
+	}
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 1; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	tw := make([]complex128, n/2)
+	for k := range tw {
+		ang := -2 * math.Pi * float64(k) / float64(n)
+		tw[k] = complex(math.Cos(ang), math.Sin(ang))
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		stride := n / size
+		for start := 0; start < n; start += size {
+			for j := 0; j < half; j++ {
+				w := tw[j*stride]
+				if inverse {
+					w = complex(real(w), -imag(w))
+				}
+				k := start + j
+				u := x[k]
+				v := x[k+half] * w
+				x[k] = u + v
+				x[k+half] = u - v
+			}
+		}
+	}
+}
+
+// sameBits is Float64bits equality, except that the two zeros are equal:
+// skipping the multiply by the exact-1 twiddle keeps a −0 the reference
+// turns into +0, which no nonzero value and no power can observe.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
+}
+
+func randomCapture(rng *rand.Rand, n int) []complex128 {
+	x := make([]complex128, n)
+	scale := math.Pow(10, 6*rng.Float64()-6)
+	for i := range x {
+		x[i] = complex(scale*rng.NormFloat64(), scale*rng.NormFloat64())
+	}
+	return x
+}
+
+// TestFFTMatchesReference: the rebuilt transform is bit-equal to the
+// textbook loop at every size, both directions, and so are the powers
+// PowerSpectrumInto derives from it.
+func TestFFTMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for n := 1; n <= 4096; n *= 2 {
+		for rep := 0; rep < 8; rep++ {
+			x := randomCapture(rng, n)
+			if rep == 0 {
+				x = make([]complex128, n) // all-zero
+			}
+			for _, inverse := range []bool{false, true} {
+				want := append([]complex128(nil), x...)
+				referenceFFT(want, inverse)
+				got := append([]complex128(nil), x...)
+				if err := fft(got, inverse); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if !sameBits(real(got[i]), real(want[i])) || !sameBits(imag(got[i]), imag(want[i])) {
+						t.Fatalf("n=%d inverse=%v bin %d: %v, reference %v", n, inverse, i, got[i], want[i])
+					}
+				}
+			}
+			want := append([]complex128(nil), x...)
+			referenceFFT(want, false)
+			ps, err := PowerSpectrum(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range want {
+				nn := float64(n)
+				if p := (real(c)*real(c) + imag(c)*imag(c)) / (nn * nn); math.Float64bits(ps[i]) != math.Float64bits(p) {
+					t.Fatalf("n=%d power bin %d: %v, reference %v", n, i, ps[i], p)
+				}
+			}
+		}
+	}
+}
 
 func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 	for _, n := range []int{3, 5, 6, 7, 100} {

@@ -55,16 +55,15 @@ func MinMax(xs []float64) (lo, hi float64) {
 // interpolation between closest ranks. xs need not be sorted. Returns NaN
 // for empty input or p outside [0, 100].
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 || p < 0 || p > 100 || math.IsNaN(p) {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	var ws Workspace
+	return ws.Percentile(xs, p)
 }
 
+// percentileSorted is Percentile over already-sorted, non-empty input.
 func percentileSorted(sorted []float64, p float64) float64 {
+	if p < 0 || p > 100 || math.IsNaN(p) {
+		return math.NaN()
+	}
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
@@ -139,37 +138,87 @@ func Pearson(xs, ys []float64) float64 {
 // window (window ≥ 1). Element i averages xs[max(0,i-window+1) .. i], so the
 // output has the same length as the input and warms up from the first value.
 func MovingAverage(xs []float64, window int) []float64 {
-	if window < 1 {
-		window = 1
-	}
-	out := make([]float64, len(xs))
-	var sum float64
-	for i, x := range xs {
-		sum += x
-		if i >= window {
-			sum -= xs[i-window]
-			out[i] = sum / float64(window)
-		} else {
-			out[i] = sum / float64(i+1)
-		}
-	}
-	return out
+	var ws Workspace
+	return ws.MovingAverage(xs, window)
 }
 
 // TrimOutliers returns the elements of xs within the [loPct, hiPct]
 // percentile band, preserving order. This is the detector's 5th–95th
 // percentile outlier rejection step (paper §3.3).
 func TrimOutliers(xs []float64, loPct, hiPct float64) []float64 {
+	var ws Workspace
+	return ws.TrimOutliers(xs, loPct, hiPct)
+}
+
+// Workspace is reusable storage for Percentile, MovingAverage and
+// TrimOutliers, for callers that run them per capture (the White Space
+// Detector re-trims its stream on every reading). The zero value is
+// ready. A returned slice aliases the workspace and is valid until the
+// next call of the same method; the package-level functions are these
+// methods on a fresh workspace.
+type Workspace struct {
+	sorted, kept, smoothed []float64
+}
+
+// empty returns buf emptied, with room for n values: exactly n from a
+// fresh workspace, doubling when a reused one has to grow.
+func empty(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, 0, max(n, 2*cap(buf)))
+	}
+	return buf[:0]
+}
+
+// sort returns xs sorted, in the workspace's storage.
+func (ws *Workspace) sort(xs []float64) []float64 {
+	ws.sorted = append(empty(ws.sorted, len(xs)), xs...)
+	sort.Float64s(ws.sorted)
+	return ws.sorted
+}
+
+// Percentile is the package-level Percentile.
+func (ws *Workspace) Percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	return percentileSorted(ws.sort(xs), p)
+}
+
+// MovingAverage is the package-level MovingAverage.
+func (ws *Workspace) MovingAverage(xs []float64, window int) []float64 {
+	if window < 1 {
+		window = 1
+	}
+	out := empty(ws.smoothed, len(xs))
+	var sum float64
+	for i, x := range xs {
+		sum += x
+		if i >= window {
+			sum -= xs[i-window]
+			out = append(out, sum/float64(window))
+		} else {
+			out = append(out, sum/float64(i+1))
+		}
+	}
+	ws.smoothed = out
+	return out
+}
+
+// TrimOutliers is the package-level TrimOutliers; both percentiles come
+// from one sort.
+func (ws *Workspace) TrimOutliers(xs []float64, loPct, hiPct float64) []float64 {
 	if len(xs) == 0 {
 		return nil
 	}
-	lo := Percentile(xs, loPct)
-	hi := Percentile(xs, hiPct)
-	out := make([]float64, 0, len(xs))
+	sorted := ws.sort(xs)
+	lo := percentileSorted(sorted, loPct)
+	hi := percentileSorted(sorted, hiPct)
+	out := empty(ws.kept, len(xs))
 	for _, x := range xs {
 		if x >= lo && x <= hi {
 			out = append(out, x)
 		}
 	}
+	ws.kept = out
 	return out
 }

@@ -195,3 +195,48 @@ func TestNormalQuantileCDFInverse(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkspaceReuseMatchesFresh: a workspace carried across calls of
+// growing and shrinking lengths returns what the package-level functions
+// (a fresh workspace each) return, bit for bit, and nothing once warm.
+func TestWorkspaceReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var ws Workspace
+	same := func(name string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, fresh %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, fresh %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 9, 64, 8, 3, 200, 10, 0} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = -80 + 3*rng.NormFloat64()
+		}
+		if n > 4 {
+			xs[1], xs[3] = math.Inf(-1), xs[2] // a dead capture, a duplicate
+		}
+		smoothed := ws.MovingAverage(xs, 8)
+		same("MovingAverage", smoothed, MovingAverage(xs, 8))
+		same("TrimOutliers", ws.TrimOutliers(xs, 5, 95), TrimOutliers(xs, 5, 95))
+		same("TrimOutliers(smoothed)", ws.TrimOutliers(smoothed, 5, 95), TrimOutliers(smoothed, 5, 95))
+		for _, p := range []float64{0, 5, 50, 95, 100, -1, 101, math.NaN()} {
+			same("Percentile", []float64{ws.Percentile(xs, p)}, []float64{Percentile(xs, p)})
+		}
+	}
+	xs := make([]float64, 100)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		ws.TrimOutliers(ws.MovingAverage(xs, 8), 5, 95)
+		ws.Percentile(xs, 95)
+	}); n != 0 {
+		t.Errorf("warm workspace allocs = %v, want 0", n)
+	}
+}

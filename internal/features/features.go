@@ -49,21 +49,21 @@ func FromObservationWindowed(obs sensor.Observation, cal sensor.Calibration, win
 	if len(obs.IQ) == 0 {
 		return Signal{}, fmt.Errorf("features: empty capture")
 	}
-	samples := obs.IQ
+	var coef []float64
 	if win != dsp.WindowRect {
-		samples = append([]complex128(nil), obs.IQ...)
-		if err := win.Apply(samples); err != nil {
+		var err error
+		if coef, err = win.Coefficients(len(obs.IQ)); err != nil {
 			return Signal{}, fmt.Errorf("features: %w", err)
 		}
 	}
-	spec, err := iq.NewSpectrum(samples)
+	energy, center, band, err := dsp.PilotBand(obs.IQ, coef, iq.CenterBandBins(len(obs.IQ), CenterBandFrac))
 	if err != nil {
 		return Signal{}, fmt.Errorf("features: %w", err)
 	}
 	return Signal{
-		RSSdBm: cal.Apply(iq.MWToDBm(iq.EnergyMW(obs.IQ))) + iq.CaptureCorrectionDB(),
-		CFTdB:  cal.Apply(iq.MWToDBm(spec.CenterBinMW())),
-		AFTdB:  cal.Apply(iq.MWToDBm(spec.CenterBandMeanMW(CenterBandFrac))),
+		RSSdBm: cal.Apply(iq.MWToDBm(energy)) + iq.CaptureCorrectionDB(),
+		CFTdB:  cal.Apply(iq.MWToDBm(center)),
+		AFTdB:  cal.Apply(iq.MWToDBm(band)),
 	}, nil
 }
 

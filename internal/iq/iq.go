@@ -46,10 +46,14 @@ func BodyCaptureFrac() float64 { return DefaultBandwidthHz / 6e6 }
 // channel = capture − 10·log10(pilotShare + (1−pilotShare)·bodyFrac)
 // ≈ +9.5 dB. It plays the role of the paper's +12 dB pilot correction
 // (§2.1), which assumes a pilot-only narrowband measurement.
-func CaptureCorrectionDB() float64 {
+func CaptureCorrectionDB() float64 { return captureCorrectionDB }
+
+// captureCorrectionDB is a constant of the capture geometry, evaluated
+// once: feature extraction adds it to every capture's RSS.
+var captureCorrectionDB = func() float64 {
 	ps := PilotShare()
 	return -10 * math.Log10(ps+(1-ps)*BodyCaptureFrac())
-}
+}()
 
 // DBmToMW converts dBm to linear milliwatts.
 func DBmToMW(dbm float64) float64 { return math.Pow(10, dbm/10) }
@@ -139,7 +143,10 @@ func EnergyMW(samples []complex128) float64 {
 }
 
 // Spectrum holds the FFT-shifted power spectrum of a capture, with the
-// capture center (pilot region) at the middle bin.
+// capture center (pilot region) at the middle bin. Feature extraction
+// reads its three features through dsp.PilotBand without building one;
+// Spectrum is the full-spectrum reference that kernel is tested against,
+// and what plots and analyses of whole captures use.
 type Spectrum struct {
 	Bins []float64 // power per bin, mW
 }
@@ -174,6 +181,23 @@ func (s *Spectrum) CenterBinMW() float64 {
 // bins — the paper's AFT feature source uses frac = 0.15.
 func (s *Spectrum) CenterBandMeanMW(frac float64) float64 {
 	n := len(s.Bins)
+	w := CenterBandBins(n, frac)
+	if w == 0 {
+		return 0
+	}
+	lo := n/2 - w/2
+	var sum float64
+	for _, v := range s.Bins[lo : lo+w] {
+		sum += v
+	}
+	return sum / float64(w)
+}
+
+// CenterBandBins returns how many bins the central frac (0–1] of an n-bin
+// spectrum spans: n·frac rounded, at least one. The band is shifted bins
+// [n/2−w/2, n/2−w/2+w), which always lies inside the spectrum. It is 0
+// for an empty spectrum or a non-positive frac.
+func CenterBandBins(n int, frac float64) int {
 	if n == 0 || frac <= 0 {
 		return 0
 	}
@@ -184,19 +208,7 @@ func (s *Spectrum) CenterBandMeanMW(frac float64) float64 {
 	if w < 1 {
 		w = 1
 	}
-	lo := n/2 - w/2
-	if lo < 0 {
-		lo = 0
-	}
-	hi := lo + w
-	if hi > n {
-		hi = n
-	}
-	var sum float64
-	for _, v := range s.Bins[lo:hi] {
-		sum += v
-	}
-	return sum / float64(hi-lo)
+	return w
 }
 
 // TotalMW returns the total power across all bins, which by Parseval's
