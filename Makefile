@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check verify build test race vet fmt-check bench bench-telemetry bench-wal bench-cluster bench-ingest bench-e2e bench-e2e-smoke bench-geo bench-repo crash-test doccheck loadgen chaos cluster-test trace-smoke clean
+.PHONY: check verify build test race vet fmt-check bench bench-telemetry bench-wal bench-cluster bench-ingest bench-e2e bench-e2e-smoke bench-geo bench-repo bench-pairs crash-test doccheck loadgen chaos cluster-test trace-smoke clean
 
 check: vet build race
 
@@ -190,6 +190,16 @@ W ?= train
 
 bench-repo:
 	bash bench/run.sh --workload $(W) --seed 42 --seconds 14 --trace 0
+
+# Interleaved parent/change pairs of one workload, ending in bench
+# -compare: how a performance claim is measured (scripts/bench_pairs.sh).
+# `make bench-pairs PARENT=HEAD~1 W=ingest_single SEED=42 PAIRS=10`.
+PARENT ?= HEAD~1
+SEED ?= 42
+PAIRS ?= 10
+
+bench-pairs:
+	scripts/bench_pairs.sh $(PARENT) $(W) $(SEED) $(PAIRS)
 
 clean:
 	$(GO) clean ./...

@@ -57,8 +57,8 @@ func run(args []string) error {
 	clusterK := fs.Int("clusters", 3, "localities per model")
 	classifier := fs.String("classifier", "svm", "per-locality classifier: svm|nb|svm-linear")
 	alphaPrime := fs.Float64("alpha-prime", 1.0, "upload acceptance CI span (dB)")
-	dataDir := fs.String("data-dir", "", "durable store directory (WAL + snapshots); empty = in-memory only")
-	snapshotEvery := fs.Int("snapshot-every", 10000, "compact a store's WAL into a snapshot after this many journaled readings (0 = only via /v1/admin/snapshot)")
+	dataDir := fs.String("data-dir", "", "durable store directory (WAL segments + checkpoint records); empty = in-memory only")
+	snapshotEvery := fs.Int("snapshot-every", 10000, "checkpoint a store (seal its WAL segment, record its counts) after this many journaled readings (0 = only via /v1/admin/snapshot)")
 	shardID := fs.String("shard-id", "", "run as a cluster shard under this ID (enables /v1/repl endpoints; see waldo-gateway)")
 	replicasFlag := fs.String("replicas", "", "comma-separated replica base URLs to ship the journal to (requires -shard-id)")
 	shipEvery := fs.Duration("ship-interval", 0, "replication shipping tick (0 = cluster default)")

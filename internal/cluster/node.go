@@ -11,7 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/wsdetect/waldo/internal/dataset"
+	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
@@ -129,13 +129,11 @@ func OpenNode(cfg NodeConfig) (*Node, error) {
 			// version. Rebuilds are deterministic, so an empty replica
 			// applying this seed converges to byte-identical descriptors —
 			// this is also the full-resync path after a replica rebuild.
-			db.SnapshotStores(func(ch rfenv.Channel, kind sensor.Kind, rs []dataset.Reading, version, trained int) {
-				for start := 0; start < len(rs); start += seedChunkReadings {
-					end := start + seedChunkReadings
-					if end > len(rs) {
-						end = len(rs)
+			db.SnapshotStores(func(ch rfenv.Channel, kind sensor.Kind, view core.ReadingView, version, trained int) {
+				for _, rs := range view.Chunks() {
+					for start := 0; start < len(rs); start += seedChunkReadings {
+						n.repl.TapReadings(context.Background(), ch, kind, rs[start:min(start+seedChunkReadings, len(rs))])
 					}
-					n.repl.TapReadings(context.Background(), ch, kind, rs[start:end])
 				}
 				if version > 0 {
 					n.repl.TapRetrain(context.Background(), ch, kind, version, trained)

@@ -13,10 +13,10 @@ import (
 )
 
 // Reading wire format (little-endian, fixed size). This is the stable
-// binary codec shared by the write-ahead log and the snapshot files of
-// internal/wal: one reading is always exactly ReadingWireSize bytes, so
-// batch sizes are computable up front and a torn disk write can never be
-// confused with a shorter valid encoding.
+// binary codec of internal/wal's log segments (and of the v1 snapshot
+// files an older binary may have left): one reading is always exactly
+// ReadingWireSize bytes, so batch sizes are computable up front and a
+// torn disk write can never be confused with a shorter valid encoding.
 //
 //	offset  size  field
 //	     0     8  Seq (int64)
@@ -116,15 +116,17 @@ func DecodeReadingsWire(b []byte) ([]dataset.Reading, []byte, error) {
 	if len(b) < 4 {
 		return nil, nil, fmt.Errorf("core: reading batch truncated: missing count")
 	}
-	n := int(binary.LittleEndian.Uint32(b))
+	// The count is untrusted: size the result by what the bytes can hold.
+	n := min(int(binary.LittleEndian.Uint32(b)), len(b)/ReadingWireSize)
 	return DecodeReadingsWireInto(make([]dataset.Reading, 0, n), b)
 }
 
 // DecodeReadingsWireInto decodes a counted batch from the front of b,
 // appending the readings to dst and returning the extended slice plus the
 // unconsumed remainder. Passing a scratch slice with capacity makes the
-// decode allocation-free — the WAL replay path and the batch ingest
-// handler both lean on this. On error dst is returned unchanged.
+// decode allocation-free — the batch ingest handler leans on this (WAL
+// replay decodes into the store's chunks, ReadingLog.AppendWire). On
+// error dst is returned unchanged.
 func DecodeReadingsWireInto(dst []dataset.Reading, b []byte) ([]dataset.Reading, []byte, error) {
 	if len(b) < 4 {
 		return dst, nil, fmt.Errorf("core: reading batch truncated: missing count")

@@ -82,7 +82,9 @@ type Updater struct {
 	expectCh   rfenv.Channel
 	expectKind sensor.Kind
 
-	readings []dataset.Reading
+	// readings is the trusted store: append-only and chunked, so an
+	// accepted reading is never copied again, whatever the store's size.
+	readings ReadingLog
 	model    *Model
 	version  int
 	// trainedCount is the number of store readings the current model was
@@ -218,8 +220,8 @@ func (u *Updater) Bootstrap(readings []dataset.Reading) {
 func (u *Updater) BootstrapCtx(ctx context.Context, readings []dataset.Reading) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	u.readings = append(u.readings, readings...)
-	u.storeReadings.Set(float64(len(u.readings)))
+	u.readings.Append(readings)
+	u.storeReadings.Set(float64(u.readings.Len()))
 	if u.journal != nil && len(readings) > 0 {
 		u.journal.AppendReadings(ctx, readings)
 	}
@@ -262,16 +264,16 @@ func (u *Updater) SubmitCtx(ctx context.Context, batch UploadBatch) error {
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if len(u.readings) > 0 {
-		if u.readings[0].Channel != ch || u.readings[0].Sensor != sens {
+	if u.readings.Len() > 0 {
+		if first := u.readings.first(); first.Channel != ch || first.Sensor != sens {
 			u.rejectedTotal.Inc()
 			return fmt.Errorf("core: upload is %v/%v, store is %v/%v",
-				ch, sens, u.readings[0].Channel, u.readings[0].Sensor)
+				ch, sens, first.Channel, first.Sensor)
 		}
 	}
-	u.readings = append(u.readings, batch.Readings...)
+	u.readings.Append(batch.Readings)
 	u.acceptedTotal.Inc()
-	u.storeReadings.Set(float64(len(u.readings)))
+	u.storeReadings.Set(float64(u.readings.Len()))
 	if u.journal != nil {
 		u.journal.AppendReadings(ctx, batch.Readings)
 	}
@@ -282,15 +284,22 @@ func (u *Updater) SubmitCtx(ctx context.Context, batch UploadBatch) error {
 func (u *Updater) Size() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return len(u.readings)
+	return u.readings.Len()
 }
 
-// Readings returns a copy of the stored readings (for export and
-// persistence).
-func (u *Updater) Readings() []dataset.Reading {
+// View returns the store as it is now, as a read-only view that stays
+// valid while the store grows: captured under the lock in O(chunks), to
+// be streamed or flattened after it is released.
+func (u *Updater) View() ReadingView {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return append([]dataset.Reading(nil), u.readings...)
+	return u.readings.View()
+}
+
+// Readings returns a copy of the stored readings, made off the store
+// lock. Callers that only read, or can stream, use View.
+func (u *Updater) Readings() []dataset.Reading {
+	return u.View().AppendTo(nil)
 }
 
 // Retrain relabels the store with Algorithm 1 and rebuilds the model,
@@ -316,16 +325,16 @@ func (u *Updater) RetrainCtx(ctx context.Context) (*Model, error) {
 		<-call.done
 		return call.model, call.err
 	}
-	if len(u.readings) == 0 {
+	if u.readings.Len() == 0 {
 		u.mu.Unlock()
 		return nil, fmt.Errorf("core: no readings to train on")
 	}
 	call := &retrainCall{done: make(chan struct{})}
 	u.inflight = call
-	// Snapshot: the store is append-only under mu and the full slice
-	// expression caps capacity, so the rebuild reads a stable prefix
-	// while Submit keeps appending.
-	snap := u.readings[:len(u.readings):len(u.readings)]
+	// Snapshot: the store is append-only under mu and a view is
+	// capacity-clamped, so the rebuild reads a stable prefix while
+	// Submit keeps appending.
+	snap := u.readings.View()
 	u.mu.Unlock()
 
 	model, err := u.rebuild(ctx, snap)
@@ -335,9 +344,9 @@ func (u *Updater) RetrainCtx(ctx context.Context) (*Model, error) {
 	if err == nil {
 		u.model = model
 		u.version++
-		u.trainedCount = len(snap)
+		u.trainedCount = snap.Len()
 		if u.journal != nil {
-			u.journal.RecordRetrain(ctx, u.version, len(snap))
+			u.journal.RecordRetrain(ctx, u.version, snap.Len())
 		}
 	}
 	u.mu.Unlock()
@@ -348,9 +357,11 @@ func (u *Updater) RetrainCtx(ctx context.Context) (*Model, error) {
 
 // rebuild runs the relabel+train pipeline over a store snapshot. It holds
 // no locks: this is the expensive phase Retrain keeps off the Submit and
-// Model paths.
-func (u *Updater) rebuild(ctx context.Context, snap []dataset.Reading) (*Model, error) {
+// Model paths. Relabelling and model construction index the readings as
+// one slice, so a snapshot that spans chunks is flattened here, once.
+func (u *Updater) rebuild(ctx context.Context, view ReadingView) (*Model, error) {
 	span := u.metrics.StartSpanCtx(ctx, "retrain")
+	snap := view.Flatten()
 	relabel := span.Child("relabel")
 	labels, err := dataset.LabelReadings(snap, u.labelCfg)
 	relabel.End()
@@ -401,8 +412,8 @@ func (u *Updater) RetrainAt(version, trainedCount int) error {
 // RetrainAtCtx is RetrainAt carrying the replication-apply request trace.
 func (u *Updater) RetrainAtCtx(ctx context.Context, version, trainedCount int) error {
 	u.mu.Lock()
-	if trainedCount <= 0 || trainedCount > len(u.readings) {
-		n := len(u.readings)
+	if trainedCount <= 0 || trainedCount > u.readings.Len() {
+		n := u.readings.Len()
 		u.mu.Unlock()
 		return fmt.Errorf("core: retrain-at: trained prefix %d outside store of %d readings", trainedCount, n)
 	}
@@ -411,7 +422,7 @@ func (u *Updater) RetrainAtCtx(ctx context.Context, version, trainedCount int) e
 		u.mu.Unlock()
 		return fmt.Errorf("core: retrain-at: version %d does not advance current %d", version, v)
 	}
-	snap := u.readings[:trainedCount:trainedCount]
+	snap := u.readings.View().Prefix(trainedCount)
 	u.mu.Unlock()
 
 	model, err := u.rebuild(ctx, snap)
@@ -431,15 +442,17 @@ func (u *Updater) RetrainAtCtx(ctx context.Context, version, trainedCount int) e
 
 // Restore rehydrates an updater from persisted state: the full trusted
 // store, the version of the last trained model, and the store prefix
-// length it was trained on. The model is rebuilt from that prefix — model
+// length it was trained on. The updater adopts the log — recovery decoded
+// it once and nothing copies it again — so the caller must not touch it
+// afterwards. The model is rebuilt from the trained prefix — model
 // construction is deterministic for a fixed constructor config and input
 // (DESIGN.md §8), so the restored model is byte-identical to the one that
 // was serving when the state was persisted. Call on a fresh updater
 // before SetJournal, so recovery itself is not re-journaled.
-func (u *Updater) Restore(readings []dataset.Reading, version, trainedCount int) error {
-	if trainedCount < 0 || trainedCount > len(readings) {
+func (u *Updater) Restore(readings *ReadingLog, version, trainedCount int) error {
+	if trainedCount < 0 || trainedCount > readings.Len() {
 		return fmt.Errorf("core: restore: trained count %d outside store of %d readings",
-			trainedCount, len(readings))
+			trainedCount, readings.Len())
 	}
 	if version < 0 || (version == 0) != (trainedCount == 0) {
 		return fmt.Errorf("core: restore: inconsistent version %d for trained count %d",
@@ -448,21 +461,21 @@ func (u *Updater) Restore(readings []dataset.Reading, version, trainedCount int)
 	var model *Model
 	if trainedCount > 0 {
 		var err error
-		if model, err = u.rebuild(context.Background(), readings[:trainedCount]); err != nil {
+		if model, err = u.rebuild(context.Background(), readings.View().Prefix(trainedCount)); err != nil {
 			return fmt.Errorf("core: restore: %w", err)
 		}
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if len(u.readings) != 0 || u.version != 0 {
+	if u.readings.Len() != 0 || u.version != 0 {
 		return fmt.Errorf("core: restore into a non-empty updater (%d readings, version %d)",
-			len(u.readings), u.version)
+			u.readings.Len(), u.version)
 	}
-	u.readings = append([]dataset.Reading(nil), readings...)
+	u.readings = *readings
 	u.model = model
 	u.version = version
 	u.trainedCount = trainedCount
-	u.storeReadings.Set(float64(len(u.readings)))
+	u.storeReadings.Set(float64(u.readings.Len()))
 	return nil
 }
 
@@ -471,28 +484,29 @@ func (u *Updater) Restore(readings []dataset.Reading, version, trainedCount int)
 // recently accepted readings. The store is append-only, so the tail is
 // the store's recency window — the occupancy evidence freshest in time
 // without any per-reading timestamp bookkeeping. maxRecent ≤ 0 means
-// the whole store. The readings slice is a copy safe to read after the
-// lock is released; (nil, 0, evidence) before the first Retrain.
+// the whole store. The readings slice is the caller's own copy of that
+// window and nothing more, made after the lock is released; (nil, 0,
+// evidence) before the first Retrain.
 func (u *Updater) IndexSnapshot(maxRecent int) (*Model, int, []dataset.Reading) {
 	u.mu.Lock()
-	defer u.mu.Unlock()
-	rs := u.readings
-	if maxRecent > 0 && len(rs) > maxRecent {
-		rs = rs[len(rs)-maxRecent:]
+	model, version, view := u.model, u.version, u.readings.View()
+	u.mu.Unlock()
+	if maxRecent > 0 {
+		view = view.Tail(maxRecent)
 	}
-	return u.model, u.version, append([]dataset.Reading(nil), rs...)
+	return model, version, view.AppendTo(nil)
 }
 
 // Checkpoint calls fn with a consistent view of the store — the readings
-// (a stable append-only prefix; fn must not mutate it), the model
-// version, and the trained prefix length — while the store lock is held.
-// Because the Journal hooks run under the same lock, everything fn sees
-// is exactly the journal stream so far: internal/wal rotates its log
-// segment inside fn, making the snapshot/log cut exact. Keep fn short
-// (Submit and Model block for its duration); do slow I/O on the captured
-// state after Checkpoint returns.
-func (u *Updater) Checkpoint(fn func(readings []dataset.Reading, version, trainedCount int)) {
+// (see ReadingView; valid after fn returns), the model version, and the
+// trained prefix length — while the store lock is held. Because the
+// Journal hooks run under the same lock, everything fn sees is exactly
+// the journal stream so far: internal/wal rotates its log segment inside
+// fn, making the checkpoint/log cut exact. Keep fn short (Submit and
+// Model block for its duration); do slow I/O on the captured state after
+// Checkpoint returns.
+func (u *Updater) Checkpoint(fn func(readings ReadingView, version, trainedCount int)) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	fn(u.readings[:len(u.readings):len(u.readings)], u.version, u.trainedCount)
+	fn(u.readings.View(), u.version, u.trainedCount)
 }

@@ -17,25 +17,36 @@ var csvHeader = []string{"seq", "lat", "lon", "channel", "sensor", "rss_dbm", "c
 
 // WriteCSV streams readings to w in a stable CSV layout.
 func WriteCSV(w io.Writer, readings []Reading) error {
+	return WriteCSVChunks(w, [][]Reading{readings})
+}
+
+// WriteCSVChunks is WriteCSV over readings held as consecutive runs (a
+// chunked store's view): one header, then every run's rows in order, with
+// no run ever joined to the next in memory.
+func WriteCSVChunks(w io.Writer, chunks [][]Reading) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return fmt.Errorf("dataset: write header: %w", err)
 	}
 	rec := make([]string, len(csvHeader))
-	for i := range readings {
-		r := &readings[i]
-		rec[0] = strconv.Itoa(r.Seq)
-		rec[1] = strconv.FormatFloat(r.Loc.Lat, 'f', 6, 64)
-		rec[2] = strconv.FormatFloat(r.Loc.Lon, 'f', 6, 64)
-		rec[3] = strconv.Itoa(int(r.Channel))
-		rec[4] = strconv.Itoa(int(r.Sensor))
-		rec[5] = strconv.FormatFloat(r.Signal.RSSdBm, 'f', 3, 64)
-		rec[6] = strconv.FormatFloat(r.Signal.CFTdB, 'f', 3, 64)
-		rec[7] = strconv.FormatFloat(r.Signal.AFTdB, 'f', 3, 64)
-		rec[8] = strconv.FormatFloat(r.AltM, 'f', 2, 64)
-		rec[9] = strconv.FormatFloat(r.TrueDBm, 'f', 3, 64)
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("dataset: write row %d: %w", i, err)
+	row := 0
+	for _, readings := range chunks {
+		for i := range readings {
+			r := &readings[i]
+			rec[0] = strconv.Itoa(r.Seq)
+			rec[1] = strconv.FormatFloat(r.Loc.Lat, 'f', 6, 64)
+			rec[2] = strconv.FormatFloat(r.Loc.Lon, 'f', 6, 64)
+			rec[3] = strconv.Itoa(int(r.Channel))
+			rec[4] = strconv.Itoa(int(r.Sensor))
+			rec[5] = strconv.FormatFloat(r.Signal.RSSdBm, 'f', 3, 64)
+			rec[6] = strconv.FormatFloat(r.Signal.CFTdB, 'f', 3, 64)
+			rec[7] = strconv.FormatFloat(r.Signal.AFTdB, 'f', 3, 64)
+			rec[8] = strconv.FormatFloat(r.AltM, 'f', 2, 64)
+			rec[9] = strconv.FormatFloat(r.TrueDBm, 'f', 3, 64)
+			if err := cw.Write(rec); err != nil {
+				return fmt.Errorf("dataset: write row %d: %w", row, err)
+			}
+			row++
 		}
 	}
 	cw.Flush()

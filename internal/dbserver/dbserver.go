@@ -60,8 +60,9 @@
 //	GET  /v1/stats                             JSON array of per-store stats
 //	                                           (readings, model version/bytes)
 //	POST /v1/admin/snapshot[?channel=C&sensor=K]
-//	                                           trigger WAL snapshot compaction
-//	                                           of one store (or all); 503 when
+//	                                           checkpoint one store (or all):
+//	                                           seal its WAL segment, record
+//	                                           its counts; 503 when
 //	                                           the server has no data dir
 //
 // channel is a TV-band channel number, sensor a sensor.Kind integer.
@@ -86,7 +87,8 @@
 //
 // With Config.DataDir set (construct via [Open]), every store journals
 // accepted readings and retrain markers to a per-store write-ahead log
-// (internal/wal) and periodically compacts it into a snapshot. Open
+// (internal/wal) that is never rewritten, and periodically checkpoints
+// it (a sealed segment plus a fixed-size record of the counts). Open
 // recovers all persisted stores before serving; because model rebuilds
 // are deterministic, the recovered server serves byte-identical model
 // descriptors at the same versions as before the crash. See DESIGN.md
@@ -179,6 +181,12 @@ type Server struct {
 	// cleanup paths close again.
 	closed    chan struct{}
 	closeOnce sync.Once
+
+	// checkpointers counts running store checkpointers (persist.go) so
+	// Close can wait them out; checkpointerMu orders a checkpointer's
+	// start against Close, after which none starts.
+	checkpointerMu sync.Mutex
+	checkpointers  sync.WaitGroup
 }
 
 // modelBlob is one cached encoded descriptor.
@@ -227,13 +235,14 @@ type Config struct {
 	WatchTimeout time.Duration
 	// DataDir, when set, makes every store durable: accepted readings and
 	// retrain markers are journaled to a per-store write-ahead log under
-	// this directory, compacted into snapshots, and recovered on Open.
-	// Empty means in-memory only (New's historical behavior).
+	// this directory, checkpointed, and recovered on Open. Empty means
+	// in-memory only (New's historical behavior).
 	DataDir string
-	// SnapshotEvery, when positive, triggers a background snapshot
-	// compaction of a store once that many readings have been journaled
-	// since its last snapshot. 0 means compaction only happens on demand
-	// via POST /v1/admin/snapshot.
+	// SnapshotEvery, when positive, triggers a background checkpoint of
+	// a store (its log segment sealed, its counts recorded; the cost does
+	// not depend on the store's size) once that many readings have been
+	// journaled since its last one. 0 means checkpoints only happen on
+	// demand via POST /v1/admin/snapshot.
 	SnapshotEvery int
 	// WALFS overrides the filesystem the WAL persists through; nil means
 	// the real one. The fault-injection layer hooks in here.
@@ -242,7 +251,7 @@ type Config struct {
 	// long an appended record may sit in memory before the flusher forces
 	// a write+fsync. 0 means the wal package default. Larger values trade
 	// a wider loss window on power failure (never covering acknowledged
-	// snapshots or FlushWAL calls) for fewer fsyncs per second.
+	// checkpoints or FlushWAL calls) for fewer fsyncs per second.
 	WALFlushInterval time.Duration
 	// Tap, when set, observes every accepted store mutation in exactly
 	// the order it was applied: bootstrap seeds, accepted upload batches,
@@ -396,7 +405,7 @@ func (s *Server) updaterFor(ch rfenv.Channel, kind sensor.Kind) (*core.Updater, 
 	}
 	var journals multiJournal
 	if s.cfg.DataDir != "" {
-		// Recovery (snapshot load + WAL replay + model rebuild) happens
+		// Recovery (WAL replay into the store + model rebuild) happens
 		// here, before the updater becomes visible: no request ever sees
 		// a partially recovered store.
 		wj, err := s.openStore(key, u)
@@ -742,7 +751,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
-	if err := dataset.WriteCSV(w, u.Readings()); err != nil {
+	if err := dataset.WriteCSVChunks(w, u.View().Chunks()); err != nil {
 		// Headers are gone; nothing more to do than drop the connection.
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 
 	"github.com/wsdetect/waldo/internal/core"
@@ -14,20 +15,29 @@ import (
 	"github.com/wsdetect/waldo/internal/wal"
 )
 
-// walState is one store's persistence handle plus the auto-snapshot
+// walState is one store's persistence handle plus the auto-checkpoint
 // bookkeeping.
 type walState struct {
 	store *wal.Store
-	// appended counts readings journaled since the last snapshot, for
-	// the Config.SnapshotEvery compaction policy.
+	// appended counts readings journaled since the last checkpoint's
+	// cut, for the Config.SnapshotEvery policy. It only grows under the
+	// updater's store lock (storeJournal), so a checkpoint reads it
+	// exactly at its cut.
 	appended atomic.Int64
-	// snapshotting serializes compactions of this store: concurrent
-	// triggers (auto + admin) coalesce to one.
-	snapshotting atomic.Bool
+	// running is set while this store's one checkpointer goroutine runs:
+	// an upload that finds a checkpoint due and the bit set leaves it to
+	// that goroutine, which re-checks before it exits.
+	running atomic.Bool
+	// starts counts checkpointer goroutines started, so a test can pin
+	// that a burst of due triggers starts one.
+	starts atomic.Int64
+	// checkpointing serializes checkpoints of this store (checkpointer
+	// and admin route): each is one rotate-then-record pair.
+	checkpointing sync.Mutex
 }
 
 // storeJournal adapts a walState to core.Journal, counting appended
-// readings for the auto-snapshot policy. Its methods run under the
+// readings for the auto-checkpoint policy. Its methods run under the
 // updater's store lock (see core.Journal), so they only enqueue.
 type storeJournal struct{ ws *walState }
 
@@ -41,8 +51,9 @@ func (j storeJournal) RecordRetrain(ctx context.Context, version, trainedCount i
 }
 
 // Open builds a server and, when cfg.DataDir is set, recovers every
-// persisted store from disk before serving: snapshot load, WAL segment
-// replay, and a deterministic model rebuild at the persisted version.
+// persisted store from disk before serving: WAL segment replay into the
+// store's chunks, and a deterministic model rebuild at the persisted
+// version.
 // With no DataDir it is equivalent to New.
 func Open(cfg Config) (*Server, error) {
 	s := New(cfg)
@@ -89,8 +100,8 @@ func (s *Server) openStore(key storeKey, u *core.Updater) (core.Journal, error) 
 	if err != nil {
 		return nil, err
 	}
-	if len(rec.Readings) > 0 || rec.ModelVersion > 0 {
-		if err := u.Restore(rec.Readings, rec.ModelVersion, rec.TrainedCount); err != nil {
+	if rec.Readings.Len() > 0 || rec.ModelVersion > 0 {
+		if err := u.Restore(&rec.Readings, rec.ModelVersion, rec.TrainedCount); err != nil {
 			w.Close()
 			return nil, fmt.Errorf("restore: %w", err)
 		}
@@ -100,9 +111,10 @@ func (s *Server) openStore(key storeKey, u *core.Updater) (core.Journal, error) 
 	return storeJournal{ws}, nil
 }
 
-// maybeSnapshot triggers a background snapshot compaction of key's store
-// when the SnapshotEvery policy says it is due. Non-blocking: the upload
-// path only does an atomic load and, at most, spawns the goroutine.
+// maybeSnapshot starts key's checkpointer when the SnapshotEvery policy
+// says a checkpoint is due and none is running. Non-blocking: the upload
+// path does an atomic load and, at most once per burst of due
+// checkpoints, spawns the goroutine.
 func (s *Server) maybeSnapshot(key storeKey) {
 	if s.cfg.SnapshotEvery <= 0 {
 		return
@@ -113,14 +125,51 @@ func (s *Server) maybeSnapshot(key storeKey) {
 	if ws == nil || ws.appended.Load() < int64(s.cfg.SnapshotEvery) {
 		return
 	}
-	go s.snapshotStore(key) //nolint:errcheck // counted in waldo_wal_snapshot_errors_total
+	if !ws.running.CompareAndSwap(false, true) {
+		return // the running checkpointer re-checks before it exits
+	}
+	// Close closes s.closed under the same mutex, so it either sees this
+	// goroutine in the wait group or stops it from starting.
+	s.checkpointerMu.Lock()
+	defer s.checkpointerMu.Unlock()
+	select {
+	case <-s.closed:
+		ws.running.Store(false)
+		return
+	default:
+	}
+	s.checkpointers.Add(1)
+	ws.starts.Add(1)
+	go s.checkpointWhileDue(key, ws)
 }
 
-// snapshotStore compacts one store: it captures a consistent (readings,
-// model version, trained count) view inside the updater's checkpoint
-// lock — where the WAL also rotates to a fresh segment, making the cut
-// exact — then writes the snapshot file and deletes covered segments off
-// the lock. Concurrent calls for the same store coalesce.
+// checkpointWhileDue is a store's checkpointer: it checkpoints while one
+// is due, then clears the running bit and looks once more, so a trigger
+// that lost the bit to this goroutine in its last moments is not dropped.
+// A failed checkpoint (counted in waldo_wal_snapshot_errors_total) ends
+// the run; the next upload starts another.
+func (s *Server) checkpointWhileDue(key storeKey, ws *walState) {
+	defer s.checkpointers.Done()
+	due := func() bool { return ws.appended.Load() >= int64(s.cfg.SnapshotEvery) }
+	for {
+		for due() {
+			if err := s.snapshotStore(key); err != nil {
+				ws.running.Store(false)
+				return
+			}
+		}
+		ws.running.Store(false)
+		if !due() || !ws.running.CompareAndSwap(false, true) {
+			return
+		}
+	}
+}
+
+// snapshotStore checkpoints one store: inside the updater's checkpoint
+// lock it reads the store's counts and has the WAL seal its segment —
+// making the cut exact — then writes the fixed-size checkpoint record off
+// the lock. The cost does not depend on the store's size. Checkpoints of
+// one store run one at a time.
 func (s *Server) snapshotStore(key storeKey) error {
 	u, ok := s.lookup(key.ch, key.kind)
 	s.mu.RLock()
@@ -129,20 +178,20 @@ func (s *Server) snapshotStore(key storeKey) error {
 	if !ok || ws == nil {
 		return fmt.Errorf("dbserver: no durable store for %v/%v", key.ch, key.kind)
 	}
-	if !ws.snapshotting.CompareAndSwap(false, true) {
-		return nil // one already in flight
-	}
-	defer ws.snapshotting.Store(false)
+	ws.checkpointing.Lock()
+	defer ws.checkpointing.Unlock()
 
 	var (
 		epoch    uint64
-		readings []dataset.Reading
+		readings int
 		version  int
 		trained  int
+		covered  int64
 		err      error
 	)
-	u.Checkpoint(func(rs []dataset.Reading, v, tc int) {
-		readings, version, trained = rs, v, tc
+	u.Checkpoint(func(view core.ReadingView, v, tc int) {
+		readings, version, trained = view.Len(), v, tc
+		covered = ws.appended.Load()
 		epoch, err = ws.store.BeginCheckpoint()
 	})
 	if err != nil {
@@ -151,7 +200,9 @@ func (s *Server) snapshotStore(key storeKey) error {
 	if err := ws.store.CompleteCheckpoint(epoch, readings, version, trained); err != nil {
 		return err
 	}
-	ws.appended.Store(0)
+	// Only what the cut covered: readings journaled while the record was
+	// being written count towards the next checkpoint.
+	ws.appended.Add(-covered)
 	return nil
 }
 
@@ -168,15 +219,17 @@ func (s *Server) FlushWAL() error {
 	return first
 }
 
-// Close flushes and closes every durable store's log and wakes every
-// parked model watcher (answered 503 so clients re-arm elsewhere) — a
-// listener draining in-flight requests after Close never waits out a
-// long-poll horizon. It deliberately does not snapshot: the data dir
-// stays crash-shaped, and recovery replays it identically whether the
-// process exited cleanly or died. Idempotent.
+// Close waits out background checkpoints, then flushes and closes every
+// durable store's log, and wakes every parked model watcher (answered 503
+// so clients re-arm elsewhere) — a listener draining in-flight requests
+// after Close never waits out a long-poll horizon. It deliberately does
+// not checkpoint: the data dir stays crash-shaped, and recovery replays
+// it identically whether the process exited cleanly or died. Idempotent.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
+		s.checkpointerMu.Lock()
 		close(s.closed)
+		s.checkpointerMu.Unlock()
 		// Stop grid rebuild scheduling and wait out any in-flight build
 		// so shutdown never leaks a builder goroutine.
 		s.geoidx.Close()
@@ -184,6 +237,9 @@ func (s *Server) Close() error {
 			s.recorder.Close()
 		}
 	})
+	// No checkpointer starts any more; none may still be writing into a
+	// store directory when its log closes (or when Close returns).
+	s.checkpointers.Wait()
 	var first error
 	for _, ws := range s.walSnapshot() {
 		if err := ws.store.Close(); err != nil && first == nil {
@@ -212,7 +268,7 @@ type SnapshotJSON struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// handleAdminSnapshot triggers snapshot compaction: of one store when
+// handleAdminSnapshot takes a checkpoint: of one store when
 // channel and sensor are given, of every store otherwise. It answers 503
 // when persistence is disabled (no DataDir), and reports per-store
 // outcomes so a partial failure is visible.

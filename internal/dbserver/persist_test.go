@@ -275,29 +275,32 @@ func TestStatsSortedWithoutResort(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsCorruptDataDir: a flipped byte in a snapshot makes Open
-// fail loudly with the runbook pointer instead of serving partial data.
+// TestOpenRejectsCorruptDataDir: a flipped byte in the checkpoint record
+// or in a sealed segment makes Open fail loudly, naming the file and the
+// runbook, instead of serving partial data.
 func TestOpenRejectsCorruptDataDir(t *testing.T) {
-	dataDir := t.TempDir()
-	s, err := Open(durableConfig(dataDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
-		t.Fatal(err)
-	}
-	key := storeKey{rfenv.Channel(47), sensor.KindRTLSDR}
-	if err := s.snapshotStore(key); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, name := range []string{"checkpoint.bin", "wal.0000000001.log"} {
+		dataDir := t.TempDir()
+		s, err := Open(durableConfig(dataDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
+			t.Fatal(err)
+		}
+		key := storeKey{rfenv.Channel(47), sensor.KindRTLSDR}
+		if err := s.snapshotStore(key); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	corruptFile(t, dataDir, "snapshot.bin")
-	if _, err := Open(durableConfig(dataDir)); err == nil {
-		t.Fatal("Open accepted a corrupt snapshot")
-	} else if !strings.Contains(err.Error(), "OPERATIONS.md") {
-		t.Errorf("error does not point at the runbook: %v", err)
+		corruptFile(t, dataDir, name)
+		if _, err := Open(durableConfig(dataDir)); err == nil {
+			t.Fatalf("Open accepted a corrupt %s", name)
+		} else if !strings.Contains(err.Error(), "OPERATIONS.md") || !strings.Contains(err.Error(), name) {
+			t.Errorf("corrupt %s: error does not name the file and the runbook: %v", name, err)
+		}
 	}
 }

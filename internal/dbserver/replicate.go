@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
@@ -69,15 +70,15 @@ func (s *Server) HasData() bool {
 }
 
 // SnapshotStores passes every store's consistent (readings, model
-// version, trained count) view to fn in deterministic key order. The
-// readings slice is the updater's capacity-clamped checkpoint view;
+// version, trained count) view to fn in deterministic key order, under
+// that store's lock. The readings are the updater's checkpoint view;
 // stores are append-only, so callers may retain it as a snapshot. The
 // cluster tier uses this at node startup to seed a restarted primary's
 // replication journal with its WAL-recovered state.
-func (s *Server) SnapshotStores(fn func(ch rfenv.Channel, kind sensor.Kind, rs []dataset.Reading, version, trained int)) {
+func (s *Server) SnapshotStores(fn func(ch rfenv.Channel, kind sensor.Kind, rs core.ReadingView, version, trained int)) {
 	keys, byKey := s.storeSnapshot()
 	for _, k := range keys {
-		byKey[k].Checkpoint(func(rs []dataset.Reading, version, trained int) {
+		byKey[k].Checkpoint(func(rs core.ReadingView, version, trained int) {
 			fn(k.ch, k.kind, rs, version, trained)
 		})
 	}

@@ -197,7 +197,7 @@ func (s *Server) acceptUpload(ctx context.Context, batch core.UploadBatch) (int,
 	}
 	if s.cfg.Screening != nil {
 		span := s.metrics.StartSpanCtx(ctx, "screen")
-		trusted := u.Readings()
+		trusted := u.View().Flatten() // read-only: the validator indexes it
 		if len(trusted) == 0 {
 			span.Fail("no trusted readings")
 			span.End()

@@ -72,8 +72,8 @@ func TestFaultFSPartialWriteRecoversAsTorn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if !reflect.DeepEqual(rec.Readings, want) {
-		t.Fatalf("recovered %d readings before fault, want 2", len(rec.Readings))
+	if !reflect.DeepEqual(rec.Readings.View().Flatten(), want) {
+		t.Fatalf("recovered %d readings before fault, want 2", rec.Readings.Len())
 	}
 	s2.AppendReadings(context.Background(), []dataset.Reading{walReading(2)})
 	if err := s2.Sync(); err == nil {
@@ -89,7 +89,7 @@ func TestFaultFSPartialWriteRecoversAsTorn(t *testing.T) {
 	if !rec3.Stats.TornTail {
 		t.Error("torn tail not detected after partial write")
 	}
-	if !reflect.DeepEqual(rec3.Readings, want) {
-		t.Errorf("recovered %d readings, want the 2 durable ones", len(rec3.Readings))
+	if !reflect.DeepEqual(rec3.Readings.View().Flatten(), want) {
+		t.Errorf("recovered %d readings, want the 2 durable ones", rec3.Readings.Len())
 	}
 }

@@ -82,8 +82,8 @@ func BenchmarkReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rec.Readings) != records {
-			b.Fatalf("recovered %d readings", len(rec.Readings))
+		if rec.Readings.Len() != records {
+			b.Fatalf("recovered %d readings", rec.Readings.Len())
 		}
 		s2.Close()
 	}
@@ -96,7 +96,7 @@ func BenchmarkReplay(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(rec.Readings) != records {
+			if rec.Readings.Len() != records {
 				b.Fatal("short recovery")
 			}
 			s2.Close()

@@ -88,10 +88,10 @@ func TestTornWriteEveryOffset(t *testing.T) {
 		if rec.Stats.TornTail != wantTorn {
 			t.Errorf("cut=%d: TornTail=%v, want %v", cut, rec.Stats.TornTail, wantTorn)
 		}
-		if len(rec.Readings) != wantReadings {
-			t.Errorf("cut=%d: recovered %d readings, want %d", cut, len(rec.Readings), wantReadings)
+		if rec.Readings.Len() != wantReadings {
+			t.Errorf("cut=%d: recovered %d readings, want %d", cut, rec.Readings.Len(), wantReadings)
 		}
-		if !reflect.DeepEqual(rec.Readings, testReadings(0, wantReadings)) {
+		if !reflect.DeepEqual(flat(rec), testReadings(0, wantReadings)) {
 			t.Errorf("cut=%d: recovered readings differ from the intact prefix", cut)
 		}
 		s.Close()
@@ -186,7 +186,7 @@ func TestRandomAppendCrashReplay(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := s.CompleteCheckpoint(epoch, append([]dataset.Reading(nil), want...), wantVersion, wantTrained); err != nil {
+					if err := s.CompleteCheckpoint(epoch, len(want), wantVersion, wantTrained); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -231,8 +231,8 @@ func TestRandomAppendCrashReplay(t *testing.T) {
 				t.Fatalf("recovery: %v", err)
 			}
 			defer s2.Close()
-			if len(rec.Readings) != len(want) || (len(want) > 0 && !reflect.DeepEqual(rec.Readings, want)) {
-				t.Errorf("recovered %d readings, want %d", len(rec.Readings), len(want))
+			if rec.Readings.Len() != len(want) || (len(want) > 0 && !reflect.DeepEqual(flat(rec), want)) {
+				t.Errorf("recovered %d readings, want %d", rec.Readings.Len(), len(want))
 			}
 			if rec.ModelVersion != wantVersion || rec.TrainedCount != wantTrained {
 				t.Errorf("recovered model v%d/%d, want v%d/%d",

@@ -4,113 +4,76 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"path/filepath"
 
 	"github.com/wsdetect/waldo/internal/core"
-	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 )
 
-// Snapshot file format (little-endian), CRC-32 over everything before the
-// trailer:
+// v1 snapshot file format (little-endian), CRC-32 over everything before
+// the trailer:
 //
 //	magic "WLSN" | u16 codec version | u16 channel | u8 sensor |
 //	u64 segment epoch | u32 model version | u32 trained count |
 //	u32 reading count | readings (fixed-size core codec) | u32 CRC-32
+//
+// Binaries from before the checkpoint record rewrote this file — the
+// whole store — at every checkpoint and deleted the segments below its
+// epoch. Nothing writes it
+// any more; one found in a store directory is read as the immutable base
+// the segments at or above its epoch continue.
 var snapMagic = [4]byte{'W', 'L', 'S', 'N'}
 
 const (
-	snapVersion     uint16 = 1
-	snapshotName           = "snapshot.bin"
-	snapshotTmpName        = "snapshot.bin.tmp"
+	snapVersion  uint16 = 1
+	snapshotName        = "snapshot.bin"
+	snapHeader          = 25 // bytes before the counted readings
 )
 
-// snapshotState is the decoded content of a snapshot file.
+// snapshotState is the decoded content of a v1 snapshot file.
 type snapshotState struct {
 	epoch        uint64
 	modelVersion int
 	trainedCount int
-	readings     []dataset.Reading
+	readings     core.ReadingLog
 }
 
-// encodeSnapshot renders the snapshot file content.
-func encodeSnapshot(ch rfenv.Channel, kind sensor.Kind, st snapshotState) []byte {
-	buf := make([]byte, 0, 29+len(st.readings)*core.ReadingWireSize+4)
-	buf = append(buf, snapMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, snapVersion)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(ch))
-	buf = append(buf, byte(kind))
-	buf = binary.LittleEndian.AppendUint64(buf, st.epoch)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.modelVersion))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.trainedCount))
-	buf = core.AppendReadingsWire(buf, st.readings)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-}
-
-// decodeSnapshot parses and validates a snapshot file for the given
-// store identity.
-func decodeSnapshot(data []byte, ch rfenv.Channel, kind sensor.Kind) (snapshotState, error) {
-	var st snapshotState
-	if len(data) < 25+4 {
-		return st, fmt.Errorf("wal: snapshot truncated: %d bytes", len(data))
+// decodeSnapshot parses and validates a v1 snapshot file for the given
+// store identity, decoding its readings straight into store chunks.
+func decodeSnapshot(data []byte, ch rfenv.Channel, kind sensor.Kind) (*snapshotState, error) {
+	if len(data) < snapHeader+4 {
+		return nil, fmt.Errorf("wal: snapshot truncated: %d bytes", len(data))
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return st, fmt.Errorf("wal: snapshot CRC mismatch")
+		return nil, fmt.Errorf("wal: snapshot CRC mismatch")
 	}
 	if [4]byte(body[:4]) != snapMagic {
-		return st, fmt.Errorf("wal: bad snapshot magic %q", body[:4])
+		return nil, fmt.Errorf("wal: bad snapshot magic %q", body[:4])
 	}
 	if v := binary.LittleEndian.Uint16(body[4:]); v != snapVersion {
-		return st, fmt.Errorf("wal: unsupported snapshot version %d", v)
+		return nil, fmt.Errorf("wal: unsupported snapshot version %d", v)
 	}
 	if got := rfenv.Channel(binary.LittleEndian.Uint16(body[6:])); got != ch {
-		return st, fmt.Errorf("wal: snapshot is for channel %d, store is channel %d", got, ch)
+		return nil, fmt.Errorf("wal: snapshot is for channel %d, store is channel %d", got, ch)
 	}
 	if got := sensor.Kind(body[8]); got != kind {
-		return st, fmt.Errorf("wal: snapshot is for sensor %d, store is sensor %d", got, kind)
+		return nil, fmt.Errorf("wal: snapshot is for sensor %d, store is sensor %d", got, kind)
 	}
-	st.epoch = binary.LittleEndian.Uint64(body[9:])
-	st.modelVersion = int(binary.LittleEndian.Uint32(body[17:]))
-	st.trainedCount = int(binary.LittleEndian.Uint32(body[21:]))
-	readings, rest, err := core.DecodeReadingsWire(body[25:])
+	st := &snapshotState{
+		epoch:        binary.LittleEndian.Uint64(body[9:]),
+		modelVersion: int(binary.LittleEndian.Uint32(body[17:])),
+		trainedCount: int(binary.LittleEndian.Uint32(body[21:])),
+	}
+	rest, err := st.readings.AppendWire(body[snapHeader:])
 	if err != nil {
-		return st, fmt.Errorf("wal: snapshot readings: %w", err)
+		return nil, fmt.Errorf("wal: snapshot readings: %w", err)
 	}
 	if len(rest) != 0 {
-		return st, fmt.Errorf("wal: snapshot has %d trailing bytes", len(rest))
+		return nil, fmt.Errorf("wal: snapshot has %d trailing bytes", len(rest))
 	}
-	st.readings = readings
+	if st.trainedCount > st.readings.Len() {
+		return nil, fmt.Errorf("wal: snapshot trained on %d of %d readings", st.trainedCount, st.readings.Len())
+	}
 	return st, nil
-}
-
-// writeSnapshot atomically replaces the store's snapshot file: temp file,
-// fsync, rename, directory fsync. A crash at any point leaves either the
-// old or the new snapshot intact, never a partial one.
-func writeSnapshot(dir string, fs FS, ch rfenv.Channel, kind sensor.Kind, st snapshotState) error {
-	data := encodeSnapshot(ch, kind, st)
-	tmp := filepath.Join(dir, snapshotTmpName)
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: create snapshot temp: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close snapshot: %w", err)
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, snapshotName)); err != nil {
-		return fmt.Errorf("wal: install snapshot: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("wal: sync dir: %w", err)
-	}
-	return nil
 }

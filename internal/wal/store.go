@@ -62,8 +62,9 @@ type StoreOptions struct {
 // Recovered is the state OpenStore rebuilt from disk, to be fed into
 // core.Updater.Restore.
 type Recovered struct {
-	// Readings is the full trusted store in original append order.
-	Readings []dataset.Reading
+	// Readings is the full trusted store in original append order,
+	// decoded from disk straight into the chunks Restore adopts.
+	Readings core.ReadingLog
 	// ModelVersion and TrainedCount describe the last completed retrain
 	// (0, 0 when the store crashed before its first).
 	ModelVersion int
@@ -74,9 +75,10 @@ type Recovered struct {
 }
 
 // Store is the durable persistence of one (channel, sensor) reading
-// store: a write-ahead log of accepted batches and retrain markers, plus
-// snapshot compaction. It implements core.Journal, so wiring it into an
-// updater via SetJournal journals every accepted mutation in apply order.
+// store: a segmented log of accepted batches and retrain markers that is
+// never rewritten, plus the checkpoint record that pins what its sealed
+// segments hold. It implements core.Journal, so wiring it into an updater
+// via SetJournal journals every accepted mutation in apply order.
 type Store struct {
 	dir  string
 	fs   FS
@@ -95,8 +97,11 @@ type Store struct {
 }
 
 // OpenStore opens (creating if needed) the durable store rooted at dir
-// and recovers its persisted state: snapshot first, then every log
-// segment at or above the snapshot's epoch, tolerating a torn final
+// and recovers its persisted state: a v1 snapshot as the base if an older
+// binary left one, then every log segment from there (from epoch 1
+// without one) in order, tolerating a torn final record. It refuses to
+// open — naming the file — when a segment is missing from the sequence,
+// or when what the sealed segments hold disagrees with the checkpoint
 // record. The returned log is open for appending.
 func OpenStore(dir string, ch rfenv.Channel, kind sensor.Kind, opts StoreOptions) (*Store, *Recovered, error) {
 	fs := opts.FS
@@ -116,19 +121,45 @@ func OpenStore(dir string, ch rfenv.Channel, kind sensor.Kind, opts StoreOptions
 	if data, err := fs.ReadFile(filepath.Join(dir, snapshotName)); err == nil {
 		st, err := decodeSnapshot(data, ch, kind)
 		if err != nil {
-			return nil, nil, fmt.Errorf("wal: %s: %w (see OPERATIONS.md, recovering from corruption)", dir, err)
+			return nil, nil, refuse(filepath.Join(dir, snapshotName), err)
 		}
 		rec.Readings = st.readings
 		rec.ModelVersion = st.modelVersion
 		rec.TrainedCount = st.trainedCount
 		minEpoch = st.epoch
 	}
-	top, stats, err := replaySegments(dir, fs, m, minEpoch, func(payload []byte) error {
+	// A record older than the v1 base was superseded by it (an older
+	// binary ran on this directory after a newer one).
+	var cp *checkpoint
+	if data, err := fs.ReadFile(filepath.Join(dir, checkpointName)); err == nil {
+		c, err := decodeCheckpoint(data, ch, kind)
+		if err != nil {
+			return nil, nil, refuse(filepath.Join(dir, checkpointName), err)
+		}
+		if c.epoch >= minEpoch {
+			cp = &c
+		}
+	}
+	top, stats, err := replaySegments(dir, fs, m, minEpoch, func(epoch uint64) error {
+		if cp == nil || epoch != cp.epoch {
+			return nil
+		}
+		if got := (checkpoint{epoch, rec.ModelVersion, rec.TrainedCount, rec.Readings.Len()}); got != *cp {
+			return refuse(filepath.Join(dir, checkpointName), fmt.Errorf(
+				"segments below epoch %d hold %d readings and model v%d trained on %d, the checkpoint recorded %d readings and model v%d trained on %d",
+				epoch, got.readings, got.modelVersion, got.trainedCount, cp.readings, cp.modelVersion, cp.trainedCount))
+		}
+		return nil
+	}, func(payload []byte) error {
 		return applyRecord(rec, payload)
 	})
 	rec.Stats = stats
 	if err != nil {
 		return nil, nil, err
+	}
+	if cp != nil && cp.epoch > top {
+		return nil, nil, refuse(filepath.Join(dir, checkpointName), fmt.Errorf(
+			"checkpoint was cut at segment epoch %d, the newest segment is %d", cp.epoch, top))
 	}
 	m.replaySeconds.Observe(time.Since(start).Seconds())
 	if stats.TornTail {
@@ -140,7 +171,7 @@ func OpenStore(dir string, ch rfenv.Channel, kind sensor.Kind, opts StoreOptions
 	}
 	lg.Info(context.Background(), "wal_recovered", "dir", dir,
 		"segments", stats.Segments, "records", stats.Records,
-		"readings", len(rec.Readings), "model_version", rec.ModelVersion)
+		"readings", rec.Readings.Len(), "model_version", rec.ModelVersion)
 
 	log, err := openLog(dir, fs, m, lg, top, opts.FlushInterval)
 	if err != nil {
@@ -157,25 +188,24 @@ func applyRecord(rec *Recovered, payload []byte) error {
 	}
 	switch payload[0] {
 	case recAppend:
-		// Decode straight into the recovered slice: replay's hot loop
-		// costs amortized slice growth only, never a per-record
-		// intermediate batch (see BenchmarkReplay's allocs assertion).
-		rs, rest, err := core.DecodeReadingsWireInto(rec.Readings, payload[1:])
+		// Decode straight into the store's chunks: replay builds the
+		// store once, with no per-record batch and no regrowth copy
+		// (see BenchmarkReplay's allocs assertion).
+		rest, err := rec.Readings.AppendWire(payload[1:])
 		if err != nil {
 			return err
 		}
 		if len(rest) != 0 {
 			return fmt.Errorf("append record has %d trailing bytes", len(rest))
 		}
-		rec.Readings = rs
 		return nil
 	case recRetrain:
 		version, trained, err := DecodeRetrainRecord(payload)
 		if err != nil {
 			return err
 		}
-		if trained > len(rec.Readings) {
-			return fmt.Errorf("retrain record trained on %d of %d readings", trained, len(rec.Readings))
+		if trained > rec.Readings.Len() {
+			return fmt.Errorf("retrain record trained on %d of %d readings", trained, rec.Readings.Len())
 		}
 		rec.ModelVersion = version
 		rec.TrainedCount = trained
@@ -248,29 +278,28 @@ func (s *Store) RecordRetrain(ctx context.Context, version, trainedCount int) {
 // Sync blocks until every queued record is on stable storage.
 func (s *Store) Sync() error { return s.log.Sync() }
 
-// BeginCheckpoint rotates the log to a fresh segment and returns its
-// epoch. Call it inside core.Updater.Checkpoint, so the state captured
-// there aligns exactly with the segment cut: every journaled record
-// below the returned epoch is contained in that state.
+// BeginCheckpoint seals the active segment (drained, fsynced, never
+// written again) by rotating the log to a fresh one, and returns the new
+// segment's epoch. Call it inside core.Updater.Checkpoint, so the counts
+// captured there align exactly with the segment cut: the segments below
+// the returned epoch hold precisely that state.
 func (s *Store) BeginCheckpoint() (uint64, error) {
 	return s.log.rotate()
 }
 
-// CompleteCheckpoint writes the snapshot captured at epoch (atomically:
-// temp file, fsync, rename, dir fsync) and deletes the log segments it
-// covers. Call it after Checkpoint returns, off the store lock — the
-// readings slice is a stable append-only prefix, so concurrent ingest is
-// safe while the snapshot writes.
-func (s *Store) CompleteCheckpoint(epoch uint64, readings []dataset.Reading, modelVersion, trainedCount int) error {
-	err := writeSnapshot(s.dir, s.fs, s.ch, s.kind, snapshotState{
+// CompleteCheckpoint records what the store held at the cut BeginCheckpoint
+// made — reading count, model version, trained count — by atomically
+// replacing the fixed-size checkpoint record (temp file, fsync, rename,
+// dir fsync). The sealed segments are the checkpoint's data: nothing is
+// re-encoded or deleted, so the cost does not depend on the store's size.
+// Call it after Checkpoint returns, off the store lock.
+func (s *Store) CompleteCheckpoint(epoch uint64, readings, modelVersion, trainedCount int) error {
+	err := writeCheckpoint(s.dir, s.fs, s.ch, s.kind, checkpoint{
 		epoch:        epoch,
 		modelVersion: modelVersion,
 		trainedCount: trainedCount,
 		readings:     readings,
 	})
-	if err == nil {
-		err = s.log.removeBelow(epoch)
-	}
 	if err != nil {
 		s.m.snapshotErrs.Inc()
 		s.lg.Error(context.Background(), "wal_snapshot_failed",
@@ -281,7 +310,7 @@ func (s *Store) CompleteCheckpoint(epoch uint64, readings []dataset.Reading, mod
 	return nil
 }
 
-// Close drains and closes the log. No snapshot is taken: the directory
+// Close drains and closes the log. No checkpoint is taken: the directory
 // stays crash-shaped and OpenStore replays it identically, which is the
 // point — a clean shutdown and a kill -9 recover through the same path.
 func (s *Store) Close() error { return s.log.Close() }

@@ -1,18 +1,23 @@
 // Package wal is the durable persistence layer of the Waldo spectrum
-// database: a write-ahead log plus snapshot compaction for the trusted
-// reading stores, so a crash or deploy no longer discards the measurement
-// campaign (the evolving-database requirement of arXiv:1303.3962, applied
-// to the central store of ICDCS 2017 §IV).
+// database: per store, a segmented append-only log that is never
+// rewritten plus a fixed-size checkpoint record, so a crash or deploy no
+// longer discards the measurement campaign (the evolving-database
+// requirement of arXiv:1303.3962, applied to the central store of ICDCS
+// 2017 §IV). The store only ever accretes, and so does its log: a reading
+// is encoded and written once, when it is accepted.
 //
 // # Layout
 //
 // Each (channel, sensor) store gets its own directory under the server's
-// data dir, holding one snapshot file and one or more append-only log
-// segments named by a monotonically increasing epoch:
+// data dir, holding the log segments, named by a monotonically increasing
+// epoch, and one checkpoint record:
 //
 //	<dataDir>/ch47-s1/
-//	    snapshot.bin        full store + model version, written atomically
-//	    wal.0000000003.log  segment: records appended since epoch 3 began
+//	    wal.0000000001.log  sealed segment: fsynced, never written again
+//	    wal.0000000002.log  sealed segment
+//	    wal.0000000003.log  active segment: records appended since epoch 3 began
+//	    checkpoint.bin      37 bytes: what the segments below epoch 3 hold
+//	    snapshot.bin        only if a binary that still compacted left one: see below
 //
 // A log record is length-prefixed and CRC-checksummed:
 //
@@ -37,24 +42,40 @@
 // appends return the sticky error and waldo_wal_failed reads 1, but
 // already-acknowledged data is never silently dropped.
 //
-// # Snapshots and recovery
+// # Checkpoints and recovery
 //
-// A snapshot is written in two steps that bracket the caller-supplied
-// store lock (core.Updater.Checkpoint): inside the lock the log rotates
-// to a fresh segment epoch, so the snapshot state and the segment cut are
-// exact — every record in epochs below the snapshot's is contained in the
-// snapshot, every record at or above it is not. Outside the lock the
-// snapshot file is written to a temp name, fsynced, renamed over
-// snapshot.bin, and the covered segments are deleted. Recovery
-// ([OpenStore]) loads the snapshot, replays every surviving segment at or
-// above its epoch in order, tolerates a torn final record (truncated and
-// counted in waldo_wal_replay_torn_total — an in-flight append that was
-// never acknowledged), rejects corrupt-CRC records without panicking
-// (waldo_wal_replay_corrupt_total), and leaves the log open for
-// appending. A crash at any point between the two snapshot steps recovers
-// to the same state: the old snapshot plus the old segments are still
-// consistent, and stale segments below a newer snapshot are deleted on
-// the next open.
+// A checkpoint costs the same whatever the store holds. It is taken in
+// two steps that bracket the caller-supplied store lock
+// (core.Updater.Checkpoint): inside the lock the log drains, fsyncs and
+// rotates to a fresh segment epoch ([Store.BeginCheckpoint]), which seals
+// everything journaled so far into immutable segments and makes the cut
+// exact — the segments below the new epoch hold precisely the state the
+// lock holder sees. Outside the lock the checkpoint record — that epoch,
+// the reading count, the model version and its trained count — is written
+// to a temp name, fsynced and renamed over checkpoint.bin
+// ([Store.CompleteCheckpoint]). No reading is re-encoded and no segment
+// is deleted: the sealed segments are the checkpoint's data, the record
+// is what lets recovery hold them to account.
+//
+// Recovery ([OpenStore]) replays every segment in epoch order, decoding
+// straight into the store's chunks (core.ReadingLog). The final segment
+// may end in a torn record (truncated and counted in
+// waldo_wal_replay_torn_total — an in-flight append that was never
+// acknowledged); a bad CRC or framing anywhere (waldo_wal_replay_corrupt_total),
+// a segment missing from the epoch sequence, a checkpoint record that is
+// corrupt or belongs to another store, or sealed segments that do not add
+// up to the counts the record pinned all refuse to open, with an error
+// naming the file, rather than serve a store with a hole in it. A crash
+// between the two checkpoint steps recovers to the same state: the old
+// record still describes an older cut of the same segments.
+//
+// A directory written by a binary from before the checkpoint record holds
+// snapshot.bin, the v1 whole-store snapshot those binaries rewrote at
+// every checkpoint (deleting the segments it covered), and
+// only the segments at or above its epoch. It opens unchanged: the
+// snapshot is read as an immutable base (never written again), the
+// segments continue it, and the first checkpoint adds checkpoint.bin
+// beside it.
 package wal
 
 import (
@@ -151,11 +172,11 @@ func newLogMetrics(reg *telemetry.Registry, scope string) logMetrics {
 		replayCorrupt: reg.Counter("waldo_wal_replay_corrupt_total",
 			"Corrupt records (bad CRC or framing) rejected during recovery.", "store", scope),
 		replaySeconds: reg.Histogram("waldo_wal_replay_seconds",
-			"Crash-recovery duration: snapshot load plus segment replay.", nil, "store", scope),
+			"Crash-recovery duration: replay of every segment (after a v1 snapshot, if one is present).", nil, "store", scope),
 		snapshots: reg.Counter("waldo_wal_snapshots_total",
-			"Snapshot compactions completed.", "store", scope),
+			"Checkpoints completed (segment sealed, checkpoint record written).", "store", scope),
 		snapshotErrs: reg.Counter("waldo_wal_snapshot_errors_total",
-			"Snapshot compactions that failed (log keeps growing until one succeeds).", "store", scope),
+			"Checkpoints that failed (the previous checkpoint record stays in force).", "store", scope),
 		dropped: reg.Counter("waldo_wal_dropped_records_total",
 			"Journal records dropped because the log was wedged.", "store", scope),
 	}
@@ -424,29 +445,8 @@ func (l *Log) rotate() (uint64, error) {
 	return next, nil
 }
 
-// removeBelow deletes every segment with an epoch below keep.
-func (l *Log) removeBelow(keep uint64) error {
-	names, err := l.fs.ReadDir(l.dir)
-	if err != nil {
-		return fmt.Errorf("wal: list segments: %w", err)
-	}
-	removed := false
-	for _, name := range names {
-		if epoch, ok := parseSegName(name); ok && epoch < keep {
-			if err := l.fs.Remove(filepath.Join(l.dir, name)); err != nil {
-				return fmt.Errorf("wal: remove %s: %w", name, err)
-			}
-			removed = true
-		}
-	}
-	if removed {
-		return l.fs.SyncDir(l.dir)
-	}
-	return nil
-}
-
 // Close drains pending appends, stops the flusher, and closes the active
-// segment. It does not snapshot: the on-disk state stays crash-shaped
+// segment. It does not checkpoint: the on-disk state stays crash-shaped
 // and recovery replays it identically.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -464,6 +464,12 @@ func (l *Log) Close() error {
 		err = cerr
 	}
 	return err
+}
+
+// refuse wraps a fault that stops recovery with the file it was found in
+// and the runbook section that says what may be done about it.
+func refuse(path string, err error) error {
+	return fmt.Errorf("wal: %s: %w (see OPERATIONS.md, recovering from corruption)", path, err)
 }
 
 // ReplayStats summarizes one recovery pass over the log segments.
@@ -488,13 +494,16 @@ type CorruptRecord struct {
 }
 
 // replaySegments replays every segment with epoch >= minEpoch in epoch
-// order, calling apply for each intact record payload. A short record at
-// the end of the last segment is a torn tail: it is counted, the file is
-// truncated back to the last intact record, and recovery succeeds. A bad
-// CRC, an impossible length prefix, or a short record anywhere else is
-// corruption: it is counted, replay stops, and the error tells the
-// operator where (OPERATIONS.md documents the recovery procedure).
-func replaySegments(dir string, fs FS, m logMetrics, minEpoch uint64, apply func(payload []byte) error) (uint64, ReplayStats, error) {
+// order, calling begin before each segment's first record and apply for
+// each intact record payload. The epochs must run from minEpoch without a
+// gap: sealed segments are never deleted, so a hole is lost data. A short
+// record at the end of the last segment is a torn tail: it is counted,
+// the file is truncated back to the last intact record, and recovery
+// succeeds. A bad CRC, an impossible length prefix, or a short record
+// anywhere else is corruption: it is counted, replay stops, and the error
+// tells the operator where (OPERATIONS.md documents the recovery
+// procedure). It returns the epoch to resume appending at.
+func replaySegments(dir string, fs FS, m logMetrics, minEpoch uint64, begin func(epoch uint64) error, apply func(payload []byte) error) (uint64, ReplayStats, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return 0, ReplayStats{}, fmt.Errorf("wal: list segments: %w", err)
@@ -503,9 +512,9 @@ func replaySegments(dir string, fs FS, m logMetrics, minEpoch uint64, apply func
 	for _, name := range names {
 		if epoch, ok := parseSegName(name); ok {
 			if epoch < minEpoch {
-				// Compaction leftovers from a crash between snapshot
-				// rename and segment removal: fully covered by the
-				// snapshot, safe to drop.
+				// Left by a pre-checkpoint-record binary that crashed
+				// between installing its v1 snapshot and deleting the
+				// segments it covered: the snapshot holds them.
 				if err := fs.Remove(filepath.Join(dir, name)); err != nil {
 					return 0, ReplayStats{}, fmt.Errorf("wal: remove stale %s: %w", name, err)
 				}
@@ -515,13 +524,15 @@ func replaySegments(dir string, fs FS, m logMetrics, minEpoch uint64, apply func
 		}
 	}
 	var stats ReplayStats
-	top := minEpoch
 	for i, epoch := range epochs {
-		if epoch > top {
-			top = epoch
+		path := filepath.Join(dir, segName(epoch))
+		if want := minEpoch + uint64(i); epoch != want {
+			return 0, stats, refuse(path, fmt.Errorf("segment epoch gap: %s is missing", segName(want)))
+		}
+		if err := begin(epoch); err != nil {
+			return 0, stats, err
 		}
 		last := i == len(epochs)-1
-		path := filepath.Join(dir, segName(epoch))
 		data, err := fs.ReadFile(path)
 		if err != nil {
 			return 0, stats, fmt.Errorf("wal: read segment %d: %w", epoch, err)
@@ -531,7 +542,7 @@ func replaySegments(dir string, fs FS, m logMetrics, minEpoch uint64, apply func
 		if err != nil {
 			stats.CorruptAt = &CorruptRecord{Epoch: epoch, Offset: valid}
 			m.replayCorrupt.Inc()
-			return 0, stats, fmt.Errorf("wal: segment %d corrupt at offset %d: %w", epoch, valid, err)
+			return 0, stats, refuse(path, fmt.Errorf("segment %d corrupt at offset %d: %w", epoch, valid, err))
 		}
 		if torn {
 			stats.TornTail = true
@@ -540,6 +551,10 @@ func replaySegments(dir string, fs FS, m logMetrics, minEpoch uint64, apply func
 				return 0, stats, fmt.Errorf("wal: truncate torn tail of segment %d: %w", epoch, err)
 			}
 		}
+	}
+	top := minEpoch // no segment yet: appending starts where the base ends
+	if n := len(epochs); n > 0 {
+		top = epochs[n-1]
 	}
 	return top, stats, nil
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -52,6 +53,11 @@ func openTestStore(t *testing.T, dir string, reg *telemetry.Registry) (*Store, *
 	return s, rec
 }
 
+// flat returns the recovered store as one slice (nil when empty).
+func flat(rec *Recovered) []dataset.Reading {
+	return rec.Readings.View().AppendTo(nil)
+}
+
 func TestSegNameRoundTrip(t *testing.T) {
 	for _, epoch := range []uint64{1, 42, 9999999999} {
 		name := segName(epoch)
@@ -83,7 +89,7 @@ func TestStoreDirNameRoundTrip(t *testing.T) {
 func TestStoreRecoverAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	s, rec := openTestStore(t, dir, nil)
-	if len(rec.Readings) != 0 || rec.ModelVersion != 0 {
+	if rec.Readings.Len() != 0 || rec.ModelVersion != 0 {
 		t.Fatalf("fresh store recovered state: %+v", rec)
 	}
 	s.AppendReadings(context.Background(), testReadings(0, 3))
@@ -98,8 +104,8 @@ func TestStoreRecoverAfterClose(t *testing.T) {
 
 	s2, rec2 := openTestStore(t, dir, nil)
 	defer s2.Close()
-	if !reflect.DeepEqual(rec2.Readings, testReadings(0, 5)) {
-		t.Errorf("recovered readings mismatch: got %d readings", len(rec2.Readings))
+	if !reflect.DeepEqual(flat(rec2), testReadings(0, 5)) {
+		t.Errorf("recovered readings mismatch: got %d readings", rec2.Readings.Len())
 	}
 	if rec2.ModelVersion != 1 || rec2.TrainedCount != 3 {
 		t.Errorf("recovered model = v%d/%d, want v1/3", rec2.ModelVersion, rec2.TrainedCount)
@@ -122,53 +128,147 @@ func TestStoreRecoverWithoutClose(t *testing.T) {
 
 	s2, rec := openTestStore(t, dir, nil)
 	defer s2.Close()
-	if !reflect.DeepEqual(rec.Readings, testReadings(0, 4)) {
-		t.Errorf("recovered %d readings, want 4", len(rec.Readings))
+	if !reflect.DeepEqual(flat(rec), testReadings(0, 4)) {
+		t.Errorf("recovered %d readings, want 4", rec.Readings.Len())
 	}
 }
 
-func TestCheckpointCompactsSegments(t *testing.T) {
+// TestCheckpointPinsSealedSegments: a checkpoint rewrites and deletes
+// nothing — the sealed segments are its data — and bounds what recovery
+// has to take on trust: below its epoch the segments must add up to the
+// recorded counts, above it only framing and CRCs can vouch for them.
+func TestCheckpointPinsSealedSegments(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openTestStore(t, dir, nil)
-	s.AppendReadings(context.Background(), testReadings(0, 5))
+	s.AppendReadings(context.Background(), testReadings(0, 3))
+	s.AppendReadings(context.Background(), testReadings(3, 2))
 	s.RecordRetrain(context.Background(), 1, 5)
 	epoch, err := s.BeginCheckpoint()
 	if err != nil {
 		t.Fatalf("BeginCheckpoint: %v", err)
 	}
-	// Appends after the cut belong to the new segment, not the snapshot.
-	s.AppendReadings(context.Background(), testReadings(5, 2))
-	if err := s.CompleteCheckpoint(epoch, testReadings(0, 5), 1, 5); err != nil {
+	sealed, err := os.ReadFile(filepath.Join(dir, segName(epoch-1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Appends after the cut belong to the new segment, not the checkpoint.
+	s.AppendReadings(context.Background(), testReadings(5, 1))
+	s.AppendReadings(context.Background(), testReadings(6, 1))
+	if err := s.CompleteCheckpoint(epoch, 5, 1, 5); err != nil {
 		t.Fatalf("CompleteCheckpoint: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Old segments below the snapshot epoch must be gone.
-	names, err := (OSFS{}).ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	// The sealed segment is still there, byte for byte.
+	if after, err := os.ReadFile(filepath.Join(dir, segName(epoch-1))); err != nil || !bytes.Equal(after, sealed) {
+		t.Fatalf("sealed segment changed across the checkpoint (err %v)", err)
 	}
-	for _, name := range names {
-		if e, ok := parseSegName(name); ok && e < epoch {
-			t.Errorf("stale segment %s survived compaction", name)
-		}
+	if st, err := os.Stat(filepath.Join(dir, checkpointName)); err != nil || st.Size() != checkpointSize {
+		t.Fatalf("checkpoint record: %v, want a %d-byte file", err, checkpointSize)
 	}
 
 	s2, rec := openTestStore(t, dir, nil)
-	defer s2.Close()
-	if !reflect.DeepEqual(rec.Readings, testReadings(0, 7)) {
-		t.Errorf("recovered %d readings, want 7 (5 snapshot + 2 tail)", len(rec.Readings))
+	if !reflect.DeepEqual(flat(rec), testReadings(0, 7)) {
+		t.Errorf("recovered %d readings, want 7 (5 sealed + 2 tail)", rec.Readings.Len())
 	}
 	if rec.ModelVersion != 1 || rec.TrainedCount != 5 {
 		t.Errorf("recovered model = v%d/%d, want v1/5", rec.ModelVersion, rec.TrainedCount)
 	}
+	s2.Close()
+
+	// dropLastRecord cuts a segment back by its final record, at a record
+	// boundary: framing and CRCs still hold.
+	dropLastRecord := func(dir string, epoch uint64) {
+		t.Helper()
+		path := filepath.Join(dir, segName(epoch))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := len(frame(buildAppendPayload(testReadings(0, 1))))
+		if epoch < 2 { // segment 1 ends with the 9-byte retrain marker
+			last = recordHeader + 9
+		}
+		if err := os.WriteFile(path, data[:len(data)-last], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Above the checkpoint nothing pins the content: a shorter active
+	// segment is indistinguishable from an earlier crash.
+	above := copyStoreDir(t, dir)
+	dropLastRecord(above, epoch)
+	s3, rec3, err := OpenStore(above, testCh, testKind, StoreOptions{})
+	if err != nil {
+		t.Fatalf("shorter active segment: %v", err)
+	}
+	if rec3.Readings.Len() != 6 {
+		t.Errorf("recovered %d readings, want 6", rec3.Readings.Len())
+	}
+	s3.Close()
+
+	// Below it the same cut is caught: the sealed segment no longer adds
+	// up to what the record pinned.
+	below := copyStoreDir(t, dir)
+	dropLastRecord(below, epoch-1)
+	_, _, err = OpenStore(below, testCh, testKind, StoreOptions{})
+	if err == nil {
+		t.Fatal("OpenStore accepted a sealed segment that lost a record")
+	}
+	if !strings.Contains(err.Error(), checkpointName) || !strings.Contains(err.Error(), "OPERATIONS.md") {
+		t.Errorf("error does not name the checkpoint record and the runbook: %v", err)
+	}
+}
+
+// TestMissingSegmentRefusesToOpen: sealed segments are never deleted, so
+// a hole in the epoch sequence is lost data, not compaction.
+func TestMissingSegmentRefusesToOpen(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openTestStore(t, dir, nil)
+	for i := 0; i < 3; i++ {
+		s.AppendReadings(context.Background(), testReadings(i, 1))
+		if _, err := s.BeginCheckpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	for _, missing := range []uint64{1, 2, 3} {
+		cut := copyStoreDir(t, dir)
+		if err := os.Remove(filepath.Join(cut, segName(missing))); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := OpenStore(cut, testCh, testKind, StoreOptions{})
+		if err == nil {
+			t.Fatalf("OpenStore accepted a store without %s", segName(missing))
+		}
+		if !strings.Contains(err.Error(), segName(missing)) || !strings.Contains(err.Error(), "OPERATIONS.md") {
+			t.Errorf("error does not name %s and the runbook: %v", segName(missing), err)
+		}
+	}
+	// A checkpoint cut at a segment that is gone (here: the newest) is
+	// the same hole seen from the record's side.
+	s2, _ := openTestStore(t, dir, nil)
+	epoch, err := s2.BeginCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.CompleteCheckpoint(epoch, 3, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	if err := os.Remove(filepath.Join(dir, segName(epoch))); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenStore(dir, testCh, testKind, StoreOptions{}); err == nil || !strings.Contains(err.Error(), checkpointName) {
+		t.Fatalf("OpenStore with the checkpoint's own segment gone: %v", err)
+	}
 }
 
 func TestCrashBetweenRotateAndSnapshot(t *testing.T) {
-	// A crash after the segment cut but before the snapshot file lands
-	// must recover everything from the log alone.
+	// A crash after the segment cut but before the checkpoint record
+	// lands must recover everything from the log alone.
 	dir := t.TempDir()
 	s, _ := openTestStore(t, dir, nil)
 	s.AppendReadings(context.Background(), testReadings(0, 3))
@@ -183,8 +283,8 @@ func TestCrashBetweenRotateAndSnapshot(t *testing.T) {
 
 	s2, rec := openTestStore(t, dir, nil)
 	defer s2.Close()
-	if !reflect.DeepEqual(rec.Readings, testReadings(0, 5)) {
-		t.Errorf("recovered %d readings, want 5", len(rec.Readings))
+	if !reflect.DeepEqual(flat(rec), testReadings(0, 5)) {
+		t.Errorf("recovered %d readings, want 5", rec.Readings.Len())
 	}
 	if rec.Stats.Segments != 2 {
 		t.Errorf("replayed %d segments, want 2", rec.Stats.Segments)
@@ -217,8 +317,8 @@ func TestTornTailTruncatedAndCounted(t *testing.T) {
 	if !rec.Stats.TornTail {
 		t.Error("torn tail not reported")
 	}
-	if !reflect.DeepEqual(rec.Readings, testReadings(0, 3)) {
-		t.Errorf("recovered %d readings, want 3", len(rec.Readings))
+	if !reflect.DeepEqual(flat(rec), testReadings(0, 3)) {
+		t.Errorf("recovered %d readings, want 3", rec.Readings.Len())
 	}
 	scope := fmt.Sprintf("%d/%d", int(testCh), int(testKind))
 	if v := reg.Counter("waldo_wal_replay_torn_total", "", "store", scope).Value(); v != 1 {
@@ -234,7 +334,10 @@ func TestTornTailTruncatedAndCounted(t *testing.T) {
 	}
 }
 
-func TestCorruptSnapshotRefusesToOpen(t *testing.T) {
+// TestCorruptCheckpointRefusesToOpen: a damaged checkpoint record, or a
+// damaged sealed segment, fails the open with an error that names the
+// file and the runbook instead of serving a store with a hole in it.
+func TestCorruptCheckpointRefusesToOpen(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openTestStore(t, dir, nil)
 	s.AppendReadings(context.Background(), testReadings(0, 3))
@@ -242,38 +345,49 @@ func TestCorruptSnapshotRefusesToOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CompleteCheckpoint(epoch, testReadings(0, 3), 0, 0); err != nil {
+	if err := s.CompleteCheckpoint(epoch, 3, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 
-	path := filepath.Join(dir, snapshotName)
-	data, err := os.ReadFile(path)
-	if err != nil {
+	for _, name := range []string{checkpointName, segName(epoch - 1)} {
+		bad := copyStoreDir(t, dir)
+		path := filepath.Join(bad, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = OpenStore(bad, testCh, testKind, StoreOptions{})
+		if err == nil {
+			t.Fatalf("OpenStore accepted a corrupt %s", name)
+		}
+		if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "OPERATIONS.md") {
+			t.Errorf("corrupt %s: error does not name the file and the runbook: %v", name, err)
+		}
+	}
+	// A record that is intact but disagrees with the segments (here: one
+	// from another point in the store's life) is refused the same way.
+	if err := os.WriteFile(filepath.Join(dir, checkpointName),
+		encodeCheckpoint(testCh, testKind, checkpoint{epoch: epoch, readings: 2}), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	_, _, err = OpenStore(dir, testCh, testKind, StoreOptions{})
-	if err == nil {
-		t.Fatal("OpenStore accepted a corrupt snapshot")
-	}
-	if !strings.Contains(err.Error(), "OPERATIONS.md") {
-		t.Errorf("error does not point at the runbook: %v", err)
+	if _, _, err := OpenStore(dir, testCh, testKind, StoreOptions{}); err == nil || !strings.Contains(err.Error(), checkpointName) {
+		t.Fatalf("OpenStore with a disagreeing checkpoint record: %v", err)
 	}
 }
 
-func TestSnapshotIdentityChecked(t *testing.T) {
+func TestCheckpointIdentityChecked(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openTestStore(t, dir, nil)
 	epoch, err := s.BeginCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CompleteCheckpoint(epoch, testReadings(0, 1), 0, 0); err != nil {
+	if err := s.CompleteCheckpoint(epoch, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -281,7 +395,10 @@ func TestSnapshotIdentityChecked(t *testing.T) {
 	// The same directory opened under a different store identity must be
 	// rejected, not silently merged.
 	if _, _, err := OpenStore(dir, testCh+1, testKind, StoreOptions{}); err == nil {
-		t.Fatal("OpenStore accepted a snapshot for another channel")
+		t.Fatal("OpenStore accepted a checkpoint for another channel")
+	}
+	if _, _, err := OpenStore(dir, testCh, testKind+1, StoreOptions{}); err == nil {
+		t.Fatal("OpenStore accepted a checkpoint for another sensor")
 	}
 }
 
