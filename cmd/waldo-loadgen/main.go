@@ -40,8 +40,7 @@
 // -trajectory switches the drive loop from scan/upload cycles to the
 // spatiotemporal query surface: each client follows a drifting
 // trajectory through the metro, querying GET /v1/availability at its
-// position and POST /v1/route for its look-ahead polyline every cycle.
-// This is the load shape behind `make bench-geo`:
+// position and POST /v1/route for its look-ahead polyline every cycle:
 //
 //	waldo-loadgen -clients 16 -trajectory -rate 500 -duration 10s
 package main
@@ -65,7 +64,6 @@ import (
 	"time"
 
 	"github.com/wsdetect/waldo/internal/adminhttp"
-	"github.com/wsdetect/waldo/internal/benchharness"
 	"github.com/wsdetect/waldo/internal/client"
 	"github.com/wsdetect/waldo/internal/cluster"
 	"github.com/wsdetect/waldo/internal/core"
@@ -340,7 +338,7 @@ func run(args []string) error {
 	scansTotal := clientReg.Counter("loadgen_scans_total", "Completed channel scans.")
 	var workerErr atomic.Value // first fatal worker error
 	deadline := time.Now().Add(cfg.duration)
-	var olStats *benchharness.OpenLoopStats
+	var olStats *openLoopStats
 	if cfg.rate > 0 {
 		stats, err := runOpenLoop(cfg, env, baseURL, faultTR, clientReg, scansTotal, seedLocs, deadline, &workerErr)
 		if err != nil {
@@ -689,19 +687,19 @@ func driveClient(cfg config, env *rfenv.Environment, baseURL string, faultTR *fa
 // locking.
 func runOpenLoop(cfg config, env *rfenv.Environment, baseURL string, faultTR *faultinject.Transport,
 	reg *telemetry.Registry, scans *telemetry.Counter, seedLocs map[rfenv.Channel]geo.Point,
-	deadline time.Time, workerErr *atomic.Value) (benchharness.OpenLoopStats, error) {
+	deadline time.Time, workerErr *atomic.Value) (openLoopStats, error) {
 	workers := make([]*wsdWorker, cfg.clients)
 	for i := range workers {
 		w, err := newWSDWorker(cfg, env, baseURL, faultTR, reg, scans, seedLocs, deadline, i)
 		if err != nil {
-			return benchharness.OpenLoopStats{}, err
+			return openLoopStats{}, err
 		}
 		workers[i] = w
 		defer w.close()
 	}
 	cycleHist := reg.Histogram("loadgen_cycle_seconds",
 		"Scan/upload cycle latency measured from the scheduled send (open-loop mode).", nil)
-	stats := benchharness.RunOpenLoop(context.Background(), benchharness.OpenLoopConfig{
+	stats := openLoop(context.Background(), openLoopConfig{
 		Rate: cfg.rate, Workers: cfg.clients, Duration: cfg.duration,
 	}, func(worker int, scheduled time.Time) {
 		if err := workers[worker].cycle(); err != nil {
@@ -758,7 +756,7 @@ type reportJSON struct {
 // report prints throughput and latency quantiles from both registries,
 // and mirrors them to -json when asked. ol carries the open-loop
 // schedule accounting (nil in closed-loop mode).
-func report(cfg config, server, clients *telemetry.Registry, ol *benchharness.OpenLoopStats) error {
+func report(cfg config, server, clients *telemetry.Registry, ol *openLoopStats) error {
 	scans := clients.Counter("loadgen_scans_total", "").Value()
 	secs := cfg.duration.Seconds()
 	out := reportJSON{

@@ -1,23 +1,11 @@
-// Package benchharness is the end-to-end latency-SLO harness: it boots a
-// real spectrum database (a single waldo-server, or the 3-shard gateway
-// topology) in-process, drives it with open-loop load at fixed offered
-// rates, and reports per-endpoint tail latency, GC pause distribution,
-// and achieved-vs-offered throughput per tier into the BENCH_E2E.json
-// trajectory (see report.go and cmd/waldo-bench-e2e).
-//
-// # Why open-loop
-//
-// A closed-loop client (cmd/waldo-loadgen's historical mode) issues the
-// next request only after the previous one returns, so when the server
-// slows down the client slows its own offered load and the measured
-// latency distribution silently sheds exactly the samples that matter —
-// the coordinated-omission trap. The open-loop scheduler here fixes the
-// send times in advance at the offered rate and measures every
-// operation's latency from its *scheduled* start, so queueing delay at
-// saturation lands in the histogram instead of vanishing. Sends the
-// harness cannot even start on time are counted (late) and sends past
+package main
+
+// The open-loop scheduler behind -rate (the package comment says why:
+// coordinated omission). Send times are fixed in advance at the offered
+// rate and every operation's latency is measured from its *scheduled*
+// start, so queueing delay at saturation lands in the histogram. Sends
+// the scheduler cannot start on time are counted (late) and sends past
 // the backlog bound are counted and skipped (dropped), never hidden.
-package benchharness
 
 import (
 	"context"
@@ -26,8 +14,8 @@ import (
 	"time"
 )
 
-// OpenLoopConfig parameterizes one fixed-rate operation stream.
-type OpenLoopConfig struct {
+// openLoopConfig parameterizes one fixed-rate operation stream.
+type openLoopConfig struct {
 	// Rate is the offered operation rate per second (> 0).
 	Rate float64
 	// Workers bounds operation concurrency. 0 means 32.
@@ -43,7 +31,7 @@ type OpenLoopConfig struct {
 	LateThreshold time.Duration
 }
 
-func (c *OpenLoopConfig) defaults() {
+func (c *openLoopConfig) defaults() {
 	if c.Workers <= 0 {
 		c.Workers = 32
 	}
@@ -55,8 +43,8 @@ func (c *OpenLoopConfig) defaults() {
 	}
 }
 
-// OpenLoopStats reports what the scheduler managed against its offer.
-type OpenLoopStats struct {
+// openLoopStats reports what the scheduler managed against its offer.
+type openLoopStats struct {
 	// Scheduled is how many sends the fixed-rate plan called for.
 	Scheduled uint64
 	// Completed is how many operations ran to completion.
@@ -72,14 +60,14 @@ type OpenLoopStats struct {
 	Elapsed time.Duration
 }
 
-// RunOpenLoop drives op at cfg.Rate for cfg.Duration from a bounded
+// openLoop drives op at cfg.Rate for cfg.Duration from a bounded
 // worker pool. op receives its worker index and scheduled start time and
 // MUST measure its own latency from that scheduled time — that is the
 // coordinated-omission contract. Cancel ctx to stop early; in-flight
 // operations finish either way.
-func RunOpenLoop(ctx context.Context, cfg OpenLoopConfig, op func(worker int, scheduled time.Time)) OpenLoopStats {
+func openLoop(ctx context.Context, cfg openLoopConfig, op func(worker int, scheduled time.Time)) openLoopStats {
 	cfg.defaults()
-	var stats OpenLoopStats
+	var stats openLoopStats
 	var late, completed atomic.Uint64
 
 	backlog := make(chan time.Time, cfg.MaxBacklog)

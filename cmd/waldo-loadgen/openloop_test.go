@@ -1,4 +1,4 @@
-package benchharness
+package main
 
 import (
 	"context"
@@ -12,7 +12,7 @@ import (
 // nothing dropped and every send accounted for.
 func TestOpenLoopHoldsOfferedRate(t *testing.T) {
 	var ran atomic.Uint64
-	stats := RunOpenLoop(context.Background(), OpenLoopConfig{
+	stats := openLoop(context.Background(), openLoopConfig{
 		Rate:     2000,
 		Workers:  8,
 		Duration: 500 * time.Millisecond,
@@ -38,7 +38,7 @@ func TestOpenLoopHoldsOfferedRate(t *testing.T) {
 // and everything that does run starts behind schedule (late), instead of
 // the scheduler silently slowing the offer to the worker's pace.
 func TestOpenLoopCountsDroppedAndLate(t *testing.T) {
-	stats := RunOpenLoop(context.Background(), OpenLoopConfig{
+	stats := openLoop(context.Background(), openLoopConfig{
 		Rate:          1000,
 		Workers:       1,
 		MaxBacklog:    2,
@@ -68,7 +68,7 @@ func TestOpenLoopCountsDroppedAndLate(t *testing.T) {
 // queue — the max observed must be well above a single op's service time.
 func TestOpenLoopLatencyFromSchedule(t *testing.T) {
 	var maxNs atomic.Int64
-	RunOpenLoop(context.Background(), OpenLoopConfig{
+	openLoop(context.Background(), openLoopConfig{
 		Rate:       200,
 		Workers:    1,
 		MaxBacklog: 64,
@@ -96,7 +96,7 @@ func TestOpenLoopCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	RunOpenLoop(ctx, OpenLoopConfig{Rate: 10, Workers: 2, Duration: 30 * time.Second},
+	openLoop(ctx, openLoopConfig{Rate: 10, Workers: 2, Duration: 30 * time.Second},
 		func(_ int, _ time.Time) {})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancel did not stop the stream (ran %v)", elapsed)

@@ -52,7 +52,10 @@ func benchGateway(b *testing.B) *httptest.Server {
 // (probe → route → forward; for JSON, decode and re-encode as a frame
 // first). Direct vs gateway is the routing tier's cost — the acceptance
 // bar is < 2× direct per op — and JSON vs frame through the gateway is
-// the transcode's.
+// the transcode's. Run them at a fixed iteration count — `go test -run
+// '^$' -bench Upload -benchtime 3000x ./internal/cluster/`: per-op cost
+// grows with store size, so a time-based -benchtime would compare
+// direct and gateway on different stores.
 func BenchmarkUploadDirect(b *testing.B) {
 	_, ts := newTestNode(b, "direct", nil)
 	benchUpload(b, ts.Client(), ts.URL+"/v1/readings", uploadBody(b, synthReadings(50, 47, 1)))

@@ -65,8 +65,8 @@ func (s *Server) indexSource() []geoindex.StoreSnapshot {
 	return out
 }
 
-// GeoIndex exposes the availability grid (tests and the benchharness
-// rebuild or inspect it directly; the serving path never needs this).
+// GeoIndex exposes the availability grid (tests rebuild or inspect it
+// directly; the serving path never needs this).
 func (s *Server) GeoIndex() *geoindex.Index { return s.geoidx }
 
 // geoQueryState carries the availability query surface's telemetry.

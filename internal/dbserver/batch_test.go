@@ -323,20 +323,60 @@ func TestWatchCancelReleasesWatcher(t *testing.T) {
 		t.Errorf("watch disconnect count = %d, want %d", got, n)
 	}
 
-	// Goroutine count settles back to (about) the baseline — parked
-	// watchers must not survive their clients. Allow slack for the HTTP
-	// server's transient per-connection goroutines winding down.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if g := runtime.NumGoroutine(); g <= baseline+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(20 * time.Millisecond)
+	// Parked watchers must not survive their clients.
+	waitForGoroutines(t, baseline)
+}
+
+// TestCloseWakesParkedWatchers covers the shutdown arm of the watch
+// long-poll: with N watchers parked on the default 55 s horizon,
+// Server.Close returns at once, every watcher is answered 503 (resilient
+// clients back off and re-arm), the shutdown outcome counts each of
+// them, and no handler goroutine is left parked.
+func TestCloseWakesParkedWatchers(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	s, ts := bootedServer(t)
+
+	const n = 8
+	statuses := make(chan string, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, err := ts.Client().Get(watchURL(ts, 1))
+			if err != nil {
+				statuses <- "err:" + err.Error()
+				return
+			}
+			resp.Body.Close()
+			statuses <- resp.Status
+		}()
 	}
+	waitForGauge(t, s, "waldo_dbserver_watch_active", n)
+
+	start := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("Close took %v with %d watchers parked; it must not wait out the watch horizon", d, n)
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case got := <-statuses:
+			if got != "503 Service Unavailable" {
+				t.Errorf("watcher answered %q at shutdown, want 503", got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("watcher %d still parked after Close", i)
+		}
+	}
+	waitForGauge(t, s, "waldo_dbserver_watch_active", 0)
+	if got := s.Metrics().Counter("waldo_dbserver_watch_total", "", "outcome", "shutdown").Value(); got != n {
+		t.Errorf("watch shutdown count = %d, want %d", got, n)
+	}
+
+	// The listener drains without waiting on anyone, and nothing the
+	// server or its watchers started outlives it.
+	ts.Close()
+	waitForGoroutines(t, baseline)
 }
 
 // TestWatchManyWatchersOneBump parks several watchers on one store and
@@ -378,6 +418,26 @@ func TestWatchManyWatchersOneBump(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("watcher %d never woke", i)
 		}
+	}
+}
+
+// waitForGoroutines polls until the process goroutine count settles
+// back to (about) baseline, allowing slack for the HTTP machinery's
+// transient per-connection goroutines winding down.
+func waitForGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		n := runtime.NumGoroutine()
+		if n <= baseline+2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines leaked: baseline %d, now %d\n%s", baseline, n, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -327,8 +327,8 @@ func New(cfg Config) *Server {
 	}
 	// Attach a flight recorder so every server answers /debug/traces out
 	// of the box. A recorder the caller already attached to the registry
-	// (the benchharness, a shared gateway registry) is reused and stays
-	// the caller's to close; one created here is closed by Close.
+	// (a shared gateway registry) is reused and stays the caller's to
+	// close; one created here is closed by Close.
 	rec := cfg.Metrics.FlightRecorder()
 	ownRec := rec == nil
 	if ownRec {

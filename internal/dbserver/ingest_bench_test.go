@@ -11,14 +11,12 @@ import (
 	"github.com/wsdetect/waldo/internal/core"
 )
 
-// The ingest suite (make bench-ingest → BENCH_7) compares the two ways
-// the same 256 readings reach the database: 64 per-scan JSON uploads of
-// 4 readings — the pre-batching wire — against one 256-reading binary
-// batch frame. Every op ingests the identical reading stream, so ns/op
-// is directly comparable and readings/s is reported for the headline
-// ratio (acceptance: batch ≥ 10× single-JSON, memory and WAL both).
-// Fixed -benchtime iteration counts keep the variants on equal store
-// sizes; see the Makefile.
+// The ingest suite compares the two ways the same 256 readings reach
+// the database: 64 per-scan JSON uploads of 4 readings — the
+// pre-batching wire — against one 256-reading binary batch frame. Every
+// op ingests the identical reading stream, so ns/op is directly
+// comparable and readings/s is reported for the headline ratio
+// (acceptance: batch ≥ 10× single-JSON, memory and WAL both).
 
 const (
 	ingestStream    = 256 // readings ingested per benchmark op
@@ -94,6 +92,10 @@ func memoryConfig() Config {
 	return Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}}
 }
 
+// Run the BenchmarkIngest* variants at a fixed iteration count — `go
+// test -run '^$' -bench Ingest -benchtime 500x ./internal/dbserver/`:
+// per-op cost grows with store size, so only equal iteration counts
+// keep the four on equal stores.
 func BenchmarkIngestSingleJSONMemory(b *testing.B) {
 	benchIngest(b, memoryConfig(), "application/json", "/v1/readings", ingestJSONBodies(b), nil)
 }

@@ -88,6 +88,11 @@ func benchUploadParallel(b *testing.B, cfg Config) {
 	}
 }
 
+// The BenchmarkUploadPath* variants compare memory against WAL, so run
+// them at a fixed iteration count — `go test -run '^$' -bench UploadPath
+// -benchtime 30000x ./internal/dbserver/`. Per-op cost grows with store
+// size; a time-based -benchtime would hand the two variants different
+// workloads.
 func BenchmarkUploadPathMemory(b *testing.B) {
 	benchUpload(b, Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}})
 }

@@ -3,7 +3,9 @@ package geoindex
 import (
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
@@ -11,6 +13,7 @@ import (
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
+	"github.com/wsdetect/waldo/internal/telemetry"
 )
 
 // synthSplit generates readings around the metro with a sharp east/west
@@ -186,6 +189,77 @@ func TestSnapshotStableDuringRebuild(t *testing.T) {
 	}
 	if x.Snapshot().Generation != second.Generation {
 		t.Fatalf("serving snapshot is not the newest")
+	}
+}
+
+// TestQueriesServeWhileRebuildInFlight is the structural form of "the
+// rebuild is off the request path": with a Scheduled rebuild parked
+// inside its Source, everything a query does — Snapshot, cell Lookup,
+// SampleRoute plus a Lookup per segment — answers from the previous
+// generation without waiting, further Schedule calls return at once and
+// coalesce into exactly one more pass, and releasing the Source
+// publishes the new generations.
+func TestQueriesServeWhileRebuildInFlight(t *testing.T) {
+	st := trainedStore(t, 47, 5)
+	var block atomic.Bool
+	entered := make(chan struct{}, 2) // the in-flight pass and the coalesced one
+	release := make(chan struct{})
+	metrics := telemetry.New()
+	x := New(Config{Metrics: metrics, Source: func() []StoreSnapshot {
+		if block.Load() {
+			entered <- struct{}{}
+			<-release
+		}
+		return []StoreSnapshot{st}
+	}})
+	ctx := context.Background()
+	prev := x.Rebuild(ctx)
+
+	block.Store(true)
+	x.Schedule(ctx)
+	<-entered // the builder goroutine is now parked inside Source
+
+	queried := make(chan int, 1)
+	go func() {
+		snap := x.Snapshot()
+		if snap != prev {
+			t.Errorf("serving generation %d during the rebuild, want the previous one (%d)",
+				snap.Generation, prev.Generation)
+		}
+		verdicts := len(snap.Lookup(CellOf(st.Recent[0].Loc, x.CellDeg())))
+		route := []geo.Point{rfenv.MetroCenter.Offset(270, 8000), rfenv.MetroCenter.Offset(90, 8000)}
+		for _, seg := range SampleRoute(route, 500, x.CellDeg()) {
+			verdicts += len(snap.Lookup(seg.Cell))
+		}
+		queried <- verdicts
+	}()
+	select {
+	case verdicts := <-queried:
+		if verdicts == 0 {
+			t.Error("lookups during the rebuild found no verdicts in the previous generation")
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("a query waited on the in-flight rebuild")
+	}
+
+	const triggers = 16
+	for i := 0; i < triggers; i++ {
+		x.Schedule(ctx)
+	}
+	if got := metrics.Counter("waldo_geoindex_rebuild_coalesced_total", "").Value(); got != triggers {
+		t.Errorf("coalesced triggers = %d, want %d", got, triggers)
+	}
+	if got := x.Snapshot().Generation; got != prev.Generation {
+		t.Errorf("generation moved to %d with the source still blocked", got)
+	}
+
+	close(release)
+	<-entered // the one coalesced pass started; Close would have cancelled it
+	x.Close() // waits for the builder
+	if got, want := x.Snapshot().Generation, prev.Generation+2; got != want {
+		t.Errorf("generation after release = %d, want %d (%d triggers coalesce into one pass)",
+			got, want, triggers)
 	}
 }
 

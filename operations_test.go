@@ -222,3 +222,82 @@ func TestObservabilityMetricsDocumentedWithAlerts(t *testing.T) {
 		t.Errorf("OPERATIONS.md documents only %d waldo_trace_*/waldo_log_* rows; the pipeline exports 4", len(documented))
 	}
 }
+
+// TestDocsNameOnlyWhatExists keeps the docs from dangling: every `make
+// <target>` that README.md, OPERATIONS.md, DESIGN.md and the verify skill
+// name (in backticks or at the start of a code-block line) is a target in
+// the Makefile, every cmd/waldo-*, scripts/*.sh and internal/<pkg> path
+// they name exists, and the artifacts of the measurement stacks that
+// bench/ replaced (BENCH_ + a digit or E) are named nowhere but the
+// history files and bench/ itself. Deleting a target, binary, script or
+// package means deleting its mentions in the same change.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatalf("read Makefile: %v", err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	if len(targets) < 10 {
+		t.Fatalf("found only %d Makefile targets; the scan is broken", len(targets))
+	}
+
+	makeRE := regexp.MustCompile("(?m)(?:`|^\\s*)make ([a-z][a-z0-9-]*)")
+	pathRE := regexp.MustCompile(`\b(cmd/waldo-[a-z0-9-]+|scripts/[a-z0-9_]+\.sh|internal/[a-z0-9]+)`)
+	for _, name := range []string{"README.md", "OPERATIONS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		doc, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatalf("read %s: %v", name, err)
+		}
+		for _, m := range makeRE.FindAllSubmatch(doc, -1) {
+			if target := string(m[1]); !targets[target] {
+				t.Errorf("%s names `make %s`, which is not a Makefile target", name, target)
+			}
+		}
+		for _, m := range pathRE.FindAllSubmatch(doc, -1) {
+			if _, err := os.Stat(string(m[1])); err != nil {
+				t.Errorf("%s names %s, which does not exist", name, m[1])
+			}
+		}
+	}
+
+	legacyRE := regexp.MustCompile(`BENCH_[0-9E]`)
+	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch path {
+			case ".git", ".bench_build", "bin", "bench":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if history[path] {
+			return nil
+		}
+		if legacyRE.MatchString(path) {
+			t.Errorf("%s: a legacy benchmark artifact is back; bench/ is the one measurement system", path)
+			return nil
+		}
+		switch filepath.Ext(path) {
+		case ".go", ".md", ".sh", ".json", "":
+		default:
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if tok := legacyRE.Find(src); tok != nil {
+			t.Errorf("%s names %s…, an artifact of a deleted measurement stack", path, tok)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
