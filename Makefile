@@ -3,15 +3,15 @@
 
 GO ?= go
 
-.PHONY: check verify build test race vet fmt-check bench-repo bench-pairs crash-test doccheck loadgen chaos cluster-test trace-smoke clean
+.PHONY: check verify build test race vet fmt-check bench-repo bench-pairs crash-test doccheck chaos cluster-test trace-smoke clean
 
 check: vet build race
 
 # Full pre-merge verification: formatting, vet, build, tests, the godoc
 # coverage gate on contract-surface packages, the sharded-cluster suite
-# (in-process chaos harness + real-process smoke), the end-to-end trace
-# smoke (one traced upload must cross gateway -> shard -> WAL under a
-# single trace ID), and a one-second query_mixed run of the repository
+# under the race detector, the end-to-end trace smoke (real processes:
+# one traced upload must cross gateway -> shard -> WAL under a single
+# trace ID), and a one-second query_mixed run of the repository
 # benchmark: the shipped binaries as subprocesses (3 shards + gateway)
 # under uploads, model fetch/watch, availability, routes and retrains,
 # with the workload's own correctness checks.
@@ -49,10 +49,6 @@ vet:
 crash-test:
 	$(GO) test -race ./internal/e2e/ -run 'TestCrashRecovery|TestRunCrashValidation' -count 1 -v
 
-# End-to-end performance harness against an in-process spectrum database.
-loadgen:
-	$(GO) run ./cmd/waldo-loadgen -clients 8 -duration 5s -channels 46,47
-
 # Deterministic chaos suite: the fault-injection layer, the client/server
 # resilience tests, and the end-to-end byte-identity harness, all under
 # the race detector (DESIGN.md §9).
@@ -61,16 +57,13 @@ chaos:
 	$(GO) test -race ./internal/client/ -run 'TestRetry|TestBackoff|TestBreaker|TestStaleServe|TestConcurrentRefreshUploadUnderFaults' -count 1
 	$(GO) test -race ./internal/dbserver/ -run 'TestLoadShedding|TestRequestTimeout|TestMaxBody' -count 1
 
-# Sharded-cluster acceptance: the ring/replication/gateway unit tests and
-# the kill-a-primary e2e chaos harness under the race detector, then a
-# real-process smoke — three waldo-server shards plus a waldo-gateway on
-# loopback, loadgen driving the gateway (DESIGN.md §12).
+# Sharded-cluster acceptance under the race detector: the
+# ring/replication/gateway unit tests and the kill-a-primary e2e chaos
+# harness (DESIGN.md §12). The shipped binaries are booted as a cluster
+# by trace-smoke and by verify's bench run.
 cluster-test:
 	$(GO) test -race ./internal/cluster/ -count 1
 	$(GO) test -race ./internal/e2e/ -run TestCluster -count 1
-	mkdir -p bin
-	$(GO) build -o bin ./cmd/waldo-server ./cmd/waldo-gateway ./cmd/waldo-loadgen
-	scripts/cluster_smoke.sh bin
 
 # End-to-end trace smoke: real-process 3-shard cluster plus gateway, one
 # traced upload, then assert the response-header trace ID is retained by

@@ -3,15 +3,18 @@
 //
 // Usage:
 //
-//	waldo-bench [-seed N] [-samples N] [-run regexp-free-name-list]
+//	waldo-bench [-seed N] [-samples N] [-run name,name,...] [-list]
 //
-// With no -run filter every experiment runs in paper order.
+// With no -run filter every experiment runs in paper order; a name that
+// -list does not print is an error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -27,13 +30,13 @@ type experiment struct {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "waldo-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("waldo-bench", flag.ContinueOnError)
 	seed := fs.Int64("seed", 42, "campaign seed")
 	samples := fs.Int("samples", 5282, "readings per channel per sensor")
@@ -44,17 +47,23 @@ func run(args []string) error {
 	}
 
 	exps := registry()
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.name
+	}
 	if *list {
-		for _, e := range exps {
-			fmt.Println(e.name)
-		}
+		fmt.Fprintln(out, strings.Join(names, "\n"))
 		return nil
 	}
 
 	wanted := map[string]bool{}
 	if *filter != "" {
 		for _, name := range strings.Split(*filter, ",") {
-			wanted[strings.TrimSpace(name)] = true
+			name = strings.TrimSpace(name)
+			if !slices.Contains(names, name) {
+				return fmt.Errorf("-run: unknown experiment %q (valid: %s)", name, strings.Join(names, ", "))
+			}
+			wanted[name] = true
 		}
 	}
 
@@ -68,7 +77,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Printf("==== %s (%.1fs) ====\n%s\n", e.name, time.Since(start).Seconds(), res.Render())
+		fmt.Fprintf(out, "==== %s (%.1fs) ====\n%s\n", e.name, time.Since(start).Seconds(), res.Render())
 	}
 	return nil
 }

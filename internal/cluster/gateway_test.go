@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -262,6 +263,32 @@ func TestGatewayFailover(t *testing.T) {
 	gwTS := httptest.NewServer(gw.Handler())
 	defer gwTS.Close()
 
+	// /healthz is the gateway's own topology view. Before any routed
+	// request the shard still targets its first (dead) endpoint.
+	type healthz struct {
+		ClusterVersion string         `json:"cluster_version"`
+		RingNodes      int            `json:"ring_nodes"`
+		Shards         []healthzShard `json:"shards"`
+	}
+	getHealthz := func() healthz {
+		t.Helper()
+		var h healthz
+		if err := json.Unmarshal(mustGetBody(t, gwTS.URL+"/healthz", http.StatusOK), &h); err != nil {
+			t.Fatalf("healthz payload: %v", err)
+		}
+		if h.RingNodes != 1 || len(h.Shards) != 1 || h.Shards[0].ID != "s0" {
+			t.Fatalf("healthz topology = %+v, want one ring node, shard s0", h)
+		}
+		return h
+	}
+	before := getHealthz()
+	if want := []string{dead.URL, replicaTS.URL}; !reflect.DeepEqual(before.Shards[0].URLs, want) {
+		t.Errorf("healthz urls = %v, want %v", before.Shards[0].URLs, want)
+	}
+	if before.Shards[0].Active != dead.URL {
+		t.Errorf("healthz active before failover = %q, want primary %q", before.Shards[0].Active, dead.URL)
+	}
+
 	body := mustGetBody(t, gwTS.URL+"/v1/model?channel=47&sensor=1", http.StatusOK)
 	if len(body) == 0 {
 		t.Fatal("empty model after failover")
@@ -276,6 +303,18 @@ func TestGatewayFailover(t *testing.T) {
 	}
 	if v := gw.failovers.Value(); v < 1 {
 		t.Errorf("failover counter = %v, want ≥ 1", v)
+	}
+	// ... and /healthz says so, under the version routed responses carry.
+	if got := getHealthz().Shards[0].Active; got != replicaTS.URL {
+		t.Errorf("healthz active after failover = %q, want replica %q", got, replicaTS.URL)
+	}
+	resp, err := http.Get(gwTS.URL + "/v1/model?channel=47&sensor=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get(ClusterVersionHeader); got == "" || got != before.ClusterVersion {
+		t.Errorf("healthz cluster_version = %q, routed response carries %q", before.ClusterVersion, got)
 	}
 }
 

@@ -7,6 +7,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/wsdetect/waldo/internal/dataset"
+	"github.com/wsdetect/waldo/internal/rfenv"
+	"github.com/wsdetect/waldo/internal/sensor"
+	"github.com/wsdetect/waldo/internal/wardrive"
 )
 
 // BenchmarkBuildModelParallel measures the Model Constructor on a
@@ -142,5 +147,48 @@ func BenchmarkRetrainStoreScale(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDetectorThroughput measures the mobile hot path: one capture
+// offered to the streaming detector (the per-reading cost of Fig. 18).
+func BenchmarkDetectorThroughput(b *testing.B) {
+	env, err := rfenv.BuildMetro(42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	route, err := wardrive.GenerateRoute(wardrive.RouteConfig{Area: env.Area, Samples: 600, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	camp, err := wardrive.Run(wardrive.CampaignConfig{Env: env, Route: route, Channels: []rfenv.Channel{47}, Seed: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	readings := camp.Readings(47, sensor.KindRTLSDR)
+	labels, err := dataset.LabelReadings(readings, dataset.LabelConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := BuildModel(readings, labels, ConstructorConfig{ClusterK: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	det, err := NewDetector(model, DetectorConfig{MaxReadings: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sig := readings[0].Signal
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if i%64 == 0 {
+			det.Reset()
+		}
+		det.Offer(sig)
+	}
+	elapsed := time.Since(start)
+	if b.N > 0 {
+		b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/offer")
 	}
 }

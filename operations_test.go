@@ -1,10 +1,12 @@
 package waldo
 
 import (
+	"bytes"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -226,11 +228,14 @@ func TestObservabilityMetricsDocumentedWithAlerts(t *testing.T) {
 // TestDocsNameOnlyWhatExists keeps the docs from dangling: every `make
 // <target>` that README.md, OPERATIONS.md, DESIGN.md and the verify skill
 // name (in backticks or at the start of a code-block line) is a target in
-// the Makefile, every cmd/waldo-*, scripts/*.sh and internal/<pkg> path
-// they name exists, and the artifacts of the measurement stacks that
-// bench/ replaced (BENCH_ + a digit or E) are named nowhere but the
-// history files and bench/ itself. Deleting a target, binary, script or
-// package means deleting its mentions in the same change.
+// the Makefile, every scripts/*.sh and internal/<pkg> path they name
+// exists, every waldo-<name> binary they name (bare, under bin/ or under
+// cmd/) is a directory under cmd/, every WALDO_* environment variable
+// they name is read by a non-test .go file, and the artifacts of the
+// measurement stacks that bench/ replaced (BENCH_ + a digit or E) are
+// named nowhere but the history files and bench/ itself. Deleting a
+// target, binary, script, variable or package means deleting its
+// mentions in the same change.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -245,7 +250,9 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 
 	makeRE := regexp.MustCompile("(?m)(?:`|^\\s*)make ([a-z][a-z0-9-]*)")
-	pathRE := regexp.MustCompile(`\b(cmd/waldo-[a-z0-9-]+|scripts/[a-z0-9_]+\.sh|internal/[a-z0-9]+)`)
+	pathRE := regexp.MustCompile(`\b(scripts/[a-z0-9_]+\.sh|internal/[a-z0-9]+)`)
+	binaryRE := regexp.MustCompile(`\bwaldo-[a-z][a-z0-9]*(?:-[a-z0-9]+)*`)
+	envRE := regexp.MustCompile(`\bWALDO_[A-Z_]+`)
 	for _, name := range []string{"README.md", "OPERATIONS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		doc, err := os.ReadFile(name)
 		if err != nil {
@@ -259,6 +266,16 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		for _, m := range pathRE.FindAllSubmatch(doc, -1) {
 			if _, err := os.Stat(string(m[1])); err != nil {
 				t.Errorf("%s names %s, which does not exist", name, m[1])
+			}
+		}
+		for _, m := range binaryRE.FindAll(doc, -1) {
+			if fi, err := os.Stat(filepath.Join("cmd", string(m))); err != nil || !fi.IsDir() {
+				t.Errorf("%s names the binary %s, which is not a directory under cmd/", name, m)
+			}
+		}
+		for _, m := range envRE.FindAll(doc, -1) {
+			if !readByGoSource(t, string(m)) {
+				t.Errorf("%s names the environment variable %s, which no non-test .go file reads", name, m)
 			}
 		}
 	}
@@ -300,4 +317,33 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readByGoSource reports whether any non-test .go file in the module
+// holds the quoted name, as the argument of an environment lookup must.
+func readByGoSource(t *testing.T, name string) bool {
+	t.Helper()
+	found := false
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || found {
+			return err
+		}
+		if d.IsDir() {
+			// .git, and .bench_build, which can hold a parent checkout.
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		found = bytes.Contains(src, []byte(strconv.Quote(name)))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return found
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# End-to-end trace smoke: boots the same real-process 3-shard cluster
-# as cluster_smoke.sh, issues ONE traced upload through the gateway,
-# and asserts the distributed trace actually crossed the tiers — the
-# response's X-Waldo-Trace ID must name a trace retained in the
+# End-to-end trace smoke: boots a real-process 3-shard cluster on
+# loopback (three waldo-server shards plus one waldo-gateway), issues
+# ONE traced upload through the gateway, and asserts the distributed
+# trace actually crossed the tiers — the response's X-Waldo-Trace ID
+# must name a trace retained in the
 # gateway's flight recorder (/v1/readings root + fan-out leg) AND in the
 # owning shard's recorder (/v1/upload/batch root + wal/append span).
 # This is the out-of-process proof that header propagation,
@@ -36,17 +37,36 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
+port_open() {
+    (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null
+}
+
+# wait_port port pid log: poll until the child started for that port
+# serves it. The port answering is not enough — someone else's listener
+# answers too, and then our child has exited on the bind error — so the
+# child must still be alive when it does.
 wait_port() {
     for _ in $(seq 1 100); do
-        if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then
-            exec 3>&- 3<&-
-            return 0
+        if port_open "$1"; then
+            kill -0 "$2" 2>/dev/null && return 0
+            break
         fi
+        kill -0 "$2" 2>/dev/null || break
         sleep 0.1
     done
-    echo "port $1 never came up" >&2
+    echo "process $2 never served port $1; its log:" >&2
+    cat "$3" >&2
     return 1
 }
+
+# A listener that is already there answers before a child has had time
+# to fail its bind, so refuse it before starting anything.
+for port in "$GATEWAY_PORT" "${SHARD_PORTS[@]}"; do
+    if port_open "$port"; then
+        echo "port $port is already in use by another process" >&2
+        exit 1
+    fi
+done
 
 SHARDS=""
 for i in "${!SHARD_PORTS[@]}"; do
@@ -58,15 +78,24 @@ for i in "${!SHARD_PORTS[@]}"; do
     PIDS+=($!)
     SHARDS="${SHARDS:+$SHARDS;}$id=http://127.0.0.1:$port"
 done
-for port in "${SHARD_PORTS[@]}"; do
-    wait_port "$port"
+for i in "${!SHARD_PORTS[@]}"; do
+    wait_port "${SHARD_PORTS[$i]}" "${PIDS[$i]}" "$WORK/s$i.log"
 done
 
 "$BIN/waldo-gateway" -addr "127.0.0.1:$GATEWAY_PORT" -shards "$SHARDS" \
     >"$WORK/gateway.log" 2>&1 &
 PIDS+=($!)
-wait_port "$GATEWAY_PORT"
+wait_port "$GATEWAY_PORT" "$!" "$WORK/gateway.log"
 echo "cluster up: gateway :$GATEWAY_PORT, shards ${SHARD_PORTS[*]}"
+
+# The gateway's own topology view (cluster version, ring, active
+# endpoint per shard) must be served by the real process.
+curl -fsS "http://127.0.0.1:$GATEWAY_PORT/healthz" || {
+    echo "gateway /healthz failed; gateway log:" >&2
+    cat "$WORK/gateway.log" >&2
+    exit 1
+}
+echo
 
 # One single-cell upload (4 readings clustered near the metro center, so
 # the gateway's fast path forwards it whole to exactly one shard).

@@ -20,8 +20,7 @@
 //
 // The exported surface is a façade over the internal packages; everything
 // here is usable by downstream modules. The experiment harness that
-// regenerates the paper's tables and figures lives in cmd/waldo-bench and
-// the root benchmark suite (bench_test.go).
+// regenerates the paper's tables and figures is cmd/waldo-bench.
 package waldo
 
 import (
