@@ -20,9 +20,10 @@ verify: fmt-check vet build test doccheck cluster-test trace-smoke
 
 # Godoc coverage on contract-surface packages: every exported
 # identifier (funcs, methods, types, consts, vars, struct fields) must
-# carry a doc comment. The package list lives in scripts/doccheck.sh.
+# carry a doc comment. The list grows a package at a time as packages
+# get their docs audit; it never shrinks.
 doccheck:
-	scripts/doccheck.sh
+	$(GO) run ./cmd/waldo-doccheck internal/geoindex internal/client
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -54,7 +55,7 @@ crash-test:
 # the race detector (DESIGN.md §9).
 chaos:
 	$(GO) test -race ./internal/faultinject/ ./internal/e2e/ -count 1
-	$(GO) test -race ./internal/client/ -run 'TestRetry|TestBackoff|TestBreaker|TestStaleServe|TestConcurrentRefreshUploadUnderFaults' -count 1
+	$(GO) test -race ./internal/client/ -run 'TestRetry|TestBackoff|TestBreaker|TestStaleServe|TestWatch|TestConcurrentRefreshUploadUnderFaults' -count 1
 	$(GO) test -race ./internal/dbserver/ -run 'TestLoadShedding|TestRequestTimeout|TestMaxBody' -count 1
 
 # Sharded-cluster acceptance under the race detector: the

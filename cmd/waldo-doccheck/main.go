@@ -2,7 +2,7 @@
 // package-level identifier, method, and struct field in the packages it
 // is pointed at must carry a doc comment. It is the executable form of
 // the "public surface means documented surface" convention (DESIGN.md
-// §11) — scripts/doccheck.sh runs it from `make verify` over the
+// §11) — `make doccheck` (part of `make verify`) runs it over the
 // packages whose exported API is a contract (the availability grid and
 // the device client), so an undocumented identifier fails CI instead of
 // surviving review.

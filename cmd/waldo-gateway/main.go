@@ -11,22 +11,18 @@
 //
 // Each -shards entry is id=url[,url...]: the first URL is the primary,
 // later URLs are replicas in failover order. Every gateway for a cluster
-// must be started with the same -shards IDs, -seed, -vnodes, and
-// -cell-deg, or they will disagree about ownership; the /healthz
-// cluster_version field exists to catch exactly that drift.
+// must be started with the same -shards IDs, -seed and -vnodes, or they
+// will disagree about ownership; the /healthz cluster_version field
+// exists to catch exactly that drift. (The geo-cell quantum is a build
+// constant, geoindex.DefaultCellDeg, shared with every shard's grid.)
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/wsdetect/waldo/internal/adminhttp"
@@ -48,7 +44,6 @@ func run(args []string) error {
 	shardsFlag := fs.String("shards", "", "topology: 'id=url[,url...];id2=...' (primary URL first, required)")
 	seed := fs.Uint64("seed", 0, "ring placement seed (must match every other gateway)")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per shard (0 = default 128)")
-	cellDeg := fs.Float64("cell-deg", cluster.DefaultCellDeg, "geo-cell quantum in degrees")
 	probeEvery := fs.Duration("probe-every", 2*time.Second, "endpoint health-probe interval (0 = per-request failover only)")
 	logLevel := fs.String("log-level", "info", "lowest structured-log level emitted: debug|info|warn|error")
 	adminAddr := fs.String("admin-addr", "", "opt-in admin listener (pprof, /metrics, /debug/traces); empty = disabled. Bind to loopback only.")
@@ -68,7 +63,6 @@ func run(args []string) error {
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
 		Shards:        shards,
 		Ring:          cluster.RingConfig{Seed: *seed, VNodes: *vnodes},
-		CellDeg:       *cellDeg,
 		ProbeInterval: *probeEvery,
 		Metrics:       metrics,
 		Log:           wlog.New(wlog.Options{W: os.Stderr, Min: lvl, Metrics: metrics}),
@@ -77,34 +71,8 @@ func run(args []string) error {
 		return err
 	}
 	defer gw.Close()
-	if admin := adminhttp.Serve(*adminAddr, gw.Metrics(), func(err error) {
-		log.Printf("admin listener: %v", err)
-	}); admin != nil {
-		defer admin.Close()
-		log.Printf("admin surface (pprof) on %s", *adminAddr)
-	}
 	log.Printf("routing %d shards, cluster version %s, serving on %s", len(shards), gw.ConfigVersion(), *addr)
-
-	server := &http.Server{
-		Addr:              *addr,
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- server.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := server.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return nil
-	}
+	return adminhttp.Serve(*addr, gw.Handler(), *adminAddr, gw.Metrics(), nil)
 }
 
 // parseShards decodes 'id=url[,url...];id2=...' into ShardSpecs.

@@ -31,7 +31,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("waldo-locate", flag.ContinueOnError)
-	data := fs.String("data", "", "readings file (.csv or .gob) from waldo-wardrive (required)")
+	data := fs.String("data", "", "readings CSV from waldo-wardrive (required)")
 	channels := fs.String("channels", "", "comma list of channels (default: every channel present)")
 	sensorID := fs.Int("sensor", int(sensor.KindSpectrumAnalyzer), "sensor kind to use (1=rtl, 2=usrp, 3=analyzer)")
 	if err := fs.Parse(args); err != nil {
@@ -50,12 +50,7 @@ func run(args []string) error {
 		return err
 	}
 	defer f.Close()
-	var readings []dataset.Reading
-	if strings.HasSuffix(*data, ".gob") {
-		readings, err = dataset.ReadGob(f)
-	} else {
-		readings, err = dataset.ReadCSV(f)
-	}
+	readings, err := dataset.ReadCSV(f)
 	if err != nil {
 		return fmt.Errorf("load %s: %w", *data, err)
 	}

@@ -21,16 +21,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/wsdetect/waldo/internal/adminhttp"
@@ -96,11 +92,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if strings.HasSuffix(*data, ".gob") {
-			readings, err = dataset.ReadGob(f)
-		} else {
-			readings, err = dataset.ReadCSV(f)
-		}
+		readings, err = dataset.ReadCSV(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("load %s: %w", *data, err)
@@ -165,33 +157,7 @@ func run(args []string) error {
 		log.Printf("trained models in %.1fs", time.Since(start).Seconds())
 	}
 	log.Printf("serving on %s (metrics at /metrics, readiness at /healthz, traces at /debug/traces)", *addr)
-	if admin := adminhttp.Serve(*adminAddr, srv.Metrics(), func(err error) {
-		log.Printf("admin listener: %v", err)
-	}); admin != nil {
-		defer admin.Close()
-		log.Printf("admin surface (pprof) on %s", *adminAddr)
-	}
-
-	server := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
 	// On SIGINT/SIGTERM: stop accepting requests, then flush and close
 	// the WAL so no acknowledged upload is lost to a clean shutdown.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- server.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := server.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return closer()
-	}
+	return adminhttp.Serve(*addr, handler, *adminAddr, srv.Metrics(), closer)
 }

@@ -5,9 +5,6 @@
 // Usage:
 //
 //	waldo-wardrive -out campaign.csv [-samples 5282] [-seed 42] [-sensors rtl,usrp,analyzer]
-//
-// The output format follows the extension: .csv for interchange, .gob for
-// fast binary snapshots.
 package main
 
 import (
@@ -80,12 +77,7 @@ func run(args []string) error {
 			all = append(all, camp.Readings(ch, k)...)
 		}
 	}
-	if strings.HasSuffix(*out, ".gob") {
-		err = dataset.WriteGob(f, all)
-	} else {
-		err = dataset.WriteCSV(f, all)
-	}
-	if err != nil {
+	if err := dataset.WriteCSV(f, all); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d readings (%d channels × %d sensors × %d points) to %s\n",

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -59,9 +60,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	models := make(map[waldo.Channel]*waldo.Model)
 	for _, ch := range []waldo.Channel{21, 27, 47} {
-		m, n, err := client.Model(ch, waldo.SensorRTLSDR)
+		m, n, err := client.Model(ctx, ch, waldo.SensorRTLSDR)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -103,10 +105,10 @@ func main() {
 		Readings: campaign.Readings(47, waldo.SensorRTLSDR)[:20],
 		CISpanDB: 0.4,
 	}
-	if err := client.Upload(batch); err != nil {
+	if err := client.Upload(ctx, batch); err != nil {
 		log.Fatal(err)
 	}
-	if err := client.RequestRetrain(47, waldo.SensorRTLSDR); err != nil {
+	if err := client.RequestRetrain(ctx, 47, waldo.SensorRTLSDR); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nuploaded 20 readings and retrained the channel-47 model")

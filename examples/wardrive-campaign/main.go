@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -78,9 +79,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	var total int
 	for _, ch := range waldo.EvalChannels {
-		_, n, err := client.Model(ch, waldo.SensorRTLSDR)
+		_, n, err := client.Model(ctx, ch, waldo.SensorRTLSDR)
 		if err != nil {
 			log.Fatal(err)
 		}

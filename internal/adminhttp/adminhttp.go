@@ -1,6 +1,8 @@
 // Package adminhttp assembles the opt-in operator/admin HTTP surface:
 // net/http/pprof profiling endpoints next to the same /metrics and
-// /debug/traces views the serving mux exposes.
+// /debug/traces views the serving mux exposes — and, since every binary
+// that has one serves the same way, the serve-until-signalled loop
+// around both listeners ([Serve]).
 //
 // It exists so the pprof handlers are linked only into binaries that ask
 // for them (library packages never import net/http/pprof) and are bound
@@ -13,8 +15,14 @@
 package adminhttp
 
 import (
+	"context"
+	"errors"
+	"log"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"github.com/wsdetect/waldo/internal/telemetry"
@@ -35,24 +43,42 @@ func Handler(reg *telemetry.Registry) http.Handler {
 	return mux
 }
 
-// Serve starts the admin surface on addr in a background goroutine and
-// returns the server for shutdown. An empty addr disables it and
-// returns nil — callers gate on their -admin-addr flag being set.
-// Listener errors are reported through errf (nil means ignore): the
-// admin surface failing to bind must not take down the serving process.
-func Serve(addr string, reg *telemetry.Registry, errf func(error)) *http.Server {
-	if addr == "" {
+// Serve is the serving loop of a Waldo binary: handler on addr and, when
+// adminAddr is set, the admin surface for reg on its own listener, until
+// SIGINT or SIGTERM. It then stops accepting requests, gives in-flight
+// ones ten seconds to finish, and returns onShutdown's error (nil
+// onShutdown: nil) — where waldo-server flushes and closes its WAL, so no
+// acknowledged upload is lost to a clean shutdown. A serving listener
+// that fails returns its error at once; the admin listener failing to
+// bind is only logged, because it must not take down the serving process.
+func Serve(addr string, handler http.Handler, adminAddr string, reg *telemetry.Registry, onShutdown func() error) error {
+	if adminAddr != "" {
+		admin := &http.Server{Addr: adminAddr, Handler: Handler(reg), ReadHeaderTimeout: 10 * time.Second}
+		defer admin.Close()
+		go func() {
+			if err := admin.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("admin listener: %v", err)
+			}
+		}()
+		log.Printf("admin surface (pprof) on %s", adminAddr)
+	}
+	server := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1) // the one send must not block if the signal won
+	go func() { errc <- server.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := server.Shutdown(shutCtx); err != nil {
+		return err
+	}
+	if onShutdown == nil {
 		return nil
 	}
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           Handler(reg),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	go func() {
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed && errf != nil {
-			errf(err)
-		}
-	}()
-	return srv
+	return onShutdown()
 }

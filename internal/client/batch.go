@@ -13,19 +13,13 @@ import (
 	"github.com/wsdetect/waldo/internal/dbserver"
 )
 
-// UploadBinary submits a reading batch through the binary batch path
-// (POST /v1/upload/batch). See UploadBinaryCtx.
-func (c *Client) UploadBinary(batch core.UploadBatch) error {
-	return c.UploadBinaryCtx(context.Background(), batch)
-}
-
-// UploadBinaryCtx submits a reading batch as one core batch frame — the
-// same semantics as UploadCtx (atomic apply, safe retries, backoff,
-// breaker) at a fraction of the wire and server cost: 67 bytes per
-// reading instead of ~140 of JSON, and one binary decode instead of a
-// reflective unmarshal. The upload's CI span rides in the
+// UploadBinary submits a reading batch as one core batch frame (POST
+// /v1/upload/batch) — the same semantics as Upload (atomic apply, safe
+// retries, backoff, breaker) at a fraction of the wire and server cost:
+// 67 bytes per reading instead of ~140 of JSON, and one binary decode
+// instead of a reflective unmarshal. The upload's CI span rides in the
 // X-Waldo-CI-Span header.
-func (c *Client) UploadBinaryCtx(ctx context.Context, batch core.UploadBatch) error {
+func (c *Client) UploadBinary(ctx context.Context, batch core.UploadBatch) error {
 	if len(batch.Readings) == 0 {
 		return fmt.Errorf("client: empty upload")
 	}
@@ -50,10 +44,6 @@ type BufferConfig struct {
 	// background ticker so trickle-rate readings still reach the database
 	// promptly. 0 disables the ticker (size/Close flushes only).
 	FlushInterval time.Duration
-	// OnError observes background (ticker) flush failures, which have no
-	// caller to return to. Nil drops them — the readings themselves are
-	// re-queued either way and retried on the next flush.
-	OnError func(error)
 }
 
 // UploadBuffer batches readings client-side and ships them as binary
@@ -112,9 +102,9 @@ func (b *UploadBuffer) tick() {
 	for {
 		select {
 		case <-t.C:
-			if err := b.Flush(context.Background()); err != nil && b.cfg.OnError != nil {
-				b.cfg.OnError(err)
-			}
+			// A failed background flush has no caller to return to; its
+			// readings are re-queued and retried on the next flush.
+			_ = b.Flush(context.Background())
 		case <-b.stop:
 			return
 		}
@@ -202,7 +192,7 @@ func (b *UploadBuffer) flushKey(ctx context.Context, key cacheKey) error {
 	b.mu.Unlock()
 
 	start := time.Now()
-	err := b.c.UploadBinaryCtx(ctx, core.UploadBatch{CISpanDB: g.ciSpan, Readings: g.readings})
+	err := b.c.UploadBinary(ctx, core.UploadBatch{CISpanDB: g.ciSpan, Readings: g.readings})
 	if err != nil {
 		b.c.flushFailed.Inc()
 		b.requeue(key, g)

@@ -28,7 +28,7 @@ func TestUploadBinary(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
 	before := w.server.StoreSize(47, sensor.KindRTLSDR)
 	batch := campaignBatch(w, 47, 32)
-	if err := w.client.UploadBinary(batch); err != nil {
+	if err := w.client.UploadBinary(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.server.StoreSize(47, sensor.KindRTLSDR); got != before+len(batch.Readings) {
@@ -40,10 +40,10 @@ func TestUploadBinaryRejected(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
 	batch := campaignBatch(w, 47, 8)
 	batch.CISpanDB = 99 // fails the α′ gate → 422, terminal
-	if err := w.client.UploadBinary(batch); err == nil {
+	if err := w.client.UploadBinary(context.Background(), batch); err == nil {
 		t.Fatal("wide-span batch accepted")
 	}
-	if err := w.client.UploadBinaryCtx(context.Background(), core.UploadBatch{}); err == nil {
+	if err := w.client.UploadBinary(context.Background(), core.UploadBatch{}); err == nil {
 		t.Fatal("empty batch accepted")
 	}
 }
@@ -200,7 +200,7 @@ func TestWatchModelDelivers(t *testing.T) {
 	w.client.SetMetrics(reg)
 
 	// First watch with an empty cache returns the current model at once.
-	m, n, err := w.client.WatchModel(47, sensor.KindRTLSDR)
+	m, n, err := w.client.WatchModel(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,15 +218,15 @@ func TestWatchModelDelivers(t *testing.T) {
 	}
 	got := make(chan result, 1)
 	go func() {
-		m, _, err := w.client.WatchModel(47, sensor.KindRTLSDR)
+		m, _, err := w.client.WatchModel(context.Background(), 47, sensor.KindRTLSDR)
 		got <- result{m, err}
 	}()
 	time.Sleep(50 * time.Millisecond) // let the watch park
-	if err := w.client.Upload(core.UploadBatch{CISpanDB: 0.5,
+	if err := w.client.Upload(context.Background(), core.UploadBatch{CISpanDB: 0.5,
 		Readings: w.camp.Readings(47, sensor.KindRTLSDR)[:16]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.client.RequestRetrain(47, sensor.KindRTLSDR); err != nil {
+	if err := w.client.RequestRetrain(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -256,13 +256,13 @@ func TestWatchModelRearms(t *testing.T) {
 	}
 	reg := telemetry.New()
 	c.SetMetrics(reg)
-	if _, _, err := c.Model(47, sensor.KindRTLSDR); err != nil {
+	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.WatchModelCtx(ctx, 47, sensor.KindRTLSDR)
+		_, _, err := c.WatchModel(ctx, 47, sensor.KindRTLSDR)
 		done <- err
 	}()
 	// Let at least two horizons expire, then cancel.

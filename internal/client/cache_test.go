@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -71,7 +72,7 @@ func TestScanCachedSkipsAirTime(t *testing.T) {
 
 	models := make(map[rfenv.Channel]*core.Model)
 	for _, ch := range []rfenv.Channel{27, 47} {
-		m, _, err := w.client.Model(ch, sensor.KindRTLSDR)
+		m, _, err := w.client.Model(context.Background(), ch, sensor.KindRTLSDR)
 		if err != nil {
 			t.Fatal(err)
 		}

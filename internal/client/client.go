@@ -219,12 +219,16 @@ type retryableError struct{ err error }
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
 
-// do runs one logical exchange with per-attempt timeouts, the circuit
-// breaker, and retries with capped exponential backoff and deterministic
-// jitter. build must mint a fresh request per attempt; handle processes
-// any response that is not a retryable status (5xx or 429) and may return
-// a *retryableError to force another attempt. do owns closing the body.
-func (c *Client) do(ctx context.Context, op string,
+// do runs one logical exchange with the circuit breaker and retries with
+// capped exponential backoff and deterministic jitter; it is the only
+// place that checks the breaker, sleeps a backoff, honours Retry-After,
+// spends the retry budget or stamps a trace header. httpc performs the
+// attempts, each under its own timeout (≤ 0: none — a parked watch).
+// build must mint a fresh request per attempt; handle processes any
+// response that is not a retryable status (5xx or 429) and may return a
+// *retryableError to force another attempt; any other error it returns
+// is returned as is. do owns closing the body.
+func (c *Client) do(ctx context.Context, op string, httpc *http.Client, timeout time.Duration,
 	build func(ctx context.Context) (*http.Request, error),
 	handle func(resp *http.Response) error) error {
 	var lastErr error
@@ -251,7 +255,7 @@ func (c *Client) do(ctx context.Context, op string,
 			// add latency.
 			return fmt.Errorf("client: %s: %w", op, err)
 		}
-		err := c.attempt(ctx, op, build, handle, &raFloor)
+		err := c.attempt(ctx, op, httpc, timeout, build, handle, &raFloor)
 		if err == nil {
 			return nil
 		}
@@ -267,16 +271,15 @@ func (c *Client) do(ctx context.Context, op string,
 // attempt performs one try of the exchange. It returns nil on success, a
 // *retryableError for transport failures, retryable statuses, and
 // handler-flagged retryables, and a terminal error otherwise.
-func (c *Client) attempt(ctx context.Context, op string,
+func (c *Client) attempt(ctx context.Context, op string, httpc *http.Client, timeout time.Duration,
 	build func(ctx context.Context) (*http.Request, error),
 	handle func(resp *http.Response) error, raFloor *time.Duration) error {
-	actx := ctx
-	cancel := func() {}
-	if c.timeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, c.timeout)
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	defer cancel()
-	req, err := build(actx)
+	req, err := build(ctx)
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", op, err)
 	}
@@ -286,7 +289,7 @@ func (c *Client) attempt(ctx context.Context, op string,
 	if req.Header.Get(telemetry.TraceHeader) == "" {
 		req.Header.Set(telemetry.TraceHeader, telemetry.NewSpanContext().Header())
 	}
-	resp, err := c.httpc.Do(req)
+	resp, err := httpc.Do(req)
 	if err != nil {
 		c.brk.record(false)
 		return &retryableError{err: err}
@@ -300,6 +303,13 @@ func (c *Client) attempt(ctx context.Context, op string,
 	}
 	c.brk.record(true)
 	return handle(resp)
+}
+
+// rejected renders a non-retryable status the server answered an
+// exchange with, quoting the start of its body.
+func rejected(what string, resp *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	return fmt.Errorf("client: %s: %s: %s", what, resp.Status, bytes.TrimSpace(msg))
 }
 
 // BreakerState returns the circuit breaker's current state as a string
@@ -348,18 +358,12 @@ func (c *Client) hintQuery() string {
 		strconv.FormatFloat(p.Lat, 'f', -1, 64), strconv.FormatFloat(p.Lon, 'f', -1, 64))
 }
 
-// Model returns the detection model for a channel/sensor, downloading it
-// on first use. See ModelCtx.
-func (c *Client) Model(ch rfenv.Channel, kind sensor.Kind) (*core.Model, int, error) {
-	return c.ModelCtx(context.Background(), ch, kind)
-}
-
-// ModelCtx returns the detection model for a channel/sensor, downloading
+// Model returns the detection model for a channel/sensor, downloading
 // it on first use. The returned byte count is the descriptor size (0 on
 // cache hits), feeding the §5 download-overhead analysis. If the download
 // fails but a cached descriptor exists (e.g. invalidation raced a network
 // partition), the cached model is served instead of an error.
-func (c *Client) ModelCtx(ctx context.Context, ch rfenv.Channel, kind sensor.Kind) (*core.Model, int, error) {
+func (c *Client) Model(ctx context.Context, ch rfenv.Channel, kind sensor.Kind) (*core.Model, int, error) {
 	key := cacheKey{ch, kind}
 	c.mu.Lock()
 	if hit, ok := c.cache[key]; ok {
@@ -369,76 +373,52 @@ func (c *Client) ModelCtx(ctx context.Context, ch rfenv.Channel, kind sensor.Kin
 	}
 	c.mu.Unlock()
 	c.cacheMisses.Inc()
-	model, n, err := c.fetch(ctx, key, "")
-	if err != nil {
-		if stale, ok := c.stale(key); ok {
-			return stale, 0, nil
-		}
-		return nil, 0, err
-	}
-	return model, n, nil
+	return c.fetchOrStale(ctx, key, "")
 }
 
-// Refresh revalidates the cached model against the database. See
-// RefreshCtx.
-func (c *Client) Refresh(ch rfenv.Channel, kind sensor.Kind) (*core.Model, int, error) {
-	return c.RefreshCtx(context.Background(), ch, kind)
-}
-
-// RefreshCtx revalidates the cached model for a channel/sensor against
+// Refresh revalidates the cached model for a channel/sensor against
 // the database using If-None-Match. An unchanged model costs the server
 // no encode and the wire no body (304); a changed one is downloaded and
-// replaces the cache entry. With nothing cached it behaves like ModelCtx.
+// replaces the cache entry. With nothing cached it behaves like Model.
 // The byte count is the transferred descriptor size (0 when the cached
 // copy was still current). While a cached descriptor exists, an
 // unreachable database degrades to the cached copy instead of an error
 // (stale-while-erroring): one download survives long offline stretches,
 // the paper's §5 protocol argument.
-func (c *Client) RefreshCtx(ctx context.Context, ch rfenv.Channel, kind sensor.Kind) (*core.Model, int, error) {
+func (c *Client) Refresh(ctx context.Context, ch rfenv.Channel, kind sensor.Kind) (*core.Model, int, error) {
 	key := cacheKey{ch, kind}
 	c.mu.Lock()
-	hit, ok := c.cache[key]
+	etag := c.cache[key].etag
 	c.mu.Unlock()
-	etag := ""
-	if ok {
-		etag = hit.etag
-	}
-	model, n, err := c.fetch(ctx, key, etag)
-	if err != nil {
-		if stale, sok := c.stale(key); sok {
-			return stale, 0, nil
-		}
-		return nil, 0, err
-	}
-	return model, n, nil
+	return c.fetchOrStale(ctx, key, etag)
 }
 
-// stale returns the cached model for key when stale-serving is enabled,
-// counting the degradation in telemetry.
-func (c *Client) stale(key cacheKey) (*core.Model, bool) {
-	if !c.staleOK {
-		return nil, false
+// fetchOrStale is fetch, degrading to the cached model (counted in
+// telemetry) when the exchange fails and stale-serving is enabled.
+func (c *Client) fetchOrStale(ctx context.Context, key cacheKey, etag string) (*core.Model, int, error) {
+	model, n, err := c.fetch(ctx, key, etag)
+	if err == nil || !c.staleOK {
+		return model, n, err
 	}
 	c.mu.Lock()
 	hit, ok := c.cache[key]
 	c.mu.Unlock()
 	if !ok {
-		return nil, false
+		return nil, 0, err
 	}
 	c.staleServed.Inc()
-	return hit.model, true
+	return hit.model, 0, nil
 }
 
 // fetch downloads (or, with a non-empty etag, revalidates) one model
-// descriptor and installs it in the cache. Unreadable or undecodable
-// bodies (a flaky or tampering path) are retried like transport errors.
+// descriptor and installs it in the cache.
 func (c *Client) fetch(ctx context.Context, key cacheKey, etag string) (*core.Model, int, error) {
 	var (
 		model    *core.Model
 		n        int
 		needFull bool
 	)
-	err := c.do(ctx, "fetch model",
+	err := c.do(ctx, "fetch model", c.httpc, c.timeout,
 		func(actx context.Context) (*http.Request, error) {
 			url := fmt.Sprintf("%s/v1/model?channel=%d&sensor=%d%s",
 				c.base(), int(key.ch), int(key.kind), c.hintQuery())
@@ -451,7 +431,7 @@ func (c *Client) fetch(ctx context.Context, key cacheKey, etag string) (*core.Mo
 			}
 			return req, nil
 		},
-		func(resp *http.Response) error {
+		func(resp *http.Response) (err error) {
 			if etag != "" && resp.StatusCode == http.StatusNotModified {
 				c.mu.Lock()
 				hit, ok := c.cache[key]
@@ -467,33 +447,10 @@ func (c *Client) fetch(ctx context.Context, key cacheKey, etag string) (*core.Mo
 				return nil
 			}
 			if resp.StatusCode != http.StatusOK {
-				body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				return fmt.Errorf("client: fetch model: %s: %s", resp.Status, bytes.TrimSpace(body))
+				return rejected("fetch model", resp)
 			}
-			start := time.Now()
-			raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-			if err != nil {
-				return &retryableError{err: fmt.Errorf("client: read model: %w", err)}
-			}
-			c.fetchSeconds.Observe(time.Since(start).Seconds())
-			m, err := core.DecodeModel(bytes.NewReader(raw))
-			if err != nil {
-				// A truncated or corrupted descriptor is a wire
-				// problem, not a server decision: retry.
-				return &retryableError{err: fmt.Errorf("client: decode model: %w", err)}
-			}
-			entry := cached{
-				model:          m,
-				version:        resp.Header.Get("X-Waldo-Model-Version"),
-				etag:           resp.Header.Get("ETag"),
-				bytes:          len(raw),
-				clusterVersion: resp.Header.Get(clusterVersionHeader),
-			}
-			c.mu.Lock()
-			c.cache[key] = entry
-			c.mu.Unlock()
-			model, n = m, len(raw)
-			return nil
+			model, n, err = c.install(key, resp)
+			return err
 		})
 	if err != nil {
 		return nil, 0, err
@@ -504,6 +461,33 @@ func (c *Client) fetch(ctx context.Context, key cacheKey, etag string) (*core.Mo
 	return model, n, nil
 }
 
+// install decodes a 200 model response and makes it key's cache entry;
+// fetch and WatchModel both end here. An unreadable or undecodable body
+// (a flaky or tampering path) is a wire problem, not a server decision,
+// so it re-enters the retry loop like a transport error.
+func (c *Client) install(key cacheKey, resp *http.Response) (*core.Model, int, error) {
+	start := time.Now()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if err != nil {
+		return nil, 0, &retryableError{err: fmt.Errorf("client: read model: %w", err)}
+	}
+	c.fetchSeconds.Observe(time.Since(start).Seconds())
+	m, err := core.DecodeModel(bytes.NewReader(raw))
+	if err != nil {
+		return nil, 0, &retryableError{err: fmt.Errorf("client: decode model: %w", err)}
+	}
+	c.mu.Lock()
+	c.cache[key] = cached{
+		model:          m,
+		version:        resp.Header.Get("X-Waldo-Model-Version"),
+		etag:           resp.Header.Get("ETag"),
+		bytes:          len(raw),
+		clusterVersion: resp.Header.Get(clusterVersionHeader),
+	}
+	c.mu.Unlock()
+	return m, len(raw), nil
+}
+
 // CachedModelVersion returns the server-assigned version of the cached
 // descriptor for a channel/sensor, or "" when nothing is cached. Because
 // stale-serving never touches the cache, a caller that must distinguish
@@ -512,11 +496,7 @@ func (c *Client) fetch(ctx context.Context, key cacheKey, etag string) (*core.Mo
 func (c *Client) CachedModelVersion(ch rfenv.Channel, kind sensor.Kind) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	hit, ok := c.cache[cacheKey{ch, kind}]
-	if !ok {
-		return ""
-	}
-	return hit.version
+	return c.cache[cacheKey{ch, kind}].version
 }
 
 // CachedClusterVersion returns the cluster routing-configuration
@@ -527,11 +507,7 @@ func (c *Client) CachedModelVersion(ch rfenv.Channel, kind sensor.Kind) string {
 func (c *Client) CachedClusterVersion(ch rfenv.Channel, kind sensor.Kind) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	hit, ok := c.cache[cacheKey{ch, kind}]
-	if !ok {
-		return ""
-	}
-	return hit.clusterVersion
+	return c.cache[cacheKey{ch, kind}].clusterVersion
 }
 
 // Invalidate drops a cached model (e.g. after leaving the area).
@@ -541,19 +517,13 @@ func (c *Client) Invalidate(ch rfenv.Channel, kind sensor.Kind) {
 	delete(c.cache, cacheKey{ch, kind})
 }
 
-// Upload submits a reading batch to the Global Model Updater. See
-// UploadCtx.
-func (c *Client) Upload(batch core.UploadBatch) error {
-	return c.UploadCtx(context.Background(), batch)
-}
-
-// UploadCtx submits a reading batch to the Global Model Updater through
+// Upload submits a reading batch to the Global Model Updater through
 // the JSON edge (POST /v1/readings). Transient failures (transport
 // errors, 5xx, and load-shedding 429s — the server's Retry-After hint
 // floors the backoff) are retried. Because the server applies a batch
 // atomically and rejections leave no state, a retry is safe; persistent
 // failures surface as an error after the retry budget.
-func (c *Client) UploadCtx(ctx context.Context, batch core.UploadBatch) error {
+func (c *Client) Upload(ctx context.Context, batch core.UploadBatch) error {
 	if len(batch.Readings) == 0 {
 		return fmt.Errorf("client: empty upload")
 	}
@@ -573,7 +543,7 @@ func (c *Client) UploadCtx(ctx context.Context, batch core.UploadBatch) error {
 // the upload metrics and the shape of a rejection exist here, once.
 func (c *Client) sendUpload(ctx context.Context, path string, body []byte, hdr http.Header) error {
 	start := time.Now()
-	err := c.do(ctx, "upload",
+	err := c.do(ctx, "upload", c.httpc, c.timeout,
 		func(actx context.Context) (*http.Request, error) {
 			req, err := http.NewRequestWithContext(actx, http.MethodPost, c.base()+path, bytes.NewReader(body))
 			if err != nil {
@@ -584,8 +554,7 @@ func (c *Client) sendUpload(ctx context.Context, path string, body []byte, hdr h
 		},
 		func(resp *http.Response) error {
 			if resp.StatusCode != http.StatusNoContent {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				return fmt.Errorf("client: upload rejected: %s: %s", resp.Status, bytes.TrimSpace(msg))
+				return rejected("upload rejected", resp)
 			}
 			return nil
 		})
@@ -598,16 +567,10 @@ func (c *Client) sendUpload(ctx context.Context, path string, body []byte, hdr h
 	return nil
 }
 
-// RequestRetrain asks the database to rebuild one model. See
-// RequestRetrainCtx.
-func (c *Client) RequestRetrain(ch rfenv.Channel, kind sensor.Kind) error {
-	return c.RequestRetrainCtx(context.Background(), ch, kind)
-}
-
-// RequestRetrainCtx asks the database to rebuild one model, retrying
+// RequestRetrain asks the database to rebuild one model, retrying
 // transient failures.
-func (c *Client) RequestRetrainCtx(ctx context.Context, ch rfenv.Channel, kind sensor.Kind) error {
-	return c.do(ctx, "retrain",
+func (c *Client) RequestRetrain(ctx context.Context, ch rfenv.Channel, kind sensor.Kind) error {
+	return c.do(ctx, "retrain", c.httpc, c.timeout,
 		func(actx context.Context) (*http.Request, error) {
 			url := fmt.Sprintf("%s/v1/retrain?channel=%d&sensor=%d%s",
 				c.base(), int(ch), int(kind), c.hintQuery())
@@ -615,8 +578,7 @@ func (c *Client) RequestRetrainCtx(ctx context.Context, ch rfenv.Channel, kind s
 		},
 		func(resp *http.Response) error {
 			if resp.StatusCode != http.StatusOK {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				return fmt.Errorf("client: retrain failed: %s: %s", resp.Status, bytes.TrimSpace(msg))
+				return rejected("retrain failed", resp)
 			}
 			return nil
 		})

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
@@ -66,7 +67,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestModelFetchAndCache(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
-	m, size, err := w.client.Model(47, sensor.KindRTLSDR)
+	m, size, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestModelFetchAndCache(t *testing.T) {
 		t.Fatalf("model=%v size=%d", m, size)
 	}
 	// Second fetch: cache hit, zero bytes transferred.
-	m2, size2, err := w.client.Model(47, sensor.KindRTLSDR)
+	m2, size2, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestModelFetchAndCache(t *testing.T) {
 		t.Errorf("cache miss on second fetch (size=%d)", size2)
 	}
 	w.client.Invalidate(47, sensor.KindRTLSDR)
-	_, size3, err := w.client.Model(47, sensor.KindRTLSDR)
+	_, size3, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +91,14 @@ func TestModelFetchAndCache(t *testing.T) {
 		t.Error("invalidate should force a re-download")
 	}
 	// Missing model.
-	if _, _, err := w.client.Model(30, sensor.KindRTLSDR); err == nil {
+	if _, _, err := w.client.Model(context.Background(), 30, sensor.KindRTLSDR); err == nil {
 		t.Error("fetch of unknown channel must fail")
 	}
 }
 
 func TestRefreshRevalidates(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
-	m, size, err := w.client.Model(47, sensor.KindRTLSDR)
+	m, size, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestRefreshRevalidates(t *testing.T) {
 		t.Fatal("first fetch should transfer the descriptor")
 	}
 	// Unchanged model: revalidation is a 304, no bytes on the wire.
-	m2, size2, err := w.client.Refresh(47, sensor.KindRTLSDR)
+	m2, size2, err := w.client.Refresh(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +114,10 @@ func TestRefreshRevalidates(t *testing.T) {
 		t.Errorf("revalidation of unchanged model transferred %d bytes", size2)
 	}
 	// A retrain changes the version; Refresh must download the new model.
-	if err := w.client.RequestRetrain(47, sensor.KindRTLSDR); err != nil {
+	if err := w.client.RequestRetrain(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
-	m3, size3, err := w.client.Refresh(47, sensor.KindRTLSDR)
+	m3, size3, err := w.client.Refresh(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestRefreshRevalidates(t *testing.T) {
 	}
 	// Refresh with nothing cached degrades to a plain fetch.
 	w.client.Invalidate(47, sensor.KindRTLSDR)
-	if _, size4, err := w.client.Refresh(47, sensor.KindRTLSDR); err != nil || size4 == 0 {
+	if _, size4, err := w.client.Refresh(context.Background(), 47, sensor.KindRTLSDR); err != nil || size4 == 0 {
 		t.Errorf("cold refresh: size=%d err=%v", size4, err)
 	}
 }
@@ -137,21 +138,21 @@ func TestUploadPath(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
 	readings := w.camp.Readings(47, sensor.KindRTLSDR)[:20]
 	batch := UploadFromDecision(readings, core.Decision{CISpanDB: 0.3})
-	if err := w.client.Upload(batch); err != nil {
+	if err := w.client.Upload(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.server.StoreSize(47, sensor.KindRTLSDR); got != 720 {
 		t.Errorf("store size = %d, want 720", got)
 	}
-	if err := w.client.RequestRetrain(47, sensor.KindRTLSDR); err != nil {
+	if err := w.client.RequestRetrain(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
 	// Rejected noisy upload surfaces as an error.
 	noisy := UploadFromDecision(readings, core.Decision{CISpanDB: 9})
-	if err := w.client.Upload(noisy); err == nil {
+	if err := w.client.Upload(context.Background(), noisy); err == nil {
 		t.Error("noisy upload should be rejected")
 	}
-	if err := w.client.Upload(core.UploadBatch{}); err == nil {
+	if err := w.client.Upload(context.Background(), core.UploadBatch{}); err == nil {
 		t.Error("empty upload should fail client-side")
 	}
 }
@@ -178,7 +179,7 @@ func TestSimRadioAndWSDScan(t *testing.T) {
 
 	models := make(map[rfenv.Channel]*core.Model)
 	for _, ch := range []rfenv.Channel{27, 47} {
-		m, _, err := w.client.Model(ch, sensor.KindRTLSDR)
+		m, _, err := w.client.Model(context.Background(), ch, sensor.KindRTLSDR)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func TestSimRadioAndWSDScan(t *testing.T) {
 
 func TestMobileConvergenceDegrades(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
-	m, _, err := w.client.Model(47, sensor.KindRTLSDR)
+	m, _, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestSimRadioValidation(t *testing.T) {
 
 func TestWSDScanUnknownChannel(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
-	m, _, err := w.client.Model(47, sensor.KindRTLSDR)
+	m, _, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatal(err)
 	}

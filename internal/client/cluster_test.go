@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -59,7 +60,7 @@ func TestResolverSelectsBaseURL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Model(47, sensor.KindRTLSDR); err != nil {
+	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
 	if len(proxy.seen) != 1 {
@@ -71,7 +72,7 @@ func TestResolverSelectsBaseURL(t *testing.T) {
 	target = ""
 	mu.Unlock()
 	c.Invalidate(47, sensor.KindRTLSDR)
-	if _, _, err := c.Model(47, sensor.KindRTLSDR); err != nil {
+	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
 	if len(proxy.seen) != 1 {
@@ -89,7 +90,7 @@ func TestResolverOnlyClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Model(47, sensor.KindRTLSDR); err != nil {
+	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,14 +110,14 @@ func TestLocationHintOnWire(t *testing.T) {
 	}
 
 	c.SetLocationHint(geo.Point{Lat: 33.749, Lon: -84.388})
-	if _, _, err := c.Model(47, sensor.KindRTLSDR); err != nil {
+	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
 	q := proxy.last(t).Query()
 	if q.Get("lat") != "33.749" || q.Get("lon") != "-84.388" {
 		t.Errorf("model query = %q, want lat/lon hint", proxy.last(t).RawQuery)
 	}
-	if err := c.RequestRetrain(47, sensor.KindRTLSDR); err != nil {
+	if err := c.RequestRetrain(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
 	if q := proxy.last(t).Query(); q.Get("lat") != "33.749" {
@@ -125,7 +126,7 @@ func TestLocationHintOnWire(t *testing.T) {
 
 	c.ClearLocationHint()
 	c.Invalidate(47, sensor.KindRTLSDR)
-	if _, _, err := c.Model(47, sensor.KindRTLSDR); err != nil {
+	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
 	if q := proxy.last(t).Query(); q.Get("lat") != "" {
@@ -151,14 +152,14 @@ func TestCachedClusterVersion(t *testing.T) {
 	if got := c.CachedClusterVersion(47, sensor.KindRTLSDR); got != "" {
 		t.Errorf("cluster version before any fetch = %q", got)
 	}
-	if _, _, err := c.Model(47, sensor.KindRTLSDR); err != nil {
+	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.CachedClusterVersion(47, sensor.KindRTLSDR); got != fp {
 		t.Errorf("cached cluster version = %q, want %q", got, fp)
 	}
 	// Against the plain (unstamped) dbserver the field stays empty.
-	if _, _, err := w.client.Model(47, sensor.KindRTLSDR); err != nil {
+	if _, _, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.client.CachedClusterVersion(47, sensor.KindRTLSDR); got != "" {

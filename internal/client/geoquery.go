@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -39,17 +38,11 @@ type AvailabilityQuery struct {
 	Sensor sensor.Kind
 }
 
-// Availability fetches the availability grid's channel verdicts for the
-// cell containing a point. See AvailabilityCtx.
-func (c *Client) Availability(q AvailabilityQuery) (dbserver.AvailabilityJSON, error) {
-	return c.AvailabilityCtx(context.Background(), q)
-}
-
-// AvailabilityCtx fetches the availability grid's channel verdicts for
+// Availability fetches the availability grid's channel verdicts for
 // the cell containing q.Loc, retrying transient failures. An unsurveyed
 // cell is a successful answer with an empty Channels slice, not an
 // error — "unknown" is a verdict a caller must be able to act on.
-func (c *Client) AvailabilityCtx(ctx context.Context, q AvailabilityQuery) (dbserver.AvailabilityJSON, error) {
+func (c *Client) Availability(ctx context.Context, q AvailabilityQuery) (dbserver.AvailabilityJSON, error) {
 	if !q.Loc.Valid() {
 		return dbserver.AvailabilityJSON{}, fmt.Errorf("client: availability: invalid location %v", q.Loc)
 	}
@@ -67,15 +60,14 @@ func (c *Client) AvailabilityCtx(ctx context.Context, q AvailabilityQuery) (dbse
 		vals.Set("sensor", strconv.Itoa(int(q.Sensor)))
 	}
 	var out dbserver.AvailabilityJSON
-	err := c.do(ctx, "availability",
+	err := c.do(ctx, "availability", c.httpc, c.timeout,
 		func(actx context.Context) (*http.Request, error) {
 			return http.NewRequestWithContext(actx, http.MethodGet,
 				c.base()+"/v1/availability?"+vals.Encode(), nil)
 		},
 		func(resp *http.Response) error {
 			if resp.StatusCode != http.StatusOK {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				return fmt.Errorf("client: availability: %s: %s", resp.Status, bytes.TrimSpace(msg))
+				return rejected("availability", resp)
 			}
 			return json.NewDecoder(resp.Body).Decode(&out)
 		})
@@ -102,17 +94,11 @@ type RouteOptions struct {
 }
 
 // PlanRoute asks the database for per-segment free-channel verdicts
-// along a polyline. See PlanRouteCtx.
-func (c *Client) PlanRoute(points []geo.Point, opts RouteOptions) (dbserver.RouteJSON, error) {
-	return c.PlanRouteCtx(context.Background(), points, opts)
-}
-
-// PlanRouteCtx asks the database for per-segment free-channel verdicts
 // along a polyline of waypoints, retrying transient failures. The
 // answer partitions the route into cell-constant segments, each with
 // the availability grid's verdicts for that cell, confidence already
 // discounted for opts.HorizonS.
-func (c *Client) PlanRouteCtx(ctx context.Context, points []geo.Point, opts RouteOptions) (dbserver.RouteJSON, error) {
+func (c *Client) PlanRoute(ctx context.Context, points []geo.Point, opts RouteOptions) (dbserver.RouteJSON, error) {
 	if len(points) == 0 {
 		return dbserver.RouteJSON{}, fmt.Errorf("client: route: no waypoints")
 	}
@@ -135,7 +121,7 @@ func (c *Client) PlanRouteCtx(ctx context.Context, points []geo.Point, opts Rout
 		return dbserver.RouteJSON{}, fmt.Errorf("client: route: marshal: %w", err)
 	}
 	var out dbserver.RouteJSON
-	err = c.do(ctx, "route",
+	err = c.do(ctx, "route", c.httpc, c.timeout,
 		func(actx context.Context) (*http.Request, error) {
 			hreq, err := http.NewRequestWithContext(actx, http.MethodPost,
 				c.base()+"/v1/route", bytes.NewReader(body))
@@ -147,8 +133,7 @@ func (c *Client) PlanRouteCtx(ctx context.Context, points []geo.Point, opts Rout
 		},
 		func(resp *http.Response) error {
 			if resp.StatusCode != http.StatusOK {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				return fmt.Errorf("client: route: %s: %s", resp.Status, bytes.TrimSpace(msg))
+				return rejected("route", resp)
 			}
 			return json.NewDecoder(resp.Body).Decode(&out)
 		})

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"testing"
 
 	"github.com/wsdetect/waldo/internal/geo"
@@ -10,7 +11,7 @@ import (
 func TestAvailabilityQuery(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
 
-	av, err := w.client.Availability(AvailabilityQuery{Loc: rfenv.MetroCenter})
+	av, err := w.client.Availability(context.Background(), AvailabilityQuery{Loc: rfenv.MetroCenter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestAvailabilityQuery(t *testing.T) {
 
 	// A channel filter that excludes the surveyed channel empties the
 	// answer without erroring.
-	av, err = w.client.Availability(AvailabilityQuery{Loc: rfenv.MetroCenter, Channels: []rfenv.Channel{46}})
+	av, err = w.client.Availability(context.Background(), AvailabilityQuery{Loc: rfenv.MetroCenter, Channels: []rfenv.Channel{46}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestAvailabilityQuery(t *testing.T) {
 	}
 
 	// Client-side validation fails fast, before any request.
-	if _, err := w.client.Availability(AvailabilityQuery{Loc: geo.Point{Lat: 91}}); err == nil {
+	if _, err := w.client.Availability(context.Background(), AvailabilityQuery{Loc: geo.Point{Lat: 91}}); err == nil {
 		t.Error("invalid location must fail")
 	}
 }
@@ -52,7 +53,7 @@ func TestPlanRoute(t *testing.T) {
 		rfenv.MetroCenter.Offset(270, 5000),
 		rfenv.MetroCenter.Offset(90, 5000),
 	}
-	route, err := w.client.PlanRoute(points, RouteOptions{StepM: 500})
+	route, err := w.client.PlanRoute(context.Background(), points, RouteOptions{StepM: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestPlanRoute(t *testing.T) {
 	}
 
 	// A horizon discounts confidence multiplicatively.
-	decayed, err := w.client.PlanRoute(points, RouteOptions{StepM: 500, HorizonS: 1800})
+	decayed, err := w.client.PlanRoute(context.Background(), points, RouteOptions{StepM: 500, HorizonS: 1800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +81,10 @@ func TestPlanRoute(t *testing.T) {
 	}
 
 	// Client-side validation fails fast.
-	if _, err := w.client.PlanRoute(nil, RouteOptions{}); err == nil {
+	if _, err := w.client.PlanRoute(context.Background(), nil, RouteOptions{}); err == nil {
 		t.Error("empty polyline must fail")
 	}
-	if _, err := w.client.PlanRoute([]geo.Point{{Lat: 91}}, RouteOptions{}); err == nil {
+	if _, err := w.client.PlanRoute(context.Background(), []geo.Point{{Lat: 91}}, RouteOptions{}); err == nil {
 		t.Error("invalid waypoint must fail")
 	}
 }

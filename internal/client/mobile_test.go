@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,7 +41,7 @@ func (r *ringRadio) DwellTime() time.Duration        { return 20 * time.Millisec
 // that is lower.
 func TestSenseChannelStopsAtDetectorCap(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
-	m, _, err := w.client.Model(47, sensor.KindRTLSDR)
+	m, _, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatal(err)
 	}

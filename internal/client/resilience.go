@@ -18,7 +18,7 @@ import (
 // model download survives long offline stretches — becomes an
 // implementation invariant here: while a cached descriptor exists, model
 // lookups degrade to the cache instead of failing (stale-while-erroring,
-// see Client.staleServe).
+// see Client.fetchOrStale).
 
 // ErrBreakerOpen is returned (wrapped) when the circuit breaker is
 // rejecting requests without trying the network. Model and Refresh mask

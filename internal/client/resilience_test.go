@@ -60,7 +60,7 @@ func uploadOnce(t *testing.T, c *Client) error {
 		CISpanDB: 0.1,
 		Readings: []dataset.Reading{{Seq: 1, Channel: 47, Sensor: sensor.KindRTLSDR}},
 	}
-	return c.UploadCtx(context.Background(), batch)
+	return c.Upload(context.Background(), batch)
 }
 
 func TestNewAvoidsDefaultClient(t *testing.T) {
@@ -298,19 +298,19 @@ func TestStaleServeDuringOutage(t *testing.T) {
 	}
 	c.SetMetrics(reg)
 
-	fresh, size, err := c.Model(47, sensor.KindRTLSDR)
+	fresh, size, err := c.Model(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil || size == 0 {
 		t.Fatalf("initial download: model=%v size=%d err=%v", fresh, size, err)
 	}
 	// The wire is now dead; both lookup paths must serve the cache.
-	m, _, err := c.Refresh(47, sensor.KindRTLSDR)
+	m, _, err := c.Refresh(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatalf("Refresh during outage: %v", err)
 	}
 	if m != fresh {
 		t.Error("Refresh served a different model than the cached one")
 	}
-	if m2, _, err := c.Model(47, sensor.KindRTLSDR); err != nil || m2 != fresh {
+	if m2, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil || m2 != fresh {
 		t.Errorf("Model during outage: m=%v err=%v", m2, err)
 	}
 	if got := reg.Counter("waldo_client_stale_served_total", "").Value(); got == 0 {
@@ -326,7 +326,7 @@ func TestStaleServeDuringOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := strict.Refresh(47, sensor.KindRTLSDR); err == nil {
+	if _, _, err := strict.Refresh(context.Background(), 47, sensor.KindRTLSDR); err == nil {
 		t.Error("DisableStaleServe must surface the outage")
 	}
 }
@@ -365,10 +365,10 @@ func TestConcurrentRefreshUploadUnderFaults(t *testing.T) {
 			ctx := context.Background()
 			for i := 0; i < iters; i++ {
 				if (g+i)%2 == 0 {
-					c.RefreshCtx(ctx, 47, sensor.KindRTLSDR) // errors expected under faults
+					c.Refresh(ctx, 47, sensor.KindRTLSDR) // errors expected under faults
 				} else {
 					batch := UploadFromDecision(readings, core.Decision{CISpanDB: 0.3})
-					c.UploadCtx(ctx, batch)
+					c.Upload(ctx, batch)
 				}
 			}
 		}(g)
@@ -379,14 +379,14 @@ func TestConcurrentRefreshUploadUnderFaults(t *testing.T) {
 	// the client must converge to a working state.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, _, err := c.Refresh(47, sensor.KindRTLSDR); err == nil {
+		if _, _, err := c.Refresh(context.Background(), 47, sensor.KindRTLSDR); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("client never recovered after the fault window cleared")
 		}
 	}
-	if m, _, err := c.Model(47, sensor.KindRTLSDR); err != nil || m == nil {
+	if m, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil || m == nil {
 		t.Fatalf("post-chaos model lookup: %v", err)
 	}
 }

@@ -1,149 +1,66 @@
 package client
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 )
 
-// WatchModel blocks until the database publishes a model version newer
-// than the cached one. See WatchModelCtx.
-func (c *Client) WatchModel(ch rfenv.Channel, kind sensor.Kind) (*core.Model, int, error) {
-	return c.WatchModelCtx(context.Background(), ch, kind)
-}
+// errRearm is the watch handler's answer to a 304: the server's horizon
+// expired with no news, which is the steady idle state, not a failure.
+var errRearm = errors.New("client: watch horizon expired")
 
-// WatchModelCtx replaces the poll loop: it parks a long-poll on
+// WatchModel replaces the poll loop: it parks a long-poll on
 // GET /v1/model/watch naming the cached version and returns only when
 // the server pushes a newer model (which is decoded, cached, and
 // returned with its transferred byte count). Server-side watch horizons
 // (304) re-arm transparently, so a single call can wait across many
 // horizons; cancel ctx to stop waiting. An idle watch costs the device
-// one parked connection and the server approximately nothing — the
-// push-delivery half of the batching tentpole.
+// one parked connection and the server approximately nothing.
 //
-// Transient failures (transport errors, 5xx, shedding) retry with the
-// client's usual backoff and count against the breaker; the retry budget
-// bounds *consecutive* failures, resetting on every successful park, so
-// a flaky link degrades to slow delivery instead of a dead watcher.
-func (c *Client) WatchModelCtx(ctx context.Context, ch rfenv.Channel, kind sensor.Kind) (*core.Model, int, error) {
-	key := cacheKey{ch, kind}
-	failures := 0
-	var raFloor time.Duration
+// Each park is one exchange like any other (retries, backoff, breaker,
+// a trace per attempt), except that no per-attempt timeout applies — a
+// park outliving that budget is the point, so ctx is the only leash.
+// Every re-arm is a new exchange with a full retry budget, so the budget
+// bounds *consecutive* failures: a flaky link degrades to slow delivery
+// instead of a dead watcher.
+func (c *Client) WatchModel(ctx context.Context, ch rfenv.Channel, kind sensor.Kind) (*core.Model, int, error) {
+	var (
+		model *core.Model
+		n     int
+	)
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, fmt.Errorf("client: watch model: %w", err)
-		}
-		if err := c.brk.allow(); err != nil {
-			return nil, 0, fmt.Errorf("client: watch model: %w", err)
-		}
-		since := 0
-		c.mu.Lock()
-		if hit, ok := c.cache[key]; ok {
-			if v, err := strconv.Atoi(hit.version); err == nil {
-				since = v
-			}
-		}
-		c.mu.Unlock()
-		url := fmt.Sprintf("%s/v1/model/watch?channel=%d&sensor=%d&version=%d%s",
-			c.base(), int(ch), int(kind), since, c.hintQuery())
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return nil, 0, fmt.Errorf("client: watch model: %w", err)
-		}
-		// The watch client has no overall timeout — a park outliving the
-		// per-attempt budget is the point — so ctx is the only leash.
-		resp, err := c.watchc.Do(req)
-		if err != nil {
-			c.brk.record(false)
-			failures++
-			if failures >= c.retry.MaxAttempts {
-				return nil, 0, fmt.Errorf("client: watch model: retries exhausted: %w", err)
-			}
-			c.retriesTotal.Inc()
-			if serr := c.watchBackoff(ctx, failures, &raFloor); serr != nil {
-				return nil, 0, fmt.Errorf("client: watch model: %w", serr)
-			}
-			continue
-		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			c.brk.record(true)
-			raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-			resp.Body.Close()
-			if err != nil {
-				failures++
-				if failures >= c.retry.MaxAttempts {
-					return nil, 0, fmt.Errorf("client: watch model: retries exhausted: %w", err)
+		err := c.do(ctx, "watch model", c.watchc, 0,
+			func(actx context.Context) (*http.Request, error) {
+				since, _ := strconv.Atoi(c.CachedModelVersion(ch, kind)) // nothing cached: 0
+				url := fmt.Sprintf("%s/v1/model/watch?channel=%d&sensor=%d&version=%d%s",
+					c.base(), int(ch), int(kind), since, c.hintQuery())
+				return http.NewRequestWithContext(actx, http.MethodGet, url, nil)
+			},
+			func(resp *http.Response) (err error) {
+				switch resp.StatusCode {
+				case http.StatusOK:
+					model, n, err = c.install(cacheKey{ch, kind}, resp)
+					return err
+				case http.StatusNotModified:
+					return errRearm
 				}
-				continue
-			}
-			m, err := core.DecodeModel(bytes.NewReader(raw))
-			if err != nil {
-				failures++
-				if failures >= c.retry.MaxAttempts {
-					return nil, 0, fmt.Errorf("client: watch model: retries exhausted: %w", err)
-				}
-				continue
-			}
-			c.mu.Lock()
-			c.cache[key] = cached{
-				model:          m,
-				version:        resp.Header.Get("X-Waldo-Model-Version"),
-				etag:           resp.Header.Get("ETag"),
-				bytes:          len(raw),
-				clusterVersion: resp.Header.Get(clusterVersionHeader),
-			}
-			c.mu.Unlock()
-			c.watchDelivered.Inc()
-			return m, len(raw), nil
-		case resp.StatusCode == http.StatusNotModified:
-			// Horizon expired with no news: re-arm immediately. This is
-			// the steady idle state, not a failure.
-			c.brk.record(true)
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 512)) //nolint:errcheck
-			resp.Body.Close()
+				return rejected("watch model", resp)
+			})
+		if err == errRearm {
 			c.watchRearms.Inc()
-			failures = 0
 			continue
-		case resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests:
-			raFloor = retryAfter(resp)
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 512)) //nolint:errcheck
-			resp.Body.Close()
-			c.brk.record(false)
-			failures++
-			if failures >= c.retry.MaxAttempts {
-				return nil, 0, fmt.Errorf("client: watch model: retries exhausted: %s", resp.Status)
-			}
-			c.retriesTotal.Inc()
-			if serr := c.watchBackoff(ctx, failures, &raFloor); serr != nil {
-				return nil, 0, fmt.Errorf("client: watch model: %w", serr)
-			}
-			continue
-		default:
-			c.brk.record(true)
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			resp.Body.Close()
-			return nil, 0, fmt.Errorf("client: watch model: %s: %s", resp.Status, bytes.TrimSpace(msg))
 		}
+		if err != nil {
+			return nil, 0, err
+		}
+		c.watchDelivered.Inc()
+		return model, n, nil
 	}
-}
-
-// watchBackoff sleeps the retry delay for the given consecutive-failure
-// count, floored by any server Retry-After hint.
-func (c *Client) watchBackoff(ctx context.Context, failures int, raFloor *time.Duration) error {
-	draw := splitmix64(c.retry.Seed ^ splitmix64(c.jitterSeq.Add(1)))
-	d := c.retry.delay(failures-1, draw)
-	if *raFloor > d {
-		d = min(*raFloor, c.retry.MaxDelay)
-	}
-	*raFloor = 0
-	return c.sleep(ctx, d)
 }

@@ -50,7 +50,8 @@ type GatewayConfig struct {
 	// the same RingConfig or they will disagree about ownership.
 	Ring RingConfig
 
-	// CellDeg is the geo-cell quantum for routing. 0 means DefaultCellDeg.
+	// CellDeg is the geo-cell quantum for routing; 0 means DefaultCellDeg,
+	// the only value shards grid at (any other: routing-only test runs).
 	CellDeg float64
 
 	// HTTPClient carries gateway→shard traffic. nil means a dedicated
@@ -348,35 +349,31 @@ func (g *Gateway) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	}
 	// Broadcast: a shard with no data for this channel answers 404, which
 	// is a normal outcome of partitioning, not a fan-out failure.
-	results := g.fanout(r, nil)
-	ok := 0
-	for _, res := range results {
-		if res.Status/100 == 2 {
-			ok++
-		} else if res.Status != http.StatusNotFound {
-			ok = -len(results) // force failure below
-		}
-	}
-	w.Header().Set(ClusterVersionHeader, g.version)
-	w.Header().Set("Content-Type", "application/json")
-	if ok <= 0 {
-		w.WriteHeader(http.StatusBadGateway)
-	}
-	json.NewEncoder(w).Encode(results) //nolint:errcheck // client went away
+	g.writeLegs(w, g.fanoutTo(r, nil, g.ring.Nodes()), true)
 }
 
 // handleBroadcastAdmin fans an admin command (snapshot) to every shard.
 func (g *Gateway) handleBroadcastAdmin(w http.ResponseWriter, r *http.Request) {
-	results := g.fanout(r, nil)
-	allOK := true
+	g.writeLegs(w, g.fanoutTo(r, nil, g.ring.Nodes()), false)
+}
+
+// writeLegs answers a broadcast with its legs as JSON: 502 unless every
+// leg succeeded — a 404 leg, where tolerated, is skipped as long as some
+// other leg did succeed.
+func (g *Gateway) writeLegs(w http.ResponseWriter, results []FanoutResult, tolerate404 bool) {
+	ok, bad := 0, false
 	for _, res := range results {
-		if res.Status/100 != 2 {
-			allOK = false
+		switch {
+		case res.Status/100 == 2:
+			ok++
+		case tolerate404 && res.Status == http.StatusNotFound:
+		default:
+			bad = true
 		}
 	}
 	w.Header().Set(ClusterVersionHeader, g.version)
 	w.Header().Set("Content-Type", "application/json")
-	if !allOK {
+	if bad || ok == 0 {
 		w.WriteHeader(http.StatusBadGateway)
 	}
 	json.NewEncoder(w).Encode(results) //nolint:errcheck // client went away
@@ -387,7 +384,7 @@ func (g *Gateway) handleBroadcastAdmin(w http.ResponseWriter, r *http.Request) {
 // version reported is the maximum (shards train independently, so
 // versions are per-shard; the max is the freshest anywhere).
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	results := g.fanout(r, nil)
+	results := g.fanoutTo(r, nil, g.ring.Nodes())
 	type statKey struct{ ch, sensor int }
 	merged := make(map[statKey]*dbserver.StatsJSON)
 	for _, res := range results {
@@ -443,58 +440,65 @@ type FanoutResult struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// fanout sends the request to every shard in parallel (with the same
-// per-shard failover as single-key routing) and collects the legs in
-// shard-ID order.
-func (g *Gateway) fanout(r *http.Request, body []byte) []FanoutResult {
-	return g.fanoutTo(r, body, g.ring.Nodes())
-}
-
-// tryShard runs one shard leg of a fan-out, with endpoint failover, and
-// buffers the response. Each leg runs under its own child span (attr
-// shard=ID) of the request's trace; shardDo propagates that span's
-// context to the shard, so the shard's handler and WAL spans nest under
-// the leg in the assembled trace.
-func (g *Gateway) tryShard(r *http.Request, sh *shardState, body []byte) (res FanoutResult) {
+// withShard is the one way the gateway calls a shard. It counts the
+// request, runs it under a "leg" child span (attr shard=ID) of the
+// request's trace — shardDo propagates that span's context, so the
+// shard's handler and WAL spans nest under the leg — and walks the
+// shard's endpoints from the active one: an endpoint that fails at
+// transport level, or whose response consume could not read (a non-nil
+// error), is marked failed and the next is tried. consume must not fail
+// once it has passed a byte on. withShard closes the body; it returns
+// nil once consume accepted a response, else the last error.
+func (g *Gateway) withShard(r *http.Request, sh *shardState, body []byte, consume func(*http.Response) error) error {
 	sh.requests.Inc()
+	var leg *telemetry.Span
 	if parent := telemetry.SpanFromContext(r.Context()); parent != nil {
-		leg := parent.Child("leg")
+		leg = parent.Child("leg")
 		leg.SetAttr("shard", sh.spec.ID)
 		r = r.WithContext(telemetry.ContextWithSpan(r.Context(), leg))
-		defer func() {
-			if res.Status >= http.StatusInternalServerError {
-				leg.Fail(fmt.Sprintf("leg status %d", res.Status))
-			}
-			leg.End()
-		}()
+		defer leg.End()
 	}
-	res = FanoutResult{Shard: sh.spec.ID}
-	for attempt := 0; attempt < len(sh.spec.URLs); attempt++ {
+	var lastErr error
+	for range sh.spec.URLs {
 		url := sh.currentURL()
 		resp, err := g.shardDo(r, url, body)
-		if err != nil {
-			sh.errs.Inc()
-			res.Error = err.Error()
-			if sh.markFailed(url) {
-				g.failovers.Inc()
-				g.lg.Warn(r.Context(), "failover",
-					"shard", sh.spec.ID, "from", url, "err", err)
+		if err == nil {
+			err = consume(resp)
+			resp.Body.Close()
+			if err == nil {
+				if resp.StatusCode >= http.StatusInternalServerError {
+					leg.Fail(fmt.Sprintf("leg status %d", resp.StatusCode))
+				}
+				return nil
 			}
-			continue
 		}
+		g.endpointFailed(r.Context(), sh, url, err, "request")
+		lastErr = err
+	}
+	leg.Fail("shard unavailable")
+	return lastErr
+}
+
+// endpointFailed counts a failed call to one of sh's endpoints and
+// advances the shard past it if it is still the active one.
+func (g *Gateway) endpointFailed(ctx context.Context, sh *shardState, url string, err error, source string) {
+	sh.errs.Inc()
+	if sh.markFailed(url) {
+		g.failovers.Inc()
+		g.lg.Warn(ctx, "failover", "shard", sh.spec.ID, "from", url, "err", err, "source", source)
+	}
+}
+
+// tryShard runs one shard leg of a fan-out: withShard plus buffering the
+// response as a FanoutResult.
+func (g *Gateway) tryShard(r *http.Request, sh *shardState, body []byte) FanoutResult {
+	res := FanoutResult{Shard: sh.spec.ID}
+	err := g.withShard(r, sh, body, func(resp *http.Response) error {
 		// Read one byte past the cap so truncation is detected, not
 		// silently served as a clipped (and likely invalid) body.
 		data, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes+1))
-		resp.Body.Close()
 		if err != nil {
-			sh.errs.Inc()
-			res.Error = err.Error()
-			if sh.markFailed(url) {
-				g.failovers.Inc()
-				g.lg.Warn(r.Context(), "failover",
-					"shard", sh.spec.ID, "from", url, "err", err)
-			}
-			continue
+			return err
 		}
 		if int64(len(data)) > g.cfg.MaxBodyBytes {
 			// The shard answered, just with more than we buffer — an
@@ -502,19 +506,20 @@ func (g *Gateway) tryShard(r *http.Request, sh *shardState, body []byte) (res Fa
 			sh.errs.Inc()
 			res.Status = http.StatusBadGateway
 			res.Error = fmt.Sprintf("shard response exceeded the %d-byte gateway buffer", g.cfg.MaxBodyBytes)
-			return res
+			return nil
 		}
 		res.Status = resp.StatusCode
-		res.Error = ""
 		if json.Valid(data) {
 			res.Body = data
 		} else if len(data) > 0 {
 			quoted, _ := json.Marshal(string(data))
 			res.Body = quoted
 		}
-		return res
+		return nil
+	})
+	if err != nil {
+		res.Status, res.Error = http.StatusBadGateway, err.Error()
 	}
-	res.Status = http.StatusBadGateway
 	return res
 }
 
@@ -568,13 +573,13 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return buf.Bytes(), true
 }
 
-// forward proxies a single-key request to a shard, streaming the
-// response through. On a transport failure it advances the shard's
-// active endpoint and retries the next one in the same request, so a
-// client upload racing a primary kill lands on the replica instead of
-// erroring — the zero-lost-acks path the chaos harness exercises.
+// forward proxies a single-key request to a shard: withShard plus
+// copying the response headers and streaming the body through, never
+// buffered. A transport failure before that retries the shard's next
+// endpoint in the same request, so a client upload racing a primary kill
+// lands on the replica instead of erroring — the zero-lost-acks path the
+// chaos harness exercises.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState, body []byte) {
-	sh.requests.Inc()
 	if body == nil && r.Method != http.MethodGet && r.Method != http.MethodHead && r.Body != nil {
 		// Buffer mutation bodies so a failover retry can resend them.
 		var ok bool
@@ -582,28 +587,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 			return
 		}
 	}
-	var leg *telemetry.Span
-	if parent := telemetry.SpanFromContext(r.Context()); parent != nil {
-		leg = parent.Child("leg")
-		leg.SetAttr("shard", sh.spec.ID)
-		r = r.WithContext(telemetry.ContextWithSpan(r.Context(), leg))
-		defer leg.End()
-	}
-	var lastErr error
-	for attempt := 0; attempt < len(sh.spec.URLs); attempt++ {
-		url := sh.currentURL()
-		resp, err := g.shardDo(r, url, body)
-		if err != nil {
-			sh.errs.Inc()
-			lastErr = err
-			if sh.markFailed(url) {
-				g.failovers.Inc()
-				g.lg.Warn(r.Context(), "failover",
-					"shard", sh.spec.ID, "from", url, "err", err)
-			}
-			continue
-		}
-		defer resp.Body.Close()
+	err := g.withShard(r, sh, body, func(resp *http.Response) error {
 		for _, h := range []string{"Content-Type", "ETag", "X-Waldo-Model-Version", "Retry-After"} {
 			if v := resp.Header.Get(h); v != "" {
 				w.Header().Set(h, v)
@@ -613,12 +597,13 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 		w.Header().Set(ShardHeader, sh.spec.ID)
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, resp.Body) //nolint:errcheck // client went away
-		return
+		return nil
+	})
+	if err != nil {
+		g.lg.Error(r.Context(), "shard_unavailable", "shard", sh.spec.ID, "err", err)
+		w.Header().Set(ClusterVersionHeader, g.version)
+		http.Error(w, fmt.Sprintf("shard %s unavailable: %v", sh.spec.ID, err), http.StatusBadGateway)
 	}
-	leg.Fail("shard unavailable")
-	g.lg.Error(r.Context(), "shard_unavailable", "shard", sh.spec.ID, "err", lastErr)
-	w.Header().Set(ClusterVersionHeader, g.version)
-	http.Error(w, fmt.Sprintf("shard %s unavailable: %v", sh.spec.ID, lastErr), http.StatusBadGateway)
 }
 
 // healthzShard is one shard's row in the gateway's /healthz payload.
@@ -674,12 +659,7 @@ func (g *Gateway) probeLoop() {
 				url := sh.currentURL()
 				resp, err := g.httpc.Get(url + "/v1/health")
 				if err != nil {
-					sh.errs.Inc()
-					if sh.markFailed(url) {
-						g.failovers.Inc()
-						g.lg.Warn(context.Background(), "failover",
-							"shard", sh.spec.ID, "from", url, "err", err, "source", "probe")
-					}
+					g.endpointFailed(context.Background(), sh, url, err, "probe")
 					continue
 				}
 				io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive

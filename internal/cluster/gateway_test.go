@@ -316,6 +316,49 @@ func TestGatewayFailover(t *testing.T) {
 	if got := resp.Header.Get(ClusterVersionHeader); got == "" || got != before.ClusterVersion {
 		t.Errorf("healthz cluster_version = %q, routed response carries %q", before.ClusterVersion, got)
 	}
+
+	// The buffering consumer fails over by the same loop: a second gateway
+	// over the same topology still targets the dead primary when /v1/stats
+	// fans out through it.
+	gw2, err := NewGateway(GatewayConfig{Shards: gw.cfg.Shards, Ring: gw.cfg.Ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw2.Close()
+	gw2TS := httptest.NewServer(gw2.Handler())
+	defer gw2TS.Close()
+	var stats []dbserver.StatsJSON
+	if err := json.Unmarshal(mustGetBody(t, gw2TS.URL+"/v1/stats", http.StatusOK), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 1 || stats[0].Channel != 47 || stats[0].Readings != 600 {
+		t.Errorf("stats through a dead primary = %+v, want the replica's 600 channel-47 readings", stats)
+	}
+	if got := gw2.shards["s0"].currentURL(); got != replicaTS.URL || gw2.failovers.Value() != 1 {
+		t.Errorf("fan-out left active = %q with %d failovers, want replica %q and 1",
+			got, gw2.failovers.Value(), replicaTS.URL)
+	}
+	// However many endpoints a call walked, it is one leg span per shard.
+	for ts, wantRoutes := range map[*httptest.Server]map[string]int{
+		gwTS: {"/v1/model": 2}, gw2TS: {"/v1/stats": 1},
+	} {
+		routes := map[string]int{}
+		for _, tr := range fetchTrace(t, ts.URL, "").Traces {
+			names := spanNames(tr)
+			for route := range wantRoutes {
+				if names[route] == 0 {
+					continue
+				}
+				routes[route]++
+				if names[route+"/leg"] != 1 {
+					t.Errorf("%s trace spans = %v, want exactly one leg", route, names)
+				}
+			}
+		}
+		if !reflect.DeepEqual(routes, wantRoutes) {
+			t.Errorf("retained traces by route = %v, want %v", routes, wantRoutes)
+		}
+	}
 }
 
 // TestGatewayAllEndpointsDown: when every endpoint of the owning shard

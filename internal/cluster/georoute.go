@@ -57,8 +57,8 @@ func newGeoMergeState(m *telemetry.Registry) geoMergeState {
 }
 
 // fanoutTo sends the request to the named shards in parallel and
-// collects the legs in the given order (the targeted variant of
-// fanout).
+// collects the legs in the given order, each with the same per-shard
+// failover as single-key routing.
 func (g *Gateway) fanoutTo(r *http.Request, body []byte, ids []string) []FanoutResult {
 	results := make([]FanoutResult, len(ids))
 	var wg sync.WaitGroup
@@ -205,7 +205,7 @@ func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	results := g.fanout(r, body)
+	results := g.fanoutTo(r, body, g.ring.Nodes())
 
 	okLegs := results[:0:0]
 	uniform := 0

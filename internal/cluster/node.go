@@ -38,14 +38,6 @@ type NodeConfig struct {
 	// ShipInterval is the replication shipping tick. 0 means 3ms — small
 	// enough that steady-state lag is a handful of batches.
 	ShipInterval time.Duration
-
-	// MaxShipRecords caps journal records per replication exchange.
-	// 0 means 256.
-	MaxShipRecords int
-
-	// HTTPClient ships replication traffic. nil means a dedicated client
-	// with a 10s timeout.
-	HTTPClient *http.Client
 }
 
 // seedChunkReadings bounds one snapshot-seeded append frame, keeping any
@@ -95,12 +87,6 @@ func OpenNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ShipInterval <= 0 {
 		cfg.ShipInterval = 3 * time.Millisecond
 	}
-	if cfg.MaxShipRecords <= 0 {
-		cfg.MaxShipRecords = 256
-	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{Timeout: 10 * time.Second}
-	}
 	if cfg.DB.Metrics == nil {
 		cfg.DB.Metrics = telemetry.New()
 	}
@@ -108,8 +94,7 @@ func OpenNode(cfg NodeConfig) (*Node, error) {
 	n.appliedTotal = cfg.DB.Metrics.Counter("waldo_cluster_replication_applied_total",
 		"Replicated journal records applied by this node (replica role).")
 	if len(cfg.ReplicaURLs) > 0 {
-		n.repl = newReplicator(newIncarnation(), cfg.ReplicaURLs, cfg.HTTPClient,
-			cfg.ShipInterval, cfg.MaxShipRecords, cfg.DB.Metrics, cfg.DB.Log)
+		n.repl = newReplicator(newIncarnation(), cfg.ReplicaURLs, cfg.ShipInterval, cfg.DB.Metrics, cfg.DB.Log)
 		if cfg.DB.Tap != nil {
 			return nil, fmt.Errorf("cluster: NodeConfig.DB.Tap is owned by the replicator")
 		}
@@ -198,26 +183,14 @@ func (n *Node) Close() error {
 	return err
 }
 
-// statusRecorder captures the response code so promoteOnSuccess only
-// latches on mutations the DB actually accepted.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
 // promoteOnSuccess wraps a direct mutation route: a 2xx outcome latches
 // the promotion fence (writes are now forking from any primary's
 // journal, so replication must stop).
 func (n *Node) promoteOnSuccess(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+		rec := &telemetry.StatusRecorder{ResponseWriter: w}
 		next.ServeHTTP(rec, r)
-		if rec.code/100 == 2 {
+		if rec.Status()/100 == 2 {
 			n.promoted.Store(true)
 		}
 	})

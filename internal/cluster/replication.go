@@ -229,7 +229,6 @@ type Replicator struct {
 	incarnation uint64
 	httpc       *http.Client
 	interval    time.Duration
-	maxBatch    int
 	reg         *telemetry.Registry
 	lg          *wlog.Logger
 
@@ -242,14 +241,16 @@ type Replicator struct {
 	wg    sync.WaitGroup
 }
 
+// maxShipRecords caps journal records per replication exchange.
+const maxShipRecords = 256
+
 // newReplicator assembles the shipper; start() launches the loops.
-func newReplicator(incarnation uint64, replicaURLs []string, httpc *http.Client,
-	interval time.Duration, maxBatch int, metrics *telemetry.Registry, lg *wlog.Logger) *Replicator {
+func newReplicator(incarnation uint64, replicaURLs []string,
+	interval time.Duration, metrics *telemetry.Registry, lg *wlog.Logger) *Replicator {
 	r := &Replicator{
 		incarnation: incarnation,
-		httpc:       httpc,
+		httpc:       &http.Client{Timeout: 10 * time.Second},
 		interval:    interval,
-		maxBatch:    maxBatch,
 		reg:         metrics,
 		lg:          lg.Named("repl"),
 		stopc:       make(chan struct{}),
@@ -312,7 +313,7 @@ func (r *Replicator) logLen() uint64 {
 	return r.base + uint64(len(r.log))
 }
 
-// pending snapshots up to maxBatch unshipped records after acked. ok is
+// pending snapshots up to maxShipRecords unshipped records after acked. ok is
 // false when acked has fallen below the truncation point — those records
 // no longer exist and the caller must fence the link instead of
 // shipping. Records are append-only and truncation copies the retained
@@ -328,7 +329,7 @@ func (r *Replicator) pending(acked uint64) (top uint64, recs []replRecord, ok bo
 		return top, nil, true
 	}
 	start := acked - r.base
-	end := start + uint64(r.maxBatch)
+	end := start + maxShipRecords
 	if end > uint64(len(r.log)) {
 		end = uint64(len(r.log))
 	}
@@ -365,7 +366,7 @@ func (r *Replicator) truncate() {
 }
 
 // ship is one replica's shipping loop: every tick, push everything past
-// the replica's ack in maxBatch chunks until caught up or erroring
+// the replica's ack in maxShipRecords chunks until caught up or erroring
 // (errors wait for the next tick — the replica being down must not spin
 // the primary).
 func (r *Replicator) ship(link *replicaLink) {

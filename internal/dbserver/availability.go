@@ -1,14 +1,12 @@
 package dbserver
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 
-	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/geoindex"
 	"github.com/wsdetect/waldo/internal/rfenv"
@@ -20,40 +18,16 @@ import (
 // /v1/route): instead of downloading a model and evaluating it, a WSD —
 // or a route planner — asks the precomputed grid directly. Reads are a
 // snapshot load plus one map lookup per cell; the grid is rebuilt off
-// the request path by geoJournal whenever any store retrains
+// the request path by storeJournal whenever any store retrains
 // (DESIGN.md §15).
-
-// geoJournal is the rebuild trigger: every recorded retrain (local or
-// replication-applied) schedules an asynchronous availability grid
-// rebuild. Appends are ignored — fresh readings only change verdicts
-// once a retrain folds them into a model.
-type geoJournal struct {
-	idx *geoindex.Index
-	reg *telemetry.Registry
-}
-
-func (j geoJournal) AppendReadings(context.Context, []dataset.Reading) {}
-
-func (j geoJournal) RecordRetrain(ctx context.Context, _, _ int) {
-	// O(1) under the store lock: flip scheduler state, at most start a
-	// goroutine. The span makes the trigger visible in retrain traces,
-	// ordered after WAL/replication journals.
-	sp := j.reg.StartSpanCtx(ctx, "geoindex/schedule")
-	j.idx.Schedule(ctx)
-	sp.End()
-}
 
 // indexSource feeds a grid rebuild: every store's current model,
 // version, and recency window, in deterministic store order.
 func (s *Server) indexSource() []geoindex.StoreSnapshot {
-	maxRecent := s.cfg.GeoMaxRecent
-	if maxRecent <= 0 {
-		maxRecent = geoindex.DefaultMaxRecent
-	}
 	keys, byKey := s.storeSnapshot()
 	out := make([]geoindex.StoreSnapshot, 0, len(keys))
 	for _, k := range keys {
-		model, version, recent := byKey[k].IndexSnapshot(maxRecent)
+		model, version, recent := byKey[k].IndexSnapshot(geoindex.DefaultMaxRecent)
 		if model == nil {
 			continue
 		}

@@ -205,8 +205,6 @@ type storeKey struct {
 type Config struct {
 	// Constructor configures model building for every channel.
 	Constructor core.ConstructorConfig
-	// Labeling configures Algorithm 1.
-	Labeling dataset.LabelConfig
 	// AlphaPrimeDB is the upload acceptance criterion (§3.4); 0 means 1 dB.
 	AlphaPrimeDB float64
 	// Screening, when set, corroborates every upload against the trusted
@@ -247,12 +245,6 @@ type Config struct {
 	// WALFS overrides the filesystem the WAL persists through; nil means
 	// the real one. The fault-injection layer hooks in here.
 	WALFS wal.FS
-	// WALFlushInterval is the WAL's group-commit coalescing window: how
-	// long an appended record may sit in memory before the flusher forces
-	// a write+fsync. 0 means the wal package default. Larger values trade
-	// a wider loss window on power failure (never covering acknowledged
-	// checkpoints or FlushWAL calls) for fewer fsyncs per second.
-	WALFlushInterval time.Duration
 	// Tap, when set, observes every accepted store mutation in exactly
 	// the order it was applied: bootstrap seeds, accepted upload batches,
 	// and completed retrains. The cluster replication layer
@@ -265,14 +257,6 @@ type Config struct {
 	// failures, WAL errors). Nil disables logging — every wlog method is
 	// a no-op on a nil logger, matching the telemetry convention.
 	Log *wlog.Logger
-	// GeoCellDeg is the availability grid's cell quantum (see
-	// internal/geoindex); 0 means geoindex.DefaultCellDeg. In a cluster
-	// it must match the gateway's routing quantum so ownership and
-	// availability lookups agree on cell identity.
-	GeoCellDeg float64
-	// GeoMaxRecent is the per-store recency window the availability
-	// grid rebuilds from; 0 means geoindex.DefaultMaxRecent.
-	GeoMaxRecent int
 }
 
 // Tap receives accepted store mutations for replication. Both methods are
@@ -289,35 +273,46 @@ type Tap interface {
 	TapRetrain(ctx context.Context, ch rfenv.Channel, kind sensor.Kind, version, trainedCount int)
 }
 
-// tapJournal adapts a Tap to core.Journal for one store.
-type tapJournal struct {
-	tap  Tap
-	ch   rfenv.Channel
-	kind sensor.Kind
+// storeJournal is the one core.Journal a store's updater is wired to:
+// the fixed sequence of what follows an accepted mutation, top to bottom
+// — the WAL (on a durable server), the replication tap (when
+// configured), then, for retrains only (fresh readings change no verdict
+// and no version until a retrain folds them in), the availability-grid
+// rebuild trigger and, always last, the watcher wake-up, so a delivered
+// push never races ahead of durability. Its methods run under the
+// updater's store lock (see core.Journal), so every step only enqueues.
+type storeJournal struct {
+	s   *Server
+	key storeKey
+	ws  *walState // nil without a DataDir
 }
 
-func (j tapJournal) AppendReadings(ctx context.Context, rs []dataset.Reading) {
-	j.tap.TapReadings(ctx, j.ch, j.kind, rs)
-}
-
-func (j tapJournal) RecordRetrain(ctx context.Context, version, trained int) {
-	j.tap.TapRetrain(ctx, j.ch, j.kind, version, trained)
-}
-
-// multiJournal fans one updater's mutation stream out to several
-// journals (the WAL and the replication tap), preserving order.
-type multiJournal []core.Journal
-
-func (m multiJournal) AppendReadings(ctx context.Context, rs []dataset.Reading) {
-	for _, j := range m {
-		j.AppendReadings(ctx, rs)
+func (j storeJournal) AppendReadings(ctx context.Context, rs []dataset.Reading) {
+	if j.ws != nil {
+		j.ws.store.AppendReadings(ctx, rs)
+		j.ws.appended.Add(int64(len(rs))) // for the SnapshotEvery policy
+	}
+	if tap := j.s.cfg.Tap; tap != nil {
+		tap.TapReadings(ctx, j.key.ch, j.key.kind, rs)
 	}
 }
 
-func (m multiJournal) RecordRetrain(ctx context.Context, version, trained int) {
-	for _, j := range m {
-		j.RecordRetrain(ctx, version, trained)
+func (j storeJournal) RecordRetrain(ctx context.Context, version, trained int) {
+	if j.ws != nil {
+		j.ws.store.RecordRetrain(ctx, version, trained)
 	}
+	if tap := j.s.cfg.Tap; tap != nil {
+		tap.TapRetrain(ctx, j.key.ch, j.key.kind, version, trained)
+	}
+	// Both steps below are O(1) — flip scheduler state (the grid build
+	// runs on its own goroutine), swap a map entry — but span them anyway:
+	// a retrain trace then shows them ordered after the durable steps.
+	sp := j.s.metrics.StartSpanCtx(ctx, "geoindex/schedule")
+	j.s.geoidx.Schedule(ctx)
+	sp.End()
+	sp = j.s.metrics.StartSpanCtx(ctx, "watch/bump")
+	j.s.hub.bump(j.key)
+	sp.End()
 }
 
 // New returns an empty database server.
@@ -360,7 +355,6 @@ func New(cfg Config) *Server {
 	// after the server exists; it serves the empty generation-0 snapshot
 	// until the first retrain schedules a build.
 	s.geoidx = geoindex.New(geoindex.Config{
-		CellDeg: cfg.GeoCellDeg,
 		Source:  s.indexSource,
 		Metrics: cfg.Metrics,
 		Log:     cfg.Log,
@@ -393,7 +387,6 @@ func (s *Server) updaterFor(ch rfenv.Channel, kind sensor.Kind) (*core.Updater, 
 	}
 	u, err := core.NewUpdater(core.UpdaterConfig{
 		Constructor:  s.cfg.Constructor,
-		Labeling:     s.cfg.Labeling,
 		AlphaPrimeDB: s.cfg.AlphaPrimeDB,
 		Metrics:      s.metrics,
 		MetricsScope: fmt.Sprintf("%v/%v", ch, kind),
@@ -403,33 +396,16 @@ func (s *Server) updaterFor(ch rfenv.Channel, kind sensor.Kind) (*core.Updater, 
 	if err != nil {
 		return nil, err
 	}
-	var journals multiJournal
+	j := storeJournal{s: s, key: key}
 	if s.cfg.DataDir != "" {
 		// Recovery (WAL replay into the store + model rebuild) happens
 		// here, before the updater becomes visible: no request ever sees
 		// a partially recovered store.
-		wj, err := s.openStore(key, u)
-		if err != nil {
+		if j.ws, err = s.openStore(key, u); err != nil {
 			return nil, err
 		}
-		journals = append(journals, wj)
 	}
-	if s.cfg.Tap != nil {
-		journals = append(journals, tapJournal{tap: s.cfg.Tap, ch: ch, kind: kind})
-	}
-	// The availability grid rebuild trigger sits after durability (WAL,
-	// tap) — it only flips scheduler state; the build itself runs on its
-	// own goroutine off the request path.
-	journals = append(journals, geoJournal{idx: s.geoidx, reg: s.metrics})
-	// The watch journal is always last: watchers are woken only after the
-	// WAL and the replication tap have seen the retrain, so a delivered
-	// push never races ahead of durability.
-	journals = append(journals, watchJournal{hub: s.hub, key: key, reg: s.metrics})
-	if len(journals) == 1 {
-		u.SetJournal(journals[0])
-	} else {
-		u.SetJournal(journals)
-	}
+	u.SetJournal(j)
 	s.updaters[key] = u
 	s.insertKeyLocked(key)
 	return u, nil

@@ -1,7 +1,6 @@
 package dbserver
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"github.com/wsdetect/waldo/internal/core"
-	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/wal"
 )
 
@@ -34,20 +32,6 @@ type walState struct {
 	// checkpointing serializes checkpoints of this store (checkpointer
 	// and admin route): each is one rotate-then-record pair.
 	checkpointing sync.Mutex
-}
-
-// storeJournal adapts a walState to core.Journal, counting appended
-// readings for the auto-checkpoint policy. Its methods run under the
-// updater's store lock (see core.Journal), so they only enqueue.
-type storeJournal struct{ ws *walState }
-
-func (j storeJournal) AppendReadings(ctx context.Context, rs []dataset.Reading) {
-	j.ws.store.AppendReadings(ctx, rs)
-	j.ws.appended.Add(int64(len(rs)))
-}
-
-func (j storeJournal) RecordRetrain(ctx context.Context, version, trainedCount int) {
-	j.ws.store.RecordRetrain(ctx, version, trainedCount)
 }
 
 // Open builds a server and, when cfg.DataDir is set, recovers every
@@ -85,17 +69,16 @@ func (s *Server) storeDir(key storeKey) string {
 }
 
 // openStore opens (or recovers) the durable store for key and returns
-// the journal the updater must be wired to. Called with s.mu write-held
+// the WAL state its journal appends to. Called with s.mu write-held
 // from updaterFor. Recovery order matters: the persisted state is
 // restored into the fresh updater here, before the caller attaches any
 // journal, so replayed records are not re-journaled (and not re-tapped
 // into replication).
-func (s *Server) openStore(key storeKey, u *core.Updater) (core.Journal, error) {
+func (s *Server) openStore(key storeKey, u *core.Updater) (*walState, error) {
 	w, rec, err := wal.OpenStore(s.storeDir(key), key.ch, key.kind, wal.StoreOptions{
-		FS:            s.cfg.WALFS,
-		Metrics:       s.metrics,
-		FlushInterval: s.cfg.WALFlushInterval,
-		Log:           s.cfg.Log,
+		FS:      s.cfg.WALFS,
+		Metrics: s.metrics,
+		Log:     s.cfg.Log,
 	})
 	if err != nil {
 		return nil, err
@@ -108,7 +91,7 @@ func (s *Server) openStore(key storeKey, u *core.Updater) (core.Journal, error) 
 	}
 	ws := &walState{store: w}
 	s.wals[key] = ws
-	return storeJournal{ws}, nil
+	return ws, nil
 }
 
 // maybeSnapshot starts key's checkpointer when the SnapshotEvery policy

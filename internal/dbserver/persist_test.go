@@ -2,6 +2,7 @@ package dbserver
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,12 +10,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/wsdetect/waldo/internal/core"
+	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
+	"github.com/wsdetect/waldo/internal/telemetry"
 )
 
 // corruptFile flips a byte in the middle of the named file somewhere
@@ -302,5 +306,89 @@ func TestOpenRejectsCorruptDataDir(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "OPERATIONS.md") || !strings.Contains(err.Error(), name) {
 			t.Errorf("corrupt %s: error does not name the file and the runbook: %v", name, err)
 		}
+	}
+}
+
+// orderTap is a replication tap that, when it sees a retrain, runs check
+// — under the store lock, between the journal's WAL step and its
+// watcher wake-up.
+type orderTap struct {
+	check    func()
+	retrains int
+}
+
+func (*orderTap) TapReadings(context.Context, rfenv.Channel, sensor.Kind, []dataset.Reading) {}
+
+func (o *orderTap) TapRetrain(context.Context, rfenv.Channel, sensor.Kind, int, int) {
+	o.retrains++
+	if o.check != nil {
+		o.check()
+	}
+}
+
+// TestStoreJournalOrder pins the one sequence a store's journal runs on
+// a retrain: WAL record, then the replication tap, then the grid rebuild
+// trigger, then — last — the watcher wake-up, so a pushed model never
+// races ahead of durability. The retrain's trace shows the last two as
+// spans in that order.
+func TestStoreJournalOrder(t *testing.T) {
+	tap := &orderTap{}
+	cfg := durableConfig(t.TempDir())
+	cfg.Tap = tap
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
+		t.Fatal(err)
+	}
+	key := storeKey{47, sensor.KindRTLSDR}
+	parked := s.hub.watch(key)
+	walAppends := s.metrics.Counter("waldo_wal_appends_total", "", "store", "47/1")
+	walBefore, retrainsBefore := walAppends.Value(), tap.retrains
+	var walFirst, bumpLater bool
+	tap.check = func() {
+		walFirst = walAppends.Value() == walBefore+1
+		bumpLater = s.hub.watch(key) == parked
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/retrain?channel=47&sensor=1", nil)
+	sc := telemetry.NewSpanContext()
+	req.Header.Set(telemetry.TraceHeader, sc.Header())
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("retrain = %d: %s", rec.Code, rec.Body)
+	}
+	if tap.retrains != retrainsBefore+1 {
+		t.Fatalf("tap saw %d retrains, want 1", tap.retrains-retrainsBefore)
+	}
+	if !walFirst {
+		t.Error("the tap saw the retrain before the WAL had its record")
+	}
+	if !bumpLater {
+		t.Error("watchers were woken before the tap saw the retrain")
+	}
+	if s.hub.watch(key) == parked {
+		t.Error("the retrain never woke the store's watchers")
+	}
+
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces?trace="+sc.Trace.String(), nil))
+	var out struct {
+		Traces []telemetry.TraceData `json:"traces"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || len(out.Traces) != 1 {
+		t.Fatalf("retained traces = %d (err %v), want the retrain's one", len(out.Traces), err)
+	}
+	var order []string
+	for _, sp := range out.Traces[0].Spans {
+		if sp.Name == "geoindex/schedule" || sp.Name == "watch/bump" {
+			order = append(order, sp.Name)
+		}
+	}
+	if want := []string{"geoindex/schedule", "watch/bump"}; !reflect.DeepEqual(order, want) {
+		t.Errorf("journal spans in the retrain trace = %v, want %v", order, want)
 	}
 }

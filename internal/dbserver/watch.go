@@ -1,13 +1,11 @@
 package dbserver
 
 import (
-	"context"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
-	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/telemetry"
 )
 
@@ -65,26 +63,6 @@ func (h *watchHub) bump(key storeKey) {
 	if ok {
 		go close(old)
 	}
-}
-
-// watchJournal adapts the hub to core.Journal for one store: every
-// recorded retrain (local or replication-applied — both journal) wakes
-// that store's watchers. Appends are ignored; watchers care about model
-// versions, not store growth.
-type watchJournal struct {
-	hub *watchHub
-	key storeKey
-	reg *telemetry.Registry
-}
-
-func (j watchJournal) AppendReadings(context.Context, []dataset.Reading) {}
-
-func (j watchJournal) RecordRetrain(ctx context.Context, _, _ int) {
-	// The bump is O(1), but span it anyway: a retrain trace then shows
-	// watcher wakeup ordered after the WAL and replication journals.
-	sp := j.reg.StartSpanCtx(ctx, "watch/bump")
-	j.hub.bump(j.key)
-	sp.End()
 }
 
 // watchState carries the watch endpoint's telemetry.

@@ -304,7 +304,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	upload := func(phase, i int) (*clusterBatch, error) {
 		batch, _, _ := makeBatch(phase, i)
 		if err := untilOK(ctx, fmt.Sprintf("cluster upload p%d #%d", phase, i), func() error {
-			return cl.UploadCtx(ctx, batch)
+			return cl.Upload(ctx, batch)
 		}); err != nil {
 			return nil, err
 		}
@@ -390,7 +390,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	for i := 0; i < cfg.PostBatches; i++ {
 		batch, _, _ := makeBatch(2, vcells[i%len(vcells)])
 		if err := untilOK(ctx, fmt.Sprintf("post-kill upload #%d", i), func() error {
-			return cl.UploadCtx(ctx, batch)
+			return cl.Upload(ctx, batch)
 		}); err != nil {
 			return nil, err
 		}

@@ -286,7 +286,7 @@ func (s *session) runCycles(ctx context.Context, from, to int) error {
 			}
 			batch := uploadBatch(s.cfg, dec, cycle, ch)
 			if err := untilOK(ctx, fmt.Sprintf("upload cycle %d ch %d", cycle, ch), func() error {
-				return s.cl.UploadCtx(ctx, batch)
+				return s.cl.Upload(ctx, batch)
 			}); err != nil {
 				return err
 			}
@@ -307,7 +307,7 @@ func (s *session) epilogue(ctx context.Context) (map[rfenv.Channel]int, error) {
 	versions := make(map[rfenv.Channel]int, len(s.cfg.Channels))
 	for _, ch := range s.cfg.Channels {
 		if err := untilOK(ctx, "final retrain", func() error {
-			return s.cl.RequestRetrainCtx(ctx, ch, sensor.KindRTLSDR)
+			return s.cl.RequestRetrain(ctx, ch, sensor.KindRTLSDR)
 		}); err != nil {
 			return nil, err
 		}
@@ -420,7 +420,7 @@ func refreshUntil(ctx context.Context, cl *client.Client, ch rfenv.Channel,
 	cached map[rfenv.Channel]bool, errsWhileCached *uint64) (*core.Model, error) {
 	var model *core.Model
 	err := untilOK(ctx, fmt.Sprintf("refresh model ch %d", int(ch)), func() error {
-		m, _, err := cl.RefreshCtx(ctx, ch, sensor.KindRTLSDR)
+		m, _, err := cl.Refresh(ctx, ch, sensor.KindRTLSDR)
 		if err != nil && cached[ch] {
 			*errsWhileCached++
 		}
@@ -501,7 +501,7 @@ func refreshFresh(ctx context.Context, cl *client.Client, ch rfenv.Channel, want
 	wantV := strconv.Itoa(want)
 	var model *core.Model
 	err := untilOK(ctx, fmt.Sprintf("final refresh ch %d", int(ch)), func() error {
-		m, _, err := cl.RefreshCtx(ctx, ch, sensor.KindRTLSDR)
+		m, _, err := cl.Refresh(ctx, ch, sensor.KindRTLSDR)
 		if err != nil {
 			return err
 		}

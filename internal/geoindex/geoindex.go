@@ -46,13 +46,13 @@ const DefaultCellDeg = 0.05
 // view of the spectrum without any timestamp bookkeeping.
 const DefaultMaxRecent = 4096
 
-// DefaultEvidenceShrink is the default confidence shrinkage prior: a
+// DefaultEvidenceShrink is the confidence shrinkage prior: a
 // cell's confidence is its winning vote share scaled by n/(n+k), so a
 // single-reading cell reports ~0.2 confidence while a well-surveyed one
 // approaches its raw vote share.
 const DefaultEvidenceShrink = 4
 
-// Default vote-share thresholds for the three-way verdict.
+// Vote-share thresholds for the three-way verdict.
 const (
 	// DefaultFreeFraction is the minimum Safe vote share for a
 	// StatusFree verdict.
@@ -94,11 +94,11 @@ type Status uint8
 // with no evidence in a cell simply has no entry in the snapshot.
 const (
 	// StatusFree means the evidence says a WSD may transmit: at least
-	// Config.FreeFraction of the model-classified recent readings in
+	// DefaultFreeFraction of the model-classified recent readings in
 	// the cell voted Safe.
 	StatusFree Status = iota + 1
 	// StatusOccupied means an incumbent is present: at most
-	// Config.OccupiedFraction of the votes were Safe.
+	// DefaultOccupiedFraction of the votes were Safe.
 	StatusOccupied
 	// StatusUncertain means the votes split — the cell likely straddles
 	// a protection contour, and a WSD should fall back to a local
@@ -208,14 +208,6 @@ type Config struct {
 	// match the cluster's routing quantum so gateway merge and shard
 	// ownership agree on cell identity.
 	CellDeg float64
-	// FreeFraction and OccupiedFraction are the vote-share thresholds
-	// for the three-way verdict; 0 means the defaults (0.8 / 0.2).
-	FreeFraction float64
-	// OccupiedFraction is the Safe-share ceiling for StatusOccupied.
-	OccupiedFraction float64
-	// EvidenceShrink is the confidence shrinkage prior k in n/(n+k);
-	// 0 means DefaultEvidenceShrink.
-	EvidenceShrink int
 	// Source supplies the per-store inputs for a rebuild. It is called
 	// outside any lock the caller holds during [Index.Schedule], so it
 	// may itself take store locks.
@@ -261,15 +253,6 @@ type Index struct {
 func New(cfg Config) *Index {
 	if cfg.CellDeg <= 0 {
 		cfg.CellDeg = DefaultCellDeg
-	}
-	if cfg.FreeFraction <= 0 {
-		cfg.FreeFraction = DefaultFreeFraction
-	}
-	if cfg.OccupiedFraction <= 0 {
-		cfg.OccupiedFraction = DefaultOccupiedFraction
-	}
-	if cfg.EvidenceShrink <= 0 {
-		cfg.EvidenceShrink = DefaultEvidenceShrink
 	}
 	x := &Index{
 		cfg: cfg,
@@ -444,7 +427,7 @@ func (x *Index) build() *Snapshot {
 			}
 		}
 	}
-	k := float64(x.cfg.EvidenceShrink)
+	k := float64(DefaultEvidenceShrink)
 	for cell, byKey := range votes {
 		entries := make([]ChannelAvailability, 0, len(byKey))
 		for key, t := range byKey {
@@ -452,9 +435,9 @@ func (x *Index) build() *Snapshot {
 			status := StatusUncertain
 			winning := math.Max(frac, 1-frac)
 			switch {
-			case frac >= x.cfg.FreeFraction:
+			case frac >= DefaultFreeFraction:
 				status = StatusFree
-			case frac <= x.cfg.OccupiedFraction:
+			case frac <= DefaultOccupiedFraction:
 				status = StatusOccupied
 			}
 			entries = append(entries, ChannelAvailability{

@@ -15,20 +15,33 @@ const (
 	metricHTTPInFlight = "waldo_http_in_flight_requests"
 )
 
-// statusRecorder captures the response code written by a handler.
-type statusRecorder struct {
+// StatusRecorder wraps a ResponseWriter and captures the response code
+// the handler writes: the first WriteHeader wins, as it does on the wire.
+type StatusRecorder struct {
 	http.ResponseWriter
 	code int
 }
 
-func (sr *statusRecorder) WriteHeader(code int) {
+// Status returns the captured code; a handler that wrote a body (or
+// nothing) without calling WriteHeader answered 200.
+func (sr *StatusRecorder) Status() int {
+	if sr.code == 0 {
+		return http.StatusOK
+	}
+	return sr.code
+}
+
+// WriteHeader implements http.ResponseWriter.
+func (sr *StatusRecorder) WriteHeader(code int) {
 	if sr.code == 0 {
 		sr.code = code
 	}
 	sr.ResponseWriter.WriteHeader(code)
 }
 
-func (sr *statusRecorder) Write(b []byte) (int, error) {
+// Write implements http.ResponseWriter; a body write before any
+// WriteHeader commits the 200.
+func (sr *StatusRecorder) Write(b []byte) (int, error) {
 	if sr.code == 0 {
 		sr.code = http.StatusOK
 	}
@@ -36,7 +49,7 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 }
 
 // Flush passes through so streaming handlers keep working instrumented.
-func (sr *statusRecorder) Flush() {
+func (sr *StatusRecorder) Flush() {
 	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -74,15 +87,13 @@ func (r *Registry) WrapRoute(route string, next http.Handler) http.Handler {
 		w.Header().Set(TraceHeader, sc.Header())
 		req = req.WithContext(ContextWithSpan(req.Context(), sp))
 		start := time.Now()
-		sr := &statusRecorder{ResponseWriter: w}
+		sr := &StatusRecorder{ResponseWriter: w}
 		next.ServeHTTP(sr, req)
-		if sr.code == 0 {
-			sr.code = http.StatusOK
-		}
 		end := time.Now()
-		sp.SetAttr("code", strconv.Itoa(sr.code))
-		if sr.code >= http.StatusInternalServerError {
-			sp.Fail("HTTP " + strconv.Itoa(sr.code))
+		code := strconv.Itoa(sr.Status())
+		sp.SetAttr("code", code)
+		if sr.Status() >= http.StatusInternalServerError {
+			sp.Fail("HTTP " + code)
 		}
 		if sc.Sampled {
 			latency.ObserveWithExemplar(end.Sub(start).Seconds(), sc.Trace, end)
@@ -93,7 +104,7 @@ func (r *Registry) WrapRoute(route string, next http.Handler) http.Handler {
 		inFlight.Dec()
 		// Counter instances are per status code; look up after serving.
 		r.Counter(metricHTTPRequests, "HTTP requests by route and status code.",
-			"route", route, "code", strconv.Itoa(sr.code)).Inc()
+			"route", route, "code", code).Inc()
 	})
 }
 

@@ -137,15 +137,16 @@ var classNames = [numClasses]string{"error", "slow", "recent"}
 // slow-percentile threshold.
 const slowWindowSize = 256
 
+// slowQuantile is the per-endpoint duration quantile at or above which
+// a trace is classified slow.
+const slowQuantile = 0.95
+
 // RecorderOptions parameterizes NewRecorder. The zero value is ready:
 // 256 traces per class, slow = p95 per endpoint, thresholds recomputed
 // every second.
 type RecorderOptions struct {
 	// Capacity is the per-class ring size; default 256.
 	Capacity int
-	// SlowQuantile is the per-endpoint duration quantile at or above
-	// which a trace is classified slow; default 0.95.
-	SlowQuantile float64
 	// MinSamples is how many durations an endpoint must have produced
 	// before slow classification kicks in (a cold endpoint has no
 	// meaningful percentile); default 32.
@@ -205,9 +206,6 @@ type Recorder struct {
 func NewRecorder(opts RecorderOptions) *Recorder {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 256
-	}
-	if opts.SlowQuantile <= 0 || opts.SlowQuantile >= 1 {
-		opts.SlowQuantile = 0.95
 	}
 	if opts.MinSamples <= 0 {
 		opts.MinSamples = 32
@@ -279,7 +277,7 @@ func (rec *Recorder) recompute() {
 	fresh := make(map[string]time.Duration, len(copies))
 	for ep, durs := range copies {
 		sort.Float64s(durs)
-		idx := int(rec.opts.SlowQuantile * float64(len(durs)))
+		idx := int(slowQuantile * float64(len(durs)))
 		if idx >= len(durs) {
 			idx = len(durs) - 1
 		}

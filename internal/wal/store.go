@@ -48,10 +48,6 @@ type StoreOptions struct {
 	// Metrics receives the waldo_wal_* series, labeled with the store
 	// identity; nil leaves the store uninstrumented.
 	Metrics *telemetry.Registry
-	// FlushInterval bounds how long an unsynced append may sit before the
-	// flusher forces an fsync (the group-commit coalescing window). Zero
-	// means the default; Sync always forces an immediate fsync regardless.
-	FlushInterval time.Duration
 	// Log, when set, receives structured events for the paths that used
 	// to fail silently into counters: replay truncation/corruption, a
 	// wedged log, dropped journal records, snapshot failures. nil
@@ -173,7 +169,7 @@ func OpenStore(dir string, ch rfenv.Channel, kind sensor.Kind, opts StoreOptions
 		"segments", stats.Segments, "records", stats.Records,
 		"readings", rec.Readings.Len(), "model_version", rec.ModelVersion)
 
-	log, err := openLog(dir, fs, m, lg, top, opts.FlushInterval)
+	log, err := openLog(dir, fs, m, lg, top)
 	if err != nil {
 		return nil, nil, err
 	}

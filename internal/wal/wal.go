@@ -33,7 +33,7 @@
 // [Log.Append] only frames the record into an in-memory batch — no
 // syscall, no wakeup. A single flusher goroutine drains the batch with
 // one write and one fsync when a durability barrier ([Log.Sync]) arrives
-// or the coalescing window (StoreOptions.FlushInterval) elapses, so the
+// or the coalescing window (flushInterval) elapses, so the
 // upload request path never waits on the disk and a whole window of
 // appends shares one fsync (classic group commit with a commit delay, as
 // in PostgreSQL's commit_delay). The delay only spans records that were
@@ -187,11 +187,10 @@ func newLogMetrics(reg *telemetry.Registry, scope string) logMetrics {
 // race Append (the store guarantees this by rotating under the same lock
 // that orders appends).
 type Log struct {
-	dir      string
-	fs       FS
-	m        logMetrics
-	lg       *wlog.Logger
-	interval time.Duration // fsync coalescing window
+	dir string
+	fs  FS
+	m   logMetrics
+	lg  *wlog.Logger
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -208,22 +207,19 @@ type Log struct {
 	closed   bool
 }
 
-// defaultFlushInterval bounds how long appended-but-unflushed records may
+// flushInterval bounds how long appended-but-unflushed records may
 // sit in memory with no Sync barrier waiting. Batching the write+fsync
 // over this window (instead of one per append) is what keeps the durable
 // upload path within a few percent of the in-memory one; the window only
 // spans records that were never acknowledged as durable, so no Sync
 // caller can observe it.
-const defaultFlushInterval = 5 * time.Millisecond
+const flushInterval = 5 * time.Millisecond
 
 // openLog opens (creating if needed) the log in dir for appending,
 // resuming at the highest existing segment epoch. Call replaySegments
 // before the first Append.
-func openLog(dir string, fs FS, m logMetrics, lg *wlog.Logger, epoch uint64, interval time.Duration) (*Log, error) {
-	if interval <= 0 {
-		interval = defaultFlushInterval
-	}
-	l := &Log{dir: dir, fs: fs, m: m, lg: lg, epoch: epoch, interval: interval}
+func openLog(dir string, fs FS, m logMetrics, lg *wlog.Logger, epoch uint64) (*Log, error) {
+	l := &Log{dir: dir, fs: fs, m: m, lg: lg, epoch: epoch}
 	l.cond = sync.NewCond(&l.mu)
 	f, err := fs.OpenAppend(filepath.Join(dir, segName(epoch)))
 	if err != nil {
@@ -389,7 +385,7 @@ func (l *Log) armTimerLocked() {
 		return
 	}
 	l.timerSet = true
-	time.AfterFunc(l.interval, func() {
+	time.AfterFunc(flushInterval, func() {
 		l.mu.Lock()
 		l.timerSet = false
 		if (len(l.pending) > 0 || l.dirty) && l.err == nil {

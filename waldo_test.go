@@ -2,6 +2,7 @@ package waldo
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"testing"
 )
@@ -95,7 +96,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetched, n, err := c.Model(47, SensorRTLSDR)
+	fetched, n, err := c.Model(context.Background(), 47, SensorRTLSDR)
 	if err != nil {
 		t.Fatal(err)
 	}
