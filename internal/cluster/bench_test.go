@@ -1,11 +1,18 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
+
+	"github.com/wsdetect/waldo/internal/dbserver"
 )
 
 // benchUpload measures one upload round-trip per iteration against url,
@@ -108,5 +115,124 @@ func BenchmarkFrameEncode(b *testing.B) {
 		if len(buf) == 0 {
 			b.Fatal("empty frame")
 		}
+	}
+}
+
+// legFrameReadings is the frame the leg cost is pinned at: 64 readings,
+// 4 296 bytes, just past a 4 KB write buffer.
+const legFrameReadings = 64
+
+// BenchmarkLegExchange prices one gateway→shard exchange — a forwarded
+// 64-reading frame answered 204 over loopback — on the leg transport
+// and on the stock http.Transport it replaced, configured as it was.
+// The shard drains the body and nothing else, so the difference is the
+// transports'. `go test -run '^$' -bench LegExchange -cpu 1
+// ./internal/cluster/` (the gateway ships at GOMAXPROCS=1).
+func BenchmarkLegExchange(b *testing.B) {
+	leg := &legTransport{}
+	defer leg.Close()
+	stock := &http.Transport{MaxIdleConns: 1024, MaxIdleConnsPerHost: 256, IdleConnTimeout: 90 * time.Second}
+	defer stock.CloseIdleConnections()
+	for _, bb := range []struct {
+		name string
+		rt   http.RoundTripper
+	}{{"leg", leg}, {"stock", stock}} {
+		b.Run(bb.name, func(b *testing.B) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body) //nolint:errcheck
+				w.WriteHeader(http.StatusNoContent)
+			}))
+			defer ts.Close()
+			benchUpload(b, &http.Client{Transport: bb.rt}, ts.URL+batchFramePath, frameOf(b, synthReadings(legFrameReadings, 47, 1)))
+		})
+	}
+}
+
+// TestForwardedFrameIsOneWrite: a forwarded 64-reading frame reaches the
+// shard whole — headers and body — in the shard's first read, which on
+// loopback means the gateway sent it with one write.
+func TestForwardedFrameIsOneWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	frame := frameOf(t, synthReadings(legFrameReadings, 47, 1))
+	firstRead := make(chan []byte, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 64<<10)
+		n, _ := c.Read(buf)
+		firstRead <- buf[:n]
+		io.WriteString(c, "HTTP/1.1 204 No Content\r\n\r\n") //nolint:errcheck
+	}()
+	gw, err := NewGateway(GatewayConfig{Shards: []ShardSpec{{ID: "s0", URLs: []string{"http://" + ln.Addr().String()}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	if rec := serveGateway(context.Background(), gw, http.MethodPost, batchFramePath, frame); rec.Code != http.StatusNoContent {
+		t.Fatalf("upload = %d %s", rec.Code, rec.Body)
+	}
+	got := <-firstRead
+	req, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(got)))
+	if err != nil {
+		t.Fatalf("shard's first read (%d bytes) is not a whole request head: %v", len(got), err)
+	}
+	body, _ := io.ReadAll(req.Body)
+	if !bytes.Equal(body, frame) {
+		t.Errorf("shard's first read of %d bytes held %d of the frame's %d bytes", len(got), len(body), len(frame))
+	}
+}
+
+// inprocShard carries legs straight into a handler, as bench's traced
+// run does, so an allocation count sees the gateway and the shard only.
+type inprocShard struct{ h http.Handler }
+
+func (s inprocShard) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	s.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
+// TestGatewayForwardAllocBudget holds the gateway's own allocations per
+// forwarded frame — through the gateway minus the same frame straight
+// into the shard handler, bench's cluster.gateway_upload_allocs — to the
+// 65 ROADMAP item 8 budgeted.
+func TestGatewayForwardAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	n, _ := newTestNode(t, "s0", nil)
+	gw, err := NewGateway(GatewayConfig{
+		Shards:     []ShardSpec{{ID: "s0", URLs: []string{"http://s0.inproc"}}},
+		HTTPClient: &http.Client{Transport: inprocShard{n.Handler()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	frame := frameOf(t, synthReadings(legFrameReadings, 47, 1))
+	upload := func(h http.Handler) func() {
+		return func() {
+			req := httptest.NewRequest(http.MethodPost, batchFramePath, bytes.NewReader(frame))
+			req.Header.Set("Content-Type", "application/octet-stream")
+			req.Header.Set(dbserver.CISpanHeader, "0.4")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusNoContent {
+				t.Fatalf("upload = %d %s", rec.Code, rec.Body)
+			}
+		}
+	}
+	direct := testing.AllocsPerRun(200, upload(n.Handler()))
+	via := testing.AllocsPerRun(200, upload(gw.Handler()))
+	t.Logf("allocs per frame: direct %.0f, via gateway %.0f", direct, via)
+	if own := via - direct; own > 65 {
+		t.Errorf("gateway allocates %.0f per forwarded frame, budget 65", own)
 	}
 }

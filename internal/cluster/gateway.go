@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -54,8 +55,9 @@ type GatewayConfig struct {
 	// the only value shards grid at (any other: routing-only test runs).
 	CellDeg float64
 
-	// HTTPClient carries gateway→shard traffic. nil means a dedicated
-	// keep-alive client with a 10s timeout.
+	// HTTPClient carries gateway→shard traffic. nil means the gateway's
+	// own keep-alive leg transport (legtransport.go), closed by Close.
+	// The 10 s leg budget rides the request context either way.
 	HTTPClient *http.Client
 
 	// Metrics receives the waldo_cluster_* gateway series. nil means a
@@ -89,6 +91,7 @@ type shardState struct {
 
 	requests *telemetry.Counter
 	errs     *telemetry.Counter
+	redials  *telemetry.Counter
 }
 
 // currentURL returns the endpoint receiving this shard's traffic.
@@ -122,11 +125,9 @@ type Gateway struct {
 	shards  map[string]*shardState
 	version string
 	httpc   *http.Client
-	// watchc serves /v1/model/watch proxy legs: same transport as httpc
-	// but no overall timeout, since a parked long-poll outliving the
-	// per-request budget is the route's point. The client's context is
-	// the leash.
-	watchc *http.Client
+	// legs is the transport under httpc when the gateway built it; nil
+	// with an injected GatewayConfig.HTTPClient.
+	legs *legTransport
 
 	metrics      *telemetry.Registry
 	lg           *wlog.Logger
@@ -156,21 +157,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 8 << 20
 	}
-	if cfg.HTTPClient == nil {
-		// Not the default transport: its 2 idle conns per host means a
-		// fan-out gateway under load re-dials almost every shard leg,
-		// and the connection churn — not shard service time — becomes
-		// the latency floor. Size the idle pool for the leg concurrency
-		// a loaded gateway actually sustains.
-		cfg.HTTPClient = &http.Client{
-			Timeout: 10 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConns:        1024,
-				MaxIdleConnsPerHost: 256,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		}
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.New()
 	}
@@ -191,7 +177,23 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 				"shard", spec.ID),
 			errs: cfg.Metrics.Counter("waldo_cluster_proxy_errors_total",
 				"Transport-level failures talking to this shard's endpoints.", "shard", spec.ID),
+			redials: cfg.Metrics.Counter("waldo_cluster_leg_redials_total",
+				"Legs replayed on a fresh connection because the pooled keep-alive one had gone stale.",
+				"shard", spec.ID),
 		}
+	}
+	var legs *legTransport
+	if cfg.HTTPClient == nil {
+		redials := make(map[legEndpoint]*telemetry.Counter)
+		for _, sh := range shards {
+			for _, raw := range sh.spec.URLs {
+				if u, err := url.Parse(raw); err == nil {
+					redials[legEndpoint{u.Scheme, u.Host}] = sh.redials
+				}
+			}
+		}
+		legs = &legTransport{redialed: func(ep legEndpoint) { redials[ep].Inc() }}
+		cfg.HTTPClient = &http.Client{Transport: legs}
 	}
 	ring, err := NewRing(cfg.Ring, ids)
 	if err != nil {
@@ -209,7 +211,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		shards:   shards,
 		version:  ConfigVersion(cfg.Ring.Seed, ring.VNodes(), cfg.CellDeg, cfg.Shards),
 		httpc:    cfg.HTTPClient,
-		watchc:   &http.Client{Transport: cfg.HTTPClient.Transport},
+		legs:     legs,
 		metrics:  cfg.Metrics,
 		lg:       cfg.Log.Named("gateway"),
 		recorder: rec,
@@ -233,11 +235,14 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the background prober (if any) and the gateway-owned
-// flight recorder.
+// Close stops the background prober (if any), closes the gateway-owned
+// leg connections and the gateway-owned flight recorder.
 func (g *Gateway) Close() error {
 	close(g.stopc)
 	g.wg.Wait()
+	if g.legs != nil {
+		g.legs.Close()
+	}
 	if g.ownRec {
 		g.recorder.Close()
 	}
@@ -376,7 +381,7 @@ func (g *Gateway) writeLegs(w http.ResponseWriter, results []FanoutResult, toler
 	if bad || ok == 0 {
 		w.WriteHeader(http.StatusBadGateway)
 	}
-	json.NewEncoder(w).Encode(results) //nolint:errcheck // client went away
+	json.NewEncoder(w).Encode(embeddable(results)) //nolint:errcheck // client went away
 }
 
 // handleStats fans /v1/stats to every shard and merges the per-store
@@ -432,12 +437,26 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // FanoutResult is one shard's leg of a broadcast, as reported to the
-// client.
+// client. Body holds the shard's bytes as received — the merges
+// unmarshal it, which is all the validation they need — so results
+// reported to a client go through embeddable first.
 type FanoutResult struct {
 	Shard  string          `json:"shard"`
 	Status int             `json:"status"`
 	Body   json.RawMessage `json:"body,omitempty"`
 	Error  string          `json:"error,omitempty"`
+}
+
+// embeddable makes every leg body valid JSON, in place, so the results
+// can be encoded: a non-JSON body (a shard's plain-text error) becomes
+// a JSON string.
+func embeddable(results []FanoutResult) []FanoutResult {
+	for i := range results {
+		if b := results[i].Body; len(b) > 0 && !json.Valid(b) {
+			results[i].Body, _ = json.Marshal(string(b)) // a string always marshals
+		}
+	}
+	return results
 }
 
 // withShard is the one way the gateway calls a shard. It counts the
@@ -447,8 +466,8 @@ type FanoutResult struct {
 // shard's endpoints from the active one: an endpoint that fails at
 // transport level, or whose response consume could not read (a non-nil
 // error), is marked failed and the next is tried. consume must not fail
-// once it has passed a byte on. withShard closes the body; it returns
-// nil once consume accepted a response, else the last error.
+// once it has passed a byte on. It returns nil once consume accepted a
+// response, else the last error.
 func (g *Gateway) withShard(r *http.Request, sh *shardState, body []byte, consume func(*http.Response) error) error {
 	sh.requests.Inc()
 	var leg *telemetry.Span
@@ -460,19 +479,15 @@ func (g *Gateway) withShard(r *http.Request, sh *shardState, body []byte, consum
 	}
 	var lastErr error
 	for range sh.spec.URLs {
-		url := sh.currentURL()
-		resp, err := g.shardDo(r, url, body)
+		endpoint := sh.currentURL()
+		status, err := g.shardDo(r, endpoint, body, consume)
 		if err == nil {
-			err = consume(resp)
-			resp.Body.Close()
-			if err == nil {
-				if resp.StatusCode >= http.StatusInternalServerError {
-					leg.Fail(fmt.Sprintf("leg status %d", resp.StatusCode))
-				}
-				return nil
+			if status >= http.StatusInternalServerError {
+				leg.Fail(fmt.Sprintf("leg status %d", status))
 			}
+			return nil
 		}
-		g.endpointFailed(r.Context(), sh, url, err, "request")
+		g.endpointFailed(r.Context(), sh, endpoint, err, "request")
 		lastErr = err
 	}
 	leg.Fail("shard unavailable")
@@ -508,13 +523,7 @@ func (g *Gateway) tryShard(r *http.Request, sh *shardState, body []byte) FanoutR
 			res.Error = fmt.Sprintf("shard response exceeded the %d-byte gateway buffer", g.cfg.MaxBodyBytes)
 			return nil
 		}
-		res.Status = resp.StatusCode
-		if json.Valid(data) {
-			res.Body = data
-		} else if len(data) > 0 {
-			quoted, _ := json.Marshal(string(data))
-			res.Body = quoted
-		}
+		res.Status, res.Body = resp.StatusCode, data
 		return nil
 	})
 	if err != nil {
@@ -523,32 +532,48 @@ func (g *Gateway) tryShard(r *http.Request, sh *shardState, body []byte) FanoutR
 	return res
 }
 
-// shardDo issues the proxied request to one endpoint, carrying the
-// current span's trace context in X-Waldo-Trace so the shard's spans
-// join the gateway's trace.
-func (g *Gateway) shardDo(r *http.Request, url string, body []byte) (*http.Response, error) {
+// legHeaders are the client request headers a leg carries on to the
+// shard (the first value of each), spelled canonically so shardDo can
+// index the header maps directly: Get and Set would re-canonicalize
+// the CI-span name, an allocation each, on every leg.
+var legHeaders = [...]string{"Content-Type", "If-None-Match", "Accept", http.CanonicalHeaderKey(dbserver.CISpanHeader)}
+
+// shardDo runs one exchange with one endpoint: the proxied request,
+// carrying the current span's trace context in X-Waldo-Trace so the
+// shard's spans join the gateway's trace, then consume on the response,
+// all within legTimeout — except a /v1/model/watch leg, which parks
+// past any sane budget by design and is leashed by the client's context
+// alone. It reports the response status once consume accepted it.
+func (g *Gateway) shardDo(r *http.Request, endpoint string, body []byte, consume func(*http.Response) error) (int, error) {
+	ctx := r.Context()
+	if r.URL.Path != "/v1/model/watch" {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, legTimeout)
+		defer cancel()
+	}
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url+r.URL.Path, rd)
+	req, err := http.NewRequestWithContext(ctx, r.Method, endpoint+r.URL.Path, rd)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	req.URL.RawQuery = r.URL.RawQuery
-	for _, h := range []string{"Content-Type", "If-None-Match", "Accept", dbserver.CISpanHeader} {
-		if v := r.Header.Get(h); v != "" {
-			req.Header.Set(h, v)
+	for _, h := range legHeaders {
+		if vs := r.Header[h]; len(vs) > 0 && vs[0] != "" {
+			req.Header[h] = vs[:1]
 		}
 	}
-	if sc := telemetry.SpanFromContext(r.Context()).Context(); sc.Valid() {
+	if sc := telemetry.SpanFromContext(ctx).Context(); sc.Valid() {
 		req.Header.Set(telemetry.TraceHeader, sc.Header())
 	}
-	if r.URL.Path == "/v1/model/watch" {
-		// Long-polls park past any sane proxy timeout by design.
-		return g.watchc.Do(req)
+	resp, err := g.httpc.Do(req)
+	if err != nil {
+		return 0, err
 	}
-	return g.httpc.Do(req)
+	defer resp.Body.Close()
+	return resp.StatusCode, consume(resp)
 }
 
 // readBody buffers a request body under the gateway cap, preallocating
@@ -649,6 +674,11 @@ func (g *Gateway) probeLoop() {
 	defer g.wg.Done()
 	t := time.NewTicker(g.cfg.ProbeInterval)
 	defer t.Stop()
+	// What shardDo forwards of a client request, here with no client.
+	probe, err := http.NewRequest(http.MethodGet, "/v1/health", nil)
+	if err != nil {
+		panic(err) // constant arguments
+	}
 	for {
 		select {
 		case <-g.stopc:
@@ -656,14 +686,14 @@ func (g *Gateway) probeLoop() {
 		case <-t.C:
 			for _, id := range g.ring.Nodes() {
 				sh := g.shards[id]
-				url := sh.currentURL()
-				resp, err := g.httpc.Get(url + "/v1/health")
+				endpoint := sh.currentURL()
+				_, err := g.shardDo(probe, endpoint, nil, func(resp *http.Response) error {
+					io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive
+					return nil
+				})
 				if err != nil {
-					g.endpointFailed(context.Background(), sh, url, err, "probe")
-					continue
+					g.endpointFailed(context.Background(), sh, endpoint, err, "probe")
 				}
-				io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive
-				resp.Body.Close()
 			}
 		}
 	}

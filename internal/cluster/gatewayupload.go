@@ -190,7 +190,7 @@ func (g *Gateway) routeFrame(w http.ResponseWriter, r *http.Request, frame []byt
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(results) //nolint:errcheck // client went away
+	json.NewEncoder(w).Encode(embeddable(results)) //nolint:errcheck // client went away
 }
 
 // splitShardList renders a split upload's leg shard IDs, comma-joined in

@@ -257,13 +257,11 @@ func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(merged) //nolint:errcheck // client went away
 }
 
-// writeLegBody relays one leg's buffered response body. tryShard stores
-// non-JSON shard bodies (plain-text errors) as quoted JSON strings;
-// unquote those back to text.
+// writeLegBody relays one leg's buffered response body: JSON as JSON,
+// anything else (a shard's plain-text error) as text.
 func writeLegBody(w http.ResponseWriter, status int, leg FanoutResult) {
-	var text string
-	if err := json.Unmarshal(leg.Body, &text); err == nil {
-		http.Error(w, strings.TrimRight(text, "\n"), status)
+	if len(leg.Body) > 0 && !json.Valid(leg.Body) {
+		http.Error(w, strings.TrimRight(string(leg.Body), "\n"), status)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
