@@ -72,7 +72,9 @@ func run(args []string) error {
 	}
 	defer gw.Close()
 	log.Printf("routing %d shards, cluster version %s, serving on %s", len(shards), gw.ConfigVersion(), *addr)
-	return adminhttp.Serve(*addr, gw.Handler(), *adminAddr, gw.Metrics(), nil)
+	// On SIGINT/SIGTERM: stop accepting, answer parked watches 503, drain,
+	// then close the legs.
+	return adminhttp.Serve(*addr, gw.Handler(), *adminAddr, gw.Metrics(), gw.BeginShutdown, gw.Close)
 }
 
 // parseShards decodes 'id=url[,url...];id2=...' into ShardSpecs.

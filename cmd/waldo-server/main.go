@@ -157,7 +157,8 @@ func run(args []string) error {
 		log.Printf("trained models in %.1fs", time.Since(start).Seconds())
 	}
 	log.Printf("serving on %s (metrics at /metrics, readiness at /healthz, traces at /debug/traces)", *addr)
-	// On SIGINT/SIGTERM: stop accepting requests, then flush and close
-	// the WAL so no acknowledged upload is lost to a clean shutdown.
-	return adminhttp.Serve(*addr, handler, *adminAddr, srv.Metrics(), closer)
+	// On SIGINT/SIGTERM: stop accepting, answer parked watchers 503,
+	// drain requests in flight, and only then flush and close the WAL, so
+	// no acknowledged upload is lost to a clean shutdown.
+	return adminhttp.Serve(*addr, handler, *adminAddr, srv.Metrics(), srv.BeginShutdown, closer)
 }

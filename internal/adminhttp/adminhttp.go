@@ -1,17 +1,19 @@
-// Package adminhttp assembles the opt-in operator/admin HTTP surface:
-// net/http/pprof profiling endpoints next to the same /metrics and
-// /debug/traces views the serving mux exposes — and, since every binary
-// that has one serves the same way, the serve-until-signalled loop
-// around both listeners ([Serve]).
+// Package adminhttp is how a Waldo binary listens: the serving loop
+// that waldo-server and waldo-gateway put their handler on ([Server],
+// serveloop.go — net/http's request parser without its per-request
+// goroutine), the opt-in operator/admin HTTP surface beside it
+// (net/http/pprof profiling endpoints next to the same /metrics and
+// /debug/traces views the serving mux exposes), and the
+// serve-until-signalled sequence around both listeners ([Serve]).
 //
-// It exists so the pprof handlers are linked only into binaries that ask
-// for them (library packages never import net/http/pprof) and are bound
-// to a separate listener: the admin mux is meant for a loopback or
-// otherwise operator-only address, never the client-facing one, because
-// profile endpoints can stall a process for seconds at a time. Handlers
-// are registered explicitly on a private mux — nothing touches
-// http.DefaultServeMux, so a binary that also uses the default mux
-// leaks no profiling surface by accident.
+// The admin surface exists so the pprof handlers are linked only into
+// binaries that ask for them (library packages never import
+// net/http/pprof) and are bound to a separate listener: the admin mux
+// is meant for a loopback or otherwise operator-only address, never the
+// client-facing one, because profile endpoints can stall a process for
+// seconds at a time. Handlers are registered explicitly on a private
+// mux — nothing touches http.DefaultServeMux, so a binary that also
+// uses the default mux leaks no profiling surface by accident.
 package adminhttp
 
 import (
@@ -43,16 +45,22 @@ func Handler(reg *telemetry.Registry) http.Handler {
 	return mux
 }
 
-// Serve is the serving loop of a Waldo binary: handler on addr and, when
-// adminAddr is set, the admin surface for reg on its own listener, until
-// SIGINT or SIGTERM. It then stops accepting requests, gives in-flight
-// ones ten seconds to finish, and returns onShutdown's error (nil
-// onShutdown: nil) — where waldo-server flushes and closes its WAL, so no
-// acknowledged upload is lost to a clean shutdown. A serving listener
-// that fails returns its error at once; the admin listener failing to
-// bind is only logged, because it must not take down the serving process.
-func Serve(addr string, handler http.Handler, adminAddr string, reg *telemetry.Registry, onShutdown func() error) error {
+// Serve runs a Waldo binary's listeners: handler on addr under the
+// serving loop ([Server]) and, when adminAddr is set, the admin surface
+// for reg on its own listener, until SIGINT or SIGTERM. Shutdown then
+// goes: stop accepting, call wake (nil: nothing) — which must make
+// parked long-polls answer, or they pin the drain for its whole budget —
+// give requests in flight ten seconds, and only then call onShutdown
+// (nil: nothing), where waldo-server flushes and closes its WAL: an
+// upload acknowledged during the drain is journaled like any other.
+// Serve returns the drain's error or else onShutdown's. A serving
+// listener that fails returns its error at once; the admin listener
+// failing to bind is only logged, because it must not take down the
+// serving process.
+func Serve(addr string, handler http.Handler, adminAddr string, reg *telemetry.Registry, wake func(), onShutdown func() error) error {
 	if adminAddr != "" {
+		// pprof streams for 30 s on a cold path: the one listener that
+		// keeps net/http's server.
 		admin := &http.Server{Addr: adminAddr, Handler: Handler(reg), ReadHeaderTimeout: 10 * time.Second}
 		defer admin.Close()
 		go func() {
@@ -62,23 +70,28 @@ func Serve(addr string, handler http.Handler, adminAddr string, reg *telemetry.R
 		}()
 		log.Printf("admin surface (pprof) on %s", adminAddr)
 	}
-	server := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errc := make(chan error, 1) // the one send must not block if the signal won
-	go func() { errc <- server.ListenAndServe() }()
+	srv, err := Start(addr, handler)
+	if err != nil {
+		return err
+	}
+	return srv.serveUntil(ctx, wake, onShutdown)
+}
+
+// serveUntil is Serve from the moment the listener is up: it blocks
+// until ctx is done (the signal) or accepting fails.
+func (s *Server) serveUntil(ctx context.Context, wake func(), onShutdown func() error) error {
 	select {
-	case err := <-errc:
+	case err := <-s.accepting:
 		return err
 	case <-ctx.Done():
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := server.Shutdown(shutCtx); err != nil {
-		return err
+	err := s.shutdown(wake)
+	if onShutdown != nil {
+		if cerr := onShutdown(); err == nil {
+			err = cerr
+		}
 	}
-	if onShutdown == nil {
-		return nil
-	}
-	return onShutdown()
+	return err
 }

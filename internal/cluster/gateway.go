@@ -141,7 +141,10 @@ type Gateway struct {
 	ownRec   bool
 
 	handler http.Handler
-	stopc   chan struct{}
+	// life ends at BeginShutdown: the prober stops and parked
+	// /v1/model/watch legs, which no timeout leashes, are cancelled.
+	life    context.Context
+	endLife context.CancelFunc
 	wg      sync.WaitGroup
 }
 
@@ -221,8 +224,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		uploadSplits: cfg.Metrics.Counter("waldo_cluster_upload_split_total",
 			"Uploads whose readings crossed a routing-cell or channel boundary and were split across shard legs."),
 		geomerge: newGeoMergeState(cfg.Metrics),
-		stopc:    make(chan struct{}),
 	}
+	g.life, g.endLife = context.WithCancel(context.Background())
 	cfg.Metrics.Gauge("waldo_cluster_ring_nodes",
 		"Shards on the consistent-hash ring.").Set(float64(len(ids)))
 	cfg.Metrics.Gauge("waldo_cluster_ring_vnodes",
@@ -235,10 +238,19 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the background prober (if any), closes the gateway-owned
-// leg connections and the gateway-owned flight recorder.
+// BeginShutdown stops the background prober and answers every parked
+// /v1/model/watch 503, so clients re-arm elsewhere; other requests are
+// still served. A binary calls it once its listener has stopped
+// accepting and before it drains requests in flight — a parked watch
+// would otherwise pin the drain for its whole budget — and calls Close
+// after the drain. Idempotent.
+func (g *Gateway) BeginShutdown() { g.endLife() }
+
+// Close is BeginShutdown, then: wait for the prober, close the
+// gateway-owned leg connections and the gateway-owned flight recorder.
+// Idempotent.
 func (g *Gateway) Close() error {
-	close(g.stopc)
+	g.BeginShutdown()
 	g.wg.Wait()
 	if g.legs != nil {
 		g.legs.Close()
@@ -459,6 +471,9 @@ func embeddable(results []FanoutResult) []FanoutResult {
 	return results
 }
 
+// errShuttingDown ends a parked watch leg at BeginShutdown.
+var errShuttingDown = errors.New("cluster: gateway shutting down")
+
 // withShard is the one way the gateway calls a shard. It counts the
 // request, runs it under a "leg" child span (attr shard=ID) of the
 // request's trace — shardDo propagates that span's context, so the
@@ -486,6 +501,9 @@ func (g *Gateway) withShard(r *http.Request, sh *shardState, body []byte, consum
 				leg.Fail(fmt.Sprintf("leg status %d", status))
 			}
 			return nil
+		}
+		if err == errShuttingDown { // the gateway's doing, not the endpoint's
+			return err
 		}
 		g.endpointFailed(r.Context(), sh, endpoint, err, "request")
 		lastErr = err
@@ -543,14 +561,19 @@ var legHeaders = [...]string{"Content-Type", "If-None-Match", "Accept", http.Can
 // shard's spans join the gateway's trace, then consume on the response,
 // all within legTimeout — except a /v1/model/watch leg, which parks
 // past any sane budget by design and is leashed by the client's context
-// alone. It reports the response status once consume accepted it.
+// and the gateway's life: BeginShutdown ends it with errShuttingDown.
+// It reports the response status once consume accepted it.
 func (g *Gateway) shardDo(r *http.Request, endpoint string, body []byte, consume func(*http.Response) error) (int, error) {
-	ctx := r.Context()
-	if r.URL.Path != "/v1/model/watch" {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, legTimeout)
-		defer cancel()
+	var ctx context.Context
+	var cancel context.CancelFunc
+	parked := r.URL.Path == "/v1/model/watch"
+	if parked {
+		ctx, cancel = context.WithCancel(r.Context())
+		defer context.AfterFunc(g.life, cancel)()
+	} else {
+		ctx, cancel = context.WithTimeout(r.Context(), legTimeout)
 	}
+	defer cancel()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -570,6 +593,9 @@ func (g *Gateway) shardDo(r *http.Request, endpoint string, body []byte, consume
 	}
 	resp, err := g.httpc.Do(req)
 	if err != nil {
+		if parked && g.life.Err() != nil {
+			err = errShuttingDown
+		}
 		return 0, err
 	}
 	defer resp.Body.Close()
@@ -624,7 +650,12 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 		io.Copy(w, resp.Body) //nolint:errcheck // client went away
 		return nil
 	})
-	if err != nil {
+	switch {
+	case err == nil:
+	case err == errShuttingDown:
+		w.Header().Set(ClusterVersionHeader, g.version)
+		http.Error(w, "gateway shutting down", http.StatusServiceUnavailable)
+	default:
 		g.lg.Error(r.Context(), "shard_unavailable", "shard", sh.spec.ID, "err", err)
 		w.Header().Set(ClusterVersionHeader, g.version)
 		http.Error(w, fmt.Sprintf("shard %s unavailable: %v", sh.spec.ID, err), http.StatusBadGateway)
@@ -681,7 +712,7 @@ func (g *Gateway) probeLoop() {
 	}
 	for {
 		select {
-		case <-g.stopc:
+		case <-g.life.Done():
 			return
 		case <-t.C:
 			for _, id := range g.ring.Nodes() {

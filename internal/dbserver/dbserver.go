@@ -174,11 +174,9 @@ type Server struct {
 	geoidx *geoindex.Index
 	geoq   geoQueryState
 
-	// closed is closed by Close so parked long-polls (watchers) wake and
-	// answer instead of pinning the listener's graceful shutdown for up
-	// to a full watch horizon. closeOnce makes Close idempotent — crash
-	// harnesses and the e2e latency harness both close servers that their
-	// cleanup paths close again.
+	// closed is closed by BeginShutdown (once: closeOnce) so parked
+	// long-polls (watchers) wake and answer instead of pinning the
+	// listener's graceful shutdown for up to a full watch horizon.
 	closed    chan struct{}
 	closeOnce sync.Once
 

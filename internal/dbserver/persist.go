@@ -202,24 +202,33 @@ func (s *Server) FlushWAL() error {
 	return first
 }
 
-// Close waits out background checkpoints, then flushes and closes every
-// durable store's log, and wakes every parked model watcher (answered 503
-// so clients re-arm elsewhere) — a listener draining in-flight requests
-// after Close never waits out a long-poll horizon. It deliberately does
-// not checkpoint: the data dir stays crash-shaped, and recovery replays
-// it identically whether the process exited cleanly or died. Idempotent.
-func (s *Server) Close() error {
+// BeginShutdown wakes every parked model watcher (answered 503, so
+// clients re-arm elsewhere) and stops new background checkpoints from
+// starting; uploads are still accepted and journaled. A binary calls it
+// once its listener has stopped accepting and before it drains requests
+// in flight — a parked long-poll would otherwise pin the drain for its
+// whole budget — and calls Close after the drain. Idempotent.
+func (s *Server) BeginShutdown() {
 	s.closeOnce.Do(func() {
 		s.checkpointerMu.Lock()
 		close(s.closed)
 		s.checkpointerMu.Unlock()
-		// Stop grid rebuild scheduling and wait out any in-flight build
-		// so shutdown never leaks a builder goroutine.
-		s.geoidx.Close()
-		if s.ownRec {
-			s.recorder.Close()
-		}
 	})
+}
+
+// Close is BeginShutdown, then: wait out background checkpoints and the
+// geo grid builder, flush and close every durable store's log. It
+// deliberately does not checkpoint: the data dir stays crash-shaped, and
+// recovery replays it identically whether the process exited cleanly or
+// died. Idempotent.
+func (s *Server) Close() error {
+	s.BeginShutdown()
+	// Stop grid rebuild scheduling and wait out any in-flight build so
+	// shutdown never leaks a builder goroutine.
+	s.geoidx.Close()
+	if s.ownRec {
+		s.recorder.Close()
+	}
 	// No checkpointer starts any more; none may still be writing into a
 	// store directory when its log closes (or when Close returns).
 	s.checkpointers.Wait()

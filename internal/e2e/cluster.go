@@ -7,11 +7,11 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"sort"
 	"time"
 
+	"github.com/wsdetect/waldo/internal/adminhttp"
 	"github.com/wsdetect/waldo/internal/client"
 	"github.com/wsdetect/waldo/internal/cluster"
 	"github.com/wsdetect/waldo/internal/core"
@@ -142,7 +142,7 @@ type ClusterResult struct {
 // clusterNode is one running node plus its HTTP front.
 type clusterNode struct {
 	node *cluster.Node
-	ts   *httptest.Server
+	ts   *adminhttp.Server
 	dir  string
 }
 
@@ -204,7 +204,12 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &clusterNode{node: n, ts: httptest.NewServer(n.Handler()), dir: dir}, nil
+		ts, err := adminhttp.Start("127.0.0.1:0", n.Handler())
+		if err != nil {
+			n.Close()
+			return nil, err
+		}
+		return &clusterNode{node: n, ts: ts, dir: dir}, nil
 	}
 
 	primaries := make(map[string]*clusterNode, cfg.Shards)
@@ -243,7 +248,10 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 		return nil, err
 	}
 	defer gw.Close()
-	gwTS := httptest.NewServer(gw.Handler())
+	gwTS, err := adminhttp.Start("127.0.0.1:0", gw.Handler())
+	if err != nil {
+		return nil, err
+	}
 	defer gwTS.Close()
 
 	// --- Client: resolver-targeted at the gateway, chaos on its wire. ---

@@ -41,6 +41,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/wsdetect/waldo/internal/adminhttp"
 	"github.com/wsdetect/waldo/internal/client"
 	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
@@ -208,7 +209,7 @@ type session struct {
 	cfg       Config
 	env       *rfenv.Environment
 	srv       *dbserver.Server
-	ts        *httptest.Server
+	ts        *adminhttp.Server
 	cl        *client.Client
 	clientReg *telemetry.Registry
 	serverReg *telemetry.Registry
@@ -243,7 +244,11 @@ func newSession(cfg Config, env *rfenv.Environment, log *strings.Builder, dataDi
 		serverMW = &faultinject.Middleware{Plan: cfg.ServerPlan}
 		handler = serverMW.Wrap(handler)
 	}
-	ts := httptest.NewServer(handler)
+	ts, err := adminhttp.Start("127.0.0.1:0", handler)
+	if err != nil {
+		srv.Close()
+		return nil, err
+	}
 	var clientTR *faultinject.Transport
 	ccfg := cfg.Client
 	if cfg.ClientPlan != nil {

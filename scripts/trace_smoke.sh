@@ -8,7 +8,11 @@
 # owning shard's recorder (/v1/upload/batch root + wal/append span).
 # This is the out-of-process proof that header propagation,
 # /debug/traces, and the WAL span attribution survive flag parsing and
-# real sockets, not just the in-process test harness.
+# real sockets, not just the in-process test harness. It then drives
+# the request shapes real clients send at the binaries' serving loop
+# (Expect: 100-continue, HTTP/1.0, Connection: close, a long-poll whose
+# client gives up) and SIGTERMs a gateway and a shard with a watcher
+# parked on each.
 #
 # Usage: scripts/trace_smoke.sh [bin-dir]
 # Binaries are taken from bin-dir (default ./bin); build them with
@@ -160,6 +164,97 @@ printf '%s\n' "$SH_TRACE" | grep -q "wal/append" || {
     exit 1
 }
 echo "shard trace OK (route + wal/append on $SHARD)"
+
+# --- The shapes real clients send, on the real binaries' serving loop
+# (internal/adminhttp: DESIGN.md §8 "Serving loop"). ---
+GW="http://127.0.0.1:$GATEWAY_PORT"
+SH="http://127.0.0.1:$SHARD_PORT"
+
+# expect_code what want curl-args...: run curl, compare the status code.
+expect_code() {
+    local what=$1 want=$2 got
+    shift 2
+    got=$(curl -sS -o /dev/null -w '%{http_code}' "$@") || true
+    if [ "$got" != "$want" ]; then
+        echo "$what: HTTP $got, want $want" >&2
+        exit 1
+    fi
+}
+
+# A JSON upload over 1 KiB that waits for "100 Continue" before sending
+# its body. curl older than 7.47 asks for that by itself over 1 KiB,
+# newer ones only over 1 MiB, so say it outright. A server that never
+# sends the 100 costs the client its full one-second patience.
+READINGS=""
+for i in $(seq 10 29); do
+    READINGS="${READINGS:+$READINGS,}{\"seq\":$i,\"lat\":33.7490,\"lon\":-84.3880,\"channel\":47,\"sensor\":1,\"rss_dbm\":-70,\"cft_db\":-81.3,\"aft_db\":-83}"
+done
+BIG="{\"ci_span_db\":0.4,\"readings\":[$READINGS]}"
+[ "${#BIG}" -gt 1024 ] || { echo "upload body is only ${#BIG} bytes" >&2; exit 1; }
+for base in "$GW" "$SH"; do
+    OUT=$(curl -sS -o /dev/null -w '%{http_code} %{time_total}' -H 'Content-Type: application/json' \
+        -H 'Expect: 100-continue' -d "$BIG" "$base/v1/readings")
+    if ! printf '%s' "$OUT" | awk '{exit !($1 == 204 && $2 < 0.8)}'; then
+        echo "Expect: 100-continue upload to $base: '$OUT' (code, seconds), want 204 in well under a second" >&2
+        exit 1
+    fi
+done
+for base in "$GW" "$SH"; do
+    expect_code "HTTP/1.0 GET $base/v1/stats" 200 --http1.0 "$base/v1/stats"
+    expect_code "Connection: close GET $base/v1/stats" 200 -H 'Connection: close' "$base/v1/stats"
+done
+echo "client shapes OK (Expect: 100-continue, HTTP/1.0, Connection: close on gateway and $SHARD)"
+
+# shard_metric name: the value of one series on the owning shard.
+shard_metric() {
+    curl -fsS "$SH/metrics" | awk -v name="$1" '$1 == name {print $2}'
+}
+# wait_metric name want: poll the shard until the series reads want.
+wait_metric() {
+    local got
+    for _ in $(seq 1 40); do
+        got=$(shard_metric "$1")
+        [ "$got" = "$2" ] && return 0
+        sleep 0.05
+    done
+    echo "shard $SHARD: $1 = '$got', want $2" >&2
+    return 1
+}
+
+# A parked /v1/model/watch whose client gives up: the handler's
+# r.Context().Done() is what starts the serving loop's hang-up watcher,
+# so the shard must still notice — directly, and behind the gateway,
+# whose own loop must notice first and drop the leg.
+WATCH="v1/model/watch?channel=47&sensor=1&version=99"
+curl -sS -o /dev/null --max-time 1 "$SH/$WATCH" 2>/dev/null || true
+wait_metric 'waldo_dbserver_watch_total{outcome="disconnect"}' 1
+wait_metric waldo_dbserver_watch_active 0
+curl -sS -o /dev/null --max-time 1 "$GW/$WATCH&lat=33.7490&lon=-84.3880" 2>/dev/null || true
+wait_metric 'waldo_dbserver_watch_total{outcome="disconnect"}' 2
+wait_metric waldo_dbserver_watch_active 0
+echo "abandoned watches OK (disconnect counted on $SHARD, directly and through the gateway)"
+
+# SIGTERM with a watcher parked: the watcher is answered 503 at once,
+# not dropped after the ten-second drain, and the process exits 0.
+# term_parked what pid url: park a watch on url, SIGTERM pid.
+term_parked() {
+    local what=$1 pid=$2 url=$3 code status=0 t0
+    curl -sS -o /dev/null -w '%{http_code}' --max-time 15 "$url" >"$WORK/parked.code" 2>/dev/null &
+    local curl_pid=$!
+    sleep 0.3
+    t0=$(date +%s)
+    kill -TERM "$pid"
+    wait "$pid" || status=$?
+    wait "$curl_pid" || true
+    code=$(cat "$WORK/parked.code")
+    if [ "$status" -ne 0 ] || [ "$code" != 503 ] || [ $(($(date +%s) - t0)) -gt 2 ]; then
+        echo "SIGTERM to $what with a watcher parked: exit $status, watcher got HTTP $code, $(($(date +%s) - t0)) s; want exit 0, 503, at once" >&2
+        exit 1
+    fi
+}
+term_parked gateway "${PIDS[3]}" "$GW/$WATCH&lat=33.7490&lon=-84.3880"
+term_parked "shard $SHARD" "${PIDS[$SHARD_IDX]}" "$SH/$WATCH"
+echo "graceful shutdown OK (parked watchers answered 503, gateway and $SHARD exited 0)"
 
 echo
 echo "trace smoke OK: one trace ID crossed gateway -> $SHARD -> WAL"
