@@ -197,7 +197,13 @@ func (w *WSD) SenseChannel(ch rfenv.Channel, loc geo.Point) (ChannelScan, error)
 		maxN = w.MaxReadingsPerChannel
 	}
 
-	var cpu time.Duration
+	// Feature extraction (FFT + energy detection), detector bookkeeping
+	// and the decision are the WSD's processing cost (Fig. 18); the
+	// radio's capture time is not. The clock is read once at each
+	// hand-over between the two, as an offset from one base, and the
+	// stamp that closes the last Offer opens Decide.
+	base := time.Now()
+	var cpu, mark time.Duration // mark: when processing last took over
 	captures := 0
 	cal := w.Radio.Calibration()
 	for captures < maxN {
@@ -206,22 +212,21 @@ func (w *WSD) SenseChannel(ch rfenv.Channel, loc geo.Point) (ChannelScan, error)
 			return ChannelScan{}, fmt.Errorf("client: capture %v: %w", ch, err)
 		}
 		captures++
-		// Feature extraction (FFT + energy detection) and detector
-		// bookkeeping are the WSD's processing cost (Fig. 18).
-		start := time.Now()
+		mark = time.Since(base)
 		sig, err := features.FromObservation(obs, cal)
 		if err != nil {
 			return ChannelScan{}, fmt.Errorf("client: extract %v: %w", ch, err)
 		}
 		done := det.Offer(sig)
-		cpu += time.Since(start)
+		now := time.Since(base)
+		cpu += now - mark
+		mark = now
 		if done {
 			break
 		}
 	}
-	start := time.Now()
 	dec, err := det.Decide(loc)
-	cpu += time.Since(start)
+	cpu += time.Since(base) - mark
 	if err != nil {
 		return ChannelScan{}, fmt.Errorf("client: decide %v: %w", ch, err)
 	}

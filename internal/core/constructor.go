@@ -314,36 +314,54 @@ func (m *Model) Classify(loc geo.Point, sig features.Signal) (dataset.Label, err
 		return 0, fmt.Errorf("core: empty model")
 	}
 	xy := m.proj.ToXY(loc)
-	idx, _ := kmeans.Nearest(m.centers, []float64{xy.X / 1000, xy.Y / 1000})
+	// The three vectors of a classification — features, z-scores and,
+	// inside RFFSVM, the kernel row — live on this goroutine's stack: a
+	// Model is shared by concurrent callers and keeps no scratch.
+	var buf [2][features.MaxDim]float64
+	vec, err := m.Features.AppendVector(buf[0][:0], xy, sig)
+	if err != nil {
+		return 0, err
+	}
+	idx, _ := kmeans.Nearest(m.centers, vec[:2]) // the planar point, in km
 	lm := &m.locals[idx]
 	if lm.constant {
 		return lm.constantLabel, nil
 	}
-	vec, err := m.Features.Vector(xy, sig)
+	z := buf[1][:len(vec)]
+	if err := lm.std.TransformInto(z, vec); err != nil {
+		return 0, err
+	}
+	score, err := lm.decisionValue(z)
 	if err != nil {
 		return 0, err
 	}
-	z, err := lm.std.Transform(vec)
-	if err != nil {
-		return 0, err
+	// Every family predicts Positive at score ≥ 0; a safety margin
+	// raises that bar.
+	if score >= m.margin {
+		return dataset.LabelSafe, nil
 	}
-	if m.margin > 0 {
-		if scorer, ok := lm.clf.(ml.DecisionScorer); ok {
-			score, err := scorer.DecisionValue(z)
-			if err != nil {
-				return 0, err
-			}
-			if score >= m.margin {
-				return dataset.LabelSafe, nil
-			}
-			return dataset.LabelNotSafe, nil
-		}
+	return dataset.LabelNotSafe, nil
+}
+
+// decisionValue scores a z-scored vector. The families a device is sent
+// are called on their concrete types, where escape analysis can see z is
+// not kept, so it stays on Classify's stack; SMO hands its input to a
+// Kernel interface, which would move every caller's z to the heap, and
+// gets a copy instead.
+func (lm *localModel) decisionValue(z []float64) (float64, error) {
+	switch clf := lm.clf.(type) {
+	case *svm.RFFSVM:
+		return clf.DecisionValue(z)
+	case *svm.Pegasos:
+		return clf.DecisionValue(z)
+	case *bayes.GaussianNB:
+		return clf.DecisionValue(z)
 	}
-	cls, err := lm.clf.Predict(z)
-	if err != nil {
-		return 0, err
+	scorer, ok := lm.clf.(ml.DecisionScorer)
+	if !ok {
+		return 0, fmt.Errorf("core: classifier %T has no decision value", lm.clf)
 	}
-	return classToLabel(cls), nil
+	return scorer.DecisionValue(append([]float64(nil), z...))
 }
 
 // ClassifyReading is a convenience wrapper over Classify.

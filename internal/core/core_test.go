@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/features"
+	"github.com/wsdetect/waldo/internal/ml/svm"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 )
@@ -261,6 +264,56 @@ func TestDecodeModelRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeModel(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated descriptor must be rejected")
+	}
+}
+
+// TestDecodeModelRejectsNonFiniteClassifier patches one value of a valid
+// descriptor to +Inf, −Inf and NaN, per SVM family. A bias of +Inf scores
+// every input +Inf — Safe everywhere — so the decoder a device runs
+// against a server it may not trust has to refuse it, not classify.
+func TestDecodeModelRejectsNonFiniteClassifier(t *testing.T) {
+	readings, labels := synthReadings(200, 11)
+	// Each family writes its bias last; SMO writes the coefficients
+	// before it and the support vectors before those.
+	for _, tc := range []struct {
+		kind    ClassifierKind
+		what    string
+		fromEnd int
+	}{
+		{KindLinearSVM, "bias", 8},
+		{KindLinearSVM, "last weight", 16},
+		{KindSVM, "bias", 8},
+		{KindSVMExact, "bias", 8},
+		{KindSVMExact, "last coefficient", 16},
+		{KindSVMExact, "last support-vector element", -1},
+	} {
+		m, err := BuildModel(readings, labels, ConstructorConfig{Classifier: tc.kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeModel(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		valid := buf.Bytes()
+		if _, err := DecodeModel(bytes.NewReader(valid)); err != nil {
+			t.Fatalf("%v: unpatched descriptor: %v", tc.kind, err)
+		}
+		fromEnd := tc.fromEnd
+		if fromEnd < 0 {
+			_, coef, _, err := m.locals[0].clf.(*svm.SMO).Model()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromEnd = 8 + 8*len(coef) + 8
+		}
+		for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+			patched := append([]byte(nil), valid...)
+			binary.LittleEndian.PutUint64(patched[len(patched)-fromEnd:], math.Float64bits(v))
+			if _, err := DecodeModel(bytes.NewReader(patched)); err == nil {
+				t.Errorf("%v: descriptor with %s = %v decoded", tc.kind, tc.what, v)
+			}
+		}
 	}
 }
 

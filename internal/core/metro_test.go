@@ -81,9 +81,12 @@ func metroConstructor(kind ClassifierKind) ConstructorConfig {
 
 // TestGoldenMetroModelBytes is the gate on the trainer's kernels
 // (DESIGN.md §8): passes may be fused and storage flattened, but the
-// nine metro models must encode to the bytes the five-pass, row-per-
-// allocation trainer produced. The hashes were captured on that trainer
-// (commit 05513a6) before any kernel changed.
+// nine metro models must encode to the bytes pinned here. KindNB's hash
+// is the one captured on the five-pass, row-per-allocation trainer
+// (commit 05513a6). The two Pegasos-backed hashes were re-captured once,
+// when Pegasos.Fit went to scaled form (weights within 1e-9 relative of
+// the five-pass loop, TestMetroDecisionsUnchanged holding every
+// decision); from there on they bind the scaled loop exactly.
 //
 // amd64 only: Go may fuse x*y+z into one rounding on other
 // architectures, which moves the low bits of every dot product.
@@ -92,8 +95,8 @@ func TestGoldenMetroModelBytes(t *testing.T) {
 		t.Skipf("golden model bytes are pinned on amd64, not %s", runtime.GOARCH)
 	}
 	golden := map[ClassifierKind]string{
-		KindSVM:       "68b497c1cf8c6e76f142c4e5ee8df7081b6bce0320f98e3446f4d4093e16fb7a",
-		KindLinearSVM: "2533d6f13dc90e80120b3e14ad681274f8d587cccb83a6f92cf59f8f60f4f229",
+		KindSVM:       "2a7dc9d5ed3bfd7dd5f9940eabfd9bf3125dbbe495de96c6c6f4da6f8e8a846e",
+		KindLinearSVM: "fca70cecd93134511ed1a0de66798997dd4abcb2c8cb6af5b7c63895b0151d9d",
 		KindNB:        "5654b967d7d8fc65b95e6a49e2fdb077de402e296aecf9c46dc8253f04d58eb3",
 	}
 	channels := metroCampaign(t)
@@ -110,6 +113,53 @@ func TestGoldenMetroModelBytes(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != golden[kind] {
 			t.Errorf("%v: nine metro models hash to %s, golden %s", kind, got, golden[kind])
+		}
+	}
+}
+
+// TestMetroDecisionsUnchanged is the other half of the re-basing: the
+// model bytes moved in their last bits, the decisions did not. Every
+// campaign reading is classified by its channel's model, per
+// Pegasos-backed family, and the labels hash to what the five-pass
+// trainer's models gave (captured by this test at commit 70197ca, the
+// last one whose Fit was bit-identical to that trainer).
+func TestMetroDecisionsUnchanged(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("metro decisions are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	golden := map[ClassifierKind]struct {
+		digest string
+		safe   int
+	}{
+		KindSVM:       {"a955be037b9d90c6bcda7eaff3f5da647b3a77bdaef42d13fe134e360ed767e9", 4948},
+		KindLinearSVM: {"c095073a2ca4cdd2b25bd312c849d6f474656181982aa9b85bb867c8b1822b5e", 5956},
+	}
+	channels := metroCampaign(t)
+	for _, kind := range []ClassifierKind{KindSVM, KindLinearSVM} {
+		h := sha256.New()
+		var safe int
+		for _, mc := range channels {
+			m, err := BuildModel(mc.readings, mc.labels, metroConstructor(kind))
+			if err != nil {
+				t.Fatalf("%v %v: %v", kind, mc.ch, err)
+			}
+			decisions := make([]byte, len(mc.readings))
+			for i, r := range mc.readings {
+				label, err := m.ClassifyReading(r)
+				if err != nil {
+					t.Fatalf("%v %v reading %d: %v", kind, mc.ch, i, err)
+				}
+				decisions[i] = byte(label)
+				if label == dataset.LabelSafe {
+					safe++
+				}
+			}
+			h.Write(decisions)
+		}
+		want := golden[kind]
+		if got := hex.EncodeToString(h.Sum(nil)); got != want.digest || safe != want.safe {
+			t.Errorf("%v: %d×%d decisions hash to %s with %d safe, five-pass trainer %s with %d safe",
+				kind, len(channels), metroSamples, got, safe, want.digest, want.safe)
 		}
 	}
 }
@@ -134,5 +184,30 @@ func TestBuildModelAllocBudget(t *testing.T) {
 		}
 	}); avg > budget {
 		t.Errorf("BuildModel on %d readings of %v allocates %.0f objects/op, budget %d", len(mc.readings), mc.ch, avg, budget)
+	}
+}
+
+// TestClassifyZeroAlloc: a device's decision and a shard's geo-grid cell
+// both end in Model.Classify, whose feature, z-score and kernel vectors
+// are stack arrays. Channel 47's localities are all trained, so every
+// call below runs a classifier.
+func TestClassifyZeroAlloc(t *testing.T) {
+	channels := metroCampaign(t)
+	mc := channels[len(channels)-1]
+	for _, kind := range []ClassifierKind{KindSVM, KindLinearSVM, KindNB} {
+		m, err := BuildModel(mc.readings, mc.labels, metroConstructor(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var i int
+		if avg := testing.AllocsPerRun(200, func() {
+			r := &mc.readings[i%len(mc.readings)]
+			i++
+			if _, err := m.Classify(r.Loc, r.Signal); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%v: Classify allocates %v objects/op, want 0", kind, avg)
+		}
 	}
 }

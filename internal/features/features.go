@@ -91,6 +91,10 @@ func (s Set) Count() int { return int(s) }
 // two coordinates).
 func (s Set) Dim() int { return int(s) + 1 }
 
+// MaxDim is the largest Dim of any set: what a fixed-size buffer for
+// AppendVector has to hold.
+const MaxDim = int(SetLocationRSSCFTAFT) + 1
+
 // Valid reports whether s is a defined set.
 func (s Set) Valid() bool { return s >= SetLocation && s <= SetLocationRSSCFTAFT }
 

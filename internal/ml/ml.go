@@ -159,16 +159,17 @@ func NewStandardizerFromParams(mean, scale []float64) (*Standardizer, error) {
 // Transform z-scores one vector into a new slice.
 func (s *Standardizer) Transform(x []float64) ([]float64, error) {
 	out := make([]float64, len(s.mean))
-	if err := s.transformInto(out, x); err != nil {
+	if err := s.TransformInto(out, x); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// transformInto z-scores x into out, which must hold Dim values.
-func (s *Standardizer) transformInto(out, x []float64) error {
-	if len(x) != len(s.mean) {
-		return fmt.Errorf("ml: transform dim %d, fitted %d", len(x), len(s.mean))
+// TransformInto z-scores x into out, which must hold Dim values, and
+// allocates nothing.
+func (s *Standardizer) TransformInto(out, x []float64) error {
+	if len(x) != len(s.mean) || len(out) < len(x) {
+		return fmt.Errorf("ml: transform dim %d into %d, fitted %d", len(x), len(out), len(s.mean))
 	}
 	for j, v := range x {
 		out[j] = (v - s.mean[j]) / s.scale[j]
@@ -180,7 +181,7 @@ func (s *Standardizer) transformInto(out, x []float64) error {
 func (s *Standardizer) TransformAll(x [][]float64) ([][]float64, error) {
 	out := NewMatrix(len(x), len(s.mean))
 	for i := range x {
-		if err := s.transformInto(out[i], x[i]); err != nil {
+		if err := s.TransformInto(out[i], x[i]); err != nil {
 			return nil, fmt.Errorf("ml: row %d: %w", i, err)
 		}
 	}

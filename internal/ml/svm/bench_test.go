@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -44,6 +45,46 @@ func BenchmarkRFFSVMTrain(b *testing.B) {
 	}
 }
 
+// BenchmarkRFFTransform measures one row of the feature map at the
+// constructor's shape: 48 four-element dot products and 48 cosines.
+func BenchmarkRFFTransform(b *testing.B) {
+	x, _ := localitySet(localityRows, 1)
+	rff, err := NewRFF(4, 48, 0.35, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]float64, rff.OutputDim())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rff.transformInto(out, x[i%len(x)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchSinkF += out[0]
+}
+
+// BenchmarkCosExact compares the kernel with the library on the arguments
+// transformInto gives it; ns/op is per cosine.
+func BenchmarkCosExact(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	args := make([]float64, 4096)
+	for i := range args {
+		args[i] = rng.NormFloat64()*3 + rng.Float64()*2*math.Pi
+	}
+	for _, c := range []struct {
+		name string
+		cos  func(float64) float64
+	}{{"kernel", cosExact}, {"library", math.Cos}} {
+		b.Run(c.name, func(b *testing.B) {
+			var sum float64
+			for i := 0; i < b.N; i++ {
+				sum += c.cos(args[i%len(args)])
+			}
+			benchSinkF += sum
+		})
+	}
+}
+
 func BenchmarkRFFSVMPredict(b *testing.B) {
 	x, y := twoBlobs(2000, 2, 2)
 	m := &RFFSVM{D: 48, Gamma: 0.35, Seed: 3}
@@ -69,7 +110,10 @@ func BenchmarkSMOTrain500(b *testing.B) {
 	}
 }
 
-var benchSink int
+var (
+	benchSink  int
+	benchSinkF float64
+)
 
 // BenchmarkPegasosTrain measures the linear trainer alone on what RFFSVM
 // feeds it inside the constructor: the locality's rows mapped to 48

@@ -64,80 +64,135 @@ func (p *Pegasos) Fit(x [][]float64, y []int) error {
 		wNeg = float64(n) / (2 * float64(neg))
 	}
 
-	// One pass over w per sample. The pass that applies the shrink and
-	// the sub-gradient step also accumulates ‖w‖² and the *next*
-	// sample's dot product against the updated w — two independent add
-	// chains — so every sum still adds the same terms in the same
-	// order as a pass of its own would (DESIGN.md §8). The carried dot
-	// product is recomputed where w or the next sample changes under
-	// it: after a projection rescale and at each epoch's first sample,
-	// whose index the shuffle has only just decided.
+	// Scaled form: w = s·v. The regularization shrink and the projection
+	// rescale w, which here is one multiply of s (and of the running
+	// ‖w‖², and for the projection of b); only a margin violator touches
+	// the vector, v += (step/s)·x, and that pass also takes the next
+	// sample's dot product. The dot product is carried against v, not
+	// w, so no rescale invalidates it. ‖w‖² follows from the margin's
+	// own w·x: ‖shrink·w + step·x‖² = shrink²‖w‖² + 2·step·(shrink·w)·x
+	// + step²‖x‖². Each epoch opens by folding s into v and measuring
+	// ‖w‖² again, so rounding in either does not outlive n samples
+	// (DESIGN.md §8 has the rule this loop is held to).
 	lambda := p.Lambda
-	w := make([]float64, dim)
-	var b float64
+	xnorm2 := make([]float64, n)
+	for i := range x {
+		xnorm2[i] = dot(x[i][:dim], x[i][:dim])
+	}
+	v := make([]float64, dim)
+	s, b := 1.0, 0.0
 	rng := rand.New(rand.NewSource(p.Seed))
 	order := rng.Perm(n)
 	t := 1
 	for epoch := 0; epoch < p.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var dot float64
-		for j, xj := range x[order[0]][:dim] {
-			dot += w[j] * xj
+		var norm2 float64
+		for j := range v {
+			v[j] *= s
+			norm2 += v[j] * v[j]
 		}
+		s = 1
+		vx := dot(v, x[order[0]][:dim]) // v·x of the sample at hand
 		for k, idx := range order {
 			eta := 1 / (lambda * float64(t))
-			t++
 			yi := float64(y[idx])
 			xi := x[idx][:dim]
 			next := xi // the epoch's last sample carries nothing over
 			if k+1 < n {
-				next = x[order[k+1]]
+				next = x[order[k+1]][:dim]
 			}
-			next = next[:dim] // len(w), provably: no bounds checks in the loops below
-			margin := yi * (dot + b)
-			// Regularization shrink.
-			shrink := 1 - eta*lambda
-			var norm2 float64
-			dot = 0
+			margin := yi * (s*vx + b)
+			// Regularization shrink. At t = 1 the factor is 0 and w is
+			// still zero: leave s alone, it divides the step below.
+			if t > 1 {
+				shrink := 1 - eta*lambda
+				s *= shrink
+				norm2 *= shrink * shrink
+			}
+			t++
 			if margin < 1 {
 				classWeight := wNeg
 				if y[idx] == ml.Positive {
 					classWeight = wPos
 				}
 				step := eta * yi * classWeight
-				for j := range w {
-					wj := w[j] * shrink
-					wj += step * xi[j]
-					w[j] = wj
-					norm2 += wj * wj
-					dot += wj * next[j]
-				}
+				norm2 += 2*step*(s*vx) + step*step*xnorm2[idx]
+				vx = axpyDot(v, step/s, xi, next)
 				b += step * 0.1 // lightly-regularized bias channel
 			} else {
-				for j := range w {
-					wj := w[j] * shrink
-					w[j] = wj
-					norm2 += wj * wj
-					dot += wj * next[j]
-				}
+				vx = dot(v, next)
 			}
 			// Pegasos projection onto the ‖w‖ ≤ 1/√λ ball, which tames
 			// the huge early learning rates.
-			if bound := 1 / (lambda * norm2); bound < 1 {
+			if lambda*norm2 > 1 {
+				bound := 1 / (lambda * norm2)
 				scale := math.Sqrt(bound)
-				dot = 0
-				for j := range w {
-					wj := w[j] * scale
-					w[j] = wj
-					dot += wj * next[j]
-				}
+				s *= scale
+				norm2 *= bound
 				b *= scale
+			}
+			// A long run of projections (tiny λ) could take s to zero
+			// within an epoch; fold early, long before it does.
+			if s < 1e-100 {
+				for j := range v {
+					v[j] *= s
+				}
+				vx *= s
+				s = 1
 			}
 		}
 	}
-	p.w = w
+	for j := range v {
+		v[j] *= s
+	}
+	p.w = v
 	p.bias = b
 	return nil
+}
+
+// dot returns a·b over len(a) elements in four interleaved partial sums,
+// combined (s0+s1)+(s2+s3): four add chains the processor can overlap
+// where one would wait on itself.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	j := 0
+	for ; j+4 <= len(a); j += 4 {
+		a4, b4 := a[j:j+4:j+4], b[j:j+4:j+4]
+		s0 += a4[0] * b4[0]
+		s1 += a4[1] * b4[1]
+		s2 += a4[2] * b4[2]
+		s3 += a4[3] * b4[3]
+	}
+	for ; j < len(a); j++ {
+		s0 += a[j] * b[j]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// axpyDot does v += c·x and returns the updated v·next, summed as dot
+// sums: the margin violator's update and the next sample's dot product
+// in one pass over v.
+func axpyDot(v []float64, c float64, x, next []float64) float64 {
+	x, next = x[:len(v)], next[:len(v)]
+	var s0, s1, s2, s3 float64
+	j := 0
+	for ; j+4 <= len(v); j += 4 {
+		v4, x4, n4 := v[j:j+4:j+4], x[j:j+4:j+4], next[j:j+4:j+4]
+		v4[0] += c * x4[0]
+		v4[1] += c * x4[1]
+		v4[2] += c * x4[2]
+		v4[3] += c * x4[3]
+		s0 += v4[0] * n4[0]
+		s1 += v4[1] * n4[1]
+		s2 += v4[2] * n4[2]
+		s3 += v4[3] * n4[3]
+	}
+	for ; j < len(v); j++ {
+		v[j] += c * x[j]
+		s0 += v[j] * next[j]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // DecisionValue implements ml.DecisionScorer.
@@ -175,15 +230,23 @@ func (p *Pegasos) Model() (w []float64, bias float64, err error) {
 	return append([]float64(nil), p.w...), p.bias, nil
 }
 
-// SetModel installs a serialized hyperplane.
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// SetModel installs a serialized hyperplane. Descriptors come off the
+// network, so every value must be finite.
 func (p *Pegasos) SetModel(w []float64, bias float64) error {
 	if len(w) == 0 {
 		return fmt.Errorf("svm: empty weight vector")
 	}
 	for i, v := range w {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !finite(v) {
 			return fmt.Errorf("svm: weight %d is %v", i, v)
 		}
+	}
+	// A bias of +Inf would score every input +Inf: Safe everywhere.
+	if !finite(bias) {
+		return fmt.Errorf("svm: bias is %v", bias)
 	}
 	p.defaults()
 	p.w = append([]float64(nil), w...)

@@ -70,7 +70,7 @@ func (r *RFF) transformInto(out, x []float64) error {
 		for j, xj := range x {
 			dot += row[j] * xj
 		}
-		out[i] = scale * math.Cos(dot+phase)
+		out[i] = scale * cosExact(dot+phase)
 	}
 	return nil
 }
@@ -189,8 +189,16 @@ func (m *RFFSVM) DecisionValue(x []float64) (float64, error) {
 	if m.rff == nil {
 		return 0, fmt.Errorf("svm: model not fitted")
 	}
-	z, err := m.rff.Transform(x)
-	if err != nil {
+	// The shipped D = 48 fits the stack; a model is shared by concurrent
+	// classifications, so there is no scratch to keep on it.
+	var buf [64]float64
+	var z []float64
+	if d := m.rff.OutputDim(); d <= len(buf) {
+		z = buf[:d]
+	} else {
+		z = make([]float64, d)
+	}
+	if err := m.rff.transformInto(z, x); err != nil {
 		return 0, err
 	}
 	return m.Linear.DecisionValue(z)

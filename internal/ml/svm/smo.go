@@ -224,7 +224,8 @@ func (s *SMO) Model() (sv [][]float64, coef []float64, bias float64, err error) 
 	return sv, append([]float64(nil), s.svAY...), s.b, nil
 }
 
-// SetModel installs previously serialized parameters.
+// SetModel installs previously serialized parameters, all of which must
+// be finite.
 func (s *SMO) SetModel(sv [][]float64, coef []float64, bias float64) error {
 	s.defaults()
 	if len(sv) == 0 || len(sv) != len(coef) {
@@ -235,6 +236,17 @@ func (s *SMO) SetModel(sv [][]float64, coef []float64, bias float64) error {
 		if len(sv[i]) != dim {
 			return fmt.Errorf("svm: ragged support vectors at %d", i)
 		}
+		for j, v := range sv[i] {
+			if !finite(v) {
+				return fmt.Errorf("svm: support vector %d[%d] is %v", i, j, v)
+			}
+		}
+		if !finite(coef[i]) {
+			return fmt.Errorf("svm: coefficient %d is %v", i, coef[i])
+		}
+	}
+	if !finite(bias) {
+		return fmt.Errorf("svm: bias is %v", bias)
 	}
 	s.svX = make([][]float64, len(sv))
 	for i := range sv {
