@@ -58,7 +58,7 @@ crash-test:
 chaos:
 	$(GO) test -race ./internal/faultinject/ ./internal/e2e/ -count 1
 	$(GO) test -race ./internal/client/ -run 'TestRetry|TestBackoff|TestBreaker|TestStaleServe|TestWatch|TestConcurrentRefreshUploadUnderFaults' -count 1
-	$(GO) test -race ./internal/dbserver/ -run 'TestLoadShedding|TestRequestTimeout|TestMaxBody' -count 1
+	$(GO) test -race ./internal/dbserver/ -run TestMaxBody -count 1
 
 # Sharded-cluster acceptance under the race detector: the
 # ring/replication/gateway unit tests and the kill-a-primary e2e chaos

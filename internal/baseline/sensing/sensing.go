@@ -21,9 +21,6 @@ type Detector struct {
 	ThresholdDBm float64
 }
 
-// NewFCC returns the regulatory −114 dBm detector.
-func NewFCC() *Detector { return &Detector{ThresholdDBm: -114} }
-
 // Decide classifies one reading.
 func (d *Detector) Decide(rssDBm float64) dataset.Label {
 	if rssDBm >= d.ThresholdDBm {

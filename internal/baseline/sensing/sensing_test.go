@@ -8,7 +8,7 @@ import (
 )
 
 func TestDecide(t *testing.T) {
-	d := NewFCC()
+	d := &Detector{ThresholdDBm: -114}
 	if d.ThresholdDBm != -114 {
 		t.Fatalf("FCC threshold = %v", d.ThresholdDBm)
 	}
@@ -46,7 +46,7 @@ func TestDecideAll(t *testing.T) {
 // paper's point that sensing-only detection is infeasible on cheap
 // hardware.
 func TestSensingOverprotection(t *testing.T) {
-	d := NewFCC()
+	d := &Detector{ThresholdDBm: -114}
 	rtlNoiseFloorReading := -88.5 // quiet-channel RSS of the RTL front end
 	if d.Decide(rtlNoiseFloorReading) != dataset.LabelNotSafe {
 		t.Error("RTL noise floor must trip the −114 rule")

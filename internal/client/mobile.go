@@ -129,15 +129,6 @@ type ScanResult struct {
 	CPUTime time.Duration
 }
 
-// CPUUtilizationPct returns the scan's processing share of the duty cycle
-// (the paper's normalized 2.35 % average when cycleS = 60).
-func (s ScanResult) CPUUtilizationPct(cycle time.Duration) float64 {
-	if cycle <= 0 {
-		return 0
-	}
-	return 100 * float64(s.CPUTime) / float64(cycle)
-}
-
 // WSD is the mobile white-space device: radio + per-channel models +
 // detector configuration. It is not safe for concurrent use.
 type WSD struct {

@@ -89,28 +89,6 @@ func (r *Ring) Owner(k RouteKey) string {
 	return r.nodes[r.points[r.search(keyHash(r.cfg.Seed, k))].node]
 }
 
-// OwnerN returns the first n distinct members encountered walking
-// clockwise from the key's position — the owner first, then the natural
-// replica placement order. n is clamped to the member count.
-func (r *Ring) OwnerN(k RouteKey, n int) []string {
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	seen := make(map[int32]bool, n)
-	for i, at := 0, r.search(keyHash(r.cfg.Seed, k)); i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(at+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, r.nodes[p.node])
-		}
-	}
-	return out
-}
-
 // search returns the index of the first point at or after h, wrapping to
 // 0 past the top of the circle.
 func (r *Ring) search(h uint64) int {

@@ -111,9 +111,6 @@ type Model struct {
 	proj    *geo.Projector
 }
 
-// NumLocalities returns the number of per-locality models.
-func (m *Model) NumLocalities() int { return len(m.locals) }
-
 // newClassifier builds an untrained classifier for the configured family.
 func newClassifier(kind ClassifierKind, seed int64) (ml.Classifier, error) {
 	switch kind {

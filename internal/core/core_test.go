@@ -85,8 +85,8 @@ func TestBuildModelAndClassify(t *testing.T) {
 	for _, kind := range []ClassifierKind{KindSVM, KindNB, KindLinearSVM} {
 		cfg := ConstructorConfig{Classifier: kind, Features: features.SetLocationRSSCFT, Seed: 2}
 		m, readings, labels := trainedModel(t, cfg)
-		if m.NumLocalities() != 1 {
-			t.Fatalf("%v: localities = %d, want 1", kind, m.NumLocalities())
+		if len(m.locals) != 1 {
+			t.Fatalf("%v: localities = %d, want 1", kind, len(m.locals))
 		}
 		if acc := modelAccuracy(t, m, readings, labels); acc < 0.9 {
 			t.Errorf("%v: training accuracy = %v", kind, acc)
@@ -125,8 +125,8 @@ func TestLocationPlusSignalBeatsLocationOnlyOnPocket(t *testing.T) {
 func TestClusteredModel(t *testing.T) {
 	cfg := ConstructorConfig{ClusterK: 3, Classifier: KindNB, Features: features.SetLocationRSS, Seed: 4}
 	m, readings, labels := trainedModel(t, cfg)
-	if m.NumLocalities() != 3 {
-		t.Fatalf("localities = %d, want 3", m.NumLocalities())
+	if len(m.locals) != 3 {
+		t.Fatalf("localities = %d, want 3", len(m.locals))
 	}
 	if acc := modelAccuracy(t, m, readings, labels); acc < 0.88 {
 		t.Errorf("clustered accuracy = %v", acc)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -274,12 +275,12 @@ func TestStoreViewsStableUnderConcurrentGrowth(t *testing.T) {
 			t.Fatalf("a view of %d readings changed as the store grew to %d", v.Len(), len(final))
 		}
 	}
-	// RetrainAt reads a prefix that ends inside an earlier chunk.
+	// RetrainAtCtx reads a prefix that ends inside an earlier chunk.
 	_, version := u.Model()
-	if err := u.RetrainAt(version+1, chunkReadings+123); err != nil {
+	if err := u.RetrainAtCtx(context.Background(), version+1, chunkReadings+123); err != nil {
 		t.Fatal(err)
 	}
 	if u.TrainedCount() != chunkReadings+123 {
-		t.Errorf("RetrainAt trained on %d, want %d", u.TrainedCount(), chunkReadings+123)
+		t.Errorf("RetrainAtCtx trained on %d, want %d", u.TrainedCount(), chunkReadings+123)
 	}
 }

@@ -396,7 +396,7 @@ func (u *Updater) TrainedCount() int {
 	return u.trainedCount
 }
 
-// RetrainAt rebuilds the model from the store's first trainedCount
+// RetrainAtCtx rebuilds the model from the store's first trainedCount
 // readings and installs it at exactly the given version — the replication
 // apply path. A primary journals (version, trainedCount) retrain markers;
 // a replica that applies the same mutation stream in order reaches the
@@ -404,12 +404,8 @@ func (u *Updater) TrainedCount() int {
 // constructor config (DESIGN.md §8), so the model installed here is
 // byte-identical to the one the primary serves at that version. The
 // version must advance and the prefix must exist; a violation means the
-// stream was applied out of order and the replica must resync.
-func (u *Updater) RetrainAt(version, trainedCount int) error {
-	return u.RetrainAtCtx(context.Background(), version, trainedCount)
-}
-
-// RetrainAtCtx is RetrainAt carrying the replication-apply request trace.
+// stream was applied out of order and the replica must resync. ctx
+// carries the replication-apply request trace.
 func (u *Updater) RetrainAtCtx(ctx context.Context, version, trainedCount int) error {
 	u.mu.Lock()
 	if trainedCount <= 0 || trainedCount > u.readings.Len() {

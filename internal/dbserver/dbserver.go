@@ -73,16 +73,6 @@
 // status, latency histograms, in-flight gauge), so /metrics observes the
 // server's own traffic with no external collector.
 //
-// # Overload and failure behavior
-//
-// The /v1 data routes are individually bounded: Config.RequestTimeout
-// caps each request's handler (503 on expiry), Config.MaxBodyBytes caps
-// upload bodies, and Config.MaxInFlight sheds load — requests beyond the
-// concurrency limit are answered 429 with a Retry-After hint instead of
-// queueing without bound, counted in waldo_dbserver_shed_total. The
-// health and metrics probes are exempt from shedding so operators can
-// still see an overloaded server.
-//
 // # Durability
 //
 // With Config.DataDir set (construct via [Open]), every store journals
@@ -105,7 +95,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/wsdetect/waldo/internal/core"
@@ -154,11 +143,6 @@ type Server struct {
 	cacheHit    *telemetry.Counter
 	cacheMiss   *telemetry.Counter
 	cacheNotMod *telemetry.Counter
-
-	// inFlight counts data-route requests currently being served, for
-	// the MaxInFlight load-shedding gate.
-	inFlight  atomic.Int64
-	shedTotal *telemetry.Counter
 
 	// upload is the ingest pipeline's counters and pooled decode state
 	// (upload.go); hub and watch drive push-based model delivery
@@ -213,18 +197,8 @@ type Config struct {
 	// and screening instrumentation) and backs the /metrics endpoint.
 	// Nil means a fresh private registry, so telemetry is always on.
 	Metrics *telemetry.Registry
-	// RequestTimeout bounds each data-route request's handler; expired
-	// requests are answered 503. 0 disables the per-request deadline.
-	RequestTimeout time.Duration
 	// MaxBodyBytes caps accepted upload bodies; 0 means 4 MiB.
 	MaxBodyBytes int64
-	// MaxInFlight, when positive, sheds load: data-route requests
-	// beyond this many concurrently in flight are answered 429 with a
-	// Retry-After hint instead of queueing. Health and metrics probes
-	// are exempt. 0 disables shedding.
-	MaxInFlight int
-	// RetryAfter is the hint advertised on shed responses; 0 means 1 s.
-	RetryAfter time.Duration
 	// WatchTimeout is the long-poll horizon of GET /v1/model/watch: a
 	// parked watch is answered 304 after this long so the client re-arms
 	// and intermediaries never see an immortal request. 0 means 55 s.
@@ -251,9 +225,9 @@ type Config struct {
 	// they must only enqueue. State recovered from disk at Open is not
 	// replayed into the tap.
 	Tap Tap
-	// Log receives structured events (shed rejections, screening
-	// failures, WAL errors). Nil disables logging — every wlog method is
-	// a no-op on a nil logger, matching the telemetry convention.
+	// Log receives structured events (screening failures, WAL errors).
+	// Nil disables logging — every wlog method is a no-op on a nil
+	// logger, matching the telemetry convention.
 	Log *wlog.Logger
 }
 
@@ -341,13 +315,11 @@ func New(cfg Config) *Server {
 		cacheHit:    cfg.Metrics.Counter("waldo_dbserver_model_cache_total", cacheHelp, "outcome", "hit"),
 		cacheMiss:   cfg.Metrics.Counter("waldo_dbserver_model_cache_total", cacheHelp, "outcome", "miss"),
 		cacheNotMod: cfg.Metrics.Counter("waldo_dbserver_model_cache_total", cacheHelp, "outcome", "not_modified"),
-		shedTotal: cfg.Metrics.Counter("waldo_dbserver_shed_total",
-			"Data-route requests answered 429 by the load-shedding gate."),
-		upload: newUploadState(cfg.Metrics),
-		hub:    newWatchHub(),
-		watch:  newWatchState(cfg.Metrics),
-		geoq:   newGeoQueryState(cfg.Metrics),
-		closed: make(chan struct{}),
+		upload:      newUploadState(cfg.Metrics),
+		hub:         newWatchHub(),
+		watch:       newWatchState(cfg.Metrics),
+		geoq:        newGeoQueryState(cfg.Metrics),
+		closed:      make(chan struct{}),
 	}
 	// The grid's Source walks the live stores, so the index is built
 	// after the server exists; it serves the empty generation-0 snapshot
@@ -451,30 +423,21 @@ func (s *Server) Bootstrap(readings []dataset.Reading) error {
 }
 
 // Handler returns the HTTP API (see the package comment for the full
-// surface). Every route is served through the telemetry middleware; the
-// /v1 data routes additionally run behind the load-shedding gate and the
-// per-request timeout, so the telemetry counters see the shed 429s and
-// timed-out 503s too. Probes (health, metrics) bypass the gate: an
-// overloaded server must still answer its operators.
+// surface). Every route but /metrics and /debug/traces is served
+// through the telemetry middleware.
 func (s *Server) Handler() http.Handler {
 	m := s.metrics
 	mux := http.NewServeMux()
-	probe := func(pattern, label string, h http.HandlerFunc) {
+	route := func(pattern, label string, h http.HandlerFunc) {
 		mux.Handle(pattern, m.WrapRoute(label, h))
 	}
-	route := func(pattern, label string, h http.HandlerFunc) {
-		mux.Handle(pattern, m.WrapRoute(label, s.protect(h)))
-	}
-	probe("GET /v1/health", "/v1/health", func(w http.ResponseWriter, _ *http.Request) {
+	route("GET /v1/health", "/v1/health", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	probe("GET /healthz", "/healthz", s.handleHealthz)
+	route("GET /healthz", "/healthz", s.handleHealthz)
 	route("GET /v1/model", "/v1/model", s.handleModel)
-	// The watch route is telemetry-wrapped but deliberately outside the
-	// shed/timeout gate: a parked long-poll is idle by design and must not
-	// consume MaxInFlight slots or be cut down by RequestTimeout.
-	probe("GET /v1/model/watch", "/v1/model/watch", s.handleModelWatch)
+	route("GET /v1/model/watch", "/v1/model/watch", s.handleModelWatch)
 	for _, e := range uploadEdges {
 		route("POST "+e.path, e.path, s.handleUpload(e.decode))
 	}
@@ -485,50 +448,10 @@ func (s *Server) Handler() http.Handler {
 	route("GET /v1/stats", "/v1/stats", s.handleStats)
 	route("POST /v1/admin/snapshot", "/v1/admin/snapshot", s.handleAdminSnapshot)
 	mux.Handle("GET /metrics", m.Handler())
-	// The trace viewer is a probe like /metrics: unwrapped (reading the
-	// recorder should not itself mint traces) and outside the shed gate so
-	// an overloaded server can still be diagnosed.
+	// The trace viewer is a probe like /metrics: unwrapped, because
+	// reading the recorder should not itself mint traces.
 	mux.Handle("GET /debug/traces", s.recorder.Handler())
 	return mux
-}
-
-// protect applies the data-route failure bounds: the load-shedding gate
-// outermost (cheap rejection before any work), then the per-request
-// timeout around the actual handler.
-func (s *Server) protect(h http.Handler) http.Handler {
-	if s.cfg.RequestTimeout > 0 {
-		h = http.TimeoutHandler(h, s.cfg.RequestTimeout, "request timed out")
-	}
-	if s.cfg.MaxInFlight > 0 {
-		h = s.shed(h)
-	}
-	return h
-}
-
-// shed answers 429 with a Retry-After hint when more than MaxInFlight
-// data-route requests are already being served. Bounding concurrency
-// keeps latency predictable under the ROADMAP's "millions of users"
-// load: a client told to come back later beats one queued into a
-// timeout.
-func (s *Server) shed(next http.Handler) http.Handler {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	retryAfter := strconv.Itoa(secs)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if int(s.inFlight.Add(1)) > s.cfg.MaxInFlight {
-			s.inFlight.Add(-1)
-			s.shedTotal.Inc()
-			s.lg.Warn(r.Context(), "load_shed",
-				"path", r.URL.Path, "max_in_flight", s.cfg.MaxInFlight)
-			w.Header().Set("Retry-After", retryAfter)
-			http.Error(w, "server overloaded, retry later", http.StatusTooManyRequests)
-			return
-		}
-		defer s.inFlight.Add(-1)
-		next.ServeHTTP(w, r)
-	})
 }
 
 func parseKey(r *http.Request) (rfenv.Channel, sensor.Kind, error) {

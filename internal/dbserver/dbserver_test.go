@@ -530,3 +530,27 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxBodyBytes: oversized uploads are rejected, not buffered.
+func TestMaxBodyBytes(t *testing.T) {
+	s := New(Config{
+		Constructor:  core.ConstructorConfig{Classifier: core.KindNB},
+		MaxBodyBytes: 1024,
+	})
+	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	big := strings.NewReader(fmt.Sprintf(`{"cispan_db":0.1,"readings":[%s]}`,
+		strings.Repeat(`{"seq":1},`, 4096)+`{"seq":1}`))
+	resp, err := ts.Client().Post(ts.URL+"/v1/readings", "application/json", big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Errorf("oversized upload status = %d, want a 4xx rejection", resp.StatusCode)
+	}
+}

@@ -101,9 +101,7 @@ func (s *Server) watchTimeout() time.Duration {
 // current model at once); otherwise the request parks until a retrain
 // bumps the version (200 + descriptor), the watch horizon expires (304,
 // X-Waldo-Model-Version carries the unchanged version), or the client
-// disconnects. The route is deliberately registered outside the
-// shed/timeout gate: a parked watcher is idle by design and must not
-// consume MaxInFlight slots or be killed by RequestTimeout.
+// disconnects.
 func (s *Server) handleModelWatch(w http.ResponseWriter, r *http.Request) {
 	ch, kind, err := parseKey(r)
 	if err != nil {

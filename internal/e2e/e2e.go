@@ -81,10 +81,6 @@ type Config struct {
 	// timeout, 1–10 ms backoff, 25 ms breaker cooldown) so fault-heavy
 	// runs stay quick.
 	Client client.Config
-	// Server carries the database's resilience knobs (RequestTimeout,
-	// MaxBodyBytes, MaxInFlight, RetryAfter); constructor, labeling,
-	// and metrics fields are managed by the harness.
-	Server dbserver.Config
 	// MaxWall bounds the whole run; 0 means 2 minutes. A fault
 	// schedule that never clears fails the run at this deadline
 	// instead of hanging.
@@ -141,10 +137,9 @@ type Result struct {
 	ModelVersion map[rfenv.Channel]int
 
 	// Resilience counters for assertions: client retries, stale cache
-	// serves, server load sheds, and injected fault tallies.
+	// serves, and injected fault tallies.
 	Retries      uint64
 	StaleServed  uint64
-	Shed         uint64
 	ClientFaults map[faultinject.Kind]uint64
 	ServerFaults map[faultinject.Kind]uint64
 	// UploadsAccepted counts batches the database ingested.
@@ -212,7 +207,6 @@ type session struct {
 	ts        *adminhttp.Server
 	cl        *client.Client
 	clientReg *telemetry.Registry
-	serverReg *telemetry.Registry
 	clientTR  *faultinject.Transport
 	serverMW  *faultinject.Middleware
 
@@ -227,13 +221,11 @@ type session struct {
 // connects a fresh client. The client starts cold: a post-crash session
 // re-downloads models exactly like a rebooted WSD fleet.
 func newSession(cfg Config, env *rfenv.Environment, log *strings.Builder, dataDir string) (*session, error) {
-	serverReg := telemetry.New()
-	srvCfg := cfg.Server
-	srvCfg.Constructor = core.ConstructorConfig{Classifier: core.KindNB, Seed: cfg.Seed}
-	srvCfg.AlphaPrimeDB = cfg.AlphaPrimeDB
-	srvCfg.Metrics = serverReg
-	srvCfg.DataDir = dataDir
-	srv, err := dbserver.Open(srvCfg)
+	srv, err := dbserver.Open(dbserver.Config{
+		Constructor:  core.ConstructorConfig{Classifier: core.KindNB, Seed: cfg.Seed},
+		AlphaPrimeDB: cfg.AlphaPrimeDB,
+		DataDir:      dataDir,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -264,8 +256,7 @@ func newSession(cfg Config, env *rfenv.Environment, log *strings.Builder, dataDi
 	cl.SetMetrics(clientReg)
 	return &session{
 		cfg: cfg, env: env, srv: srv, ts: ts, cl: cl,
-		clientReg: clientReg, serverReg: serverReg,
-		clientTR: clientTR, serverMW: serverMW,
+		clientReg: clientReg, clientTR: clientTR, serverMW: serverMW,
 		log:    log,
 		cached: make(map[rfenv.Channel]bool, len(cfg.Channels)),
 	}, nil
@@ -355,7 +346,6 @@ func (s *session) exportStores() ([]byte, error) {
 func (s *session) addCounters(res *Result) {
 	res.Retries += s.clientReg.Counter("waldo_client_retries_total", "").Value()
 	res.StaleServed += s.clientReg.Counter("waldo_client_stale_served_total", "").Value()
-	res.Shed += s.serverReg.Counter("waldo_dbserver_shed_total", "").Value()
 	res.UploadsAccepted += uint64(s.uploaded)
 	res.RefreshErrorsWhileCached += s.errsWhileCached
 	if s.clientTR != nil {

@@ -47,9 +47,9 @@ func TestBaselineSanity(t *testing.T) {
 	if v := base.ModelVersion[47]; v < 2 {
 		t.Errorf("final model version = %d, want ≥2 (bootstrap + retrain)", v)
 	}
-	if base.Retries != 0 || base.StaleServed != 0 || base.Shed != 0 {
-		t.Errorf("fault-free run used resilience machinery: retries=%d stale=%d shed=%d",
-			base.Retries, base.StaleServed, base.Shed)
+	if base.Retries != 0 || base.StaleServed != 0 {
+		t.Errorf("fault-free run used resilience machinery: retries=%d stale=%d",
+			base.Retries, base.StaleServed)
 	}
 	if base.RefreshErrorsWhileCached != 0 {
 		t.Errorf("refresh errored %d times while a model was cached", base.RefreshErrorsWhileCached)

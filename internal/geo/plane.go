@@ -41,9 +41,6 @@ func NewProjector(origin Point) *Projector {
 	}
 }
 
-// Origin returns the anchor point of the projection.
-func (pr *Projector) Origin() Point { return pr.origin }
-
 // ToXY projects p onto the local plane.
 func (pr *Projector) ToXY(p Point) XY {
 	return XY{

@@ -121,20 +121,6 @@ func (s Status) String() string {
 	}
 }
 
-// ParseStatus inverts [Status.String]; unknown text returns 0.
-func ParseStatus(s string) Status {
-	switch s {
-	case "free":
-		return StatusFree
-	case "occupied":
-		return StatusOccupied
-	case "uncertain":
-		return StatusUncertain
-	default:
-		return 0
-	}
-}
-
 // ChannelAvailability is one (channel, sensor family) verdict within
 // one cell.
 type ChannelAvailability struct {

@@ -28,9 +28,6 @@ const (
 	// PilotBelowChannelDB is how far the ATSC pilot sits below total
 	// channel power (FCC requirement cited in §2.1).
 	PilotBelowChannelDB = 11.3
-	// PilotCorrectionDB is added to narrowband pilot-region power to
-	// estimate full channel power (§2.1 adds 12 dB).
-	PilotCorrectionDB = 12.0
 )
 
 // PilotShare is the linear fraction of channel power in the pilot tone.

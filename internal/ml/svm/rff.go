@@ -41,9 +41,6 @@ func NewRFF(inputDim, d int, gamma float64, seed int64) (*RFF, error) {
 	return &RFF{w: w, b: b, dim: inputDim}, nil
 }
 
-// InputDim returns the expected input dimensionality.
-func (r *RFF) InputDim() int { return r.dim }
-
 // OutputDim returns D.
 func (r *RFF) OutputDim() int { return len(r.b) }
 

@@ -134,19 +134,3 @@ func TestFCCCurvesOptimism(t *testing.T) {
 		}
 	}
 }
-
-func TestModelByName(t *testing.T) {
-	for _, name := range []string{"free-space", "hata-urban", "hata-urban-large", "fcc-r6602-style"} {
-		m, err := ModelByName(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if m.Name() != name {
-			t.Errorf("round trip name: got %s, want %s", m.Name(), name)
-		}
-	}
-	if _, err := ModelByName("nope"); err == nil {
-		t.Error("unknown model should fail")
-	}
-}

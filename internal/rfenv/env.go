@@ -123,9 +123,6 @@ func (e *Environment) TransmittersOn(ch Channel) []Transmitter {
 	return append([]Transmitter(nil), e.txByChannel[ch]...)
 }
 
-// Model returns the ground-truth median propagation model.
-func (e *Environment) Model() PathLossModel { return e.model }
-
 // RSSDBm returns the true received TV signal power (dBm) on channel ch at
 // point p and the environment's receiver height: the power sum over all
 // co-channel transmitters of ERP − pathloss − shadowing − obstruction.

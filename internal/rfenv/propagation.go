@@ -1,9 +1,6 @@
 package rfenv
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // PathLossModel predicts median propagation loss between a transmitter and
 // a receiver.
@@ -113,22 +110,6 @@ func (f FCCCurves) PathLossDB(distM, fMHz, hTxM, hRxM float64) float64 {
 		opt = 6
 	}
 	return base.PathLossDB(distM, fMHz, hTxM, hRxM) - opt
-}
-
-// ModelByName returns a propagation model by its Name string, for CLI use.
-func ModelByName(name string) (PathLossModel, error) {
-	switch name {
-	case "free-space":
-		return FreeSpace{}, nil
-	case "hata-urban":
-		return HataUrban{}, nil
-	case "hata-urban-large":
-		return HataUrban{LargeCity: true}, nil
-	case "fcc-r6602-style":
-		return FCCCurves{}, nil
-	default:
-		return nil, fmt.Errorf("rfenv: unknown propagation model %q", name)
-	}
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -83,9 +83,6 @@ func NewShadowField(origin geo.Point, cfg ShadowConfig) *ShadowField {
 	}
 }
 
-// SigmaDB returns the configured field standard deviation.
-func (f *ShadowField) SigmaDB() float64 { return f.sigmaDB }
-
 // AtPoint returns the shadowing value (dB, zero-mean) at p.
 func (f *ShadowField) AtPoint(p geo.Point) float64 {
 	return f.AtXY(f.origin.ToXY(p))

@@ -185,9 +185,6 @@ type Device struct {
 // NewDevice returns an uncalibrated device of the given spec.
 func NewDevice(spec Spec) *Device { return &Device{spec: spec, cal: IdentityCalibration()} }
 
-// Spec returns the device's specification.
-func (d *Device) Spec() Spec { return d.spec }
-
 // Calibration returns the device's current calibration.
 func (d *Device) Calibration() Calibration { return d.cal }
 

@@ -154,18 +154,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return bs
 }
 
-// LinearBuckets returns n linearly spaced bucket bounds.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	bs := make([]float64, n)
-	for i := range bs {
-		bs[i] = start + float64(i)*width
-	}
-	return bs
-}
-
 func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefLatencyBuckets
@@ -352,8 +340,6 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 
-	spanHook atomic.Value // func(name string, seconds float64)
-
 	// spanRoots interns root span paths → *spanNode (see trace.go), so
 	// the span hot path never rebuilds strings or re-walks families.
 	spanRoots sync.Map
@@ -386,12 +372,6 @@ func (r *Registry) FlightRecorder() *Recorder {
 func New() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
-
-var defaultRegistry = New()
-
-// Default returns the process-wide registry used when instrumented
-// components are not handed an explicit one.
-func Default() *Registry { return defaultRegistry }
 
 // labels must be alternating name, value pairs; returns names, values.
 func splitLabels(labels []string) ([]string, []string) {
@@ -505,44 +485,4 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	h := newHistogram(f.bounds)
 	f.instances[key] = h
 	return h
-}
-
-// Each calls fn for every metric instance, sorted by family name then
-// label values. The values passed are live handles; read them with
-// Value/Snapshot.
-func (r *Registry) Each(fn func(name string, labels [][2]string, m any)) {
-	if r == nil {
-		return
-	}
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	for _, f := range fams {
-		f.mu.Lock()
-		keys := make([]string, 0, len(f.instances))
-		for k := range f.instances {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		insts := make([]any, len(keys))
-		for i, k := range keys {
-			insts[i] = f.instances[k]
-		}
-		f.mu.Unlock()
-		for i, k := range keys {
-			var labels [][2]string
-			if len(f.labelNames) > 0 {
-				values := strings.Split(k, "\x00")
-				labels = make([][2]string, len(f.labelNames))
-				for j, n := range f.labelNames {
-					labels[j] = [2]string{n, values[j]}
-				}
-			}
-			fn(f.name, labels, insts[i])
-		}
-	}
 }

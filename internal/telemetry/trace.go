@@ -10,8 +10,7 @@ import (
 // land in the registry's waldo_span_seconds histogram, labeled with the
 // slash-joined span path ("retrain/build"), so nested phase costs (model
 // build, clustering, classification, upload screening) show up in
-// /metrics without a tracing backend. A SpanHook, when set, additionally
-// receives every completed span for custom exporters.
+// /metrics without a tracing backend.
 //
 // Beyond the histogram, a span may belong to a request-scoped trace
 // (StartTrace / StartSpanCtx): it then carries a span ID and parent,
@@ -55,19 +54,6 @@ type spanNode struct {
 }
 
 var spanPool = sync.Pool{New: func() any { return new(Span) }}
-
-// SpanHook receives every completed span: its slash-joined path and
-// duration in seconds.
-type SpanHook func(path string, seconds float64)
-
-// SetSpanHook installs fn as the registry's span exporter (nil to clear).
-// Safe for concurrent use with StartSpan/End.
-func (r *Registry) SetSpanHook(fn SpanHook) {
-	if r == nil {
-		return
-	}
-	r.spanHook.Store(fn)
-}
 
 const spanMetric = "waldo_span_seconds"
 const spanHelp = "Duration of traced operations, labeled by span path."
@@ -199,9 +185,6 @@ func (s *Span) End() time.Duration {
 	} else {
 		s.node.hist.Observe(secs)
 	}
-	if fn, ok := s.reg.spanHook.Load().(SpanHook); ok && fn != nil {
-		fn(s.node.path, secs)
-	}
 	tr := s.tr
 	if tr != nil {
 		rec := SpanData{
@@ -229,15 +212,4 @@ func (s *Span) End() time.Duration {
 	s.attrs = nil
 	spanPool.Put(s)
 	return d
-}
-
-// Time runs fn under a span — the one-liner for leaf operations.
-func (r *Registry) Time(name string, fn func()) time.Duration {
-	if r == nil {
-		fn()
-		return 0
-	}
-	sp := r.StartSpan(name)
-	fn()
-	return sp.End()
 }

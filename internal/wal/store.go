@@ -211,15 +211,6 @@ func applyRecord(rec *Recovered, payload []byte) error {
 	}
 }
 
-// DecodeAppendRecord parses a reading-batch record payload (exported for
-// the property tests and offline inspection tools).
-func DecodeAppendRecord(payload []byte) ([]dataset.Reading, []byte, error) {
-	if len(payload) == 0 || payload[0] != recAppend {
-		return nil, nil, fmt.Errorf("not an append record")
-	}
-	return core.DecodeReadingsWire(payload[1:])
-}
-
 // DecodeRetrainRecord parses a retrain-marker record payload.
 func DecodeRetrainRecord(payload []byte) (version, trainedCount int, err error) {
 	if len(payload) != 9 || payload[0] != recRetrain {

@@ -9,7 +9,6 @@ import (
 
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/features"
-	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 )
@@ -235,6 +234,3 @@ func (c *Campaign) Size() int {
 	}
 	return len(c.Route.Points)
 }
-
-// Area returns the campaign's area of interest.
-func (c *Campaign) Area() geo.BBox { return c.Env.Area }

@@ -6,8 +6,8 @@
 // `key=value` pairs greppable without a pipeline, the trace ID of the
 // request that hit the problem attached automatically so the line links
 // straight to GET /debug/traces. Subsystems that used to fail silently
-// into counters (WAL wedges, replication fencing, gateway failover,
-// shed rejections) log through this package.
+// into counters (WAL wedges, replication fencing, gateway failover)
+// log through this package.
 //
 // Design constraints, mirrored from internal/telemetry:
 //

@@ -17,46 +17,26 @@ import (
 // always finds guidance. Adding a metric means documenting it (with an
 // alert threshold) in the same change.
 func TestOperationsDocCoversEveryMetric(t *testing.T) {
-	doc, err := os.ReadFile("OPERATIONS.md")
-	if err != nil {
-		t.Fatalf("read OPERATIONS.md: %v", err)
-	}
-
+	doc := readFile(t, "OPERATIONS.md")
 	metricRE := regexp.MustCompile(`"(waldo_[a-z0-9_]+)"`)
 	seen := map[string][]string{}
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	// bench/ only reads series off the processes it measures; it
+	// registers none.
+	walkTree(t, func(path string) {
+		if strings.HasPrefix(path, "bench/") || !isNonTestGo(path) {
+			return
 		}
-		if d.IsDir() {
-			// The source tree only; skip VCS internals.
-			if d.Name() == ".git" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range metricRE.FindAllSubmatch(src, -1) {
+		for _, m := range metricRE.FindAllSubmatch(readFile(t, path), -1) {
 			name := string(m[1])
 			seen[name] = append(seen[name], path)
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(seen) < 20 {
 		t.Fatalf("found only %d waldo_* metric names in source; the scan is broken", len(seen))
 	}
 
 	for name, files := range seen {
-		if !strings.Contains(string(doc), name) {
+		if !bytes.Contains(doc, []byte(name)) {
 			t.Errorf("metric %s (registered in %s) is not documented in OPERATIONS.md", name, files[0])
 		}
 	}
@@ -228,14 +208,16 @@ func TestObservabilityMetricsDocumentedWithAlerts(t *testing.T) {
 // TestDocsNameOnlyWhatExists keeps the docs from dangling: every `make
 // <target>` that README.md, OPERATIONS.md, DESIGN.md and the verify skill
 // name (in backticks or at the start of a code-block line) is a target in
-// the Makefile, every scripts/*.sh and internal/<pkg> path they name
-// exists, every waldo-<name> binary they name (bare, under bin/ or under
-// cmd/) is a directory under cmd/, every WALDO_* environment variable
-// they name is read by a non-test .go file, and the artifacts of the
-// measurement stacks that bench/ replaced (BENCH_ + a digit or E) are
-// named nowhere but the history files and bench/ itself. Deleting a
-// target, binary, script, variable or package means deleting its
-// mentions in the same change.
+// the Makefile, every scripts/*.sh, internal/<pkg>, cmd/<name> and
+// examples/<name> path they name exists, every waldo-<name> binary they
+// name (bare, under bin/ or under cmd/) is a directory under cmd/, every
+// WALDO_* environment variable they name is read by a non-test .go file,
+// every "DESIGN.md §N" that a .go file, the Makefile, OPERATIONS.md or
+// README.md names is a "## N." heading of DESIGN.md, and the artifacts
+// of the measurement stacks that bench/ replaced (BENCH_ + a digit or E)
+// are named nowhere but the history files and bench/ itself. Deleting a
+// target, binary, script, variable, package or section means deleting
+// its mentions in the same change.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -250,7 +232,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 
 	makeRE := regexp.MustCompile("(?m)(?:`|^\\s*)make ([a-z][a-z0-9-]*)")
-	pathRE := regexp.MustCompile(`\b(scripts/[a-z0-9_]+\.sh|internal/[a-z0-9]+)`)
+	pathRE := regexp.MustCompile(`\b(scripts/[a-z0-9_]+\.sh|internal/[a-z0-9]+|cmd/[a-z0-9-]+|examples/[a-z0-9-]+)`)
 	binaryRE := regexp.MustCompile(`\bwaldo-[a-z][a-z0-9]*(?:-[a-z0-9]+)*`)
 	envRE := regexp.MustCompile(`\bWALDO_[A-Z_]+`)
 	for _, name := range []string{"README.md", "OPERATIONS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
@@ -280,42 +262,40 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 
+	design := readFile(t, "DESIGN.md")
+	sectionRE := regexp.MustCompile(`DESIGN\.md §(\d+)`)
 	legacyRE := regexp.MustCompile(`BENCH_[0-9E]`)
 	history := map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch path {
-			case ".git", ".bench_build", "bin", "bench":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if history[path] {
-			return nil
+	sectionRefs := 0
+	walkTree(t, func(path string) {
+		if history[path] || strings.HasPrefix(path, "bench/") {
+			return
 		}
 		if legacyRE.MatchString(path) {
 			t.Errorf("%s: a legacy benchmark artifact is back; bench/ is the one measurement system", path)
-			return nil
+			return
 		}
 		switch filepath.Ext(path) {
 		case ".go", ".md", ".sh", ".json", "":
 		default:
-			return nil
+			return
 		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
+		src := readFile(t, path)
 		if tok := legacyRE.Find(src); tok != nil {
 			t.Errorf("%s names %s…, an artifact of a deleted measurement stack", path, tok)
 		}
-		return nil
+		if filepath.Ext(path) != ".go" && path != "Makefile" && path != "OPERATIONS.md" && path != "README.md" {
+			return
+		}
+		for _, m := range sectionRE.FindAllSubmatch(src, -1) {
+			sectionRefs++
+			if !bytes.Contains(design, []byte("\n## "+string(m[1])+". ")) {
+				t.Errorf("%s names DESIGN.md §%s, which is not a section heading", path, m[1])
+			}
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
+	if sectionRefs < 20 {
+		t.Errorf("found only %d DESIGN.md § references; the scan is broken", sectionRefs)
 	}
 }
 
@@ -324,26 +304,47 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 func readByGoSource(t *testing.T, name string) bool {
 	t.Helper()
 	found := false
+	walkTree(t, func(path string) {
+		if !found && isNonTestGo(path) {
+			found = bytes.Contains(readFile(t, path), []byte(strconv.Quote(name)))
+		}
+	})
+	return found
+}
+
+// walkTree calls fn with the slash-relative path of every file in the
+// checkout outside .git, bin/ and .bench_build/, which can hold a parent
+// checkout whose source is not this tree's.
+func walkTree(t *testing.T, fn func(path string)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || found {
+		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			// .git, and .bench_build, which can hold a parent checkout.
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
+			switch path {
+			case ".git", ".bench_build", "bin":
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		found = bytes.Contains(src, []byte(strconv.Quote(name)))
-		return err
+		fn(filepath.ToSlash(path))
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return found
+}
+
+func isNonTestGo(path string) bool {
+	return strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go")
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
 }
