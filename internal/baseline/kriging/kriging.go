@@ -104,18 +104,19 @@ func Fit(readings []dataset.Reading, cfg Config) (*Model, error) {
 	}
 
 	m := &Model{cfg: cfg, proj: geo.NewProjector(readings[0].Loc)}
-	grid, err := geo.NewGridIndex(readings[0].Loc, cfg.MaxLagM/2)
+	locs := make([]geo.Point, len(readings))
+	m.xs = make([]geo.XY, len(readings))
+	m.rss = make([]float64, len(readings))
+	for i := range readings {
+		locs[i] = readings[i].Loc
+		m.xs[i] = m.proj.ToXY(readings[i].Loc)
+		m.rss[i] = readings[i].Signal.RSSdBm
+	}
+	grid, err := geo.NewGridIndex(readings[0].Loc, cfg.MaxLagM/2, locs)
 	if err != nil {
 		return nil, err
 	}
 	m.grid = grid
-	m.xs = make([]geo.XY, len(readings))
-	m.rss = make([]float64, len(readings))
-	for i := range readings {
-		m.xs[i] = m.proj.ToXY(readings[i].Loc)
-		m.rss[i] = readings[i].Signal.RSSdBm
-		grid.Insert(i, readings[i].Loc)
-	}
 
 	vario, err := fitVariogram(m.xs, m.rss, cfg)
 	if err != nil {

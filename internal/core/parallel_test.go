@@ -21,9 +21,10 @@ func encodeForCompare(t testing.TB, m *Model) []byte {
 
 // TestBuildModelWorkerDeterminism is the parallel-pipeline contract: a
 // model built with a worker pool must be bit-identical to a serial build.
-// Every locality trains with a salt derived from its index and the k-means
-// reductions run in fixed order, so the encoded descriptors must match
-// byte for byte.
+// Every locality trains with a salt derived from its index, the k-means
+// reductions run in fixed order and the workers' recycled design matrices
+// (svm's pool) carry nothing from one fit into the next, so the encoded
+// descriptors must match byte for byte — and -race must stay quiet.
 func TestBuildModelWorkerDeterminism(t *testing.T) {
 	readings, labels := synthReadings(1500, 21)
 	for _, kind := range []ClassifierKind{KindSVM, KindNB} {
@@ -32,7 +33,7 @@ func TestBuildModelWorkerDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := encodeForCompare(t, serial)
-		for _, workers := range []int{0, 2, 8} {
+		for _, workers := range []int{0, 2, 3, 8} {
 			m, err := BuildModel(readings, labels, ConstructorConfig{ClusterK: 6, Classifier: kind, Workers: workers})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", kind, workers, err)

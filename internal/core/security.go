@@ -78,12 +78,13 @@ func NewUploadValidator(trusted []dataset.Reading, cfg ValidatorConfig) (*Upload
 	if len(trusted) == 0 {
 		return nil, fmt.Errorf("core: validator needs a trusted store")
 	}
-	idx, err := geo.NewGridIndex(trusted[0].Loc, cfg.NeighborhoodM)
+	locs := make([]geo.Point, len(trusted))
+	for i := range trusted {
+		locs[i] = trusted[i].Loc
+	}
+	idx, err := geo.NewGridIndex(trusted[0].Loc, cfg.NeighborhoodM, locs)
 	if err != nil {
 		return nil, err
-	}
-	for i := range trusted {
-		idx.Insert(i, trusted[i].Loc)
 	}
 	return &UploadValidator{cfg: cfg, index: idx, store: trusted}, nil
 }

@@ -119,7 +119,8 @@ func (c LabelConfig) effectiveRSS(r *Reading) float64 {
 // LabelReadings implements the paper's Algorithm 1: a reading is NotSafe
 // if its own (corrected) RSS exceeds the threshold, or if any reading in
 // the set within the protection radius does; otherwise it is Safe. The
-// returned slice parallels readings.
+// returned slice parallels readings. An invalid location is an error: it
+// is within radius of nothing, itself included, and would come out Safe.
 //
 // The rule is deliberately biased toward incumbent protection: one noisy
 // high reading poisons its whole protection disk, while a noisy low
@@ -131,20 +132,27 @@ func LabelReadings(readings []Reading, cfg LabelConfig) ([]Label, error) {
 		return labels, nil
 	}
 
-	// Index only the "hot" readings (above threshold); every reading is
-	// then NotSafe iff a hot reading lies within the protection radius.
-	origin := readings[0].Loc
-	hot, err := geo.NewGridIndex(origin, cfg.ProtectRadiusM)
+	// Index only the "hot" readings (above threshold): each is NotSafe
+	// by its own RSS, and every other reading is NotSafe iff a hot one
+	// lies within the protection radius.
+	hot := make([]geo.Point, 0, len(readings))
+	for i := range readings {
+		if !readings[i].Loc.Valid() {
+			return nil, fmt.Errorf("dataset: reading %d has invalid location %v", i, readings[i].Loc)
+		}
+		if cfg.effectiveRSS(&readings[i]) > cfg.ThresholdDBm {
+			hot = append(hot, readings[i].Loc)
+			labels[i] = LabelNotSafe
+		}
+	}
+	// Cells of half the radius: a query covers 5×5 of them, 6.25 r²,
+	// where 3×3 cells of the radius cover 9 r².
+	index, err := geo.NewGridIndex(readings[0].Loc, cfg.ProtectRadiusM/2, hot)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: label index: %w", err)
 	}
 	for i := range readings {
-		if cfg.effectiveRSS(&readings[i]) > cfg.ThresholdDBm {
-			hot.Insert(i, readings[i].Loc)
-		}
-	}
-	for i := range readings {
-		if hot.AnyWithinRadius(readings[i].Loc, cfg.ProtectRadiusM) {
+		if labels[i] == LabelNotSafe || index.AnyWithinRadius(readings[i].Loc, cfg.ProtectRadiusM) {
 			labels[i] = LabelNotSafe
 		} else {
 			labels[i] = LabelSafe

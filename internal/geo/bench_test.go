@@ -17,14 +17,13 @@ func BenchmarkHaversine(b *testing.B) {
 
 func BenchmarkGridWithinRadius(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g, err := NewGridIndex(atlanta, 6000)
-	if err != nil {
-		b.Fatal(err)
-	}
 	pts := make([]Point, 5282)
 	for i := range pts {
 		pts[i] = atlanta.Offset(rng.Float64()*360, rng.Float64()*13000)
-		g.Insert(i, pts[i])
+	}
+	g, err := NewGridIndex(atlanta, 6000, pts)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	count := 0

@@ -78,3 +78,71 @@ func FuzzCosExact(f *testing.F) {
 		checkCosExact(t, math.Float64frombits(bits))
 	})
 }
+
+// TestCosRowMatchesScalar: a row's lanes are independent. Whatever sits
+// beside an element — the fallback range, NaN, ±Inf, −0 in the middle
+// lanes — element i of a scaled row is scale·math.Cos of element i, by
+// bits.
+func TestCosRowMatchesScalar(t *testing.T) {
+	skipUnlessLibraryCosIsPureGo(t)
+	rng := rand.New(rand.NewSource(13))
+	special := []float64{1 << 29, 1<<29 + 1, -(1 << 29), 1e300, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for trial := 0; trial < 2000; trial++ {
+		args := make([]float64, 48)
+		for i := range args {
+			args[i] = rng.NormFloat64()*3 + rng.Float64()*2*math.Pi
+		}
+		for k, v := range special {
+			if trial%4 != 0 {
+				args[16+(k*2+trial)%16] = v // the middle lanes, moving
+			}
+		}
+		scale := math.Sqrt(2 / float64(1+rng.Intn(256)))
+		row := append([]float64(nil), args...)
+		cosRow(row, scale)
+		for i, x := range args {
+			if want := scale * math.Cos(x); math.Float64bits(row[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d lane %d: cosRow(%v [%#x]) = %v [%#x], scale·math.Cos %v [%#x]",
+					trial, i, x, math.Float64bits(x), row[i], math.Float64bits(row[i]), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestTransformIntoMatchesDefinition: z(x)ᵢ = sqrt(2/D)·cos(wᵢ·x + bᵢ),
+// the dot product summed left to right from zero — by bits, for the
+// written-out input dimension and the looped ones.
+func TestTransformIntoMatchesDefinition(t *testing.T) {
+	skipUnlessLibraryCosIsPureGo(t)
+	rng := rand.New(rand.NewSource(17))
+	for _, dim := range []int{1, 2, 3, 4, 5, 9} {
+		rff, err := NewRFF(dim, 48, 0.35, int64(dim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, b := rff.Params()
+		for trial := 0; trial < 200; trial++ {
+			x := make([]float64, dim)
+			for j := range x {
+				x[j] = rng.NormFloat64()
+				if rng.Intn(6) == 0 {
+					x[j] = math.Copysign(0, -1) // as a constant feature, z-scored
+				}
+			}
+			got, err := rff.Transform(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scale := math.Sqrt(2 / float64(len(b)))
+			for i := range b {
+				var dot float64
+				for j := range x {
+					dot += w[i][j] * x[j]
+				}
+				if want := scale * math.Cos(dot+b[i]); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("dim %d feature %d of z(%v) = %v, definition %v", dim, i, x, got[i], want)
+				}
+			}
+		}
+	}
+}

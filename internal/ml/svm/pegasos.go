@@ -40,17 +40,28 @@ func (p *Pegasos) defaults() {
 
 // Fit implements ml.Classifier.
 func (p *Pegasos) Fit(x [][]float64, y []int) error {
-	p.defaults()
-	dim, err := ml.CheckTrainingSet(x, y)
-	if err != nil {
+	if _, err := ml.CheckTrainingSet(x, y); err != nil {
 		return fmt.Errorf("svm: %w", err)
 	}
+	xnorm2 := make([]float64, len(x))
+	for i := range x {
+		xnorm2[i] = dot(x[i], x[i])
+	}
+	return p.fitChecked(x, y, xnorm2)
+}
+
+// fitChecked trains on rows that pass ml.CheckTrainingSet, given each
+// row's squared norm; RFFSVM.Fit, which checks and measures its rows as
+// it makes them, enters here.
+func (p *Pegasos) fitChecked(x [][]float64, y []int, xnorm2 []float64) error {
+	p.defaults()
 	if p.Lambda <= 0 || p.Epochs < 1 {
 		return fmt.Errorf("svm: invalid hyperparameters lambda=%v epochs=%d", p.Lambda, p.Epochs)
 	}
-	n := len(x)
+	n, dim := len(x), len(x[0])
 
-	// Inverse-frequency class weights normalized to mean 1.
+	// Inverse-frequency class weights normalized to mean 1, signed by
+	// the label: yw[i] = yᵢ·weight(yᵢ).
 	wPos, wNeg := 1.0, 1.0
 	if p.ClassBalance {
 		var pos int
@@ -62,6 +73,13 @@ func (p *Pegasos) Fit(x [][]float64, y []int) error {
 		neg := n - pos
 		wPos = float64(n) / (2 * float64(pos))
 		wNeg = float64(n) / (2 * float64(neg))
+	}
+	yw := make([]float64, n)
+	for i, yi := range y {
+		yw[i] = -wNeg
+		if yi == ml.Positive {
+			yw[i] = wPos
+		}
 	}
 
 	// Scaled form: w = s·v. The regularization shrink and the projection
@@ -75,17 +93,13 @@ func (p *Pegasos) Fit(x [][]float64, y []int) error {
 	// ‖w‖² again, so rounding in either does not outlive n samples
 	// (DESIGN.md §8 has the rule this loop is held to).
 	lambda := p.Lambda
-	xnorm2 := make([]float64, n)
-	for i := range x {
-		xnorm2[i] = dot(x[i][:dim], x[i][:dim])
-	}
 	v := make([]float64, dim)
 	s, b := 1.0, 0.0
 	rng := rand.New(rand.NewSource(p.Seed))
 	order := rng.Perm(n)
 	t := 1
 	for epoch := 0; epoch < p.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		shuffleExact(rng, order)
 		var norm2 float64
 		for j := range v {
 			v[j] *= s
@@ -111,11 +125,7 @@ func (p *Pegasos) Fit(x [][]float64, y []int) error {
 			}
 			t++
 			if margin < 1 {
-				classWeight := wNeg
-				if y[idx] == ml.Positive {
-					classWeight = wPos
-				}
-				step := eta * yi * classWeight
+				step := eta * yw[idx] // yᵢ = ±1: η·yᵢ·weight to the bit
 				norm2 += 2*step*(s*vx) + step*step*xnorm2[idx]
 				vx = axpyDot(v, step/s, xi, next)
 				b += step * 0.1 // lightly-regularized bias channel
@@ -148,6 +158,25 @@ func (p *Pegasos) Fit(x [][]float64, y []int) error {
 	p.w = v
 	p.bias = b
 	return nil
+}
+
+// shuffleExact permutes order as math/rand's Shuffle with a swap does and
+// leaves rng where it does, without a closure call per element: math/rand's
+// own loop and int31n (multiply-shift on Uint32, the same rejection
+// threshold) for the under-2³¹ lengths a training set has, held to the
+// library by TestShuffleExactMatchesRandShuffle.
+func shuffleExact(rng *rand.Rand, order []int) {
+	for i := len(order) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(rng.Uint32()) * uint64(n)
+		if low := uint32(prod); low < n {
+			for thresh := -n % n; low < thresh; low = uint32(prod) {
+				prod = uint64(rng.Uint32()) * uint64(n)
+			}
+		}
+		j := int(prod >> 32)
+		order[i], order[j] = order[j], order[i]
+	}
 }
 
 // dot returns a·b over len(a) elements in four interleaved partial sums,

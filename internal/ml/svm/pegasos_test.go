@@ -163,3 +163,35 @@ func TestPegasosFitMatchesFivePassReference(t *testing.T) {
 		t.Error("no trial ended on the projection ball: the rescale branch was not exercised")
 	}
 }
+
+// TestShuffleExactMatchesRandShuffle: the same permutation as the
+// library's Shuffle and the same generator afterwards, so everything a
+// fit draws later is what it drew when it called rng.Shuffle.
+func TestShuffleExactMatchesRandShuffle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 1000, 5282} {
+		seeds := 1000
+		if n > 3 && testing.Short() {
+			seeds = 50
+		}
+		got, want := make([]int, n), make([]int, n)
+		for seed := int64(0); seed < int64(seeds); seed++ {
+			a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for i := range got {
+				got[i], want[i] = i, i
+			}
+			// Twice: the second shuffle starts from the first's state.
+			for round := 0; round < 2; round++ {
+				shuffleExact(a, got)
+				b.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d seed=%d: element %d is %d, rand.Shuffle puts %d there", n, seed, i, got[i], want[i])
+				}
+			}
+			if g, w := a.Int63(), b.Int63(); g != w {
+				t.Fatalf("n=%d seed=%d: next Int63 %d, after rand.Shuffle %d", n, seed, g, w)
+			}
+		}
+	}
+}

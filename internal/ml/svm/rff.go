@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"github.com/wsdetect/waldo/internal/ml"
 )
@@ -53,22 +55,35 @@ func (r *RFF) Transform(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// transformInto writes z(x) into out, which must hold OutputDim values.
+// transformInto writes z(x) into out, which must hold OutputDim values:
+// the D phases wᵢ·x + bᵢ, then one pass of the cosine kernel over them.
 func (r *RFF) transformInto(out, x []float64) error {
 	if len(x) != r.dim {
 		return fmt.Errorf("svm: rff input dim %d, want %d", len(x), r.dim)
 	}
-	scale := math.Sqrt(2 / float64(len(r.b)))
+	out = out[:len(r.b)]
 	w := r.w
-	for i, phase := range r.b {
-		row := w[:len(x)]
-		w = w[len(x):]
-		var dot float64
-		for j, xj := range x {
-			dot += row[j] * xj
+	if len(x) == 4 {
+		// The shipped feature set (location + RSS + CFT), the loop
+		// below written out. Its sum starts from 0, which can only
+		// turn a −0 phase into +0: the same cosine.
+		x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+		for i, phase := range r.b {
+			row := w[4*i : 4*i+4 : 4*i+4]
+			out[i] = row[0]*x0 + row[1]*x1 + row[2]*x2 + row[3]*x3 + phase
 		}
-		out[i] = scale * cosExact(dot+phase)
+	} else {
+		for i, phase := range r.b {
+			row := w[:len(x)]
+			w = w[len(x):]
+			var dot float64
+			for j, xj := range x {
+				dot += row[j] * xj
+			}
+			out[i] = dot + phase
+		}
 	}
+	cosRow(out, math.Sqrt(2/float64(len(r.b))))
 	return nil
 }
 
@@ -128,8 +143,40 @@ func (m *RFFSVM) defaults() {
 	}
 }
 
+// designScratch is the storage of one fit's design matrix — n rows of D
+// features, their slice headers, the n squared row norms — recycled
+// through designPool: the shipped locality is 1 760 × 48, 676 KB every fit
+// would otherwise allocate and zero, and a sync.Pool holds nothing a
+// garbage collection cannot drop. A fit writes every element it goes on
+// to read, so nothing is cleared.
+type designScratch struct {
+	vals []float64
+	rows [][]float64
+}
+
+var designPool = sync.Pool{New: func() any { return new(designScratch) }}
+
+// matrix returns n rows of d values and a vector of n more, of
+// unspecified content.
+func (s *designScratch) matrix(n, d int) (rows [][]float64, vec []float64) {
+	s.vals = slices.Grow(s.vals[:0], n*d+n)[:n*d+n]
+	s.rows = slices.Grow(s.rows[:0], n)[:n]
+	for i := range s.rows {
+		s.rows[i] = s.vals[i*d : (i+1)*d : (i+1)*d]
+	}
+	return s.rows, s.vals[n*d:]
+}
+
 // Fit implements ml.Classifier.
 func (m *RFFSVM) Fit(x [][]float64, y []int) error {
+	s := designPool.Get().(*designScratch)
+	defer designPool.Put(s)
+	return m.fit(s, x, y)
+}
+
+// fit is Fit on the given scratch: each row is mapped, checked and measured
+// while in cache, all Pegasos.Fit's two passes over the matrix would do.
+func (m *RFFSVM) fit(s *designScratch, x [][]float64, y []int) error {
 	m.defaults()
 	dim, err := ml.CheckTrainingSet(x, y)
 	if err != nil {
@@ -139,14 +186,21 @@ func (m *RFFSVM) Fit(x [][]float64, y []int) error {
 	if err != nil {
 		return err
 	}
-	z := ml.NewMatrix(len(x), m.D)
+	z, znorm2 := s.matrix(len(x), m.D)
 	for i := range x {
 		if err := rff.transformInto(z[i], x[i]); err != nil {
 			return err
 		}
+		// An overflowed phase has a NaN cosine, and a NaN in the row is a
+		// NaN norm; the cold path names it as a whole-matrix check would.
+		if znorm2[i] = dot(z[i], z[i]); !finite(znorm2[i]) {
+			if _, err := ml.CheckTrainingSet(z[:i+1], y[:i+1]); err != nil {
+				return fmt.Errorf("svm: %w", err)
+			}
+		}
 	}
 	m.Linear.Seed = m.Seed + 1
-	if err := m.Linear.Fit(z, y); err != nil {
+	if err := m.Linear.fitChecked(z, y, znorm2); err != nil {
 		return err
 	}
 	m.rff = rff

@@ -298,3 +298,70 @@ func TestKernels(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignScratchIsFullyOverwritten: a recycled design matrix is never
+// cleared, so a fit must write every element it reads. Fits of different
+// n and D share one scratch that is filled with NaN — values, row
+// headers' targets and norms — between them; each must give the weights,
+// by bits, of the same fit on fresh storage.
+func TestDesignScratchIsFullyOverwritten(t *testing.T) {
+	shared := new(designScratch)
+	poison := func() {
+		vals := shared.vals[:cap(shared.vals)]
+		for i := range vals {
+			vals[i] = math.NaN()
+		}
+		rows := shared.rows[:cap(shared.rows)]
+		for i := range rows {
+			rows[i] = vals[:0] // a stale header must not be trusted either
+		}
+	}
+	for i, shape := range []struct{ n, d int }{{400, 48}, {150, 32}, {700, 64}, {150, 32}} {
+		x, y := localitySet(shape.n, int64(i))
+		fresh := &RFFSVM{D: shape.d, Gamma: 0.35, Seed: 5, Linear: Pegasos{ClassBalance: true, Epochs: 5}}
+		reused := &RFFSVM{D: shape.d, Gamma: 0.35, Seed: 5, Linear: Pegasos{ClassBalance: true, Epochs: 5}}
+		if err := fresh.fit(new(designScratch), x, y); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.fit(shared, x, y); err != nil {
+			t.Fatal(err)
+		}
+		poison()
+		_, wantW, wantB, _ := fresh.Model()
+		_, gotW, gotB, _ := reused.Model()
+		if math.Float64bits(gotB) != math.Float64bits(wantB) {
+			t.Fatalf("fit %d (%d×%d): bias %v on the reused scratch, %v on a fresh one", i, shape.n, shape.d, gotB, wantB)
+		}
+		for j := range wantW {
+			if math.Float64bits(gotW[j]) != math.Float64bits(wantW[j]) {
+				t.Fatalf("fit %d (%d×%d): w[%d] = %v on the reused scratch, %v on a fresh one", i, shape.n, shape.d, j, gotW[j], wantW[j])
+			}
+		}
+	}
+}
+
+// TestRFFSVMFitChecksTheRowsItMakes: Fit no longer hands its design
+// matrix to ml.CheckTrainingSet, so it must itself refuse a row whose
+// phase overflowed (cos ±Inf is NaN) — with the error Pegasos.Fit gives
+// for the same matrix.
+func TestRFFSVMFitChecksTheRowsItMakes(t *testing.T) {
+	x, y := localitySet(60, 3)
+	x[41][2] = math.MaxFloat64 // finite, so the input passes; w·x is not
+	m := &RFFSVM{D: 48, Gamma: 0.35, Seed: 5}
+	err := m.Fit(x, y)
+	if err == nil {
+		t.Fatal("a design matrix with NaN features was fitted")
+	}
+	rff, _ := NewRFF(4, 48, 0.35, 5)
+	z := make([][]float64, len(x))
+	for i := range x {
+		z[i], _ = rff.Transform(x[i])
+	}
+	want := (&Pegasos{}).Fit(z, y)
+	if want == nil || err.Error() != want.Error() {
+		t.Fatalf("Fit: %v; Pegasos.Fit on the same design matrix: %v", err, want)
+	}
+	if _, _, _, err := m.Model(); err == nil {
+		t.Error("a failed fit left a model behind")
+	}
+}
