@@ -17,7 +17,7 @@ check: vet build race
 # with the workload's own correctness checks. Before that, one iteration
 # of the trainer's benchmarks, so they cannot rot unbuilt.
 verify: fmt-check vet build test doccheck cluster-test trace-smoke
-	$(GO) test ./internal/ml/svm ./internal/dataset ./internal/geo -run xxx -bench 'CosExact|RFFTransform|RFFSVMTrain|PegasosTrain|LabelReadings|GridWithinRadius' -benchtime 1x
+	$(GO) test ./internal/ml/svm ./internal/dataset ./internal/geo ./internal/core -run xxx -bench 'CosExact|RFFTransform|RFFSVMTrain|PegasosTrain|LabelReadings|GridWithinRadius|MetroRebuild' -benchtime 1x
 	bash bench/run.sh --workload query_mixed --seed 42 --seconds 1 --trace 0
 
 # Godoc coverage on contract-surface packages: every exported

@@ -18,7 +18,8 @@ import (
 // campaign-scale store (5,000 readings, K=12) with the training fan-out
 // disabled and enabled. On a multi-core host workers=auto should build the
 // same (bit-identical) model several times faster; on a single-core host
-// the two are equivalent by construction.
+// the two are equivalent by construction. Every build clears the
+// localities memo, so k-means' parallel path is measured too.
 func BenchmarkBuildModelParallel(b *testing.B) {
 	readings, labels := synthReadings(5000, 31)
 	for _, bench := range []struct {
@@ -30,11 +31,43 @@ func BenchmarkBuildModelParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				lastLocalities.Store(nil)
 				if _, err := BuildModel(readings, labels, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+		})
+	}
+}
+
+// BenchmarkMetroRebuild is the train workload's op below the harness:
+// Algorithm 1 and an SVM model for each of the nine metro channels, one
+// worker. cold clears the localities memo before every build, which is
+// the constructor without it; warm keeps it, as the workload does.
+func BenchmarkMetroRebuild(b *testing.B) {
+	channels := metroCampaign(b)
+	cfg := metroConstructor(KindSVM)
+	for _, bench := range []struct {
+		name string
+		cold bool
+	}{{"cold", true}, {"warm", false}} {
+		b.Run(bench.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, mc := range channels {
+					labels, err := dataset.LabelReadings(mc.readings, dataset.LabelConfig{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if bench.cold {
+						lastLocalities.Store(nil)
+					}
+					if _, err := BuildModel(mc.readings, labels, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
 		})
 	}
 }

@@ -228,6 +228,10 @@ func DecodeModel(r io.Reader) (*Model, error) {
 		if d.err != nil {
 			return nil, fmt.Errorf("core: locality %d: %w", i, d.err)
 		}
+		// A NaN center is never nearest: its area goes to other localities.
+		if !finite(center[0]) || !finite(center[1]) {
+			return nil, fmt.Errorf("core: locality %d: center %v", i, center)
+		}
 		m.centers = append(m.centers, center)
 		if flag == 0 {
 			label := dataset.Label(d.byte())
@@ -237,7 +241,11 @@ func DecodeModel(r io.Reader) (*Model, error) {
 			m.locals = append(m.locals, localModel{constant: true, constantLabel: label})
 			continue
 		}
+		// Every dimension is the feature set's: Classify cannot fail.
 		dim := int(d.u16())
+		if d.err == nil && dim != fset.Dim() {
+			return nil, fmt.Errorf("core: locality %d: standardizer dim %d for %v", i, dim, fset)
+		}
 		mean := d.f64s(dim)
 		scale := d.f64s(dim)
 		if d.err != nil {
@@ -247,7 +255,7 @@ func DecodeModel(r io.Reader) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: locality %d: %w", i, err)
 		}
-		clf, err := decodeClassifier(d, kind)
+		clf, err := decodeClassifier(d, kind, dim)
 		if err != nil {
 			return nil, fmt.Errorf("core: locality %d classifier: %w", i, err)
 		}
@@ -256,15 +264,15 @@ func DecodeModel(r io.Reader) (*Model, error) {
 	return m, nil
 }
 
-func decodeClassifier(d *decoder, kind ClassifierKind) (ml.Classifier, error) {
+// decodeClassifier reads one locality's classifier for dim-long inputs.
+func decodeClassifier(d *decoder, kind ClassifierKind, dim int) (ml.Classifier, error) {
 	switch kind {
 	case KindNB:
 		var prior [2]float64
 		prior[0] = d.f64()
 		prior[1] = d.f64()
-		dim := int(d.u32())
-		if d.err != nil || dim < 1 || dim > 1<<16 {
-			return nil, fmt.Errorf("bad NB dim %d: %w", dim, d.err)
+		if n := int(d.u32()); d.err != nil || n != dim {
+			return nil, fmt.Errorf("bad NB dim %d: %w", n, d.err)
 		}
 		var mean, variance [2][]float64
 		for c := 0; c < 2; c++ {
@@ -282,7 +290,7 @@ func decodeClassifier(d *decoder, kind ClassifierKind) (ml.Classifier, error) {
 
 	case KindLinearSVM:
 		n := int(d.u32())
-		if d.err != nil || n < 1 || n > 1<<20 {
+		if d.err != nil || n != dim {
 			return nil, fmt.Errorf("bad weight count %d: %w", n, d.err)
 		}
 		w := d.f64s(n)
@@ -299,7 +307,7 @@ func decodeClassifier(d *decoder, kind ClassifierKind) (ml.Classifier, error) {
 	case KindSVM:
 		rows := int(d.u32())
 		cols := int(d.u32())
-		if d.err != nil || rows < 1 || cols < 1 || rows > 1<<16 || cols > 1<<12 {
+		if d.err != nil || rows < 1 || rows > 1<<16 || cols != dim {
 			return nil, fmt.Errorf("bad RFF shape %dx%d: %w", rows, cols, d.err)
 		}
 		rw := make([][]float64, rows)
@@ -343,9 +351,9 @@ func decodeClassifier(d *decoder, kind ClassifierKind) (ml.Classifier, error) {
 			return nil, err
 		}
 		nsv := int(d.u32())
-		dim := int(d.u32())
-		if d.err != nil || nsv < 1 || dim < 1 || nsv > 1<<20 || dim > 1<<12 {
-			return nil, fmt.Errorf("bad SV shape %dx%d: %w", nsv, dim, d.err)
+		svDim := int(d.u32())
+		if d.err != nil || nsv < 1 || nsv > 1<<20 || svDim != dim {
+			return nil, fmt.Errorf("bad SV shape %dx%d: %w", nsv, svDim, d.err)
 		}
 		sv := make([][]float64, nsv)
 		for i := range sv {

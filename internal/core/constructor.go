@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -151,6 +152,9 @@ func BuildModel(readings []dataset.Reading, labels []dataset.Label, cfg Construc
 			return nil, fmt.Errorf("core: reading %d is %v/%v, model is %v/%v",
 				i, readings[i].Channel, readings[i].Sensor, ch, kind)
 		}
+		if !readings[i].Loc.Valid() {
+			return nil, fmt.Errorf("core: reading %d has invalid location %v", i, readings[i].Loc)
+		}
 	}
 	if cfg.ClusterK > len(readings) {
 		return nil, fmt.Errorf("core: %d clusters for %d readings", cfg.ClusterK, len(readings))
@@ -158,16 +162,9 @@ func BuildModel(readings []dataset.Reading, labels []dataset.Label, cfg Construc
 
 	origin := readings[0].Loc
 	proj := geo.NewProjector(origin)
-
-	// Localities identification: cluster on location only (km).
-	locs := ml.NewMatrix(len(readings), 2)
-	for i := range readings {
-		xy := proj.ToXY(readings[i].Loc)
-		locs[i][0], locs[i][1] = xy.X/1000, xy.Y/1000
-	}
-	clu, err := kmeans.Run(locs, kmeans.Config{K: cfg.ClusterK, Seed: cfg.Seed, Workers: cfg.Workers})
+	centers, assignments, err := identifyLocalities(readings, proj, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: localities identification: %w", err)
+		return nil, err
 	}
 
 	model := &Model{
@@ -176,7 +173,7 @@ func BuildModel(readings []dataset.Reading, labels []dataset.Label, cfg Construc
 		Features: cfg.Features,
 		Kind:     cfg.Classifier,
 		Origin:   origin,
-		centers:  clu.Centers,
+		centers:  centers,
 		locals:   make([]localModel, cfg.ClusterK),
 		margin:   cfg.SafetyMargin,
 		proj:     proj,
@@ -187,7 +184,7 @@ func BuildModel(readings []dataset.Reading, labels []dataset.Label, cfg Construc
 	// Each locality's training depends only on its own members and a
 	// salt derived from its index, so the built model is bit-identical
 	// to a serial build regardless of worker count.
-	members := groupByLocality(clu.Assignments, cfg.ClusterK)
+	members := groupByLocality(assignments, cfg.ClusterK)
 	buildLocal := func(c int) (localModel, error) {
 		idxs := members[c]
 		x := ml.NewMatrix(len(idxs), cfg.Features.Dim())
@@ -245,6 +242,61 @@ func BuildModel(readings []dataset.Reading, labels []dataset.Label, cfg Construc
 		}
 	}
 	return model, nil
+}
+
+// lastLocalities is identifyLocalities' last clustering, one immutable
+// entry replaced whole (tests Store(nil)): a campaign measures every
+// channel at every point, so one rebuild's channels cluster one set.
+var lastLocalities atomic.Pointer[localitiesEntry]
+
+// localitiesEntry is one clustering under its key: K, Seed (Workers never
+// changes kmeans.Run's output) and a copy of the readings' locations.
+type localitiesEntry struct {
+	key         kmeans.Config
+	locs        []geo.Point
+	centers     [][]float64
+	assignments []int
+}
+
+// matches compares the key bit for bit, so −0/+0 and NaNs cannot alias.
+func (e *localitiesEntry) matches(readings []dataset.Reading, key kmeans.Config) bool {
+	if e == nil || e.key != key || len(e.locs) != len(readings) {
+		return false
+	}
+	for i, p := range e.locs {
+		if q := readings[i].Loc; math.Float64bits(p.Lat) != math.Float64bits(q.Lat) || math.Float64bits(p.Lon) != math.Float64bits(q.Lon) {
+			return false
+		}
+	}
+	return true
+}
+
+// identifyLocalities clusters the readings on location alone, in km from
+// proj's origin, readings[0].Loc. It returns the caller's own copy of the
+// k centers and each reading's locality, shared and never to be written.
+func identifyLocalities(readings []dataset.Reading, proj *geo.Projector, cfg ConstructorConfig) ([][]float64, []int, error) {
+	key := kmeans.Config{K: cfg.ClusterK, Seed: cfg.Seed}
+	e := lastLocalities.Load()
+	if !e.matches(readings, key) {
+		keyLocs := make([]geo.Point, len(readings))
+		locs := ml.NewMatrix(len(readings), 2)
+		for i := range readings {
+			keyLocs[i] = readings[i].Loc
+			xy := proj.ToXY(keyLocs[i])
+			locs[i][0], locs[i][1] = xy.X/1000, xy.Y/1000
+		}
+		clu, err := kmeans.Run(locs, kmeans.Config{K: key.K, Seed: key.Seed, Workers: cfg.Workers})
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: localities identification: %w", err)
+		}
+		e = &localitiesEntry{key: key, locs: keyLocs, centers: clu.Centers, assignments: clu.Assignments}
+		lastLocalities.Store(e)
+	}
+	centers := ml.NewMatrix(len(e.centers), 2)
+	for c := range centers {
+		copy(centers[c], e.centers[c])
+	}
+	return centers, e.assignments, nil
 }
 
 // groupByLocality lists, for each of k localities, the indices assigned

@@ -9,6 +9,7 @@ import (
 
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/features"
+	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/ml/svm"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
@@ -175,6 +176,21 @@ func TestBuildModelValidation(t *testing.T) {
 	if _, err := BuildModel(mixed, labels, ConstructorConfig{}); err == nil {
 		t.Error("mixed channels must fail")
 	}
+	// A NaN locality center is never nearest, so its area would silently
+	// get its neighbours' classifiers.
+	for _, loc := range []geo.Point{
+		{Lat: math.NaN(), Lon: readings[3].Loc.Lon},
+		{Lat: readings[3].Loc.Lat, Lon: math.NaN()},
+		{Lat: math.Inf(1), Lon: readings[3].Loc.Lon},
+		{Lat: readings[3].Loc.Lat, Lon: math.Inf(-1)},
+		{Lat: 91, Lon: readings[3].Loc.Lon},
+	} {
+		bad := append([]dataset.Reading(nil), readings...)
+		bad[3].Loc = loc
+		if _, err := BuildModel(bad, labels, ConstructorConfig{ClusterK: 3}); err == nil {
+			t.Errorf("reading at %v must fail", loc)
+		}
+	}
 }
 
 func TestModelCodecRoundTrip(t *testing.T) {
@@ -270,22 +286,29 @@ func TestDecodeModelRejectsGarbage(t *testing.T) {
 // TestDecodeModelRejectsNonFiniteClassifier patches one value of a valid
 // descriptor to +Inf, −Inf and NaN, per SVM family. A bias of +Inf scores
 // every input +Inf — Safe everywhere — so the decoder a device runs
-// against a server it may not trust has to refuse it, not classify.
+// against a server it may not trust has to refuse it, not classify. A
+// NaN locality center is never nearest, so with one every place goes to
+// another locality's classifier.
 func TestDecodeModelRejectsNonFiniteClassifier(t *testing.T) {
 	readings, labels := synthReadings(200, 11)
-	// Each family writes its bias last; SMO writes the coefficients
-	// before it and the support vectors before those.
+	// The first center follows the 37-byte header. Each family writes its
+	// bias last; SMO writes the coefficients before it and the support
+	// vectors before those.
+	const center = 37
 	for _, tc := range []struct {
 		kind    ClassifierKind
 		what    string
 		fromEnd int
+		at      int // used when fromEnd is 0
 	}{
-		{KindLinearSVM, "bias", 8},
-		{KindLinearSVM, "last weight", 16},
-		{KindSVM, "bias", 8},
-		{KindSVMExact, "bias", 8},
-		{KindSVMExact, "last coefficient", 16},
-		{KindSVMExact, "last support-vector element", -1},
+		{KindLinearSVM, "bias", 8, 0},
+		{KindLinearSVM, "last weight", 16, 0},
+		{KindSVM, "bias", 8, 0},
+		{KindSVMExact, "bias", 8, 0},
+		{KindSVMExact, "last coefficient", 16, 0},
+		{KindSVMExact, "last support-vector element", -1, 0},
+		{KindSVM, "center x", 0, center},
+		{KindNB, "center y", 0, center + 8},
 	} {
 		m, err := BuildModel(readings, labels, ConstructorConfig{Classifier: tc.kind})
 		if err != nil {
@@ -307,14 +330,52 @@ func TestDecodeModelRejectsNonFiniteClassifier(t *testing.T) {
 			}
 			fromEnd = 8 + 8*len(coef) + 8
 		}
+		at := len(valid) - fromEnd
+		if fromEnd == 0 {
+			at = tc.at
+		}
 		for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
 			patched := append([]byte(nil), valid...)
-			binary.LittleEndian.PutUint64(patched[len(patched)-fromEnd:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(patched[at:], math.Float64bits(v))
 			if _, err := DecodeModel(bytes.NewReader(patched)); err == nil {
 				t.Errorf("%v: descriptor with %s = %v decoded", tc.kind, tc.what, v)
 			}
 		}
 	}
+}
+
+// FuzzDecodeModel: a descriptor is input a device may not trust. Whatever
+// decodes has finite locality centers, and classifying a finite place
+// and signal with it returns a label, not an error. The committed seeds
+// (testdata/fuzz) are channel 47's metro SVM descriptor; it with a NaN
+// center, with a +Inf bias and relabelled location+RSS (none may decode,
+// the parent decoded two); and its first half.
+func FuzzDecodeModel(f *testing.F) {
+	readings, labels := synthReadings(200, 11)
+	for _, kind := range []ClassifierKind{KindNB, KindLinearSVM, KindSVMExact} {
+		m, err := BuildModel(readings, labels, ConstructorConfig{ClusterK: 2, Classifier: kind})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeForCompare(f, m))
+	}
+	sig := features.Signal{RSSdBm: -90, CFTdB: -101.3, AFTdB: -103}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeModel(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, c := range m.centers {
+			if !finite(c[0]) || !finite(c[1]) {
+				t.Fatalf("decoded locality %d with center %v", i, c)
+			}
+		}
+		for _, loc := range []geo.Point{m.Origin, rfenv.MetroCenter, {Lat: -89.5, Lon: 179.5}} {
+			if _, err := m.Classify(loc, sig); err != nil {
+				t.Fatalf("decoded a model that cannot classify %v: %v", loc, err)
+			}
+		}
+	})
 }
 
 func TestClassifierKindStrings(t *testing.T) {

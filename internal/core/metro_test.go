@@ -168,11 +168,13 @@ func TestMetroDecisionsUnchanged(t *testing.T) {
 // flat matrices need: a few per matrix and per locality, none per
 // reading. Channel 47 (three trained localities of ~1 760 rows) cost
 // 21 401 objects when every row of every stage was its own slice and
-// costs 94 now; the budget sits far under a tenth of the old count so
+// costs 98 now; the budget sits far under a tenth of the old count so
 // that one per-row stage in one locality already breaks it. The bytes
-// bound is for what an object count cannot see: a build is 1.2 MB with
-// the three 676 KB design matrices recycled (svm's pool), 3.4 MB without,
-// and one of them coming back is over the line.
+// bound is for what an object count cannot see: a build is 1.3 MB with
+// the three 676 KB design matrices recycled (svm's pool), 3.5 MB without,
+// and one of them coming back is over the line. That is a localities
+// miss; a hit skips k-means and its inputs (62 objects, 0.88 MB), so a
+// hit that misses is over its own line too.
 func TestBuildModelAllocBudget(t *testing.T) {
 	channels := metroCampaign(t)
 	mc := channels[len(channels)-1]
@@ -180,33 +182,48 @@ func TestBuildModelAllocBudget(t *testing.T) {
 		t.Fatalf("last metro channel is %v, want 47", mc.ch)
 	}
 	cfg := metroConstructor(KindSVM)
-	build := func() {
-		if _, err := BuildModel(mc.readings, mc.labels, cfg); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name       string
+		miss       bool
+		budget     float64
+		byteBudget uint64
+	}{
+		{"miss", true, 280, 1500 << 10},
+		{"hit", false, 250, 1100 << 10},
+	} {
+		build := func() {
+			if tc.miss {
+				lastLocalities.Store(nil)
+			}
+			if _, err := BuildModel(mc.readings, mc.labels, cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	const budget = 280
-	if avg := testing.AllocsPerRun(5, build); avg > budget {
-		t.Errorf("BuildModel on %d readings of %v allocates %.0f objects/op, budget %d", len(mc.readings), mc.ch, avg, budget)
-	}
-	if raceEnabled {
-		return // the pooled design matrices are not kept; see raceEnabled
-	}
-	// On one P, as AllocsPerRun counts: a sync.Pool is per P, and
-	// changing GOMAXPROCS empties it, so one build refills it first.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	build()
-	const runs, byteBudget = 5, 1500 << 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+		if avg := testing.AllocsPerRun(5, build); avg > tc.budget {
+			t.Errorf("%s: BuildModel on %d readings of %v allocates %.0f objects/op, budget %.0f",
+				tc.name, len(mc.readings), mc.ch, avg, tc.budget)
+		}
+		if raceEnabled {
+			continue // the pooled design matrices are not kept; see raceEnabled
+		}
+		// On one P, as AllocsPerRun counts: a sync.Pool is per P, and
+		// changing GOMAXPROCS empties it, so one build refills it first.
+		procs := runtime.GOMAXPROCS(1)
 		build()
-	}
-	runtime.ReadMemStats(&after)
-	avg := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("%d bytes per build", avg)
-	if avg > byteBudget {
-		t.Errorf("BuildModel on %d readings of %v allocates %d bytes/op, budget %d", len(mc.readings), mc.ch, avg, byteBudget)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(procs)
+		avg := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d bytes per build", tc.name, avg)
+		if avg > tc.byteBudget {
+			t.Errorf("%s: BuildModel on %d readings of %v allocates %d bytes/op, budget %d",
+				tc.name, len(mc.readings), mc.ch, avg, tc.byteBudget)
+		}
 	}
 }
 

@@ -25,15 +25,19 @@ func encodeForCompare(t testing.TB, m *Model) []byte {
 // reductions run in fixed order and the workers' recycled design matrices
 // (svm's pool) carry nothing from one fit into the next, so the encoded
 // descriptors must match byte for byte — and -race must stay quiet.
+// Every build clears the localities memo, so each runs k-means with its
+// own worker count.
 func TestBuildModelWorkerDeterminism(t *testing.T) {
 	readings, labels := synthReadings(1500, 21)
 	for _, kind := range []ClassifierKind{KindSVM, KindNB} {
+		lastLocalities.Store(nil)
 		serial, err := BuildModel(readings, labels, ConstructorConfig{ClusterK: 6, Classifier: kind, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := encodeForCompare(t, serial)
 		for _, workers := range []int{0, 2, 3, 8} {
+			lastLocalities.Store(nil)
 			m, err := BuildModel(readings, labels, ConstructorConfig{ClusterK: 6, Classifier: kind, Workers: workers})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", kind, workers, err)
