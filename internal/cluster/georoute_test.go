@@ -300,4 +300,10 @@ func TestGatewayRouteMergeAcrossShards(t *testing.T) {
 	if pass := tc.gw.geomerge.routePass.Value(); pass != 1 {
 		t.Errorf("route passthrough count = %d, want 1", pass)
 	}
+	// So do bytes after the request object, which every shard refuses.
+	resp = mustPost(t, tc.gwTS.URL+"/v1/route", append(body, " trailing garbage"...))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("route with trailing bytes = %s, want 400 passthrough", resp.Status)
+	}
 }

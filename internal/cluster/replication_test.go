@@ -138,6 +138,35 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeReplicationFrame: an exchange body decodes without a panic,
+// and whatever decodes — the header, then each frame up to the first
+// error — re-encodes to exactly the bytes it consumed. The committed
+// corpus under testdata/fuzz holds an exchange captured from a real
+// primary (an append and a retrain frame), a truncated frame, length
+// 0xFFFFFFFF, an unknown kind and a zero incarnation.
+func FuzzDecodeReplicationFrame(f *testing.F) {
+	f.Add(exchange(testIncarnation, appendFrame(nil, 1, &replRecord{kind: frameRetrain, ch: 47, sensor: sensor.KindRTLSDR, version: 2, trained: 600})))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		inc, rest, err := decodeExchangeHeader(body)
+		if err != nil {
+			return
+		}
+		if got := appendExchangeHeader(nil, inc); !bytes.Equal(got, body[:len(body)-len(rest)]) {
+			t.Fatalf("header %x re-encodes as %x", body[:len(body)-len(rest)], got)
+		}
+		for len(rest) > 0 {
+			seq, rec, tail, err := decodeFrame(rest)
+			if err != nil {
+				return
+			}
+			if got, consumed := appendFrame(nil, seq, &rec), rest[:len(rest)-len(tail)]; !bytes.Equal(got, consumed) {
+				t.Fatalf("frame %x re-encodes as %x", consumed, got)
+			}
+			rest = tail
+		}
+	})
+}
+
 // TestReplicationPair is the core byte-identity claim: drive a primary
 // through its public HTTP API (uploads + retrain), drain the shipper,
 // and the replica must serve the byte-identical model descriptor and the

@@ -3,6 +3,7 @@ package dbserver
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -261,7 +262,11 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		limit = 4 << 20
 	}
 	var req RouteRequestJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = json.Unmarshal(body, &req) // the whole body: bytes after the object are a 400
+	}
+	if err != nil {
 		s.geoq.badRequest.Inc()
 		http.Error(w, "bad route request: "+err.Error(), http.StatusBadRequest)
 		return

@@ -162,6 +162,25 @@ func TestRouteEndpoint(t *testing.T) {
 			t.Errorf("bad route %d = %s, want 400", i, resp.Status)
 		}
 	}
+
+	// The whole body is the request: whitespace may follow the object,
+	// nothing else may.
+	good, _ := json.Marshal(req)
+	for tail, want := range map[string]int{
+		"\n":                http.StatusOK,
+		" trailing garbage": http.StatusBadRequest,
+		`{"points":[]}`:     http.StatusBadRequest,
+		"]":                 http.StatusBadRequest,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/route", "application/json", bytes.NewReader(append(good[:len(good):len(good)], tail...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("route body followed by %q = %s, want %d", tail, resp.Status, want)
+		}
+	}
 }
 
 func TestRetrainSchedulesRebuild(t *testing.T) {

@@ -60,19 +60,27 @@ func MutationPatterns() []string {
 	return out
 }
 
-// jsonBytesPerReading is the prealloc estimate for JSON uploads: a
-// serialized reading with typical float precision runs ~110-160 bytes,
-// so dividing the body length by this floor overshoots slightly — one
-// allocation that is never regrown, instead of log2(n) doubling copies.
-const jsonBytesPerReading = 96
-
 // DecodeUploadJSON is the JSON edge's decoder: body is an UploadJSON,
 // which carries its own CI span, so h is not consulted. Like
 // DecodeUploadFrame it is a codec, not a gate — the batch it returns
 // still has to pass core.UploadBatch.Validate, which acceptUpload runs
-// on every upload and a gateway runs before splitting one.
+// on every upload and a gateway runs before splitting one. The fast
+// path (jsonscan.go) writes the readings straight into dst; a body it
+// refuses is decoded by encoding/json.
 func DecodeUploadJSON(dst []dataset.Reading, body []byte, _ http.Header) (core.UploadBatch, error) {
-	up := UploadJSON{Readings: make([]ReadingJSON, 0, len(body)/jsonBytesPerReading+1)}
+	s := jsonScan{b: body}
+	batch := core.UploadBatch{Readings: dst}
+	if s.upload(&batch) && s.end() {
+		return batch, nil
+	}
+	return decodeUploadReference(batch.Readings[:len(dst)], body) // keeps what the fast path grew
+}
+
+// decodeUploadReference is DecodeUploadJSON through encoding/json. Only
+// bodies the fast path refused reach it, so nothing is sized from the
+// body's length.
+func decodeUploadReference(dst []dataset.Reading, body []byte) (core.UploadBatch, error) {
+	var up UploadJSON
 	if err := json.Unmarshal(body, &up); err != nil {
 		return core.UploadBatch{Readings: dst}, fmt.Errorf("bad upload: %w", err)
 	}

@@ -41,8 +41,10 @@ func TestParseTraceHeaderRejectsMalformed(t *testing.T) {
 		strings.Replace(valid, "-", "_", 1),
 		valid[:3] + strings.Repeat("z", 32) + valid[35:], // non-hex trace id
 		valid[:53] + "7f", // unknown flags
-		"00-" + strings.Repeat("0", 32) + valid[35:],      // zero trace id
-		valid[:36] + strings.Repeat("0", 16) + valid[52:], // zero span id
+		"00-" + strings.Repeat("0", 32) + valid[35:],              // zero trace id
+		valid[:36] + strings.Repeat("0", 16) + valid[52:],         // zero span id
+		"00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01", // uppercase hex
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067aa0ba902b7-01", // one uppercase digit
 	}
 	for _, v := range bad {
 		if sc, ok := ParseTraceHeader(v); ok {
@@ -211,6 +213,21 @@ func TestWrapRouteTracePropagation(t *testing.T) {
 		t.Fatalf("minted header %q", resp2.Header.Get(TraceHeader))
 	}
 
+	// An uppercase header is malformed: a fresh trace, not an echo that
+	// differs from what the client sent.
+	upper := "00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-01"
+	req3, _ := http.NewRequest(http.MethodGet, srv.URL, nil)
+	req3.Header.Set(TraceHeader, upper)
+	resp3, err := srv.Client().Do(req3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp3.Body)
+	resp3.Body.Close()
+	if got := resp3.Header.Get(TraceHeader); strings.EqualFold(got[3:35], upper[3:35]) {
+		t.Fatalf("uppercase header %q joined as %q", upper, got)
+	}
+
 	// Both requests landed in the flight recorder under their trace IDs.
 	for _, id := range []TraceID{parent.Trace, minted.Trace} {
 		if got := rec.Snapshot(TraceFilter{TraceID: id.String()}); len(got) != 1 {
@@ -261,4 +278,17 @@ func TestExemplarOnSampledSpan(t *testing.T) {
 	if !strings.Contains(body, `# {trace_id="`+id+`"}`) {
 		t.Fatalf("exposition carries no exemplar for trace %s:\n%s", id, body)
 	}
+}
+
+// FuzzParseTraceHeader: whatever parses renders back byte for byte, so
+// the header WrapRoute echoes is the one the client sent. The committed
+// corpus under testdata/fuzz holds the uppercase value that used to
+// parse and come back lowercase.
+func FuzzParseTraceHeader(f *testing.F) {
+	f.Add(NewSpanContext().Header())
+	f.Fuzz(func(t *testing.T, v string) {
+		if sc, ok := ParseTraceHeader(v); ok && sc.Header() != v {
+			t.Fatalf("ParseTraceHeader(%q) = %+v, which renders as %q", v, sc, sc.Header())
+		}
+	})
 }

@@ -68,12 +68,19 @@ func (sc SpanContext) Header() string {
 }
 
 // ParseTraceHeader parses an X-Waldo-Trace value. Unknown versions and
-// malformed values are rejected (ok=false), never guessed at: a request
-// with a bad header simply starts a fresh trace.
+// malformed values — uppercase hex included, which the W3C layout
+// forbids and Header could not echo — are rejected (ok=false), never
+// guessed at: a request with a bad header simply starts a fresh trace.
+// Whatever parses renders back as v.
 func ParseTraceHeader(v string) (SpanContext, bool) {
 	var sc SpanContext
 	if len(v) != 55 || v[0] != '0' || v[1] != '0' || v[2] != '-' || v[35] != '-' || v[52] != '-' {
 		return sc, false
+	}
+	for i := 3; i < 52; i++ {
+		if c := v[i]; i != 35 && (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return sc, false
+		}
 	}
 	if _, err := hex.Decode(sc.Trace[:], []byte(v[3:35])); err != nil {
 		return sc, false
