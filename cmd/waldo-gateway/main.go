@@ -1,7 +1,7 @@
 // Command waldo-gateway runs the cluster routing tier: it terminates the
 // WSD client API and proxies every request to the shard that owns its
-// (channel, geo-cell) key on the consistent-hash ring, failing over to a
-// shard's replica endpoints when the primary stops answering.
+// geo-cell on the consistent-hash ring, failing over to a shard's
+// replica endpoints when the primary stops answering.
 //
 // Usage:
 //

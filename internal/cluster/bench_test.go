@@ -104,6 +104,48 @@ func BenchmarkRingOwner(b *testing.B) {
 	}
 }
 
+// BenchmarkGatewayPlaceQueries prices the gateway's place queries on the
+// in-process 3-shard test cluster: a point's all-channel availability, a
+// route inside one owner's cell, and a route across two owners' cells.
+// legs/op is waldo_cluster_requests_total per query.
+func BenchmarkGatewayPlaceQueries(b *testing.B) {
+	tc := newTestCluster(b, []string{"s0", "s1", "s2"})
+	free, _ := seedGeoCluster(b, tc, 47)
+	oneOwner, twoOwners := tc.placeRoutes(b, free)
+	loc := free["s0"]
+	avail := fmt.Sprintf("%s/v1/availability?lat=%v&lon=%v", tc.gwTS.URL, loc.Lat, loc.Lon)
+	httpc := tc.gwTS.Client()
+	for _, bb := range []struct {
+		name  string
+		route []byte
+	}{{"availability", nil}, {"route_one_owner", oneOwner}, {"route_two_owners", twoOwners}} {
+		b.Run(bb.name, func(b *testing.B) {
+			b.ReportAllocs()
+			legs := tc.legs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var resp *http.Response
+				var err error
+				if bb.route == nil {
+					resp, err = httpc.Get(avail)
+				} else {
+					resp, err = httpc.Post(tc.gwTS.URL+"/v1/route", "application/json", bytes.NewReader(bb.route))
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					b.Fatalf("%s = %s", bb.name, resp.Status)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(tc.legs()-legs)/float64(b.N), "legs/op")
+		})
+	}
+}
+
 // BenchmarkFrameEncode prices serializing a 256-reading append frame for
 // the replication shipper.
 func BenchmarkFrameEncode(b *testing.B) {

@@ -1,13 +1,13 @@
 // Package cluster shards the Waldo spectrum database across processes.
 // The paper's pitch is locality — a WSD only needs the model for its own
-// (channel, geo-cell) neighborhood — which makes the spectrum store
-// naturally partitionable. This package supplies the three pieces that
-// turn one dbserver into a cluster of them (DESIGN.md §12):
+// neighborhood — which makes the spectrum store naturally partitionable
+// by place. This package supplies the three pieces that turn one
+// dbserver into a cluster of them (DESIGN.md §12):
 //
 //   - [Ring]: a deterministic consistent-hash ring with virtual nodes,
-//     keyed by [RouteKey] (channel + quantized geo-cell). Placement is a
-//     pure function of (seed, members), so every gateway — and every
-//     test — computes byte-identical ownership.
+//     placing by quantized geo-cell: every channel of a cell lives on the
+//     cell's owner. Placement is a pure function of (seed, members), so
+//     every gateway — and every test — computes byte-identical ownership.
 //
 //   - [Node]: one shard process. It wraps the existing dbserver
 //     updater+WAL stack unchanged and, when configured with replicas,
@@ -20,9 +20,10 @@
 //
 //   - [Gateway]: the client-facing tier. It terminates the existing WSD
 //     API (/v1/model, /v1/readings, /v1/retrain, /v1/export, /v1/stats,
-//     probes), routes single-key requests to the owning shard, fans out
-//     and merges cross-shard reads, and fails over to a shard's replicas
-//     when its primary stops answering.
+//     /v1/availability, /v1/route, probes), sends each request to the
+//     shards owning the places it names — one for a point, the distinct
+//     owners of a route's cells — merges what spans shards, and fails
+//     over to a shard's replicas when its primary stops answering.
 //
 // The division of durability labor: the WAL (internal/wal) makes a
 // single node's acknowledged writes survive its crash; replication makes
@@ -64,8 +65,9 @@ func CellOf(p geo.Point, cellDeg float64) Cell {
 	return geoindex.CellOf(p, cellDeg)
 }
 
-// RouteKey is the unit of data placement: one TV channel in one
-// geo-cell. Everything with the same RouteKey lives on the same shard.
+// RouteKey names one TV channel in one geo-cell. Placement is by place:
+// [Ring.Owner] ignores Channel, so every channel of a cell lives on the
+// cell's owner. Channel stays because an upload's leg is one store.
 type RouteKey struct {
 	Channel rfenv.Channel
 	Cell    Cell
@@ -102,13 +104,15 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// keyHash positions a RouteKey on the ring.
+// placementRule names what keyHash hashes. ConfigVersion folds it in,
+// so a cluster re-ringed by a change of rule reads as re-ringed.
+const placementRule = "cell"
+
+// keyHash positions a RouteKey on the ring by its cell alone.
 func keyHash(seed uint64, k RouteKey) uint64 {
 	h := mix(seed ^ 0xc15ca11e57e11a5d)
-	h = mix(h ^ uint64(uint16(k.Channel)))
 	h = mix(h ^ uint64(uint32(k.Cell.X)))
-	h = mix(h ^ uint64(uint32(k.Cell.Y)))
-	return h
+	return mix(h ^ uint64(uint32(k.Cell.Y)))
 }
 
 // vnodeHash positions one virtual node of a member on the ring.
@@ -118,13 +122,14 @@ func vnodeHash(seed uint64, node string, vnode int) uint64 {
 }
 
 // ConfigVersion renders a stable fingerprint of a cluster's routing
-// configuration — seed, vnode count, cell quantum, and the member list
-// with its node URLs. Gateways stamp it on every proxied response as
-// X-Waldo-Cluster-Version, and clients cache it next to model
-// descriptors, so a fleet can detect that it is talking to a re-ringed
-// cluster (and drop caches placed under the old topology).
+// configuration — placement rule, seed, vnode count, cell quantum, and
+// the member list with its node URLs. Gateways stamp it on every proxied
+// response as X-Waldo-Cluster-Version, and clients cache it next to
+// model descriptors, so a fleet can detect that it is talking to a
+// re-ringed cluster (and drop caches placed under the old topology).
 func ConfigVersion(seed uint64, vnodes int, cellDeg float64, shards []ShardSpec) string {
 	h := mix(seed ^ uint64(vnodes))
+	h = mix(h ^ hashString(placementRule))
 	h = mix(h ^ math.Float64bits(cellDeg))
 	ids := make([]string, 0, len(shards))
 	byID := make(map[string]ShardSpec, len(shards))

@@ -115,8 +115,8 @@ func (s *shardState) markFailed(url string) bool {
 }
 
 // Gateway terminates the WSD client API and routes every request to the
-// shard owning its (channel, geo-cell) key, failing over to replicas
-// when a primary stops answering. Cross-shard reads (/v1/stats) and
+// shard owning its geo-cell, failing over to replicas when a primary
+// stops answering. Cross-shard reads (/v1/stats) and
 // cluster-wide commands (hintless /v1/retrain, /v1/admin/snapshot) fan
 // out to every shard and merge.
 type Gateway struct {
@@ -308,9 +308,9 @@ func (g *Gateway) buildHandler() http.Handler {
 
 // routeKey derives the placement key from a request's channel and
 // optional lat/lon routing hints. Requests without a location hint fall
-// into the channel's origin cell — legal, but they only see that one
-// shard's slice of the channel, so clients that care attach hints (see
-// client.SetLocationHint).
+// into cell (0,0), whatever their channel — legal, but they only see
+// that cell's owner's slice of the channel, so clients that care attach
+// hints (see client.SetLocationHint).
 func (g *Gateway) routeKey(q map[string][]string) (RouteKey, error) {
 	get := func(k string) string {
 		if v := q[k]; len(v) > 0 {

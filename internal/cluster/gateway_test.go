@@ -34,7 +34,17 @@ type testCluster struct {
 	cellDeg float64
 }
 
-func newTestCluster(t *testing.T, shardIDs []string) *testCluster {
+// legs sums waldo_cluster_requests_total over the gateway's shards: one
+// per gateway→shard request.
+func (tc *testCluster) legs() uint64 {
+	var n uint64
+	for _, sh := range tc.gw.shards {
+		n += sh.requests.Value()
+	}
+	return n
+}
+
+func newTestCluster(t testing.TB, shardIDs []string) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		nodes:   map[string]*Node{},
@@ -393,5 +403,59 @@ func TestConfigVersionStability(t *testing.T) {
 	}
 	if ConfigVersion(1, 128, 0.05, a) == ConfigVersion(2, 128, 0.05, a) {
 		t.Error("fingerprint misses a seed change")
+	}
+}
+
+// TestConfigVersionNamesThePlacementRule: the same routing inputs that
+// fingerprinted a (channel, cell)-placed cluster give another value once
+// placement is by cell, so a fleet sees the re-ring.
+func TestConfigVersionNamesThePlacementRule(t *testing.T) {
+	a := []ShardSpec{{ID: "s0", URLs: []string{"http://a"}}, {ID: "s1", URLs: []string{"http://b"}}}
+	const channelCellPlaced = "87c5dd123019f846"
+	if got := ConfigVersion(1, 128, 0.05, a); got == channelCellPlaced {
+		t.Errorf("fingerprint %s is the (channel, cell) placement's", got)
+	}
+}
+
+// TestModelRevalidationCrossesShards: each shard counts model versions
+// on its own, so after one retrain every shard's channel 47 is v1. A WSD
+// that fetched it in one shard's cell and revalidates in another's must
+// get that shard's descriptor, not a 304 for a model trained on other
+// localities.
+func TestModelRevalidationCrossesShards(t *testing.T) {
+	tc := newTestCluster(t, []string{"s0", "s1", "s2"})
+	free, _ := seedGeoCluster(t, tc, 47)
+	fetch := func(at geo.Point, inm string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, tc.gwTS.URL+"/v1/model?channel=47&sensor=1&lat="+
+			strconv.FormatFloat(at.Lat, 'f', -1, 64)+"&lon="+strconv.FormatFloat(at.Lon, 'f', -1, 64), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	first := fetch(free["s0"], "")
+	etag := first.Header.Get("ETag")
+	if first.StatusCode != http.StatusOK || first.Header.Get(ShardHeader) != "s0" {
+		t.Fatalf("fetch in s0's cell = %s from %q", first.Status, first.Header.Get(ShardHeader))
+	}
+	if resp := fetch(free["s0"], etag); resp.StatusCode != http.StatusNotModified {
+		t.Errorf("revalidation at s0 = %s, want 304", resp.Status)
+	}
+	moved := fetch(free["s1"], etag)
+	if v0, v1 := first.Header.Get("X-Waldo-Model-Version"), moved.Header.Get("X-Waldo-Model-Version"); v0 != v1 {
+		t.Fatalf("s0 is at v%s, s1 at v%s: the versions must collide for this test", v0, v1)
+	}
+	if moved.StatusCode != http.StatusOK || moved.Header.Get("ETag") == etag {
+		t.Errorf("s0's %s revalidated at s1 = %s with ETag %s, want s1's own descriptor",
+			etag, moved.Status, moved.Header.Get("ETag"))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,31 +12,28 @@ import (
 
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/geo"
-	"github.com/wsdetect/waldo/internal/rfenv"
+	"github.com/wsdetect/waldo/internal/geoindex"
 	"github.com/wsdetect/waldo/internal/telemetry"
 )
 
-// Gateway-side availability and route planning (DESIGN.md §15): the
-// spatiotemporal query surface crosses shard ownership by construction
-// — one cell's channels hash to different shards, and a route's cells
-// spread across the whole ring — so the gateway fans these reads out
-// and merges.
+// Gateway-side availability and route planning (DESIGN.md §15).
+// Placement is by place, so every verdict for a point is its cell
+// owner's: an availability query forwards to that one shard. A route's
+// cells spread over the ring, so the gateway samples the route itself
+// and asks only the distinct owners of its cells — one owner forwards,
+// several merge.
 //
-// The merge leans on determinism: every shard samples a route request
-// with the same geoindex.SampleRoute over the same body, so all legs
-// return byte-identical segment *geometry* and the merge is a
-// per-segment union of channel verdicts. For a (channel, cell) pair
-// exactly one shard owns the evidence; the others answer "no entry",
-// so the union is a disjoint assembly, not a conflict resolution —
-// when replication anomalies do produce two entries for one key, the
-// one backed by more readings wins.
+// The merge leans on determinism: every owner samples the route with the
+// same geoindex.SampleRoute over the same body, so all legs return
+// byte-identical segment *geometry* and the merge is a per-segment union
+// of channel verdicts. A cell's evidence lives on its owner alone; the
+// other legs answer "no entry" there, so the union is a disjoint
+// assembly, not a conflict resolution — when replication anomalies do
+// produce two entries for one key, the one backed by more readings wins.
 
-// geoMergeState carries the gateway's availability/route merge
-// telemetry.
+// geoMergeState carries the gateway's route telemetry.
 type geoMergeState struct {
-	availForwarded *telemetry.Counter
-	availMerged    *telemetry.Counter
-	availErrors    *telemetry.Counter
+	routeForwarded *telemetry.Counter
 	routeOK        *telemetry.Counter
 	routePass      *telemetry.Counter
 	routeMismatch  *telemetry.Counter
@@ -43,16 +41,16 @@ type geoMergeState struct {
 }
 
 func newGeoMergeState(m *telemetry.Registry) geoMergeState {
-	const availHelp = "Gateway availability queries by outcome (forwarded to the single owner, merged across shards, error)."
-	const routeHelp = "Gateway route queries by outcome (ok, passthrough of a uniform shard status, segment-geometry mismatch, error)."
+	const help = "Gateway route queries by outcome (forwarded to the single owner, ok, passthrough of a shard's refusal, segment-geometry mismatch, error)."
+	outcome := func(o string) *telemetry.Counter {
+		return m.Counter("waldo_cluster_route_merge_total", help, "outcome", o)
+	}
 	return geoMergeState{
-		availForwarded: m.Counter("waldo_cluster_availability_merge_total", availHelp, "outcome", "forwarded"),
-		availMerged:    m.Counter("waldo_cluster_availability_merge_total", availHelp, "outcome", "merged"),
-		availErrors:    m.Counter("waldo_cluster_availability_merge_total", availHelp, "outcome", "error"),
-		routeOK:        m.Counter("waldo_cluster_route_merge_total", routeHelp, "outcome", "ok"),
-		routePass:      m.Counter("waldo_cluster_route_merge_total", routeHelp, "outcome", "passthrough"),
-		routeMismatch:  m.Counter("waldo_cluster_route_merge_total", routeHelp, "outcome", "mismatch"),
-		routeErrors:    m.Counter("waldo_cluster_route_merge_total", routeHelp, "outcome", "error"),
+		routeForwarded: outcome("forwarded"),
+		routeOK:        outcome("ok"),
+		routePass:      outcome("passthrough"),
+		routeMismatch:  outcome("mismatch"),
+		routeErrors:    outcome("error"),
 	}
 }
 
@@ -73,89 +71,19 @@ func (g *Gateway) fanoutTo(r *http.Request, body []byte, ids []string) []FanoutR
 	return results
 }
 
-// handleAvailability serves GET /v1/availability at the gateway. With a
-// channels filter whose (channel, cell) keys all hash to one shard the
-// request forwards untouched (the common WSD case: "my channels,
-// here"); otherwise it fans out to the owning shards — all shards when
-// unfiltered, since a cell's channels spread across the ring — and
-// merges the per-channel verdicts.
+// handleAvailability serves GET /v1/availability at the gateway by
+// forwarding it, filtered or not, to the owner of the point's cell. A
+// point the shard will refuse goes to cell (0,0)'s owner, whose 400 is
+// the answer.
 func (g *Gateway) handleAvailability(w http.ResponseWriter, r *http.Request) {
+	var key RouteKey
 	q := r.URL.Query()
 	lat, errLat := strconv.ParseFloat(q.Get("lat"), 64)
 	lon, errLon := strconv.ParseFloat(q.Get("lon"), 64)
-	if errLat != nil || errLon != nil {
-		http.Error(w, "lat and lon are required numbers", http.StatusBadRequest)
-		return
+	if p := (geo.Point{Lat: lat, Lon: lon}); errLat == nil && errLon == nil && p.Valid() {
+		key.Cell = CellOf(p, g.cfg.CellDeg)
 	}
-	p := geo.Point{Lat: lat, Lon: lon}
-	if !p.Valid() {
-		http.Error(w, fmt.Sprintf("invalid location %v", p), http.StatusBadRequest)
-		return
-	}
-	cell := CellOf(p, g.cfg.CellDeg)
-	var targets []string
-	if arg := q.Get("channels"); arg != "" {
-		owners := map[string]bool{}
-		for _, part := range strings.Split(arg, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || !rfenv.Channel(n).Valid() {
-				http.Error(w, fmt.Sprintf("bad channel %q", part), http.StatusBadRequest)
-				return
-			}
-			owners[g.ring.Owner(RouteKey{Channel: rfenv.Channel(n), Cell: cell})] = true
-		}
-		for id := range owners {
-			targets = append(targets, id)
-		}
-		sort.Strings(targets)
-	} else {
-		targets = g.ring.Nodes()
-	}
-	if len(targets) == 1 {
-		g.geomerge.availForwarded.Inc()
-		g.forward(w, r, g.shards[targets[0]], nil)
-		return
-	}
-
-	results := g.fanoutTo(r, nil, targets)
-	merged, err := mergeAvailability(results)
-	if err != nil {
-		g.geomerge.availErrors.Inc()
-		g.lg.Warn(r.Context(), "availability_merge_failed", "err", err)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	g.geomerge.availMerged.Inc()
-	w.Header().Set(ClusterVersionHeader, g.version)
-	w.Header().Set(ShardHeader, strings.Join(targets, ","))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(merged) //nolint:errcheck // client went away
-}
-
-// mergeAvailability unions per-shard cell verdicts. Generation reports
-// the highest contributing shard grid generation (generations are
-// per-shard counters; the max is "the freshest evidence consulted").
-func mergeAvailability(results []FanoutResult) (dbserver.AvailabilityJSON, error) {
-	var merged dbserver.AvailabilityJSON
-	for i, res := range results {
-		if res.Status != http.StatusOK {
-			return merged, fmt.Errorf("shard %s: status %d %s", res.Shard, res.Status, res.Error)
-		}
-		var av dbserver.AvailabilityJSON
-		if err := json.Unmarshal(res.Body, &av); err != nil {
-			return merged, fmt.Errorf("shard %s: %v", res.Shard, err)
-		}
-		if i == 0 {
-			merged = av
-			continue
-		}
-		if av.Generation > merged.Generation {
-			merged.Generation = av.Generation
-		}
-		merged.Channels = unionEntries(merged.Channels, av.Channels)
-	}
-	sortEntries(merged.Channels)
-	return merged, nil
+	g.forward(w, r, g.shardFor(key), nil)
 }
 
 // unionEntries merges two verdict lists keyed by (channel, sensor).
@@ -194,18 +122,58 @@ func sortEntries(entries []dbserver.AvailabilityEntryJSON) {
 	})
 }
 
-// handleRoute serves POST /v1/route at the gateway: broadcast the body
-// to every shard (a route's cells spread across the whole ring) and
-// merge the per-segment verdicts. Shard-side validation is
-// deterministic, so a malformed request fails identically everywhere
-// and the uniform status passes through instead of masquerading as a
-// gateway fault.
+// routeOwners names, sorted, the distinct owners of the cells
+// geoindex.SampleRoute puts a route body through at the gateway's
+// quantum. It is nil for a body a shard refuses before sampling: not a
+// route object, no waypoint, more than MaxRoutePoints, an invalid one,
+// more than MaxRouteSamples samples.
+func (g *Gateway) routeOwners(body []byte) []string {
+	var req dbserver.RouteRequestJSON
+	if json.Unmarshal(body, &req) != nil || len(req.Points) == 0 || len(req.Points) > geoindex.MaxRoutePoints {
+		return nil
+	}
+	points := make([]geo.Point, len(req.Points))
+	for i, rp := range req.Points {
+		if points[i] = (geo.Point{Lat: rp.Lat, Lon: rp.Lon}); !points[i].Valid() {
+			return nil
+		}
+	}
+	if geoindex.SampleCount(points, req.StepM) > geoindex.MaxRouteSamples {
+		return nil
+	}
+	var owners []string
+	for _, seg := range geoindex.SampleRoute(points, req.StepM, g.cfg.CellDeg) {
+		if id := g.ring.Owner(RouteKey{Cell: seg.Cell}); !slices.Contains(owners, id) {
+			owners = append(owners, id)
+		}
+	}
+	sort.Strings(owners)
+	return owners
+}
+
+// handleRoute serves POST /v1/route at the gateway: the route goes to
+// the owners of its cells only — one owner's answer is forwarded
+// byte-identical, several are merged per segment. Shard-side validation
+// is deterministic, so a body the gateway cannot sample goes to cell
+// (0,0)'s owner, and a refusal uniform across the legs passes through,
+// as the shards' own verdict instead of a gateway fault.
 func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
 	body, ok := g.readBody(w, r)
 	if !ok {
 		return
 	}
-	results := g.fanoutTo(r, body, g.ring.Nodes())
+	owners := g.routeOwners(body)
+	switch len(owners) {
+	case 0:
+		g.geomerge.routePass.Inc()
+		g.forward(w, r, g.shardFor(RouteKey{}), body)
+		return
+	case 1:
+		g.geomerge.routeForwarded.Inc()
+		g.forward(w, r, g.shards[owners[0]], body)
+		return
+	}
+	results := g.fanoutTo(r, body, owners)
 
 	okLegs := results[:0:0]
 	uniform := 0
@@ -220,7 +188,7 @@ func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(okLegs) == 0 {
 		if uniform > 0 {
-			// Every shard rejected identically (deterministic validation):
+			// Every owner refused identically (deterministic validation):
 			// hand the client the shards' own verdict.
 			g.geomerge.routePass.Inc()
 			w.Header().Set(ClusterVersionHeader, g.version)
@@ -233,7 +201,7 @@ func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(okLegs) < len(results) {
-		// A route answer missing shards would silently present owned
+		// A route answer missing an owner would silently present its
 		// cells as unknown — worse than failing, because "unknown" is a
 		// valid verdict a planner may act on.
 		g.geomerge.routeErrors.Inc()
@@ -269,7 +237,7 @@ func writeLegBody(w http.ResponseWriter, status int, leg FanoutResult) {
 	w.Write(leg.Body) //nolint:errcheck // client went away
 }
 
-// mergeRoutes unions per-shard route answers segment by segment. Every
+// mergeRoutes unions per-owner route answers segment by segment. Every
 // leg sampled the same body with the same quantum, so segment counts
 // and cells must agree; a disagreement means the shards' routing
 // configuration has drifted from the gateway's and the answer cannot be

@@ -21,6 +21,7 @@ import (
 
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/dbserver"
+	"github.com/wsdetect/waldo/internal/geo"
 )
 
 // watchedShard serves a handler on loopback and watches its connections:
@@ -576,7 +577,9 @@ func TestLegConnsNeverShared(t *testing.T) {
 
 // TestMergeLegNotJSON: merge legs are no longer pre-scanned, so it is
 // the merge's own decode that must refuse a non-JSON 200 — with a 502
-// naming the shard — while broadcasts still embed one as a string.
+// naming the shard — while broadcasts still embed one as a string, and a
+// forwarded answer (a point's availability, a one-owner route) passes
+// through untouched, as /v1/model does.
 func TestMergeLegNotJSON(t *testing.T) {
 	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/stats" {
@@ -593,14 +596,48 @@ func TestMergeLegNotJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gw.Close()
+	owner := func(p geo.Point) string { return gw.Ring().Owner(RouteKey{Cell: CellOf(p, DefaultCellDeg)}) }
+	route := func(pts ...geo.Point) string {
+		req := dbserver.RouteRequestJSON{}
+		for _, p := range pts {
+			req.Points = append(req.Points, dbserver.RoutePointJSON{Lat: p.Lat, Lon: p.Lon})
+		}
+		b, _ := json.Marshal(req)
+		return string(b)
+	}
+	// Walk north one cell at a time: a cell s-bad owns, and a step from
+	// one owner's cell into the other's.
+	var badCell geo.Point
+	var crossing string
+	for i := 0; i < 200 && (badCell == geo.Point{} || crossing == ""); i++ {
+		a := cellCenter(geo.Point{Lat: 33.6 + float64(i)*DefaultCellDeg, Lon: -84.5}, DefaultCellDeg)
+		b := geo.Point{Lat: a.Lat + DefaultCellDeg, Lon: a.Lon}
+		if owner(a) == "s-bad" {
+			badCell = a
+		}
+		if owner(a) != owner(b) {
+			crossing = route(a, b)
+		}
+	}
+	if (badCell == geo.Point{}) || crossing == "" {
+		t.Fatal("the walk found no s-bad cell or no owner boundary")
+	}
 	for _, tt := range []struct{ method, target, body string }{
 		{http.MethodGet, "/v1/stats", ""},
-		{http.MethodGet, "/v1/availability?lat=33.6&lon=-84.5", ""},
-		{http.MethodPost, "/v1/route", `{"points":[]}`},
+		{http.MethodPost, "/v1/route", crossing},
 	} {
 		rec := serveGateway(context.Background(), gw, tt.method, tt.target, []byte(tt.body))
 		if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), "s-bad") {
 			t.Errorf("%s = %d %q, want 502 naming s-bad", tt.target, rec.Code, rec.Body)
+		}
+	}
+	for _, tt := range []struct{ method, target, body string }{
+		{http.MethodGet, fmt.Sprintf("/v1/availability?lat=%v&lon=%v", badCell.Lat, badCell.Lon), ""},
+		{http.MethodPost, "/v1/route", route(badCell, badCell.Offset(0, 1000))},
+	} {
+		rec := serveGateway(context.Background(), gw, tt.method, tt.target, []byte(tt.body))
+		if rec.Code != http.StatusOK || rec.Body.String() != "oops\n" || rec.Header().Get(ShardHeader) != "s-bad" {
+			t.Errorf("%s = %d %q from %q, want s-bad's own 200 passed through", tt.target, rec.Code, rec.Body, rec.Header().Get(ShardHeader))
 		}
 	}
 	rec := serveGateway(context.Background(), gw, http.MethodPost, "/v1/admin/snapshot", nil)

@@ -22,7 +22,8 @@ func testKeys(n int) []RouteKey {
 
 // TestRingDistribution checks the load-balance claim the vnode count is
 // chosen for: across 10k keys on a 4-shard ring at the default 128
-// vnodes, no shard's share deviates from the mean by 10% or more.
+// vnodes, no shard's share deviates from the mean by 10% or more. And
+// placement is by place: every channel of a cell has one owner.
 func TestRingDistribution(t *testing.T) {
 	nodes := []string{"s0", "s1", "s2", "s3"}
 	ring, err := NewRing(RingConfig{Seed: 1}, nodes)
@@ -44,6 +45,14 @@ func TestRingDistribution(t *testing.T) {
 		if dev >= 0.10*mean {
 			t.Errorf("node %s owns %d keys, deviates %.1f%% from mean %.0f (want <10%%)",
 				n, counts[n], 100*dev/mean, mean)
+		}
+	}
+	for _, k := range keys[:1000] {
+		want := ring.Owner(RouteKey{Cell: k.Cell})
+		for ch := rfenv.Channel(14); ch <= 51; ch++ {
+			if got := ring.Owner(RouteKey{Channel: ch, Cell: k.Cell}); got != want {
+				t.Fatalf("cell %+v: channel %d on %q, channel 0 on %q", k.Cell, ch, got, want)
+			}
 		}
 	}
 }
@@ -70,13 +79,14 @@ func TestRingDeterminism(t *testing.T) {
 	}
 	// Golden pins: if these move, placement changed and every deployed
 	// cluster re-rings (a full data migration). Do not update casually.
+	// Re-pinned once when placement went from (channel, cell) to cell.
 	golden := []struct {
 		key  RouteKey
 		want string
 	}{
-		{RouteKey{Channel: 21, Cell: Cell{X: 0, Y: 0}}, "s0"},
+		{RouteKey{Channel: 21, Cell: Cell{X: 0, Y: 0}}, "s4"},
 		{RouteKey{Channel: 39, Cell: Cell{X: 674, Y: -1688}}, "s3"},
-		{RouteKey{Channel: 51, Cell: Cell{X: -3, Y: 7}}, "s3"},
+		{RouteKey{Channel: 51, Cell: Cell{X: -3, Y: 7}}, "s0"},
 	}
 	for _, g := range golden {
 		if got := a.Owner(g.key); got != g.want {

@@ -129,6 +129,48 @@ func TestModelCacheAndConditionalGet(t *testing.T) {
 	}
 }
 
+// TestModelETagNamesTheBytes: the validator is the representation's, not
+// the version counter's. Two servers that bootstrapped the same readings
+// (a primary and its replica) share it, so a client failing over still
+// revalidates to 304; a server whose v1 of the same channel was trained
+// on other readings (another shard) has its own, so the client's v1
+// from elsewhere is not "not modified" there.
+func TestModelETagNamesTheBytes(t *testing.T) {
+	fetch := func(h http.Handler, inm string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, "/v1/model?channel=47&sensor=1", nil)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	boot := func(seed int64) http.Handler {
+		s := New(Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}})
+		if err := s.Bootstrap(synthReadings(600, 47, seed)); err != nil {
+			t.Fatal(err)
+		}
+		return s.Handler()
+	}
+	primary, replica, other := boot(1), boot(1), boot(2)
+	got := fetch(primary, "")
+	etag := got.Header().Get("ETag")
+	if got.Code != http.StatusOK || !strings.HasPrefix(etag, `"47-1-v1-`) {
+		t.Fatalf("first fetch = %d, ETag %q", got.Code, etag)
+	}
+	if rec := fetch(replica, etag); rec.Code != http.StatusNotModified {
+		t.Errorf("byte-identical replica revalidated %s to %d, want 304", etag, rec.Code)
+	}
+	rec := fetch(other, etag)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Waldo-Model-Version") != "1" {
+		t.Fatalf("other server's v1 revalidated %s to %d (version %s), want its own 200 v1",
+			etag, rec.Code, rec.Header().Get("X-Waldo-Model-Version"))
+	}
+	if rec.Header().Get("ETag") == etag || rec.Body.String() == got.Body.String() {
+		t.Errorf("two different v1 descriptors share ETag %s", etag)
+	}
+}
+
 func TestETagMatches(t *testing.T) {
 	const etag = `"47-1-v3"`
 	for header, want := range map[string]bool{

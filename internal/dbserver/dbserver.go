@@ -21,11 +21,12 @@
 //	GET  /v1/model?channel=C&sensor=K          binary model descriptor; the
 //	                                           X-Waldo-Model-Version header
 //	                                           carries the version and ETag a
-//	                                           strong validator. Encoded blobs
-//	                                           are cached per store keyed by
-//	                                           model version; If-None-Match
+//	                                           strong validator hashing the
+//	                                           bytes. Encoded blobs are cached
+//	                                           per store keyed by model
+//	                                           version; If-None-Match
 //	                                           revalidations answer 304 with
-//	                                           no encode and no body
+//	                                           no body
 //	GET  /v1/model/watch?channel=C&sensor=K&version=V
 //	                                           long-poll model delivery: parks
 //	                                           until the store's version
@@ -90,6 +91,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"sort"
 	"strconv"
@@ -476,11 +478,15 @@ func parseKey(r *http.Request) (rfenv.Channel, sensor.Kind, error) {
 	return ch, kind, nil
 }
 
-// modelETag is the strong validator for one store's encoded descriptor.
-// The version is bumped on every retrain, so it uniquely identifies the
-// representation within a (channel, sensor) resource.
-func modelETag(ch rfenv.Channel, kind sensor.Kind, version int) string {
-	return fmt.Sprintf("%q", fmt.Sprintf("%d-%d-v%d", int(ch), int(kind), version))
+// modelETag is the strong validator for one store's encoded descriptor:
+// channel, sensor, version and a 64-bit FNV-1a hash of the bytes.
+// Versions count retrains on one server, so two shards' v1 of a channel
+// are different models; the hash tells them apart, and byte-identical
+// replicas still share a validator.
+func modelETag(ch rfenv.Channel, kind sensor.Kind, version int, data []byte) string {
+	h := fnv.New64a()
+	h.Write(data) //nolint:errcheck // a hash.Hash never fails
+	return fmt.Sprintf(`"%d-%d-v%d-%016x"`, int(ch), int(kind), version, h.Sum64())
 }
 
 // etagMatches implements the If-None-Match comparison (weak comparison:
@@ -501,30 +507,38 @@ func etagMatches(header, etag string) bool {
 }
 
 // encodedModel returns the cached descriptor for the store at the given
-// version, encoding and caching it on version mismatch (the first fetch
-// after a retrain). The returned byte slice is shared and must not be
-// mutated.
-func (s *Server) encodedModel(key storeKey, model *core.Model, version int) ([]byte, error) {
+// version, encoding and caching it on version mismatch (the first request
+// after a retrain), and reports whether it encoded. The blob is shared
+// and must not be mutated.
+func (s *Server) encodedModel(key storeKey, model *core.Model, version int) (*modelBlob, bool, error) {
 	s.blobMu.RLock()
 	blob := s.blobs[key]
 	s.blobMu.RUnlock()
 	if blob != nil && blob.version == version {
-		s.cacheHit.Inc()
-		return blob.data, nil
+		return blob, false, nil
 	}
-	s.cacheMiss.Inc()
 	var buf bytes.Buffer
 	if err := core.EncodeModel(&buf, model); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	fresh := &modelBlob{version: version, etag: modelETag(key.ch, key.kind, version), data: buf.Bytes()}
+	fresh := &modelBlob{version: version, etag: modelETag(key.ch, key.kind, version, buf.Bytes()), data: buf.Bytes()}
 	s.blobMu.Lock()
 	// Keep the newest version if a concurrent encode raced us there.
 	if cur := s.blobs[key]; cur == nil || cur.version < version {
 		s.blobs[key] = fresh
 	}
 	s.blobMu.Unlock()
-	return fresh.data, nil
+	return fresh, true, nil
+}
+
+// countServed records a descriptor sent whole: a miss if this request
+// encoded it, else a hit.
+func (s *Server) countServed(encoded bool) {
+	if encoded {
+		s.cacheMiss.Inc()
+	} else {
+		s.cacheHit.Inc()
+	}
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
@@ -543,23 +557,23 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "model not trained yet", http.StatusNotFound)
 		return
 	}
-	etag := modelETag(ch, kind, version)
-	w.Header().Set("ETag", etag)
-	w.Header().Set("X-Waldo-Model-Version", strconv.Itoa(version))
-	// Conditional fleet polls short-circuit before any encode: the
-	// version check needs only the updater's counter.
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		s.cacheNotMod.Inc()
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	data, err := s.encodedModel(storeKey{ch, kind}, model, version)
+	// The validator names the bytes, so a conditional poll needs the blob
+	// too: cached after the first request of a version, encoded by it.
+	blob, encoded, err := s.encodedModel(storeKey{ch, kind}, model, version)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	w.Header().Set("ETag", blob.etag)
+	w.Header().Set("X-Waldo-Model-Version", strconv.Itoa(version))
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, blob.etag) {
+		s.cacheNotMod.Inc()
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	s.countServed(encoded)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := w.Write(data); err != nil {
+	if _, err := w.Write(blob.data); err != nil {
 		return // client went away
 	}
 }

@@ -133,17 +133,17 @@ func (s *Server) handleModelWatch(w http.ResponseWriter, r *http.Request) {
 		bumped := s.hub.watch(key)
 		model, version := u.Model()
 		if model != nil && version > since {
-			etag := modelETag(ch, kind, version)
-			data, err := s.encodedModel(key, model, version)
+			blob, encoded, err := s.encodedModel(key, model, version)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
+			s.countServed(encoded)
 			s.watch.delivered.Inc()
-			w.Header().Set("ETag", etag)
+			w.Header().Set("ETag", blob.etag)
 			w.Header().Set("X-Waldo-Model-Version", strconv.Itoa(version))
 			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write(data) //nolint:errcheck // client went away
+			w.Write(blob.data) //nolint:errcheck // client went away
 			return
 		}
 		select {
