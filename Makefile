@@ -15,10 +15,10 @@ check: vet build race
 # benchmark: the shipped binaries as subprocesses (3 shards + gateway)
 # under uploads, model fetch/watch, availability, routes and retrains,
 # with the workload's own correctness checks. Before that, one iteration
-# of the trainer's, the JSON upload decoder's and the gateway's place-query
-# benchmarks, so they cannot rot unbuilt.
+# of the trainer's, the JSON upload decoder's, the gateway's place-query,
+# upload and leg benchmarks, so they cannot rot unbuilt.
 verify: fmt-check vet build test doccheck cluster-test trace-smoke
-	$(GO) test ./internal/ml/svm ./internal/dataset ./internal/geo ./internal/core ./internal/dbserver ./internal/cluster -run xxx -bench 'CosExact|RFFTransform|RFFSVMTrain|PegasosTrain|LabelReadings|GridWithinRadius|MetroRebuild|DecodeUploadJSON|GatewayPlaceQueries' -benchtime 1x
+	$(GO) test ./internal/ml/svm ./internal/dataset ./internal/geo ./internal/core ./internal/dbserver ./internal/cluster -run xxx -bench 'CosExact|RFFTransform|RFFSVMTrain|PegasosTrain|LabelReadings|GridWithinRadius|MetroRebuild|DecodeUploadJSON|GatewayPlaceQueries|UploadViaGatewayFrame|LegExchange' -benchtime 1x
 	bash bench/run.sh --workload query_mixed --seed 42 --seconds 1 --trace 0
 
 # Godoc coverage on contract-surface packages: every exported

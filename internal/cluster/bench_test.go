@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/wsdetect/waldo/internal/dbserver"
+	"github.com/wsdetect/waldo/internal/rfenv"
 )
 
 // benchUpload measures one upload round-trip per iteration against url,
@@ -276,5 +277,43 @@ func TestGatewayForwardAllocBudget(t *testing.T) {
 	t.Logf("allocs per frame: direct %.0f, via gateway %.0f", direct, via)
 	if own := via - direct; own > 65 {
 		t.Errorf("gateway allocates %.0f per forwarded frame, budget 65", own)
+	}
+}
+
+// TestGatewayUploadAllocBudget holds the gateway's own allocations per
+// forwarded single-owner frame — 64 readings through g.Handler() to a
+// stub shard that allocates nothing, minus the same request answered by
+// a handler that only drains it — at 44; the gateway allocated 51
+// when legs went through http.Client and url.Parse and upload bodies
+// were read into a fresh buffer each.
+func TestGatewayUploadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	gw, stub := stubGateway(t, 0)
+	frame := frameOf(t, synthAt(legFrameReadings, 47, 1, cellCenter(rfenv.MetroCenter, DefaultCellDeg)))
+	upload := func(h http.Handler) func() {
+		return func() {
+			req := httptest.NewRequest(http.MethodPost, batchFramePath, bytes.NewReader(frame))
+			req.Header.Set("Content-Type", "application/octet-stream")
+			req.Header.Set(dbserver.CISpanHeader, "0.4")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusNoContent {
+				t.Fatalf("upload = %d %s", rec.Code, rec.Body)
+			}
+		}
+	}
+	drain := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		w.WriteHeader(http.StatusNoContent)
+	})
+	own := testing.AllocsPerRun(200, upload(gw.Handler())) - testing.AllocsPerRun(200, upload(drain))
+	if stub.lastLen != int64(len(frame)) {
+		t.Fatalf("the leg carried %d bytes, want the %d-byte frame", stub.lastLen, len(frame))
+	}
+	t.Logf("gateway allocs per forwarded frame: %.0f", own)
+	if own > 44 {
+		t.Errorf("gateway allocates %.0f per forwarded frame, budget 44", own)
 	}
 }

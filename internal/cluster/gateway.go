@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -57,7 +58,9 @@ type GatewayConfig struct {
 
 	// HTTPClient carries gateway→shard traffic. nil means the gateway's
 	// own keep-alive leg transport (legtransport.go), closed by Close.
-	// The 10 s leg budget rides the request context either way.
+	// An injected client's Transport (nil: http.DefaultTransport) is
+	// called directly, so its Timeout, redirects and cookie jar do not
+	// apply; the leg deadline rides the request context either way.
 	HTTPClient *http.Client
 
 	// Metrics receives the waldo_cluster_* gateway series. nil means a
@@ -85,6 +88,7 @@ type GatewayConfig struct {
 // ping-pong writes between endpoints.
 type shardState struct {
 	spec ShardSpec
+	eps  []*url.URL // spec.URLs, parsed once
 
 	mu     sync.Mutex
 	active int
@@ -94,11 +98,17 @@ type shardState struct {
 	redials  *telemetry.Counter
 }
 
-// currentURL returns the endpoint receiving this shard's traffic.
-func (s *shardState) currentURL() string {
+// current returns the endpoint receiving this shard's traffic, as
+// configured and as parsed.
+func (s *shardState) current() (string, *url.URL) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.spec.URLs[s.active]
+	return s.spec.URLs[s.active], s.eps[s.active]
+}
+
+func (s *shardState) currentURL() string {
+	u, _ := s.current()
+	return u
 }
 
 // markFailed advances past url if it is still the active endpoint
@@ -124,9 +134,9 @@ type Gateway struct {
 	ring    *Ring
 	shards  map[string]*shardState
 	version string
-	httpc   *http.Client
-	// legs is the transport under httpc when the gateway built it; nil
-	// with an injected GatewayConfig.HTTPClient.
+	rt      http.RoundTripper
+	// legs is rt when the gateway built it; nil with an injected
+	// GatewayConfig.HTTPClient.
 	legs *legTransport
 
 	metrics      *telemetry.Registry
@@ -172,9 +182,17 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		if _, dup := shards[spec.ID]; dup {
 			return nil, fmt.Errorf("cluster: duplicate shard ID %q", spec.ID)
 		}
+		eps := make([]*url.URL, len(spec.URLs))
+		for i, raw := range spec.URLs {
+			var err error
+			if eps[i], err = url.Parse(raw); err != nil {
+				return nil, fmt.Errorf("cluster: shard %s: %v", spec.ID, err)
+			}
+		}
 		ids = append(ids, spec.ID)
 		shards[spec.ID] = &shardState{
 			spec: spec,
+			eps:  eps,
 			requests: cfg.Metrics.Counter("waldo_cluster_requests_total",
 				"Client requests routed to this shard (fan-out legs count once per shard).",
 				"shard", spec.ID),
@@ -186,17 +204,18 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		}
 	}
 	var legs *legTransport
+	var rt http.RoundTripper
 	if cfg.HTTPClient == nil {
 		redials := make(map[legEndpoint]*telemetry.Counter)
 		for _, sh := range shards {
-			for _, raw := range sh.spec.URLs {
-				if u, err := url.Parse(raw); err == nil {
-					redials[legEndpoint{u.Scheme, u.Host}] = sh.redials
-				}
+			for _, u := range sh.eps {
+				redials[legEndpoint{u.Scheme, u.Host}] = sh.redials
 			}
 		}
 		legs = &legTransport{redialed: func(ep legEndpoint) { redials[ep].Inc() }}
-		cfg.HTTPClient = &http.Client{Transport: legs}
+		rt = legs
+	} else if rt = cfg.HTTPClient.Transport; rt == nil {
+		rt = http.DefaultTransport
 	}
 	ring, err := NewRing(cfg.Ring, ids)
 	if err != nil {
@@ -213,7 +232,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		ring:     ring,
 		shards:   shards,
 		version:  ConfigVersion(cfg.Ring.Seed, ring.VNodes(), cfg.CellDeg, cfg.Shards),
-		httpc:    cfg.HTTPClient,
+		rt:       rt,
 		legs:     legs,
 		metrics:  cfg.Metrics,
 		lg:       cfg.Log.Named("gateway"),
@@ -485,17 +504,18 @@ var errShuttingDown = errors.New("cluster: gateway shutting down")
 // response, else the last error.
 func (g *Gateway) withShard(r *http.Request, sh *shardState, body []byte, consume func(*http.Response) error) error {
 	sh.requests.Inc()
+	ctx := r.Context()
 	var leg *telemetry.Span
-	if parent := telemetry.SpanFromContext(r.Context()); parent != nil {
+	if parent := telemetry.SpanFromContext(ctx); parent != nil {
 		leg = parent.Child("leg")
 		leg.SetAttr("shard", sh.spec.ID)
-		r = r.WithContext(telemetry.ContextWithSpan(r.Context(), leg))
+		ctx = telemetry.ContextWithSpan(ctx, leg)
 		defer leg.End()
 	}
 	var lastErr error
 	for range sh.spec.URLs {
-		endpoint := sh.currentURL()
-		status, err := g.shardDo(r, endpoint, body, consume)
+		raw, ep := sh.current()
+		status, err := g.shardDo(ctx, r, ep, body, consume)
 		if err == nil {
 			if status >= http.StatusInternalServerError {
 				leg.Fail(fmt.Sprintf("leg status %d", status))
@@ -505,7 +525,7 @@ func (g *Gateway) withShard(r *http.Request, sh *shardState, body []byte, consum
 		if err == errShuttingDown { // the gateway's doing, not the endpoint's
 			return err
 		}
-		g.endpointFailed(r.Context(), sh, endpoint, err, "request")
+		g.endpointFailed(ctx, sh, raw, err, "request")
 		lastErr = err
 	}
 	leg.Fail("shard unavailable")
@@ -554,35 +574,41 @@ func (g *Gateway) tryShard(r *http.Request, sh *shardState, body []byte) FanoutR
 // shard (the first value of each), spelled canonically so shardDo can
 // index the header maps directly: Get and Set would re-canonicalize
 // the CI-span name, an allocation each, on every leg.
-var legHeaders = [...]string{"Content-Type", "If-None-Match", "Accept", http.CanonicalHeaderKey(dbserver.CISpanHeader)}
+var legHeaders = [...]string{"Content-Type", "If-None-Match", "Accept", ciSpanHeaderKey}
 
-// shardDo runs one exchange with one endpoint: the proxied request,
-// carrying the current span's trace context in X-Waldo-Trace so the
-// shard's spans join the gateway's trace, then consume on the response,
-// all within legTimeout — except a /v1/model/watch leg, which parks
-// past any sane budget by design and is leashed by the client's context
-// and the gateway's life: BeginShutdown ends it with errShuttingDown.
-// It reports the response status once consume accepted it.
-func (g *Gateway) shardDo(r *http.Request, endpoint string, body []byte, consume func(*http.Response) error) (int, error) {
-	var ctx context.Context
+var ciSpanHeaderKey = http.CanonicalHeaderKey(dbserver.CISpanHeader)
+
+// shardDo runs one exchange with endpoint ep — r's method, path, query
+// and legHeaders, plus ctx's span in X-Waldo-Trace so the shard's spans
+// join the gateway's trace — then consume on the response. It is bounded
+// by a deadline (legTimeout, or ctx's if sooner), not by ctx's
+// cancellation, which would arm the serving loop's hang-up watcher on
+// every proxied request. A /v1/model/watch leg parks past any budget by
+// design: the client's hang-up and BeginShutdown (errShuttingDown) end
+// it. It reports the response status once consume accepted it.
+func (g *Gateway) shardDo(ctx context.Context, r *http.Request, ep *url.URL, body []byte, consume func(*http.Response) error) (int, error) {
 	var cancel context.CancelFunc
 	parked := r.URL.Path == "/v1/model/watch"
 	if parked {
-		ctx, cancel = context.WithCancel(r.Context())
+		ctx, cancel = context.WithCancel(ctx)
 		defer context.AfterFunc(g.life, cancel)()
 	} else {
-		ctx, cancel = context.WithTimeout(r.Context(), legTimeout)
+		deadline := time.Now().Add(legTimeout)
+		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+			deadline = d
+		}
+		ctx, cancel = context.WithDeadline(context.WithoutCancel(ctx), deadline)
 	}
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, endpoint+r.URL.Path, rd)
+	req, err := http.NewRequestWithContext(ctx, r.Method, "", rd)
 	if err != nil {
 		return 0, err
 	}
-	req.URL.RawQuery = r.URL.RawQuery
+	*req.URL = url.URL{Scheme: ep.Scheme, Host: ep.Host, Path: ep.Path + r.URL.Path, RawQuery: r.URL.RawQuery}
 	for _, h := range legHeaders {
 		if vs := r.Header[h]; len(vs) > 0 && vs[0] != "" {
 			req.Header[h] = vs[:1]
@@ -591,7 +617,7 @@ func (g *Gateway) shardDo(r *http.Request, endpoint string, body []byte, consume
 	if sc := telemetry.SpanFromContext(ctx).Context(); sc.Valid() {
 		req.Header.Set(telemetry.TraceHeader, sc.Header())
 	}
-	resp, err := g.httpc.Do(req)
+	resp, err := g.rt.RoundTrip(req)
 	if err != nil {
 		if parked && g.life.Err() != nil {
 			err = errShuttingDown
@@ -602,17 +628,32 @@ func (g *Gateway) shardDo(r *http.Request, endpoint string, body []byte, consume
 	return resp.StatusCode, consume(resp)
 }
 
-// readBody buffers a request body under the gateway cap, preallocating
-// from Content-Length so a typical upload reads in one pass instead of
-// growing through doubling copies. On failure it has already answered
-// (413 for an oversize body, else 400) and reports false.
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	rd := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= g.cfg.MaxBodyBytes {
-		buf.Grow(int(n))
+// maxPooledBody bounds the request-body buffers bodyPool keeps: one
+// grown past it by an outsized upload is left to the collector rather
+// than pinned in the pool.
+const maxPooledBody = 64 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBody buffers a request body under the gateway cap. A body of known
+// length is read in one pass into a pooled buffer; the caller hands it
+// back with putBody once nothing refers to it — every request body the
+// gateway reads dies with its handler. One of unknown length is read
+// through bytes.Buffer. On failure it has already answered (413 for an
+// oversize body, else 400) and reports false.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, bool) {
+	var err error
+	bp := bodyPool.Get().(*[]byte)
+	if n := r.ContentLength; n >= 0 && n <= g.cfg.MaxBodyBytes {
+		*bp = slices.Grow((*bp)[:0], int(n))[:n]
+		_, err = io.ReadFull(r.Body, *bp)
+	} else {
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+		*bp = buf.Bytes()
 	}
-	if _, err := buf.ReadFrom(rd); err != nil {
+	if err != nil {
+		putBody(bp)
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -621,7 +662,14 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 		http.Error(w, "read body: "+err.Error(), status)
 		return nil, false
 	}
-	return buf.Bytes(), true
+	return bp, true
+}
+
+// putBody returns a readBody buffer to the pool.
+func putBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
 }
 
 // forward proxies a single-key request to a shard: withShard plus
@@ -633,10 +681,12 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState, body []byte) {
 	if body == nil && r.Method != http.MethodGet && r.Method != http.MethodHead && r.Body != nil {
 		// Buffer mutation bodies so a failover retry can resend them.
-		var ok bool
-		if body, ok = g.readBody(w, r); !ok {
+		bp, ok := g.readBody(w, r)
+		if !ok {
 			return
 		}
+		defer putBody(bp)
+		body = *bp
 	}
 	err := g.withShard(r, sh, body, func(resp *http.Response) error {
 		for _, h := range []string{"Content-Type", "ETag", "X-Waldo-Model-Version", "Retry-After"} {
@@ -717,13 +767,13 @@ func (g *Gateway) probeLoop() {
 		case <-t.C:
 			for _, id := range g.ring.Nodes() {
 				sh := g.shards[id]
-				endpoint := sh.currentURL()
-				_, err := g.shardDo(probe, endpoint, nil, func(resp *http.Response) error {
+				raw, ep := sh.current()
+				_, err := g.shardDo(context.Background(), probe, ep, nil, func(resp *http.Response) error {
 					io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive
 					return nil
 				})
 				if err != nil {
-					g.endpointFailed(context.Background(), sh, endpoint, err, "probe")
+					g.endpointFailed(context.Background(), sh, raw, err, "probe")
 				}
 			}
 		}

@@ -14,7 +14,6 @@ import (
 	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/geo"
-	"github.com/wsdetect/waldo/internal/rfenv"
 )
 
 // Upload routing. Whatever format an upload arrives in, it is a core
@@ -49,30 +48,34 @@ const batchFramePath = "/v1/upload/batch"
 // the encoder only refuses what a frame cannot represent (no readings,
 // too many, a channel or sensor wider than its field).
 func (g *Gateway) handleReadings(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r)
+	bp, ok := g.readBody(w, r)
 	if !ok {
 		return
 	}
-	batch, err := dbserver.DecodeUploadJSON(nil, body, nil)
-	var frame []byte
+	defer putBody(bp)
+	fp := bodyPool.Get().(*[]byte) // the frame dies with the handler too
+	defer putBody(fp)
+	batch, err := dbserver.DecodeUploadJSON(nil, *bp, nil)
 	if err == nil {
-		frame, err = core.EncodeBatchFrame(batch.Readings)
+		*fp, err = core.AppendBatchFrame((*fp)[:0], batch.Readings)
 	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	fr := r.Clone(r.Context())
-	fr.URL.Path, fr.URL.RawQuery = batchFramePath, ""
-	fr.Header.Set("Content-Type", "application/octet-stream")
-	fr.Header.Set(dbserver.CISpanHeader, strconv.FormatFloat(batch.CISpanDB, 'g', -1, 64))
-	g.routeFrame(w, fr, frame)
+	// Legs read only the method, URL, context and headers: a shallow copy.
+	fr, u := *r, *r.URL
+	u.Path, u.RawQuery = batchFramePath, ""
+	fr.URL, fr.Header = &u, http.Header{"Content-Type": {"application/octet-stream"},
+		ciSpanHeaderKey: {strconv.FormatFloat(batch.CISpanDB, 'g', -1, 64)}}
+	g.routeFrame(w, &fr, *fp)
 }
 
 // handleUploadBatch is the frame upload edge.
 func (g *Gateway) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
-	if body, ok := g.readBody(w, r); ok {
-		g.routeFrame(w, r, body)
+	if bp, ok := g.readBody(w, r); ok {
+		defer putBody(bp)
+		g.routeFrame(w, r, *bp)
 	}
 }
 
@@ -117,15 +120,17 @@ func (g *Gateway) routeFrame(w http.ResponseWriter, r *http.Request, frame []byt
 	record := func(i int) []byte {
 		return frame[4+i*core.ReadingWireSize:][:core.ReadingWireSize]
 	}
+	// Ring.Owner hashes the cell alone and a WSD batches where it stands,
+	// so the owner is looked up once per run of same-cell records.
+	var lastCell Cell
+	var lastOwner string
 	keyOf := func(rec []byte) legKey {
 		lat := math.Float64frombits(binary.LittleEndian.Uint64(rec[recLatOff:]))
 		lon := math.Float64frombits(binary.LittleEndian.Uint64(rec[recLonOff:]))
-		channel := binary.LittleEndian.Uint16(rec[recChannelOff:])
-		owner := g.ring.Owner(RouteKey{
-			Channel: rfenv.Channel(channel),
-			Cell:    CellOf(geo.Point{Lat: lat, Lon: lon}, g.cfg.CellDeg),
-		})
-		return legKey{shard: owner, channel: channel, sensor: rec[recSensorOff]}
+		if cell := CellOf(geo.Point{Lat: lat, Lon: lon}, g.cfg.CellDeg); lastOwner == "" || cell != lastCell {
+			lastCell, lastOwner = cell, g.ring.Owner(RouteKey{Cell: cell})
+		}
+		return legKey{shard: lastOwner, channel: binary.LittleEndian.Uint16(rec[recChannelOff:]), sensor: rec[recSensorOff]}
 	}
 	first := keyOf(record(0))
 	mixed := false

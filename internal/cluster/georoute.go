@@ -158,10 +158,12 @@ func (g *Gateway) routeOwners(body []byte) []string {
 // (0,0)'s owner, and a refusal uniform across the legs passes through,
 // as the shards' own verdict instead of a gateway fault.
 func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r)
+	bp, ok := g.readBody(w, r)
 	if !ok {
 		return
 	}
+	defer putBody(bp)
+	body := *bp
 	owners := g.routeOwners(body)
 	switch len(owners) {
 	case 0:

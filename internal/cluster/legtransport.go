@@ -11,6 +11,8 @@ import (
 	"net"
 	"net/http"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -89,6 +91,12 @@ func (c *legConn) Read(p []byte) (int, error) {
 // failover already gives (re-applied readings are duplicates, never
 // losses).
 func (t *legTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if err := checkLegRequest(req); err != nil {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, err
+	}
 	ctx := req.Context()
 	ep := legEndpoint{req.URL.Scheme, req.URL.Host}
 	c := t.takeIdle(ep)
@@ -176,7 +184,7 @@ func (t *legTransport) exchange(ctx context.Context, ep legEndpoint, c *legConn,
 		return nil, err
 	}
 
-	werr := req.Write(c.bw)
+	werr := writeLegRequest(c.bw, req)
 	if werr == nil {
 		werr = c.bw.Flush()
 	}
@@ -200,6 +208,88 @@ func (t *legTransport) exchange(ctx context.Context, ep legEndpoint, c *legConn,
 		resp.Body = &legBody{t: t, ep: ep, c: c, stop: stop, ctx: ctx, rc: resp.Body, reusable: reusable}
 	}
 	return resp, nil
+}
+
+// checkLegRequest refuses what net/http refuses to send — a method or
+// header name that is not a token, a control byte (CR, LF, NUL…) in the
+// request target or in a header value (tab aside) — and a body of
+// unknown length or missing, which a leg never has. An escaped path
+// holds no control byte; the rest of the target may.
+func checkLegRequest(req *http.Request) error {
+	ok := req.ContentLength == 0 || req.ContentLength > 0 && req.Body != nil
+	ok = ok && (req.Method == "" || isToken(req.Method))
+	for _, s := range [...]string{req.URL.Opaque, req.URL.RawQuery, req.Host, req.URL.Host} {
+		ok = ok && !hasCTL(s, false)
+	}
+	for k, vs := range req.Header {
+		ok = ok && isToken(k) && !slices.ContainsFunc(vs, func(v string) bool { return hasCTL(v, true) })
+	}
+	if !ok {
+		return fmt.Errorf("cluster: leg request %q %q is not sendable (bad method, header or target, or a body of unknown length)", req.Method, req.URL)
+	}
+	return nil
+}
+
+// writeLegRequest writes a request checkLegRequest accepted, as HTTP/1.1
+// with a body of known length: the request line, Host, req's headers,
+// exactly one Content-Length, then ContentLength bytes of the body —
+// never Transfer-Encoding. The body is closed, as Request.Write closes
+// it.
+func writeLegRequest(bw *bufio.Writer, req *http.Request) error {
+	if req.Body != nil {
+		defer req.Body.Close()
+	}
+	method, host := req.Method, req.Host
+	if method == "" {
+		method = http.MethodGet
+	}
+	if host == "" {
+		host = req.URL.Host
+	}
+	bw.WriteString(method)
+	bw.WriteByte(' ')
+	bw.WriteString(req.URL.RequestURI())
+	bw.WriteString(" HTTP/1.1\r\nHost: ")
+	bw.WriteString(host)
+	for k, vs := range req.Header {
+		if k == "Host" || k == "Content-Length" || k == "Transfer-Encoding" {
+			continue // written from req's own fields, or never
+		}
+		for _, v := range vs {
+			bw.WriteString("\r\n")
+			bw.WriteString(k)
+			bw.WriteString(": ")
+			bw.WriteString(v)
+		}
+	}
+	bw.WriteString("\r\nContent-Length: ")
+	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), req.ContentLength, 10)) //nolint:errcheck // sticky: the next write reports it
+	if _, err := bw.WriteString("\r\n\r\n"); err != nil || req.ContentLength == 0 {
+		return err
+	}
+	_, err := io.CopyN(bw, req.Body, req.ContentLength)
+	return err
+}
+
+// isToken reports whether s is a non-empty RFC 9110 token, what an HTTP
+// method and a header name must be.
+func isToken(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0) {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// hasCTL reports whether s holds a control byte, a tab only if !tabOK.
+func hasCTL(s string, tabOK bool) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' && !(tabOK && c == '\t') || c == 0x7f {
+			return true
+		}
+	}
+	return false
 }
 
 // release ends an exchange. The connection is pooled only if the
