@@ -17,8 +17,9 @@ import (
 var errRearm = errors.New("client: watch horizon expired")
 
 // WatchModel replaces the poll loop: it parks a long-poll on
-// GET /v1/model/watch naming the cached version and returns only when
-// the server pushes a newer model (which is decoded, cached, and
+// GET /v1/model/watch naming the cached descriptor by its ETag (and its
+// version, for servers that predate validators) and returns only when
+// the server pushes another model (which is decoded, cached, and
 // returned with its transferred byte count). Server-side watch horizons
 // (304) re-arm transparently, so a single call can wait across many
 // horizons; cancel ctx to stop waiting. An idle watch costs the device
@@ -38,10 +39,17 @@ func (c *Client) WatchModel(ctx context.Context, ch rfenv.Channel, kind sensor.K
 	for {
 		err := c.do(ctx, "watch model", c.watchc, 0,
 			func(actx context.Context) (*http.Request, error) {
-				since, _ := strconv.Atoi(c.CachedModelVersion(ch, kind)) // nothing cached: 0
+				c.mu.Lock()
+				held := c.cache[cacheKey{ch, kind}]
+				c.mu.Unlock()
+				since, _ := strconv.Atoi(held.version) // nothing cached: 0
 				url := fmt.Sprintf("%s/v1/model/watch?channel=%d&sensor=%d&version=%d%s",
 					c.base(), int(ch), int(kind), since, c.hintQuery())
-				return http.NewRequestWithContext(actx, http.MethodGet, url, nil)
+				req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
+				if err == nil && held.etag != "" {
+					req.Header.Set("If-None-Match", held.etag)
+				}
+				return req, err
 			},
 			func(resp *http.Response) (err error) {
 				switch resp.StatusCode {

@@ -108,7 +108,9 @@ func BenchmarkRingOwner(b *testing.B) {
 // BenchmarkGatewayPlaceQueries prices the gateway's place queries on the
 // in-process 3-shard test cluster: a point's all-channel availability, a
 // route inside one owner's cell, and a route across two owners' cells.
-// legs/op is waldo_cluster_requests_total per query.
+// legs/op is waldo_cluster_requests_total per query: 0, as the gateway
+// answers from its grid replicas once the first query of each shard has
+// started its follower.
 func BenchmarkGatewayPlaceQueries(b *testing.B) {
 	tc := newTestCluster(b, []string{"s0", "s1", "s2"})
 	free, _ := seedGeoCluster(b, tc, 47)

@@ -21,9 +21,10 @@
 //   - [Gateway]: the client-facing tier. It terminates the existing WSD
 //     API (/v1/model, /v1/readings, /v1/retrain, /v1/export, /v1/stats,
 //     /v1/availability, /v1/route, probes), sends each request to the
-//     shards owning the places it names — one for a point, the distinct
-//     owners of a route's cells — merges what spans shards, and fails
-//     over to a shard's replicas when its primary stops answering.
+//     shard owning the place it names, merges what spans shards, answers
+//     place queries from its replicas of the owners' availability grids,
+//     and fails over to a shard's replicas when its primary stops
+//     answering.
 //
 // The division of durability labor: the WAL (internal/wal) makes a
 // single node's acknowledged writes survive its crash; replication makes
@@ -60,7 +61,7 @@ type Cell = geoindex.Cell
 // CellOf quantizes a location onto the cell grid. cellDeg ≤ 0 means
 // DefaultCellDeg. It delegates to geoindex.CellOf — the routing tier and
 // the availability grid must never disagree about which cell a point is
-// in, or a gateway would merge a shard's answer under the wrong key.
+// in, or a gateway would answer a cell from the wrong shard's grid.
 func CellOf(p geo.Point, cellDeg float64) Cell {
 	return geoindex.CellOf(p, cellDeg)
 }

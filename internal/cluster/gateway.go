@@ -53,7 +53,8 @@ type GatewayConfig struct {
 	Ring RingConfig
 
 	// CellDeg is the geo-cell quantum for routing; 0 means DefaultCellDeg,
-	// the only value shards grid at (any other: routing-only test runs).
+	// the only value shards grid at (any other: routing-only test runs,
+	// whose place queries answer 502: the shards' grids are refused).
 	CellDeg float64
 
 	// HTTPClient carries gateway→shard traffic. nil means the gateway's
@@ -96,6 +97,8 @@ type shardState struct {
 	requests *telemetry.Counter
 	errs     *telemetry.Counter
 	redials  *telemetry.Counter
+
+	grid *gridReplica // the gateway's copy of the shard's grid (gridreplica.go)
 }
 
 // current returns the endpoint receiving this shard's traffic, as
@@ -128,7 +131,8 @@ func (s *shardState) markFailed(url string) bool {
 // shard owning its geo-cell, failing over to replicas when a primary
 // stops answering. Cross-shard reads (/v1/stats) and
 // cluster-wide commands (hintless /v1/retrain, /v1/admin/snapshot) fan
-// out to every shard and merge.
+// out to every shard and merge. Place queries are answered from the
+// gateway's replicas of the owners' grids (gridreplica.go).
 type Gateway struct {
 	cfg     GatewayConfig
 	ring    *Ring
@@ -143,7 +147,7 @@ type Gateway struct {
 	lg           *wlog.Logger
 	failovers    *telemetry.Counter
 	uploadSplits *telemetry.Counter
-	geomerge     geoMergeState
+	places       *dbserver.Places
 
 	// recorder backs GET /debug/traces; ownRec marks one created (and so
 	// closed) by this gateway rather than attached by the caller.
@@ -153,9 +157,13 @@ type Gateway struct {
 	handler http.Handler
 	// life ends at BeginShutdown: the prober stops and parked
 	// /v1/model/watch legs, which no timeout leashes, are cancelled.
-	life    context.Context
-	endLife context.CancelFunc
-	wg      sync.WaitGroup
+	// follows ends at Close, so the grid followers keep the replicas in
+	// sync through the drain; followMu orders a follower's start against
+	// Close.
+	life, follows       context.Context
+	endLife, endFollows context.CancelFunc
+	followMu            sync.Mutex
+	wg                  sync.WaitGroup
 }
 
 // NewGateway validates the topology, builds the ring, and starts the
@@ -201,6 +209,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			redials: cfg.Metrics.Counter("waldo_cluster_leg_redials_total",
 				"Legs replayed on a fresh connection because the pooled keep-alive one had gone stale.",
 				"shard", spec.ID),
+			grid: newGridReplica(cfg.Metrics, spec.ID),
 		}
 	}
 	var legs *legTransport
@@ -227,6 +236,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		rec = telemetry.NewRecorder(telemetry.RecorderOptions{Metrics: cfg.Metrics})
 		cfg.Metrics.SetFlightRecorder(rec)
 	}
+	lg := cfg.Log.Named("gateway")
 	g := &Gateway{
 		cfg:      cfg,
 		ring:     ring,
@@ -235,16 +245,19 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		rt:       rt,
 		legs:     legs,
 		metrics:  cfg.Metrics,
-		lg:       cfg.Log.Named("gateway"),
+		lg:       lg,
 		recorder: rec,
 		ownRec:   ownRec,
 		failovers: cfg.Metrics.Counter("waldo_cluster_failover_total",
 			"Times the gateway advanced a shard's active endpoint after failures."),
 		uploadSplits: cfg.Metrics.Counter("waldo_cluster_upload_split_total",
 			"Uploads whose readings crossed a routing-cell or channel boundary and were split across shard legs."),
-		geomerge: newGeoMergeState(cfg.Metrics),
+		// A shard's own default body cap, so a route it would refuse is
+		// refused here in the same words.
+		places: dbserver.NewPlaces(cfg.Metrics, lg, 0),
 	}
 	g.life, g.endLife = context.WithCancel(context.Background())
+	g.follows, g.endFollows = context.WithCancel(context.Background())
 	cfg.Metrics.Gauge("waldo_cluster_ring_nodes",
 		"Shards on the consistent-hash ring.").Set(float64(len(ids)))
 	cfg.Metrics.Gauge("waldo_cluster_ring_vnodes",
@@ -265,11 +278,15 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 // after the drain. Idempotent.
 func (g *Gateway) BeginShutdown() { g.endLife() }
 
-// Close is BeginShutdown, then: wait for the prober, close the
+// Close is BeginShutdown, then: stop the grid followers (place queries
+// answer 502 from then on), wait for them and the prober, close the
 // gateway-owned leg connections and the gateway-owned flight recorder.
 // Idempotent.
 func (g *Gateway) Close() error {
 	g.BeginShutdown()
+	g.followMu.Lock()
+	g.endFollows()
+	g.followMu.Unlock()
 	g.wg.Wait()
 	if g.legs != nil {
 		g.legs.Close()
@@ -385,12 +402,12 @@ func (g *Gateway) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	}
 	// Broadcast: a shard with no data for this channel answers 404, which
 	// is a normal outcome of partitioning, not a fan-out failure.
-	g.writeLegs(w, g.fanoutTo(r, nil, g.ring.Nodes()), true)
+	g.writeLegs(w, g.fanout(r), true)
 }
 
 // handleBroadcastAdmin fans an admin command (snapshot) to every shard.
 func (g *Gateway) handleBroadcastAdmin(w http.ResponseWriter, r *http.Request) {
-	g.writeLegs(w, g.fanoutTo(r, nil, g.ring.Nodes()), false)
+	g.writeLegs(w, g.fanout(r), false)
 }
 
 // writeLegs answers a broadcast with its legs as JSON: 502 unless every
@@ -420,7 +437,7 @@ func (g *Gateway) writeLegs(w http.ResponseWriter, results []FanoutResult, toler
 // version reported is the maximum (shards train independently, so
 // versions are per-shard; the max is the freshest anywhere).
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	results := g.fanoutTo(r, nil, g.ring.Nodes())
+	results := g.fanout(r)
 	type statKey struct{ ch, sensor int }
 	merged := make(map[statKey]*dbserver.StatsJSON)
 	for _, res := range results {
@@ -465,6 +482,24 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(ClusterVersionHeader, g.version)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out) //nolint:errcheck // client went away
+}
+
+// fanout sends the request to every shard in parallel and collects the
+// legs in ring order, each with the same per-shard failover as
+// single-key routing.
+func (g *Gateway) fanout(r *http.Request) []FanoutResult {
+	ids := g.ring.Nodes()
+	results := make([]FanoutResult, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func(i int, sh *shardState) {
+			defer wg.Done()
+			results[i] = g.tryShard(r, sh, nil)
+		}(i, g.shards[id])
+	}
+	wg.Wait()
+	return results
 }
 
 // FanoutResult is one shard's leg of a broadcast, as reported to the
@@ -585,14 +620,18 @@ var ciSpanHeaderKey = http.CanonicalHeaderKey(dbserver.CISpanHeader)
 // cancellation, which would arm the serving loop's hang-up watcher on
 // every proxied request. A /v1/model/watch leg parks past any budget by
 // design: the client's hang-up and BeginShutdown (errShuttingDown) end
-// it. It reports the response status once consume accepted it.
+// it; a grid poll parks for the budget its follower sets on ctx. It
+// reports the response status once consume accepted it.
 func (g *Gateway) shardDo(ctx context.Context, r *http.Request, ep *url.URL, body []byte, consume func(*http.Response) error) (int, error) {
 	var cancel context.CancelFunc
 	parked := r.URL.Path == "/v1/model/watch"
-	if parked {
+	switch {
+	case parked:
 		ctx, cancel = context.WithCancel(ctx)
 		defer context.AfterFunc(g.life, cancel)()
-	} else {
+	case r.URL.Path == gridPath:
+		ctx, cancel = context.WithCancel(ctx)
+	default:
 		deadline := time.Now().Add(legTimeout)
 		if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 			deadline = d

@@ -1,17 +1,21 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"testing"
+	"time"
 
+	"github.com/wsdetect/waldo/internal/client"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/rfenv"
+	"github.com/wsdetect/waldo/internal/sensor"
 )
 
 // synthAt clusters n readings within ~400 m of loc, so the whole batch
@@ -457,5 +461,44 @@ func TestModelRevalidationCrossesShards(t *testing.T) {
 	if moved.StatusCode != http.StatusOK || moved.Header.Get("ETag") == etag {
 		t.Errorf("s0's %s revalidated at s1 = %s with ETag %s, want s1's own descriptor",
 			etag, moved.Status, moved.Header.Get("ETag"))
+	}
+}
+
+// TestWatchModelCrossesShards: a device holding s0's v3 of a channel
+// moves into s1's cell, where the channel is at v1 — a different model.
+// Its watch names the descriptor it holds, not a version s1 never
+// counted to, so s1's model comes back at once.
+func TestWatchModelCrossesShards(t *testing.T) {
+	tc := newTestCluster(t, []string{"s0", "s1", "s2"})
+	free, _ := seedGeoCluster(t, tc, 47)
+	at := func(p geo.Point) string {
+		return "&lat=" + strconv.FormatFloat(p.Lat, 'f', -1, 64) + "&lon=" + strconv.FormatFloat(p.Lon, 'f', -1, 64)
+	}
+	for i := 0; i < 2; i++ {
+		resp := mustPost(t, tc.gwTS.URL+"/v1/retrain?channel=47&sensor=1"+at(free["s0"]), nil)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("retrain at s0 = %s", resp.Status)
+		}
+	}
+	c, err := client.New(tc.gwTS.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c.SetLocationHint(free["s0"])
+	if _, _, err := c.Model(ctx, 47, sensor.KindRTLSDR); err != nil {
+		t.Fatal(err)
+	}
+	if v := c.CachedModelVersion(47, sensor.KindRTLSDR); v != "3" {
+		t.Fatalf("s0's model is v%s, want v3", v)
+	}
+	c.SetLocationHint(free["s1"])
+	if _, _, err := c.WatchModel(ctx, 47, sensor.KindRTLSDR); err != nil {
+		t.Fatalf("watch in s1's cell holding s0's v3: %v", err)
+	}
+	if v := c.CachedModelVersion(47, sensor.KindRTLSDR); v != "1" {
+		t.Errorf("watch in s1's cell delivered v%s, want s1's v1", v)
 	}
 }

@@ -2,6 +2,7 @@ package dbserver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,14 +14,16 @@ import (
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/telemetry"
+	"github.com/wsdetect/waldo/internal/wlog"
 )
 
 // The spatiotemporal query surface (GET /v1/availability, POST
 // /v1/route): instead of downloading a model and evaluating it, a WSD —
 // or a route planner — asks the precomputed grid directly. Reads are a
 // snapshot load plus one map lookup per cell; the grid is rebuilt off
-// the request path by storeJournal whenever any store retrains
-// (DESIGN.md §15).
+// the request path by storeJournal whenever any store retrains, and
+// gateways replicate it through GET /v1/grid (gridexport.go; DESIGN.md
+// §15).
 
 // indexSource feeds a grid rebuild: every store's current model,
 // version, and recency window, in deterministic store order.
@@ -196,44 +199,77 @@ func entriesJSON(entries []geoindex.ChannelAvailability, f geoFilter, decay floa
 	return out
 }
 
-// handleAvailability serves GET /v1/availability?lat=..&lon=..: the
-// grid's verdicts for the cell containing the point. A cell the grid
-// has no evidence for answers 200 with an empty channels array —
-// "unknown" is a valid availability answer, not an error.
-func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
+// GridView names, for one place query, the grid snapshot holding a
+// cell's verdicts, or why there is none (answered 502). A server's view
+// is its own snapshot for every cell; a gateway's is the cell owner's
+// replica (internal/cluster).
+type GridView func(geoindex.Cell) (*geoindex.Snapshot, error)
+
+// Places answers the place queries — GET /v1/availability and POST
+// /v1/route — over a GridView. A server and a gateway answer through
+// the same Places code, so a gateway's answer, refusals included, is
+// byte-identical to the owning server's.
+type Places struct {
+	metrics *telemetry.Registry
+	lg      *wlog.Logger
+	maxBody int64
+	geoq    geoQueryState
+}
+
+// NewPlaces returns the place-query surface, reporting to m and lg
+// (either may be nil) and refusing route bodies over maxBody bytes
+// (≤ 0: DefaultMaxBodyBytes, a server's default).
+func NewPlaces(m *telemetry.Registry, lg *wlog.Logger, maxBody int64) *Places {
+	if maxBody <= 0 {
+		maxBody = DefaultMaxBodyBytes
+	}
+	return &Places{metrics: m, lg: lg, maxBody: maxBody, geoq: newGeoQueryState(m)}
+}
+
+// refuse answers a malformed place query 400.
+func (p *Places) refuse(w http.ResponseWriter, msg string) {
+	p.geoq.badRequest.Inc()
+	http.Error(w, msg, http.StatusBadRequest)
+}
+
+// Availability serves GET /v1/availability?lat=..&lon=..: the verdicts
+// for the point's cell (cells of cellDeg degrees). A cell with no
+// evidence answers 200 with an empty channels array — "unknown" is a
+// valid availability answer, not an error.
+func (p *Places) Availability(w http.ResponseWriter, r *http.Request, cellDeg float64, view GridView) {
 	q := r.URL.Query()
 	lat, errLat := strconv.ParseFloat(q.Get("lat"), 64)
 	lon, errLon := strconv.ParseFloat(q.Get("lon"), 64)
 	if errLat != nil || errLon != nil {
-		s.geoq.badRequest.Inc()
-		http.Error(w, "lat and lon are required numbers", http.StatusBadRequest)
+		p.refuse(w, "lat and lon are required numbers")
 		return
 	}
-	p := geo.Point{Lat: lat, Lon: lon}
-	if !p.Valid() {
-		s.geoq.badRequest.Inc()
-		http.Error(w, fmt.Sprintf("invalid location %v", p), http.StatusBadRequest)
+	pt := geo.Point{Lat: lat, Lon: lon}
+	if !pt.Valid() {
+		p.refuse(w, fmt.Sprintf("invalid location %v", pt))
 		return
 	}
 	channels, err := parseChannelFilter(q.Get("channels"))
 	if err != nil {
-		s.geoq.badRequest.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		p.refuse(w, err.Error())
 		return
 	}
 	filter := geoFilter{channels: channels}
 	if v := q.Get("sensor"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			s.geoq.badRequest.Inc()
-			http.Error(w, "bad sensor "+strconv.Quote(v), http.StatusBadRequest)
+			p.refuse(w, "bad sensor "+strconv.Quote(v))
 			return
 		}
 		filter.kind = sensor.Kind(n)
 	}
 
-	snap := s.geoidx.Snapshot()
-	cell := geoindex.CellOf(p, snap.CellDeg)
+	cell := geoindex.CellOf(pt, cellDeg)
+	snap, err := view(cell)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
 	resp := AvailabilityJSON{
 		Lat: lat, Lon: lon,
 		CellX: cell.X, CellY: cell.Y,
@@ -242,60 +278,53 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 		Channels:   entriesJSON(snap.Lookup(cell), filter, 1),
 	}
 	if len(resp.Channels) == 0 {
-		s.geoq.availEmpty.Inc()
+		p.geoq.availEmpty.Inc()
 	} else {
-		s.geoq.availOK.Inc()
+		p.geoq.availOK.Inc()
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		return // client went away
-	}
+	json.NewEncoder(w).Encode(resp) //nolint:errcheck // client went away
 }
 
-// handleRoute serves POST /v1/route: sample the polyline onto the cell
-// grid (deterministically — every shard and gateway produces identical
-// segment geometry for the same request) and answer each segment from
-// the availability snapshot.
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	limit := s.cfg.MaxBodyBytes
-	if limit <= 0 {
-		limit = 4 << 20
-	}
+// Route serves POST /v1/route: sample the polyline onto cells of cellDeg
+// degrees (geoindex.SampleRoute, deterministic) and answer each segment
+// from its cell's snapshot; the generation reported is the newest among
+// them.
+func (p *Places) Route(w http.ResponseWriter, r *http.Request, cellDeg float64, view GridView) {
 	var req RouteRequestJSON
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.maxBody))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		p.geoq.badRequest.Inc()
+		http.Error(w, "bad route request: "+err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	}
 	if err == nil {
 		err = json.Unmarshal(body, &req) // the whole body: bytes after the object are a 400
 	}
 	if err != nil {
-		s.geoq.badRequest.Inc()
-		http.Error(w, "bad route request: "+err.Error(), http.StatusBadRequest)
+		p.refuse(w, "bad route request: "+err.Error())
 		return
 	}
 	if len(req.Points) == 0 {
-		s.geoq.badRequest.Inc()
-		http.Error(w, "route needs at least one waypoint", http.StatusBadRequest)
+		p.refuse(w, "route needs at least one waypoint")
 		return
 	}
 	if len(req.Points) > geoindex.MaxRoutePoints {
-		s.geoq.badRequest.Inc()
-		s.lg.Warn(r.Context(), "route_too_long", "points", len(req.Points))
-		http.Error(w, fmt.Sprintf("route has %d waypoints, max %d",
-			len(req.Points), geoindex.MaxRoutePoints), http.StatusBadRequest)
+		p.lg.Warn(r.Context(), "route_too_long", "points", len(req.Points))
+		p.refuse(w, fmt.Sprintf("route has %d waypoints, max %d", len(req.Points), geoindex.MaxRoutePoints))
 		return
 	}
 	points := make([]geo.Point, len(req.Points))
 	for i, rp := range req.Points {
 		points[i] = geo.Point{Lat: rp.Lat, Lon: rp.Lon}
 		if !points[i].Valid() {
-			s.geoq.badRequest.Inc()
-			http.Error(w, fmt.Sprintf("waypoint %d: invalid location %v", i, points[i]),
-				http.StatusBadRequest)
+			p.refuse(w, fmt.Sprintf("waypoint %d: invalid location %v", i, points[i]))
 			return
 		}
 	}
 	if req.HorizonS < 0 || req.StepM < 0 {
-		s.geoq.badRequest.Inc()
-		http.Error(w, "horizon_s and step_m must be non-negative", http.StatusBadRequest)
+		p.refuse(w, "horizon_s and step_m must be non-negative")
 		return
 	}
 	stepM := req.StepM
@@ -303,18 +332,16 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		stepM = geoindex.DefaultStepM
 	}
 	if n := geoindex.SampleCount(points, stepM); n > geoindex.MaxRouteSamples {
-		s.geoq.badRequest.Inc()
-		s.lg.Warn(r.Context(), "route_too_dense", "samples", n, "step_m", stepM)
-		http.Error(w, fmt.Sprintf("route samples to %d points, max %d — shorten it or raise step_m",
-			n, geoindex.MaxRouteSamples), http.StatusBadRequest)
+		p.lg.Warn(r.Context(), "route_too_dense", "samples", n, "step_m", stepM)
+		p.refuse(w, fmt.Sprintf("route samples to %d points, max %d — shorten it or raise step_m",
+			n, geoindex.MaxRouteSamples))
 		return
 	}
 	channels := make(map[rfenv.Channel]bool)
 	for _, n := range req.Channels {
 		ch := rfenv.Channel(n)
 		if !ch.Valid() {
-			s.geoq.badRequest.Inc()
-			http.Error(w, fmt.Sprintf("channel %d outside TV band", n), http.StatusBadRequest)
+			p.refuse(w, fmt.Sprintf("channel %d outside TV band", n))
 			return
 		}
 		channels[ch] = true
@@ -324,21 +351,25 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		filter.channels = channels
 	}
 
-	snap := s.geoidx.Snapshot()
-	span := s.metrics.StartSpanCtx(r.Context(), "route/sample")
-	segs := geoindex.SampleRoute(points, stepM, snap.CellDeg)
+	span := p.metrics.StartSpanCtx(r.Context(), "route/sample")
+	segs := geoindex.SampleRoute(points, stepM, cellDeg)
 	span.End()
 
 	decay := geoindex.ConfidenceDecay(req.HorizonS, 0)
 	resp := RouteJSON{
-		CellDeg:         snap.CellDeg,
-		Generation:      snap.Generation,
+		CellDeg:         cellDeg,
 		HorizonS:        req.HorizonS,
 		ConfidenceDecay: decay,
 		Segments:        make([]RouteSegmentJSON, 0, len(segs)),
 	}
 	answered := 0
 	for _, seg := range segs {
+		snap, err := view(seg.Cell)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		resp.Generation = max(resp.Generation, snap.Generation)
 		entries := entriesJSON(snap.Lookup(seg.Cell), filter, decay)
 		if len(entries) > 0 {
 			answered++
@@ -351,17 +382,29 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 			Channels: entries,
 		})
 	}
-	if len(segs) > 0 {
-		resp.TotalM = segs[len(segs)-1].ExitM
-	}
-	s.geoq.segments.Observe(float64(len(segs)))
+	resp.TotalM = segs[len(segs)-1].ExitM // at least one waypoint: at least one segment
+	p.geoq.segments.Observe(float64(len(segs)))
 	if answered == 0 {
-		s.geoq.routeEmpty.Inc()
+		p.geoq.routeEmpty.Inc()
 	} else {
-		s.geoq.routeOK.Inc()
+		p.geoq.routeOK.Inc()
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		return // client went away
-	}
+	json.NewEncoder(w).Encode(resp) //nolint:errcheck // client went away
+}
+
+// ownGrid is a server's view: its serving snapshot, loaded once per
+// query, for every cell.
+func ownGrid(snap *geoindex.Snapshot) GridView {
+	return func(geoindex.Cell) (*geoindex.Snapshot, error) { return snap, nil }
+}
+
+func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
+	snap := s.geoidx.Snapshot()
+	s.places.Availability(w, r, snap.CellDeg, ownGrid(snap))
+}
+
+func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
+	snap := s.geoidx.Snapshot()
+	s.places.Route(w, r, snap.CellDeg, ownGrid(snap))
 }

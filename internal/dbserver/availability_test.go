@@ -2,12 +2,18 @@ package dbserver
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"github.com/wsdetect/waldo/internal/core"
+	"github.com/wsdetect/waldo/internal/geoindex"
 	"github.com/wsdetect/waldo/internal/rfenv"
 )
 
@@ -203,4 +209,91 @@ func TestRetrainSchedulesRebuild(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// gridPoll is one GET /v1/grid answer.
+type gridPoll struct {
+	resp *http.Response
+	body []byte
+	err  error
+}
+
+// pollGrid polls url's /v1/grid, naming inm when it is set.
+func pollGrid(url, inm string) gridPoll {
+	req, err := http.NewRequest(http.MethodGet, url+"/v1/grid", nil)
+	if err != nil {
+		return gridPoll{err: err}
+	}
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return gridPoll{err: err}
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return gridPoll{resp, body, err}
+}
+
+// TestGridEndpoint: GET /v1/grid serves the serving snapshot, named by a
+// hash of its bytes, at once without a validator; with the current one
+// it parks until a publish (200, the new grid), the watch horizon (304)
+// or shutdown (503), and every answer states the horizon.
+func TestGridEndpoint(t *testing.T) {
+	s := New(Config{
+		Constructor:  core.ConstructorConfig{Classifier: core.KindNB},
+		WatchTimeout: 300 * time.Millisecond,
+	})
+	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
+		t.Fatal(err)
+	}
+	// Wait out the bootstrap retrain's background builds: from here on
+	// only this test publishes.
+	s.GeoIndex().Close()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	check := func(p gridPoll, want int) string {
+		t.Helper()
+		if p.err != nil {
+			t.Fatal(p.err)
+		}
+		if p.resp.StatusCode != want {
+			t.Fatalf("grid poll = %s, want %d", p.resp.Status, want)
+		}
+		if h := p.resp.Header.Get(HorizonHeader); h != "300" {
+			t.Errorf("%s answer states a %q ms horizon, want 300", p.resp.Status, h)
+		}
+		return p.resp.Header.Get("ETag")
+	}
+	named := func(body []byte) string {
+		h := fnv.New64a()
+		h.Write(body)
+		return fmt.Sprintf(`"%016x"`, h.Sum64())
+	}
+
+	first := pollGrid(ts.URL, "")
+	etag := check(first, http.StatusOK)
+	if etag != named(first.body) {
+		t.Errorf("ETag %s does not name the bytes (%s)", etag, named(first.body))
+	}
+	if snap, err := geoindex.DecodeGrid(first.body, geoindex.DefaultCellDeg); err != nil || snap.Generation != s.GeoIndex().Snapshot().Generation {
+		t.Fatalf("served grid: %v", err)
+	}
+	if got := check(pollGrid(ts.URL, etag), http.StatusNotModified); got != etag {
+		t.Errorf("304 at the horizon names %s, want %s", got, etag)
+	}
+
+	published := make(chan gridPoll, 1)
+	go func() { published <- pollGrid(ts.URL, etag) }()
+	s.GeoIndex().Rebuild(context.Background())
+	if got := check(<-published, http.StatusOK); got == etag {
+		t.Errorf("poll across a publish got the grid it held, %s", got)
+	}
+
+	current := check(pollGrid(ts.URL, ""), http.StatusOK)
+	shutdown := make(chan gridPoll, 1)
+	go func() { shutdown <- pollGrid(ts.URL, current) }()
+	s.BeginShutdown()
+	check(<-shutdown, http.StatusServiceUnavailable)
 }

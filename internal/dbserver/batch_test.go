@@ -274,6 +274,50 @@ func TestWatchTimeout(t *testing.T) {
 	}
 }
 
+// TestWatchParksOnTheValidator: a watch carrying If-None-Match parks
+// while that names the store's descriptor, whatever version= says, and
+// is answered at once when it names another — one from another server,
+// at a version this one never reached.
+func TestWatchParksOnTheValidator(t *testing.T) {
+	s := New(Config{
+		Constructor:  core.ConstructorConfig{Classifier: core.KindNB},
+		WatchTimeout: 30 * time.Millisecond,
+	})
+	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	resp, err := http.Get(ts.URL + "/v1/model?channel=47&sensor=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	held := resp.Header.Get("ETag")
+	for _, tt := range []struct {
+		inm     string
+		version int
+		want    int
+	}{
+		{held, 0, http.StatusNotModified},
+		{`"47-1-v3-0123456789abcdef"`, 3, http.StatusOK},
+	} {
+		req, err := http.NewRequest(http.MethodGet, watchURL(ts, tt.version), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("If-None-Match", tt.inm)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tt.want {
+			t.Errorf("watch holding %s at version=%d = %s, want %d", tt.inm, tt.version, resp.Status, tt.want)
+		}
+	}
+}
+
 func TestWatchErrors(t *testing.T) {
 	_, ts := bootedServer(t)
 	cases := map[string]int{

@@ -29,8 +29,10 @@
 //	                                           no body
 //	GET  /v1/model/watch?channel=C&sensor=K&version=V
 //	                                           long-poll model delivery: parks
-//	                                           until the store's version
-//	                                           exceeds V, then answers like
+//	                                           while If-None-Match names the
+//	                                           current descriptor (without
+//	                                           one: until the version exceeds
+//	                                           V), then answers like
 //	                                           /v1/model; 304 at the watch
 //	                                           horizon (Config.WatchTimeout)
 //	POST /v1/readings                          upload, JSON edge (UploadJSON)
@@ -57,6 +59,11 @@
 //	                                           trajectory (RouteRequestJSON →
 //	                                           RouteJSON); same snapshot, one
 //	                                           lookup per traversed cell
+//	GET  /v1/grid                              the grid itself, JSON
+//	                                           (geoindex.EncodeGrid), for
+//	                                           gateway replicas: parks like
+//	                                           /v1/model/watch while
+//	                                           If-None-Match names it
 //	GET  /v1/export?channel=C&sensor=K         trusted store as CSV
 //	GET  /v1/stats                             JSON array of per-store stats
 //	                                           (readings, model version/bytes)
@@ -154,11 +161,11 @@ type Server struct {
 	watch  watchState
 
 	// geoidx is the precomputed availability grid behind
-	// GET /v1/availability and POST /v1/route; geoq its query telemetry
-	// (availability.go). Rebuilds are scheduled by the retrain journal
-	// and run off the request path.
+	// GET /v1/availability and POST /v1/route, answered by places
+	// (availability.go), and GET /v1/grid (gridexport.go). Rebuilds are
+	// scheduled by the retrain journal and run off the request path.
 	geoidx *geoindex.Index
-	geoq   geoQueryState
+	places *Places
 
 	// closed is closed by BeginShutdown (once: closeOnce) so parked
 	// long-polls (watchers) wake and answer instead of pinning the
@@ -199,7 +206,8 @@ type Config struct {
 	// and screening instrumentation) and backs the /metrics endpoint.
 	// Nil means a fresh private registry, so telemetry is always on.
 	Metrics *telemetry.Registry
-	// MaxBodyBytes caps accepted upload bodies; 0 means 4 MiB.
+	// MaxBodyBytes caps accepted upload and route bodies; 0 means
+	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// WatchTimeout is the long-poll horizon of GET /v1/model/watch: a
 	// parked watch is answered 304 after this long so the client re-arms
@@ -232,6 +240,10 @@ type Config struct {
 	// logger, matching the telemetry convention.
 	Log *wlog.Logger
 }
+
+// DefaultMaxBodyBytes is the request body cap of a server whose
+// Config.MaxBodyBytes is 0.
+const DefaultMaxBodyBytes = 4 << 20
 
 // Tap receives accepted store mutations for replication. Both methods are
 // invoked while the owning updater's lock is held (the same contract as
@@ -320,9 +332,9 @@ func New(cfg Config) *Server {
 		upload:      newUploadState(cfg.Metrics),
 		hub:         newWatchHub(),
 		watch:       newWatchState(cfg.Metrics),
-		geoq:        newGeoQueryState(cfg.Metrics),
 		closed:      make(chan struct{}),
 	}
+	s.places = NewPlaces(cfg.Metrics, s.lg, cfg.MaxBodyBytes)
 	// The grid's Source walks the live stores, so the index is built
 	// after the server exists; it serves the empty generation-0 snapshot
 	// until the first retrain schedules a build.
@@ -446,6 +458,7 @@ func (s *Server) Handler() http.Handler {
 	route("POST /v1/retrain", "/v1/retrain", s.handleRetrain)
 	route("GET /v1/availability", "/v1/availability", s.handleAvailability)
 	route("POST /v1/route", "/v1/route", s.handleRoute)
+	route("GET /v1/grid", "/v1/grid", s.handleGrid)
 	route("GET /v1/export", "/v1/export", s.handleExport)
 	route("GET /v1/stats", "/v1/stats", s.handleStats)
 	route("POST /v1/admin/snapshot", "/v1/admin/snapshot", s.handleAdminSnapshot)
@@ -484,9 +497,14 @@ func parseKey(r *http.Request) (rfenv.Channel, sensor.Kind, error) {
 // are different models; the hash tells them apart, and byte-identical
 // replicas still share a validator.
 func modelETag(ch rfenv.Channel, kind sensor.Kind, version int, data []byte) string {
+	return fmt.Sprintf(`"%d-%d-v%d-%016x"`, int(ch), int(kind), version, fnv64(data))
+}
+
+// fnv64 is the 64-bit FNV-1a hash the validators carry.
+func fnv64(data []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(data) //nolint:errcheck // a hash.Hash never fails
-	return fmt.Sprintf(`"%d-%d-v%d-%016x"`, int(ch), int(kind), version, h.Sum64())
+	return h.Sum64()
 }
 
 // etagMatches implements the If-None-Match comparison (weak comparison:

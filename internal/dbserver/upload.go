@@ -153,7 +153,7 @@ func (s *Server) handleUpload(decode uploadDecoder) http.HandlerFunc {
 		}
 		limit := s.cfg.MaxBodyBytes
 		if limit <= 0 {
-			limit = 4 << 20
+			limit = DefaultMaxBodyBytes
 		}
 		sc := s.upload.scratch.Get().(*uploadScratch)
 		defer s.upload.scratch.Put(sc)

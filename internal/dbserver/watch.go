@@ -96,18 +96,22 @@ func (s *Server) watchTimeout() time.Duration {
 }
 
 // handleModelWatch serves GET /v1/model/watch?channel=C&sensor=K&version=V.
-// It answers immediately with the model descriptor when the store's
-// version already exceeds V (V defaults to 0, so a fresh client gets the
-// current model at once); otherwise the request parks until a retrain
-// bumps the version (200 + descriptor), the watch horizon expires (304,
-// X-Waldo-Model-Version carries the unchanged version), or the client
-// disconnects.
+// A request whose If-None-Match names a descriptor parks while that is
+// the store's current one: versions count retrains per server, so only
+// the validator tells a device arriving from another shard that it holds
+// a different model. Without a validator — a device's first watch — it
+// parks while the store's version is at most V (default 0, so a fresh
+// client gets the current model at once). It answers with the
+// descriptor when that changes, 304 at the watch horizon
+// (X-Waldo-Model-Version carries the unchanged version), or nothing once
+// the client disconnects.
 func (s *Server) handleModelWatch(w http.ResponseWriter, r *http.Request) {
 	ch, kind, err := parseKey(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	inm := r.Header.Get("If-None-Match")
 	since := 0
 	if v := r.URL.Query().Get("version"); v != "" {
 		since, err = strconv.Atoi(v)
@@ -132,19 +136,21 @@ func (s *Server) handleModelWatch(w http.ResponseWriter, r *http.Request) {
 		// below returns instantly instead of sleeping through the event.
 		bumped := s.hub.watch(key)
 		model, version := u.Model()
-		if model != nil && version > since {
+		if model != nil && (inm != "" || version > since) {
 			blob, encoded, err := s.encodedModel(key, model, version)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
-			s.countServed(encoded)
-			s.watch.delivered.Inc()
-			w.Header().Set("ETag", blob.etag)
-			w.Header().Set("X-Waldo-Model-Version", strconv.Itoa(version))
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write(blob.data) //nolint:errcheck // client went away
-			return
+			if inm == "" || !etagMatches(inm, blob.etag) {
+				s.countServed(encoded)
+				s.watch.delivered.Inc()
+				w.Header().Set("ETag", blob.etag)
+				w.Header().Set("X-Waldo-Model-Version", strconv.Itoa(version))
+				w.Header().Set("Content-Type", "application/octet-stream")
+				w.Write(blob.data) //nolint:errcheck // client went away
+				return
+			}
 		}
 		select {
 		case <-bumped:

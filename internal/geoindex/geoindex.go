@@ -191,8 +191,8 @@ type StoreSnapshot struct {
 // Config assembles an [Index].
 type Config struct {
 	// CellDeg is the grid quantum; 0 means DefaultCellDeg. It must
-	// match the cluster's routing quantum so gateway merge and shard
-	// ownership agree on cell identity.
+	// match the cluster's routing quantum, so a cell's verdicts live on
+	// its owner; a gateway refuses a grid at any other quantum.
 	CellDeg float64
 	// Source supplies the per-store inputs for a rebuild. It is called
 	// outside any lock the caller holds during [Index.Schedule], so it
@@ -215,6 +215,11 @@ type Index struct {
 
 	cur atomic.Pointer[Snapshot]
 	gen atomic.Uint64
+
+	// published is closed, and replaced, when a newer snapshot is
+	// published (pubMu guards the swap).
+	pubMu     sync.Mutex
+	published chan struct{}
 
 	// mu guards the rebuild scheduler state (one builder goroutine at a
 	// time; a Schedule during a build marks it dirty and the builder
@@ -257,12 +262,22 @@ func New(cfg Config) *Index {
 			"Generation of the snapshot currently serving."),
 	}
 	x.cur.Store(&Snapshot{CellDeg: cfg.CellDeg, cells: map[Cell][]ChannelAvailability{}})
+	x.published = make(chan struct{})
 	return x
 }
 
 // Snapshot returns the currently serving grid. Never nil; wait-free.
 func (x *Index) Snapshot() *Snapshot {
 	return x.cur.Load()
+}
+
+// Published returns a channel closed once a snapshot newer than the
+// one serving now is published. Take it before loading the snapshot:
+// then a publish between the two can never be missed.
+func (x *Index) Published() <-chan struct{} {
+	x.pubMu.Lock()
+	defer x.pubMu.Unlock()
+	return x.published
 }
 
 // CellDeg reports the grid quantum the index was configured with.
@@ -334,6 +349,10 @@ func (x *Index) Rebuild(ctx context.Context) *Snapshot {
 			break
 		}
 		if x.cur.CompareAndSwap(cur, snap) {
+			x.pubMu.Lock()
+			close(x.published)
+			x.published = make(chan struct{})
+			x.pubMu.Unlock()
 			break
 		}
 	}
@@ -435,12 +454,7 @@ func (x *Index) build() *Snapshot {
 				ModelVersion: t.modelVersion,
 			})
 		}
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].Channel != entries[j].Channel {
-				return entries[i].Channel < entries[j].Channel
-			}
-			return entries[i].Sensor < entries[j].Sensor
-		})
+		sort.Slice(entries, func(i, j int) bool { return verdictLess(entries[i], entries[j]) })
 		snap.cells[cell] = entries
 		snap.entries += len(entries)
 	}

@@ -63,9 +63,9 @@ type RouteSegment struct {
 // (great-circle interpolation within each leg), quantizes every sample
 // with [CellOf], and coalesces consecutive same-cell samples into
 // [RouteSegment]s. The result is a pure function of (points, stepM,
-// cellDeg) — every gateway and every shard sampling the same request
-// produces identical segment geometry, which is what makes the
-// cross-shard merge a per-segment union. stepM ≤ 0 means DefaultStepM;
+// cellDeg) — a gateway and a shard sampling the same request produce
+// identical segment geometry, so their answers agree segment by
+// segment. stepM ≤ 0 means DefaultStepM;
 // cellDeg ≤ 0 means DefaultCellDeg. Fewer than two waypoints yield a
 // single zero-length segment (one waypoint) or nil (none).
 func SampleRoute(points []geo.Point, stepM, cellDeg float64) []RouteSegment {
