@@ -105,11 +105,12 @@ func BenchmarkRingOwner(b *testing.B) {
 	}
 }
 
-// BenchmarkGatewayPlaceQueries prices the gateway's place queries on the
-// in-process 3-shard test cluster: a point's all-channel availability, a
-// route inside one owner's cell, and a route across two owners' cells.
-// legs/op is waldo_cluster_requests_total per query: 0, as the gateway
-// answers from its grid replicas once the first query of each shard has
+// BenchmarkGatewayPlaceQueries prices the gateway's replica-answered
+// queries on the in-process 3-shard test cluster: a point's all-channel
+// availability, a route inside one owner's cell, a route across two
+// owners' cells, and a model fetch, conditional (304) and full. legs/op
+// is waldo_cluster_requests_total per query: 0, as the gateway answers
+// from its replicas once the first query of each shard (each store) has
 // started its follower.
 func BenchmarkGatewayPlaceQueries(b *testing.B) {
 	tc := newTestCluster(b, []string{"s0", "s1", "s2"})
@@ -117,11 +118,17 @@ func BenchmarkGatewayPlaceQueries(b *testing.B) {
 	oneOwner, twoOwners := tc.placeRoutes(b, free)
 	loc := free["s0"]
 	avail := fmt.Sprintf("%s/v1/availability?lat=%v&lon=%v", tc.gwTS.URL, loc.Lat, loc.Lon)
+	model := tc.gwTS.URL + "/v1/model?channel=47&sensor=1" + hintAt(loc)
+	etag := ask(b, model, "").etag
+	followed(b, tc.gw.shards["s0"])
 	httpc := tc.gwTS.Client()
 	for _, bb := range []struct {
-		name  string
-		route []byte
-	}{{"availability", nil}, {"route_one_owner", oneOwner}, {"route_two_owners", twoOwners}} {
+		name, get, inm string
+		route          []byte
+	}{
+		{"availability", avail, "", nil}, {"route_one_owner", "", "", oneOwner}, {"route_two_owners", "", "", twoOwners},
+		{"model_conditional", model, etag, nil}, {"model_full", model, "", nil},
+	} {
 		b.Run(bb.name, func(b *testing.B) {
 			b.ReportAllocs()
 			legs := tc.legs()
@@ -130,7 +137,11 @@ func BenchmarkGatewayPlaceQueries(b *testing.B) {
 				var resp *http.Response
 				var err error
 				if bb.route == nil {
-					resp, err = httpc.Get(avail)
+					req, _ := http.NewRequest(http.MethodGet, bb.get, nil)
+					if bb.inm != "" {
+						req.Header.Set("If-None-Match", bb.inm)
+					}
+					resp, err = httpc.Do(req)
 				} else {
 					resp, err = httpc.Post(tc.gwTS.URL+"/v1/route", "application/json", bytes.NewReader(bb.route))
 				}
@@ -139,7 +150,7 @@ func BenchmarkGatewayPlaceQueries(b *testing.B) {
 				}
 				io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotModified {
 					b.Fatalf("%s = %s", bb.name, resp.Status)
 				}
 			}

@@ -99,6 +99,12 @@ type shardState struct {
 	redials  *telemetry.Counter
 
 	grid *gridReplica // the gateway's copy of the shard's grid (gridreplica.go)
+
+	// models holds the gateway's copies of the shard's followed stores'
+	// descriptors (modelreplica.go); modelSyncs counts their syncs.
+	modelMu    sync.Mutex
+	models     map[modelKey]*modelReplica
+	modelSyncs *replicaSyncs
 }
 
 // current returns the endpoint receiving this shard's traffic, as
@@ -148,6 +154,7 @@ type Gateway struct {
 	failovers    *telemetry.Counter
 	uploadSplits *telemetry.Counter
 	places       *dbserver.Places
+	models       *dbserver.Models
 
 	// recorder backs GET /debug/traces; ownRec marks one created (and so
 	// closed) by this gateway rather than attached by the caller.
@@ -156,10 +163,10 @@ type Gateway struct {
 
 	handler http.Handler
 	// life ends at BeginShutdown: the prober stops and parked
-	// /v1/model/watch legs, which no timeout leashes, are cancelled.
-	// follows ends at Close, so the grid followers keep the replicas in
-	// sync through the drain; followMu orders a follower's start against
-	// Close.
+	// /v1/model/watch legs, which no timeout leashes, are cancelled, and
+	// watches parked on a model replica answered 503. follows ends at
+	// Close, so the followers keep the replicas in sync through the
+	// drain; followMu orders a follower's start against Close.
 	life, follows       context.Context
 	endLife, endFollows context.CancelFunc
 	followMu            sync.Mutex
@@ -209,7 +216,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			redials: cfg.Metrics.Counter("waldo_cluster_leg_redials_total",
 				"Legs replayed on a fresh connection because the pooled keep-alive one had gone stale.",
 				"shard", spec.ID),
-			grid: newGridReplica(cfg.Metrics, spec.ID),
+			models:     make(map[modelKey]*modelReplica),
+			modelSyncs: newReplicaSyncs(cfg.Metrics, spec.ID, "model"),
 		}
 	}
 	var legs *legTransport
@@ -258,6 +266,12 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	g.life, g.endLife = context.WithCancel(context.Background())
 	g.follows, g.endFollows = context.WithCancel(context.Background())
+	g.models = dbserver.NewModels(cfg.Metrics, g.life.Done())
+	for _, sh := range shards {
+		synced := make(chan struct{})
+		sh.grid = &gridReplica{g: g, sh: sh, synced: synced, follower: follower{kind: "grid",
+			settle: sync.OnceFunc(func() { close(synced) }), syncs: newReplicaSyncs(cfg.Metrics, sh.spec.ID, "grid")}}
+	}
 	cfg.Metrics.Gauge("waldo_cluster_ring_nodes",
 		"Shards on the consistent-hash ring.").Set(float64(len(ids)))
 	cfg.Metrics.Gauge("waldo_cluster_ring_vnodes",
@@ -278,8 +292,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 // after the drain. Idempotent.
 func (g *Gateway) BeginShutdown() { g.endLife() }
 
-// Close is BeginShutdown, then: stop the grid followers (place queries
-// answer 502 from then on), wait for them and the prober, close the
+// Close is BeginShutdown, then: stop the followers (place queries answer
+// 502 from then on, model requests forward), wait for them and the prober, close the
 // gateway-owned leg connections and the gateway-owned flight recorder.
 // Idempotent.
 func (g *Gateway) Close() error {
@@ -326,8 +340,8 @@ func (g *Gateway) buildHandler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	route("GET /healthz", "/healthz", g.handleHealthz)
-	route("GET /v1/model", "/v1/model", g.handleKeyed)
-	route("GET /v1/model/watch", "/v1/model/watch", g.handleKeyed)
+	route("GET /v1/model", "/v1/model", g.handleModel)
+	route("GET "+modelWatchPath, modelWatchPath, g.handleModelWatch)
 	route("GET /v1/export", "/v1/export", g.handleKeyed)
 	route("POST /v1/readings", "/v1/readings", g.handleReadings)
 	route("POST /v1/upload/batch", "/v1/upload/batch", g.handleUploadBatch)
@@ -356,7 +370,7 @@ func (g *Gateway) routeKey(q map[string][]string) (RouteKey, error) {
 	}
 	ch, err := strconv.Atoi(get("channel"))
 	if err != nil {
-		return RouteKey{}, fmt.Errorf("bad channel: %q", get("channel"))
+		return RouteKey{}, fmt.Errorf("bad channel %q", get("channel")) // a shard's words
 	}
 	key := RouteKey{Channel: rfenv.Channel(ch)}
 	if latS, lonS := get("lat"), get("lon"); latS != "" || lonS != "" {
@@ -375,8 +389,8 @@ func (g *Gateway) shardFor(key RouteKey) *shardState {
 	return g.shards[g.ring.Owner(key)]
 }
 
-// handleKeyed proxies a single-key GET (model, export) to the owning
-// shard.
+// handleKeyed proxies a single-key GET (export; a model request the
+// owner's replica cannot answer) to the owning shard.
 func (g *Gateway) handleKeyed(w http.ResponseWriter, r *http.Request) {
 	key, err := g.routeKey(r.URL.Query())
 	if err != nil {
@@ -550,7 +564,7 @@ func (g *Gateway) withShard(r *http.Request, sh *shardState, body []byte, consum
 	var lastErr error
 	for range sh.spec.URLs {
 		raw, ep := sh.current()
-		status, err := g.shardDo(ctx, r, ep, body, consume)
+		status, err := g.shardDo(ctx, r, ep, body, false, consume)
 		if err == nil {
 			if status >= http.StatusInternalServerError {
 				leg.Fail(fmt.Sprintf("leg status %d", status))
@@ -582,6 +596,7 @@ func (g *Gateway) endpointFailed(ctx context.Context, sh *shardState, url string
 func (g *Gateway) tryShard(r *http.Request, sh *shardState, body []byte) FanoutResult {
 	res := FanoutResult{Shard: sh.spec.ID}
 	err := g.withShard(r, sh, body, func(resp *http.Response) error {
+		g.awaitRetrain(sh, r, resp)
 		// Read one byte past the cap so truncation is detected, not
 		// silently served as a clipped (and likely invalid) body.
 		data, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes+1))
@@ -618,18 +633,19 @@ var ciSpanHeaderKey = http.CanonicalHeaderKey(dbserver.CISpanHeader)
 // join the gateway's trace — then consume on the response. It is bounded
 // by a deadline (legTimeout, or ctx's if sooner), not by ctx's
 // cancellation, which would arm the serving loop's hang-up watcher on
-// every proxied request. A /v1/model/watch leg parks past any budget by
-// design: the client's hang-up and BeginShutdown (errShuttingDown) end
-// it; a grid poll parks for the budget its follower sets on ctx. It
-// reports the response status once consume accepted it.
-func (g *Gateway) shardDo(ctx context.Context, r *http.Request, ep *url.URL, body []byte, consume func(*http.Response) error) (int, error) {
+// every proxied request. A client's /v1/model/watch leg parks past any
+// budget by design: the client's hang-up and BeginShutdown
+// (errShuttingDown) end it; a follower's poll (follow) parks for the
+// budget its follower sets on ctx. It reports the response status once
+// consume accepted it.
+func (g *Gateway) shardDo(ctx context.Context, r *http.Request, ep *url.URL, body []byte, follow bool, consume func(*http.Response) error) (int, error) {
 	var cancel context.CancelFunc
-	parked := r.URL.Path == "/v1/model/watch"
+	parked := !follow && r.URL.Path == modelWatchPath
 	switch {
 	case parked:
 		ctx, cancel = context.WithCancel(ctx)
 		defer context.AfterFunc(g.life, cancel)()
-	case r.URL.Path == gridPath:
+	case follow:
 		ctx, cancel = context.WithCancel(ctx)
 	default:
 		deadline := time.Now().Add(legTimeout)
@@ -728,7 +744,21 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 		body = *bp
 	}
 	err := g.withShard(r, sh, body, func(resp *http.Response) error {
-		for _, h := range []string{"Content-Type", "ETag", "X-Waldo-Model-Version", "Retry-After"} {
+		g.awaitRetrain(sh, r, resp)
+		var descriptor []byte
+		if resp.StatusCode == http.StatusOK && (r.URL.Path == modelPath || r.URL.Path == modelWatchPath) {
+			// Read whole before a byte is passed on: it seeds the store's
+			// replica (modelreplica.go), and a read error still fails over.
+			// One over the gateway's buffer is passed on, not followed.
+			var err error
+			if descriptor, err = io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes+1)); err != nil {
+				return err
+			}
+			if int64(len(descriptor)) <= g.cfg.MaxBodyBytes {
+				g.followModel(sh, r, resp.Header, descriptor)
+			}
+		}
+		for _, h := range []string{"Content-Type", "ETag", "X-Waldo-Model-Version", dbserver.HorizonHeader, "Retry-After"} {
 			if v := resp.Header.Get(h); v != "" {
 				w.Header().Set(h, v)
 			}
@@ -736,6 +766,9 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 		w.Header().Set(ClusterVersionHeader, g.version)
 		w.Header().Set(ShardHeader, sh.spec.ID)
 		w.WriteHeader(resp.StatusCode)
+		if len(descriptor) > 0 {
+			w.Write(descriptor) //nolint:errcheck // client went away
+		}
 		io.Copy(w, resp.Body) //nolint:errcheck // client went away
 		return nil
 	})
@@ -807,7 +840,7 @@ func (g *Gateway) probeLoop() {
 			for _, id := range g.ring.Nodes() {
 				sh := g.shards[id]
 				raw, ep := sh.current()
-				_, err := g.shardDo(context.Background(), probe, ep, nil, func(resp *http.Response) error {
+				_, err := g.shardDo(context.Background(), probe, ep, nil, false, func(resp *http.Response) error {
 					io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive
 					return nil
 				})

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/rfenv"
@@ -36,10 +37,11 @@ func (c *askCounter) Err() error {
 
 // TestProxiedRequestsArmNoHangUpWatcher: a proxied request's legs are
 // bounded by a deadline, not by the client's context, so nothing on the
-// way asks whether the client hung up — except a /v1/model/watch leg,
-// which a hang-up must end. Place queries take no leg at all: they are
-// answered from the gateway's grid replicas, whose followers poll under
-// the gateway's context, and must not ask either.
+// way asks whether the client hung up — except a parked
+// /v1/model/watch, which a hang-up must end. Place queries and model
+// requests for a followed store take no leg at all: they are answered
+// from the gateway's replicas, whose followers poll under the gateway's
+// context, and must not ask either.
 func TestProxiedRequestsArmNoHangUpWatcher(t *testing.T) {
 	tc := newTestCluster(t, []string{"s0", "s1", "s2"})
 	free, _ := seedGeoCluster(t, tc, 47)
@@ -58,6 +60,7 @@ func TestProxiedRequestsArmNoHangUpWatcher(t *testing.T) {
 		{"JSON upload", http.MethodPost, "/v1/readings", uploadBody(t, synthAt(20, 47, 2, loc))},
 		{"split upload", http.MethodPost, "/v1/upload/batch", frameOf(t, mixed)},
 		{"model", http.MethodGet, "/v1/model?channel=47&sensor=1&" + at, nil},
+		{"model from its replica", http.MethodGet, "/v1/model?channel=47&sensor=1&" + at, nil},
 		{"export", http.MethodGet, "/v1/export?channel=47&sensor=1&" + at, nil},
 		{"availability", http.MethodGet, "/v1/availability?" + at, nil},
 		{"one-owner route", http.MethodPost, "/v1/route", oneOwner},
@@ -70,23 +73,29 @@ func TestProxiedRequestsArmNoHangUpWatcher(t *testing.T) {
 		ctx := &askCounter{Context: context.Background()}
 		legs := tc.legs()
 		rec := serveGateway(ctx, tc.gw, tt.method, tt.target, tt.body)
-		place := tt.target == "/v1/route" || strings.HasPrefix(tt.target, "/v1/availability?")
+		local := tt.target == "/v1/route" || strings.HasPrefix(tt.target, "/v1/availability?") || strings.HasSuffix(tt.name, "replica")
 		switch {
-		case place && rec.Code != http.StatusOK:
+		case local && rec.Code != http.StatusOK:
 			t.Errorf("%s = %d %s", tt.name, rec.Code, rec.Body)
-		case !place && tc.legs() == legs: // snapshot is 502 here: the nodes keep no data dir
+		case !local && tc.legs() == legs: // snapshot is 502 here: the nodes keep no data dir
 			t.Errorf("%s = %d %s without a leg", tt.name, rec.Code, rec.Body)
 		}
 		if n := ctx.asks.Load(); n != 0 {
 			t.Errorf("%s: the request context was asked Done/Err %d times, want 0", tt.name, n)
 		}
 	}
-	ctx := &askCounter{Context: context.Background()}
-	if rec := serveGateway(ctx, tc.gw, http.MethodGet, "/v1/model/watch?channel=47&sensor=1&version=0&"+at, nil); rec.Code != http.StatusOK {
-		t.Errorf("watch = %d %s", rec.Code, rec.Body)
-	}
+	// A watch parked on the replica — once its owner has stated the
+	// horizon, in the follower's first sync — ends on a hang-up.
+	eventually(t, "the replica's first sync", func() bool { _, ok := tc.gw.shards["s0"].Horizon(47, 1); return ok })
+	hangUp, cancel := context.WithCancel(context.Background())
+	ctx := &askCounter{Context: hangUp}
+	time.AfterFunc(20*time.Millisecond, cancel)
+	serveGateway(ctx, tc.gw, http.MethodGet, "/v1/model/watch?channel=47&sensor=1&version=99&"+at, nil)
 	if ctx.asks.Load() == 0 {
-		t.Error("a watch leg never asked whether its client hung up")
+		t.Error("a parked watch never asked whether its client hung up")
+	}
+	if n := tc.gw.metrics.Counter("waldo_dbserver_watch_total", "", "outcome", "disconnect").Value(); n != 1 {
+		t.Errorf("the gateway counted %d watches ended by a hang-up, want 1: the watch was not parked on the replica", n)
 	}
 }
 

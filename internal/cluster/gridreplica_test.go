@@ -637,7 +637,7 @@ func TestGridFollowerFailsOverToReplica(t *testing.T) {
 
 	kill(primaryTS)
 	sh := gw.shards["s0"]
-	eventually(t, "a sync from the replica", func() bool { return sh.grid.ok.Value() == 2 })
+	eventually(t, "a sync from the replica", func() bool { return sh.grid.syncs.ok.Value() == 2 })
 	if got := sh.currentURL(); got != replicaTS.URL || gw.Failovers() != 1 {
 		t.Errorf("active endpoint %s after %d failovers, want the replica %s after 1", got, gw.Failovers(), replicaTS.URL)
 	}
@@ -664,10 +664,10 @@ func TestGridFollower404IsNotAFailover(t *testing.T) {
 		t.Errorf("availability over a 404ing shard = %d %s, want 502", rec.Code, rec.Body)
 	}
 	sh := gw.shards["s0"]
-	eventually(t, "three refused syncs", func() bool { return sh.grid.refused.Value() >= 3 })
-	if gw.Failovers() != 0 || sh.currentURL() != old.URL || sh.grid.ok.Value() != 0 {
+	eventually(t, "three refused syncs", func() bool { return sh.grid.syncs.refused.Value() >= 3 })
+	if gw.Failovers() != 0 || sh.currentURL() != old.URL || sh.grid.syncs.ok.Value() != 0 {
 		t.Errorf("after 404s: %d failovers, active %s, %d good syncs; want 0, %s, 0",
-			gw.Failovers(), sh.currentURL(), sh.grid.ok.Value(), old.URL)
+			gw.Failovers(), sh.currentURL(), sh.grid.syncs.ok.Value(), old.URL)
 	}
 }
 
@@ -833,7 +833,7 @@ func TestGridRefusedDropsReplica(t *testing.T) {
 	gw := gatewayOver(t, shard, ShardSpec{ID: "s0", URLs: []string{"http://s0.scripted"}})
 	q := "/v1/availability?lat=33.7&lon=-84.4"
 	serveGateway(context.Background(), gw, http.MethodGet, q, nil)
-	eventually(t, "the refused grid polled", func() bool { return gw.shards["s0"].grid.refused.Value() == 1 })
+	eventually(t, "the refused grid polled", func() bool { return gw.shards["s0"].grid.syncs.refused.Value() == 1 })
 	if rec := serveGateway(context.Background(), gw, http.MethodGet, q, nil); rec.Code != http.StatusBadGateway {
 		t.Errorf("availability after a refused grid = %d %s, want 502", rec.Code, rec.Body)
 	}

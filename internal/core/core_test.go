@@ -10,6 +10,7 @@ import (
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/geo"
+	"github.com/wsdetect/waldo/internal/ml/kmeans"
 	"github.com/wsdetect/waldo/internal/ml/svm"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
@@ -288,31 +289,63 @@ func TestDecodeModelRejectsGarbage(t *testing.T) {
 // every input +Inf — Safe everywhere — so the decoder a device runs
 // against a server it may not trust has to refuse it, not classify. A
 // NaN locality center is never nearest, so with one every place goes to
-// another locality's classifier.
+// another locality's classifier. A non-finite standardizer mean, RFF
+// weight or phase, or naive-Bayes parameter makes every decision value
+// it feeds infinite or NaN, and an infinite scale or variance drops its
+// feature from every decision.
 func TestDecodeModelRejectsNonFiniteClassifier(t *testing.T) {
 	readings, labels := synthReadings(200, 11)
-	// The first center follows the 37-byte header. Each family writes its
-	// bias last; SMO writes the coefficients before it and the support
-	// vectors before those.
-	const center = 37
+	// The first center follows the 37-byte header; a trained locality then
+	// writes a flag byte, a u16 dimension, its means and scales, and its
+	// classifier. Each family writes its bias last: SMO its coefficients
+	// before it and the support vectors before those, RFF its map
+	// (weights, then phases) before its linear weights; naive Bayes its
+	// two log priors, a u32 dimension, then each class's means and
+	// variances.
+	const center, mean0 = 37, 37 + 16 + 1 + 2
+	at := func(i int) func(*Model, int) int { return func(*Model, int) int { return i } }
+	fromEnd := func(n int) func(*Model, int) int { return func(_ *Model, size int) int { return size - n } }
+	rffRows := func(m *Model) int {
+		rff, _, _, err := m.locals[len(m.locals)-1].clf.(*svm.RFFSVM).Model()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw, _ := rff.Params()
+		return len(rw)
+	}
 	for _, tc := range []struct {
-		kind    ClassifierKind
-		what    string
-		fromEnd int
-		at      int // used when fromEnd is 0
+		kind ClassifierKind
+		what string
+		at   func(m *Model, size int) int
 	}{
-		{KindLinearSVM, "bias", 8, 0},
-		{KindLinearSVM, "last weight", 16, 0},
-		{KindSVM, "bias", 8, 0},
-		{KindSVMExact, "bias", 8, 0},
-		{KindSVMExact, "last coefficient", 16, 0},
-		{KindSVMExact, "last support-vector element", -1, 0},
-		{KindSVM, "center x", 0, center},
-		{KindNB, "center y", 0, center + 8},
+		{KindLinearSVM, "bias", fromEnd(8)},
+		{KindLinearSVM, "last weight", fromEnd(16)},
+		{KindSVM, "bias", fromEnd(8)},
+		{KindSVMExact, "bias", fromEnd(8)},
+		{KindSVMExact, "last coefficient", fromEnd(16)},
+		{KindSVMExact, "last support-vector element", func(m *Model, size int) int {
+			_, coef, _, err := m.locals[len(m.locals)-1].clf.(*svm.SMO).Model()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return size - (8 + 8*len(coef) + 8)
+		}},
+		{KindSVM, "center x", at(center)},
+		{KindNB, "center y", at(center + 8)},
+		{KindLinearSVM, "first standardizer mean", at(mean0)},
+		{KindLinearSVM, "first standardizer scale", func(m *Model, _ int) int { return mean0 + 8*m.Features.Dim() }},
+		{KindSVM, "last RFF phase", func(m *Model, size int) int { return size - 8 - 8*rffRows(m) - 8 }},
+		{KindSVM, "last RFF weight", func(m *Model, size int) int { return size - 8 - 16*rffRows(m) - 8 }},
+		{KindNB, "last class-1 variance", fromEnd(8)},
+		{KindNB, "last class-1 mean", func(m *Model, size int) int { return size - 8*m.Features.Dim() - 8 }},
+		{KindNB, "class-0 log prior", func(m *Model, size int) int { return size - 32*m.Features.Dim() - 4 - 16 }},
 	} {
 		m, err := BuildModel(readings, labels, ConstructorConfig{Classifier: tc.kind})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if m.locals[0].constant || m.locals[len(m.locals)-1].constant {
+			t.Fatalf("%v: a constant first or last locality: the offsets assume trained ones", tc.kind)
 		}
 		var buf bytes.Buffer
 		if err := EncodeModel(&buf, m); err != nil {
@@ -322,18 +355,7 @@ func TestDecodeModelRejectsNonFiniteClassifier(t *testing.T) {
 		if _, err := DecodeModel(bytes.NewReader(valid)); err != nil {
 			t.Fatalf("%v: unpatched descriptor: %v", tc.kind, err)
 		}
-		fromEnd := tc.fromEnd
-		if fromEnd < 0 {
-			_, coef, _, err := m.locals[0].clf.(*svm.SMO).Model()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromEnd = 8 + 8*len(coef) + 8
-		}
-		at := len(valid) - fromEnd
-		if fromEnd == 0 {
-			at = tc.at
-		}
+		at := tc.at(m, len(valid))
 		for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
 			patched := append([]byte(nil), valid...)
 			binary.LittleEndian.PutUint64(patched[at:], math.Float64bits(v))
@@ -344,12 +366,33 @@ func TestDecodeModelRejectsNonFiniteClassifier(t *testing.T) {
 	}
 }
 
+// decisionValue is the score Classify compares with the margin at loc
+// for sig: the deciding locality's decision value, 0 in a constant one.
+func decisionValue(m *Model, loc geo.Point, sig features.Signal) (float64, error) {
+	vec, err := m.Features.AppendVector(nil, m.proj.ToXY(loc), sig)
+	if err != nil {
+		return 0, err
+	}
+	idx, _ := kmeans.Nearest(m.centers, vec[:2])
+	lm := &m.locals[idx]
+	if lm.constant {
+		return 0, nil
+	}
+	z := make([]float64, len(vec))
+	if err := lm.std.TransformInto(z, vec); err != nil {
+		return 0, err
+	}
+	return lm.decisionValue(z)
+}
+
 // FuzzDecodeModel: a descriptor is input a device may not trust. Whatever
 // decodes has finite locality centers, and classifying a finite place
-// and signal with it returns a label, not an error. The committed seeds
-// (testdata/fuzz) are channel 47's metro SVM descriptor; it with a NaN
-// center, with a +Inf bias and relabelled location+RSS (none may decode,
-// the parent decoded two); and its first half.
+// and signal with it returns a label, not an error, from a finite
+// decision value. The committed seeds (testdata/fuzz) are channel 47's
+// metro SVM descriptor; it with a NaN center, with a +Inf bias and
+// relabelled location+RSS (none may decode, the parent decoded two); its
+// first half; and one descriptor per non-finite standardizer, RFF or
+// naive-Bayes parameter (none may decode, the parent decoded each).
 func FuzzDecodeModel(f *testing.F) {
 	readings, labels := synthReadings(200, 11)
 	for _, kind := range []ClassifierKind{KindNB, KindLinearSVM, KindSVMExact} {
@@ -373,6 +416,9 @@ func FuzzDecodeModel(f *testing.F) {
 		for _, loc := range []geo.Point{m.Origin, rfenv.MetroCenter, {Lat: -89.5, Lon: 179.5}} {
 			if _, err := m.Classify(loc, sig); err != nil {
 				t.Fatalf("decoded a model that cannot classify %v: %v", loc, err)
+			}
+			if v, err := decisionValue(m, loc, sig); err != nil || !finite(v) {
+				t.Fatalf("decoded a model whose decision value at %v is %v (%v)", loc, v, err)
 			}
 		}
 	})

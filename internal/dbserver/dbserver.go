@@ -147,18 +147,15 @@ type Server struct {
 	// fleet polls of an unchanged model cost one map lookup (and, with
 	// If-None-Match, no body at all).
 	blobMu sync.RWMutex
-	blobs  map[storeKey]*modelBlob
-
-	cacheHit    *telemetry.Counter
-	cacheMiss   *telemetry.Counter
-	cacheNotMod *telemetry.Counter
+	blobs  map[storeKey]*Descriptor
 
 	// upload is the ingest pipeline's counters and pooled decode state
-	// (upload.go); hub and watch drive push-based model delivery
-	// (watch.go).
+	// (upload.go); models answers the model requests over the stores,
+	// the blob cache and hub, which drives push delivery (models.go,
+	// watch.go).
 	upload *uploadState
+	models *Models
 	hub    *watchHub
-	watch  watchState
 
 	// geoidx is the precomputed availability grid behind
 	// GET /v1/availability and POST /v1/route, answered by places
@@ -178,13 +175,6 @@ type Server struct {
 	// start against Close, after which none starts.
 	checkpointerMu sync.Mutex
 	checkpointers  sync.WaitGroup
-}
-
-// modelBlob is one cached encoded descriptor.
-type modelBlob struct {
-	version int
-	etag    string
-	data    []byte
 }
 
 type storeKey struct {
@@ -316,24 +306,20 @@ func New(cfg Config) *Server {
 		rec = telemetry.NewRecorder(telemetry.RecorderOptions{Metrics: cfg.Metrics})
 		cfg.Metrics.SetFlightRecorder(rec)
 	}
-	const cacheHelp = "Model descriptor cache lookups by outcome (hit, miss, not_modified)."
 	s := &Server{
-		updaters:    make(map[storeKey]*core.Updater),
-		wals:        make(map[storeKey]*walState),
-		cfg:         cfg,
-		metrics:     cfg.Metrics,
-		lg:          cfg.Log.Named("dbserver"),
-		recorder:    rec,
-		ownRec:      ownRec,
-		blobs:       make(map[storeKey]*modelBlob),
-		cacheHit:    cfg.Metrics.Counter("waldo_dbserver_model_cache_total", cacheHelp, "outcome", "hit"),
-		cacheMiss:   cfg.Metrics.Counter("waldo_dbserver_model_cache_total", cacheHelp, "outcome", "miss"),
-		cacheNotMod: cfg.Metrics.Counter("waldo_dbserver_model_cache_total", cacheHelp, "outcome", "not_modified"),
-		upload:      newUploadState(cfg.Metrics),
-		hub:         newWatchHub(),
-		watch:       newWatchState(cfg.Metrics),
-		closed:      make(chan struct{}),
+		updaters: make(map[storeKey]*core.Updater),
+		wals:     make(map[storeKey]*walState),
+		cfg:      cfg,
+		metrics:  cfg.Metrics,
+		lg:       cfg.Log.Named("dbserver"),
+		recorder: rec,
+		ownRec:   ownRec,
+		blobs:    make(map[storeKey]*Descriptor),
+		upload:   newUploadState(cfg.Metrics),
+		hub:      newWatchHub(),
+		closed:   make(chan struct{}),
 	}
+	s.models = NewModels(cfg.Metrics, s.closed)
 	s.places = NewPlaces(cfg.Metrics, s.lg, cfg.MaxBodyBytes)
 	// The grid's Source walks the live stores, so the index is built
 	// after the server exists; it serves the empty generation-0 snapshot
@@ -491,12 +477,13 @@ func parseKey(r *http.Request) (rfenv.Channel, sensor.Kind, error) {
 	return ch, kind, nil
 }
 
-// modelETag is the strong validator for one store's encoded descriptor:
+// ModelETag is the strong validator for one store's encoded descriptor:
 // channel, sensor, version and a 64-bit FNV-1a hash of the bytes.
 // Versions count retrains on one server, so two shards' v1 of a channel
 // are different models; the hash tells them apart, and byte-identical
-// replicas still share a validator.
-func modelETag(ch rfenv.Channel, kind sensor.Kind, version int, data []byte) string {
+// replicas still share a validator. It names the bytes, so whoever holds
+// them — a gateway's replica — can check it.
+func ModelETag(ch rfenv.Channel, kind sensor.Kind, version int, data []byte) string {
 	return fmt.Sprintf(`"%d-%d-v%d-%016x"`, int(ch), int(kind), version, fnv64(data))
 }
 
@@ -526,74 +513,26 @@ func etagMatches(header, etag string) bool {
 
 // encodedModel returns the cached descriptor for the store at the given
 // version, encoding and caching it on version mismatch (the first request
-// after a retrain), and reports whether it encoded. The blob is shared
-// and must not be mutated.
-func (s *Server) encodedModel(key storeKey, model *core.Model, version int) (*modelBlob, bool, error) {
+// after a retrain), and reports whether it encoded.
+func (s *Server) encodedModel(key storeKey, model *core.Model, version int) (*Descriptor, bool, error) {
 	s.blobMu.RLock()
 	blob := s.blobs[key]
 	s.blobMu.RUnlock()
-	if blob != nil && blob.version == version {
+	if blob != nil && blob.Version == version {
 		return blob, false, nil
 	}
 	var buf bytes.Buffer
 	if err := core.EncodeModel(&buf, model); err != nil {
 		return nil, false, err
 	}
-	fresh := &modelBlob{version: version, etag: modelETag(key.ch, key.kind, version, buf.Bytes()), data: buf.Bytes()}
+	fresh := &Descriptor{Version: version, ETag: ModelETag(key.ch, key.kind, version, buf.Bytes()), Data: buf.Bytes()}
 	s.blobMu.Lock()
 	// Keep the newest version if a concurrent encode raced us there.
-	if cur := s.blobs[key]; cur == nil || cur.version < version {
+	if cur := s.blobs[key]; cur == nil || cur.Version < version {
 		s.blobs[key] = fresh
 	}
 	s.blobMu.Unlock()
 	return fresh, true, nil
-}
-
-// countServed records a descriptor sent whole: a miss if this request
-// encoded it, else a hit.
-func (s *Server) countServed(encoded bool) {
-	if encoded {
-		s.cacheMiss.Inc()
-	} else {
-		s.cacheHit.Inc()
-	}
-}
-
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	ch, kind, err := parseKey(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	u, ok := s.lookup(ch, kind)
-	if !ok {
-		http.Error(w, "no model for this channel/sensor", http.StatusNotFound)
-		return
-	}
-	model, version := u.Model()
-	if model == nil {
-		http.Error(w, "model not trained yet", http.StatusNotFound)
-		return
-	}
-	// The validator names the bytes, so a conditional poll needs the blob
-	// too: cached after the first request of a version, encoded by it.
-	blob, encoded, err := s.encodedModel(storeKey{ch, kind}, model, version)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("ETag", blob.etag)
-	w.Header().Set("X-Waldo-Model-Version", strconv.Itoa(version))
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, blob.etag) {
-		s.cacheNotMod.Inc()
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	s.countServed(encoded)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := w.Write(blob.data); err != nil {
-		return // client went away
-	}
 }
 
 // ReadingJSON is the wire form of one uploaded reading.

@@ -15,10 +15,12 @@ import (
 // If-None-Match names the serving grid, else parked until the next
 // publish, 304 at the watch horizon, 503 at shutdown.
 
-// HorizonHeader states on every GET /v1/grid answer the server's watch
-// horizon in milliseconds: how long a conditional request may park
-// before its 304. A follower allows a poll that long plus its own
-// budget before it calls the server unreachable.
+// HorizonHeader states on every GET /v1/grid answer, and every GET
+// /v1/model/watch answer that parked or could have, the watch horizon in
+// milliseconds: how long a conditional request may park before its 304.
+// A gateway's follower allows a poll that long plus its own budget
+// before it calls the server unreachable, and parks its clients' watches
+// for as long.
 const HorizonHeader = "X-Waldo-Horizon-Ms"
 
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,6 @@
 package dbserver
 
 import (
-	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -93,83 +91,4 @@ func (s *Server) watchTimeout() time.Duration {
 		return s.cfg.WatchTimeout
 	}
 	return 55 * time.Second
-}
-
-// handleModelWatch serves GET /v1/model/watch?channel=C&sensor=K&version=V.
-// A request whose If-None-Match names a descriptor parks while that is
-// the store's current one: versions count retrains per server, so only
-// the validator tells a device arriving from another shard that it holds
-// a different model. Without a validator — a device's first watch — it
-// parks while the store's version is at most V (default 0, so a fresh
-// client gets the current model at once). It answers with the
-// descriptor when that changes, 304 at the watch horizon
-// (X-Waldo-Model-Version carries the unchanged version), or nothing once
-// the client disconnects.
-func (s *Server) handleModelWatch(w http.ResponseWriter, r *http.Request) {
-	ch, kind, err := parseKey(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	inm := r.Header.Get("If-None-Match")
-	since := 0
-	if v := r.URL.Query().Get("version"); v != "" {
-		since, err = strconv.Atoi(v)
-		if err != nil || since < 0 {
-			http.Error(w, "bad version "+strconv.Quote(v), http.StatusBadRequest)
-			return
-		}
-	}
-	u, ok := s.lookup(ch, kind)
-	if !ok {
-		http.Error(w, "no model for this channel/sensor", http.StatusNotFound)
-		return
-	}
-	key := storeKey{ch, kind}
-	s.watch.active.Add(1)
-	defer s.watch.active.Add(-1)
-	horizon := time.NewTimer(s.watchTimeout())
-	defer horizon.Stop()
-	for {
-		// Register before checking: a bump that lands between the check
-		// and the select closes the channel we already hold, so the wait
-		// below returns instantly instead of sleeping through the event.
-		bumped := s.hub.watch(key)
-		model, version := u.Model()
-		if model != nil && (inm != "" || version > since) {
-			blob, encoded, err := s.encodedModel(key, model, version)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			if inm == "" || !etagMatches(inm, blob.etag) {
-				s.countServed(encoded)
-				s.watch.delivered.Inc()
-				w.Header().Set("ETag", blob.etag)
-				w.Header().Set("X-Waldo-Model-Version", strconv.Itoa(version))
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Write(blob.data) //nolint:errcheck // client went away
-				return
-			}
-		}
-		select {
-		case <-bumped:
-		case <-horizon.C:
-			s.watch.timeout.Inc()
-			w.Header().Set("X-Waldo-Model-Version", strconv.Itoa(version))
-			w.WriteHeader(http.StatusNotModified)
-			return
-		case <-r.Context().Done():
-			s.watch.disconnect.Inc()
-			return
-		case <-s.closed:
-			// Server shutting down: answer instead of pinning the
-			// listener's drain until the horizon. 503 sends resilient
-			// clients into their backoff-and-re-arm path.
-			s.watch.shutdown.Inc()
-			w.Header().Set("X-Waldo-Model-Version", strconv.Itoa(version))
-			http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-			return
-		}
-	}
 }

@@ -128,9 +128,17 @@ func (g *GaussianNB) SetModel(logPrior [2]float64, mean, variance [2][]float64) 
 		return fmt.Errorf("bayes: inconsistent model dimensions")
 	}
 	for c := 0; c < 2; c++ {
+		// Every term of the log likelihood must be finite, or so is no
+		// decision value.
+		if math.IsNaN(logPrior[c]) || math.IsInf(logPrior[c], 0) {
+			return fmt.Errorf("bayes: class %d log prior %v", c, logPrior[c])
+		}
 		for j, v := range variance[c] {
-			if v <= 0 || math.IsNaN(v) {
+			if v <= 0 || math.IsNaN(v) || math.IsInf(v, 1) {
 				return fmt.Errorf("bayes: class %d feature %d variance %v", c, j, v)
+			}
+			if m := mean[c][j]; math.IsNaN(m) || math.IsInf(m, 0) {
+				return fmt.Errorf("bayes: class %d feature %d mean %v", c, j, m)
 			}
 		}
 		g.mean[c] = append([]float64(nil), mean[c]...)

@@ -145,9 +145,14 @@ func NewStandardizerFromParams(mean, scale []float64) (*Standardizer, error) {
 	if len(mean) == 0 || len(mean) != len(scale) {
 		return nil, fmt.Errorf("ml: bad standardizer params (%d means, %d scales)", len(mean), len(scale))
 	}
+	// A non-finite mean makes every z-score it feeds ±Inf or NaN; an
+	// infinite scale zeroes its feature out of every decision.
 	for i, sc := range scale {
-		if sc <= 0 || math.IsNaN(sc) {
-			return nil, fmt.Errorf("ml: non-positive scale %v at %d", sc, i)
+		if sc <= 0 || math.IsNaN(sc) || math.IsInf(sc, 1) {
+			return nil, fmt.Errorf("ml: scale %v at %d is not positive and finite", sc, i)
+		}
+		if m := mean[i]; math.IsNaN(m) || math.IsInf(m, 0) {
+			return nil, fmt.Errorf("ml: mean %v at %d is not finite", m, i)
 		}
 	}
 	return &Standardizer{

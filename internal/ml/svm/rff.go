@@ -112,6 +112,17 @@ func NewRFFFromParams(w [][]float64, b []float64) (*RFF, error) {
 		}
 		flat = append(flat, w[i]...)
 	}
+	// One non-finite weight or phase makes every feature it feeds NaN.
+	for i, v := range flat {
+		if !finite(v) {
+			return nil, fmt.Errorf("svm: rff weight %d is %v", i, v)
+		}
+	}
+	for i, v := range b {
+		if !finite(v) {
+			return nil, fmt.Errorf("svm: rff phase %d is %v", i, v)
+		}
+	}
 	return &RFF{w: flat, b: append([]float64(nil), b...), dim: dim}, nil
 }
 
