@@ -3,30 +3,23 @@
 
 GO ?= go
 
-.PHONY: check verify build test race vet fmt-check bench-repo bench-pairs crash-test doccheck chaos cluster-test trace-smoke clean
+.PHONY: check verify build test race vet fmt-check bench-repo bench-pairs crash-test chaos cluster-test trace-smoke clean
 
 check: vet build race
 
-# Full pre-merge verification: formatting, vet, build, tests, the godoc
-# coverage gate on contract-surface packages, the sharded-cluster suite
-# under the race detector, the end-to-end trace smoke (real processes:
-# one traced upload must cross gateway -> shard -> WAL under a single
-# trace ID), and a one-second query_mixed run of the repository
-# benchmark: the shipped binaries as subprocesses (3 shards + gateway)
-# under uploads, model fetch/watch, availability, routes and retrains,
-# with the workload's own correctness checks. Before that, one iteration
+# Full pre-merge verification: formatting, vet, build, tests (among
+# them the godoc coverage gate on contract-surface packages), the
+# sharded-cluster suite under the race detector, the end-to-end trace
+# smoke (real processes: one traced upload must cross gateway -> shard
+# -> WAL under a single trace ID), and a one-second query_mixed run of
+# the repository benchmark: the shipped binaries as subprocesses (3
+# shards + gateway) under uploads, model fetch/watch, availability,
+# routes and retrains, with the workload's own correctness checks. Before that, one iteration
 # of the trainer's, the JSON upload decoder's, the gateway's place-query,
 # upload and leg benchmarks, so they cannot rot unbuilt.
-verify: fmt-check vet build test doccheck cluster-test trace-smoke
+verify: fmt-check vet build test cluster-test trace-smoke
 	$(GO) test ./internal/ml/svm ./internal/dataset ./internal/geo ./internal/core ./internal/dbserver ./internal/cluster -run xxx -bench 'CosExact|RFFTransform|RFFSVMTrain|PegasosTrain|LabelReadings|GridWithinRadius|MetroRebuild|DecodeUploadJSON|GatewayPlaceQueries|UploadViaGatewayFrame|LegExchange' -benchtime 1x
 	bash bench/run.sh --workload query_mixed --seed 42 --seconds 1 --trace 0
-
-# Godoc coverage on contract-surface packages: every exported
-# identifier (funcs, methods, types, consts, vars, struct fields) must
-# carry a doc comment. The list grows a package at a time as packages
-# get their docs audit; it never shrinks.
-doccheck:
-	$(GO) run ./cmd/waldo-doccheck internal/geoindex internal/client
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

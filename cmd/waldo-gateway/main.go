@@ -1,7 +1,10 @@
 // Command waldo-gateway runs the cluster routing tier: it terminates the
-// WSD client API and proxies every request to the shard that owns its
-// geo-cell on the consistent-hash ring, failing over to a shard's
-// replica endpoints when the primary stops answering.
+// WSD client API, answers place queries and followed model requests from
+// its replicas of the shards' grids and descriptors, and proxies every
+// other request to the shard that owns its geo-cell on the
+// consistent-hash ring. A shard fails over to its replica endpoints when
+// a leg or the parked poll of a replica follower finds the active one
+// dead; no separate health prober runs.
 //
 // Usage:
 //
@@ -23,7 +26,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
 	"github.com/wsdetect/waldo/internal/adminhttp"
 	"github.com/wsdetect/waldo/internal/cluster"
@@ -44,7 +46,6 @@ func run(args []string) error {
 	shardsFlag := fs.String("shards", "", "topology: 'id=url[,url...];id2=...' (primary URL first, required)")
 	seed := fs.Uint64("seed", 0, "ring placement seed (must match every other gateway)")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per shard (0 = default 128)")
-	probeEvery := fs.Duration("probe-every", 2*time.Second, "endpoint health-probe interval (0 = per-request failover only)")
 	logLevel := fs.String("log-level", "info", "lowest structured-log level emitted: debug|info|warn|error")
 	adminAddr := fs.String("admin-addr", "", "opt-in admin listener (pprof, /metrics, /debug/traces); empty = disabled. Bind to loopback only.")
 	if err := fs.Parse(args); err != nil {
@@ -61,11 +62,10 @@ func run(args []string) error {
 
 	metrics := telemetry.New()
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
-		Shards:        shards,
-		Ring:          cluster.RingConfig{Seed: *seed, VNodes: *vnodes},
-		ProbeInterval: *probeEvery,
-		Metrics:       metrics,
-		Log:           wlog.New(wlog.Options{W: os.Stderr, Min: lvl, Metrics: metrics}),
+		Shards:  shards,
+		Ring:    cluster.RingConfig{Seed: *seed, VNodes: *vnodes},
+		Metrics: metrics,
+		Log:     wlog.New(wlog.Options{W: os.Stderr, Min: lvl, Metrics: metrics}),
 	})
 	if err != nil {
 		return err

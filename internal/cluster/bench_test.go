@@ -110,8 +110,8 @@ func BenchmarkRingOwner(b *testing.B) {
 // availability, a route inside one owner's cell, a route across two
 // owners' cells, and a model fetch, conditional (304) and full. legs/op
 // is waldo_cluster_requests_total per query: 0, as the gateway answers
-// from its replicas once the first query of each shard (each store) has
-// started its follower.
+// from its replicas — every shard's grid from NewGateway on, the store's
+// descriptor once its first forwarded 200 has started a follower.
 func BenchmarkGatewayPlaceQueries(b *testing.B) {
 	tc := newTestCluster(b, []string{"s0", "s1", "s2"})
 	free, _ := seedGeoCluster(b, tc, 47)
@@ -216,15 +216,23 @@ func TestForwardedFrameIsOneWrite(t *testing.T) {
 	frame := frameOf(t, synthReadings(legFrameReadings, 47, 1))
 	firstRead := make(chan []byte, 1)
 	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				buf := make([]byte, 64<<10)
+				n, _ := c.Read(buf)
+				if bytes.HasPrefix(buf[:n], []byte("GET "+gridPath+" ")) { // a grid follower's poll: parked until the gateway hangs up
+					io.Copy(io.Discard, c) //nolint:errcheck
+					return
+				}
+				firstRead <- buf[:n]
+				io.WriteString(c, "HTTP/1.1 204 No Content\r\n\r\n") //nolint:errcheck
+			}()
 		}
-		defer c.Close()
-		buf := make([]byte, 64<<10)
-		n, _ := c.Read(buf)
-		firstRead <- buf[:n]
-		io.WriteString(c, "HTTP/1.1 204 No Content\r\n\r\n") //nolint:errcheck
 	}()
 	gw, err := NewGateway(GatewayConfig{Shards: []ShardSpec{{ID: "s0", URLs: []string{"http://" + ln.Addr().String()}}}})
 	if err != nil {

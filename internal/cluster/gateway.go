@@ -17,6 +17,7 @@ import (
 
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/geo"
+	"github.com/wsdetect/waldo/internal/geoindex"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/telemetry"
 	"github.com/wsdetect/waldo/internal/wlog"
@@ -68,12 +69,6 @@ type GatewayConfig struct {
 	// private registry.
 	Metrics *telemetry.Registry
 
-	// ProbeInterval enables a background health prober that advances a
-	// shard's active endpoint when it stops answering, so failover does
-	// not wait for live traffic to trip over the corpse. 0 disables it;
-	// per-request failover still applies.
-	ProbeInterval time.Duration
-
 	// MaxBodyBytes caps buffered upload bodies. 0 means 8 MiB.
 	MaxBodyBytes int64
 
@@ -98,12 +93,12 @@ type shardState struct {
 	errs     *telemetry.Counter
 	redials  *telemetry.Counter
 
-	grid *gridReplica // the gateway's copy of the shard's grid (gridreplica.go)
+	grid *replica[*geoindex.Snapshot] // the gateway's copy of the shard's grid (gridreplica.go)
 
 	// models holds the gateway's copies of the shard's followed stores'
 	// descriptors (modelreplica.go); modelSyncs counts their syncs.
 	modelMu    sync.Mutex
-	models     map[modelKey]*modelReplica
+	models     map[modelKey]*replica[*dbserver.Descriptor]
 	modelSyncs *replicaSyncs
 }
 
@@ -162,19 +157,20 @@ type Gateway struct {
 	ownRec   bool
 
 	handler http.Handler
-	// life ends at BeginShutdown: the prober stops and parked
-	// /v1/model/watch legs, which no timeout leashes, are cancelled, and
-	// watches parked on a model replica answered 503. follows ends at
-	// Close, so the followers keep the replicas in sync through the
-	// drain; followMu orders a follower's start against Close.
+	// life ends at BeginShutdown: parked /v1/model/watch legs, which no
+	// timeout leashes, are cancelled, and watches parked on a model
+	// replica answered 503. follows ends at Close, so the followers keep
+	// the replicas in sync through the drain; followMu orders a model
+	// follower's start against Close.
 	life, follows       context.Context
 	endLife, endFollows context.CancelFunc
 	followMu            sync.Mutex
 	wg                  sync.WaitGroup
 }
 
-// NewGateway validates the topology, builds the ring, and starts the
-// optional health prober. Call Close to stop it.
+// NewGateway validates the topology, builds the ring, and starts one
+// grid follower per shard, whose parked polls also fail a dead endpoint
+// over. Call Close to stop them.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: gateway needs at least one shard")
@@ -199,10 +195,14 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		}
 		eps := make([]*url.URL, len(spec.URLs))
 		for i, raw := range spec.URLs {
-			var err error
-			if eps[i], err = url.Parse(raw); err != nil {
+			u, err := url.Parse(raw)
+			if err == nil && (u.Scheme != "http" && u.Scheme != "https" || u.Host == "") {
+				err = fmt.Errorf("%q is not an http:// or https:// URL with a host", raw)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("cluster: shard %s: %v", spec.ID, err)
 			}
+			eps[i] = u
 		}
 		ids = append(ids, spec.ID)
 		shards[spec.ID] = &shardState{
@@ -216,7 +216,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			redials: cfg.Metrics.Counter("waldo_cluster_leg_redials_total",
 				"Legs replayed on a fresh connection because the pooled keep-alive one had gone stale.",
 				"shard", spec.ID),
-			models:     make(map[modelKey]*modelReplica),
+			models:     make(map[modelKey]*replica[*dbserver.Descriptor]),
 			modelSyncs: newReplicaSyncs(cfg.Metrics, spec.ID, "model"),
 		}
 	}
@@ -267,33 +267,34 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	g.life, g.endLife = context.WithCancel(context.Background())
 	g.follows, g.endFollows = context.WithCancel(context.Background())
 	g.models = dbserver.NewModels(cfg.Metrics, g.life.Done())
+	decodeGrid := func(_ http.Header, data []byte) (*geoindex.Snapshot, error) {
+		return geoindex.DecodeGrid(data, cfg.CellDeg)
+	}
 	for _, sh := range shards {
-		synced := make(chan struct{})
-		sh.grid = &gridReplica{g: g, sh: sh, synced: synced, follower: follower{kind: "grid",
-			settle: sync.OnceFunc(func() { close(synced) }), syncs: newReplicaSyncs(cfg.Metrics, sh.spec.ID, "grid")}}
+		sh.grid = newReplica(sh, "grid", gridPath, decodeGrid, newReplicaSyncs(cfg.Metrics, sh.spec.ID, "grid"))
+		g.wg.Add(1)
+		go func() {
+			defer g.wg.Done()
+			sh.grid.follow(g)
+		}()
 	}
 	cfg.Metrics.Gauge("waldo_cluster_ring_nodes",
 		"Shards on the consistent-hash ring.").Set(float64(len(ids)))
 	cfg.Metrics.Gauge("waldo_cluster_ring_vnodes",
 		"Virtual nodes per shard on the ring.").Set(float64(ring.VNodes()))
 	g.handler = g.buildHandler()
-	if cfg.ProbeInterval > 0 {
-		g.wg.Add(1)
-		go g.probeLoop()
-	}
 	return g, nil
 }
 
-// BeginShutdown stops the background prober and answers every parked
-// /v1/model/watch 503, so clients re-arm elsewhere; other requests are
-// still served. A binary calls it once its listener has stopped
-// accepting and before it drains requests in flight — a parked watch
-// would otherwise pin the drain for its whole budget — and calls Close
-// after the drain. Idempotent.
+// BeginShutdown answers every parked /v1/model/watch 503, so clients
+// re-arm elsewhere; other requests are still served. A binary calls it
+// once its listener has stopped accepting and before it drains requests
+// in flight — a parked watch would otherwise pin the drain for its whole
+// budget — and calls Close after the drain. Idempotent.
 func (g *Gateway) BeginShutdown() { g.endLife() }
 
 // Close is BeginShutdown, then: stop the followers (place queries answer
-// 502 from then on, model requests forward), wait for them and the prober, close the
+// 502 from then on, model requests forward), wait for them, close the
 // gateway-owned leg connections and the gateway-owned flight recorder.
 // Idempotent.
 func (g *Gateway) Close() error {
@@ -745,18 +746,8 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 	}
 	err := g.withShard(r, sh, body, func(resp *http.Response) error {
 		g.awaitRetrain(sh, r, resp)
-		var descriptor []byte
 		if resp.StatusCode == http.StatusOK && (r.URL.Path == modelPath || r.URL.Path == modelWatchPath) {
-			// Read whole before a byte is passed on: it seeds the store's
-			// replica (modelreplica.go), and a read error still fails over.
-			// One over the gateway's buffer is passed on, not followed.
-			var err error
-			if descriptor, err = io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes+1)); err != nil {
-				return err
-			}
-			if int64(len(descriptor)) <= g.cfg.MaxBodyBytes {
-				g.followModel(sh, r, resp.Header, descriptor)
-			}
+			g.followModel(sh, r)
 		}
 		for _, h := range []string{"Content-Type", "ETag", "X-Waldo-Model-Version", dbserver.HorizonHeader, "Retry-After"} {
 			if v := resp.Header.Get(h); v != "" {
@@ -766,9 +757,6 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 		w.Header().Set(ClusterVersionHeader, g.version)
 		w.Header().Set(ShardHeader, sh.spec.ID)
 		w.WriteHeader(resp.StatusCode)
-		if len(descriptor) > 0 {
-			w.Write(descriptor) //nolint:errcheck // client went away
-		}
 		io.Copy(w, resp.Body) //nolint:errcheck // client went away
 		return nil
 	})
@@ -818,36 +806,4 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out) //nolint:errcheck // client went away
-}
-
-// probeLoop periodically hits each shard's active endpoint's health
-// probe and advances past endpoints that stop answering, so failover
-// happens even on an idle gateway.
-func (g *Gateway) probeLoop() {
-	defer g.wg.Done()
-	t := time.NewTicker(g.cfg.ProbeInterval)
-	defer t.Stop()
-	// What shardDo forwards of a client request, here with no client.
-	probe, err := http.NewRequest(http.MethodGet, "/v1/health", nil)
-	if err != nil {
-		panic(err) // constant arguments
-	}
-	for {
-		select {
-		case <-g.life.Done():
-			return
-		case <-t.C:
-			for _, id := range g.ring.Nodes() {
-				sh := g.shards[id]
-				raw, ep := sh.current()
-				_, err := g.shardDo(context.Background(), probe, ep, nil, false, func(resp *http.Response) error {
-					io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive
-					return nil
-				})
-				if err != nil {
-					g.endpointFailed(context.Background(), sh, raw, err, "probe")
-				}
-			}
-		}
-	}
 }

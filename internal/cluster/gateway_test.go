@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -264,9 +265,10 @@ func TestGatewayStatsMerge(t *testing.T) {
 	}
 }
 
-// TestGatewayFailover kills a shard's primary endpoint and checks the
-// same client request succeeds against the replica endpoint, that
-// failover is sticky, and that the failover counter fired.
+// TestGatewayFailover gives a shard a dead primary endpoint and checks
+// that the gateway fails over to the replica endpoint — at once, through
+// the grid follower NewGateway starts — that a client request is served
+// there, that failover is sticky, and that the failover counter fired.
 func TestGatewayFailover(t *testing.T) {
 	// One shard, two endpoints: a dead primary and a live replica.
 	replica, replicaTS := newTestNode(t, "s0r", nil)
@@ -287,8 +289,9 @@ func TestGatewayFailover(t *testing.T) {
 	gwTS := httptest.NewServer(gw.Handler())
 	defer gwTS.Close()
 
-	// /healthz is the gateway's own topology view. Before any routed
-	// request the shard still targets its first (dead) endpoint.
+	// /healthz is the gateway's own topology view: the configured
+	// endpoints, and the active one — the replica, once the grid
+	// follower's first poll found the primary dead.
 	type healthz struct {
 		ClusterVersion string         `json:"cluster_version"`
 		RingNodes      int            `json:"ring_nodes"`
@@ -309,9 +312,7 @@ func TestGatewayFailover(t *testing.T) {
 	if want := []string{dead.URL, replicaTS.URL}; !reflect.DeepEqual(before.Shards[0].URLs, want) {
 		t.Errorf("healthz urls = %v, want %v", before.Shards[0].URLs, want)
 	}
-	if before.Shards[0].Active != dead.URL {
-		t.Errorf("healthz active before failover = %q, want primary %q", before.Shards[0].Active, dead.URL)
-	}
+	eventually(t, "healthz names the replica active", func() bool { return getHealthz().Shards[0].Active == replicaTS.URL })
 
 	body := mustGetBody(t, gwTS.URL+"/v1/model?channel=47&sensor=1", http.StatusOK)
 	if len(body) == 0 {
@@ -325,13 +326,11 @@ func TestGatewayFailover(t *testing.T) {
 	if got := gw.shards["s0"].currentURL(); got != replicaTS.URL {
 		t.Errorf("active endpoint = %q, want replica %q", got, replicaTS.URL)
 	}
-	if v := gw.failovers.Value(); v < 1 {
-		t.Errorf("failover counter = %v, want ≥ 1", v)
+	if v := gw.failovers.Value(); v != 1 {
+		t.Errorf("failover counter = %v, want 1", v)
 	}
-	// ... and /healthz says so, under the version routed responses carry.
-	if got := getHealthz().Shards[0].Active; got != replicaTS.URL {
-		t.Errorf("healthz active after failover = %q, want replica %q", got, replicaTS.URL)
-	}
+	// The second fetch is answered from the replica the first started.
+	followed(t, gw.shards["s0"])
 	resp, err := http.Get(gwTS.URL + "/v1/model?channel=47&sensor=1")
 	if err != nil {
 		t.Fatal(err)
@@ -342,9 +341,12 @@ func TestGatewayFailover(t *testing.T) {
 	}
 
 	// The buffering consumer fails over by the same loop: a second gateway
-	// over the same topology still targets the dead primary when /v1/stats
-	// fans out through it.
-	gw2, err := NewGateway(GatewayConfig{Shards: gw.cfg.Shards, Ring: gw.cfg.Ring})
+	// over the same topology, whose grid follower is parked short of the
+	// dead primary, still targets it when /v1/stats fans out through it.
+	gridsParked := &scriptedShard{script: func(_ int, req *http.Request) (*http.Response, error) {
+		return http.DefaultTransport.RoundTrip(req)
+	}}
+	gw2, err := NewGateway(GatewayConfig{Shards: gw.cfg.Shards, Ring: gw.cfg.Ring, HTTPClient: &http.Client{Transport: gridsParked}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +366,7 @@ func TestGatewayFailover(t *testing.T) {
 	}
 	// However many endpoints a call walked, it is one leg span per shard;
 	// the second model fetch is answered from the replica the first
-	// seeded, with none.
+	// started, with none.
 	for ts, want := range map[*httptest.Server][3]any{
 		gwTS: {"/v1/model", 2, 1}, gw2TS: {"/v1/stats", 1, 1},
 	} {
@@ -397,6 +399,27 @@ func TestGatewayAllEndpointsDown(t *testing.T) {
 	gwTS := httptest.NewServer(gw.Handler())
 	defer gwTS.Close()
 	mustGetBody(t, gwTS.URL+"/v1/model?channel=47&sensor=1", http.StatusBadGateway)
+}
+
+// TestNewGatewayRefusesUndialableURLs: a shard URL the gateway could
+// never dial — no http or https scheme, or no host — is refused by
+// NewGateway, so waldo-gateway exits at startup rather than run a
+// follower that fails forever.
+func TestNewGatewayRefusesUndialableURLs(t *testing.T) {
+	for _, raw := range []string{"localhost:9101", "http://", "https://", "ftp://127.0.0.1:9101", "127.0.0.1", "//127.0.0.1:9101"} {
+		gw, err := NewGateway(GatewayConfig{Shards: []ShardSpec{{ID: "s0", URLs: []string{"http://127.0.0.1:1", raw}}}})
+		if err == nil {
+			gw.Close()
+			t.Errorf("NewGateway accepted the shard URL %q", raw)
+		} else if !strings.Contains(err.Error(), "s0") {
+			t.Errorf("refusal of %q does not name the shard: %v", raw, err)
+		}
+	}
+	gw, err := NewGateway(GatewayConfig{Shards: []ShardSpec{{ID: "s0", URLs: []string{"http://127.0.0.1:1", "https://127.0.0.1:2/base"}}}})
+	if err != nil {
+		t.Fatalf("NewGateway refused good URLs: %v", err)
+	}
+	gw.Close()
 }
 
 // TestConfigVersionStability: the fingerprint is stable across shard

@@ -53,7 +53,7 @@ func postFrame(t testing.TB, url string, frame []byte, ciSpan float64) *http.Res
 func TestGatewayBatchForwardByteIdentical(t *testing.T) {
 	var gotBody atomic.Pointer[[]byte]
 	var gotSpan atomic.Pointer[string]
-	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	shard := httptest.NewServer(gridParked(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/upload/batch" {
 			t.Errorf("shard saw path %q", r.URL.Path)
 		}
@@ -62,7 +62,7 @@ func TestGatewayBatchForwardByteIdentical(t *testing.T) {
 		span := r.Header.Get(dbserver.CISpanHeader)
 		gotSpan.Store(&span)
 		w.WriteHeader(http.StatusNoContent)
-	}))
+	})))
 	defer shard.Close()
 	gw, err := NewGateway(GatewayConfig{
 		Shards: []ShardSpec{{ID: "only", URLs: []string{shard.URL}}},
@@ -138,10 +138,10 @@ func TestGatewayBatchSplitsMixedCells(t *testing.T) {
 // gateway with 400 and never cost a shard round-trip.
 func TestGatewayBatchRejectsBadFrames(t *testing.T) {
 	var shardHits atomic.Int64
-	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	shard := httptest.NewServer(gridParked(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		shardHits.Add(1)
 		w.WriteHeader(http.StatusNoContent)
-	}))
+	})))
 	defer shard.Close()
 	gw, err := NewGateway(GatewayConfig{
 		Shards: []ShardSpec{{ID: "only", URLs: []string{shard.URL}}},

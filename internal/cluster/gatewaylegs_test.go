@@ -70,6 +70,9 @@ func TestProxiedRequestsArmNoHangUpWatcher(t *testing.T) {
 		{"broadcast retrain", http.MethodPost, "/v1/retrain?channel=47&sensor=1", nil},
 		{"snapshot", http.MethodPost, "/v1/admin/snapshot", nil},
 	} {
+		if strings.HasSuffix(tt.name, "replica") {
+			followed(t, tc.gw.shards["s0"]) // started by the forwarded model 200
+		}
 		ctx := &askCounter{Context: context.Background()}
 		legs := tc.legs()
 		rec := serveGateway(ctx, tc.gw, tt.method, tt.target, tt.body)
@@ -84,9 +87,7 @@ func TestProxiedRequestsArmNoHangUpWatcher(t *testing.T) {
 			t.Errorf("%s: the request context was asked Done/Err %d times, want 0", tt.name, n)
 		}
 	}
-	// A watch parked on the replica — once its owner has stated the
-	// horizon, in the follower's first sync — ends on a hang-up.
-	eventually(t, "the replica's first sync", func() bool { _, ok := tc.gw.shards["s0"].Horizon(47, 1); return ok })
+	// A watch parked on the replica ends on a hang-up.
 	hangUp, cancel := context.WithCancel(context.Background())
 	ctx := &askCounter{Context: hangUp}
 	time.AfterFunc(20*time.Millisecond, cancel)
@@ -102,7 +103,7 @@ func TestProxiedRequestsArmNoHangUpWatcher(t *testing.T) {
 // stubShard answers every leg 204 without a network or a shard: what is
 // left of a gateway request is the gateway's own work. It keeps the
 // last leg body's length and reuses one response, so it allocates
-// nothing itself.
+// nothing itself; a grid follower's poll parks (parkGrid).
 type stubShard struct {
 	resp    http.Response
 	lastLen int64
@@ -113,6 +114,9 @@ func newStubShard() *stubShard {
 }
 
 func (s *stubShard) RoundTrip(req *http.Request) (*http.Response, error) {
+	if parkGrid(req) {
+		return nil, req.Context().Err()
+	}
 	s.lastLen = 0
 	if req.Body != nil {
 		s.lastLen, _ = io.Copy(io.Discard, req.Body)

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,25 +20,18 @@ import (
 
 // Place queries at the gateway (DESIGN.md §12 "Replicas"): a cell's
 // verdicts are its owner's alone, so the gateway keeps a replica of each
-// shard's grid — one follower per shard long-polls its GET /v1/grid —
-// and answers with dbserver.Places, the shards' own code, reading each
-// cell from its owner's replica: no leg, no merge. The follow loop here
-// keeps model replicas too (modelreplica.go).
+// shard's grid — one follower per shard, started by NewGateway,
+// long-polls its GET /v1/grid — and answers with dbserver.Places, the
+// shards' own code, reading each cell from its owner's replica: no leg,
+// no merge. The same replica type keeps model descriptors
+// (modelreplica.go), and its parked polls are the gateway's health
+// check: a dead endpoint fails over when one of them fails.
 
 const gridPath = "/v1/grid"
 
 // followRetry is the pause after a failed sync; it doubles with each
 // failure in a row, up to legTimeout.
 const followRetry = 50 * time.Millisecond
-
-// follower is what one follow loop shares with the gateway: the
-// replica's outcome series, and what settles its first sync.
-type follower struct {
-	kind   string // "grid" or "model": the series' kind label
-	retire bool   // a refused sync ends the follower (models), else it retries (grids)
-	settle func() // called once a sync has settled, in sync or not
-	syncs  *replicaSyncs
-}
 
 // replicaSyncs is waldo_cluster_replica_syncs_total for one shard and kind.
 type replicaSyncs struct{ ok, unchanged, refused, failed *telemetry.Counter }
@@ -50,30 +44,59 @@ func newReplicaSyncs(m *telemetry.Registry, shard, kind string) *replicaSyncs {
 	return &replicaSyncs{ok: outcome("ok"), unchanged: outcome("unchanged"), refused: outcome("refused"), failed: outcome("error")}
 }
 
-// A replica is a gateway's copy of something a shard serves, kept by
-// one follow loop.
-type replica interface {
-	// sync runs one exchange with ep, applies the answer and reports
-	// whether the copy is in sync after it; an error is a transport
-	// failure.
-	sync(ep *url.URL) (bool, error)
-	// drop discards the copy: requests stop reading it.
-	drop()
+// A replica is the gateway's copy of something one shard serves — its
+// grid, or one store's model descriptor — kept by one follow loop that
+// long-polls target on the shard's active endpoint.
+type replica[T any] struct {
+	sh     *shardState
+	kind   string                                      // "grid" or "model": the series' kind label
+	target string                                      // path and query
+	check  func(h http.Header, data []byte) (T, error) // a 200's bytes, before they are kept
+	retire bool                                        // a refused sync ends the follower (models), else it retries (grids)
+	syncs  *replicaSyncs
+
+	// cur is nil while the follower is out of sync: the shard's cells
+	// answer 502 and the store's requests forward.
+	cur atomic.Pointer[held[T]]
+
+	mu   sync.Mutex
+	wake chan struct{} // closed and replaced on each change of cur
 }
 
-// gridReplica is the gateway's copy of one shard's grid.
-type gridReplica struct {
-	follower
-	g       *Gateway
-	sh      *shardState
-	started bool          // the follower runs; guarded by Gateway.followMu
-	synced  chan struct{} // closed once the first sync settled
-	// snap is nil while the follower is out of sync: the shard's cells
-	// answer 502 rather than from a grid nobody follows.
-	snap atomic.Pointer[geoindex.Snapshot]
-	// etag and horizon belong to the follow loop.
+// held is one copy as a shard served it: the decoded value, its
+// validator and the horizon the shard stated.
+type held[T any] struct {
+	val     T
 	etag    string
 	horizon time.Duration
+}
+
+func newReplica[T any](sh *shardState, kind, target string, check func(http.Header, []byte) (T, error), syncs *replicaSyncs) *replica[T] {
+	return &replica[T]{sh: sh, kind: kind, target: target, check: check, retire: kind == "model", syncs: syncs, wake: make(chan struct{})}
+}
+
+// load returns the held copy, nil while out of sync or with no replica.
+func (r *replica[T]) load() *held[T] {
+	if r == nil {
+		return nil
+	}
+	return r.cur.Load()
+}
+
+func (r *replica[T]) changed() <-chan struct{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.wake
+}
+
+// set replaces the held copy (nil: out of sync) and wakes everything
+// parked on the replica.
+func (r *replica[T]) set(c *held[T]) {
+	r.cur.Store(c)
+	r.mu.Lock()
+	close(r.wake)
+	r.wake = make(chan struct{})
+	r.mu.Unlock()
 }
 
 func (g *Gateway) handleAvailability(w http.ResponseWriter, r *http.Request) {
@@ -98,76 +121,45 @@ func (g *Gateway) ownersGrid(h http.Header) dbserver.GridView {
 		if found {
 			return snaps[i], nil
 		}
-		snap := g.replica(g.shards[id])
-		if snap == nil {
+		grid := g.shards[id].grid.load()
+		if grid == nil {
 			return nil, fmt.Errorf("shard %s unavailable: its grid replica is not in sync", id)
 		}
-		owners, snaps = slices.Insert(owners, i, id), slices.Insert(snaps, i, snap)
+		owners, snaps = slices.Insert(owners, i, id), slices.Insert(snaps, i, grid.val)
 		h.Set(ShardHeader, strings.Join(owners, ","))
-		return snap, nil
+		return grid.val, nil
 	}
 }
 
-// replica returns sh's grid replica, nil while it is out of sync. The
-// first place query for a shard starts its follower and waits for the
-// first sync, up to legTimeout: a gateway asked no place polls no grid.
-func (g *Gateway) replica(sh *shardState) *geoindex.Snapshot {
-	r := sh.grid
-	g.followMu.Lock()
-	if !r.started && g.follows.Err() == nil {
-		r.started = true
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.follow(sh, &r.follower, r)
-		}()
-	}
-	g.followMu.Unlock()
-	select {
-	case <-r.synced:
-	default:
-		t := time.NewTimer(legTimeout)
-		select {
-		case <-r.synced:
-		case <-t.C:
-		case <-g.follows.Done():
-		}
-		t.Stop()
-	}
-	return r.snap.Load()
-}
-
-// follow keeps one replica of sh's until the gateway closes, syncing
-// from the shard's active endpoint. A transport error fails the endpoint
-// over as a leg's does, the next one tried at once until each has failed
-// in a row; a non-2xx answer or a refused copy is no failover, and ends a
-// retiring follower. Any failure drops the replica until a sync succeeds,
-// and so does the end.
-func (g *Gateway) follow(sh *shardState, f *follower, r replica) {
-	defer r.drop()
+// follow keeps r until the gateway closes, syncing from the shard's
+// active endpoint. A transport error fails the endpoint over as a leg's
+// does, the next one tried at once until each has failed in a row; a
+// non-2xx answer or a refused copy is no failover, and ends a retiring
+// follower. Any failure drops the copy until a sync succeeds, and so
+// does the end.
+func (r *replica[T]) follow(g *Gateway) {
+	defer r.set(nil)
 	var pause time.Duration
 	misses := 0
 	for {
-		raw, ep := sh.current()
-		connected, err := r.sync(ep)
+		raw, ep := r.sh.current()
+		connected, err := r.sync(g, ep)
 		if g.follows.Err() != nil {
 			return
 		}
 		if connected {
 			pause, misses = 0, 0
-			f.settle()
 			continue
 		}
-		r.drop()
+		r.set(nil)
 		if err != nil {
-			g.endpointFailed(g.follows, sh, raw, err, f.kind)
-			if misses++; misses < len(sh.spec.URLs) {
+			g.endpointFailed(g.follows, r.sh, raw, err, r.kind)
+			if misses++; misses < len(r.sh.spec.URLs) {
 				continue
 			}
-		} else if f.retire {
+		} else if r.retire {
 			return
 		}
-		f.settle()
 		pause = min(max(2*pause, followRetry), legTimeout)
 		t := time.NewTimer(pause)
 		select {
@@ -179,36 +171,33 @@ func (g *Gateway) follow(sh *shardState, f *follower, r replica) {
 	}
 }
 
-// poll runs one follower exchange: GET target from ep, conditional on
-// etag and then allowed horizon on top of legTimeout — the bound on how
-// stale a silently partitioned replica gets. It records a stated
-// horizon in *horizon, hands a 200's body (cut short at the gateway's
-// buffer) to apply, counts the outcome and reports whether the replica
-// is in sync after it; an error is a transport failure.
-func (g *Gateway) poll(sh *shardState, f *follower, ep *url.URL, target, etag string, horizon *time.Duration, apply func(*http.Response, []byte) error) (bool, error) {
+// sync runs one exchange with ep: GET target, conditional on the held
+// copy and then allowed its stated horizon on top of legTimeout — the
+// bound on how stale a silently partitioned replica gets. It keeps a 200
+// that states a horizon and passes check (its body cut short at the
+// gateway's buffer), counts the outcome and reports whether the copy is
+// in sync after it; an error is a transport failure.
+func (r *replica[T]) sync(g *Gateway, ep *url.URL) (bool, error) {
+	cur := r.cur.Load()
 	budget := legTimeout
-	if etag != "" {
-		budget += *horizon
+	if cur != nil {
+		budget += cur.horizon
 	}
 	ctx, cancel := context.WithTimeout(g.follows, budget)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.target, nil)
 	if err != nil {
 		return false, err
 	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
+	if cur != nil {
+		req.Header.Set("If-None-Match", cur.etag)
 	}
-	sh.requests.Inc()
 	connected := false
 	_, err = g.shardDo(ctx, req, ep, nil, true, func(resp *http.Response) error {
-		if ms, err := strconv.ParseInt(resp.Header.Get(dbserver.HorizonHeader), 10, 64); err == nil && ms >= 0 {
-			*horizon = time.Duration(ms) * time.Millisecond
-		}
 		var refusal error
 		switch {
-		case resp.StatusCode == http.StatusNotModified && etag != "":
-			f.syncs.unchanged.Inc()
+		case resp.StatusCode == http.StatusNotModified && cur != nil:
+			r.syncs.unchanged.Inc()
 			connected = true
 			return nil
 		case resp.StatusCode == http.StatusOK:
@@ -216,8 +205,13 @@ func (g *Gateway) poll(sh *shardState, f *follower, ep *url.URL, target, etag st
 			if err != nil {
 				return err
 			}
-			if refusal = apply(resp, data); refusal == nil {
-				f.syncs.ok.Inc()
+			ms, perr := strconv.ParseInt(resp.Header.Get(dbserver.HorizonHeader), 10, 64)
+			var v T
+			if perr != nil || ms < 0 {
+				refusal = fmt.Errorf("bad or missing %s %q", dbserver.HorizonHeader, resp.Header.Get(dbserver.HorizonHeader))
+			} else if v, refusal = r.check(resp.Header, data); refusal == nil {
+				r.set(&held[T]{val: v, etag: resp.Header.Get("ETag"), horizon: time.Duration(ms) * time.Millisecond})
+				r.syncs.ok.Inc()
 				connected = true
 				return nil
 			}
@@ -225,30 +219,12 @@ func (g *Gateway) poll(sh *shardState, f *follower, ep *url.URL, target, etag st
 			io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive
 			refusal = fmt.Errorf("status %d", resp.StatusCode)
 		}
-		f.syncs.refused.Inc()
-		g.lg.Warn(ctx, "replica_refused", "shard", sh.spec.ID, "kind", f.kind, "target", target, "err", refusal)
+		r.syncs.refused.Inc()
+		g.lg.Warn(ctx, "replica_refused", "shard", r.sh.spec.ID, "kind", r.kind, "target", r.target, "err", refusal)
 		return nil
 	})
 	if err != nil && g.follows.Err() == nil {
-		f.syncs.failed.Inc()
+		r.syncs.failed.Inc()
 	}
 	return connected, err
-}
-
-// sync polls GET /v1/grid; a grid over the gateway's buffer is cut short
-// and refused.
-func (r *gridReplica) sync(ep *url.URL) (bool, error) {
-	return r.g.poll(r.sh, &r.follower, ep, gridPath, r.etag, &r.horizon, func(resp *http.Response, data []byte) error {
-		snap, err := geoindex.DecodeGrid(data, r.g.cfg.CellDeg)
-		if err == nil {
-			r.snap.Store(snap)
-			r.etag = resp.Header.Get("ETag")
-		}
-		return err
-	})
-}
-
-func (r *gridReplica) drop() {
-	r.snap.Store(nil)
-	r.etag = ""
 }

@@ -15,8 +15,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
@@ -103,8 +101,9 @@ func (tc *testCluster) westLocations(t testing.TB, ch rfenv.Channel) map[string]
 
 // seedGeoCluster gives every shard a free cell (east walk) and an
 // occupied cell (west walk), retrains the whole cluster through the
-// gateway, and waits for each shard's grid rebuild to land. Returns the
-// per-shard free and occupied cell centers.
+// gateway, and waits for each shard's grid rebuild to land, at the shard
+// and in the gateway's replica of it. Returns the per-shard free and
+// occupied cell centers.
 func seedGeoCluster(t testing.TB, tc *testCluster, ch rfenv.Channel) (free, occupied map[string]geo.Point) {
 	t.Helper()
 	free = tc.locations(t, ch)
@@ -136,6 +135,11 @@ func seedGeoCluster(t testing.TB, tc *testCluster, ch rfenv.Channel) (free, occu
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+		want := n.DB.GeoIndex().Snapshot().Generation
+		eventually(t, "the gateway's replica of "+id+"'s rebuilt grid", func() bool {
+			grid := tc.gw.shards[id].grid.load()
+			return grid != nil && grid.val.Generation >= want
+		})
 	}
 	return free, occupied
 }
@@ -371,12 +375,6 @@ func TestGatewayAnswersAPlaceFromItsOwner(t *testing.T) {
 	tc := newTestCluster(t, []string{"s0", "s1", "s2"})
 	free, _ := seedGeoCluster(t, tc, 47)
 	oneOwner, twoOwners := tc.placeRoutes(t, free)
-	legs := tc.legs()
-	for _, loc := range free { // starts every shard's follower
-		mustGetBody(t, fmt.Sprintf("%s/v1/availability?lat=%v&lon=%v", tc.gwTS.URL, loc.Lat, loc.Lon), http.StatusOK)
-	}
-	// Each follower's first sync, then its parked poll.
-	eventually(t, "every follower parked", func() bool { return tc.legs() == legs+2*uint64(len(tc.nodes)) })
 	legs, asked := tc.legs(), tc.shardPlaceQueries()
 
 	for id, loc := range free {
@@ -569,6 +567,29 @@ func gatewayOver(t testing.TB, rt http.RoundTripper, specs ...ShardSpec) *Gatewa
 	return gw
 }
 
+// parkGrid answers a grid follower's poll as a shard with nothing new
+// to send would: it parks until the poll's context ends. Every gateway
+// follows every shard's grid from NewGateway on, so a fake shard that
+// scripts other paths calls this first and leaves the follower parked —
+// out of its request numbering and its error counts. It reports whether
+// req was a grid poll.
+func parkGrid(req *http.Request) bool {
+	if req.URL.Path != gridPath {
+		return false
+	}
+	<-req.Context().Done()
+	return true
+}
+
+// gridParked serves h with grid polls parked (parkGrid).
+func gridParked(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !parkGrid(r) {
+			h.ServeHTTP(w, r)
+		}
+	})
+}
+
 // kill makes a test shard's endpoint a dead process's: its listener and
 // every connection closed, nothing answered.
 func kill(ts *httptest.Server) {
@@ -588,9 +609,9 @@ func TestGridFollowerKilledShard502(t *testing.T) {
 	}
 	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{ts.URL}})
 	q := fmt.Sprintf("/v1/availability?lat=%v&lon=%v", loc.Lat, loc.Lon)
-	if rec := serveGateway(context.Background(), gw, http.MethodGet, q, nil); rec.Code != http.StatusOK {
-		t.Fatalf("availability = %d %s", rec.Code, rec.Body)
-	}
+	eventually(t, "the shard's cell answered from the replica", func() bool {
+		return serveGateway(context.Background(), gw, http.MethodGet, q, nil).Code == http.StatusOK
+	})
 	killed := time.Now()
 	kill(ts)
 	eventually(t, "the dead shard's cell answers 502", func() bool {
@@ -631,13 +652,15 @@ func TestGridFollowerFailsOverToReplica(t *testing.T) {
 	eventually(t, "both grids built", func() bool {
 		return primary.DB.GeoIndex().Snapshot().Generation > 0 && replica.DB.GeoIndex().Snapshot().Generation > 0
 	})
-	if rec := via(); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), mustGetBody(t, primaryTS.URL+q, http.StatusOK)) {
-		t.Fatalf("before the kill the gateway answered %d %s, not the primary's answer", rec.Code, rec.Body)
-	}
+	eventually(t, "the primary's answer served before the kill", func() bool {
+		rec := via()
+		return rec.Code == http.StatusOK && bytes.Equal(rec.Body.Bytes(), mustGetBody(t, primaryTS.URL+q, http.StatusOK))
+	})
 
-	kill(primaryTS)
 	sh := gw.shards["s0"]
-	eventually(t, "a sync from the replica", func() bool { return sh.grid.syncs.ok.Value() == 2 })
+	synced := sh.grid.syncs.ok.Value()
+	kill(primaryTS)
+	eventually(t, "a sync from the replica", func() bool { return sh.grid.syncs.ok.Value() > synced })
 	if got := sh.currentURL(); got != replicaTS.URL || gw.Failovers() != 1 {
 		t.Errorf("active endpoint %s after %d failovers, want the replica %s after 1", got, gw.Failovers(), replicaTS.URL)
 	}
@@ -649,6 +672,43 @@ func TestGridFollowerFailsOverToReplica(t *testing.T) {
 		return replica.DB.GeoIndex().Snapshot().Generation > 1 && rec.Code == http.StatusOK &&
 			bytes.Equal(rec.Body.Bytes(), mustGetBody(t, replicaTS.URL+q, http.StatusOK))
 	})
+}
+
+// TestIdleGatewayFailsOverOnKill: a gateway asked nothing since
+// NewGateway still notices a killed primary — the parked poll of the
+// shard's grid follower fails at once — and fails the shard over to its
+// replica endpoint.
+func TestIdleGatewayFailsOverOnKill(t *testing.T) {
+	_, replicaTS := newTestNode(t, "s0r", nil)
+	_, primaryTS := newTestNode(t, "s0", []string{replicaTS.URL})
+	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{primaryTS.URL, replicaTS.URL}})
+	sh := gw.shards["s0"]
+	eventually(t, "the grid follower in sync", func() bool { return sh.grid.load() != nil })
+	kill(primaryTS)
+	eventually(t, "the idle gateway failed over to the replica", func() bool {
+		return sh.currentURL() == replicaTS.URL && gw.Failovers() == 1
+	})
+}
+
+// TestFollowerPollsAreNoClientLegs: waldo_cluster_requests_total counts
+// client legs only — a follower's polls count in
+// waldo_cluster_replica_syncs_total — so it reads 0 on every shard of a
+// gateway whose followers have synced and parked and that has answered
+// a place query in every shard's cell.
+func TestFollowerPollsAreNoClientLegs(t *testing.T) {
+	tc := newTestCluster(t, []string{"s0", "s1", "s2"})
+	for _, loc := range tc.locations(t, 47) {
+		eventually(t, "a place query answered", func() bool {
+			q := fmt.Sprintf("/v1/availability?lat=%v&lon=%v", loc.Lat, loc.Lon)
+			return serveGateway(context.Background(), tc.gw, http.MethodGet, q, nil).Code == http.StatusOK
+		})
+	}
+	for id, sh := range tc.gw.shards {
+		eventually(t, id+"'s grid follower synced", func() bool { return sh.grid.syncs.ok.Value() > 0 })
+		if n := sh.requests.Value(); n != 0 {
+			t.Errorf("waldo_cluster_requests_total{shard=%s} = %d with no client leg, want 0", id, n)
+		}
+	}
 }
 
 // TestGridFollower404IsNotAFailover: a shard endpoint that answers
@@ -687,7 +747,7 @@ func TestGridFollowersStopAtClose(t *testing.T) {
 	tc.gw.Close()
 	following := func() bool {
 		buf := make([]byte, 1<<20)
-		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.(*Gateway).follow("))
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.(*replica[...]).follow("))
 	}
 	eventually(t, "no follower goroutine after Close", func() bool { return !following() })
 	loc := free["s0"]
@@ -697,57 +757,11 @@ func TestGridFollowersStopAtClose(t *testing.T) {
 	}
 }
 
-// TestGridFollowerNeedsAPlaceQuery: a gateway that is asked no place
-// sends no shard a /v1/grid request, whatever else it serves.
-func TestGridFollowerNeedsAPlaceQuery(t *testing.T) {
-	var polls atomic.Int64
-	var specs []ShardSpec
-	for _, id := range []string{"s0", "s1", "s2"} {
-		n, _ := newTestNode(t, id, nil)
-		h := n.Handler()
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == gridPath {
-				polls.Add(1)
-			}
-			h.ServeHTTP(w, r)
-		}))
-		t.Cleanup(ts.Close)
-		specs = append(specs, ShardSpec{ID: id, URLs: []string{ts.URL}})
-	}
-	gw := gatewayOver(t, nil, specs...)
-	tc := &testCluster{gw: gw, nodes: map[string]*Node{"s0": nil, "s1": nil, "s2": nil}, cellDeg: DefaultCellDeg}
-	var rs []dataset.Reading
-	for _, loc := range tc.locations(t, 47) {
-		rs = append(rs, fieldAt(200, 47, loc, -100)...)
-	}
-	loc := rs[0].Loc
-	hint := fmt.Sprintf("&lat=%v&lon=%v", loc.Lat, loc.Lon)
-	for _, tt := range []struct {
-		method, target string
-		body           []byte
-	}{
-		{http.MethodPost, "/v1/readings", uploadBody(t, rs)},
-		{http.MethodPost, "/v1/retrain?channel=47&sensor=1", nil},
-		{http.MethodGet, "/v1/model?channel=47&sensor=1" + hint, nil},
-		{http.MethodGet, "/v1/export?channel=47&sensor=1" + hint, nil},
-		{http.MethodGet, "/v1/stats", nil},
-		{http.MethodGet, "/healthz", nil},
-	} {
-		if rec := serveGateway(context.Background(), gw, tt.method, tt.target, tt.body); rec.Code/100 != 2 {
-			t.Fatalf("%s %s = %d %s", tt.method, tt.target, rec.Code, rec.Body)
-		}
-	}
-	if n := polls.Load(); n != 0 {
-		t.Errorf("shards saw %d grid polls from a gateway asked no place", n)
-	}
-	serveGateway(context.Background(), gw, http.MethodGet, "/v1/availability?lat=33.7&lon=-84.4", nil)
-	if polls.Load() == 0 {
-		t.Error("a place query polled no grid: the counter is blind")
-	}
-}
-
-// scriptedShard answers a grid follower's n-th poll with script(n, req).
+// scriptedShard answers the n-th request it is sent with script(n, req).
+// Unless it scripts grids, a grid follower's polls park (parkGrid),
+// unnumbered.
 type scriptedShard struct {
+	grids  bool
 	script func(poll int, req *http.Request) (*http.Response, error)
 
 	mu    sync.Mutex
@@ -755,6 +769,9 @@ type scriptedShard struct {
 }
 
 func (s *scriptedShard) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !s.grids && parkGrid(req) {
+		return nil, req.Context().Err()
+	}
 	s.mu.Lock()
 	s.polls++
 	n := s.polls
@@ -773,14 +790,15 @@ func gridReply(snap *geoindex.Snapshot, etag string) *http.Response {
 
 // TestGridStalenessBound: under a silent partition a replica is served
 // until its follower's parked poll runs out of time — the shard's
-// horizon plus legTimeout — and its cells answer 502 from then on. The
-// shard here answers the first poll, then goes silent: it notes the
-// conditional poll's deadline and, once released, fails the poll as
-// that deadline expiring would; every later poll is refused.
+// horizon plus legTimeout — and its cells answer 502 from then on, when
+// the endpoint fails over. The primary here answers the first poll, then
+// goes silent: it notes the conditional poll's deadline and, once
+// released, fails the poll as that deadline expiring would. The replica
+// endpoint is silent too: no poll to it is ever answered.
 func TestGridStalenessBound(t *testing.T) {
 	grid := geoindex.New(geoindex.Config{}).Rebuild(context.Background())
 	release, budget := make(chan struct{}), make(chan time.Duration, 1)
-	shard := &scriptedShard{script: func(poll int, req *http.Request) (*http.Response, error) {
+	shard := &scriptedShard{grids: true, script: func(poll int, req *http.Request) (*http.Response, error) {
 		switch poll {
 		case 1:
 			return gridReply(grid, `"g1"`), nil
@@ -793,16 +811,17 @@ func TestGridStalenessBound(t *testing.T) {
 			}
 			return nil, os.ErrDeadlineExceeded
 		}
-		return nil, syscall.ECONNREFUSED
+		<-req.Context().Done()
+		return nil, req.Context().Err()
 	}}
-	gw := gatewayOver(t, shard, ShardSpec{ID: "s0", URLs: []string{"http://s0.partitioned"}})
+	gw := gatewayOver(t, shard, ShardSpec{ID: "s0", URLs: []string{"http://s0.partitioned", "http://s0.replica"}})
 	q := "/v1/availability?lat=33.7&lon=-84.4"
-	if rec := serveGateway(context.Background(), gw, http.MethodGet, q, nil); rec.Code != http.StatusOK {
-		t.Fatalf("availability = %d %s", rec.Code, rec.Body)
-	}
 	allowed := <-budget
 	if rec := serveGateway(context.Background(), gw, http.MethodGet, q, nil); rec.Code != http.StatusOK {
 		t.Errorf("availability while the poll is parked = %d %s, want the replica's 200", rec.Code, rec.Body)
+	}
+	if n := gw.Failovers(); n != 0 {
+		t.Errorf("%d failovers while the poll is within its budget", n)
 	}
 	close(release)
 	eventually(t, "the partitioned shard's cells answer 502", func() bool {
@@ -811,6 +830,9 @@ func TestGridStalenessBound(t *testing.T) {
 	if want := 250*time.Millisecond + legTimeout; allowed > want || allowed < want-time.Second {
 		t.Errorf("the parked poll was allowed %v, want the 250 ms horizon plus the %v leg budget", allowed, legTimeout)
 	}
+	eventually(t, "one failover, to the replica endpoint", func() bool {
+		return gw.shards["s0"].currentURL() == "http://s0.replica" && gw.Failovers() == 1
+	})
 }
 
 // TestGridRefusedDropsReplica: a grid the gateway refuses — here one
@@ -820,7 +842,7 @@ func TestGridStalenessBound(t *testing.T) {
 func TestGridRefusedDropsReplica(t *testing.T) {
 	good := geoindex.New(geoindex.Config{}).Rebuild(context.Background())
 	foreign := geoindex.New(geoindex.Config{CellDeg: 0.1}).Rebuild(context.Background())
-	shard := &scriptedShard{script: func(poll int, req *http.Request) (*http.Response, error) {
+	shard := &scriptedShard{grids: true, script: func(poll int, req *http.Request) (*http.Response, error) {
 		switch poll {
 		case 1:
 			return gridReply(good, `"g1"`), nil

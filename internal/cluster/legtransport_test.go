@@ -27,16 +27,19 @@ import (
 // watchedShard serves a handler on loopback and watches its connections:
 // how many were accepted, how many have closed, and whether request
 // bytes ever arrived on one while it was still handling a request —
-// which only two exchanges sharing the connection can cause.
+// which only two exchanges sharing the connection can cause. A grid
+// follower's polls park (parkGrid) and are counted in parked; their
+// connections are not counted.
 type watchedShard struct {
 	*httptest.Server
-	accepted, closed, overlaps atomic.Int64
+	accepted, closed, overlaps, parked atomic.Int64
 }
 
 type watchedConn struct {
 	net.Conn
 	ws   *watchedShard
 	busy atomic.Bool // a handler holds a fully-read request
+	leg  atomic.Bool // counted: it carried a request other than a grid poll
 }
 
 func (c *watchedConn) Read(p []byte) (int, error) {
@@ -66,9 +69,18 @@ func newWatchedShard(t testing.TB, h http.Handler) *watchedShard {
 	t.Helper()
 	ws := &watchedShard{}
 	ws.Server = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == gridPath {
+			ws.parked.Add(1)
+		}
+		if parkGrid(r) {
+			return
+		}
 		body, _ := io.ReadAll(r.Body)
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		c := r.Context().Value(watchedConnKey{}).(*watchedConn)
+		if c.leg.CompareAndSwap(false, true) {
+			ws.accepted.Add(1)
+		}
 		c.busy.Store(true)
 		defer c.busy.Store(false)
 		time.Sleep(50 * time.Microsecond) // time for an exchange wrongly sharing this conn to get its bytes in
@@ -78,11 +90,8 @@ func newWatchedShard(t testing.TB, h http.Handler) *watchedShard {
 	ws.Config.ConnContext = func(ctx context.Context, c net.Conn) context.Context {
 		return context.WithValue(ctx, watchedConnKey{}, c)
 	}
-	ws.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		switch s {
-		case http.StateNew:
-			ws.accepted.Add(1)
-		case http.StateClosed:
+	ws.Config.ConnState = func(c net.Conn, s http.ConnState) {
+		if s == http.StateClosed && c.(*watchedConn).leg.Load() {
 			ws.closed.Add(1)
 		}
 	}
@@ -112,8 +121,8 @@ func TestWatchedShardSeesSharedConn(t *testing.T) {
 	close(release)
 }
 
-// watchedCluster is a gateway, the caller's to close, over real nodes
-// behind watched shards.
+// watchedCluster is a gateway over real nodes behind watched shards,
+// each shard's grid follower parked.
 func watchedCluster(t testing.TB, ids ...string) (*testCluster, map[string]*watchedShard) {
 	t.Helper()
 	tc := &testCluster{nodes: map[string]*Node{}, cellDeg: DefaultCellDeg}
@@ -128,7 +137,11 @@ func watchedCluster(t testing.TB, ids ...string) (*testCluster, map[string]*watc
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { gw.Close() })
 	tc.gw = gw
+	for id, ws := range shards { // parked first, so no follower takes a leg's idle conn
+		eventually(t, id+"'s grid follower parked", func() bool { return ws.parked.Load() == 1 })
+	}
 	return tc, shards
 }
 
@@ -237,41 +250,48 @@ func TestLegPoolReapAndClose(t *testing.T) {
 	eventually(t, "every conn closed", func() bool { return ws.closed.Load() == 3 })
 }
 
-// TestLegRedialsStaleKeepAlive: a shard restarted on the same address
-// between two uploads costs one redial — not an error, not a failover.
+// TestLegRedialsStaleKeepAlive: a shard that dropped every connection
+// between two uploads — as a restart on the same address does — costs
+// one redial per kept connection, the upload's and the one the grid
+// follower's poll was parked on: not an error, not a failover.
 func TestLegRedialsStaleKeepAlive(t *testing.T) {
 	n, _ := newTestNode(t, "s0", nil)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: n.Handler()}
-	go srv.Serve(ln) //nolint:errcheck // ends with ErrServerClosed
-	gw, err := NewGateway(GatewayConfig{Shards: []ShardSpec{{ID: "s0", URLs: []string{"http://" + ln.Addr().String()}}}})
+	parked := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == gridPath && r.Header.Get("If-None-Match") != "" {
+			select {
+			case parked <- struct{}{}:
+			default:
+			}
+		}
+		n.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	gw, err := NewGateway(GatewayConfig{Shards: []ShardSpec{{ID: "s0", URLs: []string{ts.URL}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	frame := frameOf(t, synthReadings(20, 47, 1))
+	sh := gw.shards["s0"]
 	upload := func() {
 		t.Helper()
-		if rec := serveGateway(context.Background(), gw, http.MethodPost, "/v1/upload/batch", frame); rec.Code != http.StatusNoContent {
+		if rec := serveGateway(context.Background(), gw, http.MethodPost, "/v1/upload/batch", frameOf(t, synthReadings(20, 47, 1))); rec.Code != http.StatusNoContent {
 			t.Fatalf("upload = %d %s", rec.Code, rec.Body)
 		}
 	}
-	upload()
-	srv.Close()
-	ln, err = net.Listen("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	// The follower's first sync, then its conditional poll parked on the
+	// kept connection; the upload dials its own.
+	select {
+	case <-parked:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the grid follower never parked a poll")
 	}
-	srv = &http.Server{Handler: n.Handler()}
-	go srv.Serve(ln) //nolint:errcheck // ends with ErrServerClosed
-	defer srv.Close()
 	upload()
-	sh := gw.shards["s0"]
-	if sh.redials.Value() != 1 || sh.errs.Value() != 0 || gw.Failovers() != 0 {
-		t.Errorf("redials=%d proxy_errors=%d failovers=%d, want 1, 0, 0",
+	ts.CloseClientConnections()
+	upload()
+	eventually(t, "the follower's poll replayed", func() bool { return sh.redials.Value() == 2 })
+	if sh.errs.Value() != 0 || gw.Failovers() != 0 {
+		t.Errorf("redials=%d proxy_errors=%d failovers=%d, want 2, 0, 0",
 			sh.redials.Value(), sh.errs.Value(), gw.Failovers())
 	}
 }
@@ -316,7 +336,8 @@ func TestLegWatchCancelClosesConn(t *testing.T) {
 }
 
 // rawShard is a scripted peer: it answers every request it can parse
-// with reply, byte for byte, and hangs up after it when told to.
+// with reply, byte for byte, and hangs up after it when told to — all
+// but a grid follower's poll, which parks as with parkGrid.
 type rawShard struct {
 	url      string
 	accepted atomic.Int64
@@ -361,6 +382,10 @@ func newRawShard(t testing.TB, reply string, hangUp bool) *rawShard {
 				for {
 					req, err := http.ReadRequest(br)
 					if err != nil {
+						return
+					}
+					if req.URL.Path == gridPath { // a grid follower's poll: parked until the gateway hangs up
+						io.Copy(io.Discard, br) //nolint:errcheck
 						return
 					}
 					io.Copy(io.Discard, req.Body) //nolint:errcheck
@@ -507,6 +532,7 @@ func TestLegDeadlineFailsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gw.Close()
+	eventually(t, "the grid follower parked", func() bool { return slow.parked.Load() == 1 })
 	if rec := serveGateway(context.Background(), gw, http.MethodGet, "/v1/stats", nil); rec.Code != http.StatusOK {
 		t.Fatalf("warm-up = %d", rec.Code)
 	}
@@ -532,7 +558,6 @@ func TestLegDeadlineFailsEndpoint(t *testing.T) {
 // once.
 func TestLegConnsNeverShared(t *testing.T) {
 	tc, shards := watchedCluster(t, "s0", "s1", "s2")
-	defer tc.gw.Close()
 	var rs []dataset.Reading
 	for _, loc := range tc.locations(t, 47) {
 		rs = append(rs, synthAt(8, 47, 7, loc)...)
@@ -573,8 +598,8 @@ func TestLegConnsNeverShared(t *testing.T) {
 // TestMergeLegNotJSON: merge legs are not pre-scanned, so it is the
 // merge's own decode that must refuse a non-JSON 200 — with a 502 naming
 // the shard — while broadcasts still embed one as a string. A place in a
-// cell of a shard whose /v1/grid answer is no grid is a 502 naming that
-// shard too: its replica never syncs.
+// cell of a shard whose grid replica never synced is a 502 naming that
+// shard too.
 func TestMergeLegNotJSON(t *testing.T) {
 	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/stats" {

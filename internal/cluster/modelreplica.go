@@ -2,13 +2,10 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/wsdetect/waldo/internal/core"
@@ -21,7 +18,7 @@ import (
 // replica of each store descriptor it has forwarded a 200 for, followed
 // through the shard's own GET /v1/model/watch, and answers /v1/model and
 // /v1/model/watch from it with dbserver.Models, the shards' own code: no
-// leg. A store with no replica in sync is forwarded as before.
+// leg. A store with no replica in sync is forwarded.
 
 const (
 	modelPath      = "/v1/model"
@@ -34,25 +31,7 @@ type modelKey struct {
 	kind sensor.Kind
 }
 
-// modelReplica is the gateway's copy of one shard store's descriptor.
-type modelReplica struct {
-	follower
-	g      *Gateway
-	sh     *shardState
-	key    modelKey
-	target string // the follower's watch: path and query
-
-	// cur is nil while the replica is out of sync: the store's requests
-	// are forwarded. horizon is the owner's stated watch horizon in ns,
-	// -1 until it states one.
-	cur     atomic.Pointer[dbserver.Descriptor]
-	horizon atomic.Int64
-
-	mu   sync.Mutex
-	wake chan struct{} // closed and replaced on each change of cur
-}
-
-func (sh *shardState) model(key modelKey) *modelReplica {
+func (sh *shardState) model(key modelKey) *replica[*dbserver.Descriptor] {
 	sh.modelMu.Lock()
 	defer sh.modelMu.Unlock()
 	return sh.models[key]
@@ -62,10 +41,8 @@ func (sh *shardState) model(key modelKey) *modelReplica {
 // store from its replica, ErrNotHeld while there is none in sync.
 
 func (sh *shardState) Descriptor(ch rfenv.Channel, kind sensor.Kind) (*dbserver.Descriptor, bool, error) {
-	if r := sh.model(modelKey{ch, kind}); r != nil {
-		if d := r.cur.Load(); d != nil {
-			return d, false, nil
-		}
+	if c := sh.model(modelKey{ch, kind}).load(); c != nil {
+		return c.val, false, nil
 	}
 	return nil, false, dbserver.ErrNotHeld
 }
@@ -78,9 +55,8 @@ func (sh *shardState) Changed(ch rfenv.Channel, kind sensor.Kind) <-chan struct{
 }
 
 func (sh *shardState) Horizon(ch rfenv.Channel, kind sensor.Kind) (time.Duration, bool) {
-	if r := sh.model(modelKey{ch, kind}); r != nil {
-		h := r.horizon.Load()
-		return time.Duration(h), h >= 0
+	if c := sh.model(modelKey{ch, kind}).load(); c != nil {
+		return c.horizon, true
 	}
 	return 0, false
 }
@@ -136,40 +112,15 @@ func descriptorOf(key modelKey, h http.Header, data []byte) (*dbserver.Descripto
 	return &dbserver.Descriptor{Version: version, ETag: etag, Data: data}, nil
 }
 
-var errNoHorizon = errors.New("the shard states no watch horizon: it predates model replicas")
-
-// followModel starts following sh's store from a 200 the gateway
-// forwarded for it — h and data are that answer's, and seed the replica
-// — unless the store is followed already or the answer is refused. A
-// /v1/model answer states no horizon, so until the follower's first
-// sync watches on the store are forwarded.
-func (g *Gateway) followModel(sh *shardState, r *http.Request, h http.Header, data []byte) {
+// followModel starts following sh's store that r names once the shard
+// answered r 200, unless the store is followed already. The follower's
+// first sync fetches the descriptor; until it lands, the store's
+// requests are forwarded.
+func (g *Gateway) followModel(sh *shardState, r *http.Request) {
 	key, ok := storeOf(r.URL.Query())
 	if !ok || sh.model(key) != nil {
 		return
 	}
-	d, err := descriptorOf(key, h, data)
-	horizon := int64(-1)
-	if r.URL.Path == modelWatchPath {
-		if ms, perr := strconv.ParseInt(h.Get(dbserver.HorizonHeader), 10, 64); perr == nil && ms >= 0 {
-			horizon = int64(time.Duration(ms) * time.Millisecond)
-		} else if err == nil {
-			err = errNoHorizon
-		}
-	}
-	if err != nil {
-		sh.modelSyncs.refused.Inc()
-		g.lg.Warn(r.Context(), "replica_refused", "shard", sh.spec.ID, "kind", "model", "target", r.URL.RequestURI(), "err", err)
-		return
-	}
-	rep := &modelReplica{
-		follower: follower{kind: "model", retire: true, settle: func() {}, syncs: sh.modelSyncs},
-		g:        g, sh: sh, key: key,
-		target: fmt.Sprintf("%s?channel=%d&sensor=%d", modelWatchPath, int(key.ch), int(key.kind)),
-		wake:   make(chan struct{}),
-	}
-	rep.cur.Store(d)
-	rep.horizon.Store(horizon)
 	g.followMu.Lock()
 	defer g.followMu.Unlock()
 	if g.follows.Err() != nil {
@@ -180,60 +131,27 @@ func (g *Gateway) followModel(sh *shardState, r *http.Request, h http.Header, da
 	if sh.models[key] != nil {
 		return
 	}
+	target := fmt.Sprintf("%s?channel=%d&sensor=%d", modelWatchPath, int(key.ch), int(key.kind))
+	rep := newReplica(sh, "model", target, func(h http.Header, data []byte) (*dbserver.Descriptor, error) {
+		return descriptorOf(key, h, data)
+	}, sh.modelSyncs)
 	sh.models[key] = rep
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
-		g.follow(sh, &rep.follower, rep)
+		rep.follow(g)
 		sh.modelMu.Lock()
 		delete(sh.models, key) // retired: the next forwarded 200 starts another
 		sh.modelMu.Unlock()
 	}()
 }
 
-func (r *modelReplica) changed() <-chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.wake
-}
-
-// set replaces the held descriptor (nil: out of sync) and wakes every
-// watch parked on the replica.
-func (r *modelReplica) set(d *dbserver.Descriptor) {
-	r.cur.Store(d)
-	r.mu.Lock()
-	close(r.wake)
-	r.wake = make(chan struct{})
-	r.mu.Unlock()
-}
-
-func (r *modelReplica) drop() { r.set(nil) }
-
-// sync watches the store on the shard: parked on the held descriptor
-// once the owner has stated its horizon, else answered at once.
-func (r *modelReplica) sync(ep *url.URL) (bool, error) {
-	etag, horizon := "", time.Duration(r.horizon.Load())
-	if d := r.cur.Load(); d != nil && horizon >= 0 {
-		etag = d.ETag
-	}
-	return r.g.poll(r.sh, &r.follower, ep, r.target, etag, &horizon, func(resp *http.Response, data []byte) error {
-		if resp.Header.Get(dbserver.HorizonHeader) == "" {
-			return errNoHorizon
-		}
-		d, err := descriptorOf(r.key, resp.Header, data)
-		if err == nil {
-			r.horizon.Store(int64(horizon))
-			r.set(d)
-		}
-		return err
-	})
-}
-
 // awaitRetrain holds a forwarded retrain's 200 until sh's replica of the
 // retrained store, if it follows one, holds the version the shard
-// reported — a client that retrains and then fetches sees the new model
-// — for up to legTimeout, past which the replica is dropped and the
-// store's requests forward until it resyncs.
+// reported — a client that retrains and then fetches sees the new model,
+// even when a sync answered before the retrain is still in flight — for
+// up to legTimeout, past which the replica is dropped and the store's
+// requests forward until it resyncs.
 func (g *Gateway) awaitRetrain(sh *shardState, r *http.Request, resp *http.Response) {
 	if resp.StatusCode != http.StatusOK || r.URL.Path != "/v1/retrain" {
 		return
@@ -248,13 +166,13 @@ func (g *Gateway) awaitRetrain(sh *shardState, r *http.Request, resp *http.Respo
 	defer t.Stop()
 	for {
 		wake := rep.changed()
-		if d := rep.cur.Load(); d == nil || d.Version >= version {
+		if c := rep.load(); c != nil && c.val.Version >= version {
 			return
 		}
 		select {
 		case <-wake:
 		case <-t.C:
-			rep.drop()
+			rep.set(nil)
 			return
 		}
 	}

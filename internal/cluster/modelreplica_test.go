@@ -56,11 +56,11 @@ func ask(t testing.TB, url, inm string) answer {
 		h.Get(dbserver.HorizonHeader), string(body)}
 }
 
-// followed waits until sh follows store 47/RTL and its owner has stated
-// the horizon: from then on model requests for it take no leg.
+// followed waits until sh's replica of store 47/RTL has had its first
+// sync: from then on model requests for it take no leg.
 func followed(t testing.TB, sh *shardState) {
 	t.Helper()
-	eventually(t, "the replica's first sync", func() bool { _, ok := sh.Horizon(47, 1); return ok })
+	eventually(t, "the replica's first sync", func() bool { return sh.model(modelKey{47, 1}).load() != nil })
 }
 
 // TestGatewayModelAnswersMatchOwner: the gateway answers model requests
@@ -187,14 +187,14 @@ func TestGatewayWatchNeverDowngrades(t *testing.T) {
 
 // TestRetrainThenFetchSeesNewModel: a retrain forwarded through the
 // gateway, keyed or broadcast, answers only once the replica holds the
-// version it made, so a fetch right after it is the new model — with
-// the replica lagging its owner by 100 ms.
+// version it made, so no fetch after it reads an older model — with the
+// replica lagging its owner by 100 ms, and the first retrain landing
+// while the follower's first sync, answered before it, is in flight.
 func TestRetrainThenFetchSeesNewModel(t *testing.T) {
 	tc := wrappedCluster(t, []string{"s0", "s1", "s2"}, delayFollowers(100*time.Millisecond))
 	free, _ := seedGeoCluster(t, tc, 47)
 	at := hintAt(free["s0"])
-	ask(t, tc.gwTS.URL+"/v1/model?channel=47&sensor=1"+at, "")
-	followed(t, tc.gw.shards["s0"])
+	ask(t, tc.gwTS.URL+"/v1/model?channel=47&sensor=1"+at, "") // starts the follower
 	for _, target := range []string{"/v1/retrain?channel=47&sensor=1" + at, "/v1/retrain?channel=47&sensor=1"} {
 		resp := mustPost(t, tc.gwTS.URL+target, nil)
 		resp.Body.Close()
@@ -202,8 +202,10 @@ func TestRetrainThenFetchSeesNewModel(t *testing.T) {
 			t.Fatalf("%s = %s", target, resp.Status)
 		}
 		want := strconv.Itoa(tc.nodes["s0"].DB.ModelVersion(47, 1))
-		if got := ask(t, tc.gwTS.URL+"/v1/model?channel=47&sensor=1"+at, ""); got.version != want {
-			t.Errorf("fetch after %s = v%s, want v%s", target, got.version, want)
+		for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+			if got := ask(t, tc.gwTS.URL+"/v1/model?channel=47&sensor=1"+at, ""); got.version != want {
+				t.Fatalf("fetch after %s = v%s, want v%s", target, got.version, want)
+			}
 		}
 	}
 }
@@ -235,7 +237,7 @@ const scriptedFetch = "/v1/model?channel=47&sensor=1"
 // TestModelStalenessBound: under a silent partition a replica is served
 // until its follower's parked watch runs out of time — the owner's
 // horizon plus legTimeout — and the store's requests forward from then
-// on. The shard answers the fetch that seeds the replica and the
+// on. The shard answers the fetch that starts the follower and the
 // follower's first sync, then goes silent: it notes the parked watch's
 // deadline and, once released, fails it as that deadline expiring
 // would; it refuses every later connection.
@@ -384,7 +386,7 @@ func TestModelFollowersEndAtClose(t *testing.T) {
 	tc.gw.Close()
 	following := func() bool {
 		buf := make([]byte, 1<<20)
-		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.(*Gateway).follow("))
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.(*replica[...]).follow("))
 	}
 	eventually(t, "no follower goroutine after Close", func() bool { return !following() })
 	ask(t, tc.gwTS.URL+"/v1/model?channel=47&sensor=1"+at, "")

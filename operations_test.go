@@ -2,10 +2,15 @@ package waldo
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -296,6 +301,233 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	})
 	if sectionRefs < 20 {
 		t.Errorf("found only %d DESIGN.md § references; the scan is broken", sectionRefs)
+	}
+}
+
+// TestExportedIdentifiersDocumented: public surface means documented
+// surface (DESIGN.md §11). In the packages whose exported API is a
+// contract — the availability grid and the device client — every
+// exported package-level identifier, method, struct field and interface
+// method carries a doc comment. The list grows a package at a time as
+// packages get their docs audit; it never shrinks. The first cases check
+// the checker.
+func TestExportedIdentifiersDocumented(t *testing.T) {
+	writePkg := func(t *testing.T, files map[string]string) string {
+		dir := t.TempDir()
+		for name, src := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	check := func(t *testing.T, dir string) map[string]string {
+		ps, err := undocumented(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, p := range ps {
+			got[p.name] = p.kind
+		}
+		return got
+	}
+	t.Run("flags_undocumented", func(t *testing.T) {
+		got := check(t, writePkg(t, map[string]string{"pkg.go": `package p
+
+type Exported struct {
+	Field   int
+	Commented int // trailing comments count as docs
+}
+
+func Undoc() {}
+
+func (e *Exported) Method() {}
+
+const Loose = 1
+
+var V = 2
+
+type Iface interface {
+	Do()
+}
+`}))
+		want := map[string]string{
+			"Exported": "type", "Exported.Field": "field", "Undoc": "func", "Exported.Method": "method",
+			"Loose": "const", "V": "var", "Iface": "type", "Iface.Do": "method",
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("flagged %v, want %v", got, want)
+		}
+	})
+	t.Run("accepts_documented_and_unexported", func(t *testing.T) {
+		got := check(t, writePkg(t, map[string]string{"pkg.go": `package p
+
+// Exported is documented.
+type Exported struct {
+	// Field is documented.
+	Field int
+	hidden int
+}
+
+// Do does.
+func Do() {}
+
+// Grouped consts share one doc comment.
+const (
+	A = 1
+	B = 2
+)
+
+// internal surface: methods on unexported types pass undocumented even
+// when capitalized (interface satisfaction).
+type impl struct{}
+
+func (impl) Do() {}
+
+func helper() {}
+`}))
+		if len(got) != 0 {
+			t.Errorf("expected no problems, got %v", got)
+		}
+	})
+	t.Run("skips_test_files", func(t *testing.T) {
+		got := check(t, writePkg(t, map[string]string{
+			"pkg.go":      "package p\n\n// Doc'd.\nfunc Doc() {}\n",
+			"pkg_test.go": "package p\n\nfunc TestUndocumentedHelper() {}\n",
+		}))
+		if len(got) != 0 {
+			t.Errorf("test files must be exempt, got %v", got)
+		}
+	})
+	for _, dir := range []string{"internal/geoindex", "internal/client"} {
+		ps, err := undocumented(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			t.Errorf("%s: undocumented exported %s %s", p.pos, p.kind, p.name)
+		}
+	}
+}
+
+// docProblem is one undocumented exported identifier.
+type docProblem struct {
+	pos  string // file:line
+	kind string // "func", "method", "type", "const", "var", "field"
+	name string
+}
+
+// undocumented parses every non-test .go file in dir and reports the
+// exported identifiers lacking doc comments, in source order.
+func undocumented(dir string) ([]docProblem, error) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		return nil, err
+	}
+	var problems []docProblem
+	add := func(pos token.Pos, kind, name string) {
+		p := fset.Position(pos)
+		problems = append(problems, docProblem{pos: p.Filename + ":" + strconv.Itoa(p.Line), kind: kind, name: name})
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					checkFuncDoc(d, add)
+				case *ast.GenDecl:
+					checkGenDoc(d, add)
+				}
+			}
+		}
+	}
+	sort.Slice(problems, func(i, j int) bool { return problems[i].pos < problems[j].pos })
+	return problems, nil
+}
+
+// checkFuncDoc flags exported functions and exported methods on
+// exported receivers. Methods on unexported types are internal surface
+// even when capitalized (interface satisfaction), so they pass
+// undocumented.
+func checkFuncDoc(d *ast.FuncDecl, add func(token.Pos, string, string)) {
+	if !d.Name.IsExported() || d.Doc != nil {
+		return
+	}
+	kind, name := "func", d.Name.Name
+	if d.Recv != nil && len(d.Recv.List) == 1 {
+		recv := receiverName(d.Recv.List[0].Type)
+		if recv == "" || !ast.IsExported(recv) {
+			return
+		}
+		kind, name = "method", recv+"."+d.Name.Name
+	}
+	add(d.Pos(), kind, name)
+}
+
+// receiverName unwraps *T / T / generic T[P] receivers to the type name.
+func receiverName(expr ast.Expr) string {
+	switch t := expr.(type) {
+	case *ast.StarExpr:
+		return receiverName(t.X)
+	case *ast.IndexExpr:
+		return receiverName(t.X)
+	case *ast.IndexListExpr:
+		return receiverName(t.X)
+	case *ast.Ident:
+		return t.Name
+	}
+	return ""
+}
+
+// checkGenDoc flags exported names in type/const/var declarations, and
+// the undocumented exported fields and interface methods of exported
+// types. A doc comment may sit on the declaration group, the individual
+// spec, or (for consts, vars, and fields) as a trailing line comment —
+// any of the places godoc renders from.
+func checkGenDoc(d *ast.GenDecl, add func(token.Pos, string, string)) {
+	groupDoc := d.Doc != nil
+	for _, spec := range d.Specs {
+		switch s := spec.(type) {
+		case *ast.TypeSpec:
+			if !s.Name.IsExported() {
+				continue
+			}
+			if !groupDoc && s.Doc == nil && s.Comment == nil {
+				add(s.Pos(), "type", s.Name.Name)
+			}
+			var members []*ast.Field
+			kind := "field"
+			switch t := s.Type.(type) {
+			case *ast.StructType:
+				members = t.Fields.List
+			case *ast.InterfaceType:
+				members, kind = t.Methods.List, "method"
+			}
+			for _, f := range members {
+				if f.Doc != nil || f.Comment != nil {
+					continue
+				}
+				for _, name := range f.Names {
+					if name.IsExported() {
+						add(name.Pos(), kind, s.Name.Name+"."+name.Name)
+					}
+				}
+			}
+		case *ast.ValueSpec:
+			kind := "var"
+			if d.Tok == token.CONST {
+				kind = "const"
+			}
+			for _, name := range s.Names {
+				if name.IsExported() && !groupDoc && s.Doc == nil && s.Comment == nil {
+					add(name.Pos(), kind, name.Name)
+				}
+			}
+		}
 	}
 }
 
