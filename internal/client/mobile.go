@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/wsdetect/waldo/internal/core"
-	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
@@ -131,6 +130,12 @@ type ScanResult struct {
 
 // WSD is the mobile white-space device: radio + per-channel models +
 // detector configuration. It is not safe for concurrent use.
+//
+// Each capture is measured only for the features its channel's detector
+// aggregates (Detector.Features, by default the model's set), so the
+// shipped location + RSS + CFT model never pays for the transform and its
+// decisions carry AFT as −Inf. A WSD whose decisions are uploaded sets
+// Detector.Features to features.SetLocationRSSCFTAFT.
 type WSD struct {
 	// Radio is the sensing hardware; required.
 	Radio Radio
@@ -188,15 +193,16 @@ func (w *WSD) SenseChannel(ch rfenv.Channel, loc geo.Point) (ChannelScan, error)
 		maxN = w.MaxReadingsPerChannel
 	}
 
-	// Feature extraction (FFT + energy detection), detector bookkeeping
-	// and the decision are the WSD's processing cost (Fig. 18); the
-	// radio's capture time is not. The clock is read once at each
-	// hand-over between the two, as an offset from one base, and the
-	// stamp that closes the last Offer opens Decide.
+	// Feature extraction, detector bookkeeping and the decision are the
+	// WSD's processing cost (Fig. 18); the radio's capture time is not.
+	// The clock is read once at each hand-over between the two, as an
+	// offset from one base, and the stamp that closes the last Offer opens
+	// Decide.
 	base := time.Now()
 	var cpu, mark time.Duration // mark: when processing last took over
 	captures := 0
 	cal := w.Radio.Calibration()
+	set := det.Features()
 	for captures < maxN {
 		obs, err := w.Radio.Capture(ch)
 		if err != nil {
@@ -204,7 +210,7 @@ func (w *WSD) SenseChannel(ch rfenv.Channel, loc geo.Point) (ChannelScan, error)
 		}
 		captures++
 		mark = time.Since(base)
-		sig, err := features.FromObservation(obs, cal)
+		sig, err := set.Measure(obs, cal)
 		if err != nil {
 			return ChannelScan{}, fmt.Errorf("client: extract %v: %w", ch, err)
 		}

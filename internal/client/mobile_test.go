@@ -265,3 +265,58 @@ func TestScanReusedDetectorsDecideAlike(t *testing.T) {
 	kept.Detector.MaxReadings = 9
 	check("cap changed")
 }
+
+// TestDefaultSetDecidesAsFullSet: a metro WSD measuring only what its
+// location + RSS + CFT models read (the default) decides exactly as one
+// measuring all three features, scan after scan: same label,
+// convergence, stream length, CI span and RSS/CFT bits on every channel.
+// Its decisions carry AFT as −Inf, so an upload built from one is
+// refused; the full-set WSD's is accepted.
+func TestDefaultSetDecidesAsFullSet(t *testing.T) {
+	lean, radio, channels := metroRig(t)
+	full := &WSD{Radio: radio, Models: lean.Models, Detector: lean.Detector, MaxReadingsPerChannel: lean.MaxReadingsPerChannel}
+	full.Detector.Features = features.SetLocationRSSCFTAFT
+	loc := rfenv.MetroCenter
+	bits := math.Float64bits
+	upload := func(dec core.Decision, ch rfenv.Channel) error {
+		return core.UploadBatch{CISpanDB: dec.CISpanDB, Readings: []dataset.Reading{{
+			Loc: loc, Channel: ch, Sensor: sensor.KindRTLSDR, Signal: dec.Signal,
+		}}}.Validate()
+	}
+	for scan := 0; scan < 12; scan++ {
+		saved := map[rfenv.Channel]int{}
+		for ch, n := range radio.next {
+			saved[ch] = n
+		}
+		want, err := full.Scan(loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		radio.next = saved // the lean WSD replays the same captures
+		got, err := lean.Scan(loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Channels) != len(channels) || len(want.Channels) != len(channels) {
+			t.Fatalf("scan %d: %d and %d channels, want %d", scan, len(got.Channels), len(want.Channels), len(channels))
+		}
+		for i := range want.Channels {
+			w, g := want.Channels[i].Decision, got.Channels[i].Decision
+			ch := want.Channels[i].Channel
+			if g.Label != w.Label || g.Converged != w.Converged || g.ReadingsUsed != w.ReadingsUsed ||
+				bits(g.CISpanDB) != bits(w.CISpanDB) || bits(g.Signal.RSSdBm) != bits(w.Signal.RSSdBm) ||
+				bits(g.Signal.CFTdB) != bits(w.Signal.CFTdB) {
+				t.Fatalf("scan %d, %v: %+v, full set %+v", scan, ch, g, w)
+			}
+			if !math.IsInf(g.Signal.AFTdB, -1) || math.IsInf(w.Signal.AFTdB, 0) || math.IsNaN(w.Signal.AFTdB) {
+				t.Fatalf("scan %d, %v: AFT %v, full set %v; want −Inf and a measurement", scan, ch, g.Signal.AFTdB, w.Signal.AFTdB)
+			}
+			if err := upload(g, ch); err == nil {
+				t.Fatalf("scan %d, %v: upload of an unmeasured AFT accepted", scan, ch)
+			}
+			if err := upload(w, ch); w.Converged && err != nil {
+				t.Fatalf("scan %d, %v: full-set upload refused: %v", scan, ch, err)
+			}
+		}
+	}
+}

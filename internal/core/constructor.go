@@ -385,8 +385,9 @@ func (m *Model) Classify(loc geo.Point, sig features.Signal) (dataset.Label, err
 		return 0, err
 	}
 	// Every family predicts Positive at score ≥ 0; a safety margin
-	// raises that bar.
-	if score >= m.margin {
+	// raises that bar. Safe takes a finite score: finite parameters that
+	// overflow to +Inf must not say Safe everywhere (NaN fails >= anyway).
+	if score >= m.margin && !math.IsInf(score, 1) {
 		return dataset.LabelSafe, nil
 	}
 	return dataset.LabelNotSafe, nil

@@ -366,6 +366,49 @@ func TestDecodeModelRejectsNonFiniteClassifier(t *testing.T) {
 	}
 }
 
+// TestClassifyOverflowIsNotSafe: finite descriptor parameters can still
+// overflow the decision value — here a bias of MaxFloat64 plus a last
+// weight of MaxFloat64 times a positive z-score make +Inf, which is ≥ any
+// margin. Safe takes a finite score, so such places are NotSafe (the
+// decoder accepts the descriptor; refusing it there is a separate gate).
+func TestClassifyOverflowIsNotSafe(t *testing.T) {
+	readings, labels := synthReadings(200, 11)
+	m, err := BuildModel(readings, labels, ConstructorConfig{Classifier: KindLinearSVM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeModel(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	patched := buf.Bytes()
+	// The last locality's linear classifier ends in its last weight, then
+	// its bias.
+	binary.LittleEndian.PutUint64(patched[len(patched)-16:], math.Float64bits(math.MaxFloat64))
+	binary.LittleEndian.PutUint64(patched[len(patched)-8:], math.Float64bits(math.MaxFloat64))
+	hostile, err := DecodeModel(bytes.NewReader(patched))
+	if err != nil {
+		t.Fatalf("finite descriptor refused: %v", err)
+	}
+	overflowed := 0
+	for _, r := range readings {
+		score, err := decisionValue(hostile, r.Loc, r.Signal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !math.IsInf(score, 1) {
+			continue
+		}
+		overflowed++
+		if label, err := hostile.Classify(r.Loc, r.Signal); err != nil || label != dataset.LabelNotSafe {
+			t.Fatalf("reading %d scores +Inf: %v, %v; want NotSafe", r.Seq, label, err)
+		}
+	}
+	if overflowed == 0 {
+		t.Fatal("no reading overflowed the decision value: the patch missed")
+	}
+}
+
 // decisionValue is the score Classify compares with the margin at loc
 // for sig: the deciding locality's decision value, 0 in a constant one.
 func decisionValue(m *Model, loc geo.Point, sig features.Signal) (float64, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"github.com/wsdetect/waldo/internal/dataset"
@@ -31,6 +32,12 @@ type DetectorConfig struct {
 	// MaxReadings caps the stream (a mobile device that never converges
 	// must eventually give up); default 1024.
 	MaxReadings int
+	// Features is the set the detector aggregates and a device measures
+	// (Set.Measure); 0 means the model's, and one that does not cover it
+	// is refused. Features outside it read −Inf dBm in Decision.Signal,
+	// which UploadBatch.Validate refuses: a device whose decisions are
+	// uploaded sets features.SetLocationRSSCFTAFT.
+	Features features.Set
 	// Metrics, when set, receives detector telemetry: decision counts by
 	// label/convergence, α-convergence stream lengths, and outliers
 	// rejected by the percentile trim.
@@ -127,6 +134,12 @@ func NewDetector(model *Model, cfg DetectorConfig) (*Detector, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
+	if cfg.Features == 0 {
+		cfg.Features = model.Features
+	}
+	if !cfg.Features.Valid() || cfg.Features < model.Features {
+		return nil, fmt.Errorf("core: detector features %v do not cover the model's %v", cfg.Features, model.Features)
+	}
 	return &Detector{
 		model: model,
 		cfg:   cfg,
@@ -154,16 +167,24 @@ func (d *Detector) Model() *Model { return d.model }
 // the default): readings offered beyond it are dropped.
 func (d *Detector) MaxReadings() int { return d.cfg.MaxReadings }
 
+// Features returns the feature set the detector aggregates: the set a
+// capture offered to it has to measure.
+func (d *Detector) Features() features.Set { return d.cfg.Features }
+
 // Len returns the current stream length.
 func (d *Detector) Len() int { return len(d.rss) }
 
-// Offer appends one capture's features and reports whether the stream has
-// converged (90 % CI span of smoothed RSS below α).
+// Offer appends one capture's features (those in Features) and reports
+// whether the stream has converged (90 % CI span of smoothed RSS below α).
 func (d *Detector) Offer(sig features.Signal) bool {
 	if len(d.rss) < d.cfg.MaxReadings {
 		d.rss = append(d.rss, sig.RSSdBm)
-		d.cft = append(d.cft, sig.CFTdB)
-		d.aft = append(d.aft, sig.AFTdB)
+		if d.cfg.Features >= features.SetLocationRSSCFT {
+			d.cft = append(d.cft, sig.CFTdB)
+		}
+		if d.cfg.Features >= features.SetLocationRSSCFTAFT {
+			d.aft = append(d.aft, sig.AFTdB)
+		}
 	}
 	return d.converged()
 }
@@ -190,9 +211,13 @@ func (d *Detector) converged() bool {
 	return d.ciSpan() <= d.cfg.AlphaDB
 }
 
-// aggregate produces the robust feature estimate used for classification.
+// aggregate produces the robust feature estimate used for classification,
+// −Inf for a feature outside Features (its stream is empty).
 func (d *Detector) aggregate() features.Signal {
 	robust := func(xs []float64) float64 {
+		if len(xs) == 0 {
+			return math.Inf(-1)
+		}
 		smoothed := d.ws.MovingAverage(xs, d.cfg.SmoothingWindow)
 		trimmed := d.ws.TrimOutliers(smoothed, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
 		return dsp.Mean(trimmed)

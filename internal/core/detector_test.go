@@ -140,6 +140,11 @@ func TestDetectorConfigValidation(t *testing.T) {
 		{OutlierLoPct: 90, OutlierHiPct: 10},
 		{MinReadings: 1},
 		{MinReadings: 100, MaxReadings: 50},
+		// A set that does not cover the model's location + RSS + CFT
+		// would classify with features nobody measured.
+		{Features: features.SetLocation},
+		{Features: features.SetLocationRSS},
+		{Features: 99},
 	}
 	for i, cfg := range bad {
 		if _, err := NewDetector(m, cfg); err == nil {
@@ -148,6 +153,18 @@ func TestDetectorConfigValidation(t *testing.T) {
 	}
 	if _, err := NewDetector(nil, DetectorConfig{}); err == nil {
 		t.Error("nil model must fail")
+	}
+	for cfg, want := range map[features.Set]features.Set{
+		0:                             features.SetLocationRSSCFT,
+		features.SetLocationRSSCFT:    features.SetLocationRSSCFT,
+		features.SetLocationRSSCFTAFT: features.SetLocationRSSCFTAFT,
+	} {
+		d, err := NewDetector(m, DetectorConfig{Features: cfg})
+		if err != nil {
+			t.Errorf("Features %v: %v", cfg, err)
+		} else if d.Features() != want {
+			t.Errorf("Features %v: detector measures %v, want %v", cfg, d.Features(), want)
+		}
 	}
 }
 

@@ -16,6 +16,9 @@ import "fmt"
 // applied before the transform; the energy always comes from the raw
 // samples.
 //
+// width 0 asks for no band (bandMeanMW is 0). The DC bin is then all
+// that is left of the transform: additions alone, in the energy's pass.
+//
 // The spectrum is never materialized. The load pass gathers the samples
 // bit-reversed into pooled scratch while the energy accumulates in index
 // order, all but the last two butterfly stages run in full, and the last
@@ -37,7 +40,7 @@ func PilotBand(samples []complex128, coef []float64, width int) (energyMW, cente
 	if coef != nil && len(coef) != n {
 		return 0, 0, 0, fmt.Errorf("dsp: %d window coefficients for %d samples", len(coef), n)
 	}
-	if width < 1 || width > n {
+	if width < 0 || width > n {
 		return 0, 0, 0, fmt.Errorf("dsp: centre band of %d bins in a %d-bin spectrum", width, n)
 	}
 
@@ -50,6 +53,10 @@ func PilotBand(samples []complex128, coef []float64, width int) (energyMW, cente
 	bufp, x := scratch(n)
 	defer fftScratch.Put(bufp)
 
+	if width == 0 {
+		sumSq, dc := dcFold(x, samples, coef)
+		return sumSq / nn, binPower(dc, nn), 0, nil
+	}
 	if stages < 3 || width > n/4 {
 		// Too short or too wide to prune: run the whole transform.
 		energyMW = p.transform(x, samples, coef, tw, stages) / nn
@@ -96,4 +103,39 @@ func PilotBand(samples []complex128, coef []float64, width int) (energyMW, cente
 		sum += binPower(a[j]+b[j]*tw[j], nn)
 	}
 	return energyMW, centerMW, sum / float64(width), nil
+}
+
+// dcFold returns bin 0 of the transform of src and Σ|src[i]|² in index
+// order, with x as scratch. Bin 0 is a fold in half, s[j] += s[j+h] for
+// h = n/2, n/4, …, 1: the j = 0 butterflies, whose twiddle-0 multiply
+// fftPlan.transform skips, so the adds are the transform's own, in its
+// order, and both results are bit-identical to it.
+func dcFold(x, src []complex128, coef []float64) (sumSq float64, dc complex128) {
+	h := len(src) / 2
+	if h == 0 {
+		return sqAbs(src[0]), weighted(src[0], coef, 0)
+	}
+	x = x[:h:h]
+	lo, hi := src[:h:h], src[h:2*h:2*h]
+	if coef == nil { // the device's case, kept free of weighted's per-sample test
+		for i, s := range lo {
+			sumSq += sqAbs(s)
+			x[i] = s + hi[i]
+		}
+	} else {
+		for i, s := range lo {
+			sumSq += sqAbs(s)
+			x[i] = weighted(s, coef, i) + weighted(hi[i], coef, i+h)
+		}
+	}
+	for _, s := range hi {
+		sumSq += sqAbs(s)
+	}
+	for h /= 2; h > 0; h /= 2 {
+		a, b := x[:h:h], x[h:2*h:2*h]
+		for j := range a {
+			a[j] += b[j]
+		}
+	}
+	return sumSq, x[0]
 }

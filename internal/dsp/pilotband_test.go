@@ -26,6 +26,9 @@ func referencePilotBand(samples []complex128, coef []float64, width int) (energy
 		re, im := real(x[k]), imag(x[k])
 		return (re*re + im*im) / (nn * nn)
 	}
+	if width == 0 {
+		return energy, power(0), 0 // no band asked for
+	}
 	sum = 0
 	lo := n/2 - width/2
 	for i := lo; i < lo+width; i++ {
@@ -34,9 +37,10 @@ func referencePilotBand(samples []complex128, coef []float64, width int) (energy
 	return energy, power(0), sum / float64(width)
 }
 
-// TestPilotBandMatchesReference covers every width at every size, so both
-// exits — pruned, and the full transform for short captures and bands
-// wider than a quarter of the spectrum — are held to bit equality.
+// TestPilotBandMatchesReference covers every width at every size, so all
+// three exits — the DC fold when no band is asked for (width 0), pruned,
+// and the full transform for short captures and bands wider than a
+// quarter of the spectrum — are held to bit equality.
 func TestPilotBandMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for n := 1; n <= 1024; n *= 2 {
@@ -44,22 +48,32 @@ func TestPilotBandMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		widths := []int{1, 2, 3, n / 8, n/8 + 1, n / 4, n/4 + 1, n / 2, n - 1, n}
+		widths := []int{0, 1, 2, 3, n / 8, n/8 + 1, n / 4, n/4 + 1, n / 2, n - 1, n}
 		for _, w := range widths {
-			if w < 1 || w > n {
+			if w < 0 || w > n {
 				continue
 			}
-			for _, coef := range [][]float64{nil, hann} {
-				x := randomCapture(rng, n)
-				e, c, b, err := PilotBand(x, coef, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				we, wc, wb := referencePilotBand(x, coef, w)
-				for _, p := range [][2]float64{{e, we}, {c, wc}, {b, wb}} {
-					if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-						t.Fatalf("n=%d width=%d windowed=%v: (%v %v %v), reference (%v %v %v)",
-							n, w, coef != nil, e, c, b, we, wc, wb)
+			reps := 1
+			if w == 0 {
+				reps = 50 // the device's path: also against the banded kernel
+			}
+			for rep := 0; rep < reps; rep++ {
+				for _, coef := range [][]float64{nil, hann} {
+					x := randomCapture(rng, n)
+					e, c, b, err := PilotBand(x, coef, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					we, wc, wb := referencePilotBand(x, coef, w)
+					be, bc, _, err := PilotBand(x, coef, max(w, 1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, p := range [][2]float64{{e, we}, {c, wc}, {b, wb}, {e, be}, {c, bc}} {
+						if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+							t.Fatalf("n=%d width=%d windowed=%v: (%v %v %v), reference (%v %v %v), banded (%v %v)",
+								n, w, coef != nil, e, c, b, we, wc, wb, be, bc)
+						}
 					}
 				}
 			}
@@ -72,7 +86,7 @@ func TestPilotBandValidation(t *testing.T) {
 	for name, call := range map[string]func() error{
 		"empty":            func() error { _, _, _, err := PilotBand(nil, nil, 1); return err },
 		"not power of two": func() error { _, _, _, err := PilotBand(x[:12], nil, 1); return err },
-		"zero width":       func() error { _, _, _, err := PilotBand(x, nil, 0); return err },
+		"negative width":   func() error { _, _, _, err := PilotBand(x, nil, -1); return err },
 		"width over n":     func() error { _, _, _, err := PilotBand(x, nil, 17); return err },
 		"short window":     func() error { _, _, _, err := PilotBand(x, make([]float64, 8), 2); return err },
 	} {

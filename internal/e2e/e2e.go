@@ -47,6 +47,7 @@ import (
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/faultinject"
+	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/telemetry"
@@ -459,10 +460,13 @@ func scan(cfg Config, env *rfenv.Environment, model *core.Model, cycle int, ch r
 	radio := &client.SimRadio{Env: env, Device: dev, Rng: rng}
 	loc := env.Area.Center().Offset(float64((cycle*47+int(ch))%360), 1500+float64(cycle)*400)
 	radio.SetPosition(loc)
+	// The decisions are uploaded (uploadBatch) and the store keeps all
+	// three features, so the device measures AFT too, which the model
+	// does not read.
 	wsd := &client.WSD{
 		Radio:    radio,
 		Models:   map[rfenv.Channel]*core.Model{ch: model},
-		Detector: core.DetectorConfig{AlphaDB: cfg.AlphaDB},
+		Detector: core.DetectorConfig{AlphaDB: cfg.AlphaDB, Features: features.SetLocationRSSCFTAFT},
 	}
 	cs, err := wsd.SenseChannel(ch, loc)
 	if err != nil {

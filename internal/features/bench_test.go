@@ -15,10 +15,20 @@ const coldPoolCaptures = 16384
 
 var sinkSignal Signal
 
-// BenchmarkFromObservation256 is the WSD's per-capture extraction cost
-// (256 I/Q samples, §2.1): warm re-reads one cached capture, cold walks a
-// pool that does not fit in cache.
+// BenchmarkFromObservation256 is the full per-capture extraction cost
+// (256 I/Q samples, §2.1; all three features): warm re-reads one cached
+// capture, cold walks a pool that does not fit in cache.
 func BenchmarkFromObservation256(b *testing.B) {
+	benchCaptures(b, FromObservation)
+}
+
+// BenchmarkMeasure256 is what the WSD pays per capture for the shipped
+// location + RSS + CFT model: energy and the DC bin, no transform.
+func BenchmarkMeasure256(b *testing.B) {
+	benchCaptures(b, SetLocationRSSCFT.Measure)
+}
+
+func benchCaptures(b *testing.B, extract func(sensor.Observation, sensor.Calibration) (Signal, error)) {
 	rng := rand.New(rand.NewSource(1))
 	d := sensor.NewDevice(sensor.RTLSDR())
 	if err := sensor.CalibrateAndInstall(d, rng, sensor.CalibrationConfig{}); err != nil {
@@ -44,7 +54,7 @@ func BenchmarkFromObservation256(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sig, err := FromObservation(pool[i%len(pool)], cal)
+				sig, err := extract(pool[i%len(pool)], cal)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,6 +7,7 @@ package features
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/wsdetect/waldo/internal/dsp"
 	"github.com/wsdetect/waldo/internal/geo"
@@ -46,6 +47,22 @@ func FromObservation(obs sensor.Observation, cal sensor.Calibration) (Signal, er
 // of a wider main lobe; RSS always comes from the unwindowed samples so
 // energy-detector calibration stays exact.
 func FromObservationWindowed(obs sensor.Observation, cal sensor.Calibration, win dsp.Window) (Signal, error) {
+	return measure(obs, cal, win, SetLocationRSSCFTAFT)
+}
+
+// Measure extracts, with a rectangular window, only the features s reads:
+// RSS always (the α stop reads it) and CFT when s reads it, from one pass
+// that adds up the DC bin beside the energy; AFT, the one that needs the
+// transform, only for SetLocationRSSCFTAFT. The others are −Inf dBm, which no upload accepts.
+// Measured features are bit-identical to FromObservation's.
+func (s Set) Measure(obs sensor.Observation, cal sensor.Calibration) (Signal, error) {
+	if !s.Valid() {
+		return Signal{}, fmt.Errorf("features: invalid set %d", int(s))
+	}
+	return measure(obs, cal, dsp.WindowRect, s)
+}
+
+func measure(obs sensor.Observation, cal sensor.Calibration, win dsp.Window, s Set) (Signal, error) {
 	if len(obs.IQ) == 0 {
 		return Signal{}, fmt.Errorf("features: empty capture")
 	}
@@ -56,15 +73,26 @@ func FromObservationWindowed(obs sensor.Observation, cal sensor.Calibration, win
 			return Signal{}, fmt.Errorf("features: %w", err)
 		}
 	}
-	energy, center, band, err := dsp.PilotBand(obs.IQ, coef, iq.CenterBandBins(len(obs.IQ), CenterBandFrac))
+	width := 0 // no band
+	if s >= SetLocationRSSCFTAFT {
+		width = iq.CenterBandBins(len(obs.IQ), CenterBandFrac)
+	}
+	energy, center, band, err := dsp.PilotBand(obs.IQ, coef, width)
 	if err != nil {
 		return Signal{}, fmt.Errorf("features: %w", err)
 	}
-	return Signal{
+	sig := Signal{
 		RSSdBm: cal.Apply(iq.MWToDBm(energy)) + iq.CaptureCorrectionDB(),
-		CFTdB:  cal.Apply(iq.MWToDBm(center)),
-		AFTdB:  cal.Apply(iq.MWToDBm(band)),
-	}, nil
+		CFTdB:  math.Inf(-1),
+		AFTdB:  math.Inf(-1),
+	}
+	if s >= SetLocationRSSCFT {
+		sig.CFTdB = cal.Apply(iq.MWToDBm(center))
+	}
+	if width > 0 {
+		sig.AFTdB = cal.Apply(iq.MWToDBm(band))
+	}
+	return sig, nil
 }
 
 // Set selects which features feed the classifier. The paper counts

@@ -64,6 +64,46 @@ func checkAgainstReference(t *testing.T, obs sensor.Observation, cal sensor.Cali
 	}
 }
 
+// checkDevicePath holds Set.Measure, the device's extraction, to
+// FromObservation: every set gets the same error, bit-identical RSS, CFT
+// when it reads CFT and AFT when it reads AFT, and −Inf for the features
+// it does not read. A capture holding a non-finite sample gives
+// non-finite measured features, as FromObservation's are, so
+// Updater.Submit refuses them.
+func checkDevicePath(t *testing.T, obs sensor.Observation, cal sensor.Calibration) {
+	t.Helper()
+	full, fullErr := FromObservation(obs, cal)
+	nonFinite := false
+	for _, s := range obs.IQ {
+		nonFinite = nonFinite || !finite(real(s)) || !finite(imag(s))
+	}
+	for _, set := range AllSets {
+		got, err := set.Measure(obs, cal)
+		if (err == nil) != (fullErr == nil) || (err != nil && err.Error() != fullErr.Error()) {
+			t.Fatalf("n=%d %v: error %v, FromObservation %v", len(obs.IQ), set, err, fullErr)
+		}
+		if err != nil {
+			continue
+		}
+		want := full
+		if set < SetLocationRSSCFT {
+			want.CFTdB = math.Inf(-1)
+		}
+		if set < SetLocationRSSCFTAFT {
+			want.AFTdB = math.Inf(-1)
+		}
+		g, w := fields(got), fields(want)
+		for i := range g {
+			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("n=%d %v: %+v, FromObservation %+v", len(obs.IQ), set, got, full)
+			}
+			if nonFinite && finite(g[i]) {
+				t.Fatalf("n=%d %v: non-finite capture, finite feature in %+v", len(obs.IQ), set, got)
+			}
+		}
+	}
+}
+
 // TestFromObservationMatchesFullSpectrum is the kernel rule's
 // differential gate on the device (DESIGN.md §8): RSS, CFT and AFT from
 // the fused kernel are Float64bits-equal to the full-spectrum chain.
@@ -90,6 +130,7 @@ func TestFromObservationMatchesFullSpectrum(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkAgainstReference(t, obs, d.Calibration(), windows[i%len(windows)], true)
+			checkDevicePath(t, obs, d.Calibration())
 		}
 	}
 
@@ -133,6 +174,7 @@ func TestFromObservationNonFiniteAndErrors(t *testing.T) {
 			obs := sensor.Observation{IQ: x}
 			checkAgainstReference(t, obs, cal, dsp.WindowRect, false)
 			checkAgainstReference(t, obs, cal, dsp.WindowHann, false)
+			checkDevicePath(t, obs, cal)
 			got, err := FromObservation(obs, cal)
 			if err != nil {
 				t.Fatal(err)
@@ -149,11 +191,15 @@ func TestFromObservationNonFiniteAndErrors(t *testing.T) {
 		checkAgainstReference(t, obs, cal, dsp.WindowRect, true)
 		checkAgainstReference(t, obs, cal, dsp.WindowHann, true)
 		checkAgainstReference(t, obs, cal, dsp.Window(99), true)
+		checkDevicePath(t, obs, cal)
 		if _, err := FromObservation(obs, cal); err == nil {
 			t.Errorf("capture of %d samples: want an error", n)
 		}
 	}
 	checkAgainstReference(t, sensor.Observation{IQ: make([]complex128, 256)}, cal, dsp.Window(99), true)
+	if _, err := Set(0).Measure(sensor.Observation{IQ: make([]complex128, 256)}, cal); err == nil {
+		t.Error("Measure for an invalid set: want an error")
+	}
 }
 
 // TestFromObservationZeroAlloc: extraction allocates nothing per capture
@@ -172,6 +218,25 @@ func TestFromObservationZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("FromObservation allocs/capture = %v, want 0", n)
+	}
+}
+
+// TestMeasureZeroAlloc: the device's extraction, for the shipped
+// location + RSS + CFT set, allocates nothing per capture either.
+func TestMeasureZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	d := calibrated(t, sensor.RTLSDR(), rng)
+	obs, err := d.Observe(rng, -80, math.Inf(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := d.Calibration()
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := SetLocationRSSCFT.Measure(obs, cal); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("SetLocationRSSCFT.Measure allocs/capture = %v, want 0", n)
 	}
 }
 
@@ -204,7 +269,8 @@ func fuzzBytes(win byte, x []complex128) []byte {
 }
 
 // FuzzFromObservationMatchesReference holds the kernel to the reference
-// on arbitrary bytes. The seeds below and the committed corpus under
+// on arbitrary bytes, and the device's Set.Measure to FromObservation
+// (checkDevicePath). The seeds below and the committed corpus under
 // testdata/fuzz run on every `go test`.
 func FuzzFromObservationMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(17))
@@ -219,5 +285,6 @@ func FuzzFromObservationMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		obs, win := fuzzCapture(data)
 		checkAgainstReference(t, obs, sensor.IdentityCalibration(), win, false)
+		checkDevicePath(t, obs, sensor.IdentityCalibration())
 	})
 }
