@@ -15,7 +15,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	"github.com/wsdetect/waldo/internal/core"
-	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/rfenv"
@@ -51,22 +49,11 @@ type Config struct {
 	// Breaker parameterizes the circuit breaker (see BreakerPolicy;
 	// Threshold < 0 disables it).
 	Breaker BreakerPolicy
-	// DisableStaleServe makes Model/Refresh surface errors even while a
-	// cached descriptor exists, instead of degrading to the cache.
-	DisableStaleServe bool
 	// Sleep implements backoff waits; nil means a context-aware
 	// real-time sleep. Injectable for fast deterministic tests.
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Now is the breaker's clock; nil means time.Now.
 	Now func() time.Time
-	// Resolver, when set, is consulted before every attempt for the base
-	// URL to target, letting one client follow a moving endpoint — a
-	// DNS-free gateway list, a service-discovery watch, a test harness
-	// swapping servers. Returning "" falls back to the constructor's
-	// baseURL. The client itself stays protocol-identical: a resolver
-	// pointing at a cluster gateway and a baseURL pointing at a single
-	// dbserver exercise exactly the same code.
-	Resolver func() string
 }
 
 // Client talks to a Waldo spectrum database. It caches model descriptors:
@@ -74,9 +61,8 @@ type Config struct {
 // per-location spectrum-database queries (§5), and the cached copy keeps
 // serving when the database is unreachable.
 type Client struct {
-	baseURL  string
-	resolver func() string
-	httpc    *http.Client
+	baseURL string
+	httpc   *http.Client
 	// watchc serves long-poll watches: the same transport as httpc (so
 	// fault injection and test hooks still apply) but no overall timeout
 	// — a model watch parks until the server has news, which is the
@@ -85,7 +71,6 @@ type Client struct {
 	timeout   time.Duration
 	retry     RetryPolicy
 	brk       *breaker
-	staleOK   bool
 	sleep     func(ctx context.Context, d time.Duration) error
 	jitterSeq atomic.Uint64
 
@@ -106,11 +91,7 @@ type Client struct {
 	retriesTotal  *telemetry.Counter
 	staleServed   *telemetry.Counter
 
-	// Upload-buffer and watch telemetry (batch.go, watch.go).
-	flushOK        *telemetry.Counter
-	flushFailed    *telemetry.Counter
-	flushReadings  *telemetry.Counter
-	flushSeconds   *telemetry.Histogram
+	// Watch telemetry (watch.go).
 	watchDelivered *telemetry.Counter
 	watchRearms    *telemetry.Counter
 }
@@ -143,7 +124,7 @@ func New(baseURL string, httpc *http.Client) (*Client, error) {
 // NewWithConfig returns a client with explicit transport and resilience
 // parameters.
 func NewWithConfig(baseURL string, cfg Config) (*Client, error) {
-	if baseURL == "" && cfg.Resolver == nil {
+	if baseURL == "" {
 		return nil, fmt.Errorf("client: empty base URL")
 	}
 	if cfg.Timeout == 0 {
@@ -157,16 +138,14 @@ func NewWithConfig(baseURL string, cfg Config) (*Client, error) {
 		cfg.Sleep = sleepCtx
 	}
 	return &Client{
-		baseURL:  baseURL,
-		resolver: cfg.Resolver,
-		httpc:    cfg.HTTPClient,
-		watchc:   &http.Client{Transport: cfg.HTTPClient.Transport},
-		timeout:  cfg.Timeout,
-		retry:    cfg.Retry,
-		brk:      newBreaker(cfg.Breaker, cfg.Now),
-		staleOK:  !cfg.DisableStaleServe,
-		sleep:    cfg.Sleep,
-		cache:    make(map[cacheKey]cached),
+		baseURL: baseURL,
+		httpc:   cfg.HTTPClient,
+		watchc:  &http.Client{Transport: cfg.HTTPClient.Transport},
+		timeout: cfg.Timeout,
+		retry:   cfg.Retry,
+		brk:     newBreaker(cfg.Breaker, cfg.Now),
+		sleep:   cfg.Sleep,
+		cache:   make(map[cacheKey]cached),
 	}, nil
 }
 
@@ -192,13 +171,6 @@ func (c *Client) SetMetrics(reg *telemetry.Registry) {
 		"Request attempts beyond the first (backoff retries).")
 	c.staleServed = reg.Counter("waldo_client_stale_served_total",
 		"Model lookups served from the cache because the database was unreachable.")
-	const flushHelp = "Upload-buffer flushes by outcome."
-	c.flushOK = reg.Counter("waldo_client_flush_total", flushHelp, "outcome", "ok")
-	c.flushFailed = reg.Counter("waldo_client_flush_total", flushHelp, "outcome", "failed")
-	c.flushReadings = reg.Counter("waldo_client_flush_readings_total",
-		"Readings acknowledged through upload-buffer flushes.")
-	c.flushSeconds = reg.Histogram("waldo_client_flush_seconds",
-		"Upload-buffer flush round-trip latency.", nil)
 	const watchHelp = "Model watch long-poll resolutions by outcome."
 	c.watchDelivered = reg.Counter("waldo_client_watch_total", watchHelp, "outcome", "delivered")
 	c.watchRearms = reg.Counter("waldo_client_watch_total", watchHelp, "outcome", "rearm")
@@ -316,17 +288,6 @@ func rejected(what string, resp *http.Response) error {
 // ("closed", "half_open", "open") for diagnostics.
 func (c *Client) BreakerState() string { return c.brk.State().String() }
 
-// base returns the base URL for the next attempt, consulting the
-// resolver when one is configured.
-func (c *Client) base() string {
-	if c.resolver != nil {
-		if u := c.resolver(); u != "" {
-			return u
-		}
-	}
-	return c.baseURL
-}
-
 // SetLocationHint attaches the device's position to subsequent model,
 // refresh, and retrain requests as lat/lon query parameters. Against a
 // single dbserver the extra parameters are ignored; against a cluster
@@ -336,13 +297,6 @@ func (c *Client) base() string {
 func (c *Client) SetLocationHint(p geo.Point) {
 	c.mu.Lock()
 	c.hint, c.hasHint = p, true
-	c.mu.Unlock()
-}
-
-// ClearLocationHint removes the routing hint (e.g. on losing a fix).
-func (c *Client) ClearLocationHint() {
-	c.mu.Lock()
-	c.hasHint = false
 	c.mu.Unlock()
 }
 
@@ -394,10 +348,10 @@ func (c *Client) Refresh(ctx context.Context, ch rfenv.Channel, kind sensor.Kind
 }
 
 // fetchOrStale is fetch, degrading to the cached model (counted in
-// telemetry) when the exchange fails and stale-serving is enabled.
+// telemetry) when the exchange fails.
 func (c *Client) fetchOrStale(ctx context.Context, key cacheKey, etag string) (*core.Model, int, error) {
 	model, n, err := c.fetch(ctx, key, etag)
-	if err == nil || !c.staleOK {
+	if err == nil {
 		return model, n, err
 	}
 	c.mu.Lock()
@@ -421,7 +375,7 @@ func (c *Client) fetch(ctx context.Context, key cacheKey, etag string) (*core.Mo
 	err := c.do(ctx, "fetch model", c.httpc, c.timeout,
 		func(actx context.Context) (*http.Request, error) {
 			url := fmt.Sprintf("%s/v1/model?channel=%d&sensor=%d%s",
-				c.base(), int(key.ch), int(key.kind), c.hintQuery())
+				c.baseURL, int(key.ch), int(key.kind), c.hintQuery())
 			req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
 			if err != nil {
 				return nil, err
@@ -517,39 +471,31 @@ func (c *Client) Invalidate(ch rfenv.Channel, kind sensor.Kind) {
 	delete(c.cache, cacheKey{ch, kind})
 }
 
-// Upload submits a reading batch to the Global Model Updater through
-// the JSON edge (POST /v1/readings). Transient failures (transport
-// errors, 5xx, and load-shedding 429s — the server's Retry-After hint
-// floors the backoff) are retried. Because the server applies a batch
-// atomically and rejections leave no state, a retry is safe; persistent
-// failures surface as an error after the retry budget.
+// Upload submits a reading batch to the Global Model Updater as one
+// core batch frame (POST /v1/upload/batch), the CI span in the
+// X-Waldo-CI-Span header. Transient failures (transport errors, 5xx, and
+// load-shedding 429s — the server's Retry-After hint floors the backoff)
+// are retried. Because the server applies a batch atomically and
+// rejections leave no state, a retry is safe; persistent failures
+// surface as an error after the retry budget.
 func (c *Client) Upload(ctx context.Context, batch core.UploadBatch) error {
 	if len(batch.Readings) == 0 {
 		return fmt.Errorf("client: empty upload")
 	}
-	payload := dbserver.UploadJSON{CISpanDB: batch.CISpanDB}
-	for _, r := range batch.Readings {
-		payload.Readings = append(payload.Readings, dbserver.FromReading(r))
-	}
-	body, err := json.Marshal(payload)
+	frame, err := core.EncodeBatchFrame(batch.Readings)
 	if err != nil {
-		return fmt.Errorf("client: marshal upload: %w", err)
+		return fmt.Errorf("client: encode batch: %w", err)
 	}
-	return c.sendUpload(ctx, "/v1/readings", body, http.Header{"Content-Type": {"application/json"}})
-}
-
-// sendUpload ships one encoded upload body to an upload edge. The two
-// upload methods differ only in how they encode; retries, the breaker,
-// the upload metrics and the shape of a rejection exist here, once.
-func (c *Client) sendUpload(ctx context.Context, path string, body []byte, hdr http.Header) error {
+	span := strconv.FormatFloat(batch.CISpanDB, 'g', -1, 64)
 	start := time.Now()
-	err := c.do(ctx, "upload", c.httpc, c.timeout,
+	err = c.do(ctx, "upload", c.httpc, c.timeout,
 		func(actx context.Context) (*http.Request, error) {
-			req, err := http.NewRequestWithContext(actx, http.MethodPost, c.base()+path, bytes.NewReader(body))
+			req, err := http.NewRequestWithContext(actx, http.MethodPost, c.baseURL+"/v1/upload/batch", bytes.NewReader(frame))
 			if err != nil {
 				return nil, err
 			}
-			req.Header = hdr.Clone()
+			req.Header.Set("Content-Type", "application/octet-stream")
+			req.Header.Set(dbserver.CISpanHeader, span)
 			return req, nil
 		},
 		func(resp *http.Response) error {
@@ -573,7 +519,7 @@ func (c *Client) RequestRetrain(ctx context.Context, ch rfenv.Channel, kind sens
 	return c.do(ctx, "retrain", c.httpc, c.timeout,
 		func(actx context.Context) (*http.Request, error) {
 			url := fmt.Sprintf("%s/v1/retrain?channel=%d&sensor=%d%s",
-				c.base(), int(ch), int(kind), c.hintQuery())
+				c.baseURL, int(ch), int(kind), c.hintQuery())
 			return http.NewRequestWithContext(actx, http.MethodPost, url, nil)
 		},
 		func(resp *http.Response) error {
@@ -582,9 +528,4 @@ func (c *Client) RequestRetrain(ctx context.Context, ch rfenv.Channel, kind sens
 			}
 			return nil
 		})
-}
-
-// UploadFromDecision packages a detection's readings into an upload batch.
-func UploadFromDecision(readings []dataset.Reading, dec core.Decision) core.UploadBatch {
-	return core.UploadBatch{Readings: readings, CISpanDB: dec.CISpanDB}
 }

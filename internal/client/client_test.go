@@ -1,9 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,8 +142,7 @@ func TestRefreshRevalidates(t *testing.T) {
 func TestUploadPath(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
 	readings := w.camp.Readings(47, sensor.KindRTLSDR)[:20]
-	batch := UploadFromDecision(readings, core.Decision{CISpanDB: 0.3})
-	if err := w.client.Upload(context.Background(), batch); err != nil {
+	if err := w.client.Upload(context.Background(), core.UploadBatch{CISpanDB: 0.3, Readings: readings}); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.server.StoreSize(47, sensor.KindRTLSDR); got != 720 {
@@ -148,12 +152,77 @@ func TestUploadPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rejected noisy upload surfaces as an error.
-	noisy := UploadFromDecision(readings, core.Decision{CISpanDB: 9})
-	if err := w.client.Upload(context.Background(), noisy); err == nil {
+	if err := w.client.Upload(context.Background(), core.UploadBatch{CISpanDB: 9, Readings: readings}); err == nil {
 		t.Error("noisy upload should be rejected")
 	}
 	if err := w.client.Upload(context.Background(), core.UploadBatch{}); err == nil {
 		t.Error("empty upload should fail client-side")
+	}
+}
+
+// TestUploadBinary: an upload is one core batch frame on POST
+// /v1/upload/batch with the CI span in its header, and the frame
+// carries every reading bit for bit.
+func TestUploadBinary(t *testing.T) {
+	w := newTestWorld(t, []rfenv.Channel{47})
+	var seen *http.Request
+	var body []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		body, _ = io.ReadAll(r.Body)
+		seen = r
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		w.server.Handler().ServeHTTP(rw, r)
+	}))
+	t.Cleanup(ts.Close)
+	c, err := New(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := w.server.StoreSize(47, sensor.KindRTLSDR)
+	batch := core.UploadBatch{CISpanDB: 0.5, Readings: w.camp.Readings(47, sensor.KindRTLSDR)[:32]}
+	if err := c.Upload(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	if seen.URL.Path != "/v1/upload/batch" || seen.Header.Get("Content-Type") != "application/octet-stream" {
+		t.Errorf("upload went to %s as %q", seen.URL.Path, seen.Header.Get("Content-Type"))
+	}
+	if got := seen.Header.Get(dbserver.CISpanHeader); got != "0.5" {
+		t.Errorf("%s = %q, want 0.5", dbserver.CISpanHeader, got)
+	}
+	got, rest, err := core.DecodeBatchFrame(nil, body)
+	if err != nil || len(rest) != 0 || !reflect.DeepEqual(got, batch.Readings) {
+		t.Errorf("body is not one frame of the batch: err=%v trailing=%d", err, len(rest))
+	}
+	if got := w.server.StoreSize(47, sensor.KindRTLSDR); got != before+len(batch.Readings) {
+		t.Errorf("store %d → %d, want +%d", before, got, len(batch.Readings))
+	}
+}
+
+// TestUploadBinaryRejected: a batch no frame can carry fails before any
+// request, and a server refusal (422) is terminal, not retried.
+func TestUploadBinaryRejected(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(rw, "span over alpha'", http.StatusUnprocessableEntity)
+	}))
+	t.Cleanup(ts.Close)
+	c, err := New(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := rfenv.Channel(1 << 16)
+	if err := c.Upload(context.Background(), core.UploadBatch{Readings: []dataset.Reading{{Channel: wide}}}); err == nil {
+		t.Error("a channel the frame cannot carry was sent")
+	}
+	if hits.Load() != 0 {
+		t.Fatalf("unencodable batch reached the server %d times", hits.Load())
+	}
+	if err := c.Upload(context.Background(), core.UploadBatch{CISpanDB: 99, Readings: []dataset.Reading{{Channel: 47}}}); err == nil {
+		t.Error("refused batch reported as accepted")
+	}
+	if hits.Load() != 1 {
+		t.Errorf("a 422 was tried %d times, want 1", hits.Load())
 	}
 }
 

@@ -39,66 +39,9 @@ func (p *recordingProxy) last(t *testing.T) *url.URL {
 	return p.seen[len(p.seen)-1]
 }
 
-// TestResolverSelectsBaseURL: a client with only a resolver follows it
-// per request, and an empty resolver answer falls back to baseURL.
-func TestResolverSelectsBaseURL(t *testing.T) {
-	w := newTestWorld(t, []rfenv.Channel{47})
-	proxy := &recordingProxy{backend: w.server.Handler()}
-	proxyTS := httptest.NewServer(proxy)
-	t.Cleanup(proxyTS.Close)
-
-	target := proxyTS.URL
-	var mu sync.Mutex
-	c, err := NewWithConfig(w.ts.URL, Config{
-		HTTPClient: w.ts.Client(),
-		Resolver: func() string {
-			mu.Lock()
-			defer mu.Unlock()
-			return target
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
-		t.Fatal(err)
-	}
-	if len(proxy.seen) != 1 {
-		t.Fatalf("resolver target saw %d requests, want 1", len(proxy.seen))
-	}
-	// Point the resolver away ("" → constructor baseURL): the next
-	// fresh fetch must bypass the proxy.
-	mu.Lock()
-	target = ""
-	mu.Unlock()
-	c.Invalidate(47, sensor.KindRTLSDR)
-	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
-		t.Fatal(err)
-	}
-	if len(proxy.seen) != 1 {
-		t.Errorf("fallback fetch still hit the resolver target (%d requests)", len(proxy.seen))
-	}
-}
-
-// TestResolverOnlyClient: baseURL may be empty when a resolver is given.
-func TestResolverOnlyClient(t *testing.T) {
-	w := newTestWorld(t, []rfenv.Channel{47})
-	c, err := NewWithConfig("", Config{
-		HTTPClient: w.ts.Client(),
-		Resolver:   func() string { return w.ts.URL },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLocationHintOnWire: SetLocationHint adds lat/lon to model and
-// retrain requests (the gateway's routing inputs), ClearLocationHint
-// removes them, and a plain dbserver ignores them — the request still
-// succeeds.
+// retrain requests (the gateway's routing inputs), and a plain dbserver
+// ignores them — the request still succeeds.
 func TestLocationHintOnWire(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
 	proxy := &recordingProxy{backend: w.server.Handler()}
@@ -122,15 +65,6 @@ func TestLocationHintOnWire(t *testing.T) {
 	}
 	if q := proxy.last(t).Query(); q.Get("lat") != "33.749" {
 		t.Errorf("retrain query = %q, want lat/lon hint", proxy.last(t).RawQuery)
-	}
-
-	c.ClearLocationHint()
-	c.Invalidate(47, sensor.KindRTLSDR)
-	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
-		t.Fatal(err)
-	}
-	if q := proxy.last(t).Query(); q.Get("lat") != "" {
-		t.Errorf("cleared hint still on the wire: %q", proxy.last(t).RawQuery)
 	}
 }
 

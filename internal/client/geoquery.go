@@ -63,7 +63,7 @@ func (c *Client) Availability(ctx context.Context, q AvailabilityQuery) (dbserve
 	err := c.do(ctx, "availability", c.httpc, c.timeout,
 		func(actx context.Context) (*http.Request, error) {
 			return http.NewRequestWithContext(actx, http.MethodGet,
-				c.base()+"/v1/availability?"+vals.Encode(), nil)
+				c.baseURL+"/v1/availability?"+vals.Encode(), nil)
 		},
 		func(resp *http.Response) error {
 			if resp.StatusCode != http.StatusOK {
@@ -124,7 +124,7 @@ func (c *Client) PlanRoute(ctx context.Context, points []geo.Point, opts RouteOp
 	err = c.do(ctx, "route", c.httpc, c.timeout,
 		func(actx context.Context) (*http.Request, error) {
 			hreq, err := http.NewRequestWithContext(actx, http.MethodPost,
-				c.base()+"/v1/route", bytes.NewReader(body))
+				c.baseURL+"/v1/route", bytes.NewReader(body))
 			if err != nil {
 				return nil, err
 			}

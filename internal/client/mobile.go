@@ -62,9 +62,6 @@ func (r *SimRadio) SetPosition(p geo.Point) {
 	r.started = true
 }
 
-// Position returns the device location.
-func (r *SimRadio) Position() geo.Point { return r.pos }
-
 // DwellTime implements Radio.
 func (r *SimRadio) DwellTime() time.Duration {
 	if r.Dwell == 0 {

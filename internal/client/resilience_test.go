@@ -32,7 +32,7 @@ func noSleep() (func(context.Context, time.Duration) error, *[]time.Duration) {
 	}, &waits
 }
 
-// flakyUploads serves POST /v1/readings: the first fail requests get
+// flakyUploads serves POST /v1/upload/batch: the first fail requests get
 // status, the rest succeed with 204. headers are added to every failure.
 func flakyUploads(t *testing.T, fail int, status int, headers map[string]string) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
@@ -316,19 +316,6 @@ func TestStaleServeDuringOutage(t *testing.T) {
 	if got := reg.Counter("waldo_client_stale_served_total", "").Value(); got == 0 {
 		t.Error("stale-serve not counted")
 	}
-	// Opting out surfaces the error instead.
-	strict, err := NewWithConfig(w.ts.URL, Config{
-		HTTPClient:        &http.Client{Transport: &faultinject.Transport{Plan: faultinject.Schedule{DropP: 1}}},
-		Retry:             RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
-		Breaker:           BreakerPolicy{Threshold: -1},
-		DisableStaleServe: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := strict.Refresh(context.Background(), 47, sensor.KindRTLSDR); err == nil {
-		t.Error("DisableStaleServe must surface the outage")
-	}
 }
 
 // TestConcurrentRefreshUploadUnderFaults hammers one client from many
@@ -367,8 +354,7 @@ func TestConcurrentRefreshUploadUnderFaults(t *testing.T) {
 				if (g+i)%2 == 0 {
 					c.Refresh(ctx, 47, sensor.KindRTLSDR) // errors expected under faults
 				} else {
-					batch := UploadFromDecision(readings, core.Decision{CISpanDB: 0.3})
-					c.Upload(ctx, batch)
+					c.Upload(ctx, core.UploadBatch{CISpanDB: 0.3, Readings: readings})
 				}
 			}
 		}(g)

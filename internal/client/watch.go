@@ -44,7 +44,7 @@ func (c *Client) WatchModel(ctx context.Context, ch rfenv.Channel, kind sensor.K
 				c.mu.Unlock()
 				since, _ := strconv.Atoi(held.version) // nothing cached: 0
 				url := fmt.Sprintf("%s/v1/model/watch?channel=%d&sensor=%d&version=%d%s",
-					c.base(), int(ch), int(kind), since, c.hintQuery())
+					c.baseURL, int(ch), int(kind), since, c.hintQuery())
 				req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
 				if err == nil && held.etag != "" {
 					req.Header.Set("If-None-Match", held.etag)

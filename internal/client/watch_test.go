@@ -6,10 +6,14 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/wsdetect/waldo/internal/core"
+	"github.com/wsdetect/waldo/internal/dataset"
+	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/telemetry"
@@ -247,4 +251,112 @@ func TestWatchUnderFaults(t *testing.T) {
 			}
 		}
 	})
+}
+
+func TestWatchModelDelivers(t *testing.T) {
+	w := newTestWorld(t, []rfenv.Channel{47})
+	reg := telemetry.New()
+	w.client.SetMetrics(reg)
+
+	// First watch with an empty cache returns the current model at once.
+	m, n, err := w.client.WatchModel(context.Background(), 47, sensor.KindRTLSDR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m == nil || n == 0 {
+		t.Fatalf("watch returned model=%v bytes=%d", m, n)
+	}
+	if v := w.client.CachedModelVersion(47, sensor.KindRTLSDR); v != "1" {
+		t.Fatalf("cached version = %q, want 1", v)
+	}
+
+	// A second watch parks; a server-side retrain pushes version 2.
+	type result struct {
+		m   *core.Model
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		m, _, err := w.client.WatchModel(context.Background(), 47, sensor.KindRTLSDR)
+		got <- result{m, err}
+	}()
+	time.Sleep(50 * time.Millisecond) // let the watch park
+	if err := w.client.Upload(context.Background(), core.UploadBatch{CISpanDB: 0.5,
+		Readings: w.camp.Readings(47, sensor.KindRTLSDR)[:16]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.client.RequestRetrain(context.Background(), 47, sensor.KindRTLSDR); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-got:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if v := w.client.CachedModelVersion(47, sensor.KindRTLSDR); v != "2" {
+			t.Errorf("cached version after push = %q, want 2", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("watch never returned after retrain")
+	}
+	if got := reg.Counter("waldo_client_watch_total", "", "outcome", "delivered").Value(); got != 2 {
+		t.Errorf("watch delivered = %d, want 2", got)
+	}
+}
+
+// TestWatchModelRearms proves a server horizon expiry (304) re-arms the
+// same WatchModelCtx call instead of erroring out.
+func TestWatchModelRearms(t *testing.T) {
+	env := newTestWorld(t, []rfenv.Channel{47})
+	srv := dbserverWithWatchTimeout(t, env, 20*time.Millisecond)
+	c, err := New(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	c.SetMetrics(reg)
+	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.WatchModel(ctx, 47, sensor.KindRTLSDR)
+		done <- err
+	}()
+	// Let at least two horizons expire, then cancel.
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter("waldo_client_watch_total", "", "outcome", "rearm").Value() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("watch never re-armed through a 304")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("canceled watch returned nil error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("canceled watch never returned")
+	}
+}
+
+// dbserverWithWatchTimeout spins a second server over the same campaign
+// with a short watch horizon.
+func dbserverWithWatchTimeout(t *testing.T, w *testWorld, horizon time.Duration) *httptest.Server {
+	t.Helper()
+	srv := dbserver.New(dbserver.Config{
+		Constructor:  core.ConstructorConfig{Classifier: core.KindNB},
+		WatchTimeout: horizon,
+	})
+	var rs []dataset.Reading
+	rs = append(rs, w.camp.Readings(47, sensor.KindRTLSDR)...)
+	if err := srv.Bootstrap(rs); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts
 }

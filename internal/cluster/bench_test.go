@@ -312,7 +312,7 @@ func TestGatewayUploadAllocBudget(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	gw, stub := stubGateway(t, 0)
-	frame := frameOf(t, synthAt(legFrameReadings, 47, 1, cellCenter(rfenv.MetroCenter, DefaultCellDeg)))
+	frame := frameOf(t, synthAt(legFrameReadings, 47, 1, cellCenter(rfenv.MetroCenter)))
 	upload := func(h http.Handler) func() {
 		return func() {
 			req := httptest.NewRequest(http.MethodPost, batchFramePath, bytes.NewReader(frame))

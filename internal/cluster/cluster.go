@@ -45,7 +45,7 @@ import (
 	"github.com/wsdetect/waldo/internal/rfenv"
 )
 
-// DefaultCellDeg is the default geo-cell quantum: 0.05° is ~5.5 km of
+// DefaultCellDeg is the geo-cell quantum, the only one: 0.05° is ~5.5 km of
 // latitude, a few cells across the paper's 700 km² metro — coarse enough
 // that one wardriving neighborhood stays on one shard, fine enough that a
 // metro spreads across the ring. It is the same quantum the availability
@@ -123,15 +123,17 @@ func vnodeHash(seed uint64, node string, vnode int) uint64 {
 }
 
 // ConfigVersion renders a stable fingerprint of a cluster's routing
-// configuration — placement rule, seed, vnode count, cell quantum, and
-// the member list with its node URLs. Gateways stamp it on every proxied
-// response as X-Waldo-Cluster-Version, and clients cache it next to
-// model descriptors, so a fleet can detect that it is talking to a
-// re-ringed cluster (and drop caches placed under the old topology).
-func ConfigVersion(seed uint64, vnodes int, cellDeg float64, shards []ShardSpec) string {
+// configuration — placement rule, seed, vnode count, cell quantum
+// (DefaultCellDeg), and the member list with its node URLs. Gateways
+// stamp it on every proxied response as X-Waldo-Cluster-Version, and
+// clients cache it next to model descriptors, so a fleet can detect that
+// it is talking to a re-ringed cluster (and drop caches placed under the
+// old topology). The quantum stays in the hash so a cluster keeps the
+// fingerprint its clients already cache (TestConfigVersionPinned).
+func ConfigVersion(seed uint64, vnodes int, shards []ShardSpec) string {
 	h := mix(seed ^ uint64(vnodes))
 	h = mix(h ^ hashString(placementRule))
-	h = mix(h ^ math.Float64bits(cellDeg))
+	h = mix(h ^ math.Float64bits(DefaultCellDeg))
 	ids := make([]string, 0, len(shards))
 	byID := make(map[string]ShardSpec, len(shards))
 	for _, s := range shards {

@@ -53,11 +53,6 @@ type GatewayConfig struct {
 	// the same RingConfig or they will disagree about ownership.
 	Ring RingConfig
 
-	// CellDeg is the geo-cell quantum for routing; 0 means DefaultCellDeg,
-	// the only value shards grid at (any other: routing-only test runs,
-	// whose place queries answer 502: the shards' grids are refused).
-	CellDeg float64
-
 	// HTTPClient carries gateway→shard traffic. nil means the gateway's
 	// own keep-alive leg transport (legtransport.go), closed by Close.
 	// An injected client's Transport (nil: http.DefaultTransport) is
@@ -175,9 +170,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("cluster: gateway needs at least one shard")
 	}
-	if cfg.CellDeg <= 0 {
-		cfg.CellDeg = DefaultCellDeg
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 8 << 20
 	}
@@ -249,7 +241,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		cfg:      cfg,
 		ring:     ring,
 		shards:   shards,
-		version:  ConfigVersion(cfg.Ring.Seed, ring.VNodes(), cfg.CellDeg, cfg.Shards),
+		version:  ConfigVersion(cfg.Ring.Seed, ring.VNodes(), cfg.Shards),
 		rt:       rt,
 		legs:     legs,
 		metrics:  cfg.Metrics,
@@ -268,7 +260,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	g.follows, g.endFollows = context.WithCancel(context.Background())
 	g.models = dbserver.NewModels(cfg.Metrics, g.life.Done())
 	decodeGrid := func(_ http.Header, data []byte) (*geoindex.Snapshot, error) {
-		return geoindex.DecodeGrid(data, cfg.CellDeg)
+		return geoindex.DecodeGrid(data)
 	}
 	for _, sh := range shards {
 		sh.grid = newReplica(sh, "grid", gridPath, decodeGrid, newReplicaSyncs(cfg.Metrics, sh.spec.ID, "grid"))
@@ -380,7 +372,7 @@ func (g *Gateway) routeKey(q map[string][]string) (RouteKey, error) {
 		if errLat != nil || errLon != nil {
 			return RouteKey{}, fmt.Errorf("bad lat/lon hint: %q,%q", latS, lonS)
 		}
-		key.Cell = CellOf(geo.Point{Lat: lat, Lon: lon}, g.cfg.CellDeg)
+		key.Cell = CellOf(geo.Point{Lat: lat, Lon: lon}, DefaultCellDeg)
 	}
 	return key, nil
 }
@@ -794,7 +786,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		ClusterVersion: g.version,
 		RingNodes:      len(ids),
 		RingVNodes:     g.ring.VNodes(),
-		CellDeg:        g.cfg.CellDeg,
+		CellDeg:        DefaultCellDeg,
 	}
 	for _, id := range ids {
 		sh := g.shards[id]

@@ -32,11 +32,10 @@ func synthAt(n int, ch rfenv.Channel, seed int64, loc geo.Point) []dataset.Readi
 // testCluster is a 3-shard single-node-per-shard topology behind one
 // gateway, each piece on its own httptest server.
 type testCluster struct {
-	gw      *Gateway
-	gwTS    *httptest.Server
-	nodes   map[string]*Node
-	nodeTS  map[string]*httptest.Server
-	cellDeg float64
+	gw     *Gateway
+	gwTS   *httptest.Server
+	nodes  map[string]*Node
+	nodeTS map[string]*httptest.Server
 }
 
 // legs sums waldo_cluster_requests_total over the gateway's shards: one
@@ -58,9 +57,8 @@ func newTestCluster(t testing.TB, shardIDs []string) *testCluster {
 func wrappedCluster(t testing.TB, shardIDs []string, wrap func(http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	tc := &testCluster{
-		nodes:   map[string]*Node{},
-		nodeTS:  map[string]*httptest.Server{},
-		cellDeg: DefaultCellDeg,
+		nodes:  map[string]*Node{},
+		nodeTS: map[string]*httptest.Server{},
 	}
 	var specs []ShardSpec
 	for _, id := range shardIDs {
@@ -89,11 +87,11 @@ func wrappedCluster(t testing.TB, shardIDs []string, wrap func(http.Handler) htt
 // cellCenter snaps a location to the center of its routing cell, so a
 // batch synthesized within ~400 m of it can never straddle a cell
 // boundary.
-func cellCenter(p geo.Point, cellDeg float64) geo.Point {
-	c := CellOf(p, cellDeg)
+func cellCenter(p geo.Point) geo.Point {
+	c := CellOf(p, DefaultCellDeg)
 	return geo.Point{
-		Lat: (float64(c.X) + 0.5) * cellDeg,
-		Lon: (float64(c.Y) + 0.5) * cellDeg,
+		Lat: (float64(c.X) + 0.5) * DefaultCellDeg,
+		Lon: (float64(c.Y) + 0.5) * DefaultCellDeg,
 	}
 }
 
@@ -104,8 +102,8 @@ func (tc *testCluster) locations(t testing.TB, ch rfenv.Channel) map[string]geo.
 	t.Helper()
 	out := map[string]geo.Point{}
 	for i := 0; i < 200 && len(out) < len(tc.nodes); i++ {
-		loc := cellCenter(rfenv.MetroCenter.Offset(90, float64(i)*6000), tc.cellDeg)
-		owner := tc.gw.Ring().Owner(RouteKey{Channel: ch, Cell: CellOf(loc, tc.cellDeg)})
+		loc := cellCenter(rfenv.MetroCenter.Offset(90, float64(i)*6000))
+		owner := tc.gw.Ring().Owner(RouteKey{Channel: ch, Cell: CellOf(loc, DefaultCellDeg)})
 		if _, seen := out[owner]; !seen {
 			out[owner] = loc
 		}
@@ -427,15 +425,25 @@ func TestNewGatewayRefusesUndialableURLs(t *testing.T) {
 func TestConfigVersionStability(t *testing.T) {
 	a := []ShardSpec{{ID: "s0", URLs: []string{"http://a"}}, {ID: "s1", URLs: []string{"http://b"}}}
 	b := []ShardSpec{a[1], a[0]}
-	if ConfigVersion(1, 128, 0.05, a) != ConfigVersion(1, 128, 0.05, b) {
+	if ConfigVersion(1, 128, a) != ConfigVersion(1, 128, b) {
 		t.Error("fingerprint depends on shard order")
 	}
 	grown := append(append([]ShardSpec(nil), a...), ShardSpec{ID: "s2", URLs: []string{"http://c"}})
-	if ConfigVersion(1, 128, 0.05, a) == ConfigVersion(1, 128, 0.05, grown) {
+	if ConfigVersion(1, 128, a) == ConfigVersion(1, 128, grown) {
 		t.Error("fingerprint misses a membership change")
 	}
-	if ConfigVersion(1, 128, 0.05, a) == ConfigVersion(2, 128, 0.05, a) {
+	if ConfigVersion(1, 128, a) == ConfigVersion(2, 128, a) {
 		t.Error("fingerprint misses a seed change")
+	}
+}
+
+// TestConfigVersionPinned: one fixed spec's fingerprint is a literal, so
+// a refactor that moves it — which every client would take for a
+// re-ring — fails here.
+func TestConfigVersionPinned(t *testing.T) {
+	a := []ShardSpec{{ID: "s0", URLs: []string{"http://a"}}, {ID: "s1", URLs: []string{"http://b"}}}
+	if got, want := ConfigVersion(1, 128, a), "ea276de01923409e"; got != want {
+		t.Errorf("fingerprint %s, want %s", got, want)
 	}
 }
 
@@ -445,7 +453,7 @@ func TestConfigVersionStability(t *testing.T) {
 func TestConfigVersionNamesThePlacementRule(t *testing.T) {
 	a := []ShardSpec{{ID: "s0", URLs: []string{"http://a"}}, {ID: "s1", URLs: []string{"http://b"}}}
 	const channelCellPlaced = "87c5dd123019f846"
-	if got := ConfigVersion(1, 128, 0.05, a); got == channelCellPlaced {
+	if got := ConfigVersion(1, 128, a); got == channelCellPlaced {
 		t.Errorf("fingerprint %s is the (channel, cell) placement's", got)
 	}
 }

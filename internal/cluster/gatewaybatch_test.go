@@ -75,7 +75,7 @@ func TestGatewayBatchForwardByteIdentical(t *testing.T) {
 	ts := httptest.NewServer(gw.Handler())
 	defer ts.Close()
 
-	frame := frameOf(t, synthAt(40, 47, 3, cellCenter(rfenv.MetroCenter, DefaultCellDeg)))
+	frame := frameOf(t, synthAt(40, 47, 3, cellCenter(rfenv.MetroCenter)))
 	resp := postFrame(t, ts.URL, frame, 1.5)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
@@ -154,7 +154,7 @@ func TestGatewayBatchRejectsBadFrames(t *testing.T) {
 	ts := httptest.NewServer(gw.Handler())
 	defer ts.Close()
 
-	good := frameOf(t, synthAt(8, 47, 5, cellCenter(rfenv.MetroCenter, DefaultCellDeg)))
+	good := frameOf(t, synthAt(8, 47, 5, cellCenter(rfenv.MetroCenter)))
 	corrupt := append([]byte(nil), good...)
 	corrupt[9] ^= 0x40
 	cases := map[string][]byte{

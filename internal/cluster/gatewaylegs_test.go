@@ -145,7 +145,7 @@ func stubGateway(t testing.TB, maxBody int64) (*Gateway, *stubShard) {
 // still goes through whole, a declared length over the cap is 413, a
 // body shorter than its declared length is 400.
 func TestUploadBodyEdges(t *testing.T) {
-	loc := cellCenter(rfenv.MetroCenter, DefaultCellDeg)
+	loc := cellCenter(rfenv.MetroCenter)
 	small, big := frameOf(t, synthAt(8, 47, 1, loc)), frameOf(t, synthAt(64, 47, 1, loc))
 	gw, stub := stubGateway(t, 4096) // between the two frames
 	for _, tt := range []struct {

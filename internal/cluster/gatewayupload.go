@@ -127,7 +127,7 @@ func (g *Gateway) routeFrame(w http.ResponseWriter, r *http.Request, frame []byt
 	keyOf := func(rec []byte) legKey {
 		lat := math.Float64frombits(binary.LittleEndian.Uint64(rec[recLatOff:]))
 		lon := math.Float64frombits(binary.LittleEndian.Uint64(rec[recLonOff:]))
-		if cell := CellOf(geo.Point{Lat: lat, Lon: lon}, g.cfg.CellDeg); lastOwner == "" || cell != lastCell {
+		if cell := CellOf(geo.Point{Lat: lat, Lon: lon}, DefaultCellDeg); lastOwner == "" || cell != lastCell {
 			lastCell, lastOwner = cell, g.ring.Owner(RouteKey{Cell: cell})
 		}
 		return legKey{shard: lastOwner, channel: binary.LittleEndian.Uint16(rec[recChannelOff:]), sensor: rec[recSensorOff]}

@@ -101,12 +101,12 @@ func (r *replica[T]) set(c *held[T]) {
 
 func (g *Gateway) handleAvailability(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(ClusterVersionHeader, g.version)
-	g.places.Availability(w, r, g.cfg.CellDeg, g.ownersGrid(w.Header()))
+	g.places.Availability(w, r, g.ownersGrid(w.Header()))
 }
 
 func (g *Gateway) handleRoute(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(ClusterVersionHeader, g.version)
-	g.places.Route(w, r, g.cfg.CellDeg, g.ownersGrid(w.Header()))
+	g.places.Route(w, r, g.ownersGrid(w.Header()))
 }
 
 // ownersGrid is one place query's view: each cell from its owner's

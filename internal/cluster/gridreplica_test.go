@@ -87,8 +87,8 @@ func (tc *testCluster) westLocations(t testing.TB, ch rfenv.Channel) map[string]
 	t.Helper()
 	out := map[string]geo.Point{}
 	for i := 1; i < 400 && len(out) < len(tc.nodes); i++ {
-		loc := cellCenter(rfenv.MetroCenter.Offset(270, float64(i)*6000), tc.cellDeg)
-		owner := tc.gw.Ring().Owner(RouteKey{Channel: ch, Cell: CellOf(loc, tc.cellDeg)})
+		loc := cellCenter(rfenv.MetroCenter.Offset(270, float64(i)*6000))
+		owner := tc.gw.Ring().Owner(RouteKey{Channel: ch, Cell: CellOf(loc, DefaultCellDeg)})
 		if _, seen := out[owner]; !seen {
 			out[owner] = loc
 		}
@@ -160,7 +160,7 @@ func TestGatewayAvailability(t *testing.T) {
 	free, occupied := seedGeoCluster(t, tc, 47)
 
 	for id, loc := range free {
-		owner := tc.gw.Ring().Owner(RouteKey{Channel: 47, Cell: CellOf(loc, tc.cellDeg)})
+		owner := tc.gw.Ring().Owner(RouteKey{Channel: 47, Cell: CellOf(loc, DefaultCellDeg)})
 		if owner != id {
 			t.Fatalf("free cell of %s is owned by %s", id, owner)
 		}
@@ -273,7 +273,7 @@ func TestGatewayRouteMergeAcrossShards(t *testing.T) {
 		t.Errorf("verdict-bearing segments owned by %d shard(s), want >=2: %v", len(owners), owners)
 	}
 	for id, loc := range free {
-		cell := CellOf(loc, tc.cellDeg)
+		cell := CellOf(loc, DefaultCellDeg)
 		found := false
 		for _, seg := range route.Segments {
 			if seg.CellX != cell.X || seg.CellY != cell.Y {
@@ -330,7 +330,7 @@ func (tc *testCluster) ownersOf(t testing.TB, body []byte) []string {
 		pts[i] = geo.Point{Lat: p.Lat, Lon: p.Lon}
 	}
 	var ids []string
-	for _, seg := range geoindex.SampleRoute(pts, req.StepM, tc.cellDeg) {
+	for _, seg := range geoindex.SampleRoute(pts, req.StepM, DefaultCellDeg) {
 		if id := tc.gw.Ring().Owner(RouteKey{Cell: seg.Cell}); !slices.Contains(ids, id) {
 			ids = append(ids, id)
 		}
@@ -351,7 +351,7 @@ func (tc *testCluster) placeRoutes(t testing.TB, free map[string]geo.Point) (one
 	sort.Strings(ids)
 	loc := free[ids[0]]
 	oneOwner = routeBody(t, loc, loc.Offset(45, 1500))
-	d := tc.cellDeg
+	d := DefaultCellDeg
 	for _, id := range ids {
 		a := free[id]
 		for _, step := range [][2]float64{{d, 0}, {0, d}, {-d, 0}, {0, -d}} {
@@ -445,7 +445,7 @@ func fetch(t testing.TB, url string, body []byte) (int, []byte) {
 func TestGatewayPlaceAnswersMatchOwner(t *testing.T) {
 	tc := newTestCluster(t, []string{"s0", "s1", "s2"})
 	free, occupied := seedGeoCluster(t, tc, 47)
-	owner := func(p geo.Point) string { return tc.gw.Ring().Owner(RouteKey{Cell: CellOf(p, tc.cellDeg)}) }
+	owner := func(p geo.Point) string { return tc.gw.Ring().Owner(RouteKey{Cell: CellOf(p, DefaultCellDeg)}) }
 	var places []geo.Point
 	for id := range free {
 		places = append(places, free[id], occupied[id])
@@ -603,7 +603,7 @@ func kill(ts *httptest.Server) {
 // noticed at once.
 func TestGridFollowerKilledShard502(t *testing.T) {
 	n, ts := newTestNode(t, "s0", nil)
-	loc := cellCenter(rfenv.MetroCenter, DefaultCellDeg)
+	loc := cellCenter(rfenv.MetroCenter)
 	if err := n.DB.Bootstrap(fieldAt(400, 47, loc, -100)); err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +629,7 @@ func TestGridFollowerFailsOverToReplica(t *testing.T) {
 	replica, replicaTS := newTestNode(t, "s0r", nil)
 	primary, primaryTS := newTestNode(t, "s0", []string{replicaTS.URL})
 	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{primaryTS.URL, replicaTS.URL}})
-	loc := cellCenter(rfenv.MetroCenter, DefaultCellDeg)
+	loc := cellCenter(rfenv.MetroCenter)
 	q := fmt.Sprintf("/v1/availability?lat=%v&lon=%v", loc.Lat, loc.Lon)
 	via := func() *httptest.ResponseRecorder {
 		return serveGateway(context.Background(), gw, http.MethodGet, q, nil)
@@ -841,13 +841,14 @@ func TestGridStalenessBound(t *testing.T) {
 // longer serves.
 func TestGridRefusedDropsReplica(t *testing.T) {
 	good := geoindex.New(geoindex.Config{}).Rebuild(context.Background())
-	foreign := geoindex.New(geoindex.Config{CellDeg: 0.1}).Rebuild(context.Background())
+	foreign := *good
+	foreign.CellDeg = 0.1
 	shard := &scriptedShard{grids: true, script: func(poll int, req *http.Request) (*http.Response, error) {
 		switch poll {
 		case 1:
 			return gridReply(good, `"g1"`), nil
 		case 2:
-			return gridReply(foreign, `"g2"`), nil
+			return gridReply(&foreign, `"g2"`), nil
 		}
 		<-req.Context().Done() // in sync: parked until the gateway closes
 		return nil, req.Context().Err()

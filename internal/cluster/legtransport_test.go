@@ -125,7 +125,7 @@ func TestWatchedShardSeesSharedConn(t *testing.T) {
 // each shard's grid follower parked.
 func watchedCluster(t testing.TB, ids ...string) (*testCluster, map[string]*watchedShard) {
 	t.Helper()
-	tc := &testCluster{nodes: map[string]*Node{}, cellDeg: DefaultCellDeg}
+	tc := &testCluster{nodes: map[string]*Node{}}
 	shards := map[string]*watchedShard{}
 	var specs []ShardSpec
 	for _, id := range ids {
@@ -628,7 +628,7 @@ func TestMergeLegNotJSON(t *testing.T) {
 	// Walk north one cell at a time to a cell s-bad owns.
 	var badCell geo.Point
 	for i := 0; i < 200 && (badCell == geo.Point{}); i++ {
-		if a := cellCenter(geo.Point{Lat: 33.6 + float64(i)*DefaultCellDeg, Lon: -84.5}, DefaultCellDeg); owner(a) == "s-bad" {
+		if a := cellCenter(geo.Point{Lat: 33.6 + float64(i)*DefaultCellDeg, Lon: -84.5}); owner(a) == "s-bad" {
 			badCell = a
 		}
 	}

@@ -215,7 +215,7 @@ func TestRetrainThenFetchSeesNewModel(t *testing.T) {
 func scriptedModel(t testing.TB) (data []byte, etag string) {
 	t.Helper()
 	n, ts := newTestNode(t, "s0", nil)
-	if err := n.DB.Bootstrap(fieldAt(400, 47, cellCenter(rfenv.MetroCenter, DefaultCellDeg), -100)); err != nil {
+	if err := n.DB.Bootstrap(fieldAt(400, 47, cellCenter(rfenv.MetroCenter), -100)); err != nil {
 		t.Fatal(err)
 	}
 	a := ask(t, ts.URL+"/v1/model?channel=47&sensor=1", "")
@@ -323,7 +323,7 @@ func TestModelFollowerFailsOverToReplica(t *testing.T) {
 	replica, replicaTS := newTestNode(t, "s0r", nil)
 	primary, primaryTS := newTestNode(t, "s0", []string{replicaTS.URL})
 	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{primaryTS.URL, replicaTS.URL}})
-	loc := cellCenter(rfenv.MetroCenter, DefaultCellDeg)
+	loc := cellCenter(rfenv.MetroCenter)
 	if rec := serveGateway(context.Background(), gw, http.MethodPost, "/v1/readings", uploadBody(t, fieldAt(400, 47, loc, -100))); rec.Code != http.StatusNoContent {
 		t.Fatalf("upload = %d %s", rec.Code, rec.Body)
 	}

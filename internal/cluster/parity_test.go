@@ -46,9 +46,8 @@ func newParityStack(t testing.TB) *parityStack {
 	t.Helper()
 	ps := &parityStack{
 		testCluster: &testCluster{
-			nodes:   map[string]*Node{},
-			nodeTS:  map[string]*httptest.Server{},
-			cellDeg: DefaultCellDeg,
+			nodes:  map[string]*Node{},
+			nodeTS: map[string]*httptest.Server{},
 		},
 		dirs: map[string]string{},
 	}

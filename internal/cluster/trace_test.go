@@ -114,9 +114,8 @@ func spanNames(tr telemetry.TraceData) map[string]int {
 func TestTraceCrossesGatewayShardWAL(t *testing.T) {
 	dir := t.TempDir()
 	tc := &testCluster{
-		nodes:   map[string]*Node{},
-		nodeTS:  map[string]*httptest.Server{},
-		cellDeg: DefaultCellDeg,
+		nodes:  map[string]*Node{},
+		nodeTS: map[string]*httptest.Server{},
 	}
 	var specs []ShardSpec
 	for _, id := range []string{"s0", "s1", "s2"} {

@@ -233,10 +233,10 @@ func (p *Places) refuse(w http.ResponseWriter, msg string) {
 }
 
 // Availability serves GET /v1/availability?lat=..&lon=..: the verdicts
-// for the point's cell (cells of cellDeg degrees). A cell with no
-// evidence answers 200 with an empty channels array — "unknown" is a
-// valid availability answer, not an error.
-func (p *Places) Availability(w http.ResponseWriter, r *http.Request, cellDeg float64, view GridView) {
+// for the point's cell. A cell with no evidence answers 200 with an
+// empty channels array — "unknown" is a valid availability answer, not
+// an error.
+func (p *Places) Availability(w http.ResponseWriter, r *http.Request, view GridView) {
 	q := r.URL.Query()
 	lat, errLat := strconv.ParseFloat(q.Get("lat"), 64)
 	lon, errLon := strconv.ParseFloat(q.Get("lon"), 64)
@@ -264,7 +264,7 @@ func (p *Places) Availability(w http.ResponseWriter, r *http.Request, cellDeg fl
 		filter.kind = sensor.Kind(n)
 	}
 
-	cell := geoindex.CellOf(pt, cellDeg)
+	cell := geoindex.CellOf(pt, geoindex.DefaultCellDeg)
 	snap, err := view(cell)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
@@ -286,11 +286,10 @@ func (p *Places) Availability(w http.ResponseWriter, r *http.Request, cellDeg fl
 	json.NewEncoder(w).Encode(resp) //nolint:errcheck // client went away
 }
 
-// Route serves POST /v1/route: sample the polyline onto cells of cellDeg
-// degrees (geoindex.SampleRoute, deterministic) and answer each segment
-// from its cell's snapshot; the generation reported is the newest among
-// them.
-func (p *Places) Route(w http.ResponseWriter, r *http.Request, cellDeg float64, view GridView) {
+// Route serves POST /v1/route: sample the polyline onto cells
+// (geoindex.SampleRoute, deterministic) and answer each segment from its
+// cell's snapshot; the generation reported is the newest among them.
+func (p *Places) Route(w http.ResponseWriter, r *http.Request, view GridView) {
 	var req RouteRequestJSON
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.maxBody))
 	var tooBig *http.MaxBytesError
@@ -352,12 +351,12 @@ func (p *Places) Route(w http.ResponseWriter, r *http.Request, cellDeg float64, 
 	}
 
 	span := p.metrics.StartSpanCtx(r.Context(), "route/sample")
-	segs := geoindex.SampleRoute(points, stepM, cellDeg)
+	segs := geoindex.SampleRoute(points, stepM, geoindex.DefaultCellDeg)
 	span.End()
 
 	decay := geoindex.ConfidenceDecay(req.HorizonS, 0)
 	resp := RouteJSON{
-		CellDeg:         cellDeg,
+		CellDeg:         geoindex.DefaultCellDeg,
 		HorizonS:        req.HorizonS,
 		ConfidenceDecay: decay,
 		Segments:        make([]RouteSegmentJSON, 0, len(segs)),
@@ -401,10 +400,10 @@ func ownGrid(snap *geoindex.Snapshot) GridView {
 
 func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 	snap := s.geoidx.Snapshot()
-	s.places.Availability(w, r, snap.CellDeg, ownGrid(snap))
+	s.places.Availability(w, r, ownGrid(snap))
 }
 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	snap := s.geoidx.Snapshot()
-	s.places.Route(w, r, snap.CellDeg, ownGrid(snap))
+	s.places.Route(w, r, ownGrid(snap))
 }

@@ -277,7 +277,7 @@ func TestGridEndpoint(t *testing.T) {
 	if etag != named(first.body) {
 		t.Errorf("ETag %s does not name the bytes (%s)", etag, named(first.body))
 	}
-	if snap, err := geoindex.DecodeGrid(first.body, geoindex.DefaultCellDeg); err != nil || snap.Generation != s.GeoIndex().Snapshot().Generation {
+	if snap, err := geoindex.DecodeGrid(first.body); err != nil || snap.Generation != s.GeoIndex().Snapshot().Generation {
 		t.Fatalf("served grid: %v", err)
 	}
 	if got := check(pollGrid(ts.URL, etag), http.StatusNotModified); got != etag {

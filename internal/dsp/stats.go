@@ -34,23 +34,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MinMax returns the extrema of xs (NaNs for an empty slice).
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks. xs need not be sorted. Returns NaN
 // for empty input or p outside [0, 100].

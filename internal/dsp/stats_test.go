@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -128,7 +129,7 @@ func TestTrimOutliers(t *testing.T) {
 		xs[i] = float64(i)
 	}
 	trimmed := TrimOutliers(xs, 5, 95)
-	lo, hi := MinMax(trimmed)
+	lo, hi := slices.Min(trimmed), slices.Max(trimmed)
 	if lo < Percentile(xs, 5) || hi > Percentile(xs, 95) {
 		t.Errorf("trim bounds violated: [%v, %v]", lo, hi)
 	}

@@ -36,9 +36,6 @@ type ClusterConfig struct {
 	Shards int
 	// Channels carry the load; nil means {46, 47}.
 	Channels []rfenv.Channel
-	// CellDeg is the routing cell quantum; 0 means 0.02° (~2.2 km), so
-	// the batch locations spread over a handful of cells per shard.
-	CellDeg float64
 	// Cells is how many distinct geo-cells the load walks; 0 means 12.
 	Cells int
 	// Batches is the phase-A (pre-kill, quiesced) batch count; 0 means 24.
@@ -69,9 +66,6 @@ func (c *ClusterConfig) defaults() {
 	}
 	if len(c.Channels) == 0 {
 		c.Channels = []rfenv.Channel{46, 47}
-	}
-	if c.CellDeg == 0 {
-		c.CellDeg = 0.02
 	}
 	if c.Cells == 0 {
 		c.Cells = 12
@@ -240,9 +234,8 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 		specs = append(specs, cluster.ShardSpec{ID: id, URLs: []string{prim.ts.URL, rep.ts.URL}})
 	}
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
-		Shards:  specs,
-		Ring:    cluster.RingConfig{Seed: uint64(cfg.Seed)},
-		CellDeg: cfg.CellDeg,
+		Shards: specs,
+		Ring:   cluster.RingConfig{Seed: uint64(cfg.Seed)},
 	})
 	if err != nil {
 		return nil, err
@@ -254,28 +247,32 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 	defer gwTS.Close()
 
-	// --- Client: resolver-targeted at the gateway, chaos on its wire. ---
+	// --- Client: aimed at the gateway, chaos on its wire. ---
 	ccfg := cfg.Client
-	ccfg.Resolver = func() string { return gwTS.URL }
 	if cfg.ClientPlan != nil {
 		ccfg.HTTPClient = &http.Client{Transport: &faultinject.Transport{Plan: cfg.ClientPlan}}
 	}
-	cl, err := client.NewWithConfig("", ccfg)
+	cl, err := client.NewWithConfig(gwTS.URL, ccfg)
 	if err != nil {
 		return nil, err
 	}
 
-	// --- Load geometry: Cells cell centers east of the metro center,
-	// and each cell's ring owner (the gateway's routing is recomputed
-	// here from the same inputs, so the audit is independent of it). ---
+	// --- Load geometry: Cells adjacent routing cells in a row east
+	// from the metro center's, each load center at its cell's center so
+	// a batch's 300 m scatter stays in the cell, and each cell's ring
+	// owner (the gateway's routing is recomputed here from the same
+	// inputs, so the audit is independent of it). ---
 	cells := make([]geo.Point, cfg.Cells)
 	cellOwner := make([]string, cfg.Cells)
 	ownerCells := map[string][]int{}
+	origin := cluster.CellOf(rfenv.MetroCenter, cluster.DefaultCellDeg)
 	for i := range cells {
-		cells[i] = rfenv.MetroCenter.Offset(90, 400+float64(i)*2500)
-		// Owner is channel-dependent; use the first channel for victim
-		// selection geometry (audits track per-batch owners exactly).
-		k := cluster.RouteKey{Channel: cfg.Channels[0], Cell: cluster.CellOf(cells[i], cfg.CellDeg)}
+		cell := cluster.Cell{X: origin.X, Y: origin.Y + int32(i)}
+		cells[i] = geo.Point{
+			Lat: (float64(cell.X) + 0.5) * cluster.DefaultCellDeg,
+			Lon: (float64(cell.Y) + 0.5) * cluster.DefaultCellDeg,
+		}
+		k := cluster.RouteKey{Channel: cfg.Channels[0], Cell: cell}
 		cellOwner[i] = gw.Ring().Owner(k)
 		ownerCells[cellOwner[i]] = append(ownerCells[cellOwner[i]], i)
 	}
@@ -303,7 +300,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	auditBatch := func(batch core.UploadBatch) *clusterBatch {
 		cb := &clusterBatch{seqsByOwner: map[string][]int{}, total: len(batch.Readings)}
 		for _, r := range batch.Readings {
-			k := cluster.RouteKey{Channel: r.Channel, Cell: cluster.CellOf(r.Loc, cfg.CellDeg)}
+			k := cluster.RouteKey{Channel: r.Channel, Cell: cluster.CellOf(r.Loc, cluster.DefaultCellDeg)}
 			owner := gw.Ring().Owner(k)
 			cb.seqsByOwner[owner] = append(cb.seqsByOwner[owner], r.Seq)
 		}
@@ -365,8 +362,8 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	res.Victim = victim
 	for id := range primaries {
 		for _, ch := range cfg.Channels {
-			p, pOK := fetchModel(primaries[id].ts.URL, ch)
-			r, rOK := fetchModel(replicas[id].ts.URL, ch)
+			p, pOK := fetchModel(primaries[id].ts.URL, ch, "")
+			r, rOK := fetchModel(replicas[id].ts.URL, ch, "")
 			if pOK != rOK || !bytes.Equal(p, r) {
 				res.ModelMismatches++
 			}
@@ -404,12 +401,15 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 		}
 		fold(ackedC, auditBatch(batch))
 	}
-	// A model read for the victim's key must also survive via failover.
+	// A model read for the victim's key must also survive via failover;
+	// the gateway places it by the location hint of a victim cell.
+	at := cells[vcells[0]]
+	hint := fmt.Sprintf("&lat=%v&lon=%v", at.Lat, at.Lon)
 	for _, ch := range cfg.Channels {
 		if _, ok := victimModels[ch]; !ok {
 			continue
 		}
-		got, ok := fetchModel(gwTS.URL, ch)
+		got, ok := fetchModel(gwTS.URL, ch, hint)
 		if !ok || !bytes.Equal(got, victimModels[ch]) {
 			res.ModelMismatches++
 		}
@@ -454,7 +454,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 	res.LostAfterRestart = countMissing(havePrimary, ackedA[victim], ackedB[victim])
 	for ch, want := range victimModels {
-		got, ok := fetchModel(restarted.ts.URL, ch)
+		got, ok := fetchModel(restarted.ts.URL, ch, "")
 		if !ok || !bytes.Equal(got, want) {
 			res.RestartModelMismatches++
 		}
@@ -480,9 +480,10 @@ func pickVictim(ownerCells map[string][]int, ackedA map[string][]int) string {
 }
 
 // fetchModel downloads one encoded descriptor directly from a node (or
-// the gateway); ok is false when the node has no model for the channel.
-func fetchModel(baseURL string, ch rfenv.Channel) ([]byte, bool) {
-	resp, err := http.Get(fmt.Sprintf("%s/v1/model?channel=%d&sensor=%d", baseURL, int(ch), int(sensor.KindRTLSDR)))
+// the gateway, which routes by the lat/lon in hint); ok is false when the
+// node has no model for the channel.
+func fetchModel(baseURL string, ch rfenv.Channel, hint string) ([]byte, bool) {
+	resp, err := http.Get(fmt.Sprintf("%s/v1/model?channel=%d&sensor=%d%s", baseURL, int(ch), int(sensor.KindRTLSDR), hint))
 	if err != nil {
 		return nil, false
 	}

@@ -44,13 +44,3 @@ func (b BBox) Expand(marginM float64) BBox {
 	ne = ne.Offset(0, marginM).Offset(90, marginM)
 	return BBox{MinLat: sw.Lat, MinLon: sw.Lon, MaxLat: ne.Lat, MaxLon: ne.Lon}
 }
-
-// Union returns the smallest box containing both b and o.
-func (b BBox) Union(o BBox) BBox {
-	return BBox{
-		MinLat: min(b.MinLat, o.MinLat),
-		MinLon: min(b.MinLon, o.MinLon),
-		MaxLat: max(b.MaxLat, o.MaxLat),
-		MaxLon: max(b.MaxLon, o.MaxLon),
-	}
-}

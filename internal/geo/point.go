@@ -84,8 +84,3 @@ func (p Point) Offset(bearingDeg, distM float64) Point {
 	lon2 = math.Mod(lon2+3*math.Pi, 2*math.Pi) - math.Pi
 	return Point{Lat: lat2 / degToRad, Lon: lon2 / degToRad}
 }
-
-// Midpoint returns the great-circle midpoint between p and q.
-func (p Point) Midpoint(q Point) Point {
-	return p.Offset(p.BearingDeg(q), p.DistanceM(q)/2)
-}

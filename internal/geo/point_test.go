@@ -94,16 +94,6 @@ func TestOffsetBearing(t *testing.T) {
 	}
 }
 
-func TestMidpoint(t *testing.T) {
-	q := atlanta.Offset(45, 20000)
-	m := atlanta.Midpoint(q)
-	d1 := atlanta.DistanceM(m)
-	d2 := m.DistanceM(q)
-	if math.Abs(d1-d2) > 1 {
-		t.Errorf("midpoint not equidistant: %v vs %v", d1, d2)
-	}
-}
-
 func TestPointValid(t *testing.T) {
 	tests := []struct {
 		p    Point

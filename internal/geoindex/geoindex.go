@@ -34,10 +34,11 @@ import (
 	"github.com/wsdetect/waldo/internal/wlog"
 )
 
-// DefaultCellDeg is the default geo-cell quantum, shared with the
-// cluster routing tier (cluster.CellOf delegates here): 0.05° is
-// ~5.5 km of latitude — coarse enough that one wardriving neighborhood
-// is one cell, fine enough that a metro spans many.
+// DefaultCellDeg is the geo-cell quantum, the only one: every grid is
+// built at it and the cluster routing tier places by it (cluster.CellOf
+// delegates here). 0.05° is ~5.5 km of latitude — coarse enough that
+// one wardriving neighborhood is one cell, fine enough that a metro
+// spans many.
 const DefaultCellDeg = 0.05
 
 // DefaultMaxRecent is the default per-store recency window: how many of
@@ -190,10 +191,6 @@ type StoreSnapshot struct {
 
 // Config assembles an [Index].
 type Config struct {
-	// CellDeg is the grid quantum; 0 means DefaultCellDeg. It must
-	// match the cluster's routing quantum, so a cell's verdicts live on
-	// its owner; a gateway refuses a grid at any other quantum.
-	CellDeg float64
 	// Source supplies the per-store inputs for a rebuild. It is called
 	// outside any lock the caller holds during [Index.Schedule], so it
 	// may itself take store locks.
@@ -242,9 +239,6 @@ type Index struct {
 // New builds an index serving the empty generation-0 snapshot; call
 // [Index.Rebuild] or [Index.Schedule] to populate it.
 func New(cfg Config) *Index {
-	if cfg.CellDeg <= 0 {
-		cfg.CellDeg = DefaultCellDeg
-	}
 	x := &Index{
 		cfg: cfg,
 		lg:  cfg.Log.Named("geoindex"),
@@ -261,7 +255,7 @@ func New(cfg Config) *Index {
 		generation: cfg.Metrics.Gauge("waldo_geoindex_generation",
 			"Generation of the snapshot currently serving."),
 	}
-	x.cur.Store(&Snapshot{CellDeg: cfg.CellDeg, cells: map[Cell][]ChannelAvailability{}})
+	x.cur.Store(&Snapshot{CellDeg: DefaultCellDeg, cells: map[Cell][]ChannelAvailability{}})
 	x.published = make(chan struct{})
 	return x
 }
@@ -279,9 +273,6 @@ func (x *Index) Published() <-chan struct{} {
 	defer x.pubMu.Unlock()
 	return x.published
 }
-
-// CellDeg reports the grid quantum the index was configured with.
-func (x *Index) CellDeg() float64 { return x.cfg.CellDeg }
 
 // Schedule triggers an asynchronous rebuild. It is the retrain hook:
 // callers invoke it from journal callbacks that run under store locks,
@@ -396,7 +387,7 @@ type tally struct {
 // with its own current model and fold the Safe/NotSafe votes per cell.
 func (x *Index) build() *Snapshot {
 	snap := &Snapshot{
-		CellDeg:    x.cfg.CellDeg,
+		CellDeg:    DefaultCellDeg,
 		Generation: x.gen.Add(1),
 		cells:      make(map[Cell][]ChannelAvailability),
 	}
@@ -415,7 +406,7 @@ func (x *Index) build() *Snapshot {
 			if err != nil {
 				continue
 			}
-			cell := CellOf(st.Recent[i].Loc, x.cfg.CellDeg)
+			cell := CellOf(st.Recent[i].Loc, DefaultCellDeg)
 			byKey := votes[cell]
 			if byKey == nil {
 				byKey = make(map[entryKey]*tally)

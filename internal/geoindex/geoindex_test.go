@@ -226,9 +226,9 @@ func TestQueriesServeWhileRebuildInFlight(t *testing.T) {
 			t.Errorf("serving generation %d during the rebuild, want the previous one (%d)",
 				snap.Generation, prev.Generation)
 		}
-		verdicts := len(snap.Lookup(CellOf(st.Recent[0].Loc, x.CellDeg())))
+		verdicts := len(snap.Lookup(CellOf(st.Recent[0].Loc, DefaultCellDeg)))
 		route := []geo.Point{rfenv.MetroCenter.Offset(270, 8000), rfenv.MetroCenter.Offset(90, 8000)}
-		for _, seg := range SampleRoute(route, 500, x.CellDeg()) {
+		for _, seg := range SampleRoute(route, 500, DefaultCellDeg) {
 			verdicts += len(snap.Lookup(seg.Cell))
 		}
 		queried <- verdicts

@@ -48,17 +48,17 @@ func EncodeGrid(s *Snapshot) []byte {
 }
 
 // DecodeGrid parses the grid wire format into a snapshot, refusing
-// anything EncodeGrid would not have written for a grid quantized at
-// cellDeg: another quantum, a channel outside the TV band, an unknown
+// anything EncodeGrid would not have written: a quantum other than
+// DefaultCellDeg, a channel outside the TV band, an unknown
 // sensor or status, a confidence outside [0, 1], an empty cell, a cell
 // or (channel, sensor) repeated or out of order, any other spelling.
-func DecodeGrid(b []byte, cellDeg float64) (*Snapshot, error) {
+func DecodeGrid(b []byte) (*Snapshot, error) {
 	var w gridWire
 	if err := json.Unmarshal(b, &w); err != nil {
 		return nil, fmt.Errorf("geoindex: grid: %w", err)
 	}
-	if w.CellDeg != cellDeg {
-		return nil, fmt.Errorf("geoindex: grid quantized at %v°, want %v°", w.CellDeg, cellDeg)
+	if w.CellDeg != DefaultCellDeg {
+		return nil, fmt.Errorf("geoindex: grid quantized at %v°, want %v°", w.CellDeg, DefaultCellDeg)
 	}
 	s := &Snapshot{CellDeg: w.CellDeg, Generation: w.Generation, Stores: w.Stores,
 		cells: make(map[Cell][]ChannelAvailability, len(w.Cells))}

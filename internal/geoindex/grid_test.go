@@ -39,7 +39,7 @@ func TestGridRoundTrip(t *testing.T) {
 	}
 	for name, snap := range map[string]*Snapshot{"built": built, "sample": sampleGrid(), "empty": New(Config{}).Snapshot()} {
 		b := EncodeGrid(snap)
-		got, err := DecodeGrid(b, DefaultCellDeg)
+		got, err := DecodeGrid(b)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -82,12 +82,12 @@ func TestDecodeGridRefuses(t *testing.T) {
 		"unknown field":         {`"Stores":3`, `"Stores":3,"Shard":"s0"`, "not canonical"},
 		"trailing bytes":        {sample, sample + " {}", "invalid character"},
 	} {
-		if _, err := DecodeGrid([]byte(strings.Replace(sample, tt.old, tt.new, 1)), DefaultCellDeg); err == nil || !strings.Contains(err.Error(), tt.want) {
+		if _, err := DecodeGrid([]byte(strings.Replace(sample, tt.old, tt.new, 1))); err == nil || !strings.Contains(err.Error(), tt.want) {
 			t.Errorf("%s: err = %v, want one naming %q", name, err, tt.want)
 		}
 	}
 	for n := range len(sample) {
-		if _, err := DecodeGrid([]byte(sample[:n]), DefaultCellDeg); err == nil {
+		if _, err := DecodeGrid([]byte(sample[:n])); err == nil {
 			t.Errorf("a grid cut to %d of %d bytes decoded", n, len(sample))
 		}
 	}
@@ -101,7 +101,7 @@ func FuzzDecodeGrid(f *testing.F) {
 	f.Add(EncodeGrid(sampleGrid()))
 	f.Add(EncodeGrid(New(Config{}).Snapshot()))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := DecodeGrid(b, DefaultCellDeg)
+		s, err := DecodeGrid(b)
 		if err != nil {
 			return
 		}

@@ -36,15 +36,5 @@ func (c Channel) CenterFreqMHz() (float64, error) {
 	return 470 + float64(c-14)*6 + 3, nil
 }
 
-// PilotFreqMHz returns the ATSC pilot carrier frequency, 0.31 MHz above the
-// channel's lower edge.
-func (c Channel) PilotFreqMHz() (float64, error) {
-	center, err := c.CenterFreqMHz()
-	if err != nil {
-		return 0, err
-	}
-	return center - 3 + 0.31, nil
-}
-
 // String implements fmt.Stringer.
 func (c Channel) String() string { return fmt.Sprintf("ch%d", int(c)) }

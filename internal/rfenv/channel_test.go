@@ -25,13 +25,6 @@ func TestChannelFrequencies(t *testing.T) {
 		if got != tt.wantCenter {
 			t.Errorf("%v center = %v, want %v", tt.ch, got, tt.wantCenter)
 		}
-		pilot, err := tt.ch.PilotFreqMHz()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := tt.wantCenter - 3 + 0.31; math.Abs(pilot-want) > 1e-9 {
-			t.Errorf("%v pilot = %v, want %v", tt.ch, pilot, want)
-		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,10 +24,20 @@ import (
 // alert threshold) in the same change.
 func TestOperationsDocCoversEveryMetric(t *testing.T) {
 	doc := readFile(t, "OPERATIONS.md")
+	for name, files := range registeredMetrics(t) {
+		if !bytes.Contains(doc, []byte(name)) {
+			t.Errorf("metric %s (registered in %s) is not documented in OPERATIONS.md", name, files[0])
+		}
+	}
+}
+
+// registeredMetrics maps every quoted waldo_* metric name in non-test
+// source to the files that name it. bench/ only reads series off the
+// processes it measures; it registers none.
+func registeredMetrics(t *testing.T) map[string][]string {
+	t.Helper()
 	metricRE := regexp.MustCompile(`"(waldo_[a-z0-9_]+)"`)
 	seen := map[string][]string{}
-	// bench/ only reads series off the processes it measures; it
-	// registers none.
 	walkTree(t, func(path string) {
 		if strings.HasPrefix(path, "bench/") || !isNonTestGo(path) {
 			return
@@ -39,12 +50,7 @@ func TestOperationsDocCoversEveryMetric(t *testing.T) {
 	if len(seen) < 20 {
 		t.Fatalf("found only %d waldo_* metric names in source; the scan is broken", len(seen))
 	}
-
-	for name, files := range seen {
-		if !bytes.Contains(doc, []byte(name)) {
-			t.Errorf("metric %s (registered in %s) is not documented in OPERATIONS.md", name, files[0])
-		}
-	}
+	return seen
 }
 
 // TestClusterMetricsDocumentedWithAlerts holds the cluster tier to a
@@ -217,12 +223,15 @@ func TestObservabilityMetricsDocumentedWithAlerts(t *testing.T) {
 // examples/<name> path they name exists, every waldo-<name> binary they
 // name (bare, under bin/ or under cmd/) is a directory under cmd/, every
 // WALDO_* environment variable they name is read by a non-test .go file,
-// every "DESIGN.md §N" that a .go file, the Makefile, OPERATIONS.md or
-// README.md names is a "## N." heading of DESIGN.md, and the artifacts
-// of the measurement stacks that bench/ replaced (BENCH_ + a digit or E)
-// are named nowhere but the history files and bench/ itself. Deleting a
-// target, binary, script, variable, package or section means deleting
-// its mentions in the same change.
+// every complete waldo_* metric name they name is registered by non-test
+// source (a family prefix ending in "_" and a histogram's _bucket, _sum
+// or _count series pass), every "DESIGN.md §N" that a .go file, the
+// Makefile, OPERATIONS.md or README.md names is a "## N." heading of
+// DESIGN.md, and the artifacts of the measurement stacks that bench/
+// replaced (BENCH_ + a digit or E) are named nowhere but the history
+// files and bench/ itself. Deleting a target, binary, script, variable,
+// metric, package or section means deleting its mentions in the same
+// change.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -240,6 +249,8 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	pathRE := regexp.MustCompile(`\b(scripts/[a-z0-9_]+\.sh|internal/[a-z0-9]+|cmd/[a-z0-9-]+|examples/[a-z0-9-]+)`)
 	binaryRE := regexp.MustCompile(`\bwaldo-[a-z][a-z0-9]*(?:-[a-z0-9]+)*`)
 	envRE := regexp.MustCompile(`\bWALDO_[A-Z_]+`)
+	metricRE := regexp.MustCompile(`\bwaldo_[a-z0-9_]+`)
+	metrics := registeredMetrics(t)
 	for _, name := range []string{"README.md", "OPERATIONS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		doc, err := os.ReadFile(name)
 		if err != nil {
@@ -263,6 +274,19 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		for _, m := range envRE.FindAll(doc, -1) {
 			if !readByGoSource(t, string(m)) {
 				t.Errorf("%s names the environment variable %s, which no non-test .go file reads", name, m)
+			}
+		}
+		for _, m := range metricRE.FindAll(doc, -1) {
+			metric := string(m)
+			if strings.HasSuffix(metric, "_") {
+				continue
+			}
+			base := metric
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				base = strings.TrimSuffix(base, suffix)
+			}
+			if metrics[metric] == nil && metrics[base] == nil {
+				t.Errorf("%s names the metric %s, which no non-test .go file registers", name, metric)
 			}
 		}
 	}
@@ -301,6 +325,62 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	})
 	if sectionRefs < 20 {
 		t.Errorf("found only %d DESIGN.md § references; the scan is broken", sectionRefs)
+	}
+}
+
+// TestMakefileRunPatternsMatch: a `go test -run` pattern that matches
+// nothing passes silently, so every alternative of every Makefile -run
+// pattern must match a Test or Fuzz function in that line's packages.
+// Lines with -bench are skipped: their -run selects no test on purpose.
+// Only the pattern's top level (before the first "/") is checked.
+func TestMakefileRunPatternsMatch(t *testing.T) {
+	tokRE := regexp.MustCompile(`'[^']*'|\S+`)
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)[A-Za-z0-9_]*)\(`)
+	checked := 0
+	for _, line := range strings.Split(string(readFile(t, "Makefile")), "\n") {
+		toks := tokRE.FindAllString(line, -1)
+		if len(toks) < 2 || toks[0] != "$(GO)" || toks[1] != "test" || slices.Contains(toks, "-bench") {
+			continue
+		}
+		var run string
+		var pkgs []string
+		for i := 2; i < len(toks); i++ {
+			switch tok := toks[i]; {
+			case tok == "-run" && i+1 < len(toks):
+				i++
+				run = strings.Trim(toks[i], "'")
+			case strings.HasPrefix(tok, "./"):
+				pkgs = append(pkgs, tok)
+			}
+		}
+		if run == "" {
+			continue
+		}
+		var names []string
+		for _, pkg := range pkgs {
+			files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("Makefile: %s holds no test files: %q", pkg, line)
+			}
+			for _, f := range files {
+				for _, m := range funcRE.FindAllSubmatch(readFile(t, f), -1) {
+					names = append(names, string(m[1]))
+				}
+			}
+		}
+		for _, alt := range strings.Split(strings.SplitN(run, "/", 2)[0], "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Fatalf("Makefile: -run alternative %q: %v", alt, err)
+			}
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("Makefile: -run alternative %q matches no Test or Fuzz function in %q", alt, line)
+			}
+			checked++
+		}
+	}
+	if checked < 5 {
+		t.Errorf("checked only %d -run alternatives in the Makefile; the scan is broken", checked)
 	}
 }
 
