@@ -57,7 +57,6 @@ func run(args []string) error {
 	snapshotEvery := fs.Int("snapshot-every", 10000, "checkpoint a store (seal its WAL segment, record its counts) after this many journaled readings (0 = only via /v1/admin/snapshot)")
 	shardID := fs.String("shard-id", "", "run as a cluster shard under this ID (enables /v1/repl endpoints; see waldo-gateway)")
 	replicasFlag := fs.String("replicas", "", "comma-separated replica base URLs to ship the journal to (requires -shard-id)")
-	shipEvery := fs.Duration("ship-interval", 0, "replication shipping tick (0 = cluster default)")
 	logLevel := fs.String("log-level", "info", "lowest structured-log level emitted: debug|info|warn|error")
 	adminAddr := fs.String("admin-addr", "", "opt-in admin listener (pprof, /metrics, /debug/traces); empty = disabled. Bind to loopback only.")
 	if err := fs.Parse(args); err != nil {
@@ -131,10 +130,9 @@ func run(args []string) error {
 			}
 		}
 		node, err := cluster.OpenNode(cluster.NodeConfig{
-			ID:           *shardID,
-			DB:           dbCfg,
-			ReplicaURLs:  replicaURLs,
-			ShipInterval: *shipEvery,
+			ID:          *shardID,
+			DB:          dbCfg,
+			ReplicaURLs: replicaURLs,
 		})
 		if err != nil {
 			return fmt.Errorf("open shard: %w", err)

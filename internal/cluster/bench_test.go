@@ -110,8 +110,8 @@ func BenchmarkRingOwner(b *testing.B) {
 // availability, a route inside one owner's cell, a route across two
 // owners' cells, and a model fetch, conditional (304) and full. legs/op
 // is waldo_cluster_requests_total per query: 0, as the gateway answers
-// from its replicas — every shard's grid from NewGateway on, the store's
-// descriptor once its first forwarded 200 has started a follower.
+// from its replicas — every shard's grid from NewGateway on, and the
+// descriptor of every store that grid names.
 func BenchmarkGatewayPlaceQueries(b *testing.B) {
 	tc := newTestCluster(b, []string{"s0", "s1", "s2"})
 	free, _ := seedGeoCluster(b, tc, 47)

@@ -88,13 +88,13 @@ type shardState struct {
 	errs     *telemetry.Counter
 	redials  *telemetry.Counter
 
-	grid *replica[*geoindex.Snapshot] // the gateway's copy of the shard's grid (gridreplica.go)
-
-	// models holds the gateway's copies of the shard's followed stores'
-	// descriptors (modelreplica.go); modelSyncs counts their syncs.
-	modelMu    sync.Mutex
-	models     map[modelKey]*replica[*dbserver.Descriptor]
-	modelSyncs *replicaSyncs
+	// grid is the gateway's copy of the shard's grid (gridreplica.go),
+	// models its copies of the descriptors of the stores that grid named
+	// (modelreplica.go); the shard's follower alone writes them.
+	grid                  *replica[*geoindex.Snapshot]
+	modelMu               sync.Mutex
+	models                map[modelKey]*replica[*dbserver.Descriptor]
+	gridSyncs, modelSyncs *replicaSyncs
 }
 
 // current returns the endpoint receiving this shard's traffic, as
@@ -155,16 +155,14 @@ type Gateway struct {
 	// life ends at BeginShutdown: parked /v1/model/watch legs, which no
 	// timeout leashes, are cancelled, and watches parked on a model
 	// replica answered 503. follows ends at Close, so the followers keep
-	// the replicas in sync through the drain; followMu orders a model
-	// follower's start against Close.
+	// the replicas in sync through the drain.
 	life, follows       context.Context
 	endLife, endFollows context.CancelFunc
-	followMu            sync.Mutex
 	wg                  sync.WaitGroup
 }
 
 // NewGateway validates the topology, builds the ring, and starts one
-// grid follower per shard, whose parked polls also fail a dead endpoint
+// follower per shard, whose parked grid polls also fail a dead endpoint
 // over. Call Close to stop them.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if len(cfg.Shards) == 0 {
@@ -208,7 +206,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			redials: cfg.Metrics.Counter("waldo_cluster_leg_redials_total",
 				"Legs replayed on a fresh connection because the pooled keep-alive one had gone stale.",
 				"shard", spec.ID),
+			grid:       newReplica[*geoindex.Snapshot](),
 			models:     make(map[modelKey]*replica[*dbserver.Descriptor]),
+			gridSyncs:  newReplicaSyncs(cfg.Metrics, spec.ID, "grid"),
 			modelSyncs: newReplicaSyncs(cfg.Metrics, spec.ID, "model"),
 		}
 	}
@@ -259,15 +259,11 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	g.life, g.endLife = context.WithCancel(context.Background())
 	g.follows, g.endFollows = context.WithCancel(context.Background())
 	g.models = dbserver.NewModels(cfg.Metrics, g.life.Done())
-	decodeGrid := func(_ http.Header, data []byte) (*geoindex.Snapshot, error) {
-		return geoindex.DecodeGrid(data)
-	}
 	for _, sh := range shards {
-		sh.grid = newReplica(sh, "grid", gridPath, decodeGrid, newReplicaSyncs(cfg.Metrics, sh.spec.ID, "grid"))
 		g.wg.Add(1)
 		go func() {
 			defer g.wg.Done()
-			sh.grid.follow(g)
+			sh.follow(g)
 		}()
 	}
 	cfg.Metrics.Gauge("waldo_cluster_ring_nodes",
@@ -291,9 +287,7 @@ func (g *Gateway) BeginShutdown() { g.endLife() }
 // Idempotent.
 func (g *Gateway) Close() error {
 	g.BeginShutdown()
-	g.followMu.Lock()
 	g.endFollows()
-	g.followMu.Unlock()
 	g.wg.Wait()
 	if g.legs != nil {
 		g.legs.Close()
@@ -738,9 +732,6 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 	}
 	err := g.withShard(r, sh, body, func(resp *http.Response) error {
 		g.awaitRetrain(sh, r, resp)
-		if resp.StatusCode == http.StatusOK && (r.URL.Path == modelPath || r.URL.Path == modelWatchPath) {
-			g.followModel(sh, r)
-		}
 		for _, h := range []string{"Content-Type", "ETag", "X-Waldo-Model-Version", dbserver.HorizonHeader, "Retry-After"} {
 			if v := resp.Header.Get(h); v != "" {
 				w.Header().Set(h, v)

@@ -39,7 +39,7 @@ func (c *askCounter) Err() error {
 // bounded by a deadline, not by the client's context, so nothing on the
 // way asks whether the client hung up — except a parked
 // /v1/model/watch, which a hang-up must end. Place queries and model
-// requests for a followed store take no leg at all: they are answered
+// requests for a copied store take no leg at all: they are answered
 // from the gateway's replicas, whose followers poll under the gateway's
 // context, and must not ask either.
 func TestProxiedRequestsArmNoHangUpWatcher(t *testing.T) {
@@ -59,7 +59,7 @@ func TestProxiedRequestsArmNoHangUpWatcher(t *testing.T) {
 		{"frame upload", http.MethodPost, "/v1/upload/batch", frameOf(t, synthAt(20, 47, 1, loc))},
 		{"JSON upload", http.MethodPost, "/v1/readings", uploadBody(t, synthAt(20, 47, 2, loc))},
 		{"split upload", http.MethodPost, "/v1/upload/batch", frameOf(t, mixed)},
-		{"model", http.MethodGet, "/v1/model?channel=47&sensor=1&" + at, nil},
+		{"model, no copy", http.MethodGet, "/v1/model?channel=21&sensor=1&" + at, nil},
 		{"model from its replica", http.MethodGet, "/v1/model?channel=47&sensor=1&" + at, nil},
 		{"export", http.MethodGet, "/v1/export?channel=47&sensor=1&" + at, nil},
 		{"availability", http.MethodGet, "/v1/availability?" + at, nil},
@@ -71,7 +71,7 @@ func TestProxiedRequestsArmNoHangUpWatcher(t *testing.T) {
 		{"snapshot", http.MethodPost, "/v1/admin/snapshot", nil},
 	} {
 		if strings.HasSuffix(tt.name, "replica") {
-			followed(t, tc.gw.shards["s0"]) // started by the forwarded model 200
+			followed(t, tc.gw.shards["s0"])
 		}
 		ctx := &askCounter{Context: context.Background()}
 		legs := tc.legs()

@@ -15,17 +15,20 @@ import (
 
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/geoindex"
+	"github.com/wsdetect/waldo/internal/rfenv"
+	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/telemetry"
 )
 
 // Place queries at the gateway (DESIGN.md §12 "Replicas"): a cell's
-// verdicts are its owner's alone, so the gateway keeps a replica of each
+// verdicts are its owner's alone, so the gateway keeps a copy of each
 // shard's grid — one follower per shard, started by NewGateway,
 // long-polls its GET /v1/grid — and answers with dbserver.Places, the
-// shards' own code, reading each cell from its owner's replica: no leg,
-// no merge. The same replica type keeps model descriptors
-// (modelreplica.go), and its parked polls are the gateway's health
-// check: a dead endpoint fails over when one of them fails.
+// shards' own code, reading each cell from its owner's copy: no leg, no
+// merge. Every retrain republishes the grid, so each new one also
+// revalidates the copies of the descriptors of the stores it names
+// (modelreplica.go), and the parked poll is the gateway's health check:
+// a dead endpoint fails over when it fails.
 
 const gridPath = "/v1/grid"
 
@@ -44,19 +47,11 @@ func newReplicaSyncs(m *telemetry.Registry, shard, kind string) *replicaSyncs {
 	return &replicaSyncs{ok: outcome("ok"), unchanged: outcome("unchanged"), refused: outcome("refused"), failed: outcome("error")}
 }
 
-// A replica is the gateway's copy of something one shard serves — its
-// grid, or one store's model descriptor — kept by one follow loop that
-// long-polls target on the shard's active endpoint.
+// A replica is the gateway's copy of something one shard serves: its
+// grid, or one store's model descriptor.
 type replica[T any] struct {
-	sh     *shardState
-	kind   string                                      // "grid" or "model": the series' kind label
-	target string                                      // path and query
-	check  func(h http.Header, data []byte) (T, error) // a 200's bytes, before they are kept
-	retire bool                                        // a refused sync ends the follower (models), else it retries (grids)
-	syncs  *replicaSyncs
-
-	// cur is nil while the follower is out of sync: the shard's cells
-	// answer 502 and the store's requests forward.
+	// cur is nil while the copy is out of sync: the shard's cells answer
+	// 502 and the store's requests forward.
 	cur atomic.Pointer[held[T]]
 
 	mu   sync.Mutex
@@ -64,15 +59,15 @@ type replica[T any] struct {
 }
 
 // held is one copy as a shard served it: the decoded value, its
-// validator and the horizon the shard stated.
+// validator and the horizon the shard's grid poll stated.
 type held[T any] struct {
 	val     T
 	etag    string
 	horizon time.Duration
 }
 
-func newReplica[T any](sh *shardState, kind, target string, check func(http.Header, []byte) (T, error), syncs *replicaSyncs) *replica[T] {
-	return &replica[T]{sh: sh, kind: kind, target: target, check: check, retire: kind == "model", syncs: syncs, wake: make(chan struct{})}
+func newReplica[T any]() *replica[T] {
+	return &replica[T]{wake: make(chan struct{})}
 }
 
 // load returns the held copy, nil while out of sync or with no replica.
@@ -131,19 +126,18 @@ func (g *Gateway) ownersGrid(h http.Header) dbserver.GridView {
 	}
 }
 
-// follow keeps r until the gateway closes, syncing from the shard's
-// active endpoint. A transport error fails the endpoint over as a leg's
-// does, the next one tried at once until each has failed in a row; a
-// non-2xx answer or a refused copy is no failover, and ends a retiring
-// follower. Any failure drops the copy until a sync succeeds, and so
-// does the end.
-func (r *replica[T]) follow(g *Gateway) {
-	defer r.set(nil)
+// follow keeps sh's copies until the gateway closes, syncing from the
+// shard's active endpoint. A transport error fails the endpoint over as
+// a leg's does, the next one tried at once until each has failed in a
+// row; a non-2xx grid or a refused one is no failover. Any failure drops
+// every copy of the shard until a sync succeeds, and so does the end.
+func (sh *shardState) follow(g *Gateway) {
+	defer sh.drop()
 	var pause time.Duration
 	misses := 0
 	for {
-		raw, ep := r.sh.current()
-		connected, err := r.sync(g, ep)
+		raw, ep := sh.current()
+		connected, err := sh.sync(g, ep)
 		if g.follows.Err() != nil {
 			return
 		}
@@ -151,14 +145,12 @@ func (r *replica[T]) follow(g *Gateway) {
 			pause, misses = 0, 0
 			continue
 		}
-		r.set(nil)
+		sh.drop()
 		if err != nil {
-			g.endpointFailed(g.follows, r.sh, raw, err, r.kind)
-			if misses++; misses < len(r.sh.spec.URLs) {
+			g.endpointFailed(g.follows, sh, raw, err, "follower")
+			if misses++; misses < len(sh.spec.URLs) {
 				continue
 			}
-		} else if r.retire {
-			return
 		}
 		pause = min(max(2*pause, followRetry), legTimeout)
 		t := time.NewTimer(pause)
@@ -171,60 +163,93 @@ func (r *replica[T]) follow(g *Gateway) {
 	}
 }
 
-// sync runs one exchange with ep: GET target, conditional on the held
-// copy and then allowed its stated horizon on top of legTimeout — the
-// bound on how stale a silently partitioned replica gets. It keeps a 200
-// that states a horizon and passes check (its body cut short at the
-// gateway's buffer), counts the outcome and reports whether the copy is
-// in sync after it; an error is a transport failure.
-func (r *replica[T]) sync(g *Gateway, ep *url.URL) (bool, error) {
-	cur := r.cur.Load()
+// sync polls the shard's grid on ep, conditional on the held copy and
+// then allowed its stated horizon on top of legTimeout — the bound on how
+// stale a silently partitioned shard's copies get. A new grid, which must
+// state a horizon, is kept, the copy of every store it names revalidated
+// and the others dropped. It reports whether the copies are in sync
+// after it; an error is a transport failure.
+func (sh *shardState) sync(g *Gateway, ep *url.URL) (bool, error) {
+	cur := sh.grid.load()
 	budget := legTimeout
 	if cur != nil {
 		budget += cur.horizon
 	}
+	next, err := refresh(g, sh, ep, gridPath, cur, budget, sh.gridSyncs, func(h http.Header, data []byte) (*held[*geoindex.Snapshot], error) {
+		ms, err := strconv.ParseInt(h.Get(dbserver.HorizonHeader), 10, 64)
+		if err != nil || ms < 0 {
+			return nil, fmt.Errorf("bad or missing %s %q", dbserver.HorizonHeader, h.Get(dbserver.HorizonHeader))
+		}
+		snap, err := geoindex.DecodeGrid(data)
+		if err != nil {
+			return nil, err
+		}
+		return &held[*geoindex.Snapshot]{snap, h.Get("ETag"), time.Duration(ms) * time.Millisecond}, nil
+	})
+	if next == nil || next == cur {
+		return next != nil, err
+	}
+	sh.grid.set(next)
+	var named []modelKey
+	next.val.EachStore(func(ch rfenv.Channel, kind sensor.Kind) { named = append(named, modelKey{ch, kind}) })
+	for _, key := range named {
+		if err := sh.revalidate(g, ep, key, next.horizon); err != nil {
+			return false, err
+		}
+	}
+	sh.dropModels(named)
+	return true, nil
+}
+
+// drop takes every copy of sh out of sync.
+func (sh *shardState) drop() {
+	sh.grid.set(nil)
+	sh.dropModels(nil)
+}
+
+// refresh runs one GET of target on ep, conditional on cur and allowed
+// budget, and counts its outcome in syncs. It returns cur on a 304, the
+// copy check makes of a 200, and nil on any other answer or a 200 check
+// refuses (its body cut short at the gateway's buffer); an error is a
+// transport failure.
+func refresh[T any](g *Gateway, sh *shardState, ep *url.URL, target string, cur *held[T], budget time.Duration,
+	syncs *replicaSyncs, check func(h http.Header, data []byte) (*held[T], error)) (*held[T], error) {
 	ctx, cancel := context.WithTimeout(g.follows, budget)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.target, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if cur != nil {
 		req.Header.Set("If-None-Match", cur.etag)
 	}
-	connected := false
+	var next *held[T]
 	_, err = g.shardDo(ctx, req, ep, nil, true, func(resp *http.Response) error {
 		var refusal error
 		switch {
 		case resp.StatusCode == http.StatusNotModified && cur != nil:
-			r.syncs.unchanged.Inc()
-			connected = true
+			syncs.unchanged.Inc()
+			next = cur
 			return nil
 		case resp.StatusCode == http.StatusOK:
 			data, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes))
 			if err != nil {
 				return err
 			}
-			ms, perr := strconv.ParseInt(resp.Header.Get(dbserver.HorizonHeader), 10, 64)
-			var v T
-			if perr != nil || ms < 0 {
-				refusal = fmt.Errorf("bad or missing %s %q", dbserver.HorizonHeader, resp.Header.Get(dbserver.HorizonHeader))
-			} else if v, refusal = r.check(resp.Header, data); refusal == nil {
-				r.set(&held[T]{val: v, etag: resp.Header.Get("ETag"), horizon: time.Duration(ms) * time.Millisecond})
-				r.syncs.ok.Inc()
-				connected = true
+			if next, refusal = check(resp.Header, data); refusal == nil {
+				syncs.ok.Inc()
 				return nil
 			}
 		default:
 			io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive
 			refusal = fmt.Errorf("status %d", resp.StatusCode)
 		}
-		r.syncs.refused.Inc()
-		g.lg.Warn(ctx, "replica_refused", "shard", r.sh.spec.ID, "kind", r.kind, "target", r.target, "err", refusal)
+		syncs.refused.Inc()
+		g.lg.Warn(ctx, "replica_refused", "shard", sh.spec.ID, "target", target, "err", refusal)
 		return nil
 	})
 	if err != nil && g.follows.Err() == nil {
-		r.syncs.failed.Inc()
+		syncs.failed.Inc()
 	}
-	return connected, err
+	return next, err
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/features"
@@ -658,9 +660,9 @@ func TestGridFollowerFailsOverToReplica(t *testing.T) {
 	})
 
 	sh := gw.shards["s0"]
-	synced := sh.grid.syncs.ok.Value()
+	synced := sh.gridSyncs.ok.Value()
 	kill(primaryTS)
-	eventually(t, "a sync from the replica", func() bool { return sh.grid.syncs.ok.Value() > synced })
+	eventually(t, "a sync from the replica", func() bool { return sh.gridSyncs.ok.Value() > synced })
 	if got := sh.currentURL(); got != replicaTS.URL || gw.Failovers() != 1 {
 		t.Errorf("active endpoint %s after %d failovers, want the replica %s after 1", got, gw.Failovers(), replicaTS.URL)
 	}
@@ -704,7 +706,7 @@ func TestFollowerPollsAreNoClientLegs(t *testing.T) {
 		})
 	}
 	for id, sh := range tc.gw.shards {
-		eventually(t, id+"'s grid follower synced", func() bool { return sh.grid.syncs.ok.Value() > 0 })
+		eventually(t, id+"'s grid follower synced", func() bool { return sh.gridSyncs.ok.Value() > 0 })
 		if n := sh.requests.Value(); n != 0 {
 			t.Errorf("waldo_cluster_requests_total{shard=%s} = %d with no client leg, want 0", id, n)
 		}
@@ -724,10 +726,10 @@ func TestGridFollower404IsNotAFailover(t *testing.T) {
 		t.Errorf("availability over a 404ing shard = %d %s, want 502", rec.Code, rec.Body)
 	}
 	sh := gw.shards["s0"]
-	eventually(t, "three refused syncs", func() bool { return sh.grid.syncs.refused.Value() >= 3 })
-	if gw.Failovers() != 0 || sh.currentURL() != old.URL || sh.grid.syncs.ok.Value() != 0 {
+	eventually(t, "three refused syncs", func() bool { return sh.gridSyncs.refused.Value() >= 3 })
+	if gw.Failovers() != 0 || sh.currentURL() != old.URL || sh.gridSyncs.ok.Value() != 0 {
 		t.Errorf("after 404s: %d failovers, active %s, %d good syncs; want 0, %s, 0",
-			gw.Failovers(), sh.currentURL(), sh.grid.syncs.ok.Value(), old.URL)
+			gw.Failovers(), sh.currentURL(), sh.gridSyncs.ok.Value(), old.URL)
 	}
 }
 
@@ -747,7 +749,7 @@ func TestGridFollowersStopAtClose(t *testing.T) {
 	tc.gw.Close()
 	following := func() bool {
 		buf := make([]byte, 1<<20)
-		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.(*replica[...]).follow("))
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.(*shardState).follow("))
 	}
 	eventually(t, "no follower goroutine after Close", func() bool { return !following() })
 	loc := free["s0"]
@@ -856,11 +858,82 @@ func TestGridRefusedDropsReplica(t *testing.T) {
 	gw := gatewayOver(t, shard, ShardSpec{ID: "s0", URLs: []string{"http://s0.scripted"}})
 	q := "/v1/availability?lat=33.7&lon=-84.4"
 	serveGateway(context.Background(), gw, http.MethodGet, q, nil)
-	eventually(t, "the refused grid polled", func() bool { return gw.shards["s0"].grid.syncs.refused.Value() == 1 })
+	eventually(t, "the refused grid polled", func() bool { return gw.shards["s0"].gridSyncs.refused.Value() == 1 })
 	if rec := serveGateway(context.Background(), gw, http.MethodGet, q, nil); rec.Code != http.StatusBadGateway {
 		t.Errorf("availability after a refused grid = %d %s, want 502", rec.Code, rec.Body)
 	}
 	if gw.Failovers() != 0 {
 		t.Errorf("a refused grid failed the endpoint over %d times", gw.Failovers())
 	}
+}
+
+// TestRestartedShardComesBackWhole: a durable shard closed and reopened
+// on the same data dir and address serves the grid it recovered, so
+// once the gateway resyncs, a place in its cell answers as it did
+// before the restart and its store is copied again: a model fetch takes
+// no leg.
+func TestRestartedShardComesBackWhole(t *testing.T) {
+	dir := t.TempDir()
+	serve := func(addr string) (*Node, *httptest.Server) {
+		t.Helper()
+		n, err := OpenNode(NodeConfig{ID: "s0", DB: dbserver.Config{
+			Constructor: core.ConstructorConfig{Classifier: core.KindNB},
+			DataDir:     dir,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewUnstartedServer(n.Handler())
+		ts.Listener.Close()
+		ts.Listener = ln
+		ts.Start()
+		t.Cleanup(func() {
+			kill(ts) // before the gateway closes: its grid poll is parked here
+			ts.Close()
+			n.Close()
+		})
+		return n, ts
+	}
+	n, ts := serve("127.0.0.1:0")
+	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{ts.URL}})
+	sh := gw.shards["s0"]
+	loc := cellCenter(rfenv.MetroCenter)
+	if rec := serveGateway(context.Background(), gw, http.MethodPost, "/v1/readings", uploadBody(t, fieldAt(400, 47, loc, -100))); rec.Code != http.StatusNoContent {
+		t.Fatalf("upload = %d %s", rec.Code, rec.Body)
+	}
+	if rec := serveGateway(context.Background(), gw, http.MethodPost, "/v1/retrain?channel=47&sensor=1", nil); rec.Code != http.StatusOK {
+		t.Fatalf("retrain = %d %s", rec.Code, rec.Body)
+	}
+	place := func() (dbserver.AvailabilityEntryJSON, bool) {
+		rec := serveGateway(context.Background(), gw, http.MethodGet, fmt.Sprintf("/v1/availability?lat=%v&lon=%v", loc.Lat, loc.Lon), nil)
+		var av dbserver.AvailabilityJSON
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &av) != nil {
+			return dbserver.AvailabilityEntryJSON{}, false
+		}
+		return entryFor(av.Channels, 47)
+	}
+	fetchedFromCopy := func() bool {
+		legs := sh.requests.Value()
+		return serveGateway(context.Background(), gw, http.MethodGet, "/v1/model?channel=47&sensor=1", nil).Code == http.StatusOK &&
+			sh.requests.Value() == legs
+	}
+	var before dbserver.AvailabilityEntryJSON
+	eventually(t, "the retrained grid and model copied", func() bool {
+		e, ok := place()
+		before = e
+		return ok && e.ModelVersion == 1 && fetchedFromCopy()
+	})
+
+	kill(ts)
+	ts.Close()
+	n.Close()
+	serve(ts.Listener.Addr().String())
+	eventually(t, "the restarted shard's grid and model copied", func() bool {
+		e, ok := place()
+		return ok && e == before && fetchedFromCopy()
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
@@ -15,10 +16,10 @@ import (
 )
 
 // Model requests at the gateway (DESIGN.md §12): the gateway keeps a
-// replica of each store descriptor it has forwarded a 200 for, followed
-// through the shard's own GET /v1/model/watch, and answers /v1/model and
-// /v1/model/watch from it with dbserver.Models, the shards' own code: no
-// leg. A store with no replica in sync is forwarded.
+// copy of the descriptor of every store its copy of the owner's grid
+// names, revalidated on each new grid (gridreplica.go), and answers
+// /v1/model and /v1/model/watch from it with dbserver.Models, the
+// shards' own code: no leg. A store with no copy in sync is forwarded.
 
 const (
 	modelPath      = "/v1/model"
@@ -31,10 +32,49 @@ type modelKey struct {
 	kind sensor.Kind
 }
 
+// model returns sh's copy of the store key names, nil if no grid has
+// named it.
 func (sh *shardState) model(key modelKey) *replica[*dbserver.Descriptor] {
 	sh.modelMu.Lock()
 	defer sh.modelMu.Unlock()
 	return sh.models[key]
+}
+
+// revalidate brings sh's copy of key's descriptor in line with the shard
+// at ep by one conditional GET /v1/model, which never parks: a 304 keeps
+// the copy, a 200 that passes descriptorOf replaces it, and any other
+// answer drops it until the next grid. Versions count retrains per
+// server, so a promoted replica can reach the primary's version from
+// another history: only the ETag names the bytes, and every named store
+// is asked, not only those whose version moved.
+func (sh *shardState) revalidate(g *Gateway, ep *url.URL, key modelKey, horizon time.Duration) error {
+	sh.modelMu.Lock()
+	rep := sh.models[key]
+	if rep == nil {
+		rep = newReplica[*dbserver.Descriptor]()
+		sh.models[key] = rep
+	}
+	sh.modelMu.Unlock()
+	cur := rep.load()
+	target := fmt.Sprintf("%s?channel=%d&sensor=%d", modelPath, int(key.ch), int(key.kind))
+	next, err := refresh(g, sh, ep, target, cur, legTimeout, sh.modelSyncs, func(h http.Header, data []byte) (*held[*dbserver.Descriptor], error) {
+		return descriptorOf(key, h, data, horizon)
+	})
+	if err == nil && next != cur {
+		rep.set(next)
+	}
+	return err
+}
+
+// dropModels takes sh's descriptor copies but those of keep out of sync.
+func (sh *shardState) dropModels(keep []modelKey) {
+	sh.modelMu.Lock()
+	defer sh.modelMu.Unlock()
+	for key, rep := range sh.models {
+		if rep.load() != nil && !slices.Contains(keep, key) {
+			rep.set(nil)
+		}
+	}
 }
 
 // A shardState is a gateway's dbserver.ModelView of its shard: each
@@ -47,11 +87,10 @@ func (sh *shardState) Descriptor(ch rfenv.Channel, kind sensor.Kind) (*dbserver.
 	return nil, false, dbserver.ErrNotHeld
 }
 
+// Changed is asked only for a store whose copy was just read, and a
+// store keeps its replica once a grid has named it.
 func (sh *shardState) Changed(ch rfenv.Channel, kind sensor.Kind) <-chan struct{} {
-	if r := sh.model(modelKey{ch, kind}); r != nil {
-		return r.changed()
-	}
-	return closedChan
+	return sh.model(modelKey{ch, kind}).changed()
 }
 
 func (sh *shardState) Horizon(ch rfenv.Channel, kind sensor.Kind) (time.Duration, bool) {
@@ -60,8 +99,6 @@ func (sh *shardState) Horizon(ch rfenv.Channel, kind sensor.Kind) (time.Duration
 	}
 	return 0, false
 }
-
-var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 func (g *Gateway) handleModel(w http.ResponseWriter, r *http.Request) {
 	g.serveModel(w, r, g.models.Fetch)
@@ -95,9 +132,10 @@ func storeOf(q url.Values) (modelKey, bool) {
 	return modelKey{rfenv.Channel(ch), sensor.Kind(kind)}, err1 == nil && err2 == nil
 }
 
-// descriptorOf checks a 200's descriptor before a replica keeps it: the
-// validator must name these bytes of this store, and they must decode.
-func descriptorOf(key modelKey, h http.Header, data []byte) (*dbserver.Descriptor, error) {
+// descriptorOf checks a 200's descriptor before a copy keeps it, with
+// the horizon the grid poll stated: the validator must name these bytes
+// of this store, and they must decode.
+func descriptorOf(key modelKey, h http.Header, data []byte, horizon time.Duration) (*held[*dbserver.Descriptor], error) {
 	version, err := strconv.Atoi(h.Get("X-Waldo-Model-Version"))
 	if err != nil {
 		return nil, fmt.Errorf("bad model version %q", h.Get("X-Waldo-Model-Version"))
@@ -109,49 +147,15 @@ func descriptorOf(key modelKey, h http.Header, data []byte) (*dbserver.Descripto
 	if _, err := core.DecodeModel(bytes.NewReader(data)); err != nil {
 		return nil, err
 	}
-	return &dbserver.Descriptor{Version: version, ETag: etag, Data: data}, nil
+	return &held[*dbserver.Descriptor]{&dbserver.Descriptor{Version: version, ETag: etag, Data: data}, etag, horizon}, nil
 }
 
-// followModel starts following sh's store that r names once the shard
-// answered r 200, unless the store is followed already. The follower's
-// first sync fetches the descriptor; until it lands, the store's
-// requests are forwarded.
-func (g *Gateway) followModel(sh *shardState, r *http.Request) {
-	key, ok := storeOf(r.URL.Query())
-	if !ok || sh.model(key) != nil {
-		return
-	}
-	g.followMu.Lock()
-	defer g.followMu.Unlock()
-	if g.follows.Err() != nil {
-		return
-	}
-	sh.modelMu.Lock()
-	defer sh.modelMu.Unlock()
-	if sh.models[key] != nil {
-		return
-	}
-	target := fmt.Sprintf("%s?channel=%d&sensor=%d", modelWatchPath, int(key.ch), int(key.kind))
-	rep := newReplica(sh, "model", target, func(h http.Header, data []byte) (*dbserver.Descriptor, error) {
-		return descriptorOf(key, h, data)
-	}, sh.modelSyncs)
-	sh.models[key] = rep
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		rep.follow(g)
-		sh.modelMu.Lock()
-		delete(sh.models, key) // retired: the next forwarded 200 starts another
-		sh.modelMu.Unlock()
-	}()
-}
-
-// awaitRetrain holds a forwarded retrain's 200 until sh's replica of the
-// retrained store, if it follows one, holds the version the shard
+// awaitRetrain holds a forwarded retrain's 200 until sh's copy of the
+// retrained store, if it has one, holds the version the shard
 // reported — a client that retrains and then fetches sees the new model,
 // even when a sync answered before the retrain is still in flight — for
-// up to legTimeout, past which the replica is dropped and the store's
-// requests forward until it resyncs.
+// up to legTimeout, past which the copy is dropped and the store's
+// requests forward until the next grid.
 func (g *Gateway) awaitRetrain(sh *shardState, r *http.Request, resp *http.Response) {
 	if resp.StatusCode != http.StatusOK || r.URL.Path != "/v1/retrain" {
 		return

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/geo"
+	"github.com/wsdetect/waldo/internal/geoindex"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/telemetry"
 )
@@ -56,8 +58,9 @@ func ask(t testing.TB, url, inm string) answer {
 		h.Get(dbserver.HorizonHeader), string(body)}
 }
 
-// followed waits until sh's replica of store 47/RTL has had its first
-// sync: from then on model requests for it take no leg.
+// followed waits until sh holds a copy of store 47/RTL, which its grid
+// names once the store is trained: from then on model requests for it
+// take no leg.
 func followed(t testing.TB, sh *shardState) {
 	t.Helper()
 	eventually(t, "the replica's first sync", func() bool { return sh.model(modelKey{47, 1}).load() != nil })
@@ -67,8 +70,8 @@ func followed(t testing.TB, sh *shardState) {
 // through dbserver.Models, the shards' own code, so every answer — 200
 // and 304, fetch and watch, each 400 and 404 — is the owner's in status,
 // body, ETag, version, Content-Type and horizon, whether the gateway
-// forwarded it (a gateway that follows nothing yet) or answered it from
-// the replica (with no leg).
+// forwarded it (a gateway whose grid polls park, so it copies nothing)
+// or answered it from the replica (with no leg).
 func TestGatewayModelAnswersMatchOwner(t *testing.T) {
 	tc := newTestCluster(t, []string{"s0", "s1", "s2"})
 	free, _ := seedGeoCluster(t, tc, 47)
@@ -105,9 +108,11 @@ func TestGatewayModelAnswersMatchOwner(t *testing.T) {
 		}
 	}
 
-	// Forwarded: each asked of a gateway that follows nothing yet.
+	// Forwarded: each asked of a gateway that copies nothing.
+	parked := httptest.NewServer(gridParked(tc.nodes["s0"].Handler()))
+	defer parked.Close()
 	for _, a := range asks {
-		gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{owner}})
+		gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{parked.URL}})
 		ts := httptest.NewServer(gw.Handler())
 		if got := ask(t, ts.URL+a.target+at, a.inm); got != direct[a.name] {
 			t.Errorf("forwarded %s: gateway %+v, owner %+v", a.name, got, direct[a.name])
@@ -132,13 +137,13 @@ func TestGatewayModelAnswersMatchOwner(t *testing.T) {
 }
 
 // delayFollowers holds back a shard's answers to the gateway's
-// followers — /v1/model/watch requests that carry no trace, unlike
-// every client leg — by d after the handler returns, so a replica lags
-// its owner by d.
+// revalidations — /v1/model requests that carry no trace, unlike every
+// client leg — by d after the handler returns, so a replica lags its
+// owner by d.
 func delayFollowers(d time.Duration) func(http.Handler) http.Handler {
 	return func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != modelWatchPath || r.Header.Get(telemetry.TraceHeader) != "" {
+			if r.URL.Path != modelPath || r.Header.Get(telemetry.TraceHeader) != "" {
 				h.ServeHTTP(w, r)
 				return
 			}
@@ -189,12 +194,12 @@ func TestGatewayWatchNeverDowngrades(t *testing.T) {
 // gateway, keyed or broadcast, answers only once the replica holds the
 // version it made, so no fetch after it reads an older model — with the
 // replica lagging its owner by 100 ms, and the first retrain landing
-// while the follower's first sync, answered before it, is in flight.
+// while a revalidation, answered before it, is in flight.
 func TestRetrainThenFetchSeesNewModel(t *testing.T) {
 	tc := wrappedCluster(t, []string{"s0", "s1", "s2"}, delayFollowers(100*time.Millisecond))
 	free, _ := seedGeoCluster(t, tc, 47)
 	at := hintAt(free["s0"])
-	ask(t, tc.gwTS.URL+"/v1/model?channel=47&sensor=1"+at, "") // starts the follower
+	followed(t, tc.gw.shards["s0"])
 	for _, target := range []string{"/v1/retrain?channel=47&sensor=1" + at, "/v1/retrain?channel=47&sensor=1"} {
 		resp := mustPost(t, tc.gwTS.URL+target, nil)
 		resp.Body.Close()
@@ -210,43 +215,44 @@ func TestRetrainThenFetchSeesNewModel(t *testing.T) {
 	}
 }
 
-// scriptedModel is one shard's 47/RTL descriptor with the answer its
-// server gives it.
-func scriptedModel(t testing.TB) (data []byte, etag string) {
+// scriptedStore is one shard's 47/RTL descriptor with the answer its
+// server gives it, and that server's grid, which names the store.
+func scriptedStore(t testing.TB) (data []byte, etag string, grid *geoindex.Snapshot) {
 	t.Helper()
 	n, ts := newTestNode(t, "s0", nil)
 	if err := n.DB.Bootstrap(fieldAt(400, 47, cellCenter(rfenv.MetroCenter), -100)); err != nil {
 		t.Fatal(err)
 	}
 	a := ask(t, ts.URL+"/v1/model?channel=47&sensor=1", "")
-	return []byte(a.body), a.etag
+	return []byte(a.body), a.etag, n.DB.GeoIndex().Snapshot()
 }
 
-// modelReply is a shard's 200 to a model request or watch: data under
-// etag at v1, with a 250 ms horizon.
+// modelReply is a shard's 200 to a model request: data under etag at
+// v1.
 func modelReply(data []byte, etag string) *http.Response {
 	h := http.Header{}
 	h.Set("ETag", etag)
 	h.Set("X-Waldo-Model-Version", "1")
-	h.Set(dbserver.HorizonHeader, "250")
 	return &http.Response{StatusCode: http.StatusOK, Header: h, Body: io.NopCloser(bytes.NewReader(data))}
 }
 
 const scriptedFetch = "/v1/model?channel=47&sensor=1"
 
-// TestModelStalenessBound: under a silent partition a replica is served
-// until its follower's parked watch runs out of time — the owner's
-// horizon plus legTimeout — and the store's requests forward from then
-// on. The shard answers the fetch that starts the follower and the
-// follower's first sync, then goes silent: it notes the parked watch's
+// TestModelStalenessBound: under a silent partition a copy is served
+// until the grid poll that would revalidate it runs out of time — the
+// horizon the grid poll stated plus legTimeout — and the store's
+// requests forward from then on. The shard answers the first grid poll
+// and its revalidation, then goes silent: it notes the next grid poll's
 // deadline and, once released, fails it as that deadline expiring
 // would; it refuses every later connection.
 func TestModelStalenessBound(t *testing.T) {
-	data, etag := scriptedModel(t)
+	data, etag, grid := scriptedStore(t)
 	release, budget := make(chan time.Duration, 1), make(chan struct{})
-	shard := &scriptedShard{script: func(poll int, req *http.Request) (*http.Response, error) {
+	shard := &scriptedShard{grids: true, script: func(poll int, req *http.Request) (*http.Response, error) {
 		switch poll {
-		case 1, 2:
+		case 1:
+			return gridReply(grid, `"g1"`), nil
+		case 2:
 			return modelReply(data, etag), nil
 		case 3:
 			d, _ := req.Context().Deadline()
@@ -260,29 +266,27 @@ func TestModelStalenessBound(t *testing.T) {
 		return nil, syscall.ECONNREFUSED
 	}}
 	gw := gatewayOver(t, shard, ShardSpec{ID: "s0", URLs: []string{"http://s0.partitioned"}})
-	if rec := serveGateway(context.Background(), gw, http.MethodGet, scriptedFetch, nil); rec.Code != http.StatusOK {
-		t.Fatalf("model = %d %s", rec.Code, rec.Body)
-	}
+	sh := gw.shards["s0"]
 	allowed := <-release
-	if rec := serveGateway(context.Background(), gw, http.MethodGet, scriptedFetch, nil); rec.Code != http.StatusOK {
-		t.Errorf("model while the watch is parked = %d %s, want the replica's 200", rec.Code, rec.Body)
+	if rec := serveGateway(context.Background(), gw, http.MethodGet, scriptedFetch, nil); rec.Code != http.StatusOK || sh.requests.Value() != 0 {
+		t.Errorf("model while the grid poll is parked = %d %s with %d legs, want the copy's 200", rec.Code, rec.Body, sh.requests.Value())
 	}
 	close(budget)
 	eventually(t, "the partitioned store's requests forward, and fail", func() bool {
 		return serveGateway(context.Background(), gw, http.MethodGet, scriptedFetch, nil).Code == http.StatusBadGateway
 	})
 	if want := 250*time.Millisecond + legTimeout; allowed > want || allowed < want-time.Second {
-		t.Errorf("the parked watch was allowed %v, want the 250 ms horizon plus the %v leg budget", allowed, legTimeout)
+		t.Errorf("the parked grid poll was allowed %v, want the 250 ms horizon plus the %v leg budget", allowed, legTimeout)
 	}
 }
 
-// TestModelRefusedDropsReplica: a descriptor the follower refuses — its
-// ETag names other bytes, or it does not decode — is not kept, and
-// neither is the one before it: the follower retires, and the store's
-// next request is forwarded, its 200 starting a new follower. No
-// refusal is a failover.
+// TestModelRefusedDropsReplica: a revalidation the follower refuses —
+// the descriptor's ETag names other bytes, it does not decode, or the
+// shard answers 404 — drops that store's copy, and only it, until the
+// next grid: the store's requests forward meanwhile, and a forwarded 200
+// does not bring the copy back. No refusal is a failover.
 func TestModelRefusedDropsReplica(t *testing.T) {
-	data, etag := scriptedModel(t)
+	data, etag, grid := scriptedStore(t)
 	garbage := []byte("not a model")
 	for name, bad := range map[string]*http.Response{
 		"ETag of other bytes": modelReply(data, `"47-1-v1-0000000000000000"`),
@@ -290,35 +294,54 @@ func TestModelRefusedDropsReplica(t *testing.T) {
 		"404":                 {StatusCode: http.StatusNotFound, Header: http.Header{}, Body: http.NoBody},
 	} {
 		t.Run(name, func(t *testing.T) {
-			shard := &scriptedShard{script: func(poll int, req *http.Request) (*http.Response, error) {
+			nextGrid := make(chan struct{})
+			shard := &scriptedShard{grids: true, script: func(poll int, req *http.Request) (*http.Response, error) {
+				inm := req.Header.Get("If-None-Match")
 				switch {
-				case poll == 2: // the first follower's first sync
+				case req.URL.Path == gridPath && inm == "":
+					return gridReply(grid, `"g1"`), nil
+				case req.URL.Path == gridPath && inm == `"g1"`:
+					select {
+					case <-nextGrid:
+						return gridReply(grid, `"g2"`), nil
+					case <-req.Context().Done():
+						return nil, req.Context().Err()
+					}
+				case req.URL.Path == gridPath: // in sync: parked until the gateway closes
+					<-req.Context().Done()
+					return nil, req.Context().Err()
+				case poll == 2: // the first grid's revalidation
 					return bad, nil
-				case req.Header.Get("If-None-Match") == "": // a fetch, or a follower's first sync
-					return modelReply(data, etag), nil
 				}
-				<-req.Context().Done() // in sync: parked until the gateway closes
-				return nil, req.Context().Err()
+				return modelReply(data, etag), nil // a forwarded fetch, or the next grid's revalidation
 			}}
 			gw := gatewayOver(t, shard, ShardSpec{ID: "s0", URLs: []string{"http://s0.scripted"}})
 			sh := gw.shards["s0"]
-			serveGateway(context.Background(), gw, http.MethodGet, scriptedFetch, nil)
-			eventually(t, "the follower retired", func() bool { return sh.modelSyncs.refused.Value() == 1 && sh.model(modelKey{47, 1}) == nil })
-			legs := sh.requests.Value()
-			if rec := serveGateway(context.Background(), gw, http.MethodGet, scriptedFetch, nil); rec.Code != http.StatusOK || sh.requests.Value() == legs {
-				t.Errorf("model after a refused sync = %d with %d legs, want a forwarded 200", rec.Code, sh.requests.Value()-legs)
+			eventually(t, "the refused revalidation", func() bool { return sh.modelSyncs.refused.Value() == 1 })
+			if sh.model(modelKey{47, 1}).load() != nil || sh.grid.load() == nil {
+				t.Fatal("a refused revalidation kept the store's copy, or dropped the grid")
 			}
-			eventually(t, "a new follower in sync", func() bool { return sh.modelSyncs.ok.Value() == 1 })
+			if rec := serveGateway(context.Background(), gw, http.MethodGet, scriptedFetch, nil); rec.Code != http.StatusOK || sh.requests.Value() != 1 {
+				t.Errorf("model after a refused revalidation = %d with %d legs, want a forwarded 200", rec.Code, sh.requests.Value())
+			}
+			if sh.model(modelKey{47, 1}).load() != nil {
+				t.Error("a forwarded 200 brought the copy back before the next grid")
+			}
+			close(nextGrid)
+			eventually(t, "the next grid's revalidation", func() bool { return sh.modelSyncs.ok.Value() == 1 })
+			if rec := serveGateway(context.Background(), gw, http.MethodGet, scriptedFetch, nil); rec.Code != http.StatusOK || sh.requests.Value() != 1 {
+				t.Errorf("model after the next grid = %d with %d legs in all, want the copy's 200", rec.Code, sh.requests.Value())
+			}
 			if gw.Failovers() != 0 {
-				t.Errorf("a refused sync failed the endpoint over %d times", gw.Failovers())
+				t.Errorf("a refused revalidation failed the endpoint over %d times", gw.Failovers())
 			}
 		})
 	}
 }
 
 // TestModelFollowerFailsOverToReplica: when a shard's primary dies, its
-// followed stores' followers fail over to the replica endpoint as a leg
-// does and resync from it; a retrain there reaches the replica.
+// follower fails over to the replica endpoint as a leg does and copies
+// the stores again from it; a retrain there reaches the copy.
 func TestModelFollowerFailsOverToReplica(t *testing.T) {
 	replica, replicaTS := newTestNode(t, "s0r", nil)
 	primary, primaryTS := newTestNode(t, "s0", []string{replicaTS.URL})
@@ -357,7 +380,8 @@ func TestModelFollowerFailsOverToReplica(t *testing.T) {
 
 // TestModelFollowersEndAtClose: watches parked on a replica answer 503
 // at BeginShutdown, fetches are still answered from it through the
-// drain, and Close leaves no follower: a fetch after it starts none.
+// drain, and Close leaves no follower and no copy: a fetch after it
+// brings none back.
 func TestModelFollowersEndAtClose(t *testing.T) {
 	tc := newTestCluster(t, []string{"s0", "s1", "s2"})
 	free, _ := seedGeoCluster(t, tc, 47)
@@ -386,38 +410,117 @@ func TestModelFollowersEndAtClose(t *testing.T) {
 	tc.gw.Close()
 	following := func() bool {
 		buf := make([]byte, 1<<20)
-		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.(*replica[...]).follow("))
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.(*shardState).follow("))
 	}
 	eventually(t, "no follower goroutine after Close", func() bool { return !following() })
 	ask(t, tc.gwTS.URL+"/v1/model?channel=47&sensor=1"+at, "")
-	if following() || tc.gw.shards["s0"].model(modelKey{47, 1}) != nil {
-		t.Error("a model fetch after Close started a follower")
+	if following() || tc.gw.shards["s0"].model(modelKey{47, 1}).load() != nil {
+		t.Error("a follower or a copy outlived Close")
 	}
 }
 
-// TestModelFollowerNeedsAModelFetch: a gateway that forwards no model
-// 200 follows no store, whatever else it serves; the first one does.
-func TestModelFollowerNeedsAModelFetch(t *testing.T) {
-	var follows atomic.Int64
-	tc := wrappedCluster(t, []string{"s0", "s1", "s2"}, func(h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == modelWatchPath && r.Header.Get(telemetry.TraceHeader) == "" {
-				follows.Add(1)
-			}
-			h.ServeHTTP(w, r)
-		})
-	})
+// TestGatewayCopiesFromTheGrid: a fresh gateway copies every trained
+// store of every shard — each store its copy of the shard's grid names —
+// with no client request, so every model fetch is answered with no leg,
+// in the owner's bytes; and it parks no watch on any shard: one parked
+// grid poll per shard is all it holds there.
+func TestGatewayCopiesFromTheGrid(t *testing.T) {
+	tc := newTestCluster(t, []string{"s0", "s1", "s2"})
 	free, _ := seedGeoCluster(t, tc, 47)
-	at := hintAt(free["s0"])
-	for _, target := range []string{"/v1/export?channel=47&sensor=1" + at, "/v1/stats", "/v1/availability?lat=33.7&lon=-84.4",
-		"/v1/model?channel=21&sensor=1" + at, "/v1/model?channel=47&sensor=9" + at} {
-		if status, body := fetch(t, tc.gwTS.URL+target, nil); status/100 == 5 {
-			t.Fatalf("%s = %d %s", target, status, body)
+	seedGeoCluster(t, tc, 21)
+	var specs []ShardSpec
+	for _, id := range tc.gw.Ring().Nodes() {
+		specs = append(specs, ShardSpec{ID: id, URLs: []string{tc.nodeTS[id].URL}})
+	}
+	gw, err := NewGateway(GatewayConfig{Shards: specs, Ring: RingConfig{Seed: 11}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	stores := []rfenv.Channel{21, 47}
+	for id := range free {
+		for _, ch := range stores {
+			eventually(t, fmt.Sprintf("%s's %d/RTL copied", id, ch), func() bool { return gw.shards[id].model(modelKey{ch, 1}).load() != nil })
 		}
 	}
-	if n := follows.Load(); n != 0 {
-		t.Errorf("shards saw %d follower watches from a gateway that forwarded no model", n)
+	for id, loc := range free {
+		sh := gw.shards[id]
+		for _, ch := range stores {
+			target := fmt.Sprintf("/v1/model?channel=%d&sensor=1", ch)
+			direct := ask(t, tc.nodeTS[id].URL+target, "")
+			rec := serveGateway(context.Background(), gw, http.MethodGet, target+hintAt(loc), nil)
+			if rec.Code != http.StatusOK || rec.Body.String() != direct.body || sh.requests.Value() != 0 {
+				t.Errorf("%s's %d/RTL = %d (owner's bytes: %v) with %d legs, want the owner's 200 with none",
+					id, ch, rec.Code, rec.Body.String() == direct.body, sh.requests.Value())
+			}
+		}
+		if n := tc.nodes[id].DB.Metrics().Gauge("waldo_dbserver_watch_active", "").Value(); n != 0 {
+			t.Errorf("%s has %v watches parked, want 0", id, n)
+		}
 	}
-	ask(t, tc.gwTS.URL+"/v1/model?channel=47&sensor=1"+at, "")
-	eventually(t, "the first model 200 starts a follower", func() bool { return follows.Load() > 0 })
+}
+
+// TestModelCopyNamesBytesNotVersions: versions count retrains per
+// server, so after a failover a promoted replica can reach the version
+// the gateway's copy holds from another history. The primary retrains to
+// v2, its stream held back from the replica, and dies; the replica, at
+// v1, takes a write and retrains to its own v2. The gateway serves the
+// replica's v2 bytes, and a client naming the primary's v2 gets them.
+func TestModelCopyNamesBytesNotVersions(t *testing.T) {
+	replica, _ := newTestNode(t, "s0r", nil)
+	var held atomic.Bool
+	replicaTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if held.Load() && r.URL.Path == "/v1/repl/apply" {
+			http.Error(w, "held back", http.StatusServiceUnavailable)
+			return
+		}
+		replica.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(replicaTS.Close)
+	primary, primaryTS := newTestNode(t, "s0", []string{replicaTS.URL})
+	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{primaryTS.URL, replicaTS.URL}})
+	sh := gw.shards["s0"]
+	loc := cellCenter(rfenv.MetroCenter)
+	post := func(target string, body []byte, want int) {
+		t.Helper()
+		if rec := serveGateway(context.Background(), gw, http.MethodPost, target, body); rec.Code != want {
+			t.Fatalf("%s = %d %s", target, rec.Code, rec.Body)
+		}
+	}
+	post("/v1/readings", uploadBody(t, fieldAt(400, 47, loc, -100)), http.StatusNoContent)
+	post("/v1/retrain?channel=47&sensor=1", nil, http.StatusOK)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := primary.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	held.Store(true)
+	post("/v1/readings", uploadBody(t, fieldAt(50, 47, loc.Offset(90, 1000), -70)), http.StatusNoContent)
+	post("/v1/retrain?channel=47&sensor=1", nil, http.StatusOK)
+	primaryV2 := sh.model(modelKey{47, 1}).load()
+	if primaryV2 == nil || primaryV2.val.Version != 2 || replica.DB.ModelVersion(47, 1) != 1 {
+		t.Fatalf("copy %+v with the replica at v%d, want the primary's v2 and the replica at v1", primaryV2, replica.DB.ModelVersion(47, 1))
+	}
+
+	kill(primaryTS)
+	eventually(t, "the shard failed over to the replica", func() bool { return sh.currentURL() == replicaTS.URL })
+	post("/v1/readings", uploadBody(t, fieldAt(50, 47, loc.Offset(270, 1000), -100)), http.StatusNoContent)
+	post("/v1/retrain?channel=47&sensor=1", nil, http.StatusOK)
+	direct := ask(t, replicaTS.URL+scriptedFetch, "")
+	if direct.version != "2" || direct.etag == primaryV2.etag {
+		t.Fatalf("the replica serves v%s under %s, want its own v2, not the primary's %s", direct.version, direct.etag, primaryV2.etag)
+	}
+	legs := sh.requests.Value()
+	for _, inm := range []string{"", primaryV2.etag} {
+		req := httptest.NewRequest(http.MethodGet, scriptedFetch, nil)
+		req.Header.Set("If-None-Match", inm)
+		rec := httptest.NewRecorder()
+		gw.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Header().Get("ETag") != direct.etag || rec.Body.String() != direct.body {
+			t.Errorf("fetch naming %q = %d %s, want the replica's v2 %s", inm, rec.Code, rec.Header().Get("ETag"), direct.etag)
+		}
+	}
+	if n := sh.requests.Value() - legs; n != 0 {
+		t.Errorf("the fetches took %d legs, want them answered from the copy", n)
+	}
 }

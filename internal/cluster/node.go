@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dbserver"
@@ -34,10 +33,6 @@ type NodeConfig struct {
 	// node is a replica itself, or an unreplicated primary: either way no
 	// shipper runs.
 	ReplicaURLs []string
-
-	// ShipInterval is the replication shipping tick. 0 means 3ms — small
-	// enough that steady-state lag is a handful of batches.
-	ShipInterval time.Duration
 }
 
 // seedChunkReadings bounds one snapshot-seeded append frame, keeping any
@@ -84,9 +79,6 @@ type Node struct {
 // replica adopting the new incarnation is rebuilt from scratch rather
 // than silently missing the recovered prefix.
 func OpenNode(cfg NodeConfig) (*Node, error) {
-	if cfg.ShipInterval <= 0 {
-		cfg.ShipInterval = 3 * time.Millisecond
-	}
 	if cfg.DB.Metrics == nil {
 		cfg.DB.Metrics = telemetry.New()
 	}
@@ -94,7 +86,7 @@ func OpenNode(cfg NodeConfig) (*Node, error) {
 	n.appliedTotal = cfg.DB.Metrics.Counter("waldo_cluster_replication_applied_total",
 		"Replicated journal records applied by this node (replica role).")
 	if len(cfg.ReplicaURLs) > 0 {
-		n.repl = newReplicator(newIncarnation(), cfg.ReplicaURLs, cfg.ShipInterval, cfg.DB.Metrics, cfg.DB.Log)
+		n.repl = newReplicator(newIncarnation(), cfg.ReplicaURLs, cfg.DB.Metrics, cfg.DB.Log)
 		if cfg.DB.Tap != nil {
 			return nil, fmt.Errorf("cluster: NodeConfig.DB.Tap is owned by the replicator")
 		}

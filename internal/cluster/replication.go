@@ -179,7 +179,8 @@ type applyStatus struct {
 
 // replicaLink is the shipping state for one replica.
 type replicaLink struct {
-	url string
+	url  string
+	grew chan struct{} // 1-buffered: the journal grew since the shipper last looked
 
 	mu     sync.Mutex
 	acked  uint64 // highest sequence the replica confirmed applied
@@ -193,7 +194,7 @@ type replicaLink struct {
 
 // setFenced flips the link's fence and mirrors it into the resync
 // gauge, reporting whether the state changed (so the caller can count
-// the fencing error once, not once per 3ms shipping tick).
+// the fencing error once, not once per exchange).
 func (l *replicaLink) setFenced(v bool) bool {
 	l.mu.Lock()
 	changed := l.fenced != v
@@ -228,7 +229,6 @@ func (l *replicaLink) setFenced(v bool) bool {
 type Replicator struct {
 	incarnation uint64
 	httpc       *http.Client
-	interval    time.Duration
 	reg         *telemetry.Registry
 	lg          *wlog.Logger
 
@@ -245,26 +245,25 @@ type Replicator struct {
 const maxShipRecords = 256
 
 // newReplicator assembles the shipper; start() launches the loops.
-func newReplicator(incarnation uint64, replicaURLs []string,
-	interval time.Duration, metrics *telemetry.Registry, lg *wlog.Logger) *Replicator {
+func newReplicator(incarnation uint64, replicaURLs []string, metrics *telemetry.Registry, lg *wlog.Logger) *Replicator {
 	r := &Replicator{
 		incarnation: incarnation,
 		httpc:       &http.Client{Timeout: 10 * time.Second},
-		interval:    interval,
 		reg:         metrics,
 		lg:          lg.Named("repl"),
 		stopc:       make(chan struct{}),
 	}
 	for _, u := range replicaURLs {
 		r.links = append(r.links, &replicaLink{
-			url: u,
+			url:  u,
+			grew: make(chan struct{}, 1),
 			lag: metrics.Gauge("waldo_cluster_replication_lag_records",
 				"Journal records accepted by the primary but not yet confirmed applied by this replica.",
 				"replica", u),
 			shipped: metrics.Counter("waldo_cluster_replication_shipped_total",
 				"Journal records confirmed applied by this replica.", "replica", u),
 			errs: metrics.Counter("waldo_cluster_replication_errors_total",
-				"Failed replication exchanges with this replica (retried on the next shipping tick).",
+				"Failed replication exchanges with this replica (retried after a backoff: 50 ms, doubling up to 10 s).",
 				"replica", u),
 			resync: metrics.Gauge("waldo_cluster_replication_resync_needed",
 				"1 when this replica refused the primary's stream (divergent history or truncated backlog) and must be rebuilt.",
@@ -291,19 +290,25 @@ func (r *Replicator) stop() {
 // originating request's trace ends at the enqueue — each exchange later
 // runs under its own repl/ship trace.
 func (r *Replicator) TapReadings(_ context.Context, ch rfenv.Channel, kind sensor.Kind, rs []dataset.Reading) {
-	rec := replRecord{kind: frameAppend, ch: ch, sensor: kind,
-		readings: append([]dataset.Reading(nil), rs...)}
-	r.mu.Lock()
-	r.log = append(r.log, rec)
-	r.mu.Unlock()
+	r.enqueue(replRecord{kind: frameAppend, ch: ch, sensor: kind, readings: append([]dataset.Reading(nil), rs...)})
 }
 
 // TapRetrain implements dbserver.Tap.
 func (r *Replicator) TapRetrain(_ context.Context, ch rfenv.Channel, kind sensor.Kind, version, trained int) {
-	rec := replRecord{kind: frameRetrain, ch: ch, sensor: kind, version: version, trained: trained}
+	r.enqueue(replRecord{kind: frameRetrain, ch: ch, sensor: kind, version: version, trained: trained})
+}
+
+// enqueue appends rec to the journal and wakes every link's shipper.
+func (r *Replicator) enqueue(rec replRecord) {
 	r.mu.Lock()
 	r.log = append(r.log, rec)
 	r.mu.Unlock()
+	for _, link := range r.links {
+		select {
+		case link.grew <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // logLen returns the highest assigned sequence number.
@@ -365,31 +370,41 @@ func (r *Replicator) truncate() {
 	}
 }
 
-// ship is one replica's shipping loop: every tick, push everything past
-// the replica's ack in maxShipRecords chunks until caught up or erroring
-// (errors wait for the next tick — the replica being down must not spin
-// the primary).
+// ship is one replica's shipping loop: it pushes everything past the
+// replica's ack in maxShipRecords chunks while that makes progress, then
+// waits for the journal to grow. An exchange that fails, or makes no
+// progress, waits out the followers' backoff instead — followRetry,
+// doubling up to legTimeout — so a replica that is down cannot spin the
+// primary.
 func (r *Replicator) ship(link *replicaLink) {
 	defer r.wg.Done()
-	t := time.NewTicker(r.interval)
-	defer t.Stop()
+	var pause time.Duration
 	for {
+		grew, backoff := link.grew, (<-chan time.Time)(nil)
+		switch progressed, idle := r.shipOnce(link); {
+		case progressed:
+			pause = 0
+			continue
+		case !idle:
+			pause = min(max(2*pause, followRetry), legTimeout)
+			grew, backoff = nil, time.After(pause)
+		}
 		select {
 		case <-r.stopc:
 			return
-		case <-t.C:
-			for r.shipOnce(link) {
-			}
+		case <-grew: // taken before shipOnce reads the journal: no append is missed
+		case <-backoff:
 		}
 	}
 }
 
-// shipOnce pushes one chunk and returns true if it made progress and
-// more may be pending. Every exchange that actually carries frames runs
-// under its own repl/ship trace (shipping is asynchronous, so there is
-// no client request to join); the trace header propagates to the
-// replica, whose /v1/repl/apply spans join the same trace ID.
-func (r *Replicator) shipOnce(link *replicaLink) bool {
+// shipOnce pushes one chunk. It reports whether the replica confirmed
+// progress, so more may be pending, and whether there was nothing to
+// ship. Every exchange that actually carries frames runs under its own
+// repl/ship trace (shipping is asynchronous, so there is no client
+// request to join); the trace header propagates to the replica, whose
+// /v1/repl/apply spans join the same trace ID.
+func (r *Replicator) shipOnce(link *replicaLink) (progressed, idle bool) {
 	link.mu.Lock()
 	acked := link.acked
 	link.mu.Unlock()
@@ -403,10 +418,10 @@ func (r *Replicator) shipOnce(link *replicaLink) bool {
 			r.lg.Error(context.Background(), "replica_fenced",
 				"replica", link.url, "reason", "backlog_truncated", "acked", acked)
 		}
-		return false
+		return false, false
 	}
 	if len(recs) == 0 {
-		return false
+		return false, true
 	}
 	sp := r.reg.StartTrace("repl/ship", telemetry.SpanContext{})
 	sp.SetAttr("replica", link.url)
@@ -421,7 +436,7 @@ func (r *Replicator) shipOnce(link *replicaLink) bool {
 	if err != nil {
 		link.errs.Inc()
 		sp.Fail(err.Error())
-		return false
+		return false, false
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set(telemetry.TraceHeader, sp.Context().Header())
@@ -430,7 +445,7 @@ func (r *Replicator) shipOnce(link *replicaLink) bool {
 		link.errs.Inc()
 		sp.Fail(err.Error())
 		r.lg.Warn(ctx, "ship_failed", "replica", link.url, "err", err)
-		return false
+		return false, false
 	}
 	defer resp.Body.Close()
 	var st applyStatus
@@ -438,7 +453,7 @@ func (r *Replicator) shipOnce(link *replicaLink) bool {
 		link.errs.Inc()
 		sp.Fail(err.Error())
 		r.lg.Warn(ctx, "ship_bad_status_body", "replica", link.url, "err", err)
-		return false
+		return false, false
 	}
 	if st.Incarnation != r.incarnation {
 		// The replica follows a different primary incarnation (or refused
@@ -451,7 +466,7 @@ func (r *Replicator) shipOnce(link *replicaLink) bool {
 				"ships", fmt.Sprintf("%016x", r.incarnation))
 		}
 		sp.Fail("incarnation mismatch")
-		return false
+		return false, false
 	}
 	r.mu.Lock()
 	base := r.base
@@ -465,11 +480,11 @@ func (r *Replicator) shipOnce(link *replicaLink) bool {
 				"reason", "rewound_below_truncation", "applied", st.Applied, "base", base)
 		}
 		sp.Fail("replica below truncation point")
-		return false
+		return false, false
 	}
 	link.setFenced(false)
 	link.mu.Lock()
-	progressed := st.Applied > link.acked
+	progressed = st.Applied > link.acked
 	if progressed {
 		link.shipped.Add(st.Applied - link.acked)
 	}
@@ -485,7 +500,7 @@ func (r *Replicator) shipOnce(link *replicaLink) bool {
 	if resp.StatusCode != http.StatusOK {
 		link.errs.Inc()
 	}
-	return progressed && resp.StatusCode == http.StatusOK
+	return progressed && resp.StatusCode == http.StatusOK, false
 }
 
 // Lag returns the largest number of journal records any replica still

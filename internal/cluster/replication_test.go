@@ -90,8 +90,7 @@ func newTestNode(t testing.TB, id string, replicaURLs []string) (*Node, *httptes
 		DB: dbserver.Config{
 			Constructor: core.ConstructorConfig{Classifier: core.KindNB},
 		},
-		ReplicaURLs:  replicaURLs,
-		ShipInterval: time.Millisecond,
+		ReplicaURLs: replicaURLs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -470,8 +469,7 @@ func TestRecoveredPrimarySeedsEmptyReplica(t *testing.T) {
 				Constructor: core.ConstructorConfig{Classifier: core.KindNB},
 				DataDir:     dir,
 			},
-			ReplicaURLs:  replicas,
-			ShipInterval: time.Millisecond,
+			ReplicaURLs: replicas,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -573,4 +571,29 @@ func (g *gatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.next.ServeHTTP(w, r)
+}
+
+// TestShipperBacksOffADownReplica: against a replica that refuses
+// connections the shipper waits out the followers' backoff between
+// exchanges — 50 ms, doubling — however fast the journal grows, rather
+// than retrying on every append.
+func TestShipperBacksOffADownReplica(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	primary, primaryTS := newTestNode(t, "p", []string{dead.URL})
+	loc := cellCenter(rfenv.MetroCenter)
+	for i, end := 0, time.Now().Add(400*time.Millisecond); time.Now().Before(end); i++ {
+		resp := mustPost(t, primaryTS.URL+"/v1/readings", uploadBody(t, synthAt(5, 47, int64(i), loc)))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("upload = %s", resp.Status)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// 50 + 100 + 200 ms of backoff fit in the 400 ms: four exchanges, or
+	// five if the last backoff ran out before the count is read.
+	errs := primary.DB.Metrics().Counter("waldo_cluster_replication_errors_total", "", "replica", dead.URL).Value()
+	if errs == 0 || errs > 5 {
+		t.Errorf("%d failed exchanges with the down replica in 400 ms, want 1 to 5", errs)
+	}
 }

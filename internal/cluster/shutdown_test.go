@@ -11,9 +11,10 @@ import (
 // TestGatewayBeginShutdownAnswersParkedWatches: a watch parked through
 // the gateway has no timeout to end it, so BeginShutdown must — with a
 // 503 that sends the client to re-arm, at once, and without blaming
-// the shard, which is fine.
+// the shard, which is fine. The shards' grid polls park, so the gateway
+// copies no store and the watches park on the shard.
 func TestGatewayBeginShutdownAnswersParkedWatches(t *testing.T) {
-	tc := newTestCluster(t, []string{"s0", "s1", "s2"})
+	tc := wrappedCluster(t, []string{"s0", "s1", "s2"}, gridParked)
 	locs := tc.locations(t, 47)
 	var owner string
 	for id := range locs {

@@ -15,6 +15,7 @@ import (
 	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/geoindex"
 	"github.com/wsdetect/waldo/internal/rfenv"
+	"github.com/wsdetect/waldo/internal/sensor"
 )
 
 func getAvailability(t *testing.T, url string) AvailabilityJSON {
@@ -208,6 +209,97 @@ func TestRetrainSchedulesRebuild(t *testing.T) {
 			t.Fatalf("grid generation stuck at %d after retrain", gen0)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// gridNames reports whether g has a verdict from store ch/kind cast
+// with model version v.
+func gridNames(g *geoindex.Snapshot, ch rfenv.Channel, kind sensor.Kind, v int) bool {
+	var wire struct {
+		Cells []struct {
+			Verdicts []geoindex.ChannelAvailability
+		}
+	}
+	if json.Unmarshal(geoindex.EncodeGrid(g), &wire) != nil {
+		return false
+	}
+	for _, c := range wire.Cells {
+		for _, e := range c.Verdicts {
+			if e.Channel == ch && e.Sensor == kind && e.ModelVersion == v {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestEveryInstalledModelPublishesAGrid: however a model version is
+// installed — Bootstrap, POST /v1/retrain, a replicated retrain, or
+// recovery from the WAL by Open — the server publishes a grid that names
+// the store at that version, so a gateway copying the stores its grid
+// names copies this one.
+func TestEveryInstalledModelPublishesAGrid(t *testing.T) {
+	seed := synthReadings(600, 47, 1)
+	cfg := Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}}
+	for _, tc := range []struct {
+		name    string
+		install func(t *testing.T) *Server
+	}{
+		{"Bootstrap", func(t *testing.T) *Server {
+			s := New(cfg)
+			if err := s.Bootstrap(seed); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"POST /v1/retrain", func(t *testing.T) *Server {
+			s, ts := bootedServer(t)
+			resp, err := http.Post(ts.URL+"/v1/retrain?channel=47&sensor=1", "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("retrain = %s", resp.Status)
+			}
+			return s
+		}},
+		{"ApplyReplicatedRetrain", func(t *testing.T) *Server {
+			s := New(cfg)
+			if err := s.ApplyReplicatedReadings(context.Background(), 47, sensor.KindRTLSDR, seed); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ApplyReplicatedRetrain(context.Background(), 47, sensor.KindRTLSDR, 3, len(seed)); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"Open after recovery", func(t *testing.T) *Server {
+			dir := t.TempDir()
+			s, err := Open(durableConfig(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Bootstrap(seed); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if s, err = Open(durableConfig(dir)); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.install(t)
+			defer s.Close()
+			v := s.ModelVersion(47, sensor.KindRTLSDR)
+			for deadline := time.Now().Add(5 * time.Second); !gridNames(s.GeoIndex().Snapshot(), 47, sensor.KindRTLSDR, v); time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("no published grid names 47/RTL at the installed v%d (generation %d)", v, s.GeoIndex().Snapshot().Generation)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package dbserver
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -36,8 +37,9 @@ type walState struct {
 
 // Open builds a server and, when cfg.DataDir is set, recovers every
 // persisted store from disk before serving: WAL segment replay into the
-// store's chunks, and a deterministic model rebuild at the persisted
-// version.
+// store's chunks, a deterministic model rebuild at the persisted
+// version, and — once any store is recovered — the availability grid,
+// built synchronously as Bootstrap builds it.
 // With no DataDir it is equivalent to New.
 func Open(cfg Config) (*Server, error) {
 	s := New(cfg)
@@ -51,6 +53,7 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	recovered := false
 	for _, ent := range ents {
 		ch, kind, ok := wal.ParseStoreDirName(ent.Name())
 		if !ok || !ent.IsDir() {
@@ -59,6 +62,10 @@ func Open(cfg Config) (*Server, error) {
 		if _, err := s.updaterFor(ch, kind); err != nil {
 			return nil, fmt.Errorf("dbserver: recover %s: %w", ent.Name(), err)
 		}
+		recovered = true
+	}
+	if recovered {
+		s.geoidx.Rebuild(context.Background())
 	}
 	return s, nil
 }

@@ -1,11 +1,14 @@
 package e2e
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+
+	"github.com/wsdetect/waldo/internal/geoindex"
 )
 
 // CrashConfig shapes a RunCrash scenario.
@@ -36,7 +39,10 @@ type CrashConfig struct {
 // the persisted version, and model rebuilds are deterministic, so the
 // decision log, store CSVs, and served versions must all be identical to
 // the uninterrupted run. The crash-recovery e2e test asserts exactly
-// that.
+// that. RunCrash itself refuses a recovery whose availability grid, the
+// one the second incarnation serves from its first request, differs
+// from the grid the first one's stores give at the durability point,
+// generation aside.
 func RunCrash(cfg Config, crash CrashConfig) (*Result, error) {
 	cfg.defaults()
 	if crash.DataDir == "" {
@@ -75,6 +81,7 @@ func RunCrash(cfg Config, crash CrashConfig) (*Result, error) {
 		sessA.ts.Close()
 		return nil, err
 	}
+	wantGrid := verdicts(sessA.srv.GeoIndex().Rebuild(ctx))
 	sessA.ts.Close()
 	sessA.addCounters(res)
 
@@ -90,6 +97,9 @@ func RunCrash(cfg Config, crash CrashConfig) (*Result, error) {
 		return nil, fmt.Errorf("e2e: recovery: %w", err)
 	}
 	defer sessB.ts.Close()
+	if !bytes.Equal(verdicts(sessB.srv.GeoIndex().Snapshot()), wantGrid) {
+		return nil, fmt.Errorf("e2e: the recovered server's grid differs from the pre-kill one")
+	}
 	if err := sessB.runCycles(ctx, crash.AfterCycle, cfg.Cycles); err != nil {
 		return nil, err
 	}
@@ -106,6 +116,14 @@ func RunCrash(cfg Config, crash CrashConfig) (*Result, error) {
 	res.StoreCSV = stores
 	res.ModelVersion = versions
 	return res, nil
+}
+
+// verdicts renders a grid without its generation, which a restarted
+// server counts afresh.
+func verdicts(g *geoindex.Snapshot) []byte {
+	v := *g
+	v.Generation = 0
+	return geoindex.EncodeGrid(&v)
 }
 
 // tearSegmentTails appends a short garbage fragment — less than a full

@@ -172,6 +172,20 @@ func (s *Snapshot) Cells() int { return len(s.cells) }
 // Entries reports the total number of (cell, channel, sensor) verdicts.
 func (s *Snapshot) Entries() int { return s.entries }
 
+// EachStore calls fn once for each (channel, sensor) store the snapshot
+// has a verdict from.
+func (s *Snapshot) EachStore(fn func(rfenv.Channel, sensor.Kind)) {
+	seen := make(map[entryKey]bool)
+	for _, vs := range s.cells {
+		for _, v := range vs {
+			if k := (entryKey{v.Channel, v.Sensor}); !seen[k] {
+				seen[k] = true
+				fn(k.ch, k.kind)
+			}
+		}
+	}
+}
+
 // StoreSnapshot is one trusted store's contribution to a rebuild: its
 // current model, that model's version, and the recency window of
 // accepted readings used as occupancy evidence.

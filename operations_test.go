@@ -328,6 +328,102 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 }
 
+// TestDocsFlagsExist: every -flag on a waldo-server, waldo-gateway,
+// waldo-wardrive or waldo-bench command line inside a fenced code block
+// of README.md, OPERATIONS.md, DESIGN.md or the verify skill is defined
+// by that binary's flag set, so a removed flag cannot linger in a
+// command an operator copies. Flags named in prose, or in a shell
+// comment, are out of its scope.
+func TestDocsFlagsExist(t *testing.T) {
+	defined := map[string]map[string]bool{}
+	for _, bin := range []string{"waldo-server", "waldo-gateway", "waldo-wardrive", "waldo-bench"} {
+		if defined[bin] = flagsOf(t, filepath.Join("cmd", bin)); len(defined[bin]) == 0 {
+			t.Fatalf("found no flags in cmd/%s; the scan is broken", bin)
+		}
+	}
+	cmdRE := regexp.MustCompile(`(?:^|[\s;&|(])(?:\S*/)?(waldo-(?:server|gateway|wardrive|bench))((?:\s+[^\s;&|]+)*)`)
+	commentRE := regexp.MustCompile(`(?:^|\s)#.*$`)
+	flagRE := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=|$)`)
+	checked := 0
+	for _, name := range []string{"README.md", "OPERATIONS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		inBlock, line := false, ""
+		for _, raw := range strings.Split(string(readFile(t, name)), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(raw), "```") {
+				inBlock, line = !inBlock, ""
+				continue
+			}
+			if !inBlock {
+				continue
+			}
+			if line += raw; strings.HasSuffix(line, "\\") { // continued on the next line
+				line = strings.TrimSuffix(line, "\\") + " "
+				continue
+			}
+			for _, m := range cmdRE.FindAllStringSubmatch(commentRE.ReplaceAllString(line, ""), -1) {
+				for _, arg := range strings.Fields(m[2]) {
+					if f := flagRE.FindStringSubmatch(arg); f != nil {
+						checked++
+						if !defined[m[1]][f[1]] {
+							t.Errorf("%s runs %s -%s, a flag it does not define", name, m[1], f[1])
+						}
+					}
+				}
+			}
+			line = ""
+		}
+	}
+	if checked < 10 {
+		t.Errorf("checked only %d flags on documented command lines; the scan is broken", checked)
+	}
+}
+
+// flagsOf returns the flag names the non-test Go files in dir define:
+// the first argument of a flag.String-style call, the second of a
+// flag.StringVar-style one.
+func flagsOf(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			arg := 0
+			switch sel.Sel.Name {
+			case "String", "Int", "Int64", "Uint", "Uint64", "Bool", "Duration", "Float64", "Func", "BoolFunc":
+			case "StringVar", "IntVar", "Int64Var", "UintVar", "Uint64Var", "BoolVar", "DurationVar", "Float64Var", "Var", "TextVar":
+				arg = 1
+			default:
+				return true
+			}
+			if len(call.Args) > arg {
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					names[name] = true
+				}
+			}
+			return true
+		})
+	}
+	return names
+}
+
 // TestMakefileRunPatternsMatch: a `go test -run` pattern that matches
 // nothing passes silently, so every alternative of every Makefile -run
 // pattern must match a Test or Fuzz function in that line's packages.
