@@ -32,7 +32,7 @@ import (
 
 // Handler builds the admin mux for one registry: pprof under
 // /debug/pprof/, the Prometheus exposition at /metrics, and the flight
-// recorder (when one is attached to the registry) at /debug/traces.
+// recorder at /debug/traces.
 func Handler(reg *telemetry.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

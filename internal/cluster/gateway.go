@@ -146,11 +146,6 @@ type Gateway struct {
 	places       *dbserver.Places
 	models       *dbserver.Models
 
-	// recorder backs GET /debug/traces; ownRec marks one created (and so
-	// closed) by this gateway rather than attached by the caller.
-	recorder *telemetry.Recorder
-	ownRec   bool
-
 	handler http.Handler
 	// life ends at BeginShutdown: parked /v1/model/watch legs, which no
 	// timeout leashes, are cancelled, and watches parked on a model
@@ -230,24 +225,16 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := cfg.Metrics.FlightRecorder()
-	ownRec := rec == nil
-	if ownRec {
-		rec = telemetry.NewRecorder(telemetry.RecorderOptions{Metrics: cfg.Metrics})
-		cfg.Metrics.SetFlightRecorder(rec)
-	}
 	lg := cfg.Log.Named("gateway")
 	g := &Gateway{
-		cfg:      cfg,
-		ring:     ring,
-		shards:   shards,
-		version:  ConfigVersion(cfg.Ring.Seed, ring.VNodes(), cfg.Shards),
-		rt:       rt,
-		legs:     legs,
-		metrics:  cfg.Metrics,
-		lg:       lg,
-		recorder: rec,
-		ownRec:   ownRec,
+		cfg:     cfg,
+		ring:    ring,
+		shards:  shards,
+		version: ConfigVersion(cfg.Ring.Seed, ring.VNodes(), cfg.Shards),
+		rt:      rt,
+		legs:    legs,
+		metrics: cfg.Metrics,
+		lg:      lg,
 		failovers: cfg.Metrics.Counter("waldo_cluster_failover_total",
 			"Times the gateway advanced a shard's active endpoint after failures."),
 		uploadSplits: cfg.Metrics.Counter("waldo_cluster_upload_split_total",
@@ -283,17 +270,13 @@ func (g *Gateway) BeginShutdown() { g.endLife() }
 
 // Close is BeginShutdown, then: stop the followers (place queries answer
 // 502 from then on, model requests forward), wait for them, close the
-// gateway-owned leg connections and the gateway-owned flight recorder.
-// Idempotent.
+// gateway-owned leg connections. Idempotent.
 func (g *Gateway) Close() error {
 	g.BeginShutdown()
 	g.endFollows()
 	g.wg.Wait()
 	if g.legs != nil {
 		g.legs.Close()
-	}
-	if g.ownRec {
-		g.recorder.Close()
 	}
 	return nil
 }
@@ -339,7 +322,7 @@ func (g *Gateway) buildHandler() http.Handler {
 	route("POST /v1/admin/snapshot", "/v1/admin/snapshot", g.handleBroadcastAdmin)
 	mux.Handle("GET /metrics", m.Handler())
 	// Unwrapped like /metrics: reading the recorder must not mint traces.
-	mux.Handle("GET /debug/traces", g.recorder.Handler())
+	mux.Handle("GET /debug/traces", m.FlightRecorder().Handler())
 	return mux
 }
 

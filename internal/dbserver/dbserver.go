@@ -134,12 +134,6 @@ type Server struct {
 	metrics *telemetry.Registry
 	lg      *wlog.Logger
 
-	// recorder is the trace flight recorder behind GET /debug/traces.
-	// ownRec marks a recorder created (and therefore closed) by this
-	// server, as opposed to one the caller attached to the registry.
-	recorder *telemetry.Recorder
-	ownRec   bool
-
 	// blobMu guards the encoded-descriptor cache. Entries are keyed by
 	// store and stamped with the model version they encode, so a
 	// retrain invalidates them implicitly: the next download sees a
@@ -296,24 +290,12 @@ func New(cfg Config) *Server {
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.New()
 	}
-	// Attach a flight recorder so every server answers /debug/traces out
-	// of the box. A recorder the caller already attached to the registry
-	// (a shared gateway registry) is reused and stays the caller's to
-	// close; one created here is closed by Close.
-	rec := cfg.Metrics.FlightRecorder()
-	ownRec := rec == nil
-	if ownRec {
-		rec = telemetry.NewRecorder(telemetry.RecorderOptions{Metrics: cfg.Metrics})
-		cfg.Metrics.SetFlightRecorder(rec)
-	}
 	s := &Server{
 		updaters: make(map[storeKey]*core.Updater),
 		wals:     make(map[storeKey]*walState),
 		cfg:      cfg,
 		metrics:  cfg.Metrics,
 		lg:       cfg.Log.Named("dbserver"),
-		recorder: rec,
-		ownRec:   ownRec,
 		blobs:    make(map[storeKey]*Descriptor),
 		upload:   newUploadState(cfg.Metrics),
 		hub:      newWatchHub(),
@@ -451,7 +433,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics", m.Handler())
 	// The trace viewer is a probe like /metrics: unwrapped, because
 	// reading the recorder should not itself mint traces.
-	mux.Handle("GET /debug/traces", s.recorder.Handler())
+	mux.Handle("GET /debug/traces", m.FlightRecorder().Handler())
 	return mux
 }
 

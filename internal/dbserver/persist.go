@@ -233,9 +233,6 @@ func (s *Server) Close() error {
 	// Stop grid rebuild scheduling and wait out any in-flight build so
 	// shutdown never leaks a builder goroutine.
 	s.geoidx.Close()
-	if s.ownRec {
-		s.recorder.Close()
-	}
 	// No checkpointer starts any more; none may still be writing into a
 	// store directory when its log closes (or when Close returns).
 	s.checkpointers.Wait()
@@ -302,10 +299,10 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, entry)
 	}
+	w.Header().Set("Content-Type", "application/json")
 	if !allOK {
 		w.WriteHeader(http.StatusInternalServerError)
 	}
-	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(out); err != nil {
 		return // client went away
 	}

@@ -12,10 +12,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
+	"github.com/wsdetect/waldo/internal/faultinject"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/telemetry"
@@ -166,6 +168,54 @@ func TestAdminSnapshotCompacts(t *testing.T) {
 	}
 	if got := s2.StoreSize(47, sensor.KindRTLSDR); got != 600 {
 		t.Errorf("store size after compaction = %d, want 600", got)
+	}
+}
+
+// armedFsyncFault fails every fsync once armed.
+type armedFsyncFault struct{ armed atomic.Bool }
+
+func (p *armedFsyncFault) Decide(uint64) faultinject.Fault {
+	if p.armed.Load() {
+		return faultinject.Fault{Kind: faultinject.FsyncErr}
+	}
+	return faultinject.Fault{}
+}
+
+// TestAdminSnapshotFailureIsJSON: a snapshot whose store fails answers
+// 500 with the per-store report still labelled application/json.
+func TestAdminSnapshotFailureIsJSON(t *testing.T) {
+	plan := &armedFsyncFault{}
+	cfg := durableConfig(t.TempDir())
+	cfg.WALFS = &faultinject.FaultFS{Plan: plan}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	plan.armed.Store(true)
+	resp, err := http.Post(ts.URL+"/v1/admin/snapshot", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("snapshot with a failing fsync = %s, want 500", resp.Status)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q, want application/json", ct)
+	}
+	var out []SnapshotJSON
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0].OK || out[0].Error == "" {
+		t.Fatalf("snapshot report = %+v, want one failed store", out)
 	}
 }
 

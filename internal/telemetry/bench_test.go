@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"testing"
 )
 
@@ -83,22 +84,22 @@ func BenchmarkNilCounterInc(b *testing.B) {
 }
 
 // Span hot path. Metric-only spans ride the WAL append and upload-screen
-// paths on every request, so StartSpan/End must not rebuild path strings
+// paths on every request, so StartSpanCtx/End must not rebuild path strings
 // or histogram lookups per call — that's what the spanNode interning and
 // the span pool buy.
 func BenchmarkSpanStartEnd(b *testing.B) {
 	r := New()
-	r.StartSpan("wal/append").End() // intern the node up front
+	r.StartSpanCtx(context.Background(), "wal/append").End() // intern the node up front
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.StartSpan("wal/append").End()
+		r.StartSpanCtx(context.Background(), "wal/append").End()
 	}
 }
 
 func BenchmarkSpanChildStartEnd(b *testing.B) {
 	r := New()
-	sp := r.StartSpan("retrain")
+	sp := r.StartSpanCtx(context.Background(), "retrain")
 	defer sp.End()
 	sp.Child("build").End()
 	b.ReportAllocs()
@@ -116,15 +117,15 @@ func BenchmarkSpanChildStartEnd(b *testing.B) {
 // histogram — fails the test, not just a benchmark nobody reran.
 func TestSpanAllocBudget(t *testing.T) {
 	r := New()
-	r.StartSpan("wal/append").End() // warm the intern tree + pool
+	r.StartSpanCtx(context.Background(), "wal/append").End() // warm the intern tree + pool
 
 	if avg := testing.AllocsPerRun(200, func() {
-		r.StartSpan("wal/append").End()
+		r.StartSpanCtx(context.Background(), "wal/append").End()
 	}); avg > 0 {
-		t.Errorf("metric-only StartSpan/End allocates %.1f objects/op, budget 0", avg)
+		t.Errorf("metric-only StartSpanCtx/End allocates %.1f objects/op, budget 0", avg)
 	}
 
-	parent := r.StartSpan("retrain")
+	parent := r.StartSpanCtx(context.Background(), "retrain")
 	parent.Child("build").End()
 	if avg := testing.AllocsPerRun(200, func() {
 		parent.Child("build").End()
@@ -137,9 +138,6 @@ func TestSpanAllocBudget(t *testing.T) {
 	// hex-rendered IDs, the retained TraceData — currently 12 objects for
 	// a root+child pair. The budget holds that constant: per-span costs,
 	// never per-call path strings or histogram re-lookups.
-	rec := NewRecorder(RecorderOptions{Metrics: r})
-	defer rec.Close()
-	r.SetFlightRecorder(rec)
 	const tracedBudget = 14
 	if avg := testing.AllocsPerRun(200, func() {
 		sp := r.StartTrace("/v1/readings", SpanContext{})

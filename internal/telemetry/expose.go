@@ -71,30 +71,11 @@ func writeHistogram(w io.Writer, name string, labelNames []string, key string, s
 	for i, bound := range s.Bounds {
 		cum += s.Counts[i]
 		le := formatFloat(bound)
-		fmt.Fprintf(w, "%s_bucket%s %d%s\n", name,
-			labelStringExtra(labelNames, key, "le", le), cum, exemplarSuffix(s.Exemplars, i))
+		fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelStringExtra(labelNames, key, "le", le), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket%s %d%s\n", name,
-		labelStringExtra(labelNames, key, "le", "+Inf"), s.Count, exemplarSuffix(s.Exemplars, len(s.Bounds)))
+	fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelStringExtra(labelNames, key, "le", "+Inf"), s.Count)
 	fmt.Fprintf(w, "%s_sum%s %s\n", name, labelString(labelNames, key), formatFloat(s.Sum))
 	fmt.Fprintf(w, "%s_count%s %d\n", name, labelString(labelNames, key), s.Count)
-}
-
-// exemplarSuffix renders a bucket's exemplar in OpenMetrics form
-// (` # {trace_id="…"} value timestamp`), or "" when the bucket never saw
-// a traced observation. Scrapers that predate exemplars ignore
-// everything after the sample value, so plain-text consumers keep
-// working.
-func exemplarSuffix(exemplars []Exemplar, i int) string {
-	if i >= len(exemplars) {
-		return ""
-	}
-	e := exemplars[i]
-	if e.TraceID.IsZero() {
-		return ""
-	}
-	return fmt.Sprintf(" # {trace_id=\"%s\"} %s %.3f",
-		e.TraceID, formatFloat(e.Value), float64(e.When.UnixNano())/1e9)
 }
 
 // labelString renders {a="x",b="y"} (empty string when no labels).

@@ -68,9 +68,7 @@ func (sr *StatusRecorder) Flush() {
 // X-Waldo-Trace so callers can pull the trace from /debug/traces.
 // Handlers reach the root span via telemetry.SpanFromContext on the
 // request context; 5xx responses mark the trace errored, which pins it
-// in the flight recorder's error ring. The route latency histogram
-// receives the trace as an exemplar, linking /metrics tail buckets to
-// retained traces.
+// in the flight recorder's error ring.
 func (r *Registry) WrapRoute(route string, next http.Handler) http.Handler {
 	if r == nil {
 		return next
@@ -89,16 +87,11 @@ func (r *Registry) WrapRoute(route string, next http.Handler) http.Handler {
 		start := time.Now()
 		sr := &StatusRecorder{ResponseWriter: w}
 		next.ServeHTTP(sr, req)
-		end := time.Now()
+		latency.Observe(time.Since(start).Seconds())
 		code := strconv.Itoa(sr.Status())
 		sp.SetAttr("code", code)
 		if sr.Status() >= http.StatusInternalServerError {
 			sp.Fail("HTTP " + code)
-		}
-		if sc.Sampled {
-			latency.ObserveWithExemplar(end.Sub(start).Seconds(), sc.Trace, end)
-		} else {
-			latency.Observe(end.Sub(start).Seconds())
 		}
 		sp.End()
 		inFlight.Dec()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -74,7 +75,7 @@ func (t *Trace) finish(end time.Time) {
 // request); otherwise a fresh sampled trace is minted. The returned root
 // span's Context() is what goes back out in response headers and onward
 // in fan-out requests. Completion is reported to the registry's flight
-// recorder, if one is attached.
+// recorder.
 func (r *Registry) StartTrace(name string, parent SpanContext) *Span {
 	if r == nil {
 		return nil
@@ -133,6 +134,9 @@ const (
 
 var classNames = [numClasses]string{"error", "slow", "recent"}
 
+// ringCapacity is each retention class's ring size.
+const ringCapacity = 256
+
 // slowWindowSize is how many recent durations per endpoint feed the
 // slow-percentile threshold.
 const slowWindowSize = 256
@@ -141,154 +145,72 @@ const slowWindowSize = 256
 // a trace is classified slow.
 const slowQuantile = 0.95
 
-// RecorderOptions parameterizes NewRecorder. The zero value is ready:
-// 256 traces per class, slow = p95 per endpoint, thresholds recomputed
-// every second.
-type RecorderOptions struct {
-	// Capacity is the per-class ring size; default 256.
-	Capacity int
-	// MinSamples is how many durations an endpoint must have produced
-	// before slow classification kicks in (a cold endpoint has no
-	// meaningful percentile); default 32.
-	MinSamples int
-	// RecomputeInterval is how often the background goroutine refreshes
-	// the per-endpoint slow thresholds; default 1s.
-	RecomputeInterval time.Duration
-	// Metrics, when set, receives the waldo_trace_* series.
-	Metrics *Registry
-}
+// minSamples is how many durations an endpoint must have produced
+// before slow classification kicks in: a cold endpoint has no
+// meaningful percentile.
+const minSamples = 32
 
-// endpointWindow is a fixed ring of one endpoint's recent durations in
-// seconds.
+// endpointWindow is a fixed ring of one endpoint's recent durations,
+// and the slow threshold last computed from it.
 type endpointWindow struct {
-	durs []float64
-	next int
-	full bool
+	durs      []time.Duration
+	next      int
+	threshold time.Duration // valid once len(durs) >= minSamples
 }
 
-func (w *endpointWindow) add(v float64) {
+// add appends v and reports whether the threshold is due a refresh:
+// when the window first reaches minSamples, and each time it turns over.
+func (w *endpointWindow) add(d time.Duration) bool {
 	if len(w.durs) < slowWindowSize {
-		w.durs = append(w.durs, v)
-		return
+		w.durs = append(w.durs, d)
+		return len(w.durs) == minSamples || len(w.durs) == slowWindowSize
 	}
-	w.durs[w.next] = v
+	w.durs[w.next] = d
 	w.next = (w.next + 1) % slowWindowSize
-	w.full = true
+	return w.next == 0
 }
 
 // Recorder is the in-memory flight recorder: fixed-size rings of recent
 // traces, tail-sampled so errored and slow traces always survive
 // healthy-traffic pressure. The record path is one short mutex-protected
-// section (classification + ring slot write); rendering happens only on
-// /debug/traces reads. Close stops the threshold-recompute goroutine;
-// records after Close are dropped. Nil-safe like the rest of the
-// package: every method on a nil *Recorder no-ops.
+// section (classification + ring slot write, and once per window
+// turnover a sort of the endpoint's 256 durations into a reused
+// scratch slice); rendering happens only on /debug/traces reads. Each
+// Registry makes its own on first use (see Registry.FlightRecorder).
+// Nil-safe like the rest of the package: every method on a nil
+// *Recorder no-ops.
 type Recorder struct {
-	opts RecorderOptions
-
-	mu         sync.Mutex
-	rings      [numClasses][]*TraceData
-	next       [numClasses]int
-	windows    map[string]*endpointWindow
-	thresholds map[string]time.Duration
-	closed     bool
-
-	done      chan struct{}
-	loopWG    sync.WaitGroup
-	closeOnce sync.Once
+	mu      sync.Mutex
+	rings   [numClasses][]*TraceData
+	next    [numClasses]int
+	windows map[string]*endpointWindow
+	scratch []time.Duration
 
 	recorded [numClasses]*Counter
 	evicted  [numClasses]*Counter
 }
 
-// NewRecorder builds and starts a flight recorder (including its
-// background threshold-recompute goroutine — pair with Close).
-func NewRecorder(opts RecorderOptions) *Recorder {
-	if opts.Capacity <= 0 {
-		opts.Capacity = 256
-	}
-	if opts.MinSamples <= 0 {
-		opts.MinSamples = 32
-	}
-	if opts.RecomputeInterval <= 0 {
-		opts.RecomputeInterval = time.Second
-	}
+func newRecorder(r *Registry) *Recorder {
 	rec := &Recorder{
-		opts:       opts,
-		windows:    make(map[string]*endpointWindow),
-		thresholds: make(map[string]time.Duration),
-		done:       make(chan struct{}),
+		windows: make(map[string]*endpointWindow),
+		scratch: make([]time.Duration, slowWindowSize),
 	}
 	for c := 0; c < numClasses; c++ {
-		rec.rings[c] = make([]*TraceData, opts.Capacity)
-		rec.recorded[c] = opts.Metrics.Counter("waldo_trace_recorded_total",
+		rec.rings[c] = make([]*TraceData, ringCapacity)
+		rec.recorded[c] = r.Counter("waldo_trace_recorded_total",
 			"Traces retained by the flight recorder, by retention class.", "class", classNames[c])
-		rec.evicted[c] = opts.Metrics.Counter("waldo_trace_evicted_total",
+		rec.evicted[c] = r.Counter("waldo_trace_evicted_total",
 			"Retained traces overwritten by newer ones of the same class.", "class", classNames[c])
 	}
-	rec.loopWG.Add(1)
-	go rec.loop()
 	return rec
 }
 
-// Close stops the recorder's background goroutine and drops subsequent
-// records. Retained traces stay readable. Safe to call more than once
-// and from any goroutine.
-func (rec *Recorder) Close() {
-	if rec == nil {
-		return
-	}
-	rec.closeOnce.Do(func() {
-		rec.mu.Lock()
-		rec.closed = true
-		rec.mu.Unlock()
-		close(rec.done)
-	})
-	rec.loopWG.Wait()
-}
-
-func (rec *Recorder) loop() {
-	defer rec.loopWG.Done()
-	t := time.NewTicker(rec.opts.RecomputeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-rec.done:
-			return
-		case <-t.C:
-			rec.recompute()
-		}
-	}
-}
-
-// recompute refreshes the per-endpoint slow thresholds from the duration
-// windows. Sorting happens on copies outside the lock.
-func (rec *Recorder) recompute() {
-	rec.mu.Lock()
-	copies := make(map[string][]float64, len(rec.windows))
-	for ep, w := range rec.windows {
-		if len(w.durs) < rec.opts.MinSamples {
-			continue
-		}
-		copies[ep] = append([]float64(nil), w.durs...)
-	}
-	rec.mu.Unlock()
-
-	fresh := make(map[string]time.Duration, len(copies))
-	for ep, durs := range copies {
-		sort.Float64s(durs)
-		idx := int(slowQuantile * float64(len(durs)))
-		if idx >= len(durs) {
-			idx = len(durs) - 1
-		}
-		fresh[ep] = time.Duration(durs[idx] * float64(time.Second))
-	}
-
-	rec.mu.Lock()
-	for ep, th := range fresh {
-		rec.thresholds[ep] = th
-	}
-	rec.mu.Unlock()
+// refresh recomputes w's slow threshold. Called with rec.mu held.
+func (rec *Recorder) refresh(w *endpointWindow) {
+	durs := rec.scratch[:len(w.durs)]
+	copy(durs, w.durs)
+	slices.Sort(durs)
+	w.threshold = durs[min(int(slowQuantile*float64(len(durs))), len(durs)-1)]
 }
 
 // record classifies and retains one completed trace.
@@ -296,29 +218,26 @@ func (rec *Recorder) record(t *TraceData) {
 	if rec == nil {
 		return
 	}
-	secs := t.Duration.Seconds()
 	rec.mu.Lock()
-	if rec.closed {
-		rec.mu.Unlock()
-		return
-	}
 	w := rec.windows[t.Endpoint]
 	if w == nil {
-		w = &endpointWindow{}
+		w = &endpointWindow{durs: make([]time.Duration, 0, slowWindowSize)}
 		rec.windows[t.Endpoint] = w
 	}
-	w.add(secs)
+	if w.add(t.Duration) {
+		rec.refresh(w)
+	}
 	class := classRecent
 	if t.Errored {
 		class = classError
-	} else if th, ok := rec.thresholds[t.Endpoint]; ok && t.Duration >= th {
+	} else if len(w.durs) >= minSamples && t.Duration >= w.threshold {
 		class = classSlow
 	}
 	t.Class = classNames[class]
 	slot := rec.next[class]
 	evicting := rec.rings[class][slot] != nil
 	rec.rings[class][slot] = t
-	rec.next[class] = (slot + 1) % len(rec.rings[class])
+	rec.next[class] = (slot + 1) % ringCapacity
 	rec.mu.Unlock()
 	rec.recorded[class].Inc()
 	if evicting {

@@ -29,7 +29,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing metric (requests served, uploads
@@ -116,19 +115,6 @@ type Histogram struct {
 	sum    float64
 	min    float64
 	max    float64
-	// exemplars holds the most recent traced observation per bucket
-	// (lazily allocated on the first ObserveWithExemplar), linking
-	// /metrics latency buckets to trace IDs in the flight recorder.
-	exemplars []Exemplar
-}
-
-// Exemplar links one bucket of a histogram to a recently observed traced
-// request: its value, the trace ID to look up in /debug/traces, and the
-// observation time.
-type Exemplar struct {
-	Value   float64
-	TraceID TraceID
-	When    time.Time
 }
 
 // DefLatencyBuckets covers 100 µs – ~100 s in quarter-decade steps, wide
@@ -183,32 +169,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// ObserveWithExemplar records one value and remembers (value, trace,
-// when) as the containing bucket's exemplar, so a p99 bucket in /metrics
-// names a concrete trace to pull from the flight recorder. Same single
-// short critical section as Observe.
-func (h *Histogram) ObserveWithExemplar(v float64, trace TraceID, when time.Time) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.mu.Lock()
-	h.counts[i]++
-	h.count++
-	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
-	}
-	if h.count == 1 || v > h.max {
-		h.max = v
-	}
-	if h.exemplars == nil {
-		h.exemplars = make([]Exemplar, len(h.counts))
-	}
-	h.exemplars[i] = Exemplar{Value: v, TraceID: trace, When: when}
-	h.mu.Unlock()
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
@@ -227,13 +187,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return HistogramSnapshot{
-		Bounds:    h.bounds, // immutable after construction
-		Counts:    append([]uint64(nil), h.counts...),
-		Count:     h.count,
-		Sum:       h.sum,
-		Min:       h.min,
-		Max:       h.max,
-		Exemplars: append([]Exemplar(nil), h.exemplars...),
+		Bounds: h.bounds, // immutable after construction
+		Counts: append([]uint64(nil), h.counts...),
+		Count:  h.count,
+		Sum:    h.sum,
+		Min:    h.min,
+		Max:    h.max,
 	}
 }
 
@@ -248,9 +207,6 @@ type HistogramSnapshot struct {
 	Sum    float64
 	Min    float64
 	Max    float64
-	// Exemplars, when non-empty, holds one exemplar per bucket (zero
-	// entries for buckets that never saw a traced observation).
-	Exemplars []Exemplar
 }
 
 // Mean returns the average observation (0 when empty).
@@ -344,28 +300,20 @@ type Registry struct {
 	// the span hot path never rebuilds strings or re-walks families.
 	spanRoots sync.Map
 
-	// recorder is the flight recorder traces started through this
-	// registry report to (see recorder.go); nil disables retention
-	// without disabling trace propagation.
-	recorder atomic.Pointer[Recorder]
+	// recorder is the flight recorder every trace started through this
+	// registry reports to (see recorder.go), made on first use.
+	recOnce  sync.Once
+	recorder *Recorder
 }
 
-// SetFlightRecorder attaches a flight recorder: every trace started via
-// StartTrace on this registry is offered to it on completion. Pass nil
-// to detach.
-func (r *Registry) SetFlightRecorder(rec *Recorder) {
-	if r == nil {
-		return
-	}
-	r.recorder.Store(rec)
-}
-
-// FlightRecorder returns the attached flight recorder, or nil.
+// FlightRecorder returns the registry's flight recorder, making it (and
+// its waldo_trace_* series) on first use; nil on a nil registry.
 func (r *Registry) FlightRecorder() *Recorder {
 	if r == nil {
 		return nil
 	}
-	return r.recorder.Load()
+	r.recOnce.Do(func() { r.recorder = newRecorder(r) })
+	return r.recorder
 }
 
 // New returns an empty registry.

@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -44,7 +46,7 @@ func TestNilSafety(t *testing.T) {
 	g.Set(1)
 	h := r.Histogram("z", "", nil)
 	h.Observe(1)
-	sp := r.StartSpan("op")
+	sp := r.StartSpanCtx(context.Background(), "op")
 	sp.Child("inner").End()
 	sp.End()
 	if err := r.WritePrometheus(nil); err != nil {
@@ -128,13 +130,13 @@ func TestConcurrentMetrics(t *testing.T) {
 
 func TestSpans(t *testing.T) {
 	r := New()
-	sp := r.StartSpan("retrain")
+	sp := r.StartSpanCtx(context.Background(), "retrain")
 	child := sp.Child("build")
 	child.End()
 	if d := sp.End(); d < 0 {
 		t.Errorf("negative duration %v", d)
 	}
-	r.StartSpan("classify").End()
+	r.StartSpanCtx(context.Background(), "classify").End()
 
 	for _, path := range []string{"retrain/build", "retrain", "classify"} {
 		if got := r.Histogram(spanMetric, spanHelp, nil, "span", path).Count(); got != 1 {
@@ -151,6 +153,10 @@ func TestPrometheusExposition(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
+	// One traced request through WrapRoute, so the route and span
+	// histograms hold a sampled trace's observations.
+	r.WrapRouteFunc("/v1/model", func(http.ResponseWriter, *http.Request) {}).
+		ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/model", nil))
 
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
@@ -178,9 +184,21 @@ func TestPrometheusExposition(t *testing.T) {
 		`waldo_lat_seconds_bucket{le="1"} 2`,
 		`waldo_lat_seconds_bucket{le="+Inf"} 3`,
 		"waldo_lat_seconds_count 3",
+		`waldo_http_request_seconds_count{route="/v1/model"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q\n%s", want, body)
+		}
+	}
+
+	// Text format 0.0.4: a sample line is name{labels} value with an
+	// optional integer timestamp, and nothing after it.
+	label := `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*"`
+	sampleRE := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{` + label + `(?:,` + label + `)*\})? ` +
+		`(?:[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[-+]Inf|NaN)(?: -?[0-9]+)?$`)
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") && !sampleRE.MatchString(line) {
+			t.Errorf("not a text-format 0.0.4 sample line: %q", line)
 		}
 	}
 }

@@ -17,11 +17,11 @@ import (
 // accepts attributes and an error status, and its completion is recorded
 // into the trace's span list for the flight recorder (see recorder.go).
 //
-// Spans are nil-safe: StartSpan on a nil registry returns a nil *Span
-// whose Child, SetAttr, Fail, and End are no-ops.
+// Spans are nil-safe: StartSpanCtx on a nil registry returns a nil
+// *Span whose Child, SetAttr, Fail, and End are no-ops.
 //
 // Hot path: span paths and their histogram handles are interned in a
-// tree of spanNodes, so steady-state StartSpan and Child do lock-free
+// tree of spanNodes, so steady-state StartSpanCtx and Child do lock-free
 // sync.Map loads instead of building slash-joined strings and re-walking
 // the registry per call, and completed spans return to a pool. End
 // invalidates the span: don't retain or reuse it afterwards.
@@ -94,15 +94,6 @@ func newSpan(r *Registry, node *spanNode, tr *Trace, parent SpanID) *Span {
 	}
 	s.start = time.Now()
 	return s
-}
-
-// StartSpan begins timing an operation (metric-only: no trace
-// attachment).
-func (r *Registry) StartSpan(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return newSpan(r, r.spanNodeFor(name), nil, SpanID{})
 }
 
 // StartSpanCtx begins timing an operation, attaching it to the trace
@@ -179,12 +170,7 @@ func (s *Span) End() time.Duration {
 	s.ended = true
 	end := time.Now()
 	d := end.Sub(s.start)
-	secs := d.Seconds()
-	if s.tr != nil && s.tr.sampled {
-		s.node.hist.ObserveWithExemplar(secs, s.tr.id, end)
-	} else {
-		s.node.hist.Observe(secs)
-	}
+	s.node.hist.Observe(d.Seconds())
 	tr := s.tr
 	if tr != nil {
 		rec := SpanData{

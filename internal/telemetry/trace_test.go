@@ -66,9 +66,7 @@ func TestIDUniqueness(t *testing.T) {
 
 func TestStartTraceJoinsParent(t *testing.T) {
 	r := New()
-	rec := NewRecorder(RecorderOptions{Metrics: r})
-	defer rec.Close()
-	r.SetFlightRecorder(rec)
+	rec := r.FlightRecorder()
 
 	parent := NewSpanContext()
 	sp := r.StartTrace("/v1/readings", parent)
@@ -122,9 +120,7 @@ func TestStartTraceInvalidParentMintsFresh(t *testing.T) {
 
 func TestStartSpanCtxParentsUnderContextSpan(t *testing.T) {
 	r := New()
-	rec := NewRecorder(RecorderOptions{Metrics: r})
-	defer rec.Close()
-	r.SetFlightRecorder(rec)
+	rec := r.FlightRecorder()
 
 	root := r.StartTrace("/route", SpanContext{})
 	rootID := root.TraceID()
@@ -170,9 +166,7 @@ func TestNilSpanSafety(t *testing.T) {
 
 func TestWrapRouteTracePropagation(t *testing.T) {
 	r := New()
-	rec := NewRecorder(RecorderOptions{Metrics: r})
-	defer rec.Close()
-	r.SetFlightRecorder(rec)
+	rec := r.FlightRecorder()
 
 	var inner SpanContext
 	h := r.WrapRouteFunc("/v1/thing", func(w http.ResponseWriter, req *http.Request) {
@@ -238,9 +232,7 @@ func TestWrapRouteTracePropagation(t *testing.T) {
 
 func TestWrapRouteErrorStatusMarksTraceErrored(t *testing.T) {
 	r := New()
-	rec := NewRecorder(RecorderOptions{Metrics: r})
-	defer rec.Close()
-	r.SetFlightRecorder(rec)
+	rec := r.FlightRecorder()
 
 	h := r.WrapRouteFunc("/die", func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
@@ -257,26 +249,6 @@ func TestWrapRouteErrorStatusMarksTraceErrored(t *testing.T) {
 	errored := rec.Snapshot(TraceFilter{Class: "error"})
 	if len(errored) != 1 || !errored[0].Errored {
 		t.Fatalf("error ring holds %+v, want the 500 trace", errored)
-	}
-}
-
-func TestExemplarOnSampledSpan(t *testing.T) {
-	r := New()
-	rec := NewRecorder(RecorderOptions{Metrics: r})
-	defer rec.Close()
-	r.SetFlightRecorder(rec)
-
-	sp := r.StartTrace("/v1/model", SpanContext{})
-	id := sp.TraceID().String()
-	sp.End()
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	body := b.String()
-	if !strings.Contains(body, `# {trace_id="`+id+`"}`) {
-		t.Fatalf("exposition carries no exemplar for trace %s:\n%s", id, body)
 	}
 }
 

@@ -17,18 +17,79 @@ import (
 	"testing"
 )
 
-// TestOperationsDocCoversEveryMetric pins OPERATIONS.md to the code: every
-// waldo_* metric name registered anywhere in non-test source must appear
-// in the runbook's metrics reference, so an operator grepping an alert
-// always finds guidance. Adding a metric means documenting it (with an
-// alert threshold) in the same change.
+// TestOperationsDocCoversEveryMetric pins OPERATIONS.md to the code:
+// every waldo_* series registered in non-test source has its own
+// runbook table row (| `name` | meaning | alert |) with non-empty
+// Meaning and Alert columns, so an operator grepping an alert always
+// finds what it measures and when to act. Adding a metric means adding
+// its row in the same change.
 func TestOperationsDocCoversEveryMetric(t *testing.T) {
-	doc := readFile(t, "OPERATIONS.md")
+	requireAlertRows(t, regexp.MustCompile(`^waldo_`))
+}
+
+// TestClusterMetricsDocumentedWithAlerts: the cluster metrics are the
+// only way an operator can tell a routing misconfiguration from a dead
+// shard, so the tier's 9 series must all be found, each with its
+// alert-bearing row in OPERATIONS.md §2.5.
+func TestClusterMetricsDocumentedWithAlerts(t *testing.T) {
+	if n := requireAlertRows(t, regexp.MustCompile(`^waldo_cluster_`)); n < 9 {
+		t.Errorf("found only %d waldo_cluster_* metric names in source, want >= 9; the scan is broken", n)
+	}
+}
+
+// TestGeoindexMetricsDocumentedWithAlerts: the availability grid fails
+// quiet — a rebuild hook that comes unwired only serves an ever-staler
+// snapshot — so its 8 series (registered by the index and by the
+// dbserver query handlers) must all be found, each with its
+// alert-bearing row in OPERATIONS.md §2.8.
+func TestGeoindexMetricsDocumentedWithAlerts(t *testing.T) {
+	if n := requireAlertRows(t, regexp.MustCompile(`^waldo_geoindex_`)); n < 8 {
+		t.Errorf("found only %d waldo_geoindex_* metric names in source, want >= 8; the scan is broken", n)
+	}
+}
+
+// TestObservabilityMetricsDocumentedWithAlerts: the flight recorder's
+// and structured log's own series tell an operator their telemetry is
+// lying to them, so all 4 must be found, each with its alert-bearing
+// row in OPERATIONS.md §2.6.
+func TestObservabilityMetricsDocumentedWithAlerts(t *testing.T) {
+	if n := requireAlertRows(t, regexp.MustCompile(`^waldo_(?:trace|log)_`)); n < 4 {
+		t.Errorf("found only %d waldo_trace_*/waldo_log_* metric names in source, want >= 4; the scan is broken", n)
+	}
+}
+
+// requireAlertRows fails t for every metric registered in non-test
+// source whose name matches family but has no OPERATIONS.md table row
+// with non-empty Meaning and Alert columns, and returns how many such
+// metrics the source registers.
+func requireAlertRows(t *testing.T, family *regexp.Regexp) int {
+	t.Helper()
+	rowRE := regexp.MustCompile("(?m)^\\|\\s*`(waldo_[a-z0-9_]+)`\\s*\\|([^|]*)\\|([^|]*)\\|")
+	rows := map[string]bool{}
+	for _, m := range rowRE.FindAllSubmatch(readFile(t, "OPERATIONS.md"), -1) {
+		name := string(m[1])
+		if !family.MatchString(name) {
+			continue
+		}
+		if strings.TrimSpace(string(m[2])) == "" {
+			t.Errorf("OPERATIONS.md row for %s has an empty Meaning column", name)
+		}
+		if strings.TrimSpace(string(m[3])) == "" {
+			t.Errorf("OPERATIONS.md row for %s has an empty Alert column", name)
+		}
+		rows[name] = true
+	}
+	n := 0
 	for name, files := range registeredMetrics(t) {
-		if !bytes.Contains(doc, []byte(name)) {
-			t.Errorf("metric %s (registered in %s) is not documented in OPERATIONS.md", name, files[0])
+		if !family.MatchString(name) {
+			continue
+		}
+		n++
+		if !rows[name] {
+			t.Errorf("metric %s (registered in %s) has no OPERATIONS.md table row with Meaning and Alert columns", name, files[0])
 		}
 	}
+	return n
 }
 
 // registeredMetrics maps every quoted waldo_* metric name in non-test
@@ -51,169 +112,6 @@ func registeredMetrics(t *testing.T) map[string][]string {
 		t.Fatalf("found only %d waldo_* metric names in source; the scan is broken", len(seen))
 	}
 	return seen
-}
-
-// TestClusterMetricsDocumentedWithAlerts holds the cluster tier to a
-// stricter bar than mere mention: every waldo_cluster_* series must have
-// its own runbook table row with a non-empty Alert column, because the
-// cluster metrics are the only way an operator can tell a routing
-// misconfiguration from a dead shard.
-func TestClusterMetricsDocumentedWithAlerts(t *testing.T) {
-	doc, err := os.ReadFile("OPERATIONS.md")
-	if err != nil {
-		t.Fatalf("read OPERATIONS.md: %v", err)
-	}
-
-	// Table rows documenting a metric: | `name` | meaning | alert |
-	rowRE := regexp.MustCompile("(?m)^\\|\\s*`(waldo_cluster_[a-z0-9_]+)`\\s*\\|([^|]*)\\|([^|]*)\\|")
-	documented := map[string]bool{}
-	for _, m := range rowRE.FindAllSubmatch(doc, -1) {
-		name := string(m[1])
-		if strings.TrimSpace(string(m[2])) == "" {
-			t.Errorf("OPERATIONS.md row for %s has an empty Meaning column", name)
-		}
-		if strings.TrimSpace(string(m[3])) == "" {
-			t.Errorf("OPERATIONS.md row for %s has an empty Alert column", name)
-		}
-		documented[name] = true
-	}
-
-	metricRE := regexp.MustCompile(`"(waldo_cluster_[a-z0-9_]+)"`)
-	err = filepath.WalkDir("internal/cluster", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range metricRE.FindAllSubmatch(src, -1) {
-			name := string(m[1])
-			if !documented[name] {
-				t.Errorf("cluster metric %s (in %s) has no alert-bearing table row in OPERATIONS.md §2.5", name, path)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(documented) < 9 {
-		t.Errorf("OPERATIONS.md documents only %d waldo_cluster_* rows; the cluster tier exports 9", len(documented))
-	}
-}
-
-// TestGeoindexMetricsDocumentedWithAlerts holds the availability-grid
-// series to the alert-bearing-row bar. The grid fails quiet: a rebuild
-// hook that comes unwired produces no errors anywhere — queries just
-// serve an ever-staler snapshot — so the waldo_geoindex_* rows in
-// OPERATIONS.md §2.8 are the only tripwire, and each must say when to
-// alert. The series are registered in two packages (the index itself
-// and the dbserver query handlers); scan both.
-func TestGeoindexMetricsDocumentedWithAlerts(t *testing.T) {
-	doc, err := os.ReadFile("OPERATIONS.md")
-	if err != nil {
-		t.Fatalf("read OPERATIONS.md: %v", err)
-	}
-
-	rowRE := regexp.MustCompile("(?m)^\\|\\s*`(waldo_geoindex_[a-z0-9_]+)`\\s*\\|([^|]*)\\|([^|]*)\\|")
-	documented := map[string]bool{}
-	for _, m := range rowRE.FindAllSubmatch(doc, -1) {
-		name := string(m[1])
-		if strings.TrimSpace(string(m[2])) == "" {
-			t.Errorf("OPERATIONS.md row for %s has an empty Meaning column", name)
-		}
-		if strings.TrimSpace(string(m[3])) == "" {
-			t.Errorf("OPERATIONS.md row for %s has an empty Alert column", name)
-		}
-		documented[name] = true
-	}
-
-	metricRE := regexp.MustCompile(`"(waldo_geoindex_[a-z0-9_]+)"`)
-	for _, dir := range []string{"internal/geoindex", "internal/dbserver"} {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			for _, m := range metricRE.FindAllSubmatch(src, -1) {
-				name := string(m[1])
-				if !documented[name] {
-					t.Errorf("geoindex metric %s (in %s) has no alert-bearing table row in OPERATIONS.md §2.8", name, path)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(documented) < 8 {
-		t.Errorf("OPERATIONS.md documents only %d waldo_geoindex_* rows; the grid exports 8", len(documented))
-	}
-}
-
-// TestObservabilityMetricsDocumentedWithAlerts holds the observability
-// pipeline's own series (flight recorder, structured log) to the same
-// bar as the cluster tier: an alert-bearing table row each, not a mere
-// mention — these metrics are what tells an operator their telemetry is
-// lying to them, so "documented somewhere" isn't enough.
-func TestObservabilityMetricsDocumentedWithAlerts(t *testing.T) {
-	doc, err := os.ReadFile("OPERATIONS.md")
-	if err != nil {
-		t.Fatalf("read OPERATIONS.md: %v", err)
-	}
-
-	rowRE := regexp.MustCompile("(?m)^\\|\\s*`(waldo_(?:trace|log)_[a-z0-9_]+)`\\s*\\|([^|]*)\\|([^|]*)\\|")
-	documented := map[string]bool{}
-	for _, m := range rowRE.FindAllSubmatch(doc, -1) {
-		name := string(m[1])
-		if strings.TrimSpace(string(m[2])) == "" {
-			t.Errorf("OPERATIONS.md row for %s has an empty Meaning column", name)
-		}
-		if strings.TrimSpace(string(m[3])) == "" {
-			t.Errorf("OPERATIONS.md row for %s has an empty Alert column", name)
-		}
-		documented[name] = true
-	}
-
-	metricRE := regexp.MustCompile(`"(waldo_(?:trace|log)_[a-z0-9_]+)"`)
-	for _, dir := range []string{"internal/telemetry", "internal/wlog"} {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			for _, m := range metricRE.FindAllSubmatch(src, -1) {
-				name := string(m[1])
-				if !documented[name] {
-					t.Errorf("observability metric %s (in %s) has no alert-bearing table row in OPERATIONS.md §2.6", name, path)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(documented) < 4 {
-		t.Errorf("OPERATIONS.md documents only %d waldo_trace_*/waldo_log_* rows; the pipeline exports 4", len(documented))
-	}
 }
 
 // TestDocsNameOnlyWhatExists keeps the docs from dangling: every `make
@@ -425,59 +323,118 @@ func flagsOf(t *testing.T, dir string) map[string]bool {
 }
 
 // TestMakefileRunPatternsMatch: a `go test -run` pattern that matches
-// nothing passes silently, so every alternative of every Makefile -run
-// pattern must match a Test or Fuzz function in that line's packages.
-// Lines with -bench are skipped: their -run selects no test on purpose.
-// Only the pattern's top level (before the first "/") is checked.
+// nothing passes silently, so every alternative of every -run pattern in
+// the Makefile's recipes, and in the go test commands README.md,
+// OPERATIONS.md, DESIGN.md and the verify skill show (fenced, or in
+// inline backticks that may wrap), must match a Test or Fuzz function in
+// that command's packages. Commands with -bench or -fuzz are skipped:
+// their -run selects no test on purpose. Only the pattern's top level
+// (before the first "/") is checked.
 func TestMakefileRunPatternsMatch(t *testing.T) {
-	tokRE := regexp.MustCompile(`'[^']*'|\S+`)
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)[A-Za-z0-9_]*)\(`)
-	checked := 0
-	for _, line := range strings.Split(string(readFile(t, "Makefile")), "\n") {
-		toks := tokRE.FindAllString(line, -1)
-		if len(toks) < 2 || toks[0] != "$(GO)" || toks[1] != "test" || slices.Contains(toks, "-bench") {
-			continue
-		}
-		var run string
-		var pkgs []string
-		for i := 2; i < len(toks); i++ {
-			switch tok := toks[i]; {
-			case tok == "-run" && i+1 < len(toks):
-				i++
-				run = strings.Trim(toks[i], "'")
-			case strings.HasPrefix(tok, "./"):
-				pkgs = append(pkgs, tok)
-			}
-		}
-		if run == "" {
-			continue
-		}
-		var names []string
-		for _, pkg := range pkgs {
-			files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
-			if err != nil || len(files) == 0 {
-				t.Fatalf("Makefile: %s holds no test files: %q", pkg, line)
-			}
-			for _, f := range files {
-				for _, m := range funcRE.FindAllSubmatch(readFile(t, f), -1) {
-					names = append(names, string(m[1]))
+	for _, src := range []struct {
+		files []string
+		min   int // alternatives; fewer means the scan is broken
+	}{
+		{[]string{"Makefile"}, 5},
+		{[]string{"README.md", "OPERATIONS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}, 40},
+	} {
+		checked := 0
+		for _, name := range src.files {
+			for _, cmd := range goTestCommands(string(readFile(t, name)), name != "Makefile") {
+				if slices.Contains(cmd, "-bench") || slices.Contains(cmd, "-fuzz") {
+					continue
+				}
+				var run string
+				var pkgs []string
+				for i := 0; i < len(cmd); i++ {
+					switch tok := cmd[i]; {
+					case tok == "-run" && i+1 < len(cmd):
+						i++
+						run = strings.Trim(cmd[i], "'")
+					case strings.HasPrefix(tok, "./"):
+						pkgs = append(pkgs, tok)
+					}
+				}
+				if run == "" {
+					continue
+				}
+				if len(pkgs) == 0 {
+					pkgs = []string{"."}
+				}
+				line := strings.Join(cmd, " ")
+				var names []string
+				for _, pkg := range pkgs {
+					files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+					if err != nil || len(files) == 0 {
+						t.Fatalf("%s: %s holds no test files: %q", name, pkg, line)
+					}
+					for _, f := range files {
+						for _, m := range funcRE.FindAllSubmatch(readFile(t, f), -1) {
+							names = append(names, string(m[1]))
+						}
+					}
+				}
+				for _, alt := range strings.Split(strings.SplitN(run, "/", 2)[0], "|") {
+					re, err := regexp.Compile(alt)
+					if err != nil {
+						t.Fatalf("%s: -run alternative %q: %v", name, alt, err)
+					}
+					if !slices.ContainsFunc(names, re.MatchString) {
+						t.Errorf("%s: -run alternative %q matches no Test or Fuzz function in %q", name, alt, line)
+					}
+					checked++
 				}
 			}
 		}
-		for _, alt := range strings.Split(strings.SplitN(run, "/", 2)[0], "|") {
-			re, err := regexp.Compile(alt)
-			if err != nil {
-				t.Fatalf("Makefile: -run alternative %q: %v", alt, err)
-			}
-			if !slices.ContainsFunc(names, re.MatchString) {
-				t.Errorf("Makefile: -run alternative %q matches no Test or Fuzz function in %q", alt, line)
-			}
-			checked++
+		if checked < src.min {
+			t.Errorf("checked only %d -run alternatives in %v; the scan is broken", checked, src.files)
 		}
 	}
-	if checked < 5 {
-		t.Errorf("checked only %d -run alternatives in the Makefile; the scan is broken", checked)
+}
+
+// goTestCommands returns the arguments after "go test" (in a Makefile,
+// "$(GO) test") of every go test command in text, up to the first shell
+// separator or comment. In Markdown only code counts: fenced lines, with
+// backslash continuations joined, and inline code spans.
+func goTestCommands(text string, markdown bool) [][]string {
+	code := strings.Split(text, "\n")
+	if markdown {
+		code = code[:0:0]
+		var prose strings.Builder
+		inBlock, line := false, ""
+		for _, raw := range strings.Split(text, "\n") {
+			switch {
+			case strings.HasPrefix(strings.TrimSpace(raw), "```"):
+				inBlock, line = !inBlock, ""
+			case !inBlock:
+				prose.WriteString(raw + "\n")
+			case strings.HasSuffix(raw, "\\"):
+				line += strings.TrimSuffix(raw, "\\") + " "
+			default:
+				code, line = append(code, line+raw), ""
+			}
+		}
+		for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(prose.String(), -1) {
+			code = append(code, m[1])
+		}
 	}
+	startRE := regexp.MustCompile(`(?:\$\(GO\)|\bgo) test\s`)
+	tokRE := regexp.MustCompile(`'[^']*'|\S+`)
+	var cmds [][]string
+	for _, c := range code {
+		for _, loc := range startRE.FindAllStringIndex(c, -1) {
+			var cmd []string
+			for _, tok := range tokRE.FindAllString(c[loc[1]:], -1) {
+				if tok == ";" || tok == "&&" || tok == "||" || tok == "|" || strings.HasPrefix(tok, "#") {
+					break
+				}
+				cmd = append(cmd, tok)
+			}
+			cmds = append(cmds, cmd)
+		}
+	}
+	return cmds
 }
 
 // TestExportedIdentifiersDocumented: public surface means documented
