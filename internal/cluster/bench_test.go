@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/rfenv"
+	"github.com/wsdetect/waldo/internal/sensor"
 )
 
 // benchUpload measures one upload round-trip per iteration against url,
@@ -160,15 +162,17 @@ func BenchmarkGatewayPlaceQueries(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameEncode prices serializing a 256-reading append frame for
-// the replication shipper.
+// BenchmarkFrameEncode prices what shipping a 256-reading upload adds
+// to its journal step: encoding the store mutation record (once, shared
+// with the WAL) and framing it into the replication log.
 func BenchmarkFrameEncode(b *testing.B) {
-	rec := replRecord{kind: frameAppend, ch: 47, sensor: 1, readings: synthReadings(256, 47, 1)}
+	rs := synthReadings(256, 47, 1)
+	var rec []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := appendFrame(nil, uint64(i)+1, &rec)
-		if len(buf) == 0 {
+		rec, _ = core.AppendReadingsRecord(rec[:0], rs)
+		if buf := appendFrame(make([]byte, 0, frameHeaderSize-1+len(rec)), uint64(i)+1, 47, sensor.KindRTLSDR, rec); len(buf) == 0 {
 			b.Fatal("empty frame")
 		}
 	}

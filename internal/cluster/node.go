@@ -10,10 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dbserver"
-	"github.com/wsdetect/waldo/internal/rfenv"
-	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/telemetry"
 	"github.com/wsdetect/waldo/internal/wlog"
 )
@@ -34,10 +31,6 @@ type NodeConfig struct {
 	// shipper runs.
 	ReplicaURLs []string
 }
-
-// seedChunkReadings bounds one snapshot-seeded append frame, keeping any
-// single replication exchange comfortably under the apply body cap.
-const seedChunkReadings = 4096
 
 // Node is one shard: the full dbserver API plus the replication surface
 // (/v1/repl/apply for its primary's stream, /v1/repl/status for
@@ -101,21 +94,12 @@ func OpenNode(cfg NodeConfig) (*Node, error) {
 	if n.repl != nil {
 		if n.recoveredData {
 			// Recovered state is not replayed through the tap (it happened
-			// before this process's journal existed), so ship it explicitly:
-			// full reading corpus plus a retrain marker at the recovered
-			// version. Rebuilds are deterministic, so an empty replica
-			// applying this seed converges to byte-identical descriptors —
-			// this is also the full-resync path after a replica rebuild.
-			db.SnapshotStores(func(ch rfenv.Channel, kind sensor.Kind, view core.ReadingView, version, trained int) {
-				for _, rs := range view.Chunks() {
-					for start := 0; start < len(rs); start += seedChunkReadings {
-						n.repl.TapReadings(context.Background(), ch, kind, rs[start:min(start+seedChunkReadings, len(rs))])
-					}
-				}
-				if version > 0 {
-					n.repl.TapRetrain(context.Background(), ch, kind, version, trained)
-				}
-			})
+			// before this process's journal existed), so ship it explicitly
+			// as the records that rebuild it. Rebuilds are deterministic, so
+			// an empty replica applying this seed converges to
+			// byte-identical descriptors — this is also the full-resync path
+			// after a replica rebuild.
+			db.TapSnapshot(n.repl)
 		}
 		n.repl.start()
 	}
@@ -198,7 +182,7 @@ func (n *Node) promoteOnSuccess(next http.Handler) http.Handler {
 // skipped (retries are idempotent) and a gap above it is refused with
 // 409 plus the mark so the primary can re-ship.
 func (n *Node) handleApply(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, applyBodyCap))
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -232,31 +216,25 @@ func (n *Node) handleApply(w http.ResponseWriter, r *http.Request) {
 			n.follows = incarnation // empty node: adopt this stream
 		}
 		for len(body) > 0 {
-			seq, rec, rest, err := decodeFrame(body)
+			f, rest, err := decodeFrame(body)
 			if err != nil {
 				status, applyErr = http.StatusBadRequest, err.Error()
 				break
 			}
 			body = rest
-			if seq <= n.applied {
+			if f.seq <= n.applied {
 				continue
 			}
-			if seq != n.applied+1 {
+			if f.seq != n.applied+1 {
 				status, reason = http.StatusConflict, reasonGap
-				applyErr = fmt.Sprintf("sequence gap: applied %d, got %d", n.applied, seq)
+				applyErr = fmt.Sprintf("sequence gap: applied %d, got %d", n.applied, f.seq)
 				break
 			}
-			switch rec.kind {
-			case frameAppend:
-				err = n.DB.ApplyReplicatedReadings(r.Context(), rec.ch, rec.sensor, rec.readings)
-			case frameRetrain:
-				err = n.DB.ApplyReplicatedRetrain(r.Context(), rec.ch, rec.sensor, rec.version, rec.trained)
-			}
-			if err != nil {
+			if err := n.DB.ApplyRecord(r.Context(), f.ch, f.kind, f.rec); err != nil {
 				status, applyErr = http.StatusInternalServerError, err.Error()
 				break
 			}
-			n.applied = seq
+			n.applied = f.seq
 			n.appliedTotal.Inc()
 		}
 	}

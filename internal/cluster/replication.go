@@ -12,8 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/wsdetect/waldo/internal/core"
-	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/telemetry"
@@ -21,15 +19,16 @@ import (
 )
 
 // Replication wire format. The primary ships its journal stream — the
-// same mutation order the WAL persists — as length-prefixed frames over
-// HTTP POST /v1/repl/apply. Reading batches reuse the stable 67-byte
-// binary reading codec from internal/core, so the replication path and
-// the durability path serialize measurements identically.
+// same mutation order the WAL persists, as the same store mutation
+// records (core.ParseRecord) — as length-prefixed frames over HTTP POST
+// /v1/repl/apply. A frame splices the record's store key in after its
+// kind byte:
 //
 //	exchange := u64 incarnation | frame...
-//	frame    := u32 length | u64 seq | u8 kind | payload
-//	append   := u16 channel | u8 sensor | u32 count | count × 67-byte readings
-//	retrain  := u16 channel | u8 sensor | u32 version | u32 trainedCount
+//	frame    := u32 length | u64 seq | rec[0] | u16 channel | u8 sensor | rec[1:]
+//
+// An exchange carries at most maxShipRecords frames and, past its first,
+// at most maxShipBytes of them, below the replica's applyBodyCap.
 //
 // The incarnation is a random nonzero identifier minted once per primary
 // process; sequence numbers are contiguous within it, starting at 1. A
@@ -43,11 +42,14 @@ import (
 // applied high-water mark plus the incarnation it follows, which is
 // also the primary's ack.
 const (
-	frameAppend  byte = 1
-	frameRetrain byte = 2
+	exchangeHeaderSize = 8                 // incarnation
+	frameHeaderSize    = 4 + 8 + 1 + 2 + 1 // length + seq + kind + channel + sensor
 
-	exchangeHeaderSize = 8         // incarnation
-	frameHeaderSize    = 4 + 8 + 1 // length + seq + kind
+	// applyBodyCap bounds one exchange body at the replica.
+	applyBodyCap = 64 << 20
+	// maxShipRecords and maxShipBytes bound one exchange at the primary.
+	maxShipRecords = 256
+	maxShipBytes   = applyBodyCap / 4
 )
 
 // Machine-readable refusal reasons in applyStatus.Reason.
@@ -70,22 +72,10 @@ func newIncarnation() uint64 {
 	return binary.LittleEndian.Uint64(b[:]) | 1
 }
 
-// replRecord is one journaled mutation awaiting (or past) shipping.
-type replRecord struct {
-	kind     byte
-	ch       rfenv.Channel
-	sensor   sensor.Kind
-	readings []dataset.Reading // kind == frameAppend
-	version  int               // kind == frameRetrain
-	trained  int               // kind == frameRetrain
-}
-
 // appendExchangeHeader starts an exchange body: the shipping primary's
 // incarnation, ahead of the frames.
 func appendExchangeHeader(dst []byte, incarnation uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], incarnation)
-	return append(dst, b[:]...)
+	return binary.LittleEndian.AppendUint64(dst, incarnation)
 }
 
 // decodeExchangeHeader splits the incarnation off the front of an
@@ -101,70 +91,42 @@ func decodeExchangeHeader(b []byte) (uint64, []byte, error) {
 	return inc, b[exchangeHeaderSize:], nil
 }
 
-// appendFrame renders one record as a wire frame with the given sequence
-// number.
-func appendFrame(dst []byte, seq uint64, rec *replRecord) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length backfilled below
-	var b [9]byte
-	binary.LittleEndian.PutUint64(b[:8], seq)
-	b[8] = rec.kind
-	dst = append(dst, b[:]...)
-	var kb [3]byte
-	binary.LittleEndian.PutUint16(kb[:2], uint16(rec.ch))
-	kb[2] = byte(rec.sensor)
-	dst = append(dst, kb[:]...)
-	switch rec.kind {
-	case frameAppend:
-		dst = core.AppendReadingsWire(dst, rec.readings)
-	case frameRetrain:
-		var v [8]byte
-		binary.LittleEndian.PutUint32(v[:4], uint32(rec.version))
-		binary.LittleEndian.PutUint32(v[4:], uint32(rec.trained))
-		dst = append(dst, v[:]...)
-	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
-	return dst
+// appendFrame appends rec, a record of the store ch/kind, to dst as the
+// wire frame with sequence number seq.
+func appendFrame(dst []byte, seq uint64, ch rfenv.Channel, kind sensor.Kind, rec []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameHeaderSize-4+len(rec)-1))
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = append(dst, rec[0])
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(ch))
+	dst = append(dst, byte(kind))
+	return append(dst, rec[1:]...)
 }
 
-// decodeFrame parses one frame off the front of b, returning the
-// sequence number, the record, and the unconsumed remainder.
-func decodeFrame(b []byte) (uint64, replRecord, []byte, error) {
+// frame is one decoded replication frame.
+type frame struct {
+	seq  uint64
+	ch   rfenv.Channel
+	kind sensor.Kind
+	rec  []byte // the store mutation record, its key spliced back out
+}
+
+// decodeFrame parses one frame off the front of b, returning it and the
+// unconsumed remainder. The record is the replica's to parse.
+func decodeFrame(b []byte) (frame, []byte, error) {
 	if len(b) < frameHeaderSize {
-		return 0, replRecord{}, nil, fmt.Errorf("cluster: frame truncated: %d bytes", len(b))
+		return frame{}, nil, fmt.Errorf("cluster: frame truncated: %d bytes", len(b))
 	}
 	length := int(binary.LittleEndian.Uint32(b))
-	if len(b) < 4+length || length < 9+3 {
-		return 0, replRecord{}, nil, fmt.Errorf("cluster: frame length %d outside body of %d bytes", length, len(b)-4)
+	if len(b) < 4+length || length < frameHeaderSize-4 {
+		return frame{}, nil, fmt.Errorf("cluster: frame length %d outside body of %d bytes", length, len(b)-4)
 	}
 	body, rest := b[4:4+length], b[4+length:]
-	seq := binary.LittleEndian.Uint64(body)
-	rec := replRecord{
-		kind:   body[8],
-		ch:     rfenv.Channel(binary.LittleEndian.Uint16(body[9:])),
-		sensor: sensor.Kind(body[11]),
-	}
-	payload := body[12:]
-	switch rec.kind {
-	case frameAppend:
-		rs, tail, err := core.DecodeReadingsWire(payload)
-		if err != nil {
-			return 0, replRecord{}, nil, fmt.Errorf("cluster: frame %d: %w", seq, err)
-		}
-		if len(tail) != 0 {
-			return 0, replRecord{}, nil, fmt.Errorf("cluster: frame %d: %d trailing bytes", seq, len(tail))
-		}
-		rec.readings = rs
-	case frameRetrain:
-		if len(payload) != 8 {
-			return 0, replRecord{}, nil, fmt.Errorf("cluster: frame %d: retrain payload is %d bytes", seq, len(payload))
-		}
-		rec.version = int(binary.LittleEndian.Uint32(payload))
-		rec.trained = int(binary.LittleEndian.Uint32(payload[4:]))
-	default:
-		return 0, replRecord{}, nil, fmt.Errorf("cluster: frame %d: unknown kind %d", seq, rec.kind)
-	}
-	return seq, rec, rest, nil
+	return frame{
+		seq:  binary.LittleEndian.Uint64(body),
+		ch:   rfenv.Channel(binary.LittleEndian.Uint16(body[9:])),
+		kind: sensor.Kind(body[11]),
+		rec:  append([]byte{body[8]}, body[12:]...),
+	}, rest, nil
 }
 
 // applyStatus is the replica's answer to every replication exchange: its
@@ -213,10 +175,10 @@ func (l *replicaLink) setFenced(v bool) bool {
 
 // Replicator ships a primary's journal stream to its replicas. It
 // implements dbserver.Tap: the dbserver invokes it under each store's
-// lock in apply order, and it only appends to an in-memory log — the
-// HTTP shipping happens on one background goroutine per replica, so
-// replication never blocks the upload path (asynchronous by design; the
-// WAL, not the replica, is what an ack promises).
+// lock in apply order, and it only frames the record into an in-memory
+// log — the HTTP shipping happens on one background goroutine per
+// replica, so replication never blocks the upload path (asynchronous by
+// design; the WAL, not the replica, is what an ack promises).
 //
 // The log is truncated below the minimum sequence every healthy replica
 // has confirmed, so steady-state memory is bounded by the slowest live
@@ -233,16 +195,13 @@ type Replicator struct {
 	lg          *wlog.Logger
 
 	mu   sync.Mutex
-	base uint64 // sequences ≤ base are truncated away; log[0] is base+1
-	log  []replRecord
+	base uint64   // sequences ≤ base are truncated away; log[0] is base+1
+	log  [][]byte // log[i] is the wire frame of sequence base+i+1
 
 	links []*replicaLink
 	stopc chan struct{}
 	wg    sync.WaitGroup
 }
-
-// maxShipRecords caps journal records per replication exchange.
-const maxShipRecords = 256
 
 // newReplicator assembles the shipper; start() launches the loops.
 func newReplicator(incarnation uint64, replicaURLs []string, metrics *telemetry.Registry, lg *wlog.Logger) *Replicator {
@@ -285,23 +244,15 @@ func (r *Replicator) stop() {
 	r.wg.Wait()
 }
 
-// TapReadings implements dbserver.Tap. Runs under the store lock: copy
-// and enqueue, nothing else. The shipping loop is asynchronous, so the
-// originating request's trace ends at the enqueue — each exchange later
-// runs under its own repl/ship trace.
-func (r *Replicator) TapReadings(_ context.Context, ch rfenv.Channel, kind sensor.Kind, rs []dataset.Reading) {
-	r.enqueue(replRecord{kind: frameAppend, ch: ch, sensor: kind, readings: append([]dataset.Reading(nil), rs...)})
-}
-
-// TapRetrain implements dbserver.Tap.
-func (r *Replicator) TapRetrain(_ context.Context, ch rfenv.Channel, kind sensor.Kind, version, trained int) {
-	r.enqueue(replRecord{kind: frameRetrain, ch: ch, sensor: kind, version: version, trained: trained})
-}
-
-// enqueue appends rec to the journal and wakes every link's shipper.
-func (r *Replicator) enqueue(rec replRecord) {
+// Record implements dbserver.Tap. Runs under the store lock: frame the
+// record into the journal and wake every link's shipper, nothing else.
+// The shipping loop is asynchronous, so the originating request's trace
+// ends here — each exchange later runs under its own repl/ship trace.
+func (r *Replicator) Record(_ context.Context, ch rfenv.Channel, kind sensor.Kind, rec []byte) {
+	f := appendFrame(make([]byte, 0, frameHeaderSize-1+len(rec)), 0, ch, kind, rec)
 	r.mu.Lock()
-	r.log = append(r.log, rec)
+	binary.LittleEndian.PutUint64(f[4:], r.base+uint64(len(r.log))+1)
+	r.log = append(r.log, f)
 	r.mu.Unlock()
 	for _, link := range r.links {
 		select {
@@ -318,12 +269,15 @@ func (r *Replicator) logLen() uint64 {
 	return r.base + uint64(len(r.log))
 }
 
-// pending snapshots up to maxShipRecords unshipped records after acked. ok is
-// false when acked has fallen below the truncation point — those records
-// no longer exist and the caller must fence the link instead of
-// shipping. Records are append-only and truncation copies the retained
-// tail, so the returned subslice is stable.
-func (r *Replicator) pending(acked uint64) (top uint64, recs []replRecord, ok bool) {
+// pending snapshots the unshipped frames after acked for one exchange:
+// at most maxShipRecords, and no more than maxShipBytes past the first,
+// so an exchange always carries at least one frame and stays under the
+// replica's applyBodyCap. ok is false when acked has fallen below the
+// truncation point — those records no longer exist and the caller must
+// fence the link instead of shipping. Frames are append-only and
+// truncation copies the retained tail, so the returned subslice is
+// stable.
+func (r *Replicator) pending(acked uint64) (top uint64, frames [][]byte, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	top = r.base + uint64(len(r.log))
@@ -333,12 +287,12 @@ func (r *Replicator) pending(acked uint64) (top uint64, recs []replRecord, ok bo
 	if acked >= top {
 		return top, nil, true
 	}
-	start := acked - r.base
-	end := start + maxShipRecords
-	if end > uint64(len(r.log)) {
-		end = uint64(len(r.log))
+	frames = r.log[acked-r.base:]
+	n, size := 1, len(frames[0])
+	for ; n < min(len(frames), maxShipRecords) && size+len(frames[n]) <= maxShipBytes; n++ {
+		size += len(frames[n])
 	}
-	return top, r.log[start:end], true
+	return top, frames[:n], true
 }
 
 // truncate drops journal records every healthy replica has confirmed.
@@ -365,14 +319,14 @@ func (r *Replicator) truncate() {
 	if min > r.base {
 		// Copy the retained tail so the dropped prefix is actually freed
 		// (a plain reslice would pin the whole backing array).
-		r.log = append([]replRecord(nil), r.log[min-r.base:]...)
+		r.log = append([][]byte(nil), r.log[min-r.base:]...)
 		r.base = min
 	}
 }
 
 // ship is one replica's shipping loop: it pushes everything past the
-// replica's ack in maxShipRecords chunks while that makes progress, then
-// waits for the journal to grow. An exchange that fails, or makes no
+// replica's ack, a pending chunk per exchange, while that makes progress,
+// then waits for the journal to grow. An exchange that fails, or makes no
 // progress, waits out the followers' backoff instead — followRetry,
 // doubling up to legTimeout — so a replica that is down cannot spin the
 // primary.
@@ -408,7 +362,7 @@ func (r *Replicator) shipOnce(link *replicaLink) (progressed, idle bool) {
 	link.mu.Lock()
 	acked := link.acked
 	link.mu.Unlock()
-	top, recs, ok := r.pending(acked)
+	top, frames, ok := r.pending(acked)
 	link.lag.Set(float64(top - acked))
 	if !ok {
 		// The replica's confirmed position predates the truncation point:
@@ -420,17 +374,17 @@ func (r *Replicator) shipOnce(link *replicaLink) (progressed, idle bool) {
 		}
 		return false, false
 	}
-	if len(recs) == 0 {
+	if len(frames) == 0 {
 		return false, true
 	}
 	sp := r.reg.StartTrace("repl/ship", telemetry.SpanContext{})
 	sp.SetAttr("replica", link.url)
-	sp.SetAttr("records", fmt.Sprintf("%d", len(recs)))
+	sp.SetAttr("records", fmt.Sprintf("%d", len(frames)))
 	ctx := telemetry.ContextWithSpan(context.Background(), sp)
 	defer sp.End()
 	body := appendExchangeHeader(nil, r.incarnation)
-	for i := range recs {
-		body = appendFrame(body, acked+uint64(i)+1, &recs[i])
+	for _, f := range frames {
+		body = append(body, f...)
 	}
 	req, err := http.NewRequest(http.MethodPost, link.url+"/v1/repl/apply", bytes.NewReader(body))
 	if err != nil {

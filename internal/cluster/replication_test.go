@@ -3,12 +3,15 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -103,36 +106,45 @@ func newTestNode(t testing.TB, id string, replicaURLs []string) (*Node, *httptes
 	return n, ts
 }
 
+// readingsFrame is the wire frame, at seq, of the append record of rs,
+// readings of one store.
+func readingsFrame(seq uint64, rs []dataset.Reading) []byte {
+	rec, _ := core.AppendReadingsRecord(nil, rs)
+	return appendFrame(nil, seq, rs[0].Channel, rs[0].Sensor, rec)
+}
+
 // TestFrameRoundTrip pins the replication wire format: append and
 // retrain frames survive encode→decode bit-exactly, including when
-// concatenated in one exchange body.
+// concatenated in one exchange body, and a frame splices the store key
+// in after the record's kind byte.
 func TestFrameRoundTrip(t *testing.T) {
-	rs := synthReadings(7, 47, 3)
-	recs := []replRecord{
-		{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: rs},
-		{kind: frameRetrain, ch: 47, sensor: sensor.KindRTLSDR, version: 9, trained: 607},
+	appendRec, _ := core.AppendReadingsRecord(nil, synthReadings(7, 47, 3))
+	frames := []frame{
+		{seq: 1, ch: 47, kind: sensor.KindRTLSDR, rec: appendRec},
+		{seq: 2, ch: 47, kind: sensor.KindRTLSDR, rec: core.AppendRetrainRecord(nil, 9, 607)},
 	}
 	var body []byte
-	for i := range recs {
-		body = appendFrame(body, uint64(i)+1, &recs[i])
+	for _, f := range frames {
+		body = appendFrame(body, f.seq, f.ch, f.kind, f.rec)
 	}
-	for i := range recs {
-		seq, got, rest, err := decodeFrame(body)
+	retrain := []byte{20, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, core.RecordRetrain, 47, 0, byte(sensor.KindRTLSDR), 9, 0, 0, 0, 0x5f, 2, 0, 0}
+	if !bytes.HasSuffix(body, retrain) {
+		t.Errorf("retrain frame is %x, want %x", body[len(body)-len(retrain):], retrain)
+	}
+	for i := range frames {
+		got, rest, err := decodeFrame(body)
 		if err != nil {
 			t.Fatal(err)
 		}
 		body = rest
-		if seq != uint64(i)+1 {
-			t.Errorf("frame %d: seq %d", i, seq)
-		}
-		if !reflect.DeepEqual(got, recs[i]) {
-			t.Errorf("frame %d: decoded %+v, want %+v", i, got, recs[i])
+		if !reflect.DeepEqual(got, frames[i]) {
+			t.Errorf("frame %d: decoded %+v, want %+v", i, got, frames[i])
 		}
 	}
 	if len(body) != 0 {
 		t.Errorf("%d bytes left after decoding all frames", len(body))
 	}
-	if _, _, _, err := decodeFrame([]byte{1, 2, 3}); err == nil {
+	if _, _, err := decodeFrame([]byte{1, 2, 3}); err == nil {
 		t.Error("truncated frame decoded without error")
 	}
 }
@@ -144,7 +156,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // primary (an append and a retrain frame), a truncated frame, length
 // 0xFFFFFFFF, an unknown kind and a zero incarnation.
 func FuzzDecodeReplicationFrame(f *testing.F) {
-	f.Add(exchange(testIncarnation, appendFrame(nil, 1, &replRecord{kind: frameRetrain, ch: 47, sensor: sensor.KindRTLSDR, version: 2, trained: 600})))
+	f.Add(exchange(testIncarnation, appendFrame(nil, 1, 47, sensor.KindRTLSDR, core.AppendRetrainRecord(nil, 2, 600))))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		inc, rest, err := decodeExchangeHeader(body)
 		if err != nil {
@@ -154,11 +166,11 @@ func FuzzDecodeReplicationFrame(f *testing.F) {
 			t.Fatalf("header %x re-encodes as %x", body[:len(body)-len(rest)], got)
 		}
 		for len(rest) > 0 {
-			seq, rec, tail, err := decodeFrame(rest)
+			fr, tail, err := decodeFrame(rest)
 			if err != nil {
 				return
 			}
-			if got, consumed := appendFrame(nil, seq, &rec), rest[:len(rest)-len(tail)]; !bytes.Equal(got, consumed) {
+			if got, consumed := appendFrame(nil, fr.seq, fr.ch, fr.kind, fr.rec), rest[:len(rest)-len(tail)]; !bytes.Equal(got, consumed) {
 				t.Fatalf("frame %x re-encodes as %x", consumed, got)
 			}
 			rest = tail
@@ -252,8 +264,8 @@ func TestApplyIdempotencyAndGap(t *testing.T) {
 	_, ts := newTestNode(t, "solo", nil)
 	rs := synthReadings(10, 47, 5)
 	var body []byte
-	body = appendFrame(body, 1, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: rs[:5]})
-	body = appendFrame(body, 2, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: rs[5:]})
+	body = append(body, readingsFrame(1, rs[:5])...)
+	body = append(body, readingsFrame(2, rs[5:])...)
 
 	if code, st := applyTo(t, ts.URL, exchange(testIncarnation, body)); code != http.StatusOK || st.Applied != 2 {
 		t.Fatalf("first apply: %d, applied %d", code, st.Applied)
@@ -265,14 +277,14 @@ func TestApplyIdempotencyAndGap(t *testing.T) {
 		t.Errorf("store holds %d CSV lines, want %d readings + header", got, len(rs))
 	}
 
-	gap := appendFrame(nil, 9, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: rs[:1]})
+	gap := readingsFrame(9, rs[:1])
 	if code, st := applyTo(t, ts.URL, exchange(testIncarnation, gap)); code != http.StatusConflict || st.Applied != 2 || st.Reason != reasonGap {
 		t.Fatalf("gap apply: %d, applied %d, reason %q (want 409, mark 2, %q)", code, st.Applied, st.Reason, reasonGap)
 	}
 
 	// A different primary incarnation — a restarted process whose journal
 	// restarts at 1 — must be refused, never skipped as idempotent.
-	next := appendFrame(nil, 1, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: rs[:1]})
+	next := readingsFrame(1, rs[:1])
 	code, st := applyTo(t, ts.URL, exchange(testIncarnation+2, next))
 	if code != http.StatusConflict || st.Reason != reasonMismatch {
 		t.Fatalf("foreign incarnation: %d, reason %q (want 409 %q)", code, st.Reason, reasonMismatch)
@@ -323,7 +335,7 @@ func TestApplyRefusesRecoveredNode(t *testing.T) {
 
 	n, ts = open()
 	defer func() { ts.Close(); n.Close() }()
-	frames := appendFrame(nil, 1, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: synthReadings(1, 47, 2)})
+	frames := readingsFrame(1, synthReadings(1, 47, 2))
 	code, st := applyTo(t, ts.URL, exchange(testIncarnation, frames))
 	if code != http.StatusConflict || st.Reason != reasonResync {
 		t.Fatalf("apply to recovered node: %d, reason %q (want 409 %q)", code, st.Reason, reasonResync)
@@ -352,7 +364,7 @@ func TestApplyRefusedAfterPromotion(t *testing.T) {
 	for route, write := range writes {
 		t.Run(route, func(t *testing.T) {
 			_, ts := newTestNode(t, "r", nil)
-			frames := appendFrame(nil, 1, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: synthReadings(5, 47, 1)})
+			frames := readingsFrame(1, synthReadings(5, 47, 1))
 			if code, _ := applyTo(t, ts.URL, exchange(testIncarnation, frames)); code != http.StatusOK {
 				t.Fatalf("pre-promotion apply: %d", code)
 			}
@@ -363,7 +375,7 @@ func TestApplyRefusedAfterPromotion(t *testing.T) {
 				t.Fatalf("direct upload = %s", resp.Status)
 			}
 
-			more := appendFrame(nil, 2, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: synthReadings(5, 47, 3)})
+			more := readingsFrame(2, synthReadings(5, 47, 3))
 			code, st := applyTo(t, ts.URL, exchange(testIncarnation, more))
 			if code != http.StatusConflict || st.Reason != reasonPromoted {
 				t.Fatalf("post-promotion apply: %d, reason %q (want 409 %q)", code, st.Reason, reasonPromoted)
@@ -419,7 +431,7 @@ func TestReplicatorTruncatesAfterDrain(t *testing.T) {
 // fences the link (resync flagged) instead of silently dropping writes.
 func TestRestartedPrimaryFencesReplica(t *testing.T) {
 	replicaNode, replicaTS := newTestNode(t, "r", nil)
-	frames := appendFrame(nil, 1, &replRecord{kind: frameAppend, ch: 47, sensor: sensor.KindRTLSDR, readings: synthReadings(5, 47, 1)})
+	frames := readingsFrame(1, synthReadings(5, 47, 1))
 	if code, _ := applyTo(t, replicaTS.URL, exchange(testIncarnation, frames)); code != http.StatusOK {
 		t.Fatalf("seeding apply: %d", code)
 	}
@@ -595,5 +607,121 @@ func TestShipperBacksOffADownReplica(t *testing.T) {
 	errs := primary.DB.Metrics().Counter("waldo_cluster_replication_errors_total", "", "replica", dead.URL).Value()
 	if errs == 0 || errs > 5 {
 		t.Errorf("%d failed exchanges with the down replica in 400 ms, want 1 to 5", errs)
+	}
+}
+
+// TestShipperDrainsABacklogOverTheApplyCap: a backlog larger than the
+// replica's body cap drains in exchanges that each fit under it, instead
+// of one oversized exchange the replica answers 413 forever.
+func TestShipperDrainsABacklogOverTheApplyCap(t *testing.T) {
+	replicaNode, _ := newTestNode(t, "r", nil)
+	gate := &gatedHandler{next: replicaNode.Handler()}
+	gatedTS := httptest.NewServer(gate)
+	defer gatedTS.Close()
+	primary, _ := newTestNode(t, "p", []string{gatedTS.URL})
+
+	gate.setDown(true)
+	rec, _ := core.AppendReadingsRecord(nil, synthReadings(core.MaxBatchReadings, 47, 1))
+	records := applyBodyCap/len(rec) + 1
+	for i := 0; i < records; i++ {
+		primary.repl.Record(context.Background(), 47, sensor.KindRTLSDR, rec)
+	}
+	gate.setDown(false)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := primary.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := replicaNode.DB.StoreSize(47, sensor.KindRTLSDR), records*core.MaxBatchReadings; got != want {
+		t.Errorf("replica holds %d readings, the primary shipped %d", got, want)
+	}
+	if refused := replicaNode.DB.Metrics().Counter("waldo_http_requests_total", "", "route", "/v1/repl/apply", "code", "413").Value(); refused != 0 {
+		t.Errorf("replica refused %d exchanges as too large", refused)
+	}
+}
+
+// journalRecords returns the record payloads of a store directory's WAL
+// segments, in journal order (segment names sort in epoch order).
+func journalRecords(t *testing.T, storeDir string) [][]byte {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(storeDir, "wal.*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segments in %s (%v)", storeDir, err)
+	}
+	var recs [][]byte
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(data) >= 8 { // u32 length | u32 CRC | payload
+			n := int(binary.LittleEndian.Uint32(data))
+			if len(data) < 8+n {
+				break
+			}
+			recs = append(recs, data[8:8+n])
+			data = data[8+n:]
+		}
+		if len(data) != 0 {
+			t.Fatalf("%s: %d bytes after the last whole record", seg, len(data))
+		}
+	}
+	return recs
+}
+
+// TestPrimaryAndReplicaJournalTheSameRecords: a durable replica that
+// applied a durable primary's stream journals the same records, byte for
+// byte and in the same order — the WAL payload and the frame's record
+// are one encoding.
+func TestPrimaryAndReplicaJournalTheSameRecords(t *testing.T) {
+	open := func(id, dir string, replicas []string) (*Node, *httptest.Server) {
+		n, err := OpenNode(NodeConfig{
+			ID: id,
+			DB: dbserver.Config{
+				Constructor: core.ConstructorConfig{Classifier: core.KindNB},
+				DataDir:     dir,
+			},
+			ReplicaURLs: replicas,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, httptest.NewServer(n.Handler())
+	}
+	primaryDir, replicaDir := t.TempDir(), t.TempDir()
+	replica, replicaTS := open("r", replicaDir, nil)
+	primary, primaryTS := open("p", primaryDir, []string{replicaTS.URL})
+	for i := 0; i < 4; i++ {
+		resp := mustPost(t, primaryTS.URL+"/v1/readings", uploadBody(t, synthReadings(200, 47, int64(i))))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("upload %d = %s", i, resp.Status)
+		}
+	}
+	resp := mustPost(t, primaryTS.URL+"/v1/retrain?channel=47&sensor=1", nil)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("retrain = %s", resp.Status)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := primary.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	primaryTS.Close()
+	replicaTS.Close()
+	for _, n := range []*Node{primary, replica} {
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	p := journalRecords(t, filepath.Join(primaryDir, "ch47-s1"))
+	r := journalRecords(t, filepath.Join(replicaDir, "ch47-s1"))
+	if len(p) != 5 || p[4][0] != core.RecordRetrain {
+		t.Fatalf("primary journaled %d records, want 4 uploads then a retrain", len(p))
+	}
+	if !reflect.DeepEqual(p, r) {
+		t.Errorf("primary and replica journals differ: %d and %d records", len(p), len(r))
 	}
 }

@@ -398,14 +398,14 @@ func (u *Updater) TrainedCount() int {
 
 // RetrainAtCtx rebuilds the model from the store's first trainedCount
 // readings and installs it at exactly the given version — the replication
-// apply path. A primary journals (version, trainedCount) retrain markers;
-// a replica that applies the same mutation stream in order reaches the
-// same store prefix, and model construction is deterministic for a fixed
-// constructor config (DESIGN.md §8), so the model installed here is
-// byte-identical to the one the primary serves at that version. The
-// version must advance and the prefix must exist; a violation means the
-// stream was applied out of order and the replica must resync. ctx
-// carries the replication-apply request trace.
+// apply path, and Restore's. A primary journals (version, trainedCount)
+// retrain markers; a replica that applies the same mutation stream in
+// order reaches the same store prefix, and model construction is
+// deterministic for a fixed constructor config (DESIGN.md §8), so the
+// model installed here is byte-identical to the one the primary serves
+// at that version. The version must advance and the prefix must exist; a
+// violation means the stream was applied out of order and the replica
+// must resync. ctx carries the replication-apply request trace.
 func (u *Updater) RetrainAtCtx(ctx context.Context, version, trainedCount int) error {
 	u.mu.Lock()
 	if trainedCount <= 0 || trainedCount > u.readings.Len() {
@@ -440,38 +440,32 @@ func (u *Updater) RetrainAtCtx(ctx context.Context, version, trainedCount int) e
 // store, the version of the last trained model, and the store prefix
 // length it was trained on. The updater adopts the log — recovery decoded
 // it once and nothing copies it again — so the caller must not touch it
-// afterwards. The model is rebuilt from the trained prefix — model
-// construction is deterministic for a fixed constructor config and input
-// (DESIGN.md §8), so the restored model is byte-identical to the one that
-// was serving when the state was persisted. Call on a fresh updater
-// before SetJournal, so recovery itself is not re-journaled.
+// afterwards. The model is rebuilt from the trained prefix and installed
+// by RetrainAtCtx — model construction is deterministic for a fixed
+// constructor config and input (DESIGN.md §8), so the restored model is
+// byte-identical to the one that was serving when the state was
+// persisted. Call on a fresh updater before SetJournal, so recovery
+// itself is not re-journaled; on an error, discard the updater.
 func (u *Updater) Restore(readings *ReadingLog, version, trainedCount int) error {
-	if trainedCount < 0 || trainedCount > readings.Len() {
-		return fmt.Errorf("core: restore: trained count %d outside store of %d readings",
-			trainedCount, readings.Len())
-	}
 	if version < 0 || (version == 0) != (trainedCount == 0) {
 		return fmt.Errorf("core: restore: inconsistent version %d for trained count %d",
 			version, trainedCount)
 	}
-	var model *Model
-	if trainedCount > 0 {
-		var err error
-		if model, err = u.rebuild(context.Background(), readings.View().Prefix(trainedCount)); err != nil {
-			return fmt.Errorf("core: restore: %w", err)
-		}
-	}
 	u.mu.Lock()
-	defer u.mu.Unlock()
 	if u.readings.Len() != 0 || u.version != 0 {
+		defer u.mu.Unlock()
 		return fmt.Errorf("core: restore into a non-empty updater (%d readings, version %d)",
 			u.readings.Len(), u.version)
 	}
 	u.readings = *readings
-	u.model = model
-	u.version = version
-	u.trainedCount = trainedCount
 	u.storeReadings.Set(float64(u.readings.Len()))
+	u.mu.Unlock()
+	if version == 0 {
+		return nil
+	}
+	if err := u.RetrainAtCtx(context.Background(), version, trainedCount); err != nil {
+		return fmt.Errorf("core: restore: %w", err)
+	}
 	return nil
 }
 

@@ -266,10 +266,11 @@ func TestEveryInstalledModelPublishesAGrid(t *testing.T) {
 		}},
 		{"ApplyReplicatedRetrain", func(t *testing.T) *Server {
 			s := New(cfg)
-			if err := s.ApplyReplicatedReadings(context.Background(), 47, sensor.KindRTLSDR, seed); err != nil {
+			rec, _ := core.AppendReadingsRecord(nil, seed)
+			if err := s.ApplyRecord(context.Background(), 47, sensor.KindRTLSDR, rec); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.ApplyReplicatedRetrain(context.Background(), 47, sensor.KindRTLSDR, 3, len(seed)); err != nil {
+			if err := s.ApplyRecord(context.Background(), 47, sensor.KindRTLSDR, core.AppendRetrainRecord(nil, 3, len(seed))); err != nil {
 				t.Fatal(err)
 			}
 			return s

@@ -215,8 +215,8 @@ type Config struct {
 	// the order it was applied: bootstrap seeds, accepted upload batches,
 	// and completed retrains. The cluster replication layer
 	// (internal/cluster) hooks in here to ship the mutation stream to
-	// replicas. Tap methods run under the store lock, like core.Journal —
-	// they must only enqueue. State recovered from disk at Open is not
+	// replicas. The tap runs under the store lock, like core.Journal — it
+	// must only enqueue. State recovered from disk at Open is not
 	// replayed into the tap.
 	Tap Tap
 	// Log receives structured events (screening failures, WAL errors).
@@ -229,50 +229,50 @@ type Config struct {
 // Config.MaxBodyBytes is 0.
 const DefaultMaxBodyBytes = 4 << 20
 
-// Tap receives accepted store mutations for replication. Both methods are
+// Tap receives accepted store mutations for replication, each as the
+// one store mutation record (core.ParseRecord) the WAL journals. It is
 // invoked while the owning updater's lock is held (the same contract as
 // core.Journal), so the call order is the store's apply order. The
 // context carries the trace of the request that caused the mutation —
 // attribution only, never cancellation.
 type Tap interface {
-	// TapReadings reports readings accepted into a trusted store. The
-	// slice is caller-owned; implementations must copy what they retain.
-	TapReadings(ctx context.Context, ch rfenv.Channel, kind sensor.Kind, rs []dataset.Reading)
-	// TapRetrain reports a completed rebuild: the new model version and
-	// the store prefix length it was trained on.
-	TapRetrain(ctx context.Context, ch rfenv.Channel, kind sensor.Kind, version, trainedCount int)
+	// Record reports one mutation of the store ch/kind. rec is
+	// caller-owned; implementations must copy what they retain.
+	Record(ctx context.Context, ch rfenv.Channel, kind sensor.Kind, rec []byte)
 }
 
 // storeJournal is the one core.Journal a store's updater is wired to:
 // the fixed sequence of what follows an accepted mutation, top to bottom
-// — the WAL (on a durable server), the replication tap (when
-// configured), then, for retrains only (fresh readings change no verdict
-// and no version until a retrain folds them in), the availability-grid
-// rebuild trigger and, always last, the watcher wake-up, so a delivered
-// push never races ahead of durability. Its methods run under the
-// updater's store lock (see core.Journal), so every step only enqueues.
+// — encoding it as a store mutation record, once, when anything below
+// takes records; the WAL (on a durable server); the replication tap
+// (when configured); then, for retrains only (fresh readings change no
+// verdict and no version until a retrain folds them in), the
+// availability-grid rebuild trigger and, always last, the watcher
+// wake-up, so a delivered push never races ahead of durability. Its
+// methods run under the updater's store lock (see core.Journal), so
+// every step only enqueues.
 type storeJournal struct {
 	s   *Server
 	key storeKey
 	ws  *walState // nil without a DataDir
+	// rec is the reused record buffer; the store lock serializes its use.
+	rec []byte
 }
 
-func (j storeJournal) AppendReadings(ctx context.Context, rs []dataset.Reading) {
+func (j *storeJournal) AppendReadings(ctx context.Context, rs []dataset.Reading) {
 	if j.ws != nil {
-		j.ws.store.AppendReadings(ctx, rs)
 		j.ws.appended.Add(int64(len(rs))) // for the SnapshotEvery policy
 	}
-	if tap := j.s.cfg.Tap; tap != nil {
-		tap.TapReadings(ctx, j.key.ch, j.key.kind, rs)
+	for len(rs) > 0 && (j.ws != nil || j.s.cfg.Tap != nil) {
+		j.rec, rs = core.AppendReadingsRecord(j.rec[:0], rs)
+		j.record(ctx)
 	}
 }
 
-func (j storeJournal) RecordRetrain(ctx context.Context, version, trained int) {
-	if j.ws != nil {
-		j.ws.store.RecordRetrain(ctx, version, trained)
-	}
-	if tap := j.s.cfg.Tap; tap != nil {
-		tap.TapRetrain(ctx, j.key.ch, j.key.kind, version, trained)
+func (j *storeJournal) RecordRetrain(ctx context.Context, version, trained int) {
+	if j.ws != nil || j.s.cfg.Tap != nil {
+		j.rec = core.AppendRetrainRecord(j.rec[:0], version, trained)
+		j.record(ctx)
 	}
 	// Both steps below are O(1) — flip scheduler state (the grid build
 	// runs on its own goroutine), swap a map entry — but span them anyway:
@@ -283,6 +283,16 @@ func (j storeJournal) RecordRetrain(ctx context.Context, version, trained int) {
 	sp = j.s.metrics.StartSpanCtx(ctx, "watch/bump")
 	j.s.hub.bump(j.key)
 	sp.End()
+}
+
+// record hands the encoded record to the WAL, then to the tap.
+func (j *storeJournal) record(ctx context.Context) {
+	if j.ws != nil {
+		j.ws.store.Append(ctx, j.rec)
+	}
+	if tap := j.s.cfg.Tap; tap != nil {
+		tap.Record(ctx, j.key.ch, j.key.kind, j.rec)
+	}
 }
 
 // New returns an empty database server.
@@ -348,7 +358,7 @@ func (s *Server) updaterFor(ch rfenv.Channel, kind sensor.Kind) (*core.Updater, 
 	if err != nil {
 		return nil, err
 	}
-	j := storeJournal{s: s, key: key}
+	j := &storeJournal{s: s, key: key}
 	if s.cfg.DataDir != "" {
 		// Recovery (WAL replay into the store + model rebuild) happens
 		// here, before the updater becomes visible: no request ever sees

@@ -3,6 +3,7 @@ package dbserver
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,7 +17,6 @@ import (
 	"testing"
 
 	"github.com/wsdetect/waldo/internal/core"
-	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/faultinject"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
@@ -367,9 +367,10 @@ type orderTap struct {
 	retrains int
 }
 
-func (*orderTap) TapReadings(context.Context, rfenv.Channel, sensor.Kind, []dataset.Reading) {}
-
-func (o *orderTap) TapRetrain(context.Context, rfenv.Channel, sensor.Kind, int, int) {
+func (o *orderTap) Record(_ context.Context, _ rfenv.Channel, _ sensor.Kind, rec []byte) {
+	if rec[0] != core.RecordRetrain {
+		return
+	}
 	o.retrains++
 	if o.check != nil {
 		o.check()
@@ -440,5 +441,115 @@ func TestStoreJournalOrder(t *testing.T) {
 	}
 	if want := []string{"geoindex/schedule", "watch/bump"}; !reflect.DeepEqual(order, want) {
 		t.Errorf("journal spans in the retrain trace = %v, want %v", order, want)
+	}
+}
+
+// journalRecords returns the record payloads of a store directory's WAL
+// segments, in journal order (segment names sort in epoch order).
+func journalRecords(t *testing.T, storeDir string) [][]byte {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(storeDir, "wal.*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segments in %s (%v)", storeDir, err)
+	}
+	var recs [][]byte
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(data) >= 8 { // u32 length | u32 CRC | payload
+			n := int(binary.LittleEndian.Uint32(data))
+			if len(data) < 8+n {
+				break
+			}
+			recs = append(recs, data[8:8+n])
+			data = data[8+n:]
+		}
+		if len(data) != 0 {
+			t.Fatalf("%s: %d bytes after the last whole record", seg, len(data))
+		}
+	}
+	return recs
+}
+
+// TestDurableBootstrapOverTheRecordBound: a bootstrap larger than one
+// append record may hold is journaled as records within the bound — a
+// single record for a bootstrap of about 1 M readings would pass the
+// WAL's 64 MiB record limit and be dropped, while the retrain marker
+// after it names its readings — and recovers exactly.
+func TestDurableBootstrapOverTheRecordBound(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := synthReadings(core.MaxBatchReadings+1, 47, 1)
+	if err := s.Bootstrap(seed); err != nil {
+		t.Fatal(err)
+	}
+	version := s.ModelVersion(47, sensor.KindRTLSDR)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appends := 0
+	for i, rec := range journalRecords(t, filepath.Join(dir, "ch47-s1")) {
+		if rec[0] != core.RecordAppend {
+			continue
+		}
+		appends++
+		if n := binary.LittleEndian.Uint32(rec[1:]); n > core.MaxBatchReadings {
+			t.Errorf("record %d journals %d readings, bound %d", i, n, core.MaxBatchReadings)
+		}
+	}
+	if appends != 2 {
+		t.Errorf("%d readings journaled in %d append records, want 2", len(seed), appends)
+	}
+
+	s, err = Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	u, ok := s.lookup(47, sensor.KindRTLSDR)
+	if !ok {
+		t.Fatal("reopened server has no 47/RTL store")
+	}
+	if got := u.Readings(); !reflect.DeepEqual(got, seed) {
+		t.Errorf("recovered %d readings, bootstrapped %d (or they differ)", len(got), len(seed))
+	}
+	if got := s.ModelVersion(47, sensor.KindRTLSDR); got != version {
+		t.Errorf("recovered model v%d, served v%d", got, version)
+	}
+}
+
+// TestApplyRecordRefusalCreatesNothing: a replicated record the server
+// refuses leaves no trace — not the store, in memory or as a WAL
+// directory. Two refusals: a retrain record for a store the server does
+// not hold, and an append record with one reading of another store,
+// after readings of this one.
+func TestApplyRecordRefusalCreatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mixed := synthReadings(3, 47, 1)
+	mixed[2].Channel = 46
+	appendRec, _ := core.AppendReadingsRecord(nil, mixed)
+	for name, rec := range map[string][]byte{
+		"retrain for an absent store":   core.AppendRetrainRecord(nil, 1, 5),
+		"append with a foreign reading": appendRec,
+	} {
+		if err := s.ApplyRecord(context.Background(), 47, sensor.KindRTLSDR, rec); err == nil {
+			t.Errorf("%s: applied", name)
+		}
+		if _, ok := s.lookup(47, sensor.KindRTLSDR); ok {
+			t.Fatalf("%s: refused, but created the store", name)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "ch47-s1")); !os.IsNotExist(err) {
+			t.Fatalf("%s: refused, but left a store directory (stat: %v)", name, err)
+		}
 	}
 }

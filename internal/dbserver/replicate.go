@@ -5,23 +5,37 @@ import (
 	"fmt"
 
 	"github.com/wsdetect/waldo/internal/core"
-	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 )
 
-// Replica apply surface. A replica shard receives its primary's mutation
-// stream (internal/cluster ships the journal order over HTTP) and folds
-// it into its own stores through these two methods. They bypass the α′
-// gate and upload screening on purpose: the primary already applied its
-// acceptance policy, and re-deciding here could diverge the stores. Both
-// paths journal into the replica's own WAL (when it has a data dir), so
-// a replica recovers from its own disk exactly like a primary.
-
-// ApplyReplicatedReadings appends a replicated batch to the store for a
-// channel/sensor, creating the store if needed. ctx carries the shipping
-// exchange's trace through to the replica's own WAL append.
-func (s *Server) ApplyReplicatedReadings(ctx context.Context, ch rfenv.Channel, kind sensor.Kind, rs []dataset.Reading) error {
+// ApplyRecord folds one store mutation record of a primary's stream
+// (internal/cluster ships the journal order) into the store ch/kind, all
+// or nothing, below the α′ gate and upload screening on purpose: the
+// primary already applied its acceptance policy, and re-deciding here
+// could diverge the stores. Every reading of an append record must
+// decode and belong to ch/kind before any is stored. A retrain record
+// installs the model rebuilt from the store's trained prefix at exactly
+// the primary's version (Updater.RetrainAtCtx), so the replica serves
+// byte-identical descriptors; for a store the server does not hold, it
+// is refused and creates nothing. The store journals the record into its
+// own WAL, so a replica recovers from its disk like a primary.
+func (s *Server) ApplyRecord(ctx context.Context, ch rfenv.Channel, kind sensor.Kind, rec []byte) error {
+	r, err := core.ParseRecord(rec)
+	if err != nil {
+		return fmt.Errorf("dbserver: replicated record: %w", err)
+	}
+	if r.Kind == core.RecordRetrain {
+		u, ok := s.lookup(ch, kind)
+		if !ok {
+			return fmt.Errorf("dbserver: replicated retrain for %v/%v, which has no store", ch, kind)
+		}
+		return u.RetrainAtCtx(ctx, r.Version, r.TrainedCount)
+	}
+	rs, _, err := core.DecodeReadingsWire(r.Batch)
+	if err != nil {
+		return fmt.Errorf("dbserver: replicated batch: %w", err)
+	}
 	if len(rs) == 0 {
 		return fmt.Errorf("dbserver: empty replicated batch")
 	}
@@ -38,17 +52,6 @@ func (s *Server) ApplyReplicatedReadings(ctx context.Context, ch rfenv.Channel, 
 	u.BootstrapCtx(ctx, rs)
 	s.maybeSnapshot(storeKey{ch, kind})
 	return nil
-}
-
-// ApplyReplicatedRetrain rebuilds the model for a channel/sensor from the
-// first trainedCount store readings and installs it at exactly the
-// primary's version, so the replica serves byte-identical descriptors.
-func (s *Server) ApplyReplicatedRetrain(ctx context.Context, ch rfenv.Channel, kind sensor.Kind, version, trainedCount int) error {
-	u, err := s.updaterFor(ch, kind)
-	if err != nil {
-		return err
-	}
-	return u.RetrainAtCtx(ctx, version, trainedCount)
 }
 
 // HasData reports whether any store holds readings or a trained model —
@@ -69,17 +72,27 @@ func (s *Server) HasData() bool {
 	return false
 }
 
-// SnapshotStores passes every store's consistent (readings, model
-// version, trained count) view to fn in deterministic key order, under
-// that store's lock. The readings are the updater's checkpoint view;
-// stores are append-only, so callers may retain it as a snapshot. The
-// cluster tier uses this at node startup to seed a restarted primary's
-// replication journal with its WAL-recovered state.
-func (s *Server) SnapshotStores(fn func(ch rfenv.Channel, kind sensor.Kind, rs core.ReadingView, version, trained int)) {
+// TapSnapshot hands every store's current state to tap, in key order
+// and under that store's lock, as the records that rebuild it on an
+// empty server: its readings in append records, then, once it has a
+// model, a retrain record at its version. The cluster tier uses it at
+// node startup to seed a restarted primary's replication journal with
+// its WAL-recovered state.
+func (s *Server) TapSnapshot(tap Tap) {
 	keys, byKey := s.storeSnapshot()
+	var rec []byte
 	for _, k := range keys {
-		byKey[k].Checkpoint(func(rs core.ReadingView, version, trained int) {
-			fn(k.ch, k.kind, rs, version, trained)
+		byKey[k].Checkpoint(func(view core.ReadingView, version, trained int) {
+			for _, rs := range view.Chunks() {
+				for len(rs) > 0 {
+					rec, rs = core.AppendReadingsRecord(rec[:0], rs)
+					tap.Record(context.Background(), k.ch, k.kind, rec)
+				}
+			}
+			if version > 0 {
+				rec = core.AppendRetrainRecord(rec[:0], version, trained)
+				tap.Record(context.Background(), k.ch, k.kind, rec)
+			}
 		})
 	}
 }

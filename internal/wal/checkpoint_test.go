@@ -114,11 +114,11 @@ func TestV1SnapshotIsAnImmutableBase(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapshotName), snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stale := frame(buildAppendPayload(testReadings(0, 6))) // covered by the snapshot
+	stale := frame(appendRecord(testReadings(0, 6))) // covered by the snapshot
 	if err := os.WriteFile(filepath.Join(dir, segName(3)), stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tail := frame(buildAppendPayload(testReadings(6, 2)))
+	tail := frame(appendRecord(testReadings(6, 2)))
 	if err := os.WriteFile(filepath.Join(dir, segName(4)), tail, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -71,9 +71,9 @@ func FuzzDecodeSnapshotV1(f *testing.F) {
 }
 
 func FuzzReplaySegment(f *testing.F) {
-	seg := frame(buildAppendPayload(testReadings(0, 2)))
-	seg = appendFrame(seg, []byte{recRetrain, 1, 0, 0, 0, 2, 0, 0, 0})
-	seg = appendFrame(seg, buildAppendPayload(testReadings(2, 1)))
+	seg := frame(appendRecord(testReadings(0, 2)))
+	seg = appendFrame(seg, core.AppendRetrainRecord(nil, 1, 2))
+	seg = appendFrame(seg, appendRecord(testReadings(2, 1)))
 	f.Add(seg, true)
 	f.Add(seg[:len(seg)-5], true)
 	f.Add([]byte{}, false)

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/telemetry"
 )
@@ -180,7 +181,7 @@ func TestRandomAppendCrashReplay(t *testing.T) {
 				case 3: // retrain marker over the current store
 					wantVersion++
 					wantTrained = len(want)
-					s.RecordRetrain(context.Background(), wantVersion, wantTrained)
+					s.Append(context.Background(), core.AppendRetrainRecord(nil, wantVersion, wantTrained))
 				case 4: // snapshot compaction
 					epoch, err := s.BeginCheckpoint()
 					if err != nil {
@@ -213,7 +214,7 @@ func TestRandomAppendCrashReplay(t *testing.T) {
 			}
 			torn := false
 			if rng.Intn(2) == 0 {
-				full := frame(buildAppendPayload(testReadings(seq, 1+rng.Intn(3))))
+				full := frame(appendRecord(testReadings(seq, 1+rng.Intn(3))))
 				cut := 1 + rng.Intn(len(full)-1)
 				f, err := os.OpenFile(filepath.Join(dir, topSeg), os.O_WRONLY|os.O_APPEND, 0)
 				if err != nil {

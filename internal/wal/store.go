@@ -2,7 +2,6 @@ package wal
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -13,12 +12,6 @@ import (
 	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/telemetry"
 	"github.com/wsdetect/waldo/internal/wlog"
-)
-
-// Store record payload kinds.
-const (
-	recAppend  byte = 1 // accepted reading batch
-	recRetrain byte = 2 // model version bump + trained prefix length
 )
 
 // StoreDirName renders the on-disk directory name for a store key, e.g.
@@ -71,10 +64,10 @@ type Recovered struct {
 }
 
 // Store is the durable persistence of one (channel, sensor) reading
-// store: a segmented log of accepted batches and retrain markers that is
-// never rewritten, plus the checkpoint record that pins what its sealed
-// segments hold. It implements core.Journal, so wiring it into an updater
-// via SetJournal journals every accepted mutation in apply order.
+// store: a segmented log of store mutation records (core.ParseRecord)
+// that is never rewritten, plus the checkpoint record that pins what its
+// sealed segments hold. Append takes a record as opaque bytes; recovery
+// parses each one with core.ParseRecord.
 type Store struct {
 	dir  string
 	fs   FS
@@ -85,10 +78,7 @@ type Store struct {
 	reg *telemetry.Registry
 	lg  *wlog.Logger
 	log *Log
-	// scratch is the reusable record-payload buffer for the journal
-	// methods. Safe without a lock: core.Journal calls are serialized by
-	// the updater's store lock, and Log.Append copies the payload into
-	// the pending batch before returning.
+	// scratch is AppendReadings' record buffer; Log.Append copies out of it.
 	scratch []byte
 }
 
@@ -179,86 +169,50 @@ func OpenStore(dir string, ch rfenv.Channel, kind sensor.Kind, opts StoreOptions
 
 // applyRecord folds one replayed record into the recovered state.
 func applyRecord(rec *Recovered, payload []byte) error {
-	if len(payload) == 0 {
-		return fmt.Errorf("empty record")
+	r, err := core.ParseRecord(payload)
+	if err != nil {
+		return err
 	}
-	switch payload[0] {
-	case recAppend:
+	if r.Kind == core.RecordAppend {
 		// Decode straight into the store's chunks: replay builds the
 		// store once, with no per-record batch and no regrowth copy
 		// (see BenchmarkReplay's allocs assertion).
-		rest, err := rec.Readings.AppendWire(payload[1:])
-		if err != nil {
-			return err
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("append record has %d trailing bytes", len(rest))
-		}
-		return nil
-	case recRetrain:
-		version, trained, err := DecodeRetrainRecord(payload)
-		if err != nil {
-			return err
-		}
-		if trained > rec.Readings.Len() {
-			return fmt.Errorf("retrain record trained on %d of %d readings", trained, rec.Readings.Len())
-		}
-		rec.ModelVersion = version
-		rec.TrainedCount = trained
-		return nil
-	default:
-		return fmt.Errorf("unknown record kind %d", payload[0])
+		_, err := rec.Readings.AppendWire(r.Batch)
+		return err
 	}
+	if r.TrainedCount > rec.Readings.Len() {
+		return fmt.Errorf("retrain record trained on %d of %d readings", r.TrainedCount, rec.Readings.Len())
+	}
+	rec.ModelVersion = r.Version
+	rec.TrainedCount = r.TrainedCount
+	return nil
 }
 
-// DecodeRetrainRecord parses a retrain-marker record payload.
-func DecodeRetrainRecord(payload []byte) (version, trainedCount int, err error) {
-	if len(payload) != 9 || payload[0] != recRetrain {
-		return 0, 0, fmt.Errorf("malformed retrain record (%d bytes)", len(payload))
-	}
-	return int(binary.LittleEndian.Uint32(payload[1:])), int(binary.LittleEndian.Uint32(payload[5:])), nil
-}
-
-// AppendReadings implements core.Journal: it queues an accepted batch for
-// the next group commit. Called under the updater's store lock, so the
-// journal order is the store order. A wedged log counts the drop instead
-// of blocking ingest (waldo_wal_dropped_records_total; alert on
-// waldo_wal_failed). The group-commit enqueue (encode + Append,
-// including any backpressure wait against a saturated disk) is
-// attributed to the request trace in ctx as a wal/append span.
-func (s *Store) AppendReadings(ctx context.Context, rs []dataset.Reading) {
+// Append queues one store mutation record for the next group commit.
+// The journal calls it under the updater's store lock, so the log order
+// is the store order. A wedged log counts the drop instead of blocking
+// ingest (waldo_wal_dropped_records_total; alert on waldo_wal_failed).
+// The enqueue, including any backpressure wait against a saturated disk,
+// is attributed to the request trace in ctx as a wal/append span.
+func (s *Store) Append(ctx context.Context, rec []byte) {
 	sp := s.reg.StartSpanCtx(ctx, "wal/append")
 	sp.SetAttr("store", StoreDirName(s.ch, s.kind))
-	s.scratch = append(s.scratch[:0], recAppend)
-	s.scratch = core.AppendReadingsWire(s.scratch, rs)
-	if err := s.log.Append(s.scratch); err != nil {
+	if err := s.log.Append(rec); err != nil {
 		s.m.dropped.Inc()
 		sp.Fail(err.Error())
 		s.lg.Error(ctx, "wal_record_dropped",
-			"store", StoreDirName(s.ch, s.kind), "kind", "append",
-			"readings", len(rs), "err", err)
+			"store", StoreDirName(s.ch, s.kind), "kind", rec[0], "bytes", len(rec), "err", err)
 	}
 	sp.End()
 }
 
-// buildAppendPayload renders a reading-batch record payload.
-func buildAppendPayload(rs []dataset.Reading) []byte {
-	payload := make([]byte, 1, 1+4+len(rs)*core.ReadingWireSize)
-	payload[0] = recAppend
-	return core.AppendReadingsWire(payload, rs)
-}
-
-// RecordRetrain implements core.Journal: it queues a retrain marker.
-func (s *Store) RecordRetrain(ctx context.Context, version, trainedCount int) {
-	payload := make([]byte, 9)
-	payload[0] = recRetrain
-	binary.LittleEndian.PutUint32(payload[1:], uint32(version))
-	binary.LittleEndian.PutUint32(payload[5:], uint32(trainedCount))
-	if err := s.log.Append(payload); err != nil {
-		s.m.dropped.Inc()
-		s.lg.Error(ctx, "wal_record_dropped",
-			"store", StoreDirName(s.ch, s.kind), "kind", "retrain",
-			"version", version, "err", err)
+// AppendReadings journals rs as append records of at most
+// core.MaxBatchReadings readings each — Append for a caller that holds
+// readings rather than records.
+func (s *Store) AppendReadings(ctx context.Context, rs []dataset.Reading) {
+	for len(rs) > 0 {
+		s.scratch, rs = core.AppendReadingsRecord(s.scratch[:0], rs)
+		s.Append(ctx, s.scratch)
 	}
 }
 

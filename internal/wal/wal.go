@@ -123,13 +123,8 @@ func parseSegName(name string) (uint64, bool) {
 	return epoch, true
 }
 
-// frame renders one record: header (length + CRC) and payload.
-func frame(payload []byte) []byte {
-	return appendFrame(make([]byte, 0, recordHeader+len(payload)), payload)
-}
-
-// appendFrame appends one framed record to dst — the no-extra-copy path
-// Append uses to build the pending batch in place.
+// appendFrame appends one framed record to dst — header (length + CRC)
+// and payload — building Append's pending batch in place.
 func appendFrame(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/geo"
@@ -42,6 +43,17 @@ func testReadings(from, n int) []dataset.Reading {
 		rs[i] = testReading(from + i)
 	}
 	return rs
+}
+
+// frame renders one WAL record: header (length + CRC) and payload.
+func frame(payload []byte) []byte {
+	return appendFrame(make([]byte, 0, recordHeader+len(payload)), payload)
+}
+
+// appendRecord is the store mutation record that journals rs.
+func appendRecord(rs []dataset.Reading) []byte {
+	rec, _ := core.AppendReadingsRecord(nil, rs)
+	return rec
 }
 
 func openTestStore(t *testing.T, dir string, reg *telemetry.Registry) (*Store, *Recovered) {
@@ -93,7 +105,7 @@ func TestStoreRecoverAfterClose(t *testing.T) {
 		t.Fatalf("fresh store recovered state: %+v", rec)
 	}
 	s.AppendReadings(context.Background(), testReadings(0, 3))
-	s.RecordRetrain(context.Background(), 1, 3)
+	s.Append(context.Background(), core.AppendRetrainRecord(nil, 1, 3))
 	s.AppendReadings(context.Background(), testReadings(3, 2))
 	if err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
@@ -142,7 +154,7 @@ func TestCheckpointPinsSealedSegments(t *testing.T) {
 	s, _ := openTestStore(t, dir, nil)
 	s.AppendReadings(context.Background(), testReadings(0, 3))
 	s.AppendReadings(context.Background(), testReadings(3, 2))
-	s.RecordRetrain(context.Background(), 1, 5)
+	s.Append(context.Background(), core.AppendRetrainRecord(nil, 1, 5))
 	epoch, err := s.BeginCheckpoint()
 	if err != nil {
 		t.Fatalf("BeginCheckpoint: %v", err)
@@ -187,7 +199,7 @@ func TestCheckpointPinsSealedSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		last := len(frame(buildAppendPayload(testReadings(0, 1))))
+		last := len(frame(appendRecord(testReadings(0, 1))))
 		if epoch < 2 { // segment 1 ends with the 9-byte retrain marker
 			last = recordHeader + 9
 		}
@@ -303,7 +315,7 @@ func TestTornTailTruncatedAndCounted(t *testing.T) {
 
 	// Simulate an append torn mid-write: a partial frame at EOF.
 	seg := filepath.Join(dir, segName(1))
-	full := frame([]byte{recAppend, 9, 9, 9})
+	full := frame([]byte{core.RecordAppend, 9, 9, 9})
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +432,7 @@ func TestWedgedLogFailStop(t *testing.T) {
 	// The log is now wedged: further journal records are dropped and
 	// counted, never silently lost.
 	s.AppendReadings(context.Background(), testReadings(1, 1))
-	s.RecordRetrain(context.Background(), 1, 1)
+	s.Append(context.Background(), core.AppendRetrainRecord(nil, 1, 1))
 	scope := fmt.Sprintf("%d/%d", int(testCh), int(testKind))
 	if v := reg.Counter("waldo_wal_dropped_records_total", "", "store", scope).Value(); v != 2 {
 		t.Errorf("waldo_wal_dropped_records_total = %d, want 2", v)
@@ -430,19 +442,5 @@ func TestWedgedLogFailStop(t *testing.T) {
 	}
 	if v := reg.Counter("waldo_wal_fsync_errors_total", "", "store", scope).Value(); v == 0 {
 		t.Error("waldo_wal_fsync_errors_total not incremented")
-	}
-}
-
-func TestRetrainRecordRoundTrip(t *testing.T) {
-	payload := make([]byte, 9)
-	payload[0] = recRetrain
-	payload[1] = 7 // version 7 little-endian
-	payload[5] = 3 // trained 3
-	version, trained, err := DecodeRetrainRecord(payload)
-	if err != nil || version != 7 || trained != 3 {
-		t.Fatalf("DecodeRetrainRecord = %d, %d, %v", version, trained, err)
-	}
-	if _, _, err := DecodeRetrainRecord(payload[:8]); err == nil {
-		t.Error("short retrain record accepted")
 	}
 }
