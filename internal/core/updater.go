@@ -73,8 +73,7 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 type Updater struct {
 	mu sync.Mutex
 
-	cfg      ConstructorConfig
-	labelCfg dataset.LabelConfig
+	cfg ConstructorConfig
 	// alphaPrime is the maximum accepted upload CI span (dB).
 	alphaPrime float64
 	// expectCh/expectKind, when non-zero, pin the store's scope so a
@@ -142,8 +141,6 @@ type Journal interface {
 type UpdaterConfig struct {
 	// Constructor configures model building.
 	Constructor ConstructorConfig
-	// Labeling configures Algorithm 1.
-	Labeling dataset.LabelConfig
 	// AlphaPrimeDB is the upload acceptance criterion; default 1.0 dB.
 	AlphaPrimeDB float64
 	// Metrics, when set, receives updater telemetry (upload outcomes,
@@ -178,7 +175,6 @@ func NewUpdater(cfg UpdaterConfig) (*Updater, error) {
 	}
 	u := &Updater{
 		cfg:        cfg.Constructor,
-		labelCfg:   cfg.Labeling,
 		alphaPrime: cfg.AlphaPrimeDB,
 		expectCh:   cfg.Channel,
 		expectKind: cfg.Sensor,
@@ -363,7 +359,7 @@ func (u *Updater) rebuild(ctx context.Context, view ReadingView) (*Model, error)
 	span := u.metrics.StartSpanCtx(ctx, "retrain")
 	snap := view.Flatten()
 	relabel := span.Child("relabel")
-	labels, err := dataset.LabelReadings(snap, u.labelCfg)
+	labels, err := dataset.LabelReadings(snap, dataset.LabelConfig{}) // Algorithm 1's shipped rule: −84 dBm, 6 km
 	relabel.End()
 	if err != nil {
 		span.End()
@@ -491,10 +487,10 @@ func (u *Updater) IndexSnapshot(maxRecent int) (*Model, int, []dataset.Reading) 
 // (see ReadingView; valid after fn returns), the model version, and the
 // trained prefix length — while the store lock is held. Because the
 // Journal hooks run under the same lock, everything fn sees is exactly
-// the journal stream so far: internal/wal rotates its log segment inside
-// fn, making the checkpoint/log cut exact. Keep fn short (Submit and
-// Model block for its duration); do slow I/O on the captured state after
-// Checkpoint returns.
+// the journal stream so far: replication seeds a journal from it
+// (dbserver's TapSnapshot). Keep fn short (Submit and Model block for
+// its duration). The WAL's checkpoints do not come here: the log keeps
+// its own totals and cuts without this lock.
 func (u *Updater) Checkpoint(fn func(readings ReadingView, version, trainedCount int)) {
 	u.mu.Lock()
 	defer u.mu.Unlock()

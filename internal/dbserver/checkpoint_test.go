@@ -3,6 +3,7 @@ package dbserver
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,18 +23,20 @@ import (
 	"github.com/wsdetect/waldo/internal/wal"
 )
 
-// gateFS is the wal.FS seam with a gate on checkpoint-record installs
-// (the rename that ends every checkpoint, off the store lock): while
-// held, a checkpoint stays in flight for as long as the test wants.
+// gateFS is the wal.FS seam with a gate on one file: while held, the
+// checkpoint step that creates it (the next segment's open, or the
+// rename that installs checkpoint.bin) blocks for as long as the test
+// wants.
 type gateFS struct {
 	wal.FS
+	name    string // the gated file's base name
 	mu      sync.Mutex
-	held    chan struct{} // non-nil: installs block until it is closed
-	entered chan struct{} // receives once per install that blocks
+	held    chan struct{} // non-nil: the gated step blocks until it is closed
+	entered chan struct{} // receives once per gated step that blocks
 }
 
-func newGateFS() *gateFS {
-	return &gateFS{FS: wal.OSFS{}, entered: make(chan struct{}, 16)} // more than any test's blocked installs
+func newGateFS(name string) *gateFS {
+	return &gateFS{FS: wal.OSFS{}, name: name, entered: make(chan struct{}, 16)} // more than any test's blocked steps
 }
 
 func (g *gateFS) hold() {
@@ -50,28 +52,45 @@ func (g *gateFS) release() {
 	g.mu.Unlock()
 }
 
-func (g *gateFS) Rename(oldpath, newpath string) error {
+func (g *gateFS) wait(path string) {
 	g.mu.Lock()
 	held := g.held
 	g.mu.Unlock()
-	if held != nil && strings.HasSuffix(newpath, "checkpoint.bin") {
+	if held != nil && filepath.Base(path) == g.name {
 		g.entered <- struct{}{}
 		<-held
 	}
+}
+
+func (g *gateFS) Rename(oldpath, newpath string) error {
+	g.wait(newpath)
 	return g.FS.Rename(oldpath, newpath)
+}
+
+func (g *gateFS) OpenAppend(path string) (wal.File, error) {
+	g.wait(path)
+	return g.FS.OpenAppend(path)
 }
 
 const testKindRTL = sensor.KindRTLSDR
 
-// uploadN pushes n readings for channel 47 through the upload pipeline
-// and its checkpoint trigger, the way handleUpload does.
+// uploadN pushes n readings for channel 47 through the upload pipeline,
+// the way handleUpload does.
 func uploadN(t *testing.T, s *Server, n int, seed int64) {
 	t.Helper()
 	batch := core.UploadBatch{Readings: synthReadings(n, 47, seed), CISpanDB: 0.5}
 	if status, err := s.acceptUpload(context.Background(), batch); err != nil {
 		t.Fatalf("upload: %d %v", status, err)
 	}
-	s.maybeSnapshot(storeKey{47, testKindRTL})
+}
+
+// flushWAL is the test's barrier: every cut marked before it has
+// completed (or failed) when it returns.
+func flushWAL(t *testing.T, s *Server) {
+	t.Helper()
+	if err := s.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func checkpointsDone(s *Server) uint64 {
@@ -79,12 +98,11 @@ func checkpointsDone(s *Server) uint64 {
 }
 
 // TestCheckpointTriggerCoalesces pins the trigger: while a checkpoint is
-// in flight, uploads that find another one due neither start goroutines
-// nor get forgotten — the store's one checkpointer takes a single further
-// checkpoint that covers all of them before it exits.
+// in flight, uploads that find another one due are not forgotten — the
+// log takes a single further checkpoint that covers all of them.
 func TestCheckpointTriggerCoalesces(t *testing.T) {
 	const every = 100
-	fs := newGateFS()
+	fs := newGateFS("checkpoint.bin")
 	cfg := durableConfig(t.TempDir())
 	cfg.SnapshotEvery = every
 	cfg.WALFS = fs
@@ -93,45 +111,40 @@ func TestCheckpointTriggerCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	key := storeKey{47, testKindRTL}
 
 	fs.hold()
-	uploadN(t, s, every, 1) // due: starts the checkpointer, which blocks installing checkpoint 1
+	uploadN(t, s, every, 1) // due: the flusher takes the cut and blocks installing checkpoint 1
 	<-fs.entered
 	for i := 0; i < 25; i++ { // 5x the threshold while it is in flight
 		uploadN(t, s, every/5, int64(2+i))
-	}
-	ws := s.wals[key]
-	if got := ws.starts.Load(); got != 1 {
-		t.Errorf("%d checkpointer goroutines started during one in-flight checkpoint, want 1", got)
 	}
 	if got := checkpointsDone(s); got != 0 {
 		t.Fatalf("%d checkpoints completed while the first is held", got)
 	}
 	fs.release()
-	s.checkpointers.Wait()
+	flushWAL(t, s)
 
-	if got := ws.starts.Load(); got > 2 {
-		t.Errorf("%d checkpointer goroutines started, want <= 2", got)
-	}
 	// One checkpoint for the first threshold, one for everything that
-	// arrived during it; nothing due is left behind.
+	// arrived during it; nothing due is left behind: short of another
+	// threshold, no further checkpoint comes.
 	if got := checkpointsDone(s); got != 2 {
 		t.Errorf("%d checkpoints completed, want 2", got)
 	}
-	if left := ws.appended.Load(); left != 0 {
-		t.Errorf("%d journaled readings not covered by a checkpoint after the checkpointer exited", left)
+	uploadN(t, s, every-1, 99)
+	flushWAL(t, s)
+	if got := checkpointsDone(s); got != 2 {
+		t.Errorf("%d checkpoints completed after %d more readings, want still 2", got, every-1)
 	}
 }
 
 // TestCheckpointCountsReadingsJournaledMeanwhile pins the bookkeeping:
 // readings journaled while a checkpoint's record is being written count
 // towards the next one (the cut did not cover them), so with uploads
-// that never outrun the checkpointer the number of checkpoints is exactly
+// that never outrun the flusher the number of checkpoints is exactly
 // journaled / SnapshotEvery — none comes late.
 func TestCheckpointCountsReadingsJournaledMeanwhile(t *testing.T) {
 	const every = 100
-	fs := newGateFS()
+	fs := newGateFS("checkpoint.bin")
 	cfg := durableConfig(t.TempDir())
 	cfg.SnapshotEvery = every
 	cfg.WALFS = fs
@@ -151,10 +164,10 @@ func TestCheckpointCountsReadingsJournaledMeanwhile(t *testing.T) {
 	<-fs.entered
 	upload(40) // journaled during checkpoint 1: belongs to checkpoint 2
 	fs.release()
-	s.checkpointers.Wait()
+	flushWAL(t, s)
 	for journaled < 5*every {
 		upload(20)
-		s.checkpointers.Wait()
+		flushWAL(t, s)
 		if got, want := checkpointsDone(s), uint64(journaled/every); got != want {
 			t.Fatalf("after %d journaled readings: %d checkpoints completed, want %d", journaled, got, want)
 		}
@@ -162,10 +175,10 @@ func TestCheckpointCountsReadingsJournaledMeanwhile(t *testing.T) {
 }
 
 // TestCloseWaitsForCheckpoint: Close must not return (and must not close
-// the store's log) while a background checkpoint is still writing into
-// the data dir.
+// the store's log) while a due checkpoint is still writing into the data
+// dir.
 func TestCloseWaitsForCheckpoint(t *testing.T) {
-	fs := newGateFS()
+	fs := newGateFS("checkpoint.bin")
 	dataDir := t.TempDir()
 	cfg := durableConfig(dataDir)
 	cfg.SnapshotEvery = 10
@@ -196,9 +209,96 @@ func TestCloseWaitsForCheckpoint(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "checkpoint.bin.tmp")); !os.IsNotExist(err) {
 		t.Errorf("checkpoint temp file left behind: %v", err)
 	}
-	// A trigger after Close starts nothing.
-	s.maybeSnapshot(storeKey{47, testKindRTL})
-	s.checkpointers.Wait()
+}
+
+// TestBootstrapPastSnapshotEveryCheckpoints: readings seeded by
+// Bootstrap are journaled like any upload's, so a bootstrap past
+// SnapshotEvery is checkpointed without waiting for an upload.
+func TestBootstrapPastSnapshotEveryCheckpoints(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := durableConfig(dataDir)
+	cfg.SnapshotEvery = 100
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Bootstrap(synthReadings(350, 47, 1)); err != nil {
+		t.Fatal(err)
+	}
+	flushWAL(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(dataDir, wal.StoreDirName(47, testKindRTL))
+	if _, err := os.Stat(filepath.Join(dir, "checkpoint.bin")); err != nil {
+		t.Fatalf("no checkpoint record after bootstrapping 350 readings at SnapshotEvery 100: %v", err)
+	}
+	s2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	if u, ok := s2.lookup(47, testKindRTL); !ok || u.Size() != 350 {
+		t.Errorf("recovered store: ok=%v, want 350 readings", ok)
+	}
+}
+
+// TestCheckpointHoldsNoStoreLock: a checkpoint stalled on the disk — here
+// in the open of its next segment — holds no store lock, so the store
+// keeps serving its model and accepting uploads meanwhile.
+func TestCheckpointHoldsNoStoreLock(t *testing.T) {
+	fs := newGateFS("wal.0000000002.log")
+	cfg := durableConfig(t.TempDir())
+	cfg.WALFS = fs
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	fs.hold()
+	snapshot := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/admin/snapshot?channel=47&sensor=1", "", nil)
+		if err != nil {
+			t.Error(err)
+			snapshot <- 0
+			return
+		}
+		resp.Body.Close()
+		snapshot <- resp.StatusCode
+	}()
+	<-fs.entered
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	if resp, err := client.Get(ts.URL + "/v1/model?channel=47&sensor=1"); err != nil {
+		t.Errorf("GET /v1/model during a checkpoint: %v", err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /v1/model during a checkpoint = %s", resp.Status)
+	}
+	up := UploadJSON{CISpanDB: 0.5}
+	for _, r := range synthReadings(20, 47, 3) {
+		up.Readings = append(up.Readings, FromReading(r))
+	}
+	body, err := json.Marshal(up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := client.Post(ts.URL+"/v1/readings", "application/json", bytes.NewReader(body)); err != nil {
+		t.Errorf("upload during a checkpoint: %v", err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNoContent {
+		t.Errorf("upload during a checkpoint = %s", resp.Status)
+	}
+
+	fs.release()
+	if code := <-snapshot; code != http.StatusOK {
+		t.Errorf("POST /v1/admin/snapshot = %d, want 200", code)
+	}
 }
 
 // copyTree copies a fixture directory so a test can write into it.
@@ -284,7 +384,7 @@ func TestUpgradeFromV1DataDir(t *testing.T) {
 		t.Fatalf("open the v1 data dir: %v", err)
 	}
 	check(s, "first open")
-	if err := s.snapshotStore(storeKey{47, testKindRTL}); err != nil {
+	if err := s.wals[storeKey{47, testKindRTL}].Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	if err := s.Close(); err != nil {

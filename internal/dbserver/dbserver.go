@@ -129,7 +129,7 @@ type Server struct {
 	// keys mirrors the updaters map as a sorted slice, maintained at
 	// insertion so stats/health snapshots don't re-sort on every call.
 	keys    []storeKey
-	wals    map[storeKey]*walState
+	wals    map[storeKey]*wal.Store
 	cfg     Config
 	metrics *telemetry.Registry
 	lg      *wlog.Logger
@@ -163,12 +163,6 @@ type Server struct {
 	// listener's graceful shutdown for up to a full watch horizon.
 	closed    chan struct{}
 	closeOnce sync.Once
-
-	// checkpointers counts running store checkpointers (persist.go) so
-	// Close can wait them out; checkpointerMu orders a checkpointer's
-	// start against Close, after which none starts.
-	checkpointerMu sync.Mutex
-	checkpointers  sync.WaitGroup
 }
 
 type storeKey struct {
@@ -202,11 +196,12 @@ type Config struct {
 	// this directory, checkpointed, and recovered on Open. Empty means
 	// in-memory only (New's historical behavior).
 	DataDir string
-	// SnapshotEvery, when positive, triggers a background checkpoint of
-	// a store (its log segment sealed, its counts recorded; the cost does
-	// not depend on the store's size) once that many readings have been
-	// journaled since its last one. 0 means checkpoints only happen on
-	// demand via POST /v1/admin/snapshot.
+	// SnapshotEvery, when positive, has a store's WAL checkpoint itself
+	// (its log segment sealed, its counts recorded; the cost does not
+	// depend on the store's size) once that many readings have been
+	// journaled since its last cut (wal.StoreOptions.CheckpointEvery).
+	// 0 means checkpoints only happen on demand via
+	// POST /v1/admin/snapshot.
 	SnapshotEvery int
 	// WALFS overrides the filesystem the WAL persists through; nil means
 	// the real one. The fault-injection layer hooks in here.
@@ -254,23 +249,20 @@ type Tap interface {
 type storeJournal struct {
 	s   *Server
 	key storeKey
-	ws  *walState // nil without a DataDir
+	wal *wal.Store // nil without a DataDir
 	// rec is the reused record buffer; the store lock serializes its use.
 	rec []byte
 }
 
 func (j *storeJournal) AppendReadings(ctx context.Context, rs []dataset.Reading) {
-	if j.ws != nil {
-		j.ws.appended.Add(int64(len(rs))) // for the SnapshotEvery policy
-	}
-	for len(rs) > 0 && (j.ws != nil || j.s.cfg.Tap != nil) {
+	for len(rs) > 0 && (j.wal != nil || j.s.cfg.Tap != nil) {
 		j.rec, rs = core.AppendReadingsRecord(j.rec[:0], rs)
 		j.record(ctx)
 	}
 }
 
 func (j *storeJournal) RecordRetrain(ctx context.Context, version, trained int) {
-	if j.ws != nil || j.s.cfg.Tap != nil {
+	if j.wal != nil || j.s.cfg.Tap != nil {
 		j.rec = core.AppendRetrainRecord(j.rec[:0], version, trained)
 		j.record(ctx)
 	}
@@ -287,8 +279,8 @@ func (j *storeJournal) RecordRetrain(ctx context.Context, version, trained int) 
 
 // record hands the encoded record to the WAL, then to the tap.
 func (j *storeJournal) record(ctx context.Context) {
-	if j.ws != nil {
-		j.ws.store.Append(ctx, j.rec)
+	if j.wal != nil {
+		j.wal.Append(ctx, j.rec)
 	}
 	if tap := j.s.cfg.Tap; tap != nil {
 		tap.Record(ctx, j.key.ch, j.key.kind, j.rec)
@@ -302,7 +294,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		updaters: make(map[storeKey]*core.Updater),
-		wals:     make(map[storeKey]*walState),
+		wals:     make(map[storeKey]*wal.Store),
 		cfg:      cfg,
 		metrics:  cfg.Metrics,
 		lg:       cfg.Log.Named("dbserver"),
@@ -363,7 +355,7 @@ func (s *Server) updaterFor(ch rfenv.Channel, kind sensor.Kind) (*core.Updater, 
 		// Recovery (WAL replay into the store + model rebuild) happens
 		// here, before the updater becomes visible: no request ever sees
 		// a partially recovered store.
-		if j.ws, err = s.openStore(key, u); err != nil {
+		if j.wal, err = s.openStore(key, u); err != nil {
 			return nil, err
 		}
 	}

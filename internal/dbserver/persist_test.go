@@ -266,8 +266,8 @@ func TestAutoSnapshotTriggers(t *testing.T) {
 	// The compaction runs in the background; force a second, synchronous
 	// one to rendezvous with it, then verify at least one completed.
 	key := storeKey{rfenv.Channel(47), sensor.KindRTLSDR}
-	if err := s.snapshotStore(key); err != nil {
-		t.Fatalf("snapshotStore: %v", err)
+	if err := s.wals[key].Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 }
 
@@ -343,7 +343,7 @@ func TestOpenRejectsCorruptDataDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := storeKey{rfenv.Channel(47), sensor.KindRTLSDR}
-		if err := s.snapshotStore(key); err != nil {
+		if err := s.wals[key].Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil {

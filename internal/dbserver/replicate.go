@@ -50,7 +50,6 @@ func (s *Server) ApplyRecord(ctx context.Context, ch rfenv.Channel, kind sensor.
 		return err
 	}
 	u.BootstrapCtx(ctx, rs)
-	s.maybeSnapshot(storeKey{ch, kind})
 	return nil
 }
 

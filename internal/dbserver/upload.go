@@ -182,7 +182,6 @@ func (s *Server) handleUpload(decode uploadDecoder) http.HandlerFunc {
 		}
 		s.upload.uploads.Inc()
 		s.upload.readings.Add(uint64(len(batch.Readings)))
-		s.maybeSnapshot(storeKey{batch.Readings[0].Channel, batch.Readings[0].Sensor})
 		w.WriteHeader(http.StatusNoContent)
 	}
 }

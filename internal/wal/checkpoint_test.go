@@ -72,12 +72,8 @@ func TestCheckpointCostIndependentOfStoreSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		checkpoint := func(readings int) {
-			epoch, err := s.BeginCheckpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.CompleteCheckpoint(epoch, readings, 0, 0); err != nil {
+		checkpoint := func() {
+			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -85,13 +81,13 @@ func TestCheckpointCostIndependentOfStoreSize(t *testing.T) {
 		for n := 0; n < size; n += delta {
 			s.AppendReadings(context.Background(), batch)
 		}
-		checkpoint(size)
+		checkpoint()
 		s.AppendReadings(context.Background(), batch)
 		if err := s.Sync(); err != nil { // the delta is the log's business, not the checkpoint's
 			t.Fatal(err)
 		}
 		before := fs.written.Load()
-		checkpoint(size + delta)
+		checkpoint()
 		return fs.written.Load() - before
 	}
 	small, large := cost(10_000), cost(500_000)
@@ -131,15 +127,15 @@ func TestV1SnapshotIsAnImmutableBase(t *testing.T) {
 		t.Errorf("the stale segment below the v1 snapshot's epoch was kept: %v", err)
 	}
 	s.AppendReadings(context.Background(), testReadings(8, 1))
-	epoch, err := s.BeginCheckpoint()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, checkpointName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 5 {
-		t.Errorf("checkpoint cut at epoch %d, want 5 (the v1 epoch continues)", epoch)
-	}
-	if err := s.CompleteCheckpoint(epoch, 9, 2, 5); err != nil {
-		t.Fatal(err)
+	if cp, err := decodeCheckpoint(data, testCh, testKind); err != nil || cp != (checkpoint{epoch: 5, modelVersion: 2, trainedCount: 5, readings: 9}) {
+		t.Errorf("checkpoint record %+v (err %v), want epoch 5 (the v1 epoch continues) over 9 readings and v2/5", cp, err)
 	}
 	s.AppendReadings(context.Background(), testReadings(9, 1))
 	if err := s.Close(); err != nil {
@@ -172,5 +168,84 @@ func TestV1SnapshotIsAnImmutableBase(t *testing.T) {
 	defer s3.Close()
 	if rec3.Readings.Len() != 8 {
 		t.Errorf("recovered %d readings past a superseded checkpoint record, want 8", rec3.Readings.Len())
+	}
+}
+
+// heldWriteFS holds the first segment write made while armed until
+// release is closed, keeping the flusher mid-write.
+type heldWriteFS struct {
+	FS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *heldWriteFS) OpenAppend(path string) (File, error) {
+	f, err := g.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return &heldWriteFile{f, g}, nil
+}
+
+type heldWriteFile struct {
+	File
+	fs *heldWriteFS
+}
+
+func (f *heldWriteFile) Write(p []byte) (int, error) {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		f.fs.entered <- struct{}{}
+		<-f.fs.release
+	}
+	return f.File.Write(p)
+}
+
+// TestCheckpointCutInsideABatch: a cut the CheckpointEvery policy marks
+// in the middle of one group-commit batch splits it at that record
+// boundary — the records before it are sealed into the old segment and
+// pinned by the checkpoint record, the rest start the next segment.
+func TestCheckpointCutInsideABatch(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	fs := &heldWriteFS{FS: OSFS{}, entered: make(chan struct{}), release: make(chan struct{})}
+	fs.armed.Store(true)
+	s, _, err := OpenStore(dir, testCh, testKind, StoreOptions{FS: fs, CheckpointEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AppendReadings(ctx, testReadings(0, 1))
+	<-fs.entered // the flusher is writing the first record
+	s.AppendReadings(ctx, testReadings(1, 2))
+	s.AppendReadings(ctx, testReadings(3, 1)) // the 4th reading: the cut
+	s.AppendReadings(ctx, testReadings(4, 2))
+	close(fs.release)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp, err := decodeCheckpoint(data, testCh, testKind); err != nil || cp != (checkpoint{epoch: 2, readings: 4}) {
+		t.Errorf("checkpoint record %+v (err %v), want epoch 2 over 4 readings", cp, err)
+	}
+	var want1 []byte
+	for _, rs := range [][]dataset.Reading{testReadings(0, 1), testReadings(1, 2), testReadings(3, 1)} {
+		want1 = append(want1, frame(appendRecord(rs))...)
+	}
+	for epoch, want := range map[uint64][]byte{1: want1, 2: frame(appendRecord(testReadings(4, 2)))} {
+		if got, err := os.ReadFile(filepath.Join(dir, segName(epoch))); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("segment %d holds %d bytes (err %v), want the %d of its records", epoch, len(got), err, len(want))
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, rec := openTestStore(t, dir, nil)
+	defer s2.Close()
+	if !reflect.DeepEqual(flat(rec), testReadings(0, 6)) {
+		t.Errorf("recovered %d readings, want all 6 in order", rec.Readings.Len())
 	}
 }

@@ -182,12 +182,8 @@ func TestRandomAppendCrashReplay(t *testing.T) {
 					wantVersion++
 					wantTrained = len(want)
 					s.Append(context.Background(), core.AppendRetrainRecord(nil, wantVersion, wantTrained))
-				case 4: // snapshot compaction
-					epoch, err := s.BeginCheckpoint()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := s.CompleteCheckpoint(epoch, len(want), wantVersion, wantTrained); err != nil {
+				case 4: // checkpoint
+					if err := s.Checkpoint(); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -46,6 +46,10 @@ type StoreOptions struct {
 	// wedged log, dropped journal records, snapshot failures. nil
 	// disables logging (every wlog method is nil-safe).
 	Log *wlog.Logger
+	// CheckpointEvery, when positive, has the log checkpoint itself once
+	// that many readings have been appended since its last cut. 0 leaves
+	// checkpoints to Store.Checkpoint.
+	CheckpointEvery int
 }
 
 // Recovered is the state OpenStore rebuilt from disk, to be fed into
@@ -66,11 +70,9 @@ type Recovered struct {
 // Store is the durable persistence of one (channel, sensor) reading
 // store: a segmented log of store mutation records (core.ParseRecord)
 // that is never rewritten, plus the checkpoint record that pins what its
-// sealed segments hold. Append takes a record as opaque bytes; recovery
-// parses each one with core.ParseRecord.
+// sealed segments hold. Append and recovery both read a record only
+// through core.ParseRecord.
 type Store struct {
-	dir  string
-	fs   FS
 	ch   rfenv.Channel
 	kind sensor.Kind
 	m    logMetrics
@@ -159,12 +161,12 @@ func OpenStore(dir string, ch rfenv.Channel, kind sensor.Kind, opts StoreOptions
 		"segments", stats.Segments, "records", stats.Records,
 		"readings", rec.Readings.Len(), "model_version", rec.ModelVersion)
 
-	log, err := openLog(dir, fs, m, lg, top)
-	if err != nil {
+	log := &Log{dir: dir, fs: fs, ch: ch, kind: kind, m: m, lg: lg, every: opts.CheckpointEvery, epoch: top,
+		total: checkpoint{modelVersion: rec.ModelVersion, trainedCount: rec.TrainedCount, readings: rec.Readings.Len()}}
+	if err := log.open(); err != nil {
 		return nil, nil, err
 	}
-	return &Store{dir: dir, fs: fs, ch: ch, kind: kind, m: m,
-		reg: opts.Metrics, lg: lg, log: log}, rec, nil
+	return &Store{ch: ch, kind: kind, m: m, reg: opts.Metrics, lg: lg, log: log}, rec, nil
 }
 
 // applyRecord folds one replayed record into the recovered state.
@@ -188,10 +190,12 @@ func applyRecord(rec *Recovered, payload []byte) error {
 	return nil
 }
 
-// Append queues one store mutation record for the next group commit.
+// Append queues one store mutation record for the next group commit and
+// adds it to the totals the next checkpoint records (see Log.Append).
 // The journal calls it under the updater's store lock, so the log order
-// is the store order. A wedged log counts the drop instead of blocking
-// ingest (waldo_wal_dropped_records_total; alert on waldo_wal_failed).
+// is the store order. A wedged log, or a malformed record, counts the
+// drop instead of blocking ingest (waldo_wal_dropped_records_total;
+// alert on waldo_wal_failed).
 // The enqueue, including any backpressure wait against a saturated disk,
 // is attributed to the request trace in ctx as a wal/append span.
 func (s *Store) Append(ctx context.Context, rec []byte) {
@@ -201,7 +205,7 @@ func (s *Store) Append(ctx context.Context, rec []byte) {
 		s.m.dropped.Inc()
 		sp.Fail(err.Error())
 		s.lg.Error(ctx, "wal_record_dropped",
-			"store", StoreDirName(s.ch, s.kind), "kind", rec[0], "bytes", len(rec), "err", err)
+			"store", StoreDirName(s.ch, s.kind), "bytes", len(rec), "err", err)
 	}
 	sp.End()
 }
@@ -216,42 +220,20 @@ func (s *Store) AppendReadings(ctx context.Context, rs []dataset.Reading) {
 	}
 }
 
-// Sync blocks until every queued record is on stable storage.
+// Sync blocks until every queued record is on stable storage and every
+// checkpoint due before the call has completed.
 func (s *Store) Sync() error { return s.log.Sync() }
 
-// BeginCheckpoint seals the active segment (drained, fsynced, never
-// written again) by rotating the log to a fresh one, and returns the new
-// segment's epoch. Call it inside core.Updater.Checkpoint, so the counts
-// captured there align exactly with the segment cut: the segments below
-// the returned epoch hold precisely that state.
-func (s *Store) BeginCheckpoint() (uint64, error) {
-	return s.log.rotate()
-}
+// Checkpoint has the log cut after every record appended so far: its
+// flusher seals the segment there and atomically replaces the fixed-size
+// checkpoint record with the totals at the cut. It holds no caller's
+// lock and costs the same whatever the store holds. It returns once the
+// record is installed, or with what failed; a failure is counted in
+// waldo_wal_snapshot_errors_total and leaves the previous record in force.
+func (s *Store) Checkpoint() error { return s.log.Checkpoint() }
 
-// CompleteCheckpoint records what the store held at the cut BeginCheckpoint
-// made — reading count, model version, trained count — by atomically
-// replacing the fixed-size checkpoint record (temp file, fsync, rename,
-// dir fsync). The sealed segments are the checkpoint's data: nothing is
-// re-encoded or deleted, so the cost does not depend on the store's size.
-// Call it after Checkpoint returns, off the store lock.
-func (s *Store) CompleteCheckpoint(epoch uint64, readings, modelVersion, trainedCount int) error {
-	err := writeCheckpoint(s.dir, s.fs, s.ch, s.kind, checkpoint{
-		epoch:        epoch,
-		modelVersion: modelVersion,
-		trainedCount: trainedCount,
-		readings:     readings,
-	})
-	if err != nil {
-		s.m.snapshotErrs.Inc()
-		s.lg.Error(context.Background(), "wal_snapshot_failed",
-			"store", StoreDirName(s.ch, s.kind), "epoch", epoch, "err", err)
-		return err
-	}
-	s.m.snapshots.Inc()
-	return nil
-}
-
-// Close drains and closes the log. No checkpoint is taken: the directory
-// stays crash-shaped and OpenStore replays it identically, which is the
-// point — a clean shutdown and a kill -9 recover through the same path.
+// Close drains and closes the log, completing a checkpoint already due.
+// It takes none of its own: the directory stays crash-shaped and
+// OpenStore replays it identically, which is the point — a clean
+// shutdown and a kill -9 recover through the same path.
 func (s *Store) Close() error { return s.log.Close() }

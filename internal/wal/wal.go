@@ -44,18 +44,18 @@
 //
 // # Checkpoints and recovery
 //
-// A checkpoint costs the same whatever the store holds. It is taken in
-// two steps that bracket the caller-supplied store lock
-// (core.Updater.Checkpoint): inside the lock the log drains, fsyncs and
-// rotates to a fresh segment epoch ([Store.BeginCheckpoint]), which seals
-// everything journaled so far into immutable segments and makes the cut
-// exact — the segments below the new epoch hold precisely the state the
-// lock holder sees. Outside the lock the checkpoint record — that epoch,
-// the reading count, the model version and its trained count — is written
-// to a temp name, fsynced and renamed over checkpoint.bin
-// ([Store.CompleteCheckpoint]). No reading is re-encoded and no segment
-// is deleted: the sealed segments are the checkpoint's data, the record
-// is what lets recovery hold them to account.
+// A checkpoint costs the same whatever the store holds, and the log takes
+// it on its own. [Log.Append] keeps a running total of what its records
+// add up to — readings, model version, trained count — and marks a cut
+// in the pending batch once CheckpointEvery readings have been appended
+// since the last cut, or when [Store.Checkpoint] asks for one. The
+// flusher takes the cut on its way: it writes the bytes before it,
+// fsyncs, seals the segment and opens the next epoch, writes the rest
+// there, and installs the checkpoint record — that epoch and the totals
+// at the cut — by temp name, fsync and rename over checkpoint.bin. No
+// store lock is held and no reading is re-encoded or deleted: the sealed
+// segments are the checkpoint's data, the record is what lets recovery
+// hold them to account.
 //
 // Recovery ([OpenStore]) replays every segment in epoch order, decoding
 // straight into the store's chunks (core.ReadingLog). The final segment
@@ -66,7 +66,7 @@
 // corrupt or belongs to another store, or sealed segments that do not add
 // up to the counts the record pinned all refuse to open, with an error
 // naming the file, rather than serve a store with a hole in it. A crash
-// between the two checkpoint steps recovers to the same state: the old
+// between the seal and the record recovers to the same state: the old
 // record still describes an older cut of the same segments.
 //
 // A directory written by a binary from before the checkpoint record holds
@@ -87,6 +87,9 @@ import (
 	"sync"
 	"time"
 
+	"github.com/wsdetect/waldo/internal/core"
+	"github.com/wsdetect/waldo/internal/rfenv"
+	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/telemetry"
 	"github.com/wsdetect/waldo/internal/wlog"
 )
@@ -178,28 +181,43 @@ func newLogMetrics(reg *telemetry.Registry, scope string) logMetrics {
 }
 
 // Log is one store's segmented append-only record log with group-commit
-// batching. Append and Sync are safe for concurrent use; Rotate must not
-// race Append (the store guarantees this by rotating under the same lock
-// that orders appends).
+// batching, which also takes the store's checkpoints. Append, Sync,
+// Checkpoint and Close are safe for concurrent use.
 type Log struct {
-	dir string
-	fs  FS
-	m   logMetrics
-	lg  *wlog.Logger
+	dir  string
+	fs   FS
+	ch   rfenv.Channel
+	kind sensor.Kind
+	m    logMetrics
+	lg   *wlog.Logger
+	// every is the automatic cut interval in appended readings; 0 leaves
+	// cuts to Checkpoint.
+	every int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
 	pending  []byte       // framed records awaiting the flusher
 	spare    []byte       // recycled batch buffer (swap, don't realloc)
 	waiters  []chan error // Sync barriers for the next flush
+	total    checkpoint   // what every record appended so far adds up to
+	since    int          // readings appended since the last cut was marked
+	cut      *cut         // the cut marked in pending, if any
 	epoch    uint64       // epoch of the active segment
 	f        File         // active segment, append position at EOF
-	writing  bool         // flusher is mid write+fsync
+	writing  bool         // flusher is mid cycle (write, fsync, cut)
 	dirty    bool         // bytes written since the last fsync
 	syncDue  bool         // the coalescing timer fired (or a drain forces a sync)
 	timerSet bool         // a coalescing timer is pending
 	err      error        // sticky fail-stop error
 	closed   bool
+}
+
+// cut is a checkpoint marked in the pending batch: once pending[:at] is
+// written and its segment sealed, the sealed segments hold exactly state.
+type cut struct {
+	at      int
+	state   checkpoint
+	waiters []chan error // Checkpoint calls, answered once the record is in
 }
 
 // flushInterval bounds how long appended-but-unflushed records may
@@ -210,23 +228,21 @@ type Log struct {
 // caller can observe it.
 const flushInterval = 5 * time.Millisecond
 
-// openLog opens (creating if needed) the log in dir for appending,
-// resuming at the highest existing segment epoch. Call replaySegments
-// before the first Append.
-func openLog(dir string, fs FS, m logMetrics, lg *wlog.Logger, epoch uint64) (*Log, error) {
-	l := &Log{dir: dir, fs: fs, m: m, lg: lg, epoch: epoch}
+// open opens (creating if needed) the active segment l.epoch for
+// appending and starts the flusher. Call replaySegments first.
+func (l *Log) open() error {
 	l.cond = sync.NewCond(&l.mu)
-	f, err := fs.OpenAppend(filepath.Join(dir, segName(epoch)))
+	f, err := l.fs.OpenAppend(filepath.Join(l.dir, segName(l.epoch)))
 	if err != nil {
-		return nil, fmt.Errorf("wal: open segment %d: %w", epoch, err)
+		return fmt.Errorf("wal: open segment %d: %w", l.epoch, err)
 	}
-	if err := fs.SyncDir(dir); err != nil {
+	if err := l.fs.SyncDir(l.dir); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("wal: sync dir: %w", err)
+		return fmt.Errorf("wal: sync dir: %w", err)
 	}
 	l.f = f
 	go l.flusher()
-	return l, nil
+	return nil
 }
 
 // maxPendingBytes bounds the in-memory group-commit batch. Without a
@@ -240,14 +256,20 @@ func openLog(dir string, fs FS, m logMetrics, lg *wlog.Logger, epoch uint64) (*L
 // up, instead of unbounded memory and quadratic copying.
 const maxPendingBytes = 1 << 20
 
-// Append frames payload and queues it for the next group commit. It
+// Append frames one store mutation record (core.ParseRecord), adds it to
+// the running totals, and queues it for the next group commit, marking a
+// cut after it when every readings have been appended since the last. It
 // normally returns immediately — durability lags by at most the
 // coalescing window (use Sync to wait for it) — but blocks while the
-// pending batch is at maxPendingBytes. The only error is the sticky
-// fail-stop state of a wedged log.
-func (l *Log) Append(payload []byte) error {
-	if len(payload) > maxRecord {
-		return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(payload), maxRecord)
+// pending batch is at maxPendingBytes. It fails on a malformed record and
+// in the sticky fail-stop state of a wedged log.
+func (l *Log) Append(rec []byte) error {
+	if len(rec) > maxRecord {
+		return fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(rec), maxRecord)
+	}
+	r, err := core.ParseRecord(rec)
+	if err != nil {
+		return err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -264,19 +286,42 @@ func (l *Log) Append(payload []byte) error {
 	if l.closed {
 		return fmt.Errorf("wal: append to closed log")
 	}
-	l.pending = appendFrame(l.pending, payload)
+	l.pending = appendFrame(l.pending, rec)
 	l.m.appends.Inc()
-	l.m.appendedBytes.Add(uint64(recordHeader + len(payload)))
+	l.m.appendedBytes.Add(uint64(recordHeader + len(rec)))
+	if r.Kind == core.RecordAppend {
+		n := int(binary.LittleEndian.Uint32(r.Batch)) // the batch's count prefix
+		l.total.readings += n
+		l.since += n
+		if l.every > 0 && l.since >= l.every {
+			l.markCutLocked()
+		}
+	} else {
+		l.total.modelVersion, l.total.trainedCount = r.Version, r.TrainedCount
+	}
 	// No wakeup: the request path only frames into the pending buffer.
 	// The flusher runs when the coalescing timer fires, a Sync barrier
 	// arrives, or the log closes — so a burst of appends costs zero
-	// syscalls and zero context switches until the window elapses.
+	// syscalls and zero context switches until the window elapses. A cut
+	// waits for the same cycle.
 	l.armTimerLocked()
 	return nil
 }
 
+// markCutLocked marks a cut at the end of the pending batch, moving the
+// one not yet taken there: it then covers everything appended so far.
+// Called with l.mu held.
+func (l *Log) markCutLocked() {
+	if l.cut == nil {
+		l.cut = &cut{}
+	}
+	l.cut.at, l.cut.state = len(l.pending), l.total
+	l.since = 0
+}
+
 // Sync blocks until every previously appended record is on stable
-// storage, returning the flush error if the log wedged.
+// storage, and every cut marked before it has completed, returning the
+// flush error if the log wedged.
 func (l *Log) Sync() error {
 	done := make(chan error, 1)
 	l.mu.Lock()
@@ -294,6 +339,28 @@ func (l *Log) Sync() error {
 	return <-done
 }
 
+// Checkpoint marks a cut after every record appended so far, wakes the
+// flusher, and waits until the segment is sealed there and the
+// checkpoint record installed, returning what failed if either did.
+func (l *Log) Checkpoint() error {
+	done := make(chan error, 1)
+	l.mu.Lock()
+	if l.err != nil {
+		l.mu.Unlock()
+		return l.err
+	}
+	if l.closed {
+		l.mu.Unlock()
+		return fmt.Errorf("wal: checkpoint on closed log")
+	}
+	l.markCutLocked()
+	l.cut.waiters = append(l.cut.waiters, done)
+	l.syncDue = true
+	l.cond.Broadcast()
+	l.mu.Unlock()
+	return <-done
+}
+
 // flusher is the single background goroutine implementing group commit:
 // it sleeps until a Sync barrier arrives, the coalescing timer fires, or
 // the log closes, then drains everything that accumulated since the last
@@ -301,43 +368,51 @@ func (l *Log) Sync() error {
 // barrier waits (or on close); a timer-driven cycle syncs too, so dirty
 // bytes never outlive one window. A steady stream of fire-and-forget
 // appends thus costs one write + one fsync per window, not per record.
-// While a flush is in flight new appends pile into the next batch.
+// While a flush is in flight new appends pile into the next batch. A cut
+// in the batch splits the write around the seal.
 func (l *Log) flusher() {
 	for {
 		l.mu.Lock()
 		for len(l.waiters) == 0 && !l.syncDue && !l.closed {
 			l.cond.Wait()
 		}
-		if l.closed && len(l.pending) == 0 && len(l.waiters) == 0 && !l.dirty {
+		if l.closed && len(l.pending) == 0 && len(l.waiters) == 0 && !l.dirty && l.cut == nil {
 			l.mu.Unlock()
 			return
 		}
-		batch := l.pending
-		waiters := l.waiters
-		syncDue := l.syncDue
+		batch, waiters, c := l.pending, l.waiters, l.cut
+		syncNow := len(waiters) > 0 || l.syncDue || l.closed
 		l.pending = l.spare[:0]
 		l.spare = nil
 		l.waiters = nil
 		l.syncDue = false
-		f := l.f
-		wasDirty := l.dirty
+		l.cut = nil
+		f, epoch, dirty := l.f, l.epoch, l.dirty
 		l.writing = true
 		l.mu.Unlock()
 
-		var err error
-		wrote := false
-		if len(batch) > 0 && l.err == nil {
-			_, err = f.Write(batch)
-			wrote = err == nil
-		}
-		synced := false
-		needSync := (wrote || wasDirty) && err == nil && l.err == nil &&
-			(len(waiters) > 0 || syncDue || l.closed)
-		if needSync {
-			start := time.Now()
-			err = f.Sync()
-			l.m.fsyncSeconds.Observe(time.Since(start).Seconds())
-			synced = err == nil
+		var err, cutErr error
+		if l.err == nil {
+			rest := batch
+			if c != nil {
+				// What precedes the cut is written and fsynced, then its
+				// segment is sealed: the segments below the next epoch
+				// hold exactly c.state.
+				c.state.epoch = epoch + 1
+				if dirty, err = l.write(f, batch[:c.at], dirty, true); err == nil {
+					var next File
+					if next, cutErr = l.seal(f, c.state.epoch); cutErr == nil {
+						f, epoch = next, c.state.epoch
+					}
+				}
+				rest = batch[c.at:]
+			}
+			if err == nil {
+				dirty, err = l.write(f, rest, dirty, syncNow)
+			}
+			if c != nil && err == nil && cutErr == nil {
+				cutErr = writeCheckpoint(l.dir, l.fs, l.ch, l.kind, c.state)
+			}
 		}
 		if err != nil {
 			l.m.fsyncErrors.Inc()
@@ -356,20 +431,77 @@ func (l *Log) flusher() {
 			// wal_record_dropped stream that follows.
 			l.lg.Error(context.Background(), "wal_wedged", "dir", l.dir, "err", err)
 		}
-		if l.err != nil {
-			l.dirty = false // wedged: nothing further to sync
-		} else if synced {
-			l.dirty = false
-		} else if wrote || wasDirty {
-			l.dirty = true
+		l.f, l.epoch = f, epoch
+		l.dirty = dirty && l.err == nil // wedged: nothing further to sync
+		if l.dirty {
 			l.armTimerLocked()
 		}
 		sticky := l.err
-		l.cond.Broadcast() // wake rotate/close drains
+		if c != nil {
+			if cutErr == nil {
+				cutErr = sticky
+			}
+			l.finishCutLocked(c, cutErr)
+		}
+		l.cond.Broadcast() // wake drains and backpressured appends
 		l.mu.Unlock()
 		for _, w := range waiters {
 			w <- sticky
 		}
+	}
+}
+
+// write writes p to the active segment f, then fsyncs it when sync is
+// set and it holds unsynced bytes. It returns whether f is left with
+// bytes not yet fsynced.
+func (l *Log) write(f File, p []byte, dirty, sync bool) (bool, error) {
+	if len(p) > 0 {
+		if _, err := f.Write(p); err != nil {
+			return dirty, err
+		}
+		dirty = true
+	}
+	if !dirty || !sync {
+		return dirty, nil
+	}
+	start := time.Now()
+	err := f.Sync()
+	l.m.fsyncSeconds.Observe(time.Since(start).Seconds())
+	return err != nil, err
+}
+
+// seal closes the active segment f, written and fsynced, and opens
+// segment next in its place. On error f stays the active segment: the
+// checkpoint fails, appending goes on.
+func (l *Log) seal(f File, next uint64) (File, error) {
+	nf, err := l.fs.OpenAppend(filepath.Join(l.dir, segName(next)))
+	if err != nil {
+		return nil, fmt.Errorf("wal: open segment %d: %w", next, err)
+	}
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		nf.Close()
+		return nil, fmt.Errorf("wal: sync dir: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		nf.Close()
+		return nil, fmt.Errorf("wal: close segment %d: %w", next-1, err)
+	}
+	return nf, nil
+}
+
+// finishCutLocked counts a taken cut's outcome and answers its
+// Checkpoint calls, before Close can return. A failed cut leaves the
+// previous record in force. Called with l.mu held.
+func (l *Log) finishCutLocked(c *cut, err error) {
+	if err != nil {
+		l.m.snapshotErrs.Inc()
+		l.lg.Error(context.Background(), "wal_snapshot_failed",
+			"store", StoreDirName(l.ch, l.kind), "epoch", c.state.epoch, "err", err)
+	} else {
+		l.m.snapshots.Inc()
+	}
+	for _, w := range c.waiters {
+		w <- err
 	}
 }
 
@@ -391,61 +523,23 @@ func (l *Log) armTimerLocked() {
 	})
 }
 
-// drainLocked waits (with l.mu held) until the flusher has written and
-// fsynced everything queued so far, forcing the flush through rather than
-// waiting out the coalescing window.
-func (l *Log) drainLocked() {
-	for len(l.pending) > 0 || l.writing || l.dirty {
-		if !l.syncDue {
-			l.syncDue = true
-			l.cond.Broadcast()
-		}
-		l.cond.Wait()
-	}
-}
-
-// rotate drains the queue, closes the active segment, and starts a fresh
-// one under the next epoch, returning the new epoch. The caller must
-// prevent concurrent Appends (the store rotates inside the updater's
-// checkpoint lock, which also orders appends).
-func (l *Log) rotate() (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("wal: rotate on closed log")
-	}
-	l.drainLocked()
-	if l.err != nil {
-		return 0, l.err
-	}
-	next := l.epoch + 1
-	f, err := l.fs.OpenAppend(filepath.Join(l.dir, segName(next)))
-	if err != nil {
-		return 0, fmt.Errorf("wal: open segment %d: %w", next, err)
-	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("wal: sync dir: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("wal: close segment %d: %w", l.epoch, err)
-	}
-	l.f = f
-	l.epoch = next
-	return next, nil
-}
-
-// Close drains pending appends, stops the flusher, and closes the active
-// segment. It does not checkpoint: the on-disk state stays crash-shaped
-// and recovery replays it identically.
+// Close drains pending appends and any cut marked among them, stops the
+// flusher, and closes the active segment. It takes no checkpoint of its
+// own: the on-disk state stays crash-shaped and recovery replays it
+// identically.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
-	l.drainLocked()
+	for len(l.pending) > 0 || l.writing || l.dirty || l.cut != nil {
+		if !l.syncDue {
+			l.syncDue = true
+			l.cond.Broadcast()
+		}
+		l.cond.Wait()
+	}
 	l.closed = true
 	l.cond.Broadcast()
 	err := l.err

@@ -155,10 +155,10 @@ func TestCheckpointPinsSealedSegments(t *testing.T) {
 	s.AppendReadings(context.Background(), testReadings(0, 3))
 	s.AppendReadings(context.Background(), testReadings(3, 2))
 	s.Append(context.Background(), core.AppendRetrainRecord(nil, 1, 5))
-	epoch, err := s.BeginCheckpoint()
-	if err != nil {
-		t.Fatalf("BeginCheckpoint: %v", err)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
+	const epoch = 2 // the cut sealed segment 1
 	sealed, err := os.ReadFile(filepath.Join(dir, segName(epoch-1)))
 	if err != nil {
 		t.Fatal(err)
@@ -166,9 +166,6 @@ func TestCheckpointPinsSealedSegments(t *testing.T) {
 	// Appends after the cut belong to the new segment, not the checkpoint.
 	s.AppendReadings(context.Background(), testReadings(5, 1))
 	s.AppendReadings(context.Background(), testReadings(6, 1))
-	if err := s.CompleteCheckpoint(epoch, 5, 1, 5); err != nil {
-		t.Fatalf("CompleteCheckpoint: %v", err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -241,7 +238,7 @@ func TestMissingSegmentRefusesToOpen(t *testing.T) {
 	s, _ := openTestStore(t, dir, nil)
 	for i := 0; i < 3; i++ {
 		s.AppendReadings(context.Background(), testReadings(i, 1))
-		if _, err := s.BeginCheckpoint(); err != nil {
+		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,15 +259,11 @@ func TestMissingSegmentRefusesToOpen(t *testing.T) {
 	// A checkpoint cut at a segment that is gone (here: the newest) is
 	// the same hole seen from the record's side.
 	s2, _ := openTestStore(t, dir, nil)
-	epoch, err := s2.BeginCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.CompleteCheckpoint(epoch, 3, 0, 0); err != nil {
+	if err := s2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
-	if err := os.Remove(filepath.Join(dir, segName(epoch))); err != nil {
+	if err := os.Remove(filepath.Join(dir, segName(5))); err != nil { // the checkpoint's epoch
 		t.Fatal(err)
 	}
 	if _, _, err := OpenStore(dir, testCh, testKind, StoreOptions{}); err == nil || !strings.Contains(err.Error(), checkpointName) {
@@ -278,20 +271,29 @@ func TestMissingSegmentRefusesToOpen(t *testing.T) {
 	}
 }
 
+// noCreateFS fails every Create: the checkpoint record's temp file never
+// exists, so a checkpoint ends after its seal.
+type noCreateFS struct{ FS }
+
+func (noCreateFS) Create(string) (File, error) { return nil, errInjected }
+
 func TestCrashBetweenRotateAndSnapshot(t *testing.T) {
 	// A crash after the segment cut but before the checkpoint record
 	// lands must recover everything from the log alone.
 	dir := t.TempDir()
-	s, _ := openTestStore(t, dir, nil)
-	s.AppendReadings(context.Background(), testReadings(0, 3))
-	if _, err := s.BeginCheckpoint(); err != nil {
+	s, _, err := OpenStore(dir, testCh, testKind, StoreOptions{FS: noCreateFS{OSFS{}}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	s.AppendReadings(context.Background(), testReadings(0, 3))
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint succeeded without its record")
 	}
 	s.AppendReadings(context.Background(), testReadings(3, 2))
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// crash: CompleteCheckpoint never runs.
+	// crash: the record never landed, and the store is abandoned.
 
 	s2, rec := openTestStore(t, dir, nil)
 	defer s2.Close()
@@ -353,15 +355,12 @@ func TestCorruptCheckpointRefusesToOpen(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openTestStore(t, dir, nil)
 	s.AppendReadings(context.Background(), testReadings(0, 3))
-	epoch, err := s.BeginCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CompleteCheckpoint(epoch, 3, 0, 0); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 
+	const epoch = 2
 	for _, name := range []string{checkpointName, segName(epoch - 1)} {
 		bad := copyStoreDir(t, dir)
 		path := filepath.Join(bad, name)
@@ -395,11 +394,7 @@ func TestCorruptCheckpointRefusesToOpen(t *testing.T) {
 func TestCheckpointIdentityChecked(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openTestStore(t, dir, nil)
-	epoch, err := s.BeginCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CompleteCheckpoint(epoch, 0, 0, 0); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
