@@ -62,11 +62,11 @@ chaos:
 	$(GO) test -race ./internal/dbserver/ -run TestMaxBody -count 1
 
 # Sharded-cluster acceptance under the race detector: the
-# ring/replication/gateway unit tests and the kill-a-primary e2e chaos
-# harness (DESIGN.md §12). The shipped binaries are booted as a cluster
-# by trace-smoke and by verify's bench run.
+# ring/replication/gateway unit tests, at one and at four cores, and the
+# kill-a-primary e2e chaos harness (DESIGN.md §12). The shipped binaries
+# are booted as a cluster by trace-smoke and by verify's bench run.
 cluster-test:
-	$(GO) test -race ./internal/cluster/ -count 1
+	$(GO) test -race -cpu 1,4 ./internal/cluster/ -count 1
 	$(GO) test -race ./internal/e2e/ -run TestCluster -count 1
 
 # End-to-end trace smoke: real-process 3-shard cluster plus gateway, one

@@ -56,7 +56,7 @@ func run(args []string) error {
 	dataDir := fs.String("data-dir", "", "durable store directory (WAL segments + checkpoint records); empty = in-memory only")
 	snapshotEvery := fs.Int("snapshot-every", 10000, "checkpoint a store (seal its WAL segment, record its counts) after this many journaled readings (0 = only via /v1/admin/snapshot)")
 	shardID := fs.String("shard-id", "", "run as a cluster shard under this ID (enables /v1/repl endpoints; see waldo-gateway)")
-	replicasFlag := fs.String("replicas", "", "comma-separated replica base URLs to ship the journal to (requires -shard-id)")
+	follow := fs.String("follow", "", "run as a replica of the primary at this base URL, pulling its journal (requires -shard-id and an empty -data-dir)")
 	logLevel := fs.String("log-level", "info", "lowest structured-log level emitted: debug|info|warn|error")
 	adminAddr := fs.String("admin-addr", "", "opt-in admin listener (pprof, /metrics, /debug/traces); empty = disabled. Bind to loopback only.")
 	if err := fs.Parse(args); err != nil {
@@ -69,8 +69,13 @@ func run(args []string) error {
 	if *data == "" && *dataDir == "" && *shardID == "" {
 		return fmt.Errorf("-data is required (generate one with waldo-wardrive) unless -data-dir or -shard-id is set")
 	}
-	if *replicasFlag != "" && *shardID == "" {
-		return fmt.Errorf("-replicas requires -shard-id")
+	switch {
+	case *follow != "" && *shardID == "":
+		return fmt.Errorf("-follow requires -shard-id")
+	case *data != "" && *follow != "":
+		return fmt.Errorf("-data cannot seed a replica: it adopts its primary's journal only while empty")
+	case *data != "" && *shardID != "":
+		return fmt.Errorf("-data cannot seed a shard: it would hold readings the ring places elsewhere; upload them through waldo-gateway")
 	}
 
 	var kind core.ClassifierKind
@@ -123,22 +128,16 @@ func run(args []string) error {
 		closer  func() error
 	)
 	if *shardID != "" {
-		var replicaURLs []string
-		for _, u := range strings.Split(*replicasFlag, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				replicaURLs = append(replicaURLs, strings.TrimRight(u, "/"))
-			}
-		}
 		node, err := cluster.OpenNode(cluster.NodeConfig{
-			ID:          *shardID,
-			DB:          dbCfg,
-			ReplicaURLs: replicaURLs,
+			ID:     *shardID,
+			DB:     dbCfg,
+			Follow: strings.TrimRight(*follow, "/"),
 		})
 		if err != nil {
 			return fmt.Errorf("open shard: %w", err)
 		}
 		srv, handler, closer = node.DB, node.Handler(), node.Close
-		log.Printf("shard %s: %d replicas", *shardID, len(replicaURLs))
+		log.Printf("shard %s: -follow %q", *shardID, *follow)
 	} else {
 		s, err := dbserver.Open(dbCfg)
 		if err != nil {

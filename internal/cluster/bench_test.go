@@ -41,7 +41,7 @@ func benchUpload(b *testing.B, httpc *http.Client, url string, body []byte) {
 // benchGateway serves a one-shard gateway in front of a fresh node.
 func benchGateway(b *testing.B) *httptest.Server {
 	b.Helper()
-	_, ts := newTestNode(b, "s0", nil)
+	_, ts := newTestNode(b, "s0", "")
 	gw, err := NewGateway(GatewayConfig{
 		Shards: []ShardSpec{{ID: "s0", URLs: []string{ts.URL}}},
 		Ring:   RingConfig{Seed: 1},
@@ -67,12 +67,12 @@ func benchGateway(b *testing.B) *httptest.Server {
 // grows with store size, so a time-based -benchtime would compare
 // direct and gateway on different stores.
 func BenchmarkUploadDirect(b *testing.B) {
-	_, ts := newTestNode(b, "direct", nil)
+	_, ts := newTestNode(b, "direct", "")
 	benchUpload(b, ts.Client(), ts.URL+"/v1/readings", uploadBody(b, synthReadings(50, 47, 1)))
 }
 
 func BenchmarkUploadDirectFrame(b *testing.B) {
-	_, ts := newTestNode(b, "direct", nil)
+	_, ts := newTestNode(b, "direct", "")
 	benchUpload(b, ts.Client(), ts.URL+"/v1/upload/batch", frameOf(b, synthReadings(50, 47, 1)))
 }
 
@@ -275,7 +275,7 @@ func TestGatewayForwardAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
-	n, _ := newTestNode(t, "s0", nil)
+	n, _ := newTestNode(t, "s0", "")
 	gw, err := NewGateway(GatewayConfig{
 		Shards:     []ShardSpec{{ID: "s0", URLs: []string{"http://s0.inproc"}}},
 		HTTPClient: &http.Client{Transport: inprocShard{n.Handler()}},

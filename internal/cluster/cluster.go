@@ -9,14 +9,11 @@
 //     cell's owner. Placement is a pure function of (seed, members), so
 //     every gateway — and every test — computes byte-identical ownership.
 //
-//   - [Node]: one shard process. It wraps the existing dbserver
-//     updater+WAL stack unchanged and, when configured with replicas,
-//     taps the journal stream (accepted reading batches in the 67-byte
-//     binary codec, plus retrain markers) into an async log shipper.
-//     Replicas apply the stream in order through the dbserver replica
-//     surface, so their stores — and, because model construction is
-//     deterministic, their encoded model descriptors — are byte-identical
-//     to the primary's at every shipped version.
+//   - [Node]: one shard process: the dbserver updater+WAL stack, unchanged,
+//     serving its journal of store mutation records to the replicas that
+//     pull it. A replica applies the stream in order, so its stores and —
+//     model construction being deterministic — its descriptors are
+//     byte-identical to the primary's at every version it has applied.
 //
 //   - [Gateway]: the client-facing tier. It terminates the existing WSD
 //     API (/v1/model, /v1/readings, /v1/retrain, /v1/export, /v1/stats,

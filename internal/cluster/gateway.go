@@ -91,6 +91,7 @@ type shardState struct {
 	// grid is the gateway's copy of the shard's grid (gridreplica.go),
 	// models its copies of the descriptors of the stores that grid named
 	// (modelreplica.go); the shard's follower alone writes them.
+	follower              *follower
 	grid                  *replica[*geoindex.Snapshot]
 	modelMu               sync.Mutex
 	models                map[modelKey]*replica[*dbserver.Descriptor]
@@ -149,11 +150,10 @@ type Gateway struct {
 	handler http.Handler
 	// life ends at BeginShutdown: parked /v1/model/watch legs, which no
 	// timeout leashes, are cancelled, and watches parked on a model
-	// replica answered 503. follows ends at Close, so the followers keep
-	// the replicas in sync through the drain.
-	life, follows       context.Context
-	endLife, endFollows context.CancelFunc
-	wg                  sync.WaitGroup
+	// replica answered 503. The followers stop at Close, so they keep the
+	// replicas in sync through the drain.
+	life    context.Context
+	endLife context.CancelFunc
 }
 
 // NewGateway validates the topology, builds the ring, and starts one
@@ -244,14 +244,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		places: dbserver.NewPlaces(cfg.Metrics, lg, 0),
 	}
 	g.life, g.endLife = context.WithCancel(context.Background())
-	g.follows, g.endFollows = context.WithCancel(context.Background())
 	g.models = dbserver.NewModels(cfg.Metrics, g.life.Done())
 	for _, sh := range shards {
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			sh.follow(g)
-		}()
+		sh.follower = sh.follow(g)
 	}
 	cfg.Metrics.Gauge("waldo_cluster_ring_nodes",
 		"Shards on the consistent-hash ring.").Set(float64(len(ids)))
@@ -273,8 +268,10 @@ func (g *Gateway) BeginShutdown() { g.endLife() }
 // gateway-owned leg connections. Idempotent.
 func (g *Gateway) Close() error {
 	g.BeginShutdown()
-	g.endFollows()
-	g.wg.Wait()
+	for _, sh := range g.shards {
+		sh.follower.close()
+		sh.drop()
+	}
 	if g.legs != nil {
 		g.legs.Close()
 	}

@@ -62,7 +62,7 @@ func wrappedCluster(t testing.TB, shardIDs []string, wrap func(http.Handler) htt
 	}
 	var specs []ShardSpec
 	for _, id := range shardIDs {
-		n, ts := newTestNode(t, id, nil)
+		n, ts := newTestNode(t, id, "")
 		if wrap != nil {
 			ts = httptest.NewServer(wrap(n.Handler()))
 			t.Cleanup(ts.Close)
@@ -269,7 +269,7 @@ func TestGatewayStatsMerge(t *testing.T) {
 // there, that failover is sticky, and that the failover counter fired.
 func TestGatewayFailover(t *testing.T) {
 	// One shard, two endpoints: a dead primary and a live replica.
-	replica, replicaTS := newTestNode(t, "s0r", nil)
+	replica, replicaTS := newTestNode(t, "s0r", "")
 	if err := replica.DB.Bootstrap(synthReadings(600, 47, 1)); err != nil {
 		t.Fatal(err)
 	}

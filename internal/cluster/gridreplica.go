@@ -126,41 +126,86 @@ func (g *Gateway) ownersGrid(h http.Header) dbserver.GridView {
 	}
 }
 
-// follow keeps sh's copies until the gateway closes, syncing from the
+// follow starts the follower of sh's copies, which syncs from the
 // shard's active endpoint. A transport error fails the endpoint over as
-// a leg's does, the next one tried at once until each has failed in a
-// row; a non-2xx grid or a refused one is no failover. Any failure drops
-// every copy of the shard until a sync succeeds, and so does the end.
-func (sh *shardState) follow(g *Gateway) {
-	defer sh.drop()
-	var pause time.Duration
+// a leg's does, the next tried at once until each has failed in a row;
+// a non-2xx grid or a refused one is no failover. Any failure drops
+// every copy of the shard until a sync succeeds, and so does Close.
+func (sh *shardState) follow(g *Gateway) *follower {
 	misses := 0
-	for {
+	return startFollower(func(ctx context.Context) syncOutcome {
 		raw, ep := sh.current()
-		connected, err := sh.sync(g, ep)
-		if g.follows.Err() != nil {
-			return
-		}
-		if connected {
-			pause, misses = 0, 0
-			continue
+		connected, err := sh.sync(ctx, g, ep)
+		switch {
+		case ctx.Err() != nil:
+			return stopFollowing
+		case connected:
+			misses = 0
+			return inSync
 		}
 		sh.drop()
-		if err != nil {
-			g.endpointFailed(g.follows, sh, raw, err, "follower")
-			if misses++; misses < len(sh.spec.URLs) {
-				continue
+		if err == nil {
+			return retryLater
+		}
+		g.endpointFailed(ctx, sh, raw, err, "follower")
+		if misses++; misses < len(sh.spec.URLs) {
+			return retryNow
+		}
+		return retryLater
+	})
+}
+
+// A follower is the one loop that keeps every copy in the cluster: the
+// gateway's of each shard (shardState.follow), a replica's of its
+// primary's journal (Node.pull). Its goroutine runs step until close or
+// stopFollowing, pausing after a retryLater — followRetry, doubling with
+// each in a row, up to legTimeout — so a dead remote cannot spin it.
+type follower struct {
+	ctx  context.Context // done once the follower is stopped
+	stop context.CancelFunc
+	done chan struct{}
+}
+
+// syncOutcome is how one step of a follower left its copy.
+type syncOutcome int
+
+const (
+	inSync     syncOutcome = iota
+	retryNow               // out of sync, another endpoint to try
+	retryLater             // out of sync: pause first
+	stopFollowing
+)
+
+func startFollower(step func(ctx context.Context) syncOutcome) *follower {
+	ctx, stop := context.WithCancel(context.Background())
+	f := &follower{ctx, stop, make(chan struct{})}
+	go func() {
+		defer close(f.done)
+		defer stop()
+		var pause time.Duration
+		for ctx.Err() == nil {
+			switch step(ctx) {
+			case inSync:
+				pause = 0
+			case stopFollowing:
+				return
+			case retryLater:
+				pause = min(max(2*pause, followRetry), legTimeout)
+				select {
+				case <-ctx.Done():
+				case <-time.After(pause):
+				}
 			}
 		}
-		pause = min(max(2*pause, followRetry), legTimeout)
-		t := time.NewTimer(pause)
-		select {
-		case <-g.follows.Done():
-			t.Stop()
-			return
-		case <-t.C:
-		}
-	}
+	}()
+	return f
+}
+
+// close stops the follower and waits until its last step has returned.
+// Idempotent.
+func (f *follower) close() {
+	f.stop()
+	<-f.done
 }
 
 // sync polls the shard's grid on ep, conditional on the held copy and
@@ -169,13 +214,13 @@ func (sh *shardState) follow(g *Gateway) {
 // state a horizon, is kept, the copy of every store it names revalidated
 // and the others dropped. It reports whether the copies are in sync
 // after it; an error is a transport failure.
-func (sh *shardState) sync(g *Gateway, ep *url.URL) (bool, error) {
+func (sh *shardState) sync(ctx context.Context, g *Gateway, ep *url.URL) (bool, error) {
 	cur := sh.grid.load()
 	budget := legTimeout
 	if cur != nil {
 		budget += cur.horizon
 	}
-	next, err := refresh(g, sh, ep, gridPath, cur, budget, sh.gridSyncs, func(h http.Header, data []byte) (*held[*geoindex.Snapshot], error) {
+	next, err := refresh(ctx, g, sh, ep, gridPath, cur, budget, sh.gridSyncs, func(h http.Header, data []byte) (*held[*geoindex.Snapshot], error) {
 		ms, err := strconv.ParseInt(h.Get(dbserver.HorizonHeader), 10, 64)
 		if err != nil || ms < 0 {
 			return nil, fmt.Errorf("bad or missing %s %q", dbserver.HorizonHeader, h.Get(dbserver.HorizonHeader))
@@ -193,7 +238,7 @@ func (sh *shardState) sync(g *Gateway, ep *url.URL) (bool, error) {
 	var named []modelKey
 	next.val.EachStore(func(ch rfenv.Channel, kind sensor.Kind) { named = append(named, modelKey{ch, kind}) })
 	for _, key := range named {
-		if err := sh.revalidate(g, ep, key, next.horizon); err != nil {
+		if err := sh.revalidate(ctx, g, ep, key, next.horizon); err != nil {
 			return false, err
 		}
 	}
@@ -212,11 +257,11 @@ func (sh *shardState) drop() {
 // copy check makes of a 200, and nil on any other answer or a 200 check
 // refuses (its body cut short at the gateway's buffer); an error is a
 // transport failure.
-func refresh[T any](g *Gateway, sh *shardState, ep *url.URL, target string, cur *held[T], budget time.Duration,
+func refresh[T any](ctx context.Context, g *Gateway, sh *shardState, ep *url.URL, target string, cur *held[T], budget time.Duration,
 	syncs *replicaSyncs, check func(h http.Header, data []byte) (*held[T], error)) (*held[T], error) {
-	ctx, cancel := context.WithTimeout(g.follows, budget)
+	pctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, target, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +269,7 @@ func refresh[T any](g *Gateway, sh *shardState, ep *url.URL, target string, cur 
 		req.Header.Set("If-None-Match", cur.etag)
 	}
 	var next *held[T]
-	_, err = g.shardDo(ctx, req, ep, nil, true, func(resp *http.Response) error {
+	_, err = g.shardDo(pctx, req, ep, nil, true, func(resp *http.Response) error {
 		var refusal error
 		switch {
 		case resp.StatusCode == http.StatusNotModified && cur != nil:
@@ -248,7 +293,7 @@ func refresh[T any](g *Gateway, sh *shardState, ep *url.URL, target string, cur 
 		g.lg.Warn(ctx, "replica_refused", "shard", sh.spec.ID, "target", target, "err", refusal)
 		return nil
 	})
-	if err != nil && g.follows.Err() == nil {
+	if err != nil && ctx.Err() == nil {
 		syncs.failed.Inc()
 	}
 	return next, err

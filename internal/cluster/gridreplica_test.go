@@ -604,7 +604,7 @@ func kill(ts *httptest.Server) {
 // after, the bound for a silent partition; a closed connection is
 // noticed at once.
 func TestGridFollowerKilledShard502(t *testing.T) {
-	n, ts := newTestNode(t, "s0", nil)
+	n, ts := newTestNode(t, "s0", "")
 	loc := cellCenter(rfenv.MetroCenter)
 	if err := n.DB.Bootstrap(fieldAt(400, 47, loc, -100)); err != nil {
 		t.Fatal(err)
@@ -628,8 +628,8 @@ func TestGridFollowerKilledShard502(t *testing.T) {
 // follower fails over to the replica endpoint as a leg does, resyncs
 // from it, and goes on following it.
 func TestGridFollowerFailsOverToReplica(t *testing.T) {
-	replica, replicaTS := newTestNode(t, "s0r", nil)
-	primary, primaryTS := newTestNode(t, "s0", []string{replicaTS.URL})
+	primary, primaryTS := newTestNode(t, "s0", "")
+	replica, replicaTS := newFollower(t, "s0r", primaryTS.URL)
 	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{primaryTS.URL, replicaTS.URL}})
 	loc := cellCenter(rfenv.MetroCenter)
 	q := fmt.Sprintf("/v1/availability?lat=%v&lon=%v", loc.Lat, loc.Lon)
@@ -681,8 +681,8 @@ func TestGridFollowerFailsOverToReplica(t *testing.T) {
 // shard's grid follower fails at once — and fails the shard over to its
 // replica endpoint.
 func TestIdleGatewayFailsOverOnKill(t *testing.T) {
-	_, replicaTS := newTestNode(t, "s0r", nil)
-	_, primaryTS := newTestNode(t, "s0", []string{replicaTS.URL})
+	_, primaryTS := newTestNode(t, "s0", "")
+	_, replicaTS := newFollower(t, "s0r", primaryTS.URL)
 	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{primaryTS.URL, replicaTS.URL}})
 	sh := gw.shards["s0"]
 	eventually(t, "the grid follower in sync", func() bool { return sh.grid.load() != nil })
@@ -719,7 +719,7 @@ func TestFollowerPollsAreNoClientLegs(t *testing.T) {
 func TestGridFollower404IsNotAFailover(t *testing.T) {
 	old := httptest.NewServer(http.NotFoundHandler())
 	defer old.Close()
-	_, cur := newTestNode(t, "s0", nil)
+	_, cur := newTestNode(t, "s0", "")
 	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{old.URL, cur.URL}})
 	q := "/v1/availability?lat=33.7&lon=-84.4"
 	if rec := serveGateway(context.Background(), gw, http.MethodGet, q, nil); rec.Code != http.StatusBadGateway {
@@ -746,11 +746,14 @@ func TestGridFollowersStopAtClose(t *testing.T) {
 	for _, loc := range free {
 		mustGetBody(t, fmt.Sprintf("%s/v1/availability?lat=%v&lon=%v", tc.gwTS.URL, loc.Lat, loc.Lon), http.StatusOK)
 	}
-	tc.gw.Close()
 	following := func() bool {
 		buf := make([]byte, 1<<20)
-		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.(*shardState).follow("))
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.startFollower.func1("))
 	}
+	if !following() {
+		t.Fatal("no follower goroutine before Close; the stack scan is broken")
+	}
+	tc.gw.Close()
 	eventually(t, "no follower goroutine after Close", func() bool { return !following() })
 	loc := free["s0"]
 	mustGetBody(t, fmt.Sprintf("%s/v1/availability?lat=%v&lon=%v", tc.gwTS.URL, loc.Lat, loc.Lon), http.StatusBadGateway)

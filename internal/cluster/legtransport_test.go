@@ -129,7 +129,7 @@ func watchedCluster(t testing.TB, ids ...string) (*testCluster, map[string]*watc
 	shards := map[string]*watchedShard{}
 	var specs []ShardSpec
 	for _, id := range ids {
-		n, _ := newTestNode(t, id, nil)
+		n, _ := newTestNode(t, id, "")
 		tc.nodes[id], shards[id] = n, newWatchedShard(t, n.Handler())
 		specs = append(specs, ShardSpec{ID: id, URLs: []string{shards[id].URL}})
 	}
@@ -255,7 +255,7 @@ func TestLegPoolReapAndClose(t *testing.T) {
 // one redial per kept connection, the upload's and the one the grid
 // follower's poll was parked on: not an error, not a failover.
 func TestLegRedialsStaleKeepAlive(t *testing.T) {
-	n, _ := newTestNode(t, "s0", nil)
+	n, _ := newTestNode(t, "s0", "")
 	parked := make(chan struct{}, 1)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == gridPath && r.Header.Get("If-None-Match") != "" {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -47,7 +48,7 @@ func (sh *shardState) model(key modelKey) *replica[*dbserver.Descriptor] {
 // server, so a promoted replica can reach the primary's version from
 // another history: only the ETag names the bytes, and every named store
 // is asked, not only those whose version moved.
-func (sh *shardState) revalidate(g *Gateway, ep *url.URL, key modelKey, horizon time.Duration) error {
+func (sh *shardState) revalidate(ctx context.Context, g *Gateway, ep *url.URL, key modelKey, horizon time.Duration) error {
 	sh.modelMu.Lock()
 	rep := sh.models[key]
 	if rep == nil {
@@ -57,7 +58,7 @@ func (sh *shardState) revalidate(g *Gateway, ep *url.URL, key modelKey, horizon 
 	sh.modelMu.Unlock()
 	cur := rep.load()
 	target := fmt.Sprintf("%s?channel=%d&sensor=%d", modelPath, int(key.ch), int(key.kind))
-	next, err := refresh(g, sh, ep, target, cur, legTimeout, sh.modelSyncs, func(h http.Header, data []byte) (*held[*dbserver.Descriptor], error) {
+	next, err := refresh(ctx, g, sh, ep, target, cur, legTimeout, sh.modelSyncs, func(h http.Header, data []byte) (*held[*dbserver.Descriptor], error) {
 		return descriptorOf(key, h, data, horizon)
 	})
 	if err == nil && next != cur {

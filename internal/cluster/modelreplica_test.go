@@ -10,7 +10,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -219,7 +218,7 @@ func TestRetrainThenFetchSeesNewModel(t *testing.T) {
 // server gives it, and that server's grid, which names the store.
 func scriptedStore(t testing.TB) (data []byte, etag string, grid *geoindex.Snapshot) {
 	t.Helper()
-	n, ts := newTestNode(t, "s0", nil)
+	n, ts := newTestNode(t, "s0", "")
 	if err := n.DB.Bootstrap(fieldAt(400, 47, cellCenter(rfenv.MetroCenter), -100)); err != nil {
 		t.Fatal(err)
 	}
@@ -343,8 +342,8 @@ func TestModelRefusedDropsReplica(t *testing.T) {
 // follower fails over to the replica endpoint as a leg does and copies
 // the stores again from it; a retrain there reaches the copy.
 func TestModelFollowerFailsOverToReplica(t *testing.T) {
-	replica, replicaTS := newTestNode(t, "s0r", nil)
-	primary, primaryTS := newTestNode(t, "s0", []string{replicaTS.URL})
+	primary, primaryTS := newTestNode(t, "s0", "")
+	replica, replicaTS := newFollower(t, "s0r", primaryTS.URL)
 	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{primaryTS.URL, replicaTS.URL}})
 	loc := cellCenter(rfenv.MetroCenter)
 	if rec := serveGateway(context.Background(), gw, http.MethodPost, "/v1/readings", uploadBody(t, fieldAt(400, 47, loc, -100))); rec.Code != http.StatusNoContent {
@@ -407,11 +406,14 @@ func TestModelFollowersEndAtClose(t *testing.T) {
 	if a := ask(t, tc.gwTS.URL+"/v1/model?channel=47&sensor=1"+at, current.etag); a.status != http.StatusNotModified || tc.legs() != legs {
 		t.Errorf("revalidation in the drain = %d with %d legs, want the replica's 304", a.status, tc.legs()-legs)
 	}
-	tc.gw.Close()
 	following := func() bool {
 		buf := make([]byte, 1<<20)
-		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.(*shardState).follow("))
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("cluster.startFollower.func1("))
 	}
+	if !following() {
+		t.Fatal("no follower goroutine before Close; the stack scan is broken")
+	}
+	tc.gw.Close()
 	eventually(t, "no follower goroutine after Close", func() bool { return !following() })
 	ask(t, tc.gwTS.URL+"/v1/model?channel=47&sensor=1"+at, "")
 	if following() || tc.gw.shards["s0"].model(modelKey{47, 1}).load() != nil {
@@ -467,17 +469,11 @@ func TestGatewayCopiesFromTheGrid(t *testing.T) {
 // v1, takes a write and retrains to its own v2. The gateway serves the
 // replica's v2 bytes, and a client naming the primary's v2 gets them.
 func TestModelCopyNamesBytesNotVersions(t *testing.T) {
-	replica, _ := newTestNode(t, "s0r", nil)
-	var held atomic.Bool
-	replicaTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if held.Load() && r.URL.Path == "/v1/repl/apply" {
-			http.Error(w, "held back", http.StatusServiceUnavailable)
-			return
-		}
-		replica.Handler().ServeHTTP(w, r)
-	}))
-	t.Cleanup(replicaTS.Close)
-	primary, primaryTS := newTestNode(t, "s0", []string{replicaTS.URL})
+	primary, _ := newTestNode(t, "s0", "")
+	held := &gatedHandler{next: primary.Handler()}
+	primaryTS := httptest.NewServer(held)
+	t.Cleanup(primaryTS.Close)
+	replica, replicaTS := newFollower(t, "s0r", primaryTS.URL)
 	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{primaryTS.URL, replicaTS.URL}})
 	sh := gw.shards["s0"]
 	loc := cellCenter(rfenv.MetroCenter)
@@ -494,7 +490,7 @@ func TestModelCopyNamesBytesNotVersions(t *testing.T) {
 	if err := primary.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	held.Store(true)
+	held.setDown(true)
 	post("/v1/readings", uploadBody(t, fieldAt(50, 47, loc.Offset(90, 1000), -70)), http.StatusNoContent)
 	post("/v1/retrain?channel=47&sensor=1", nil, http.StatusOK)
 	primaryV2 := sh.model(modelKey{47, 1}).load()

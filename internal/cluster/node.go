@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/telemetry"
@@ -17,8 +20,9 @@ import (
 
 // NodeConfig configures one shard process.
 type NodeConfig struct {
-	// ID names the shard (matches the gateway's ShardSpec.ID). Used in
-	// status output only; routing never depends on it at the node.
+	// ID names the shard (matches the gateway's ShardSpec.ID) and, on a
+	// replica, the follower its primary knows it as. Routing never
+	// depends on it at the node.
 	ID string
 
 	// DB is the embedded spectrum DB configuration, passed to
@@ -26,39 +30,32 @@ type NodeConfig struct {
 	// there for WAL durability exactly as on a standalone server.
 	DB dbserver.Config
 
-	// ReplicaURLs lists this node's replicas (base URLs). Empty means the
-	// node is a replica itself, or an unreplicated primary: either way no
-	// shipper runs.
-	ReplicaURLs []string
+	// Follow is the base URL of this node's primary, which makes it a
+	// replica: it pulls the primary's journal from the moment it opens
+	// empty until its first direct write. Empty means a primary.
+	Follow string
 }
 
 // Node is one shard: the full dbserver API plus the replication surface
-// (/v1/repl/apply for its primary's stream, /v1/repl/status for
-// operators) and, when it has replicas, a background log shipper.
+// (/v1/repl/journal, which its followers pull, and /v1/repl/status for
+// operators) and, on a replica, a follower of its primary's journal.
 type Node struct {
 	cfg  NodeConfig
 	DB   *dbserver.Server
-	repl *Replicator // nil when no replicas
+	repl *Replicator
 
-	// applyMu serializes replicated-frame application. applied is the
-	// contiguous high-water mark of the primary's sequence numbers;
-	// follows is the primary incarnation those sequences belong to (0
-	// until the node, while still empty, adopts the first stream it
-	// sees). recoveredData notes that the node opened with pre-existing
-	// store state — such a node can never adopt a stream, because its
-	// position in any primary's journal is unknowable.
-	applyMu       sync.Mutex
-	applied       uint64
-	follows       uint64
-	recoveredData bool
-	appliedTotal  *telemetry.Counter
+	// applyMu serializes applies with status reads. applied is the
+	// contiguous mark of the followed stream, follows its incarnation (0
+	// until the node, while empty, adopts the first it is answered with).
+	applyMu      sync.Mutex
+	applied      uint64
+	follows      uint64
+	appliedTotal *telemetry.Counter
 
-	// promoted latches once the node accepts a direct client write
-	// (gateway failover made it the de-facto primary). Promotion is
-	// one-way: a promoted node refuses /v1/repl/apply, so a not-quite-dead
-	// old primary resuming its shipping cannot silently interleave with
-	// the direct writes and fork the store history.
-	promoted atomic.Bool
+	// follower pulls the primary's journal (nil when none was started).
+	follower *follower
+	errs     *telemetry.Counter
+	resync   *telemetry.Gauge
 
 	lg        *wlog.Logger
 	closeOnce sync.Once
@@ -66,215 +63,230 @@ type Node struct {
 }
 
 // OpenNode opens the embedded DB (recovering from its data dir like
-// dbserver.Open) and starts the replication shipper if replicas are
-// configured. A primary that recovered pre-existing state seeds its
-// journal with a full store snapshot before shipping, so an empty
-// replica adopting the new incarnation is rebuilt from scratch rather
-// than silently missing the recovered prefix.
+// dbserver.Open) and, with NodeConfig.Follow, starts following the
+// primary — unless it recovered data, which no stream accounts for.
 func OpenNode(cfg NodeConfig) (*Node, error) {
 	if cfg.DB.Metrics == nil {
 		cfg.DB.Metrics = telemetry.New()
 	}
-	n := &Node{cfg: cfg, lg: cfg.DB.Log.Named("cluster")}
-	n.appliedTotal = cfg.DB.Metrics.Counter("waldo_cluster_replication_applied_total",
-		"Replicated journal records applied by this node (replica role).")
-	if len(cfg.ReplicaURLs) > 0 {
-		n.repl = newReplicator(newIncarnation(), cfg.ReplicaURLs, cfg.DB.Metrics, cfg.DB.Log)
-		if cfg.DB.Tap != nil {
-			return nil, fmt.Errorf("cluster: NodeConfig.DB.Tap is owned by the replicator")
-		}
-		cfg.DB.Tap = n.repl
+	if cfg.DB.Tap != nil {
+		return nil, fmt.Errorf("cluster: NodeConfig.DB.Tap is owned by the node's journal")
 	}
+	if u, err := url.Parse(cfg.Follow); cfg.Follow != "" && (err != nil || u.Host == "") {
+		return nil, fmt.Errorf("cluster: follow %q is not a base URL with a host", cfg.Follow)
+	}
+	m := cfg.DB.Metrics
+	n := &Node{cfg: cfg, lg: cfg.DB.Log.Named("cluster"),
+		repl: &Replicator{incarnation: newIncarnation(), followers: make(map[string]*followerState)}}
+	n.appliedTotal = m.Counter("waldo_cluster_replication_applied_total",
+		"Replicated journal records applied by this node (replica role).")
+	cfg.DB.Tap = n.repl
 	db, err := dbserver.Open(cfg.DB)
 	if err != nil {
 		return nil, err
 	}
-	n.DB = db
-	n.recoveredData = db.HasData()
-	if n.repl != nil {
-		if n.recoveredData {
-			// Recovered state is not replayed through the tap (it happened
-			// before this process's journal existed), so ship it explicitly
-			// as the records that rebuild it. Rebuilds are deterministic, so
-			// an empty replica applying this seed converges to
-			// byte-identical descriptors — this is also the full-resync path
-			// after a replica rebuild.
-			db.TapSnapshot(n.repl)
-		}
-		n.repl.start()
-	}
+	n.DB, n.repl.db = db, db
 
 	dbh := db.Handler()
 	mux := http.NewServeMux()
-	// The apply route runs through the telemetry middleware so each
-	// shipped exchange's X-Waldo-Trace joins the primary's repl/ship
-	// trace — the replica's apply and WAL-append spans land in its own
-	// flight recorder under the same trace ID.
-	mux.Handle("POST /v1/repl/apply", cfg.DB.Metrics.WrapRouteFunc("/v1/repl/apply", n.handleApply))
+	mux.Handle("GET /v1/repl/journal", m.WrapRouteFunc("/v1/repl/journal", n.repl.handleJournal))
 	mux.HandleFunc("GET /v1/repl/status", n.handleStatus)
-	// Direct mutations promote the node (see Node.promoted). The dbserver
-	// names its own mutation routes, so an upload edge added there is
-	// fenced here without anyone remembering to. Reads pass through
-	// untouched.
+	// A direct mutation promotes the node: its follower stops first, so
+	// no frame of the old primary's lands after it. The dbserver names
+	// its mutation routes, so a new upload edge promotes here too.
 	for _, pattern := range dbserver.MutationPatterns() {
-		mux.Handle(pattern, n.promoteOnSuccess(dbh))
+		mux.Handle(pattern, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			n.stopFollowing()
+			dbh.ServeHTTP(w, r)
+		}))
 	}
 	mux.Handle("/", dbh)
 	n.handler = mux
+
+	if cfg.Follow != "" {
+		n.errs = m.Counter("waldo_cluster_replication_errors_total",
+			"Failed polls of the primary's journal (retried after a backoff: 50 ms, doubling up to 10 s).")
+		n.resync = m.Gauge("waldo_cluster_replication_resync_needed",
+			"1 when this replica stopped following its primary (another incarnation, a gap, a truncated backlog, or recovered data) and must be rebuilt empty.")
+		if db.HasData() {
+			n.fence(context.Background(), reasonResync, "the node recovered data no primary's stream accounts for")
+		} else {
+			n.follower = n.pull()
+		}
+	}
 	return n, nil
 }
 
 // Handler serves the shard's full HTTP surface.
 func (n *Node) Handler() http.Handler { return n.handler }
 
-// ReplicationLag returns the worst-case number of journal records not
-// yet confirmed by a replica (0 when the node ships nothing).
-func (n *Node) ReplicationLag() int {
-	if n.repl == nil {
-		return 0
-	}
-	return int(n.repl.Lag())
-}
-
-// Drain blocks until all replicas have confirmed the full journal.
+// Drain blocks until every follower of this node has polled past the top
+// of its journal, or until ctx expires.
 func (n *Node) Drain(ctx context.Context) error {
-	if n.repl == nil {
-		return nil
+	for lag := n.repl.Lag(); lag > 0; lag = n.repl.Lag() {
+		if ctx.Err() != nil {
+			return fmt.Errorf("cluster: drain: %w (lag %d records)", ctx.Err(), lag)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	return n.repl.Drain(ctx)
+	return nil
 }
 
-// Close stops the shipper (unshipped tail stays in the primary's WAL —
-// see DESIGN.md §12 on the failover model) and closes the embedded DB.
-// Safe to call more than once: crash harnesses kill nodes mid-run and
-// their cleanup paths close everything again.
+// Close stops the follower and closes the embedded DB. Safe to call more
+// than once: crash harnesses kill nodes mid-run and their cleanup paths
+// close everything again.
 func (n *Node) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
-		if n.repl != nil {
-			n.repl.stop()
-		}
+		n.stopFollowing()
 		err = n.DB.Close()
 	})
 	return err
 }
 
-// promoteOnSuccess wraps a direct mutation route: a 2xx outcome latches
-// the promotion fence (writes are now forking from any primary's
-// journal, so replication must stop).
-func (n *Node) promoteOnSuccess(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &telemetry.StatusRecorder{ResponseWriter: w}
-		next.ServeHTTP(rec, r)
-		if rec.Status()/100 == 2 {
-			n.promoted.Store(true)
+// stopFollowing ends the follower, if one runs, and waits until it has
+// applied its last frame.
+func (n *Node) stopFollowing() {
+	if n.follower != nil {
+		n.follower.close()
+	}
+}
+
+// following reports whether the follower runs.
+func (n *Node) following() bool { return n.follower != nil && n.follower.ctx.Err() == nil }
+
+// fence marks the node out of its primary's stream for good: rebuild it.
+func (n *Node) fence(ctx context.Context, reason, detail string) {
+	n.resync.Set(1)
+	n.lg.Error(ctx, "replica_fenced", "primary", n.cfg.Follow, "reason", reason, "err", detail)
+}
+
+// pull starts the follower of the primary's journal; it ends at Close,
+// at a promotion, or when the stream is refused.
+func (n *Node) pull() *follower {
+	var horizon time.Duration
+	return startFollower(func(ctx context.Context) syncOutcome {
+		err := n.poll(ctx, &horizon)
+		var ref refusal
+		switch {
+		case err == nil:
+			return inSync
+		case errors.As(err, &ref):
+			n.fence(ctx, ref.reason, ref.detail)
+			return stopFollowing
+		case ctx.Err() != nil:
+			return stopFollowing
 		}
+		n.errs.Inc()
+		n.lg.Warn(ctx, "pull_failed", "primary", n.cfg.Follow, "err", err)
+		return retryLater
 	})
 }
 
-// handleApply folds a batch of replication frames from this node's
-// primary into the local stores. The exchange must carry the incarnation
-// this node follows: a node adopts the first incarnation it sees while
-// still empty; any other incarnation — a restarted primary, a node that
-// recovered data on its own, a promoted replica — is refused with 409
-// and a machine-readable reason, never misread as retry idempotency.
-// Within the followed stream, frames at or below the applied mark are
-// skipped (retries are idempotent) and a gap above it is refused with
-// 409 plus the mark so the primary can re-ship.
-func (n *Node) handleApply(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, applyBodyCap))
+// poll long-polls the journal after the applied mark, allowed the
+// primary's last stated horizon on top of legTimeout, and applies the
+// answer. A 409 is a refusal.
+func (n *Node) poll(ctx context.Context, horizon *time.Duration) error {
+	n.applyMu.Lock()
+	target := fmt.Sprintf("%s/v1/repl/journal?follower=%s&incarnation=%d&after=%d",
+		n.cfg.Follow, url.QueryEscape(n.cfg.ID), n.follows, n.applied)
+	n.applyMu.Unlock()
+	ctx, cancel := context.WithTimeout(ctx, legTimeout+*horizon)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, "read body: "+err.Error(), status)
-		return
+		return err
 	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if ms, err := strconv.ParseInt(resp.Header.Get(dbserver.HorizonHeader), 10, 64); err == nil && ms >= 0 {
+		*horizon = time.Duration(ms) * time.Millisecond
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, applyBodyCap+1))
+	switch {
+	case err != nil:
+		return err
+	case resp.StatusCode == http.StatusNotModified:
+		return nil
+	case resp.StatusCode == http.StatusConflict:
+		reason, detail, _ := strings.Cut(strings.TrimSpace(string(body)), ": ")
+		return refusal{reason, detail}
+	case resp.StatusCode != http.StatusOK:
+		return fmt.Errorf("status %d", resp.StatusCode)
+	case len(body) > applyBodyCap:
+		return fmt.Errorf("answer over the %d-byte cap", applyBodyCap)
+	}
+	return n.apply(ctx, body)
+}
+
+// refusal is a stream the node must not apply: it stops following.
+type refusal struct{ reason, detail string }
+
+func (e refusal) Error() string { return e.reason + ": " + e.detail }
+
+// apply folds one answer, an exchange, into the stores, traced as
+// repl/pull. An empty node adopts the answer's incarnation; from then on
+// any other is refused. Frames at or below the applied mark are skipped
+// (a re-sent answer is idempotent), a gap above it is refused. It stops
+// between frames once ctx ends.
+func (n *Node) apply(ctx context.Context, body []byte) error {
 	incarnation, body, err := decodeExchangeHeader(body)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return err
 	}
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
-	status := http.StatusOK
-	var reason, applyErr string
 	switch {
-	case n.promoted.Load():
-		status, reason = http.StatusConflict, reasonPromoted
-		applyErr = "node accepted direct writes (promoted); replication refused"
-	case n.follows == 0 && n.recoveredData:
-		status, reason = http.StatusConflict, reasonResync
-		applyErr = "node recovered existing data without a replication session; rebuild it empty to follow a primary"
-	case n.follows != 0 && incarnation != n.follows:
-		status, reason = http.StatusConflict, reasonMismatch
-		applyErr = fmt.Sprintf("following primary incarnation %016x, got %016x", n.follows, incarnation)
-	default:
-		if n.follows == 0 {
-			n.follows = incarnation // empty node: adopt this stream
-		}
-		for len(body) > 0 {
-			f, rest, err := decodeFrame(body)
-			if err != nil {
-				status, applyErr = http.StatusBadRequest, err.Error()
-				break
-			}
-			body = rest
-			if f.seq <= n.applied {
-				continue
-			}
-			if f.seq != n.applied+1 {
-				status, reason = http.StatusConflict, reasonGap
-				applyErr = fmt.Sprintf("sequence gap: applied %d, got %d", n.applied, f.seq)
-				break
-			}
-			if err := n.DB.ApplyRecord(r.Context(), f.ch, f.kind, f.rec); err != nil {
-				status, applyErr = http.StatusInternalServerError, err.Error()
-				break
-			}
-			n.applied = f.seq
-			n.appliedTotal.Inc()
-		}
+	case n.follows == 0 && n.DB.HasData():
+		return refusal{reasonResync, "the node holds data it did not follow; rebuild it empty to follow a primary"}
+	case n.follows == 0:
+		n.follows = incarnation
+	case incarnation != n.follows:
+		return refusal{reasonMismatch, fmt.Sprintf("following primary incarnation %016x, answered by %016x", n.follows, incarnation)}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if status != http.StatusOK {
-		n.lg.Warn(r.Context(), "repl_apply_refused",
-			"reason", reason, "err", applyErr, "applied", n.applied)
-		w.Header().Set("X-Waldo-Repl-Error", applyErr)
-		w.WriteHeader(status)
+	sp := n.DB.Metrics().StartTrace("repl/pull", telemetry.SpanContext{})
+	defer sp.End()
+	tctx := telemetry.ContextWithSpan(context.WithoutCancel(ctx), sp)
+	for len(body) > 0 && ctx.Err() == nil {
+		f, rest, err := decodeFrame(body)
+		if err != nil {
+			return err
+		}
+		body = rest
+		if f.seq <= n.applied {
+			continue
+		}
+		if f.seq != n.applied+1 {
+			return refusal{reasonGap, fmt.Sprintf("applied %d, answered %d", n.applied, f.seq)}
+		}
+		if err := n.DB.ApplyRecord(tctx, f.ch, f.kind, f.rec); err != nil {
+			return err
+		}
+		n.applied = f.seq
+		n.appliedTotal.Inc()
 	}
-	json.NewEncoder(w).Encode(applyStatus{ //nolint:errcheck // client went away
-		Applied:     n.applied,
-		Incarnation: n.follows,
-		Reason:      reason,
-	})
+	return nil
 }
 
 // nodeStatus is the /v1/repl/status payload.
 type nodeStatus struct {
-	ID       string `json:"id"`
-	Applied  uint64 `json:"applied"`         // frames folded in as a replica
-	Follows  uint64 `json:"follows"`         // primary incarnation followed (0: none)
-	Ships    uint64 `json:"ships,omitempty"` // own incarnation, when shipping to replicas
-	Promoted bool   `json:"promoted"`        // accepted direct writes; refuses replication
-	Lag      int    `json:"lag"`             // records unconfirmed by own replicas
+	ID          string `json:"id"`
+	Incarnation uint64 `json:"incarnation"`      // own journal's, which followers adopt
+	Follow      string `json:"follow,omitempty"` // the primary polled; empty while no follower runs
+	Follows     uint64 `json:"follows"`          // primary incarnation adopted (0: none)
+	Applied     uint64 `json:"applied"`          // frames folded in as a replica
+	Lag         int    `json:"lag"`              // records own followers have yet to apply
 }
 
 func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 	n.applyMu.Lock()
-	applied, follows := n.applied, n.follows
+	st := nodeStatus{ID: n.cfg.ID, Incarnation: n.repl.incarnation, Follows: n.follows, Applied: n.applied, Lag: int(n.repl.Lag())}
 	n.applyMu.Unlock()
-	st := nodeStatus{
-		ID:       n.cfg.ID,
-		Applied:  applied,
-		Follows:  follows,
-		Promoted: n.promoted.Load(),
-		Lag:      n.ReplicationLag(),
-	}
-	if n.repl != nil {
-		st.Ships = n.repl.incarnation
+	if n.following() {
+		st.Follow = n.cfg.Follow
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(st) //nolint:errcheck // client went away

@@ -1,28 +1,27 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/telemetry"
-	"github.com/wsdetect/waldo/internal/wlog"
 )
 
-// Replication wire format. The primary ships its journal stream — the
-// same mutation order the WAL persists, as the same store mutation
-// records (core.ParseRecord) — as length-prefixed frames over HTTP POST
-// /v1/repl/apply. A frame splices the record's store key in after its
-// kind byte:
+// Replication wire format. A replica long-polls its primary's journal
+// (GET /v1/repl/journal) — the WAL's mutation order and store mutation
+// records (core.ParseRecord) — and each answer is one exchange of
+// length-prefixed frames. A frame splices the record's store key in
+// after its kind byte:
 //
 //	exchange := u64 incarnation | frame...
 //	frame    := u32 length | u64 seq | rec[0] | u16 channel | u8 sensor | rec[1:]
@@ -31,16 +30,10 @@ import (
 // at most maxShipBytes of them, below the replica's applyBodyCap.
 //
 // The incarnation is a random nonzero identifier minted once per primary
-// process; sequence numbers are contiguous within it, starting at 1. A
-// replica adopts the first incarnation it sees while still empty and
-// from then on follows exactly that stream: frames at or below its
-// applied mark are skipped (retries after a partial apply are
-// idempotent), a gap above it is refused with 409, and an exchange
-// stamped with any other incarnation — a restarted primary, a
-// misconfigured topology — is refused outright instead of being
-// misread as retry idempotency. Every answer carries the replica's
-// applied high-water mark plus the incarnation it follows, which is
-// also the primary's ack.
+// process; the sequence numbers a follower is answered with are
+// contiguous from 1. A replica follows the first incarnation it adopts
+// while empty: a gap, or any other incarnation — a restarted primary —
+// stops it for a rebuild instead of being misread as a retry.
 const (
 	exchangeHeaderSize = 8                 // incarnation
 	frameHeaderSize    = 4 + 8 + 1 + 2 + 1 // length + seq + kind + channel + sensor
@@ -52,12 +45,12 @@ const (
 	maxShipBytes   = applyBodyCap / 4
 )
 
-// Machine-readable refusal reasons in applyStatus.Reason.
+// Machine-readable reasons a stream is refused (a 409 body starts with
+// one).
 const (
 	reasonGap      = "sequence_gap"
 	reasonMismatch = "incarnation_mismatch"
 	reasonResync   = "resync_required"
-	reasonPromoted = "promoted"
 )
 
 // newIncarnation mints a random nonzero primary-incarnation identifier.
@@ -72,7 +65,7 @@ func newIncarnation() uint64 {
 	return binary.LittleEndian.Uint64(b[:]) | 1
 }
 
-// appendExchangeHeader starts an exchange body: the shipping primary's
+// appendExchangeHeader starts an exchange body: the answering primary's
 // incarnation, ahead of the frames.
 func appendExchangeHeader(dst []byte, incarnation uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, incarnation)
@@ -129,370 +122,193 @@ func decodeFrame(b []byte) (frame, []byte, error) {
 	}, rest, nil
 }
 
-// applyStatus is the replica's answer to every replication exchange: its
-// contiguous applied high-water mark, the primary incarnation it
-// follows (0 until it has adopted one), and — on refusals — a
-// machine-readable reason.
-type applyStatus struct {
-	Applied     uint64 `json:"applied"`
-	Incarnation uint64 `json:"incarnation"`
-	Reason      string `json:"reason,omitempty"`
-}
-
-// replicaLink is the shipping state for one replica.
-type replicaLink struct {
-	url  string
-	grew chan struct{} // 1-buffered: the journal grew since the shipper last looked
-
-	mu     sync.Mutex
-	acked  uint64 // highest sequence the replica confirmed applied
-	fenced bool   // replica refused our stream; operator resync required
-
-	lag     *telemetry.Gauge
-	shipped *telemetry.Counter
-	errs    *telemetry.Counter
-	resync  *telemetry.Gauge
-}
-
-// setFenced flips the link's fence and mirrors it into the resync
-// gauge, reporting whether the state changed (so the caller can count
-// the fencing error once, not once per exchange).
-func (l *replicaLink) setFenced(v bool) bool {
-	l.mu.Lock()
-	changed := l.fenced != v
-	l.fenced = v
-	l.mu.Unlock()
-	if !changed {
-		return false
-	}
-	if v {
-		l.resync.Set(1)
-	} else {
-		l.resync.Set(0)
-	}
-	return changed
-}
-
-// Replicator ships a primary's journal stream to its replicas. It
-// implements dbserver.Tap: the dbserver invokes it under each store's
-// lock in apply order, and it only frames the record into an in-memory
-// log — the HTTP shipping happens on one background goroutine per
-// replica, so replication never blocks the upload path (asynchronous by
-// design; the WAL, not the replica, is what an ack promises).
-//
-// The log is truncated below the minimum sequence every healthy replica
-// has confirmed, so steady-state memory is bounded by the slowest live
-// replica's lag, not the primary's lifetime. Records below the
-// truncation point are gone: a replica whose mark falls below it (or
-// that follows a different incarnation) is fenced — shipping to it
-// stops counting as progress, waldo_cluster_replication_resync_needed
-// goes to 1, and the operator rebuilds it empty (OPERATIONS.md §3) —
-// never silently re-shipped from 1.
+// Replicator is a node's journal, which its followers pull. As the
+// dbserver.Tap, called under each store's lock in apply order, it logs
+// each record as a frame once any follower has polled, and never blocks
+// the upload path (the WAL, not the replica, is what an ack promises). A
+// poll's position is its ack; the log is truncated below the lowest, so
+// memory is bounded by the slowest follower's lag.
 type Replicator struct {
 	incarnation uint64
-	httpc       *http.Client
-	reg         *telemetry.Registry
-	lg          *wlog.Logger
+	db          *dbserver.Server
+	keeping     atomic.Bool // a follower has polled: Record keeps frames
 
-	mu   sync.Mutex
-	base uint64   // sequences ≤ base are truncated away; log[0] is base+1
-	log  [][]byte // log[i] is the wire frame of sequence base+i+1
-
-	links []*replicaLink
-	stopc chan struct{}
-	wg    sync.WaitGroup
+	mu        sync.Mutex
+	base      uint64        // sequences ≤ base are truncated away; log[0] is base+1
+	log       [][]byte      // log[i] is the wire frame of sequence base+i+1
+	grew      chan struct{} // non-nil while a poll is parked: closed by the next Record
+	followers map[string]*followerState
 }
 
-// newReplicator assembles the shipper; start() launches the loops.
-func newReplicator(incarnation uint64, replicaURLs []string, metrics *telemetry.Registry, lg *wlog.Logger) *Replicator {
-	r := &Replicator{
-		incarnation: incarnation,
-		httpc:       &http.Client{Timeout: 10 * time.Second},
-		reg:         metrics,
-		lg:          lg.Named("repl"),
-		stopc:       make(chan struct{}),
-	}
-	for _, u := range replicaURLs {
-		r.links = append(r.links, &replicaLink{
-			url:  u,
-			grew: make(chan struct{}, 1),
-			lag: metrics.Gauge("waldo_cluster_replication_lag_records",
-				"Journal records accepted by the primary but not yet confirmed applied by this replica.",
-				"replica", u),
-			shipped: metrics.Counter("waldo_cluster_replication_shipped_total",
-				"Journal records confirmed applied by this replica.", "replica", u),
-			errs: metrics.Counter("waldo_cluster_replication_errors_total",
-				"Failed replication exchanges with this replica (retried after a backoff: 50 ms, doubling up to 10 s).",
-				"replica", u),
-			resync: metrics.Gauge("waldo_cluster_replication_resync_needed",
-				"1 when this replica refused the primary's stream (divergent history or truncated backlog) and must be rebuilt.",
-				"replica", u),
-		})
-	}
-	return r
+// followerState is what the primary knows of one follower. Its stream
+// numbers the seed's frames 1..seeded and the log's frame cut+i seeded+i.
+type followerState struct {
+	seed   [][]byte // the cut's frames; nil once the follower is past them
+	seeded uint64   // how many frames the seed held
+	cut    uint64   // the log's top at the cut
+	after  uint64   // the position it last polled after, in its own numbering
+	lag    *telemetry.Gauge
 }
 
-func (r *Replicator) start() {
-	for _, link := range r.links {
-		r.wg.Add(1)
-		go r.ship(link)
-	}
-}
+// pos is the log position f holds: nothing after it may be truncated.
+func (f *followerState) pos() uint64 { return f.cut + max(f.after, f.seeded) - f.seeded }
 
-func (r *Replicator) stop() {
-	close(r.stopc)
-	r.wg.Wait()
-}
+// lagAt is how many records f has yet to apply of a log whose top is top.
+func (f *followerState) lagAt(top uint64) uint64 { return top - f.cut + f.seeded - f.after }
 
-// Record implements dbserver.Tap. Runs under the store lock: frame the
-// record into the journal and wake every link's shipper, nothing else.
-// The shipping loop is asynchronous, so the originating request's trace
-// ends here — each exchange later runs under its own repl/ship trace.
+// Record implements dbserver.Tap: with no follower it returns at once.
+// A poll stamps the frame's sequence number, in its follower's numbering.
 func (r *Replicator) Record(_ context.Context, ch rfenv.Channel, kind sensor.Kind, rec []byte) {
+	if !r.keeping.Load() {
+		return
+	}
 	f := appendFrame(make([]byte, 0, frameHeaderSize-1+len(rec)), 0, ch, kind, rec)
 	r.mu.Lock()
-	binary.LittleEndian.PutUint64(f[4:], r.base+uint64(len(r.log))+1)
+	defer r.mu.Unlock()
+	if len(r.followers) == 0 {
+		return // every follower was refused: none holds the log
+	}
 	r.log = append(r.log, f)
+	for _, fs := range r.followers {
+		fs.lag.Set(float64(fs.lagAt(r.top())))
+	}
+	if r.grew != nil {
+		close(r.grew)
+		r.grew = nil
+	}
+}
+
+// top returns the highest sequence in the log. Call with r.mu held.
+func (r *Replicator) top() uint64 { return r.base + uint64(len(r.log)) }
+
+// seed registers id as an empty follower: one consistent cut of the
+// stores (dbserver.TapSnapshot) becomes its seed, and the log is kept
+// for it from the cut on.
+func (r *Replicator) seed(id string) {
+	fs := &followerState{lag: r.db.Metrics().Gauge("waldo_cluster_replication_lag_records",
+		"Journal records this follower has yet to apply, as of the primary's top.", "replica", id)}
+	var seed [][]byte
+	r.db.TapSnapshot(func(ch rfenv.Channel, kind sensor.Kind, rec []byte) {
+		seed = append(seed, appendFrame(nil, 0, ch, kind, rec))
+	}, func() {
+		r.mu.Lock()
+		r.keeping.Store(true)
+		fs.cut = r.top()
+		r.followers[id] = fs
+		r.mu.Unlock()
+	})
+	r.mu.Lock()
+	fs.seed, fs.seeded = seed, uint64(len(seed))
 	r.mu.Unlock()
-	for _, link := range r.links {
-		select {
-		case link.grew <- struct{}{}:
-		default:
-		}
-	}
 }
 
-// logLen returns the highest assigned sequence number.
-func (r *Replicator) logLen() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.base + uint64(len(r.log))
-}
-
-// pending snapshots the unshipped frames after acked for one exchange:
-// at most maxShipRecords, and no more than maxShipBytes past the first,
-// so an exchange always carries at least one frame and stays under the
-// replica's applyBodyCap. ok is false when acked has fallen below the
-// truncation point — those records no longer exist and the caller must
-// fence the link instead of shipping. Frames are append-only and
-// truncation copies the retained tail, so the returned subslice is
+// next takes follower id's poll after position after as its ack and
+// returns the frames it holds next, to be numbered from after+1: at most
+// maxShipRecords, and no more than maxShipBytes past the first. With
+// none, wake is closed by the next Record. A refusal is a position the
+// log cannot serve, and forgets the follower. Logged frames are never
+// written and truncation copies the retained tail, so the subslice is
 // stable.
-func (r *Replicator) pending(acked uint64) (top uint64, frames [][]byte, ok bool) {
+func (r *Replicator) next(id string, after uint64) (frames [][]byte, wake <-chan struct{}, refusal string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	top = r.base + uint64(len(r.log))
-	if acked < r.base {
-		return top, nil, false
+	fs := r.followers[id]
+	if fs == nil {
+		return nil, nil, reasonResync + ": " + id + " never polled this incarnation empty; rebuild it empty"
 	}
-	if acked >= top {
-		return top, nil, true
+	top := r.top()
+	fs.after = after
+	if pos := fs.pos(); pos < r.base || pos > top || after < fs.seeded && fs.seed == nil {
+		// Out of the stream for good: it must not hold the log back.
+		delete(r.followers, id)
+		r.truncate()
+		return nil, nil, fmt.Sprintf("%s: position %d is outside the journal's %d..%d", reasonResync, pos, r.base, top)
 	}
-	frames = r.log[acked-r.base:]
+	r.truncate()
+	fs.lag.Set(float64(fs.lagAt(top)))
+	if after < fs.seeded {
+		frames = fs.seed[after:]
+	} else {
+		fs.seed = nil
+		frames = r.log[fs.pos()-r.base:]
+	}
+	if len(frames) == 0 {
+		if r.grew == nil {
+			r.grew = make(chan struct{})
+		}
+		return nil, r.grew, ""
+	}
 	n, size := 1, len(frames[0])
 	for ; n < min(len(frames), maxShipRecords) && size+len(frames[n]) <= maxShipBytes; n++ {
 		size += len(frames[n])
 	}
-	return top, frames[:n], true
+	return frames[:n], nil, ""
 }
 
-// truncate drops journal records every healthy replica has confirmed.
-// Fenced links are excluded — they will never consume the backlog, and
-// holding it for them would grow the primary without bound, which is
-// exactly what truncation exists to prevent.
+// truncate drops the log records every follower holds past. Call with
+// r.mu held.
 func (r *Replicator) truncate() {
-	min := ^uint64(0)
-	healthy := false
-	for _, link := range r.links {
-		link.mu.Lock()
-		if !link.fenced && link.acked < min {
-			min = link.acked
-			healthy = true
-		}
-		link.mu.Unlock()
+	low := r.top()
+	for _, fs := range r.followers {
+		low = min(low, fs.pos())
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	top := r.base + uint64(len(r.log))
-	if !healthy || min > top {
-		min = top // every link fenced: nothing will ever consume the log
-	}
-	if min > r.base {
+	if low > r.base {
 		// Copy the retained tail so the dropped prefix is actually freed
 		// (a plain reslice would pin the whole backing array).
-		r.log = append([][]byte(nil), r.log[min-r.base:]...)
-		r.base = min
+		r.log = append([][]byte(nil), r.log[low-r.base:]...)
+		r.base = low
 	}
 }
 
-// ship is one replica's shipping loop: it pushes everything past the
-// replica's ack, a pending chunk per exchange, while that makes progress,
-// then waits for the journal to grow. An exchange that fails, or makes no
-// progress, waits out the followers' backoff instead — followRetry,
-// doubling up to legTimeout — so a replica that is down cannot spin the
-// primary.
-func (r *Replicator) ship(link *replicaLink) {
-	defer r.wg.Done()
-	var pause time.Duration
-	for {
-		grew, backoff := link.grew, (<-chan time.Time)(nil)
-		switch progressed, idle := r.shipOnce(link); {
-		case progressed:
-			pause = 0
-			continue
-		case !idle:
-			pause = min(max(2*pause, followRetry), legTimeout)
-			grew, backoff = nil, time.After(pause)
-		}
-		select {
-		case <-r.stopc:
-			return
-		case <-grew: // taken before shipOnce reads the journal: no append is missed
-		case <-backoff:
-		}
+// handleJournal serves GET /v1/repl/journal?follower=ID&incarnation=I&after=N:
+// the frames after N as one exchange, or a parked poll as GET /v1/grid
+// (dbserver.Server.LongPoll). An empty follower (I = 0) is seeded and
+// answered at once; another incarnation, or a position the journal does
+// not hold, is refused 409.
+func (r *Replicator) handleJournal(w http.ResponseWriter, req *http.Request) {
+	q := req.URL.Query()
+	id := q.Get("follower")
+	inc, err := strconv.ParseUint(q.Get("incarnation"), 10, 64)
+	after, err2 := strconv.ParseUint(q.Get("after"), 10, 64)
+	if id == "" || err != nil || err2 != nil {
+		http.Error(w, "want follower, incarnation and after", http.StatusBadRequest)
+		return
 	}
+	if inc != 0 && inc != r.incarnation {
+		http.Error(w, fmt.Sprintf("%s: this journal is incarnation %016x, not %016x", reasonMismatch, r.incarnation, inc), http.StatusConflict)
+		return
+	}
+	if inc == 0 {
+		r.seed(id)
+		after = 0
+	}
+	r.db.LongPoll(w, req, func() <-chan struct{} {
+		frames, wake, refusal := r.next(id, after)
+		switch {
+		case refusal != "":
+			http.Error(w, refusal, http.StatusConflict)
+			return nil
+		case wake != nil && inc != 0:
+			return wake
+		}
+		body := appendExchangeHeader(nil, r.incarnation)
+		for i, f := range frames {
+			body = append(body, f...)
+			binary.LittleEndian.PutUint64(body[len(body)-len(f)+4:], after+uint64(i)+1)
+		}
+		w.Write(body) //nolint:errcheck // follower went away
+		return nil
+	})
 }
 
-// shipOnce pushes one chunk. It reports whether the replica confirmed
-// progress, so more may be pending, and whether there was nothing to
-// ship. Every exchange that actually carries frames runs under its own
-// repl/ship trace (shipping is asynchronous, so there is no client
-// request to join); the trace header propagates to the replica, whose
-// /v1/repl/apply spans join the same trace ID.
-func (r *Replicator) shipOnce(link *replicaLink) (progressed, idle bool) {
-	link.mu.Lock()
-	acked := link.acked
-	link.mu.Unlock()
-	top, frames, ok := r.pending(acked)
-	link.lag.Set(float64(top - acked))
-	if !ok {
-		// The replica's confirmed position predates the truncation point:
-		// the records it needs are gone. Fence and surface it.
-		if link.setFenced(true) {
-			link.errs.Inc()
-			r.lg.Error(context.Background(), "replica_fenced",
-				"replica", link.url, "reason", "backlog_truncated", "acked", acked)
-		}
-		return false, false
-	}
-	if len(frames) == 0 {
-		return false, true
-	}
-	sp := r.reg.StartTrace("repl/ship", telemetry.SpanContext{})
-	sp.SetAttr("replica", link.url)
-	sp.SetAttr("records", fmt.Sprintf("%d", len(frames)))
-	ctx := telemetry.ContextWithSpan(context.Background(), sp)
-	defer sp.End()
-	body := appendExchangeHeader(nil, r.incarnation)
-	for _, f := range frames {
-		body = append(body, f...)
-	}
-	req, err := http.NewRequest(http.MethodPost, link.url+"/v1/repl/apply", bytes.NewReader(body))
-	if err != nil {
-		link.errs.Inc()
-		sp.Fail(err.Error())
-		return false, false
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(telemetry.TraceHeader, sp.Context().Header())
-	resp, err := r.httpc.Do(req)
-	if err != nil {
-		link.errs.Inc()
-		sp.Fail(err.Error())
-		r.lg.Warn(ctx, "ship_failed", "replica", link.url, "err", err)
-		return false, false
-	}
-	defer resp.Body.Close()
-	var st applyStatus
-	if err := decodeJSONBody(resp.Body, &st); err != nil {
-		link.errs.Inc()
-		sp.Fail(err.Error())
-		r.lg.Warn(ctx, "ship_bad_status_body", "replica", link.url, "err", err)
-		return false, false
-	}
-	if st.Incarnation != r.incarnation {
-		// The replica follows a different primary incarnation (or refused
-		// to adopt ours because it already holds history). Its mark means
-		// nothing to this journal — fence rather than trusting it.
-		if link.setFenced(true) {
-			link.errs.Inc()
-			r.lg.Error(ctx, "replica_fenced", "replica", link.url,
-				"reason", st.Reason, "follows", fmt.Sprintf("%016x", st.Incarnation),
-				"ships", fmt.Sprintf("%016x", r.incarnation))
-		}
-		sp.Fail("incarnation mismatch")
-		return false, false
-	}
-	r.mu.Lock()
-	base := r.base
-	r.mu.Unlock()
-	if st.Applied < base {
-		// The replica rejoined our incarnation below the truncation point
-		// (only an emptied replica can rewind); its backlog is gone.
-		if link.setFenced(true) {
-			link.errs.Inc()
-			r.lg.Error(ctx, "replica_fenced", "replica", link.url,
-				"reason", "rewound_below_truncation", "applied", st.Applied, "base", base)
-		}
-		sp.Fail("replica below truncation point")
-		return false, false
-	}
-	link.setFenced(false)
-	link.mu.Lock()
-	progressed = st.Applied > link.acked
-	if progressed {
-		link.shipped.Add(st.Applied - link.acked)
-	}
-	// A forward mark is the normal ack. A backward one (≥ base) means the
-	// replica was rebuilt empty and re-adopted this incarnation — rewind
-	// and refill it from its mark; the records are still in the log.
-	link.acked = st.Applied
-	link.mu.Unlock()
-	link.lag.Set(float64(top - st.Applied))
-	if progressed {
-		r.truncate()
-	}
-	if resp.StatusCode != http.StatusOK {
-		link.errs.Inc()
-	}
-	return progressed && resp.StatusCode == http.StatusOK, false
-}
-
-// Lag returns the largest number of journal records any replica still
-// has to apply (0 with no replicas).
+// Lag returns the largest number of journal records any follower has
+// yet to apply (0 with no follower).
 func (r *Replicator) Lag() uint64 {
-	top := r.logLen()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var worst uint64
-	for _, link := range r.links {
-		link.mu.Lock()
-		acked := link.acked
-		link.mu.Unlock()
-		if lag := top - acked; lag > worst {
-			worst = lag
-		}
+	for _, fs := range r.followers {
+		worst = max(worst, fs.lagAt(r.top()))
 	}
 	return worst
-}
-
-// Drain blocks until every replica has confirmed the entire current
-// journal, polling between checks, or until ctx expires.
-func (r *Replicator) Drain(ctx context.Context) error {
-	for {
-		if r.Lag() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("cluster: drain: %w (lag %d records)", ctx.Err(), r.Lag())
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
-// decodeJSONBody reads and decodes a small JSON body with a hard cap.
-func decodeJSONBody(r io.Reader, v any) error {
-	data, err := io.ReadAll(io.LimitReader(r, 1<<16))
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, v)
 }

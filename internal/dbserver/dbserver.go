@@ -209,8 +209,8 @@ type Config struct {
 	// Tap, when set, observes every accepted store mutation in exactly
 	// the order it was applied: bootstrap seeds, accepted upload batches,
 	// and completed retrains. The cluster replication layer
-	// (internal/cluster) hooks in here to ship the mutation stream to
-	// replicas. The tap runs under the store lock, like core.Journal — it
+	// (internal/cluster) hooks in here to keep the journal its replicas
+	// pull. The tap runs under the store lock, like core.Journal — it
 	// must only enqueue. State recovered from disk at Open is not
 	// replayed into the tap.
 	Tap Tap

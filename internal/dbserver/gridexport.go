@@ -25,29 +25,40 @@ const HorizonHeader = "X-Waldo-Horizon-Ms"
 
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	inm := r.Header.Get("If-None-Match")
-	horizon := s.watchTimeout()
-	w.Header().Set(HorizonHeader, strconv.FormatInt(horizon.Milliseconds(), 10))
-	timer := time.NewTimer(horizon)
-	defer timer.Stop()
-	for {
-		// Take the publish channel before the snapshot, as a watcher
-		// registers before it checks.
+	s.LongPoll(w, r, func() <-chan struct{} {
 		// The validator hashes the bytes, not the generation: a restarted
 		// server counts generations from 1 again, and a follower keyed by
 		// generation could park on a stale grid.
 		published := s.geoidx.Published()
 		data := geoindex.EncodeGrid(s.geoidx.Snapshot())
 		etag := fmt.Sprintf(`"%016x"`, fnv64(data))
-		if inm == "" || !etagMatches(inm, etag) {
-			w.Header().Set("ETag", etag)
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(data) //nolint:errcheck // client went away
+		w.Header().Set("ETag", etag)
+		if inm != "" && etagMatches(inm, etag) {
+			return published
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data) //nolint:errcheck // client went away
+		return nil
+	})
+}
+
+// LongPoll serves a long-poll like GET /v1/grid: it states the watch
+// horizon in HorizonHeader and calls answer until it answers, parking on
+// the channel answer hands back instead (taken before it looked); 304 at
+// the horizon, 503 at BeginShutdown. The cluster tier's journal uses it.
+func (s *Server) LongPoll(w http.ResponseWriter, r *http.Request, answer func() <-chan struct{}) {
+	horizon := s.watchTimeout()
+	w.Header().Set(HorizonHeader, strconv.FormatInt(horizon.Milliseconds(), 10))
+	timer := time.NewTimer(horizon)
+	defer timer.Stop()
+	for {
+		wake := answer()
+		if wake == nil {
 			return
 		}
 		select {
-		case <-published:
+		case <-wake:
 		case <-timer.C:
-			w.Header().Set("ETag", etag)
 			w.WriteHeader(http.StatusNotModified)
 			return
 		case <-r.Context().Done():

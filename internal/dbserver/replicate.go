@@ -53,11 +53,9 @@ func (s *Server) ApplyRecord(ctx context.Context, ch rfenv.Channel, kind sensor.
 	return nil
 }
 
-// HasData reports whether any store holds readings or a trained model —
-// i.e. whether the server carries history a replication stream could
-// conflict with. The cluster tier uses it to decide whether a node may
-// adopt a primary's stream (only an empty node can) and whether a
-// primary must seed its journal with recovered state before shipping.
+// HasData reports whether any store holds readings or a trained model:
+// history a replication stream could conflict with, so the cluster tier
+// adopts a primary's stream only on a server without.
 func (s *Server) HasData() bool {
 	_, byKey := s.storeSnapshot()
 	for _, u := range byKey {
@@ -71,27 +69,49 @@ func (s *Server) HasData() bool {
 	return false
 }
 
-// TapSnapshot hands every store's current state to tap, in key order
-// and under that store's lock, as the records that rebuild it on an
-// empty server: its readings in append records, then, once it has a
-// model, a retrain record at its version. The cluster tier uses it at
-// node startup to seed a restarted primary's replication journal with
-// its WAL-recovered state.
-func (s *Server) TapSnapshot(tap Tap) {
-	keys, byKey := s.storeSnapshot()
+// TapSnapshot hands record the records that rebuild every store on an
+// empty server: per store, in key order, its readings, then a retrain
+// record at its model's version. It captures every view with every store
+// lock held at once and calls at there, so what at reads of the Tap's
+// journal sits exactly at the cut; the records are encoded after.
+func (s *Server) TapSnapshot(record func(ch rfenv.Channel, kind sensor.Kind, rec []byte), at func()) {
+	var encode []func()
+	for encode == nil {
+		keys, byKey := s.storeSnapshot()
+		var hold func(cut []func())
+		hold = func(cut []func()) {
+			if i := len(cut); i < len(keys) {
+				byKey[keys[i]].Checkpoint(func(view core.ReadingView, version, trained int) {
+					hold(append(cut, func() { encodeStore(record, keys[i], view, version, trained) }))
+				})
+				return
+			}
+			// A store created since the listing may have journaled
+			// already: take the cut again with it.
+			s.mu.RLock()
+			whole := len(s.keys) == len(keys)
+			s.mu.RUnlock()
+			if whole {
+				at()
+				encode = cut
+			}
+		}
+		hold(make([]func(), 0, len(keys)))
+	}
+	for _, e := range encode {
+		e()
+	}
+}
+
+func encodeStore(record func(rfenv.Channel, sensor.Kind, []byte), k storeKey, view core.ReadingView, version, trained int) {
 	var rec []byte
-	for _, k := range keys {
-		byKey[k].Checkpoint(func(view core.ReadingView, version, trained int) {
-			for _, rs := range view.Chunks() {
-				for len(rs) > 0 {
-					rec, rs = core.AppendReadingsRecord(rec[:0], rs)
-					tap.Record(context.Background(), k.ch, k.kind, rec)
-				}
-			}
-			if version > 0 {
-				rec = core.AppendRetrainRecord(rec[:0], version, trained)
-				tap.Record(context.Background(), k.ch, k.kind, rec)
-			}
-		})
+	for _, rs := range view.Chunks() {
+		for len(rs) > 0 {
+			rec, rs = core.AppendReadingsRecord(rec[:0], rs)
+			record(k.ch, k.kind, rec)
+		}
+	}
+	if version > 0 {
+		record(k.ch, k.kind, core.AppendRetrainRecord(rec[:0], version, trained))
 	}
 }

@@ -40,7 +40,7 @@ type uploadDecoder func(dst []dataset.Reading, body []byte, h http.Header) (core
 // uploadEdges lists every upload route with the decoder of its body
 // format. Handler registers the routes from this list and
 // MutationPatterns reports them, so a new edge format cannot be served
-// without also being fenced on a cluster node.
+// without also promoting a cluster node.
 var uploadEdges = []struct {
 	path   string
 	decode uploadDecoder
@@ -51,7 +51,7 @@ var uploadEdges = []struct {
 
 // MutationPatterns returns the mux patterns of every route through which
 // a client changes a store directly: the upload edges and retrain.
-// cluster.Node latches its promotion fence on exactly these.
+// cluster.Node stops following its primary before any of these runs.
 func MutationPatterns() []string {
 	out := []string{"POST /v1/retrain"}
 	for _, e := range uploadEdges {

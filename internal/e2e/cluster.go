@@ -3,6 +3,7 @@ package e2e
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -148,6 +149,24 @@ func (n *clusterNode) kill(flush bool) {
 	n.node.Close()
 }
 
+// adopted returns nil once the node has adopted its primary's
+// incarnation, that is once its first poll has been answered.
+func (n *clusterNode) adopted() error {
+	resp, err := http.Get(n.ts.URL + "/v1/repl/status")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	var st struct{ Follows uint64 }
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return err
+	}
+	if st.Follows == 0 {
+		return fmt.Errorf("follows no primary incarnation yet")
+	}
+	return nil
+}
+
 // clusterBatch is one upload's bookkeeping: which seqs were acknowledged
 // on which shard. The gateway splits batches per (channel, cell) owner,
 // so the audit attributes every reading to the shard its own key routes
@@ -185,7 +204,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	defer cancel()
 
 	// --- Topology: Shards × (primary, replica) + gateway. ---
-	openNode := func(id, dir string, replicaURLs []string) (*clusterNode, error) {
+	openNode := func(id, dir, follow string) (*clusterNode, error) {
 		n, err := cluster.OpenNode(cluster.NodeConfig{
 			ID: id,
 			DB: dbserver.Config{
@@ -193,7 +212,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 				DataDir:     dir,
 				Metrics:     telemetry.New(),
 			},
-			ReplicaURLs: replicaURLs,
+			Follow: follow,
 		})
 		if err != nil {
 			return nil, err
@@ -221,16 +240,21 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	}()
 	for i := 0; i < cfg.Shards; i++ {
 		id := fmt.Sprintf("shard-%d", i)
-		rep, err := openNode(id+"-replica", filepath.Join(cfg.DataDir, id+"-replica"), nil)
-		if err != nil {
-			return nil, err
-		}
-		replicas[id] = rep
-		prim, err := openNode(id, filepath.Join(cfg.DataDir, id+"-primary"), []string{rep.ts.URL})
+		prim, err := openNode(id, filepath.Join(cfg.DataDir, id+"-primary"), "")
 		if err != nil {
 			return nil, err
 		}
 		primaries[id] = prim
+		rep, err := openNode(id+"-replica", filepath.Join(cfg.DataDir, id+"-replica"), prim.ts.URL)
+		if err != nil {
+			return nil, err
+		}
+		replicas[id] = rep
+		// The replica's first poll lands before any write, so it follows
+		// the primary's journal from its first record on.
+		if err := untilOK(ctx, "replica "+id+" adopting its primary", rep.adopted); err != nil {
+			return nil, err
+		}
 		specs = append(specs, cluster.ShardSpec{ID: id, URLs: []string{prim.ts.URL, rep.ts.URL}})
 	}
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
@@ -376,7 +400,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	// --- Phase B: the kill window — no drain, then the primary dies.
 	// FlushWAL marks the durability point (an ack without a WAL flush
 	// would be the bug this harness exists to catch); the replica keeps
-	// whatever the shipper managed to push, no more. ---
+	// whatever its follower managed to pull, no more. ---
 	for i := 0; i < cfg.LagBatches; i++ {
 		cb, err := upload(1, i)
 		if err != nil {
@@ -440,7 +464,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	// Restart the victim's primary from its data dir alone: WAL replay
 	// must surface every pre-kill ack, and rebuild the descriptors at
 	// the persisted versions byte-identically.
-	restarted, err := openNode(victim+"-restarted", primaries[victim].dir, nil)
+	restarted, err := openNode(victim+"-restarted", primaries[victim].dir, "")
 	if err != nil {
 		return nil, fmt.Errorf("restart victim: %w", err)
 	}

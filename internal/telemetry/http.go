@@ -62,8 +62,8 @@ func (sr *StatusRecorder) Flush() {
 // registry the handler is returned unwrapped.
 //
 // Every wrapped request also runs under a trace: an incoming
-// X-Waldo-Trace header joins the caller's trace (the gateway fan-out /
-// replication-ship path), a missing or malformed one mints a fresh
+// X-Waldo-Trace header joins the caller's trace (the gateway fan-out
+// path), a missing or malformed one mints a fresh
 // trace, and the response always carries the root span's context in
 // X-Waldo-Trace so callers can pull the trace from /debug/traces.
 // Handlers reach the root span via telemetry.SpanFromContext on the

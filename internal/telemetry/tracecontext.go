@@ -13,7 +13,7 @@ import (
 //	00-<32 hex trace id>-<16 hex span id>-<2 hex flags>
 //
 // The gateway (or the device-side client) mints a context, every fan-out
-// leg and replication ship forwards it, and each process that serves part
+// leg forwards it, and each process that serves part
 // of the request records its spans under the shared trace ID into its own
 // flight recorder. Correlating a slow upload across gateway → shard →
 // WAL is then one grep for the trace ID returned in the response header.
