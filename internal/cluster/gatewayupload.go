@@ -98,11 +98,11 @@ type batchLeg struct {
 // independently, so a split is only sent once the whole upload has
 // passed the validation a node would apply: one bad reading rejects the
 // upload, it does not land the other legs. What can still fail one leg
-// and not another is the environment (a dead shard, screening against
-// different stores): the gateway then answers with the uniform leg
-// status, or 502 when legs disagree, so a client retry re-submits the
-// whole upload; the already-landed legs re-apply as ordinary duplicate
-// readings, never as losses.
+// and not another is the environment (a dead shard, a failed WAL
+// append): the gateway then answers with the uniform leg status, or 502
+// when legs disagree, so a client retry re-submits the whole upload; the
+// already-landed legs re-apply as ordinary duplicate readings, never as
+// losses.
 func (g *Gateway) routeFrame(w http.ResponseWriter, r *http.Request, frame []byte) {
 	n, rest, err := core.CheckBatchFrame(frame)
 	if err == nil && len(rest) != 0 {

@@ -77,7 +77,7 @@ func OpenNode(cfg NodeConfig) (*Node, error) {
 	}
 	m := cfg.DB.Metrics
 	n := &Node{cfg: cfg, lg: cfg.DB.Log.Named("cluster"),
-		repl: &Replicator{incarnation: newIncarnation(), followers: make(map[string]*followerState)}}
+		repl: &Replicator{incarnation: newIncarnation(), now: time.Now, followers: make(map[string]*followerState)}}
 	n.appliedTotal = m.Counter("waldo_cluster_replication_applied_total",
 		"Replicated journal records applied by this node (replica role).")
 	cfg.DB.Tap = n.repl
@@ -120,8 +120,8 @@ func OpenNode(cfg NodeConfig) (*Node, error) {
 // Handler serves the shard's full HTTP surface.
 func (n *Node) Handler() http.Handler { return n.handler }
 
-// Drain blocks until every follower of this node has polled past the top
-// of its journal, or until ctx expires.
+// Drain blocks until every live follower of this node has polled past
+// the top of its journal, or until ctx expires.
 func (n *Node) Drain(ctx context.Context) error {
 	for lag := n.repl.Lag(); lag > 0; lag = n.repl.Lag() {
 		if ctx.Err() != nil {

@@ -43,6 +43,14 @@ const (
 	// maxShipRecords and maxShipBytes bound one exchange at the primary.
 	maxShipRecords = 256
 	maxShipBytes   = applyBodyCap / 4
+
+	// deadFollowerPolls is how many poll lifetimes — the primary's
+	// horizon plus legTimeout, which is both a poll's slack and a
+	// follower's longest retry pause — may pass with no poll from a
+	// follower before the primary forgets it, so a replica that stopped
+	// for good does not hold the journal. If it returns, it is refused
+	// reasonResync, and reseeds once rebuilt empty.
+	deadFollowerPolls = 3
 )
 
 // Machine-readable reasons a stream is refused (a 409 body starts with
@@ -127,11 +135,12 @@ func decodeFrame(b []byte) (frame, []byte, error) {
 // each record as a frame once any follower has polled, and never blocks
 // the upload path (the WAL, not the replica, is what an ack promises). A
 // poll's position is its ack; the log is truncated below the lowest, so
-// memory is bounded by the slowest follower's lag.
+// memory is bounded by the slowest live follower's lag.
 type Replicator struct {
 	incarnation uint64
 	db          *dbserver.Server
-	keeping     atomic.Bool // a follower has polled: Record keeps frames
+	keeping     atomic.Bool      // a follower has polled: Record keeps frames
+	now         func() time.Time // the clock dead followers are judged by
 
 	mu        sync.Mutex
 	base      uint64        // sequences ≤ base are truncated away; log[0] is base+1
@@ -148,6 +157,9 @@ type followerState struct {
 	cut    uint64   // the log's top at the cut
 	after  uint64   // the position it last polled after, in its own numbering
 	lag    *telemetry.Gauge
+
+	polling  int       // its polls in flight
+	lastPoll time.Time // when its last poll ended (or it was seeded)
 }
 
 // pos is the log position f holds: nothing after it may be truncated.
@@ -169,6 +181,7 @@ func (r *Replicator) Record(_ context.Context, ch rfenv.Channel, kind sensor.Kin
 		return // every follower was refused: none holds the log
 	}
 	r.log = append(r.log, f)
+	r.truncate()
 	for _, fs := range r.followers {
 		fs.lag.Set(float64(fs.lagAt(r.top())))
 	}
@@ -193,7 +206,7 @@ func (r *Replicator) seed(id string) {
 	}, func() {
 		r.mu.Lock()
 		r.keeping.Store(true)
-		fs.cut = r.top()
+		fs.cut, fs.lastPoll = r.top(), r.now()
 		r.followers[id] = fs
 		r.mu.Unlock()
 	})
@@ -245,11 +258,17 @@ func (r *Replicator) next(id string, after uint64) (frames [][]byte, wake <-chan
 	return frames[:n], nil, ""
 }
 
-// truncate drops the log records every follower holds past. Call with
-// r.mu held.
+// truncate forgets every dead follower — none of its polls in flight,
+// the last ended deadFollowerPolls poll lifetimes ago — and drops the log
+// records every remaining follower holds past. Call with r.mu held.
 func (r *Replicator) truncate() {
 	low := r.top()
-	for _, fs := range r.followers {
+	dead := r.now().Add(-deadFollowerPolls * (r.db.Horizon() + legTimeout))
+	for id, fs := range r.followers {
+		if fs.polling == 0 && fs.lastPoll.Before(dead) {
+			delete(r.followers, id)
+			continue
+		}
 		low = min(low, fs.pos())
 	}
 	if low > r.base {
@@ -282,6 +301,20 @@ func (r *Replicator) handleJournal(w http.ResponseWriter, req *http.Request) {
 		r.seed(id)
 		after = 0
 	}
+	r.mu.Lock()
+	fs := r.followers[id]
+	if fs != nil {
+		fs.polling++
+	}
+	r.mu.Unlock()
+	if fs != nil {
+		defer func() {
+			r.mu.Lock()
+			fs.polling--
+			fs.lastPoll = r.now()
+			r.mu.Unlock()
+		}()
+	}
 	r.db.LongPoll(w, req, func() <-chan struct{} {
 		frames, wake, refusal := r.next(id, after)
 		switch {
@@ -301,11 +334,12 @@ func (r *Replicator) handleJournal(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// Lag returns the largest number of journal records any follower has
-// yet to apply (0 with no follower).
+// Lag returns the largest number of journal records any live follower
+// has yet to apply (0 with none).
 func (r *Replicator) Lag() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.truncate()
 	var worst uint64
 	for _, fs := range r.followers {
 		worst = max(worst, fs.lagAt(r.top()))

@@ -730,6 +730,78 @@ func TestJournalPollParks(t *testing.T) {
 	}
 }
 
+// TestReplicatorForgetsADeadFollower: a follower that stops polling for
+// good holds the journal only until deadFollowerPolls poll lifetimes
+// pass. Then the log stays bounded as records arrive, Drain does not wait
+// on it, and if it comes back it is refused and must reseed.
+func TestReplicatorForgetsADeadFollower(t *testing.T) {
+	n, err := OpenNode(NodeConfig{ID: "p", DB: dbserver.Config{
+		Constructor:  core.ConstructorConfig{Classifier: core.KindNB},
+		WatchTimeout: 100 * time.Millisecond,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var skew atomic.Int64 // how far the primary's clock runs ahead
+	n.repl.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+	ts := httptest.NewServer(n.Handler())
+	defer func() { ts.Close(); n.Close() }()
+	poll := func(inc, after uint64) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/v1/repl/journal?follower=r&incarnation=%d&after=%d", ts.URL, inc, after))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	upload := func(seed int64) {
+		t.Helper()
+		resp := mustPost(t, ts.URL+"/v1/readings", uploadBody(t, synthReadings(10, 47, seed)))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("upload = %s", resp.Status)
+		}
+	}
+	inc := n.repl.incarnation
+	if code, _ := poll(0, 0); code != http.StatusOK {
+		t.Fatalf("empty follower's first poll = %d", code)
+	}
+	if code, _ := poll(inc, 0); code != http.StatusNotModified {
+		t.Fatalf("parked poll = %d, want 304 at the horizon", code)
+	}
+
+	// Within the bound the stopped follower still holds the log.
+	upload(0)
+	if lag := n.repl.Lag(); lag != 1 {
+		t.Fatalf("lag of a recently polled follower = %d, want 1", lag)
+	}
+
+	skew.Store(int64(deadFollowerPolls*(100*time.Millisecond+legTimeout) + time.Second))
+	const records = 20
+	for i := int64(1); i <= records; i++ {
+		upload(i)
+	}
+	n.repl.mu.Lock()
+	held, followers := len(n.repl.log), len(n.repl.followers)
+	n.repl.mu.Unlock()
+	if held != 0 || followers != 0 {
+		t.Errorf("after %d records the journal holds %d records for %d followers, want 0 for 0", records, held, followers)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := n.Drain(ctx); err != nil {
+		t.Errorf("drain waits on a dead follower: %v", err)
+	}
+	if code, body := poll(inc, 0); code != http.StatusConflict || !bytes.HasPrefix(body, []byte(reasonResync)) {
+		t.Errorf("returning follower's poll = %d %.60q, want 409 %s", code, string(body), reasonResync)
+	}
+}
+
 // TestReplicatorCatchesUpAfterOutage: a replica that comes back after
 // its primary's journal was out of reach is answered the backlog from
 // its last position.

@@ -109,8 +109,7 @@ func spanNames(tr telemetry.TraceData) map[string]int {
 // upload through a 3-shard WAL-backed cluster produces, under the single
 // trace ID returned in the response header, a gateway trace with the
 // route root and its fan-out leg, and a shard trace whose spans include
-// the upload screen and the WAL append — each readable from that
-// process's own /debug/traces.
+// the WAL append — each readable from that process's own /debug/traces.
 func TestTraceCrossesGatewayShardWAL(t *testing.T) {
 	dir := t.TempDir()
 	tc := &testCluster{
@@ -193,8 +192,7 @@ func TestTraceCrossesGatewayShardWAL(t *testing.T) {
 	}
 
 	// Owning shard's recorder: same trace ID, with the WAL append
-	// recorded under the route root. (A "screen" span would appear too if
-	// Screening were configured; these nodes run unscreened.)
+	// recorded under the route root.
 	shOut := fetchTrace(t, tc.nodeTS[owner].URL, traceID)
 	if shOut.Count != 1 {
 		t.Fatalf("shard %s retained %d traces for %s, want 1", owner, shOut.Count, traceID)

@@ -3,13 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/dsp"
 	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/geo"
-	"github.com/wsdetect/waldo/internal/telemetry"
 )
 
 // DetectorConfig parameterizes the White Space Detector (§3.3).
@@ -38,10 +36,6 @@ type DetectorConfig struct {
 	// which UploadBatch.Validate refuses: a device whose decisions are
 	// uploaded sets features.SetLocationRSSCFTAFT.
 	Features features.Set
-	// Metrics, when set, receives detector telemetry: decision counts by
-	// label/convergence, α-convergence stream lengths, and outliers
-	// rejected by the percentile trim.
-	Metrics *telemetry.Registry
 }
 
 func (c *DetectorConfig) defaults() error {
@@ -112,18 +106,13 @@ type Detector struct {
 	cft []float64
 	aft []float64
 
-	// ws is the trim/smooth scratch every capture reuses. span and kept
-	// are the CI span and surviving count of the outlier-trimmed RSS at
-	// stream length spanLen: Offer and Decide ask for them at the same
-	// length, and the trim behind them is the detector's dearest step.
+	// ws is the trim/smooth scratch every capture reuses. span is the CI
+	// span of the outlier-trimmed RSS at stream length spanLen: Offer and
+	// Decide ask for it at the same length, and the trim behind it is the
+	// detector's dearest step.
 	ws      dsp.Workspace
 	span    float64
-	kept    int
 	spanLen int
-
-	// Telemetry handles; nil-safe no-ops when cfg.Metrics is unset.
-	readingsUsed  *telemetry.Histogram
-	outliersTotal *telemetry.Counter
 }
 
 // NewDetector builds a detector over a trained model.
@@ -140,15 +129,7 @@ func NewDetector(model *Model, cfg DetectorConfig) (*Detector, error) {
 	if !cfg.Features.Valid() || cfg.Features < model.Features {
 		return nil, fmt.Errorf("core: detector features %v do not cover the model's %v", cfg.Features, model.Features)
 	}
-	return &Detector{
-		model: model,
-		cfg:   cfg,
-		readingsUsed: cfg.Metrics.Histogram("waldo_detector_readings",
-			"Stream length consumed per decision (α-convergence iterations).",
-			telemetry.DefCountBuckets),
-		outliersTotal: cfg.Metrics.Counter("waldo_detector_outliers_rejected_total",
-			"Raw readings discarded by the percentile outlier trim."),
-	}, nil
+	return &Detector{model: model, cfg: cfg}, nil
 }
 
 // Reset clears the stream (e.g. after the device moves), keeping its
@@ -198,7 +179,6 @@ func (d *Detector) ciSpan() float64 {
 	if d.spanLen != len(d.rss) {
 		trimmed := d.ws.TrimOutliers(d.rss, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
 		d.span = dsp.MeanCI(trimmed, d.cfg.Confidence).Span()
-		d.kept = len(trimmed)
 		d.spanLen = len(d.rss)
 	}
 	return d.span
@@ -248,7 +228,6 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 			return Decision{}, err
 		}
 		dec.Label = label
-		d.record(dec)
 		return dec, nil
 	}
 
@@ -271,23 +250,5 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	} else {
 		dec.Label = dataset.LabelNotSafe
 	}
-	d.record(dec)
 	return dec, nil
-}
-
-// record emits per-decision telemetry. The decision counter is looked up
-// here (not held) because its labels depend on the outcome; decisions are
-// per-channel-scan events, far off the per-capture hot path.
-func (d *Detector) record(dec Decision) {
-	if d.cfg.Metrics == nil {
-		return
-	}
-	d.readingsUsed.Observe(float64(dec.ReadingsUsed))
-	if n := len(d.rss) - d.kept; n > 0 {
-		d.outliersTotal.Add(uint64(n))
-	}
-	d.cfg.Metrics.Counter("waldo_detector_decisions_total",
-		"Detection decisions by label and convergence outcome.",
-		"label", dec.Label.String(),
-		"converged", strconv.FormatBool(dec.Converged)).Inc()
 }

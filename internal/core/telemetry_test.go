@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/telemetry"
 )
 
@@ -54,38 +53,5 @@ func TestUpdaterTelemetry(t *testing.T) {
 	}
 	if got := reg.Gauge("waldo_updater_store_readings", "", "store", "ch47/rtl-sdr").Value(); got != 205 {
 		t.Errorf("store gauge = %v, want 205", got)
-	}
-}
-
-// TestDetectorTelemetry checks decision counters and the stream-length
-// histogram emitted by the White Space Detector.
-func TestDetectorTelemetry(t *testing.T) {
-	reg := telemetry.New()
-	readings, labels := synthReadings(200, 3)
-	model, err := BuildModel(readings, labels, ConstructorConfig{Classifier: KindNB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det, err := NewDetector(model, DetectorConfig{AlphaDB: 5, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		det.Offer(features.Signal{RSSdBm: -70 + 0.01*float64(i), CFTdB: -81, AFTdB: -83})
-	}
-	dec, err := det.Decide(readings[0].Loc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Converged {
-		t.Fatalf("stable stream did not converge: %+v", dec)
-	}
-	got := reg.Counter("waldo_detector_decisions_total", "",
-		"label", dec.Label.String(), "converged", "true").Value()
-	if got != 1 {
-		t.Errorf("decision counter = %d, want 1", got)
-	}
-	if got := reg.Histogram("waldo_detector_readings", "", nil).Count(); got != 1 {
-		t.Errorf("readings histogram count = %d, want 1", got)
 	}
 }

@@ -98,6 +98,9 @@ func TestBatchVsSingleEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The crashed process is stopped only once recovery was checked:
+		// its WAL holds nothing unflushed, so closing it writes nothing.
+		t.Cleanup(func() { s.Close() })
 		if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -179,6 +182,7 @@ func TestBatchCrashMidAppendIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() }) // after recovery was checked; its WAL is flushed
 	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestBatchUploadRejects(t *testing.T) {
 }
 
 func TestBatchUploadBodyCap(t *testing.T) {
-	s := New(Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}, MaxBodyBytes: 256})
+	s := newServer(t, Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}, MaxBodyBytes: 256})
 	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestWatchDeliversOnRetrain(t *testing.T) {
 }
 
 func TestWatchTimeout(t *testing.T) {
-	s := New(Config{
+	s := newServer(t, Config{
 		Constructor:  core.ConstructorConfig{Classifier: core.KindNB},
 		WatchTimeout: 30 * time.Millisecond,
 	})
@@ -279,7 +279,7 @@ func TestWatchTimeout(t *testing.T) {
 // is answered at once when it names another — one from another server,
 // at a version this one never reached.
 func TestWatchParksOnTheValidator(t *testing.T) {
-	s := New(Config{
+	s := newServer(t, Config{
 		Constructor:  core.ConstructorConfig{Classifier: core.KindNB},
 		WatchTimeout: 30 * time.Millisecond,
 	})

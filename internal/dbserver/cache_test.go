@@ -146,7 +146,7 @@ func TestModelETagNamesTheBytes(t *testing.T) {
 		return rec
 	}
 	boot := func(seed int64) http.Handler {
-		s := New(Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}})
+		s := newServer(t, Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}})
 		if err := s.Bootstrap(synthReadings(600, 47, seed)); err != nil {
 			t.Fatal(err)
 		}

@@ -42,9 +42,9 @@
 //	                                           span in X-Waldo-CI-Span. Both
 //	                                           edges decode into one pipeline
 //	                                           (upload.go): validated, α′
-//	                                           gated, optionally screened, one
-//	                                           group-commit WAL append per
-//	                                           upload; 204 on acceptance
+//	                                           gated, one group-commit WAL
+//	                                           append per upload; 204 on
+//	                                           acceptance
 //	POST /v1/retrain?channel=C&sensor=K        relabel + rebuild one model; the
 //	                                           new version is in
 //	                                           X-Waldo-Model-Version
@@ -132,7 +132,6 @@ type Server struct {
 	wals    map[storeKey]*wal.Store
 	cfg     Config
 	metrics *telemetry.Registry
-	lg      *wlog.Logger
 
 	// blobMu guards the encoded-descriptor cache. Entries are keyed by
 	// store and stamped with the model version they encode, so a
@@ -176,12 +175,8 @@ type Config struct {
 	Constructor core.ConstructorConfig
 	// AlphaPrimeDB is the upload acceptance criterion (§3.4); 0 means 1 dB.
 	AlphaPrimeDB float64
-	// Screening, when set, corroborates every upload against the trusted
-	// store before acceptance (§3.4 security: suspect readings are
-	// dropped, mostly-fabricated batches rejected).
-	Screening *core.ValidatorConfig
 	// Metrics receives the server's telemetry (HTTP middleware, updater
-	// and screening instrumentation) and backs the /metrics endpoint.
+	// and WAL instrumentation) and backs the /metrics endpoint.
 	// Nil means a fresh private registry, so telemetry is always on.
 	Metrics *telemetry.Registry
 	// MaxBodyBytes caps accepted upload and route bodies; 0 means
@@ -214,7 +209,7 @@ type Config struct {
 	// must only enqueue. State recovered from disk at Open is not
 	// replayed into the tap.
 	Tap Tap
-	// Log receives structured events (screening failures, WAL errors).
+	// Log receives structured events (refused routes, WAL errors).
 	// Nil disables logging — every wlog method is a no-op on a nil
 	// logger, matching the telemetry convention.
 	Log *wlog.Logger
@@ -297,14 +292,13 @@ func New(cfg Config) *Server {
 		wals:     make(map[storeKey]*wal.Store),
 		cfg:      cfg,
 		metrics:  cfg.Metrics,
-		lg:       cfg.Log.Named("dbserver"),
 		blobs:    make(map[storeKey]*Descriptor),
 		upload:   newUploadState(cfg.Metrics),
 		hub:      newWatchHub(),
 		closed:   make(chan struct{}),
 	}
 	s.models = NewModels(cfg.Metrics, s.closed)
-	s.places = NewPlaces(cfg.Metrics, s.lg, cfg.MaxBodyBytes)
+	s.places = NewPlaces(cfg.Metrics, cfg.Log.Named("dbserver"), cfg.MaxBodyBytes)
 	// The grid's Source walks the live stores, so the index is built
 	// after the server exists; it serves the empty generation-0 snapshot
 	// until the first retrain schedules a build.

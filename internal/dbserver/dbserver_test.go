@@ -40,13 +40,24 @@ func synthReadings(n int, ch rfenv.Channel, seed int64) []dataset.Reading {
 
 func bootedServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}})
+	s := newServer(t, Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}})
 	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// newServer is New, closed when the test ends. Every retrain, Bootstrap's
+// included, leaves a grid build running on its own goroutine; Close waits
+// it out, so no test's build runs on into a later test — where
+// testing.AllocsPerRun would count its allocations.
+func newServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	s := New(cfg)
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
 func TestHealth(t *testing.T) {
@@ -250,62 +261,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestUploadScreening(t *testing.T) {
-	// The synthetic store is sparse (600 points over ~300 km²) with a
-	// hard east/west RSS step, so screening needs a wide neighborhood
-	// and a tolerance just above the step.
-	s := New(Config{
-		Constructor: core.ConstructorConfig{Classifier: core.KindNB},
-		Screening:   &core.ValidatorConfig{NeighborhoodM: 3000, ToleranceDB: 31},
-	})
-	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	post := func(up UploadJSON) int {
-		body, err := json.Marshal(up)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/v1/readings", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	// Honest upload: revisits stored locations with consistent readings
-	// (the synthetic field is a hard east/west step, so fresh random
-	// locations near the boundary would legitimately look suspect).
-	honest := UploadJSON{CISpanDB: 0.3}
-	for _, r := range synthReadings(600, 47, 1)[:40] {
-		honest.Readings = append(honest.Readings, FromReading(r))
-	}
-	if code := post(honest); code != http.StatusNoContent {
-		t.Fatalf("honest upload = %d", code)
-	}
-	if got := s.StoreSize(47, sensor.KindRTLSDR); got != 640 {
-		t.Errorf("store size = %d, want 640", got)
-	}
-
-	// Fabricated upload: all RSS shifted 45 dB.
-	attack := UploadJSON{CISpanDB: 0.3}
-	for _, r := range synthReadings(40, 47, 3) {
-		rj := FromReading(r)
-		rj.RSSdBm -= 45
-		attack.Readings = append(attack.Readings, rj)
-	}
-	if code := post(attack); code != http.StatusUnprocessableEntity {
-		t.Errorf("fabricated upload = %d, want 422", code)
-	}
-	if got := s.StoreSize(47, sensor.KindRTLSDR); got != 640 {
-		t.Errorf("store grew after rejected attack: %d", got)
-	}
-}
-
 // TestConcurrentAccess hammers the server from parallel clients: model
 // downloads, uploads, retrains, and stats must be safe together (run with
 // -race).
@@ -369,7 +324,7 @@ func TestConcurrentAccess(t *testing.T) {
 // let downloads starve or corrupt upload ingestion.
 func TestConcurrentMultiChannelNoLostUpdates(t *testing.T) {
 	channels := []rfenv.Channel{46, 47, 39}
-	s := New(Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}})
+	s := newServer(t, Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}})
 	const bootN = 300
 	for _, ch := range channels {
 		if err := s.Bootstrap(synthReadings(bootN, ch, int64(ch))); err != nil {
@@ -533,7 +488,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestMaxBodyBytes: oversized uploads are rejected, not buffered.
 func TestMaxBodyBytes(t *testing.T) {
-	s := New(Config{
+	s := newServer(t, Config{
 		Constructor:  core.ConstructorConfig{Classifier: core.KindNB},
 		MaxBodyBytes: 1024,
 	})

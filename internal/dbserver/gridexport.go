@@ -47,7 +47,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 // the channel answer hands back instead (taken before it looked); 304 at
 // the horizon, 503 at BeginShutdown. The cluster tier's journal uses it.
 func (s *Server) LongPoll(w http.ResponseWriter, r *http.Request, answer func() <-chan struct{}) {
-	horizon := s.watchTimeout()
+	horizon := s.Horizon()
 	w.Header().Set(HorizonHeader, strconv.FormatInt(horizon.Milliseconds(), 10))
 	timer := time.NewTimer(horizon)
 	defer timer.Stop()

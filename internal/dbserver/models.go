@@ -234,7 +234,7 @@ func (v serverModels) Changed(ch rfenv.Channel, kind sensor.Kind) <-chan struct{
 }
 
 func (v serverModels) Horizon(rfenv.Channel, sensor.Kind) (time.Duration, bool) {
-	return v.s.watchTimeout(), true
+	return v.s.Horizon(), true
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {

@@ -11,9 +11,8 @@ import (
 
 // ApplyRecord folds one store mutation record of a primary's stream
 // (internal/cluster ships the journal order) into the store ch/kind, all
-// or nothing, below the α′ gate and upload screening on purpose: the
-// primary already applied its acceptance policy, and re-deciding here
-// could diverge the stores. Every reading of an append record must
+// or nothing, below the α′ gate on purpose: the primary already applied
+// its acceptance policy, and re-deciding here could diverge the stores. Every reading of an append record must
 // decode and belong to ch/kind before any is stored. A retrain record
 // installs the model rebuilt from the store's trained prefix at exactly
 // the primary's version (Updater.RetrainAtCtx), so the replica serves

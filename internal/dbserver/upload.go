@@ -23,10 +23,10 @@ import (
 // decode step: both routes run the same handler, which reads the body
 // under the cap into pooled scratch, decodes it into the pooled
 // []dataset.Reading, and hands acceptUpload a core.UploadBatch. From
-// there on (validation, optional screening, the α′-gated Submit, one
-// group-commit WAL append, the replication tap) nothing can tell which
-// format a reading came in. Behind a gateway only frames arrive: the
-// gateway re-encodes JSON at its own edge, using the decoders below.
+// there on (validation, the α′-gated Submit, one group-commit WAL
+// append, the replication tap) nothing can tell which format a reading
+// came in. Behind a gateway only frames arrive: the gateway re-encodes
+// JSON at its own edge, using the decoders below.
 
 // CISpanHeader carries the uploader's confidence-interval span in dB on
 // batch-frame uploads (JSON embeds it in the body instead).
@@ -137,14 +137,14 @@ func newUploadState(m *telemetry.Registry) *uploadState {
 		readings: m.Counter("waldo_dbserver_batch_readings_total",
 			"Readings accepted through uploads, either edge format."),
 		rejected: m.Counter("waldo_dbserver_batch_rejected_total",
-			"Uploads rejected (body cap, decode, validation, screening, or the α′ gate)."),
+			"Uploads rejected (body cap, decode, validation, or the α′ gate)."),
 		scratch: sync.Pool{New: func() any { return new(uploadScratch) }},
 	}
 }
 
 // handleUpload serves one upload edge. Undecodable bodies and invalid
-// readings are 400s, oversize bodies 413, screening and α′ rejections
-// 422, whichever format carried them.
+// readings are 400s, oversize bodies 413, α′ rejections 422, whichever
+// format carried them.
 func (s *Server) handleUpload(decode uploadDecoder) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		reject := func(status int, msg string) {
@@ -188,12 +188,11 @@ func (s *Server) handleUpload(decode uploadDecoder) http.HandlerFunc {
 
 // acceptUpload is the one gate every upload passes, and the only place
 // an upload is validated: malformed input (core.UploadBatch.Validate) is
-// a 400 before anything else looks at the batch, then optional screening
-// against the trusted store, then the α′-gated Submit, which journals the
-// whole batch as one WAL append. ctx carries the request trace — the
-// screen span and the WAL append join it. On error the returned status
-// is the HTTP code to answer with. The batch's readings slice is only
-// read — callers may pool it.
+// a 400 before anything else looks at the batch, then the α′-gated
+// Submit, which journals the whole batch as one WAL append. ctx carries
+// the request trace — the WAL append joins it. On error the returned
+// status is the HTTP code to answer with. The batch's readings slice is
+// only read — callers may pool it.
 func (s *Server) acceptUpload(ctx context.Context, batch core.UploadBatch) (int, error) {
 	if err := batch.Validate(); err != nil {
 		return http.StatusBadRequest, err
@@ -201,35 +200,6 @@ func (s *Server) acceptUpload(ctx context.Context, batch core.UploadBatch) (int,
 	u, err := s.updaterFor(batch.Readings[0].Channel, batch.Readings[0].Sensor)
 	if err != nil {
 		return http.StatusInternalServerError, err
-	}
-	if s.cfg.Screening != nil {
-		span := s.metrics.StartSpanCtx(ctx, "screen")
-		trusted := u.View().Flatten() // read-only: the validator indexes it
-		if len(trusted) == 0 {
-			span.Fail("no trusted readings")
-			span.End()
-			return http.StatusUnprocessableEntity,
-				errors.New("store has no trusted readings to corroborate against")
-		}
-		v, err := core.NewUploadValidator(trusted, *s.cfg.Screening)
-		if err != nil {
-			span.Fail(err.Error())
-			span.End()
-			return http.StatusInternalServerError, err
-		}
-		filtered, err := v.FilterBatch(batch)
-		if err != nil {
-			span.Fail(err.Error())
-			span.End()
-			s.lg.Warn(ctx, "upload_screen_reject",
-				"channel", int(batch.Readings[0].Channel),
-				"sensor", int(batch.Readings[0].Sensor),
-				"readings", len(batch.Readings), "err", err)
-			return http.StatusUnprocessableEntity,
-				fmt.Errorf("upload failed corroboration: %w", err)
-		}
-		span.End()
-		batch = filtered
 	}
 	if err := u.SubmitCtx(ctx, batch); err != nil {
 		return http.StatusUnprocessableEntity, err

@@ -84,9 +84,9 @@ func newWatchState(m *telemetry.Registry) watchState {
 	}
 }
 
-// watchTimeout is the long-poll horizon: how long a watch may park before
-// the server answers 304 and the client re-arms.
-func (s *Server) watchTimeout() time.Duration {
+// Horizon is the long-poll horizon: how long a watch may park before the
+// server answers 304 and the client re-arms (Config.WatchTimeout, or 55 s).
+func (s *Server) Horizon() time.Duration {
 	if s.cfg.WatchTimeout > 0 {
 		return s.cfg.WatchTimeout
 	}

@@ -83,7 +83,7 @@ func BenchmarkNilCounterInc(b *testing.B) {
 	}
 }
 
-// Span hot path. Metric-only spans ride the WAL append and upload-screen
+// Span hot path. Metric-only spans ride the WAL append and route-sample
 // paths on every request, so StartSpanCtx/End must not rebuild path strings
 // or histogram lookups per call — that's what the spanNode interning and
 // the span pool buy.
@@ -141,7 +141,7 @@ func TestSpanAllocBudget(t *testing.T) {
 	const tracedBudget = 14
 	if avg := testing.AllocsPerRun(200, func() {
 		sp := r.StartTrace("/v1/readings", SpanContext{})
-		sp.Child("screen").End()
+		sp.Child("append").End()
 		sp.End()
 	}); avg > tracedBudget {
 		t.Errorf("traced root+child costs %.1f objects/op, budget %d", avg, tracedBudget)

@@ -5,7 +5,7 @@
 // observable before they can be scaled: this package provides a
 // concurrent registry of counters, gauges, and histograms, Prometheus
 // text exposition, and a lightweight span hook for timing nested
-// operations (model build, clustering, classification, upload screening).
+// operations (retrain relabel and build, WAL append, grid rebuild).
 //
 // Design constraints:
 //
@@ -120,10 +120,6 @@ type Histogram struct {
 // DefLatencyBuckets covers 100 µs – ~100 s in quarter-decade steps, wide
 // enough for both HTTP round trips and multi-second model rebuilds.
 var DefLatencyBuckets = ExpBuckets(100e-6, math.Sqrt(math.Sqrt(10)), 24)
-
-// DefCountBuckets covers 1 – 4096 in powers of two (stream lengths,
-// batch sizes).
-var DefCountBuckets = ExpBuckets(1, 2, 13)
 
 // ExpBuckets returns n exponentially spaced bucket bounds starting at
 // start and growing by factor.

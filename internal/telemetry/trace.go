@@ -9,8 +9,8 @@ import (
 // Span times one operation, optionally nested under a parent. Durations
 // land in the registry's waldo_span_seconds histogram, labeled with the
 // slash-joined span path ("retrain/build"), so nested phase costs (model
-// build, clustering, classification, upload screening) show up in
-// /metrics without a tracing backend.
+// relabel and build, WAL append, grid rebuild) show up in /metrics
+// without a tracing backend.
 //
 // Beyond the histogram, a span may belong to a request-scoped trace
 // (StartTrace / StartSpanCtx): it then carries a span ID and parent,

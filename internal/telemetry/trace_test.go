@@ -73,7 +73,7 @@ func TestStartTraceJoinsParent(t *testing.T) {
 	if got := sp.TraceID(); got != parent.Trace {
 		t.Fatalf("joined trace ID = %s, want %s", got, parent.Trace)
 	}
-	child := sp.Child("screen")
+	child := sp.Child("append")
 	child.SetAttr("channel", "47")
 	child.End()
 	sp.End()

@@ -51,7 +51,7 @@ func TestLineFormatAndLevels(t *testing.T) {
 	lg := New(Options{W: &buf, Min: LevelInfo, Metrics: reg}).Named("dbserver")
 
 	lg.Debug(context.Background(), "too_quiet") // below Min: dropped
-	lg.Warn(context.Background(), "upload_screen_reject",
+	lg.Warn(context.Background(), "route_too_long",
 		"channel", 47,
 		"err", errors.New("no model"),
 		"took", 1500*time.Millisecond,
@@ -66,7 +66,7 @@ func TestLineFormatAndLevels(t *testing.T) {
 	}
 	line := strings.TrimSpace(out)
 	for _, want := range []string{
-		" warn dbserver upload_screen_reject ",
+		" warn dbserver route_too_long ",
 		"channel=47",
 		`err="no model"`,
 		"took=1.5s",

@@ -123,13 +123,15 @@ func registeredMetrics(t *testing.T) map[string][]string {
 // WALDO_* environment variable they name is read by a non-test .go file,
 // every complete waldo_* metric name they name is registered by non-test
 // source (a family prefix ending in "_" and a histogram's _bucket, _sum
-// or _count series pass), every "DESIGN.md §N" that a .go file, the
+// or _count series pass), every exported `pkg.Ident` they name in
+// backticks, pkg a package under internal/ or cmd/, is declared at the
+// top level of that package's non-test files, every "DESIGN.md §N" that a .go file, the
 // Makefile, OPERATIONS.md or README.md names is a "## N." heading of
 // DESIGN.md, and the artifacts of the measurement stacks that bench/
 // replaced (BENCH_ + a digit or E) are named nowhere but the history
 // files and bench/ itself. Deleting a target, binary, script, variable,
-// metric, package or section means deleting its mentions in the same
-// change.
+// metric, identifier, package or section means deleting its mentions in
+// the same change.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -149,6 +151,25 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	envRE := regexp.MustCompile(`\bWALDO_[A-Z_]+`)
 	metricRE := regexp.MustCompile(`\bwaldo_[a-z0-9_]+`)
 	metrics := registeredMetrics(t)
+	codeRE := regexp.MustCompile("`[^`]+`")
+	identRE := regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	declared := map[string]map[string]bool{} // package directory name → its top-level names
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil || !d.IsDir():
+				return err
+			case d.Name() == "testdata":
+				return filepath.SkipDir
+			}
+			declared[d.Name()] = topLevelNames(t, path)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	idents := 0
 	for _, name := range []string{"README.md", "OPERATIONS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		doc, err := os.ReadFile(name)
 		if err != nil {
@@ -187,6 +208,20 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				t.Errorf("%s names the metric %s, which no non-test .go file registers", name, metric)
 			}
 		}
+		for _, span := range codeRE.FindAll(doc, -1) {
+			for _, m := range identRE.FindAllSubmatch(span, -1) {
+				pkg, ident := string(m[1]), string(m[2])
+				if names, ok := declared[pkg]; ok {
+					idents++
+					if !names[ident] {
+						t.Errorf("%s names `%s.%s`, which package %s does not declare", name, pkg, ident, pkg)
+					}
+				}
+			}
+		}
+	}
+	if idents < 20 {
+		t.Errorf("checked only %d backticked pkg.Ident names; the scan is broken", idents)
 	}
 
 	design := readFile(t, "DESIGN.md")
@@ -273,6 +308,47 @@ func TestDocsFlagsExist(t *testing.T) {
 	if checked < 10 {
 		t.Errorf("checked only %d flags on documented command lines; the scan is broken", checked)
 	}
+}
+
+// topLevelNames returns the names the non-test Go files in dir declare at
+// the top level: functions (not methods), types, constants and
+// variables.
+func topLevelNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 // flagsOf returns the flag names the non-test Go files in dir define:

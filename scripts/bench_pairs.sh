@@ -5,12 +5,15 @@
 #
 #   scripts/bench_pairs.sh <parent-ref> <workload> <seed> <pairs>
 #
-# The parent commit is exported (git archive) into .bench_build/ once;
-# parent and change then run bench/run.sh from their own trees — each its
-# own committed benchmark, so a change that touched bench/ is visible as
-# such — with the order swapped every pair. Every run's gated metrics are
-# printed as it finishes; `bench -compare` over all reports follows, and
-# then the verdict on a claimed gain, per gated metric, by the rule in
+# The parent commit is exported (git archive) into .bench_build/ once,
+# and the working tree — uncommitted edits and untracked, unignored files
+# included — into a sibling .bench_build/change-<stamp> for this set of
+# pairs, so both sides run from exported trees at the same depth and
+# neither runs from the repository root. Parent and change then run
+# bench/run.sh from their own trees — each its own benchmark, so a change
+# that touched bench/ is visible as such — with the order swapped every
+# pair. Every run's gated metrics are printed as it finishes;
+# `bench -compare` over all reports follows, and then the verdict on a claimed gain, per gated metric, by the rule in
 # choosing-metrics §8: pairs won of pairs run (a tie counts for neither),
 # both medians, the parent's own Q1–Q3, and "claim holds" only when at
 # least ten pairs ran, the change won at least nine tenths of them and
@@ -27,14 +30,20 @@ fi
 ref=$1 workload=$2 seed=$3 pairs=$4
 root=$(cd "$(dirname "$0")/.." && pwd)
 sha=$(git -C "$root" rev-parse --verify "$ref^{commit}")
+stamp=$(date +%Y%m%dT%H%M%S)
 parent="$root/.bench_build/parent-$sha"
-out="$root/.bench_build/pairs/$workload-seed$seed-$(date +%Y%m%dT%H%M%S)"
-mkdir -p "$out"
+change="$root/.bench_build/change-$stamp"
+out="$root/.bench_build/pairs/$workload-seed$seed-$stamp"
+mkdir -p "$out" "$change"
 if [ ! -d "$parent" ]; then
 	mkdir -p "$parent.tmp"
 	git -C "$root" archive "$sha" | tar -x -C "$parent.tmp"
 	mv "$parent.tmp" "$parent"
 fi
+# Files deleted in the working tree are still listed; they are skipped.
+(cd "$root" && git ls-files -z -co --exclude-standard |
+	while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done |
+	tar --null -T - -cf -) | tar -x -C "$change"
 # One build cache for both trees: identical packages compile once.
 export GOCACHE="$root/.bench_build/gocache"
 
@@ -49,16 +58,16 @@ run() { # side dir pair
 for i in $(seq 1 "$pairs"); do
 	if [ $((i % 2)) -eq 1 ]; then
 		run parent "$parent" "$i"
-		run change "$root" "$i"
+		run change "$change" "$i"
 	else
-		run change "$root" "$i"
+		run change "$change" "$i"
 		run parent "$parent" "$i"
 	fi
 done
 
 join() { local IFS=,; echo "$*"; }
 cd "$root"
-"$root/.bench_build/bench" -compare "$(join "$out"/parent-*.json)" "$(join "$out"/change-*.json)" | tee "$out/compare.txt"
+"$change/.bench_build/bench" -compare "$(join "$out"/parent-*.json)" "$(join "$out"/change-*.json)" | tee "$out/compare.txt"
 
 # The verdict reads the same summary lines run() prints from.
 echo
