@@ -107,8 +107,8 @@ type ChannelScan struct {
 	Channel rfenv.Channel
 	// Decision is the detector's output.
 	Decision core.Decision
-	// AirTime is the radio time consumed (readings × dwell): the
-	// "convergence time" of Fig. 17.
+	// AirTime is the radio time consumed (readings × dwell): the time
+	// to a decision of Fig. 17, converged or stopped early.
 	AirTime time.Duration
 	// CPUTime is the measured processing time (detector + classifier).
 	CPUTime time.Duration
@@ -174,7 +174,8 @@ func (w *WSD) detector(ch rfenv.Channel, model *core.Model) (*core.Detector, err
 }
 
 // SenseChannel runs the detection loop for one channel at loc: capture →
-// offer → converged? → decide.
+// offer → done (converged, or stopped early on an occupied channel)? →
+// decide.
 func (w *WSD) SenseChannel(ch rfenv.Channel, loc geo.Point) (ChannelScan, error) {
 	model, ok := w.Models[ch]
 	if !ok {
@@ -184,6 +185,7 @@ func (w *WSD) SenseChannel(ch rfenv.Channel, loc geo.Point) (ChannelScan, error)
 	if err != nil {
 		return ChannelScan{}, err
 	}
+	det.At(loc)
 	// Captures past the detector's cap would be extracted and dropped.
 	maxN := det.MaxReadings()
 	if w.MaxReadingsPerChannel > 0 && w.MaxReadingsPerChannel < maxN {

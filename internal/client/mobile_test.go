@@ -38,7 +38,9 @@ func (r *ringRadio) DwellTime() time.Duration        { return 20 * time.Millisec
 // TestSenseChannelStopsAtDetectorCap: a channel that will not converge is
 // sensed up to the detector's MaxReadings — readings past it would be
 // captured, extracted and dropped — or to MaxReadingsPerChannel when
-// that is lower.
+// that is lower. The cap is reached by a WSD measuring the full set,
+// which samples to α; one measuring only its model's set stops the same
+// occupied stream after 3 captures with NotSafe.
 func TestSenseChannelStopsAtDetectorCap(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
 	m, _, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR)
@@ -77,7 +79,9 @@ func TestSenseChannelStopsAtDetectorCap(t *testing.T) {
 		}
 		wsd := &WSD{
 			Radio: radio, Models: map[rfenv.Channel]*core.Model{47: m},
-			Detector:              core.DetectorConfig{AlphaDB: 0.5, MaxReadings: tc.maxReadings},
+			Detector: core.DetectorConfig{
+				AlphaDB: 0.5, MaxReadings: tc.maxReadings, Features: features.SetLocationRSSCFTAFT,
+			},
 			MaxReadingsPerChannel: tc.perChannel,
 		}
 		cs, err := wsd.SenseChannel(47, rfenv.MetroCenter)
@@ -93,6 +97,24 @@ func TestSenseChannelStopsAtDetectorCap(t *testing.T) {
 		if want := time.Duration(tc.want) * radio.DwellTime(); cs.AirTime != want {
 			t.Errorf("%s: air time %v, want %v", tc.name, cs.AirTime, want)
 		}
+	}
+
+	radio := &ringRadio{
+		cal:   dev.Calibration(),
+		rings: map[rfenv.Channel][]sensor.Observation{47: ring},
+		next:  map[rfenv.Channel]int{},
+	}
+	lean := &WSD{
+		Radio: radio, Models: map[rfenv.Channel]*core.Model{47: m},
+		Detector: core.DetectorConfig{AlphaDB: 0.5, MaxReadings: 128},
+	}
+	cs, err := lean.SenseChannel(47, rfenv.MetroCenter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := cs.Decision; !d.StoppedEarly || d.Converged || d.Label != dataset.LabelNotSafe ||
+		radio.captures != 3 || d.ReadingsUsed != 3 || cs.AirTime != 60*time.Millisecond {
+		t.Errorf("lean set: %d captures in %v: %+v; want an early NotSafe after 3 captures, 60ms", radio.captures, cs.AirTime, d)
 	}
 }
 
@@ -268,10 +290,11 @@ func TestScanReusedDetectorsDecideAlike(t *testing.T) {
 
 // TestDefaultSetDecidesAsFullSet: a metro WSD measuring only what its
 // location + RSS + CFT models read (the default) decides exactly as one
-// measuring all three features, scan after scan: same label,
-// convergence, stream length, CI span and RSS/CFT bits on every channel.
-// Its decisions carry AFT as −Inf, so an upload built from one is
-// refused; the full-set WSD's is accepted.
+// measuring all three features, scan after scan — same label,
+// convergence, stream length, CI span and RSS/CFT bits on every channel —
+// or it stopped the channel early with NotSafe, which only a detector
+// that cannot upload does. Its decisions carry AFT as −Inf, so an upload
+// built from one is refused; the full-set WSD's is accepted.
 func TestDefaultSetDecidesAsFullSet(t *testing.T) {
 	lean, radio, channels := metroRig(t)
 	full := &WSD{Radio: radio, Models: lean.Models, Detector: lean.Detector, MaxReadingsPerChannel: lean.MaxReadingsPerChannel}
@@ -303,7 +326,14 @@ func TestDefaultSetDecidesAsFullSet(t *testing.T) {
 		for i := range want.Channels {
 			w, g := want.Channels[i].Decision, got.Channels[i].Decision
 			ch := want.Channels[i].Channel
-			if g.Label != w.Label || g.Converged != w.Converged || g.ReadingsUsed != w.ReadingsUsed ||
+			if w.StoppedEarly {
+				t.Fatalf("scan %d, %v: the full-set detector stopped early: %+v", scan, ch, w)
+			}
+			if g.StoppedEarly {
+				if g.Label != dataset.LabelNotSafe || g.Converged {
+					t.Fatalf("scan %d, %v: early stop %+v, want NotSafe and not converged", scan, ch, g)
+				}
+			} else if g.Label != w.Label || g.Converged != w.Converged || g.ReadingsUsed != w.ReadingsUsed ||
 				bits(g.CISpanDB) != bits(w.CISpanDB) || bits(g.Signal.RSSdBm) != bits(w.Signal.RSSdBm) ||
 				bits(g.Signal.CFTdB) != bits(w.Signal.CFTdB) {
 				t.Fatalf("scan %d, %v: %+v, full set %+v", scan, ch, g, w)

@@ -10,6 +10,14 @@ import (
 	"github.com/wsdetect/waldo/internal/geo"
 )
 
+// earlyNotSafeReadings is n0, the shortest stream on which a detector
+// whose decisions cannot be uploaded may stop before MinReadings: from
+// here on, when both points of the §5 fallback already classify NotSafe,
+// more captures cannot make that answer safer. At 2 every metro decision
+// would stop NotSafe and all white space would be lost; 3 with both ends
+// keeps the false-NotSafe share where full sampling has it.
+const earlyNotSafeReadings = 3
+
 // DetectorConfig parameterizes the White Space Detector (§3.3).
 type DetectorConfig struct {
 	// AlphaDB is the sensitivity parameter α: the maximum span of the
@@ -82,10 +90,16 @@ func (c *DetectorConfig) defaults() error {
 type Decision struct {
 	// Label is the predicted availability.
 	Label dataset.Label
-	// Converged reports whether the α criterion was met (false means
-	// the stream hit MaxReadings and the decision fell back to the
-	// conservative NOR rule of §5).
+	// Converged reports whether the α criterion was met. When it was
+	// not, the label is the conservative NOR rule of §5: the stream
+	// stopped early (StoppedEarly), or it ended — at MaxReadings or
+	// wherever the caller stopped offering — without meeting α.
 	Converged bool
+	// StoppedEarly reports that Offer stopped the stream before
+	// MinReadings because both §5 fallback points at the place given to
+	// At classified NotSafe. Converged is then false, and at that place
+	// the label is NotSafe.
+	StoppedEarly bool
 	// ReadingsUsed is the stream length consumed.
 	ReadingsUsed int
 	// CISpanDB is the final confidence-interval span of smoothed RSS.
@@ -113,6 +127,13 @@ type Detector struct {
 	ws      dsp.Workspace
 	span    float64
 	spanLen int
+
+	// loc is the place the stream is captured at, set by At; placed
+	// reports that it is. stoppedLen is the stream length at which Offer
+	// last stopped early, 0 if it has not.
+	loc        geo.Point
+	placed     bool
+	stoppedLen int
 }
 
 // NewDetector builds a detector over a trained model.
@@ -139,6 +160,18 @@ func (d *Detector) Reset() {
 	d.cft = d.cft[:0]
 	d.aft = d.aft[:0]
 	d.spanLen = 0
+	d.placed = false
+	d.stoppedLen = 0
+}
+
+// At sets the place the stream is captured at, until the next Reset. It
+// lets Offer stop an occupied channel's stream early: a detector that
+// does not aggregate AFT (its decisions are never uploadable) answers
+// NotSafe between earlyNotSafeReadings and MinReadings captures, once
+// both §5 fallback points there classify NotSafe. A detector with no
+// place, or one that aggregates the full set, samples to α convergence.
+func (d *Detector) At(loc geo.Point) {
+	d.loc, d.placed = loc, true
 }
 
 // Model returns the model the detector classifies with.
@@ -156,7 +189,8 @@ func (d *Detector) Features() features.Set { return d.cfg.Features }
 func (d *Detector) Len() int { return len(d.rss) }
 
 // Offer appends one capture's features (those in Features) and reports
-// whether the stream has converged (90 % CI span of smoothed RSS below α).
+// whether the stream is done: it has converged (90 % CI span of smoothed
+// RSS below α), or it stopped early on an occupied channel (see At).
 func (d *Detector) Offer(sig features.Signal) bool {
 	if len(d.rss) < d.cfg.MaxReadings {
 		d.rss = append(d.rss, sig.RSSdBm)
@@ -167,7 +201,29 @@ func (d *Detector) Offer(sig features.Signal) bool {
 			d.aft = append(d.aft, sig.AFTdB)
 		}
 	}
-	return d.converged()
+	if d.converged() {
+		return true
+	}
+	if d.stopsEarly() {
+		d.stoppedLen = len(d.rss)
+		return true
+	}
+	return false
+}
+
+// stopsEarly reports whether the early NotSafe rule ends the stream at its
+// current length: the detector is placed, cannot upload (no AFT), holds
+// between earlyNotSafeReadings and MinReadings captures, and both §5
+// fallback points classify NotSafe. A classification error leaves the
+// stream running; Decide reports it.
+func (d *Detector) stopsEarly() bool {
+	n := len(d.rss)
+	if !d.placed || d.cfg.Features >= features.SetLocationRSSCFTAFT ||
+		n < earlyNotSafeReadings || n >= d.cfg.MinReadings {
+		return false
+	}
+	lo, hi, err := d.fallback(d.loc, d.aggregate())
+	return err == nil && lo == dataset.LabelNotSafe && hi == dataset.LabelNotSafe
 }
 
 // ciSpan returns the current CI span of the outlier-trimmed raw RSS. The
@@ -218,6 +274,7 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	}
 	dec := Decision{
 		Converged:    d.converged(),
+		StoppedEarly: d.stoppedLen == len(d.rss),
 		ReadingsUsed: len(d.rss),
 		CISpanDB:     d.ciSpan(),
 		Signal:       d.aggregate(),
@@ -231,24 +288,32 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 		return dec, nil
 	}
 
-	// Non-converged fallback: evaluate the extremes; only if BOTH say
-	// Safe is the channel declared Safe.
-	lo := dec.Signal
-	hi := dec.Signal
-	lo.RSSdBm = d.ws.Percentile(d.rss, d.cfg.OutlierLoPct)
-	hi.RSSdBm = d.ws.Percentile(d.rss, d.cfg.OutlierHiPct)
-	lLabel, err := d.model.Classify(loc, lo)
+	// Non-converged fallback: only if BOTH extremes say Safe is the
+	// channel declared Safe.
+	lo, hi, err := d.fallback(loc, dec.Signal)
 	if err != nil {
 		return Decision{}, err
 	}
-	hLabel, err := d.model.Classify(loc, hi)
-	if err != nil {
-		return Decision{}, err
-	}
-	if lLabel == dataset.LabelSafe && hLabel == dataset.LabelSafe {
+	if lo == dataset.LabelSafe && hi == dataset.LabelSafe {
 		dec.Label = dataset.LabelSafe
 	} else {
 		dec.Label = dataset.LabelNotSafe
 	}
 	return dec, nil
+}
+
+// fallback classifies the §5 fallback's two points at loc: sig with the
+// RSS replaced by the stream's outlier-band low and high percentiles.
+// Decide and the early NotSafe rule both read it, so they cannot drift.
+func (d *Detector) fallback(loc geo.Point, sig features.Signal) (lo, hi dataset.Label, err error) {
+	loSig, hiSig := sig, sig
+	loSig.RSSdBm = d.ws.Percentile(d.rss, d.cfg.OutlierLoPct)
+	hiSig.RSSdBm = d.ws.Percentile(d.rss, d.cfg.OutlierHiPct)
+	if lo, err = d.model.Classify(loc, loSig); err != nil {
+		return 0, 0, err
+	}
+	if hi, err = d.model.Classify(loc, hiSig); err != nil {
+		return 0, 0, err
+	}
+	return lo, hi, nil
 }

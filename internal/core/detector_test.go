@@ -131,6 +131,46 @@ func TestDetectorResetAndLimits(t *testing.T) {
 	}
 }
 
+// TestDetectorEarlyNotSafeNeedsPlace: a placed detector without AFT
+// stops a strong stream on the occupied side after earlyNotSafeReadings
+// captures; Reset forgets the place, and the same stream then samples to
+// α convergence.
+func TestDetectorEarlyNotSafeNeedsPlace(t *testing.T) {
+	m, _, _ := trainedModel(t, ConstructorConfig{Seed: 1, Features: features.SetLocationRSSCFT})
+	d, err := NewDetector(m, DetectorConfig{AlphaDB: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	stream := make([]features.Signal, 64)
+	for i := range stream {
+		stream[i] = noisySignal(rng, -70, 0.3)
+	}
+	loc := rfenv.MetroCenter.Offset(90, 6000) // occupied east side
+	run := func() Decision {
+		t.Helper()
+		for _, sig := range stream {
+			if d.Offer(sig) {
+				break
+			}
+		}
+		dec, err := d.Decide(loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec
+	}
+	d.At(loc)
+	if dec := run(); !dec.StoppedEarly || dec.Converged || dec.ReadingsUsed != earlyNotSafeReadings ||
+		dec.Label != dataset.LabelNotSafe {
+		t.Errorf("placed: %+v, want NotSafe stopped early at %d readings", dec, earlyNotSafeReadings)
+	}
+	d.Reset()
+	if dec := run(); dec.StoppedEarly || !dec.Converged || dec.Label != dataset.LabelNotSafe {
+		t.Errorf("after Reset: %+v, want NotSafe at α convergence", dec)
+	}
+}
+
 func TestDetectorConfigValidation(t *testing.T) {
 	m, _, _ := trainedModel(t, ConstructorConfig{Seed: 9})
 	bad := []DetectorConfig{
@@ -304,15 +344,21 @@ func TestDetectorReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Streams too short to keep anything aggregate to NaN, which !=
-		// would call different.
-		bits := func(d Decision) [4]uint64 {
-			return [4]uint64{math.Float64bits(d.CISpanDB), math.Float64bits(d.Signal.RSSdBm),
-				math.Float64bits(d.Signal.CFTdB), math.Float64bits(d.Signal.AFTdB)}
-		}
-		if got.Label != want.Label || got.Converged != want.Converged ||
-			got.ReadingsUsed != want.ReadingsUsed || bits(got) != bits(want) {
+		if !sameDecision(got, want) {
 			t.Fatalf("stream %d: %+v, fresh detector %+v", stream, got, want)
 		}
 	}
+}
+
+// sameDecision compares two decisions with their floats by bits: a stream
+// too short to keep anything after trimming aggregates to NaN, which !=
+// would call different.
+func sameDecision(a, b Decision) bool {
+	bits := func(d Decision) [4]uint64 {
+		return [4]uint64{math.Float64bits(d.CISpanDB), math.Float64bits(d.Signal.RSSdBm),
+			math.Float64bits(d.Signal.CFTdB), math.Float64bits(d.Signal.AFTdB)}
+	}
+	same := bits(a) == bits(b)
+	a.CISpanDB, a.Signal, b.CISpanDB, b.Signal = 0, features.Signal{}, 0, features.Signal{}
+	return same && a == b
 }

@@ -159,3 +159,103 @@ func TestPropertyModelDeterminism(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPropertyEarlyNotSafe: over random capture streams on the nine metro
+// models — random levels and spreads, random places, lengths up to the
+// cap — the early NotSafe rule only ever replaces the full rule's answer
+// with NotSafe, so false-safe cannot rise. The full rule is a detector
+// with no place, which samples to α as every detector did before the
+// rule; a detector that aggregates AFT (its decisions are uploadable)
+// never stops early either, placed or not.
+func TestPropertyEarlyNotSafe(t *testing.T) {
+	channels := metroCampaign(t)
+	models := make([]*Model, len(channels))
+	for i, mc := range channels {
+		m, err := BuildModel(mc.readings, mc.labels, metroConstructor(KindSVM))
+		if err != nil {
+			t.Fatalf("%v: %v", mc.ch, err)
+		}
+		models[i] = m
+	}
+	const maxReadings = 64
+	lean := DetectorConfig{AlphaDB: 0.5, MinReadings: 8, MaxReadings: maxReadings}
+	full := lean
+	full.Features = features.SetLocationRSSCFTAFT
+	var early, late int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := models[rng.Intn(len(models))]
+		loc := rfenv.MetroCenter.Offset(rng.Float64()*360, rng.Float64()*12000)
+		rss := -115 + rng.Float64()*75
+		cft := rss - 8 - rng.Float64()*30
+		sigma := rng.Float64() * 6
+		stream := make([]features.Signal, 1+rng.Intn(maxReadings))
+		for i := range stream {
+			stream[i] = features.Signal{
+				RSSdBm: rss + rng.NormFloat64()*sigma,
+				CFTdB:  cft + rng.NormFloat64()*sigma,
+				AFTdB:  cft - 2 + rng.NormFloat64()*sigma,
+			}
+		}
+		// decide offers the stream until the detector is done, as a WSD
+		// senses, and decides at loc.
+		decide := func(cfg DetectorConfig, placed bool) Decision {
+			d, err := NewDetector(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if placed {
+				d.At(loc)
+			}
+			for _, sig := range stream {
+				if d.Offer(sig) {
+					break
+				}
+			}
+			dec, err := d.Decide(loc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return dec
+		}
+		ref := decide(lean, false)
+		got := decide(lean, true)
+		if ref.StoppedEarly {
+			t.Logf("seed %d: a detector with no place stopped early: %+v", seed, ref)
+			return false
+		}
+		for _, placed := range []bool{false, true} {
+			if dec := decide(full, placed); dec.StoppedEarly || dec.Label != ref.Label ||
+				dec.Converged != ref.Converged || dec.ReadingsUsed != ref.ReadingsUsed {
+				t.Logf("seed %d: full set (placed %v) %+v, full rule %+v", seed, placed, dec, ref)
+				return false
+			}
+		}
+		if got.Label != dataset.LabelNotSafe && got.Label != ref.Label {
+			t.Logf("seed %d: early rule %v, full rule %v", seed, got.Label, ref.Label)
+			return false
+		}
+		if !got.StoppedEarly {
+			late++
+			if !sameDecision(got, ref) {
+				t.Logf("seed %d: not stopped early but %+v, full rule %+v", seed, got, ref)
+				return false
+			}
+			return true
+		}
+		early++
+		if got.Label != dataset.LabelNotSafe || got.Converged ||
+			got.ReadingsUsed < earlyNotSafeReadings || got.ReadingsUsed >= lean.MinReadings {
+			t.Logf("seed %d: early stop %+v, want NotSafe on %d to %d readings", seed, got, earlyNotSafeReadings, lean.MinReadings-1)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+	t.Logf("%d streams stopped early, %d did not", early, late)
+	if early == 0 || late == 0 {
+		t.Errorf("%d streams stopped early and %d did not: the draw misses a side of the rule", early, late)
+	}
+}

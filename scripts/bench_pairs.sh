@@ -12,7 +12,9 @@
 # neither runs from the repository root. Parent and change then run
 # bench/run.sh from their own trees — each its own benchmark, so a change
 # that touched bench/ is visible as such — with the order swapped every
-# pair. Every run's gated metrics are printed as it finishes;
+# pair. Every run's gated metrics, and on wsd_scan its decision counters
+# (readings per decision, false-safe and false-NotSafe shares), are
+# printed as it finishes;
 # `bench -compare` over all reports follows, and then the verdict on a claimed gain, per gated metric, by the rule in
 # choosing-metrics §8: pairs won of pairs run (a tie counts for neither),
 # both medians, the parent's own Q1–Q3, and "claim holds" only when at
@@ -52,7 +54,7 @@ run() { # side dir pair
 	(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$seed" \
 		--seconds "${SECONDS_PER_RUN:-14}" --trace "${TRACE:-0}" -out "$report" >"$out/$1-$3.log" 2>&1) ||
 		{ echo "bench_pairs: $1 run $3 failed, see $out/$1-$3.log" >&2; exit 1; }
-	echo "pair $3 $1: $(grep -E '^ *(ops_per_s|op_p50_ms|op_tail_ms|sut_cpu_us_per_op) ' "$out/$1-$3.log" | awk '{printf "%s=%s ", $1, $2}')"
+	echo "pair $3 $1: $(grep -E '^ *(ops_per_s|op_p50_ms|op_tail_ms|sut_cpu_us_per_op|core\.readings_per_decision|core\.false_safe_share|core\.false_unsafe_share) ' "$out/$1-$3.log" | awk '{printf "%s=%s ", $1, $2}')"
 }
 
 for i in $(seq 1 "$pairs"); do

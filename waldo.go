@@ -210,7 +210,10 @@ func BuildModel(readings []Reading, labels []Label, cfg ConstructorConfig) (*Mod
 }
 
 // NewDetector wraps a model with the §3.3 streaming detector (smoothing,
-// outlier rejection, α-convergence).
+// outlier rejection, α-convergence, and the §5 fallback when α is not
+// met). Once placed with Detector.At, a detector that does not aggregate
+// AFT also stops an occupied channel early: from 3 captures on, when
+// both fallback points classify NotSafe.
 func NewDetector(model *Model, cfg DetectorConfig) (*Detector, error) {
 	return core.NewDetector(model, cfg)
 }
