@@ -55,7 +55,10 @@ crash-test:
 
 # Deterministic chaos suite: the fault-injection layer, the client/server
 # resilience tests, and the end-to-end byte-identity harness, all under
-# the race detector (DESIGN.md §9).
+# the race detector (DESIGN.md §9). About 30 s on 2 vCPUs, all of it
+# race-instrumented work: no run waits out a shutdown grace, because
+# every harness process stops through adminhttp's Server.Close, which
+# wakes parked polls.
 chaos:
 	$(GO) test -race ./internal/faultinject/ ./internal/e2e/ -count 1
 	$(GO) test -race ./internal/client/ -run 'TestRetry|TestBackoff|TestBreaker|TestStaleServe|TestWatch|TestConcurrentRefreshUploadUnderFaults' -count 1
@@ -65,6 +68,8 @@ chaos:
 # ring/replication/gateway unit tests, at one and at four cores, and the
 # kill-a-primary e2e chaos harness (DESIGN.md §12). The shipped binaries
 # are booted as a cluster by trace-smoke and by verify's bench run.
+# About 65 s on 2 vCPUs, nearly all of it the race-instrumented cluster
+# unit tests at two -cpu values; TestClusterCrash takes under a second.
 cluster-test:
 	$(GO) test -race -cpu 1,4 ./internal/cluster/ -count 1
 	$(GO) test -race ./internal/e2e/ -run TestCluster -count 1

@@ -74,7 +74,11 @@ func run(args []string) error {
 	log.Printf("routing %d shards, cluster version %s, serving on %s", len(shards), gw.ConfigVersion(), *addr)
 	// On SIGINT/SIGTERM: stop accepting, answer parked watches 503, drain,
 	// then close the legs.
-	return adminhttp.Serve(*addr, gw.Handler(), *adminAddr, gw.Metrics(), gw.BeginShutdown, gw.Close)
+	front, err := adminhttp.Start(*addr, gw.Handler(), gw.BeginShutdown)
+	if err != nil {
+		return err
+	}
+	return adminhttp.Serve(front, *adminAddr, gw.Metrics(), gw.Close)
 }
 
 // parseShards decodes 'id=url[,url...];id2=...' into ShardSpecs.

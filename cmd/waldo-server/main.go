@@ -157,5 +157,9 @@ func run(args []string) error {
 	// On SIGINT/SIGTERM: stop accepting, answer parked watchers 503,
 	// drain requests in flight, and only then flush and close the WAL, so
 	// no acknowledged upload is lost to a clean shutdown.
-	return adminhttp.Serve(*addr, handler, *adminAddr, srv.Metrics(), srv.BeginShutdown, closer)
+	front, err := adminhttp.Start(*addr, handler, srv.BeginShutdown)
+	if err != nil {
+		return err
+	}
+	return adminhttp.Serve(front, *adminAddr, srv.Metrics(), closer)
 }

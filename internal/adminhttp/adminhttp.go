@@ -6,6 +6,10 @@
 // /debug/traces views the serving mux exposes), and the
 // serve-until-signalled sequence around both listeners ([Serve]).
 //
+// A server stops one way, [Server.Close], whether a signal runs it
+// under Serve or an in-process caller does: it runs the wake given to
+// [Start], so no parked long-poll holds the drain for its budget.
+//
 // The admin surface exists so the pprof handlers are linked only into
 // binaries that ask for them (library packages never import
 // net/http/pprof) and are bound to a separate listener: the admin mux
@@ -45,19 +49,19 @@ func Handler(reg *telemetry.Registry) http.Handler {
 	return mux
 }
 
-// Serve runs a Waldo binary's listeners: handler on addr under the
-// serving loop ([Server]) and, when adminAddr is set, the admin surface
-// for reg on its own listener, until SIGINT or SIGTERM. Shutdown then
-// goes: stop accepting, call wake (nil: nothing) — which must make
-// parked long-polls answer, or they pin the drain for its whole budget —
-// give requests in flight ten seconds, and only then call onShutdown
-// (nil: nothing), where waldo-server flushes and closes its WAL: an
-// upload acknowledged during the drain is journaled like any other.
-// Serve returns the drain's error or else onShutdown's. A serving
-// listener that fails returns its error at once; the admin listener
-// failing to bind is only logged, because it must not take down the
-// serving process.
-func Serve(addr string, handler http.Handler, adminAddr string, reg *telemetry.Registry, wake func(), onShutdown func() error) error {
+// Serve runs a Waldo binary's listeners: srv, the serving loop from
+// [Start], and, when adminAddr is set, the admin surface for reg on its
+// own listener, until SIGINT or SIGTERM. The signal then runs
+// srv.Close — stop accepting, wake parked long-polls, give requests in
+// flight ten seconds — and only then onShutdown (nil: nothing), where
+// waldo-server flushes and closes its WAL: an upload acknowledged
+// during the drain is journaled like any other. Serve returns the
+// drain's error or else onShutdown's. A serving listener that fails
+// returns its error at once; the admin listener failing to bind is only
+// logged, because it must not take down the serving process.
+func Serve(srv *Server, adminAddr string, reg *telemetry.Registry, onShutdown func() error) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if adminAddr != "" {
 		// pprof streams for 30 s on a cold path: the one listener that
 		// keeps net/http's server.
@@ -70,24 +74,18 @@ func Serve(addr string, handler http.Handler, adminAddr string, reg *telemetry.R
 		}()
 		log.Printf("admin surface (pprof) on %s", adminAddr)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	srv, err := Start(addr, handler)
-	if err != nil {
-		return err
-	}
-	return srv.serveUntil(ctx, wake, onShutdown)
+	return srv.serveUntil(ctx, onShutdown)
 }
 
 // serveUntil is Serve from the moment the listener is up: it blocks
 // until ctx is done (the signal) or accepting fails.
-func (s *Server) serveUntil(ctx context.Context, wake func(), onShutdown func() error) error {
+func (s *Server) serveUntil(ctx context.Context, onShutdown func() error) error {
 	select {
 	case err := <-s.accepting:
 		return err
 	case <-ctx.Done():
 	}
-	err := s.shutdown(wake)
+	err := s.Close()
 	if onShutdown != nil {
 		if cerr := onShutdown(); err == nil {
 			err = cerr

@@ -55,6 +55,7 @@ type Server struct {
 	URL string
 
 	handler       http.Handler
+	wake          func() // makes parked long-polls answer; nil: nothing to wake
 	ln            net.Listener
 	headerTimeout time.Duration
 	accepting     chan error // the accept loop's error, if it ends before shutdown
@@ -70,18 +71,22 @@ type Server struct {
 }
 
 // Start serves handler on addr (port 0 picks a free one) until Close.
-func Start(addr string, handler http.Handler) (*Server, error) {
+// Close runs wake (nil: nothing), the handler's BeginShutdown, once
+// nothing new is accepted: parked long-polls must answer, or they pin
+// the drain for its whole budget.
+func Start(addr string, handler http.Handler, wake func()) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return start(ln, handler, defaultHeaderTimeout), nil
+	return start(ln, handler, defaultHeaderTimeout, wake), nil
 }
 
-func start(ln net.Listener, handler http.Handler, headerTimeout time.Duration) *Server {
+func start(ln net.Listener, handler http.Handler, headerTimeout time.Duration, wake func()) *Server {
 	s := &Server{
 		URL:           "http://" + ln.Addr().String(),
 		handler:       handler,
+		wake:          wake,
 		ln:            ln,
 		headerTimeout: headerTimeout,
 		accepting:     make(chan error, 1), // the one send must not block if nobody waits
@@ -127,20 +132,17 @@ func (s *Server) accept() {
 	}
 }
 
-// Close shuts the server down as SIGTERM does: stop accepting, close
-// idle connections, give requests in flight ten seconds, then cut what
-// is left and report context.DeadlineExceeded.
-func (s *Server) Close() error { return s.shutdown(nil) }
-
-// shutdown is Close with wake called once nothing new is accepted:
-// the place to tell parked long-polls to answer.
-func (s *Server) shutdown(wake func()) error {
+// Close shuts the server down as SIGTERM does ([Serve]): stop
+// accepting, run the wake given to Start, close idle connections, give
+// requests in flight ten seconds, then cut what is left and report
+// context.DeadlineExceeded. Idempotent.
+func (s *Server) Close() error {
 	s.mu.Lock()
 	s.draining.Store(true) // under mu: accept registers no connection after this
 	s.mu.Unlock()
 	s.ln.Close()
-	if wake != nil {
-		wake()
+	if s.wake != nil {
+		s.wake()
 	}
 	// A connection is closed here if it is idle now, and closes itself
 	// if it turns idle later: it checks draining after raising idle.

@@ -78,7 +78,7 @@ func bothServers(t testing.TB, h http.Handler, headerTimeout time.Duration) (loo
 		}
 		return ln
 	}
-	srv := start(listen(), h, headerTimeout)
+	srv := start(listen(), h, headerTimeout, nil)
 	t.Cleanup(func() { srv.Close() })
 	ln := listen()
 	ref := &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout}
@@ -336,7 +336,7 @@ func TestOneReadPerRequest(t *testing.T) {
 		io.Copy(io.Discard, r.Body)
 		readsInHandler.Store(cl.reads.Load())
 		w.WriteHeader(http.StatusNoContent)
-	}), defaultHeaderTimeout)
+	}), defaultHeaderTimeout, nil)
 	defer srv.Close()
 	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -391,7 +391,7 @@ func TestNoGoroutinePerRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := start(ln, mux, defaultHeaderTimeout)
+	srv := start(ln, mux, defaultHeaderTimeout, nil)
 	defer srv.Close()
 	dial := func() (net.Conn, *bufio.Reader) {
 		c, err := net.Dial("tcp", ln.Addr().String())

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,14 +54,14 @@ func TestShutdownWakesWatchersThenDrainsThenClosesTheLog(t *testing.T) {
 	if err := db.Bootstrap(synthReadings(bootstrap)); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Start("127.0.0.1:0", db.Handler())
+	srv, err := Start("127.0.0.1:0", db.Handler(), db.BeginShutdown)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sigterm, deliver := context.WithCancel(context.Background())
 	defer deliver()
 	served := make(chan error, 1)
-	go func() { served <- srv.serveUntil(sigterm, db.BeginShutdown, db.Close) }()
+	go func() { served <- srv.serveUntil(sigterm, db.Close) }()
 
 	const watchers = 8
 	statuses := make(chan string, watchers)
@@ -136,5 +137,51 @@ func TestShutdownWakesWatchersThenDrainsThenClosesTheLog(t *testing.T) {
 	defer reopened.Close()
 	if got := reopened.StoreSize(47, sensor.KindRTLSDR); got != bootstrap+1 {
 		t.Errorf("reopened store holds %d readings, want %d: the upload acknowledged during the drain is gone", got, bootstrap+1)
+	}
+}
+
+// TestCloseWakesParkedPolls is Close as an in-process caller makes it
+// with a long-poll parked: the wake given to Start answers the poll, so
+// Close returns at once with a nil error instead of waiting out
+// shutdownGrace and reporting context.DeadlineExceeded.
+func TestCloseWakesParkedPolls(t *testing.T) {
+	parked, woken := make(chan struct{}), make(chan struct{})
+	var wakes atomic.Int32
+	srv, err := Start("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(parked)
+		<-woken
+		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
+	}), func() {
+		if wakes.Add(1) == 1 {
+			close(woken)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := make(chan string, 1)
+	go func() {
+		resp, err := (&http.Client{Transport: &http.Transport{}}).Get(srv.URL + "/v1/grid")
+		if err != nil {
+			status <- "error: " + err.Error()
+			return
+		}
+		resp.Body.Close()
+		status <- resp.Status
+	}()
+	<-parked
+
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Errorf("Close = %v with a poll parked, want nil", err)
+	}
+	if d := time.Since(start); d > shutdownGrace/10 {
+		t.Errorf("Close took %v with a poll parked, want well inside the %v grace", d, shutdownGrace)
+	}
+	if n := wakes.Load(); n != 1 {
+		t.Errorf("Close ran the wake %d times, want once", n)
+	}
+	if got := <-status; got != "503 Service Unavailable" {
+		t.Errorf("the parked poll got %q at Close, want 503", got)
 	}
 }

@@ -80,12 +80,10 @@ type Client struct {
 	hasHint bool
 
 	// Telemetry handles (nil-safe no-ops until SetMetrics): model
-	// download/upload latency, cache hit ratio, upload outcomes, and
-	// the resilience counters (retries, stale serves, breaker).
+	// download/upload latency, upload outcomes, and the resilience
+	// counters (retries, stale serves, breaker).
 	fetchSeconds  *telemetry.Histogram
 	uploadSeconds *telemetry.Histogram
-	cacheHits     *telemetry.Counter
-	cacheMisses   *telemetry.Counter
 	uploadsOK     *telemetry.Counter
 	uploadsFailed *telemetry.Counter
 	retriesTotal  *telemetry.Counter
@@ -150,19 +148,14 @@ func NewWithConfig(baseURL string, cfg Config) (*Client, error) {
 }
 
 // SetMetrics wires the client's telemetry into reg: download and upload
-// latency histograms, cache hit/miss counters, upload outcomes, and the
-// resilience metrics (retries, stale serves, breaker state and
-// transitions). Call before issuing requests; a nil registry leaves the
+// latency histograms, upload outcomes, and the resilience metrics
+// (retries, stale serves, breaker state and transitions). Call before issuing requests; a nil registry leaves the
 // client uninstrumented.
 func (c *Client) SetMetrics(reg *telemetry.Registry) {
 	c.fetchSeconds = reg.Histogram("waldo_client_model_fetch_seconds",
 		"Model descriptor download latency (cache misses only).", nil)
 	c.uploadSeconds = reg.Histogram("waldo_client_upload_seconds",
 		"Reading upload round-trip latency.", nil)
-	c.cacheHits = reg.Counter("waldo_client_model_cache_total",
-		"Model cache lookups by result.", "result", "hit")
-	c.cacheMisses = reg.Counter("waldo_client_model_cache_total",
-		"Model cache lookups by result.", "result", "miss")
 	c.uploadsOK = reg.Counter("waldo_client_uploads_total",
 		"Upload attempts by outcome.", "outcome", "accepted")
 	c.uploadsFailed = reg.Counter("waldo_client_uploads_total",
@@ -322,11 +315,9 @@ func (c *Client) Model(ctx context.Context, ch rfenv.Channel, kind sensor.Kind) 
 	c.mu.Lock()
 	if hit, ok := c.cache[key]; ok {
 		c.mu.Unlock()
-		c.cacheHits.Inc()
 		return hit.model, 0, nil
 	}
 	c.mu.Unlock()
-	c.cacheMisses.Inc()
 	return c.fetchOrStale(ctx, key, "")
 }
 
@@ -391,7 +382,6 @@ func (c *Client) fetch(ctx context.Context, key cacheKey, etag string) (*core.Mo
 				hit, ok := c.cache[key]
 				c.mu.Unlock()
 				if ok {
-					c.cacheHits.Inc()
 					model, n = hit.model, 0
 					return nil
 				}

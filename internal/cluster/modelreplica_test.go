@@ -109,7 +109,9 @@ func TestGatewayModelAnswersMatchOwner(t *testing.T) {
 
 	// Forwarded: each asked of a gateway that copies nothing.
 	parked := httptest.NewServer(gridParked(tc.nodes["s0"].Handler()))
-	defer parked.Close()
+	// A cleanup, so it runs after the gateways' own: closed first, it
+	// would wait on their parked grid polls.
+	t.Cleanup(parked.Close)
 	for _, a := range asks {
 		gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{parked.URL}})
 		ts := httptest.NewServer(gw.Handler())

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/wsdetect/waldo/internal/adminhttp"
 	"github.com/wsdetect/waldo/internal/client"
 	"github.com/wsdetect/waldo/internal/cluster"
 	"github.com/wsdetect/waldo/internal/core"
@@ -23,7 +22,6 @@ import (
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
-	"github.com/wsdetect/waldo/internal/telemetry"
 )
 
 // ClusterConfig shapes a RunClusterCrash scenario: a sharded topology
@@ -83,24 +81,7 @@ func (c *ClusterConfig) defaults() {
 	if c.PostBatches == 0 {
 		c.PostBatches = 8
 	}
-	if c.Client.Timeout == 0 {
-		c.Client.Timeout = 250 * time.Millisecond
-	}
-	if c.Client.Retry.BaseDelay == 0 {
-		c.Client.Retry.BaseDelay = time.Millisecond
-	}
-	if c.Client.Retry.MaxDelay == 0 {
-		c.Client.Retry.MaxDelay = 10 * time.Millisecond
-	}
-	if c.Client.Retry.Seed == 0 {
-		c.Client.Retry.Seed = uint64(c.Seed)
-	}
-	if c.Client.Breaker.Cooldown == 0 {
-		c.Client.Breaker.Cooldown = 25 * time.Millisecond
-	}
-	if c.MaxWall == 0 {
-		c.MaxWall = 2 * time.Minute
-	}
+	runDefaults(c.Seed, &c.Client, &c.MaxWall)
 }
 
 // ClusterResult is what the cluster chaos tests assert on.
@@ -134,25 +115,10 @@ type ClusterResult struct {
 	RestartModelMismatches int
 }
 
-// clusterNode is one running node plus its HTTP front.
-type clusterNode struct {
-	node *cluster.Node
-	ts   *adminhttp.Server
-	dir  string
-}
-
-func (n *clusterNode) kill(flush bool) {
-	if flush {
-		n.node.DB.FlushWAL() //nolint:errcheck // crash simulation: best effort
-	}
-	n.ts.Close()
-	n.node.Close()
-}
-
-// adopted returns nil once the node has adopted its primary's
+// adopted returns nil once the replica p has adopted its primary's
 // incarnation, that is once its first poll has been answered.
-func (n *clusterNode) adopted() error {
-	resp, err := http.Get(n.ts.URL + "/v1/repl/status")
+func (p *proc) adopted() error {
+	resp, err := http.Get(p.ts.URL + "/v1/repl/status")
 	if err != nil {
 		return err
 	}
@@ -165,16 +131,6 @@ func (n *clusterNode) adopted() error {
 		return fmt.Errorf("follows no primary incarnation yet")
 	}
 	return nil
-}
-
-// clusterBatch is one upload's bookkeeping: which seqs were acknowledged
-// on which shard. The gateway splits batches per (channel, cell) owner,
-// so the audit attributes every reading to the shard its own key routes
-// to — reading by reading, exactly as the routing does.
-type clusterBatch struct {
-	// seqsByOwner maps shard ID → acknowledged reading seqs it owns.
-	seqsByOwner map[string][]int
-	total       int
 }
 
 // RunClusterCrash boots a Shards-way primary+replica topology behind a
@@ -204,48 +160,25 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	defer cancel()
 
 	// --- Topology: Shards × (primary, replica) + gateway. ---
-	openNode := func(id, dir, follow string) (*clusterNode, error) {
-		n, err := cluster.OpenNode(cluster.NodeConfig{
-			ID: id,
-			DB: dbserver.Config{
-				Constructor: core.ConstructorConfig{Classifier: core.KindNB, Seed: cfg.Seed},
-				DataDir:     dir,
-				Metrics:     telemetry.New(),
-			},
-			Follow: follow,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ts, err := adminhttp.Start("127.0.0.1:0", n.Handler())
-		if err != nil {
-			n.Close()
-			return nil, err
-		}
-		return &clusterNode{node: n, ts: ts, dir: dir}, nil
+	var st stack
+	defer st.stop()
+	node := func(id, dir, follow string) (*proc, error) {
+		return st.store(cluster.NodeConfig{ID: id, Follow: follow, DB: dbserver.Config{
+			Constructor: core.ConstructorConfig{Classifier: core.KindNB, Seed: cfg.Seed},
+			DataDir:     dir,
+		}}, nil)
 	}
-
-	primaries := make(map[string]*clusterNode, cfg.Shards)
-	replicas := make(map[string]*clusterNode, cfg.Shards)
+	primaries := make(map[string]*proc, cfg.Shards)
+	replicas := make(map[string]*proc, cfg.Shards)
 	var specs []cluster.ShardSpec
-	defer func() {
-		for _, n := range primaries {
-			n.ts.Close()
-			n.node.Close()
-		}
-		for _, n := range replicas {
-			n.ts.Close()
-			n.node.Close()
-		}
-	}()
 	for i := 0; i < cfg.Shards; i++ {
 		id := fmt.Sprintf("shard-%d", i)
-		prim, err := openNode(id, filepath.Join(cfg.DataDir, id+"-primary"), "")
+		prim, err := node(id, filepath.Join(cfg.DataDir, id+"-primary"), "")
 		if err != nil {
 			return nil, err
 		}
 		primaries[id] = prim
-		rep, err := openNode(id+"-replica", filepath.Join(cfg.DataDir, id+"-replica"), prim.ts.URL)
+		rep, err := node(id+"-replica", filepath.Join(cfg.DataDir, id+"-replica"), prim.ts.URL)
 		if err != nil {
 			return nil, err
 		}
@@ -264,19 +197,13 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer gw.Close()
-	gwTS, err := adminhttp.Start("127.0.0.1:0", gw.Handler())
-	if err != nil {
+	gwp := &proc{close: gw.Close}
+	if err := st.serve(gwp, gw.Handler(), gw.BeginShutdown); err != nil {
 		return nil, err
 	}
-	defer gwTS.Close()
 
 	// --- Client: aimed at the gateway, chaos on its wire. ---
-	ccfg := cfg.Client
-	if cfg.ClientPlan != nil {
-		ccfg.HTTPClient = &http.Client{Transport: &faultinject.Transport{Plan: cfg.ClientPlan}}
-	}
-	cl, err := client.NewWithConfig(gwTS.URL, ccfg)
+	cl, _, err := connect(gwp.ts.URL, cfg.Client, cfg.ClientPlan)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +214,6 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	// owner (the gateway's routing is recomputed here from the same
 	// inputs, so the audit is independent of it). ---
 	cells := make([]geo.Point, cfg.Cells)
-	cellOwner := make([]string, cfg.Cells)
 	ownerCells := map[string][]int{}
 	origin := cluster.CellOf(rfenv.MetroCenter, cluster.DefaultCellDeg)
 	for i := range cells {
@@ -296,13 +222,12 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 			Lat: (float64(cell.X) + 0.5) * cluster.DefaultCellDeg,
 			Lon: (float64(cell.Y) + 0.5) * cluster.DefaultCellDeg,
 		}
-		k := cluster.RouteKey{Channel: cfg.Channels[0], Cell: cell}
-		cellOwner[i] = gw.Ring().Owner(k)
-		ownerCells[cellOwner[i]] = append(ownerCells[cellOwner[i]], i)
+		owner := gw.Ring().Owner(cluster.RouteKey{Channel: cfg.Channels[0], Cell: cell})
+		ownerCells[owner] = append(ownerCells[owner], i)
 	}
 
 	seq := 0
-	makeBatch := func(phase, i int) (core.UploadBatch, geo.Point, rfenv.Channel) {
+	makeBatch := func(phase, i int) core.UploadBatch {
 		ch := cfg.Channels[i%len(cfg.Channels)]
 		center := cells[i%len(cells)]
 		rng := rand.New(rand.NewSource(cycleSeed(cfg.Seed, phase*100003+i, ch)))
@@ -319,48 +244,39 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 			})
 			seq++
 		}
-		return core.UploadBatch{Readings: rs, CISpanDB: 0.4}, center, ch
+		return core.UploadBatch{Readings: rs, CISpanDB: 0.4}
 	}
-	auditBatch := func(batch core.UploadBatch) *clusterBatch {
-		cb := &clusterBatch{seqsByOwner: map[string][]int{}, total: len(batch.Readings)}
-		for _, r := range batch.Readings {
-			k := cluster.RouteKey{Channel: r.Channel, Cell: cluster.CellOf(r.Loc, cluster.DefaultCellDeg)}
-			owner := gw.Ring().Owner(k)
-			cb.seqsByOwner[owner] = append(cb.seqsByOwner[owner], r.Seq)
-		}
-		return cb
-	}
-	upload := func(phase, i int) (*clusterBatch, error) {
-		batch, _, _ := makeBatch(phase, i)
-		if err := untilOK(ctx, fmt.Sprintf("cluster upload p%d #%d", phase, i), func() error {
-			return cl.Upload(ctx, batch)
-		}); err != nil {
-			return nil, err
-		}
-		return auditBatch(batch), nil
-	}
-
 	ackedA := map[string][]int{} // quiesced: owed to primary AND replica
 	ackedB := map[string][]int{} // kill window: owed to the primary's WAL
 	ackedC := map[string][]int{} // post-kill: owed to the replica
 	res := &ClusterResult{}
-	fold := func(into map[string][]int, cb *clusterBatch) {
-		for owner, seqs := range cb.seqsByOwner {
-			into[owner] = append(into[owner], seqs...)
+	// upload sends a phase's batch i until it is acknowledged, then
+	// credits each reading to the shard its own key routes to: the
+	// gateway splits batches per (channel, cell) owner, so the audit
+	// attributes readings exactly as the routing does.
+	upload := func(acked map[string][]int, phase, i int) error {
+		batch := makeBatch(phase, i)
+		if err := untilOK(ctx, fmt.Sprintf("cluster upload p%d #%d", phase, i), func() error {
+			return cl.Upload(ctx, batch)
+		}); err != nil {
+			return err
 		}
-		res.AckedTotal += cb.total
+		for _, r := range batch.Readings {
+			owner := gw.Ring().Owner(cluster.RouteKey{Channel: r.Channel, Cell: cluster.CellOf(r.Loc, cluster.DefaultCellDeg)})
+			acked[owner] = append(acked[owner], r.Seq)
+		}
+		res.AckedTotal += len(batch.Readings)
+		return nil
 	}
 
 	// --- Phase A: load, broadcast retrain, drain, byte-compare. ---
 	for i := 0; i < cfg.Batches; i++ {
-		cb, err := upload(0, i)
-		if err != nil {
+		if err := upload(ackedA, 0, i); err != nil {
 			return nil, err
 		}
-		fold(ackedA, cb)
 	}
 	for _, ch := range cfg.Channels {
-		url := fmt.Sprintf("%s/v1/retrain?channel=%d&sensor=%d", gwTS.URL, int(ch), int(sensor.KindRTLSDR))
+		url := fmt.Sprintf("%s/v1/retrain?channel=%d&sensor=%d", gwp.ts.URL, int(ch), int(sensor.KindRTLSDR))
 		if err := untilOK(ctx, "broadcast retrain", func() error {
 			resp, err := http.Post(url, "", nil)
 			if err != nil {
@@ -398,17 +314,17 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 
 	// --- Phase B: the kill window — no drain, then the primary dies.
-	// FlushWAL marks the durability point (an ack without a WAL flush
-	// would be the bug this harness exists to catch); the replica keeps
-	// whatever its follower managed to pull, no more. ---
+	// The kill's WAL flush marks the durability point (an ack without a
+	// WAL flush would be the bug this harness exists to catch); the
+	// replica keeps whatever its follower managed to pull, no more. ---
 	for i := 0; i < cfg.LagBatches; i++ {
-		cb, err := upload(1, i)
-		if err != nil {
+		if err := upload(ackedB, 1, i); err != nil {
 			return nil, err
 		}
-		fold(ackedB, cb)
 	}
-	primaries[victim].kill(true)
+	if err := primaries[victim].kill(); err != nil {
+		return nil, err
+	}
 
 	// --- Phase C: post-kill load aimed at the victim's cells; every
 	// ack must come via gateway failover to the replica. ---
@@ -417,13 +333,9 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 		return nil, fmt.Errorf("e2e: victim %s owns no cells (seed geometry too small)", victim)
 	}
 	for i := 0; i < cfg.PostBatches; i++ {
-		batch, _, _ := makeBatch(2, vcells[i%len(vcells)])
-		if err := untilOK(ctx, fmt.Sprintf("post-kill upload #%d", i), func() error {
-			return cl.Upload(ctx, batch)
-		}); err != nil {
+		if err := upload(ackedC, 2, vcells[i%len(vcells)]); err != nil {
 			return nil, err
 		}
-		fold(ackedC, auditBatch(batch))
 	}
 	// A model read for the victim's key must also survive via failover;
 	// the gateway places it by the location hint of a victim cell.
@@ -433,7 +345,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 		if _, ok := victimModels[ch]; !ok {
 			continue
 		}
-		got, ok := fetchModel(gwTS.URL, ch, hint)
+		got, ok := fetchModel(gwp.ts.URL, ch, hint)
 		if !ok || !bytes.Equal(got, victimModels[ch]) {
 			res.ModelMismatches++
 		}
@@ -449,13 +361,13 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 		if err := prim.node.Drain(ctx); err != nil {
 			return nil, fmt.Errorf("drain survivor %s: %w", id, err)
 		}
-		have, err := exportSeqs(prim.ts.URL, cfg.Channels)
+		have, err := prim.seqs(cfg.Channels)
 		if err != nil {
 			return nil, err
 		}
 		res.LostOnSurvivors += countMissing(have, ackedA[id], ackedB[id], ackedC[id])
 	}
-	haveReplica, err := exportSeqs(replicas[victim].ts.URL, cfg.Channels)
+	haveReplica, err := replicas[victim].seqs(cfg.Channels)
 	if err != nil {
 		return nil, err
 	}
@@ -464,15 +376,11 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	// Restart the victim's primary from its data dir alone: WAL replay
 	// must surface every pre-kill ack, and rebuild the descriptors at
 	// the persisted versions byte-identically.
-	restarted, err := openNode(victim+"-restarted", primaries[victim].dir, "")
+	restarted, err := node(victim+"-restarted", primaries[victim].dir, "")
 	if err != nil {
 		return nil, fmt.Errorf("restart victim: %w", err)
 	}
-	defer func() {
-		restarted.ts.Close()
-		restarted.node.Close()
-	}()
-	havePrimary, err := exportSeqs(restarted.ts.URL, cfg.Channels)
+	havePrimary, err := restarted.seqs(cfg.Channels)
 	if err != nil {
 		return nil, err
 	}
@@ -517,34 +425,6 @@ func fetchModel(baseURL string, ch rfenv.Channel, hint string) ([]byte, bool) {
 		return nil, false
 	}
 	return body, true
-}
-
-// exportSeqs pulls every store export off a node and returns the set of
-// reading sequence numbers it holds.
-func exportSeqs(baseURL string, channels []rfenv.Channel) (map[int]bool, error) {
-	have := map[int]bool{}
-	for _, ch := range channels {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/export?channel=%d&sensor=%d", baseURL, int(ch), int(sensor.KindRTLSDR)))
-		if err != nil {
-			return nil, err
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusNotFound {
-			continue // this node never saw the channel
-		}
-		if err != nil || resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("export ch%d from %s: status %d, err %v", int(ch), baseURL, resp.StatusCode, err)
-		}
-		rs, err := dataset.ReadCSV(bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rs {
-			have[r.Seq] = true
-		}
-	}
-	return have, nil
 }
 
 // countMissing counts acked seqs absent from have.

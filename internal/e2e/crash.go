@@ -1,12 +1,9 @@
 package e2e
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"github.com/wsdetect/waldo/internal/geoindex"
 )
@@ -29,10 +26,12 @@ type CrashConfig struct {
 
 // RunCrash executes a harness run with a mid-campaign server crash: the
 // first server incarnation bootstraps the database on a durable data
-// dir, serves AfterCycle duty cycles, and is killed without any clean
-// shutdown (its WAL is flushed first — the durability point; everything
-// past it was never acknowledged). A second incarnation recovers from
-// disk alone and serves the remaining cycles plus the epilogue.
+// dir, serves AfterCycle duty cycles, and is killed: its WAL is flushed
+// (the durability point; everything past it was never acknowledged),
+// then it stops with no snapshot and no write to the data dir, which
+// RunCrash checks by hashing the directory before and after. A second
+// incarnation recovers from disk alone and serves the remaining cycles
+// plus the epilogue.
 //
 // The returned Result is byte-comparable with Run(cfg) on the same
 // Config: recovery rebuilds the store in original order and the model at
@@ -51,71 +50,7 @@ func RunCrash(cfg Config, crash CrashConfig) (*Result, error) {
 	if crash.AfterCycle < 1 || crash.AfterCycle >= cfg.Cycles {
 		return nil, fmt.Errorf("e2e: crash after cycle %d outside (0, %d)", crash.AfterCycle, cfg.Cycles)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.MaxWall)
-	defer cancel()
-
-	env, bootstrap, err := buildWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	var log strings.Builder
-	res := &Result{}
-
-	// --- Incarnation A: bootstrap, serve the first cycles, die. ---
-	sessA, err := newSession(cfg, env, &log, crash.DataDir)
-	if err != nil {
-		return nil, err
-	}
-	if err := sessA.srv.Bootstrap(bootstrap); err != nil {
-		sessA.ts.Close()
-		return nil, err
-	}
-	if err := sessA.runCycles(ctx, 0, crash.AfterCycle); err != nil {
-		sessA.ts.Close()
-		return nil, err
-	}
-	// The durability point: everything acknowledged so far reaches disk.
-	// Past here the process is gone — no Close, no snapshot, the data
-	// dir stays exactly as the crash left it.
-	if err := sessA.srv.FlushWAL(); err != nil {
-		sessA.ts.Close()
-		return nil, err
-	}
-	wantGrid := verdicts(sessA.srv.GeoIndex().Rebuild(ctx))
-	sessA.ts.Close()
-	sessA.addCounters(res)
-
-	if crash.TornTail {
-		if err := tearSegmentTails(crash.DataDir); err != nil {
-			return nil, err
-		}
-	}
-
-	// --- Incarnation B: recover from disk, finish the run. ---
-	sessB, err := newSession(cfg, env, &log, crash.DataDir)
-	if err != nil {
-		return nil, fmt.Errorf("e2e: recovery: %w", err)
-	}
-	defer sessB.ts.Close()
-	if !bytes.Equal(verdicts(sessB.srv.GeoIndex().Snapshot()), wantGrid) {
-		return nil, fmt.Errorf("e2e: the recovered server's grid differs from the pre-kill one")
-	}
-	if err := sessB.runCycles(ctx, crash.AfterCycle, cfg.Cycles); err != nil {
-		return nil, err
-	}
-	versions, err := sessB.epilogue(ctx)
-	if err != nil {
-		return nil, err
-	}
-	stores, err := sessB.exportStores()
-	if err != nil {
-		return nil, err
-	}
-	sessB.addCounters(res)
-	res.DecisionLog = []byte(log.String())
-	res.StoreCSV = stores
-	res.ModelVersion = versions
-	return res, nil
+	return run(cfg, crash)
 }
 
 // verdicts renders a grid without its generation, which a restarted

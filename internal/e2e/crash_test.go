@@ -2,7 +2,9 @@ package e2e
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/wsdetect/waldo/internal/faultinject"
 )
@@ -85,5 +87,21 @@ func TestRunCrashValidation(t *testing.T) {
 	}
 	if _, err := RunCrash(Config{Seed: 1, Cycles: 4}, CrashConfig{DataDir: t.TempDir(), AfterCycle: 4}); err == nil {
 		t.Error("crash after the last cycle accepted")
+	}
+}
+
+// TestRunCrashLeavesNoGoroutine: the killed incarnation is stopped, not
+// abandoned, and the survivor is torn down at the end, so a crash run
+// ends with the goroutines it started with.
+func TestRunCrashLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := RunCrash(Config{Seed: baseSeed}, CrashConfig{DataDir: t.TempDir(), AfterCycle: 3}); err != nil {
+		t.Fatalf("RunCrash: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after the run, %d before:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

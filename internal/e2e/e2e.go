@@ -28,21 +28,25 @@
 // and finishes the run — the decision log, store exports, and served
 // model versions must still match the uninterrupted [Run]. That works
 // because recovery (internal/wal) rebuilds each store in original
-// append order and model rebuilds are deterministic.
+// append order and model rebuilds are deterministic. [RunClusterCrash]
+// makes the same claim of a sharded topology that loses a primary.
+//
+// Every run boots its processes one way (stack.go) and stops each as
+// SIGTERM stops the binary; a kill is that stop after a WAL flush, and
+// fails the run if the stop wrote to the data dir.
 package e2e
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"time"
 
-	"github.com/wsdetect/waldo/internal/adminhttp"
 	"github.com/wsdetect/waldo/internal/client"
+	"github.com/wsdetect/waldo/internal/cluster"
 	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/dbserver"
@@ -77,10 +81,8 @@ type Config struct {
 	// ServerPlan injects faults in front of the server's handler; nil
 	// for a clean server path.
 	ServerPlan faultinject.Plan
-	// Client overrides the WSD client's resilience parameters. The
-	// harness defaults to fast chaos-friendly values (250 ms attempt
-	// timeout, 1–10 ms backoff, 25 ms breaker cooldown) so fault-heavy
-	// runs stay quick.
+	// Client overrides the WSD client's resilience parameters; its
+	// zero fields take the harness's fast chaos-friendly defaults.
 	Client client.Config
 	// MaxWall bounds the whole run; 0 means 2 minutes. A fault
 	// schedule that never clears fails the run at this deadline
@@ -104,24 +106,7 @@ func (c *Config) defaults() {
 	if c.AlphaPrimeDB == 0 {
 		c.AlphaPrimeDB = 1.0
 	}
-	if c.Client.Timeout == 0 {
-		c.Client.Timeout = 250 * time.Millisecond
-	}
-	if c.Client.Retry.BaseDelay == 0 {
-		c.Client.Retry.BaseDelay = time.Millisecond
-	}
-	if c.Client.Retry.MaxDelay == 0 {
-		c.Client.Retry.MaxDelay = 10 * time.Millisecond
-	}
-	if c.Client.Retry.Seed == 0 {
-		c.Client.Retry.Seed = uint64(c.Seed)
-	}
-	if c.Client.Breaker.Cooldown == 0 {
-		c.Client.Breaker.Cooldown = 25 * time.Millisecond
-	}
-	if c.MaxWall == 0 {
-		c.MaxWall = 2 * time.Minute
-	}
+	runDefaults(c.Seed, &c.Client, &c.MaxWall)
 }
 
 // Result is one run's byte-comparable outcome plus resilience counters.
@@ -204,8 +189,7 @@ func buildWorld(cfg Config) (*rfenv.Environment, []dataset.Reading, error) {
 type session struct {
 	cfg       Config
 	env       *rfenv.Environment
-	srv       *dbserver.Server
-	ts        *adminhttp.Server
+	srv       *proc
 	cl        *client.Client
 	clientReg *telemetry.Registry
 	clientTR  *faultinject.Transport
@@ -217,46 +201,32 @@ type session struct {
 	errsWhileCached uint64
 }
 
-// newSession builds the server (durable when dataDir is set — recovering
-// whatever the directory holds), wires the faulted HTTP path, and
-// connects a fresh client. The client starts cold: a post-crash session
-// re-downloads models exactly like a rebooted WSD fleet.
-func newSession(cfg Config, env *rfenv.Environment, log *strings.Builder, dataDir string) (*session, error) {
-	srv, err := dbserver.Open(dbserver.Config{
-		Constructor:  core.ConstructorConfig{Classifier: core.KindNB, Seed: cfg.Seed},
-		AlphaPrimeDB: cfg.AlphaPrimeDB,
-		DataDir:      dataDir,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	handler := srv.Handler()
+// newSession boots the server on st (durable when dataDir is set —
+// recovering whatever the directory holds) behind the server plan's
+// faults, and connects a fresh client through the client plan's. The
+// client starts cold: a post-crash session re-downloads models exactly
+// like a rebooted WSD fleet.
+func newSession(st *stack, cfg Config, env *rfenv.Environment, log *strings.Builder, dataDir string) (*session, error) {
 	var serverMW *faultinject.Middleware
 	if cfg.ServerPlan != nil {
 		serverMW = &faultinject.Middleware{Plan: cfg.ServerPlan}
-		handler = serverMW.Wrap(handler)
 	}
-	ts, err := adminhttp.Start("127.0.0.1:0", handler)
+	srv, err := st.store(cluster.NodeConfig{DB: dbserver.Config{
+		Constructor:  core.ConstructorConfig{Classifier: core.KindNB, Seed: cfg.Seed},
+		AlphaPrimeDB: cfg.AlphaPrimeDB,
+		DataDir:      dataDir,
+	}}, serverMW)
 	if err != nil {
-		srv.Close()
 		return nil, err
 	}
-	var clientTR *faultinject.Transport
-	ccfg := cfg.Client
-	if cfg.ClientPlan != nil {
-		clientTR = &faultinject.Transport{Plan: cfg.ClientPlan}
-		ccfg.HTTPClient = &http.Client{Transport: clientTR}
+	cl, clientTR, err := connect(srv.ts.URL, cfg.Client, cfg.ClientPlan)
+	if err != nil {
+		return nil, err
 	}
 	clientReg := telemetry.New()
-	cl, err := client.NewWithConfig(ts.URL, ccfg)
-	if err != nil {
-		ts.Close()
-		return nil, err
-	}
 	cl.SetMetrics(clientReg)
 	return &session{
-		cfg: cfg, env: env, srv: srv, ts: ts, cl: cl,
+		cfg: cfg, env: env, srv: srv, cl: cl,
 		clientReg: clientReg, clientTR: clientTR, serverMW: serverMW,
 		log:    log,
 		cached: make(map[rfenv.Channel]bool, len(cfg.Channels)),
@@ -308,7 +278,7 @@ func (s *session) epilogue(ctx context.Context) (map[rfenv.Channel]int, error) {
 		}); err != nil {
 			return nil, err
 		}
-		model, err := refreshFresh(ctx, s.cl, ch, s.srv.ModelVersion(ch, sensor.KindRTLSDR))
+		model, err := refreshFresh(ctx, s.cl, ch, s.srv.db.ModelVersion(ch, sensor.KindRTLSDR))
 		if err != nil {
 			return nil, err
 		}
@@ -319,23 +289,23 @@ func (s *session) epilogue(ctx context.Context) (map[rfenv.Channel]int, error) {
 		fmt.Fprintf(s.log, "final channel=%d label=%v converged=%t readings=%d ci=%.6f rss=%.6f cft=%.6f aft=%.6f\n",
 			int(ch), dec.Label, dec.Converged, dec.ReadingsUsed,
 			dec.CISpanDB, dec.Signal.RSSdBm, dec.Signal.CFTdB, dec.Signal.AFTdB)
-		versions[ch] = s.srv.ModelVersion(ch, sensor.KindRTLSDR)
+		versions[ch] = s.srv.db.ModelVersion(ch, sensor.KindRTLSDR)
 		fmt.Fprintf(s.log, "final channel=%d model_version=%d store=%d\n",
-			int(ch), versions[ch], s.srv.StoreSize(ch, sensor.KindRTLSDR))
+			int(ch), versions[ch], s.srv.db.StoreSize(ch, sensor.KindRTLSDR))
 	}
 	return versions, nil
 }
 
-// exportStores renders every store's CSV out-of-band of the chaos wire
-// (a corrupt fault on an export response would mangle the CSV without
-// signaling an error, so store inspection must not cross the faulted
-// path).
+// exportStores renders every store's CSV.
 func (s *session) exportStores() ([]byte, error) {
 	var stores []byte
 	for _, ch := range s.cfg.Channels {
-		csv, err := export(s.srv.Handler(), ch)
+		csv, err := s.srv.export(ch)
 		if err != nil {
 			return nil, err
+		}
+		if csv == nil {
+			return nil, fmt.Errorf("e2e: no store for channel %d", int(ch))
 		}
 		stores = append(stores, []byte(fmt.Sprintf("# store channel=%d\n", int(ch)))...)
 		stores = append(stores, csv...)
@@ -350,44 +320,75 @@ func (s *session) addCounters(res *Result) {
 	res.UploadsAccepted += uint64(s.uploaded)
 	res.RefreshErrorsWhileCached += s.errsWhileCached
 	if s.clientTR != nil {
-		for k, v := range s.clientTR.Counts() {
-			if res.ClientFaults == nil {
-				res.ClientFaults = make(map[faultinject.Kind]uint64)
-			}
-			res.ClientFaults[k] += v
-		}
+		res.ClientFaults = addCounts(res.ClientFaults, s.clientTR.Counts())
 	}
 	if s.serverMW != nil {
-		for k, v := range s.serverMW.Counts() {
-			if res.ServerFaults == nil {
-				res.ServerFaults = make(map[faultinject.Kind]uint64)
-			}
-			res.ServerFaults[k] += v
-		}
+		res.ServerFaults = addCounts(res.ServerFaults, s.serverMW.Counts())
 	}
+}
+
+// addCounts adds counts to into, which it makes on first use.
+func addCounts(into, counts map[faultinject.Kind]uint64) map[faultinject.Kind]uint64 {
+	for k, v := range counts {
+		if into == nil {
+			into = make(map[faultinject.Kind]uint64)
+		}
+		into[k] += v
+	}
+	return into
 }
 
 // Run executes one harness run.
 func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
+	return run(cfg, CrashConfig{AfterCycle: cfg.Cycles})
+}
+
+// run is Run and RunCrash: one server incarnation bootstraps and serves
+// the cycles up to crash.AfterCycle; if that is before the last, it is
+// killed and a second, recovered from crash.DataDir alone, serves the
+// rest. The last one serves the epilogue and exports its stores.
+func run(cfg Config, crash CrashConfig) (*Result, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.MaxWall)
 	defer cancel()
-
 	env, bootstrap, err := buildWorld(cfg)
 	if err != nil {
 		return nil, err
 	}
 	var log strings.Builder
-	sess, err := newSession(cfg, env, &log, "")
+	res := &Result{}
+	var st stack
+	defer st.stop()
+	sess, err := newSession(&st, cfg, env, &log, crash.DataDir)
 	if err != nil {
 		return nil, err
 	}
-	defer sess.ts.Close()
-	if err := sess.srv.Bootstrap(bootstrap); err != nil {
+	if err := sess.srv.db.Bootstrap(bootstrap); err != nil {
 		return nil, err
 	}
-	if err := sess.runCycles(ctx, 0, cfg.Cycles); err != nil {
+	if err := sess.runCycles(ctx, 0, crash.AfterCycle); err != nil {
 		return nil, err
+	}
+	if crash.AfterCycle < cfg.Cycles { // the crash; the survivor has only the data dir
+		wantGrid := verdicts(sess.srv.db.GeoIndex().Rebuild(ctx))
+		if err := sess.srv.kill(); err != nil {
+			return nil, err
+		}
+		sess.addCounters(res)
+		if crash.TornTail {
+			if err := tearSegmentTails(crash.DataDir); err != nil {
+				return nil, err
+			}
+		}
+		if sess, err = newSession(&st, cfg, env, &log, crash.DataDir); err != nil {
+			return nil, fmt.Errorf("e2e: recovery: %w", err)
+		}
+		if !bytes.Equal(verdicts(sess.srv.db.GeoIndex().Snapshot()), wantGrid) {
+			return nil, fmt.Errorf("e2e: the recovered server's grid differs from the pre-kill one")
+		}
+		if err := sess.runCycles(ctx, crash.AfterCycle, cfg.Cycles); err != nil {
+			return nil, err
+		}
 	}
 	versions, err := sess.epilogue(ctx)
 	if err != nil {
@@ -397,12 +398,8 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		DecisionLog:  []byte(log.String()),
-		StoreCSV:     stores,
-		ModelVersion: versions,
-	}
 	sess.addCounters(res)
+	res.DecisionLog, res.StoreCSV, res.ModelVersion = []byte(log.String()), stores, versions
 	return res, nil
 }
 
@@ -511,16 +508,4 @@ func refreshFresh(ctx context.Context, cl *client.Client, ch rfenv.Channel, want
 		return nil
 	})
 	return model, err
-}
-
-// export renders one store's CSV by invoking the server handler
-// directly, bypassing any fault middleware on the listening socket.
-func export(h http.Handler, ch rfenv.Channel) ([]byte, error) {
-	url := fmt.Sprintf("/v1/export?channel=%d&sensor=%d", int(ch), int(sensor.KindRTLSDR))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
-	if rec.Code != http.StatusOK {
-		return nil, fmt.Errorf("e2e: export: %d %s", rec.Code, rec.Body.String())
-	}
-	return rec.Body.Bytes(), nil
 }
