@@ -226,7 +226,7 @@ func TestUploadBinaryRejected(t *testing.T) {
 	}
 }
 
-func calibratedDevice(t *testing.T, spec sensor.Spec, rng *rand.Rand) *sensor.Device {
+func calibratedDevice(t testing.TB, spec sensor.Spec, rng *rand.Rand) *sensor.Device {
 	t.Helper()
 	d := sensor.NewDevice(spec)
 	if err := sensor.CalibrateAndInstall(d, rng, sensor.CalibrationConfig{}); err != nil {
@@ -262,12 +262,14 @@ func TestSimRadioAndWSDScan(t *testing.T) {
 	if len(res.Channels) != 2 {
 		t.Fatalf("scanned %d channels", len(res.Channels))
 	}
+	// A channel whose locality at loc the model calls occupied whatever
+	// the signal (ch27's, here) decides on no capture, in no air time.
 	for _, cs := range res.Channels {
 		if !cs.Decision.Converged && !cs.Decision.StoppedEarly {
 			t.Errorf("%v: stationary scan neither converged nor stopped early: %+v", cs.Channel, cs.Decision)
 		}
-		if cs.AirTime <= 0 || cs.CPUTime < 0 {
-			t.Errorf("%v: airtime=%v cpu=%v", cs.Channel, cs.AirTime, cs.CPUTime)
+		if want := time.Duration(cs.Decision.ReadingsUsed) * radio.DwellTime(); cs.AirTime != want || cs.CPUTime < 0 {
+			t.Errorf("%v: airtime=%v (want %v) cpu=%v", cs.Channel, cs.AirTime, want, cs.CPUTime)
 		}
 	}
 	// Channel 27 is the strong in-town station: must be NotSafe.

@@ -108,7 +108,9 @@ type ChannelScan struct {
 	// Decision is the detector's output.
 	Decision core.Decision
 	// AirTime is the radio time consumed (readings × dwell): the time
-	// to a decision of Fig. 17, converged or stopped early.
+	// to a decision of Fig. 17, converged or stopped early. It is 0 on a
+	// channel whose detector was done before its first capture: the
+	// model's locality at the place is a constant NotSafe one.
 	AirTime time.Duration
 	// CPUTime is the measured processing time (detector + classifier).
 	CPUTime time.Duration
@@ -173,9 +175,11 @@ func (w *WSD) detector(ch rfenv.Channel, model *core.Model) (*core.Detector, err
 	return det, nil
 }
 
-// SenseChannel runs the detection loop for one channel at loc: capture →
-// offer → done (converged, or stopped early on an occupied channel)? →
-// decide.
+// SenseChannel runs the detection loop for one channel at loc: done
+// (converged, or stopped early on an occupied channel)? → capture →
+// offer → ... → decide. The placed detector is asked before the first
+// capture, so a channel its model calls occupied at loc whatever the
+// signal takes none.
 func (w *WSD) SenseChannel(ch rfenv.Channel, loc geo.Point) (ChannelScan, error) {
 	model, ok := w.Models[ch]
 	if !ok {
@@ -195,14 +199,17 @@ func (w *WSD) SenseChannel(ch rfenv.Channel, loc geo.Point) (ChannelScan, error)
 	// Feature extraction, detector bookkeeping and the decision are the
 	// WSD's processing cost (Fig. 18); the radio's capture time is not.
 	// The clock is read once at each hand-over between the two, as an
-	// offset from one base, and the stamp that closes the last Offer opens
+	// offset from one base: processing runs from base, or from the end of
+	// the last capture, to the start of the next capture or the end of
 	// Decide.
 	base := time.Now()
 	var cpu, mark time.Duration // mark: when processing last took over
 	captures := 0
 	cal := w.Radio.Calibration()
 	set := det.Features()
-	for captures < maxN {
+	done := det.Done()
+	for !done && captures < maxN {
+		cpu += time.Since(base) - mark
 		obs, err := w.Radio.Capture(ch)
 		if err != nil {
 			return ChannelScan{}, fmt.Errorf("client: capture %v: %w", ch, err)
@@ -213,13 +220,7 @@ func (w *WSD) SenseChannel(ch rfenv.Channel, loc geo.Point) (ChannelScan, error)
 		if err != nil {
 			return ChannelScan{}, fmt.Errorf("client: extract %v: %w", ch, err)
 		}
-		done := det.Offer(sig)
-		now := time.Since(base)
-		cpu += now - mark
-		mark = now
-		if done {
-			break
-		}
+		done = det.Offer(sig)
 	}
 	dec, err := det.Decide(loc)
 	cpu += time.Since(base) - mark

@@ -40,7 +40,8 @@ func (r *ringRadio) DwellTime() time.Duration        { return 20 * time.Millisec
 // captured, extracted and dropped — or to MaxReadingsPerChannel when
 // that is lower. The cap is reached by a WSD measuring the full set,
 // which samples to α; one measuring only its model's set stops the same
-// occupied stream after 3 captures with NotSafe.
+// occupied stream after 3 captures with NotSafe, and takes no capture at
+// all where its model's locality is a constant NotSafe one.
 func TestSenseChannelStopsAtDetectorCap(t *testing.T) {
 	w := newTestWorld(t, []rfenv.Channel{47})
 	m, _, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR)
@@ -116,12 +117,23 @@ func TestSenseChannelStopsAtDetectorCap(t *testing.T) {
 		radio.captures != 3 || d.ReadingsUsed != 3 || cs.AirTime != 60*time.Millisecond {
 		t.Errorf("lean set: %d captures in %v: %+v; want an early NotSafe after 3 captures, 60ms", radio.captures, cs.AirTime, d)
 	}
+
+	// ch27 is occupied across the metro: every locality of its model is a
+	// constant NotSafe one.
+	metro, metroRadio, _ := metroRig(t)
+	if cs, err = metro.SenseChannel(27, rfenv.MetroCenter); err != nil {
+		t.Fatal(err)
+	}
+	if d := cs.Decision; !d.StoppedEarly || d.Converged || d.Label != dataset.LabelNotSafe ||
+		metroRadio.captures != 0 || d.ReadingsUsed != 0 || cs.AirTime != 0 {
+		t.Errorf("lean set, constant NotSafe locality: %d captures in %v: %+v; want NotSafe on no capture", metroRadio.captures, cs.AirTime, d)
+	}
 }
 
 // metroRig is a 9-channel WSD like the wsd_scan benchmark's: SVM models
 // with three localities over location + RSS + CFT, and a replay radio
 // with a ring of captures per channel.
-func metroRig(t *testing.T) (*WSD, *ringRadio, []rfenv.Channel) {
+func metroRig(t testing.TB) (*WSD, *ringRadio, []rfenv.Channel) {
 	t.Helper()
 	env, err := rfenv.BuildMetro(21)
 	if err != nil {
@@ -202,6 +214,28 @@ func TestScanAllocBudget(t *testing.T) {
 	}
 	if n > 2 {
 		t.Errorf("allocs per scan = %v, budget 2", n)
+	}
+}
+
+// BenchmarkScanMetro times one warm duty cycle of the lean 9-channel
+// metro WSD at a fixed place: the device path of the wsd_scan benchmark
+// workload (extraction, detector, classifier) on replayed captures, with
+// no air time.
+func BenchmarkScanMetro(b *testing.B) {
+	wsd, _, channels := metroRig(b)
+	loc := rfenv.MetroCenter
+	for i := 0; i < 8; i++ { // every ring offset has been seen
+		if _, err := wsd.Scan(loc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := wsd.Scan(loc)
+		if err != nil || len(res.Channels) != len(channels) {
+			b.Fatalf("scan: %d channels, %v", len(res.Channels), err)
+		}
 	}
 }
 

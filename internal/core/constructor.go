@@ -371,8 +371,7 @@ func (m *Model) Classify(loc geo.Point, sig features.Signal) (dataset.Label, err
 	if err != nil {
 		return 0, err
 	}
-	idx, _ := kmeans.Nearest(m.centers, vec[:2]) // the planar point, in km
-	lm := &m.locals[idx]
+	lm := m.local(vec)
 	if lm.constant {
 		return lm.constantLabel, nil
 	}
@@ -391,6 +390,27 @@ func (m *Model) Classify(loc geo.Point, sig features.Signal) (dataset.Label, err
 		return dataset.LabelSafe, nil
 	}
 	return dataset.LabelNotSafe, nil
+}
+
+// local returns the locality of a point whose first two coordinates are
+// its planar position in km, as identifyLocalities clusters and a feature
+// vector begins: the locality whose centre is nearest. Classify and
+// constantAt both look the locality up here, so they cannot drift.
+func (m *Model) local(p []float64) *localModel {
+	idx, _ := kmeans.Nearest(m.centers, p[:2])
+	return &m.locals[idx]
+}
+
+// constantAt reports the label of the locality loc falls in, when that
+// locality is a constant ("binary", §3.2) one: Classify then answers it
+// at loc whatever the signal, before reading the signal or the margin.
+func (m *Model) constantAt(loc geo.Point) (dataset.Label, bool) {
+	if len(m.locals) == 0 {
+		return 0, false
+	}
+	xy := m.proj.ToXY(loc)
+	lm := m.local([]float64{xy.X / 1000, xy.Y / 1000})
+	return lm.constantLabel, lm.constant
 }
 
 // decisionValue scores a z-scored vector. The families a device is sent

@@ -11,11 +11,13 @@ import (
 )
 
 // earlyNotSafeReadings is n0, the shortest stream on which a detector
-// whose decisions cannot be uploaded may stop before MinReadings: from
-// here on, when both points of the §5 fallback already classify NotSafe,
-// more captures cannot make that answer safer. At 2 every metro decision
-// would stop NotSafe and all white space would be lost; 3 with both ends
-// keeps the false-NotSafe share where full sampling has it.
+// whose decisions cannot be uploaded may stop before MinReadings because
+// both points of the §5 fallback already classify NotSafe: more captures
+// cannot make that answer safer. At 2 every metro decision would stop
+// NotSafe and all white space would be lost; 3 with both ends keeps the
+// false-NotSafe share where full sampling has it. A place whose locality
+// is a constant NotSafe one needs no n0: it stops at any length, 0
+// included (see At).
 const earlyNotSafeReadings = 3
 
 // DetectorConfig parameterizes the White Space Detector (§3.3).
@@ -95,17 +97,22 @@ type Decision struct {
 	// stopped early (StoppedEarly), or it ended — at MaxReadings or
 	// wherever the caller stopped offering — without meeting α.
 	Converged bool
-	// StoppedEarly reports that Offer stopped the stream before
-	// MinReadings because both §5 fallback points at the place given to
-	// At classified NotSafe. Converged is then false, and at that place
+	// StoppedEarly reports that the early NotSafe rule ended the stream
+	// before MinReadings (see At): both §5 fallback points at the place
+	// given to At classified NotSafe, or the model's locality there is a
+	// constant NotSafe one. Converged is then false, and at that place
 	// the label is NotSafe.
 	StoppedEarly bool
-	// ReadingsUsed is the stream length consumed.
+	// ReadingsUsed is the stream length consumed: 0 when the stream
+	// stopped early before its first capture, on a constant NotSafe
+	// locality.
 	ReadingsUsed int
-	// CISpanDB is the final confidence-interval span of smoothed RSS.
+	// CISpanDB is the final confidence-interval span of smoothed RSS,
+	// +Inf on fewer than two readings.
 	CISpanDB float64
 	// Signal is the aggregated (smoothed, outlier-trimmed) feature
-	// vector the classification used.
+	// vector the classification used; −Inf in every feature when no
+	// reading was taken. UploadBatch.Validate refuses either infinity.
 	Signal features.Signal
 }
 
@@ -129,10 +136,12 @@ type Detector struct {
 	spanLen int
 
 	// loc is the place the stream is captured at, set by At; placed
-	// reports that it is. stoppedLen is the stream length at which Offer
-	// last stopped early, 0 if it has not.
+	// reports that it is, and occupied that the model's locality at loc
+	// is a constant NotSafe one. stoppedLen is the stream length at
+	// which the stream last stopped early, 0 if it has not.
 	loc        geo.Point
 	placed     bool
+	occupied   bool
 	stoppedLen int
 }
 
@@ -160,18 +169,22 @@ func (d *Detector) Reset() {
 	d.cft = d.cft[:0]
 	d.aft = d.aft[:0]
 	d.spanLen = 0
-	d.placed = false
+	d.placed, d.occupied = false, false
 	d.stoppedLen = 0
 }
 
 // At sets the place the stream is captured at, until the next Reset. It
-// lets Offer stop an occupied channel's stream early: a detector that
-// does not aggregate AFT (its decisions are never uploadable) answers
-// NotSafe between earlyNotSafeReadings and MinReadings captures, once
-// both §5 fallback points there classify NotSafe. A detector with no
-// place, or one that aggregates the full set, samples to α convergence.
+// lets a detector that does not aggregate AFT (its decisions are never
+// uploadable) stop an occupied channel's stream before MinReadings with
+// NotSafe: from earlyNotSafeReadings captures on once both §5 fallback
+// points there classify NotSafe, and at any length, 0 included, when the
+// model's locality at loc is a constant NotSafe one, where Classify
+// answers NotSafe whatever the signal. Done is then true before the
+// first capture, and Decide answers with none. A detector with no place,
+// or one that aggregates the full set, samples to α convergence.
 func (d *Detector) At(loc geo.Point) {
-	d.loc, d.placed = loc, true
+	label, constant := d.model.constantAt(loc)
+	d.loc, d.placed, d.occupied = loc, true, constant && label == dataset.LabelNotSafe
 }
 
 // Model returns the model the detector classifies with.
@@ -189,8 +202,7 @@ func (d *Detector) Features() features.Set { return d.cfg.Features }
 func (d *Detector) Len() int { return len(d.rss) }
 
 // Offer appends one capture's features (those in Features) and reports
-// whether the stream is done: it has converged (90 % CI span of smoothed
-// RSS below α), or it stopped early on an occupied channel (see At).
+// whether the stream is done (see Done).
 func (d *Detector) Offer(sig features.Signal) bool {
 	if len(d.rss) < d.cfg.MaxReadings {
 		d.rss = append(d.rss, sig.RSSdBm)
@@ -201,6 +213,15 @@ func (d *Detector) Offer(sig features.Signal) bool {
 			d.aft = append(d.aft, sig.AFTdB)
 		}
 	}
+	return d.Done()
+}
+
+// Done reports whether the stream is done at its current length: it has
+// converged (90 % CI span of smoothed RSS below α), or it stopped early
+// on an occupied channel (see At). A device asks before its first
+// capture, as a placed detector on a constant NotSafe locality is done
+// with none.
+func (d *Detector) Done() bool {
 	if d.converged() {
 		return true
 	}
@@ -213,13 +234,19 @@ func (d *Detector) Offer(sig features.Signal) bool {
 
 // stopsEarly reports whether the early NotSafe rule ends the stream at its
 // current length: the detector is placed, cannot upload (no AFT), holds
-// between earlyNotSafeReadings and MinReadings captures, and both §5
+// fewer than MinReadings captures, and either its place's locality is a
+// constant NotSafe one or, from earlyNotSafeReadings captures on, both §5
 // fallback points classify NotSafe. A classification error leaves the
 // stream running; Decide reports it.
 func (d *Detector) stopsEarly() bool {
 	n := len(d.rss)
-	if !d.placed || d.cfg.Features >= features.SetLocationRSSCFTAFT ||
-		n < earlyNotSafeReadings || n >= d.cfg.MinReadings {
+	if !d.placed || d.cfg.Features >= features.SetLocationRSSCFTAFT || n >= d.cfg.MinReadings {
+		return false
+	}
+	if d.occupied {
+		return true
+	}
+	if n < earlyNotSafeReadings {
 		return false
 	}
 	lo, hi, err := d.fallback(d.loc, d.aggregate())
@@ -267,10 +294,20 @@ func (d *Detector) aggregate() features.Signal {
 
 // Decide classifies with the aggregated features at loc. If the stream has
 // not converged, the paper's §5 fallback applies: classify at the 5th and
-// 95th RSS percentiles and NOR the decisions, favouring NotSafe.
+// 95th RSS percentiles and NOR the decisions, favouring NotSafe. An empty
+// stream is an error, unless the early NotSafe rule ends it (see At):
+// the decision is then NotSafe, stopped early on no reading.
 func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	if len(d.rss) == 0 {
-		return Decision{}, fmt.Errorf("core: no readings offered")
+		if !d.stopsEarly() {
+			return Decision{}, fmt.Errorf("core: no readings offered")
+		}
+		return Decision{
+			Label:        dataset.LabelNotSafe,
+			StoppedEarly: true,
+			CISpanDB:     math.Inf(1),
+			Signal:       d.aggregate(),
+		}, nil
 	}
 	dec := Decision{
 		Converged:    d.converged(),

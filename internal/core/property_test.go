@@ -8,6 +8,8 @@ import (
 
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/features"
+	"github.com/wsdetect/waldo/internal/geo"
+	"github.com/wsdetect/waldo/internal/ml/kmeans"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 )
@@ -160,14 +162,10 @@ func TestPropertyModelDeterminism(t *testing.T) {
 	}
 }
 
-// TestPropertyEarlyNotSafe: over random capture streams on the nine metro
-// models — random levels and spreads, random places, lengths up to the
-// cap — the early NotSafe rule only ever replaces the full rule's answer
-// with NotSafe, so false-safe cannot rise. The full rule is a detector
-// with no place, which samples to α as every detector did before the
-// rule; a detector that aggregates AFT (its decisions are uploadable)
-// never stops early either, placed or not.
-func TestPropertyEarlyNotSafe(t *testing.T) {
+// metroModels trains the nine metro SVM models the wsd_scan benchmark's
+// device downloads.
+func metroModels(t *testing.T) []*Model {
+	t.Helper()
 	channels := metroCampaign(t)
 	models := make([]*Model, len(channels))
 	for i, mc := range channels {
@@ -177,6 +175,52 @@ func TestPropertyEarlyNotSafe(t *testing.T) {
 		}
 		models[i] = m
 	}
+	return models
+}
+
+// randomStream draws a capture stream of 1 to maxReadings signals around
+// a random level, with a random spread.
+func randomStream(rng *rand.Rand, maxReadings int) []features.Signal {
+	rss := -115 + rng.Float64()*75
+	cft := rss - 8 - rng.Float64()*30
+	sigma := rng.Float64() * 6
+	stream := make([]features.Signal, 1+rng.Intn(maxReadings))
+	for i := range stream {
+		stream[i] = features.Signal{
+			RSSdBm: rss + rng.NormFloat64()*sigma,
+			CFTdB:  cft + rng.NormFloat64()*sigma,
+			AFTdB:  cft - 2 + rng.NormFloat64()*sigma,
+		}
+	}
+	return stream
+}
+
+// offerUntilDone offers stream to d until d is done, asking before the
+// first capture as a WSD does, and decides at loc.
+func offerUntilDone(t *testing.T, d *Detector, stream []features.Signal, loc geo.Point) Decision {
+	t.Helper()
+	done := d.Done()
+	for i := 0; !done && i < len(stream); i++ {
+		done = d.Offer(stream[i])
+	}
+	dec, err := d.Decide(loc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
+}
+
+// TestPropertyEarlyNotSafe: over random capture streams on the nine metro
+// models — random levels and spreads, random places, lengths up to the
+// cap — the early NotSafe rule only ever replaces the full rule's answer
+// with NotSafe, so false-safe cannot rise. The full rule is a detector
+// with no place, which samples to α as every detector did before the
+// rule; a detector that aggregates AFT (its decisions are uploadable)
+// never stops early either, placed or not. An early stop takes no
+// capture (a constant NotSafe locality) or from earlyNotSafeReadings to
+// MinReadings − 1.
+func TestPropertyEarlyNotSafe(t *testing.T) {
+	models := metroModels(t)
 	const maxReadings = 64
 	lean := DetectorConfig{AlphaDB: 0.5, MinReadings: 8, MaxReadings: maxReadings}
 	full := lean
@@ -186,19 +230,7 @@ func TestPropertyEarlyNotSafe(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := models[rng.Intn(len(models))]
 		loc := rfenv.MetroCenter.Offset(rng.Float64()*360, rng.Float64()*12000)
-		rss := -115 + rng.Float64()*75
-		cft := rss - 8 - rng.Float64()*30
-		sigma := rng.Float64() * 6
-		stream := make([]features.Signal, 1+rng.Intn(maxReadings))
-		for i := range stream {
-			stream[i] = features.Signal{
-				RSSdBm: rss + rng.NormFloat64()*sigma,
-				CFTdB:  cft + rng.NormFloat64()*sigma,
-				AFTdB:  cft - 2 + rng.NormFloat64()*sigma,
-			}
-		}
-		// decide offers the stream until the detector is done, as a WSD
-		// senses, and decides at loc.
+		stream := randomStream(rng, maxReadings)
 		decide := func(cfg DetectorConfig, placed bool) Decision {
 			d, err := NewDetector(m, cfg)
 			if err != nil {
@@ -207,16 +239,7 @@ func TestPropertyEarlyNotSafe(t *testing.T) {
 			if placed {
 				d.At(loc)
 			}
-			for _, sig := range stream {
-				if d.Offer(sig) {
-					break
-				}
-			}
-			dec, err := d.Decide(loc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dec
+			return offerUntilDone(t, d, stream, loc)
 		}
 		ref := decide(lean, false)
 		got := decide(lean, true)
@@ -244,9 +267,9 @@ func TestPropertyEarlyNotSafe(t *testing.T) {
 			return true
 		}
 		early++
-		if got.Label != dataset.LabelNotSafe || got.Converged ||
-			got.ReadingsUsed < earlyNotSafeReadings || got.ReadingsUsed >= lean.MinReadings {
-			t.Logf("seed %d: early stop %+v, want NotSafe on %d to %d readings", seed, got, earlyNotSafeReadings, lean.MinReadings-1)
+		if got.Label != dataset.LabelNotSafe || got.Converged || got.ReadingsUsed != 0 &&
+			(got.ReadingsUsed < earlyNotSafeReadings || got.ReadingsUsed >= lean.MinReadings) {
+			t.Logf("seed %d: early stop %+v, want NotSafe on 0 or %d to %d readings", seed, got, earlyNotSafeReadings, lean.MinReadings-1)
 			return false
 		}
 		return true
@@ -257,5 +280,109 @@ func TestPropertyEarlyNotSafe(t *testing.T) {
 	t.Logf("%d streams stopped early, %d did not", early, late)
 	if early == 0 || late == 0 {
 		t.Errorf("%d streams stopped early and %d did not: the draw misses a side of the rule", early, late)
+	}
+}
+
+// TestPropertyZeroCaptureNotSafe: at random places on the nine metro
+// models, and on twins of them whose constant localities say Safe, a lean
+// placed detector is done before its first capture exactly where the
+// locality nearest the place is a constant NotSafe one. It then answers
+// what offering any stream at that place answers, NotSafe, on no reading
+// and with a decision no upload accepts. A full-set detector, placed or not,
+// and an unplaced one are never done on no reading, and Reset forgets the
+// place: each of them refuses to decide an empty stream.
+func TestPropertyZeroCaptureNotSafe(t *testing.T) {
+	models := metroModels(t)
+	for _, m := range models {
+		twin := *m
+		twin.locals = append([]localModel(nil), m.locals...)
+		for i := range twin.locals {
+			twin.locals[i].constantLabel = dataset.LabelSafe
+		}
+		models = append(models, &twin)
+	}
+	const maxReadings = 64
+	lean := DetectorConfig{AlphaDB: 0.5, MinReadings: 8, MaxReadings: maxReadings}
+	full := lean
+	full.Features = features.SetLocationRSSCFTAFT
+	var skipped, sampled int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := models[rng.Intn(len(models))]
+		loc := rfenv.MetroCenter.Offset(rng.Float64()*360, rng.Float64()*12000)
+		stream := randomStream(rng, maxReadings)
+		detector := func(cfg DetectorConfig, placed bool) *Detector {
+			d, err := NewDetector(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if placed {
+				d.At(loc)
+			}
+			return d
+		}
+		for _, c := range []struct {
+			cfg    DetectorConfig
+			placed bool
+		}{{full, false}, {full, true}, {lean, false}} {
+			if d := detector(c.cfg, c.placed); d.Done() {
+				t.Logf("seed %d: %v detector (placed %v) done on no reading", seed, c.cfg.Features, c.placed)
+				return false
+			}
+		}
+		xy := m.proj.ToXY(loc)
+		idx, _ := kmeans.Nearest(m.centers, []float64{xy.X / 1000, xy.Y / 1000})
+		occupied := m.locals[idx].constant && m.locals[idx].constantLabel == dataset.LabelNotSafe
+		d := detector(lean, true)
+		if d.Done() != occupied {
+			t.Logf("seed %d: done on no reading %v, locality %d constant NotSafe %v", seed, !occupied, idx, occupied)
+			return false
+		}
+		if !occupied {
+			sampled++
+			if _, err := d.Decide(loc); err == nil {
+				t.Logf("seed %d: a detector not done decided an empty stream", seed)
+				return false
+			}
+			return true
+		}
+		skipped++
+		got, err := d.Decide(loc)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		if got.Label != dataset.LabelNotSafe || !got.StoppedEarly || got.Converged || got.ReadingsUsed != 0 {
+			t.Logf("seed %d: skipped channel decided %+v, want NotSafe stopped early on no reading", seed, got)
+			return false
+		}
+		if ref := offerUntilDone(t, detector(lean, false), stream, loc); ref.Label != got.Label {
+			t.Logf("seed %d: skipped %v, offering %d readings %v", seed, got.Label, ref.ReadingsUsed, ref.Label)
+			return false
+		}
+		batch := UploadBatch{CISpanDB: got.CISpanDB, Readings: []dataset.Reading{{
+			Loc: loc, Channel: 27, Sensor: sensor.KindRTLSDR, Signal: got.Signal,
+		}}}
+		if batch.Validate() == nil {
+			t.Logf("seed %d: the upload of a skipped decision %+v was accepted", seed, got)
+			return false
+		}
+		d.Reset()
+		if d.Done() {
+			t.Logf("seed %d: done on no reading after Reset", seed)
+			return false
+		}
+		if _, err := d.Decide(loc); err == nil {
+			t.Logf("seed %d: decided an empty stream after Reset", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+	t.Logf("%d places skipped, %d sampled", skipped, sampled)
+	if skipped == 0 || sampled == 0 {
+		t.Errorf("%d places skipped and %d sampled: the draw misses a side of the rule", skipped, sampled)
 	}
 }

@@ -242,8 +242,11 @@ func TestFig17Shape(t *testing.T) {
 	if res.MobileConvergedFrac >= 0.95 {
 		t.Errorf("mobile convergence fraction = %v, should degrade vs stationary", res.MobileConvergedFrac)
 	}
-	if res.FullScanSeconds <= 2 {
-		t.Logf("full scan %.2f s within the 802.22 budget (paper exceeded it)", res.FullScanSeconds)
+	if res.ScanSeconds <= 0 || res.MobileScanSeconds <= 0 {
+		t.Errorf("measured scans took %v s and %v s of air time", res.ScanSeconds, res.MobileScanSeconds)
+	}
+	if res.ScanSeconds <= 2 {
+		t.Logf("9-channel scan %.2f s within the 802.22 budget (paper's 30 channels exceeded it)", res.ScanSeconds)
 	}
 }
 

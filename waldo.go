@@ -213,7 +213,9 @@ func BuildModel(readings []Reading, labels []Label, cfg ConstructorConfig) (*Mod
 // outlier rejection, α-convergence, and the §5 fallback when α is not
 // met). Once placed with Detector.At, a detector that does not aggregate
 // AFT also stops an occupied channel early: from 3 captures on, when
-// both fallback points classify NotSafe.
+// both fallback points classify NotSafe, and before any capture
+// (Detector.Done), when the model's locality there is a constant NotSafe
+// one.
 func NewDetector(model *Model, cfg DetectorConfig) (*Detector, error) {
 	return core.NewDetector(model, cfg)
 }
