@@ -4,12 +4,14 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/features"
+	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/wardrive"
@@ -120,8 +122,8 @@ func TestSenseChannelStopsAtDetectorCap(t *testing.T) {
 
 	// ch27 is occupied across the metro: every locality of its model is a
 	// constant NotSafe one.
-	metro, metroRadio, _ := metroRig(t)
-	if cs, err = metro.SenseChannel(27, rfenv.MetroCenter); err != nil {
+	metro, metroRadio, _, metroLoc := metroRig(t)
+	if cs, err = metro.SenseChannel(27, metroLoc); err != nil {
 		t.Fatal(err)
 	}
 	if d := cs.Decision; !d.StoppedEarly || d.Converged || d.Label != dataset.LabelNotSafe ||
@@ -132,8 +134,9 @@ func TestSenseChannelStopsAtDetectorCap(t *testing.T) {
 
 // metroRig is a 9-channel WSD like the wsd_scan benchmark's: SVM models
 // with three localities over location + RSS + CFT, and a replay radio
-// with a ring of captures per channel.
-func metroRig(t testing.TB) (*WSD, *ringRadio, []rfenv.Channel) {
+// with a ring of captures per channel, all taken at the place it returns:
+// scan there.
+func metroRig(t testing.TB) (*WSD, *ringRadio, []rfenv.Channel, geo.Point) {
 	t.Helper()
 	env, err := rfenv.BuildMetro(21)
 	if err != nil {
@@ -185,7 +188,7 @@ func metroRig(t testing.TB) (*WSD, *ringRadio, []rfenv.Channel) {
 		Detector:              core.DetectorConfig{AlphaDB: 0.5},
 		MaxReadingsPerChannel: 32,
 	}
-	return wsd, radio, channels
+	return wsd, radio, channels, loc
 }
 
 // TestScanAllocBudget pins the allocations of one warm 9-channel duty
@@ -195,8 +198,7 @@ func metroRig(t testing.TB) (*WSD, *ringRadio, []rfenv.Channel) {
 // result and the channel order. The parent of the first budget spent
 // about 480, the classifier's vectors were 21 of the next one's 23.
 func TestScanAllocBudget(t *testing.T) {
-	wsd, _, channels := metroRig(t)
-	loc := rfenv.MetroCenter
+	wsd, _, channels, loc := metroRig(t)
 	for i := 0; i < 8; i++ { // every ring offset has been seen
 		if _, err := wsd.Scan(loc); err != nil {
 			t.Fatal(err)
@@ -218,12 +220,13 @@ func TestScanAllocBudget(t *testing.T) {
 }
 
 // BenchmarkScanMetro times one warm duty cycle of the lean 9-channel
-// metro WSD at a fixed place: the device path of the wsd_scan benchmark
-// workload (extraction, detector, classifier) on replayed captures, with
-// no air time.
+// metro WSD at the place its captures were taken: the device path of the
+// wsd_scan benchmark workload (extraction, detector, classifier) on
+// replayed captures, with no air time. cpu-ns/op is the process's CPU
+// time per scan, which a shared host's steal and waits do not inflate as
+// they do ns/op.
 func BenchmarkScanMetro(b *testing.B) {
-	wsd, _, channels := metroRig(b)
-	loc := rfenv.MetroCenter
+	wsd, _, channels, loc := metroRig(b)
 	for i := 0; i < 8; i++ { // every ring offset has been seen
 		if _, err := wsd.Scan(loc); err != nil {
 			b.Fatal(err)
@@ -231,12 +234,25 @@ func BenchmarkScanMetro(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu := selfCPU()
 	for i := 0; i < b.N; i++ {
 		res, err := wsd.Scan(loc)
 		if err != nil || len(res.Channels) != len(channels) {
 			b.Fatalf("scan: %d channels, %v", len(res.Channels), err)
 		}
 	}
+	if b.N > 0 {
+		b.ReportMetric(float64(selfCPU()-cpu)/float64(b.N), "cpu-ns/op")
+	}
+}
+
+// selfCPU is the process's user+system CPU time.
+func selfCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // sleepyRadio is a radio whose captures take real time, as a dongle's do.
@@ -254,12 +270,12 @@ func (r sleepyRadio) Capture(ch rfenv.Channel) (sensor.Observation, error) {
 // processing — extraction, detector, decision — and none of the time the
 // radio spends capturing, however the clock reads are arranged.
 func TestSenseChannelCPUTimeExcludesCapture(t *testing.T) {
-	wsd, radio, channels := metroRig(t)
+	wsd, radio, channels, loc := metroRig(t)
 	const capture = 20 * time.Millisecond
 	wsd.Radio = sleepyRadio{Radio: radio, capture: capture}
 	wsd.MaxReadingsPerChannel = 4
 	start := time.Now()
-	cs, err := wsd.SenseChannel(channels[0], rfenv.MetroCenter)
+	cs, err := wsd.SenseChannel(channels[0], loc)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -279,8 +295,7 @@ func TestSenseChannelCPUTimeExcludesCapture(t *testing.T) {
 // across scans decides exactly as fresh WSDs do, scan after scan, and
 // takes a replaced model or a changed detector configuration at once.
 func TestScanReusedDetectorsDecideAlike(t *testing.T) {
-	kept, radio, channels := metroRig(t)
-	loc := rfenv.MetroCenter
+	kept, radio, channels, loc := metroRig(t)
 	fresh := func() ScanResult {
 		t.Helper()
 		saved := map[rfenv.Channel]int{}
@@ -330,10 +345,9 @@ func TestScanReusedDetectorsDecideAlike(t *testing.T) {
 // that cannot upload does. Its decisions carry AFT as −Inf, so an upload
 // built from one is refused; the full-set WSD's is accepted.
 func TestDefaultSetDecidesAsFullSet(t *testing.T) {
-	lean, radio, channels := metroRig(t)
+	lean, radio, channels, loc := metroRig(t)
 	full := &WSD{Radio: radio, Models: lean.Models, Detector: lean.Detector, MaxReadingsPerChannel: lean.MaxReadingsPerChannel}
 	full.Detector.Features = features.SetLocationRSSCFTAFT
-	loc := rfenv.MetroCenter
 	bits := math.Float64bits
 	upload := func(dec core.Decision, ch rfenv.Channel) error {
 		return core.UploadBatch{CISpanDB: dec.CISpanDB, Readings: []dataset.Reading{{

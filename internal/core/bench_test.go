@@ -2,13 +2,16 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/wsdetect/waldo/internal/dataset"
+	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/wardrive"
@@ -183,8 +186,15 @@ func BenchmarkRetrainStoreScale(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorThroughput measures the mobile hot path: one capture
-// offered to the streaming detector (the per-reading cost of Fig. 18).
+// BenchmarkDetectorThroughput measures the mobile hot path. offer: one
+// capture offered to an unplaced streaming detector (the per-reading cost
+// of Fig. 18). placed: one lean decision as a WSD makes it — Reset, At, Done
+// before the first capture, offer until done, Decide — at a place whose
+// locality the model classifies (not a constant one), on noisy captures
+// alternately at the level of a NotSafe campaign reading there (the early
+// NotSafe rule stops the stream) and 10 dB under it (the stream converges
+// Safe); it reports the process's CPU time per decision too, as
+// cpu-ns/op.
 func BenchmarkDetectorThroughput(b *testing.B) {
 	env, err := rfenv.BuildMetro(42)
 	if err != nil {
@@ -207,21 +217,80 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	det, err := NewDetector(model, DetectorConfig{MaxReadings: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sig := readings[0].Signal
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if i%64 == 0 {
-			det.Reset()
+	b.Run("offer", func(b *testing.B) {
+		det, err := NewDetector(model, DetectorConfig{MaxReadings: 64})
+		if err != nil {
+			b.Fatal(err)
 		}
-		det.Offer(sig)
+		sig := readings[0].Signal
+		b.ResetTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			if i%64 == 0 {
+				det.Reset()
+			}
+			det.Offer(sig)
+		}
+		elapsed := time.Since(start)
+		if b.N > 0 {
+			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/offer")
+		}
+	})
+	b.Run("placed", func(b *testing.B) {
+		det, err := NewDetector(model, DetectorConfig{MaxReadings: 64})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var at dataset.Reading
+		for i, r := range readings {
+			if _, constant := model.constantAt(r.Loc); !constant && labels[i] == dataset.LabelNotSafe {
+				at = r
+				break
+			}
+		}
+		rng := rand.New(rand.NewSource(3))
+		var rings [2][64]features.Signal
+		for k := range rings {
+			for i := range rings[k] {
+				rings[k][i] = noisySignal(rng, at.Signal.RSSdBm-10*float64(k), 0.3)
+			}
+		}
+		var kinds [2]int // decisions stopped early, decisions converged
+		b.ReportAllocs()
+		b.ResetTimer()
+		cpu := selfCPU()
+		for i := 0; i < b.N; i++ {
+			ring := &rings[i%2]
+			det.Reset()
+			det.At(at.Loc)
+			done := det.Done()
+			for j := 0; !done && j < len(ring); j++ {
+				done = det.Offer(ring[(i/2+j)%len(ring)])
+			}
+			dec, err := det.Decide(at.Loc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if dec.StoppedEarly {
+				kinds[0]++
+			} else if dec.Converged {
+				kinds[1]++
+			}
+		}
+		if b.N > 0 {
+			b.ReportMetric(float64(selfCPU()-cpu)/float64(b.N), "cpu-ns/op")
+		}
+		if b.N >= 2 && (kinds[0] == 0 || kinds[1] == 0) {
+			b.Fatalf("%d of %d decisions stopped early, %d converged: the place no longer mixes both", kinds[0], b.N, kinds[1])
+		}
+	})
+}
+
+// selfCPU is the process's user+system CPU time.
+func selfCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
 	}
-	elapsed := time.Since(start)
-	if b.N > 0 {
-		b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/offer")
-	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -101,7 +101,8 @@ type Decision struct {
 	// before MinReadings (see At): both §5 fallback points at the place
 	// given to At classified NotSafe, or the model's locality there is a
 	// constant NotSafe one. Converged is then false, and at that place
-	// the label is NotSafe.
+	// the label is NotSafe, answered from the stop without classifying
+	// again.
 	StoppedEarly bool
 	// ReadingsUsed is the stream length consumed: 0 when the stream
 	// stopped early before its first capture, on a constant NotSafe
@@ -134,15 +135,22 @@ type Detector struct {
 	ws      dsp.Workspace
 	span    float64
 	spanLen int
+	// sig is the aggregate at stream length sigLen (> 0): the early
+	// NotSafe rule and Decide ask for it at the same length.
+	sig    features.Signal
+	sigLen int
 
 	// loc is the place the stream is captured at, set by At; placed
 	// reports that it is, and occupied that the model's locality at loc
 	// is a constant NotSafe one. stoppedLen is the stream length at
-	// which the stream last stopped early, 0 if it has not.
+	// which the stream last stopped early, 0 if it has not, and stoppedAt
+	// the place that stop was judged at: there and at that length both
+	// §5 fallback points classify NotSafe.
 	loc        geo.Point
 	placed     bool
 	occupied   bool
 	stoppedLen int
+	stoppedAt  geo.Point
 }
 
 // NewDetector builds a detector over a trained model.
@@ -168,7 +176,7 @@ func (d *Detector) Reset() {
 	d.rss = d.rss[:0]
 	d.cft = d.cft[:0]
 	d.aft = d.aft[:0]
-	d.spanLen = 0
+	d.spanLen, d.sigLen = 0, 0
 	d.placed, d.occupied = false, false
 	d.stoppedLen = 0
 }
@@ -226,7 +234,7 @@ func (d *Detector) Done() bool {
 		return true
 	}
 	if d.stopsEarly() {
-		d.stoppedLen = len(d.rss)
+		d.stoppedLen, d.stoppedAt = len(d.rss), d.loc
 		return true
 	}
 	return false
@@ -236,8 +244,10 @@ func (d *Detector) Done() bool {
 // current length: the detector is placed, cannot upload (no AFT), holds
 // fewer than MinReadings captures, and either its place's locality is a
 // constant NotSafe one or, from earlyNotSafeReadings captures on, both §5
-// fallback points classify NotSafe. A classification error leaves the
-// stream running; Decide reports it.
+// fallback points classify NotSafe. The low point is classified first: a
+// Safe one settles the check, so the high point is classified only when
+// it can change the answer. A classification error leaves the stream
+// running; Decide reports it.
 func (d *Detector) stopsEarly() bool {
 	n := len(d.rss)
 	if !d.placed || d.cfg.Features >= features.SetLocationRSSCFTAFT || n >= d.cfg.MinReadings {
@@ -249,8 +259,12 @@ func (d *Detector) stopsEarly() bool {
 	if n < earlyNotSafeReadings {
 		return false
 	}
-	lo, hi, err := d.fallback(d.loc, d.aggregate())
-	return err == nil && lo == dataset.LabelNotSafe && hi == dataset.LabelNotSafe
+	sig := d.aggregate()
+	if lo, err := d.fallback(d.loc, sig, d.cfg.OutlierLoPct); err != nil || lo != dataset.LabelNotSafe {
+		return false
+	}
+	hi, err := d.fallback(d.loc, sig, d.cfg.OutlierHiPct)
+	return err == nil && hi == dataset.LabelNotSafe
 }
 
 // ciSpan returns the current CI span of the outlier-trimmed raw RSS. The
@@ -277,6 +291,9 @@ func (d *Detector) converged() bool {
 // aggregate produces the robust feature estimate used for classification,
 // −Inf for a feature outside Features (its stream is empty).
 func (d *Detector) aggregate() features.Signal {
+	if n := len(d.rss); n > 0 && n == d.sigLen {
+		return d.sig
+	}
 	robust := func(xs []float64) float64 {
 		if len(xs) == 0 {
 			return math.Inf(-1)
@@ -285,18 +302,23 @@ func (d *Detector) aggregate() features.Signal {
 		trimmed := d.ws.TrimOutliers(smoothed, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
 		return dsp.Mean(trimmed)
 	}
-	return features.Signal{
+	d.sig = features.Signal{
 		RSSdBm: robust(d.rss),
 		CFTdB:  robust(d.cft),
 		AFTdB:  robust(d.aft),
 	}
+	d.sigLen = len(d.rss)
+	return d.sig
 }
 
 // Decide classifies with the aggregated features at loc. If the stream has
 // not converged, the paper's §5 fallback applies: classify at the 5th and
-// 95th RSS percentiles and NOR the decisions, favouring NotSafe. An empty
-// stream is an error, unless the early NotSafe rule ends it (see At):
-// the decision is then NotSafe, stopped early on no reading.
+// 95th RSS percentiles and NOR the decisions, favouring NotSafe. A stream
+// that stopped early at its current length (see At) and is decided at the
+// place that stop was judged at is NotSafe without a classification: the
+// fallback there is the stop's, NotSafe. At any other place it is
+// classified. An empty stream is an error, unless the early NotSafe rule
+// ends it: the decision is then NotSafe, stopped early on no reading.
 func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	if len(d.rss) == 0 {
 		if !d.stopsEarly() {
@@ -325,9 +347,20 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 		return dec, nil
 	}
 
+	// A stream that stopped early here and at this length has had its
+	// fallback answered: both points NotSafe, or a locality where Classify
+	// answers nothing else.
+	if dec.StoppedEarly && loc == d.stoppedAt {
+		dec.Label = dataset.LabelNotSafe
+		return dec, nil
+	}
 	// Non-converged fallback: only if BOTH extremes say Safe is the
 	// channel declared Safe.
-	lo, hi, err := d.fallback(loc, dec.Signal)
+	lo, err := d.fallback(loc, dec.Signal, d.cfg.OutlierLoPct)
+	if err != nil {
+		return Decision{}, err
+	}
+	hi, err := d.fallback(loc, dec.Signal, d.cfg.OutlierHiPct)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -339,18 +372,11 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	return dec, nil
 }
 
-// fallback classifies the §5 fallback's two points at loc: sig with the
-// RSS replaced by the stream's outlier-band low and high percentiles.
-// Decide and the early NotSafe rule both read it, so they cannot drift.
-func (d *Detector) fallback(loc geo.Point, sig features.Signal) (lo, hi dataset.Label, err error) {
-	loSig, hiSig := sig, sig
-	loSig.RSSdBm = d.ws.Percentile(d.rss, d.cfg.OutlierLoPct)
-	hiSig.RSSdBm = d.ws.Percentile(d.rss, d.cfg.OutlierHiPct)
-	if lo, err = d.model.Classify(loc, loSig); err != nil {
-		return 0, 0, err
-	}
-	if hi, err = d.model.Classify(loc, hiSig); err != nil {
-		return 0, 0, err
-	}
-	return lo, hi, nil
+// fallback classifies one of the §5 fallback's points at loc: sig with
+// the RSS replaced by the stream's pct-th percentile (the outlier band's
+// low or high end). Decide and the early NotSafe rule both classify
+// through it, so they cannot drift.
+func (d *Detector) fallback(loc geo.Point, sig features.Signal, pct float64) (dataset.Label, error) {
+	sig.RSSdBm = d.ws.Percentile(d.rss, pct)
+	return d.model.Classify(loc, sig)
 }

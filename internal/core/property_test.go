@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/wsdetect/waldo/internal/dataset"
+	"github.com/wsdetect/waldo/internal/dsp"
 	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/ml/kmeans"
@@ -384,5 +387,241 @@ func TestPropertyZeroCaptureNotSafe(t *testing.T) {
 	t.Logf("%d places skipped, %d sampled", skipped, sampled)
 	if skipped == 0 || sampled == 0 {
 		t.Errorf("%d places skipped and %d sampled: the draw misses a side of the rule", skipped, sampled)
+	}
+}
+
+// refDetector is the placed detector as its early NotSafe rule was first
+// written: every check classifies both §5 fallback points, Decide
+// classifies its fallback afresh, and nothing is memoised.
+// TestPropertyLazyFallbackExact holds Detector to it.
+type refDetector struct {
+	m             *Model
+	cfg           DetectorConfig // defaulted, as a Detector's
+	rss, cft, aft []float64
+	loc           geo.Point
+	placed        bool
+	occupied      bool
+	stoppedLen    int
+}
+
+func (r *refDetector) reset() { *r = refDetector{m: r.m, cfg: r.cfg} }
+
+func (r *refDetector) at(loc geo.Point) {
+	label, constant := r.m.constantAt(loc)
+	r.loc, r.placed, r.occupied = loc, true, constant && label == dataset.LabelNotSafe
+}
+
+func (r *refDetector) offer(sig features.Signal) bool {
+	if len(r.rss) < r.cfg.MaxReadings {
+		r.rss = append(r.rss, sig.RSSdBm)
+		if r.cfg.Features >= features.SetLocationRSSCFT {
+			r.cft = append(r.cft, sig.CFTdB)
+		}
+		if r.cfg.Features >= features.SetLocationRSSCFTAFT {
+			r.aft = append(r.aft, sig.AFTdB)
+		}
+	}
+	return r.done()
+}
+
+func (r *refDetector) done() bool {
+	if r.converged() {
+		return true
+	}
+	if r.stopsEarly() {
+		r.stoppedLen = len(r.rss)
+		return true
+	}
+	return false
+}
+
+func (r *refDetector) stopsEarly() bool {
+	n := len(r.rss)
+	if !r.placed || r.cfg.Features >= features.SetLocationRSSCFTAFT || n >= r.cfg.MinReadings {
+		return false
+	}
+	if r.occupied {
+		return true
+	}
+	if n < earlyNotSafeReadings {
+		return false
+	}
+	lo, hi, err := r.fallback(r.loc, r.aggregate())
+	return err == nil && lo == dataset.LabelNotSafe && hi == dataset.LabelNotSafe
+}
+
+func (r *refDetector) ciSpan() float64 {
+	return dsp.MeanCI(dsp.TrimOutliers(r.rss, r.cfg.OutlierLoPct, r.cfg.OutlierHiPct), r.cfg.Confidence).Span()
+}
+
+func (r *refDetector) converged() bool {
+	return len(r.rss) >= r.cfg.MinReadings && r.ciSpan() <= r.cfg.AlphaDB
+}
+
+func (r *refDetector) aggregate() features.Signal {
+	robust := func(xs []float64) float64 {
+		if len(xs) == 0 {
+			return math.Inf(-1)
+		}
+		smoothed := dsp.MovingAverage(xs, r.cfg.SmoothingWindow)
+		return dsp.Mean(dsp.TrimOutliers(smoothed, r.cfg.OutlierLoPct, r.cfg.OutlierHiPct))
+	}
+	return features.Signal{RSSdBm: robust(r.rss), CFTdB: robust(r.cft), AFTdB: robust(r.aft)}
+}
+
+func (r *refDetector) decide(loc geo.Point) (Decision, error) {
+	if len(r.rss) == 0 {
+		if !r.stopsEarly() {
+			return Decision{}, fmt.Errorf("core: no readings offered")
+		}
+		return Decision{Label: dataset.LabelNotSafe, StoppedEarly: true, CISpanDB: math.Inf(1), Signal: r.aggregate()}, nil
+	}
+	dec := Decision{
+		Converged:    r.converged(),
+		StoppedEarly: r.stoppedLen == len(r.rss),
+		ReadingsUsed: len(r.rss),
+		CISpanDB:     r.ciSpan(),
+		Signal:       r.aggregate(),
+	}
+	if dec.Converged {
+		label, err := r.m.Classify(loc, dec.Signal)
+		if err != nil {
+			return Decision{}, err
+		}
+		dec.Label = label
+		return dec, nil
+	}
+	lo, hi, err := r.fallback(loc, dec.Signal)
+	if err != nil {
+		return Decision{}, err
+	}
+	if lo == dataset.LabelSafe && hi == dataset.LabelSafe {
+		dec.Label = dataset.LabelSafe
+	} else {
+		dec.Label = dataset.LabelNotSafe
+	}
+	return dec, nil
+}
+
+func (r *refDetector) fallback(loc geo.Point, sig features.Signal) (lo, hi dataset.Label, err error) {
+	loSig, hiSig := sig, sig
+	loSig.RSSdBm = dsp.Percentile(r.rss, r.cfg.OutlierLoPct)
+	hiSig.RSSdBm = dsp.Percentile(r.rss, r.cfg.OutlierHiPct)
+	if lo, err = r.m.Classify(loc, loSig); err != nil {
+		return 0, 0, err
+	}
+	if hi, err = r.m.Classify(loc, hiSig); err != nil {
+		return 0, 0, err
+	}
+	return lo, hi, nil
+}
+
+// TestPropertyLazyFallbackExact: the early NotSafe check that stops on a
+// Safe low point, and a Decide that answers a stop's verdict at its length
+// and place, decide exactly as refDetector, which classifies both points
+// every time: same Done at every step, same decisions and errors at every
+// place, Signal and CISpanDB by bits. On the nine metro models, over
+// random places and streams, one detector lives through rounds that
+// decide at places other than At's, offer after Done (from another level,
+// so a stop's verdict can go stale), offer past MaxReadings, call At again
+// without Reset, and Reset to offer a new stream.
+func TestPropertyLazyFallbackExact(t *testing.T) {
+	models := metroModels(t)
+	const maxReadings = 16
+	var reused, elsewhere, stale int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := models[rng.Intn(len(models))]
+		d, err := NewDetector(m, DetectorConfig{AlphaDB: 0.5, MinReadings: 8, MaxReadings: maxReadings})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &refDetector{m: m, cfg: d.cfg}
+		var places [3]geo.Point // At is given the first two only
+		for i := range places {
+			places[i] = rfenv.MetroCenter.Offset(rng.Float64()*360, rng.Float64()*12000)
+		}
+		ok := true
+		done := func(step string) bool {
+			got, want := d.Done(), ref.done()
+			if got != want {
+				t.Logf("seed %d, %s: Done %v, reference %v", seed, step, got, want)
+				ok = false
+			}
+			return got
+		}
+		offer := func(step string, sig features.Signal) bool {
+			got, want := d.Offer(sig), ref.offer(sig)
+			if got != want {
+				t.Logf("seed %d, %s: Offer %v, reference %v", seed, step, got, want)
+				ok = false
+			}
+			return got
+		}
+		decideAll := func(step string) {
+			for _, loc := range places {
+				got, err := d.Decide(loc)
+				want, refErr := ref.decide(loc)
+				if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+					t.Logf("seed %d, %s: error %v, reference %v", seed, step, err, refErr)
+					ok = false
+					continue
+				}
+				if !sameDecision(got, want) {
+					t.Logf("seed %d, %s at %v: %+v, reference %+v", seed, step, loc, got, want)
+					ok = false
+				}
+				switch {
+				case !got.StoppedEarly || got.ReadingsUsed == 0:
+				case loc == d.stoppedAt:
+					reused++
+				default:
+					elsewhere++
+				}
+			}
+		}
+		for round := 0; round < 3 && ok; round++ {
+			d.Reset()
+			ref.reset()
+			if rng.Intn(4) > 0 {
+				at := places[rng.Intn(2)]
+				d.At(at)
+				ref.at(at)
+			}
+			// Half the rounds offer the whole stream, past the cap if it
+			// is longer, whatever Done says.
+			whole := rng.Intn(2) == 0
+			stopped := done("before the first capture")
+			for _, sig := range randomStream(rng, maxReadings+8) {
+				if stopped && !whole {
+					break
+				}
+				stopped = offer("stream", sig)
+			}
+			decideAll("stream")
+			n := d.Len()
+			for _, sig := range randomStream(rng, 4) {
+				offer("after Done", sig)
+				decideAll("after Done")
+			}
+			if d.stoppedLen == n && n > 0 && d.Len() > n {
+				stale++
+			}
+			if rng.Intn(2) == 0 {
+				at := places[rng.Intn(2)]
+				d.At(at)
+				ref.at(at)
+				done("second At")
+				decideAll("second At")
+			}
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	t.Logf("stopped streams decided at the stop's place %d times, elsewhere %d; %d stops offered past", reused, elsewhere, stale)
+	if reused == 0 || elsewhere == 0 || stale == 0 {
+		t.Errorf("reused %d, elsewhere %d, offered past a stop %d: the draw misses a case", reused, elsewhere, stale)
 	}
 }

@@ -13,14 +13,16 @@
 # bench/run.sh from their own trees — each its own benchmark, so a change
 # that touched bench/ is visible as such — with the order swapped every
 # pair. Every run's gated metrics, and on wsd_scan its decision counters
-# (readings per decision, false-safe and false-NotSafe shares), are
-# printed as it finishes;
+# (readings per decision, false-safe and false-NotSafe shares) and its
+# same_seed_same_decisions digest, are printed as it finishes;
 # `bench -compare` over all reports follows, and then the verdict on a claimed gain, per gated metric, by the rule in
 # choosing-metrics §8: pairs won of pairs run (a tie counts for neither),
 # both medians, the parent's own Q1–Q3, and "claim holds" only when at
 # least ten pairs ran, the change won at least nine tenths of them and
-# the medians differ by more than that quartile distance. Paste the line
-# into CHANGES.md.
+# the medians differ by more than that quartile distance. On wsd_scan a
+# last line says whether every run of both sides made the same decisions:
+# "decisions identical: yes" only when all of them report one digest.
+# Paste the lines into CHANGES.md.
 # SECONDS_PER_RUN (default 14, BENCHMARK.json's run length) and TRACE
 # (default 0) override the run flags.
 set -euo pipefail
@@ -49,12 +51,21 @@ fi
 # One build cache for both trees: identical packages compile once.
 export GOCACHE="$root/.bench_build/gocache"
 
+# digests prints the decision digests the given wsd_scan logs report,
+# sorted, distinct, comma-separated.
+digests() {
+	sed -n 's/.*same_seed_same_decisions.*digests \[\(.*\)\].*/\1/p' "$@" | tr ' ' '\n' | sort -u | paste -sd, -
+}
+
 run() { # side dir pair
-	local report="$out/$1-$3.json"
+	local report="$out/$1-$3.json" log="$out/$1-$3.log" digest=""
 	(cd "$2" && bash bench/run.sh --workload "$workload" --seed "$seed" \
-		--seconds "${SECONDS_PER_RUN:-14}" --trace "${TRACE:-0}" -out "$report" >"$out/$1-$3.log" 2>&1) ||
-		{ echo "bench_pairs: $1 run $3 failed, see $out/$1-$3.log" >&2; exit 1; }
-	echo "pair $3 $1: $(grep -E '^ *(ops_per_s|op_p50_ms|op_tail_ms|sut_cpu_us_per_op|core\.readings_per_decision|core\.false_safe_share|core\.false_unsafe_share) ' "$out/$1-$3.log" | awk '{printf "%s=%s ", $1, $2}')"
+		--seconds "${SECONDS_PER_RUN:-14}" --trace "${TRACE:-0}" -out "$report" >"$log" 2>&1) ||
+		{ echo "bench_pairs: $1 run $3 failed, see $log" >&2; exit 1; }
+	if [ "$workload" = wsd_scan ]; then
+		digest="digest=$(digests "$log")"
+	fi
+	echo "pair $3 $1: $(grep -E '^ *(ops_per_s|op_p50_ms|op_tail_ms|sut_cpu_us_per_op|core\.readings_per_decision|core\.false_safe_share|core\.false_unsafe_share) ' "$log" | awk '{printf "%s=%s ", $1, $2}')$digest"
 }
 
 for i in $(seq 1 "$pairs"); do
@@ -69,7 +80,9 @@ done
 
 join() { local IFS=,; echo "$*"; }
 cd "$root"
-"$change/.bench_build/bench" -compare "$(join "$out"/parent-*.json)" "$(join "$out"/change-*.json)" | tee "$out/compare.txt"
+# A metric -compare finds worse fails the script, after the verdict.
+status=0
+"$change/.bench_build/bench" -compare "$(join "$out"/parent-*.json)" "$(join "$out"/change-*.json)" | tee "$out/compare.txt" || status=$?
 
 # The verdict reads the same summary lines run() prints from.
 echo
@@ -108,4 +121,12 @@ END {
 			name, wins, pairs, medp, medc, unit[name], 100 * d / medp, q1, q3, q3 - q1, holds
 	}
 }' | tee "$out/verdict.txt"
+if [ "$workload" = wsd_scan ]; then
+	pdig=$(digests "$out"/parent-*.log) cdig=$(digests "$out"/change-*.log) same=no
+	if [ -n "$pdig" ] && [ "$pdig" = "$cdig" ] && [[ $pdig != *,* ]]; then
+		same=yes
+	fi
+	echo "decisions identical: $same (parent $pdig, change $cdig)" | tee -a "$out/verdict.txt"
+fi
 echo "reports: $out"
+exit "$status"
