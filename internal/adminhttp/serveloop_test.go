@@ -162,7 +162,13 @@ var conformanceRows = []row{
 	{name: "OPTIONS *", send: []string{"OPTIONS * HTTP/1.1\r\n" + hostLine + "\r\n"}, methods: []string{"OPTIONS"}, want: []int{200}, fate: "open"},
 	{name: "stray CRLF after a POST", send: []string{"POST /echo HTTP/1.1\r\n" + hostLine + "Content-Length: 2\r\n\r\nhi\r\n" + get("/hello")}, methods: []string{"POST", "GET"}, want: []int{200, 200}, fate: "open"},
 	// Both take what had arrived at the deadline for the request line.
-	{name: "head dribbled past the deadline", send: []string{get("/hello")}, dribble: true, methods: []string{"GET"}, want: []int{400}, fate: "closed"},
+	// The head's first bytes come one per 20 ms and the rest never, so it
+	// is unfinished at the deadline; the dribble itself ends well before
+	// it: neither server lingers after a plain 400, so a byte landing
+	// between its timed-out read and its close would reset the connection
+	// under the reply, on either side. TestConformsToNetHTTP times the
+	// loop's reply, so a deadline re-armed on every read still shows.
+	{name: "head dribbled past the deadline", send: []string{"GET /hel"}, dribble: true, methods: []string{"GET"}, want: []int{400}, fate: "closed"},
 	{name: "handler panic", send: []string{get("/panic")}, fate: "closed"},
 }
 
@@ -232,7 +238,8 @@ func talk(t *testing.T, addr string, r row) (replies []reply, fate string) {
 func TestConformsToNetHTTP(t *testing.T) {
 	log.SetOutput(io.Discard) // the panic row's stack trace, twice
 	t.Cleanup(func() { log.SetOutput(os.Stderr) })
-	loop, stock := bothServers(t, testHandler(true), 250*time.Millisecond)
+	const headerTimeout = 250 * time.Millisecond
+	loop, stock := bothServers(t, testHandler(true), headerTimeout)
 	t.Run("rows", func(t *testing.T) {
 		for _, r := range conformanceRows {
 			t.Run(r.name, func(t *testing.T) {
@@ -265,6 +272,12 @@ func TestConformsToNetHTTP(t *testing.T) {
 				}
 				if r.name == "Expect 100-continue" && elapsed > 800*time.Millisecond {
 					t.Errorf("Expect: 100-continue exchange took %v: the client waited out its 1 s patience", elapsed)
+				}
+				// The dribble's last byte leaves 20 ms per byte after the
+				// first: a head deadline re-armed on every read would
+				// answer headerTimeout after that, no sooner.
+				if rearmed := time.Duration(len(r.send[0])-1)*20*time.Millisecond + headerTimeout; r.dribble && elapsed > rearmed-40*time.Millisecond {
+					t.Errorf("the loop answered after %v: its head deadline was re-armed after the head began", elapsed)
 				}
 			})
 		}

@@ -292,7 +292,7 @@ func TestMobileConvergenceDegrades(t *testing.T) {
 	}
 	attempts := 30
 	// converged counts the attempts that met α; decided those that
-	// ended before the cap, by convergence or by the early NotSafe rule.
+	// ended before the cap, by convergence or by the early stop rule.
 	converged := func(speed float64) (count, decided int) {
 		rng := rand.New(rand.NewSource(25))
 		radio := &SimRadio{

@@ -341,9 +341,12 @@ func TestScanReusedDetectorsDecideAlike(t *testing.T) {
 // location + RSS + CFT models read (the default) decides exactly as one
 // measuring all three features, scan after scan — same label,
 // convergence, stream length, CI span and RSS/CFT bits on every channel —
-// or it stopped the channel early with NotSafe, which only a detector
-// that cannot upload does. Its decisions carry AFT as −Inf, so an upload
-// built from one is refused; the full-set WSD's is accepted.
+// or it stopped the channel early, which only a detector that cannot
+// upload does: on no capture with NotSafe, or with the §5 fallback's
+// answer on the captures it took, which an unplaced lean detector (one
+// that never stops early) gives on them too. Its decisions carry AFT as
+// −Inf, so an upload built from one is refused; the full-set WSD's is
+// accepted.
 func TestDefaultSetDecidesAsFullSet(t *testing.T) {
 	lean, radio, channels, loc := metroRig(t)
 	full := &WSD{Radio: radio, Models: lean.Models, Detector: lean.Detector, MaxReadingsPerChannel: lean.MaxReadingsPerChannel}
@@ -354,6 +357,29 @@ func TestDefaultSetDecidesAsFullSet(t *testing.T) {
 			Loc: loc, Channel: ch, Sensor: sensor.KindRTLSDR, Signal: dec.Signal,
 		}}}.Validate()
 	}
+	// fallback decides the n captures of ch's ring from start with an
+	// unplaced lean detector.
+	fallback := func(ch rfenv.Channel, start, n int) core.Decision {
+		t.Helper()
+		det, err := core.NewDetector(lean.Models[ch], lean.Detector)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := radio.rings[ch]
+		for k := 0; k < n; k++ {
+			sig, err := det.Features().Measure(ring[(start+k)%len(ring)], radio.cal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			det.Offer(sig)
+		}
+		dec, err := det.Decide(loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec
+	}
+	var stops [3]int // early stops on no capture, NotSafe on captures, Safe
 	for scan := 0; scan < 12; scan++ {
 		saved := map[rfenv.Channel]int{}
 		for ch, n := range radio.next {
@@ -362,6 +388,10 @@ func TestDefaultSetDecidesAsFullSet(t *testing.T) {
 		want, err := full.Scan(loc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		from := map[rfenv.Channel]int{}
+		for ch, n := range saved {
+			from[ch] = n
 		}
 		radio.next = saved // the lean WSD replays the same captures
 		got, err := lean.Scan(loc)
@@ -377,9 +407,17 @@ func TestDefaultSetDecidesAsFullSet(t *testing.T) {
 			if w.StoppedEarly {
 				t.Fatalf("scan %d, %v: the full-set detector stopped early: %+v", scan, ch, w)
 			}
-			if g.StoppedEarly {
+			if g.StoppedEarly && g.ReadingsUsed == 0 {
+				stops[0]++
 				if g.Label != dataset.LabelNotSafe || g.Converged {
-					t.Fatalf("scan %d, %v: early stop %+v, want NotSafe and not converged", scan, ch, g)
+					t.Fatalf("scan %d, %v: early stop on no capture %+v, want NotSafe and not converged", scan, ch, g)
+				}
+			} else if g.StoppedEarly {
+				stops[g.Label-dataset.LabelNotSafe+1]++
+				if f := fallback(ch, from[ch], g.ReadingsUsed); g.Converged || f.Converged || g.Label != f.Label ||
+					g.ReadingsUsed != f.ReadingsUsed || bits(g.CISpanDB) != bits(f.CISpanDB) ||
+					bits(g.Signal.RSSdBm) != bits(f.Signal.RSSdBm) || bits(g.Signal.CFTdB) != bits(f.Signal.CFTdB) {
+					t.Fatalf("scan %d, %v: early stop %+v, the fallback on its captures %+v", scan, ch, g, f)
 				}
 			} else if g.Label != w.Label || g.Converged != w.Converged || g.ReadingsUsed != w.ReadingsUsed ||
 				bits(g.CISpanDB) != bits(w.CISpanDB) || bits(g.Signal.RSSdBm) != bits(w.Signal.RSSdBm) ||
@@ -396,5 +434,9 @@ func TestDefaultSetDecidesAsFullSet(t *testing.T) {
 				t.Fatalf("scan %d, %v: full-set upload refused: %v", scan, ch, err)
 			}
 		}
+	}
+	t.Logf("early stops: %d on no capture, %d NotSafe and %d Safe on captures", stops[0], stops[1], stops[2])
+	if stops[0] == 0 || stops[1]+stops[2] == 0 {
+		t.Errorf("%d early stops on no capture, %d on captures: the rig misses a side of the rule", stops[0], stops[1]+stops[2])
 	}
 }

@@ -191,10 +191,11 @@ func BenchmarkRetrainStoreScale(b *testing.B) {
 // of Fig. 18). placed: one lean decision as a WSD makes it — Reset, At, Done
 // before the first capture, offer until done, Decide — at a place whose
 // locality the model classifies (not a constant one), on noisy captures
-// alternately at the level of a NotSafe campaign reading there (the early
-// NotSafe rule stops the stream) and 10 dB under it (the stream converges
-// Safe); it reports the process's CPU time per decision too, as
-// cpu-ns/op.
+// in turn at the level of a NotSafe campaign reading there (the early stop
+// rule stops the stream NotSafe), 10 dB under it (it stops Safe) and at
+// the first level under it where the two §5 fallback points disagree
+// until α is met (the stream converges); it reports the process's CPU
+// time per decision too, as cpu-ns/op.
 func BenchmarkDetectorThroughput(b *testing.B) {
 	env, err := rfenv.BuildMetro(42)
 	if err != nil {
@@ -249,39 +250,52 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 			}
 		}
 		rng := rand.New(rand.NewSource(3))
-		var rings [2][64]features.Signal
-		for k := range rings {
-			for i := range rings[k] {
-				rings[k][i] = noisySignal(rng, at.Signal.RSSdBm-10*float64(k), 0.3)
+		var rings [3][64]features.Signal
+		fill := func(ring *[64]features.Signal, rss float64) {
+			for i := range ring {
+				ring[i] = noisySignal(rng, rss, 0.3)
 			}
 		}
-		var kinds [2]int // decisions stopped early, decisions converged
-		b.ReportAllocs()
-		b.ResetTimer()
-		cpu := selfCPU()
-		for i := 0; i < b.N; i++ {
-			ring := &rings[i%2]
+		decide := func(ring *[64]features.Signal, start int) Decision {
 			det.Reset()
 			det.At(at.Loc)
 			done := det.Done()
 			for j := 0; !done && j < len(ring); j++ {
-				done = det.Offer(ring[(i/2+j)%len(ring)])
+				done = det.Offer(ring[(start+j)%len(ring)])
 			}
 			dec, err := det.Decide(at.Loc)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if dec.StoppedEarly {
+			return dec
+		}
+		fill(&rings[0], at.Signal.RSSdBm)
+		fill(&rings[1], at.Signal.RSSdBm-10)
+		for step := 1; step <= 200; step++ {
+			if fill(&rings[2], at.Signal.RSSdBm-0.05*float64(step)); decide(&rings[2], 0).Converged {
+				break
+			}
+		}
+		var kinds [3]int // decisions stopped early NotSafe, stopped early Safe, converged
+		b.ReportAllocs()
+		b.ResetTimer()
+		cpu := selfCPU()
+		for i := 0; i < b.N; i++ {
+			switch dec := decide(&rings[i%3], i/3); {
+			case dec.StoppedEarly && dec.Label == dataset.LabelNotSafe:
 				kinds[0]++
-			} else if dec.Converged {
+			case dec.StoppedEarly:
 				kinds[1]++
+			case dec.Converged:
+				kinds[2]++
 			}
 		}
 		if b.N > 0 {
 			b.ReportMetric(float64(selfCPU()-cpu)/float64(b.N), "cpu-ns/op")
 		}
-		if b.N >= 2 && (kinds[0] == 0 || kinds[1] == 0) {
-			b.Fatalf("%d of %d decisions stopped early, %d converged: the place no longer mixes both", kinds[0], b.N, kinds[1])
+		if b.N >= 3 && (kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0) {
+			b.Fatalf("of %d decisions %d stopped early NotSafe, %d stopped early Safe, %d converged: the place no longer mixes all three",
+				b.N, kinds[0], kinds[1], kinds[2])
 		}
 	})
 }

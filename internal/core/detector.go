@@ -10,15 +10,18 @@ import (
 	"github.com/wsdetect/waldo/internal/geo"
 )
 
-// earlyNotSafeReadings is n0, the shortest stream on which a detector
-// whose decisions cannot be uploaded may stop before MinReadings because
-// both points of the §5 fallback already classify NotSafe: more captures
-// cannot make that answer safer. At 2 every metro decision would stop
-// NotSafe and all white space would be lost; 3 with both ends keeps the
-// false-NotSafe share where full sampling has it. A place whose locality
-// is a constant NotSafe one needs no n0: it stops at any length, 0
-// included (see At).
-const earlyNotSafeReadings = 3
+// earlyStopReadings is n0, the shortest stream on which a detector whose
+// decisions cannot be uploaded may stop before MinReadings because both
+// points of the §5 fallback already classify alike, NotSafe or Safe: it
+// answers what the fallback answers there. At 2 every metro decision
+// would stop NotSafe and all white space would be lost; at 3 the
+// false-NotSafe share stays where full sampling has it. A Safe stop asks
+// more of the stream (see settled and stopsEarly), and what it costs in
+// false-safe is measured against Fig. 17's oracle in internal/experiments.
+// A place whose locality is a constant NotSafe one needs no n0: it stops
+// at any length, 0 included (see At). A Safe stop always rests on n0
+// captures.
+const earlyStopReadings = 3
 
 // DetectorConfig parameterizes the White Space Detector (§3.3).
 type DetectorConfig struct {
@@ -97,12 +100,13 @@ type Decision struct {
 	// stopped early (StoppedEarly), or it ended — at MaxReadings or
 	// wherever the caller stopped offering — without meeting α.
 	Converged bool
-	// StoppedEarly reports that the early NotSafe rule ended the stream
+	// StoppedEarly reports that the early stop rule ended the stream
 	// before MinReadings (see At): both §5 fallback points at the place
-	// given to At classified NotSafe, or the model's locality there is a
-	// constant NotSafe one. Converged is then false, and at that place
-	// the label is NotSafe, answered from the stop without classifying
-	// again.
+	// given to At classified alike (a Safe pair on a settled stream
+	// only), or the model's locality there is a constant NotSafe one.
+	// Converged is then false, and at that place the label is the stop's
+	// verdict (NotSafe on a constant NotSafe locality), answered without
+	// classifying again.
 	StoppedEarly bool
 	// ReadingsUsed is the stream length consumed: 0 when the stream
 	// stopped early before its first capture, on a constant NotSafe
@@ -135,22 +139,23 @@ type Detector struct {
 	ws      dsp.Workspace
 	span    float64
 	spanLen int
-	// sig is the aggregate at stream length sigLen (> 0): the early
-	// NotSafe rule and Decide ask for it at the same length.
+	// sig is the aggregate at stream length sigLen (> 0): the early stop
+	// rule and Decide ask for it at the same length.
 	sig    features.Signal
 	sigLen int
 
 	// loc is the place the stream is captured at, set by At; placed
 	// reports that it is, and occupied that the model's locality at loc
 	// is a constant NotSafe one. stoppedLen is the stream length at
-	// which the stream last stopped early, 0 if it has not, and stoppedAt
-	// the place that stop was judged at: there and at that length both
-	// §5 fallback points classify NotSafe.
+	// which the stream last stopped early, 0 if it has not, stoppedAt the
+	// place that stop was judged at and stopped its verdict: there and at
+	// that length both §5 fallback points classify as stopped.
 	loc        geo.Point
 	placed     bool
 	occupied   bool
 	stoppedLen int
 	stoppedAt  geo.Point
+	stopped    dataset.Label
 }
 
 // NewDetector builds a detector over a trained model.
@@ -183,13 +188,14 @@ func (d *Detector) Reset() {
 
 // At sets the place the stream is captured at, until the next Reset. It
 // lets a detector that does not aggregate AFT (its decisions are never
-// uploadable) stop an occupied channel's stream before MinReadings with
-// NotSafe: from earlyNotSafeReadings captures on once both §5 fallback
-// points there classify NotSafe, and at any length, 0 included, when the
-// model's locality at loc is a constant NotSafe one, where Classify
-// answers NotSafe whatever the signal. Done is then true before the
-// first capture, and Decide answers with none. A detector with no place,
-// or one that aggregates the full set, samples to α convergence.
+// uploadable) stop a stream before MinReadings: from earlyStopReadings
+// captures on once both §5 fallback points there classify alike, with
+// their verdict (Safe asks more, see stopsEarly), and with NotSafe at
+// any length, 0 included, when the model's locality at loc is a constant
+// NotSafe one, where Classify answers NotSafe whatever the signal. Done
+// is then true before the first capture, and Decide answers with none. A
+// detector with no place, or one that aggregates the full set, samples
+// to α convergence.
 func (d *Detector) At(loc geo.Point) {
 	label, constant := d.model.constantAt(loc)
 	d.loc, d.placed, d.occupied = loc, true, constant && label == dataset.LabelNotSafe
@@ -226,45 +232,67 @@ func (d *Detector) Offer(sig features.Signal) bool {
 
 // Done reports whether the stream is done at its current length: it has
 // converged (90 % CI span of smoothed RSS below α), or it stopped early
-// on an occupied channel (see At). A device asks before its first
-// capture, as a placed detector on a constant NotSafe locality is done
-// with none.
+// (see At). A device asks before its first capture, as a placed detector
+// on a constant NotSafe locality is done with none.
 func (d *Detector) Done() bool {
 	if d.converged() {
 		return true
 	}
-	if d.stopsEarly() {
-		d.stoppedLen, d.stoppedAt = len(d.rss), d.loc
+	if label, ok := d.stopsEarly(); ok {
+		d.stoppedLen, d.stoppedAt, d.stopped = len(d.rss), d.loc, label
 		return true
 	}
 	return false
 }
 
-// stopsEarly reports whether the early NotSafe rule ends the stream at its
-// current length: the detector is placed, cannot upload (no AFT), holds
-// fewer than MinReadings captures, and either its place's locality is a
-// constant NotSafe one or, from earlyNotSafeReadings captures on, both §5
-// fallback points classify NotSafe. The low point is classified first: a
-// Safe one settles the check, so the high point is classified only when
-// it can change the answer. A classification error leaves the stream
-// running; Decide reports it.
-func (d *Detector) stopsEarly() bool {
+// stopsEarly reports whether the early stop rule ends the stream at its
+// current length, and with which verdict: the detector is placed, cannot
+// upload (no AFT), holds fewer than MinReadings captures, and either its
+// place's locality is a constant NotSafe one (NotSafe) or, from
+// earlyStopReadings captures on, both §5 fallback points classify alike
+// (their label, which is the fallback's answer). Both Safe stops the
+// stream only if it is settled and a third point, the high one with CFT
+// at its own high percentile too, is Safe: three captures average CFT
+// over fewer captures than α convergence ever does, and without that
+// point false-safe rose against Fig. 17's oracle on stationary streams.
+// A classification error leaves the stream running; Decide reports it.
+func (d *Detector) stopsEarly() (dataset.Label, bool) {
 	n := len(d.rss)
 	if !d.placed || d.cfg.Features >= features.SetLocationRSSCFTAFT || n >= d.cfg.MinReadings {
-		return false
+		return 0, false
 	}
 	if d.occupied {
-		return true
+		return dataset.LabelNotSafe, true
 	}
-	if n < earlyNotSafeReadings {
-		return false
+	if n < earlyStopReadings {
+		return 0, false
 	}
 	sig := d.aggregate()
-	if lo, err := d.fallback(d.loc, sig, d.cfg.OutlierLoPct); err != nil || lo != dataset.LabelNotSafe {
-		return false
+	lo, err := d.fallback(d.loc, sig, d.cfg.OutlierLoPct)
+	if err != nil || lo == dataset.LabelSafe && !d.settled() {
+		return 0, false
 	}
 	hi, err := d.fallback(d.loc, sig, d.cfg.OutlierHiPct)
-	return err == nil && hi == dataset.LabelNotSafe
+	if err != nil || hi != lo {
+		return 0, false
+	}
+	if lo == dataset.LabelSafe && len(d.cft) > 0 {
+		sig.CFTdB = d.ws.Percentile(d.cft, d.cfg.OutlierHiPct)
+		if hi, err = d.fallback(d.loc, sig, d.cfg.OutlierHiPct); err != nil || hi != lo {
+			return 0, false
+		}
+	}
+	return lo, true
+}
+
+// settled reports whether the stream's spread would meet α at
+// MinReadings: its CI span scaled from its length to MinReadings
+// captures. A Safe stop needs it. A moving device's fading spreads its
+// captures by several dB, and three of them understate the spread that
+// sampling on to the cap finds; without this test false-safe rose
+// against the oracle at 15 m/s.
+func (d *Detector) settled() bool {
+	return d.ciSpan()*math.Sqrt(float64(len(d.rss))/float64(d.cfg.MinReadings)) <= d.cfg.AlphaDB
 }
 
 // ciSpan returns the current CI span of the outlier-trimmed raw RSS. The
@@ -315,17 +343,18 @@ func (d *Detector) aggregate() features.Signal {
 // not converged, the paper's §5 fallback applies: classify at the 5th and
 // 95th RSS percentiles and NOR the decisions, favouring NotSafe. A stream
 // that stopped early at its current length (see At) and is decided at the
-// place that stop was judged at is NotSafe without a classification: the
-// fallback there is the stop's, NotSafe. At any other place it is
-// classified. An empty stream is an error, unless the early NotSafe rule
-// ends it: the decision is then NotSafe, stopped early on no reading.
+// place that stop was judged at takes the stop's verdict without a
+// classification: the fallback there is the stop's. At any other place
+// it is classified. An empty stream is an error, unless the early stop
+// rule ends it: the decision is then NotSafe, stopped early on no reading.
 func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	if len(d.rss) == 0 {
-		if !d.stopsEarly() {
+		label, ok := d.stopsEarly()
+		if !ok {
 			return Decision{}, fmt.Errorf("core: no readings offered")
 		}
 		return Decision{
-			Label:        dataset.LabelNotSafe,
+			Label:        label,
 			StoppedEarly: true,
 			CISpanDB:     math.Inf(1),
 			Signal:       d.aggregate(),
@@ -348,10 +377,10 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	}
 
 	// A stream that stopped early here and at this length has had its
-	// fallback answered: both points NotSafe, or a locality where Classify
-	// answers nothing else.
+	// fallback answered: both points alike, or a locality where Classify
+	// answers nothing but NotSafe.
 	if dec.StoppedEarly && loc == d.stoppedAt {
-		dec.Label = dataset.LabelNotSafe
+		dec.Label = d.stopped
 		return dec, nil
 	}
 	// Non-converged fallback: only if BOTH extremes say Safe is the
@@ -374,7 +403,7 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 
 // fallback classifies one of the §5 fallback's points at loc: sig with
 // the RSS replaced by the stream's pct-th percentile (the outlier band's
-// low or high end). Decide and the early NotSafe rule both classify
+// low or high end). Decide and the early stop rule both classify
 // through it, so they cannot drift.
 func (d *Detector) fallback(loc geo.Point, sig features.Signal, pct float64) (dataset.Label, error) {
 	sig.RSSdBm = d.ws.Percentile(d.rss, pct)

@@ -132,7 +132,7 @@ func TestDetectorResetAndLimits(t *testing.T) {
 }
 
 // TestDetectorEarlyNotSafeNeedsPlace: a placed detector without AFT
-// stops a strong stream on the occupied side after earlyNotSafeReadings
+// stops a strong stream on the occupied side after earlyStopReadings
 // captures; Reset forgets the place, and the same stream then samples to
 // α convergence.
 func TestDetectorEarlyNotSafeNeedsPlace(t *testing.T) {
@@ -161,9 +161,9 @@ func TestDetectorEarlyNotSafeNeedsPlace(t *testing.T) {
 		return dec
 	}
 	d.At(loc)
-	if dec := run(); !dec.StoppedEarly || dec.Converged || dec.ReadingsUsed != earlyNotSafeReadings ||
+	if dec := run(); !dec.StoppedEarly || dec.Converged || dec.ReadingsUsed != earlyStopReadings ||
 		dec.Label != dataset.LabelNotSafe {
-		t.Errorf("placed: %+v, want NotSafe stopped early at %d readings", dec, earlyNotSafeReadings)
+		t.Errorf("placed: %+v, want NotSafe stopped early at %d readings", dec, earlyStopReadings)
 	}
 	d.Reset()
 	if dec := run(); dec.StoppedEarly || !dec.Converged || dec.Label != dataset.LabelNotSafe {

@@ -182,11 +182,13 @@ func metroModels(t *testing.T) []*Model {
 }
 
 // randomStream draws a capture stream of 1 to maxReadings signals around
-// a random level, with a random spread.
+// a random level, with a random spread: up to 6 dB, or in half the draws
+// up to 0.5 dB, as quiet as a stationary device's streams, where α can
+// be met and a Safe stop can settle.
 func randomStream(rng *rand.Rand, maxReadings int) []features.Signal {
 	rss := -115 + rng.Float64()*75
 	cft := rss - 8 - rng.Float64()*30
-	sigma := rng.Float64() * 6
+	sigma := rng.Float64() * []float64{0.5, 6}[rng.Intn(2)]
 	stream := make([]features.Signal, 1+rng.Intn(maxReadings))
 	for i := range stream {
 		stream[i] = features.Signal{
@@ -213,49 +215,72 @@ func offerUntilDone(t *testing.T, d *Detector, stream []features.Signal, loc geo
 	return dec
 }
 
+// earlyDraw is one draw of the early stop properties: a metro model, a
+// random place and stream, and the lean detector's decisions on it placed
+// (got) and unplaced (ref, the full rule: a detector with no place
+// samples to α as every detector did before the rule).
+type earlyDraw struct {
+	m        *Model
+	loc      geo.Point
+	stream   []features.Signal
+	got, ref Decision
+}
+
+// earlyLean is the lean detector the early stop properties draw for.
+var earlyLean = DetectorConfig{AlphaDB: 0.5, MinReadings: 8, MaxReadings: 64}
+
+func drawEarly(t *testing.T, models []*Model, seed int64) earlyDraw {
+	rng := rand.New(rand.NewSource(seed))
+	dr := earlyDraw{m: models[rng.Intn(len(models))]}
+	dr.loc = rfenv.MetroCenter.Offset(rng.Float64()*360, rng.Float64()*12000)
+	dr.stream = randomStream(rng, earlyLean.MaxReadings)
+	dr.ref = dr.decide(t, earlyLean, false)
+	dr.got = dr.decide(t, earlyLean, true)
+	return dr
+}
+
+// decide offers the draw's stream to a new detector with cfg, placed at
+// the draw's place or not, and decides there.
+func (dr earlyDraw) decide(t *testing.T, cfg DetectorConfig, placed bool) Decision {
+	d, err := NewDetector(dr.m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if placed {
+		d.At(dr.loc)
+	}
+	return offerUntilDone(t, d, dr.stream, dr.loc)
+}
+
 // TestPropertyEarlyNotSafe: over random capture streams on the nine metro
 // models — random levels and spreads, random places, lengths up to the
-// cap — the early NotSafe rule only ever replaces the full rule's answer
-// with NotSafe, so false-safe cannot rise. The full rule is a detector
-// with no place, which samples to α as every detector did before the
-// rule; a detector that aggregates AFT (its decisions are uploadable)
-// never stops early either, placed or not. An early stop takes no
-// capture (a constant NotSafe locality) or from earlyNotSafeReadings to
-// MinReadings − 1.
+// cap — a lean placed detector that does not stop early answers as the
+// full rule, and one that stops NotSafe takes no capture (a constant
+// NotSafe locality) or from earlyStopReadings to MinReadings − 1. A
+// detector that aggregates AFT (its decisions are uploadable) never stops
+// early, placed or not. Safe stops are TestPropertyEarlySafe's.
 func TestPropertyEarlyNotSafe(t *testing.T) {
 	models := metroModels(t)
-	const maxReadings = 64
-	lean := DetectorConfig{AlphaDB: 0.5, MinReadings: 8, MaxReadings: maxReadings}
+	lean := earlyLean
 	full := lean
 	full.Features = features.SetLocationRSSCFTAFT
 	var early, late int
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := models[rng.Intn(len(models))]
-		loc := rfenv.MetroCenter.Offset(rng.Float64()*360, rng.Float64()*12000)
-		stream := randomStream(rng, maxReadings)
-		decide := func(cfg DetectorConfig, placed bool) Decision {
-			d, err := NewDetector(m, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if placed {
-				d.At(loc)
-			}
-			return offerUntilDone(t, d, stream, loc)
-		}
-		ref := decide(lean, false)
-		got := decide(lean, true)
+		dr := drawEarly(t, models, seed)
+		ref, got := dr.ref, dr.got
 		if ref.StoppedEarly {
 			t.Logf("seed %d: a detector with no place stopped early: %+v", seed, ref)
 			return false
 		}
 		for _, placed := range []bool{false, true} {
-			if dec := decide(full, placed); dec.StoppedEarly || dec.Label != ref.Label ||
+			if dec := dr.decide(t, full, placed); dec.StoppedEarly || dec.Label != ref.Label ||
 				dec.Converged != ref.Converged || dec.ReadingsUsed != ref.ReadingsUsed {
 				t.Logf("seed %d: full set (placed %v) %+v, full rule %+v", seed, placed, dec, ref)
 				return false
 			}
+		}
+		if got.StoppedEarly && got.Label == dataset.LabelSafe {
+			return true
 		}
 		if got.Label != dataset.LabelNotSafe && got.Label != ref.Label {
 			t.Logf("seed %d: early rule %v, full rule %v", seed, got.Label, ref.Label)
@@ -271,8 +296,8 @@ func TestPropertyEarlyNotSafe(t *testing.T) {
 		}
 		early++
 		if got.Label != dataset.LabelNotSafe || got.Converged || got.ReadingsUsed != 0 &&
-			(got.ReadingsUsed < earlyNotSafeReadings || got.ReadingsUsed >= lean.MinReadings) {
-			t.Logf("seed %d: early stop %+v, want NotSafe on 0 or %d to %d readings", seed, got, earlyNotSafeReadings, lean.MinReadings-1)
+			(got.ReadingsUsed < earlyStopReadings || got.ReadingsUsed >= lean.MinReadings) {
+			t.Logf("seed %d: early stop %+v, want NotSafe on 0 or %d to %d readings", seed, got, earlyStopReadings, lean.MinReadings-1)
 			return false
 		}
 		return true
@@ -280,9 +305,64 @@ func TestPropertyEarlyNotSafe(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
-	t.Logf("%d streams stopped early, %d did not", early, late)
+	t.Logf("%d streams stopped early NotSafe, %d did not stop early", early, late)
 	if early == 0 || late == 0 {
-		t.Errorf("%d streams stopped early and %d did not: the draw misses a side of the rule", early, late)
+		t.Errorf("%d streams stopped early NotSafe and %d did not stop early: the draw misses a side of the rule", early, late)
+	}
+}
+
+// TestPropertyEarlySafe: over the draws of TestPropertyEarlyNotSafe, every
+// answer of a lean placed detector is the full rule's, NotSafe from a
+// NotSafe stop, or Safe from a stop at earlyStopReadings to
+// MinReadings − 1 captures where, tested independently on that prefix of
+// the stream (refDetector's verdict), both §5 fallback points and the
+// third point say Safe and the span scaled to MinReadings is within α.
+// Every Safe stop is of the last kind, whatever the full rule answers: a
+// Safe answer never rests on no capture nor on one point.
+func TestPropertyEarlySafe(t *testing.T) {
+	models := metroModels(t)
+	var safe, turned, other int
+	f := func(seed int64) bool {
+		dr := drawEarly(t, models, seed)
+		got, ref := dr.got, dr.ref
+		if !got.StoppedEarly || got.Label != dataset.LabelSafe {
+			other++
+			if got.Label == ref.Label || got.StoppedEarly && got.Label == dataset.LabelNotSafe {
+				return true
+			}
+			t.Logf("seed %d: %+v, full rule %+v", seed, got, ref)
+			return false
+		}
+		safe++
+		if got.Label != ref.Label {
+			turned++
+		}
+		n := got.ReadingsUsed
+		if got.Converged || n < earlyStopReadings || n >= earlyLean.MinReadings {
+			t.Logf("seed %d: Safe stop %+v, want %d to %d readings, not converged", seed, got, earlyStopReadings, earlyLean.MinReadings-1)
+			return false
+		}
+		d, err := NewDetector(dr.m, earlyLean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &refDetector{m: dr.m, cfg: d.cfg}
+		r.at(dr.loc)
+		for _, sig := range dr.stream[:n] {
+			r.offer(sig)
+		}
+		if label, ok := r.verdict(); !ok || label != dataset.LabelSafe {
+			t.Logf("seed %d: Safe stop at %d readings, but the prefix's verdict is %v, %v", seed, n, label, ok)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+	t.Logf("%d streams stopped early Safe (%d where the full rule says NotSafe), %d did not", safe, turned, other)
+	if safe == 0 || other == 0 {
+		t.Errorf("%d streams stopped early Safe and %d did not: the draw misses a side of the rule", safe, other)
 	}
 }
 
@@ -390,9 +470,10 @@ func TestPropertyZeroCaptureNotSafe(t *testing.T) {
 	}
 }
 
-// refDetector is the placed detector as its early NotSafe rule was first
-// written: every check classifies both §5 fallback points, Decide
-// classifies its fallback afresh, and nothing is memoised.
+// refDetector is the placed detector with its early stop rule in naive
+// form: every check classifies both §5 fallback points (and a Safe pair's
+// third point) before it tests anything else, Decide classifies its
+// fallback afresh, and nothing is memoised.
 // TestPropertyLazyFallbackExact holds Detector to it.
 type refDetector struct {
 	m             *Model
@@ -443,11 +524,38 @@ func (r *refDetector) stopsEarly() bool {
 	if r.occupied {
 		return true
 	}
-	if n < earlyNotSafeReadings {
+	if n < earlyStopReadings {
 		return false
 	}
-	lo, hi, err := r.fallback(r.loc, r.aggregate())
-	return err == nil && lo == dataset.LabelNotSafe && hi == dataset.LabelNotSafe
+	_, ok := r.verdict()
+	return ok
+}
+
+// verdict is the early stop rule's test on the stream from
+// earlyStopReadings captures on: both §5 fallback points classify alike,
+// and a Safe pair also needs a stream whose CI span scaled to MinReadings
+// captures is within α and a third point, the high one with CFT at its
+// high percentile too, that classifies Safe.
+func (r *refDetector) verdict() (dataset.Label, bool) {
+	sig := r.aggregate()
+	lo, hi, err := r.fallback(r.loc, sig)
+	if err != nil || lo != hi {
+		return 0, false
+	}
+	if lo == dataset.LabelNotSafe {
+		return lo, true
+	}
+	if r.ciSpan()*math.Sqrt(float64(len(r.rss))/float64(r.cfg.MinReadings)) > r.cfg.AlphaDB {
+		return 0, false
+	}
+	if len(r.cft) > 0 {
+		sig.RSSdBm = dsp.Percentile(r.rss, r.cfg.OutlierHiPct)
+		sig.CFTdB = dsp.Percentile(r.cft, r.cfg.OutlierHiPct)
+		if label, err := r.m.Classify(r.loc, sig); err != nil || label != dataset.LabelSafe {
+			return 0, false
+		}
+	}
+	return lo, true
 }
 
 func (r *refDetector) ciSpan() float64 {
@@ -516,10 +624,10 @@ func (r *refDetector) fallback(loc geo.Point, sig features.Signal) (lo, hi datas
 	return lo, hi, nil
 }
 
-// TestPropertyLazyFallbackExact: the early NotSafe check that stops on a
-// Safe low point, and a Decide that answers a stop's verdict at its length
-// and place, decide exactly as refDetector, which classifies both points
-// every time: same Done at every step, same decisions and errors at every
+// TestPropertyLazyFallbackExact: the early stop check, and a Decide that
+// answers a stop's verdict at its length and place, decide exactly as
+// refDetector, which classifies both points at every check and in every
+// Decide: same Done at every step, same decisions and errors at every
 // place, Signal and CISpanDB by bits. On the nine metro models, over
 // random places and streams, one detector lives through rounds that
 // decide at places other than At's, offer after Done (from another level,
@@ -528,7 +636,8 @@ func (r *refDetector) fallback(loc geo.Point, sig features.Signal) (lo, hi datas
 func TestPropertyLazyFallbackExact(t *testing.T) {
 	models := metroModels(t)
 	const maxReadings = 16
-	var reused, elsewhere, stale int
+	var reused [2]int // stops decided at their place: NotSafe, Safe
+	var elsewhere, stale int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := models[rng.Intn(len(models))]
@@ -574,7 +683,7 @@ func TestPropertyLazyFallbackExact(t *testing.T) {
 				switch {
 				case !got.StoppedEarly || got.ReadingsUsed == 0:
 				case loc == d.stoppedAt:
-					reused++
+					reused[got.Label-dataset.LabelNotSafe]++
 				default:
 					elsewhere++
 				}
@@ -620,8 +729,10 @@ func TestPropertyLazyFallbackExact(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-	t.Logf("stopped streams decided at the stop's place %d times, elsewhere %d; %d stops offered past", reused, elsewhere, stale)
-	if reused == 0 || elsewhere == 0 || stale == 0 {
-		t.Errorf("reused %d, elsewhere %d, offered past a stop %d: the draw misses a case", reused, elsewhere, stale)
+	t.Logf("stopped streams decided at the stop's place %d times NotSafe and %d Safe, elsewhere %d; %d stops offered past",
+		reused[0], reused[1], elsewhere, stale)
+	if reused[0] == 0 || reused[1] == 0 || elsewhere == 0 || stale == 0 {
+		t.Errorf("reused NotSafe %d, Safe %d, elsewhere %d, offered past a stop %d: the draw misses a case",
+			reused[0], reused[1], elsewhere, stale)
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
+	"github.com/wsdetect/waldo/internal/wardrive"
 )
 
 // mobileModels trains one model per channel from the RTL-SDR campaign
@@ -46,12 +48,13 @@ func (s *Suite) mobileModels(kind core.ClassifierKind) (map[rfenv.Channel]*core.
 
 // Fig17Result reproduces Fig. 17 and the §5 responsiveness analysis: the
 // CDF of the air time the detector needs to decide — by reaching a 90 %
-// CI span below α, or by stopping early on a channel both §5 fallback
-// points already call occupied (paper: mean 0.19 s stationary to
-// convergence, flat in α; mobile runs often fail to converge). A channel
-// whose model calls the place's locality occupied whatever the signal is
-// decided on no capture; those attempts are counted in ZeroCaptureFrac
-// and left out of every decision time, which would otherwise read 0 s.
+// CI span below α, or by stopping early where both §5 fallback points
+// already agree (paper: mean 0.19 s stationary to convergence, flat in
+// α; mobile runs often fail to converge). A channel whose model calls the
+// place's locality occupied whatever the signal is decided on no capture;
+// those attempts are counted in ZeroCaptureFrac and left out of every
+// decision time, which would otherwise read 0 s. What the decisions cost
+// in safety is scored against an oracle (see OracleScore).
 type Fig17Result struct {
 	// Stationary is the CDF of decision air time (seconds) over the
 	// stationary attempts that decided on at least one capture.
@@ -81,10 +84,64 @@ type Fig17Result struct {
 	// IEEE 802.22 requirement).
 	ScanSeconds       float64
 	MobileScanSeconds float64
+	// ScoredPlaces campaign route points, drawn by an RNG of their own,
+	// are each scanned ScoredScans times stationary (Scored) and at
+	// 15 m/s (MobileScored) and the decisions scored against the oracle.
+	ScoredPlaces, ScoredScans int
+	Scored, MobileScored      OracleScore
+}
+
+// OracleScore tallies scan decisions against the oracle: Algorithm 1
+// over the simulator's noise-free power at the place a scan starts.
+type OracleScore struct {
+	// Occupied counts decisions the oracle calls NotSafe; FalseSafe
+	// those of them decided Safe.
+	Occupied, FalseSafe int
+	// Vacant counts decisions the oracle calls Safe; Found those of them
+	// decided Safe, the white space the device finds.
+	Vacant, Found int
+}
+
+// FoundShare is the share of the oracle's white space decided Safe.
+func (o OracleScore) FoundShare() float64 {
+	if o.Vacant == 0 {
+		return 0
+	}
+	return float64(o.Found) / float64(o.Vacant)
+}
+
+func (o *OracleScore) add(truth dataset.Label, dec core.Decision) {
+	safe := dec.Label == dataset.LabelSafe
+	if truth == dataset.LabelNotSafe {
+		o.Occupied++
+		if safe {
+			o.FalseSafe++
+		}
+		return
+	}
+	o.Vacant++
+	if safe {
+		o.Found++
+	}
+}
+
+// oracle labels the campaign's route points on ch by Algorithm 1 over
+// the simulator's noise-free power. The rule's −84 dBm and 6 km are
+// written here rather than taken from dataset.LabelConfig's defaults, so
+// a change to the served labeler cannot move the truth.
+func oracle(camp *wardrive.Campaign, ch rfenv.Channel) ([]dataset.Label, error) {
+	ideal := append([]dataset.Reading(nil), camp.Readings(ch, sensor.KindRTLSDR)...)
+	if len(ideal) != len(camp.Route.Points) {
+		return nil, fmt.Errorf("experiments: %d readings on %v for %d route points", len(ideal), ch, len(camp.Route.Points))
+	}
+	for i := range ideal {
+		ideal[i].Signal.RSSdBm = ideal[i].TrueDBm
+	}
+	return dataset.LabelReadings(ideal, dataset.LabelConfig{ThresholdDBm: -84, ProtectRadiusM: 6000})
 }
 
 // decided reports whether a scan ended in a decision before the cap: α
-// convergence, or the detector's early NotSafe stop.
+// convergence, or the detector's early stop.
 func decided(cs client.ChannelScan) bool {
 	return cs.Decision.Converged || cs.Decision.StoppedEarly
 }
@@ -108,21 +165,8 @@ func (s *Suite) Fig17Convergence() (*Fig17Result, error) {
 
 	// device returns trial's WSD and the place it senses at.
 	device := func(speed float64, alpha float64, trial int) (*client.WSD, geo.Point) {
-		radio := &client.SimRadio{
-			Env: env, Device: dev, Rng: rng,
-			SpeedMPS: speed, HeadingDeg: float64(trial*37) + 10,
-		}
 		loc := rfenv.MetroCenter.Offset(float64(trial*29%360), 1000+float64(trial*631%11000))
-		radio.SetPosition(loc)
-		return &client.WSD{
-			Radio:  radio,
-			Models: models,
-			Detector: core.DetectorConfig{
-				AlphaDB:     alpha,
-				MaxReadings: 128,
-			},
-			MaxReadingsPerChannel: 128,
-		}, loc
+		return fig17WSD(env, dev, models, rng, loc, speed, float64(trial*37)+10, alpha), loc
 	}
 	attempt := func(speed float64, alpha float64, trial int) (client.ChannelScan, error) {
 		wsd, loc := device(speed, alpha, trial)
@@ -208,13 +252,82 @@ func (s *Suite) Fig17Convergence() (*Fig17Result, error) {
 	if res.MobileScanSeconds, err = meanScan(15); err != nil {
 		return nil, err
 	}
+	if err := s.scoreScans(res, models, dev); err != nil {
+		return nil, err
+	}
 	return res, nil
+}
+
+// fig17WSD is the device Fig. 17 times and scores: its radio at loc,
+// moving at speed (m/s) along heading and drawing captures from rng, its
+// detectors at alpha, every stream capped at 128 captures.
+func fig17WSD(env *rfenv.Environment, dev *sensor.Device, models map[rfenv.Channel]*core.Model,
+	rng *rand.Rand, loc geo.Point, speed, heading, alpha float64) *client.WSD {
+	radio := &client.SimRadio{Env: env, Device: dev, Rng: rng, SpeedMPS: speed, HeadingDeg: heading}
+	radio.SetPosition(loc)
+	return &client.WSD{
+		Radio:                 radio,
+		Models:                models,
+		Detector:              core.DetectorConfig{AlphaDB: alpha, MaxReadings: 128},
+		MaxReadingsPerChannel: 128,
+	}
+}
+
+// scoreScans fills res's oracle scores. The places, headings and capture
+// seeds come from an RNG the captures do not draw from, and each channel
+// of each scan draws its captures from a seed of its own, as a WSD.Scan
+// senses the channels in order: a detector that takes more or fewer
+// captures on one stream is scored at the same places, on the same
+// captures in every other stream, and on a prefix of the same captures
+// in its own. Two detectors' scores therefore differ only by the streams
+// they decide differently.
+func (s *Suite) scoreScans(res *Fig17Result, models map[rfenv.Channel]*core.Model, dev *sensor.Device) error {
+	camp, err := s.Campaign()
+	if err != nil {
+		return err
+	}
+	truth := make(map[rfenv.Channel][]dataset.Label, len(models))
+	chs := make([]rfenv.Channel, 0, len(models))
+	for ch := range models {
+		if truth[ch], err = oracle(camp, ch); err != nil {
+			return err
+		}
+		chs = append(chs, ch)
+	}
+	slices.Sort(chs)
+	res.ScoredPlaces, res.ScoredScans = 400, 3
+	places := rand.New(rand.NewSource(s.cfg.Seed + 602))
+	for p := 0; p < res.ScoredPlaces; p++ {
+		pi := places.Intn(len(camp.Route.Points))
+		heading := places.Float64() * 360
+		seed := places.Int63()
+		loc := camp.Route.Points[pi]
+		for _, speed := range []float64{0, 15} {
+			score := &res.Scored
+			if speed > 0 {
+				score = &res.MobileScored
+			}
+			for scan := 0; scan < res.ScoredScans; scan++ {
+				wsd := fig17WSD(camp.Env, dev, models, nil, loc, speed, heading, 0.5)
+				radio := wsd.Radio.(*client.SimRadio)
+				for ci, ch := range chs {
+					radio.Rng = rand.New(rand.NewSource(seed + int64(scan*len(chs)+ci)))
+					cs, err := wsd.SenseChannel(ch, loc)
+					if err != nil {
+						return err
+					}
+					score.add(truth[ch][pi], cs.Decision)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Render implements the experiment report.
 func (r *Fig17Result) Render() string {
 	var b strings.Builder
-	b.WriteString("Fig. 17: detector decision time (90% CI span < α, or an early NotSafe stop), over decisions that took captures\n")
+	b.WriteString("Fig. 17: detector decision time (90% CI span < α, or an early stop), over decisions that took captures\n")
 	fmt.Fprintf(&b, "decided NotSafe on no capture (the model's locality at the place is a constant NotSafe one): %.0f%% of attempts\n",
 		r.ZeroCaptureFrac*100)
 	fmt.Fprintf(&b, "stationary: mean=%.3f s, %s, %.0f%% of all attempts converged (paper mean to convergence: 0.19 s)\n",
@@ -229,6 +342,14 @@ func (r *Fig17Result) Render() string {
 		r.MobileConvergedFrac*100, r.MobileDecidedFrac*100, r.MobileMinSeconds)
 	fmt.Fprintf(&b, "9-channel metro scan, measured: %.2f s stationary, %.2f s at 15 m/s (paper: 5.89 s for 30 channels vs 2 s IEEE 802.22 budget)\n",
 		r.ScanSeconds, r.MobileScanSeconds)
+	fmt.Fprintf(&b, "against Algorithm 1 over noise-free power, %d places × %d scans:\n", r.ScoredPlaces, r.ScoredScans)
+	for _, row := range []struct {
+		name  string
+		score OracleScore
+	}{{"stationary", r.Scored}, {"15 m/s", r.MobileScored}} {
+		fmt.Fprintf(&b, "  %s: false-safe %d of %d occupied, white space found %.1f%% of %d\n",
+			row.name, row.score.FalseSafe, row.score.Occupied, row.score.FoundShare()*100, row.score.Vacant)
+	}
 	return b.String()
 }
 

@@ -9,7 +9,11 @@
 # and the working tree — uncommitted edits and untracked, unignored files
 # included — into a sibling .bench_build/change-<stamp> for this set of
 # pairs, so both sides run from exported trees at the same depth and
-# neither runs from the repository root. Parent and change then run
+# neither runs from the repository root; the change's export is removed
+# when the script exits, its reports kept. Both sides build with
+# -trimpath (bench/run.sh keeps an incoming GOFLAGS), so the name of the
+# tree a binary is built in leaves no trace in it: the same code links to
+# the same bytes on either side. Parent and change then run
 # bench/run.sh from their own trees — each its own benchmark, so a change
 # that touched bench/ is visible as such — with the order swapped every
 # pair. Every run's gated metrics, and on wsd_scan its decision counters
@@ -39,6 +43,7 @@ parent="$root/.bench_build/parent-$sha"
 change="$root/.bench_build/change-$stamp"
 out="$root/.bench_build/pairs/$workload-seed$seed-$stamp"
 mkdir -p "$out" "$change"
+trap 'rm -rf "$change"' EXIT
 if [ ! -d "$parent" ]; then
 	mkdir -p "$parent.tmp"
 	git -C "$root" archive "$sha" | tar -x -C "$parent.tmp"
@@ -50,6 +55,7 @@ fi
 	tar --null -T - -cf -) | tar -x -C "$change"
 # One build cache for both trees: identical packages compile once.
 export GOCACHE="$root/.bench_build/gocache"
+export GOFLAGS="-trimpath${GOFLAGS:+ $GOFLAGS}"
 
 # digests prints the decision digests the given wsd_scan logs report,
 # sorted, distinct, comma-separated.
