@@ -17,14 +17,15 @@ check: vet build race
 # routes and retrains, with the workload's own correctness checks, and a
 # one-second wsd_scan run (the device in-process: its decision digest and
 # false-safe checks). Before that, one iteration of the trainer's, the
-# WAL replay's (its per-record allocation budget is checked), the durable
+# WAL replay's (its per-record allocation budget is checked), the
+# availability grid rebuild's, the durable
 # append path's (upload to WAL append, which counts each record toward
 # the next checkpoint), the JSON upload decoder's, the gateway's
 # place-query, upload and leg, the replication frame encode's, and the
 # device's extraction, detector and warm 9-channel scan benchmarks, so
 # they cannot rot unbuilt.
 verify: fmt-check vet build test cluster-test trace-smoke
-	$(GO) test ./internal/ml/svm ./internal/dataset ./internal/geo ./internal/core ./internal/wal ./internal/dbserver ./internal/cluster ./internal/client -run xxx -bench 'CosExact|RFFTransform|RFFSVMTrain|PegasosTrain|LabelReadings|GridWithinRadius|MetroRebuild|DetectorThroughput|ScanMetro|Replay|DecodeUploadJSON|GatewayPlaceQueries|UploadViaGatewayFrame|LegExchange|FrameEncode|UploadPathWAL|AppendGroupCommit' -benchtime 1x
+	$(GO) test ./internal/ml/svm ./internal/dataset ./internal/geo ./internal/geoindex ./internal/core ./internal/wal ./internal/dbserver ./internal/cluster ./internal/client -run xxx -bench 'CosExact|RFFTransform|RFFSVMTrain|PegasosTrain|LabelReadings|GridWithinRadius|GridRebuild|MetroRebuild|DetectorThroughput|ScanMetro|Replay|DecodeUploadJSON|GatewayPlaceQueries|UploadViaGatewayFrame|LegExchange|FrameEncode|UploadPathWAL|AppendGroupCommit' -benchtime 1x
 	$(GO) test ./internal/dsp ./internal/features -run xxx -bench 'PowerSpectrum256|FromObservation256|Measure256' -benchtime 1x
 	bash bench/run.sh --workload query_mixed --seed 42 --seconds 1 --trace 0
 	bash bench/run.sh --workload wsd_scan --seed 42 --seconds 1 --trace 0

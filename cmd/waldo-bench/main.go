@@ -105,5 +105,6 @@ func registry() []experiment {
 		{"ablation-interpolation", func(s *experiments.Suite) (renderer, error) { return s.AblationInterpolation() }},
 		{"ablation-margin", func(s *experiments.Suite) (renderer, error) { return s.AblationSafetyMargin() }},
 		{"ablation-temporal", func(s *experiments.Suite) (renderer, error) { return s.AblationTemporalDrift() }},
+		{"grid", func(s *experiments.Suite) (renderer, error) { return s.GridAvailability() }},
 	}
 }

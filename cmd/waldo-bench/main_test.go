@@ -16,7 +16,7 @@ func TestListPrintsEveryExperimentInPaperOrder(t *testing.T) {
 		"fig4", "fig5", "fig6", "fig7", "sec22", "fig10-11", "fig12", "fig13",
 		"fig14", "fig15", "table1-fig16", "fig17", "fig18", "sec5", "table2",
 		"ablation-classifiers", "ablation-labeling", "ablation-features",
-		"ablation-interpolation", "ablation-margin", "ablation-temporal",
+		"ablation-interpolation", "ablation-margin", "ablation-temporal", "grid",
 	}
 	if got := strings.Fields(out.String()); !slices.Equal(got, want) {
 		t.Errorf("-list = %v\nwant    %v", got, want)

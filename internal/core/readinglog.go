@@ -118,7 +118,7 @@ func (l *ReadingLog) View() ReadingView {
 }
 
 // ReadingView is an immutable run of readings inside a ReadingLog: the
-// whole log as it was when View was called, or a prefix or tail of that.
+// whole log as it was when View was called, or a prefix of that.
 // The chunks are capacity-clamped and the log never writes below its own
 // length, so a view may be read without any lock for as long as it is
 // held, and must not be written through.
@@ -150,25 +150,6 @@ func (v ReadingView) Prefix(n int) ReadingView {
 		out.n += k
 	}
 	return out
-}
-
-// Tail returns the view's last n readings (the whole view when n is not
-// smaller than it).
-func (v ReadingView) Tail(n int) ReadingView {
-	if n >= v.n {
-		return v
-	}
-	if n <= 0 {
-		return ReadingView{}
-	}
-	skip, i := v.n-n, 0
-	for skip >= len(v.chunks[i]) {
-		skip -= len(v.chunks[i])
-		i++
-	}
-	chunks := make([][]dataset.Reading, 0, len(v.chunks)-i)
-	chunks = append(chunks, v.chunks[i][skip:])
-	return ReadingView{chunks: append(chunks, v.chunks[i+1:]...), n: n}
 }
 
 // Flatten returns the view as one contiguous read-only slice. A view

@@ -27,7 +27,7 @@ func seqReadings(from, n int) []dataset.Reading {
 // TestReadingLogMatchesFlatSlice drives a ReadingLog and a plain slice
 // with the same random appends — sizes chosen to land before, on and
 // across chunk boundaries — and requires every derived view (the whole
-// log at each step, every kind of prefix and tail) to read back exactly
+// log at each step, every kind of prefix) to read back exactly
 // what the slice holds, including views captured many appends earlier.
 func TestReadingLogMatchesFlatSlice(t *testing.T) {
 	sizes := []int{1, 2, 63, 64, 65, 500, chunkReadings - 1, chunkReadings, chunkReadings + 1, 2*chunkReadings + 17}
@@ -64,13 +64,10 @@ func TestReadingLogMatchesFlatSlice(t *testing.T) {
 				if !viewHolds(v.Prefix(k), flat[:min(k, len(flat))]) {
 					t.Fatalf("seed %d step %d: Prefix(%d) of %d differs from the flat slice", seed, step, k, len(flat))
 				}
-				if !viewHolds(v.Tail(k), flat[len(flat)-min(k, len(flat)):]) {
-					t.Fatalf("seed %d step %d: Tail(%d) of %d differs from the flat slice", seed, step, k, len(flat))
-				}
 			}
-			tail := v.Tail(chunkReadings + 9)
-			if !sameReadings(tail.Flatten(), flat[len(flat)-tail.Len():]) || !sameReadings(tail.AppendTo(flat[:1:1])[1:], flat[len(flat)-tail.Len():]) {
-				t.Fatalf("seed %d step %d: Flatten/AppendTo of a %d-reading tail differ from the flat slice", seed, step, tail.Len())
+			pre := v.Prefix(chunkReadings + 9)
+			if !sameReadings(pre.Flatten(), flat[:pre.Len()]) || !sameReadings(pre.AppendTo(flat[:1:1])[1:], flat[:pre.Len()]) {
+				t.Fatalf("seed %d step %d: Flatten/AppendTo of a %d-reading prefix differ from the flat slice", seed, step, pre.Len())
 			}
 			total := 0
 			for _, c := range v.Chunks() {
@@ -172,9 +169,9 @@ func BenchmarkSubmitLargeStore(b *testing.B) {
 
 // TestStoreViewsStableUnderConcurrentGrowth runs every store reader
 // against concurrent Submit (run it under -race): each captured view,
-// checkpoint view, index window and Readings copy must be the exact
-// prefix or tail of the store it was taken from, then and after the
-// store has grown past it.
+// checkpoint view, trained prefix (the availability grid's evidence) and
+// Readings copy must be the exact prefix of the store it was taken
+// from, then and after the store has grown past it.
 func TestStoreViewsStableUnderConcurrentGrowth(t *testing.T) {
 	const batches, batch = 200, 100 // 20 000 readings: three chunks
 	u := newStoreUpdater(t)
@@ -236,14 +233,10 @@ func TestStoreViewsStableUnderConcurrentGrowth(t *testing.T) {
 		})
 		keep(v)
 	})
-	spawn(func() {
-		_, _, recent := u.IndexSnapshot(3000)
-		if len(recent) > 0 {
-			checkRun("index window", recent, recent[0].Seq)
-		}
-		if len(recent) > 3000 {
-			t.Errorf("index window of %d readings, asked for 3000", len(recent))
-		}
+	spawn(func() { // the availability grid's read: the trained prefix
+		var v ReadingView
+		u.Checkpoint(func(view ReadingView, _, trained int) { v = view.Prefix(trained) })
+		keep(v)
 	})
 	spawn(func() { checkRun("Readings", u.Readings(), 0) })
 	spawn(func() {

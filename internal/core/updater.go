@@ -465,31 +465,13 @@ func (u *Updater) Restore(readings *ReadingLog, version, trainedCount int) error
 	return nil
 }
 
-// IndexSnapshot returns a consistent view for availability indexing:
-// the current model, its version, and up to maxRecent of the most
-// recently accepted readings. The store is append-only, so the tail is
-// the store's recency window — the occupancy evidence freshest in time
-// without any per-reading timestamp bookkeeping. maxRecent ≤ 0 means
-// the whole store. The readings slice is the caller's own copy of that
-// window and nothing more, made after the lock is released; (nil, 0,
-// evidence) before the first Retrain.
-func (u *Updater) IndexSnapshot(maxRecent int) (*Model, int, []dataset.Reading) {
-	u.mu.Lock()
-	model, version, view := u.model, u.version, u.readings.View()
-	u.mu.Unlock()
-	if maxRecent > 0 {
-		view = view.Tail(maxRecent)
-	}
-	return model, version, view.AppendTo(nil)
-}
-
 // Checkpoint calls fn with a consistent view of the store — the readings
 // (see ReadingView; valid after fn returns), the model version, and the
 // trained prefix length — while the store lock is held. Because the
 // Journal hooks run under the same lock, everything fn sees is exactly
 // the journal stream so far: replication seeds a journal from it
-// (dbserver's TapSnapshot). Keep fn short (Submit and Model block for
-// its duration). The WAL's checkpoints do not come here: the log keeps
+// (dbserver's TapSnapshot), and the availability grid reads the trained
+// prefix. Keep fn short (Submit and Model block for its duration). The WAL's checkpoints do not come here: the log keeps
 // its own totals and cuts without this lock.
 func (u *Updater) Checkpoint(fn func(readings ReadingView, version, trainedCount int)) {
 	u.mu.Lock()

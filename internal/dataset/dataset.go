@@ -106,6 +106,20 @@ func (c LabelConfig) withDefaults() LabelConfig {
 	return c
 }
 
+// Hot reports whether r is one of Algorithm 1's hot readings under c,
+// zero fields at their defaults: its corrected RSS is above the
+// decodability threshold, so it is NotSafe itself and protects
+// ProtectRadius around it. LabelReadings and the availability grid both
+// ask it, so the rule lives here once.
+func (c LabelConfig) Hot(r *Reading) bool { return c.withDefaults().hot(r) }
+
+// hot is Hot under a config whose defaults are applied.
+func (c LabelConfig) hot(r *Reading) bool { return c.effectiveRSS(r) > c.ThresholdDBm }
+
+// ProtectRadius returns the protection radius in meters, its default
+// (6 km) when unset.
+func (c LabelConfig) ProtectRadius() float64 { return c.withDefaults().ProtectRadiusM }
+
 // effectiveRSS applies the configured height handling to one reading.
 func (c LabelConfig) effectiveRSS(r *Reading) float64 {
 	rss := r.Signal.RSSdBm + c.CorrectionDB
@@ -140,7 +154,7 @@ func LabelReadings(readings []Reading, cfg LabelConfig) ([]Label, error) {
 		if !readings[i].Loc.Valid() {
 			return nil, fmt.Errorf("dataset: reading %d has invalid location %v", i, readings[i].Loc)
 		}
-		if cfg.effectiveRSS(&readings[i]) > cfg.ThresholdDBm {
+		if cfg.hot(&readings[i]) {
 			hot = append(hot, readings[i].Loc)
 			labels[i] = LabelNotSafe
 		}

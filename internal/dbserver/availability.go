@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/geoindex"
 	"github.com/wsdetect/waldo/internal/rfenv"
@@ -25,19 +26,20 @@ import (
 // gateways replicate it through GET /v1/grid (gridexport.go; DESIGN.md
 // §15).
 
-// indexSource feeds a grid rebuild: every store's current model,
-// version, and recency window, in deterministic store order.
+// indexSource feeds a grid rebuild: every trained store's trained
+// prefix and model version, read in place under the store lock, in
+// deterministic store order.
 func (s *Server) indexSource() []geoindex.StoreSnapshot {
 	keys, byKey := s.storeSnapshot()
 	out := make([]geoindex.StoreSnapshot, 0, len(keys))
 	for _, k := range keys {
-		model, version, recent := byKey[k].IndexSnapshot(geoindex.DefaultMaxRecent)
-		if model == nil {
-			continue
-		}
-		out = append(out, geoindex.StoreSnapshot{
-			Channel: k.ch, Sensor: k.kind,
-			Model: model, ModelVersion: version, Recent: recent,
+		byKey[k].Checkpoint(func(view core.ReadingView, version, trained int) {
+			if trained > 0 {
+				out = append(out, geoindex.StoreSnapshot{
+					Channel: k.ch, Sensor: k.kind,
+					ModelVersion: version, Readings: view.Prefix(trained).Chunks(),
+				})
+			}
 		})
 	}
 	return out

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/wsdetect/waldo/internal/core"
+	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/geoindex"
 	"github.com/wsdetect/waldo/internal/rfenv"
 	"github.com/wsdetect/waldo/internal/sensor"
@@ -35,11 +36,31 @@ func getAvailability(t *testing.T, url string) AvailabilityJSON {
 	return av
 }
 
-func TestAvailabilityEndpoint(t *testing.T) {
-	_, ts := bootedServer(t)
+// splitServer is bootedServer over the same split stretched to 20 km
+// around the metro center, so the west holds cells wholly beyond the
+// 6 km protection radius of the occupied east.
+func splitServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	rs := synthReadings(600, 47, 1)
+	for i := range rs {
+		c := rfenv.MetroCenter
+		rs[i].Loc = c.Offset(c.BearingDeg(rs[i].Loc), 2*c.DistanceM(rs[i].Loc))
+	}
+	s := newServer(t, Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}})
+	if err := s.Bootstrap(rs); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
 
-	// West of the metro origin the synthetic field is free.
-	west := rfenv.MetroCenter.Offset(270, 6000)
+func TestAvailabilityEndpoint(t *testing.T) {
+	_, ts := splitServer(t)
+
+	// Far west of the metro origin the synthetic field is free: the
+	// probe's cell ends more than 10 km west of the occupied east.
+	west := rfenv.MetroCenter.Offset(270, 15000)
 	av := getAvailability(t, fmt.Sprintf("%s/v1/availability?lat=%v&lon=%v", ts.URL, west.Lat, west.Lon))
 	if av.Generation == 0 {
 		t.Fatal("bootstrapped server serves generation 0 (no grid built)")
@@ -51,8 +72,8 @@ func TestAvailabilityEndpoint(t *testing.T) {
 	if e.Channel != 47 || e.Status != "free" {
 		t.Errorf("west verdict = ch%d %s, want ch47 free", e.Channel, e.Status)
 	}
-	if e.Confidence <= 0 || e.Confidence >= 1 {
-		t.Errorf("confidence %v outside (0,1)", e.Confidence)
+	if e.Confidence != 1 {
+		t.Errorf("confidence %v, want 1: a built verdict is a rule, not a vote", e.Confidence)
 	}
 
 	// The channels filter excludes everything but the named channels.
@@ -98,9 +119,9 @@ func postRoute(t *testing.T, url string, req RouteRequestJSON) (*http.Response, 
 }
 
 func TestRouteEndpoint(t *testing.T) {
-	_, ts := bootedServer(t)
+	_, ts := splitServer(t)
 
-	west := rfenv.MetroCenter.Offset(270, 7000)
+	west := rfenv.MetroCenter.Offset(270, 15000)
 	east := rfenv.MetroCenter.Offset(90, 7000)
 	req := RouteRequestJSON{
 		Points: []RoutePointJSON{
@@ -114,7 +135,7 @@ func TestRouteEndpoint(t *testing.T) {
 		t.Fatalf("route = %s", resp.Status)
 	}
 	if len(route.Segments) < 2 {
-		t.Fatalf("14 km route produced %d segments", len(route.Segments))
+		t.Fatalf("22 km route produced %d segments", len(route.Segments))
 	}
 	if route.TotalM < 10000 || route.ConfidenceDecay != 1 {
 		t.Errorf("total_m=%v decay=%v", route.TotalM, route.ConfidenceDecay)
@@ -187,6 +208,50 @@ func TestRouteEndpoint(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("route body followed by %q = %s, want %d", tail, resp.Status, want)
 		}
+	}
+}
+
+// TestGridReadsTheTrainedPrefix: the grid is derived from the readings
+// the serving model was labelled from, so hot uploads into a free cell
+// move nothing until a retrain takes them in.
+func TestGridReadsTheTrainedPrefix(t *testing.T) {
+	s, ts := splitServer(t)
+	west := rfenv.MetroCenter.Offset(270, 15000)
+	verdict := func() geoindex.ChannelAvailability {
+		t.Helper()
+		vs := s.GeoIndex().Rebuild(context.Background()).Lookup(geoindex.CellOf(west, geoindex.DefaultCellDeg))
+		if len(vs) != 1 {
+			t.Fatalf("verdicts at the west probe: %+v", vs)
+		}
+		return vs[0]
+	}
+	before := verdict()
+	if before.Status != geoindex.StatusFree {
+		t.Fatalf("west probe: %+v, want free", before)
+	}
+	hot := synthReadings(20, 47, 9)
+	inCell := 0
+	for i := range hot {
+		hot[i].Loc = west.Offset(float64(i*18), float64(i)*20)
+		hot[i].Signal = features.Signal{RSSdBm: -70, CFTdB: -81.3, AFTdB: -83}
+		if geoindex.CellOf(hot[i].Loc, geoindex.DefaultCellDeg) == geoindex.CellOf(west, geoindex.DefaultCellDeg) {
+			inCell++
+		}
+	}
+	uploadJSONReadings(t, ts, hot, 0.4)
+	if got := verdict(); got != before {
+		t.Errorf("untrained uploads moved the west verdict: %+v, was %+v", got, before)
+	}
+	resp, err := http.Post(ts.URL+"/v1/retrain?channel=47&sensor=1", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("retrain = %s", resp.Status)
+	}
+	if got := verdict(); got.Status != geoindex.StatusOccupied || got.Readings != before.Readings+inCell || got.ModelVersion != before.ModelVersion+1 {
+		t.Errorf("after the retrain the west verdict is %+v, want occupied on %d readings at v%d", got, before.Readings+inCell, before.ModelVersion+1)
 	}
 }
 

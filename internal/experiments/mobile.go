@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -130,12 +131,23 @@ func (o *OracleScore) add(truth dataset.Label, dec core.Decision) {
 // written here rather than taken from dataset.LabelConfig's defaults, so
 // a change to the served labeler cannot move the truth.
 func oracle(camp *wardrive.Campaign, ch rfenv.Channel) ([]dataset.Label, error) {
-	ideal := append([]dataset.Reading(nil), camp.Readings(ch, sensor.KindRTLSDR)...)
-	if len(ideal) != len(camp.Route.Points) {
-		return nil, fmt.Errorf("experiments: %d readings on %v for %d route points", len(ideal), ch, len(camp.Route.Points))
+	return oracleAt(camp, ch, nil)
+}
+
+// oracleAt is oracle's truth at extra points: the labels of the route
+// points, then of each extra point (never hot itself).
+func oracleAt(camp *wardrive.Campaign, ch rfenv.Channel, extra []geo.Point) ([]dataset.Label, error) {
+	route := camp.Readings(ch, sensor.KindRTLSDR)
+	if len(route) != len(camp.Route.Points) {
+		return nil, fmt.Errorf("experiments: %d readings on %v for %d route points", len(route), ch, len(camp.Route.Points))
 	}
+	ideal := make([]dataset.Reading, len(route), len(route)+len(extra))
+	copy(ideal, route)
 	for i := range ideal {
 		ideal[i].Signal.RSSdBm = ideal[i].TrueDBm
+	}
+	for _, p := range extra {
+		ideal = append(ideal, dataset.Reading{Loc: p, Channel: ch, Signal: features.Signal{RSSdBm: math.Inf(-1)}})
 	}
 	return dataset.LabelReadings(ideal, dataset.LabelConfig{ThresholdDBm: -84, ProtectRadiusM: 6000})
 }
@@ -435,8 +447,8 @@ func (r *Fig18Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Fig. 18 / §5: WSD processing overhead\n")
 	fmt.Fprintf(&b, "peak CPU share during active scan: %s\n", r.PeakPct.RenderQuantiles("%"))
-	fmt.Fprintf(&b, "mean scan processing: %.4f s → %.3f%% of the 60 s duty cycle (paper: 2.35%%)\n",
-		r.ScanCPUSeconds, r.NormalizedPct)
+	fmt.Fprintf(&b, "mean scan processing: %.3g ms → %.3g%% of the 60 s duty cycle (paper: 2.35%%)\n",
+		1e3*r.ScanCPUSeconds, r.NormalizedPct)
 	fmt.Fprintf(&b, "model download: NB %d B, SVM %d B per channel (paper: ≈4 kB vs ≈40 kB; ordering preserved)\n",
 		r.DownloadBytesNB, r.DownloadBytesSVM)
 	return b.String()

@@ -1,21 +1,19 @@
-// Package geoindex precomputes the spatiotemporal availability grid:
-// for every quantized geo-cell, which TV channels are free, occupied,
-// or uncertain, and with what confidence. It is the read-side answer to
-// the query surface Saeed et al. argue for ("Towards Dynamic Real-Time
-// Geo-location Databases for TV White Spaces"): a WSD — or a route
-// planner — asks "what can I transmit on *here*, and along my path?",
-// and the answer must cost a map lookup, not a model evaluation.
+// Package geoindex precomputes the availability grid: for every
+// quantized geo-cell, which TV channels are free, occupied, or
+// uncertain. It is the read-side answer to the query surface Saeed et
+// al. argue for ("Towards Dynamic Real-Time Geo-location Databases for
+// TV White Spaces"): a WSD — or a route planner — asks "what can I
+// transmit on *here*, and along my path?", and the answer must cost a
+// map lookup, not a model evaluation.
 //
-// The grid is derived, not stored: on every retrain the index re-reads
-// each trusted store's current model plus a recency window of its
-// readings, classifies those readings with the model (the same
-// Algorithm 1-trained classifier that labels the store), and folds the
-// per-cell Safe/NotSafe votes into a [ChannelAvailability] verdict. The
-// rebuild runs off the request path on its own goroutine
-// (snapshot-then-swap, exactly like dbserver's encoded-descriptor
-// cache): readers load an immutable [Snapshot] through an atomic
-// pointer and never contend with a rebuild, so a retrain storm cannot
-// put a spike in route-query latency. See DESIGN.md §15.
+// The grid is derived, not stored. Each verdict is Algorithm 1 asked of
+// a cell, over the readings the store's serving model was labelled from
+// (its trained prefix): occupied when a hot reading lies inside the
+// cell, free when none lies within the protection radius of any point
+// of it, uncertain otherwise. The rebuild runs off the request path on
+// its own goroutine (snapshot-then-swap): readers load an immutable
+// [Snapshot] through an atomic pointer and never contend with a
+// rebuild. See DESIGN.md §15.
 package geoindex
 
 import (
@@ -40,28 +38,6 @@ import (
 // one wardriving neighborhood is one cell, fine enough that a metro
 // spans many.
 const DefaultCellDeg = 0.05
-
-// DefaultMaxRecent is the default per-store recency window: how many of
-// a store's most recently accepted readings count as occupancy evidence
-// for a rebuild. The store is append-only, so the tail is the freshest
-// view of the spectrum without any timestamp bookkeeping.
-const DefaultMaxRecent = 4096
-
-// DefaultEvidenceShrink is the confidence shrinkage prior: a
-// cell's confidence is its winning vote share scaled by n/(n+k), so a
-// single-reading cell reports ~0.2 confidence while a well-surveyed one
-// approaches its raw vote share.
-const DefaultEvidenceShrink = 4
-
-// Vote-share thresholds for the three-way verdict.
-const (
-	// DefaultFreeFraction is the minimum Safe vote share for a
-	// StatusFree verdict.
-	DefaultFreeFraction = 0.8
-	// DefaultOccupiedFraction is the maximum Safe vote share for a
-	// StatusOccupied verdict.
-	DefaultOccupiedFraction = 0.2
-)
 
 // Cell is a quantized geographic cell — the unit of both availability
 // lookup and cluster routing. X quantizes latitude, Y longitude.
@@ -91,19 +67,20 @@ func CellOf(p geo.Point, cellDeg float64) Cell {
 // cell.
 type Status uint8
 
-// The availability verdicts. There is no "unknown" value: a channel
-// with no evidence in a cell simply has no entry in the snapshot.
+// The availability verdicts, Algorithm 1 asked of a cell over its
+// store's hot readings (dataset.LabelConfig.Hot). There is no "unknown"
+// value: a channel with no evidence in a cell has no entry in the
+// snapshot.
 const (
-	// StatusFree means the evidence says a WSD may transmit: at least
-	// DefaultFreeFraction of the model-classified recent readings in
-	// the cell voted Safe.
+	// StatusFree means no hot reading lies within the protection radius
+	// of any point of the cell: Algorithm 1 would label Safe a reading
+	// taken anywhere in it.
 	StatusFree Status = iota + 1
-	// StatusOccupied means an incumbent is present: at most
-	// DefaultOccupiedFraction of the votes were Safe.
+	// StatusOccupied means a hot reading lies inside the cell.
 	StatusOccupied
-	// StatusUncertain means the votes split — the cell likely straddles
-	// a protection contour, and a WSD should fall back to a local
-	// detection pass before transmitting.
+	// StatusUncertain means a hot reading outside the cell protects part
+	// of it: the cell straddles a protection contour, and a WSD should
+	// fall back to a local detection pass before transmitting.
 	StatusUncertain
 )
 
@@ -131,15 +108,15 @@ type ChannelAvailability struct {
 	Sensor sensor.Kind
 	// Status is the three-way verdict.
 	Status Status
-	// Confidence is the winning vote share scaled by evidence volume
-	// (n/(n+k) shrinkage), in (0, 1). It answers "how sure is the grid",
-	// not "how sure is the model": a cell with one reading is never
-	// confident, however decisive that reading.
+	// Confidence is 1 on every built verdict: the verdict is a rule over
+	// the evidence, not a vote. A route query's validity horizon
+	// discounts it (ConfidenceDecay).
 	Confidence float64
-	// Readings is the number of recent readings that voted.
+	// Readings is the number of the store's trained readings inside the
+	// cell.
 	Readings int
-	// ModelVersion is the store's model version the votes were cast
-	// with — the availability analog of the descriptor cache key.
+	// ModelVersion names the trained prefix the verdict was derived
+	// from: the version of the model trained on it.
 	ModelVersion int
 }
 
@@ -186,21 +163,24 @@ func (s *Snapshot) EachStore(fn func(rfenv.Channel, sensor.Kind)) {
 	}
 }
 
-// StoreSnapshot is one trusted store's contribution to a rebuild: its
-// current model, that model's version, and the recency window of
-// accepted readings used as occupancy evidence.
+// StoreSnapshot is one trained store's contribution to a rebuild: the
+// readings its serving model was labelled from, and that model's
+// version. The grid then moves only when the store retrains, as the
+// model does.
 type StoreSnapshot struct {
 	// Channel and Sensor identify the store.
 	Channel rfenv.Channel
 	// Sensor is the store's sensor family.
 	Sensor sensor.Kind
-	// Model is the store's current classifier; nil stores are skipped
-	// (no model, no verdicts).
-	Model *core.Model
-	// ModelVersion is the version of Model.
+	// ModelVersion is the version of the model trained on Readings.
 	ModelVersion int
-	// Recent is the store's evidence window, newest-last.
+	// Readings is the store's trained prefix as contiguous runs
+	// (core.ReadingView.Chunks), read in place and never written.
+	Readings [][]dataset.Reading
+	// Deprecated: Recent is read as one more run after Readings.
 	Recent []dataset.Reading
+	// Deprecated: Model is ignored; the grid classifies nothing.
+	Model *core.Model
 }
 
 // Config assembles an [Index].
@@ -391,14 +371,8 @@ type entryKey struct {
 	kind sensor.Kind
 }
 
-// tally accumulates one store's votes for one cell.
-type tally struct {
-	safe, total  int
-	modelVersion int
-}
-
-// build derives a fresh grid: classify each store's evidence window
-// with its own current model and fold the Safe/NotSafe votes per cell.
+// build derives a fresh grid: one verdict per (store, cell) that holds
+// trained readings.
 func (x *Index) build() *Snapshot {
 	snap := &Snapshot{
 		CellDeg:    DefaultCellDeg,
@@ -408,60 +382,116 @@ func (x *Index) build() *Snapshot {
 	if x.cfg.Source == nil {
 		return snap
 	}
-	votes := make(map[Cell]map[entryKey]*tally)
 	for _, st := range x.cfg.Source() {
-		if st.Model == nil || len(st.Recent) == 0 {
+		runs := st.Readings
+		if len(st.Recent) > 0 {
+			runs = append(runs[:len(runs):len(runs)], st.Recent)
+		}
+		verdicts := storeVerdicts(runs)
+		if len(verdicts) == 0 {
 			continue
 		}
 		snap.Stores++
-		key := entryKey{st.Channel, st.Sensor}
-		for i := range st.Recent {
-			label, err := st.Model.ClassifyReading(st.Recent[i])
-			if err != nil {
-				continue
-			}
-			cell := CellOf(st.Recent[i].Loc, DefaultCellDeg)
-			byKey := votes[cell]
-			if byKey == nil {
-				byKey = make(map[entryKey]*tally)
-				votes[cell] = byKey
-			}
-			t := byKey[key]
-			if t == nil {
-				t = &tally{modelVersion: st.ModelVersion}
-				byKey[key] = t
-			}
-			t.total++
-			if label == dataset.LabelSafe {
-				t.safe++
-			}
+		for cell, v := range verdicts {
+			v.Channel, v.Sensor, v.ModelVersion = st.Channel, st.Sensor, st.ModelVersion
+			snap.cells[cell] = append(snap.cells[cell], v)
 		}
 	}
-	k := float64(DefaultEvidenceShrink)
-	for cell, byKey := range votes {
-		entries := make([]ChannelAvailability, 0, len(byKey))
-		for key, t := range byKey {
-			frac := float64(t.safe) / float64(t.total)
-			status := StatusUncertain
-			winning := math.Max(frac, 1-frac)
-			switch {
-			case frac >= DefaultFreeFraction:
-				status = StatusFree
-			case frac <= DefaultOccupiedFraction:
-				status = StatusOccupied
-			}
-			entries = append(entries, ChannelAvailability{
-				Channel:      key.ch,
-				Sensor:       key.kind,
-				Status:       status,
-				Confidence:   winning * float64(t.total) / (float64(t.total) + k),
-				Readings:     t.total,
-				ModelVersion: t.modelVersion,
-			})
-		}
+	for _, entries := range snap.cells {
 		sort.Slice(entries, func(i, j int) bool { return verdictLess(entries[i], entries[j]) })
-		snap.cells[cell] = entries
 		snap.entries += len(entries)
 	}
 	return snap
+}
+
+// rule is Algorithm 1 as the store labeler runs it (core's Updater labels
+// with the zero LabelConfig): the grid and the labels share one hot set.
+var rule dataset.LabelConfig
+
+// storeVerdicts applies the rule to every cell holding one of a store's
+// readings: occupied when a hot reading lies inside it, uncertain when
+// one lies within the protection radius of it, free otherwise.
+func storeVerdicts(runs [][]dataset.Reading) map[Cell]ChannelAvailability {
+	out := make(map[Cell]ChannelAvailability)
+	var hot []geo.Point
+	for _, run := range runs {
+		for i := range run {
+			c := CellOf(run[i].Loc, DefaultCellDeg)
+			v := out[c]
+			v.Readings++
+			if rule.Hot(&run[i]) {
+				hot = append(hot, run[i].Loc)
+				v.Status = StatusOccupied
+			}
+			out[c] = v
+		}
+	}
+	var index *geo.GridIndex
+	if len(hot) > 0 {
+		// nil only for a point off the globe: near then tests them all.
+		index, _ = geo.NewGridIndex(hot[0], rule.ProtectRadius()/2, hot)
+	}
+	for c, v := range out {
+		switch {
+		case v.Status == StatusOccupied:
+		case len(hot) > 0 && near(c, hot, index, rule.ProtectRadius()):
+			v.Status = StatusUncertain
+		default:
+			v.Status = StatusFree
+		}
+		v.Confidence = 1
+		out[c] = v
+	}
+	return out
+}
+
+const degToRad = math.Pi / 180
+
+// near reports whether a hot point lies within radiusM of cell c, by
+// gapM. Candidates come from index, a geo.GridIndex over hot, queried
+// with the circle around the lat/lon box that holds every point within
+// radiusM of the cell. Where that box reaches a pole or crosses the
+// antimeridian the index's plane does not follow the sphere, and every
+// hot point is tested.
+func near(c Cell, hot []geo.Point, index *geo.GridIndex, radiusM float64) bool {
+	lat0, lon0 := float64(c.X)*DefaultCellDeg, float64(c.Y)*DefaultCellDeg
+	lat1, lon1 := lat0+DefaultCellDeg, lon0+DefaultCellDeg
+	// The box's reach: gapM ≥ 2R·sin(Δlat/2), and ≥ 2R·cos(φ)·sin(Δlon/2)
+	// for φ the most poleward latitude the box spans.
+	latReach := 2 * math.Asin(radiusM/(2*geo.EarthRadiusM)) / degToRad
+	cosBand := math.Cos(min(90, max(math.Abs(lat0-latReach), math.Abs(lat1+latReach))) * degToRad)
+	lonReach := 2 * math.Asin(min(1, radiusM/(2*geo.EarthRadiusM*cosBand))) / degToRad
+	found := false
+	test := func(id int) bool {
+		found = gapM(hot[id], c) <= radiusM
+		return !found
+	}
+	if index == nil || lonReach >= 180 || lon0-lonReach < -180 || lon1+lonReach > 180 {
+		for id := 0; id < len(hot) && test(id); id++ {
+		}
+		return found
+	}
+	latSpan, lonSpan := lat1-lat0+2*latReach, (lon1-lon0+2*lonReach)*math.Cos(hot[0].Lat*degToRad)
+	circle := 0.5 * geo.EarthRadiusM * degToRad * math.Hypot(latSpan, lonSpan)
+	index.WithinRadius(geo.Point{Lat: (lat0 + lat1) / 2, Lon: (lon0 + lon1) / 2}, circle*(1+1e-9), test)
+	return found
+}
+
+// gapM is a lower bound on the great-circle distance from p to any point
+// of cell c: the haversine formula at the smallest latitude and
+// longitude gaps to the cell (the longitude one the short way round),
+// with the cell's cosine taken at its most poleward edge, and asin(x) ≥
+// x. In the metro it is within a meter of the true distance at 6 km.
+func gapM(p geo.Point, c Cell) float64 {
+	lat0, lon0 := float64(c.X)*DefaultCellDeg, float64(c.Y)*DefaultCellDeg
+	lat1, lon1 := lat0+DefaultCellDeg, lon0+DefaultCellDeg
+	dLat := max(lat0-p.Lat, p.Lat-lat1, 0)
+	dLon := 0.0
+	if p.Lon < lon0 || p.Lon > lon1 {
+		dLon = min(math.Mod(lon0-p.Lon+720, 360), math.Mod(p.Lon-lon1+720, 360))
+	}
+	sinLat, sinLon := math.Sin(dLat*degToRad/2), math.Sin(dLon*degToRad/2)
+	cosCell := math.Cos(max(math.Abs(lat0), math.Abs(lat1)) * degToRad)
+	h := sinLat*sinLat + math.Cos(p.Lat*degToRad)*cosCell*sinLon*sinLon
+	return 2 * geo.EarthRadiusM * math.Sqrt(h)
 }

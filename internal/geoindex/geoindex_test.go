@@ -1,13 +1,13 @@
 package geoindex
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/geo"
@@ -16,15 +16,16 @@ import (
 	"github.com/wsdetect/waldo/internal/telemetry"
 )
 
-// synthSplit generates readings around the metro with a sharp east/west
-// occupancy split: east of the origin the channel is occupied (strong
-// RSS), west it is free.
+// synthSplit generates readings within 20 km of the metro center with a
+// sharp east/west occupancy split: east of the center's meridian the
+// channel is occupied (strong RSS, hot under Algorithm 1), west it is
+// free.
 func synthSplit(n int, ch rfenv.Channel, seed int64) []dataset.Reading {
 	rng := rand.New(rand.NewSource(seed))
 	origin := rfenv.MetroCenter
 	out := make([]dataset.Reading, 0, n)
 	for i := 0; i < n; i++ {
-		loc := origin.Offset(rng.Float64()*360, rng.Float64()*10000)
+		loc := origin.Offset(rng.Float64()*360, rng.Float64()*20000)
 		rss := -100.0
 		if loc.Lon > origin.Lon {
 			rss = -70
@@ -37,25 +38,12 @@ func synthSplit(n int, ch rfenv.Channel, seed int64) []dataset.Reading {
 	return out
 }
 
-// trainedStore builds a model over the synthetic split and returns the
-// index input for it.
-func trainedStore(t *testing.T, ch rfenv.Channel, seed int64) StoreSnapshot {
-	t.Helper()
-	u, err := core.NewUpdater(core.UpdaterConfig{
-		Constructor: core.ConstructorConfig{Classifier: core.KindNB},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := synthSplit(800, ch, seed)
-	u.Bootstrap(rs)
-	if _, err := u.Retrain(); err != nil {
-		t.Fatal(err)
-	}
-	model, version := u.Model()
+// trainedStore is the index input for a store trained (version 1) on
+// the synthetic split.
+func trainedStore(ch rfenv.Channel, seed int64) StoreSnapshot {
 	return StoreSnapshot{
-		Channel: ch, Sensor: sensor.KindRTLSDR,
-		Model: model, ModelVersion: version, Recent: rs,
+		Channel: ch, Sensor: sensor.KindRTLSDR, ModelVersion: 1,
+		Readings: [][]dataset.Reading{synthSplit(1600, ch, seed)},
 	}
 }
 
@@ -87,7 +75,7 @@ func TestCellOfGolden(t *testing.T) {
 }
 
 func TestBuildDerivesVerdicts(t *testing.T) {
-	st := trainedStore(t, 47, 1)
+	st := trainedStore(47, 1)
 	x := New(Config{Source: func() []StoreSnapshot { return []StoreSnapshot{st} }})
 	snap := x.Rebuild(context.Background())
 
@@ -101,13 +89,15 @@ func TestBuildDerivesVerdicts(t *testing.T) {
 		t.Fatalf("stores = %d, want 1", snap.Stores)
 	}
 
-	// Deep west must read free, deep east occupied (the synthetic field
-	// splits occupancy on the origin's meridian).
-	west := rfenv.MetroCenter.Offset(270, 6000)
+	// Deep west must read free, east occupied (the synthetic field
+	// splits occupancy on the origin's meridian). The west probe's cell
+	// ends at least 10 km west of the meridian, beyond the 6 km radius.
+	west := rfenv.MetroCenter.Offset(270, 15000)
 	east := rfenv.MetroCenter.Offset(90, 6000)
 	checkStatus := func(p geo.Point, want Status) {
 		t.Helper()
-		entries := snap.Lookup(CellOf(p, snap.CellDeg))
+		cell := CellOf(p, snap.CellDeg)
+		entries := snap.Lookup(cell)
 		if len(entries) == 0 {
 			t.Fatalf("no verdicts at %v", p)
 		}
@@ -116,11 +106,19 @@ func TestBuildDerivesVerdicts(t *testing.T) {
 			t.Fatalf("entry identity = %v/%v", e.Channel, e.Sensor)
 		}
 		if e.Status != want {
-			t.Errorf("status at %v = %v, want %v (conf %.2f, n=%d)",
-				p, e.Status, want, e.Confidence, e.Readings)
+			t.Errorf("status at %v = %v, want %v (n=%d)", p, e.Status, want, e.Readings)
 		}
-		if e.Confidence <= 0 || e.Confidence >= 1 {
-			t.Errorf("confidence %v outside (0,1)", e.Confidence)
+		if e.Confidence != 1 {
+			t.Errorf("confidence %v, want 1: a verdict is a rule, not a vote", e.Confidence)
+		}
+		n := 0
+		for _, r := range st.Readings[0] {
+			if CellOf(r.Loc, snap.CellDeg) == cell {
+				n++
+			}
+		}
+		if e.Readings != n {
+			t.Errorf("readings = %d, want the %d trained readings inside the cell", e.Readings, n)
 		}
 		if e.ModelVersion != 1 {
 			t.Errorf("model version = %d, want 1", e.ModelVersion)
@@ -133,29 +131,17 @@ func TestBuildDerivesVerdicts(t *testing.T) {
 	if got := snap.Lookup(Cell{X: 9999, Y: 9999}); got != nil {
 		t.Errorf("far cell lookup = %v, want nil", got)
 	}
-}
 
-func TestConfidenceShrinksWithEvidence(t *testing.T) {
-	st := trainedStore(t, 47, 2)
-	// One-reading store: whatever the verdict, confidence must be small.
-	one := st
-	one.Recent = st.Recent[:1]
-	x := New(Config{Source: func() []StoreSnapshot { return []StoreSnapshot{one} }})
-	snap := x.Rebuild(context.Background())
-	for _, cell := range []Cell{CellOf(one.Recent[0].Loc, snap.CellDeg)} {
-		for _, e := range snap.Lookup(cell) {
-			if e.Readings != 1 {
-				t.Fatalf("readings = %d, want 1", e.Readings)
-			}
-			if e.Confidence > 0.25 {
-				t.Errorf("single-reading confidence %.2f, want <= 0.25 (shrinkage)", e.Confidence)
-			}
-		}
+	// The deprecated one-slice form builds the same grid.
+	legacy := StoreSnapshot{Channel: 47, Sensor: sensor.KindRTLSDR, ModelVersion: 1, Recent: st.Readings[0]}
+	got := New(Config{Source: func() []StoreSnapshot { return []StoreSnapshot{legacy} }}).Rebuild(context.Background())
+	if !bytes.Equal(EncodeGrid(got), EncodeGrid(snap)) {
+		t.Error("a store given as Recent built another grid than the same store given as Readings")
 	}
 }
 
 func TestScheduleCoalescesAndCloseWaits(t *testing.T) {
-	st := trainedStore(t, 47, 3)
+	st := trainedStore(47, 3)
 	x := New(Config{Source: func() []StoreSnapshot { return []StoreSnapshot{st} }})
 	ctx := context.Background()
 	for i := 0; i < 16; i++ {
@@ -175,7 +161,7 @@ func TestScheduleCoalescesAndCloseWaits(t *testing.T) {
 }
 
 func TestSnapshotStableDuringRebuild(t *testing.T) {
-	st := trainedStore(t, 47, 4)
+	st := trainedStore(47, 4)
 	x := New(Config{Source: func() []StoreSnapshot { return []StoreSnapshot{st} }})
 	first := x.Rebuild(context.Background())
 	held := x.Snapshot()
@@ -200,7 +186,7 @@ func TestSnapshotStableDuringRebuild(t *testing.T) {
 // coalesce into exactly one more pass, and releasing the Source
 // publishes the new generations.
 func TestQueriesServeWhileRebuildInFlight(t *testing.T) {
-	st := trainedStore(t, 47, 5)
+	st := trainedStore(47, 5)
 	var block atomic.Bool
 	entered := make(chan struct{}, 2) // the in-flight pass and the coalesced one
 	release := make(chan struct{})
@@ -226,7 +212,7 @@ func TestQueriesServeWhileRebuildInFlight(t *testing.T) {
 			t.Errorf("serving generation %d during the rebuild, want the previous one (%d)",
 				snap.Generation, prev.Generation)
 		}
-		verdicts := len(snap.Lookup(CellOf(st.Recent[0].Loc, DefaultCellDeg)))
+		verdicts := len(snap.Lookup(CellOf(st.Readings[0][0].Loc, DefaultCellDeg)))
 		route := []geo.Point{rfenv.MetroCenter.Offset(270, 8000), rfenv.MetroCenter.Offset(90, 8000)}
 		for _, seg := range SampleRoute(route, 500, DefaultCellDeg) {
 			verdicts += len(snap.Lookup(seg.Cell))

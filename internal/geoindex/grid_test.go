@@ -32,7 +32,7 @@ func sampleGrid() *Snapshot {
 // grid decode to the snapshot they came from and re-encode to the same
 // bytes.
 func TestGridRoundTrip(t *testing.T) {
-	stores := []StoreSnapshot{trainedStore(t, 46, 2), trainedStore(t, 47, 1)}
+	stores := []StoreSnapshot{trainedStore(46, 2), trainedStore(47, 1)}
 	built := New(Config{Source: func() []StoreSnapshot { return stores }}).Rebuild(context.Background())
 	if built.Cells() == 0 {
 		t.Fatal("the build produced no cell")
