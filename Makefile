@@ -3,17 +3,17 @@
 
 GO ?= go
 
-.PHONY: check verify build test race vet fmt-check bench-repo bench-pairs crash-test chaos cluster-test trace-smoke clean
+.PHONY: check verify build test race vet fmt-check bench-repo bench-pairs crash-test chaos cluster-test clean
 
 check: vet build race
 
 # Full pre-merge verification: formatting, vet, build, tests (among
-# them the godoc coverage gate on contract-surface packages), the
-# sharded-cluster suite under the race detector, the end-to-end trace
-# smoke (real processes: one traced upload must cross gateway -> shard
-# -> WAL under a single trace ID), and a one-second query_mixed run of
-# the repository benchmark: the shipped binaries as subprocesses (3
-# shards + gateway) under uploads, model fetch/watch, availability,
+# them the godoc coverage gate on contract-surface packages and each
+# binary's own run booted in-process: a traced upload read back from
+# its /debug/traces, then a real SIGTERM with a watch parked), the
+# sharded-cluster suite under the race detector, and a one-second
+# query_mixed run of the repository benchmark: the shipped binaries as
+# subprocesses (3 shards + gateway) under uploads, model fetch/watch, availability,
 # routes and retrains, with the workload's own correctness checks, and a
 # one-second wsd_scan run (the device in-process: its decision digest and
 # false-safe checks). Before that, one iteration of the trainer's, the
@@ -24,7 +24,7 @@ check: vet build race
 # place-query, upload and leg, the replication frame encode's, and the
 # device's extraction, detector and warm 9-channel scan benchmarks, so
 # they cannot rot unbuilt.
-verify: fmt-check vet build test cluster-test trace-smoke
+verify: fmt-check vet build test cluster-test
 	$(GO) test ./internal/ml/svm ./internal/dataset ./internal/geo ./internal/geoindex ./internal/core ./internal/wal ./internal/dbserver ./internal/cluster ./internal/client -run xxx -bench 'CosExact|RFFTransform|RFFSVMTrain|PegasosTrain|LabelReadings|GridWithinRadius|GridRebuild|MetroRebuild|DetectorThroughput|ScanMetro|Replay|DecodeUploadJSON|GatewayPlaceQueries|UploadViaGatewayFrame|LegExchange|FrameEncode|UploadPathWAL|AppendGroupCommit' -benchtime 1x
 	$(GO) test ./internal/dsp ./internal/features -run xxx -bench 'PowerSpectrum256|FromObservation256|Measure256' -benchtime 1x
 	bash bench/run.sh --workload query_mixed --seed 42 --seconds 1 --trace 0
@@ -57,10 +57,10 @@ crash-test:
 
 # Deterministic chaos suite: the fault-injection layer, the client/server
 # resilience tests, and the end-to-end byte-identity harness, all under
-# the race detector (DESIGN.md §9). About 30 s on 2 vCPUs, all of it
-# race-instrumented work: no run waits out a shutdown grace, because
-# every harness process stops through adminhttp's Server.Close, which
-# wakes parked polls.
+# the race detector (DESIGN.md §9). About 21 s on 2 vCPUs with a warm
+# build cache, all of it race-instrumented work: no run waits out a
+# shutdown grace, because every harness process stops through
+# adminhttp's Server.Close, which wakes parked polls.
 chaos:
 	$(GO) test -race ./internal/faultinject/ ./internal/e2e/ -count 1
 	$(GO) test -race ./internal/client/ -run 'TestRetry|TestBackoff|TestBreaker|TestStaleServe|TestWatch|TestConcurrentRefreshUploadUnderFaults' -count 1
@@ -69,21 +69,13 @@ chaos:
 # Sharded-cluster acceptance under the race detector: the
 # ring/replication/gateway unit tests, at one and at four cores, and the
 # kill-a-primary e2e chaos harness (DESIGN.md §12). The shipped binaries
-# are booted as a cluster by trace-smoke and by verify's bench run.
-# About 65 s on 2 vCPUs, nearly all of it the race-instrumented cluster
-# unit tests at two -cpu values; TestClusterCrash takes under a second.
+# are booted as a cluster by verify's bench run. About 33 s on 2 vCPUs
+# with a warm build cache, nearly all of it the race-instrumented
+# cluster unit tests at two -cpu values; TestClusterCrash takes under a
+# second.
 cluster-test:
 	$(GO) test -race -cpu 1,4 ./internal/cluster/ -count 1
 	$(GO) test -race ./internal/e2e/ -run TestCluster -count 1
-
-# End-to-end trace smoke: real-process 3-shard cluster plus gateway, one
-# traced upload, then assert the response-header trace ID is retained by
-# both the gateway's and the owning shard's /debug/traces with the
-# fan-out leg and WAL append spans (DESIGN.md §14).
-trace-smoke:
-	mkdir -p bin
-	$(GO) build -o bin ./cmd/waldo-server ./cmd/waldo-gateway
-	scripts/trace_smoke.sh bin
 
 # The repository benchmark (bench/README.md, BENCHMARK.json), as the
 # driver calls it: one workload, the committed seed and run length, no
@@ -107,4 +99,4 @@ bench-pairs:
 
 clean:
 	$(GO) clean ./...
-	rm -rf .bench_build bin
+	rm -rf .bench_build

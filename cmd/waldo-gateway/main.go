@@ -14,10 +14,11 @@
 //
 // Each -shards entry is id=url[,url...]: the first URL is the primary,
 // later URLs are replicas in failover order. Every gateway for a cluster
-// must be started with the same -shards IDs, -seed and -vnodes, or they
-// will disagree about ownership; the /healthz cluster_version field
-// exists to catch exactly that drift. (The geo-cell quantum is a build
-// constant, geoindex.DefaultCellDeg, shared with every shard's grid.)
+// must be started with the same -shards IDs, or they will disagree about
+// ownership; the /healthz cluster_version field exists to catch exactly
+// that drift. (The ring's seed and virtual nodes are the defaults of
+// cluster.RingConfig, and the geo-cell quantum is a build constant,
+// geoindex.DefaultCellDeg, shared with every shard's grid.)
 package main
 
 import (
@@ -44,8 +45,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("waldo-gateway", flag.ContinueOnError)
 	addr := fs.String("addr", ":9100", "listen address")
 	shardsFlag := fs.String("shards", "", "topology: 'id=url[,url...];id2=...' (primary URL first, required)")
-	seed := fs.Uint64("seed", 0, "ring placement seed (must match every other gateway)")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per shard (0 = default 128)")
 	logLevel := fs.String("log-level", "info", "lowest structured-log level emitted: debug|info|warn|error")
 	adminAddr := fs.String("admin-addr", "", "opt-in admin listener (pprof, /metrics, /debug/traces); empty = disabled. Bind to loopback only.")
 	if err := fs.Parse(args); err != nil {
@@ -63,19 +62,18 @@ func run(args []string) error {
 	metrics := telemetry.New()
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
 		Shards:  shards,
-		Ring:    cluster.RingConfig{Seed: *seed, VNodes: *vnodes},
 		Metrics: metrics,
 		Log:     wlog.New(wlog.Options{W: os.Stderr, Min: lvl, Metrics: metrics}),
 	})
 	if err != nil {
 		return err
 	}
-	defer gw.Close()
 	log.Printf("routing %d shards, cluster version %s, serving on %s", len(shards), gw.ConfigVersion(), *addr)
 	// On SIGINT/SIGTERM: stop accepting, answer parked watches 503, drain,
 	// then close the legs.
 	front, err := adminhttp.Start(*addr, gw.Handler(), gw.BeginShutdown)
 	if err != nil {
+		gw.Close()
 		return err
 	}
 	return adminhttp.Serve(front, *adminAddr, gw.Metrics(), gw.Close)

@@ -145,10 +145,10 @@ func run(args []string) error {
 		}
 		srv, handler, closer = s, s.Handler(), s.Close
 	}
-	defer closer()
 	if len(readings) > 0 {
 		start := time.Now()
 		if err := srv.Bootstrap(readings); err != nil {
+			closer()
 			return fmt.Errorf("bootstrap: %w", err)
 		}
 		log.Printf("trained models in %.1fs", time.Since(start).Seconds())
@@ -159,6 +159,7 @@ func run(args []string) error {
 	// no acknowledged upload is lost to a clean shutdown.
 	front, err := adminhttp.Start(*addr, handler, srv.BeginShutdown)
 	if err != nil {
+		closer()
 		return err
 	}
 	return adminhttp.Serve(front, *adminAddr, srv.Metrics(), closer)

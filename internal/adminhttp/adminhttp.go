@@ -51,14 +51,14 @@ func Handler(reg *telemetry.Registry) http.Handler {
 
 // Serve runs a Waldo binary's listeners: srv, the serving loop from
 // [Start], and, when adminAddr is set, the admin surface for reg on its
-// own listener, until SIGINT or SIGTERM. The signal then runs
-// srv.Close — stop accepting, wake parked long-polls, give requests in
-// flight ten seconds — and only then onShutdown (nil: nothing), where
-// waldo-server flushes and closes its WAL: an upload acknowledged
-// during the drain is journaled like any other. Serve returns the
-// drain's error or else onShutdown's. A serving listener that fails
-// returns its error at once; the admin listener failing to bind is only
-// logged, because it must not take down the serving process.
+// own listener, until SIGINT or SIGTERM or until the serving listener
+// fails. Either then runs srv.Close — stop accepting, wake parked
+// long-polls, give requests in flight ten seconds — and only then
+// onShutdown (nil: nothing), where waldo-server flushes and closes its
+// WAL: an upload acknowledged during the drain is journaled like any
+// other. Serve returns the listener's error, else the drain's, else
+// onShutdown's. The admin listener failing to bind is only logged,
+// because it must not take down the serving process.
 func Serve(srv *Server, adminAddr string, reg *telemetry.Registry, onShutdown func() error) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -80,12 +80,14 @@ func Serve(srv *Server, adminAddr string, reg *telemetry.Registry, onShutdown fu
 // serveUntil is Serve from the moment the listener is up: it blocks
 // until ctx is done (the signal) or accepting fails.
 func (s *Server) serveUntil(ctx context.Context, onShutdown func() error) error {
+	var err error
 	select {
-	case err := <-s.accepting:
-		return err
+	case err = <-s.accepting:
 	case <-ctx.Done():
 	}
-	err := s.Close()
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
 	if onShutdown != nil {
 		if cerr := onShutdown(); err == nil {
 			err = cerr

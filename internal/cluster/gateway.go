@@ -250,8 +250,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	cfg.Metrics.Gauge("waldo_cluster_ring_nodes",
 		"Shards on the consistent-hash ring.").Set(float64(len(ids)))
-	cfg.Metrics.Gauge("waldo_cluster_ring_vnodes",
-		"Virtual nodes per shard on the ring.").Set(float64(ring.VNodes()))
 	g.handler = g.buildHandler()
 	return g, nil
 }

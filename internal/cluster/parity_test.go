@@ -232,8 +232,8 @@ func TestHostileUploadParity(t *testing.T) {
 		return rs
 	}
 	tooMany := make([]dataset.Reading, core.MaxBatchReadings+1)
-	for i := range tooMany {
-		tooMany[i] = good()[0]
+	for i, r := 0, good()[0]; i < len(tooMany); i++ {
+		tooMany[i] = r
 	}
 	const badRequest, unprocessable = http.StatusBadRequest, http.StatusUnprocessableEntity
 	cases := []struct {
@@ -265,14 +265,24 @@ func TestHostileUploadParity(t *testing.T) {
 		{"mixed sensors", with(func(r *dataset.Reading) { r.Sensor = sensor.KindUSRPB200 }), 0.4, unprocessable, http.StatusNoContent},
 	}
 	for _, tc := range cases {
+		// Each format's body is encoded once and sent to both entries:
+		// the over-limit row's bodies are megabytes.
+		span := strconv.FormatFloat(tc.ciSpan, 'g', -1, 64)
+		bodies := map[string]struct {
+			path, span string
+			body       []byte
+		}{
+			"JSON":  {"/v1/readings", "", rawJSONUpload(tc.readings, tc.ciSpan)},
+			"frame": {"/v1/upload/batch", span, rawFrame(tc.readings)},
+		}
 		for entry, url := range ps.entries() {
 			want := tc.direct
 			if entry == "gateway" {
 				want = tc.gateway
 			}
-			for format, send := range map[string]func(testing.TB, string, []dataset.Reading, float64) int{"JSON": sendJSON, "frame": sendFrame} {
+			for format, b := range bodies {
 				before := mustGetBody(t, url+"/v1/stats", http.StatusOK)
-				got := send(t, url, tc.readings, tc.ciSpan)
+				got := sendUpload(t, url+b.path, b.body, b.span)
 				if got != want {
 					t.Errorf("%s, %s as %s = %d, want %d", tc.name, entry, format, got, want)
 				}

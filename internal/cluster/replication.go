@@ -217,12 +217,12 @@ func (r *Replicator) seed(id string) {
 
 // next takes follower id's poll after position after as its ack and
 // returns the frames it holds next, to be numbered from after+1: at most
-// maxShipRecords, and no more than maxShipBytes past the first. With
-// none, wake is closed by the next Record. A refusal is a position the
-// log cannot serve, and forgets the follower. Logged frames are never
-// written and truncation copies the retained tail, so the subslice is
-// stable.
-func (r *Replicator) next(id string, after uint64) (frames [][]byte, wake <-chan struct{}, refusal string) {
+// maxShipRecords, and no more than maxBytes (the journal's is
+// maxShipBytes) past the first. With none, wake is closed by the next
+// Record. A refusal is a position the log cannot serve, and forgets the
+// follower. Logged frames are never written and truncation copies the
+// retained tail, so the subslice is stable.
+func (r *Replicator) next(id string, after uint64, maxBytes int) (frames [][]byte, wake <-chan struct{}, refusal string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fs := r.followers[id]
@@ -252,7 +252,7 @@ func (r *Replicator) next(id string, after uint64) (frames [][]byte, wake <-chan
 		return nil, r.grew, ""
 	}
 	n, size := 1, len(frames[0])
-	for ; n < min(len(frames), maxShipRecords) && size+len(frames[n]) <= maxShipBytes; n++ {
+	for ; n < min(len(frames), maxShipRecords) && size+len(frames[n]) <= maxBytes; n++ {
 		size += len(frames[n])
 	}
 	return frames[:n], nil, ""
@@ -316,7 +316,7 @@ func (r *Replicator) handleJournal(w http.ResponseWriter, req *http.Request) {
 		}()
 	}
 	r.db.LongPoll(w, req, func() <-chan struct{} {
-		frames, wake, refusal := r.next(id, after)
+		frames, wake, refusal := r.next(id, after, maxShipBytes)
 		switch {
 		case refusal != "":
 			http.Error(w, refusal, http.StatusConflict)
@@ -324,14 +324,19 @@ func (r *Replicator) handleJournal(w http.ResponseWriter, req *http.Request) {
 		case wake != nil && inc != 0:
 			return wake
 		}
-		body := appendExchangeHeader(nil, r.incarnation)
-		for i, f := range frames {
-			body = append(body, f...)
-			binary.LittleEndian.PutUint64(body[len(body)-len(f)+4:], after+uint64(i)+1)
-		}
-		w.Write(body) //nolint:errcheck // follower went away
+		w.Write(r.answer(frames, after)) //nolint:errcheck // follower went away
 		return nil
 	})
+}
+
+// answer is the exchange of frames, numbered from after+1.
+func (r *Replicator) answer(frames [][]byte, after uint64) []byte {
+	body := appendExchangeHeader(nil, r.incarnation)
+	for i, f := range frames {
+		body = append(body, f...)
+		binary.LittleEndian.PutUint64(body[len(body)-len(f)+4:], after+uint64(i)+1)
+	}
+	return body
 }
 
 // Lag returns the largest number of journal records any live follower

@@ -842,12 +842,11 @@ func TestReplicatorCatchesUpAfterOutage(t *testing.T) {
 
 // gatedHandler simulates a replication outage: while down, the primary's
 // journal answers 503 — also to a poll that parked before the outage —
-// and every other route passes. It notes the largest journal answer.
+// and every other route passes.
 type gatedHandler struct {
-	mu      sync.Mutex
-	down    bool
-	largest int
-	next    http.Handler
+	mu   sync.Mutex
+	down bool
+	next http.Handler
 }
 
 func (g *gatedHandler) setDown(v bool) {
@@ -865,7 +864,6 @@ func (g *gatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.next.ServeHTTP(rec, r)
 	g.mu.Lock()
 	down := g.down
-	g.largest = max(g.largest, rec.Body.Len())
 	g.mu.Unlock()
 	if down {
 		http.Error(w, "gate closed", http.StatusServiceUnavailable)
@@ -894,34 +892,51 @@ func TestShipperBacksOffADownReplica(t *testing.T) {
 
 // TestShipperDrainsABacklogOverTheApplyCap: a backlog larger than the
 // replica's body cap drains in answers that each fit under it, instead
-// of one oversized answer the replica refuses forever.
+// of one oversized answer the replica refuses forever. The drain runs at
+// a 1 MiB cap through the journal's own bound (next, at a quarter of the
+// cap as maxShipBytes is) and the replica's own apply; the shipped
+// 64 MiB cap is held to the same arithmetic: the largest record's frame
+// plus maxShipBytes fits under it.
 func TestShipperDrainsABacklogOverTheApplyCap(t *testing.T) {
-	primary, _ := newTestNode(t, "p", "")
-	gate := &gatedHandler{next: primary.Handler()}
-	gatedTS := httptest.NewServer(gate)
-	t.Cleanup(gatedTS.Close)
-	replicaNode, _ := newFollower(t, "r", gatedTS.URL)
+	biggest, _ := core.AppendReadingsRecord(nil, make([]dataset.Reading, core.MaxBatchReadings))
+	if worst := exchangeHeaderSize + len(appendFrame(nil, 0, 47, sensor.KindRTLSDR, biggest)) + maxShipBytes; worst > applyBodyCap {
+		t.Fatalf("an answer may hold %d bytes, over the replica's %d-byte cap", worst, applyBodyCap)
+	}
 
-	gate.setDown(true)
-	rec, _ := core.AppendReadingsRecord(nil, synthReadings(core.MaxBatchReadings, 47, 1))
-	records := applyBodyCap/len(rec) + 1
-	for i := 0; i < records; i++ {
+	const bodyCap = 1 << 20
+	primary, _ := newTestNode(t, "p", "")
+	replica, _ := newTestNode(t, "r", "")
+	primary.repl.seed("r")
+	const perRecord = 2000
+	rec, _ := core.AppendReadingsRecord(nil, synthReadings(perRecord, 47, 1))
+	records := bodyCap/len(rec) + 1
+	for range records {
 		primary.repl.Record(context.Background(), 47, sensor.KindRTLSDR, rec)
 	}
-	gate.setDown(false)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := primary.Drain(ctx); err != nil {
-		t.Fatal(err)
+	answers := 0
+	for {
+		after, _ := mark(replica)
+		frames, wake, refusal := primary.repl.next("r", after, bodyCap/4)
+		if refusal != "" {
+			t.Fatalf("poll after %d refused: %s", after, refusal)
+		}
+		if wake != nil {
+			break // the backlog is drained: the poll would park
+		}
+		body := primary.repl.answer(frames, after)
+		if len(body) > bodyCap {
+			t.Fatalf("an answer held %d bytes, over the %d-byte cap", len(body), bodyCap)
+		}
+		if err := replica.apply(context.Background(), body); err != nil {
+			t.Fatal(err)
+		}
+		answers++
 	}
-	if got, want := replicaNode.DB.StoreSize(47, sensor.KindRTLSDR), records*core.MaxBatchReadings; got != want {
+	if answers < 2 {
+		t.Errorf("the backlog drained in %d answer(s): it never exceeded one cap", answers)
+	}
+	if got, want := replica.DB.StoreSize(47, sensor.KindRTLSDR), records*perRecord; got != want {
 		t.Errorf("replica holds %d readings, the primary logged %d", got, want)
-	}
-	gate.mu.Lock()
-	largest := gate.largest
-	gate.mu.Unlock()
-	if largest > applyBodyCap {
-		t.Errorf("the largest answer held %d bytes, over the replica's %d-byte cap", largest, applyBodyCap)
 	}
 }
 

@@ -56,7 +56,6 @@ type geoQueryState struct {
 	routeOK    *telemetry.Counter
 	routeEmpty *telemetry.Counter
 	badRequest *telemetry.Counter
-	segments   *telemetry.Histogram
 }
 
 func newGeoQueryState(m *telemetry.Registry) geoQueryState {
@@ -67,8 +66,6 @@ func newGeoQueryState(m *telemetry.Registry) geoQueryState {
 		routeOK:    m.Counter("waldo_geoindex_queries_total", help, "endpoint", "route", "outcome", "ok"),
 		routeEmpty: m.Counter("waldo_geoindex_queries_total", help, "endpoint", "route", "outcome", "empty"),
 		badRequest: m.Counter("waldo_geoindex_queries_total", help, "endpoint", "any", "outcome", "bad_request"),
-		segments: m.Histogram("waldo_geoindex_route_segments",
-			"Cell segments per served route query.", nil),
 	}
 }
 
@@ -384,7 +381,6 @@ func (p *Places) Route(w http.ResponseWriter, r *http.Request, view GridView) {
 		})
 	}
 	resp.TotalM = segs[len(segs)-1].ExitM // at least one waypoint: at least one segment
-	p.geoq.segments.Observe(float64(len(segs)))
 	if answered == 0 {
 		p.geoq.routeEmpty.Inc()
 	} else {

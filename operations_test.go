@@ -39,12 +39,12 @@ func TestClusterMetricsDocumentedWithAlerts(t *testing.T) {
 
 // TestGeoindexMetricsDocumentedWithAlerts: the availability grid fails
 // quiet — a rebuild hook that comes unwired only serves an ever-staler
-// snapshot — so its 8 series (registered by the index and by the
+// snapshot — so its 7 series (registered by the index and by the
 // dbserver query handlers) must all be found, each with its
 // alert-bearing row in OPERATIONS.md §2.8.
 func TestGeoindexMetricsDocumentedWithAlerts(t *testing.T) {
-	if n := requireAlertRows(t, regexp.MustCompile(`^waldo_geoindex_`)); n < 8 {
-		t.Errorf("found only %d waldo_geoindex_* metric names in source, want >= 8; the scan is broken", n)
+	if n := requireAlertRows(t, regexp.MustCompile(`^waldo_geoindex_`)); n < 7 {
+		t.Errorf("found only %d waldo_geoindex_* metric names in source, want >= 7; the scan is broken", n)
 	}
 }
 
