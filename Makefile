@@ -20,12 +20,12 @@ check: vet build race
 # WAL replay's (its per-record allocation budget is checked), the
 # availability grid rebuild's, the durable
 # append path's (upload to WAL append, which counts each record toward
-# the next checkpoint), the JSON upload decoder's, the gateway's
+# the next checkpoint), the JSON upload and route decoders', the gateway's
 # place-query, upload and leg, the replication frame encode's, and the
 # device's extraction, detector and warm 9-channel scan benchmarks, so
 # they cannot rot unbuilt.
 verify: fmt-check vet build test cluster-test
-	$(GO) test ./internal/ml/svm ./internal/dataset ./internal/geo ./internal/geoindex ./internal/core ./internal/wal ./internal/dbserver ./internal/cluster ./internal/client -run xxx -bench 'CosExact|RFFTransform|RFFSVMTrain|PegasosTrain|LabelReadings|GridWithinRadius|GridRebuild|MetroRebuild|DetectorThroughput|ScanMetro|Replay|DecodeUploadJSON|GatewayPlaceQueries|UploadViaGatewayFrame|LegExchange|FrameEncode|UploadPathWAL|AppendGroupCommit' -benchtime 1x
+	$(GO) test ./internal/ml/svm ./internal/dataset ./internal/geo ./internal/geoindex ./internal/core ./internal/wal ./internal/dbserver ./internal/cluster ./internal/client -run xxx -bench 'CosExact|RFFTransform|RFFSVMTrain|PegasosTrain|LabelReadings|GridWithinRadius|GridRebuild|MetroRebuild|DetectorThroughput|ScanMetro|Replay|DecodeUploadJSON|DecodeRouteJSON|GatewayPlaceQueries|UploadViaGatewayFrame|LegExchange|FrameEncode|UploadPathWAL|AppendGroupCommit' -benchtime 1x
 	$(GO) test ./internal/dsp ./internal/features -run xxx -bench 'PowerSpectrum256|FromObservation256|Measure256' -benchtime 1x
 	bash bench/run.sh --workload query_mixed --seed 42 --seconds 1 --trace 0
 	bash bench/run.sh --workload wsd_scan --seed 42 --seconds 1 --trace 0

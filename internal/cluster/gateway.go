@@ -504,8 +504,13 @@ func embeddable(results []FanoutResult) []FanoutResult {
 	return results
 }
 
-// errShuttingDown ends a parked watch leg at BeginShutdown.
-var errShuttingDown = errors.New("cluster: gateway shutting down")
+// errShuttingDown ends a parked watch leg at BeginShutdown, and
+// errClientGone one whose client hung up: neither is the endpoint's
+// doing, so neither fails it over.
+var (
+	errShuttingDown = errors.New("cluster: gateway shutting down")
+	errClientGone   = errors.New("cluster: client hung up")
+)
 
 // withShard is the one way the gateway calls a shard. It counts the
 // request, runs it under a "leg" child span (attr shard=ID) of the
@@ -536,7 +541,7 @@ func (g *Gateway) withShard(r *http.Request, sh *shardState, body []byte, consum
 			}
 			return nil
 		}
-		if err == errShuttingDown { // the gateway's doing, not the endpoint's
+		if err == errShuttingDown || err == errClientGone {
 			return err
 		}
 		g.endpointFailed(ctx, sh, raw, err, "request")
@@ -599,10 +604,10 @@ var ciSpanHeaderKey = http.CanonicalHeaderKey(dbserver.CISpanHeader)
 // by a deadline (legTimeout, or ctx's if sooner), not by ctx's
 // cancellation, which would arm the serving loop's hang-up watcher on
 // every proxied request. A client's /v1/model/watch leg parks past any
-// budget by design: the client's hang-up and BeginShutdown
-// (errShuttingDown) end it; a follower's poll (follow) parks for the
-// budget its follower sets on ctx. It reports the response status once
-// consume accepted it.
+// budget by design: the client's hang-up (errClientGone) and
+// BeginShutdown (errShuttingDown) end it; a follower's poll (follow)
+// parks for the budget its follower sets on ctx. It reports the
+// response status once consume accepted it.
 func (g *Gateway) shardDo(ctx context.Context, r *http.Request, ep *url.URL, body []byte, follow bool, consume func(*http.Response) error) (int, error) {
 	var cancel context.CancelFunc
 	parked := !follow && r.URL.Path == modelWatchPath
@@ -639,8 +644,12 @@ func (g *Gateway) shardDo(ctx context.Context, r *http.Request, ep *url.URL, bod
 	}
 	resp, err := g.rt.RoundTrip(req)
 	if err != nil {
-		if parked && g.life.Err() != nil {
+		switch {
+		case !parked:
+		case g.life.Err() != nil:
 			err = errShuttingDown
+		case r.Context().Err() != nil:
+			err = errClientGone
 		}
 		return 0, err
 	}
@@ -715,6 +724,9 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 				w.Header().Set(h, v)
 			}
 		}
+		if resp.ContentLength > 0 { // known: sent in one piece, and a body cut short shows as one
+			w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+		}
 		w.Header().Set(ClusterVersionHeader, g.version)
 		w.Header().Set(ShardHeader, sh.spec.ID)
 		w.WriteHeader(resp.StatusCode)
@@ -723,6 +735,9 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 	})
 	switch {
 	case err == nil:
+	case err == errClientGone: // no shard's fault, and nobody left to read the 502
+		w.Header().Set(ClusterVersionHeader, g.version)
+		http.Error(w, err.Error(), http.StatusBadGateway)
 	case err == errShuttingDown:
 		w.Header().Set(ClusterVersionHeader, g.version)
 		http.Error(w, "gateway shutting down", http.StatusServiceUnavailable)

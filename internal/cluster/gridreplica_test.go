@@ -520,7 +520,7 @@ func TestGatewayPlaceRefusalParity(t *testing.T) {
 	at := func(p geo.Point) string { return fmt.Sprintf("lat=%v&lon=%v", p.Lat, p.Lon) }
 	c := rfenv.MetroCenter
 	for _, q := range []string{"", "lat=x&lon=0", "lat=1", "lat=91&lon=0", "lat=0&lon=181", "lat=NaN&lon=0",
-		at(c) + "&channels=bogus", at(c) + "&channels=47,", at(c) + "&channels=99", at(c) + "&sensor=x"} {
+		"lat=Inf&lon=0", "lat=0&lon=-Inf", "lat=1e400&lon=0", at(c) + "&channels=bogus", at(c) + "&channels=47,", at(c) + "&channels=99", at(c) + "&sensor=x"} {
 		viaStatus, via := fetch(t, tc.gwTS.URL+"/v1/availability?"+q, nil)
 		status, direct := fetch(t, tc.nodeTS["s0"].URL+"/v1/availability?"+q, nil)
 		if viaStatus != status || status/100 != 4 || !bytes.Equal(via, direct) {
@@ -539,6 +539,8 @@ func TestGatewayPlaceRefusalParity(t *testing.T) {
 		"too many points":   routeBody(t, tooLong...),
 		"invalid waypoint":  []byte(`{"points":[{"lat":0,"lon":0},{"lat":91,"lon":0}]}`),
 		"negative horizon":  []byte(`{"points":[{"lat":33.6,"lon":-84.5}],"horizon_s":-1}`),
+		"horizon past f64":  []byte(`{"points":[{"lat":33.6,"lon":-84.5}],"horizon_s":1e400}`),
+		"waypoint past f64": []byte(`{"points":[{"lat":1e400,"lon":-84.5}]}`),
 		"too many samples":  []byte(`{"points":[{"lat":0,"lon":0},{"lat":40,"lon":100}],"step_m":10}`),
 		"channel off band":  []byte(`{"points":[{"lat":33.6,"lon":-84.5}],"channels":[99]}`),
 		"over the body cap": append(append([]byte(`{"points":[`), bytes.Repeat([]byte(" "), dbserver.DefaultMaxBodyBytes)...), "]}"...),

@@ -110,9 +110,11 @@ func (g *Gateway) handleModelWatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveModel answers a model request from the owner's replica of the
-// store, or forwards it to the owner when that holds none in sync.
-func (g *Gateway) serveModel(w http.ResponseWriter, r *http.Request, answer func(http.ResponseWriter, *http.Request, dbserver.ModelView) bool) {
-	key, err := g.routeKey(r.URL.Query())
+// store, or forwards it to the owner when that holds none in sync. The
+// query is parsed once, for the route key and the answer both.
+func (g *Gateway) serveModel(w http.ResponseWriter, r *http.Request, answer func(http.ResponseWriter, *http.Request, url.Values, dbserver.ModelView) bool) {
+	q := r.URL.Query()
+	key, err := g.routeKey(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -120,7 +122,7 @@ func (g *Gateway) serveModel(w http.ResponseWriter, r *http.Request, answer func
 	sh := g.shardFor(key)
 	w.Header().Set(ClusterVersionHeader, g.version)
 	w.Header().Set(ShardHeader, sh.spec.ID)
-	if !answer(w, r, sh) {
+	if !answer(w, r, q, sh) {
 		g.forward(w, r, sh, nil)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/wsdetect/waldo/internal/adminhttp"
 	"github.com/wsdetect/waldo/internal/dbserver"
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/geoindex"
@@ -520,5 +521,74 @@ func TestModelCopyNamesBytesNotVersions(t *testing.T) {
 	}
 	if n := sh.requests.Value() - legs; n != 0 {
 		t.Errorf("the fetches took %d legs, want them answered from the copy", n)
+	}
+}
+
+// TestGatewayFullModelAnswerHasContentLength: a full model answer from
+// the gateway — a fetch and a watch's wake, from its copy or forwarded
+// from a shard whose grid polls park, so it copies nothing — states its
+// length, so the gateway's serving loop sends it in one piece instead of
+// chunked: here an SVM model's, past the loop's 2 KB hold-back.
+func TestGatewayFullModelAnswerHasContentLength(t *testing.T) {
+	n, err := OpenNode(NodeConfig{ID: "s0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	if err := n.DB.Bootstrap(synthReadings(600, 47, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		wrap func(http.Handler) http.Handler
+		legs uint64
+	}{
+		{"from the copy", func(h http.Handler) http.Handler { return h }, 0},
+		{"forwarded", gridParked, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := httptest.NewServer(c.wrap(n.Handler()))
+			t.Cleanup(ts.Close) // after the gateway's: its grid polls may park here
+			gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{ts.URL}})
+			if c.legs == 0 {
+				followed(t, gw.shards["s0"])
+			}
+			checkModelHeads(t, gw, c.legs)
+		})
+	}
+}
+
+// checkModelHeads fetches the metro model through gw on its own serving
+// loop, then wakes a watch on it, and requires each answer's head to
+// state its length; the two take legs legs.
+func checkModelHeads(t *testing.T, gw *Gateway, legs uint64) {
+	t.Helper()
+	loc := rfenv.MetroCenter
+	srv, err := adminhttp.Start("127.0.0.1:0", gw.Handler(), gw.BeginShutdown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	before := gw.shards["s0"].requests.Value()
+	for _, target := range []string{"/v1/model?channel=47&sensor=1", "/v1/model/watch?channel=47&sensor=1&version=0"} {
+		resp, err := http.Get(srv.URL + target + hintAt(loc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %s, %v", target, resp.Status, err)
+		}
+		if len(body) <= 2<<10 {
+			t.Fatalf("%s: a %d-byte descriptor would get a Content-Length anyway", target, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte descriptor",
+				target, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+	if n := gw.shards["s0"].requests.Value() - before; n != legs {
+		t.Errorf("%d legs, want %d", n, legs)
 	}
 }

@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
+
+	"github.com/wsdetect/waldo/internal/rfenv"
 )
 
 // TestGatewayBeginShutdownAnswersParkedWatches: a watch parked through
@@ -87,5 +91,49 @@ func TestGatewayBeginShutdownAnswersParkedWatches(t *testing.T) {
 	stats.Body.Close()
 	if stats.StatusCode != http.StatusOK {
 		t.Errorf("/v1/stats during the drain = %s, want 200", stats.Status)
+	}
+}
+
+// TestAbandonedForwardedWatchIsNotTheShards: a client that hangs up a
+// watch the gateway forwarded ends the leg, and that is the client's
+// doing — no proxy error, no failover, and the shard's primary, healthy
+// throughout, stays its active endpoint though a replica is configured.
+// The shard's grid polls park, so the gateway copies no store and
+// forwards the watch.
+func TestAbandonedForwardedWatchIsNotTheShards(t *testing.T) {
+	n, _ := newTestNode(t, "s0", "")
+	loc := cellCenter(rfenv.MetroCenter)
+	if err := n.DB.Bootstrap(fieldAt(400, 47, loc, -100)); err != nil {
+		t.Fatal(err)
+	}
+	primary := httptest.NewServer(gridParked(n.Handler()))
+	t.Cleanup(primary.Close) // after the gateway's: its grid polls park here
+	replica := httptest.NewServer(gridParked(http.NotFoundHandler()))
+	t.Cleanup(replica.Close)
+	gw := gatewayOver(t, nil, ShardSpec{ID: "s0", URLs: []string{primary.URL, replica.URL}})
+	sh := gw.shards["s0"]
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	done := make(chan *httptest.ResponseRecorder)
+	go func() {
+		done <- serveGateway(ctx, gw, http.MethodGet, "/v1/model/watch?channel=47&sensor=1&version=99"+hintAt(loc), nil)
+	}()
+	active := n.DB.Metrics().Gauge("waldo_dbserver_watch_active", "")
+	eventually(t, "the forwarded watch parked on the shard", func() bool { return active.Value() == 1 })
+	hangUp()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the abandoned watch's leg outlived its client")
+	}
+	eventually(t, "the shard saw the hang-up", func() bool { return active.Value() == 0 })
+	if f := gw.Failovers(); f != 0 {
+		t.Errorf("waldo_cluster_failover_total = %d, want 0", f)
+	}
+	if e := sh.errs.Value(); e != 0 {
+		t.Errorf(`waldo_cluster_proxy_errors_total{shard="s0"} = %d, want 0`, e)
+	}
+	if got := sh.currentURL(); got != primary.URL {
+		t.Errorf("active endpoint %s, want the primary %s", got, primary.URL)
 	}
 }

@@ -1,7 +1,6 @@
 package dbserver
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -143,12 +142,16 @@ type RouteJSON struct {
 
 // geoFilter narrows verdicts to requested channels/sensor.
 type geoFilter struct {
-	channels map[rfenv.Channel]bool // nil: all
-	kind     sensor.Kind            // 0: all
+	channels uint64      // bit ch for each channel kept (the TV band is 14–51); 0: all
+	kind     sensor.Kind // 0: all
 }
 
+// channelBit is ch's bit in a geoFilter's channel set: 0 for a channel
+// below 0 or past 63, which no valid channel is.
+func channelBit(ch rfenv.Channel) uint64 { return 1 << uint(ch) }
+
 func (f geoFilter) keep(e geoindex.ChannelAvailability) bool {
-	if f.channels != nil && !f.channels[e.Channel] {
+	if f.channels != 0 && f.channels&channelBit(e.Channel) == 0 {
 		return false
 	}
 	if f.kind != 0 && e.Sensor != f.kind {
@@ -157,45 +160,24 @@ func (f geoFilter) keep(e geoindex.ChannelAvailability) bool {
 	return true
 }
 
-// parseChannelFilter parses a "46,47" CSV into a channel set (nil when
-// the argument is empty).
-func parseChannelFilter(arg string) (map[rfenv.Channel]bool, error) {
-	if arg == "" {
-		return nil, nil
-	}
-	set := make(map[rfenv.Channel]bool)
-	for _, part := range strings.Split(arg, ",") {
+// parseChannelFilter parses a "46,47" CSV into a channel set (0 when the
+// argument is empty).
+func parseChannelFilter(arg string) (uint64, error) {
+	var set uint64
+	for rest, more := arg, arg != ""; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad channel %q", part)
+			return 0, fmt.Errorf("bad channel %q", part)
 		}
 		ch := rfenv.Channel(n)
 		if !ch.Valid() {
-			return nil, fmt.Errorf("channel %d outside TV band", n)
+			return 0, fmt.Errorf("channel %d outside TV band", n)
 		}
-		set[ch] = true
+		set |= channelBit(ch)
 	}
 	return set, nil
-}
-
-// entriesJSON converts a cell's verdicts through a filter, scaling
-// confidence by decay.
-func entriesJSON(entries []geoindex.ChannelAvailability, f geoFilter, decay float64) []AvailabilityEntryJSON {
-	out := make([]AvailabilityEntryJSON, 0, len(entries))
-	for _, e := range entries {
-		if !f.keep(e) {
-			continue
-		}
-		out = append(out, AvailabilityEntryJSON{
-			Channel:      int(e.Channel),
-			Sensor:       int(e.Sensor),
-			Status:       e.Status.String(),
-			Confidence:   e.Confidence * decay,
-			Readings:     e.Readings,
-			ModelVersion: e.ModelVersion,
-		})
-	}
-	return out
 }
 
 // GridView names, for one place query, the grid snapshot holding a
@@ -269,27 +251,19 @@ func (p *Places) Availability(w http.ResponseWriter, r *http.Request, view GridV
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	resp := AvailabilityJSON{
-		Lat: lat, Lon: lon,
-		CellX: cell.X, CellY: cell.Y,
-		CellDeg:    snap.CellDeg,
-		Generation: snap.Generation,
-		Channels:   entriesJSON(snap.Lookup(cell), filter, 1),
-	}
-	if len(resp.Channels) == 0 {
+	j := getPlaceBuf()
+	if appendAvailability(j, pt, cell, snap, snap.Lookup(cell), filter) == 0 {
 		p.geoq.availEmpty.Inc()
 	} else {
 		p.geoq.availOK.Inc()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck // client went away
+	writePlace(w, j)
 }
 
 // Route serves POST /v1/route: sample the polyline onto cells
 // (geoindex.SampleRoute, deterministic) and answer each segment from its
 // cell's snapshot; the generation reported is the newest among them.
 func (p *Places) Route(w http.ResponseWriter, r *http.Request, view GridView) {
-	var req RouteRequestJSON
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.maxBody))
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
@@ -297,8 +271,9 @@ func (p *Places) Route(w http.ResponseWriter, r *http.Request, view GridView) {
 		http.Error(w, "bad route request: "+err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
+	var req RouteRequestJSON
 	if err == nil {
-		err = json.Unmarshal(body, &req) // the whole body: bytes after the object are a 400
+		err = decodeRouteJSON(&req, body) // the whole body: bytes after the object are a 400
 	}
 	if err != nil {
 		p.refuse(w, "bad route request: "+err.Error())
@@ -335,59 +310,50 @@ func (p *Places) Route(w http.ResponseWriter, r *http.Request, view GridView) {
 			n, geoindex.MaxRouteSamples))
 		return
 	}
-	channels := make(map[rfenv.Channel]bool)
+	filter := geoFilter{kind: sensor.Kind(req.Sensor)}
 	for _, n := range req.Channels {
 		ch := rfenv.Channel(n)
 		if !ch.Valid() {
 			p.refuse(w, fmt.Sprintf("channel %d outside TV band", n))
 			return
 		}
-		channels[ch] = true
-	}
-	filter := geoFilter{kind: sensor.Kind(req.Sensor)}
-	if len(channels) > 0 {
-		filter.channels = channels
+		filter.channels |= channelBit(ch)
 	}
 
 	span := p.metrics.StartSpanCtx(r.Context(), "route/sample")
 	segs := geoindex.SampleRoute(points, stepM, geoindex.DefaultCellDeg)
 	span.End()
 
-	decay := geoindex.ConfidenceDecay(req.HorizonS, 0)
-	resp := RouteJSON{
-		CellDeg:         geoindex.DefaultCellDeg,
-		HorizonS:        req.HorizonS,
-		ConfidenceDecay: decay,
-		Segments:        make([]RouteSegmentJSON, 0, len(segs)),
-	}
-	answered := 0
+	// The newest generation heads the answer, so every segment's view is
+	// read before the first byte: a cell with no view answers 502 whole.
+	var generation uint64
+	snaps := make([]*geoindex.Snapshot, 0, 16)
 	for _, seg := range segs {
 		snap, err := view(seg.Cell)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
-		resp.Generation = max(resp.Generation, snap.Generation)
-		entries := entriesJSON(snap.Lookup(seg.Cell), filter, decay)
-		if len(entries) > 0 {
+		generation = max(generation, snap.Generation)
+		snaps = append(snaps, snap)
+	}
+	decay := geoindex.ConfidenceDecay(req.HorizonS, 0)
+	j := getPlaceBuf()
+	// At least one waypoint: at least one segment.
+	appendRouteHead(j, generation, segs[len(segs)-1].ExitM, req.HorizonS, decay)
+	answered := 0
+	for i, seg := range segs {
+		if appendSegment(j, i, seg, snaps[i].Lookup(seg.Cell), filter, decay) > 0 {
 			answered++
 		}
-		resp.Segments = append(resp.Segments, RouteSegmentJSON{
-			CellX: seg.Cell.X, CellY: seg.Cell.Y,
-			FromLat: seg.From.Lat, FromLon: seg.From.Lon,
-			ToLat: seg.To.Lat, ToLon: seg.To.Lon,
-			EnterM: seg.EnterM, ExitM: seg.ExitM,
-			Channels: entries,
-		})
 	}
-	resp.TotalM = segs[len(segs)-1].ExitM // at least one waypoint: at least one segment
+	appendRouteTail(j)
 	if answered == 0 {
 		p.geoq.routeEmpty.Inc()
 	} else {
 		p.geoq.routeOK.Inc()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck // client went away
+	writePlace(w, j)
 }
 
 // ownGrid is a server's view: its serving snapshot, loaded once per

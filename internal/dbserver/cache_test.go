@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/wsdetect/waldo/internal/adminhttp"
 	"github.com/wsdetect/waldo/internal/core"
 )
 
@@ -230,4 +231,38 @@ func BenchmarkModelEndpointCached(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestFullModelAnswerHasContentLength: a full model answer — a fetch and
+// a watch's wake — states its length, so the serving loop sends it in
+// one piece instead of chunked, whatever the descriptor's size: here an
+// SVM model's, past the loop's 2 KB hold-back.
+func TestFullModelAnswerHasContentLength(t *testing.T) {
+	s := newServer(t, Config{})
+	if err := s.Bootstrap(synthReadings(600, 47, 1)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := adminhttp.Start("127.0.0.1:0", s.Handler(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, target := range []string{"/v1/model?channel=47&sensor=1", "/v1/model/watch?channel=47&sensor=1&version=0"} {
+		resp, err := http.Get(srv.URL + target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %s, %v", target, resp.Status, err)
+		}
+		if len(body) <= 2<<10 {
+			t.Fatalf("%s: a %d-byte descriptor would get a Content-Length anyway", target, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte descriptor",
+				target, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
 }

@@ -100,6 +100,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -433,9 +434,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func parseKey(r *http.Request) (rfenv.Channel, sensor.Kind, error) {
-	chStr := r.URL.Query().Get("channel")
-	kindStr := r.URL.Query().Get("sensor")
+// parseKey reads the store a request's query names (channel and sensor).
+func parseKey(q url.Values) (rfenv.Channel, sensor.Kind, error) {
+	chStr := q.Get("channel")
+	kindStr := q.Get("sensor")
 	chInt, err := strconv.Atoi(chStr)
 	if err != nil {
 		return 0, 0, fmt.Errorf("bad channel %q", chStr)
@@ -476,13 +478,11 @@ func fnv64(data []byte) uint64 {
 // a W/ prefix on either side is ignored, as RFC 9110 §13.1.2 requires for
 // this header).
 func etagMatches(header, etag string) bool {
-	for _, cand := range strings.Split(header, ",") {
+	for rest, more := header, header != ""; more; {
+		var cand string
+		cand, rest, more = strings.Cut(rest, ",")
 		cand = strings.TrimSpace(cand)
-		if cand == "*" {
-			return true
-		}
-		cand = strings.TrimPrefix(cand, "W/")
-		if cand == etag {
+		if cand == "*" || strings.TrimPrefix(cand, "W/") == etag {
 			return true
 		}
 	}
@@ -564,7 +564,7 @@ func FromReading(r dataset.Reading) ReadingJSON {
 }
 
 func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
-	ch, kind, err := parseKey(r)
+	ch, kind, err := parseKey(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -586,7 +586,7 @@ func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
 // handleExport streams one store's readings as CSV — the operator path
 // for backing up or migrating the trusted measurement corpus.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	ch, kind, err := parseKey(r)
+	ch, kind, err := parseKey(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

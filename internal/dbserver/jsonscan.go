@@ -1,22 +1,27 @@
 package dbserver
 
 import (
+	"encoding/json"
 	"strconv"
 
 	"github.com/wsdetect/waldo/internal/core"
 )
 
-// The JSON upload decoder's fast path. encoding/json is the reference for
-// an UploadJSON body; jsonScan reads only the shape encoding/json itself
-// writes for it — every key byte-equal to a field name, each value a
-// plain number of the field's type and range, nothing after the object
-// but whitespace — and reports false on anything else: null, unknown or
-// case-folded keys, escapes, non-ASCII bytes, a fraction or exponent in
-// an integer field, out-of-range numbers, a repeated "readings" key
-// (encoding/json decodes it into the elements already there), trailing
-// bytes. DecodeUploadJSON then hands the whole body to encoding/json,
-// which decides it, error text included. What the fast path accepts it
-// decodes to the bits json.Unmarshal would (FuzzDecodeUploadJSON).
+// The JSON decoders' fast path, for upload bodies (UploadJSON) and route
+// requests (RouteRequestJSON). encoding/json is the reference for both;
+// jsonScan reads only the shape encoding/json itself writes for them —
+// every key byte-equal to a field name, each value a plain number of the
+// field's type and range, nothing after the object but whitespace — and
+// reports false on anything else: null, unknown or case-folded keys,
+// escapes, non-ASCII bytes, a fraction or exponent in an integer field,
+// out-of-range numbers, a repeated array key ("readings", "points",
+// "channels": encoding/json decodes a repeat into the elements already
+// there), trailing bytes. The decoder then hands the whole body to
+// encoding/json, which decides it, error text included. What the fast
+// path accepts it decodes to the bits json.Unmarshal would
+// (FuzzDecodeUploadJSON, FuzzDecodeRouteJSON). One refusal is the fast
+// path's own: an upload's reading past core.MaxBatchReadings, refused
+// there with errTooManyReadings rather than decoded to the end first.
 
 // jsonScan is a cursor over one body. Its methods skip leading
 // whitespace and report false, leaving the cursor anywhere, on input
@@ -24,10 +29,14 @@ import (
 type jsonScan struct {
 	b []byte
 	i int
+	// tooMany is set when upload stopped at a reading past
+	// core.MaxBatchReadings.
+	tooMany bool
 }
 
 // upload reads an UploadJSON body, appending its readings to
-// batch.Readings.
+// batch.Readings. It stops at reading core.MaxBatchReadings+1, setting
+// tooMany.
 func (s *jsonScan) upload(batch *core.UploadBatch) bool {
 	readings := false
 	return s.object(func(k []byte) bool {
@@ -39,12 +48,65 @@ func (s *jsonScan) upload(batch *core.UploadBatch) bool {
 				return false
 			}
 			readings = true
+			n := 0
 			return s.array(func() bool {
+				if n++; n > core.MaxBatchReadings {
+					s.tooMany = true
+					return false
+				}
 				var rj ReadingJSON
 				ok := s.reading(&rj)
 				batch.Readings = append(batch.Readings, rj.ToReading())
 				return ok
 			})
+		}
+		return false
+	})
+}
+
+// route reads a RouteRequestJSON body into req, which starts zero.
+func (s *jsonScan) route(req *RouteRequestJSON) bool {
+	points, channels := false, false
+	return s.object(func(k []byte) bool {
+		switch string(k) {
+		case "points":
+			if points {
+				return false
+			}
+			points = true
+			req.Points = make([]RoutePointJSON, 0, 4) // "[]" decodes to empty, not nil
+			return s.array(func() bool {
+				var p RoutePointJSON
+				ok := s.object(func(k []byte) bool {
+					switch string(k) {
+					case "lat":
+						return s.float(&p.Lat)
+					case "lon":
+						return s.float(&p.Lon)
+					}
+					return false
+				})
+				req.Points = append(req.Points, p)
+				return ok
+			})
+		case "horizon_s":
+			return s.float(&req.HorizonS)
+		case "step_m":
+			return s.float(&req.StepM)
+		case "channels":
+			if channels {
+				return false
+			}
+			channels = true
+			req.Channels = []int{}
+			return s.array(func() bool {
+				var ch int
+				ok := s.integer(&ch)
+				req.Channels = append(req.Channels, ch)
+				return ok
+			})
+		case "sensor":
+			return s.integer(&req.Sensor)
 		}
 		return false
 	})
@@ -227,4 +289,15 @@ func digits(b []byte, i int) (int, bool) {
 		j++
 	}
 	return j, j > i
+}
+
+// decodeRouteJSON decodes a POST /v1/route body into req, which starts
+// zero: the fast path, or encoding/json for a body it refuses.
+func decodeRouteJSON(req *RouteRequestJSON, body []byte) error {
+	s := jsonScan{b: body}
+	if s.route(req) && s.end() {
+		return nil
+	}
+	*req = RouteRequestJSON{}
+	return json.Unmarshal(body, req)
 }

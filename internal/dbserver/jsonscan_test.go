@@ -83,6 +83,12 @@ func checkUploadParity(t *testing.T, body []byte) (fast bool) {
 	if fast && refErr != nil {
 		t.Fatalf("fast path accepted %q, which encoding/json refuses: %v", body, refErr)
 	}
+	if s.tooMany {
+		if _, err := DecodeUploadJSON(nil, body, nil); err != errTooManyReadings {
+			t.Fatalf("an upload past the reading limit decoded to %v, want %v", err, errTooManyReadings)
+		}
+		return false
+	}
 	// A pooled dst arrives holding a prefix and spare capacity; the
 	// prefix must survive, whatever the body.
 	prefix := synthReadings(2, 46, 3)
@@ -166,6 +172,130 @@ func BenchmarkDecodeUploadJSON(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := decode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestOversizedUploadStopsAtTheLimit: a JSON upload of more readings
+// than core.MaxBatchReadings is refused at the first reading past the
+// limit, not decoded to its end first — here the body is cut short
+// after it, which encoding/json would refuse as a syntax error only
+// after decoding every reading.
+func TestOversizedUploadStopsAtTheLimit(t *testing.T) {
+	one := encodedUpload(t)
+	start := bytes.Index(one, []byte(`{"seq"`))
+	end := bytes.IndexByte(one[start:], '}') + start + 1
+	var body bytes.Buffer
+	body.WriteString(`{"ci_span_db":0.4,"readings":[`)
+	for i := 0; i < core.MaxBatchReadings+1; i++ {
+		body.Write(one[start:end])
+		body.WriteByte(',')
+	}
+	body.WriteString(`{"seq":1,"lat":`) // cut: no reading past the limit is whole
+	batch, err := DecodeUploadJSON(make([]dataset.Reading, 0, 8), body.Bytes(), nil)
+	if err != errTooManyReadings {
+		t.Fatalf("oversized upload: err = %v, want %v", err, errTooManyReadings)
+	}
+	if len(batch.Readings) != 0 {
+		t.Errorf("the refused upload handed back %d readings, want dst's 0", len(batch.Readings))
+	}
+	var s jsonScan
+	s.b = body.Bytes()
+	decoded := core.UploadBatch{}
+	if s.upload(&decoded) || !s.tooMany {
+		t.Fatal("the fast path did not stop at the limit")
+	}
+	if n := len(decoded.Readings); n > core.MaxBatchReadings+1 {
+		t.Errorf("the fast path decoded %d readings before refusing, want at most %d", n, core.MaxBatchReadings+1)
+	}
+}
+
+// encodedRoute renders a route request the way bench/ does: json.Marshal
+// of a RouteRequestJSON, three waypoints at full precision.
+func encodedRoute(tb testing.TB) []byte {
+	tb.Helper()
+	body, err := json.Marshal(RouteRequestJSON{
+		Points: []RoutePointJSON{{Lat: 33.6411234567, Lon: -84.5212345678},
+			{Lat: 33.6523456789, Lon: -84.5098765432}, {Lat: 33.6612345678, Lon: -84.4987654321}},
+		HorizonS: 600, StepM: 250,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// checkRouteParity holds decodeRouteJSON to encoding/json on body: the
+// same error text, or the same request bit for bit, nil slices included;
+// and the fast path accepts nothing encoding/json refuses. It reports
+// whether the fast path took the body.
+func checkRouteParity(t *testing.T, body []byte) (fast bool) {
+	t.Helper()
+	var want RouteRequestJSON
+	refErr := json.Unmarshal(body, &want)
+	s := jsonScan{b: body}
+	fast = s.route(&RouteRequestJSON{}) && s.end()
+	if fast && refErr != nil {
+		t.Fatalf("fast path accepted %q, which encoding/json refuses: %v", body, refErr)
+	}
+	var got RouteRequestJSON
+	err := decodeRouteJSON(&got, body)
+	switch {
+	case refErr != nil:
+		if err == nil || err.Error() != refErr.Error() {
+			t.Fatalf("%q: got error %v, want %v", body, err, refErr)
+		}
+	case err != nil:
+		t.Fatalf("%q: got error %v, encoding/json decodes it", body, err)
+	default:
+		if d := bitDiff("route", reflect.ValueOf(want), reflect.ValueOf(got)); d != "" {
+			t.Fatalf("%q (fast path %v): %s", body, fast, d)
+		}
+		if (want.Points == nil) != (got.Points == nil) || (want.Channels == nil) != (got.Channels == nil) {
+			t.Fatalf("%q (fast path %v): nil slices differ: %#v vs %#v", body, fast, want, got)
+		}
+	}
+	return fast
+}
+
+// FuzzDecodeRouteJSON is the route body's parity fuzzer. Its committed
+// corpus under testdata/fuzz holds the encoded body, the shapes the fast
+// path takes (empty arrays, −0, exponents, whitespace, channel and
+// sensor filters) and those it refuses: null, unknown and case-folded
+// keys, escapes, non-ASCII bytes, fractions and exponents in integer
+// fields, out-of-range numbers, repeated array keys, trailing bytes.
+func FuzzDecodeRouteJSON(f *testing.F) {
+	f.Add(encodedRoute(f))
+	f.Fuzz(func(t *testing.T, body []byte) { checkRouteParity(t, body) })
+}
+
+// TestEncodedRouteTakesTheFastPath: what encoding/json writes for a route
+// request is the fast path's.
+func TestEncodedRouteTakesTheFastPath(t *testing.T) {
+	for _, body := range [][]byte{encodedRoute(t), []byte(`{"points":[{"lat":1,"lon":2}],"channels":[46,47],"sensor":1}`)} {
+		if !checkRouteParity(t, body) {
+			t.Fatalf("%s refused by the fast path", body)
+		}
+	}
+}
+
+// BenchmarkDecodeRouteJSON times the fast path against encoding/json on
+// a three-waypoint route request:
+// `go test -run '^$' -bench DecodeRouteJSON -benchmem ./internal/dbserver`.
+func BenchmarkDecodeRouteJSON(b *testing.B) {
+	body := encodedRoute(b)
+	for name, decode := range map[string]func(*RouteRequestJSON) error{
+		"fast":      func(req *RouteRequestJSON) error { return decodeRouteJSON(req, body) },
+		"reference": func(req *RouteRequestJSON) error { return json.Unmarshal(body, req) },
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var req RouteRequestJSON
+				if err := decode(&req); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,6 +3,7 @@ package dbserver
 import (
 	"errors"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -86,24 +87,27 @@ func read(w http.ResponseWriter, view ModelView, ch rfenv.Channel, kind sensor.K
 	return nil, false, false, true
 }
 
-// deliver answers a descriptor whole.
+// deliver answers a descriptor whole, with its Content-Length.
 func (ms *Models) deliver(w http.ResponseWriter, d *Descriptor, encoded bool) {
 	if encoded {
 		ms.cacheMiss.Inc()
 	} else {
 		ms.cacheHit.Inc()
 	}
-	w.Header().Set("ETag", d.ETag)
-	w.Header().Set("X-Waldo-Model-Version", strconv.Itoa(d.Version))
-	w.Header().Set("Content-Type", "application/octet-stream")
+	h := w.Header()
+	h.Set("ETag", d.ETag)
+	h.Set("X-Waldo-Model-Version", strconv.Itoa(d.Version))
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(d.Data)))
 	w.Write(d.Data) //nolint:errcheck // client went away
 }
 
 // Fetch serves GET /v1/model?channel=C&sensor=K: the store's descriptor,
-// or 304 when If-None-Match names it. It reports false, having written
-// nothing, when view does not hold the store.
-func (ms *Models) Fetch(w http.ResponseWriter, r *http.Request, view ModelView) bool {
-	ch, kind, err := parseKey(r)
+// or 304 when If-None-Match names it. q is r's query, parsed once by the
+// caller. It reports false, having written nothing, when view does not
+// hold the store.
+func (ms *Models) Fetch(w http.ResponseWriter, r *http.Request, q url.Values, view ModelView) bool {
+	ch, kind, err := parseKey(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return true
@@ -116,7 +120,7 @@ func (ms *Models) Fetch(w http.ResponseWriter, r *http.Request, view ModelView) 
 		// The validator names the bytes, so even a conditional request
 		// needs a descriptor: untrained is no answer.
 		http.Error(w, "model not trained yet", http.StatusNotFound)
-	case r.Header.Get("If-None-Match") != "" && etagMatches(r.Header.Get("If-None-Match"), d.ETag):
+	case etagMatches(r.Header.Get("If-None-Match"), d.ETag):
 		ms.cacheNotMod.Inc()
 		w.Header().Set("ETag", d.ETag)
 		w.Header().Set("X-Waldo-Model-Version", strconv.Itoa(d.Version))
@@ -137,18 +141,18 @@ func (ms *Models) Fetch(w http.ResponseWriter, r *http.Request, view ModelView) 
 // descriptor when that changes, 304 at the view's horizon
 // (X-Waldo-Model-Version carries the unchanged version), 503 once
 // closed, or nothing once the client disconnects; each answer states
-// the horizon in HorizonHeader. It reports false, having written
-// nothing, when view does not hold the store or gives it up while the
-// watch is parked.
-func (ms *Models) Watch(w http.ResponseWriter, r *http.Request, view ModelView) bool {
-	ch, kind, err := parseKey(r)
+// the horizon in HorizonHeader. q is r's query, parsed once by the
+// caller. It reports false, having written nothing, when view does not
+// hold the store or gives it up while the watch is parked.
+func (ms *Models) Watch(w http.ResponseWriter, r *http.Request, q url.Values, view ModelView) bool {
+	ch, kind, err := parseKey(q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return true
 	}
 	inm := r.Header.Get("If-None-Match")
 	since := 0
-	if v := r.URL.Query().Get("version"); v != "" {
+	if v := q.Get("version"); v != "" {
 		since, err = strconv.Atoi(v)
 		if err != nil || since < 0 {
 			http.Error(w, "bad version "+strconv.Quote(v), http.StatusBadRequest)
@@ -238,9 +242,9 @@ func (v serverModels) Horizon(rfenv.Channel, sensor.Kind) (time.Duration, bool) 
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	s.models.Fetch(w, r, serverModels{s})
+	s.models.Fetch(w, r, r.URL.Query(), serverModels{s})
 }
 
 func (s *Server) handleModelWatch(w http.ResponseWriter, r *http.Request) {
-	s.models.Watch(w, r, serverModels{s})
+	s.models.Watch(w, r, r.URL.Query(), serverModels{s})
 }

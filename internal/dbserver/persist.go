@@ -150,8 +150,8 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var keys []storeKey
-	if r.URL.Query().Get("channel") != "" || r.URL.Query().Get("sensor") != "" {
-		ch, kind, err := parseKey(r)
+	if q := r.URL.Query(); q.Get("channel") != "" || q.Get("sensor") != "" {
+		ch, kind, err := parseKey(q)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

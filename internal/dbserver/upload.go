@@ -66,15 +66,25 @@ func MutationPatterns() []string {
 // still has to pass core.UploadBatch.Validate, which acceptUpload runs
 // on every upload and a gateway runs before splitting one. The fast
 // path (jsonscan.go) writes the readings straight into dst; a body it
-// refuses is decoded by encoding/json.
+// refuses is decoded by encoding/json. The exception is a body of more
+// than core.MaxBatchReadings readings: the fast path stops at the first
+// reading past the limit and answers errTooManyReadings, the 400 core
+// validation would give after decoding them all.
 func DecodeUploadJSON(dst []dataset.Reading, body []byte, _ http.Header) (core.UploadBatch, error) {
 	s := jsonScan{b: body}
 	batch := core.UploadBatch{Readings: dst}
-	if s.upload(&batch) && s.end() {
+	switch {
+	case s.upload(&batch) && s.end():
 		return batch, nil
+	case s.tooMany:
+		return core.UploadBatch{Readings: batch.Readings[:len(dst)]}, errTooManyReadings
 	}
 	return decodeUploadReference(batch.Readings[:len(dst)], body) // keeps what the fast path grew
 }
+
+// errTooManyReadings refuses a JSON upload at its reading past
+// core.MaxBatchReadings.
+var errTooManyReadings = fmt.Errorf("bad upload: more than %d readings", core.MaxBatchReadings)
 
 // decodeUploadReference is DecodeUploadJSON through encoding/json. Only
 // bodies the fast path refused reach it, so nothing is sized from the

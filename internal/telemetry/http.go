@@ -3,6 +3,7 @@ package telemetry
 import (
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -77,6 +78,7 @@ func (r *Registry) WrapRoute(route string, next http.Handler) http.Handler {
 		"HTTP request latency by route.", nil, "route", route)
 	inFlight := r.Gauge(metricHTTPInFlight,
 		"Requests currently being served.")
+	codes := &routeCodes{reg: r, route: route, byCode: make(map[int]routeCode)}
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		inFlight.Inc()
 		parent, _ := ParseTraceHeader(req.Header.Get(TraceHeader))
@@ -88,20 +90,48 @@ func (r *Registry) WrapRoute(route string, next http.Handler) http.Handler {
 		sr := &StatusRecorder{ResponseWriter: w}
 		next.ServeHTTP(sr, req)
 		latency.Observe(time.Since(start).Seconds())
-		code := strconv.Itoa(sr.Status())
-		sp.SetAttr("code", code)
-		if sr.Status() >= http.StatusInternalServerError {
-			sp.Fail("HTTP " + code)
+		code := codes.get(sr.Status())
+		sp.SetAttr("code", code.text)
+		if code.code >= http.StatusInternalServerError {
+			sp.Fail("HTTP " + code.text)
 		}
 		sp.End()
 		inFlight.Dec()
-		// Counter instances are per status code; look up after serving.
-		r.Counter(metricHTTPRequests, "HTTP requests by route and status code.",
-			"route", route, "code", code).Inc()
+		code.requests.Inc()
 	})
 }
 
 // WrapRouteFunc is WrapRoute for plain handler functions.
 func (r *Registry) WrapRouteFunc(route string, next http.HandlerFunc) http.Handler {
 	return r.WrapRoute(route, next)
+}
+
+// routeCodes is one route's request counter and code label per status
+// code, each resolved from the registry once, at the code's first
+// request.
+type routeCodes struct {
+	reg    *Registry
+	route  string
+	mu     sync.Mutex
+	byCode map[int]routeCode
+}
+
+// routeCode is one status code's label text and counter.
+type routeCode struct {
+	code     int
+	text     string
+	requests *Counter
+}
+
+func (rc *routeCodes) get(code int) routeCode {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	c, ok := rc.byCode[code]
+	if !ok {
+		c = routeCode{code: code, text: strconv.Itoa(code)}
+		c.requests = rc.reg.Counter(metricHTTPRequests, "HTTP requests by route and status code.",
+			"route", rc.route, "code", c.text)
+		rc.byCode[code] = c
+	}
+	return c
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -24,9 +25,20 @@ type Trace struct {
 	rec      *Recorder
 
 	mu       sync.Mutex
-	spans    []SpanData
+	spans    []spanRecord
 	errored  bool
 	finished bool
+}
+
+// spanRecord is one completed span as its trace keeps it: the IDs stay
+// binary until a /debug/traces read renders the trace (TraceData.render),
+// so a span's End formats nothing.
+type spanRecord struct {
+	name        string
+	id, parent  SpanID
+	offset, dur time.Duration
+	attrs       []Attr
+	err         string
 }
 
 func (t *Trace) setErrored() {
@@ -35,7 +47,7 @@ func (t *Trace) setErrored() {
 	t.mu.Unlock()
 }
 
-func (t *Trace) addSpan(rec SpanData) {
+func (t *Trace) addSpan(rec spanRecord) {
 	t.mu.Lock()
 	if !t.finished {
 		t.spans = append(t.spans, rec)
@@ -60,12 +72,12 @@ func (t *Trace) finish(end time.Time) {
 		return
 	}
 	t.rec.record(&TraceData{
-		TraceID:  t.id.String(),
 		Endpoint: t.endpoint,
 		Start:    t.start,
 		Duration: end.Sub(t.start),
 		Errored:  errored,
-		Spans:    spans,
+		id:       t.id,
+		raw:      spans,
 	})
 }
 
@@ -107,6 +119,34 @@ type TraceData struct {
 	// "recent".
 	Class string     `json:"class"`
 	Spans []SpanData `json:"spans"`
+
+	// What the recorder keeps until the trace is first read: TraceID and
+	// Spans are rendered from them then (render), once.
+	id       TraceID
+	raw      []spanRecord
+	rendered bool
+}
+
+// render fills TraceID and Spans from the binary form the recorder kept,
+// the first time a read returns t. Called with the recorder's renderMu
+// held, not its mu, so a /debug/traces read holds up no request's record.
+func (t *TraceData) render() {
+	if t.rendered {
+		return
+	}
+	t.rendered = true
+	t.TraceID = t.id.String()
+	if len(t.raw) > 0 {
+		t.Spans = make([]SpanData, len(t.raw))
+	}
+	for i, s := range t.raw {
+		t.Spans[i] = SpanData{Name: s.name, SpanID: s.id.String(), Offset: s.offset,
+			Duration: s.dur, Attrs: s.attrs, Error: s.err}
+		if !s.parent.IsZero() {
+			t.Spans[i].ParentID = s.parent.String()
+		}
+	}
+	t.raw = nil
 }
 
 // SpanData is one completed span within a retained trace.
@@ -180,11 +220,12 @@ func (w *endpointWindow) add(d time.Duration) bool {
 // Nil-safe like the rest of the package: every method on a nil
 // *Recorder no-ops.
 type Recorder struct {
-	mu      sync.Mutex
-	rings   [numClasses][]*TraceData
-	next    [numClasses]int
-	windows map[string]*endpointWindow
-	scratch []time.Duration
+	mu       sync.Mutex
+	renderMu sync.Mutex // serializes the reads that render retained traces
+	rings    [numClasses][]*TraceData
+	next     [numClasses]int
+	windows  map[string]*endpointWindow
+	scratch  []time.Duration
 
 	recorded [numClasses]*Counter
 	evicted  [numClasses]*Counter
@@ -259,7 +300,9 @@ type TraceFilter struct {
 	TraceID string
 }
 
-func (f TraceFilter) match(t *TraceData) bool {
+// match reports whether f keeps t; id is f.TraceID parsed. Called with
+// the recorder's lock held, so it reads only what record set.
+func (f TraceFilter) match(t *TraceData, id TraceID) bool {
 	if f.Endpoint != "" && t.Endpoint != f.Endpoint {
 		return false
 	}
@@ -269,7 +312,7 @@ func (f TraceFilter) match(t *TraceData) bool {
 	if f.Class != "" && t.Class != f.Class {
 		return false
 	}
-	if f.TraceID != "" && t.TraceID != f.TraceID {
+	if f.TraceID != "" && t.id != id {
 		return false
 	}
 	return true
@@ -282,16 +325,29 @@ func (rec *Recorder) Snapshot(f TraceFilter) []*TraceData {
 	if rec == nil {
 		return nil
 	}
+	var id TraceID
+	if f.TraceID != "" {
+		b, err := hex.DecodeString(f.TraceID)
+		if err != nil || len(b) != len(id) || hex.EncodeToString(b) != f.TraceID {
+			return nil // no trace's ID renders to it
+		}
+		copy(id[:], b)
+	}
 	rec.mu.Lock()
 	var out []*TraceData
 	for c := 0; c < numClasses; c++ {
 		for _, t := range rec.rings[c] {
-			if t != nil && f.match(t) {
+			if t != nil && f.match(t, id) {
 				out = append(out, t)
 			}
 		}
 	}
 	rec.mu.Unlock()
+	rec.renderMu.Lock()
+	for _, t := range out {
+		t.render()
+	}
+	rec.renderMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
 	return out
 }

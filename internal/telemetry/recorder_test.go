@@ -241,3 +241,37 @@ func readAll(t *testing.T, resp *http.Response) string {
 		}
 	}
 }
+
+// TestSnapshotRendersOnlyWhatItReturns: a filtered read renders the
+// traces it returns and no other, and a trace= lookup matches the
+// rendered ID exactly — an ID in capitals, cut short or not hex names
+// no trace.
+func TestSnapshotRendersOnlyWhatItReturns(t *testing.T) {
+	r, rec := newTestRecorder()
+	want := recordTrace(r, "/v1/model", false)
+	recordTrace(r, "/v1/model", false)
+	recordTrace(r, "/v1/availability", true)
+
+	got := rec.Snapshot(TraceFilter{TraceID: want.String()})
+	if len(got) != 1 || got[0].TraceID != want.String() || len(got[0].Spans) != 1 {
+		t.Fatalf("lookup of %s returned %+v", want, got)
+	}
+	rec.mu.Lock()
+	for c := range rec.rings {
+		for _, td := range rec.rings[c] {
+			if td != nil && td.id != want && (td.TraceID != "" || td.Spans != nil) {
+				t.Errorf("trace %s was rendered by a read that did not return it", td.id)
+			}
+		}
+	}
+	rec.mu.Unlock()
+
+	for _, id := range []string{strings.ToUpper(want.String()), want.String()[:30], "zz" + want.String()[2:], "x"} {
+		if got := rec.Snapshot(TraceFilter{TraceID: id}); len(got) != 0 {
+			t.Errorf("trace=%s matched %d traces", id, len(got))
+		}
+	}
+	if got := rec.Snapshot(TraceFilter{Endpoint: "/v1/model"}); len(got) != 2 || got[0].TraceID == "" || got[1].TraceID == "" {
+		t.Errorf("endpoint read returned %+v, want 2 rendered traces", got)
+	}
+}

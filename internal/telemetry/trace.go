@@ -173,21 +173,13 @@ func (s *Span) End() time.Duration {
 	s.node.hist.Observe(d.Seconds())
 	tr := s.tr
 	if tr != nil {
-		rec := SpanData{
-			Name:     s.node.path,
-			SpanID:   s.id.String(),
-			ParentID: "",
-			Offset:   s.start.Sub(tr.start),
-			Duration: d,
-			Attrs:    s.attrs,
-			Error:    s.errMsg,
-		}
-		if !s.parent.IsZero() {
-			rec.ParentID = s.parent.String()
-		}
 		root := s.id == tr.root
+		tr.addSpan(spanRecord{
+			name: s.node.path, id: s.id, parent: s.parent,
+			offset: s.start.Sub(tr.start), dur: d,
+			attrs: s.attrs, err: s.errMsg,
+		})
 		s.attrs = nil // handed to the trace; don't reuse from the pool
-		tr.addSpan(rec)
 		if root {
 			tr.finish(end)
 		}
