@@ -120,15 +120,16 @@ func vnodeHash(seed uint64, node string, vnode int) uint64 {
 }
 
 // ConfigVersion renders a stable fingerprint of a cluster's routing
-// configuration — placement rule, seed, vnode count, cell quantum
-// (DefaultCellDeg), and the member list with its node URLs. Gateways
+// configuration — placement rule, seed, vnode count (ringVNodes), cell
+// quantum (DefaultCellDeg), and the member list with its node URLs. Gateways
 // stamp it on every proxied response as X-Waldo-Cluster-Version, and
 // clients cache it next to model descriptors, so a fleet can detect that
 // it is talking to a re-ringed cluster (and drop caches placed under the
-// old topology). The quantum stays in the hash so a cluster keeps the
-// fingerprint its clients already cache (TestConfigVersionPinned).
-func ConfigVersion(seed uint64, vnodes int, shards []ShardSpec) string {
-	h := mix(seed ^ uint64(vnodes))
+// old topology). The vnode count and the quantum, both constants, stay in
+// the hash so a cluster keeps the fingerprint its clients already cache
+// (TestConfigVersionPinned).
+func ConfigVersion(seed uint64, shards []ShardSpec) string {
+	h := mix(seed ^ ringVNodes)
 	h = mix(h ^ hashString(placementRule))
 	h = mix(h ^ math.Float64bits(DefaultCellDeg))
 	ids := make([]string, 0, len(shards))

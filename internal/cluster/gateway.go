@@ -230,7 +230,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		cfg:     cfg,
 		ring:    ring,
 		shards:  shards,
-		version: ConfigVersion(cfg.Ring.Seed, ring.VNodes(), cfg.Shards),
+		version: ConfigVersion(cfg.Ring.Seed, cfg.Shards),
 		rt:      rt,
 		legs:    legs,
 		metrics: cfg.Metrics,
@@ -734,10 +734,9 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, sh *shardState
 		return nil
 	})
 	switch {
-	case err == nil:
-	case err == errClientGone: // no shard's fault, and nobody left to read the 502
-		w.Header().Set(ClusterVersionHeader, g.version)
-		http.Error(w, err.Error(), http.StatusBadGateway)
+	case err == nil, err == errClientGone:
+		// A hang-up is no shard's fault and nobody is left to read an
+		// answer: write none, as a shard's own watch does.
 	case err == errShuttingDown:
 		w.Header().Set(ClusterVersionHeader, g.version)
 		http.Error(w, "gateway shutting down", http.StatusServiceUnavailable)
@@ -769,7 +768,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}{
 		ClusterVersion: g.version,
 		RingNodes:      len(ids),
-		RingVNodes:     g.ring.VNodes(),
+		RingVNodes:     ringVNodes,
 		CellDeg:        DefaultCellDeg,
 	}
 	for _, id := range ids {

@@ -425,14 +425,14 @@ func TestNewGatewayRefusesUndialableURLs(t *testing.T) {
 func TestConfigVersionStability(t *testing.T) {
 	a := []ShardSpec{{ID: "s0", URLs: []string{"http://a"}}, {ID: "s1", URLs: []string{"http://b"}}}
 	b := []ShardSpec{a[1], a[0]}
-	if ConfigVersion(1, 128, a) != ConfigVersion(1, 128, b) {
+	if ConfigVersion(1, a) != ConfigVersion(1, b) {
 		t.Error("fingerprint depends on shard order")
 	}
 	grown := append(append([]ShardSpec(nil), a...), ShardSpec{ID: "s2", URLs: []string{"http://c"}})
-	if ConfigVersion(1, 128, a) == ConfigVersion(1, 128, grown) {
+	if ConfigVersion(1, a) == ConfigVersion(1, grown) {
 		t.Error("fingerprint misses a membership change")
 	}
-	if ConfigVersion(1, 128, a) == ConfigVersion(2, 128, a) {
+	if ConfigVersion(1, a) == ConfigVersion(2, a) {
 		t.Error("fingerprint misses a seed change")
 	}
 }
@@ -442,7 +442,7 @@ func TestConfigVersionStability(t *testing.T) {
 // re-ring — fails here.
 func TestConfigVersionPinned(t *testing.T) {
 	a := []ShardSpec{{ID: "s0", URLs: []string{"http://a"}}, {ID: "s1", URLs: []string{"http://b"}}}
-	if got, want := ConfigVersion(1, 128, a), "ea276de01923409e"; got != want {
+	if got, want := ConfigVersion(1, a), "ea276de01923409e"; got != want {
 		t.Errorf("fingerprint %s, want %s", got, want)
 	}
 }
@@ -453,7 +453,7 @@ func TestConfigVersionPinned(t *testing.T) {
 func TestConfigVersionNamesThePlacementRule(t *testing.T) {
 	a := []ShardSpec{{ID: "s0", URLs: []string{"http://a"}}, {ID: "s1", URLs: []string{"http://b"}}}
 	const channelCellPlaced = "87c5dd123019f846"
-	if got := ConfigVersion(1, 128, a); got == channelCellPlaced {
+	if got := ConfigVersion(1, a); got == channelCellPlaced {
 		t.Errorf("fingerprint %s is the (channel, cell) placement's", got)
 	}
 }

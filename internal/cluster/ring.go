@@ -5,21 +5,21 @@ import (
 	"sort"
 )
 
+// ringVNodes is the number of virtual nodes per member: more mean lower
+// placement skew at the cost of a larger (still tiny) table.
+const ringVNodes = 128
+
 // RingConfig parameterizes ring construction. Two rings built from the
 // same config and member list place every key identically — in this
 // process, after a restart, or on another machine.
 type RingConfig struct {
-	// VNodes is the number of virtual nodes per member; more vnodes mean
-	// lower placement skew at the cost of a larger (still tiny) table.
-	// 0 means 128.
-	VNodes int
 	// Seed perturbs every ring position. Deploys fix it once; changing
 	// it reshuffles all placements (a full data migration).
 	Seed uint64
 }
 
 // Ring is an immutable consistent-hash ring: each member contributes
-// VNodes points on a 64-bit circle, and a key belongs to the member
+// ringVNodes points on a 64-bit circle, and a key belongs to the member
 // owning the first point at or after the key's hash (wrapping at the
 // top). Membership changes are modeled by building a new Ring with the
 // new member list — the consistent-hashing guarantee is that the new
@@ -43,9 +43,6 @@ type ringPoint struct {
 // arrive in any order; it is sorted before placement so that
 // ownership depends only on the set.
 func NewRing(cfg RingConfig, nodes []string) (*Ring, error) {
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 128
-	}
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")
 	}
@@ -59,10 +56,10 @@ func NewRing(cfg RingConfig, nodes []string) (*Ring, error) {
 	r := &Ring{
 		cfg:    cfg,
 		nodes:  sorted,
-		points: make([]ringPoint, 0, cfg.VNodes*len(sorted)),
+		points: make([]ringPoint, 0, ringVNodes*len(sorted)),
 	}
 	for ni, node := range sorted {
-		for v := 0; v < cfg.VNodes; v++ {
+		for v := 0; v < ringVNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: vnodeHash(cfg.Seed, node, v), node: int32(ni)})
 		}
 	}
@@ -80,9 +77,6 @@ func NewRing(cfg RingConfig, nodes []string) (*Ring, error) {
 
 // Nodes returns the members in sorted order (a copy).
 func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
-// VNodes returns the per-member virtual node count in effect.
-func (r *Ring) VNodes() int { return r.cfg.VNodes }
 
 // Owner returns the member owning a key.
 func (r *Ring) Owner(k RouteKey) string {

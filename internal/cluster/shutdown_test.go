@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/wsdetect/waldo/internal/rfenv"
+	"github.com/wsdetect/waldo/internal/telemetry"
 )
 
 // TestGatewayBeginShutdownAnswersParkedWatches: a watch parked through
@@ -96,8 +97,9 @@ func TestGatewayBeginShutdownAnswersParkedWatches(t *testing.T) {
 
 // TestAbandonedForwardedWatchIsNotTheShards: a client that hangs up a
 // watch the gateway forwarded ends the leg, and that is the client's
-// doing — no proxy error, no failover, and the shard's primary, healthy
-// throughout, stays its active endpoint though a replica is configured.
+// doing — no proxy error, no failover, no answer (so no 502 counted and
+// no errored trace pinned), and the shard's primary, healthy throughout,
+// stays its active endpoint though a replica is configured.
 // The shard's grid polls park, so the gateway copies no store and
 // forwards the watch.
 func TestAbandonedForwardedWatchIsNotTheShards(t *testing.T) {
@@ -135,5 +137,13 @@ func TestAbandonedForwardedWatchIsNotTheShards(t *testing.T) {
 	}
 	if got := sh.currentURL(); got != primary.URL {
 		t.Errorf("active endpoint %s, want the primary %s", got, primary.URL)
+	}
+	// Nothing failed, so nothing is answered, counted as a 502 or pinned
+	// as an errored trace.
+	if n := gw.Metrics().Counter("waldo_http_requests_total", "", "route", modelWatchPath, "code", "502").Value(); n != 0 {
+		t.Errorf(`waldo_http_requests_total{route=%q,code="502"} = %d, want 0`, modelWatchPath, n)
+	}
+	if errs := gw.Metrics().FlightRecorder().Snapshot(telemetry.TraceFilter{Class: "error"}); len(errs) != 0 {
+		t.Errorf("%d traces in the flight recorder's error ring, want 0", len(errs))
 	}
 }

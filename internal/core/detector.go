@@ -10,8 +10,22 @@ import (
 	"github.com/wsdetect/waldo/internal/geo"
 )
 
+// The §3.3 pipeline's fixed parameters: a stream converges on no fewer
+// than minReadings captures, when the confidence-level CI of its
+// outlier-trimmed RSS spans at most α; the aggregate smooths each
+// feature over smoothingWindow captures and keeps the outlierLoPct–
+// outlierHiPct percentile band, whose ends are also the §5 fallback's
+// two points.
+const (
+	confidence      = 0.90
+	smoothingWindow = 8
+	outlierLoPct    = 5
+	outlierHiPct    = 95
+	minReadings     = 8
+)
+
 // earlyStopReadings is n0, the shortest stream on which a detector whose
-// decisions cannot be uploaded may stop before MinReadings because both
+// decisions cannot be uploaded may stop before minReadings because both
 // points of the §5 fallback already classify alike, NotSafe or Safe: it
 // answers what the fallback answers there. At 2 every metro decision
 // would stop NotSafe and all white space would be lost; at 3 the
@@ -29,19 +43,9 @@ type DetectorConfig struct {
 	// 90 % confidence interval of the smoothed RSS before a decision is
 	// allowed. The paper sweeps 0.5–5 dB; default 0.5.
 	AlphaDB float64
-	// Confidence is the CI level; default 0.90.
-	Confidence float64
-	// SmoothingWindow is the moving-average window; default 8.
-	SmoothingWindow int
-	// OutlierLoPct and OutlierHiPct bound the percentile band kept
-	// before averaging; defaults 5 and 95.
-	OutlierLoPct float64
-	OutlierHiPct float64
-	// MinReadings is the minimum stream length before convergence can be
-	// declared; default 8.
-	MinReadings int
 	// MaxReadings caps the stream (a mobile device that never converges
-	// must eventually give up); default 1024.
+	// must eventually give up); default 1024, and at least 8, the
+	// shortest stream that can converge.
 	MaxReadings int
 	// Features is the set the detector aggregates and a device measures
 	// (Set.Measure); 0 means the model's, and one that does not cover it
@@ -58,35 +62,11 @@ func (c *DetectorConfig) defaults() error {
 	if c.AlphaDB < 0 {
 		return fmt.Errorf("core: negative alpha %v", c.AlphaDB)
 	}
-	if c.Confidence == 0 {
-		c.Confidence = 0.90
-	}
-	if c.Confidence <= 0 || c.Confidence >= 1 {
-		return fmt.Errorf("core: confidence %v outside (0,1)", c.Confidence)
-	}
-	if c.SmoothingWindow == 0 {
-		c.SmoothingWindow = 8
-	}
-	if c.SmoothingWindow < 1 {
-		return fmt.Errorf("core: smoothing window %d", c.SmoothingWindow)
-	}
-	if c.OutlierLoPct == 0 {
-		c.OutlierLoPct = 5
-	}
-	if c.OutlierHiPct == 0 {
-		c.OutlierHiPct = 95
-	}
-	if c.OutlierLoPct < 0 || c.OutlierHiPct > 100 || c.OutlierLoPct >= c.OutlierHiPct {
-		return fmt.Errorf("core: bad outlier band [%v, %v]", c.OutlierLoPct, c.OutlierHiPct)
-	}
-	if c.MinReadings == 0 {
-		c.MinReadings = 8
-	}
 	if c.MaxReadings == 0 {
 		c.MaxReadings = 1024
 	}
-	if c.MinReadings < 2 || c.MaxReadings < c.MinReadings {
-		return fmt.Errorf("core: bad reading bounds [%d, %d]", c.MinReadings, c.MaxReadings)
+	if c.MaxReadings < minReadings {
+		return fmt.Errorf("core: max readings %d below %d", c.MaxReadings, minReadings)
 	}
 	return nil
 }
@@ -101,7 +81,7 @@ type Decision struct {
 	// wherever the caller stopped offering — without meeting α.
 	Converged bool
 	// StoppedEarly reports that the early stop rule ended the stream
-	// before MinReadings (see At): both §5 fallback points at the place
+	// before minReadings (see At): both §5 fallback points at the place
 	// given to At classified alike (a Safe pair on a settled stream
 	// only), or the model's locality there is a constant NotSafe one.
 	// Converged is then false, and at that place the label is the stop's
@@ -188,7 +168,7 @@ func (d *Detector) Reset() {
 
 // At sets the place the stream is captured at, until the next Reset. It
 // lets a detector that does not aggregate AFT (its decisions are never
-// uploadable) stop a stream before MinReadings: from earlyStopReadings
+// uploadable) stop a stream before minReadings: from earlyStopReadings
 // captures on once both §5 fallback points there classify alike, with
 // their verdict (Safe asks more, see stopsEarly), and with NotSafe at
 // any length, 0 included, when the model's locality at loc is a constant
@@ -247,7 +227,7 @@ func (d *Detector) Done() bool {
 
 // stopsEarly reports whether the early stop rule ends the stream at its
 // current length, and with which verdict: the detector is placed, cannot
-// upload (no AFT), holds fewer than MinReadings captures, and either its
+// upload (no AFT), holds fewer than minReadings captures, and either its
 // place's locality is a constant NotSafe one (NotSafe) or, from
 // earlyStopReadings captures on, both §5 fallback points classify alike
 // (their label, which is the fallback's answer). Both Safe stops the
@@ -258,7 +238,7 @@ func (d *Detector) Done() bool {
 // A classification error leaves the stream running; Decide reports it.
 func (d *Detector) stopsEarly() (dataset.Label, bool) {
 	n := len(d.rss)
-	if !d.placed || d.cfg.Features >= features.SetLocationRSSCFTAFT || n >= d.cfg.MinReadings {
+	if !d.placed || d.cfg.Features >= features.SetLocationRSSCFTAFT || n >= minReadings {
 		return 0, false
 	}
 	if d.occupied {
@@ -268,17 +248,17 @@ func (d *Detector) stopsEarly() (dataset.Label, bool) {
 		return 0, false
 	}
 	sig := d.aggregate()
-	lo, err := d.fallback(d.loc, sig, d.cfg.OutlierLoPct)
+	lo, err := d.fallback(d.loc, sig, outlierLoPct)
 	if err != nil || lo == dataset.LabelSafe && !d.settled() {
 		return 0, false
 	}
-	hi, err := d.fallback(d.loc, sig, d.cfg.OutlierHiPct)
+	hi, err := d.fallback(d.loc, sig, outlierHiPct)
 	if err != nil || hi != lo {
 		return 0, false
 	}
 	if lo == dataset.LabelSafe && len(d.cft) > 0 {
-		sig.CFTdB = d.ws.Percentile(d.cft, d.cfg.OutlierHiPct)
-		if hi, err = d.fallback(d.loc, sig, d.cfg.OutlierHiPct); err != nil || hi != lo {
+		sig.CFTdB = d.ws.Percentile(d.cft, outlierHiPct)
+		if hi, err = d.fallback(d.loc, sig, outlierHiPct); err != nil || hi != lo {
 			return 0, false
 		}
 	}
@@ -286,13 +266,13 @@ func (d *Detector) stopsEarly() (dataset.Label, bool) {
 }
 
 // settled reports whether the stream's spread would meet α at
-// MinReadings: its CI span scaled from its length to MinReadings
+// minReadings: its CI span scaled from its length to minReadings
 // captures. A Safe stop needs it. A moving device's fading spreads its
 // captures by several dB, and three of them understate the spread that
 // sampling on to the cap finds; without this test false-safe rose
 // against the oracle at 15 m/s.
 func (d *Detector) settled() bool {
-	return d.ciSpan()*math.Sqrt(float64(len(d.rss))/float64(d.cfg.MinReadings)) <= d.cfg.AlphaDB
+	return d.ciSpan()*math.Sqrt(float64(len(d.rss))/float64(minReadings)) <= d.cfg.AlphaDB
 }
 
 // ciSpan returns the current CI span of the outlier-trimmed raw RSS. The
@@ -302,15 +282,15 @@ func (d *Detector) settled() bool {
 // streams that are still drifting (the mobile fading case of §5).
 func (d *Detector) ciSpan() float64 {
 	if d.spanLen != len(d.rss) {
-		trimmed := d.ws.TrimOutliers(d.rss, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
-		d.span = dsp.MeanCI(trimmed, d.cfg.Confidence).Span()
+		trimmed := d.ws.TrimOutliers(d.rss, outlierLoPct, outlierHiPct)
+		d.span = dsp.MeanCI(trimmed, confidence).Span()
 		d.spanLen = len(d.rss)
 	}
 	return d.span
 }
 
 func (d *Detector) converged() bool {
-	if len(d.rss) < d.cfg.MinReadings {
+	if len(d.rss) < minReadings {
 		return false
 	}
 	return d.ciSpan() <= d.cfg.AlphaDB
@@ -326,8 +306,8 @@ func (d *Detector) aggregate() features.Signal {
 		if len(xs) == 0 {
 			return math.Inf(-1)
 		}
-		smoothed := d.ws.MovingAverage(xs, d.cfg.SmoothingWindow)
-		trimmed := d.ws.TrimOutliers(smoothed, d.cfg.OutlierLoPct, d.cfg.OutlierHiPct)
+		smoothed := d.ws.MovingAverage(xs, smoothingWindow)
+		trimmed := d.ws.TrimOutliers(smoothed, outlierLoPct, outlierHiPct)
 		return dsp.Mean(trimmed)
 	}
 	d.sig = features.Signal{
@@ -385,11 +365,11 @@ func (d *Detector) Decide(loc geo.Point) (Decision, error) {
 	}
 	// Non-converged fallback: only if BOTH extremes say Safe is the
 	// channel declared Safe.
-	lo, err := d.fallback(loc, dec.Signal, d.cfg.OutlierLoPct)
+	lo, err := d.fallback(loc, dec.Signal, outlierLoPct)
 	if err != nil {
 		return Decision{}, err
 	}
-	hi, err := d.fallback(loc, dec.Signal, d.cfg.OutlierHiPct)
+	hi, err := d.fallback(loc, dec.Signal, outlierHiPct)
 	if err != nil {
 		return Decision{}, err
 	}

@@ -175,11 +175,8 @@ func TestDetectorConfigValidation(t *testing.T) {
 	m, _, _ := trainedModel(t, ConstructorConfig{Seed: 9})
 	bad := []DetectorConfig{
 		{AlphaDB: -1},
-		{Confidence: 1.5},
-		{SmoothingWindow: -2},
-		{OutlierLoPct: 90, OutlierHiPct: 10},
-		{MinReadings: 1},
-		{MinReadings: 100, MaxReadings: 50},
+		// A cap below minReadings would never let a stream converge.
+		{MaxReadings: minReadings - 1},
 		// A set that does not cover the model's location + RSS + CFT
 		// would classify with features nobody measured.
 		{Features: features.SetLocation},

@@ -227,7 +227,7 @@ type earlyDraw struct {
 }
 
 // earlyLean is the lean detector the early stop properties draw for.
-var earlyLean = DetectorConfig{AlphaDB: 0.5, MinReadings: 8, MaxReadings: 64}
+var earlyLean = DetectorConfig{AlphaDB: 0.5, MaxReadings: 64}
 
 func drawEarly(t *testing.T, models []*Model, seed int64) earlyDraw {
 	rng := rand.New(rand.NewSource(seed))
@@ -256,7 +256,7 @@ func (dr earlyDraw) decide(t *testing.T, cfg DetectorConfig, placed bool) Decisi
 // models — random levels and spreads, random places, lengths up to the
 // cap — a lean placed detector that does not stop early answers as the
 // full rule, and one that stops NotSafe takes no capture (a constant
-// NotSafe locality) or from earlyStopReadings to MinReadings − 1. A
+// NotSafe locality) or from earlyStopReadings to minReadings − 1. A
 // detector that aggregates AFT (its decisions are uploadable) never stops
 // early, placed or not. Safe stops are TestPropertyEarlySafe's.
 func TestPropertyEarlyNotSafe(t *testing.T) {
@@ -296,8 +296,8 @@ func TestPropertyEarlyNotSafe(t *testing.T) {
 		}
 		early++
 		if got.Label != dataset.LabelNotSafe || got.Converged || got.ReadingsUsed != 0 &&
-			(got.ReadingsUsed < earlyStopReadings || got.ReadingsUsed >= lean.MinReadings) {
-			t.Logf("seed %d: early stop %+v, want NotSafe on 0 or %d to %d readings", seed, got, earlyStopReadings, lean.MinReadings-1)
+			(got.ReadingsUsed < earlyStopReadings || got.ReadingsUsed >= minReadings) {
+			t.Logf("seed %d: early stop %+v, want NotSafe on 0 or %d to %d readings", seed, got, earlyStopReadings, minReadings-1)
 			return false
 		}
 		return true
@@ -314,9 +314,9 @@ func TestPropertyEarlyNotSafe(t *testing.T) {
 // TestPropertyEarlySafe: over the draws of TestPropertyEarlyNotSafe, every
 // answer of a lean placed detector is the full rule's, NotSafe from a
 // NotSafe stop, or Safe from a stop at earlyStopReadings to
-// MinReadings − 1 captures where, tested independently on that prefix of
+// minReadings − 1 captures where, tested independently on that prefix of
 // the stream (refDetector's verdict), both §5 fallback points and the
-// third point say Safe and the span scaled to MinReadings is within α.
+// third point say Safe and the span scaled to minReadings is within α.
 // Every Safe stop is of the last kind, whatever the full rule answers: a
 // Safe answer never rests on no capture nor on one point.
 func TestPropertyEarlySafe(t *testing.T) {
@@ -338,8 +338,8 @@ func TestPropertyEarlySafe(t *testing.T) {
 			turned++
 		}
 		n := got.ReadingsUsed
-		if got.Converged || n < earlyStopReadings || n >= earlyLean.MinReadings {
-			t.Logf("seed %d: Safe stop %+v, want %d to %d readings, not converged", seed, got, earlyStopReadings, earlyLean.MinReadings-1)
+		if got.Converged || n < earlyStopReadings || n >= minReadings {
+			t.Logf("seed %d: Safe stop %+v, want %d to %d readings, not converged", seed, got, earlyStopReadings, minReadings-1)
 			return false
 		}
 		d, err := NewDetector(dr.m, earlyLean)
@@ -385,7 +385,7 @@ func TestPropertyZeroCaptureNotSafe(t *testing.T) {
 		models = append(models, &twin)
 	}
 	const maxReadings = 64
-	lean := DetectorConfig{AlphaDB: 0.5, MinReadings: 8, MaxReadings: maxReadings}
+	lean := DetectorConfig{AlphaDB: 0.5, MaxReadings: maxReadings}
 	full := lean
 	full.Features = features.SetLocationRSSCFTAFT
 	var skipped, sampled int
@@ -518,7 +518,7 @@ func (r *refDetector) done() bool {
 
 func (r *refDetector) stopsEarly() bool {
 	n := len(r.rss)
-	if !r.placed || r.cfg.Features >= features.SetLocationRSSCFTAFT || n >= r.cfg.MinReadings {
+	if !r.placed || r.cfg.Features >= features.SetLocationRSSCFTAFT || n >= minReadings {
 		return false
 	}
 	if r.occupied {
@@ -533,7 +533,7 @@ func (r *refDetector) stopsEarly() bool {
 
 // verdict is the early stop rule's test on the stream from
 // earlyStopReadings captures on: both §5 fallback points classify alike,
-// and a Safe pair also needs a stream whose CI span scaled to MinReadings
+// and a Safe pair also needs a stream whose CI span scaled to minReadings
 // captures is within α and a third point, the high one with CFT at its
 // high percentile too, that classifies Safe.
 func (r *refDetector) verdict() (dataset.Label, bool) {
@@ -545,12 +545,12 @@ func (r *refDetector) verdict() (dataset.Label, bool) {
 	if lo == dataset.LabelNotSafe {
 		return lo, true
 	}
-	if r.ciSpan()*math.Sqrt(float64(len(r.rss))/float64(r.cfg.MinReadings)) > r.cfg.AlphaDB {
+	if r.ciSpan()*math.Sqrt(float64(len(r.rss))/float64(minReadings)) > r.cfg.AlphaDB {
 		return 0, false
 	}
 	if len(r.cft) > 0 {
-		sig.RSSdBm = dsp.Percentile(r.rss, r.cfg.OutlierHiPct)
-		sig.CFTdB = dsp.Percentile(r.cft, r.cfg.OutlierHiPct)
+		sig.RSSdBm = dsp.Percentile(r.rss, outlierHiPct)
+		sig.CFTdB = dsp.Percentile(r.cft, outlierHiPct)
 		if label, err := r.m.Classify(r.loc, sig); err != nil || label != dataset.LabelSafe {
 			return 0, false
 		}
@@ -559,11 +559,11 @@ func (r *refDetector) verdict() (dataset.Label, bool) {
 }
 
 func (r *refDetector) ciSpan() float64 {
-	return dsp.MeanCI(dsp.TrimOutliers(r.rss, r.cfg.OutlierLoPct, r.cfg.OutlierHiPct), r.cfg.Confidence).Span()
+	return dsp.MeanCI(dsp.TrimOutliers(r.rss, outlierLoPct, outlierHiPct), confidence).Span()
 }
 
 func (r *refDetector) converged() bool {
-	return len(r.rss) >= r.cfg.MinReadings && r.ciSpan() <= r.cfg.AlphaDB
+	return len(r.rss) >= minReadings && r.ciSpan() <= r.cfg.AlphaDB
 }
 
 func (r *refDetector) aggregate() features.Signal {
@@ -571,8 +571,8 @@ func (r *refDetector) aggregate() features.Signal {
 		if len(xs) == 0 {
 			return math.Inf(-1)
 		}
-		smoothed := dsp.MovingAverage(xs, r.cfg.SmoothingWindow)
-		return dsp.Mean(dsp.TrimOutliers(smoothed, r.cfg.OutlierLoPct, r.cfg.OutlierHiPct))
+		smoothed := dsp.MovingAverage(xs, smoothingWindow)
+		return dsp.Mean(dsp.TrimOutliers(smoothed, outlierLoPct, outlierHiPct))
 	}
 	return features.Signal{RSSdBm: robust(r.rss), CFTdB: robust(r.cft), AFTdB: robust(r.aft)}
 }
@@ -613,8 +613,8 @@ func (r *refDetector) decide(loc geo.Point) (Decision, error) {
 
 func (r *refDetector) fallback(loc geo.Point, sig features.Signal) (lo, hi dataset.Label, err error) {
 	loSig, hiSig := sig, sig
-	loSig.RSSdBm = dsp.Percentile(r.rss, r.cfg.OutlierLoPct)
-	hiSig.RSSdBm = dsp.Percentile(r.rss, r.cfg.OutlierHiPct)
+	loSig.RSSdBm = dsp.Percentile(r.rss, outlierLoPct)
+	hiSig.RSSdBm = dsp.Percentile(r.rss, outlierHiPct)
 	if lo, err = r.m.Classify(loc, loSig); err != nil {
 		return 0, 0, err
 	}
@@ -641,7 +641,7 @@ func TestPropertyLazyFallbackExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := models[rng.Intn(len(models))]
-		d, err := NewDetector(m, DetectorConfig{AlphaDB: 0.5, MinReadings: 8, MaxReadings: maxReadings})
+		d, err := NewDetector(m, DetectorConfig{AlphaDB: 0.5, MaxReadings: maxReadings})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,26 +49,14 @@ type Reading struct {
 	Sensor sensor.Kind
 	// Signal holds the calibrated RSS/CFT/AFT features.
 	Signal features.Signal
-	// AltM is the antenna height above ground the reading was taken at;
-	// 0 means the default war-driving height (2 m). WSDs in multistory
-	// buildings report their floor height here (the §6 altitude
-	// extension).
+	// AltM is the antenna height above ground the reading was taken at,
+	// 0 when unreported (the war-driving antenna's ≈2 m). It is carried
+	// on the wire, in the WAL and in CSV, and validated, but no labelling
+	// or serving path reads it.
 	AltM float64
 	// TrueDBm is the simulator's ground-truth received power, carried
 	// for diagnostics only; no detection path reads it.
 	TrueDBm float64
-}
-
-// DefaultAntennaHeightM is the war-driving antenna height (paper §2.1:
-// antennas mounted on a minivan, ≈2 m above ground).
-const DefaultAntennaHeightM = 2.0
-
-// AntennaHeightM returns the effective antenna height of the reading.
-func (r Reading) AntennaHeightM() float64 {
-	if r.AltM <= 0 {
-		return DefaultAntennaHeightM
-	}
-	return r.AltM
 }
 
 // LabelConfig parameterizes Algorithm 1.
@@ -83,14 +71,6 @@ type LabelConfig struct {
 	// the antenna height correction factor (≈7.5 dB) of §2.1. Zero means
 	// no correction.
 	CorrectionDB float64
-	// NormalizeHeight enables the §6 altitude extension: each reading's
-	// RSS is individually normalized to ReferenceHeightM using Hata's
-	// mobile-antenna correction before thresholding, instead of assuming
-	// every reading came from the same antenna height.
-	NormalizeHeight bool
-	// ReferenceHeightM is the normalization target; 0 means the
-	// regulatory 10 m.
-	ReferenceHeightM float64
 }
 
 func (c LabelConfig) withDefaults() LabelConfig {
@@ -99,9 +79,6 @@ func (c LabelConfig) withDefaults() LabelConfig {
 	}
 	if c.ProtectRadiusM == 0 {
 		c.ProtectRadiusM = 6000
-	}
-	if c.ReferenceHeightM == 0 {
-		c.ReferenceHeightM = 10
 	}
 	return c
 }
@@ -120,15 +97,9 @@ func (c LabelConfig) hot(r *Reading) bool { return c.effectiveRSS(r) > c.Thresho
 // (6 km) when unset.
 func (c LabelConfig) ProtectRadius() float64 { return c.withDefaults().ProtectRadiusM }
 
-// effectiveRSS applies the configured height handling to one reading.
-func (c LabelConfig) effectiveRSS(r *Reading) float64 {
-	rss := r.Signal.RSSdBm + c.CorrectionDB
-	if c.NormalizeHeight {
-		rss += rfenv.MobileAntennaCorrectionDB(c.ReferenceHeightM) -
-			rfenv.MobileAntennaCorrectionDB(r.AntennaHeightM())
-	}
-	return rss
-}
+// effectiveRSS is the reading's RSS as Algorithm 1 thresholds it: with
+// the uniform correction added.
+func (c LabelConfig) effectiveRSS(r *Reading) float64 { return r.Signal.RSSdBm + c.CorrectionDB }
 
 // LabelReadings implements the paper's Algorithm 1: a reading is NotSafe
 // if its own (corrected) RSS exceeds the threshold, or if any reading in

@@ -171,6 +171,22 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+func TestCSVCarriesAltitude(t *testing.T) {
+	r := mkReading(0, testOrigin, -90)
+	r.AltM = 27.5
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, []Reading{r}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back[0].AltM != 27.5 {
+		t.Errorf("alt round trip = %v", back[0].AltM)
+	}
+}
+
 func TestReadCSVRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
 		"bad header":  "a,b,c,d,e,f,g,h,i,j\n",

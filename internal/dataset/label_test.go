@@ -36,6 +36,19 @@ func bruteForceLabels(readings []Reading, cfg LabelConfig) []Label {
 	return labels
 }
 
+// TestEffectiveRSSComposition: Algorithm 1 thresholds the RSS plus the
+// uniform correction, whatever height the reading reports.
+func TestEffectiveRSSComposition(t *testing.T) {
+	cfg := LabelConfig{CorrectionDB: 3}.withDefaults()
+	r := mkReading(0, testOrigin, -90)
+	for _, alt := range []float64{0, 2, 10, 30} {
+		r.AltM = alt
+		if got := cfg.effectiveRSS(&r); got != -87 {
+			t.Errorf("alt %v m: effective RSS = %v, want −87 (correction only)", alt, got)
+		}
+	}
+}
+
 func checkAgainstBruteForce(t *testing.T, name string, readings []Reading, cfg LabelConfig) []Label {
 	t.Helper()
 	got, err := LabelReadings(readings, cfg)

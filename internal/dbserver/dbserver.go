@@ -523,8 +523,8 @@ type ReadingJSON struct {
 	RSSdBm  float64 `json:"rss_dbm"`
 	CFTdB   float64 `json:"cft_db"`
 	AFTdB   float64 `json:"aft_db"`
-	// AltM is the reporting device's antenna height (§6 altitude
-	// extension); 0 means the default ground-level assumption.
+	// AltM is the reporting device's antenna height in meters, 0 when
+	// unreported: validated and stored, read by no served path.
 	AltM float64 `json:"alt_m,omitempty"`
 }
 

@@ -97,7 +97,7 @@ func fft(x []complex128, inverse bool) error {
 		tw = p.twInv
 	}
 	bufp, buf := scratch(len(x))
-	p.transform(buf, x, nil, tw, p.stages)
+	p.transform(buf, x, tw, p.stages)
 	copy(x, buf)
 	fftScratch.Put(bufp)
 	return nil
@@ -105,9 +105,8 @@ func fft(x []complex128, inverse bool) error {
 
 // transform writes to dst the first `stages` radix-2 decimation-in-time
 // stages of the len(src)-point transform of src — all log2(n) of them for
-// the full transform, p.stages — and returns Σ|src[i]|², accumulated in index order.
-// coef, when non-nil, weights the samples on the way in (the sum is of the
-// raw ones). tw is the plan's forward or inverse twiddle table. dst and
+// the full transform, p.stages — and returns Σ|src[i]|², accumulated in
+// index order. tw is the plan's forward or inverse twiddle table. dst and
 // src must not overlap.
 //
 // This is the one butterfly implementation behind FFT, IFFT,
@@ -124,13 +123,13 @@ func fft(x []complex128, inverse bool) error {
 // n/2, n/4 and 3n/4, so it gathers them while the energy sum — a chain of
 // n dependent adds, which would otherwise cost as much as two stages —
 // proceeds through samples 4g..4g+3 in the shadow of the butterflies.
-func (p *fftPlan) transform(dst, src []complex128, coef []float64, tw []complex128, stages int) (sumSq float64) {
+func (p *fftPlan) transform(dst, src, tw []complex128, stages int) (sumSq float64) {
 	n := len(src)
 	dst = dst[:n]
 	if stages < 2 {
 		for i, s := range src {
 			sumSq += sqAbs(s)
-			dst[p.rev[i]] = weighted(s, coef, i)
+			dst[p.rev[i]] = s
 		}
 		if stages == 1 {
 			stageOne(dst, tw, 1)
@@ -148,9 +147,7 @@ func (p *fftPlan) transform(dst, src []complex128, coef []float64, tw []complex1
 		r := int(p.rev[i])
 		r1, r2, r3 := r+n/2, r+n/4, r+n/2+n/4
 		d := dst[i : i+4 : i+4]
-		d[0], d[1], d[2], d[3] = quad(
-			weighted(src[r], coef, r), weighted(src[r1], coef, r1),
-			weighted(src[r2], coef, r2), weighted(src[r3], coef, r3), wq)
+		d[0], d[1], d[2], d[3] = quad(src[r], src[r1], src[r2], src[r3], wq)
 	}
 	done, h := 2, 4
 	for ; done+2 <= stages; done += 2 {
@@ -166,14 +163,6 @@ func (p *fftPlan) transform(dst, src []complex128, coef []float64, tw []complex1
 func sqAbs(c complex128) float64 {
 	re, im := real(c), imag(c)
 	return re*re + im*im
-}
-
-// weighted is sample i as the transform sees it.
-func weighted(s complex128, coef []float64, i int) complex128 {
-	if coef == nil {
-		return s
-	}
-	return s * complex(coef[i], 0)
 }
 
 // quad is the j = 0 column of a stage pair, where three of the four
@@ -272,7 +261,7 @@ func PowerSpectrumInto(dst []float64, x []complex128) error {
 		return err
 	}
 	bufp, buf := scratch(len(x))
-	p.transform(buf, x, nil, p.tw, p.stages)
+	p.transform(buf, x, p.tw, p.stages)
 	n := float64(len(x))
 	for i, c := range buf {
 		dst[i] = binPower(c, n)

@@ -12,10 +12,6 @@ import "fmt"
 //   - bandMeanMW: the mean power of the central width bins of that
 //     spectrum, shifted bins [n/2−width/2, n/2−width/2+width) (AFT).
 //
-// coef, when non-nil, is an analysis window of len(samples) coefficients
-// applied before the transform; the energy always comes from the raw
-// samples.
-//
 // width 0 asks for no band (bandMeanMW is 0). The DC bin is then all
 // that is left of the transform: additions alone, in the energy's pass.
 //
@@ -28,7 +24,7 @@ import "fmt"
 // (mean of |s|²; FFT; |X[k]|²/n² summed over the band in shifted-bin
 // order), so the results are bit-identical to it on finite captures — see
 // fftPlan.transform.
-func PilotBand(samples []complex128, coef []float64, width int) (energyMW, centerMW, bandMeanMW float64, err error) {
+func PilotBand(samples []complex128, width int) (energyMW, centerMW, bandMeanMW float64, err error) {
 	n := len(samples)
 	if n == 0 {
 		return 0, 0, 0, fmt.Errorf("dsp: empty capture")
@@ -36,9 +32,6 @@ func PilotBand(samples []complex128, coef []float64, width int) (energyMW, cente
 	p, err := planFor(n)
 	if err != nil {
 		return 0, 0, 0, err
-	}
-	if coef != nil && len(coef) != n {
-		return 0, 0, 0, fmt.Errorf("dsp: %d window coefficients for %d samples", len(coef), n)
 	}
 	if width < 0 || width > n {
 		return 0, 0, 0, fmt.Errorf("dsp: centre band of %d bins in a %d-bin spectrum", width, n)
@@ -54,12 +47,12 @@ func PilotBand(samples []complex128, coef []float64, width int) (energyMW, cente
 	defer fftScratch.Put(bufp)
 
 	if width == 0 {
-		sumSq, dc := dcFold(x, samples, coef)
+		sumSq, dc := dcFold(x, samples)
 		return sumSq / nn, binPower(dc, nn), 0, nil
 	}
 	if stages < 3 || width > n/4 {
 		// Too short or too wide to prune: run the whole transform.
-		energyMW = p.transform(x, samples, coef, tw, stages) / nn
+		energyMW = p.transform(x, samples, tw, stages) / nn
 		var sum float64
 		for _, c := range x[n-up:] {
 			sum += binPower(c, nn)
@@ -70,7 +63,7 @@ func PilotBand(samples []complex128, coef []float64, width int) (energyMW, cente
 		return energyMW, binPower(x[0], nn), sum / float64(width), nil
 	}
 
-	energyMW = p.transform(x, samples, coef, tw, stages-2) / nn
+	energyMW = p.transform(x, samples, tw, stages-2) / nn
 
 	// Second-to-last stage (half-size n/4, twiddle stride 2) in both
 	// halves: the final stage reads positions [0, low) and [n/2−up, n/2)
@@ -110,23 +103,16 @@ func PilotBand(samples []complex128, coef []float64, width int) (energyMW, cente
 // h = n/2, n/4, …, 1: the j = 0 butterflies, whose twiddle-0 multiply
 // fftPlan.transform skips, so the adds are the transform's own, in its
 // order, and both results are bit-identical to it.
-func dcFold(x, src []complex128, coef []float64) (sumSq float64, dc complex128) {
+func dcFold(x, src []complex128) (sumSq float64, dc complex128) {
 	h := len(src) / 2
 	if h == 0 {
-		return sqAbs(src[0]), weighted(src[0], coef, 0)
+		return sqAbs(src[0]), src[0]
 	}
 	x = x[:h:h]
 	lo, hi := src[:h:h], src[h:2*h:2*h]
-	if coef == nil { // the device's case, kept free of weighted's per-sample test
-		for i, s := range lo {
-			sumSq += sqAbs(s)
-			x[i] = s + hi[i]
-		}
-	} else {
-		for i, s := range lo {
-			sumSq += sqAbs(s)
-			x[i] = weighted(s, coef, i) + weighted(hi[i], coef, i+h)
-		}
+	for i, s := range lo {
+		sumSq += sqAbs(s)
+		x[i] = s + hi[i]
 	}
 	for _, s := range hi {
 		sumSq += sqAbs(s)

@@ -9,7 +9,7 @@ import (
 // referencePilotBand is the chain PilotBand replaces, spelled out on the
 // textbook transform: mean |s|², the full power spectrum, then the DC bin
 // and the band summed in shifted-bin order.
-func referencePilotBand(samples []complex128, coef []float64, width int) (energy, center, band float64) {
+func referencePilotBand(samples []complex128, width int) (energy, center, band float64) {
 	n := len(samples)
 	var sum float64
 	for _, s := range samples {
@@ -17,9 +17,6 @@ func referencePilotBand(samples []complex128, coef []float64, width int) (energy
 	}
 	energy = sum / float64(n)
 	x := append([]complex128(nil), samples...)
-	for i := range coef {
-		x[i] *= complex(coef[i], 0)
-	}
 	referenceFFT(x, false)
 	nn := float64(n)
 	power := func(k int) float64 {
@@ -44,10 +41,6 @@ func referencePilotBand(samples []complex128, coef []float64, width int) (energy
 func TestPilotBandMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for n := 1; n <= 1024; n *= 2 {
-		hann, err := WindowHann.Coefficients(n)
-		if err != nil {
-			t.Fatal(err)
-		}
 		widths := []int{0, 1, 2, 3, n / 8, n/8 + 1, n / 4, n/4 + 1, n / 2, n - 1, n}
 		for _, w := range widths {
 			if w < 0 || w > n {
@@ -58,22 +51,20 @@ func TestPilotBandMatchesReference(t *testing.T) {
 				reps = 50 // the device's path: also against the banded kernel
 			}
 			for rep := 0; rep < reps; rep++ {
-				for _, coef := range [][]float64{nil, hann} {
-					x := randomCapture(rng, n)
-					e, c, b, err := PilotBand(x, coef, w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					we, wc, wb := referencePilotBand(x, coef, w)
-					be, bc, _, err := PilotBand(x, coef, max(w, 1))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, p := range [][2]float64{{e, we}, {c, wc}, {b, wb}, {e, be}, {c, bc}} {
-						if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-							t.Fatalf("n=%d width=%d windowed=%v: (%v %v %v), reference (%v %v %v), banded (%v %v)",
-								n, w, coef != nil, e, c, b, we, wc, wb, be, bc)
-						}
+				x := randomCapture(rng, n)
+				e, c, b, err := PilotBand(x, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				we, wc, wb := referencePilotBand(x, w)
+				be, bc, _, err := PilotBand(x, max(w, 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range [][2]float64{{e, we}, {c, wc}, {b, wb}, {e, be}, {c, bc}} {
+					if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+						t.Fatalf("n=%d width=%d: (%v %v %v), reference (%v %v %v), banded (%v %v)",
+							n, w, e, c, b, we, wc, wb, be, bc)
 					}
 				}
 			}
@@ -84,11 +75,10 @@ func TestPilotBandMatchesReference(t *testing.T) {
 func TestPilotBandValidation(t *testing.T) {
 	x := make([]complex128, 16)
 	for name, call := range map[string]func() error{
-		"empty":            func() error { _, _, _, err := PilotBand(nil, nil, 1); return err },
-		"not power of two": func() error { _, _, _, err := PilotBand(x[:12], nil, 1); return err },
-		"negative width":   func() error { _, _, _, err := PilotBand(x, nil, -1); return err },
-		"width over n":     func() error { _, _, _, err := PilotBand(x, nil, 17); return err },
-		"short window":     func() error { _, _, _, err := PilotBand(x, make([]float64, 8), 2); return err },
+		"empty":            func() error { _, _, _, err := PilotBand(nil, 1); return err },
+		"not power of two": func() error { _, _, _, err := PilotBand(x[:12], 1); return err },
+		"negative width":   func() error { _, _, _, err := PilotBand(x, -1); return err },
+		"width over n":     func() error { _, _, _, err := PilotBand(x, 17); return err },
 	} {
 		if call() == nil {
 			t.Errorf("%s: want an error", name)

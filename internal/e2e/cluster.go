@@ -10,9 +10,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"sort"
-	"time"
 
-	"github.com/wsdetect/waldo/internal/client"
 	"github.com/wsdetect/waldo/internal/cluster"
 	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
@@ -24,6 +22,24 @@ import (
 	"github.com/wsdetect/waldo/internal/sensor"
 )
 
+// A cluster run's fixed shape: clusterShards primary+replica pairs, load
+// on clusterChannels over clusterCells adjacent geo-cells, in batches of
+// batchSize readings — preKillBatches quiesced before the kill,
+// lagBatches uploaded immediately before it with no drain (so the victim
+// dies with its replication log possibly ahead of the replica), and
+// postKillBatches after it, aimed at the victim's cells, so they must
+// land via gateway failover.
+var clusterChannels = []rfenv.Channel{46, 47}
+
+const (
+	clusterShards   = 3
+	clusterCells    = 12
+	batchSize       = 40
+	preKillBatches  = 24
+	lagBatches      = 6
+	postKillBatches = 8
+)
+
 // ClusterConfig shapes a RunClusterCrash scenario: a sharded topology
 // (every shard a primary+replica pair behind one gateway) driven by a
 // WSD client through an optionally faulty transport, with one primary
@@ -31,57 +47,10 @@ import (
 type ClusterConfig struct {
 	// Seed drives every derived RNG (batch contents, cell choice).
 	Seed int64
-	// Shards is the number of primary+replica pairs; 0 means 3.
-	Shards int
-	// Channels carry the load; nil means {46, 47}.
-	Channels []rfenv.Channel
-	// Cells is how many distinct geo-cells the load walks; 0 means 12.
-	Cells int
-	// Batches is the phase-A (pre-kill, quiesced) batch count; 0 means 24.
-	Batches int
-	// BatchSize is readings per batch; 0 means 40.
-	BatchSize int
-	// LagBatches are uploaded immediately before the kill with no drain,
-	// so the victim dies with its replication log possibly ahead of the
-	// replica; 0 means 6.
-	LagBatches int
-	// PostBatches are uploaded after the kill, aimed at the victim's
-	// cells, so they must land via gateway failover; 0 means 8.
-	PostBatches int
 	// DataDir is the root for every node's WAL directory (required).
 	DataDir string
 	// ClientPlan injects faults into the client→gateway transport.
 	ClientPlan faultinject.Plan
-	// Client overrides the WSD client's resilience parameters (harness
-	// defaults are the fast chaos-friendly ones, as in Config).
-	Client client.Config
-	// MaxWall bounds the whole run; 0 means 2 minutes.
-	MaxWall time.Duration
-}
-
-func (c *ClusterConfig) defaults() {
-	if c.Shards == 0 {
-		c.Shards = 3
-	}
-	if len(c.Channels) == 0 {
-		c.Channels = []rfenv.Channel{46, 47}
-	}
-	if c.Cells == 0 {
-		c.Cells = 12
-	}
-	if c.Batches == 0 {
-		c.Batches = 24
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 40
-	}
-	if c.LagBatches == 0 {
-		c.LagBatches = 6
-	}
-	if c.PostBatches == 0 {
-		c.PostBatches = 8
-	}
-	runDefaults(c.Seed, &c.Client, &c.MaxWall)
 }
 
 // ClusterResult is what the cluster chaos tests assert on.
@@ -133,10 +102,10 @@ func (p *proc) adopted() error {
 	return nil
 }
 
-// RunClusterCrash boots a Shards-way primary+replica topology behind a
-// gateway, drives phased load through a (possibly fault-injected) WSD
-// client, kills one primary mid-load, finishes the load through gateway
-// failover, and audits every acknowledgment:
+// RunClusterCrash boots a clusterShards-way primary+replica topology
+// behind a gateway, drives phased load through a (possibly
+// fault-injected) WSD client, kills one primary mid-load, finishes the
+// load through gateway failover, and audits every acknowledgment:
 //
 //	phase A  uploads, then broadcast retrain + replication drain — the
 //	         quiesce point where primary and replica descriptors must be
@@ -152,14 +121,13 @@ func (p *proc) adopted() error {
 // acked. Location-keyed routing, batch contents, and cell choice are all
 // seed-derived, so a failure reproduces.
 func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
-	cfg.defaults()
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("e2e: RunClusterCrash needs a data dir")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.MaxWall)
+	ctx, cancel := context.WithTimeout(context.Background(), maxWall)
 	defer cancel()
 
-	// --- Topology: Shards × (primary, replica) + gateway. ---
+	// --- Topology: clusterShards × (primary, replica) + gateway. ---
 	var st stack
 	defer st.stop()
 	node := func(id, dir, follow string) (*proc, error) {
@@ -168,10 +136,10 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 			DataDir:     dir,
 		}}, nil)
 	}
-	primaries := make(map[string]*proc, cfg.Shards)
-	replicas := make(map[string]*proc, cfg.Shards)
+	primaries := make(map[string]*proc, clusterShards)
+	replicas := make(map[string]*proc, clusterShards)
 	var specs []cluster.ShardSpec
-	for i := 0; i < cfg.Shards; i++ {
+	for i := 0; i < clusterShards; i++ {
 		id := fmt.Sprintf("shard-%d", i)
 		prim, err := node(id, filepath.Join(cfg.DataDir, id+"-primary"), "")
 		if err != nil {
@@ -203,17 +171,17 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 
 	// --- Client: aimed at the gateway, chaos on its wire. ---
-	cl, _, err := connect(gwp.ts.URL, cfg.Client, cfg.ClientPlan)
+	cl, _, err := connect(gwp.ts.URL, cfg.Seed, cfg.ClientPlan)
 	if err != nil {
 		return nil, err
 	}
 
-	// --- Load geometry: Cells adjacent routing cells in a row east
+	// --- Load geometry: clusterCells adjacent routing cells in a row east
 	// from the metro center's, each load center at its cell's center so
 	// a batch's 300 m scatter stays in the cell, and each cell's ring
 	// owner (the gateway's routing is recomputed here from the same
 	// inputs, so the audit is independent of it). ---
-	cells := make([]geo.Point, cfg.Cells)
+	cells := make([]geo.Point, clusterCells)
 	ownerCells := map[string][]int{}
 	origin := cluster.CellOf(rfenv.MetroCenter, cluster.DefaultCellDeg)
 	for i := range cells {
@@ -222,17 +190,17 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 			Lat: (float64(cell.X) + 0.5) * cluster.DefaultCellDeg,
 			Lon: (float64(cell.Y) + 0.5) * cluster.DefaultCellDeg,
 		}
-		owner := gw.Ring().Owner(cluster.RouteKey{Channel: cfg.Channels[0], Cell: cell})
+		owner := gw.Ring().Owner(cluster.RouteKey{Channel: clusterChannels[0], Cell: cell})
 		ownerCells[owner] = append(ownerCells[owner], i)
 	}
 
 	seq := 0
 	makeBatch := func(phase, i int) core.UploadBatch {
-		ch := cfg.Channels[i%len(cfg.Channels)]
+		ch := clusterChannels[i%len(clusterChannels)]
 		center := cells[i%len(cells)]
 		rng := rand.New(rand.NewSource(cycleSeed(cfg.Seed, phase*100003+i, ch)))
-		rs := make([]dataset.Reading, 0, cfg.BatchSize)
-		for j := 0; j < cfg.BatchSize; j++ {
+		rs := make([]dataset.Reading, 0, batchSize)
+		for j := 0; j < batchSize; j++ {
 			loc := center.Offset(rng.Float64()*360, rng.Float64()*300)
 			rss := -100 + rng.Float64()
 			if loc.Lon > center.Lon {
@@ -270,12 +238,12 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 
 	// --- Phase A: load, broadcast retrain, drain, byte-compare. ---
-	for i := 0; i < cfg.Batches; i++ {
+	for i := 0; i < preKillBatches; i++ {
 		if err := upload(ackedA, 0, i); err != nil {
 			return nil, err
 		}
 	}
-	for _, ch := range cfg.Channels {
+	for _, ch := range clusterChannels {
 		url := fmt.Sprintf("%s/v1/retrain?channel=%d&sensor=%d", gwp.ts.URL, int(ch), int(sensor.KindRTLSDR))
 		if err := untilOK(ctx, "broadcast retrain", func() error {
 			resp, err := http.Post(url, "", nil)
@@ -301,7 +269,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	victim := pickVictim(ownerCells, ackedA)
 	res.Victim = victim
 	for id := range primaries {
-		for _, ch := range cfg.Channels {
+		for _, ch := range clusterChannels {
 			p, pOK := fetchModel(primaries[id].ts.URL, ch, "")
 			r, rOK := fetchModel(replicas[id].ts.URL, ch, "")
 			if pOK != rOK || !bytes.Equal(p, r) {
@@ -317,7 +285,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	// The kill's WAL flush marks the durability point (an ack without a
 	// WAL flush would be the bug this harness exists to catch); the
 	// replica keeps whatever its follower managed to pull, no more. ---
-	for i := 0; i < cfg.LagBatches; i++ {
+	for i := 0; i < lagBatches; i++ {
 		if err := upload(ackedB, 1, i); err != nil {
 			return nil, err
 		}
@@ -332,7 +300,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	if len(vcells) == 0 {
 		return nil, fmt.Errorf("e2e: victim %s owns no cells (seed geometry too small)", victim)
 	}
-	for i := 0; i < cfg.PostBatches; i++ {
+	for i := 0; i < postKillBatches; i++ {
 		if err := upload(ackedC, 2, vcells[i%len(vcells)]); err != nil {
 			return nil, err
 		}
@@ -341,7 +309,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	// the gateway places it by the location hint of a victim cell.
 	at := cells[vcells[0]]
 	hint := fmt.Sprintf("&lat=%v&lon=%v", at.Lat, at.Lon)
-	for _, ch := range cfg.Channels {
+	for _, ch := range clusterChannels {
 		if _, ok := victimModels[ch]; !ok {
 			continue
 		}
@@ -361,13 +329,13 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 		if err := prim.node.Drain(ctx); err != nil {
 			return nil, fmt.Errorf("drain survivor %s: %w", id, err)
 		}
-		have, err := prim.seqs(cfg.Channels)
+		have, err := prim.seqs(clusterChannels)
 		if err != nil {
 			return nil, err
 		}
 		res.LostOnSurvivors += countMissing(have, ackedA[id], ackedB[id], ackedC[id])
 	}
-	haveReplica, err := replicas[victim].seqs(cfg.Channels)
+	haveReplica, err := replicas[victim].seqs(clusterChannels)
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +348,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("restart victim: %w", err)
 	}
-	havePrimary, err := restarted.seqs(cfg.Channels)
+	havePrimary, err := restarted.seqs(clusterChannels)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ type CrashConfig struct {
 	DataDir string
 	// AfterCycle is the duty cycle count the first incarnation completes
 	// before it is killed; the survivor runs the rest. Must be in
-	// [1, Cycles-1] to exercise both sides of the crash.
+	// [1, runCycles-1] to exercise both sides of the crash.
 	AfterCycle int
 	// TornTail, when set, appends a partial record frame to every
 	// store's newest WAL segment after the kill — the disk image of an
@@ -43,12 +43,11 @@ type CrashConfig struct {
 // from the grid the first one's stores give at the durability point,
 // generation aside.
 func RunCrash(cfg Config, crash CrashConfig) (*Result, error) {
-	cfg.defaults()
 	if crash.DataDir == "" {
 		return nil, fmt.Errorf("e2e: RunCrash needs a data dir")
 	}
-	if crash.AfterCycle < 1 || crash.AfterCycle >= cfg.Cycles {
-		return nil, fmt.Errorf("e2e: crash after cycle %d outside (0, %d)", crash.AfterCycle, cfg.Cycles)
+	if crash.AfterCycle < 1 || crash.AfterCycle >= runCycles {
+		return nil, fmt.Errorf("e2e: crash after cycle %d outside (0, %d)", crash.AfterCycle, runCycles)
 	}
 	return run(cfg, crash)
 }

@@ -85,7 +85,7 @@ func TestRunCrashValidation(t *testing.T) {
 	if _, err := RunCrash(Config{Seed: 1}, CrashConfig{DataDir: t.TempDir(), AfterCycle: 0}); err == nil {
 		t.Error("crash before any cycle accepted")
 	}
-	if _, err := RunCrash(Config{Seed: 1, Cycles: 4}, CrashConfig{DataDir: t.TempDir(), AfterCycle: 4}); err == nil {
+	if _, err := RunCrash(Config{Seed: 1}, CrashConfig{DataDir: t.TempDir(), AfterCycle: runCycles}); err == nil {
 		t.Error("crash after the last cycle accepted")
 	}
 }

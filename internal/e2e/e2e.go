@@ -58,55 +58,30 @@ import (
 	"github.com/wsdetect/waldo/internal/wardrive"
 )
 
-// Config parameterizes one harness run. The zero value (plus a Seed) is
-// a small fault-free run on channel 47.
+// A run's fixed shape: the channels it bootstraps, serves and scans, the
+// bootstrap campaign size, the number of refresh → scan → upload duty
+// cycles, and the server's upload acceptance criterion α′, which the
+// run also applies before it uploads. The detector runs at its default
+// α.
+var runChannels = []rfenv.Channel{47}
+
+const (
+	runSamples   = 500
+	runCycles    = 6
+	alphaPrimeDB = 1.0
+)
+
+// Config parameterizes one harness run: a small run on channel 47,
+// fault-free unless a plan is set.
 type Config struct {
 	// Seed drives every simulation RNG in the run.
 	Seed int64
-	// Channels to bootstrap, serve, and scan; nil means {47}.
-	Channels []rfenv.Channel
-	// Samples is the bootstrap campaign size; 0 means 500.
-	Samples int
-	// Cycles is the number of refresh → scan → upload duty cycles;
-	// 0 means 6.
-	Cycles int
-	// AlphaDB is the detector sensitivity; 0 means 0.5 dB.
-	AlphaDB float64
-	// AlphaPrimeDB is the server's upload acceptance criterion;
-	// 0 means 1 dB.
-	AlphaPrimeDB float64
 	// ClientPlan injects faults into the client's transport; nil for a
 	// clean client path.
 	ClientPlan faultinject.Plan
 	// ServerPlan injects faults in front of the server's handler; nil
 	// for a clean server path.
 	ServerPlan faultinject.Plan
-	// Client overrides the WSD client's resilience parameters; its
-	// zero fields take the harness's fast chaos-friendly defaults.
-	Client client.Config
-	// MaxWall bounds the whole run; 0 means 2 minutes. A fault
-	// schedule that never clears fails the run at this deadline
-	// instead of hanging.
-	MaxWall time.Duration
-}
-
-func (c *Config) defaults() {
-	if len(c.Channels) == 0 {
-		c.Channels = []rfenv.Channel{47}
-	}
-	if c.Samples == 0 {
-		c.Samples = 500
-	}
-	if c.Cycles == 0 {
-		c.Cycles = 6
-	}
-	if c.AlphaDB == 0 {
-		c.AlphaDB = 0.5
-	}
-	if c.AlphaPrimeDB == 0 {
-		c.AlphaPrimeDB = 1.0
-	}
-	runDefaults(c.Seed, &c.Client, &c.MaxWall)
 }
 
 // Result is one run's byte-comparable outcome plus resilience counters.
@@ -162,7 +137,7 @@ func buildWorld(cfg Config) (*rfenv.Environment, []dataset.Reading, error) {
 		return nil, nil, err
 	}
 	route, err := wardrive.GenerateRoute(wardrive.RouteConfig{
-		Area: env.Area, Samples: cfg.Samples, Seed: cfg.Seed,
+		Area: env.Area, Samples: runSamples, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -170,14 +145,14 @@ func buildWorld(cfg Config) (*rfenv.Environment, []dataset.Reading, error) {
 	camp, err := wardrive.Run(wardrive.CampaignConfig{
 		Env: env, Route: route,
 		Sensors:  []sensor.Spec{sensor.RTLSDR()},
-		Channels: cfg.Channels,
+		Channels: runChannels,
 		Seed:     cfg.Seed,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	var all []dataset.Reading
-	for _, ch := range cfg.Channels {
+	for _, ch := range runChannels {
 		all = append(all, camp.Readings(ch, sensor.KindRTLSDR)...)
 	}
 	return env, all, nil
@@ -213,13 +188,13 @@ func newSession(st *stack, cfg Config, env *rfenv.Environment, log *strings.Buil
 	}
 	srv, err := st.store(cluster.NodeConfig{DB: dbserver.Config{
 		Constructor:  core.ConstructorConfig{Classifier: core.KindNB, Seed: cfg.Seed},
-		AlphaPrimeDB: cfg.AlphaPrimeDB,
+		AlphaPrimeDB: alphaPrimeDB,
 		DataDir:      dataDir,
 	}}, serverMW)
 	if err != nil {
 		return nil, err
 	}
-	cl, clientTR, err := connect(srv.ts.URL, cfg.Client, cfg.ClientPlan)
+	cl, clientTR, err := connect(srv.ts.URL, cfg.Seed, cfg.ClientPlan)
 	if err != nil {
 		return nil, err
 	}
@@ -229,14 +204,14 @@ func newSession(st *stack, cfg Config, env *rfenv.Environment, log *strings.Buil
 		cfg: cfg, env: env, srv: srv, cl: cl,
 		clientReg: clientReg, clientTR: clientTR, serverMW: serverMW,
 		log:    log,
-		cached: make(map[rfenv.Channel]bool, len(cfg.Channels)),
+		cached: make(map[rfenv.Channel]bool, len(runChannels)),
 	}, nil
 }
 
 // runCycles drives duty cycles [from, to): refresh → scan → upload.
 func (s *session) runCycles(ctx context.Context, from, to int) error {
 	for cycle := from; cycle < to; cycle++ {
-		for _, ch := range s.cfg.Channels {
+		for _, ch := range runChannels {
 			model, err := refreshUntil(ctx, s.cl, ch, s.cached, &s.errsWhileCached)
 			if err != nil {
 				return err
@@ -248,7 +223,7 @@ func (s *session) runCycles(ctx context.Context, from, to int) error {
 			fmt.Fprintf(s.log, "cycle=%d channel=%d label=%v converged=%t readings=%d ci=%.6f rss=%.6f cft=%.6f aft=%.6f\n",
 				cycle, int(ch), dec.Label, dec.Converged, dec.ReadingsUsed,
 				dec.CISpanDB, dec.Signal.RSSdBm, dec.Signal.CFTdB, dec.Signal.AFTdB)
-			if !dec.Converged || dec.CISpanDB > s.cfg.AlphaPrimeDB {
+			if !dec.Converged || dec.CISpanDB > alphaPrimeDB {
 				continue
 			}
 			batch := uploadBatch(s.cfg, dec, cycle, ch)
@@ -271,8 +246,8 @@ func (s *session) runCycles(ctx context.Context, from, to int) error {
 // version rather than a stale cache hit, so the final decisions always
 // come from the same model bytes.
 func (s *session) epilogue(ctx context.Context) (map[rfenv.Channel]int, error) {
-	versions := make(map[rfenv.Channel]int, len(s.cfg.Channels))
-	for _, ch := range s.cfg.Channels {
+	versions := make(map[rfenv.Channel]int, len(runChannels))
+	for _, ch := range runChannels {
 		if err := untilOK(ctx, "final retrain", func() error {
 			return s.cl.RequestRetrain(ctx, ch, sensor.KindRTLSDR)
 		}); err != nil {
@@ -282,7 +257,7 @@ func (s *session) epilogue(ctx context.Context) (map[rfenv.Channel]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		dec, err := scan(s.cfg, s.env, model, s.cfg.Cycles, ch)
+		dec, err := scan(s.cfg, s.env, model, runCycles, ch)
 		if err != nil {
 			return nil, err
 		}
@@ -299,7 +274,7 @@ func (s *session) epilogue(ctx context.Context) (map[rfenv.Channel]int, error) {
 // exportStores renders every store's CSV.
 func (s *session) exportStores() ([]byte, error) {
 	var stores []byte
-	for _, ch := range s.cfg.Channels {
+	for _, ch := range runChannels {
 		csv, err := s.srv.export(ch)
 		if err != nil {
 			return nil, err
@@ -340,8 +315,7 @@ func addCounts(into, counts map[faultinject.Kind]uint64) map[faultinject.Kind]ui
 
 // Run executes one harness run.
 func Run(cfg Config) (*Result, error) {
-	cfg.defaults()
-	return run(cfg, CrashConfig{AfterCycle: cfg.Cycles})
+	return run(cfg, CrashConfig{AfterCycle: runCycles})
 }
 
 // run is Run and RunCrash: one server incarnation bootstraps and serves
@@ -349,7 +323,7 @@ func Run(cfg Config) (*Result, error) {
 // killed and a second, recovered from crash.DataDir alone, serves the
 // rest. The last one serves the epilogue and exports its stores.
 func run(cfg Config, crash CrashConfig) (*Result, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.MaxWall)
+	ctx, cancel := context.WithTimeout(context.Background(), maxWall)
 	defer cancel()
 	env, bootstrap, err := buildWorld(cfg)
 	if err != nil {
@@ -369,7 +343,7 @@ func run(cfg Config, crash CrashConfig) (*Result, error) {
 	if err := sess.runCycles(ctx, 0, crash.AfterCycle); err != nil {
 		return nil, err
 	}
-	if crash.AfterCycle < cfg.Cycles { // the crash; the survivor has only the data dir
+	if crash.AfterCycle < runCycles { // the crash; the survivor has only the data dir
 		wantGrid := verdicts(sess.srv.db.GeoIndex().Rebuild(ctx))
 		if err := sess.srv.kill(); err != nil {
 			return nil, err
@@ -386,7 +360,7 @@ func run(cfg Config, crash CrashConfig) (*Result, error) {
 		if !bytes.Equal(verdicts(sess.srv.db.GeoIndex().Snapshot()), wantGrid) {
 			return nil, fmt.Errorf("e2e: the recovered server's grid differs from the pre-kill one")
 		}
-		if err := sess.runCycles(ctx, crash.AfterCycle, cfg.Cycles); err != nil {
+		if err := sess.runCycles(ctx, crash.AfterCycle, runCycles); err != nil {
 			return nil, err
 		}
 	}
@@ -463,7 +437,7 @@ func scan(cfg Config, env *rfenv.Environment, model *core.Model, cycle int, ch r
 	wsd := &client.WSD{
 		Radio:    radio,
 		Models:   map[rfenv.Channel]*core.Model{ch: model},
-		Detector: core.DetectorConfig{AlphaDB: cfg.AlphaDB, Features: features.SetLocationRSSCFTAFT},
+		Detector: core.DetectorConfig{Features: features.SetLocationRSSCFTAFT},
 	}
 	cs, err := wsd.SenseChannel(ch, loc)
 	if err != nil {

@@ -22,30 +22,9 @@ import (
 	"github.com/wsdetect/waldo/internal/sensor"
 )
 
-// runDefaults fills what every run defaults alike: the client's fast
-// chaos-friendly resilience parameters (250 ms attempt timeout, 1–10 ms
-// backoff, 25 ms breaker cooldown) so fault-heavy runs stay quick, and
-// 2 minutes of wall time.
-func runDefaults(seed int64, c *client.Config, maxWall *time.Duration) {
-	if c.Timeout == 0 {
-		c.Timeout = 250 * time.Millisecond
-	}
-	if c.Retry.BaseDelay == 0 {
-		c.Retry.BaseDelay = time.Millisecond
-	}
-	if c.Retry.MaxDelay == 0 {
-		c.Retry.MaxDelay = 10 * time.Millisecond
-	}
-	if c.Retry.Seed == 0 {
-		c.Retry.Seed = uint64(seed)
-	}
-	if c.Breaker.Cooldown == 0 {
-		c.Breaker.Cooldown = 25 * time.Millisecond
-	}
-	if *maxWall == 0 {
-		*maxWall = 2 * time.Minute
-	}
-}
+// maxWall bounds a whole run: a fault schedule that never clears fails
+// the run at this deadline instead of hanging.
+const maxWall = 2 * time.Minute
 
 // stack is the processes one run boots, each on the serving loop the
 // binaries listen with. stop takes them down in reverse boot order: a
@@ -182,8 +161,16 @@ func (p *proc) seqs(channels []rfenv.Channel) (map[int]bool, error) {
 }
 
 // connect makes the WSD client a run drives, with plan's faults (nil:
-// none, and a nil tr) on its wire to url.
-func connect(url string, cfg client.Config, plan faultinject.Plan) (cl *client.Client, tr *faultinject.Transport, err error) {
+// none, and a nil tr) on its wire to url. Its resilience parameters are
+// fast and chaos-friendly, so fault-heavy runs stay quick: a 250 ms
+// attempt timeout, 1–10 ms backoff jittered from seed, and a 25 ms
+// breaker cooldown.
+func connect(url string, seed int64, plan faultinject.Plan) (cl *client.Client, tr *faultinject.Transport, err error) {
+	cfg := client.Config{
+		Timeout: 250 * time.Millisecond,
+		Retry:   client.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, Seed: uint64(seed)},
+		Breaker: client.BreakerPolicy{Cooldown: 25 * time.Millisecond},
+	}
 	if plan != nil {
 		tr = &faultinject.Transport{Plan: plan}
 		cfg.HTTPClient = &http.Client{Transport: tr}

@@ -35,49 +35,33 @@ type Signal struct {
 }
 
 // FromObservation extracts the signal features from a raw capture using
-// the device's calibration and a rectangular analysis window (the paper's
-// configuration).
+// the device's calibration, over the rectangular analysis window of the
+// paper's configuration.
 func FromObservation(obs sensor.Observation, cal sensor.Calibration) (Signal, error) {
-	return FromObservationWindowed(obs, cal, dsp.WindowRect)
+	return measure(obs, cal, SetLocationRSSCFTAFT)
 }
 
-// FromObservationWindowed extracts features with an explicit analysis
-// window. A Hann window reduces the CFT scalloping caused by tuner
-// frequency error (up to 3.9 dB rectangular vs ≈1.4 dB Hann) at the cost
-// of a wider main lobe; RSS always comes from the unwindowed samples so
-// energy-detector calibration stays exact.
-func FromObservationWindowed(obs sensor.Observation, cal sensor.Calibration, win dsp.Window) (Signal, error) {
-	return measure(obs, cal, win, SetLocationRSSCFTAFT)
-}
-
-// Measure extracts, with a rectangular window, only the features s reads:
-// RSS always (the α stop reads it) and CFT when s reads it, from one pass
-// that adds up the DC bin beside the energy; AFT, the one that needs the
-// transform, only for SetLocationRSSCFTAFT. The others are −Inf dBm, which no upload accepts.
+// Measure extracts only the features s reads: RSS always (the α stop
+// reads it) and CFT when s reads it, from one pass that adds up the DC
+// bin beside the energy; AFT, the one that needs the transform, only for
+// SetLocationRSSCFTAFT. The others are −Inf dBm, which no upload accepts.
 // Measured features are bit-identical to FromObservation's.
 func (s Set) Measure(obs sensor.Observation, cal sensor.Calibration) (Signal, error) {
 	if !s.Valid() {
 		return Signal{}, fmt.Errorf("features: invalid set %d", int(s))
 	}
-	return measure(obs, cal, dsp.WindowRect, s)
+	return measure(obs, cal, s)
 }
 
-func measure(obs sensor.Observation, cal sensor.Calibration, win dsp.Window, s Set) (Signal, error) {
+func measure(obs sensor.Observation, cal sensor.Calibration, s Set) (Signal, error) {
 	if len(obs.IQ) == 0 {
 		return Signal{}, fmt.Errorf("features: empty capture")
-	}
-	var coef []float64
-	if win != dsp.WindowRect {
-		var err error
-		if coef, err = win.Coefficients(len(obs.IQ)); err != nil {
-			return Signal{}, fmt.Errorf("features: %w", err)
-		}
 	}
 	width := 0 // no band
 	if s >= SetLocationRSSCFTAFT {
 		width = iq.CenterBandBins(len(obs.IQ), CenterBandFrac)
 	}
-	energy, center, band, err := dsp.PilotBand(obs.IQ, coef, width)
+	energy, center, band, err := dsp.PilotBand(obs.IQ, width)
 	if err != nil {
 		return Signal{}, fmt.Errorf("features: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/wsdetect/waldo/internal/dsp"
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/sensor"
 )
@@ -186,66 +185,5 @@ func TestScoreANOVADiscriminability(t *testing.T) {
 		if s.F < 100 {
 			t.Errorf("%s: F = %v, want large", s.Name, s.F)
 		}
-	}
-}
-
-// TestHannWindowStabilizesCFT: with the RTL-SDR's tuner offset jitter, the
-// Hann-windowed CFT loses less pilot energy on off-center captures.
-func TestHannWindowStabilizesCFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	d := calibrated(t, sensor.RTLSDR(), rng)
-	var rectCFT, hannCFT []float64
-	for i := 0; i < 300; i++ {
-		obs, err := d.Observe(rng, -75, math.Inf(-1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := FromObservation(obs, d.Calibration())
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := FromObservationWindowed(obs, d.Calibration(), dsp.WindowHann)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rectCFT = append(rectCFT, r.CFTdB)
-		hannCFT = append(hannCFT, h.CFTdB)
-	}
-	// The Hann main lobe spans ±1 bin, so fractional-bin tuner offsets
-	// (where the rectangular window nulls out) retain more pilot energy:
-	// the median windowed CFT sits higher.
-	rectMed := dsp.Median(rectCFT)
-	hannMed := dsp.Median(hannCFT)
-	if hannMed <= rectMed {
-		t.Errorf("hann median CFT %.2f dB should exceed rect %.2f dB under tuner offset", hannMed, rectMed)
-	}
-}
-
-// TestWindowedRSSUnchanged: the window must not alter the calibrated RSS.
-func TestWindowedRSSUnchanged(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := calibrated(t, sensor.RTLSDR(), rng)
-	obs, err := d.Observe(rng, -80, math.Inf(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := FromObservation(obs, d.Calibration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := FromObservationWindowed(obs, d.Calibration(), dsp.WindowBlackman)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.RSSdBm != h.RSSdBm {
-		t.Errorf("window changed RSS: %v vs %v", r.RSSdBm, h.RSSdBm)
-	}
-	// And the original capture must not be mutated.
-	again, err := FromObservation(obs, d.Calibration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != r {
-		t.Error("windowed extraction mutated the capture")
 	}
 }

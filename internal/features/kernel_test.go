@@ -7,26 +7,18 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/wsdetect/waldo/internal/dsp"
 	"github.com/wsdetect/waldo/internal/iq"
 	"github.com/wsdetect/waldo/internal/sensor"
 )
 
 // referenceSignal is feature extraction as it was before dsp.PilotBand:
 // the energy detector, then the full shifted power spectrum, then the two
-// reads of it. FromObservationWindowed must agree with it bit for bit.
-func referenceSignal(obs sensor.Observation, cal sensor.Calibration, win dsp.Window) (Signal, error) {
+// reads of it. FromObservation must agree with it bit for bit.
+func referenceSignal(obs sensor.Observation, cal sensor.Calibration) (Signal, error) {
 	if len(obs.IQ) == 0 {
 		return Signal{}, fmt.Errorf("features: empty capture")
 	}
-	samples := obs.IQ
-	if win != dsp.WindowRect {
-		samples = append([]complex128(nil), obs.IQ...)
-		if err := win.Apply(samples); err != nil {
-			return Signal{}, fmt.Errorf("features: %w", err)
-		}
-	}
-	spec, err := iq.NewSpectrum(samples)
+	spec, err := iq.NewSpectrum(obs.IQ)
 	if err != nil {
 		return Signal{}, fmt.Errorf("features: %w", err)
 	}
@@ -46,12 +38,12 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // reference makes NaN or ±Inf (a capture holding such samples, or large
 // enough to overflow) need only be non-finite too — skipping the exact-1
 // twiddle multiply turns some of the reference's Inf·0 NaNs into Infs.
-func checkAgainstReference(t *testing.T, obs sensor.Observation, cal sensor.Calibration, win dsp.Window, strict bool) {
+func checkAgainstReference(t *testing.T, obs sensor.Observation, cal sensor.Calibration, strict bool) {
 	t.Helper()
-	want, wantErr := referenceSignal(obs, cal, win)
-	got, gotErr := FromObservationWindowed(obs, cal, win)
+	want, wantErr := referenceSignal(obs, cal)
+	got, gotErr := FromObservation(obs, cal)
 	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
-		t.Fatalf("n=%d %v: error %v, reference %v", len(obs.IQ), win, gotErr, wantErr)
+		t.Fatalf("n=%d: error %v, reference %v", len(obs.IQ), gotErr, wantErr)
 	}
 	w, g := fields(want), fields(got)
 	for i := range w {
@@ -59,7 +51,7 @@ func checkAgainstReference(t *testing.T, obs sensor.Observation, cal sensor.Cali
 			continue
 		}
 		if strict || finite(w[i]) || finite(g[i]) {
-			t.Fatalf("n=%d %v: %+v, reference %+v", len(obs.IQ), win, got, want)
+			t.Fatalf("n=%d: %+v, reference %+v", len(obs.IQ), got, want)
 		}
 	}
 }
@@ -109,7 +101,6 @@ func checkDevicePath(t *testing.T, obs sensor.Observation, cal sensor.Calibratio
 // the fused kernel are Float64bits-equal to the full-spectrum chain.
 func TestFromObservationMatchesFullSpectrum(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	windows := []dsp.Window{dsp.WindowRect, dsp.WindowHann, dsp.WindowBlackman}
 
 	dropout := sensor.RTLSDR()
 	dropout.DropoutProb, dropout.ImpulseProb = 1, 0.5
@@ -129,19 +120,16 @@ func TestFromObservationMatchesFullSpectrum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstReference(t, obs, d.Calibration(), windows[i%len(windows)], true)
+			checkAgainstReference(t, obs, d.Calibration(), true)
 			checkDevicePath(t, obs, d.Calibration())
 		}
 	}
 
 	cal := sensor.IdentityCalibration()
 	for n := 1; n <= 4096; n *= 2 {
-		zero := sensor.Observation{IQ: make([]complex128, n)}
-		for _, win := range windows {
-			checkAgainstReference(t, zero, cal, win, true)
-		}
+		checkAgainstReference(t, sensor.Observation{IQ: make([]complex128, n)}, cal, true)
 		if n < 2 {
-			checkAgainstReference(t, sensor.Observation{IQ: []complex128{3e-5 - 4e-5i}}, cal, dsp.WindowRect, true)
+			checkAgainstReference(t, sensor.Observation{IQ: []complex128{3e-5 - 4e-5i}}, cal, true)
 			continue
 		}
 		for rep := 0; rep < 25; rep++ {
@@ -152,7 +140,7 @@ func TestFromObservationMatchesFullSpectrum(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstReference(t, sensor.Observation{IQ: x}, cal, windows[rep%len(windows)], true)
+			checkAgainstReference(t, sensor.Observation{IQ: x}, cal, true)
 		}
 	}
 }
@@ -172,8 +160,7 @@ func TestFromObservationNonFiniteAndErrors(t *testing.T) {
 			}
 			x[at] = bad
 			obs := sensor.Observation{IQ: x}
-			checkAgainstReference(t, obs, cal, dsp.WindowRect, false)
-			checkAgainstReference(t, obs, cal, dsp.WindowHann, false)
+			checkAgainstReference(t, obs, cal, false)
 			checkDevicePath(t, obs, cal)
 			got, err := FromObservation(obs, cal)
 			if err != nil {
@@ -188,15 +175,12 @@ func TestFromObservationNonFiniteAndErrors(t *testing.T) {
 	}
 	for _, n := range []int{0, 3, 100, 255, 257} {
 		obs := sensor.Observation{IQ: make([]complex128, n)}
-		checkAgainstReference(t, obs, cal, dsp.WindowRect, true)
-		checkAgainstReference(t, obs, cal, dsp.WindowHann, true)
-		checkAgainstReference(t, obs, cal, dsp.Window(99), true)
+		checkAgainstReference(t, obs, cal, true)
 		checkDevicePath(t, obs, cal)
 		if _, err := FromObservation(obs, cal); err == nil {
 			t.Errorf("capture of %d samples: want an error", n)
 		}
 	}
-	checkAgainstReference(t, sensor.Observation{IQ: make([]complex128, 256)}, cal, dsp.Window(99), true)
 	if _, err := Set(0).Measure(sensor.Observation{IQ: make([]complex128, 256)}, cal); err == nil {
 		t.Error("Measure for an invalid set: want an error")
 	}
@@ -240,15 +224,15 @@ func TestMeasureZeroAlloc(t *testing.T) {
 	}
 }
 
-// fuzzCapture reads a capture out of fuzz bytes: the first byte picks the
-// window (some values pick none that exists), every following 16 bytes
-// are the raw bits of one sample, so NaN, ±Inf, −0, subnormals and
-// overflow-sized values all occur, at any length.
-func fuzzCapture(data []byte) (sensor.Observation, dsp.Window) {
+// fuzzCapture reads a capture out of fuzz bytes: the first byte is a
+// header, read and ignored (it once picked an analysis window, and the
+// committed corpus keeps it), and every following 16 bytes are the raw
+// bits of one sample, so NaN, ±Inf, −0, subnormals and overflow-sized
+// values all occur, at any length.
+func fuzzCapture(data []byte) sensor.Observation {
 	if len(data) == 0 {
-		return sensor.Observation{}, dsp.WindowRect
+		return sensor.Observation{}
 	}
-	win := dsp.Window(data[0] % 6)
 	data = data[1:]
 	x := make([]complex128, len(data)/16)
 	for i := range x {
@@ -256,11 +240,11 @@ func fuzzCapture(data []byte) (sensor.Observation, dsp.Window) {
 		im := math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:]))
 		x[i] = complex(re, im)
 	}
-	return sensor.Observation{IQ: x}, win
+	return sensor.Observation{IQ: x}
 }
 
-func fuzzBytes(win byte, x []complex128) []byte {
-	out := []byte{win}
+func fuzzBytes(x []complex128) []byte {
+	out := []byte{0} // the header byte
 	for _, s := range x {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(real(s)))
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(imag(s)))
@@ -271,20 +255,22 @@ func fuzzBytes(win byte, x []complex128) []byte {
 // FuzzFromObservationMatchesReference holds the kernel to the reference
 // on arbitrary bytes, and the device's Set.Measure to FromObservation
 // (checkDevicePath). The seeds below and the committed corpus under
-// testdata/fuzz run on every `go test`.
+// testdata/fuzz run on every `go test`: at each length, a pilot between
+// bins and one on a bin centre.
 func FuzzFromObservationMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{1, 2, 8, 64, 256} {
-		x, err := iq.Synthesize(rng, iq.CaptureConfig{Samples: max(n, 2), PilotMW: 1e-9, NoiseMW: 1e-10, PilotOffsetBins: 1.3})
-		if err != nil {
-			f.Fatal(err)
+	for _, offset := range []float64{1.3, 0} {
+		for _, n := range []int{1, 2, 8, 64, 256} {
+			x, err := iq.Synthesize(rng, iq.CaptureConfig{Samples: max(n, 2), PilotMW: 1e-9, NoiseMW: 1e-10, PilotOffsetBins: offset})
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(fuzzBytes(x[:n]))
 		}
-		f.Add(fuzzBytes(byte(dsp.WindowRect), x[:n]))
-		f.Add(fuzzBytes(byte(dsp.WindowHann), x[:n]))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		obs, win := fuzzCapture(data)
-		checkAgainstReference(t, obs, sensor.IdentityCalibration(), win, false)
+		obs := fuzzCapture(data)
+		checkAgainstReference(t, obs, sensor.IdentityCalibration(), false)
 		checkDevicePath(t, obs, sensor.IdentityCalibration())
 	})
 }

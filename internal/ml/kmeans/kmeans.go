@@ -34,8 +34,6 @@ type Result struct {
 type Config struct {
 	// K is the number of clusters; required.
 	K int
-	// MaxIterations bounds Lloyd's loop; default 100.
-	MaxIterations int
 	// Seed drives k-means++ seeding.
 	Seed int64
 	// Workers caps the pool for the assignment and seeding distance
@@ -46,6 +44,9 @@ type Config struct {
 	// point order.
 	Workers int
 }
+
+// maxIterations bounds Lloyd's loop.
+const maxIterations = 100
 
 // minParallelPoints gates the worker fan-out: below this many points the
 // goroutine handoff costs more than the scan itself.
@@ -105,10 +106,6 @@ func Run(x [][]float64, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("kmeans: ragged input at row %d", i)
 		}
 	}
-	maxIter := cfg.MaxIterations
-	if maxIter == 0 {
-		maxIter = 100
-	}
 	workers := resolveWorkers(cfg.Workers, len(x))
 
 	// The centers are rows of one array, so the two-dimensional scan can
@@ -129,7 +126,7 @@ func Run(x [][]float64, cfg Config) (*Result, error) {
 	changedBy := make([]bool, workers)
 
 	var iters int
-	for iters = 1; iters <= maxIter; iters++ {
+	for iters = 1; iters <= maxIterations; iters++ {
 		// Assignment: each worker scans a disjoint range of points.
 		// assign[i] depends only on x[i] and the shared read-only
 		// centers, so the outcome matches the serial scan exactly.

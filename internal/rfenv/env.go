@@ -118,11 +118,6 @@ func (e *Environment) Transmitters() []Transmitter {
 	return append([]Transmitter(nil), e.txs...)
 }
 
-// TransmittersOn returns the transmitters licensed on ch.
-func (e *Environment) TransmittersOn(ch Channel) []Transmitter {
-	return append([]Transmitter(nil), e.txByChannel[ch]...)
-}
-
 // RSSDBm returns the true received TV signal power (dBm) on channel ch at
 // point p and the environment's receiver height: the power sum over all
 // co-channel transmitters of ERP − pathloss − shadowing − obstruction.

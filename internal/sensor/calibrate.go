@@ -29,18 +29,17 @@ type CalibrationConfig struct {
 	// in 5 dB steps (well above every modelled floor, so the fit is not
 	// bent by floor compression).
 	LevelsDBm []float64
-	// ReadingsPerLevel defaults to 50.
-	ReadingsPerLevel int
 }
+
+// readingsPerLevel is the number of wired readings a calibration run
+// takes at each generator level.
+const readingsPerLevel = 50
 
 func (c *CalibrationConfig) defaults() {
 	if len(c.LevelsDBm) == 0 {
 		for l := -90.0; l <= -50; l += 5 {
 			c.LevelsDBm = append(c.LevelsDBm, l)
 		}
-	}
-	if c.ReadingsPerLevel <= 0 {
-		c.ReadingsPerLevel = 50
 	}
 }
 
@@ -57,7 +56,7 @@ func Calibrate(d *Device, rng *rand.Rand, cfg CalibrationConfig) (Calibration, e
 		if level < d.spec.NoiseFloorDBm+6 {
 			continue
 		}
-		for i := 0; i < cfg.ReadingsPerLevel; i++ {
+		for i := 0; i < readingsPerLevel; i++ {
 			obs, err := d.ObserveWired(rng, level)
 			if err != nil {
 				return Calibration{}, err

@@ -21,19 +21,20 @@ import (
 // the same channel (§2.1: "always separated by more than 20 meters").
 const MinReadingSpacingM = 20.0
 
+// The street grid's spacing between parallel streets, and the standard
+// deviation of per-sample GPS error, in meters.
+const (
+	streetSpacingM = 1800
+	gpsJitterM     = 4
+)
+
 // RouteConfig describes a drive.
 type RouteConfig struct {
 	// Area is the region to cover.
 	Area geo.BBox
-	// StreetSpacingM is the distance between parallel streets in the
-	// grid. Default 1800 m.
-	StreetSpacingM float64
 	// Samples is the number of reading locations to produce. Default
 	// 5282, the paper's per-channel count.
 	Samples int
-	// GPSJitterM is the standard deviation of per-sample GPS error.
-	// Default 4 m.
-	GPSJitterM float64
 	// Seed drives GPS jitter and sampling phase.
 	Seed int64
 }
@@ -42,20 +43,11 @@ func (c *RouteConfig) defaults() error {
 	if c.Area.MinLat >= c.Area.MaxLat || c.Area.MinLon >= c.Area.MaxLon {
 		return fmt.Errorf("wardrive: degenerate area %+v", c.Area)
 	}
-	if c.StreetSpacingM == 0 {
-		c.StreetSpacingM = 1800
-	}
-	if c.StreetSpacingM < 0 {
-		return fmt.Errorf("wardrive: negative street spacing %v", c.StreetSpacingM)
-	}
 	if c.Samples == 0 {
 		c.Samples = 5282
 	}
 	if c.Samples < 0 {
 		return fmt.Errorf("wardrive: negative sample count %d", c.Samples)
-	}
-	if c.GPSJitterM == 0 {
-		c.GPSJitterM = 4
 	}
 	return nil
 }
@@ -80,8 +72,8 @@ func GenerateRoute(cfg RouteConfig) (*Route, error) {
 	lo := proj.ToXY(sw)
 	hi := proj.ToXY(ne)
 
-	waypoints := serpentine(lo, hi, cfg.StreetSpacingM, false)
-	waypoints = append(waypoints, serpentine(lo, hi, cfg.StreetSpacingM*1.6, true)...)
+	waypoints := serpentine(lo, hi, streetSpacingM, false)
+	waypoints = append(waypoints, serpentine(lo, hi, streetSpacingM*1.6, true)...)
 
 	var length float64
 	for i := 1; i < len(waypoints); i++ {
@@ -113,8 +105,8 @@ func GenerateRoute(cfg RouteConfig) (*Route, error) {
 		for carry <= segLen && len(points) < cfg.Samples {
 			t := carry / segLen
 			xy := geo.XY{X: a.X + (b.X-a.X)*t, Y: a.Y + (b.Y-a.Y)*t}
-			xy.X += rng.NormFloat64() * cfg.GPSJitterM
-			xy.Y += rng.NormFloat64() * cfg.GPSJitterM
+			xy.X += rng.NormFloat64() * gpsJitterM
+			xy.Y += rng.NormFloat64() * gpsJitterM
 			carry += spacing
 			if len(points) > 0 && xy.DistanceM(lastXY) < MinReadingSpacingM*1.05 {
 				continue

@@ -37,7 +37,7 @@ func TestGenerateRouteBasics(t *testing.T) {
 }
 
 func TestRouteSpacingFloor(t *testing.T) {
-	r, err := GenerateRoute(RouteConfig{Area: testArea(), Samples: 3000, Seed: 2, GPSJitterM: 0.001})
+	r, err := GenerateRoute(RouteConfig{Area: testArea(), Samples: 3000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -789,3 +789,356 @@ func readFile(t *testing.T, path string) []byte {
 	}
 	return src
 }
+
+// TestConfigFieldsHaveACaller: a value nobody sets is a constant. Every
+// exported field of a *Config, *Options or *Policy struct in a package
+// that a binary under cmd/ or the benchmark links is set by non-test
+// code outside its own package — as a composite-literal key or by
+// assignment — or is on configFieldAllowlist with the reason it stays a
+// field. A test does not count as a caller: a field only a test sets is
+// a knob no deployment turns, unless the test substitutes it for time or
+// for faults, which the allowlist says. The first cases check the
+// checker.
+func TestConfigFieldsHaveACaller(t *testing.T) {
+	writeTree := func(t *testing.T, files map[string]string) string {
+		root := t.TempDir()
+		for name, src := range files {
+			path := filepath.Join(root, filepath.FromSlash(name))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return root
+	}
+	t.Run("checks_the_checker", func(t *testing.T) {
+		root := writeTree(t, map[string]string{
+			"go.mod": "module example.com/m\n",
+			"p/p.go": `package p
+
+type Config struct {
+	ByLiteral, ByElided, ByAssign int
+	OnlyOwn, OnlyTest, Unset      int
+	Shadowed                      int
+	hidden                        int
+}
+
+type Helper struct{ NotAConfig int }
+
+var own = Config{OnlyOwn: 1}
+`,
+			"p/p_test.go": "package p\n\nvar _ = Config{OnlyTest: 1}\n",
+			"cmd/app/main.go": `package main
+
+import q "example.com/m/p"
+
+func main() {
+	_ = &q.Config{ByLiteral: 1}
+	_ = []q.Config{{ByElided: 1}}
+	var c q.Config
+	c.ByAssign = 2
+	_ = c
+}
+`,
+			// o.Shadowed is the field of o's own type, not of p.Config.
+			"o/o.go": `package o
+
+import "example.com/m/p"
+
+type own struct{ Shadowed int }
+
+func Set(o *own) p.Config {
+	o.Shadowed = 1
+	return p.Config{}
+}
+`,
+			"cmd/other/main.go": "package main\n\nimport \"example.com/m/o\"\n\nvar _ = o.Set\n\nfunc main() {}\n",
+			"unlinked/u.go":     "package u\n\ntype Options struct{ Nobody int }\n",
+		})
+		got, err := unsetConfigFields(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"p.Config.OnlyOwn", "p.Config.OnlyTest", "p.Config.Shadowed", "p.Config.Unset"}; !slices.Equal(got, want) {
+			t.Errorf("flagged %v, want %v", got, want)
+		}
+	})
+	got, err := unsetConfigFields(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range got {
+		if configFieldAllowlist[f] == "" {
+			t.Errorf("%s: no non-test code outside its package sets it; make it a constant, or allowlist it with the reason", f)
+		}
+	}
+	for f := range configFieldAllowlist {
+		if !slices.Contains(got, f) {
+			t.Errorf("%s is allowlisted but has a caller (or is gone): drop its entry", f)
+		}
+	}
+}
+
+// configFieldAllowlist names the config fields that stay settable
+// without a non-test caller outside their package, each with its reason.
+var configFieldAllowlist = map[string]string{
+	// Substituted by tests for time, for faults or for small limits.
+	"client.BreakerPolicy.Threshold":     "resilience tests trip the breaker in a few failures",
+	"client.RetryPolicy.MaxAttempts":     "resilience tests exhaust the retry budget in a few requests",
+	"client.Config.Now":                  "tests substitute a clock for the breaker's cooldown",
+	"client.Config.Sleep":                "tests substitute the backoff sleep",
+	"cluster.GatewayConfig.MaxBodyBytes": "tests lower the cap to reach the 413 path with small bodies",
+	"dbserver.Config.MaxBodyBytes":       "tests lower the cap to reach the 413 path with small bodies",
+	"dbserver.Config.WALFS":              "checkpoint tests inject a faulty filesystem under the WAL",
+	"dbserver.Config.WatchTimeout":       "tests shorten the watch horizon to see its 304",
+	"wlog.Options.Now":                   "tests substitute the rate limiter's clock",
+	"wlog.Options.Burst":                 "tests set the limiter's burst to see a suppression",
+	"wlog.Options.RatePerKey":            "tests set the limiter's rate to see a suppression",
+	"sensor.CalibrationConfig.LevelsDBm": "sensor tests sweep their own generator levels",
+	"iq.CaptureConfig.Samples":           "kernel tests synthesize captures of every power-of-two length",
+
+	// The simulated world: rfenv.BuildMetro, its one scenario, fills
+	// these from inside the package.
+	"rfenv.EnvConfig.Area":              "scenario description, filled by rfenv.BuildMetro",
+	"rfenv.EnvConfig.Model":             "scenario description, filled by rfenv.BuildMetro",
+	"rfenv.EnvConfig.Obstructions":      "scenario description, filled by rfenv.BuildMetro",
+	"rfenv.EnvConfig.RxHeightM":         "scenario description, filled by rfenv.BuildMetro",
+	"rfenv.EnvConfig.Shadow":            "scenario description, filled by rfenv.BuildMetro",
+	"rfenv.EnvConfig.Transmitters":      "scenario description, filled by rfenv.BuildMetro",
+	"rfenv.ShadowConfig.CoarseScaleM":   "scenario description, filled by rfenv.BuildMetro",
+	"rfenv.ShadowConfig.CoarseWeight":   "scenario description, filled by rfenv.BuildMetro",
+	"rfenv.ShadowConfig.DecorrelationM": "scenario description, filled by rfenv.BuildMetro",
+	"rfenv.ShadowConfig.Seed":           "scenario description, filled by rfenv.BuildMetro per channel",
+	"rfenv.ShadowConfig.SigmaDB":        "scenario description, filled by rfenv.BuildMetro",
+
+	// The comparison baselines' published parameters, every experiment
+	// at their defaults: candidates for constants in a later change.
+	"kriging.Config.LagBins":        "baseline parameter at its published default",
+	"kriging.Config.MaxLagM":        "baseline parameter at its published default",
+	"kriging.Config.Neighbors":      "baseline parameter at its published default",
+	"kriging.Config.ProtectRadiusM": "baseline parameter at its published default",
+	"kriging.Config.ThresholdDBm":   "baseline parameter at its published default",
+	"kriging.Config.VariogramPairs": "baseline parameter at its published default",
+	"specdb.Config.ProtectRadiusM":  "baseline parameter at its published default",
+	"specdb.Config.ThresholdDBm":    "baseline parameter at its published default",
+	"vscope.Config.ProtectRadiusM":  "baseline parameter at its published default",
+}
+
+// unsetConfigFields parses the Go module rooted at root (go/parser only)
+// and returns, sorted as pkg.Type.Field, the exported fields of the
+// *Config, *Options and *Policy structs in the packages that a binary
+// under cmd/ or bench/ imports, directly or not, that no non-test file
+// outside the field's package sets. A composite-literal key sets a field
+// when the literal's type, written or elided inside a slice or map
+// literal, names the struct through an import; an assignment to x.Field
+// sets it when the assigning file imports the struct's package.
+func unsetConfigFields(root string) ([]string, error) {
+	modData, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	m := regexp.MustCompile(`(?m)^module\s+(\S+)`).FindSubmatch(modData)
+	if m == nil {
+		return nil, fs.ErrInvalid
+	}
+	module := string(m[1])
+	type goFile struct {
+		pkg     string            // import path
+		imports map[string]string // local name → import path
+		ast     *ast.File
+	}
+	var files []goFile
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".bench_build", "bin", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !isNonTestGo(path) {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		gf := goFile{pkg: module, imports: map[string]string{}, ast: f}
+		if rel != "." {
+			gf.pkg += "/" + filepath.ToSlash(rel)
+		}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			gf.imports[name] = p
+		}
+		files = append(files, gf)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// The packages the binaries and the benchmark link.
+	imports := map[string][]string{}
+	for _, f := range files {
+		for _, p := range f.imports {
+			imports[f.pkg] = append(imports[f.pkg], p)
+		}
+	}
+	linked := map[string]bool{}
+	var queue []string
+	for _, f := range files {
+		if strings.HasPrefix(f.pkg, module+"/cmd/") || f.pkg == module+"/bench" {
+			queue = append(queue, f.pkg)
+		}
+	}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		if linked[p] {
+			continue
+		}
+		linked[p] = true
+		for _, q := range imports[p] {
+			if strings.HasPrefix(q, module+"/") {
+				queue = append(queue, q)
+			}
+		}
+	}
+
+	// The fields, keyed by import path, type and field name.
+	type field struct{ pkg, typ, name string }
+	declared := map[field]bool{}
+	configType := regexp.MustCompile(`^[A-Z]\w*(Config|Options|Policy)$|^(Config|Options|Policy)$`)
+	for _, f := range files {
+		if !linked[f.pkg] {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || !configType.MatchString(ts.Name.Name) {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, fl := range st.Fields.List {
+					for _, name := range fl.Names {
+						if name.IsExported() {
+							declared[field{f.pkg, ts.Name.Name, name.Name}] = true
+						}
+					}
+				}
+			}
+			return false
+		})
+	}
+
+	// ownFields holds every struct field name each package declares: an
+	// assignment to v.Name, v a variable, in a package that has a Name
+	// field of its own is taken to set that one.
+	ownFields := map[string]map[string]bool{}
+	for _, f := range files {
+		if ownFields[f.pkg] == nil {
+			ownFields[f.pkg] = map[string]bool{}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, fl := range st.Fields.List {
+					for _, name := range fl.Names {
+						ownFields[f.pkg][name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	set := map[field]bool{}
+	for _, f := range files {
+		// named resolves a literal's type written as imp.T or *imp.T.
+		named := func(e ast.Expr) (string, string) {
+			if s, ok := e.(*ast.StarExpr); ok {
+				e = s.X
+			}
+			if s, ok := e.(*ast.SelectorExpr); ok {
+				if x, ok := s.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
+					return f.imports[x.Name], s.Sel.Name
+				}
+			}
+			return "", ""
+		}
+		var lit func(cl *ast.CompositeLit, pkg, typ string)
+		lit = func(cl *ast.CompositeLit, pkg, typ string) {
+			var elemPkg, elemTyp string
+			switch t := cl.Type.(type) {
+			case *ast.ArrayType:
+				elemPkg, elemTyp = named(t.Elt)
+			case *ast.MapType:
+				elemPkg, elemTyp = named(t.Value)
+			}
+			for _, el := range cl.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if k, ok := kv.Key.(*ast.Ident); ok && pkg != "" {
+						set[field{pkg, typ, k.Name}] = true
+					}
+					el = kv.Value
+				}
+				if u, ok := el.(*ast.UnaryExpr); ok {
+					el = u.X
+				}
+				if inner, ok := el.(*ast.CompositeLit); ok && inner.Type == nil && elemTyp != "" {
+					lit(inner, elemPkg, elemTyp)
+				}
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if n.Type != nil {
+					pkg, typ := named(n.Type)
+					lit(n, pkg, typ)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					s, ok := lhs.(*ast.SelectorExpr)
+					if !ok {
+						continue
+					}
+					for fd := range declared {
+						if fd.name == s.Sel.Name && fd.pkg != f.pkg && slices.Contains(imports[f.pkg], fd.pkg) && !(isIdent(s.X) && ownFields[f.pkg][fd.name]) {
+							set[fd] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	var unset []string
+	for fd := range declared {
+		if !set[fd] {
+			unset = append(unset, fd.pkg[strings.LastIndex(fd.pkg, "/")+1:]+"."+fd.typ+"."+fd.name)
+		}
+	}
+	sort.Strings(unset)
+	return unset, nil
+}
+
+func isIdent(e ast.Expr) bool {
+	_, ok := e.(*ast.Ident)
+	return ok
+}
