@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/geo"
 )
@@ -14,30 +15,21 @@ import (
 // the simplest possible field estimator, kept as the floor of the
 // interpolation baselines.
 type IDW struct {
-	cfg   Config
-	power float64
-	proj  *geo.Projector
-	xs    []geo.XY
-	rss   []float64
-	grid  *geo.GridIndex
+	proj *geo.Projector
+	xs   []geo.XY
+	rss  []float64
+	grid *geo.GridIndex
 }
 
-// FitIDW builds the interpolator. power controls the distance weighting
-// (0 means 2, the classic inverse-square).
-func FitIDW(readings []dataset.Reading, cfg Config, power float64) (*IDW, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
+// idwPower is the distance weighting: the classic inverse square.
+const idwPower = 2
+
+// FitIDW builds the interpolator.
+func FitIDW(readings []dataset.Reading) (*IDW, error) {
+	if len(readings) < neighbors {
+		return nil, fmt.Errorf("kriging: %d readings, need ≥%d", len(readings), neighbors)
 	}
-	if power == 0 {
-		power = 2
-	}
-	if power < 0 {
-		return nil, fmt.Errorf("kriging: negative IDW power %v", power)
-	}
-	if len(readings) < cfg.Neighbors {
-		return nil, fmt.Errorf("kriging: %d readings, need ≥%d", len(readings), cfg.Neighbors)
-	}
-	m := &IDW{cfg: cfg, power: power, proj: geo.NewProjector(readings[0].Loc)}
+	m := &IDW{proj: geo.NewProjector(readings[0].Loc)}
 	locs := make([]geo.Point, len(readings))
 	m.xs = make([]geo.XY, len(readings))
 	m.rss = make([]float64, len(readings))
@@ -46,7 +38,7 @@ func FitIDW(readings []dataset.Reading, cfg Config, power float64) (*IDW, error)
 		m.xs[i] = m.proj.ToXY(readings[i].Loc)
 		m.rss[i] = readings[i].Signal.RSSdBm
 	}
-	grid, err := geo.NewGridIndex(readings[0].Loc, cfg.MaxLagM/2, locs)
+	grid, err := geo.NewGridIndex(readings[0].Loc, maxLagM/2, locs)
 	if err != nil {
 		return nil, err
 	}
@@ -62,13 +54,13 @@ func (m *IDW) PredictRSS(p geo.Point) (float64, error) {
 		d  float64
 	}
 	var cands []cand
-	for radius := m.cfg.MaxLagM / 4; radius <= m.cfg.MaxLagM*4; radius *= 2 {
+	for radius := maxLagM / 4.0; radius <= maxLagM*4; radius *= 2 {
 		cands = cands[:0]
 		m.grid.WithinRadius(p, radius, func(id int) bool {
 			cands = append(cands, cand{id: id, d: m.xs[id].DistanceM(q)})
 			return true
 		})
-		if len(cands) >= m.cfg.Neighbors {
+		if len(cands) >= neighbors {
 			break
 		}
 	}
@@ -76,8 +68,8 @@ func (m *IDW) PredictRSS(p geo.Point) (float64, error) {
 		return 0, fmt.Errorf("kriging: only %d neighbors near %v", len(cands), p)
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	if len(cands) > m.cfg.Neighbors {
-		cands = cands[:m.cfg.Neighbors]
+	if len(cands) > neighbors {
+		cands = cands[:neighbors]
 	}
 
 	var num, den float64
@@ -85,7 +77,7 @@ func (m *IDW) PredictRSS(p geo.Point) (float64, error) {
 		if c.d < 1 {
 			return m.rss[c.id], nil // on top of a measurement
 		}
-		w := 1 / math.Pow(c.d, m.power)
+		w := 1 / math.Pow(c.d, idwPower)
 		num += w * m.rss[c.id]
 		den += w
 	}
@@ -100,7 +92,7 @@ func (m *IDW) Available(p geo.Point) (bool, error) {
 	// the query.
 	probes := []geo.Point{p}
 	for _, frac := range []float64{1.0 / 3, 2.0 / 3, 1} {
-		r := m.cfg.ProtectRadiusM * frac
+		r := core.ProtectRadiusM * frac
 		for bearing := 0.0; bearing < 360; bearing += 30 {
 			probes = append(probes, p.Offset(bearing, r))
 		}
@@ -110,7 +102,7 @@ func (m *IDW) Available(p geo.Point) (bool, error) {
 		if err != nil {
 			return false, nil
 		}
-		if est > m.cfg.ThresholdDBm {
+		if est > core.ThresholdDBm {
 			return false, nil
 		}
 	}

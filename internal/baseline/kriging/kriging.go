@@ -14,53 +14,24 @@ import (
 	"math"
 	"sort"
 
+	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/geo"
 )
 
-// Config parameterizes model fitting and prediction.
-type Config struct {
-	// Neighbors is the number of nearest measurements used per
-	// prediction (local kriging); default 16.
-	Neighbors int
-	// MaxLagM is the maximum separation used when fitting the
-	// variogram; default 8000 m.
-	MaxLagM float64
-	// LagBins is the number of variogram bins; default 20.
-	LagBins int
-	// VariogramPairs caps the random pair sample used for the empirical
-	// variogram; default 200000.
-	VariogramPairs int
-	// ThresholdDBm is the white-space decision level; 0 means −84.
-	ThresholdDBm float64
-	// ProtectRadiusM is the protection dilation; 0 means 6000.
-	ProtectRadiusM float64
-}
-
-func (c *Config) defaults() error {
-	if c.Neighbors == 0 {
-		c.Neighbors = 16
-	}
-	if c.MaxLagM == 0 {
-		c.MaxLagM = 8000
-	}
-	if c.LagBins == 0 {
-		c.LagBins = 20
-	}
-	if c.VariogramPairs == 0 {
-		c.VariogramPairs = 200000
-	}
-	if c.ThresholdDBm == 0 {
-		c.ThresholdDBm = -84
-	}
-	if c.ProtectRadiusM == 0 {
-		c.ProtectRadiusM = 6000
-	}
-	if c.Neighbors < 3 || c.MaxLagM <= 0 || c.LagBins < 4 || c.VariogramPairs < 100 {
-		return fmt.Errorf("kriging: invalid config %+v", *c)
-	}
-	return nil
-}
+// The interpolators' parameters, at the values every experiment uses.
+const (
+	// neighbors is the number of nearest measurements used per
+	// prediction (local kriging).
+	neighbors = 16
+	// maxLagM is the maximum separation used when fitting the variogram.
+	maxLagM = 8000
+	// lagBins is the number of variogram bins.
+	lagBins = 20
+	// variogramPairs caps the pair sample used for the empirical
+	// variogram.
+	variogramPairs = 200000
+)
 
 // Variogram is a fitted exponential variogram
 // γ(h) = nugget + sill·(1 − e^{−h/range}).
@@ -80,7 +51,6 @@ func (v Variogram) At(h float64) float64 {
 
 // Model is a fitted kriging interpolator for one channel.
 type Model struct {
-	cfg   Config
 	vario Variogram
 	proj  *geo.Projector
 	xs    []geo.XY
@@ -89,12 +59,9 @@ type Model struct {
 }
 
 // Fit builds the interpolator from one channel's readings.
-func Fit(readings []dataset.Reading, cfg Config) (*Model, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
-	if len(readings) < cfg.Neighbors+1 {
-		return nil, fmt.Errorf("kriging: %d readings, need more than %d", len(readings), cfg.Neighbors)
+func Fit(readings []dataset.Reading) (*Model, error) {
+	if len(readings) < neighbors+1 {
+		return nil, fmt.Errorf("kriging: %d readings, need more than %d", len(readings), neighbors)
 	}
 	ch := readings[0].Channel
 	for i := range readings {
@@ -103,7 +70,7 @@ func Fit(readings []dataset.Reading, cfg Config) (*Model, error) {
 		}
 	}
 
-	m := &Model{cfg: cfg, proj: geo.NewProjector(readings[0].Loc)}
+	m := &Model{proj: geo.NewProjector(readings[0].Loc)}
 	locs := make([]geo.Point, len(readings))
 	m.xs = make([]geo.XY, len(readings))
 	m.rss = make([]float64, len(readings))
@@ -112,13 +79,13 @@ func Fit(readings []dataset.Reading, cfg Config) (*Model, error) {
 		m.xs[i] = m.proj.ToXY(readings[i].Loc)
 		m.rss[i] = readings[i].Signal.RSSdBm
 	}
-	grid, err := geo.NewGridIndex(readings[0].Loc, cfg.MaxLagM/2, locs)
+	grid, err := geo.NewGridIndex(readings[0].Loc, maxLagM/2, locs)
 	if err != nil {
 		return nil, err
 	}
 	m.grid = grid
 
-	vario, err := fitVariogram(m.xs, m.rss, cfg)
+	vario, err := fitVariogram(m.xs, m.rss)
 	if err != nil {
 		return nil, err
 	}
@@ -126,19 +93,16 @@ func Fit(readings []dataset.Reading, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Variogram exposes the fitted spatial covariance (for reports).
-func (m *Model) Variogram() Variogram { return m.vario }
-
 // fitVariogram computes the empirical semivariogram on a deterministic
 // pair sample and fits the exponential model by coarse grid search.
-func fitVariogram(xs []geo.XY, rss []float64, cfg Config) (Variogram, error) {
-	binW := cfg.MaxLagM / float64(cfg.LagBins)
-	sum := make([]float64, cfg.LagBins)
-	cnt := make([]int, cfg.LagBins)
+func fitVariogram(xs []geo.XY, rss []float64) (Variogram, error) {
+	binW := maxLagM / float64(lagBins)
+	sum := make([]float64, lagBins)
+	cnt := make([]int, lagBins)
 
 	n := len(xs)
 	// Deterministic strided pair sample.
-	stride := n*n/cfg.VariogramPairs + 1
+	stride := n*n/variogramPairs + 1
 	pair := 0
 	for idx := 0; idx < n*n; idx += stride {
 		i := idx / n
@@ -147,7 +111,7 @@ func fitVariogram(xs []geo.XY, rss []float64, cfg Config) (Variogram, error) {
 			continue
 		}
 		d := xs[i].DistanceM(xs[j])
-		if d >= cfg.MaxLagM {
+		if d >= maxLagM {
 			continue
 		}
 		bin := int(d / binW)
@@ -160,9 +124,9 @@ func fitVariogram(xs []geo.XY, rss []float64, cfg Config) (Variogram, error) {
 		return Variogram{}, fmt.Errorf("kriging: only %d usable pairs for the variogram", pair)
 	}
 
-	lag := make([]float64, 0, cfg.LagBins)
-	gamma := make([]float64, 0, cfg.LagBins)
-	for b := 0; b < cfg.LagBins; b++ {
+	lag := make([]float64, 0, lagBins)
+	gamma := make([]float64, 0, lagBins)
+	for b := 0; b < lagBins; b++ {
 		if cnt[b] < 5 {
 			continue
 		}
@@ -182,7 +146,7 @@ func fitVariogram(xs []geo.XY, rss []float64, cfg Config) (Variogram, error) {
 	for _, nug := range []float64{0, maxGamma * 0.1, maxGamma * 0.25} {
 		for fs := 0.5; fs <= 1.5; fs += 0.125 {
 			sill := maxGamma * fs
-			for rge := binW; rge <= cfg.MaxLagM; rge += binW {
+			for rge := binW; rge <= maxLagM; rge += binW {
 				cand := Variogram{Nugget: nug, Sill: sill, RangeM: rge}
 				var ss float64
 				for k := range lag {
@@ -204,7 +168,7 @@ func fitVariogram(xs []geo.XY, rss []float64, cfg Config) (Variogram, error) {
 
 // PredictRSS interpolates the field at p with local ordinary kriging.
 func (m *Model) PredictRSS(p geo.Point) (float64, error) {
-	ids := m.nearest(p, m.cfg.Neighbors)
+	ids := m.nearest(p, neighbors)
 	if len(ids) < 3 {
 		return 0, fmt.Errorf("kriging: only %d neighbors near %v", len(ids), p)
 	}
@@ -250,7 +214,7 @@ func (m *Model) Available(p geo.Point) (bool, error) {
 	// the query.
 	probes := []geo.Point{p}
 	for _, frac := range []float64{1.0 / 3, 2.0 / 3, 1} {
-		r := m.cfg.ProtectRadiusM * frac
+		r := core.ProtectRadiusM * frac
 		for bearing := 0.0; bearing < 360; bearing += 30 {
 			probes = append(probes, p.Offset(bearing, r))
 		}
@@ -262,7 +226,7 @@ func (m *Model) Available(p geo.Point) (bool, error) {
 			// for incumbents.
 			return false, nil
 		}
-		if est > m.cfg.ThresholdDBm {
+		if est > core.ThresholdDBm {
 			return false, nil
 		}
 	}
@@ -277,7 +241,7 @@ func (m *Model) nearest(p geo.Point, k int) []int {
 		d  float64
 	}
 	q := m.proj.ToXY(p)
-	for radius := m.cfg.MaxLagM / 4; radius <= m.cfg.MaxLagM*4; radius *= 2 {
+	for radius := maxLagM / 4.0; radius <= maxLagM*4; radius *= 2 {
 		var cands []cand
 		m.grid.WithinRadius(p, radius, func(id int) bool {
 			cands = append(cands, cand{id: id, d: m.xs[id].DistanceM(q)})

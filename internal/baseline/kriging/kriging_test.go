@@ -37,7 +37,7 @@ func fieldAt(xy geo.XY) float64 {
 
 func TestKrigingInterpolatesSmoothField(t *testing.T) {
 	readings := smoothField(1500, 0.5, 1)
-	m, err := Fit(readings, Config{})
+	m, err := Fit(readings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestKrigingInterpolatesSmoothField(t *testing.T) {
 
 func TestKrigingBeatsIDWOnStructuredField(t *testing.T) {
 	readings := smoothField(1500, 0.5, 3)
-	km, err := Fit(readings, Config{})
+	km, err := Fit(readings)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idw, err := FitIDW(readings, Config{}, 0)
+	idw, err := FitIDW(readings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestKrigingBeatsIDWOnStructuredField(t *testing.T) {
 
 func TestVariogramShape(t *testing.T) {
 	readings := smoothField(1500, 0.5, 5)
-	m, err := Fit(readings, Config{})
+	m, err := Fit(readings)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := m.Variogram()
+	v := m.vario
 	if v.Sill <= 0 || v.RangeM <= 0 {
 		t.Fatalf("degenerate variogram %+v", v)
 	}
@@ -133,7 +133,7 @@ func TestAvailableProtective(t *testing.T) {
 			Signal: features.Signal{RSSdBm: rss + rng.NormFloat64()},
 		})
 	}
-	m, err := Fit(readings, Config{})
+	m, err := Fit(readings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,23 +155,17 @@ func TestAvailableProtective(t *testing.T) {
 }
 
 func TestFitValidation(t *testing.T) {
-	if _, err := Fit(nil, Config{}); err == nil {
+	if _, err := Fit(nil); err == nil {
 		t.Error("empty fit must fail")
 	}
 	readings := smoothField(100, 1, 7)
 	mixed := append(readings[:0:0], readings...)
 	mixed[10].Channel = 15
-	if _, err := Fit(mixed, Config{}); err == nil {
+	if _, err := Fit(mixed); err == nil {
 		t.Error("mixed channels must fail")
 	}
-	if _, err := Fit(readings, Config{Neighbors: 1}); err == nil {
-		t.Error("bad config must fail")
-	}
-	if _, err := FitIDW(readings, Config{}, -1); err == nil {
-		t.Error("negative power must fail")
-	}
 	// Prediction far outside coverage fails.
-	m, err := Fit(readings, Config{})
+	m, err := Fit(readings)
 	if err != nil {
 		t.Fatal(err)
 	}

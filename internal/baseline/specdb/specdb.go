@@ -11,16 +11,14 @@ package specdb
 
 import (
 	"fmt"
-	"math"
 
+	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/rfenv"
 )
 
 // Database is a protected-contour white-space database.
 type Database struct {
-	model    rfenv.PathLossModel
-	protectM float64
 	// contour radius (m) per transmitter index, per channel
 	radii map[rfenv.Channel][]contour
 }
@@ -37,11 +35,6 @@ type Config struct {
 	// Model is the generic propagation model; nil means the
 	// conservative FCC-curve-style model.
 	Model rfenv.PathLossModel
-	// ThresholdDBm is the protected-contour field strength; 0 means −84.
-	ThresholdDBm float64
-	// ProtectRadiusM is the extra separation for portable devices;
-	// 0 means 6000.
-	ProtectRadiusM float64
 	// RxHeightM is the receiver height the contour is evaluated at;
 	// 0 means 2 m (the measurement height; set 10 for the regulatory
 	// assumption, which inflates contours further).
@@ -57,30 +50,18 @@ func New(cfg Config) (*Database, error) {
 	if model == nil {
 		model = rfenv.FCCCurves{}
 	}
-	threshold := cfg.ThresholdDBm
-	if threshold == 0 {
-		threshold = -84
-	}
-	protect := cfg.ProtectRadiusM
-	if protect == 0 {
-		protect = 6000
-	}
 	rx := cfg.RxHeightM
 	if rx == 0 {
 		rx = 2
 	}
 
-	db := &Database{
-		model:    model,
-		protectM: protect,
-		radii:    make(map[rfenv.Channel][]contour),
-	}
+	db := &Database{radii: make(map[rfenv.Channel][]contour)}
 	for _, tx := range cfg.Transmitters {
 		f, err := tx.Channel.CenterFreqMHz()
 		if err != nil {
 			return nil, fmt.Errorf("specdb: %s: %w", tx.Callsign, err)
 		}
-		r, err := contourRadiusM(model, tx, f, rx, threshold)
+		r, err := contourRadiusM(model, tx, f, rx)
 		if err != nil {
 			return nil, fmt.Errorf("specdb: %s: %w", tx.Callsign, err)
 		}
@@ -92,7 +73,7 @@ func New(cfg Config) (*Database, error) {
 // contourRadiusM bisects for the distance where the predicted field drops
 // to the threshold. Path loss is monotone in distance for every model in
 // rfenv.
-func contourRadiusM(m rfenv.PathLossModel, tx rfenv.Transmitter, fMHz, rxH, thresholdDBm float64) (float64, error) {
+func contourRadiusM(m rfenv.PathLossModel, tx rfenv.Transmitter, fMHz, rxH float64) (float64, error) {
 	predict := func(d float64) float64 {
 		return tx.ERPdBm - m.PathLossDB(d, fMHz, tx.HeightM, rxH)
 	}
@@ -100,16 +81,16 @@ func contourRadiusM(m rfenv.PathLossModel, tx rfenv.Transmitter, fMHz, rxH, thre
 		lo0 = 50.0
 		hi0 = 1.5e6 // 1500 km: beyond any UHF station
 	)
-	if predict(hi0) >= thresholdDBm {
+	if predict(hi0) >= core.ThresholdDBm {
 		return hi0, nil
 	}
-	if predict(lo0) < thresholdDBm {
+	if predict(lo0) < core.ThresholdDBm {
 		return 0, nil
 	}
 	lo, hi := lo0, hi0
 	for i := 0; i < 80 && hi-lo > 1; i++ {
 		mid := (lo + hi) / 2
-		if predict(mid) >= thresholdDBm {
+		if predict(mid) >= core.ThresholdDBm {
 			lo = mid
 		} else {
 			hi = mid
@@ -118,21 +99,11 @@ func contourRadiusM(m rfenv.PathLossModel, tx rfenv.Transmitter, fMHz, rxH, thre
 	return (lo + hi) / 2, nil
 }
 
-// ContourRadiusM returns the protected-contour radius of the i-th
-// transmitter on ch (for reports).
-func (db *Database) ContourRadiusM(ch rfenv.Channel, i int) (float64, error) {
-	cs := db.radii[ch]
-	if i < 0 || i >= len(cs) {
-		return 0, fmt.Errorf("specdb: no contour %d on %v", i, ch)
-	}
-	return cs[i].radiusM, nil
-}
-
 // Available reports the database's answer to a white-space query: may a
 // portable device transmit on ch at p?
 func (db *Database) Available(ch rfenv.Channel, p geo.Point) bool {
 	for _, c := range db.radii[ch] {
-		if c.tx.Loc.DistanceM(p) <= c.radiusM+db.protectM {
+		if c.tx.Loc.DistanceM(p) <= c.radiusM+core.ProtectRadiusM {
 			return false
 		}
 	}
@@ -155,19 +126,4 @@ func sortChannels(chs []rfenv.Channel) {
 			chs[j], chs[j-1] = chs[j-1], chs[j]
 		}
 	}
-}
-
-// OverprotectionFactor compares the database's denied area around one
-// transmitter to a reference radius (e.g. the true decodable extent),
-// quantifying the paper's "up to 2× actual coverage" observation.
-func (db *Database) OverprotectionFactor(ch rfenv.Channel, i int, trueRadiusM float64) (float64, error) {
-	r, err := db.ContourRadiusM(ch, i)
-	if err != nil {
-		return 0, err
-	}
-	if trueRadiusM <= 0 {
-		return math.Inf(1), nil
-	}
-	denied := r + db.protectM
-	return (denied * denied) / (trueRadiusM * trueRadiusM), nil
 }

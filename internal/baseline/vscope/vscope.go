@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/geo"
 	"github.com/wsdetect/waldo/internal/ml/kmeans"
@@ -34,8 +35,6 @@ type Config struct {
 	ClusterK int
 	// ThresholdDBm is the protected-contour level; 0 means −84.
 	ThresholdDBm float64
-	// ProtectRadiusM is the portable separation; 0 means 6000.
-	ProtectRadiusM float64
 	// Seed drives clustering.
 	Seed int64
 }
@@ -58,7 +57,6 @@ type channelModel struct {
 
 // Model is a trained V-Scope instance covering one campaign area.
 type Model struct {
-	cfg    Config
 	proj   *geo.Projector
 	models map[rfenv.Channel]*channelModel
 }
@@ -81,9 +79,6 @@ func Train(readings map[rfenv.Channel][]dataset.Reading, cfg Config) (*Model, er
 	if cfg.ThresholdDBm == 0 {
 		cfg.ThresholdDBm = -84
 	}
-	if cfg.ProtectRadiusM == 0 {
-		cfg.ProtectRadiusM = 6000
-	}
 
 	var origin geo.Point
 	for _, rs := range readings {
@@ -94,7 +89,6 @@ func Train(readings map[rfenv.Channel][]dataset.Reading, cfg Config) (*Model, er
 		break
 	}
 	m := &Model{
-		cfg:    cfg,
 		proj:   geo.NewProjector(origin),
 		models: make(map[rfenv.Channel]*channelModel),
 	}
@@ -236,7 +230,7 @@ func (m *Model) Available(ch rfenv.Channel, p geo.Point) (bool, error) {
 		return false, fmt.Errorf("vscope: no model for %v", ch)
 	}
 	fit := cm.clusterAt(m.proj, p)
-	return cm.tx.Loc.DistanceM(p) > fit.contourM+m.cfg.ProtectRadiusM, nil
+	return cm.tx.Loc.DistanceM(p) > fit.contourM+core.ProtectRadiusM, nil
 }
 
 // clusterAt picks the fitted cluster covering p.
@@ -244,16 +238,4 @@ func (cm *channelModel) clusterAt(proj *geo.Projector, p geo.Point) clusterFit {
 	xy := proj.ToXY(p)
 	idx, _ := kmeans.Nearest(cm.centers, []float64{xy.X / 1000, xy.Y / 1000})
 	return cm.clusters[idx]
-}
-
-// FittedExponent exposes a cluster's fitted path-loss exponent (reports).
-func (m *Model) FittedExponent(ch rfenv.Channel, cluster int) (float64, error) {
-	cm, ok := m.models[ch]
-	if !ok {
-		return 0, fmt.Errorf("vscope: no model for %v", ch)
-	}
-	if cluster < 0 || cluster >= len(cm.clusters) {
-		return 0, fmt.Errorf("vscope: no cluster %d on %v", cluster, ch)
-	}
-	return cm.clusters[cluster].n, nil
 }

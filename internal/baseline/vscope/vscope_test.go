@@ -37,10 +37,7 @@ func TestTrainRecoversExponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := m.FittedExponent(30, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := m.models[30].clusters[0].n
 	if math.Abs(n-3.2) > 0.2 {
 		t.Errorf("fitted exponent = %v, want ≈3.2", n)
 	}
@@ -143,9 +140,6 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := m.PredictRSS(22, rfenv.MetroCenter); err == nil {
 		t.Error("prediction for untrained channel must fail")
 	}
-	if _, err := m.FittedExponent(30, 99); err == nil {
-		t.Error("bad cluster index must fail")
-	}
 }
 
 func TestExponentClamping(t *testing.T) {
@@ -165,10 +159,7 @@ func TestExponentClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := m.FittedExponent(30, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := m.models[30].clusters[0].n
 	if n < minExponent || n > maxExponent {
 		t.Errorf("exponent %v outside clamp range", n)
 	}

@@ -100,27 +100,14 @@ type cacheKey struct {
 }
 
 type cached struct {
-	model          *core.Model
-	version        string
-	etag           string
-	bytes          int
-	clusterVersion string
+	model   *core.Model
+	version string
+	etag    string
+	bytes   int
 }
 
-// clusterVersionHeader mirrors cluster.ClusterVersionHeader without
-// making the device-side client depend on the server-side cluster
-// package.
-const clusterVersionHeader = "X-Waldo-Cluster-Version"
-
-// New returns a client for the database at baseURL (e.g.
-// "http://localhost:8473") with default resilience. httpc may be nil for
-// a default client with a sane timeout (never http.DefaultClient).
-func New(baseURL string, httpc *http.Client) (*Client, error) {
-	return NewWithConfig(baseURL, Config{HTTPClient: httpc})
-}
-
-// NewWithConfig returns a client with explicit transport and resilience
-// parameters.
+// NewWithConfig returns a client for the database at baseURL (e.g.
+// "http://localhost:8473"); zero fields of cfg take their defaults.
 func NewWithConfig(baseURL string, cfg Config) (*Client, error) {
 	if baseURL == "" {
 		return nil, fmt.Errorf("client: empty base URL")
@@ -277,10 +264,6 @@ func rejected(what string, resp *http.Response) error {
 	return fmt.Errorf("client: %s: %s: %s", what, resp.Status, bytes.TrimSpace(msg))
 }
 
-// BreakerState returns the circuit breaker's current state as a string
-// ("closed", "half_open", "open") for diagnostics.
-func (c *Client) BreakerState() string { return c.brk.State().String() }
-
 // SetLocationHint attaches the device's position to subsequent model,
 // refresh, and retrain requests as lat/lon query parameters. Against a
 // single dbserver the extra parameters are ignored; against a cluster
@@ -422,11 +405,10 @@ func (c *Client) install(key cacheKey, resp *http.Response) (*core.Model, int, e
 	}
 	c.mu.Lock()
 	c.cache[key] = cached{
-		model:          m,
-		version:        resp.Header.Get("X-Waldo-Model-Version"),
-		etag:           resp.Header.Get("ETag"),
-		bytes:          len(raw),
-		clusterVersion: resp.Header.Get(clusterVersionHeader),
+		model:   m,
+		version: resp.Header.Get("X-Waldo-Model-Version"),
+		etag:    resp.Header.Get("ETag"),
+		bytes:   len(raw),
 	}
 	c.mu.Unlock()
 	return m, len(raw), nil
@@ -441,24 +423,6 @@ func (c *Client) CachedModelVersion(ch rfenv.Channel, kind sensor.Kind) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cache[cacheKey{ch, kind}].version
-}
-
-// CachedClusterVersion returns the cluster routing-configuration
-// fingerprint that accompanied the cached descriptor (the gateway's
-// X-Waldo-Cluster-Version), or "" when nothing is cached or the model
-// came from a standalone dbserver. A fleet that sees this change knows
-// the cluster was re-ringed and cached placements may be stale.
-func (c *Client) CachedClusterVersion(ch rfenv.Channel, kind sensor.Kind) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cache[cacheKey{ch, kind}].clusterVersion
-}
-
-// Invalidate drops a cached model (e.g. after leaving the area).
-func (c *Client) Invalidate(ch rfenv.Channel, kind sensor.Kind) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.cache, cacheKey{ch, kind})
 }
 
 // Upload submits a reading batch to the Global Model Updater as one

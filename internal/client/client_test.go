@@ -57,7 +57,7 @@ func newTestWorld(t *testing.T, channels []rfenv.Channel) *testWorld {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	c, err := New(ts.URL, ts.Client())
+	c, err := NewWithConfig(ts.URL, Config{HTTPClient: ts.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func newTestWorld(t *testing.T, channels []rfenv.Channel) *testWorld {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New("", nil); err == nil {
+	if _, err := NewWithConfig("", Config{}); err == nil {
 		t.Error("empty URL must fail")
 	}
 }
@@ -87,7 +87,7 @@ func TestModelFetchAndCache(t *testing.T) {
 	if m2 != m || size2 != 0 {
 		t.Errorf("cache miss on second fetch (size=%d)", size2)
 	}
-	w.client.Invalidate(47, sensor.KindRTLSDR)
+	forget(w.client, 47, sensor.KindRTLSDR)
 	_, size3, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +99,14 @@ func TestModelFetchAndCache(t *testing.T) {
 	if _, _, err := w.client.Model(context.Background(), 30, sensor.KindRTLSDR); err == nil {
 		t.Error("fetch of unknown channel must fail")
 	}
+}
+
+// forget drops the client's cached model for ch and kind, as a device
+// that never fetched it.
+func forget(c *Client, ch rfenv.Channel, kind sensor.Kind) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.cache, cacheKey{ch, kind})
 }
 
 func TestRefreshRevalidates(t *testing.T) {
@@ -133,7 +141,7 @@ func TestRefreshRevalidates(t *testing.T) {
 		t.Fatal("refresh returned nil model")
 	}
 	// Refresh with nothing cached degrades to a plain fetch.
-	w.client.Invalidate(47, sensor.KindRTLSDR)
+	forget(w.client, 47, sensor.KindRTLSDR)
 	if _, size4, err := w.client.Refresh(context.Background(), 47, sensor.KindRTLSDR); err != nil || size4 == 0 {
 		t.Errorf("cold refresh: size=%d err=%v", size4, err)
 	}
@@ -174,7 +182,7 @@ func TestUploadBinary(t *testing.T) {
 		w.server.Handler().ServeHTTP(rw, r)
 	}))
 	t.Cleanup(ts.Close)
-	c, err := New(ts.URL, ts.Client())
+	c, err := NewWithConfig(ts.URL, Config{HTTPClient: ts.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +215,7 @@ func TestUploadBinaryRejected(t *testing.T) {
 		http.Error(rw, "span over alpha'", http.StatusUnprocessableEntity)
 	}))
 	t.Cleanup(ts.Close)
-	c, err := New(ts.URL, ts.Client())
+	c, err := NewWithConfig(ts.URL, Config{HTTPClient: ts.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}

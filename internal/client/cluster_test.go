@@ -67,36 +67,3 @@ func TestLocationHintOnWire(t *testing.T) {
 		t.Errorf("retrain query = %q, want lat/lon hint", proxy.last(t).RawQuery)
 	}
 }
-
-// TestCachedClusterVersion: the gateway's cluster-version header rides
-// along into the model cache; absent (plain dbserver), it stays "".
-func TestCachedClusterVersion(t *testing.T) {
-	w := newTestWorld(t, []rfenv.Channel{47})
-	const fp = "00c0ffee00c0ffee"
-	stamping := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set(clusterVersionHeader, fp)
-		w.server.Handler().ServeHTTP(rw, r)
-	})
-	ts := httptest.NewServer(stamping)
-	t.Cleanup(ts.Close)
-	c, err := New(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.CachedClusterVersion(47, sensor.KindRTLSDR); got != "" {
-		t.Errorf("cluster version before any fetch = %q", got)
-	}
-	if _, _, err := c.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.CachedClusterVersion(47, sensor.KindRTLSDR); got != fp {
-		t.Errorf("cached cluster version = %q, want %q", got, fp)
-	}
-	// Against the plain (unstamped) dbserver the field stays empty.
-	if _, _, err := w.client.Model(context.Background(), 47, sensor.KindRTLSDR); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.client.CachedClusterVersion(47, sensor.KindRTLSDR); got != "" {
-		t.Errorf("standalone server produced cluster version %q", got)
-	}
-}

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -98,19 +97,6 @@ const (
 	breakerOpen
 )
 
-// String implements fmt.Stringer.
-func (s breakerState) String() string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case breakerHalfOpen:
-		return "half_open"
-	case breakerOpen:
-		return "open"
-	}
-	return fmt.Sprintf("breakerState(%d)", int(s))
-}
-
 // breaker is a consecutive-failure circuit breaker. Closed counts
 // failures; Threshold consecutive ones open it. Open rejects instantly
 // for Cooldown, then admits a single half-open probe whose outcome
@@ -139,14 +125,6 @@ func newBreaker(policy BreakerPolicy, now func() time.Time) *breaker {
 		now = time.Now
 	}
 	return &breaker{policy: policy, now: now}
-}
-
-// State returns the current state (refreshing open → half-open on
-// cooldown expiry is left to allow; State is a pure read).
-func (b *breaker) State() breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }
 
 func (b *breaker) setState(s breakerState) {

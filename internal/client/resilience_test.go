@@ -64,7 +64,7 @@ func uploadOnce(t *testing.T, c *Client) error {
 }
 
 func TestNewAvoidsDefaultClient(t *testing.T) {
-	c, err := New("http://localhost:1", nil)
+	c, err := NewWithConfig("http://localhost:1", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +196,13 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 	}
 }
 
+// breakerName reads the client's breaker state under its lock, by name.
+func breakerName(c *Client) string {
+	c.brk.mu.Lock()
+	defer c.brk.mu.Unlock()
+	return [...]string{breakerClosed: "closed", breakerHalfOpen: "half_open", breakerOpen: "open"}[c.brk.state]
+}
+
 func TestBreakerStateTransitions(t *testing.T) {
 	now := time.Unix(1700000000, 0)
 	clock := func() time.Time { return now }
@@ -231,7 +238,7 @@ func TestBreakerStateTransitions(t *testing.T) {
 			t.Fatal("failing server returned no error")
 		}
 	}
-	if got := c.BreakerState(); got != "open" {
+	if got := breakerName(c); got != "open" {
 		t.Fatalf("state after %d failures = %q, want open", 3, got)
 	}
 
@@ -254,7 +261,7 @@ func TestBreakerStateTransitions(t *testing.T) {
 	if err := uploadOnce(t, c); err == nil {
 		t.Fatal("probe against failing server returned no error")
 	}
-	if got := c.BreakerState(); got != "open" {
+	if got := breakerName(c); got != "open" {
 		t.Fatalf("state after failed probe = %q, want open", got)
 	}
 
@@ -264,7 +271,7 @@ func TestBreakerStateTransitions(t *testing.T) {
 	if err := uploadOnce(t, c); err != nil {
 		t.Fatalf("probe against recovered server: %v", err)
 	}
-	if got := c.BreakerState(); got != "closed" {
+	if got := breakerName(c); got != "closed" {
 		t.Fatalf("state after successful probe = %q, want closed", got)
 	}
 	if got := reg.Counter("waldo_client_breaker_transitions_total", "", "to", "open").Value(); got != 2 {

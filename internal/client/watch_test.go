@@ -192,7 +192,7 @@ func TestWatchUnderFaults(t *testing.T) {
 					}
 				}
 				if !f.opens {
-					if got := c.BreakerState(); got != "closed" || toOpen.Value() != 0 {
+					if got := breakerName(c); got != "closed" || toOpen.Value() != 0 {
 						t.Errorf("breaker = %q after %d opens, want closed and 0", got, toOpen.Value())
 					}
 					if v := c.CachedModelVersion(47, sensor.KindRTLSDR); v != "1" {
@@ -200,7 +200,7 @@ func TestWatchUnderFaults(t *testing.T) {
 					}
 					return
 				}
-				if got := c.BreakerState(); got != "open" || toOpen.Value() != 1 {
+				if got := breakerName(c); got != "open" || toOpen.Value() != 1 {
 					t.Fatalf("breaker = %q after %d opens, want open and 1", got, toOpen.Value())
 				}
 				// Open: fail fast without touching the network.
@@ -215,7 +215,7 @@ func TestWatchUnderFaults(t *testing.T) {
 				if err := ex.run(c); err != nil {
 					t.Fatalf("probe after cooldown: %v", err)
 				}
-				if got := c.BreakerState(); got != "closed" {
+				if got := breakerName(c); got != "closed" {
 					t.Errorf("state after successful probe = %q, want closed", got)
 				}
 				if got := reg.Counter("waldo_client_breaker_transitions_total", "", "to", "closed").Value(); got != 1 {
@@ -309,7 +309,7 @@ func TestWatchModelDelivers(t *testing.T) {
 func TestWatchModelRearms(t *testing.T) {
 	env := newTestWorld(t, []rfenv.Channel{47})
 	srv := dbserverWithWatchTimeout(t, env, 20*time.Millisecond)
-	c, err := New(srv.URL, srv.Client())
+	c, err := NewWithConfig(srv.URL, Config{HTTPClient: srv.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}

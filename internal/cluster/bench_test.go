@@ -60,9 +60,12 @@ func benchGateway(b *testing.B) *httptest.Server {
 // The four upload benchmarks send the same 50-reading batch: in each
 // edge format, straight at a single shard node and through a gateway
 // (probe → route → forward; for JSON, decode and re-encode as a frame
-// first). Direct vs gateway is the routing tier's cost — the acceptance
-// bar is < 2× direct per op — and JSON vs frame through the gateway is
-// the transcode's. Run them at a fixed iteration count — `go test -run
+// first). Direct vs gateway is the routing tier's cost: a single-owner
+// frame is forwarded byte for byte, so the ratio measures the second
+// HTTP hop. No test checks it (2.2–3.3× direct per op at -cpu 1 on
+// 2 vCPUs; ROADMAP item 29(b) would make it a budget). JSON vs frame
+// through the gateway is the transcode's cost. Run them at a fixed
+// iteration count — `go test -run
 // '^$' -bench Upload -benchtime 3000x ./internal/cluster/`: per-op cost
 // grows with store size, so a time-based -benchtime would compare
 // direct and gateway on different stores.

@@ -24,8 +24,8 @@ import (
 )
 
 // ClusterVersionHeader carries the gateway's routing-configuration
-// fingerprint (see ConfigVersion) on every proxied response. Clients
-// cache it next to model descriptors to notice a re-ringed cluster.
+// fingerprint (see ConfigVersion) on every proxied response, so a caller
+// can notice a re-ringed cluster.
 const ClusterVersionHeader = "X-Waldo-Cluster-Version"
 
 // ShardHeader names the shard(s) that served a proxied request. Single-

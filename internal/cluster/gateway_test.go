@@ -518,7 +518,7 @@ func TestWatchModelCrossesShards(t *testing.T) {
 			t.Fatalf("retrain at s0 = %s", resp.Status)
 		}
 	}
-	c, err := client.New(tc.gwTS.URL, nil)
+	c, err := client.NewWithConfig(tc.gwTS.URL, client.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

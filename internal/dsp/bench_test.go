@@ -14,36 +14,9 @@ func benchSignal(n int) []complex128 {
 	return x
 }
 
-// BenchmarkFFT256 is the per-capture cost on the mobile WSD (256 I/Q
-// samples per reading, §2.1).
-func BenchmarkFFT256(b *testing.B) {
-	x := benchSignal(256)
-	buf := make([]complex128, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		if err := FFT(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFFT4096(b *testing.B) {
-	x := benchSignal(4096)
-	buf := make([]complex128, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		if err := FFT(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPowerSpectrum256 is the full per-capture feature-extraction
-// front end: copy, FFT, and |X[k]|²/N² into a caller buffer. With the
+// BenchmarkPowerSpectrum256 is the full transform at the per-capture
+// size on the mobile WSD (256 I/Q samples per reading, §2.1): FFT and
+// |X[k]|²/N² into a caller buffer. With the
 // pooled scratch buffer and cached twiddle factors it is alloc-free.
 func BenchmarkPowerSpectrum256(b *testing.B) {
 	x := benchSignal(256)

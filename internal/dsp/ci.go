@@ -64,8 +64,3 @@ func NormalQuantile(p float64) float64 {
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
 }
-
-// NormalCDF returns P(Z ≤ x) for a standard normal Z.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}

@@ -66,23 +66,6 @@ func (e *ECDF) Max() float64 {
 	return e.sorted[len(e.sorted)-1]
 }
 
-// Series samples the CDF at n evenly spaced x positions across the sample
-// range, returning (x, F(x)) pairs suitable for plotting or table output.
-func (e *ECDF) Series(n int) (xs, fs []float64) {
-	if len(e.sorted) == 0 || n < 2 {
-		return nil, nil
-	}
-	lo, hi := e.Min(), e.Max()
-	xs = make([]float64, n)
-	fs = make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		xs[i] = x
-		fs[i] = e.At(x)
-	}
-	return xs, fs
-}
-
 // RenderQuantiles formats a compact quantile table (p10/p25/p50/p75/p90)
 // with the given value unit, used in experiment reports.
 func (e *ECDF) RenderQuantiles(unit string) string {

@@ -1,7 +1,8 @@
 // Package dsp implements the signal-processing primitives the Waldo
-// pipeline needs: a radix-2 FFT, window functions, summary statistics,
-// percentile and confidence-interval machinery, empirical CDFs, and the
-// special functions backing ANOVA p-values.
+// pipeline needs: a radix-2 FFT behind the capture kernel and the power
+// spectrum, summary statistics, percentile and confidence-interval
+// machinery, empirical CDFs, and the special functions backing ANOVA
+// p-values.
 //
 // Everything is deterministic and allocation-conscious: feature extraction
 // runs once per I/Q capture on the mobile white-space device, so the FFT and
@@ -17,37 +18,18 @@ import (
 	"sync/atomic"
 )
 
-// FFT computes the in-place radix-2 decimation-in-time FFT of x.
-// len(x) must be a power of two. The transform is unnormalized
-// (X[k] = Σ x[n]·e^{-2πi kn/N}).
-func FFT(x []complex128) error {
-	return fft(x, false)
-}
-
-// IFFT computes the in-place inverse FFT of x, normalized by 1/N so that
-// IFFT(FFT(x)) == x. len(x) must be a power of two.
-func IFFT(x []complex128) error {
-	if err := fft(x, true); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-	return nil
-}
-
-// fftPlan holds what every transform of one size shares: the forward
-// twiddle factors e^{-2πi k/n} for k < n/2, their conjugates for the
-// inverse transform, and the bit-reversal permutation. Feature extraction
-// runs one transform per capture on the mobile hot path, so a plan is
-// computed once per process and looked up lock- and allocation-free
-// afterwards. Each twiddle is evaluated directly from its angle, which is
-// more accurate than the incremental w *= wStep recurrence.
+// fftPlan holds what every transform of one size shares: the twiddle
+// factors e^{-2πi k/n} for k < n/2 and the bit-reversal permutation of
+// the unnormalized transform X[k] = Σ x[n]·e^{-2πi kn/N}. Feature
+// extraction runs one transform per capture on the mobile hot path, so a
+// plan is computed once per process and looked up lock- and
+// allocation-free afterwards. Each twiddle is evaluated directly from its
+// angle, which is more accurate than the incremental w *= wStep
+// recurrence.
 type fftPlan struct {
-	stages    int // log2(n)
-	tw, twInv []complex128
-	rev       []int32
+	stages int // log2(n)
+	tw     []complex128
+	rev    []int32
 }
 
 // fftPlans caches one plan per power-of-two size, indexed by log2(n).
@@ -67,14 +49,11 @@ func planFor(n int) (*fftPlan, error) {
 	p := &fftPlan{
 		stages: idx,
 		tw:     make([]complex128, n/2),
-		twInv:  make([]complex128, n/2),
 		rev:    make([]int32, n),
 	}
 	for k := range p.tw {
 		ang := -2 * math.Pi * float64(k) / float64(n)
-		w := complex(math.Cos(ang), math.Sin(ang))
-		p.tw[k] = w
-		p.twInv[k] = complex(real(w), -imag(w))
+		p.tw[k] = complex(math.Cos(ang), math.Sin(ang))
 	}
 	shift := 64 - uint(idx)
 	for i := 1; i < n; i++ { // n = 1 would shift by 64; rev[0] is 0 anyway
@@ -84,33 +63,14 @@ func planFor(n int) (*fftPlan, error) {
 	return p, nil
 }
 
-func fft(x []complex128, inverse bool) error {
-	if len(x) == 0 {
-		return nil
-	}
-	p, err := planFor(len(x))
-	if err != nil {
-		return err
-	}
-	tw := p.tw
-	if inverse {
-		tw = p.twInv
-	}
-	bufp, buf := scratch(len(x))
-	p.transform(buf, x, tw, p.stages)
-	copy(x, buf)
-	fftScratch.Put(bufp)
-	return nil
-}
-
 // transform writes to dst the first `stages` radix-2 decimation-in-time
 // stages of the len(src)-point transform of src — all log2(n) of them for
 // the full transform, p.stages — and returns Σ|src[i]|², accumulated in
-// index order. tw is the plan's forward or inverse twiddle table. dst and
-// src must not overlap.
+// index order. tw is the plan's twiddle table. dst and src must not
+// overlap.
 //
-// This is the one butterfly implementation behind FFT, IFFT,
-// PowerSpectrumInto and PilotBand, and it follows the kernel rule
+// This is the one butterfly implementation behind PowerSpectrumInto and
+// PilotBand, and it follows the kernel rule
 // (DESIGN.md §8): every output is produced by the same operations on the
 // same operands in the same order as the textbook loop in fft_test.go
 // (v = x[k+half]·w; x[k], x[k+half] = u+v, u−v), with one exception —
@@ -235,16 +195,6 @@ func scratch(n int) (*[]complex128, []complex128) {
 	return bufp, (*bufp)[:n]
 }
 
-// PowerSpectrum returns the per-bin power |X[k]|²/N² of the FFT of x,
-// leaving x untouched. Bins are returned in standard FFT order (DC first).
-func PowerSpectrum(x []complex128) ([]float64, error) {
-	ps := make([]float64, len(x))
-	if err := PowerSpectrumInto(ps, x); err != nil {
-		return nil, err
-	}
-	return ps, nil
-}
-
 // PowerSpectrumInto computes the power spectrum of x into dst, which must
 // have the same length, leaving x untouched. It allocates nothing in
 // steady state: the FFT work buffer comes from a pool and the twiddle
@@ -274,16 +224,4 @@ func PowerSpectrumInto(dst []float64, x []complex128) error {
 func binPower(c complex128, n float64) float64 {
 	re, im := real(c), imag(c)
 	return (re*re + im*im) / (n * n)
-}
-
-// FFTShift reorders a spectrum so that DC sits at the center bin, the usual
-// presentation for baseband captures where the channel center (and the ATSC
-// pilot offset) is referenced to the middle of the band.
-func FFTShift(ps []float64) []float64 {
-	n := len(ps)
-	out := make([]float64, n)
-	half := (n + 1) / 2
-	copy(out, ps[half:])
-	copy(out[n-half:], ps[:half])
-	return out
 }

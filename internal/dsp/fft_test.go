@@ -9,12 +9,13 @@ import (
 	"testing/quick"
 )
 
-// referenceFFT is the textbook radix-2 decimation-in-time loop FFT and
-// IFFT ran until the stage-fused transform replaced it: bit-reversal
-// swaps, then one stage at a time, every butterfly multiplying by its
-// twiddle — evaluated here from its angle, not read from the plan. It is
-// the oracle the kernel rule (DESIGN.md §8) is checked against.
-func referenceFFT(x []complex128, inverse bool) {
+// referenceFFT is the textbook radix-2 decimation-in-time loop the
+// forward transform ran until the stage-fused transform replaced it:
+// bit-reversal swaps, then one stage at a time, every butterfly
+// multiplying by its twiddle — evaluated here from its angle, not read
+// from the plan. It is the oracle the kernel rule (DESIGN.md §8) is
+// checked against.
+func referenceFFT(x []complex128) {
 	n := len(x)
 	if n < 2 {
 		return
@@ -37,9 +38,6 @@ func referenceFFT(x []complex128, inverse bool) {
 		for start := 0; start < n; start += size {
 			for j := 0; j < half; j++ {
 				w := tw[j*stride]
-				if inverse {
-					w = complex(real(w), -imag(w))
-				}
 				k := start + j
 				u := x[k]
 				v := x[k+half] * w
@@ -57,6 +55,19 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
 }
 
+// forward is the full transform of x as the package runs it: the plan's
+// table, all of its stages, into a fresh slice.
+func forward(t testing.TB, x []complex128) []complex128 {
+	t.Helper()
+	p, err := planFor(len(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]complex128, len(x))
+	p.transform(out, x, p.tw, p.stages)
+	return out
+}
+
 func randomCapture(rng *rand.Rand, n int) []complex128 {
 	x := make([]complex128, n)
 	scale := math.Pow(10, 6*rng.Float64()-6)
@@ -67,8 +78,8 @@ func randomCapture(rng *rand.Rand, n int) []complex128 {
 }
 
 // TestFFTMatchesReference: the rebuilt transform is bit-equal to the
-// textbook loop at every size, both directions, and so are the powers
-// PowerSpectrumInto derives from it.
+// textbook loop at every size, and so are the powers PowerSpectrumInto
+// derives from it.
 func TestFFTMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for n := 1; n <= 4096; n *= 2 {
@@ -77,23 +88,16 @@ func TestFFTMatchesReference(t *testing.T) {
 			if rep == 0 {
 				x = make([]complex128, n) // all-zero
 			}
-			for _, inverse := range []bool{false, true} {
-				want := append([]complex128(nil), x...)
-				referenceFFT(want, inverse)
-				got := append([]complex128(nil), x...)
-				if err := fft(got, inverse); err != nil {
-					t.Fatal(err)
-				}
-				for i := range want {
-					if !sameBits(real(got[i]), real(want[i])) || !sameBits(imag(got[i]), imag(want[i])) {
-						t.Fatalf("n=%d inverse=%v bin %d: %v, reference %v", n, inverse, i, got[i], want[i])
-					}
+			want := append([]complex128(nil), x...)
+			referenceFFT(want)
+			got := forward(t, x)
+			for i := range want {
+				if !sameBits(real(got[i]), real(want[i])) || !sameBits(imag(got[i]), imag(want[i])) {
+					t.Fatalf("n=%d bin %d: %v, reference %v", n, i, got[i], want[i])
 				}
 			}
-			want := append([]complex128(nil), x...)
-			referenceFFT(want, false)
-			ps, err := PowerSpectrum(x)
-			if err != nil {
+			ps := make([]float64, n)
+			if err := PowerSpectrumInto(ps, x); err != nil {
 				t.Fatal(err)
 			}
 			for i, c := range want {
@@ -109,19 +113,18 @@ func TestFFTMatchesReference(t *testing.T) {
 func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 	for _, n := range []int{3, 5, 6, 7, 100} {
 		x := make([]complex128, n)
-		if err := FFT(x); err == nil {
-			t.Errorf("FFT(len=%d) should fail", n)
+		if err := PowerSpectrumInto(make([]float64, n), x); err == nil {
+			t.Errorf("transform of length %d should fail", n)
 		}
 	}
 }
 
 func TestFFTEmptyAndSingle(t *testing.T) {
-	if err := FFT(nil); err != nil {
-		t.Errorf("FFT(nil) = %v", err)
+	if err := PowerSpectrumInto(nil, nil); err != nil {
+		t.Errorf("empty spectrum: %v", err)
 	}
-	x := []complex128{3 + 4i}
-	if err := FFT(x); err != nil || x[0] != 3+4i {
-		t.Errorf("FFT single = %v, %v", x, err)
+	if x := forward(t, []complex128{3 + 4i}); x[0] != 3+4i {
+		t.Errorf("single-point transform = %v", x)
 	}
 }
 
@@ -129,10 +132,7 @@ func TestFFTImpulse(t *testing.T) {
 	// FFT of unit impulse is all ones.
 	x := make([]complex128, 16)
 	x[0] = 1
-	if err := FFT(x); err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range x {
+	for k, v := range forward(t, x) {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Errorf("bin %d = %v, want 1", k, v)
 		}
@@ -147,10 +147,7 @@ func TestFFTSingleTone(t *testing.T) {
 		ang := 2 * math.Pi * float64(k) * float64(i) / float64(n)
 		x[i] = cmplx.Exp(complex(0, ang))
 	}
-	if err := FFT(x); err != nil {
-		t.Fatal(err)
-	}
-	for bin, v := range x {
+	for bin, v := range forward(t, x) {
 		mag := cmplx.Abs(v)
 		if bin == k {
 			if math.Abs(mag-float64(n)) > 1e-9 {
@@ -158,29 +155,6 @@ func TestFFTSingleTone(t *testing.T) {
 			}
 		} else if mag > 1e-9 {
 			t.Errorf("bin %d magnitude = %v, want ~0", bin, mag)
-		}
-	}
-}
-
-func TestFFTIFFTRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{2, 8, 64, 256, 1024} {
-		x := make([]complex128, n)
-		orig := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			orig[i] = x[i]
-		}
-		if err := FFT(x); err != nil {
-			t.Fatal(err)
-		}
-		if err := IFFT(x); err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if cmplx.Abs(x[i]-orig[i]) > 1e-10 {
-				t.Fatalf("n=%d round trip failed at %d: %v vs %v", n, i, x[i], orig[i])
-			}
 		}
 	}
 }
@@ -196,11 +170,8 @@ func TestFFTParseval(t *testing.T) {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			timeEnergy += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
 		}
-		if err := FFT(x); err != nil {
-			return false
-		}
 		var freqEnergy float64
-		for _, v := range x {
+		for _, v := range forward(t, x) {
 			freqEnergy += real(v)*real(v) + imag(v)*imag(v)
 		}
 		freqEnergy /= n
@@ -217,8 +188,8 @@ func TestPowerSpectrumDC(t *testing.T) {
 	for i := range x {
 		x[i] = 2
 	}
-	ps, err := PowerSpectrum(x)
-	if err != nil {
+	ps := make([]float64, len(x))
+	if err := PowerSpectrumInto(ps, x); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(ps[0]-4) > 1e-12 {
@@ -232,34 +203,25 @@ func TestPowerSpectrumDC(t *testing.T) {
 	// Input must be untouched.
 	for i := range x {
 		if x[i] != 2 {
-			t.Fatal("PowerSpectrum mutated its input")
+			t.Fatal("PowerSpectrumInto mutated its input")
 		}
 	}
 }
 
 // TestFFTZeroAlloc pins the hot-path allocation contract: once the
-// twiddle table for a size exists and the scratch pool is warm, neither
-// FFT nor PowerSpectrumInto allocates. This is what BenchmarkFFT256's
-// 0 allocs/op measures; the test makes it a hard failure instead of a
-// benchmark regression.
+// twiddle table for a size exists and the scratch pool is warm,
+// PowerSpectrumInto allocates nothing. This is what
+// BenchmarkPowerSpectrum256's 0 allocs/op measures; the test makes it a
+// hard failure instead of a benchmark regression.
 func TestFFTZeroAlloc(t *testing.T) {
 	x := make([]complex128, 256)
 	for i := range x {
 		x[i] = complex(float64(i%7), float64(i%3))
 	}
-	buf := make([]complex128, 256)
 	dst := make([]float64, 256)
 	// Warm the twiddle cache and scratch pool.
 	if err := PowerSpectrumInto(dst, x); err != nil {
 		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		copy(buf, x)
-		if err := FFT(buf); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("FFT allocs/op = %v, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if err := PowerSpectrumInto(dst, x); err != nil {
@@ -276,20 +238,5 @@ func TestPowerSpectrumIntoValidation(t *testing.T) {
 	}
 	if err := PowerSpectrumInto(nil, nil); err != nil {
 		t.Errorf("empty input: %v", err)
-	}
-}
-
-func TestFFTShift(t *testing.T) {
-	ps := []float64{0, 1, 2, 3, 4, 5, 6, 7}
-	shifted := FFTShift(ps)
-	want := []float64{4, 5, 6, 7, 0, 1, 2, 3}
-	for i := range want {
-		if shifted[i] != want[i] {
-			t.Fatalf("FFTShift = %v, want %v", shifted, want)
-		}
-	}
-	// DC (index 0) must land at the center bin n/2.
-	if shifted[4] != 0 {
-		t.Errorf("DC bin not centered: %v", shifted)
 	}
 }

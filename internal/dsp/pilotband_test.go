@@ -17,7 +17,7 @@ func referencePilotBand(samples []complex128, width int) (energy, center, band f
 	}
 	energy = sum / float64(n)
 	x := append([]complex128(nil), samples...)
-	referenceFFT(x, false)
+	referenceFFT(x)
 	nn := float64(n)
 	power := func(k int) float64 {
 		re, im := real(x[k]), imag(x[k])

@@ -4,7 +4,8 @@ import "math"
 
 // RegularizedIncompleteBeta computes I_x(a, b), the regularized incomplete
 // beta function, via the Lentz continued-fraction expansion. It underpins
-// the F-distribution CDF used for ANOVA p-values in feature selection.
+// the F-distribution survival function used for ANOVA p-values in
+// feature selection.
 // Returns NaN for invalid parameters.
 func RegularizedIncompleteBeta(a, b, x float64) float64 {
 	switch {
@@ -60,15 +61,6 @@ func RegularizedIncompleteBeta(a, b, x float64) float64 {
 		}
 	}
 	return front * (f - 1) // ran out of iterations; best effort
-}
-
-// FDistCDF returns P(F ≤ x) for an F distribution with (d1, d2) degrees of
-// freedom.
-func FDistCDF(x, d1, d2 float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return RegularizedIncompleteBeta(d1/2, d2/2, d1*x/(d1*x+d2))
 }
 
 // FDistSurvival returns P(F > x), the ANOVA p-value for an observed F

@@ -92,9 +92,6 @@ func Summarize(xs []float64) FiveNumber {
 	}
 }
 
-// IQR returns the interquartile range Q3−Q1.
-func (f FiveNumber) IQR() float64 { return f.Q3 - f.Q1 }
-
 // Pearson returns the Pearson correlation coefficient between xs and ys.
 // Returns NaN if the lengths differ, fewer than two samples are given, or
 // either series is constant.

@@ -220,12 +220,6 @@ func (r *Fig14Result) ErrorCDFAt(frac float64) *dsp.ECDF {
 	return dsp.NewECDF(vals)
 }
 
-// MeanErrorAt averages error over all configurations at a fraction.
-func (r *Fig14Result) MeanErrorAt(frac float64) float64 {
-	e := r.ErrorCDFAt(frac)
-	return e.Mean()
-}
-
 // Render implements the experiment report.
 func (r *Fig14Result) Render() string {
 	var b strings.Builder

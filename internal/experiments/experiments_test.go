@@ -388,9 +388,9 @@ func TestRendersNonEmpty(t *testing.T) {
 		t.Error("render header missing")
 	}
 	// More data should help on average (allowing small noise).
-	if res.MeanErrorAt(1.0) > res.MeanErrorAt(0.25)+0.02 {
+	if res.ErrorCDFAt(1.0).Mean() > res.ErrorCDFAt(0.25).Mean()+0.02 {
 		t.Errorf("error at full data (%v) should not exceed error at 25%% (%v)",
-			res.MeanErrorAt(1.0), res.MeanErrorAt(0.25))
+			res.ErrorCDFAt(1.0).Mean(), res.ErrorCDFAt(0.25).Mean())
 	}
 
 	f15, err := s.Fig15AntennaCorrection()

@@ -56,11 +56,11 @@ func (s *Suite) AblationInterpolation() (*InterpolationResult, error) {
 			}
 		}
 
-		km, err := kriging.Fit(train, kriging.Config{})
+		km, err := kriging.Fit(train)
 		if err != nil {
 			return nil, fmt.Errorf("interp %v kriging: %w", ch, err)
 		}
-		idw, err := kriging.FitIDW(train, kriging.Config{}, 0)
+		idw, err := kriging.FitIDW(train)
 		if err != nil {
 			return nil, fmt.Errorf("interp %v idw: %w", ch, err)
 		}

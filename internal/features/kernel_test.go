@@ -7,25 +7,36 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/wsdetect/waldo/internal/dsp"
 	"github.com/wsdetect/waldo/internal/iq"
 	"github.com/wsdetect/waldo/internal/sensor"
 )
 
 // referenceSignal is feature extraction as it was before dsp.PilotBand:
-// the energy detector, then the full shifted power spectrum, then the two
-// reads of it. FromObservation must agree with it bit for bit.
+// the energy detector, then the full power spectrum shifted DC to the
+// centre bin (a half swap: captures are a power of two long), then the
+// two reads of it. FromObservation must agree with it bit for bit.
 func referenceSignal(obs sensor.Observation, cal sensor.Calibration) (Signal, error) {
-	if len(obs.IQ) == 0 {
+	n := len(obs.IQ)
+	if n == 0 {
 		return Signal{}, fmt.Errorf("features: empty capture")
 	}
-	spec, err := iq.NewSpectrum(obs.IQ)
-	if err != nil {
+	bins := make([]float64, n)
+	if err := dsp.PowerSpectrumInto(bins, obs.IQ); err != nil {
 		return Signal{}, fmt.Errorf("features: %w", err)
+	}
+	for i := 0; i < n/2; i++ {
+		bins[i], bins[i+n/2] = bins[i+n/2], bins[i]
+	}
+	w := iq.CenterBandBins(n, CenterBandFrac)
+	var band float64
+	for _, v := range bins[n/2-w/2 : n/2-w/2+w] {
+		band += v
 	}
 	return Signal{
 		RSSdBm: cal.Apply(iq.MWToDBm(iq.EnergyMW(obs.IQ))) + iq.CaptureCorrectionDB(),
-		CFTdB:  cal.Apply(iq.MWToDBm(spec.CenterBinMW())),
-		AFTdB:  cal.Apply(iq.MWToDBm(spec.CenterBandMeanMW(CenterBandFrac))),
+		CFTdB:  cal.Apply(iq.MWToDBm(bins[n/2])),
+		AFTdB:  cal.Apply(iq.MWToDBm(band / float64(w))),
 	}, nil
 }
 

@@ -36,11 +36,3 @@ func (b BBox) Center() Point {
 func (b BBox) Corners() (sw, ne Point) {
 	return Point{Lat: b.MinLat, Lon: b.MinLon}, Point{Lat: b.MaxLat, Lon: b.MaxLon}
 }
-
-// Expand grows the box by marginM meters on every side.
-func (b BBox) Expand(marginM float64) BBox {
-	sw, ne := b.Corners()
-	sw = sw.Offset(180, marginM).Offset(270, marginM)
-	ne = ne.Offset(0, marginM).Offset(90, marginM)
-	return BBox{MinLat: sw.Lat, MinLon: sw.Lon, MaxLat: ne.Lat, MaxLon: ne.Lon}
-}

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"github.com/wsdetect/waldo/internal/dsp"
 )
 
 // Standard capture geometry used across the system.
@@ -139,57 +137,6 @@ func EnergyMW(samples []complex128) float64 {
 	return sum / float64(len(samples))
 }
 
-// Spectrum holds the FFT-shifted power spectrum of a capture, with the
-// capture center (pilot region) at the middle bin. Feature extraction
-// reads its three features through dsp.PilotBand without building one;
-// Spectrum is the full-spectrum reference that kernel is tested against,
-// and what plots and analyses of whole captures use.
-type Spectrum struct {
-	Bins []float64 // power per bin, mW
-}
-
-// NewSpectrum computes the shifted power spectrum of a capture.
-func NewSpectrum(samples []complex128) (*Spectrum, error) {
-	bins := make([]float64, len(samples))
-	if err := dsp.PowerSpectrumInto(bins, samples); err != nil {
-		return nil, err
-	}
-	// The FFT length is a power of two, so the DC-to-center shift is an
-	// in-place half swap (one allocation fewer than dsp.FFTShift).
-	half := len(bins) / 2
-	for i := 0; i < half; i++ {
-		bins[i], bins[i+half] = bins[i+half], bins[i]
-	}
-	return &Spectrum{Bins: bins}, nil
-}
-
-// CenterBinMW returns the power of the central DFT bin — the paper's CFT
-// feature source. A single bin integrates 1/N of the capture noise, giving
-// ~10·log10(N) dB of processing gain over wideband energy detection for CW
-// pilots.
-func (s *Spectrum) CenterBinMW() float64 {
-	if len(s.Bins) == 0 {
-		return 0
-	}
-	return s.Bins[len(s.Bins)/2]
-}
-
-// CenterBandMeanMW returns the mean power of the central frac (0–1] of the
-// bins — the paper's AFT feature source uses frac = 0.15.
-func (s *Spectrum) CenterBandMeanMW(frac float64) float64 {
-	n := len(s.Bins)
-	w := CenterBandBins(n, frac)
-	if w == 0 {
-		return 0
-	}
-	lo := n/2 - w/2
-	var sum float64
-	for _, v := range s.Bins[lo : lo+w] {
-		sum += v
-	}
-	return sum / float64(w)
-}
-
 // CenterBandBins returns how many bins the central frac (0–1] of an n-bin
 // spectrum spans: n·frac rounded, at least one. The band is shifted bins
 // [n/2−w/2, n/2−w/2+w), which always lies inside the spectrum. It is 0
@@ -206,14 +153,4 @@ func CenterBandBins(n int, frac float64) int {
 		w = 1
 	}
 	return w
-}
-
-// TotalMW returns the total power across all bins, which by Parseval's
-// theorem equals the time-domain EnergyMW up to floating-point error.
-func (s *Spectrum) TotalMW() float64 {
-	var sum float64
-	for _, v := range s.Bins {
-		sum += v
-	}
-	return sum
 }

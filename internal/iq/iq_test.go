@@ -5,7 +5,25 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/wsdetect/waldo/internal/dsp"
 )
+
+// shiftedSpectrum is the power spectrum of a capture with DC moved to the
+// centre bin n/2 — the half swap of dsp.PowerSpectrumInto's bins, since
+// captures are a power of two long.
+func shiftedSpectrum(t *testing.T, s []complex128) []float64 {
+	t.Helper()
+	bins := make([]float64, len(s))
+	if err := dsp.PowerSpectrumInto(bins, s); err != nil {
+		t.Fatal(err)
+	}
+	half := len(bins) / 2
+	for i := 0; i < half; i++ {
+		bins[i], bins[i+half] = bins[i+half], bins[i]
+	}
+	return bins
+}
 
 func TestDBmConversions(t *testing.T) {
 	tests := []struct {
@@ -107,12 +125,9 @@ func TestSpectrumPilotProcessingGain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := NewSpectrum(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		center += sp.CenterBinMW()
-		offBin += sp.Bins[10] // far from pilot
+		sp := shiftedSpectrum(t, s)
+		center += sp[len(sp)/2]
+		offBin += sp[10] // far from pilot
 	}
 	gainDB := 10 * math.Log10(center/offBin)
 	if gainDB < 12 {
@@ -126,33 +141,47 @@ func TestSpectrumParseval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewSpectrum(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	te := EnergyMW(s)
-	fe := sp.TotalMW()
+	var fe float64
+	for _, v := range shiftedSpectrum(t, s) {
+		fe += v
+	}
 	if math.Abs(te-fe) > 1e-9*te {
 		t.Errorf("time energy %v vs spectrum total %v", te, fe)
 	}
 }
 
+// TestCenterBandMeanMW: the band CenterBandBins sizes, shifted bins
+// [n/2−w/2, n/2−w/2+w), is the central frac of the spectrum; its mean is
+// the AFT feature's source.
 func TestCenterBandMeanMW(t *testing.T) {
-	sp := &Spectrum{Bins: make([]float64, 100)}
-	for i := range sp.Bins {
-		sp.Bins[i] = 1
+	bins := make([]float64, 100)
+	for i := range bins {
+		bins[i] = 1
 	}
-	sp.Bins[50] = 101 // center spike
+	bins[50] = 101 // center spike
+	bandMean := func(frac float64) float64 {
+		w := CenterBandBins(len(bins), frac)
+		if w == 0 {
+			return 0
+		}
+		lo := len(bins)/2 - w/2
+		var sum float64
+		for _, v := range bins[lo : lo+w] {
+			sum += v
+		}
+		return sum / float64(w)
+	}
 	// 15% of 100 bins = 15 bins around center: mean = (14*1 + 101)/15.
-	got := sp.CenterBandMeanMW(0.15)
+	got := bandMean(0.15)
 	want := (14.0 + 101.0) / 15.0
 	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("CenterBandMeanMW = %v, want %v", got, want)
+		t.Errorf("band mean = %v, want %v", got, want)
 	}
-	if sp.CenterBandMeanMW(0) != 0 {
+	if bandMean(0) != 0 {
 		t.Error("frac 0 should return 0")
 	}
-	if got := sp.CenterBandMeanMW(5); math.Abs(got-2.0) > 1e-9 { // clamped to all bins
+	if got := bandMean(5); math.Abs(got-2.0) > 1e-9 { // clamped to all bins
 		t.Errorf("frac > 1 should clamp to all bins: %v", got)
 	}
 }
@@ -167,15 +196,13 @@ func TestPilotOffsetMovesEnergyOffCenter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spC, _ := NewSpectrum(centered)
-	spO, _ := NewSpectrum(offset)
-	if spC.CenterBinMW() < 100*spO.CenterBinMW() {
-		t.Errorf("pilot offset should drain the center bin: centered=%v offset=%v",
-			spC.CenterBinMW(), spO.CenterBinMW())
+	spC, spO := shiftedSpectrum(t, centered), shiftedSpectrum(t, offset)
+	mid := len(spC) / 2
+	if spC[mid] < 100*spO[mid] {
+		t.Errorf("pilot offset should drain the center bin: centered=%v offset=%v", spC[mid], spO[mid])
 	}
 	// The offset pilot's energy should appear 8 bins above center.
-	idx := len(spO.Bins)/2 + 8
-	if spO.Bins[idx] < 0.5e-9 {
-		t.Errorf("offset pilot bin power = %v, want ~1e-9", spO.Bins[idx])
+	if spO[mid+8] < 0.5e-9 {
+		t.Errorf("offset pilot bin power = %v, want ~1e-9", spO[mid+8])
 	}
 }

@@ -2,14 +2,6 @@ package svm
 
 import "math"
 
-// cosExact is math.Cos(x), bit for bit: cosRow on a row of one, which keeps
-// TestCosExactMatchesMathCos and FuzzCosExact on the kernel's only copy.
-func cosExact(x float64) float64 {
-	row := [1]float64{x}
-	cosRow(row[:], 1)
-	return row[0]
-}
-
 // cosRow replaces every row[i] with scale·math.Cos(row[i]), bit for bit,
 // without math.Cos's two data-dependent branches on the octant of its
 // argument. Across a row of random Fourier features the octant is a coin

@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// cosExact is math.Cos(x), bit for bit: cosRow on a row of one, which keeps
+// TestCosExactMatchesMathCos and FuzzCosExact on the kernel's only copy.
+func cosExact(x float64) float64 {
+	row := [1]float64{x}
+	cosRow(row[:], 1)
+	return row[0]
+}
+
 // skipUnlessLibraryCosIsPureGo skips where cosExact cannot be held to
 // bit equality: an architecture whose math.Cos is assembly (s390x) or
 // whose compiler may fuse x*y+z (arm64, ppc64, riscv64) is a different

@@ -208,9 +208,6 @@ func (s *SMO) Predict(x []float64) (int, error) {
 	return ml.Negative, nil
 }
 
-// NumSupportVectors returns the size of the fitted model.
-func (s *SMO) NumSupportVectors() int { return len(s.svX) }
-
 // Model exposes the fitted parameters for serialization: support vectors,
 // their alpha·y coefficients, and the bias.
 func (s *SMO) Model() (sv [][]float64, coef []float64, bias float64, err error) {

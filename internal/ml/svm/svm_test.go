@@ -68,8 +68,8 @@ func TestSMOLinearSeparable(t *testing.T) {
 	if acc := accuracy(t, s, x, y); acc < 0.98 {
 		t.Errorf("linear SMO accuracy = %v on separable blobs", acc)
 	}
-	if s.NumSupportVectors() == 0 || s.NumSupportVectors() == len(x) {
-		t.Errorf("suspicious SV count %d of %d", s.NumSupportVectors(), len(x))
+	if n := len(s.svX); n == 0 || n == len(x) {
+		t.Errorf("suspicious SV count %d of %d", n, len(x))
 	}
 }
 

@@ -169,17 +169,3 @@ func (t *CART) Predict(x []float64) (int, error) {
 	}
 	return n.label, nil
 }
-
-// Depth returns the height of the fitted tree (0 for a single leaf).
-func (t *CART) Depth() int { return depth(t.root) }
-
-func depth(n *node) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depth(n.left), depth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}

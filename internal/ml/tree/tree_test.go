@@ -45,21 +45,33 @@ func TestCARTSolvesXOR(t *testing.T) {
 	}
 }
 
+// depth is the height of a fitted tree (0 for a single leaf).
+func depth(n *node) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	l, r := depth(n.left), depth(n.right)
+	if l > r {
+		return l + 1
+	}
+	return r + 1
+}
+
 func TestCARTDepthLimit(t *testing.T) {
 	x, y := xorData(400, 3)
 	shallow := &CART{MaxDepth: 1}
 	if err := shallow.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if d := shallow.Depth(); d > 1 {
+	if d := depth(shallow.root); d > 1 {
 		t.Errorf("depth = %d, want ≤ 1", d)
 	}
 	deep := &CART{MaxDepth: 8}
 	if err := deep.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if deep.Depth() <= shallow.Depth() {
-		t.Errorf("deep tree (%d) should be deeper than stump (%d)", deep.Depth(), shallow.Depth())
+	if depth(deep.root) <= depth(shallow.root) {
+		t.Errorf("deep tree (%d) should be deeper than stump (%d)", depth(deep.root), depth(shallow.root))
 	}
 }
 
@@ -70,7 +82,7 @@ func TestCARTMinLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With MinLeaf 40 of 100 points, at most one split is possible.
-	if d := c.Depth(); d > 2 {
+	if d := depth(c.root); d > 2 {
 		t.Errorf("depth = %d with MinLeaf=40", d)
 	}
 }

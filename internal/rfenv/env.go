@@ -39,13 +39,13 @@ type Environment struct {
 	txs          []Transmitter
 	txByChannel  map[Channel][]Transmitter
 	shadows      map[Channel]*ShadowField
-	shadowCfg    ShadowConfig
+	shadowCfg    shadowConfig
 	obstructions []Obstruction
 	channels     []Channel
 }
 
-// EnvConfig assembles an Environment.
-type EnvConfig struct {
+// envConfig assembles an Environment.
+type envConfig struct {
 	// Area is the region of interest; required.
 	Area geo.BBox
 	// Transmitters registers the incumbents; required (may be empty only
@@ -57,15 +57,15 @@ type EnvConfig struct {
 	// Shadow configures the per-channel shadowing fields. Seed is
 	// combined with the channel number so each channel gets an
 	// independent realization.
-	Shadow ShadowConfig
+	Shadow shadowConfig
 	// Obstructions lists terrain features.
 	Obstructions []Obstruction
 	// RxHeightM defaults to 2 m.
 	RxHeightM float64
 }
 
-// NewEnvironment validates cfg and builds the environment.
-func NewEnvironment(cfg EnvConfig) (*Environment, error) {
+// newEnvironment validates cfg and builds the environment.
+func newEnvironment(cfg envConfig) (*Environment, error) {
 	if cfg.Area.MinLat >= cfg.Area.MaxLat || cfg.Area.MinLon >= cfg.Area.MaxLon {
 		return nil, fmt.Errorf("rfenv: degenerate area %+v", cfg.Area)
 	}
@@ -100,7 +100,7 @@ func NewEnvironment(cfg EnvConfig) (*Environment, error) {
 			env.channels = append(env.channels, tx.Channel)
 			sc := cfg.Shadow
 			sc.Seed = cfg.Shadow.Seed*1000003 + uint64(tx.Channel)
-			env.shadows[tx.Channel] = NewShadowField(center, sc)
+			env.shadows[tx.Channel] = newShadowField(center, sc)
 		}
 	}
 	sort.Slice(env.channels, func(i, j int) bool { return env.channels[i] < env.channels[j] })
@@ -174,12 +174,6 @@ func (e *Environment) StrongestDBm(p geo.Point, skip Channel) float64 {
 	return strongest
 }
 
-// DecodableAt reports whether the TV signal on ch is decodable at p under
-// the FCC −84 dBm criterion (paper §2.1), judged on the true field.
-func (e *Environment) DecodableAt(ch Channel, p geo.Point) bool {
-	return e.RSSDBm(ch, p) >= -84
-}
-
 // TemporalVariant derives the environment as it looks some months later:
 // same incumbents, terrain and median propagation, but shadowing that is
 // only rho-correlated with today's (foliage, construction, weather —
@@ -205,7 +199,7 @@ func (e *Environment) TemporalVariant(seed uint64, rho float64) (*Environment, e
 	for ch, base := range e.shadows {
 		sc := e.shadowCfg
 		sc.Seed = seed*1000003 + uint64(ch)
-		fresh := NewShadowField(center, sc)
+		fresh := newShadowField(center, sc)
 		blended, err := NewBlendedShadowField(base, fresh, rho)
 		if err != nil {
 			return nil, err

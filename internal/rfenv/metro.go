@@ -114,11 +114,11 @@ func BuildMetro(seed uint64) (*Environment, error) {
 		{Center: c.Offset(45, 5000), RadiusM: 2000, EdgeM: 1200, DepthDB: 18, Channels: []Channel{47}},
 	}
 
-	return NewEnvironment(EnvConfig{
+	return newEnvironment(envConfig{
 		Area:         area,
 		Transmitters: txs,
 		Model:        model,
-		Shadow: ShadowConfig{
+		Shadow: shadowConfig{
 			Seed:           seed,
 			SigmaDB:        4,
 			DecorrelationM: 120,

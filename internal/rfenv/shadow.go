@@ -36,8 +36,8 @@ type ShadowField struct {
 	mixRho  float64
 }
 
-// ShadowConfig parameterizes a shadow field.
-type ShadowConfig struct {
+// shadowConfig parameterizes a shadow field.
+type shadowConfig struct {
 	// Seed selects the realization.
 	Seed uint64
 	// SigmaDB is the total standard deviation of the field (urban TV-band
@@ -56,8 +56,8 @@ type ShadowConfig struct {
 	CoarseWeight float64
 }
 
-// NewShadowField builds a field anchored at origin.
-func NewShadowField(origin geo.Point, cfg ShadowConfig) *ShadowField {
+// newShadowField builds a field anchored at origin.
+func newShadowField(origin geo.Point, cfg shadowConfig) *ShadowField {
 	if cfg.SigmaDB == 0 {
 		cfg.SigmaDB = 6
 	}

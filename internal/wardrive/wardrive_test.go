@@ -28,7 +28,9 @@ func TestGenerateRouteBasics(t *testing.T) {
 		t.Errorf("route length = %.0f km, want metro-drive scale", r.LengthM/1000)
 	}
 	// All points within (slightly expanded, for GPS jitter) area.
-	expanded := testArea().Expand(100)
+	sw, ne := testArea().Corners()
+	sw, ne = sw.Offset(180, 100).Offset(270, 100), ne.Offset(0, 100).Offset(90, 100)
+	expanded := geo.BBox{MinLat: sw.Lat, MinLon: sw.Lon, MaxLat: ne.Lat, MaxLon: ne.Lon}
 	for i, p := range r.Points {
 		if !expanded.Contains(p) {
 			t.Fatalf("point %d (%v) outside area", i, p)

@@ -164,17 +164,6 @@ func (l *Logger) Named(component string) *Logger {
 	return &Logger{c: l.c, name: component}
 }
 
-// Enabled reports whether lines at lv would be emitted — use it to skip
-// expensive argument construction.
-func (l *Logger) Enabled(lv Level) bool {
-	return l != nil && lv >= l.c.min
-}
-
-// Debug emits a debug-level event.
-func (l *Logger) Debug(ctx context.Context, event string, kv ...any) {
-	l.log(ctx, LevelDebug, event, kv)
-}
-
 // Info emits an info-level event.
 func (l *Logger) Info(ctx context.Context, event string, kv ...any) {
 	l.log(ctx, LevelInfo, event, kv)

@@ -898,32 +898,6 @@ var configFieldAllowlist = map[string]string{
 	"wlog.Options.RatePerKey":            "tests set the limiter's rate to see a suppression",
 	"sensor.CalibrationConfig.LevelsDBm": "sensor tests sweep their own generator levels",
 	"iq.CaptureConfig.Samples":           "kernel tests synthesize captures of every power-of-two length",
-
-	// The simulated world: rfenv.BuildMetro, its one scenario, fills
-	// these from inside the package.
-	"rfenv.EnvConfig.Area":              "scenario description, filled by rfenv.BuildMetro",
-	"rfenv.EnvConfig.Model":             "scenario description, filled by rfenv.BuildMetro",
-	"rfenv.EnvConfig.Obstructions":      "scenario description, filled by rfenv.BuildMetro",
-	"rfenv.EnvConfig.RxHeightM":         "scenario description, filled by rfenv.BuildMetro",
-	"rfenv.EnvConfig.Shadow":            "scenario description, filled by rfenv.BuildMetro",
-	"rfenv.EnvConfig.Transmitters":      "scenario description, filled by rfenv.BuildMetro",
-	"rfenv.ShadowConfig.CoarseScaleM":   "scenario description, filled by rfenv.BuildMetro",
-	"rfenv.ShadowConfig.CoarseWeight":   "scenario description, filled by rfenv.BuildMetro",
-	"rfenv.ShadowConfig.DecorrelationM": "scenario description, filled by rfenv.BuildMetro",
-	"rfenv.ShadowConfig.Seed":           "scenario description, filled by rfenv.BuildMetro per channel",
-	"rfenv.ShadowConfig.SigmaDB":        "scenario description, filled by rfenv.BuildMetro",
-
-	// The comparison baselines' published parameters, every experiment
-	// at their defaults: candidates for constants in a later change.
-	"kriging.Config.LagBins":        "baseline parameter at its published default",
-	"kriging.Config.MaxLagM":        "baseline parameter at its published default",
-	"kriging.Config.Neighbors":      "baseline parameter at its published default",
-	"kriging.Config.ProtectRadiusM": "baseline parameter at its published default",
-	"kriging.Config.ThresholdDBm":   "baseline parameter at its published default",
-	"kriging.Config.VariogramPairs": "baseline parameter at its published default",
-	"specdb.Config.ProtectRadiusM":  "baseline parameter at its published default",
-	"specdb.Config.ThresholdDBm":    "baseline parameter at its published default",
-	"vscope.Config.ProtectRadiusM":  "baseline parameter at its published default",
 }
 
 // unsetConfigFields parses the Go module rooted at root (go/parser only)
@@ -935,90 +909,11 @@ var configFieldAllowlist = map[string]string{
 // literal, names the struct through an import; an assignment to x.Field
 // sets it when the assigning file imports the struct's package.
 func unsetConfigFields(root string) ([]string, error) {
-	modData, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	mod, err := parseModule(root)
 	if err != nil {
 		return nil, err
 	}
-	m := regexp.MustCompile(`(?m)^module\s+(\S+)`).FindSubmatch(modData)
-	if m == nil {
-		return nil, fs.ErrInvalid
-	}
-	module := string(m[1])
-	type goFile struct {
-		pkg     string            // import path
-		imports map[string]string // local name → import path
-		ast     *ast.File
-	}
-	var files []goFile
-	fset := token.NewFileSet()
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case ".git", ".bench_build", "bin", "testdata":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !isNonTestGo(path) {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		gf := goFile{pkg: module, imports: map[string]string{}, ast: f}
-		if rel != "." {
-			gf.pkg += "/" + filepath.ToSlash(rel)
-		}
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			gf.imports[name] = p
-		}
-		files = append(files, gf)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// The packages the binaries and the benchmark link.
-	imports := map[string][]string{}
-	for _, f := range files {
-		for _, p := range f.imports {
-			imports[f.pkg] = append(imports[f.pkg], p)
-		}
-	}
-	linked := map[string]bool{}
-	var queue []string
-	for _, f := range files {
-		if strings.HasPrefix(f.pkg, module+"/cmd/") || f.pkg == module+"/bench" {
-			queue = append(queue, f.pkg)
-		}
-	}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		if linked[p] {
-			continue
-		}
-		linked[p] = true
-		for _, q := range imports[p] {
-			if strings.HasPrefix(q, module+"/") {
-				queue = append(queue, q)
-			}
-		}
-	}
+	files, imports, linked := mod.files, mod.imports, mod.linked
 
 	// The fields, keyed by import path, type and field name.
 	type field struct{ pkg, typ, name string }
@@ -1141,4 +1036,336 @@ func unsetConfigFields(root string) ([]string, error) {
 func isIdent(e ast.Expr) bool {
 	_, ok := e.(*ast.Ident)
 	return ok
+}
+
+// goFile is one parsed non-test file of the module.
+type goFile struct {
+	pkg     string            // import path
+	imports map[string]string // local name → import path
+	ast     *ast.File
+}
+
+// goModule is the non-test source of a Go module, parsed with go/parser.
+type goModule struct {
+	path    string              // module path
+	files   []goFile            // every non-test file outside testdata
+	imports map[string][]string // import path → its files' imports
+	linked  map[string]bool     // packages a binary under cmd/ or bench/ links
+}
+
+// parseModule parses every non-test .go file of the module rooted at
+// root and works out which packages the binaries and the benchmark link,
+// directly or not.
+func parseModule(root string) (*goModule, error) {
+	modData, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	m := regexp.MustCompile(`(?m)^module\s+(\S+)`).FindSubmatch(modData)
+	if m == nil {
+		return nil, fs.ErrInvalid
+	}
+	mod := &goModule{path: string(m[1]), imports: map[string][]string{}, linked: map[string]bool{}}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".bench_build", "bin", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !isNonTestGo(path) {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		gf := goFile{pkg: mod.path, imports: map[string]string{}, ast: f}
+		if rel != "." {
+			gf.pkg += "/" + filepath.ToSlash(rel)
+		}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			gf.imports[name] = p
+		}
+		mod.files = append(mod.files, gf)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	for _, f := range mod.files {
+		for _, p := range f.imports {
+			mod.imports[f.pkg] = append(mod.imports[f.pkg], p)
+		}
+	}
+	var queue []string
+	for _, f := range mod.files {
+		if strings.HasPrefix(f.pkg, mod.path+"/cmd/") || f.pkg == mod.path+"/bench" {
+			queue = append(queue, f.pkg)
+		}
+	}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		if mod.linked[p] {
+			continue
+		}
+		mod.linked[p] = true
+		for _, q := range mod.imports[p] {
+			if strings.HasPrefix(q, mod.path+"/") {
+				queue = append(queue, q)
+			}
+		}
+	}
+	return mod, nil
+}
+
+// TestExportedHaveACaller: code that only tests reach goes. In the
+// packages a binary under cmd/ or the benchmark links, every exported
+// top-level identifier is named, and every exported method selected, by
+// non-test code outside its own declaration — or is on exportedAllowlist
+// with the reason it stays. Every package under internal/ but the test
+// harnesses has a non-test importer. A test does not count as a caller:
+// what only a test reaches is a reference the test can keep itself. The
+// first case checks the checker.
+func TestExportedHaveACaller(t *testing.T) {
+	t.Run("checks_the_checker", func(t *testing.T) {
+		root := t.TempDir()
+		for name, src := range map[string]string{
+			"go.mod": "module example.com/m\n",
+			"internal/p/p.go": `package p
+
+type T struct{}
+
+func (T) Used()        {}
+func (T) OnlyTest()    {}
+func (T) String() string { return "" }
+func (t T) Recursive() { t.Recursive() }
+
+func Used() T       { return T{} }
+func Unused()       {}
+func OnlyOwn()      {}
+func Self()         { Self() }
+var _ = OnlyOwn
+
+// Dead is named only by DeadMaker, which nothing names.
+type Dead struct{}
+
+func DeadMaker() *Dead { return &Dead{} }
+`,
+			"internal/p/p_test.go": "package p\n\nvar _ = Unused\n\nfunc init() { T{}.OnlyTest() }\n",
+			"cmd/app/main.go": `package main
+
+import q "example.com/m/internal/p"
+
+func main() { q.Used().Used() }
+`,
+			"internal/orphan/o.go":  "package orphan\n\nfunc Nobody() {}\n",
+			"internal/e2e/e2e.go":   "package e2e\n\nfunc Harness() {}\n",
+			"internal/p/sub/sub.go": "package sub\n",
+		} {
+			path := filepath.Join(root, filepath.FromSlash(name))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := uncalledExported(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"p.Dead", "p.DeadMaker", "p.Self", "p.T.OnlyTest", "p.T.Recursive", "p.Unused", "package orphan", "package sub"}
+		if !slices.Equal(got, want) {
+			t.Errorf("flagged %v, want %v", got, want)
+		}
+	})
+	got, err := uncalledExported(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range got {
+		if exportedAllowlist[name] == "" {
+			t.Errorf("%s: no non-test code reaches it; delete it, move what a test needs into the test, or allowlist it with the reason", name)
+		}
+	}
+	for name := range exportedAllowlist {
+		if !slices.Contains(got, name) {
+			t.Errorf("%s is allowlisted but has a caller (or is gone): drop its entry", name)
+		}
+	}
+}
+
+// exportedAllowlist names what stays exported without a non-test caller,
+// each with its reason.
+var exportedAllowlist = map[string]string{
+	"client.Client.WatchModel":      "the device side of the documented push route (/v1/model/watch); the chaos suite drives it",
+	"client.Client.SetLocationHint": "goes with the gateway's lat/lon hint query (ROADMAP item 23)",
+}
+
+// stdInterfaceMethods are method names the standard library calls
+// through its interfaces (fmt.Stringer, error, http.Handler, io.Reader
+// and the rest), so a type can satisfy one with no selector of its own.
+var stdInterfaceMethods = map[string]bool{
+	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true, "Is": true,
+	"ServeHTTP": true, "Header": true, "WriteHeader": true, "Flush": true, "Hijack": true,
+	"Read": true, "Write": true, "Close": true, "ReadFrom": true, "WriteTo": true,
+	"ReadAt": true, "WriteAt": true, "Seek": true, "Sync": true, "Stat": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"MarshalBinary": true, "UnmarshalBinary": true,
+}
+
+// uncalledExported parses the Go module rooted at root (go/parser only)
+// and returns, sorted, what no non-test code reaches in the packages a
+// binary under cmd/ or bench/ links: each exported top-level identifier
+// that no non-test declaration but its own names, written "pkg.Name",
+// and each exported method whose name follows a dot in no non-test
+// declaration but its own, written "pkg.Type.Name", unless the standard
+// library calls it through an interface. Any identifier or selector that
+// spells a name counts as reaching it (package-qualified from another
+// package); what only flagged declarations name is flagged in turn, so a
+// type that only its dead constructor and methods name goes with them.
+// It also returns, written "package pkg", each package under internal/
+// that no non-test file of another package imports, except the test
+// harnesses e2e and cmdtest.
+func uncalledExported(root string) ([]string, error) {
+	mod, err := parseModule(root)
+	if err != nil {
+		return nil, err
+	}
+	short := func(pkg string) string { return pkg[strings.LastIndex(pkg, "/")+1:] }
+
+	// One entry per top-level declaration (per spec in a group): the
+	// exported names it declares in a linked package, and what it names.
+	type own struct {
+		name   string // as reported
+		ref    string // import path + "." + name; "" for a method
+		method string
+	}
+	type decl struct {
+		owns     []own
+		names    map[string]bool // import path + "." + identifier
+		selected map[string]bool // identifiers after a dot
+	}
+	var decls []decl
+	imported := map[string]bool{}
+	for _, f := range mod.files {
+		for _, p := range f.imports {
+			if p != f.pkg {
+				imported[p] = true
+			}
+		}
+		add := func(node ast.Node, owns []own) {
+			d := decl{owns: owns, names: map[string]bool{}, selected: map[string]bool{}}
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					d.selected[n.Sel.Name] = true
+					if x, ok := n.X.(*ast.Ident); ok && f.imports[x.Name] != "" {
+						d.names[f.imports[x.Name]+"."+n.Sel.Name] = true
+					} else {
+						ast.Inspect(n.X, visit)
+					}
+					return false
+				case *ast.Ident:
+					d.names[f.pkg+"."+n.Name] = true
+				}
+				return true
+			}
+			ast.Inspect(node, visit)
+			for _, o := range owns {
+				delete(d.names, o.ref)
+				delete(d.selected, o.method)
+			}
+			decls = append(decls, d)
+		}
+		// owner lists the exported names a declaration puts in scope.
+		owner := func(names ...*ast.Ident) []own {
+			var owns []own
+			for _, n := range names {
+				if mod.linked[f.pkg] && n.IsExported() {
+					owns = append(owns, own{name: short(f.pkg) + "." + n.Name, ref: f.pkg + "." + n.Name})
+				}
+			}
+			return owns
+		}
+		for _, d := range f.ast.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d, owner(d.Name))
+					continue
+				}
+				var owns []own
+				if mod.linked[f.pkg] && d.Name.IsExported() && !stdInterfaceMethods[d.Name.Name] {
+					owns = []own{{name: short(f.pkg) + "." + receiverName(d.Recv.List[0].Type) + "." + d.Name.Name, method: d.Name.Name}}
+				}
+				add(d, owns)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add(s, owner(s.Name))
+					case *ast.ValueSpec:
+						add(s, owner(s.Names...))
+					}
+				}
+			}
+		}
+	}
+	var uncalled []string
+	for _, f := range mod.files {
+		name := "package " + short(f.pkg)
+		if strings.HasPrefix(f.pkg, mod.path+"/internal/") && !imported[f.pkg] && !slices.Contains(uncalled, name) &&
+			name != "package e2e" && name != "package cmdtest" {
+			uncalled = append(uncalled, name)
+		}
+	}
+
+	// Flag what nothing live names until nothing more is flagged.
+	flagged := map[string]bool{}
+	dead := func(d decl) bool {
+		return len(d.owns) > 0 && !slices.ContainsFunc(d.owns, func(o own) bool { return !flagged[o.name] })
+	}
+	for changed := true; changed; {
+		changed = false
+		names, selected := map[string]bool{}, map[string]bool{}
+		for _, d := range decls {
+			if !dead(d) {
+				maps.Copy(names, d.names)
+				maps.Copy(selected, d.selected)
+			}
+		}
+		for _, d := range decls {
+			for _, o := range d.owns {
+				if !flagged[o.name] && !names[o.ref] && !selected[o.method] {
+					flagged[o.name] = true
+					changed = true
+				}
+			}
+		}
+	}
+	for name := range flagged {
+		uncalled = append(uncalled, name)
+	}
+	sort.Strings(uncalled)
+	return uncalled, nil
 }
