@@ -45,8 +45,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("waldo-gateway", flag.ContinueOnError)
 	addr := fs.String("addr", ":9100", "listen address")
 	shardsFlag := fs.String("shards", "", "topology: 'id=url[,url...];id2=...' (primary URL first, required)")
-	logLevel := fs.String("log-level", "info", "lowest structured-log level emitted: debug|info|warn|error")
-	adminAddr := fs.String("admin-addr", "", "opt-in admin listener (pprof, /metrics, /debug/traces); empty = disabled. Bind to loopback only.")
+	logLevel := fs.String("log-level", "info", "lowest structured-log level emitted: info|warn|error")
+	adminAddr := fs.String("admin-addr", "", "opt-in admin listener (pprof); empty = disabled. Bind to loopback only.")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -76,7 +76,7 @@ func run(args []string) error {
 		gw.Close()
 		return err
 	}
-	return adminhttp.Serve(front, *adminAddr, gw.Metrics(), gw.Close)
+	return adminhttp.Serve(front, *adminAddr, gw.Close)
 }
 
 // parseShards decodes 'id=url[,url...];id2=...' into ShardSpecs.

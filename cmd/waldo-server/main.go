@@ -31,10 +31,8 @@ import (
 
 	"github.com/wsdetect/waldo/internal/adminhttp"
 	"github.com/wsdetect/waldo/internal/cluster"
-	"github.com/wsdetect/waldo/internal/core"
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/dbserver"
-	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/telemetry"
 	"github.com/wsdetect/waldo/internal/wlog"
 )
@@ -50,15 +48,12 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("waldo-server", flag.ContinueOnError)
 	addr := fs.String("addr", ":8473", "listen address")
 	data := fs.String("data", "", "bootstrap readings CSV (required unless -data-dir has recovered state)")
-	clusterK := fs.Int("clusters", 3, "localities per model")
-	classifier := fs.String("classifier", "svm", "per-locality classifier: svm|nb|svm-linear")
-	alphaPrime := fs.Float64("alpha-prime", 1.0, "upload acceptance CI span (dB)")
 	dataDir := fs.String("data-dir", "", "durable store directory (WAL segments + checkpoint records); empty = in-memory only")
 	snapshotEvery := fs.Int("snapshot-every", 10000, "checkpoint a store (seal its WAL segment, record its counts) after this many journaled readings (0 = only via /v1/admin/snapshot)")
 	shardID := fs.String("shard-id", "", "run as a cluster shard under this ID (enables /v1/repl endpoints; see waldo-gateway)")
 	follow := fs.String("follow", "", "run as a replica of the primary at this base URL, pulling its journal (requires -shard-id and an empty -data-dir)")
-	logLevel := fs.String("log-level", "info", "lowest structured-log level emitted: debug|info|warn|error")
-	adminAddr := fs.String("admin-addr", "", "opt-in admin listener (pprof, /metrics, /debug/traces); empty = disabled. Bind to loopback only.")
+	logLevel := fs.String("log-level", "info", "lowest structured-log level emitted: info|warn|error")
+	adminAddr := fs.String("admin-addr", "", "opt-in admin listener (pprof); empty = disabled. Bind to loopback only.")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -78,18 +73,6 @@ func run(args []string) error {
 		return fmt.Errorf("-data cannot seed a shard: it would hold readings the ring places elsewhere; upload them through waldo-gateway")
 	}
 
-	var kind core.ClassifierKind
-	switch *classifier {
-	case "svm":
-		kind = core.KindSVM
-	case "nb":
-		kind = core.KindNB
-	case "svm-linear":
-		kind = core.KindLinearSVM
-	default:
-		return fmt.Errorf("unknown classifier %q", *classifier)
-	}
-
 	var readings []dataset.Reading
 	if *data != "" {
 		f, err := os.Open(*data)
@@ -107,12 +90,7 @@ func run(args []string) error {
 	metrics := telemetry.New()
 	logger := wlog.New(wlog.Options{W: os.Stderr, Min: lvl, Metrics: metrics})
 	dbCfg := dbserver.Config{
-		Constructor: core.ConstructorConfig{
-			ClusterK:   *clusterK,
-			Classifier: kind,
-			Features:   features.SetLocationRSSCFT,
-		},
-		AlphaPrimeDB:  *alphaPrime,
+		Constructor:   dbserver.ShippedConstructor(),
 		DataDir:       *dataDir,
 		SnapshotEvery: *snapshotEvery,
 		Metrics:       metrics,
@@ -162,5 +140,5 @@ func run(args []string) error {
 		closer()
 		return err
 	}
-	return adminhttp.Serve(front, *adminAddr, srv.Metrics(), closer)
+	return adminhttp.Serve(front, *adminAddr, closer)
 }

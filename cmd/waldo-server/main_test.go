@@ -48,7 +48,7 @@ func TestRunRefusesClusterMisuse(t *testing.T) {
 // WAL was closed after the drain, not cut under it.
 func TestRunTracesAnUploadAndStopsOnSIGTERM(t *testing.T) {
 	dir := t.TempDir()
-	p := cmdtest.Boot(t, run, "-shard-id", "s0", "-data-dir", dir, "-classifier", "nb")
+	p := cmdtest.Boot(t, run, "-shard-id", "s0", "-data-dir", dir)
 
 	readings := make([]dataset.Reading, 4)
 	for i := range readings {
@@ -87,7 +87,7 @@ func TestRunTracesAnUploadAndStopsOnSIGTERM(t *testing.T) {
 		return bytes.Contains(metrics, []byte("\nwaldo_dbserver_watch_active 1\n"))
 	})
 
-	reopened, err := dbserver.Open(dbserver.Config{Constructor: core.ConstructorConfig{Classifier: core.KindNB}, DataDir: dir})
+	reopened, err := dbserver.Open(dbserver.Config{Constructor: dbserver.ShippedConstructor(), DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

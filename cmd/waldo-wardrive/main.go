@@ -4,18 +4,19 @@
 //
 // Usage:
 //
-//	waldo-wardrive -out campaign.csv [-samples 5282] [-seed 42] [-sensors rtl,usrp,analyzer]
+//	waldo-wardrive -out campaign.csv [-samples 5282] [-seed 42]
+//
+// Every point is measured by the paper's three sensors: RTL-SDR, USRP
+// B200 and the spectrum analyzer.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/rfenv"
-	"github.com/wsdetect/waldo/internal/sensor"
 	"github.com/wsdetect/waldo/internal/wardrive"
 )
 
@@ -31,15 +32,10 @@ func run(args []string) error {
 	out := fs.String("out", "campaign.csv", "output CSV path")
 	samples := fs.Int("samples", 5282, "readings per channel per sensor")
 	seed := fs.Int64("seed", 42, "environment and noise seed")
-	sensors := fs.String("sensors", "rtl,usrp,analyzer", "comma list: rtl,usrp,analyzer")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	specs, err := parseSensors(*sensors)
-	if err != nil {
-		return err
-	}
 	env, err := rfenv.BuildMetro(uint64(*seed))
 	if err != nil {
 		return err
@@ -56,10 +52,9 @@ func run(args []string) error {
 		len(route.Points), route.LengthM/1000)
 
 	camp, err := wardrive.Run(wardrive.CampaignConfig{
-		Env:     env,
-		Route:   route,
-		Sensors: specs,
-		Seed:    *seed + 2,
+		Env:   env,
+		Route: route,
+		Seed:  *seed + 2,
 	})
 	if err != nil {
 		return err
@@ -83,25 +78,4 @@ func run(args []string) error {
 	fmt.Fprintf(os.Stderr, "wrote %d readings (%d channels × %d sensors × %d points) to %s\n",
 		len(all), len(camp.Channels), len(camp.Sensors), camp.Size(), *out)
 	return f.Close()
-}
-
-func parseSensors(list string) ([]sensor.Spec, error) {
-	var specs []sensor.Spec
-	for _, name := range strings.Split(list, ",") {
-		switch strings.TrimSpace(name) {
-		case "rtl":
-			specs = append(specs, sensor.RTLSDR())
-		case "usrp":
-			specs = append(specs, sensor.USRPB200())
-		case "analyzer":
-			specs = append(specs, sensor.SpectrumAnalyzer())
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown sensor %q (want rtl, usrp, analyzer)", name)
-		}
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("no sensors selected")
-	}
-	return specs, nil
 }

@@ -1,10 +1,10 @@
 // Package adminhttp is how a Waldo binary listens: the serving loop
 // that waldo-server and waldo-gateway put their handler on ([Server],
 // serveloop.go — net/http's request parser without its per-request
-// goroutine), the opt-in operator/admin HTTP surface beside it
-// (net/http/pprof profiling endpoints next to the same /metrics and
-// /debug/traces views the serving mux exposes), and the
-// serve-until-signalled sequence around both listeners ([Serve]).
+// goroutine), the opt-in admin HTTP surface beside it (net/http/pprof's
+// profiling endpoints; /metrics and /debug/traces are on the serving
+// port), and the serve-until-signalled sequence around both listeners
+// ([Serve]).
 //
 // A server stops one way, [Server.Close], whether a signal runs it
 // under Serve or an in-process caller does: it runs the wake given to
@@ -30,28 +30,22 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
-
-	"github.com/wsdetect/waldo/internal/telemetry"
 )
 
-// Handler builds the admin mux for one registry: pprof under
-// /debug/pprof/, the Prometheus exposition at /metrics, and the flight
-// recorder at /debug/traces.
-func Handler(reg *telemetry.Registry) http.Handler {
+// pprofHandler builds the admin mux: pprof under /debug/pprof/.
+func pprofHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.Handle("GET /debug/traces", reg.FlightRecorder().Handler())
 	return mux
 }
 
 // Serve runs a Waldo binary's listeners: srv, the serving loop from
-// [Start], and, when adminAddr is set, the admin surface for reg on its
-// own listener, until SIGINT or SIGTERM or until the serving listener
+// [Start], and, when adminAddr is set, the admin surface on its own
+// listener, until SIGINT or SIGTERM or until the serving listener
 // fails. Either then runs srv.Close — stop accepting, wake parked
 // long-polls, give requests in flight ten seconds — and only then
 // onShutdown (nil: nothing), where waldo-server flushes and closes its
@@ -59,13 +53,13 @@ func Handler(reg *telemetry.Registry) http.Handler {
 // other. Serve returns the listener's error, else the drain's, else
 // onShutdown's. The admin listener failing to bind is only logged,
 // because it must not take down the serving process.
-func Serve(srv *Server, adminAddr string, reg *telemetry.Registry, onShutdown func() error) error {
+func Serve(srv *Server, adminAddr string, onShutdown func() error) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if adminAddr != "" {
 		// pprof streams for 30 s on a cold path: the one listener that
 		// keeps net/http's server.
-		admin := &http.Server{Addr: adminAddr, Handler: Handler(reg), ReadHeaderTimeout: 10 * time.Second}
+		admin := &http.Server{Addr: adminAddr, Handler: pprofHandler(), ReadHeaderTimeout: 10 * time.Second}
 		defer admin.Close()
 		go func() {
 			if err := admin.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

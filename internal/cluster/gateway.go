@@ -276,10 +276,6 @@ func (g *Gateway) Close() error {
 	return nil
 }
 
-// Metrics returns the gateway's telemetry registry (never nil) — the
-// e2e latency harness reads routing counters from it per load tier.
-func (g *Gateway) Metrics() *telemetry.Registry { return g.metrics }
-
 // ConfigVersion returns the routing-configuration fingerprint stamped on
 // proxied responses.
 func (g *Gateway) ConfigVersion() string { return g.version }

@@ -140,10 +140,10 @@ func TestAbandonedForwardedWatchIsNotTheShards(t *testing.T) {
 	}
 	// Nothing failed, so nothing is answered, counted as a 502 or pinned
 	// as an errored trace.
-	if n := gw.Metrics().Counter("waldo_http_requests_total", "", "route", modelWatchPath, "code", "502").Value(); n != 0 {
+	if n := gw.metrics.Counter("waldo_http_requests_total", "", "route", modelWatchPath, "code", "502").Value(); n != 0 {
 		t.Errorf(`waldo_http_requests_total{route=%q,code="502"} = %d, want 0`, modelWatchPath, n)
 	}
-	if errs := gw.Metrics().FlightRecorder().Snapshot(telemetry.TraceFilter{Class: "error"}); len(errs) != 0 {
+	if errs := gw.metrics.FlightRecorder().Snapshot(telemetry.TraceFilter{Class: "error"}); len(errs) != 0 {
 		t.Errorf("%d traces in the flight recorder's error ring, want 0", len(errs))
 	}
 }

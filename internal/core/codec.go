@@ -26,12 +26,10 @@ var modelMagic = [4]byte{'W', 'L', 'D', 'M'}
 
 const codecVersion uint16 = 1
 
-// kernel tags for KindSVMExact serialization.
-const (
-	kernelTagLinear uint8 = 1
-	kernelTagRBF    uint8 = 2
-	kernelTagPoly   uint8 = 3
-)
+// kernelTagRBF leads a KindSVMExact kernel descriptor: tag, γ, then a
+// u16 and an f64 held at zero, the degree and coefficient slots of the
+// retired linear (tag 1) and polynomial (tag 3) kernels.
+const kernelTagRBF uint8 = 2
 
 // EncodeModel serializes a trained model to w.
 func EncodeModel(w io.Writer, m *Model) error {
@@ -140,9 +138,10 @@ func encodeClassifier(buf *bytes.Buffer, kind ClassifierKind, clf ml.Classifier)
 		if !ok {
 			return fmt.Errorf("classifier kind/type mismatch: %T", clf)
 		}
-		if err := encodeKernel(buf, s.Kernel); err != nil {
-			return err
-		}
+		buf.WriteByte(kernelTagRBF)
+		writeF64(buf, s.Kernel.Gamma)
+		writeU16(buf, 0)
+		writeF64(buf, 0)
 		sv, coef, b, err := s.Model()
 		if err != nil {
 			return err
@@ -159,29 +158,6 @@ func encodeClassifier(buf *bytes.Buffer, kind ClassifierKind, clf ml.Classifier)
 	default:
 		return fmt.Errorf("unsupported classifier kind %v", kind)
 	}
-}
-
-func encodeKernel(buf *bytes.Buffer, k svm.Kernel) error {
-	switch kk := k.(type) {
-	case svm.Linear:
-		buf.WriteByte(kernelTagLinear)
-		writeF64(buf, 0)
-		writeU16(buf, 0)
-		writeF64(buf, 0)
-	case svm.RBF:
-		buf.WriteByte(kernelTagRBF)
-		writeF64(buf, kk.Gamma)
-		writeU16(buf, 0)
-		writeF64(buf, 0)
-	case svm.Poly:
-		buf.WriteByte(kernelTagPoly)
-		writeF64(buf, 0)
-		writeU16(buf, uint16(kk.Degree))
-		writeF64(buf, kk.Coef)
-	default:
-		return fmt.Errorf("unsupported kernel %T", k)
-	}
-	return nil
 }
 
 // DecodeModel reads a model descriptor.
@@ -333,22 +309,13 @@ func decodeClassifier(d *decoder, kind ClassifierKind, dim int) (ml.Classifier, 
 	case KindSVMExact:
 		tag := d.byte()
 		gamma := d.f64()
-		degree := int(d.u16())
-		coef := d.f64()
-		var name string
-		switch tag {
-		case kernelTagLinear:
-			name = "linear"
-		case kernelTagRBF:
-			name = "rbf"
-		case kernelTagPoly:
-			name = "poly"
-		default:
+		d.u16()
+		d.f64()
+		if tag != kernelTagRBF {
 			return nil, fmt.Errorf("bad kernel tag %d", tag)
 		}
-		kern, err := svm.KernelByName(name, gamma, degree, coef)
-		if err != nil {
-			return nil, err
+		if gamma <= 0 {
+			return nil, fmt.Errorf("bad rbf gamma %v", gamma)
 		}
 		nsv := int(d.u32())
 		svDim := int(d.u32())
@@ -364,7 +331,7 @@ func decodeClassifier(d *decoder, kind ClassifierKind, dim int) (ml.Classifier, 
 		if d.err != nil {
 			return nil, d.err
 		}
-		s := &svm.SMO{Kernel: kern}
+		s := &svm.SMO{Kernel: svm.RBF{Gamma: gamma}}
 		if err := s.SetModel(sv, coefs, b); err != nil {
 			return nil, err
 		}

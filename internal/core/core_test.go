@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/wsdetect/waldo/internal/dataset"
@@ -281,6 +282,29 @@ func TestDecodeModelRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeModel(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated descriptor must be rejected")
+	}
+
+	// An exact SVM's kernel descriptor is RBF's tag, γ and ten zero
+	// bytes; the retired linear (1) and polynomial (3) tags are refused.
+	exact, err := BuildModel(readings, labels, ConstructorConfig{Classifier: KindSVMExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := EncodeModel(&buf, exact); err != nil {
+		t.Fatal(err)
+	}
+	kernel := append(binary.LittleEndian.AppendUint64([]byte{kernelTagRBF}, math.Float64bits(0.5)), make([]byte, 10)...)
+	at := bytes.Index(buf.Bytes(), kernel)
+	if at < 0 {
+		t.Fatal("no RBF kernel descriptor in the encoding")
+	}
+	for _, tag := range []byte{1, 3} {
+		patched := bytes.Clone(buf.Bytes())
+		patched[at] = tag
+		if _, err := DecodeModel(bytes.NewReader(patched)); err == nil || !strings.Contains(err.Error(), "bad kernel tag") {
+			t.Errorf("kernel tag %d: %v, want bad kernel tag", tag, err)
+		}
 	}
 }
 

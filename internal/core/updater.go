@@ -137,11 +137,17 @@ type Journal interface {
 	RecordRetrain(ctx context.Context, version, trainedCount int)
 }
 
+// DefaultAlphaPrimeDB is the upload acceptance criterion α′ (§3.4) an
+// updater applies unless configured otherwise: a batch whose CI span is
+// wider is refused.
+const DefaultAlphaPrimeDB = 1.0
+
 // UpdaterConfig assembles an Updater.
 type UpdaterConfig struct {
 	// Constructor configures model building.
 	Constructor ConstructorConfig
-	// AlphaPrimeDB is the upload acceptance criterion; default 1.0 dB.
+	// AlphaPrimeDB is the upload acceptance criterion; 0 means
+	// DefaultAlphaPrimeDB.
 	AlphaPrimeDB float64
 	// Metrics, when set, receives updater telemetry (upload outcomes,
 	// rebuild duration, store size) labeled with MetricsScope.
@@ -161,7 +167,7 @@ type UpdaterConfig struct {
 // before Retrain.
 func NewUpdater(cfg UpdaterConfig) (*Updater, error) {
 	if cfg.AlphaPrimeDB == 0 {
-		cfg.AlphaPrimeDB = 1.0
+		cfg.AlphaPrimeDB = DefaultAlphaPrimeDB
 	}
 	if cfg.AlphaPrimeDB < 0 {
 		return nil, fmt.Errorf("core: negative alpha' %v", cfg.AlphaPrimeDB)

@@ -170,11 +170,22 @@ type storeKey struct {
 	kind sensor.Kind
 }
 
+// ShippedConstructor is the model every waldo-server trains, the
+// paper's: k-means localities (k = 3, the 700 km² metro's, §3.2), each
+// with a random-Fourier-feature SVM over location + RSS + CFT (Table 1,
+// Fig. 16), seed 0. Uploads are gated at AlphaPrimeDB's default,
+// core.DefaultAlphaPrimeDB (1 dB).
+func ShippedConstructor() core.ConstructorConfig {
+	return core.ConstructorConfig{ClusterK: 3, Classifier: core.KindSVM, Features: features.SetLocationRSSCFT}
+}
+
 // Config parameterizes the database.
 type Config struct {
-	// Constructor configures model building for every channel.
+	// Constructor configures model building for every channel;
+	// waldo-server sets ShippedConstructor.
 	Constructor core.ConstructorConfig
-	// AlphaPrimeDB is the upload acceptance criterion (§3.4); 0 means 1 dB.
+	// AlphaPrimeDB is the upload acceptance criterion (§3.4); 0 means
+	// core.DefaultAlphaPrimeDB, 1 dB.
 	AlphaPrimeDB float64
 	// Metrics receives the server's telemetry (HTTP middleware, updater
 	// and WAL instrumentation) and backs the /metrics endpoint.

@@ -66,8 +66,7 @@ func planFor(n int) (*fftPlan, error) {
 // transform writes to dst the first `stages` radix-2 decimation-in-time
 // stages of the len(src)-point transform of src — all log2(n) of them for
 // the full transform, p.stages — and returns Σ|src[i]|², accumulated in
-// index order. tw is the plan's twiddle table. dst and src must not
-// overlap.
+// index order. dst and src must not overlap.
 //
 // This is the one butterfly implementation behind PowerSpectrumInto and
 // PilotBand, and it follows the kernel rule
@@ -83,8 +82,8 @@ func planFor(n int) (*fftPlan, error) {
 // n/2, n/4 and 3n/4, so it gathers them while the energy sum — a chain of
 // n dependent adds, which would otherwise cost as much as two stages —
 // proceeds through samples 4g..4g+3 in the shadow of the butterflies.
-func (p *fftPlan) transform(dst, src, tw []complex128, stages int) (sumSq float64) {
-	n := len(src)
+func (p *fftPlan) transform(dst, src []complex128, stages int) (sumSq float64) {
+	n, tw := len(src), p.tw
 	dst = dst[:n]
 	if stages < 2 {
 		for i, s := range src {
@@ -211,7 +210,7 @@ func PowerSpectrumInto(dst []float64, x []complex128) error {
 		return err
 	}
 	bufp, buf := scratch(len(x))
-	p.transform(buf, x, p.tw, p.stages)
+	p.transform(buf, x, p.stages)
 	n := float64(len(x))
 	for i, c := range buf {
 		dst[i] = binPower(c, n)

@@ -64,7 +64,7 @@ func forward(t testing.TB, x []complex128) []complex128 {
 		t.Fatal(err)
 	}
 	out := make([]complex128, len(x))
-	p.transform(out, x, p.tw, p.stages)
+	p.transform(out, x, p.stages)
 	return out
 }
 

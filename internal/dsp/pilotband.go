@@ -52,7 +52,7 @@ func PilotBand(samples []complex128, width int) (energyMW, centerMW, bandMeanMW 
 	}
 	if stages < 3 || width > n/4 {
 		// Too short or too wide to prune: run the whole transform.
-		energyMW = p.transform(x, samples, tw, stages) / nn
+		energyMW = p.transform(x, samples, stages) / nn
 		var sum float64
 		for _, c := range x[n-up:] {
 			sum += binPower(c, nn)
@@ -63,7 +63,7 @@ func PilotBand(samples []complex128, width int) (energyMW, centerMW, bandMeanMW 
 		return energyMW, binPower(x[0], nn), sum / float64(width), nil
 	}
 
-	energyMW = p.transform(x, samples, tw, stages-2) / nn
+	energyMW = p.transform(x, samples, stages-2) / nn
 
 	// Second-to-last stage (half-size n/4, twiddle stride 2) in both
 	// halves: the final stage reads positions [0, low) and [n/2−up, n/2)

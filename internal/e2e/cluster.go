@@ -132,7 +132,7 @@ func RunClusterCrash(cfg ClusterConfig) (*ClusterResult, error) {
 	defer st.stop()
 	node := func(id, dir, follow string) (*proc, error) {
 		return st.store(cluster.NodeConfig{ID: id, Follow: follow, DB: dbserver.Config{
-			Constructor: core.ConstructorConfig{Classifier: core.KindNB, Seed: cfg.Seed},
+			Constructor: dbserver.ShippedConstructor(),
 			DataDir:     dir,
 		}}, nil)
 	}

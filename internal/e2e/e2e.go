@@ -59,16 +59,15 @@ import (
 )
 
 // A run's fixed shape: the channels it bootstraps, serves and scans, the
-// bootstrap campaign size, the number of refresh → scan → upload duty
-// cycles, and the server's upload acceptance criterion α′, which the
-// run also applies before it uploads. The detector runs at its default
-// α.
+// bootstrap campaign size and the number of refresh → scan → upload duty
+// cycles. The server trains the shipped model and gates uploads at its
+// default α′, core.DefaultAlphaPrimeDB, which the run also applies
+// before it uploads. The detector runs at its default α.
 var runChannels = []rfenv.Channel{47}
 
 const (
-	runSamples   = 500
-	runCycles    = 6
-	alphaPrimeDB = 1.0
+	runSamples = 500
+	runCycles  = 6
 )
 
 // Config parameterizes one harness run: a small run on channel 47,
@@ -187,9 +186,8 @@ func newSession(st *stack, cfg Config, env *rfenv.Environment, log *strings.Buil
 		serverMW = &faultinject.Middleware{Plan: cfg.ServerPlan}
 	}
 	srv, err := st.store(cluster.NodeConfig{DB: dbserver.Config{
-		Constructor:  core.ConstructorConfig{Classifier: core.KindNB, Seed: cfg.Seed},
-		AlphaPrimeDB: alphaPrimeDB,
-		DataDir:      dataDir,
+		Constructor: dbserver.ShippedConstructor(),
+		DataDir:     dataDir,
 	}}, serverMW)
 	if err != nil {
 		return nil, err
@@ -223,7 +221,7 @@ func (s *session) runCycles(ctx context.Context, from, to int) error {
 			fmt.Fprintf(s.log, "cycle=%d channel=%d label=%v converged=%t readings=%d ci=%.6f rss=%.6f cft=%.6f aft=%.6f\n",
 				cycle, int(ch), dec.Label, dec.Converged, dec.ReadingsUsed,
 				dec.CISpanDB, dec.Signal.RSSdBm, dec.Signal.CFTdB, dec.Signal.AFTdB)
-			if !dec.Converged || dec.CISpanDB > alphaPrimeDB {
+			if !dec.Converged || dec.CISpanDB > core.DefaultAlphaPrimeDB {
 				continue
 			}
 			batch := uploadBatch(s.cfg, dec, cycle, ch)

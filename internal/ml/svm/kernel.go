@@ -1,49 +1,20 @@
 // Package svm provides two support-vector-machine trainers: an exact SMO
-// solver with pluggable kernels (the reference implementation, suited to
+// solver with the RBF kernel (the reference implementation, suited to
 // per-cluster datasets), and a Pegasos stochastic sub-gradient linear SVM
 // that — composed with random Fourier features — approximates the RBF
 // kernel at a small fraction of the training cost, which is what lets the
 // full 5,282-readings-per-channel campaigns cross-validate quickly.
 package svm
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Kernel is a positive-definite similarity function.
-type Kernel interface {
-	// Eval computes k(a, b). Implementations may assume equal lengths.
-	Eval(a, b []float64) float64
-	// Name identifies the kernel in model descriptors.
-	Name() string
-}
-
-// Linear is the dot-product kernel.
-type Linear struct{}
-
-// Name implements Kernel.
-func (Linear) Name() string { return "linear" }
-
-// Eval implements Kernel.
-func (Linear) Eval(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// RBF is the Gaussian kernel exp(−γ‖a−b‖²).
+// RBF is the Gaussian kernel exp(−γ‖a−b‖²), the one SMO solves with.
 type RBF struct {
 	// Gamma is the inverse squared length scale; must be positive.
 	Gamma float64
 }
 
-// Name implements Kernel.
-func (RBF) Name() string { return "rbf" }
-
-// Eval implements Kernel.
+// Eval computes k(a, b). It assumes equal lengths.
 func (k RBF) Eval(a, b []float64) float64 {
 	var d2 float64
 	for i := range a {
@@ -51,43 +22,4 @@ func (k RBF) Eval(a, b []float64) float64 {
 		d2 += d * d
 	}
 	return math.Exp(-k.Gamma * d2)
-}
-
-// Poly is the polynomial kernel (a·b + coef)^degree.
-type Poly struct {
-	Degree int
-	Coef   float64
-}
-
-// Name implements Kernel.
-func (Poly) Name() string { return "poly" }
-
-// Eval implements Kernel.
-func (k Poly) Eval(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return math.Pow(s+k.Coef, float64(k.Degree))
-}
-
-// KernelByName reconstructs a kernel from its descriptor name and
-// parameters (used by the model codec).
-func KernelByName(name string, gamma float64, degree int, coef float64) (Kernel, error) {
-	switch name {
-	case "linear":
-		return Linear{}, nil
-	case "rbf":
-		if gamma <= 0 {
-			return nil, fmt.Errorf("svm: rbf gamma must be positive, got %v", gamma)
-		}
-		return RBF{Gamma: gamma}, nil
-	case "poly":
-		if degree < 1 {
-			return nil, fmt.Errorf("svm: poly degree must be ≥1, got %d", degree)
-		}
-		return Poly{Degree: degree, Coef: coef}, nil
-	default:
-		return nil, fmt.Errorf("svm: unknown kernel %q", name)
-	}
 }

@@ -13,7 +13,7 @@ import (
 // exact reference trainer; use RFFSVM for large training sets.
 type SMO struct {
 	// Kernel defaults to RBF{Gamma: 0.5}.
-	Kernel Kernel
+	Kernel RBF
 	// C is the soft-margin penalty; default 10.
 	C float64
 	// Tol is the KKT violation tolerance; default 1e-3.
@@ -36,7 +36,7 @@ var _ ml.Classifier = (*SMO)(nil)
 var _ ml.DecisionScorer = (*SMO)(nil)
 
 func (s *SMO) defaults() {
-	if s.Kernel == nil {
+	if s.Kernel.Gamma == 0 {
 		s.Kernel = RBF{Gamma: 0.5}
 	}
 	if s.C == 0 {

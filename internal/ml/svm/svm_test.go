@@ -59,14 +59,16 @@ func accuracy(t *testing.T, cls ml.Classifier, x [][]float64, y []int) float64 {
 	return float64(correct) / float64(len(x))
 }
 
+// TestSMOLinearSeparable: the RBF SMO fits linearly separable blobs
+// with a proper subset of the points as support vectors.
 func TestSMOLinearSeparable(t *testing.T) {
 	x, y := twoBlobs(200, 3, 1)
-	s := &SMO{Kernel: Linear{}, Seed: 2}
+	s := &SMO{Seed: 2}
 	if err := s.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
 	if acc := accuracy(t, s, x, y); acc < 0.98 {
-		t.Errorf("linear SMO accuracy = %v on separable blobs", acc)
+		t.Errorf("SMO accuracy = %v on separable blobs", acc)
 	}
 	if n := len(s.svX); n == 0 || n == len(x) {
 		t.Errorf("suspicious SV count %d of %d", n, len(x))
@@ -263,39 +265,11 @@ func TestRFFValidation(t *testing.T) {
 func TestKernels(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, -1}
-	if got := (Linear{}).Eval(a, b); got != 1 {
-		t.Errorf("linear = %v, want 1", got)
-	}
 	if got := (RBF{Gamma: 0.5}).Eval(a, a); got != 1 {
 		t.Errorf("rbf self = %v, want 1", got)
 	}
 	if got := (RBF{Gamma: 0.5}).Eval(a, b); got >= 1 || got <= 0 {
 		t.Errorf("rbf cross = %v, want in (0,1)", got)
-	}
-	if got := (Poly{Degree: 2, Coef: 1}).Eval(a, b); got != 4 {
-		t.Errorf("poly = %v, want 4", got)
-	}
-
-	for _, tc := range []struct {
-		name  string
-		gamma float64
-		deg   int
-		ok    bool
-	}{
-		{"linear", 0, 0, true},
-		{"rbf", 1, 0, true},
-		{"rbf", 0, 0, false},
-		{"poly", 0, 2, true},
-		{"poly", 0, 0, false},
-		{"nope", 0, 0, false},
-	} {
-		_, err := KernelByName(tc.name, tc.gamma, tc.deg, 1)
-		if tc.ok && err != nil {
-			t.Errorf("KernelByName(%s): %v", tc.name, err)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("KernelByName(%s): expected error", tc.name)
-		}
 	}
 }
 

@@ -36,8 +36,7 @@ import (
 type Level int8
 
 const (
-	LevelDebug Level = iota
-	LevelInfo
+	LevelInfo Level = iota
 	LevelWarn
 	LevelError
 )
@@ -45,8 +44,6 @@ const (
 // String renders the level as its canonical lowercase name.
 func (l Level) String() string {
 	switch l {
-	case LevelDebug:
-		return "debug"
 	case LevelInfo:
 		return "info"
 	case LevelWarn:
@@ -57,11 +54,9 @@ func (l Level) String() string {
 	return "level(" + strconv.Itoa(int(l)) + ")"
 }
 
-// ParseLevel parses a level name ("debug", "info", "warn", "error").
+// ParseLevel parses a level name ("info", "warn", "error").
 func ParseLevel(s string) (Level, error) {
 	switch strings.ToLower(s) {
-	case "debug":
-		return LevelDebug, nil
 	case "info":
 		return LevelInfo, nil
 	case "warn", "warning":
@@ -76,7 +71,7 @@ func ParseLevel(s string) (Level, error) {
 type Options struct {
 	// W receives log lines; nil means io.Discard.
 	W io.Writer
-	// Min is the lowest level emitted. The zero value is LevelDebug
+	// Min is the lowest level emitted. The zero value is LevelInfo
 	// (emit everything); binaries set this from their -log-level flag.
 	Min Level
 	// Metrics, when set, receives waldo_log_events_total (by level) and
@@ -102,7 +97,7 @@ type core struct {
 	burst float64
 	now   func() time.Time
 
-	events     [4]*telemetry.Counter
+	events     [3]*telemetry.Counter
 	suppressed *telemetry.Counter
 }
 
@@ -145,7 +140,7 @@ func New(opts Options) *Logger {
 		now:     opts.Now,
 	}
 	const help = "Log lines emitted, by level."
-	for lv := LevelDebug; lv <= LevelError; lv++ {
+	for lv := LevelInfo; lv <= LevelError; lv++ {
 		c.events[lv] = opts.Metrics.Counter("waldo_log_events_total", help, "level", lv.String())
 	}
 	c.suppressed = opts.Metrics.Counter("waldo_log_suppressed_total",

@@ -32,7 +32,7 @@ func (l *lockedBuf) String() string {
 
 func TestParseLevel(t *testing.T) {
 	for in, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "WARN": LevelWarn,
+		"info": LevelInfo, "WARN": LevelWarn,
 		"warning": LevelWarn, "Error": LevelError,
 	} {
 		got, err := ParseLevel(in)
@@ -40,17 +40,19 @@ func TestParseLevel(t *testing.T) {
 			t.Errorf("ParseLevel(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel accepted \"loud\"")
+	for _, in := range []string{"loud", "debug"} {
+		if _, err := ParseLevel(in); err == nil {
+			t.Errorf("ParseLevel accepted %q", in)
+		}
 	}
 }
 
 func TestLineFormatAndLevels(t *testing.T) {
 	var buf lockedBuf
 	reg := telemetry.New()
-	lg := New(Options{W: &buf, Min: LevelInfo, Metrics: reg}).Named("dbserver")
+	lg := New(Options{W: &buf, Min: LevelWarn, Metrics: reg}).Named("dbserver")
 
-	lg.log(context.Background(), LevelDebug, "too_quiet", nil) // below Min: dropped
+	lg.Info(context.Background(), "too_quiet") // below Min: dropped
 	lg.Warn(context.Background(), "route_too_long",
 		"channel", 47,
 		"err", errors.New("no model"),
@@ -62,7 +64,7 @@ func TestLineFormatAndLevels(t *testing.T) {
 
 	out := buf.String()
 	if strings.Contains(out, "too_quiet") {
-		t.Fatalf("debug line leaked past Min=info:\n%s", out)
+		t.Fatalf("info line leaked past Min=warn:\n%s", out)
 	}
 	line := strings.TrimSpace(out)
 	for _, want := range []string{
@@ -84,8 +86,8 @@ func TestLineFormatAndLevels(t *testing.T) {
 	if got := reg.Counter("waldo_log_events_total", "", "level", "warn").Value(); got != 1 {
 		t.Fatalf("waldo_log_events_total{level=warn} = %d, want 1", got)
 	}
-	if got := reg.Counter("waldo_log_events_total", "", "level", "debug").Value(); got != 0 {
-		t.Fatalf("waldo_log_events_total{level=debug} = %d, want 0", got)
+	if got := reg.Counter("waldo_log_events_total", "", "level", "info").Value(); got != 0 {
+		t.Fatalf("waldo_log_events_total{level=info} = %d, want 0", got)
 	}
 }
 

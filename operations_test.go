@@ -351,9 +351,7 @@ func topLevelNames(t *testing.T, dir string) map[string]bool {
 	return names
 }
 
-// flagsOf returns the flag names the non-test Go files in dir define:
-// the first argument of a flag.String-style call, the second of a
-// flag.StringVar-style one.
+// flagsOf returns the flag names the non-test Go files in dir define.
 func flagsOf(t *testing.T, dir string) map[string]bool {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -369,32 +367,42 @@ func flagsOf(t *testing.T, dir string) map[string]bool {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			arg := 0
-			switch sel.Sel.Name {
-			case "String", "Int", "Int64", "Uint", "Uint64", "Bool", "Duration", "Float64", "Func", "BoolFunc":
-			case "StringVar", "IntVar", "Int64Var", "UintVar", "Uint64Var", "BoolVar", "DurationVar", "Float64Var", "Var", "TextVar":
-				arg = 1
-			default:
-				return true
-			}
-			if len(call.Args) > arg {
-				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					name, _ := strconv.Unquote(lit.Value)
-					names[name] = true
-				}
-			}
-			return true
-		})
+		for _, name := range definedFlags(f) {
+			names[name] = true
+		}
 	}
+	return names
+}
+
+// definedFlags returns the flag names f defines: the first argument of a
+// flag.String-style call, the second of a flag.StringVar-style one.
+func definedFlags(f *ast.File) []string {
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		arg := 0
+		switch sel.Sel.Name {
+		case "String", "Int", "Int64", "Uint", "Uint64", "Bool", "Duration", "Float64", "Func", "BoolFunc":
+		case "StringVar", "IntVar", "Int64Var", "UintVar", "Uint64Var", "BoolVar", "DurationVar", "Float64Var", "Var", "TextVar":
+			arg = 1
+		default:
+			return true
+		}
+		if len(call.Args) > arg {
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				names = append(names, name)
+			}
+		}
+		return true
+	})
 	return names
 }
 
@@ -790,6 +798,23 @@ func readFile(t *testing.T, path string) []byte {
 	return src
 }
 
+// writeTree writes files, keyed by slash path, under a fresh temporary
+// directory and returns it: the module a checker's own case runs on.
+func writeTree(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
 // TestConfigFieldsHaveACaller: a value nobody sets is a constant. Every
 // exported field of a *Config, *Options or *Policy struct in a package
 // that a binary under cmd/ or the benchmark links is set by non-test
@@ -800,19 +825,6 @@ func readFile(t *testing.T, path string) []byte {
 // for faults, which the allowlist says. The first cases check the
 // checker.
 func TestConfigFieldsHaveACaller(t *testing.T) {
-	writeTree := func(t *testing.T, files map[string]string) string {
-		root := t.TempDir()
-		for name, src := range files {
-			path := filepath.Join(root, filepath.FromSlash(name))
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return root
-	}
 	t.Run("checks_the_checker", func(t *testing.T) {
 		root := writeTree(t, map[string]string{
 			"go.mod": "module example.com/m\n",
@@ -1145,8 +1157,7 @@ func parseModule(root string) (*goModule, error) {
 // first case checks the checker.
 func TestExportedHaveACaller(t *testing.T) {
 	t.Run("checks_the_checker", func(t *testing.T) {
-		root := t.TempDir()
-		for name, src := range map[string]string{
+		root := writeTree(t, map[string]string{
 			"go.mod": "module example.com/m\n",
 			"internal/p/p.go": `package p
 
@@ -1178,15 +1189,7 @@ func main() { q.Used().Used() }
 			"internal/orphan/o.go":  "package orphan\n\nfunc Nobody() {}\n",
 			"internal/e2e/e2e.go":   "package e2e\n\nfunc Harness() {}\n",
 			"internal/p/sub/sub.go": "package sub\n",
-		} {
-			path := filepath.Join(root, filepath.FromSlash(name))
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		})
 		got, err := uncalledExported(root)
 		if err != nil {
 			t.Fatal(err)
@@ -1365,6 +1368,176 @@ func uncalledExported(root string) ([]string, error) {
 	}
 	for name := range flagged {
 		uncalled = append(uncalled, name)
+	}
+	sort.Strings(uncalled)
+	return uncalled, nil
+}
+
+// TestFlagsHaveACaller: a flag nobody passes is a knob nobody turns, and
+// it keeps the config field it feeds "set" for TestConfigFieldsHaveACaller.
+// Every flag a binary under cmd/ defines is passed by a non-test caller
+// in the repository — a "-name" or "-name=value" string literal in Go
+// outside cmd/ (the benchmark's process harness, internal/e2e,
+// internal/cmdtest), or a -name word after the binary's name on a
+// command line of a shell script or the Makefile — or is on
+// flagAllowlist with the reason it stays. A test or a document does not
+// count as a caller. The first case checks the checker.
+func TestFlagsHaveACaller(t *testing.T) {
+	t.Run("checks_the_checker", func(t *testing.T) {
+		root := writeTree(t, map[string]string{
+			"go.mod": "module example.com/m\n",
+			"cmd/app/main.go": `package main
+
+import "flag"
+
+var _ = "-own" // the binary naming its own flag is no caller
+
+func main() {
+	fs := flag.NewFlagSet("app", flag.ContinueOnError)
+	var b bool
+	fs.String("lit", "", "")
+	fs.Int("eq", 0, "")
+	fs.BoolVar(&b, "make", false, "")
+	fs.String("shell", "", "")
+	fs.String("own", "", "")
+	fs.String("onlytest", "", "")
+	fs.String("unused", "", "")
+}
+`,
+			"cmd/other/main.go":    "package main\n\nimport \"flag\"\n\nfunc main() { flag.String(\"shell\", \"\", \"\") }\n",
+			"internal/h/h.go":      "package h\n\nvar Args = []string{\"-lit\", \"x\", \"-eq=1\"}\n",
+			"internal/h/h_test.go": "package h\n\nvar _ = \"-onlytest\"\n",
+			"scripts/run.sh":       "#!/bin/sh\n./bin/app -shell x # -unused\n",
+			"Makefile":             "run:\n\tgo run ./cmd/app \\\n\t\t-make\n",
+			"README.md":            "    app -unused\n",
+		})
+		got, err := uncalledFlags(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"app -onlytest", "app -own", "app -unused", "other -shell"}; !slices.Equal(got, want) {
+			t.Errorf("flagged %v, want %v", got, want)
+		}
+	})
+	got, err := uncalledFlags(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range got {
+		if flagAllowlist[f] == "" {
+			t.Errorf("%s: no non-test caller passes it; delete the flag, or allowlist it with the reason", f)
+		}
+	}
+	for f := range flagAllowlist {
+		if !slices.Contains(got, f) {
+			t.Errorf("%s is allowlisted but has a caller (or is gone): drop its entry", f)
+		}
+	}
+}
+
+// flagAllowlist names the flags that stay without a caller in the
+// repository, each with its reason.
+var flagAllowlist = map[string]string{
+	// Deployment: what only the operator of one process knows.
+	"waldo-server -follow":      "topology: the primary a replica follows (the cluster harness sets cluster.NodeConfig.Follow in-process)",
+	"waldo-server -log-level":   "log verbosity",
+	"waldo-server -admin-addr":  "the opt-in admin listener's address",
+	"waldo-gateway -log-level":  "log verbosity",
+	"waldo-gateway -admin-addr": "the opt-in admin listener's address",
+	// Generators run by hand.
+	"waldo-wardrive -out":     "the output of a campaign generated by hand",
+	"waldo-wardrive -samples": "the size of a campaign generated by hand",
+	"waldo-wardrive -seed":    "the seed of a campaign generated by hand",
+	"waldo-bench -seed":       "the seed of an experiment run by hand",
+	"waldo-bench -samples":    "the size of an experiment run by hand",
+	"waldo-bench -run":        "the selection of experiments run by hand",
+	"waldo-bench -list":       "the selection of experiments run by hand: list them",
+}
+
+// uncalledFlags parses the Go module rooted at root (go/parser only) and
+// returns, sorted as "binary -name", each flag a binary under cmd/
+// defines that no caller passes. A string literal "-name" or
+// "-name=value" in a non-test Go file outside cmd/ passes every binary's
+// flag of that name; a -name word after a binary's name on a command
+// line of a Makefile or a .sh file (a trailing backslash continues the
+// line, a # starts a comment) passes that binary's.
+func uncalledFlags(root string) ([]string, error) {
+	mod, err := parseModule(root)
+	if err != nil {
+		return nil, err
+	}
+	flagRE := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=|$)`)
+	defined := map[string][]string{} // binary → its flags
+	passed := map[string]bool{}      // "binary -name", or " -name" from Go
+	for _, f := range mod.files {
+		if bin, ok := strings.CutPrefix(f.pkg, mod.path+"/cmd/"); ok {
+			defined[bin] = append(defined[bin], definedFlags(f.ast)...)
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				v, _ := strconv.Unquote(lit.Value)
+				if m := flagRE.FindStringSubmatch(v); m != nil {
+					passed[" -"+m[1]] = true
+				}
+			}
+			return true
+		})
+	}
+
+	var bins []string
+	for bin := range defined {
+		bins = append(bins, bin)
+	}
+	sort.Strings(bins)
+	cmdRE := regexp.MustCompile(`(?:^|[\s;&|(/])(` + strings.Join(bins, "|") + `)((?:\s+[^\s;&|]+)*)`)
+	commentRE := regexp.MustCompile(`(?:^|\s)#.*$`)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", ".bench_build", "bin", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if d.Name() != "Makefile" && !strings.HasSuffix(path, ".sh") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		line := ""
+		for _, raw := range strings.Split(string(src), "\n") {
+			if line += raw; strings.HasSuffix(line, "\\") {
+				line = strings.TrimSuffix(line, "\\") + " "
+				continue
+			}
+			for _, m := range cmdRE.FindAllStringSubmatch(commentRE.ReplaceAllString(line, ""), -1) {
+				for _, arg := range strings.Fields(m[2]) {
+					if f := flagRE.FindStringSubmatch(arg); f != nil {
+						passed[m[1]+" -"+f[1]] = true
+					}
+				}
+			}
+			line = ""
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	var uncalled []string
+	for _, bin := range bins {
+		for _, name := range defined[bin] {
+			if !passed[" -"+name] && !passed[bin+" -"+name] {
+				uncalled = append(uncalled, bin+" -"+name)
+			}
+		}
 	}
 	sort.Strings(uncalled)
 	return uncalled, nil
