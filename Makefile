@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check verify build test race vet fmt-check bench-repo bench-pairs crash-test chaos cluster-test clean
+.PHONY: check verify build test race vet fmt-check bench-repo bench-pairs chaos cluster-test clean
 
 check: vet build race
 
@@ -48,16 +48,13 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The crash-recovery acceptance test under the race detector: a server
-# killed mid-campaign (clean kill and torn-tail variants, plus a run under
-# client-side network chaos) must recover from disk to byte-identical
-# decisions, store exports, and model versions.
-crash-test:
-	$(GO) test -race ./internal/e2e/ -run 'TestCrashRecovery|TestRunCrashValidation' -count 1 -v
-
 # Deterministic chaos suite: the fault-injection layer, the client/server
 # resilience tests, and the end-to-end byte-identity harness, all under
-# the race detector (DESIGN.md §9). About 21 s on 2 vCPUs with a warm
+# the race detector (DESIGN.md §9). The e2e package holds the
+# crash-recovery acceptance test (DESIGN.md §10): a server killed
+# mid-campaign (clean kill and torn-tail variants, plus a run under
+# client-side network chaos) must recover from disk to byte-identical
+# decisions, store exports, and model versions. About 21 s on 2 vCPUs with a warm
 # build cache, all of it race-instrumented work: no run waits out a
 # shutdown grace, because every harness process stops through
 # adminhttp's Server.Close, which wakes parked polls.

@@ -488,6 +488,9 @@ func TestModelCopyNamesBytesNotVersions(t *testing.T) {
 	}
 	post("/v1/readings", uploadBody(t, fieldAt(400, 47, loc, -100)), http.StatusNoContent)
 	post("/v1/retrain?channel=47&sensor=1", nil, http.StatusOK)
+	// The store's first model: no grid had named it, so the retrain had
+	// no copy to wait for, and the copy lands with the grid it republishes.
+	followed(t, sh)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := primary.Drain(ctx); err != nil {

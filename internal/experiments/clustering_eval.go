@@ -148,8 +148,12 @@ func (s *Suite) Fig14TrainingSize() (*Fig14Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				// Fixed shuffled split: last tenth is the test set.
-				folds, err := validate.KFold(len(readings), 10, s.cfg.Seed+300+int64(ch))
+				// Fixed shuffled split: last tenth is the test set. The
+				// training fractions are prefixes of the other nine
+				// folds in KFold's shuffled order, nested as the paper's
+				// growing dataset is, so this reads KFold, not Splits,
+				// whose training sets are in index order.
+				folds, err := validate.KFold(len(readings), cvFolds, s.cfg.Seed+300+int64(ch))
 				if err != nil {
 					return nil, err
 				}
@@ -163,14 +167,7 @@ func (s *Suite) Fig14TrainingSize() (*Fig14Result, error) {
 					if n < 50 {
 						n = 50
 					}
-					trainIdx := pool[:n]
-					trainR := make([]dataset.Reading, len(trainIdx))
-					trainL := make([]dataset.Label, len(trainIdx))
-					for i, idx := range trainIdx {
-						trainR[i] = readings[idx]
-						trainL[i] = labels[idx]
-					}
-					m, err := core.BuildModel(trainR, trainL, core.ConstructorConfig{
+					m, err := core.BuildModel(validate.Pick(readings, pool[:n]), validate.Pick(labels, pool[:n]), core.ConstructorConfig{
 						ClusterK:   5,
 						Classifier: model,
 						Features:   features.SetLocationRSSCFT,

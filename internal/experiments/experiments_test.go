@@ -31,6 +31,30 @@ func testSuite(t *testing.T) *Suite {
 	return sharedSuite
 }
 
+// shared is one experiment's result on the shared suite, run once for
+// the shape tests and TestGoldenHeldOutCounts that read it.
+type shared[T any] struct {
+	once sync.Once
+	res  T
+	err  error
+}
+
+func (m *shared[T]) get(t *testing.T, run func(*Suite) (T, error)) T {
+	t.Helper()
+	s := testSuite(t)
+	m.once.Do(func() { m.res, m.err = run(s) })
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
+	return m.res
+}
+
+var (
+	table1Run   shared[*Table1Result]
+	fig14Run    shared[*Fig14Result]
+	temporalRun shared[*TemporalResult]
+)
+
 func TestSuiteConfigDefaults(t *testing.T) {
 	s := NewSuite(Config{})
 	if s.Config().Samples != 5282 {
@@ -208,11 +232,7 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	s := testSuite(t)
-	res, err := s.Table1VScopeComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := table1Run.get(t, (*Suite).Table1VScopeComparison)
 	// Waldo beats V-Scope decisively on FP (safety).
 	if res.VScope.FPRate() < 2*res.WaldoUSRP.FPRate() {
 		t.Errorf("V-Scope FP (%.3f) should be far worse than Waldo (%.3f)",
@@ -380,10 +400,7 @@ func TestAblationLabelingMonotone(t *testing.T) {
 
 func TestRendersNonEmpty(t *testing.T) {
 	s := testSuite(t)
-	res, err := s.Fig14TrainingSize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fig14Run.get(t, (*Suite).Fig14TrainingSize)
 	if !strings.Contains(res.Render(), "Fig. 14") {
 		t.Error("render header missing")
 	}
@@ -429,11 +446,7 @@ func TestAblationSafetyMarginCurve(t *testing.T) {
 }
 
 func TestAblationTemporalDrift(t *testing.T) {
-	s := testSuite(t)
-	res, err := s.AblationTemporalDrift()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := temporalRun.get(t, (*Suite).AblationTemporalDrift)
 	if len(res.Rows) != len(rfenv.EvalChannels) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/wsdetect/waldo/internal/baseline/kriging"
 	"github.com/wsdetect/waldo/internal/core"
-	"github.com/wsdetect/waldo/internal/dataset"
 	"github.com/wsdetect/waldo/internal/features"
 	"github.com/wsdetect/waldo/internal/ml/validate"
 	"github.com/wsdetect/waldo/internal/rfenv"
@@ -40,21 +39,12 @@ func (s *Suite) AblationInterpolation() (*InterpolationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		folds, err := validate.KFold(len(readings), 10, s.cfg.Seed+800+int64(ch))
+		splits, err := validate.Splits(len(readings), cvFolds, s.cfg.Seed+800+int64(ch))
 		if err != nil {
 			return nil, err
 		}
-		test := folds[0]
-		inTest := make(map[int]bool, len(test))
-		for _, i := range test {
-			inTest[i] = true
-		}
-		var train []dataset.Reading
-		for i := range readings {
-			if !inTest[i] {
-				train = append(train, readings[i])
-			}
-		}
+		split := splits[0]
+		train := validate.Pick(readings, split.Train)
 
 		km, err := kriging.Fit(train)
 		if err != nil {
@@ -64,7 +54,7 @@ func (s *Suite) AblationInterpolation() (*InterpolationResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("interp %v idw: %w", ch, err)
 		}
-		for _, i := range test {
+		for _, i := range split.Test {
 			kOK, err := km.Available(readings[i].Loc)
 			if err != nil {
 				return nil, err

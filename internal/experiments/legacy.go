@@ -63,27 +63,12 @@ func legacyCV(readings []dataset.Reading, labels []dataset.Label, set features.S
 		x[i] = v
 		y[i] = labelClass(labels[i])
 	}
-	folds, err := validate.KFold(len(x), cvFolds, seed)
+	splits, err := validate.Splits(len(x), cvFolds, seed)
 	if err != nil {
 		return total, err
 	}
-	inTest := make([]bool, len(x))
-	for f, test := range folds {
-		for i := range inTest {
-			inTest[i] = false
-		}
-		for _, i := range test {
-			inTest[i] = true
-		}
-		var trainX [][]float64
-		var trainY []int
-		for i := range x {
-			if !inTest[i] {
-				trainX = append(trainX, x[i])
-				trainY = append(trainY, y[i])
-			}
-		}
-		m, err := legacyTrainAndTest(set, trainX, trainY, test, x, y)
+	for f, sp := range splits {
+		m, err := legacyTrainAndTest(set, validate.Pick(x, sp.Train), validate.Pick(y, sp.Train), sp.Test, x, y)
 		if err != nil {
 			return total, fmt.Errorf("legacy fold %d: %w", f, err)
 		}

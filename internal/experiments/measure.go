@@ -23,14 +23,8 @@ func labelMetrics(pred, truth []dataset.Label) (validate.Metrics, error) {
 	if len(pred) != len(truth) {
 		return m, fmt.Errorf("experiments: %d predictions vs %d truths", len(pred), len(truth))
 	}
-	toClass := func(l dataset.Label) int {
-		if l == dataset.LabelSafe {
-			return 1
-		}
-		return -1
-	}
 	for i := range pred {
-		m.Count(toClass(pred[i]), toClass(truth[i]))
+		m.Count(labelClass(pred[i]), labelClass(truth[i]))
 	}
 	return m, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/wsdetect/waldo/internal/core"
@@ -87,37 +88,25 @@ func (s *Suite) AblationTemporalDrift() (*TemporalResult, error) {
 		}
 
 		// Held-out tenth of the new pass is the test set for both models.
-		folds, err := validate.KFold(len(r2), 10, s.cfg.Seed+902+int64(ch))
+		splits, err := validate.Splits(len(r2), cvFolds, s.cfg.Seed+902+int64(ch))
 		if err != nil {
 			return nil, err
 		}
-		test := folds[0]
-		inTest := make(map[int]bool, len(test))
-		for _, i := range test {
-			inTest[i] = true
-		}
+		split := splits[0]
 
 		stale, err := core.BuildModel(r1, l1, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("temporal: stale %v: %w", ch, err)
 		}
-		var pooledR []dataset.Reading
-		var pooledL []dataset.Label
-		pooledR = append(pooledR, r1...)
-		pooledL = append(pooledL, l1...)
-		for i := range r2 {
-			if !inTest[i] {
-				pooledR = append(pooledR, r2[i])
-				pooledL = append(pooledL, l2[i])
-			}
-		}
+		pooledR := slices.Concat(r1, validate.Pick(r2, split.Train))
+		pooledL := slices.Concat(l1, validate.Pick(l2, split.Train))
 		updated, err := core.BuildModel(pooledR, pooledL, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("temporal: updated %v: %w", ch, err)
 		}
 
 		row := TemporalRow{Channel: ch}
-		for _, i := range test {
+		for _, i := range split.Test {
 			sp, err := stale.ClassifyReading(r2[i])
 			if err != nil {
 				return nil, err

@@ -18,31 +18,16 @@ const cvFolds = 10
 // rebuilt from the training 90 % and scored on the held-out 10 %.
 func waldoCV(readings []dataset.Reading, labels []dataset.Label, cfg core.ConstructorConfig, seed int64) (validate.Metrics, error) {
 	var total validate.Metrics
-	folds, err := validate.KFold(len(readings), cvFolds, seed)
+	splits, err := validate.Splits(len(readings), cvFolds, seed)
 	if err != nil {
 		return total, err
 	}
-	inTest := make([]bool, len(readings))
-	for f, test := range folds {
-		for i := range inTest {
-			inTest[i] = false
-		}
-		for _, i := range test {
-			inTest[i] = true
-		}
-		trainR := make([]dataset.Reading, 0, len(readings)-len(test))
-		trainL := make([]dataset.Label, 0, len(readings)-len(test))
-		for i := range readings {
-			if !inTest[i] {
-				trainR = append(trainR, readings[i])
-				trainL = append(trainL, labels[i])
-			}
-		}
-		m, err := buildPossiblyConstant(trainR, trainL, cfg)
+	for f, sp := range splits {
+		m, err := core.BuildModel(validate.Pick(readings, sp.Train), validate.Pick(labels, sp.Train), cfg)
 		if err != nil {
 			return total, fmt.Errorf("fold %d: %w", f, err)
 		}
-		for _, i := range test {
+		for _, i := range sp.Test {
 			pred, err := m.ClassifyReading(readings[i])
 			if err != nil {
 				return total, fmt.Errorf("fold %d classify: %w", f, err)
@@ -51,12 +36,6 @@ func waldoCV(readings []dataset.Reading, labels []dataset.Label, cfg core.Constr
 		}
 	}
 	return total, nil
-}
-
-// buildPossiblyConstant wraps core.BuildModel; it is a thin alias today but
-// keeps the call site uniform if training-side fallbacks grow.
-func buildPossiblyConstant(rs []dataset.Reading, ls []dataset.Label, cfg core.ConstructorConfig) (*core.Model, error) {
-	return core.BuildModel(rs, ls, cfg)
 }
 
 func labelClass(l dataset.Label) int {

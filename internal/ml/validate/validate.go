@@ -93,6 +93,47 @@ func KFold(n, k int, seed int64) ([][]int, error) {
 	return folds, nil
 }
 
+// Split is one held-out fold: Test is a KFold fold, Train the samples
+// that fit the model scored on it.
+type Split struct {
+	Train, Test []int
+}
+
+// Splits is the one place a held-out evaluation decides which samples
+// train: KFold's folds, each with its complement in ascending index
+// order as the training set.
+func Splits(n, k int, seed int64) ([]Split, error) {
+	folds, err := KFold(n, k, seed)
+	if err != nil {
+		return nil, err
+	}
+	splits := make([]Split, len(folds))
+	inTest := make([]bool, n)
+	for f, test := range folds {
+		clear(inTest)
+		for _, i := range test {
+			inTest[i] = true
+		}
+		train := make([]int, 0, n-len(test))
+		for i, held := range inTest {
+			if !held {
+				train = append(train, i)
+			}
+		}
+		splits[f] = Split{Train: train, Test: test}
+	}
+	return splits, nil
+}
+
+// Pick returns xs at idx, in idx's order.
+func Pick[T any](xs []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for i, j := range idx {
+		out[i] = xs[j]
+	}
+	return out
+}
+
 // Factory constructs a fresh untrained classifier for each fold.
 type Factory func() ml.Classifier
 
@@ -102,27 +143,12 @@ type Factory func() ml.Classifier
 // procedure of paper §4.1.
 func CrossValidate(factory Factory, x [][]float64, y []int, k int, seed int64) (Metrics, error) {
 	var total Metrics
-	folds, err := KFold(len(x), k, seed)
+	splits, err := Splits(len(x), k, seed)
 	if err != nil {
 		return total, err
 	}
-	inTest := make([]bool, len(x))
-	for f, test := range folds {
-		for i := range inTest {
-			inTest[i] = false
-		}
-		for _, i := range test {
-			inTest[i] = true
-		}
-		var trainX [][]float64
-		var trainY []int
-		for i := range x {
-			if !inTest[i] {
-				trainX = append(trainX, x[i])
-				trainY = append(trainY, y[i])
-			}
-		}
-		m, err := TrainAndTest(factory(), trainX, trainY, pick(x, test), pick2(y, test))
+	for f, sp := range splits {
+		m, err := TrainAndTest(factory(), Pick(x, sp.Train), Pick(y, sp.Train), Pick(x, sp.Test), Pick(y, sp.Test))
 		if err != nil {
 			return total, fmt.Errorf("validate: fold %d: %w", f, err)
 		}
@@ -188,20 +214,4 @@ func constantClass(y []int) (int, bool) {
 		}
 	}
 	return first, true
-}
-
-func pick(x [][]float64, idx []int) [][]float64 {
-	out := make([][]float64, len(idx))
-	for i, j := range idx {
-		out[i] = x[j]
-	}
-	return out
-}
-
-func pick2(y []int, idx []int) []int {
-	out := make([]int, len(idx))
-	for i, j := range idx {
-		out[i] = y[j]
-	}
-	return out
 }

@@ -3,6 +3,8 @@ package validate
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/wsdetect/waldo/internal/ml"
@@ -76,6 +78,51 @@ func TestKFoldPartition(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("index %d appears %d times", i, c)
 		}
+	}
+
+	// Splits holds each fold out in turn and trains on the rest, in
+	// index order.
+	splits, err := Splits(103, 10, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(splits) != len(folds) {
+		t.Fatalf("splits = %d, folds = %d", len(splits), len(folds))
+	}
+	tested := make(map[int]int)
+	for f, sp := range splits {
+		if !slices.Equal(sp.Test, folds[f]) {
+			t.Errorf("split %d tests %v, want fold %v", f, sp.Test, folds[f])
+		}
+		held := make(map[int]bool)
+		for _, i := range sp.Test {
+			tested[i]++
+			held[i] = true
+		}
+		var complement []int
+		for i := range 103 {
+			if !held[i] {
+				complement = append(complement, i)
+			}
+		}
+		if !slices.Equal(sp.Train, complement) {
+			t.Errorf("split %d trains on %v, want the ascending complement %v", f, sp.Train, complement)
+		}
+	}
+	if len(tested) != 103 {
+		t.Fatalf("tested %d of 103 indices", len(tested))
+	}
+	for i, c := range tested {
+		if c != 1 {
+			t.Fatalf("index %d is tested %d times", i, c)
+		}
+	}
+	again, err := Splits(103, 10, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, splits) {
+		t.Error("the same seed gave different splits")
 	}
 }
 
