@@ -81,7 +81,7 @@ func legacyCV(readings []dataset.Reading, labels []dataset.Label, set features.S
 // for location-only inputs, signal-space KNN otherwise.
 func legacyTrainAndTest(set features.Set, trainX [][]float64, trainY []int, test []int, x [][]float64, y []int) (validate.Metrics, error) {
 	var m validate.Metrics
-	constLabel, isConst := legacyConstant(trainY)
+	constLabel, isConst := validate.ConstantClass(trainY)
 	if isConst || set == features.SetLocation {
 		label := constLabel
 		if !isConst {
@@ -126,19 +126,6 @@ func legacyMajority(y []int) int {
 		return ml.Positive
 	}
 	return ml.Negative
-}
-
-func legacyConstant(y []int) (int, bool) {
-	if len(y) == 0 {
-		return ml.Negative, true
-	}
-	first := y[0]
-	for _, v := range y[1:] {
-		if v != first {
-			return 0, false
-		}
-	}
-	return first, true
 }
 
 // legacyChannelCV runs legacyCV for one suite channel/sensor.

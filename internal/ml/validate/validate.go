@@ -170,7 +170,7 @@ func TrainAndTest(cls ml.Classifier, trainX [][]float64, trainY []int, testX [][
 		return m, fmt.Errorf("validate: %d test rows, %d labels", len(testX), len(testY))
 	}
 
-	constLabel, isConst := constantClass(trainY)
+	constLabel, isConst := ConstantClass(trainY)
 	if isConst {
 		for i := range testX {
 			m.Count(constLabel, testY[i])
@@ -203,7 +203,10 @@ func TrainAndTest(cls ml.Classifier, trainX [][]float64, trainY []int, testX [][
 	return m, nil
 }
 
-func constantClass(y []int) (int, bool) {
+// ConstantClass returns the one class y holds and true, or false when y
+// holds both classes or none: a training set of one class trains no
+// classifier, its class is the prediction.
+func ConstantClass(y []int) (int, bool) {
 	if len(y) == 0 {
 		return 0, false
 	}
