@@ -47,30 +47,38 @@ func BenchmarkBuildModelParallel(b *testing.B) {
 // BenchmarkMetroRebuild is the train workload's op below the harness:
 // Algorithm 1 and an SVM model for each of the nine metro channels, one
 // worker. cold clears the localities memo before every build, which is
-// the constructor without it; warm keeps it, as the workload does.
+// the constructor without it; warm keeps it, as the workload does. small
+// is warm on each channel's first 1 000 readings, query_mixed's bootstrap
+// size, where a locality's fit is capped at 30 epochs. Each reports the
+// process's CPU per op as cpu-ns/op, steadier than ns/op on a shared
+// host.
 func BenchmarkMetroRebuild(b *testing.B) {
 	channels := metroCampaign(b)
 	cfg := metroConstructor(KindSVM)
 	for _, bench := range []struct {
-		name string
-		cold bool
-	}{{"cold", true}, {"warm", false}} {
+		name     string
+		cold     bool
+		readings int
+	}{{"cold", true, metroSamples}, {"warm", false, metroSamples}, {"small", false, 1000}} {
 		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
+			cpu := selfCPU()
 			for i := 0; i < b.N; i++ {
 				for _, mc := range channels {
-					labels, err := dataset.LabelReadings(mc.readings, dataset.LabelConfig{})
+					readings := mc.readings[:bench.readings]
+					labels, err := dataset.LabelReadings(readings, dataset.LabelConfig{})
 					if err != nil {
 						b.Fatal(err)
 					}
 					if bench.cold {
 						lastLocalities.Store(nil)
 					}
-					if _, err := BuildModel(mc.readings, labels, cfg); err != nil {
+					if _, err := BuildModel(readings, labels, cfg); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
+			b.ReportMetric(float64(selfCPU()-cpu)/float64(b.N), "cpu-ns/op")
 		})
 	}
 }

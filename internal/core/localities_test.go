@@ -36,10 +36,10 @@ func TestLocalitiesMemo(t *testing.T) {
 	}
 
 	t.Run("metro cold and hot", func(t *testing.T) {
-		// TestGoldenMetroModelBytes' hashes.
+		// TestGoldenMetroModelBytes' hashes (averaged fit, step budget S).
 		golden := map[ClassifierKind]string{
-			KindSVM:       "2a7dc9d5ed3bfd7dd5f9940eabfd9bf3125dbbe495de96c6c6f4da6f8e8a846e",
-			KindLinearSVM: "fca70cecd93134511ed1a0de66798997dd4abcb2c8cb6af5b7c63895b0151d9d",
+			KindSVM:       "ae7a85684f932973bdf40c89d0b4e3a94a24d5c49793ac0c4688e3a4f2793e6d",
+			KindLinearSVM: "59fa56f87505603ae54d11e641d87c2fcbf342527949fb3554c2ee7d5610b35a",
 			KindNB:        "5654b967d7d8fc65b95e6a49e2fdb077de402e296aecf9c46dc8253f04d58eb3",
 		}
 		channels := metroCampaign(t)

@@ -83,10 +83,13 @@ func metroConstructor(kind ClassifierKind) ConstructorConfig {
 // (DESIGN.md §8): passes may be fused and storage flattened, but the
 // nine metro models must encode to the bytes pinned here. KindNB's hash
 // is the one captured on the five-pass, row-per-allocation trainer
-// (commit 05513a6). The two Pegasos-backed hashes were re-captured once,
+// (commit 05513a6). The two Pegasos-backed hashes were re-captured twice:
 // when Pegasos.Fit went to scaled form (weights within 1e-9 relative of
 // the five-pass loop, TestMetroDecisionsUnchanged holding every
-// decision); from there on they bind the scaled loop exactly.
+// decision), and for the averaged fit, step budget S (28 000 steps, the
+// suffix average returned; held to the naive average by
+// TestPegasosFitMatchesFivePassReference). From there on they bind the
+// lazily averaged loop exactly.
 //
 // amd64 only: Go may fuse x*y+z into one rounding on other
 // architectures, which moves the low bits of every dot product.
@@ -95,8 +98,8 @@ func TestGoldenMetroModelBytes(t *testing.T) {
 		t.Skipf("golden model bytes are pinned on amd64, not %s", runtime.GOARCH)
 	}
 	golden := map[ClassifierKind]string{
-		KindSVM:       "2a7dc9d5ed3bfd7dd5f9940eabfd9bf3125dbbe495de96c6c6f4da6f8e8a846e",
-		KindLinearSVM: "fca70cecd93134511ed1a0de66798997dd4abcb2c8cb6af5b7c63895b0151d9d",
+		KindSVM:       "ae7a85684f932973bdf40c89d0b4e3a94a24d5c49793ac0c4688e3a4f2793e6d",
+		KindLinearSVM: "59fa56f87505603ae54d11e641d87c2fcbf342527949fb3554c2ee7d5610b35a",
 		KindNB:        "5654b967d7d8fc65b95e6a49e2fdb077de402e296aecf9c46dc8253f04d58eb3",
 	}
 	channels := metroCampaign(t)
@@ -117,12 +120,15 @@ func TestGoldenMetroModelBytes(t *testing.T) {
 	}
 }
 
-// TestMetroDecisionsUnchanged is the other half of the re-basing: the
-// model bytes moved in their last bits, the decisions did not. Every
+// TestMetroDecisionsUnchanged pins what the metro models decide: every
 // campaign reading is classified by its channel's model, per
-// Pegasos-backed family, and the labels hash to what the five-pass
-// trainer's models gave (captured by this test at commit 70197ca, the
-// last one whose Fit was bit-identical to that trainer).
+// Pegasos-backed family, and the labels hash to the digest below. It held
+// every decision through the scaled-form re-basing (captured at commit
+// 70197ca, the last Fit bit-identical to the five-pass trainer) and was
+// re-captured once, for the averaged fit, step budget S: an average is a
+// different hyperplane, so decisions move (SVM 4 948 → 4 987 Safe, linear
+// 5 956 → 6 142), and Fig. 17's oracle scorer holds them to false-safe
+// (EXPERIMENTS.md).
 func TestMetroDecisionsUnchanged(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("metro decisions are pinned on amd64, not %s", runtime.GOARCH)
@@ -131,8 +137,8 @@ func TestMetroDecisionsUnchanged(t *testing.T) {
 		digest string
 		safe   int
 	}{
-		KindSVM:       {"a955be037b9d90c6bcda7eaff3f5da647b3a77bdaef42d13fe134e360ed767e9", 4948},
-		KindLinearSVM: {"c095073a2ca4cdd2b25bd312c849d6f474656181982aa9b85bb867c8b1822b5e", 5956},
+		KindSVM:       {"3931d0836ef1114cdfd6edae04c11d1a0fb89b8cce7c644c31035ebbff74360d", 4987},
+		KindLinearSVM: {"3d9b4f633016312398aa2464b9875702e59526e87db69a5c78f3ddb6040b2586", 6142},
 	}
 	channels := metroCampaign(t)
 	for _, kind := range []ClassifierKind{KindSVM, KindLinearSVM} {
@@ -158,7 +164,7 @@ func TestMetroDecisionsUnchanged(t *testing.T) {
 		}
 		want := golden[kind]
 		if got := hex.EncodeToString(h.Sum(nil)); got != want.digest || safe != want.safe {
-			t.Errorf("%v: %d×%d decisions hash to %s with %d safe, five-pass trainer %s with %d safe",
+			t.Errorf("%v: %d×%d decisions hash to %s with %d safe, golden %s with %d safe",
 				kind, len(channels), metroSamples, got, safe, want.digest, want.safe)
 		}
 	}

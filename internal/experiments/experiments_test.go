@@ -273,12 +273,15 @@ func TestFig17Shape(t *testing.T) {
 	// NotSafe ones), on this suite's campaign (seed 42, 1 400 readings):
 	// the shipped rule's may exceed it by one binomial σ at most, at each
 	// speed. A change to the campaign, the models or the scorer's draws
-	// moves these counts; re-measure them with that stop disabled.
+	// moves these counts; re-measure them with that stop disabled. They
+	// were last re-measured for the averaged fit, step budget S (58 and 43
+	// before: one SVM seed's last iterate, where seeds 1–3 read 82/57,
+	// 171/128 and 163/128).
 	for _, c := range []struct {
 		name                 string
 		score                OracleScore
 		occupied, falseSafes int
-	}{{"stationary", res.Scored, 8181, 58}, {"15 m/s", res.MobileScored, 8181, 43}} {
+	}{{"stationary", res.Scored, 8181, 86}, {"15 m/s", res.MobileScored, 8181, 54}} {
 		t.Logf("%s: false-safe %d of %d, white space found %d of %d", c.name, c.score.FalseSafe, c.score.Occupied, c.score.Found, c.score.Vacant)
 		if n := c.score.Occupied + c.score.Vacant; n != res.ScoredPlaces*res.ScoredScans*len(rfenv.MeasuredChannels) {
 			t.Errorf("%s: %d decisions scored, want one per place, scan and channel", c.name, n)

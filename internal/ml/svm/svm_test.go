@@ -292,8 +292,8 @@ func TestDesignScratchIsFullyOverwritten(t *testing.T) {
 	}
 	for i, shape := range []struct{ n, d int }{{400, 48}, {150, 32}, {700, 64}, {150, 32}} {
 		x, y := localitySet(shape.n, int64(i))
-		fresh := &RFFSVM{D: shape.d, Gamma: 0.35, Seed: 5, Linear: Pegasos{ClassBalance: true, Epochs: 5}}
-		reused := &RFFSVM{D: shape.d, Gamma: 0.35, Seed: 5, Linear: Pegasos{ClassBalance: true, Epochs: 5}}
+		fresh := &RFFSVM{D: shape.d, Gamma: 0.35, Seed: 5, Linear: Pegasos{ClassBalance: true, steps: 1}}
+		reused := &RFFSVM{D: shape.d, Gamma: 0.35, Seed: 5, Linear: Pegasos{ClassBalance: true, steps: 1}}
 		if err := fresh.fit(new(designScratch), x, y); err != nil {
 			t.Fatal(err)
 		}

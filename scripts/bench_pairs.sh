@@ -26,7 +26,12 @@
 # the medians differ by more than that quartile distance. On wsd_scan a
 # last line says whether every run of both sides made the same decisions:
 # "decisions identical: yes" only when all of them report one digest.
-# Paste the lines into CHANGES.md.
+# Paste the lines into CHANGES.md. The verdict is also appended as one
+# JSON line to TRAJECTORY.jsonl at the repository root (the parent sha,
+# the measured tree's hash less TRAJECTORY.jsonl, workload, seed, pairs, nproc, per gated metric
+# both medians, pairs won, the parent's Q1–Q3 and the verdict, and on
+# wsd_scan each side's decision digests); commit it with the change.
+# TestTrajectory (trajectory_test.go) holds every line to the rule.
 # SECONDS_PER_RUN (default 14, BENCHMARK.json's run length) and TRACE
 # (default 0) override the run flags.
 set -euo pipefail
@@ -43,7 +48,15 @@ parent="$root/.bench_build/parent-$sha"
 change="$root/.bench_build/change-$stamp"
 out="$root/.bench_build/pairs/$workload-seed$seed-$stamp"
 mkdir -p "$out" "$change"
-trap 'rm -rf "$change"' EXIT
+trap 'rm -rf "$change" "$out/index"' EXIT
+# The measured tree's hash: the working tree as the export below takes
+# it, through a scratch index so the real one is left alone, less
+# TRAJECTORY.jsonl, which every run appends to: the same code keeps one
+# hash from run to run, the commit's tree once the lines are committed
+# with it.
+cp "$root/.git/index" "$out/index"
+tree=$(cd "$root" && export GIT_INDEX_FILE="$out/index" && git add -A &&
+	git rm -q --cached --ignore-unmatch TRAJECTORY.jsonl && git write-tree)
 if [ ! -d "$parent" ]; then
 	mkdir -p "$parent.tmp"
 	git -C "$root" archive "$sha" | tar -x -C "$parent.tmp"
@@ -98,7 +111,7 @@ for side in parent change; do
 		grep -E '^ *(setup_s|ops_per_s|op_p50_ms|op_tail_ms|sut_cpu_us_per_op) ' "$out/$side-$i.log" |
 			awk -v side="$side" -v pair="$i" '{print side, pair, $1, $2, $3}'
 	done
-done | awk -v pairs="$pairs" '
+done | awk -v pairs="$pairs" -v json="$out/metrics.json" '
 function quantile(v, n, k,    pos, j) { # k-th quartile of v[1..n], ascending
 	pos = k * (n + 1) / 4; j = int(pos)
 	if (j < 1) return v[1]
@@ -125,6 +138,8 @@ END {
 		if (wins >= 0.9 * pairs && gap > q3 - q1) holds = pairs >= 10 ? "claim holds" : "would hold, but a claim needs 10 pairs"
 		printf "  %-18s change won %d/%d pairs; median %.4f -> %.4f %s (%+.1f%% of the parent median); parent Q1-Q3 %.4f-%.4f (%.4f)  -> %s\n",
 			name, wins, pairs, medp, medc, unit[name], 100 * d / medp, q1, q3, q3 - q1, holds
+		printf "%s\"%s\":{\"parent_median\":%.6g,\"change_median\":%.6g,\"won\":%d,\"parent_q1\":%.6g,\"parent_q3\":%.6g,\"parent_iqr\":%.6g,\"verdict\":\"%s\"}",
+			(m > 1 ? "," : ""), name, medp, medc, wins, q1, q3, q3 - q1, holds > json
 	}
 }' | tee "$out/verdict.txt"
 if [ "$workload" = wsd_scan ]; then
@@ -133,6 +148,9 @@ if [ "$workload" = wsd_scan ]; then
 		same=yes
 	fi
 	echo "decisions identical: $same (parent $pdig, change $cdig)" | tee -a "$out/verdict.txt"
+	digestsJSON=$(printf ',"digests":{"parent":"%s","change":"%s"}' "$pdig" "$cdig")
 fi
-echo "reports: $out"
+printf '{"parent":"%s","tree":"%s","workload":"%s","seed":%d,"pairs":%d,"nproc":%d,"backfilled":false,"metrics":{%s}%s}\n' \
+	"$sha" "$tree" "$workload" "$seed" "$pairs" "$(nproc)" "$(cat "$out/metrics.json")" "${digestsJSON:-}" >>"$root/TRAJECTORY.jsonl"
+echo "reports: $out; verdict appended to TRAJECTORY.jsonl"
 exit "$status"
