@@ -1,11 +1,15 @@
 # Build, test, and verification entry points. `make check` is the CI
-# gate: vet + build + full test suite under the race detector.
+# gate: vet + build + full test suite under the race detector, then the
+# portable path that amd64 tests never compile: the svm package vetted
+# for arm64 (no vector cosine) and the whole module built for 386.
 
 GO ?= go
 
-.PHONY: check verify build test race vet fmt-check bench-repo bench-pairs chaos cluster-test clean
+.PHONY: check verify build test race vet fmt-check bench-repo bench-pairs layers chaos cluster-test clean
 
 check: vet build race
+	GOARCH=arm64 $(GO) vet ./internal/ml/svm
+	GOARCH=386 $(GO) build ./...
 
 # Full pre-merge verification: formatting, vet, build, tests (among
 # them the godoc coverage gate on contract-surface packages and each
@@ -93,6 +97,14 @@ PAIRS ?= 10
 
 bench-pairs:
 	scripts/bench_pairs.sh $(PARENT) $(W) $(SEED) $(PAIRS)
+
+# Layer budgets: each layer's in-package benchmark (trainer, device,
+# durable upload, WAL, cluster) at -cpu 1,2 -count 5, summarised as one
+# "layer" line appended to TRAJECTORY.jsonl; commit it. About a minute
+# on 2 vCPUs. `scripts/layers.sh <ref>` measures a commit instead of the
+# working tree.
+layers:
+	scripts/layers.sh
 
 clean:
 	$(GO) clean ./...

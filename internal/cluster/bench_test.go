@@ -62,8 +62,8 @@ func benchGateway(b *testing.B) *httptest.Server {
 // (probe → route → forward; for JSON, decode and re-encode as a frame
 // first). Direct vs gateway is the routing tier's cost: a single-owner
 // frame is forwarded byte for byte, so the ratio measures the second
-// HTTP hop. No test checks it (2.2–3.3× direct per op at -cpu 1 on
-// 2 vCPUs; ROADMAP item 29(b) would make it a budget). JSON vs frame
+// HTTP hop. No test checks it; scripts/layers.sh reports it for frames
+// at -cpu 1 and 2 (1.3–1.8× direct per op on 2 vCPUs). JSON vs frame
 // through the gateway is the transcode's cost. Run them at a fixed
 // iteration count — `go test -run
 // '^$' -bench Upload -benchtime 3000x ./internal/cluster/`: per-op cost

@@ -251,12 +251,6 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		var at dataset.Reading
-		for i, r := range readings {
-			if _, constant := model.constantAt(r.Loc); !constant && labels[i] == dataset.LabelNotSafe {
-				at = r
-				break
-			}
-		}
 		rng := rand.New(rand.NewSource(3))
 		var rings [3][64]features.Signal
 		fill := func(ring *[64]features.Signal, rss float64) {
@@ -277,8 +271,21 @@ func BenchmarkDetectorThroughput(b *testing.B) {
 			}
 			return dec
 		}
-		fill(&rings[0], at.Signal.RSSdBm)
-		fill(&rings[1], at.Signal.RSSdBm-10)
+		// The first NotSafe campaign reading in a classified locality
+		// where a stream at its level stops early NotSafe and one 10 dB
+		// under it stops early Safe.
+		for i, r := range readings {
+			if _, constant := model.constantAt(r.Loc); constant || labels[i] != dataset.LabelNotSafe {
+				continue
+			}
+			at = r
+			fill(&rings[0], at.Signal.RSSdBm)
+			fill(&rings[1], at.Signal.RSSdBm-10)
+			notSafe, safe := decide(&rings[0], 0), decide(&rings[1], 0)
+			if notSafe.StoppedEarly && notSafe.Label == dataset.LabelNotSafe && safe.StoppedEarly && safe.Label == dataset.LabelSafe {
+				break
+			}
+		}
 		for step := 1; step <= 200; step++ {
 			if fill(&rings[2], at.Signal.RSSdBm-0.05*float64(step)); decide(&rings[2], 0).Converged {
 				break

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -330,11 +331,7 @@ func TestDecodeModelRejectsNonFiniteClassifier(t *testing.T) {
 	at := func(i int) func(*Model, int) int { return func(*Model, int) int { return i } }
 	fromEnd := func(n int) func(*Model, int) int { return func(_ *Model, size int) int { return size - n } }
 	rffRows := func(m *Model) int {
-		rff, _, _, err := m.locals[len(m.locals)-1].clf.(*svm.RFFSVM).Model()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rw, _ := rff.Params()
+		rw, _ := lastRFF(t, m).Params()
 		return len(rw)
 	}
 	for _, tc := range []struct {
@@ -391,65 +388,166 @@ func TestDecodeModelRejectsNonFiniteClassifier(t *testing.T) {
 }
 
 // TestClassifyOverflowIsNotSafe: finite descriptor parameters can still
-// overflow the decision value — here a bias of MaxFloat64 plus a last
-// weight of MaxFloat64 times a positive z-score make +Inf, which is ≥ any
-// margin. Safe takes a finite score, so such places are NotSafe (the
-// decoder accepts the descriptor; refusing it there is a separate gate).
+// overflow the decision value. A linear model's bias of MaxFloat64 plus a
+// last weight of MaxFloat64 times a positive z-score make +Inf, which is
+// ≥ any margin. An RFF map whose weights are finite but huge makes
+// phases past 2²⁹, where the cosine leaves the Cody–Waite reduction, or
+// ±Inf and NaN, whose cosine is NaN: exactly the lanes the vector cosine
+// hands back to the Go body, so its features are held to the
+// definition's by bits. Safe takes a finite score, so wherever the score
+// is NaN or +Inf the place is NotSafe (the decoder accepts the
+// descriptor; refusing it there is a separate gate).
 func TestClassifyOverflowIsNotSafe(t *testing.T) {
 	readings, labels := synthReadings(200, 11)
-	m, err := BuildModel(readings, labels, ConstructorConfig{Classifier: KindLinearSVM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeModel(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	patched := buf.Bytes()
-	// The last locality's linear classifier ends in its last weight, then
-	// its bias.
-	binary.LittleEndian.PutUint64(patched[len(patched)-16:], math.Float64bits(math.MaxFloat64))
-	binary.LittleEndian.PutUint64(patched[len(patched)-8:], math.Float64bits(math.MaxFloat64))
-	hostile, err := DecodeModel(bytes.NewReader(patched))
-	if err != nil {
-		t.Fatalf("finite descriptor refused: %v", err)
-	}
-	overflowed := 0
-	for _, r := range readings {
-		score, err := decisionValue(hostile, r.Loc, r.Signal)
+	for _, tc := range []struct {
+		kind  ClassifierKind
+		patch func(m *Model, b []byte)
+	}{
+		// The last locality's linear classifier ends in its last weight,
+		// then its bias.
+		{KindLinearSVM, func(_ *Model, b []byte) {
+			binary.LittleEndian.PutUint64(b[len(b)-16:], math.Float64bits(math.MaxFloat64))
+			binary.LittleEndian.PutUint64(b[len(b)-8:], math.Float64bits(math.MaxFloat64))
+		}},
+		// The last locality's RFF weights, row by row, come before its D
+		// phases, its D linear weights and its bias. Every third row is
+		// scaled by 2³⁰, the next set to ±MaxFloat64.
+		{KindSVM, func(m *Model, b []byte) {
+			rw, _ := lastRFF(t, m).Params()
+			d, dim := len(rw), len(rw[0])
+			at := len(b) - 8 - 16*d - 8*d*dim
+			for i, row := range rw {
+				for j, v := range row {
+					switch i % 3 {
+					case 0:
+						v *= 1 << 30
+					case 1:
+						v = math.Copysign(math.MaxFloat64, v)
+					}
+					binary.LittleEndian.PutUint64(b[at+8*(i*dim+j):], math.Float64bits(v))
+				}
+			}
+		}},
+	} {
+		m, err := BuildModel(readings, labels, ConstructorConfig{Classifier: tc.kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !math.IsInf(score, 1) {
-			continue
+		var buf bytes.Buffer
+		if err := EncodeModel(&buf, m); err != nil {
+			t.Fatal(err)
 		}
-		overflowed++
-		if label, err := hostile.Classify(r.Loc, r.Signal); err != nil || label != dataset.LabelNotSafe {
-			t.Fatalf("reading %d scores +Inf: %v, %v; want NotSafe", r.Seq, label, err)
+		patched := buf.Bytes()
+		tc.patch(m, patched)
+		hostile, err := DecodeModel(bytes.NewReader(patched))
+		if err != nil {
+			t.Fatalf("%v: finite descriptor refused: %v", tc.kind, err)
+		}
+		overflowed, pastReduction, nonFinite := 0, 0, 0
+		for _, r := range readings {
+			score, err := decisionValue(hostile, r.Loc, r.Signal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.kind == KindSVM {
+				past, nf := checkRFFScoreByDefinition(t, hostile, r, score)
+				pastReduction += past
+				nonFinite += nf
+			}
+			if !math.IsNaN(score) && !math.IsInf(score, 1) {
+				continue
+			}
+			overflowed++
+			if label, err := hostile.Classify(r.Loc, r.Signal); err != nil || label != dataset.LabelNotSafe {
+				t.Fatalf("%v: reading %d scores %v: %v, %v; want NotSafe", tc.kind, r.Seq, score, label, err)
+			}
+		}
+		if overflowed == 0 || (tc.kind == KindSVM && (pastReduction == 0 || nonFinite == 0)) {
+			t.Fatalf("%v: %d readings overflowed the decision value, %d phases were finite past 2²⁹ and %d not finite: the patch missed",
+				tc.kind, overflowed, pastReduction, nonFinite)
 		}
 	}
-	if overflowed == 0 {
-		t.Fatal("no reading overflowed the decision value: the patch missed")
+}
+
+func lastRFF(t *testing.T, m *Model) *svm.RFF {
+	rff, _, _, err := m.locals[len(m.locals)-1].clf.(*svm.RFFSVM).Model()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return rff
+}
+
+// checkRFFScoreByDefinition holds the score an RFF-SVM model gives r to
+// its definition, sqrt(2/D)·math.Cos(wᵢ·z + bᵢ) summed by the locality's
+// hyperplane, by bits (amd64, where the cosine is pinned to math.Cos),
+// and counts the phases past the Cody–Waite reduction: finite at or
+// beyond 2²⁹, and not finite.
+func checkRFFScoreByDefinition(t *testing.T, m *Model, r dataset.Reading, score float64) (past, nonFinite int) {
+	lm, z, err := decidingLocality(m, r.Loc, r.Signal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lm == nil {
+		return 0, 0
+	}
+	clf := lm.clf.(*svm.RFFSVM)
+	rff, _, _, err := clf.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, rb := rff.Params()
+	feat := make([]float64, len(rb))
+	for i, row := range rw {
+		var phase float64
+		for j, w := range row {
+			phase += w * z[j]
+		}
+		phase += rb[i]
+		switch a := math.Abs(phase); {
+		case math.IsNaN(a) || math.IsInf(a, 1):
+			nonFinite++
+		case a >= 1<<29:
+			past++
+		}
+		feat[i] = math.Sqrt(2/float64(len(rb))) * math.Cos(phase)
+	}
+	want, err := clf.Linear.DecisionValue(feat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOARCH == "amd64" && math.Float64bits(score) != math.Float64bits(want) && !(math.IsNaN(score) && math.IsNaN(want)) {
+		t.Fatalf("reading %d: score %v, by definition %v", r.Seq, score, want)
+	}
+	return past, nonFinite
 }
 
 // decisionValue is the score Classify compares with the margin at loc
 // for sig: the deciding locality's decision value, 0 in a constant one.
 func decisionValue(m *Model, loc geo.Point, sig features.Signal) (float64, error) {
+	lm, z, err := decidingLocality(m, loc, sig)
+	if err != nil || lm == nil {
+		return 0, err
+	}
+	return lm.decisionValue(z)
+}
+
+// decidingLocality returns the locality that decides at loc and the
+// z-scored vector it classifies for sig; nil for a constant locality.
+func decidingLocality(m *Model, loc geo.Point, sig features.Signal) (*localModel, []float64, error) {
 	vec, err := m.Features.AppendVector(nil, m.proj.ToXY(loc), sig)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	idx, _ := kmeans.Nearest(m.centers, vec[:2])
 	lm := &m.locals[idx]
 	if lm.constant {
-		return 0, nil
+		return nil, nil, nil
 	}
 	z := make([]float64, len(vec))
 	if err := lm.std.TransformInto(z, vec); err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	return lm.decisionValue(z)
+	return lm, z, nil
 }
 
 // FuzzDecodeModel: a descriptor is input a device may not trust. Whatever

@@ -1,17 +1,17 @@
 package svm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 )
 
-// cosExact is math.Cos(x), bit for bit: cosRow on a row of one, which keeps
-// TestCosExactMatchesMathCos and FuzzCosExact on the kernel's only copy.
+// cosExact is math.Cos(x), bit for bit: the Go body on a row of one.
 func cosExact(x float64) float64 {
 	row := [1]float64{x}
-	cosRow(row[:], 1)
+	cosRowGo(row[:], 1)
 	return row[0]
 }
 
@@ -25,11 +25,28 @@ func skipUnlessLibraryCosIsPureGo(t testing.TB) {
 	}
 }
 
+// checkCosExact holds the Go body on a row of one, and cosRow with x in
+// each lane of a row of four beside ordinary phases, to math.Cos(x): a
+// row of one never reaches the vector kernel, a group of four does
+// unless x is past its range.
 func checkCosExact(t testing.TB, x float64) {
-	got, want := cosExact(x), math.Cos(x)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("cosExact(%v [%#x]) = %v [%#x], math.Cos %v [%#x]",
-			x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+	want := math.Cos(x)
+	check := func(lane int, got float64) {
+		if math.Float64bits(got) != math.Float64bits(want) {
+			what := "cosExact"
+			if lane >= 0 {
+				what = fmt.Sprintf("cosRow, lane %d of 4,", lane)
+			}
+			t.Fatalf("%s(%v [%#x]) = %v [%#x], math.Cos %v [%#x]",
+				what, x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	check(-1, cosExact(x))
+	for lane := 0; lane < 4; lane++ {
+		row := [4]float64{0.5, 1.5, 2.5, 3.5}
+		row[lane] = x
+		cosRow(row[:], 1)
+		check(lane, row[lane])
 	}
 }
 
@@ -88,30 +105,34 @@ func FuzzCosExact(f *testing.F) {
 }
 
 // TestCosRowMatchesScalar: a row's lanes are independent. Whatever sits
-// beside an element — the fallback range, NaN, ±Inf, −0 in the middle
-// lanes — element i of a scaled row is scale·math.Cos of element i, by
-// bits.
+// beside an element — the fallback range, NaN, ±Inf, −0, in any of the
+// four positions of a group, or in a row's tail — element i of a scaled
+// row is the Go body's, and scale·math.Cos of element i, by bits.
 func TestCosRowMatchesScalar(t *testing.T) {
 	skipUnlessLibraryCosIsPureGo(t)
 	rng := rand.New(rand.NewSource(13))
 	special := []float64{1 << 29, 1<<29 + 1, -(1 << 29), 1e300, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 	for trial := 0; trial < 2000; trial++ {
-		args := make([]float64, 48)
+		args := make([]float64, 41+trial%8) // tails of 1, 2, 3 and 0
 		for i := range args {
 			args[i] = rng.NormFloat64()*3 + rng.Float64()*2*math.Pi
 		}
-		for k, v := range special {
-			if trial%4 != 0 {
-				args[16+(k*2+trial)%16] = v // the middle lanes, moving
+		if trial%4 != 0 {
+			for k, v := range special {
+				args[4*(2+k)+(k+trial/4)%4] = v // groups 2–9, every position in turn
 			}
 		}
 		scale := math.Sqrt(2 / float64(1+rng.Intn(256)))
 		row := append([]float64(nil), args...)
 		cosRow(row, scale)
+		ref := append([]float64(nil), args...)
+		cosRowGo(ref, scale)
 		for i, x := range args {
-			if want := scale * math.Cos(x); math.Float64bits(row[i]) != math.Float64bits(want) {
-				t.Fatalf("trial %d lane %d: cosRow(%v [%#x]) = %v [%#x], scale·math.Cos %v [%#x]",
-					trial, i, x, math.Float64bits(x), row[i], math.Float64bits(row[i]), want, math.Float64bits(want))
+			want := scale * math.Cos(x)
+			if math.Float64bits(row[i]) != math.Float64bits(ref[i]) || math.Float64bits(row[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d lane %d of %d: cosRow(%v [%#x]) = %v [%#x], Go body %v [%#x], scale·math.Cos %v [%#x]",
+					trial, i, len(args), x, math.Float64bits(x), row[i], math.Float64bits(row[i]),
+					ref[i], math.Float64bits(ref[i]), want, math.Float64bits(want))
 			}
 		}
 	}

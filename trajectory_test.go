@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -50,11 +51,87 @@ var (
 	pairsVerdicts  = map[string]bool{"claim holds": true, "no claim": true, "would hold, but a claim needs 10 pairs": true}
 )
 
+// layerLine is one run of scripts/layers.sh: each layer benchmark's
+// ns/op, allocs/op and, where it reports it, cpu-ns/op over count runs
+// at each -cpu value.
+type layerLine struct {
+	Kind       string `json:"kind"`
+	Commit     string `json:"commit"`
+	Tree       string `json:"tree"`
+	NProc      int    `json:"nproc"`
+	Count      int    `json:"count"`
+	Benchmarks []struct {
+		Pkg      string     `json:"pkg"`
+		Name     string     `json:"name"`
+		CPU      int        `json:"cpu"`
+		N        int        `json:"n"`
+		Runs     int        `json:"runs"`
+		NsOp     *layerStat `json:"ns_op"`
+		CPUNsOp  *layerStat `json:"cpu_ns_op"`
+		AllocsOp *layerStat `json:"allocs_op"`
+	} `json:"benchmarks"`
+	Ratios []struct {
+		Name  string  `json:"name"`
+		CPU   int     `json:"cpu"`
+		Value float64 `json:"value"`
+	} `json:"ratios"`
+	Failed []string `json:"failed"`
+}
+
+type layerStat struct {
+	Median float64 `json:"median"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
+}
+
+// checkLayerLine holds a layer line to its schema: a commit and the
+// measured tree, every benchmark measured at a -cpu value on at most
+// count runs, with ns/op and allocs/op, and min ≤ median ≤ max.
+func checkLayerLine(raw []byte) error {
+	var l layerLine
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&l); err != nil {
+		return fmt.Errorf("not the layer schema: %v", err)
+	}
+	switch {
+	case l.Kind != "layer" || !hexSha.MatchString(l.Commit) || !treeHash.MatchString(l.Tree):
+		return fmt.Errorf("kind %q, commit %q, tree %q", l.Kind, l.Commit, l.Tree)
+	case l.NProc < 1 || l.Count < 1 || len(l.Benchmarks) == 0 || l.Failed == nil:
+		return fmt.Errorf("nproc %d, count %d, %d benchmarks, failed %v", l.NProc, l.Count, len(l.Benchmarks), l.Failed)
+	}
+	for _, b := range l.Benchmarks {
+		if !strings.HasPrefix(b.Pkg, "internal/") || !strings.HasPrefix(b.Name, "Benchmark") || b.CPU < 1 || b.N < 1 || b.Runs < 1 || b.Runs > l.Count {
+			return fmt.Errorf("benchmark %s %s at -cpu %d: %d iterations, %d runs of %d", b.Pkg, b.Name, b.CPU, b.N, b.Runs, l.Count)
+		}
+		if b.NsOp == nil || b.AllocsOp == nil {
+			return fmt.Errorf("%s at -cpu %d: no ns/op or allocs/op", b.Name, b.CPU)
+		}
+		for _, st := range []*layerStat{b.NsOp, b.CPUNsOp, b.AllocsOp} {
+			if st != nil && !(0 <= st.Min && st.Min <= st.Median && st.Median <= st.Max) {
+				return fmt.Errorf("%s at -cpu %d: min %v, median %v, max %v", b.Name, b.CPU, st.Min, st.Median, st.Max)
+			}
+		}
+	}
+	for _, r := range l.Ratios {
+		if r.Name == "" || r.CPU < 1 || !(r.Value > 0) || math.IsInf(r.Value, 0) {
+			return fmt.Errorf("ratio %q at -cpu %d: %v", r.Name, r.CPU, r.Value)
+		}
+	}
+	return nil
+}
+
 // checkTrajectoryLine parses one line and holds it to the schema and a
 // "claim holds" verdict to the pairs rule: at least 10 pairs, at least
 // nine tenths of them won, and medians further apart than the parent's
-// Q1–Q3.
+// Q1–Q3. A line of kind "layer" is held to checkLayerLine instead.
 func checkTrajectoryLine(raw []byte) error {
+	var kind struct {
+		Kind string `json:"kind"`
+	}
+	if err := json.Unmarshal(raw, &kind); err == nil && kind.Kind == "layer" {
+		return checkLayerLine(raw)
+	}
 	var l trajectoryLine
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
@@ -153,5 +230,15 @@ func TestTrajectory(t *testing.T) {
 		if checkTrajectoryLine([]byte(fmt.Sprintf(good, bad.pairs, bad.changeMedian, bad.won))) == nil {
 			t.Errorf("a claim on %s was accepted", bad.why)
 		}
+	}
+
+	const layer = `{"kind":"layer","commit":"2540d8b90c0bd46fb409353590ff2002f388b011","tree":"0123456789abcdef0123456789abcdef01234567","nproc":2,"count":5,` +
+		`"benchmarks":[{"pkg":"internal/core","name":"BenchmarkMetroRebuild/warm","cpu":2,"n":10,"runs":5,"ns_op":{"median":%v,"min":2.1e+07,"max":2.6e+07},"allocs_op":{"median":432,"min":432,"max":432}}],` +
+		`"ratios":[{"name":"upload_frame_gateway_over_direct","cpu":1,"value":1.6}],"failed":[]}`
+	if err := checkTrajectoryLine([]byte(fmt.Sprintf(layer, 2.4e7))); err != nil {
+		t.Errorf("a layer line was refused: %v", err)
+	}
+	if checkTrajectoryLine([]byte(fmt.Sprintf(layer, 2e7))) == nil {
+		t.Errorf("a layer line with a median under its min was accepted")
 	}
 }
